@@ -5,12 +5,11 @@
 use sgq_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sgq_core::pipeline::RewriteOptions;
 use sgq_core::RedundancyRule;
-use sgq_datasets::yago::{self, YagoConfig};
-use sgq_harness::runner::{run_query, Approach, Backend, RunConfig, Session};
+use sgq_harness::replay::Catalog;
+use sgq_harness::runner::{run_query, Approach, Backend, RunConfig};
 
 fn bench(c: &mut Criterion) {
-    let (schema, db) = yago::generate(YagoConfig::scaled(0.1));
-    let session = Session::new(&schema, &db);
+    let cat = Catalog::yago(0.1);
     let variants: [(&str, RewriteOptions); 5] = [
         ("full", RewriteOptions::default()),
         (
@@ -42,10 +41,9 @@ fn bench(c: &mut Criterion) {
             },
         ),
     ];
-    let queries = yago::queries(&schema).expect("catalog parses");
     let mut group = c.benchmark_group("ablation");
     group.sample_size(10);
-    for q in queries.iter().filter(|q| matches!(q.name, "Y1" | "Y6")) {
+    for q in cat.queries.iter().filter(|q| matches!(q.name, "Y1" | "Y6")) {
         for (tag, rewrite) in variants {
             let config = RunConfig {
                 timeout_ms: 30_000,
@@ -54,15 +52,7 @@ fn bench(c: &mut Criterion) {
                 ..Default::default()
             };
             group.bench_with_input(BenchmarkId::new(q.name, tag), &config, |b, config| {
-                b.iter(|| {
-                    run_query(
-                        &session,
-                        &q.expr,
-                        Approach::Schema,
-                        Backend::Relational,
-                        config,
-                    )
-                })
+                b.iter(|| run_query(&cat, &q.expr, Approach::Schema, Backend::Relational, config))
             });
         }
     }

@@ -2,21 +2,19 @@
 //! (Neo4j stand-in) and the relational backend (PostgreSQL stand-in).
 
 use sgq_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sgq_datasets::ldbc::{self, LdbcConfig};
-use sgq_harness::runner::{run_query, Approach, Backend, RunConfig, Session};
+use sgq_harness::replay::Catalog;
+use sgq_harness::runner::{run_query, Approach, Backend, RunConfig};
 
 fn bench(c: &mut Criterion) {
-    let (schema, db) = ldbc::generate(LdbcConfig::at_scale(0.3));
-    let session = Session::new(&schema, &db);
+    let cat = Catalog::ldbc(0.3);
     let config = RunConfig {
         timeout_ms: 10_000,
         repetitions: 1,
         ..Default::default()
     };
-    let queries = ldbc::queries(&schema).expect("catalog parses");
     let mut group = c.benchmark_group("fig14_backends");
     group.sample_size(10);
-    for q in queries.iter().filter(|q| {
+    for q in cat.queries.iter().filter(|q| {
         sgq_translate::cypher_expressible(&q.ucqt())
             && matches!(q.name, "IC2" | "IC11" | "IS2" | "BI9")
     }) {
@@ -26,7 +24,7 @@ fn bench(c: &mut Criterion) {
                     BenchmarkId::new(q.name, format!("{tag}{atag}")),
                     &(backend, approach),
                     |b, &(backend, approach)| {
-                        b.iter(|| run_query(&session, &q.expr, approach, backend, &config))
+                        b.iter(|| run_query(&cat, &q.expr, approach, backend, &config))
                     },
                 );
             }

@@ -2,8 +2,8 @@
 //! vs schema-rewritten.
 
 use sgq_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sgq_datasets::ldbc::{self, LdbcConfig};
-use sgq_harness::runner::{run_query, Approach, Backend, RunConfig, Session};
+use sgq_harness::replay::Catalog;
+use sgq_harness::runner::{run_query, Approach, Backend, RunConfig};
 
 fn bench(c: &mut Criterion) {
     let config = RunConfig {
@@ -14,10 +14,9 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig13_ldbc_scale");
     group.sample_size(10);
     for sf in [0.1, 0.3] {
-        let (schema, db) = ldbc::generate(LdbcConfig::at_scale(sf));
-        let session = Session::new(&schema, &db);
-        let queries = ldbc::queries(&schema).expect("catalog parses");
-        for q in queries
+        let cat = Catalog::ldbc(sf);
+        for q in cat
+            .queries
             .iter()
             .filter(|q| matches!(q.name, "IC11" | "IS2" | "Y1" | "Y6" | "BI9"))
         {
@@ -26,7 +25,7 @@ fn bench(c: &mut Criterion) {
                     BenchmarkId::new(format!("sf{sf}_{}", q.name), tag),
                     &approach,
                     |b, &approach| {
-                        b.iter(|| run_query(&session, &q.expr, approach, Backend::Graph, &config))
+                        b.iter(|| run_query(&cat, &q.expr, approach, Backend::Graph, &config))
                     },
                 );
             }

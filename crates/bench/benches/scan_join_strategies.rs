@@ -3,10 +3,9 @@
 //! selectivities, plus the closure fixpoint with and without the
 //! adjacency indexes.
 //!
-//! * `scan/*` pins the tentpole: handing out a base table is an O(1)
-//!   shared handle (`edge_table`), against the pre-zero-copy behaviour
-//!   (`deep_clone`, a full buffer copy) and full plan execution of a
-//!   bare scan.
+//! * `scan/*` pins the zero-copy storage layer: handing out a base
+//!   table is an O(1) shared handle (`edge_table`), against full plan
+//!   execution of a bare scan.
 //! * `join/*` plans the same logical join `probe(w,y) ⋈ knows(y,z)`
 //!   with the indexes on (→ `IndexJoin`) and ablated (→ `HashJoin`),
 //!   for probe sides of decreasing selectivity (hasModerator ≪ workAt ≪
@@ -31,14 +30,10 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("scan_join_strategies");
 
-    // --- Scans: shared handle vs the old copying path. ---
-    let table = store.edge_table(knows);
-    println!("knows table: {} rows", table.len());
+    // --- Scans: the shared handle vs executing a bare scan plan. ---
+    println!("knows table: {} rows", store.edge_table(knows).len());
     group.bench_function("scan/zero_copy_handle", |b| {
         b.iter(|| store.edge_table(knows))
-    });
-    group.bench_function("scan/deep_clone_old_path", |b| {
-        b.iter(|| table.deep_clone())
     });
     let scan_plan = plan(&scan(knows, x, y), &store).unwrap();
     group.bench_function("scan/execute_plan", |b| {

@@ -2,7 +2,7 @@
 //!
 //! Closed loop over the LDBC smoke workload (SF 0.1 catalog, 8 client
 //! threads, each keeping one query in flight — the shared
-//! `sgq_harness::experiments::run_clients` driver): for 1/2/4/8 workers
+//! `sgq_harness::replay::run_clients` driver): for 1/2/4/8 workers
 //! and cached vs uncached plans, times one full client pass and prints a
 //! QPS summary with the 1 → 4 worker scaling factor. On a single-CPU
 //! host the pool time-slices one core, so QPS stays flat while p50
@@ -12,23 +12,20 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sgq_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sgq_datasets::ldbc::{self, LdbcConfig};
-use sgq_harness::experiments::run_clients;
+use sgq_harness::replay::{run_clients, Catalog};
 use sgq_service::{QueryOptions, Service, ServiceConfig};
 
 const CLIENTS: usize = 8;
 
 fn service_throughput(c: &mut Criterion) {
-    let (schema, db) = ldbc::generate(LdbcConfig::at_scale(0.1));
-    let schema = Arc::new(schema);
-    let db = Arc::new(db);
-    // One relational load shared by every service in the sweep.
-    let store = Arc::new(sgq_ra::RelStore::load(&db));
-    let queries: Vec<String> = ldbc::queries(&schema)
-        .expect("catalog parses")
-        .iter()
-        .map(|q| q.text.to_string())
-        .collect();
+    let cat = Catalog::ldbc(0.1);
+    let (schema, db) = (&cat.schema, &cat.db);
+    // One relational load (the served, advised layout) shared by every
+    // service in the sweep.
+    let store = cat.store(None);
+    let queries: Vec<_> = cat.queries.iter().map(|q| &q.expr).collect();
+    let texts: Vec<&str> = cat.queries.iter().map(|q| q.text).collect();
+    let unchecked = |_: usize, _: &sgq_common::Result<sgq_service::QueryResponse>| {};
 
     let mut group = c.benchmark_group("service_throughput");
     group.sample_size(3);
@@ -36,8 +33,8 @@ fn service_throughput(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         for cached in [false, true] {
             let service = Service::with_store(
-                Arc::clone(&schema),
-                Arc::clone(&db),
+                Arc::clone(schema),
+                Arc::clone(db),
                 Arc::clone(&store),
                 ServiceConfig {
                     workers,
@@ -52,7 +49,7 @@ fn service_throughput(c: &mut Criterion) {
             if cached {
                 // Warm the plan cache so the ablation measures execution.
                 let session = service.session();
-                for q in &queries {
+                for q in &texts {
                     session.prepare(q, &opts).expect("warmup prepares");
                 }
             }
@@ -62,11 +59,11 @@ fn service_throughput(c: &mut Criterion) {
                     if cached { "cached" } else { "uncached" },
                 ),
                 &(),
-                |b, ()| b.iter(|| run_clients(&service, &queries, CLIENTS, 1, &opts)),
+                |b, ()| b.iter(|| run_clients(&service, &queries, CLIENTS, 1, &opts, unchecked)),
             );
             // One dedicated pass for the QPS summary.
             let start = Instant::now();
-            let (completed, _busy) = run_clients(&service, &queries, CLIENTS, 1, &opts);
+            let (completed, _busy) = run_clients(&service, &queries, CLIENTS, 1, &opts, unchecked);
             assert_eq!(service.metrics().errors, 0, "bench queries must succeed");
             qps_table.push((
                 workers,
@@ -83,8 +80,8 @@ fn service_throughput(c: &mut Criterion) {
     let mut dop_table: Vec<(usize, f64)> = Vec::new();
     for dop in [1usize, 2, 4, 8] {
         let service = Service::with_store(
-            Arc::clone(&schema),
-            Arc::clone(&db),
+            Arc::clone(schema),
+            Arc::clone(db),
             Arc::clone(&store),
             ServiceConfig {
                 workers: 2,
@@ -99,14 +96,14 @@ fn service_throughput(c: &mut Criterion) {
             ..Default::default()
         };
         let session = service.session();
-        for q in &queries {
+        for q in &texts {
             session.prepare(q, &opts).expect("warmup prepares");
         }
         group.bench_with_input(BenchmarkId::new("dop", dop), &(), |b, ()| {
-            b.iter(|| run_clients(&service, &queries, CLIENTS, 1, &opts))
+            b.iter(|| run_clients(&service, &queries, CLIENTS, 1, &opts, unchecked))
         });
         let start = Instant::now();
-        let (completed, _busy) = run_clients(&service, &queries, CLIENTS, 1, &opts);
+        let (completed, _busy) = run_clients(&service, &queries, CLIENTS, 1, &opts, unchecked);
         let m = service.metrics();
         assert_eq!(m.errors, 0, "bench queries must succeed");
         dop_table.push((dop, completed as f64 / start.elapsed().as_secs_f64()));

@@ -2,22 +2,21 @@
 //! on the relational backend.
 
 use sgq_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sgq_datasets::yago::{self, YagoConfig};
-use sgq_harness::runner::{run_query, Approach, Backend, RunConfig, Session};
+use sgq_harness::replay::Catalog;
+use sgq_harness::runner::{run_query, Approach, Backend, RunConfig};
 
 fn bench(c: &mut Criterion) {
-    let (schema, db) = yago::generate(YagoConfig::scaled(0.1));
-    let session = Session::new(&schema, &db);
+    let cat = Catalog::yago(0.1);
     let config = RunConfig {
         timeout_ms: 30_000,
         repetitions: 1,
         ..Default::default()
     };
-    let queries = yago::queries(&schema).expect("catalog parses");
     let mut group = c.benchmark_group("fig12_yago");
     group.sample_size(10);
     // A representative subset (the harness binary runs all 18).
-    for q in queries
+    for q in cat
+        .queries
         .iter()
         .filter(|q| matches!(q.name, "Y1" | "Y2" | "Y6" | "Y7" | "Y12" | "Y16"))
     {
@@ -26,7 +25,7 @@ fn bench(c: &mut Criterion) {
             (Approach::Schema, "schema"),
         ] {
             group.bench_with_input(BenchmarkId::new(q.name, tag), &approach, |b, &approach| {
-                b.iter(|| run_query(&session, &q.expr, approach, Backend::Relational, &config))
+                b.iter(|| run_query(&cat, &q.expr, approach, Backend::Relational, &config))
             });
         }
     }

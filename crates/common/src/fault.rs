@@ -1,33 +1,32 @@
 //! Deterministic fault injection for robustness testing.
 //!
 //! A *fault point* is a named site in the engine (`"exec.scan"`,
-//! `"service.dispatch"`, ...) guarded by the [`faultpoint!`](crate::faultpoint) macro.
-//! Disarmed — the default, and the only state production code ever
-//! sees — a fault point is a single relaxed atomic load and a
-//! predicted-not-taken branch: effectively free. Armed via [`arm`], each
-//! visit consults a seeded SplitMix64 stream and, with the configured
+//! `"service.dispatch"`, ...) guarded by the
+//! [`faultpoint!`](crate::faultpoint) macro, which takes the caller's
+//! `Option<Arc<FaultPlan>>` handle. With no plan — the default, and the
+//! only state production code ever sees — a fault point is one
+//! predicted-not-taken `Option` check: effectively free, and
+//! *structurally* unable to fire. With a [`FaultPlan`], each visit
+//! consults the plan's seeded SplitMix64 stream and, with the configured
 //! probability, either returns [`SgqError::Transient`] (the common case:
 //! a classified, retryable failure) or panics (to exercise the serving
 //! layer's panic containment).
 //!
-//! Determinism: the decision stream is a single seeded generator
-//! consumed in visit order, so a *sequential* workload replays the exact
-//! same fault schedule for the same seed. The chaos harness drives the
-//! catalog with one client for precisely this reason.
+//! The plan is a *value*: a service owns its handle and stamps it on the
+//! execution context of every query it runs, so two services in one
+//! process — one armed, one not — never see each other's faults.
 //!
-//! The state is process-global. Tests that arm faults must serialise
-//! against each other (the service crate keeps all of them in one
-//! integration binary behind a mutex) and must [`disarm`] on every exit
-//! path — [`ArmedGuard`] does this on drop.
+//! Determinism: the decision stream is a single seeded generator
+//! consumed in visit order, so a *sequential* workload against one plan
+//! replays the exact same fault schedule for the same seed.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::error::{Result, SgqError};
 use crate::rng::Rng;
 
-/// What an armed fault point does when it fires.
+/// What a fault point does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Return [`SgqError::Transient`] naming the site (retryable).
@@ -36,7 +35,8 @@ pub enum FaultKind {
     Panic,
 }
 
-/// A fault-injection plan: which sites fire, how often, and how.
+/// A fault-injection plan's parameters: which sites fire, how often,
+/// and how.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Seed for the SplitMix64 decision stream.
@@ -62,129 +62,113 @@ impl FaultConfig {
     }
 }
 
-/// Fire counts per site from an armed session, returned by [`disarm`].
+/// Per-site counts (fires or visits) of one [`FaultPlan`].
 pub type FireReport = BTreeMap<&'static str, u64>;
 
-struct FaultState {
+struct PlanState {
     rng: Rng,
-    probability: f64,
-    site: Option<&'static str>,
-    kind: FaultKind,
     fired: FireReport,
     visited: FireReport,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<FaultState>> = Mutex::new(None);
-
-/// Whether any fault plan is armed. This is the fast-path guard the
-/// [`faultpoint!`](crate::faultpoint) macro checks before touching the mutex: one relaxed
-/// load when disarmed.
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+/// One armed fault plan: the seeded decision stream plus its fire and
+/// visit reports. Shared as `Arc<FaultPlan>` between whoever arms it
+/// (and later reads the reports) and the service / execution contexts
+/// that visit its fault points.
+pub struct FaultPlan {
+    probability: f64,
+    site: Option<&'static str>,
+    kind: FaultKind,
+    state: Mutex<PlanState>,
 }
 
-/// Installs a fault plan. Replaces any previously armed plan (its fire
-/// report is discarded).
-pub fn arm(config: FaultConfig) {
-    let mut guard = STATE.lock().unwrap();
-    *guard = Some(FaultState {
-        rng: Rng::seed_from_u64(config.seed),
-        probability: config.probability.clamp(0.0, 1.0),
-        site: config.site,
-        kind: config.kind,
-        fired: FireReport::new(),
-        visited: FireReport::new(),
-    });
-    ARMED.store(true, Ordering::Relaxed);
-}
-
-/// Removes the armed plan and returns how many times each site fired
-/// (empty if nothing was armed).
-pub fn disarm() -> FireReport {
-    let mut guard = STATE.lock().unwrap();
-    ARMED.store(false, Ordering::Relaxed);
-    guard.take().map(|s| s.fired).unwrap_or_default()
-}
-
-/// Per-site visit counts for the armed plan (how often execution reached
-/// each fault point, fired or not). Empty when disarmed.
-pub fn visit_report() -> FireReport {
-    STATE
-        .lock()
-        .unwrap()
-        .as_ref()
-        .map(|s| s.visited.clone())
-        .unwrap_or_default()
-}
-
-/// Arms a plan and disarms it when the returned guard drops, so a
-/// panicking or early-returning test cannot leak an armed plan into the
-/// next one.
-pub fn armed_scope(config: FaultConfig) -> ArmedGuard {
-    arm(config);
-    ArmedGuard { _private: () }
-}
-
-/// Disarms the global fault plan on drop. See [`armed_scope`].
-pub struct ArmedGuard {
-    _private: (),
-}
-
-impl Drop for ArmedGuard {
-    fn drop(&mut self) {
-        let _ = disarm();
+impl std::fmt::Debug for FaultPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FaultPlan")
+            .field("probability", &self.probability)
+            .field("site", &self.site)
+            .field("kind", &self.kind)
+            .finish_non_exhaustive()
     }
 }
 
-/// The slow path behind [`faultpoint!`](crate::faultpoint): consults the armed plan and
-/// fires with the configured probability. Call only when [`armed`] is
-/// true (calling while disarmed is a harmless no-op).
-pub fn check(site: &'static str) -> Result<()> {
-    let mut guard = STATE.lock().unwrap();
-    let Some(state) = guard.as_mut() else {
-        return Ok(());
-    };
-    if let Some(only) = state.site {
-        if only != site {
+impl FaultPlan {
+    /// Builds the plan `config` describes.
+    pub fn new(config: FaultConfig) -> Arc<FaultPlan> {
+        Arc::new(FaultPlan {
+            probability: config.probability.clamp(0.0, 1.0),
+            site: config.site,
+            kind: config.kind,
+            state: Mutex::new(PlanState {
+                rng: Rng::seed_from_u64(config.seed),
+                fired: FireReport::new(),
+                visited: FireReport::new(),
+            }),
+        })
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, PlanState> {
+        // An injected panic releases the guard first (see `check`).
+        self.state
+            .lock()
+            .expect("no code panics while holding the fault-plan lock")
+    }
+
+    /// How many times each site fired so far.
+    pub fn fired(&self) -> FireReport {
+        self.state().fired.clone()
+    }
+
+    /// How often execution reached each (unfiltered) site, fired or not.
+    pub fn visited(&self) -> FireReport {
+        self.state().visited.clone()
+    }
+
+    /// The slow path behind [`faultpoint!`](crate::faultpoint): one
+    /// visit of `site`, firing with the configured probability.
+    pub fn check(&self, site: &'static str) -> Result<()> {
+        if self.site.is_some_and(|only| only != site) {
             return Ok(());
         }
-    }
-    *state.visited.entry(site).or_insert(0) += 1;
-    if !state.rng.gen_bool(state.probability) {
-        return Ok(());
-    }
-    *state.fired.entry(site).or_insert(0) += 1;
-    match state.kind {
-        FaultKind::Error => Err(SgqError::Transient { site }),
-        FaultKind::Panic => {
-            // Release the lock before unwinding so the containment layer
-            // (and later tests) can still reach the fault state.
-            drop(guard);
-            panic!("injected fault at {site}");
+        let mut state = self.state();
+        *state.visited.entry(site).or_insert(0) += 1;
+        if !state.rng.gen_bool(self.probability) {
+            return Ok(());
+        }
+        *state.fired.entry(site).or_insert(0) += 1;
+        match self.kind {
+            FaultKind::Error => Err(SgqError::Transient { site }),
+            FaultKind::Panic => {
+                // Release the lock before unwinding so the containment
+                // layer can still reach the plan.
+                drop(state);
+                panic!("injected fault at {site}");
+            }
         }
     }
 }
 
-/// Guards a named fault-injection site.
+/// Guards a named fault-injection site against the caller's
+/// `Option<Arc<FaultPlan>>` handle.
 ///
-/// Expands to a relaxed atomic load when disarmed — zero cost on every
-/// production path — and to a [`fault::check`](check) call (which may
+/// Expands to an `Option` check when the handle is `None` — zero cost on
+/// every production path — and to a [`FaultPlan::check`] call (which may
 /// return `Err(SgqError::Transient)` via `?`, or panic under a
-/// [`FaultKind::Panic`] plan) when a plan is armed.
+/// [`FaultKind::Panic`] plan) when a plan is present.
 ///
 /// ```
-/// # fn scan() -> sgq_common::Result<()> {
-/// sgq_common::faultpoint!("exec.scan");
+/// # use std::sync::Arc;
+/// # use sgq_common::fault::FaultPlan;
+/// # fn scan(faults: &Option<Arc<FaultPlan>>) -> sgq_common::Result<()> {
+/// sgq_common::faultpoint!(faults, "exec.scan");
 /// # Ok(())
 /// # }
 /// ```
 #[macro_export]
 macro_rules! faultpoint {
-    ($site:literal) => {
-        if $crate::fault::armed() {
-            $crate::fault::check($site)?;
+    ($plan:expr, $site:literal) => {
+        if let Some(plan) = &$plan {
+            plan.check($site)?;
         }
     };
 }
@@ -193,62 +177,47 @@ macro_rules! faultpoint {
 mod tests {
     use super::*;
 
-    // Fault state is process-global; serialise the tests in this module.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn visit(site: &'static str) -> Result<()> {
-        faultpoint!("test.a");
-        faultpoint!("test.b");
-        let _ = site;
+    fn visit(faults: &Option<Arc<FaultPlan>>) -> Result<()> {
+        faultpoint!(faults, "test.a");
+        faultpoint!(faults, "test.b");
         Ok(())
     }
 
     #[test]
-    fn disarmed_is_a_no_op() {
-        let _l = locked();
-        let _ = disarm();
-        assert!(!armed());
+    fn no_plan_is_a_no_op() {
         for _ in 0..100 {
-            visit("test.a").unwrap();
+            visit(&None).unwrap();
         }
-        assert!(disarm().is_empty());
     }
 
     #[test]
     fn probability_one_fires_every_visit() {
-        let _l = locked();
-        let _guard = armed_scope(FaultConfig::errors(42, 1.0));
-        let err = visit("test.a").unwrap_err();
+        let plan = Some(FaultPlan::new(FaultConfig::errors(42, 1.0)));
+        let err = visit(&plan).unwrap_err();
         assert_eq!(err, SgqError::Transient { site: "test.a" });
     }
 
     #[test]
     fn site_filter_restricts_firing() {
-        let _l = locked();
-        let _guard = armed_scope(FaultConfig {
+        let plan = FaultPlan::new(FaultConfig {
             seed: 7,
             probability: 1.0,
             site: Some("test.b"),
             kind: FaultKind::Error,
         });
         // test.a is visited first but filtered out; test.b fires.
-        let err = visit("test.a").unwrap_err();
+        let err = visit(&Some(Arc::clone(&plan))).unwrap_err();
         assert_eq!(err, SgqError::Transient { site: "test.b" });
-        let report = disarm();
+        let report = plan.fired();
         assert_eq!(report.get("test.b"), Some(&1));
         assert_eq!(report.get("test.a"), None);
     }
 
     #[test]
     fn same_seed_replays_the_same_schedule() {
-        let _l = locked();
         let run = |seed: u64| -> Vec<bool> {
-            let _guard = armed_scope(FaultConfig::errors(seed, 0.3));
-            (0..64).map(|_| visit("test.a").is_err()).collect()
+            let plan = Some(FaultPlan::new(FaultConfig::errors(seed, 0.3)));
+            (0..64).map(|_| visit(&plan).is_err()).collect()
         };
         let a = run(99);
         let b = run(99);
@@ -260,33 +229,49 @@ mod tests {
     }
 
     #[test]
-    fn fire_report_counts_per_site() {
-        let _l = locked();
-        arm(FaultConfig::errors(5, 1.0));
+    fn reports_count_per_site() {
+        let plan = FaultPlan::new(FaultConfig::errors(5, 1.0));
+        let handle = Some(Arc::clone(&plan));
         for _ in 0..3 {
-            let _ = visit("test.a");
+            let _ = visit(&handle);
         }
-        let visits = visit_report();
-        assert_eq!(visits.get("test.a"), Some(&3));
-        let report = disarm();
-        assert_eq!(report.get("test.a"), Some(&3), "fires on first site only");
-        assert!(!armed());
+        assert_eq!(plan.visited().get("test.a"), Some(&3));
+        assert_eq!(
+            plan.fired().get("test.a"),
+            Some(&3),
+            "fires on first site only"
+        );
+        assert_eq!(plan.fired().get("test.b"), None);
+    }
+
+    #[test]
+    fn two_plans_are_independent() {
+        let armed = Some(FaultPlan::new(FaultConfig::errors(1, 1.0)));
+        let quiet = Some(FaultPlan::new(FaultConfig::errors(1, 0.0)));
+        assert!(visit(&armed).is_err());
+        visit(&quiet).unwrap();
+        visit(&None).unwrap();
     }
 
     #[test]
     fn panic_kind_panics_with_the_site_name() {
-        let _l = locked();
-        let _guard = armed_scope(FaultConfig {
+        let plan = FaultPlan::new(FaultConfig {
             seed: 1,
             probability: 1.0,
             site: None,
             kind: FaultKind::Panic,
         });
-        let caught = std::panic::catch_unwind(|| {
-            let _ = visit("test.a");
-        })
+        let handle = Some(Arc::clone(&plan));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = visit(&handle);
+        }))
         .unwrap_err();
         let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
         assert_eq!(msg, "injected fault at test.a");
+        assert_eq!(
+            plan.fired().get("test.a"),
+            Some(&1),
+            "plan survives the panic"
+        );
     }
 }

@@ -28,7 +28,7 @@ pub mod sorted;
 
 pub use axes::{Approach, Backend};
 pub use error::{Result, SgqError};
-pub use fault::{FaultConfig, FaultKind, FireReport};
+pub use fault::{FaultConfig, FaultKind, FaultPlan, FireReport};
 pub use governor::{relation_bytes, QueryBudget, ResourceGovernor};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use id::{ColId, EdgeId, EdgeLabelId, KeyId, NodeId, NodeLabelId, RecVarId, VarId};

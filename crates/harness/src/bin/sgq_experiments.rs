@@ -1,117 +1,92 @@
-//! `sgq-experiments` — regenerates every table and figure of the paper.
+//! `sgq-experiments` — regenerates every table and figure of the paper
+//! and runs the replay-driven engine experiments.
 //!
 //! ```text
 //! sgq-experiments [EXPERIMENTS...] [--timeout-ms N] [--reps N]
-//!                 [--sf-max X] [--yago-scale X] [--backend graph|relational]
-//!                 [--out results.json]
-//!                 [--smoke] [--serve-workers 1,2,4] [--serve-clients N]
-//!                 [--serve-iters N] [--serve-sf X] [--est-sf X]
-//!                 [--chaos-sf X] [--chaos-prob P] [--chaos-seeds a,b,c]
+//!                 [--sf-max X] [--sf X] [--yago-scale X]
+//!                 [--backend graph|relational] [--redundancy RULE]
+//!                 [--out results.json] [--smoke]
+//!                 [--serve-workers 1,2,4] [--serve-clients N]
+//!                 [--serve-iters N] [--chaos-prob P] [--chaos-seeds a,b,c]
 //!
 //! EXPERIMENTS: all (default) | table3 | table5 | table6 | table7 | table8
 //!              | fig12 | fig13 | fig14 | fig15 | fig17 | reverts
-//!              | plans | smoke | serve | estimates | parallel | observe
+//!              | smoke | plans | estimates | serve | parallel | observe
 //!              | layouts | chaos
 //!              (the last eight run explicit only, not as part of `all`)
+//! ```
 //!
-//! `plans` prints the physical execution plans of Fig. 2 showcase
-//! queries (join strategies, build sides, fixpoint caching counters);
+//! The paper suite (`table*`, `fig*`, `reverts`) runs every catalog
+//! query baseline vs schema-rewritten under `--timeout-ms`/`--reps`;
+//! `--sf-max` caps the LDBC scale factors, `--out` dumps the raw records.
+//!
+//! The last eight share one set of catalogs (`--sf`, `--yago-scale`,
+//! `--timeout-ms`), generated once per process however many are named.
 //! `smoke` cross-checks both backends on the tiny Fig. 2 database and
-//! exits non-zero on any disagreement — the CI harness gate.
-//! `serve` runs the closed-loop service throughput experiment (N client
-//! threads over the LDBC catalog, worker sweep, plan-cache on/off);
-//! `serve --smoke` is the small CI variant that also verifies concurrent
-//! results against sequential execution.
-//! `estimates` replays both catalogs and reports the per-query q-error of
-//! the stats-v2 cardinality estimator against the v1 heuristics
-//! (`--est-sf` picks the LDBC scale factor, `--yago-scale` the YAGO
-//! size); `estimates --smoke` is the CI gate asserting the v2 median
-//! q-error beats v1 on both catalogs.
-//! `parallel` replays both catalogs serially and at DOP=N, asserts the
-//! results bit-identical, and prints per-query speedups;
-//! `parallel --smoke` is the CI gate at smoke scale with the cost gate
-//! forced open so every probe splits into morsels.
-//! `observe` replays the YAGO catalog through a traced service and
-//! reports per-phase timings, the Chrome-trace export and tracing
-//! overhead; `observe --smoke` is the CI gate asserting the export
-//! parses with every lifecycle phase covered, operator spans match
-//! `EXPLAIN ANALYZE` bit-for-bit, and the disabled tracer stays under
-//! a 5% overhead budget.
-//! `layouts` replays both catalogs under every physical storage layout
-//! (per-label, polymorphic, denormalised), asserts the results
-//! bit-identical, and tabulates per-layout timings and plan costs
-//! against the schema-driven advisor's pick; `layouts --smoke` is the
-//! CI gate at smoke scale additionally requiring at least one query to
-//! plan measurably cheaper under a non-default layout.
-//! `chaos` replays the LDBC catalog under seeded deterministic fault
-//! injection (`--chaos-sf`, `--chaos-prob`, `--chaos-seeds`), asserting
-//! every query completes bit-identically to the fault-free reference or
-//! fails with a classified retryable error, with zero worker deaths and
-//! a balanced memory governor; `chaos --smoke` is the CI gate at smoke
-//! scale with a single fixed seed.
+//! `plans` prints the physical-plan showcase; the other six are clients
+//! of the one replay driver — a named reference variant, a list of
+//! variants, every answer asserted bit-identical (`sgq_harness::gates`
+//! documents each variant list and gate). `--smoke` switches to the
+//! small CI scale and arms every gate, so the whole CI gate is one
+//! process, chaos included (a fault plan is a value owned by the
+//! service it is armed on):
+//!
+//! ```text
+//! sgq-experiments smoke plans estimates serve parallel observe layouts chaos --smoke
 //! ```
 
 use std::io::Write as _;
 
 use sgq_core::RedundancyRule;
-use sgq_harness::chaos::{self, ChaosConfig};
-use sgq_harness::estimates::{self, EstimatesConfig};
-use sgq_harness::experiments::{self, ExperimentConfig, ServeConfig};
-use sgq_harness::layouts::{self, LayoutsConfig};
-use sgq_harness::observe::{self, ObserveConfig};
-use sgq_harness::parallel::{self, ParallelConfig};
+use sgq_harness::experiments::{self, ExperimentConfig};
+use sgq_harness::gates::{self, GateParams};
+use sgq_harness::replay::{Catalogs, Scale};
 use sgq_harness::runner::Backend;
+
+fn num<T: std::str::FromStr>(v: &str, flag: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| panic!("{flag} takes a number"))
+}
+
+fn list<T: std::str::FromStr>(v: &str, flag: &str) -> Vec<T> {
+    v.split(',').map(|x| num(x, flag)).collect()
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut wanted: Vec<String> = Vec::new();
     let mut cfg = ExperimentConfig::default();
-    let mut serve_cfg = ServeConfig::default();
-    let mut est_cfg = EstimatesConfig::default();
-    let mut par_cfg = ParallelConfig::default();
-    let mut obs_cfg = ObserveConfig::default();
-    let mut lay_cfg = LayoutsConfig::default();
-    let mut chaos_cfg = ChaosConfig::default();
+    let mut scale = Scale::default();
+    let mut params = GateParams::default();
     let mut smoke_variant = false;
     let mut out_path: Option<String> = None;
 
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        let mut value = || {
+            i += 1;
+            args.get(i)
+                .unwrap_or_else(|| panic!("{flag} takes a value"))
+                .as_str()
+        };
+        match flag {
             "--timeout-ms" => {
-                i += 1;
-                let ms = args[i].parse().expect("--timeout-ms takes a number");
-                cfg.run.timeout_ms = ms;
-                serve_cfg.timeout_ms = ms;
-                est_cfg.timeout_ms = ms;
-                par_cfg.timeout_ms = ms;
-                obs_cfg.timeout_ms = ms;
-                lay_cfg.timeout_ms = ms;
-                chaos_cfg.timeout_ms = ms;
+                cfg.run.timeout_ms = num(value(), flag);
+                scale.timeout_ms = cfg.run.timeout_ms;
             }
-            "--reps" => {
-                i += 1;
-                cfg.run.repetitions = args[i].parse().expect("--reps takes a number");
-            }
+            "--reps" => cfg.run.repetitions = num(value(), flag),
             "--sf-max" => {
-                i += 1;
-                let max: f64 = args[i].parse().expect("--sf-max takes a number");
+                let max: f64 = num(value(), flag);
                 cfg.ldbc_sfs.retain(|&sf| sf <= max);
             }
+            "--sf" => scale.sf = num(value(), flag),
             "--yago-scale" => {
-                i += 1;
-                cfg.yago_scale = args[i].parse().expect("--yago-scale takes a number");
-                est_cfg.yago_scale = cfg.yago_scale;
-                obs_cfg.yago_scale = cfg.yago_scale;
-                lay_cfg.yago_scale = cfg.yago_scale;
-            }
-            "--est-sf" => {
-                i += 1;
-                est_cfg.ldbc_sf = args[i].parse().expect("--est-sf takes a number");
+                cfg.yago_scale = num(value(), flag);
+                scale.yago_scale = cfg.yago_scale;
             }
             "--redundancy" => {
-                i += 1;
-                cfg.run.rewrite.redundancy = match args[i].as_str() {
+                cfg.run.rewrite.redundancy = match value() {
                     "bothsides" => RedundancyRule::BothSides,
                     "eitherside" => RedundancyRule::EitherSide,
                     "never" => RedundancyRule::Never,
@@ -119,52 +94,19 @@ fn main() {
                 };
             }
             "--backend" => {
-                i += 1;
-                cfg.backend = match args[i].as_str() {
+                cfg.backend = match value() {
                     "graph" => Backend::Graph,
                     "relational" => Backend::Relational,
                     other => panic!("unknown backend {other}"),
                 };
             }
-            "--out" => {
-                i += 1;
-                out_path = Some(args[i].clone());
-            }
+            "--out" => out_path = Some(value().to_string()),
             "--smoke" => smoke_variant = true,
-            "--serve-workers" => {
-                i += 1;
-                serve_cfg.worker_counts = args[i]
-                    .split(',')
-                    .map(|w| w.parse().expect("--serve-workers takes a,b,c"))
-                    .collect();
-            }
-            "--serve-clients" => {
-                i += 1;
-                serve_cfg.clients = args[i].parse().expect("--serve-clients takes a number");
-            }
-            "--serve-iters" => {
-                i += 1;
-                serve_cfg.iters_per_client = args[i].parse().expect("--serve-iters takes a number");
-            }
-            "--serve-sf" => {
-                i += 1;
-                serve_cfg.sf = args[i].parse().expect("--serve-sf takes a number");
-            }
-            "--chaos-sf" => {
-                i += 1;
-                chaos_cfg.sf = args[i].parse().expect("--chaos-sf takes a number");
-            }
-            "--chaos-prob" => {
-                i += 1;
-                chaos_cfg.probability = args[i].parse().expect("--chaos-prob takes a number");
-            }
-            "--chaos-seeds" => {
-                i += 1;
-                chaos_cfg.seeds = args[i]
-                    .split(',')
-                    .map(|s| s.parse().expect("--chaos-seeds takes a,b,c"))
-                    .collect();
-            }
+            "--serve-workers" => params.worker_counts = list(value(), flag),
+            "--serve-clients" => params.clients = num(value(), flag),
+            "--serve-iters" => params.passes = num(value(), flag),
+            "--chaos-prob" => params.probability = num(value(), flag),
+            "--chaos-seeds" => params.seeds = list(value(), flag),
             other => wanted.push(other.to_string()),
         }
         i += 1;
@@ -173,61 +115,24 @@ fn main() {
         wanted.push("all".to_string());
     }
     let want = |name: &str| wanted.iter().any(|w| w == name || w == "all");
-    // Cheap local experiments that run only when asked for by name, so
-    // `all` keeps its paper-suite meaning.
-    let want_exact = |name: &str| wanted.iter().any(|w| w == name);
 
-    let mut all_records = Vec::new();
-
-    if want_exact("plans") {
-        println!("{}", experiments::physical_plans());
+    // The engine experiments run only when asked for by name, so `all`
+    // keeps its paper-suite meaning. They share one set of catalogs.
+    if smoke_variant {
+        (scale, params) = (Scale::smoke(), GateParams::smoke());
     }
-    if want_exact("smoke") {
-        println!("{}", experiments::smoke());
-    }
-    if want_exact("serve") {
-        if smoke_variant {
-            println!("{}", experiments::serve_smoke());
-        } else {
-            println!("{}", experiments::serve(&serve_cfg));
-        }
-    }
-    if want_exact("estimates") {
-        if smoke_variant {
-            println!("{}", estimates::estimates_smoke());
-        } else {
-            println!("{}", estimates::estimates(&est_cfg));
-        }
-    }
-    if want_exact("parallel") {
-        if smoke_variant {
-            println!("{}", parallel::parallel_smoke());
-        } else {
-            println!("{}", parallel::parallel(&par_cfg));
-        }
-    }
-    if want_exact("observe") {
-        if smoke_variant {
-            println!("{}", observe::observe_smoke());
-        } else {
-            println!("{}", observe::observe(&obs_cfg));
-        }
-    }
-    if want_exact("layouts") {
-        if smoke_variant {
-            println!("{}", layouts::layouts_smoke());
-        } else {
-            println!("{}", layouts::layouts(&lay_cfg));
-        }
-    }
-    if want_exact("chaos") {
-        if smoke_variant {
-            println!("{}", chaos::chaos_smoke());
-        } else {
-            println!("{}", chaos::chaos(&chaos_cfg));
+    let named: Vec<&str> = (gates::GATES.into_iter())
+        .filter(|name| wanted.iter().any(|w| w == name))
+        .collect();
+    if !named.is_empty() {
+        let cats = Catalogs::new(scale);
+        for name in named {
+            let report = gates::run(name, &cats, &params, smoke_variant);
+            println!("{}", report.expect("GATES lists known experiments"));
         }
     }
 
+    let mut all_records = Vec::new();
     if want("table3") {
         println!("{}", experiments::table3(&cfg));
     }

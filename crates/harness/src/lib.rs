@@ -1,44 +1,32 @@
 //! The experiment harness: reproduces every table and figure of the
-//! paper's evaluation (§5).
+//! paper's evaluation (§5) and gates the engine's invariants in CI.
 //!
-//! * [`runner`] — runs one query (baseline vs schema-rewritten) on either
+//! * [`replay`] — the one replay driver: [`Catalogs`](replay::Catalogs)
+//!   (datasets, parsed catalogs and relational stores built once per
+//!   process), [`Variant`](replay::Variant) (layout × morsel sizing ×
+//!   traced × fault plan × memo cold/warm × direct or through a
+//!   service), the bit-identity comparator against a named reference
+//!   variant, the table renderer and the JSON emitter,
+//! * [`gates`] — the replay-driven experiments, each a variant list plus
+//!   a gate predicate: `parallel`, `layouts`, `estimates`, `observe`,
+//!   `serve`, `chaos` (CI runs them all, armed, in one
+//!   `sgq-experiments … --smoke` process),
+//! * [`runner`] — one query, baseline vs schema-rewritten, on either
 //!   backend under the timeout/repetition protocol of §5.1.5,
+//! * [`experiments`] — one function per paper table/figure, each
+//!   returning a printable report, plus the `plans` showcase and the
+//!   Fig. 2 cross-backend `smoke`,
 //! * [`summary`] — box-plot statistics (Tabs. 7/8, Figs. 13/14),
-//! * [`experiments`] — one function per table/figure, each returning a
-//!   printable report,
-//! * [`estimates`] — the cardinality-estimation quality experiment:
-//!   per-query q-error of the stats-v2 cost model vs the v1 heuristics
-//!   over both catalogs (CI-gated via `estimates --smoke`),
-//! * [`mod@parallel`] — morsel-driven intra-query parallelism: DOP=N vs
-//!   serial execution over both catalogs, bit-identical results asserted
-//!   (CI-gated via `parallel --smoke`),
-//! * [`layouts`] — the physical-storage-layout ablation: every catalog
-//!   query planned and executed under the per-label, polymorphic and
-//!   denormalised layouts, bit-identical results asserted, timings and
-//!   plan costs tabulated against the schema-driven advisor's pick
-//!   (CI-gated via `layouts --smoke`),
-//! * [`observe`] — the observability stack end to end: traced catalog
-//!   replay, Chrome-trace export validation, span-vs-analyze agreement
-//!   and the disabled-tracer overhead budget (CI-gated via
-//!   `observe --smoke`),
-//! * [`chaos`] — deterministic fault injection over the LDBC catalog:
-//!   seeded fault schedules at every `faultpoint!` site, asserting each
-//!   query completes bit-identically to the fault-free reference or
-//!   fails classified-retryable, with zero worker deaths and a balanced
-//!   memory governor (CI-gated via `chaos --smoke`),
 //! * [`records`] — serialisable raw measurements (dumped via
 //!   `sgq-experiments --out results.json` so every number is
 //!   regenerable).
 
 #![warn(missing_docs)]
 
-pub mod chaos;
-pub mod estimates;
 pub mod experiments;
-pub mod layouts;
-pub mod observe;
-pub mod parallel;
+pub mod gates;
 pub mod records;
+pub mod replay;
 pub mod runner;
 pub mod summary;
 

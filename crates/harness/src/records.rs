@@ -1,15 +1,10 @@
 //! Serialisable raw measurements.
 //!
 //! Every experiment run can be dumped as JSON (`--out results.json`) so
-//! the numbers in the experiment reports are auditable and regenerable.
-//! Escaping and number rendering come from the workspace JSON writer
-//! ([`sgq_common::json`]; see DESIGN.md — the workspace is
-//! dependency-free, so there is no `serde`); this module only streams
-//! the record layout.
+//! the numbers in the experiment reports are auditable and regenerable;
+//! rendering is the workspace JSON writer's ([`sgq_common::json`]).
 
-use std::fmt::Write as _;
-
-use sgq_common::json;
+use sgq_common::json::JsonValue;
 
 use crate::runner::{Approach, Backend, Measurement};
 
@@ -67,45 +62,22 @@ impl RunRecord {
     }
 }
 
-/// Renders an optional JSON number (runtimes are finite by construction).
-fn json_f64(v: Option<f64>) -> String {
-    match v {
-        Some(v) => json::number(v),
-        None => "null".to_string(),
-    }
-}
-
-/// Serialises records as pretty JSON.
+/// Serialises records as a JSON array (one object per record).
 pub fn to_json(records: &[RunRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {");
-        let fields = [
-            ("query", json::escape(&r.query)),
-            ("kind", json::escape(&r.kind)),
-            ("scale_factor", json_f64(r.scale_factor)),
-            ("approach", json::escape(&r.approach)),
-            ("backend", json::escape(&r.backend)),
-            ("ms", json_f64(r.ms)),
-            ("rows", r.rows.map_or("null".to_string(), |n| n.to_string())),
-            (
-                "reverted",
-                r.reverted.map_or("null".to_string(), |b| b.to_string()),
-            ),
-        ];
-        for (j, (key, value)) in fields.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {}: {value}", json::escape(key));
-        }
-        out.push_str("\n  }");
-    }
-    out.push_str("\n]");
-    out
+    let opt = |v: Option<JsonValue>| v.unwrap_or(JsonValue::Null);
+    let record = |r: &RunRecord| {
+        JsonValue::obj([
+            ("query", JsonValue::str(r.query.clone())),
+            ("kind", JsonValue::str(r.kind.clone())),
+            ("scale_factor", opt(r.scale_factor.map(JsonValue::Num))),
+            ("approach", JsonValue::str(r.approach.clone())),
+            ("backend", JsonValue::str(r.backend.clone())),
+            ("ms", opt(r.ms.map(JsonValue::Num))),
+            ("rows", opt(r.rows.map(|n| JsonValue::Int(n as u64)))),
+            ("reverted", opt(r.reverted.map(JsonValue::Bool))),
+        ])
+    };
+    JsonValue::Arr(records.iter().map(record).collect()).render()
 }
 
 #[cfg(test)]
@@ -145,10 +117,5 @@ mod tests {
         assert!(r.ms.is_none());
         let json = to_json(&[r]);
         assert!(json.contains("\"ms\": null"), "{json}");
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        assert_eq!(json::escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -1,0 +1,969 @@
+//! The one replay driver behind every experiment.
+//!
+//! The paper's protocol (§5.1.5) is a single loop — every catalog query,
+//! same database, timeout, compare — and this is its only implementation:
+//!
+//! * [`Catalog`] / [`Catalogs`] — a generated dataset, its parsed query
+//!   catalog and its relational stores, built **once per process** (the
+//!   only `generate` call sites),
+//! * [`Variant`] — one way of executing a catalog: storage layout ×
+//!   morsel sizing × traced × fault plan × feedback memo cold/warm ×
+//!   direct `execute_plan` or through a [`Service`]; the front end is
+//!   always the library's own [`prepare`],
+//! * [`replay`] — a named reference variant and a list of variants over
+//!   a catalog, every answer compared **bit for bit**,
+//! * [`Table`] and [`Replay::to_json`] — the one table renderer and the
+//!   one JSON emitter (per-pass [`Summary`] of the timings).
+//!
+//! An experiment is a variant list plus a gate predicate over the
+//! returned [`Replay`] (see [`crate::gates`]).
+
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+use sgq_common::fault::{FaultConfig, FaultPlan, FireReport};
+use sgq_common::json::JsonValue;
+use sgq_common::{Result, SgqError};
+use sgq_core::pipeline::RewriteOptions;
+use sgq_datasets::ldbc::{self, LdbcConfig};
+use sgq_datasets::yago::{self, YagoConfig};
+use sgq_datasets::CatalogQuery;
+use sgq_graph::{GraphDatabase, GraphSchema};
+use sgq_obs::QueryTrace;
+use sgq_ra::exec::{execute_plan, ExecContext};
+use sgq_ra::{LayoutKind, RelStore};
+use sgq_service::prepared::{prepare, PreparedBody, PreparedQuery};
+use sgq_service::{
+    retry_with_backoff, MetricsSnapshot, QueryOptions, QueryResponse, RetryPolicy, Service,
+    ServiceConfig, Session,
+};
+
+use crate::runner::{Approach, Backend};
+use crate::summary::Summary;
+
+/// Row-materialisation budget of every replayed execution (the service
+/// default).
+const MAX_ROWS: usize = 20_000_000;
+
+/// Dataset sizes and the per-query timeout shared by every experiment.
+#[derive(Debug, Clone, Copy)]
+pub struct Scale {
+    /// LDBC scale factor.
+    pub sf: f64,
+    /// Scaling of the YAGO dataset relative to its default size.
+    pub yago_scale: f64,
+    /// Per-query timeout (ms).
+    pub timeout_ms: u64,
+}
+
+impl Default for Scale {
+    fn default() -> Self {
+        Scale {
+            sf: 0.3,
+            yago_scale: 0.3,
+            timeout_ms: 10_000,
+        }
+    }
+}
+
+impl Scale {
+    /// The small scale every CI gate runs at (`--smoke`).
+    pub fn smoke() -> Self {
+        Scale {
+            sf: 0.1,
+            yago_scale: 0.05,
+            timeout_ms: 10_000,
+        }
+    }
+}
+
+/// One generated dataset with its parsed query catalog and its lazily
+/// loaded relational stores (one per requested layout).
+pub struct Catalog {
+    /// `YAGO` / `LDBC` (or a caller-chosen name for ad-hoc databases).
+    pub name: &'static str,
+    /// LDBC scale factor (`None` for the other datasets).
+    pub sf: Option<f64>,
+    /// The schema the database conforms to.
+    pub schema: Arc<GraphSchema>,
+    /// The database (graph backend).
+    pub db: Arc<GraphDatabase>,
+    /// The parsed query catalog.
+    pub queries: Vec<CatalogQuery>,
+    stores: Mutex<Vec<(Option<LayoutKind>, Arc<RelStore>)>>,
+}
+
+impl Catalog {
+    /// A catalog over an existing database.
+    pub fn new(
+        name: &'static str,
+        schema: GraphSchema,
+        db: GraphDatabase,
+        queries: Vec<CatalogQuery>,
+    ) -> Self {
+        Catalog {
+            name,
+            sf: None,
+            schema: Arc::new(schema),
+            db: Arc::new(db),
+            queries,
+            stores: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The LDBC-SNB-like dataset at scale factor `sf` with the 30 Tab. 4
+    /// queries.
+    pub fn ldbc(sf: f64) -> Self {
+        let (schema, db) = ldbc::generate(LdbcConfig::at_scale(sf));
+        let queries = ldbc::queries(&schema).expect("catalog parses");
+        Catalog {
+            sf: Some(sf),
+            ..Catalog::new("LDBC", schema, db, queries)
+        }
+    }
+
+    /// The YAGO-like dataset at `scale` with the 18 recursive queries.
+    pub fn yago(scale: f64) -> Self {
+        let (schema, db) = yago::generate(YagoConfig::scaled(scale));
+        let queries = yago::queries(&schema).expect("catalog parses");
+        Catalog::new("YAGO", schema, db, queries)
+    }
+
+    /// The relational load of the database under `layout`; `None` is the
+    /// advisor's pick — what [`Service::new`] serves. Loaded on first
+    /// use, then shared.
+    pub fn store(&self, layout: Option<LayoutKind>) -> Arc<RelStore> {
+        let mut stores = self.stores.lock().expect("store loading does not panic");
+        if let Some((_, store)) = stores.iter().find(|(l, _)| *l == layout) {
+            return Arc::clone(store);
+        }
+        let store = Arc::new(match layout {
+            Some(kind) => RelStore::load_with_layout(&self.db, kind),
+            None => RelStore::load_advised(&self.db, &self.schema),
+        });
+        stores.push((layout, Arc::clone(&store)));
+        store
+    }
+}
+
+/// Both bundled catalogs at one [`Scale`].
+pub struct Catalogs {
+    /// The scale the catalogs were generated at.
+    pub scale: Scale,
+    /// The YAGO catalog.
+    pub yago: Catalog,
+    /// The LDBC catalog.
+    pub ldbc: Catalog,
+}
+
+impl Catalogs {
+    /// Generates both catalogs at `scale` (their stores load on first
+    /// use).
+    pub fn new(scale: Scale) -> Self {
+        Catalogs {
+            scale,
+            yago: Catalog::yago(scale.yago_scale),
+            ldbc: Catalog::ldbc(scale.sf),
+        }
+    }
+
+    /// Both catalogs, YAGO first.
+    pub fn both(&self) -> [&Catalog; 2] {
+        [&self.yago, &self.ldbc]
+    }
+}
+
+/// Morsel sizing of a parallel variant.
+#[derive(Debug, Clone, Copy)]
+pub struct Sizing {
+    /// Degree of parallelism.
+    pub dop: usize,
+    /// Probe-row threshold below which operators stay serial.
+    pub threshold: usize,
+    /// Morsel size cap (rows).
+    pub morsel_rows: usize,
+}
+
+/// A seeded error-injection plan armed for one variant, with the
+/// per-query retry budget its client spends before giving up.
+#[derive(Debug, Clone, Copy)]
+pub struct Faults {
+    /// Seed of the fault plan (and of the client's backoff jitter).
+    pub seed: u64,
+    /// Per-visit fire probability.
+    pub probability: f64,
+    /// Attempts per query including the first; a query still failing
+    /// after this many must fail with a retryable error.
+    pub max_attempts: usize,
+}
+
+/// State of the cardinality-feedback memo while a variant plans.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Memo {
+    /// Cleared and disabled: every plan is estimated from the
+    /// statistics alone.
+    #[default]
+    Cold,
+    /// Cleared, then trained by one recorded execution of every query's
+    /// cold plan; the variant plans from the observed cardinalities.
+    Warm,
+}
+
+/// How a variant reaches the executor.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Via {
+    /// `prepare` + `execute_plan` on the calling thread.
+    #[default]
+    Direct,
+    /// Through a [`Service`] built over the variant's store.
+    Service {
+        /// Worker threads.
+        workers: usize,
+        /// Closed-loop client threads; 1 replays sequentially.
+        clients: usize,
+        /// Passes over the catalog per client.
+        passes: usize,
+        /// Serve from a pre-warmed plan cache (`false` re-prepares
+        /// every call).
+        cached: bool,
+    },
+}
+
+/// One way of executing a catalog. The default is what is served, run
+/// plainly: advised layout, serial, untraced, no faults, cold memo,
+/// direct, one execution.
+#[derive(Debug, Clone, Default)]
+pub struct Variant {
+    /// Name used in reports and divergence panics.
+    pub name: String,
+    /// Storage layout; `None` = the advisor's pick (what is served).
+    pub layout: Option<LayoutKind>,
+    /// Morsel parallelism (direct variants); `None` = serial.
+    pub sizing: Option<Sizing>,
+    /// Trace every execution and return its structured `EXPLAIN
+    /// ANALYZE` (service variants).
+    pub traced: bool,
+    /// Fault plan armed while the variant runs.
+    pub faults: Option<Faults>,
+    /// Feedback-memo state the variant plans under.
+    pub memo: Memo,
+    /// Direct execution or through a service.
+    pub via: Via,
+    /// Timed executions per query (direct only, 0 = 1); the best is
+    /// kept.
+    pub repeats: usize,
+}
+
+impl Variant {
+    /// The default variant under `name`.
+    pub fn new(name: impl Into<String>) -> Self {
+        Variant {
+            name: name.into(),
+            ..Default::default()
+        }
+    }
+}
+
+/// One query's answer in canonical form (sorted, deduplicated rows).
+#[derive(PartialEq, Eq)]
+struct Answer {
+    arity: usize,
+    flat: Vec<u32>,
+}
+
+impl Answer {
+    fn rows(&self) -> usize {
+        self.flat.len() / self.arity.max(1)
+    }
+}
+
+/// One completed (query, variant) execution.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// Result rows.
+    pub rows: usize,
+    /// Execution time (ms): best of the repeats when direct, the
+    /// service's end-to-end latency otherwise.
+    pub ms: f64,
+    /// Morsel tasks dispatched (direct only).
+    pub morsels: usize,
+    /// Rows the executor materialised — the deterministic measure of
+    /// the work a plan did (direct only).
+    pub materialised: usize,
+    /// The prepared statement that ran (direct only).
+    pub prepared: Option<Arc<PreparedQuery>>,
+    /// The query-lifecycle trace (traced service variants).
+    pub trace: Option<Arc<QueryTrace>>,
+    /// Structured `EXPLAIN ANALYZE` (traced service variants).
+    pub analyze_json: Option<String>,
+}
+
+impl Run {
+    /// Root `(estimated rows, estimated cost)` of the plan that ran.
+    pub fn estimate(&self) -> Option<(f64, f64)> {
+        let plan = self.prepared.as_ref()?.plan()?;
+        Some((plan.est.rows, plan.est.cost))
+    }
+}
+
+/// One variant's pass over a catalog.
+#[derive(Debug, Clone, Default)]
+pub struct Pass {
+    /// The variant that ran.
+    pub variant: Variant,
+    /// Per catalog query, in catalog order: `None` when skipped (no
+    /// reference answer), infeasible, or failed retryable under faults.
+    /// Concurrent passes compare inside their client threads and keep
+    /// no per-query runs.
+    pub runs: Vec<Option<Run>>,
+    /// Queries that spent their retry budget and failed retryable.
+    pub retryable_failures: usize,
+    /// Executions completed across all clients.
+    pub completed: u64,
+    /// Retries spent across all clients.
+    pub retries: u64,
+    /// Wall clock of the measured loop (s).
+    pub elapsed_s: f64,
+    /// Faults fired per site.
+    pub fired: FireReport,
+    /// Service metrics at the end of the pass (service variants).
+    pub metrics: Option<MetricsSnapshot>,
+    /// Traces the floored slow-query log captured (traced service
+    /// variants).
+    pub slow_queries: usize,
+}
+
+impl Pass {
+    fn sequential(&self) -> bool {
+        !matches!(self.variant.via, Via::Service { clients: 2.., .. })
+    }
+
+    /// Completed executions per second of measured wall clock.
+    pub fn qps(&self) -> f64 {
+        self.completed as f64 / self.elapsed_s.max(1e-9)
+    }
+
+    /// Machine-readable form: the pass counters and the [`Summary`] of
+    /// the per-query timings.
+    pub fn to_json(&self) -> JsonValue {
+        let ms: Vec<f64> = self.runs.iter().flatten().map(|r| r.ms).collect();
+        let fires = self.fired.iter().map(|(&s, &n)| (s, JsonValue::Int(n)));
+        JsonValue::obj([
+            ("variant", JsonValue::str(self.variant.name.clone())),
+            ("completed", JsonValue::Int(self.completed)),
+            ("retries", JsonValue::Int(self.retries)),
+            ("retryable", JsonValue::Int(self.retryable_failures as u64)),
+            ("qps", JsonValue::Num(self.qps())),
+            ("fires", JsonValue::obj(fires)),
+            (
+                "ms",
+                Summary::compute(&ms).map_or(JsonValue::Null, |s| s.to_json()),
+            ),
+        ])
+    }
+}
+
+/// The outcome of [`replay`]: the reference pass and every variant's.
+#[derive(Debug, Clone)]
+pub struct Replay {
+    /// Catalog name.
+    pub catalog: &'static str,
+    /// Query names, in catalog order (the index space of
+    /// [`Pass::runs`]).
+    pub queries: Vec<&'static str>,
+    /// The reference pass.
+    pub reference: Pass,
+    /// The variants' passes, in request order.
+    pub variants: Vec<Pass>,
+}
+
+impl Replay {
+    /// The queries every sequential pass completed — what the tables
+    /// list and the gates reason over: name, the reference run and the
+    /// sequential variants' runs in request order.
+    pub fn compared(&self) -> Vec<(&'static str, &Run, Vec<&Run>)> {
+        let sequential: Vec<&Pass> = self.variants.iter().filter(|p| p.sequential()).collect();
+        (0..self.queries.len())
+            .filter_map(|i| {
+                let reference = self.reference.runs[i].as_ref()?;
+                let runs = sequential.iter().filter_map(|p| p.runs[i].as_ref());
+                let variants: Vec<&Run> = runs.collect();
+                (variants.len() == sequential.len()).then_some((
+                    self.queries[i],
+                    reference,
+                    variants,
+                ))
+            })
+            .collect()
+    }
+
+    /// Machine-readable form: one [`Pass::to_json`] per pass.
+    pub fn to_json(&self) -> JsonValue {
+        let passes = std::iter::once(&self.reference).chain(&self.variants);
+        JsonValue::obj([
+            ("catalog", JsonValue::str(self.catalog)),
+            (
+                "reference",
+                JsonValue::str(self.reference.variant.name.clone()),
+            ),
+            (
+                "passes",
+                JsonValue::Arr(passes.map(Pass::to_json).collect()),
+            ),
+        ])
+    }
+}
+
+/// Replays `cat` under `reference` and then under each of `variants`,
+/// asserting every variant answer bit-identical to the reference's.
+///
+/// A query the reference cannot finish within `timeout_ms` (or the row
+/// budget) is skipped everywhere; a variant that exceeds the budget
+/// skips that query for itself; under a fault plan a query may instead
+/// fail *retryable* once its retry budget is spent. Anything else — a
+/// different answer, a non-retryable error — panics naming catalog,
+/// query and variant. Service variants additionally assert a balanced
+/// memory governor and zero worker panics, and a fault variant is
+/// followed by a disarmed replay on the same service that must again
+/// match.
+pub fn replay(cat: &Catalog, timeout_ms: u64, reference: &Variant, variants: &[Variant]) -> Replay {
+    let (reference, answers) = run_pass(cat, timeout_ms, reference, None);
+    let variants = variants
+        .iter()
+        .map(|v| run_pass(cat, timeout_ms, v, Some(&answers)).0)
+        .collect();
+    Replay {
+        catalog: cat.name,
+        queries: cat.queries.iter().map(|q| q.name).collect(),
+        reference,
+        variants,
+    }
+}
+
+/// Everything one pass shares across its queries.
+struct PassCtx<'a> {
+    cat: &'a Catalog,
+    variant: &'a Variant,
+    store: Arc<RelStore>,
+    timeout_ms: u64,
+    faults: Option<Arc<FaultPlan>>,
+    /// The reference answers to compare against (`None` while running
+    /// the reference itself).
+    expected: Option<&'a [Option<Answer>]>,
+}
+
+impl PassCtx<'_> {
+    fn label(&self, i: usize) -> String {
+        let (cat, query) = (self.cat.name, self.cat.queries[i].name);
+        format!("{cat}/{query}: variant `{}`", self.variant.name)
+    }
+
+    /// The comparator: every answer of every variant passes through
+    /// here.
+    fn check(&self, i: usize, got: &Answer, stage: &str) {
+        if let Some(want) = self.expected.and_then(|e| e[i].as_ref()) {
+            assert!(
+                got == want,
+                "{}{stage} diverged from the reference: {} rows vs {}",
+                self.label(i),
+                got.rows(),
+                want.rows(),
+            );
+        }
+    }
+
+    /// Classifies a failed query: skipped when it did not fit the
+    /// protocol's budget or — under faults — failed retryable (returns
+    /// `true`); a panic otherwise.
+    fn give_up(&self, i: usize, e: &SgqError) -> bool {
+        let retryable = self.faults.is_some() && e.retryable();
+        let infeasible = e.is_timeout() || matches!(e, SgqError::RowBudget { .. });
+        assert!(retryable || infeasible, "{} failed: {e}", self.label(i));
+        retryable
+    }
+
+    fn exec_context(&self) -> ExecContext {
+        let mut ctx = ExecContext::with_timeout(self.timeout_ms);
+        ctx.max_rows = MAX_ROWS;
+        ctx.faults = self.faults.clone();
+        if let Some(s) = self.variant.sizing {
+            ctx.dop = s.dop;
+            ctx.parallel_threshold = s.threshold;
+            ctx.morsel_rows = s.morsel_rows.max(1);
+        }
+        ctx
+    }
+
+    fn prepare(&self, q: &CatalogQuery) -> Result<PreparedQuery> {
+        let (backend, approach) = (Backend::Relational, Approach::Schema);
+        let rewrite = RewriteOptions::default();
+        prepare(
+            &self.cat.schema,
+            &self.store,
+            &q.expr,
+            backend,
+            approach,
+            rewrite,
+        )
+    }
+
+    /// Sets the store's feedback memo up for this variant.
+    fn set_memo(&self) {
+        let memo = &self.store.feedback;
+        memo.clear();
+        memo.set_enabled(false);
+        if self.variant.memo == Memo::Warm {
+            let cold: Vec<_> = (self.cat.queries.iter())
+                .filter_map(|q| self.prepare(q).ok())
+                .collect();
+            memo.set_enabled(true);
+            for plan in cold.iter().filter_map(PreparedQuery::plan) {
+                let _ = execute_plan(plan, &self.store, &mut self.exec_context());
+            }
+        }
+    }
+
+    /// One direct attempt: prepare, then the best of `repeats` timed
+    /// executions.
+    fn run_direct(&self, q: &CatalogQuery) -> Result<(Run, Answer)> {
+        let prepared = Arc::new(self.prepare(q)?);
+        let mut run = Run {
+            rows: 0,
+            ms: 0.0, // stays 0 when the schema proves the query empty
+            morsels: 0,
+            materialised: 0,
+            prepared: Some(Arc::clone(&prepared)),
+            trace: None,
+            analyze_json: None,
+        };
+        let mut answer = Answer {
+            arity: prepared.columns().len(),
+            flat: Vec::new(),
+        };
+        if let PreparedBody::Relational(plan) = prepared.body() {
+            run.ms = f64::INFINITY;
+            for _ in 0..self.variant.repeats.max(1) {
+                let mut ctx = self.exec_context();
+                let start = Instant::now();
+                let rel = execute_plan(plan, &self.store, &mut ctx)?;
+                run.ms = run.ms.min(start.elapsed().as_secs_f64() * 1e3);
+                run.morsels = ctx.morsels_executed;
+                run.materialised = ctx.rows_materialized();
+                run.rows = rel.len();
+                answer.flat = rel.rows().flatten().copied().collect();
+            }
+        }
+        Ok((run, answer))
+    }
+}
+
+/// The service a `Via::Service` pass runs through.
+struct Served<'a> {
+    ctx: &'a PassCtx<'a>,
+    service: Service,
+    session: Session,
+    opts: QueryOptions,
+}
+
+impl<'a> Served<'a> {
+    /// Builds the service over the pass's store, warms its plan cache
+    /// when `cached`, then arms the pass's fault plan.
+    fn start(
+        ctx: &'a PassCtx<'a>,
+        wanted: &[usize],
+        workers: usize,
+        clients: usize,
+        cached: bool,
+    ) -> Self {
+        let (cat, variant) = (ctx.cat, ctx.variant);
+        let config = ServiceConfig {
+            queue_capacity: (clients * 2).max(8),
+            default_timeout_ms: ctx.timeout_ms,
+            default_max_rows: MAX_ROWS,
+            tracing: variant.traced,
+            ..ServiceConfig::with_workers(workers)
+        };
+        let (schema, db) = (Arc::clone(&cat.schema), Arc::clone(&cat.db));
+        let service = Service::with_store(schema, db, Arc::clone(&ctx.store), config);
+        if variant.traced {
+            // Floor the threshold: every query is "slow", exercising the log.
+            service.slow_query_log().set_threshold_us(1);
+        }
+        let opts = QueryOptions {
+            use_cache: cached,
+            analyze: variant.traced,
+            ..Default::default()
+        };
+        let session = service.session();
+        if cached {
+            // Warm the plan cache so the loop measures execution, not
+            // first-touch prepares (`prepare` runs inline and leaves
+            // the latency registry alone).
+            for &i in wanted {
+                let warmed = session.prepare(cat.queries[i].text, &opts);
+                warmed.unwrap_or_else(|e| panic!("{} warm-up: {e}", ctx.label(i)));
+            }
+        }
+        service.set_fault_plan(ctx.faults.clone());
+        Served {
+            ctx,
+            service,
+            session,
+            opts,
+        }
+    }
+
+    fn answer(resp: &QueryResponse) -> Answer {
+        Answer {
+            arity: resp.columns.len(),
+            flat: resp.rows.concat(),
+        }
+    }
+
+    /// One sequential attempt through the service.
+    fn run(&self, i: usize) -> Result<(Run, Answer)> {
+        let session = &self.session;
+        let resp = session.execute_expr(&self.ctx.cat.queries[i].expr, &self.opts)?;
+        let answer = Served::answer(&resp);
+        let traced = self.ctx.variant.traced;
+        let run = Run {
+            rows: resp.rows.len(),
+            ms: resp.stats.total_micros as f64 / 1e3,
+            morsels: 0,
+            materialised: resp.stats.rows_materialized,
+            prepared: None,
+            trace: traced.then(|| session.recent_traces().pop()).flatten(),
+            analyze_json: resp.analyze_json,
+        };
+        Ok((run, answer))
+    }
+
+    fn assert_balanced(&self, i: usize) {
+        let g = self.service.governor();
+        let balanced = g.used() == 0 && g.active_queries() == 0;
+        assert!(
+            balanced,
+            "{}: memory governor unbalanced",
+            self.ctx.label(i)
+        );
+    }
+
+    /// Disarms, replays the catalog once more when the pass was armed,
+    /// asserts the service survived intact and shuts it down.
+    fn finish(self, wanted: &[usize], pass: &mut Pass) {
+        self.service.set_fault_plan(None);
+        let session = &self.session;
+        if self.ctx.faults.is_some() {
+            // The storm is over: the same service must still answer every
+            // query exactly — no state was corrupted, no worker lost.
+            for &i in wanted {
+                let resp = session.execute_expr(&self.ctx.cat.queries[i].expr, &self.opts);
+                let resp = resp.unwrap_or_else(|e| panic!("{} post-fault: {e}", self.ctx.label(i)));
+                self.ctx
+                    .check(i, &Served::answer(&resp), " (disarmed, post-fault)");
+            }
+        }
+        if let Some(&last) = wanted.last() {
+            self.assert_balanced(last);
+        }
+        let metrics = self.service.metrics();
+        assert!(
+            metrics.worker_panics == 0 && self.service.pool_panic_count() == 0,
+            "{}: variant `{}`: a worker panicked: {metrics}",
+            self.ctx.cat.name,
+            self.ctx.variant.name
+        );
+        pass.slow_queries = session.drain_slow_queries().len();
+        pass.metrics = Some(metrics);
+        self.service.shutdown();
+    }
+}
+
+fn run_pass(
+    cat: &Catalog,
+    timeout_ms: u64,
+    variant: &Variant,
+    expected: Option<&[Option<Answer>]>,
+) -> (Pass, Vec<Option<Answer>>) {
+    let faults = variant
+        .faults
+        .map(|f| FaultConfig::errors(f.seed, f.probability));
+    let ctx = PassCtx {
+        cat,
+        variant,
+        store: cat.store(variant.layout),
+        timeout_ms,
+        faults: faults.map(FaultPlan::new),
+        expected,
+    };
+    ctx.set_memo();
+    let mut pass = Pass {
+        variant: variant.clone(),
+        runs: vec![None; cat.queries.len()],
+        ..Default::default()
+    };
+    let mut answers: Vec<Option<Answer>> = cat.queries.iter().map(|_| None).collect();
+    // Queries this pass runs: all of them for the reference, else those
+    // the reference answered.
+    let wanted: Vec<usize> = (0..cat.queries.len())
+        .filter(|&i| expected.is_none_or(|e| e[i].is_some()))
+        .collect();
+    let (served, clients, passes) = match variant.via {
+        Via::Direct => (None, 1, 1),
+        Via::Service {
+            workers,
+            clients,
+            passes,
+            cached,
+        } => {
+            let served = Served::start(&ctx, &wanted, workers, clients, cached);
+            (Some(served), clients, passes)
+        }
+    };
+    let policy = match variant.faults {
+        Some(f) => RetryPolicy {
+            max_attempts: f.max_attempts,
+            ..RetryPolicy::new(f.seed)
+        },
+        None => RetryPolicy::unbounded(0x9e37_79b9),
+    };
+    let start = Instant::now();
+    match &served {
+        Some(served) if clients > 1 => {
+            let exprs: Vec<_> = wanted.iter().map(|&i| &cat.queries[i].expr).collect();
+            let seen = |k: usize, r: &Result<QueryResponse>| match r {
+                Ok(resp) => ctx.check(wanted[k], &Served::answer(resp), ""),
+                Err(e) => drop(ctx.give_up(wanted[k], e)),
+            };
+            (pass.completed, pass.retries) =
+                run_clients(&served.service, &exprs, clients, passes, &served.opts, seen);
+        }
+        _ => {
+            for &i in &wanted {
+                let (result, retries) = retry_with_backoff(policy, || match &served {
+                    Some(served) => served.run(i),
+                    None => ctx.run_direct(&cat.queries[i]),
+                });
+                pass.retries += retries;
+                match result {
+                    Ok((run, answer)) => {
+                        ctx.check(i, &answer, "");
+                        pass.completed += 1;
+                        pass.runs[i] = Some(run);
+                        answers[i] = Some(answer);
+                    }
+                    Err(e) => pass.retryable_failures += ctx.give_up(i, &e) as usize,
+                }
+                if let Some(served) = &served {
+                    served.assert_balanced(i);
+                }
+            }
+        }
+    }
+    pass.elapsed_s = start.elapsed().as_secs_f64();
+    if let Some(served) = served {
+        served.finish(&wanted, &mut pass);
+    }
+    if let Some(plan) = &ctx.faults {
+        pass.fired = plan.fired();
+    }
+    // Leave the shared store as a fresh load would be.
+    ctx.store.feedback.clear();
+    ctx.store.feedback.set_enabled(true);
+    (pass, answers)
+}
+
+/// Drives `clients` closed-loop client threads over a service: each
+/// keeps one query in flight for `passes` passes over `queries` (offset
+/// per client so the loop does not hit the same statement in
+/// lock-step), retrying retryable errors (`Busy`, injected transients)
+/// with an unbounded jittered backoff instead of a hot spin. `seen` is
+/// handed every final outcome with the query's index. Returns
+/// `(completed, retries)`; errors are also counted in the service
+/// metrics.
+pub fn run_clients(
+    service: &Service,
+    queries: &[&sgq_algebra::ast::PathExpr],
+    clients: usize,
+    passes: usize,
+    opts: &QueryOptions,
+    seen: impl Fn(usize, &Result<QueryResponse>) + Sync,
+) -> (u64, u64) {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                let (session, seen) = (service.session(), &seen);
+                s.spawn(move || {
+                    let (mut ok, mut retries) = (0u64, 0u64);
+                    // Unbounded: a closed-loop client must eventually
+                    // admit every request; the jitter is seeded per
+                    // client so colliding clients decorrelate.
+                    let policy = RetryPolicy::unbounded(0x9e37_79b9 ^ client as u64);
+                    for pass in 0..passes {
+                        for i in 0..queries.len() {
+                            let k = (i + client + pass) % queries.len();
+                            let attempt = || session.execute_expr(queries[k], opts);
+                            let (result, spent) = retry_with_backoff(policy, attempt);
+                            retries += spent;
+                            ok += result.is_ok() as u64;
+                            seen(k, &result);
+                        }
+                    }
+                    (ok, retries)
+                })
+            })
+            .collect();
+        // A client that panicked (a diverging answer) re-raises here
+        // with its own message.
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        joined.fold((0, 0), |(a, b), (x, y)| (a + x, b + y))
+    })
+}
+
+/// A text table whose columns size themselves to their widest cell.
+pub struct Table {
+    /// `(header, left-aligned)` per column.
+    head: Vec<(String, bool)>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// A table from a column spec: headers separated by `|`, a leading
+    /// `<` left-aligns the column (text), the default is right-aligned
+    /// (numbers) — e.g. `"<query|rows|serial ms"`.
+    pub fn new(spec: &str) -> Self {
+        let col = |h: &str| (h.trim_start_matches('<').to_string(), h.starts_with('<'));
+        Table {
+            head: spec.split('|').map(col).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row: the cells separated by `|`, one per column.
+    pub fn row(&mut self, cells: String) {
+        let cells: Vec<String> = cells.split('|').map(str::to_string).collect();
+        assert_eq!(cells.len(), self.head.len(), "one cell per column");
+        self.rows.push(cells);
+    }
+
+    /// Renders header and rows, one line each.
+    pub fn render(&self) -> String {
+        let header: Vec<String> = self.head.iter().map(|(h, _)| h.clone()).collect();
+        let lines = || std::iter::once(&header).chain(&self.rows);
+        let widths: Vec<usize> = (0..header.len())
+            .map(|j| lines().map(|l| l[j].chars().count()).max().unwrap_or(0))
+            .collect();
+        let mut out = String::new();
+        for line in lines() {
+            let cells: Vec<String> = (line.iter().enumerate())
+                .map(|(j, cell)| match (self.head[j].1, widths[j]) {
+                    (true, w) => format!("{cell:<w$}"),
+                    (false, w) => format!("{cell:>w$}"),
+                })
+                .collect();
+            out.push_str(cells.join(" ").trim_end());
+            out.push('\n');
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tiny() -> Catalog {
+        Catalog::yago(0.02)
+    }
+
+    /// `db` minus its first `label` edge, rebuilt node for node.
+    fn without_one_edge(schema: &GraphSchema, db: &GraphDatabase, label: &str) -> GraphDatabase {
+        let mut b = GraphDatabase::builder(schema);
+        for n in db.node_ids() {
+            b.node_with_label_id(db.node_label(n), db.node_properties(n).to_vec());
+        }
+        let victim = db.edge_label_id(label).expect("label exists");
+        for le in (0..db.edge_label_count()).map(|i| sgq_common::EdgeLabelId::new(i as u32)) {
+            let skip = (le == victim) as usize;
+            for &(s, t) in db.edges(le).iter().skip(skip) {
+                b.edge_with_label_id(s, le, t);
+            }
+        }
+        b.build().expect("the copy is well-formed")
+    }
+
+    #[test]
+    fn identical_variants_replay_clean_and_stores_load_once() {
+        let cat = tiny();
+        let per_label = Variant {
+            layout: Some(LayoutKind::PerLabel),
+            ..Variant::new("per-label")
+        };
+        let served = Variant {
+            via: Via::Service {
+                workers: 2,
+                clients: 2,
+                passes: 1,
+                cached: true,
+            },
+            ..Variant::new("served")
+        };
+        let rep = replay(&cat, 10_000, &Variant::new("advised"), &[per_label, served]);
+        assert_eq!(rep.compared().len(), cat.queries.len());
+        assert!(rep.compared().iter().all(|(_, _, v)| v.len() == 1));
+        assert_eq!(rep.variants[1].completed, 2 * cat.queries.len() as u64);
+        assert!(Arc::ptr_eq(&cat.store(None), &cat.store(None)));
+        let json = rep.to_json().render();
+        assert!(json.contains("\"variant\": \"per-label\""), "{json}");
+        assert!(json.contains("\"median\""), "{json}");
+    }
+
+    #[test]
+    fn a_one_row_perturbation_panics_naming_query_and_variant() {
+        let cat = tiny();
+        // Plant a store loaded from a database missing one edge as the
+        // polymorphic layout's: that variant now answers one row short.
+        let perturbed = without_one_edge(&cat.schema, &cat.db, "isLocatedIn");
+        cat.stores.lock().unwrap().push((
+            Some(LayoutKind::Polymorphic),
+            Arc::new(RelStore::load_with_layout(
+                &perturbed,
+                LayoutKind::Polymorphic,
+            )),
+        ));
+        let variant = Variant {
+            layout: Some(LayoutKind::Polymorphic),
+            ..Variant::new("one-row-short")
+        };
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            replay(&cat, 10_000, &Variant::new("advised"), &[variant])
+        }))
+        .expect_err("a diverging variant must panic");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("variant `one-row-short`"), "{msg}");
+        assert!(msg.contains("YAGO/Y"), "names catalog and query: {msg}");
+        assert!(msg.contains("diverged from the reference"), "{msg}");
+    }
+
+    #[test]
+    fn a_reference_timeout_is_a_skip_not_a_failure() {
+        let cat = tiny();
+        let rep = replay(&cat, 0, &Variant::new("advised"), &[Variant::new("again")]);
+        // Timeout 0 expires (nearly) every query that executes at all:
+        // they are skipped everywhere, nothing panics.
+        assert!(rep.compared().len() < cat.queries.len());
+        for (reference, variant) in rep.reference.runs.iter().zip(&rep.variants[0].runs) {
+            assert!(reference.is_some() || variant.is_none());
+        }
+    }
+
+    #[test]
+    fn table_aligns_columns_to_their_widest_cell() {
+        let mut t = Table::new("<query|rows");
+        t.row(format!("Y1|{}", 12345));
+        t.row("Y12|7".to_string());
+        assert_eq!(t.render(), "query  rows\nY1    12345\nY12       7\n");
+    }
+}

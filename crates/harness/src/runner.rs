@@ -1,16 +1,16 @@
 //! Query execution under the paper's measurement protocol (§5.1.5):
 //! a per-run timeout and averaging over repetitions.
 
+use std::time::Instant;
+
 use sgq_algebra::ast::PathExpr;
-use sgq_common::{Result, SgqError};
-use sgq_core::pipeline::{rewrite_path, RewriteOptions, RewriteOutcome};
+use sgq_common::SgqError;
+use sgq_core::pipeline::RewriteOptions;
 use sgq_engine::GraphEngine;
-use sgq_graph::{GraphDatabase, GraphSchema};
-use sgq_obs::QueryTraceBuilder;
-use sgq_query::cqt::Ucqt;
 use sgq_ra::exec::ExecContext;
-use sgq_ra::RelStore;
-use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
+use sgq_service::prepared::{prepare, PreparedBody};
+
+use crate::replay::Catalog;
 
 // The backend / approach axes are workspace vocabulary shared with the
 // serving layer (the plan-cache key and the experiment records must
@@ -42,27 +42,6 @@ impl Default for RunConfig {
     }
 }
 
-/// Pre-loaded backend state for one database.
-pub struct Session<'a> {
-    /// The schema the database conforms to.
-    pub schema: &'a GraphSchema,
-    /// The database itself (graph backend).
-    pub db: &'a GraphDatabase,
-    /// The relational load of the database.
-    pub store: RelStore,
-}
-
-impl<'a> Session<'a> {
-    /// Loads both backends.
-    pub fn new(schema: &'a GraphSchema, db: &'a GraphDatabase) -> Self {
-        Session {
-            schema,
-            db,
-            store: RelStore::load(db),
-        }
-    }
-}
-
 /// One measurement: average milliseconds and the result cardinality, or a
 /// timeout/budget failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,148 +57,63 @@ pub enum Measurement {
     Infeasible,
 }
 
-impl Measurement {
-    /// Runtime if feasible.
-    pub fn ms(&self) -> Option<f64> {
-        match self {
-            Measurement::Feasible { ms, .. } => Some(*ms),
-            Measurement::Infeasible => None,
-        }
-    }
+/// Whether `e` classifies the run as infeasible (over the timeout or
+/// the materialisation budget) rather than as a harness bug.
+fn infeasible(e: &SgqError) -> bool {
+    matches!(
+        e,
+        SgqError::Timeout { .. } | SgqError::RowBudget { .. } | SgqError::Execution(_)
+    )
 }
 
-/// Resolves the query a given approach executes: the baseline UCQT or the
-/// rewrite outcome.
-pub fn query_for(
-    schema: &GraphSchema,
-    expr: &PathExpr,
-    approach: Approach,
-    rewrite: RewriteOptions,
-) -> Option<Ucqt> {
-    match approach {
-        Approach::Baseline => Some(Ucqt::path_query(expr.clone())),
-        Approach::Schema => match rewrite_path(schema, expr, rewrite).outcome {
-            RewriteOutcome::Enriched(q) | RewriteOutcome::Reverted(q) => Some(q),
-            RewriteOutcome::Empty => None,
-        },
-    }
-}
-
-/// Runs `expr` once on the chosen backend with the timeout applied.
-pub fn run_once(
-    session: &Session<'_>,
-    query: &Ucqt,
-    backend: Backend,
-    config: &RunConfig,
-) -> Result<usize> {
-    match backend {
-        Backend::Graph => {
-            let mut engine = GraphEngine::with_timeout(session.db, config.timeout_ms);
-            set_graph_budget(&mut engine, config.max_rows);
-            let rows = engine.run_ucqt(query)?;
-            Ok(rows.len())
-        }
-        Backend::Relational | Backend::RelationalUnoptimized => {
-            let plan = prepare_relational(session, query, backend)?;
-            execute_prepared(session, &plan, config)
-        }
-    }
-}
-
-/// Translates, (optionally) optimises and lowers a query into a physical
-/// plan for the relational backends. Planning happens once per query;
-/// repetitions then only interpret the plan.
-pub fn prepare_relational(
-    session: &Session<'_>,
-    query: &Ucqt,
-    backend: Backend,
-) -> Result<sgq_ra::PhysPlan> {
-    let mut names = NameGen::new(&session.store.symbols);
-    let term = ucqt_to_term(query, &mut names)?;
-    let term = if backend == Backend::Relational {
-        sgq_ra::optimize::optimize(&term, &session.store)
-    } else {
-        term
-    };
-    sgq_ra::plan(&term, &session.store)
-}
-
-/// Interprets a prepared physical plan under the run protocol's timeout
-/// and row budget, returning the result cardinality.
-pub fn execute_prepared(
-    session: &Session<'_>,
-    plan: &sgq_ra::PhysPlan,
-    config: &RunConfig,
-) -> Result<usize> {
-    let mut ctx = ExecContext::with_timeout(config.timeout_ms);
-    ctx.max_rows = config.max_rows;
-    let rel = sgq_ra::execute_plan(plan, &session.store, &mut ctx)?;
-    Ok(rel.len())
-}
-
-fn set_graph_budget(engine: &mut GraphEngine<'_>, max_pairs: usize) {
-    engine.set_max_pairs(max_pairs);
-}
-
-/// Runs a query under the full protocol: rewrite (if schema approach),
-/// repetitions, averaging, timeout classification. Relational queries
-/// are planned once ([`prepare_relational`]) and interpreted per
-/// repetition.
+/// Runs a query under the full protocol: the library front end
+/// ([`prepare`]: rewrite if schema approach, translate, optimise, plan)
+/// runs once, then the repetitions are executed and averaged under the
+/// timeout and classified. The relational backends run on the
+/// catalog's advised store — the layout a service serves.
 pub fn run_query(
-    session: &Session<'_>,
+    cat: &Catalog,
     expr: &PathExpr,
     approach: Approach,
     backend: Backend,
     config: &RunConfig,
 ) -> Measurement {
-    let Some(query) = query_for(session.schema, expr, approach, config.rewrite) else {
-        // The schema proves the query empty: essentially free.
-        return Measurement::Feasible { ms: 0.0, rows: 0 };
+    let store = cat.store(None);
+    let prepared = match prepare(&cat.schema, &store, expr, backend, approach, config.rewrite) {
+        Ok(p) => p,
+        Err(e) if infeasible(&e) => return Measurement::Infeasible,
+        Err(other) => panic!("unexpected planning failure: {other}"),
     };
-    // The same phase spans the service traces with also time the
-    // measurement protocol: one "prepare" span for planning, one
-    // "execute" span per repetition.
-    let mut tb = QueryTraceBuilder::standalone("harness-run");
-    let prepare = tb.begin("prepare");
-    let plan = match backend {
-        Backend::Graph => None,
-        Backend::Relational | Backend::RelationalUnoptimized => {
-            match prepare_relational(session, &query, backend) {
-                Ok(p) => Some(p),
-                Err(SgqError::Timeout { .. })
-                | Err(SgqError::RowBudget { .. })
-                | Err(SgqError::Execution(_)) => {
-                    return Measurement::Infeasible;
-                }
-                Err(other) => panic!("unexpected planning failure: {other}"),
-            }
-        }
-    };
-    tb.end(prepare);
+    let reps = config.repetitions.max(1);
     let mut total_ms = 0.0;
     let mut rows = 0usize;
-    for _ in 0..config.repetitions.max(1) {
-        let span = tb.begin("execute");
-        let result = match &plan {
-            None => run_once(session, &query, backend, config),
-            Some(p) => execute_prepared(session, p, config),
+    for _ in 0..reps {
+        let start = Instant::now();
+        let result = match prepared.body() {
+            // The schema proves the query empty: essentially free.
+            PreparedBody::Empty => return Measurement::Feasible { ms: 0.0, rows: 0 },
+            PreparedBody::Graph(query) => {
+                let mut engine = GraphEngine::with_timeout(&cat.db, config.timeout_ms);
+                engine.set_max_pairs(config.max_rows);
+                engine.run_ucqt(query).map(|rows| rows.len())
+            }
+            PreparedBody::Relational(plan) => {
+                let mut ctx = ExecContext::with_timeout(config.timeout_ms);
+                ctx.max_rows = config.max_rows;
+                sgq_ra::execute_plan(plan, &store, &mut ctx).map(|rel| rel.len())
+            }
         };
-        let dur_us = tb.end(span);
         match result {
             Ok(n) => {
                 rows = n;
-                total_ms += dur_us as f64 / 1e3;
+                total_ms += start.elapsed().as_secs_f64() * 1e3;
             }
-            Err(SgqError::Timeout { .. })
-            | Err(SgqError::RowBudget { .. })
-            | Err(SgqError::Execution(_)) => {
-                return Measurement::Infeasible;
-            }
+            Err(e) if infeasible(&e) => return Measurement::Infeasible,
             Err(other) => panic!("unexpected engine failure: {other}"),
         }
     }
     Measurement::Feasible {
-        ms: total_ms / config.repetitions.max(1) as f64,
+        ms: total_ms / reps as f64,
         rows,
     }
 }
@@ -228,73 +122,43 @@ pub fn run_query(
 mod tests {
     use super::*;
     use sgq_algebra::parser::parse_path;
-    use sgq_datasets::yago::{self, YagoConfig};
 
-    #[test]
-    fn baseline_and_schema_agree_on_yago() {
-        let (schema, db) = yago::generate(YagoConfig::tiny());
-        let session = Session::new(&schema, &db);
-        let config = RunConfig {
-            timeout_ms: 10_000,
-            repetitions: 1,
-            ..Default::default()
-        };
-        for text in [
-            "livesIn/isLocatedIn+/dealsWith+",
-            "owns/isLocatedIn+",
-            "influences+",
-        ] {
-            let expr = parse_path(text, &schema).unwrap();
-            let mut cardinalities = Vec::new();
-            for backend in [Backend::Graph, Backend::Relational] {
-                for approach in [Approach::Baseline, Approach::Schema] {
-                    match run_query(&session, &expr, approach, backend, &config) {
-                        Measurement::Feasible { rows, .. } => cardinalities.push(rows),
-                        Measurement::Infeasible => panic!("tiny dataset must be feasible"),
-                    }
-                }
-            }
-            assert!(
-                cardinalities.windows(2).all(|w| w[0] == w[1]),
-                "backends/approaches disagree for {text}: {cardinalities:?}"
-            );
-        }
+    fn tiny() -> Catalog {
+        Catalog::yago(0.02)
     }
 
     #[test]
     fn timeout_classifies_as_infeasible() {
-        let (schema, db) = yago::generate(YagoConfig::tiny());
-        let session = Session::new(&schema, &db);
+        let cat = tiny();
         let config = RunConfig {
             timeout_ms: 0,
             repetitions: 1,
             ..Default::default()
         };
-        let expr = parse_path("influences+", &schema).unwrap();
+        let expr = parse_path("influences+", &*cat.schema).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let m = run_query(&session, &expr, Approach::Baseline, Backend::Graph, &config);
+        let m = run_query(&cat, &expr, Approach::Baseline, Backend::Graph, &config);
         assert_eq!(m, Measurement::Infeasible);
     }
 
     #[test]
     fn unoptimized_backend_still_correct() {
-        let (schema, db) = yago::generate(YagoConfig::tiny());
-        let session = Session::new(&schema, &db);
+        let cat = tiny();
         let config = RunConfig {
             timeout_ms: 10_000,
             repetitions: 1,
             ..Default::default()
         };
-        let expr = parse_path("owns/isLocatedIn", &schema).unwrap();
+        let expr = parse_path("owns/isLocatedIn", &*cat.schema).unwrap();
         let a = run_query(
-            &session,
+            &cat,
             &expr,
             Approach::Baseline,
             Backend::Relational,
             &config,
         );
         let b = run_query(
-            &session,
+            &cat,
             &expr,
             Approach::Baseline,
             Backend::RelationalUnoptimized,

@@ -1,5 +1,7 @@
 //! Box-plot statistics (Tabs. 7/8, the quartiles behind Figs. 13/14).
 
+use sgq_common::json::JsonValue;
+
 /// Five-number summary plus count and mean, computed over runtimes in
 /// milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,28 +42,30 @@ impl Summary {
         })
     }
 
-    /// One row in the Tab. 7/8 style (values in seconds, as the paper
-    /// reports them).
+    /// The [`Table`](crate::replay::Table) column spec matching
+    /// [`Summary::row_seconds`].
+    pub const COLUMNS: &'static str = "<Series|Count|Min|Q1|Median|Q3|Max|Mean";
+
+    /// One table row in the Tab. 7/8 style (values in seconds, as the
+    /// paper reports them).
     pub fn row_seconds(&self, label: &str) -> String {
-        format!(
-            "{:<22} {:>6} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
-            label,
-            self.count,
-            self.min / 1e3,
-            self.q1 / 1e3,
-            self.median / 1e3,
-            self.q3 / 1e3,
-            self.max / 1e3,
-            self.mean / 1e3,
-        )
+        let [min, q1, median, q3, max, mean] =
+            [self.min, self.q1, self.median, self.q3, self.max, self.mean].map(|ms| ms / 1e3);
+        let count = self.count;
+        format!("{label}|{count}|{min:.4}|{q1:.4}|{median:.4}|{q3:.4}|{max:.4}|{mean:.4}")
     }
 
-    /// The header matching [`Summary::row_seconds`].
-    pub fn header() -> String {
-        format!(
-            "{:<22} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "Series", "Count", "Min", "Q1", "Median", "Q3", "Max", "Mean"
-        )
+    /// Machine-readable form (values as computed, in milliseconds).
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("count", JsonValue::Int(self.count as u64)),
+            ("min", JsonValue::Num(self.min)),
+            ("q1", JsonValue::Num(self.q1)),
+            ("median", JsonValue::Num(self.median)),
+            ("q3", JsonValue::Num(self.q3)),
+            ("max", JsonValue::Num(self.max)),
+            ("mean", JsonValue::Num(self.mean)),
+        ])
     }
 }
 
@@ -116,6 +120,6 @@ mod tests {
     fn row_renders_in_seconds() {
         let s = Summary::compute(&[1000.0]).unwrap();
         let row = s.row_seconds("x");
-        assert!(row.contains("1.0000"), "{row}");
+        assert!(row.starts_with("x|1|1.0000|"), "{row}");
     }
 }

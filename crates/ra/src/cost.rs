@@ -23,10 +23,6 @@
 //!   bound of the edge labels it iterates over
 //!   ([`sgq_graph::GraphStats::closure_depth`]) instead of a constant.
 //!
-//! The pre-v2 heuristics are kept behind
-//! [`RelStore::v1_estimates`](crate::storage::RelStore) so the harness's
-//! `estimates` experiment can measure the q-error improvement.
-//!
 //! Estimation is *environment-threaded*: inside a fixpoint `µX. b ∪ s`,
 //! a recursive reference `X` is estimated at the base case's
 //! cardinality (bound in an [`EstEnv`]) rather than a constant, and
@@ -63,10 +59,9 @@ pub struct Estimate {
     pub cost: f64,
 }
 
-/// The v1 heuristics' constant fixpoint growth multiplier, kept as the
-/// legacy-estimator value and as the fallback when a fixpoint iterates
-/// over no scannable edge label.
-pub(crate) const V1_FIXPOINT_GROWTH: f64 = 4.0;
+/// Fixpoint growth multiplier used when a fixpoint iterates over no
+/// scannable edge label (no closure depth to measure).
+pub(crate) const DEFAULT_FIXPOINT_GROWTH: f64 = 4.0;
 
 /// Probe sides below this many rows stay serial at any degree of
 /// parallelism. Dispatching a morsel costs tens of microseconds
@@ -283,12 +278,9 @@ fn fp_commutative(tag: u64, fa: u64, ca: &[ColId], fb: u64, cb: &[ColId], shared
 /// Growth multiplier for a fixpoint term: half the measured closure depth
 /// bound of the deepest edge label the fixpoint iterates over (a chain of
 /// depth `d` produces about `d/2` times its base in closure pairs),
-/// clamped to `[1, 256]`. Falls back to the v1 constant when the legacy
-/// estimator is selected or no edge label is in scope.
+/// clamped to `[1, 256]`. Falls back to [`DEFAULT_FIXPOINT_GROWTH`] when
+/// no edge label is in scope.
 pub(crate) fn fixpoint_growth(term: &RaTerm, store: &RelStore) -> f64 {
-    if store.v1_estimates {
-        return V1_FIXPOINT_GROWTH;
-    }
     let mut labels = Vec::new();
     collect_edge_labels(term, &mut labels);
     let depth = labels
@@ -297,7 +289,7 @@ pub(crate) fn fixpoint_growth(term: &RaTerm, store: &RelStore) -> f64 {
         .max()
         .unwrap_or(0);
     if depth == 0 {
-        V1_FIXPOINT_GROWTH
+        DEFAULT_FIXPOINT_GROWTH
     } else {
         (depth as f64 * 0.5).clamp(1.0, 256.0)
     }
@@ -545,19 +537,9 @@ fn scan_card(info: ScanInfo, store: &RelStore) -> Card {
 }
 
 /// Join output cardinality: `|L|·|R| / Π_c max(V(L,c), V(R,c))` over the
-/// shared columns, with distinct-value counts from the tracked statistics
-/// (v2) or approximated from table sizes (v1).
+/// shared columns, with distinct-value counts from the tracked statistics.
 fn join_card(a: &Card, b: &Card, shared: &[ColId], store: &RelStore) -> Card {
     let (la, lb) = (a.rows, b.rows);
-    if store.v1_estimates {
-        let nodes = nodes_f(store);
-        let mut rows = la * lb;
-        for _ in shared {
-            let v = la.min(nodes).max(lb.min(nodes)).max(1.0);
-            rows /= v;
-        }
-        return Card::plain(rows);
-    }
     let mut rows = la * lb;
     for &c in shared {
         rows /= a.dv(c, store).max(b.dv(c, store)).max(1.0);
@@ -585,18 +567,13 @@ fn join_card(a: &Card, b: &Card, shared: &[ColId], store: &RelStore) -> Card {
     .cap_distinct()
 }
 
-/// Semi-join output cardinality. In v2, a node-label filter on an edge
+/// Semi-join output cardinality. A node-label filter on an edge
 /// scan refines the scan's label pedigree and re-reads the aggregate /
 /// triple counts — the estimate for a fully annotated scan is exact;
 /// everything else uses the containment assumption
 /// `Π_c min(V(L,c), V(R,c)) / V(L,c)`.
 fn semijoin_card(a: &Card, b: &Card, shared: &[ColId], store: &RelStore) -> Card {
     let (la, lb) = (a.rows, b.rows);
-    if store.v1_estimates {
-        let nodes = nodes_f(store);
-        let sel = (lb / nodes).min(1.0).max(1.0 / nodes);
-        return Card::plain((la * sel).max(1.0));
-    }
     // Label-aware fast paths: the filter is a node scan on one of the
     // left side's pedigree endpoints.
     if let (Some(info), Some((col, labels))) = (&a.scan, &b.node_labels) {
@@ -693,11 +670,10 @@ fn fold(children: &[&Parts], local: f64, card: Card, fp: u64) -> Parts {
 /// formula estimate: a recursion-independent subtree that has executed
 /// before reports its *observed* cardinality instead. Recursion-dependent
 /// subtrees are skipped (per-round deltas would poison the memo — they
-/// are never recorded either), as is the v1 ablation estimator (the cold
-/// baseline must stay formula-pure).
+/// are never recorded either).
 fn parts(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> Parts {
     let mut p = parts_raw(term, store, env);
-    if !p.dep && !store.v1_estimates {
+    if !p.dep {
         if let Some(obs) = store.feedback.lookup(p.fp) {
             p.card.rows = obs.rows;
             p.card = p.card.cap_distinct();
@@ -766,9 +742,7 @@ fn parts_raw(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> Parts {
             let (ca, cb) = (a.cols(), b.cols());
             let fp = fp_commutative(FP_UNION, pa.fp, &ca, pb.fp, &cb, &ca);
             let rows = pa.card.rows + pb.card.rows;
-            let card = if store.v1_estimates {
-                Card::plain(rows)
-            } else {
+            let card = {
                 let distinct = pa
                     .card
                     .distinct
@@ -801,9 +775,7 @@ fn parts_raw(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> Parts {
             let p = parts(input, store, env);
             let fp = fp_hash(FP_PROJECT, &[p.fp, fp_position_set(&input.cols(), cols)]);
             let local = p.card.rows;
-            let card = if store.v1_estimates {
-                Card::plain(p.card.rows)
-            } else {
+            let card = {
                 // Set semantics: the projection cannot produce more rows
                 // than the product of its columns' distinct values.
                 let prod: f64 = cols.iter().map(|&c| p.card.dv(c, store).max(1.0)).product();
@@ -851,10 +823,7 @@ fn parts_raw(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> Parts {
             );
             let fp = fp_hash(FP_SELECT, &[p.fp, pa.min(pb), pa.max(pb)]);
             let local = p.card.rows;
-            let card = if store.v1_estimates {
-                // classic 10% selectivity guess for an equality predicate
-                Card::plain((p.card.rows * 0.1).max(1.0))
-            } else {
+            let card = {
                 let v = p.card.dv(*a, store).max(p.card.dv(*b, store)).max(1.0);
                 let mut out = p.card.clone();
                 out.rows = p.card.rows / v;
@@ -882,9 +851,7 @@ fn parts_raw(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> Parts {
             );
             let growth = fixpoint_growth(term, store);
             let rows = pb.card.rows * growth;
-            let card = if store.v1_estimates {
-                Card::plain(rows)
-            } else {
+            let card = {
                 // Stable columns keep the base's distinct values (every
                 // round copies them unchanged); the others may range over
                 // anything reachable.
@@ -1015,38 +982,6 @@ mod tests {
             node(&db, &store, "CITY", "y"),
         );
         assert_eq!(estimate(&t, &store).rows, 0.0);
-    }
-
-    #[test]
-    fn v1_mode_reproduces_textbook_guesses() {
-        let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        store.v1_estimates = true;
-        // Semi-join: |L| · clamp(|R| / |V|) floored at one row.
-        let filtered = RaTerm::semijoin(
-            scan(&db, &store, "isLocatedIn", "x", "y"),
-            node(&db, &store, "REGION", "x"),
-        );
-        let nodes = store.stats.node_count as f64;
-        let expected = (4.0 * (1.0 / nodes)).max(1.0);
-        assert!((estimate(&filtered, &store).rows - expected).abs() < 1e-9);
-        // Selection: the flat 10% guess floored at one row.
-        let sel = RaTerm::select_eq(
-            scan(&db, &store, "isLocatedIn", "x", "y"),
-            store.symbols.col("x"),
-            store.symbols.col("y"),
-        );
-        assert_eq!(estimate(&sel, &store).rows, 1.0);
-        // Fixpoint: the constant growth factor.
-        let s = &store.symbols;
-        let f = closure_fixpoint(
-            s.recvar("X"),
-            scan(&db, &store, "isLocatedIn", "x", "y"),
-            s.col("x"),
-            s.col("y"),
-            s.col("m"),
-        );
-        assert_eq!(estimate(&f, &store).rows, 4.0 * V1_FIXPOINT_GROWTH);
     }
 
     #[test]
@@ -1257,20 +1192,5 @@ mod tests {
             to: s.col("t"),
         };
         assert_eq!(estimate(&renamed, &store).rows, 100.0);
-    }
-
-    #[test]
-    fn memo_is_ignored_by_the_v1_ablation() {
-        let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        let t = scan(&db, &store, "isLocatedIn", "x", "y");
-        store.feedback.observe(fingerprint(&t, &store), 1000);
-        assert_eq!(estimate(&t, &store).rows, 1000.0);
-        store.v1_estimates = true;
-        assert_eq!(
-            estimate(&t, &store).rows,
-            4.0,
-            "the cold v1 baseline never consults feedback"
-        );
     }
 }

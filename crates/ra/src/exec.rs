@@ -46,7 +46,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sgq_common::{
-    faultpoint, relation_bytes, ColId, FxHashMap, NodeId, QueryBudget, RecVarId, Result, SgqError,
+    faultpoint, relation_bytes, ColId, FaultPlan, FxHashMap, NodeId, QueryBudget, RecVarId, Result,
+    SgqError,
 };
 use sgq_obs::{OpSpan, OpTraceBuilder, TraceClock};
 
@@ -122,6 +123,9 @@ pub struct ExecContext {
     /// arity × 4 bytes), shared with morsel workers. `None` (the
     /// default) skips memory accounting entirely.
     pub budget: Option<Arc<QueryBudget>>,
+    /// The fault plan this execution's `faultpoint!` sites consult.
+    /// `None` (the default) makes every site structurally inert.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ExecContext {
@@ -146,6 +150,7 @@ impl Default for ExecContext {
             scheduler: None,
             cancelled: Arc::new(AtomicBool::new(false)),
             budget: None,
+            faults: None,
         }
     }
 }
@@ -215,6 +220,7 @@ impl ExecContext {
             rows: Arc::clone(&self.rows),
             cancelled: Arc::clone(&self.cancelled),
             budget: self.budget.clone(),
+            faults: self.faults.clone(),
         }
     }
 
@@ -257,6 +263,7 @@ struct Limits {
     rows: Arc<AtomicUsize>,
     cancelled: Arc<AtomicBool>,
     budget: Option<Arc<QueryBudget>>,
+    faults: Option<Arc<FaultPlan>>,
 }
 
 impl Limits {
@@ -282,8 +289,16 @@ impl Limits {
     /// memory budgets; a breach trips the cancel flag, so the overshoot
     /// is bounded by the morsels already in flight (about one per
     /// worker). Budget errors are *real* errors (not cancel sentinels),
-    /// so [`ParSection::execute`] propagates them to the caller.
+    /// so [`ParSection::execute`] propagates them to the caller. Also the
+    /// morsel-side fault site: a fired fault cancels the siblings the
+    /// same way a breach does.
     fn record(&self, rows: usize, arity: usize) -> Result<()> {
+        if let Some(plan) = &self.faults {
+            if let Err(e) = plan.check("exec.morsel") {
+                self.cancelled.store(true, Ordering::Relaxed);
+                return Err(e);
+            }
+        }
         let total = self.rows.fetch_add(rows, Ordering::Relaxed) + rows;
         if self.max_rows > 0 && total > self.max_rows {
             self.cancelled.store(true, Ordering::Relaxed);
@@ -520,12 +535,12 @@ impl Interp<'_> {
         let out = match &p.op {
             PhysOp::EdgeScan { label } => {
                 self.ctx.scans += 1;
-                faultpoint!("exec.scan");
+                faultpoint!(self.ctx.faults, "exec.scan");
                 self.store.edge_table(*label).into_cols(p.cols.clone())
             }
             PhysOp::MultiEdgeScan { labels } => {
                 self.ctx.scans += 1;
-                faultpoint!("exec.scan");
+                faultpoint!(self.ctx.faults, "exec.scan");
                 // One masked pass over the polymorphic table; a layout
                 // without it degrades to the union-all the operator
                 // replaced (same rows by construction).
@@ -543,7 +558,7 @@ impl Interp<'_> {
                 tgt_label,
             } => {
                 self.ctx.scans += 1;
-                faultpoint!("exec.scan");
+                faultpoint!(self.ctx.faults, "exec.scan");
                 // The precomputed endpoint-label slice; a layout without
                 // it filters the base table through the sorted node sets
                 // (same rows, just not free).
@@ -562,7 +577,7 @@ impl Interp<'_> {
             }
             PhysOp::NodeScan { labels } => {
                 self.ctx.scans += 1;
-                faultpoint!("exec.scan");
+                faultpoint!(self.ctx.faults, "exec.scan");
                 if labels.is_empty() {
                     Relation::empty(p.cols.clone())
                 } else {
@@ -582,7 +597,7 @@ impl Interp<'_> {
                 merge,
             } => {
                 self.ctx.scans += 1;
-                faultpoint!("exec.scan");
+                faultpoint!(self.ctx.faults, "exec.scan");
                 let edges = self.store.edge_table(*label).into_cols(p.cols.clone());
                 if *merge {
                     let frel = self.eval(filter, cache.as_deref_mut())?;
@@ -644,7 +659,7 @@ impl Interp<'_> {
                             }
                             std::collections::hash_map::Entry::Vacant(slot) => {
                                 let rel = self.eval(build_plan, None)?;
-                                faultpoint!("exec.hash_build");
+                                faultpoint!(self.ctx.faults, "exec.hash_build");
                                 let ctx = &mut *self.ctx;
                                 let index =
                                     Arc::new(JoinIndex::build(&rel, &build_key_pos, &mut || {
@@ -687,7 +702,7 @@ impl Interp<'_> {
                 } else {
                     (rel, build_key_pos, probe_rel, probe_key_pos, *build_left)
                 };
-                faultpoint!("exec.hash_build");
+                faultpoint!(self.ctx.faults, "exec.hash_build");
                 let ctx = &mut *self.ctx;
                 let index = Arc::new(JoinIndex::build(&build_rel, &build_pos, &mut || {
                     ctx.check()
@@ -714,7 +729,7 @@ impl Interp<'_> {
                 tgt_labels,
             } => {
                 let prel = self.eval(probe, cache)?;
-                faultpoint!("exec.csr_probe");
+                faultpoint!(self.ctx.faults, "exec.csr_probe");
                 let csr = if *forward {
                     self.store.forward_csr(*label)
                 } else {
@@ -876,7 +891,7 @@ impl Interp<'_> {
                 tgt_labels,
             } => {
                 let lrel = self.eval(left, cache)?;
-                faultpoint!("exec.csr_probe");
+                faultpoint!(self.ctx.faults, "exec.csr_probe");
                 let csr = if *forward {
                     self.store.forward_csr(*label)
                 } else {
@@ -1014,7 +1029,7 @@ impl Interp<'_> {
                 let mut step_cache = StepCache::default();
                 while !delta.is_empty() {
                     self.ctx.check()?;
-                    faultpoint!("exec.fixpoint_round");
+                    faultpoint!(self.ctx.faults, "exec.fixpoint_round");
                     self.ctx.fixpoint_rounds += 1;
                     self.ctx.env.insert(*var, delta);
                     let round_cache = if self.ctx.no_fixpoint_cache {
@@ -1165,7 +1180,7 @@ impl Interp<'_> {
                     }
                     std::collections::hash_map::Entry::Vacant(slot) => {
                         let frel = self.eval(filter_plan, None)?;
-                        faultpoint!("exec.hash_build");
+                        faultpoint!(self.ctx.faults, "exec.hash_build");
                         let ctx = &mut *self.ctx;
                         let keys =
                             Arc::new(SemiKeys::build(&frel, filter_key_pos, &mut || ctx.check())?);
@@ -1181,7 +1196,7 @@ impl Interp<'_> {
             }
         }
         let frel = self.eval(filter_plan, cache)?;
-        faultpoint!("exec.hash_build");
+        faultpoint!(self.ctx.faults, "exec.hash_build");
         let ctx = &mut *self.ctx;
         let keys = Arc::new(SemiKeys::build(&frel, filter_key_pos, &mut || ctx.check())?);
         self.ctx.hash_builds += 1;
@@ -1804,6 +1819,42 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let err = execute(&f, &store, &mut ctx).unwrap_err();
         assert!(err.is_timeout());
+    }
+
+    #[test]
+    fn fault_plan_fires_on_the_caller_and_inside_morsels() {
+        use sgq_common::fault::{FaultConfig, FaultKind};
+        let (db, mut store) = store();
+        // Ablate index joins so the closure's step hash-joins per morsel.
+        store.index_joins = false;
+        let s = &store.symbols;
+        let f = closure_fixpoint(
+            s.recvar("X"),
+            scan(&db, &store, "isLocatedIn", "x", "y"),
+            s.col("x"),
+            s.col("y"),
+            s.col("m"),
+        );
+        let p = plan(&f, &store).unwrap();
+        for site in ["exec.scan", "exec.morsel"] {
+            let faults = FaultPlan::new(FaultConfig {
+                seed: 1,
+                probability: 1.0,
+                site: Some(site),
+                kind: FaultKind::Error,
+            });
+            let mut ctx = ExecContext::new();
+            ctx.dop = 4;
+            ctx.parallel_threshold = 1;
+            ctx.morsel_rows = 1;
+            ctx.faults = Some(Arc::clone(&faults));
+            let err = execute_plan(&p, &store, &mut ctx).unwrap_err();
+            assert_eq!(err, SgqError::Transient { site });
+            assert!(faults.fired()[site] >= 1);
+            // A context without the handle runs the same plan untouched.
+            let mut clean = ExecContext::new();
+            execute_plan(&p, &store, &mut clean).unwrap();
+        }
     }
 
     #[test]

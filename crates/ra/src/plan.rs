@@ -577,7 +577,7 @@ impl Planner<'_> {
                 self.env.restore(*var, prev);
                 let step_plan = step_plan?;
                 // Growth from the measured closure depth bound of the
-                // labels the fixpoint iterates over (constant in v1 mode).
+                // labels the fixpoint iterates over.
                 let growth = cost::fixpoint_growth(term, self.store);
                 let rows = e.rows;
                 // Static step inputs are cached across rounds, so only

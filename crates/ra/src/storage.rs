@@ -58,11 +58,6 @@ pub struct RelStore {
     pub stats: GraphStats,
     /// Interned column / recursion-variable names for this store's terms.
     pub symbols: SymbolTable,
-    /// Selects the pre-stats-v2 textbook estimation heuristics (flat 10%
-    /// selection selectivity, `V(c) ≈ min(|rel|, |V|)`, constant fixpoint
-    /// growth) instead of the measured statistics. Used by the harness's
-    /// `estimates` experiment to quantify the q-error improvement.
-    pub v1_estimates: bool,
     /// Whether the planner may lower joins against base edge scans into
     /// CSR index probes ([`crate::plan::PhysOp::IndexJoin`]). On by
     /// default; turned off for ablations and for tests that pin the
@@ -93,7 +88,6 @@ impl RelStore {
             layout: build_layout(db, kind),
             stats: GraphStats::compute(db),
             symbols: SymbolTable::new(),
-            v1_estimates: false,
             index_joins: true,
             feedback: FeedbackMemo::new(),
         }
@@ -108,7 +102,6 @@ impl RelStore {
             layout: build_layout(db, kind),
             stats,
             symbols: SymbolTable::new(),
-            v1_estimates: false,
             index_joins: true,
             feedback: FeedbackMemo::new(),
         }

@@ -170,16 +170,6 @@ impl Relation {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
-    /// Materialises an owned copy of the row data, breaking sharing —
-    /// the pre-zero-copy clone path, kept so benches and tests can
-    /// measure what every scan used to cost.
-    pub fn deep_clone(&self) -> Relation {
-        Relation {
-            cols: self.cols.clone(),
-            data: Arc::new(self.data.as_ref().clone()),
-        }
-    }
-
     /// Index of a column by id.
     pub fn col_index(&self, col: ColId) -> Option<usize> {
         self.cols.iter().position(|&c| c == col)
@@ -1110,9 +1100,6 @@ mod tests {
             r.with_cols(vec![c(8), c(9)]).shares_data(&r),
             "with_cols must not copy rows"
         );
-        let deep = r.deep_clone();
-        assert_eq!(deep, r);
-        assert!(!deep.shares_data(&r), "deep_clone must break sharing");
     }
 
     #[test]

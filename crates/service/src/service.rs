@@ -13,12 +13,12 @@
 //! aggregates QPS, latency percentiles and the cache hit rate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use sgq_algebra::ast::PathExpr;
 use sgq_algebra::parser::parse_path;
-use sgq_common::{faultpoint, relation_bytes, ResourceGovernor, Result, SgqError};
+use sgq_common::{faultpoint, relation_bytes, FaultPlan, ResourceGovernor, Result, SgqError};
 use sgq_core::pipeline::RewriteOptions;
 use sgq_engine::GraphEngine;
 use sgq_graph::{GraphDatabase, GraphSchema};
@@ -250,9 +250,19 @@ struct Core {
     /// Memory governor every relational query charges its materialised
     /// state into (per-query + global ceilings, pressure signal).
     governor: Arc<ResourceGovernor>,
+    /// The fault plan this service's fault points consult; `None`
+    /// (always, outside robustness tests) makes them inert.
+    faults: Mutex<Option<Arc<FaultPlan>>>,
 }
 
 impl Core {
+    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+        self.faults
+            .lock()
+            .expect("the fault-plan slot is only ever swapped")
+            .clone()
+    }
+
     fn scheduler(&self) -> Arc<TaskScheduler> {
         Arc::clone(
             self.exec_scheduler
@@ -324,6 +334,7 @@ impl Service {
             slow_log,
             exec_scheduler: OnceLock::new(),
             governor,
+            faults: Mutex::new(None),
         });
         Service { core, pool }
     }
@@ -408,6 +419,18 @@ impl Service {
     /// pressure signal, active query count.
     pub fn governor(&self) -> &Arc<ResourceGovernor> {
         &self.core.governor
+    }
+
+    /// Arms (`Some`) or disarms (`None`) fault injection for this service
+    /// only: queries dispatched from now on visit their fault points
+    /// against `plan`, which also rides on their execution contexts.
+    /// Other services in the process are unaffected.
+    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
+        *self
+            .core
+            .faults
+            .lock()
+            .expect("the fault-plan slot is only ever swapped") = plan;
     }
 
     /// Panics contained by the worker pool's backstop handler (the
@@ -532,7 +555,7 @@ impl Session {
         opts: &QueryOptions,
     ) -> Result<(Arc<PreparedQuery>, CacheOutcome)> {
         let expr = parse_path(text, self.core.schema.as_ref())?;
-        prepare_via_cache(&self.core, &expr, opts)
+        prepare_via_cache(&self.core, &expr, opts, &self.core.fault_plan())
     }
 
     /// Current metrics snapshot (shared with [`Service::metrics`]).
@@ -565,8 +588,9 @@ fn prepare_via_cache(
     core: &Core,
     expr: &PathExpr,
     opts: &QueryOptions,
+    faults: &Option<Arc<FaultPlan>>,
 ) -> Result<(Arc<PreparedQuery>, CacheOutcome)> {
-    faultpoint!("service.plan_cache");
+    faultpoint!(faults, "service.plan_cache");
     let do_prepare = || {
         prepare(
             &core.schema,
@@ -705,11 +729,12 @@ fn run_query(
     deadline: Instant,
     timeout_ms: u64,
 ) -> Result<QueryResponse> {
-    faultpoint!("service.dispatch");
+    let faults = core.fault_plan();
+    faultpoint!(faults, "service.dispatch");
     let queue_micros = submitted.elapsed().as_micros() as u64;
     let traced = opts.analyze || core.tracer.should_trace();
     let cache_start = Instant::now();
-    let (prepared, cache) = prepare_via_cache(core, expr, opts)?;
+    let (prepared, cache) = prepare_via_cache(core, expr, opts, &faults)?;
     let cache_micros = cache_start.elapsed().as_micros() as u64;
     let prepare_micros = match cache {
         CacheOutcome::Hit => 0,
@@ -764,6 +789,7 @@ fn run_query(
                 // queries.
                 let query_limit = opts.max_memory.unwrap_or(core.config.query_memory_limit);
                 ctx.budget = Some(core.governor.begin(query_limit));
+                ctx.faults = faults.clone();
                 let dop = opts
                     .dop
                     .unwrap_or(core.config.default_dop)

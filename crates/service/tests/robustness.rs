@@ -9,20 +9,15 @@
 //! * Panic containment: an injected worker panic surfaces to the caller
 //!   as `SgqError::Internal`, is counted in metrics, and leaves the
 //!   worker healthy.
-//!
-//! Fault-injection state is process-global, so every test that arms a
-//! plan must hold `FAULT_LOCK`. This binary is the only place in the
-//! service crate that arms faults.
+//! * Fault isolation: a fault plan is a value armed on one service; a
+//!   second service in the same process never sees its faults.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier};
 
-use sgq_common::fault::{self, FaultConfig, FaultKind};
+use sgq_common::fault::{FaultConfig, FaultKind, FaultPlan};
 use sgq_datasets::yago::{self, YagoConfig};
 use sgq_ra::LayoutKind;
 use sgq_service::{QueryOptions, Service, ServiceConfig};
-
-/// Serialises fault-arming tests (the plan is process-global).
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn service_with(config: ServiceConfig) -> Service {
     let (schema, db) = yago::generate(YagoConfig::tiny());
@@ -185,25 +180,23 @@ fn deadline_expiry_mid_morsel_is_graceful_under_every_layout() {
 
 #[test]
 fn injected_worker_panic_is_contained_as_internal_error() {
-    let _l = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let service = service_with(ServiceConfig::with_workers(1));
     let session = service.session();
     let opts = QueryOptions::default();
     let reference = session.execute("influences+", &opts).unwrap();
 
-    {
-        let _armed = fault::armed_scope(FaultConfig {
-            seed: 1,
-            probability: 1.0,
-            site: Some("service.dispatch"),
-            kind: FaultKind::Panic,
-        });
-        let err = session.execute("influences+", &opts).unwrap_err();
-        assert!(err.is_internal(), "panic must surface as Internal: {err}");
-        let msg = err.to_string();
-        assert!(msg.contains("worker panicked"), "message: {msg}");
-        assert!(msg.contains("service.dispatch"), "payload preserved: {msg}");
-    }
+    service.set_fault_plan(Some(FaultPlan::new(FaultConfig {
+        seed: 1,
+        probability: 1.0,
+        site: Some("service.dispatch"),
+        kind: FaultKind::Panic,
+    })));
+    let err = session.execute("influences+", &opts).unwrap_err();
+    assert!(err.is_internal(), "panic must surface as Internal: {err}");
+    let msg = err.to_string();
+    assert!(msg.contains("worker panicked"), "message: {msg}");
+    assert!(msg.contains("service.dispatch"), "payload preserved: {msg}");
+    service.set_fault_plan(None);
 
     let m = service.metrics();
     assert!(m.worker_panics >= 1, "containment is counted: {m}");
@@ -217,7 +210,6 @@ fn injected_worker_panic_is_contained_as_internal_error() {
 
 #[test]
 fn injected_transients_are_classified_retryable_and_retried_away() {
-    let _l = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let service = service_with(ServiceConfig::with_workers(1));
     let session = service.session();
     let opts = QueryOptions {
@@ -226,7 +218,7 @@ fn injected_transients_are_classified_retryable_and_retried_away() {
     };
     let reference = session.execute("owns/isLocatedIn+", &opts).unwrap();
 
-    let _armed = fault::armed_scope(FaultConfig::errors(3, 0.2));
+    service.set_fault_plan(Some(FaultPlan::new(FaultConfig::errors(3, 0.2))));
     let policy = sgq_service::RetryPolicy::unbounded(3);
     let (result, retries) =
         sgq_service::retry_with_backoff(policy, || session.execute("owns/isLocatedIn+", &opts));
@@ -237,4 +229,50 @@ fn injected_transients_are_classified_retryable_and_retried_away() {
     assert!(m.errors_transient >= 1, "metrics classify transients: {m}");
     assert_eq!(service.governor().used(), 0);
     service.shutdown();
+}
+
+/// Two services in one process, driven concurrently: the one armed at
+/// p = 1.0 fails every query with a transient, the disarmed one never
+/// sees a fault. (At the parent commit the plan was process-global and
+/// the disarmed service returned `Transient` too.)
+#[test]
+fn an_armed_service_never_leaks_faults_into_a_disarmed_one() {
+    const ROUNDS: usize = 25;
+    let armed = service_with(ServiceConfig::with_workers(1));
+    let disarmed = service_with(ServiceConfig::with_workers(1));
+    let plan = FaultPlan::new(FaultConfig::errors(11, 1.0));
+    armed.set_fault_plan(Some(Arc::clone(&plan)));
+    let opts = QueryOptions {
+        use_cache: false,
+        ..Default::default()
+    };
+    let reference = disarmed.session().execute("influences+", &opts).unwrap();
+
+    // The barrier makes every round's two queries overlap in time.
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let session = armed.session();
+            for _ in 0..ROUNDS {
+                barrier.wait();
+                let err = session.execute("influences+", &opts).unwrap_err();
+                assert!(err.is_transient(), "armed at p=1.0 must fire: {err}");
+            }
+        });
+        s.spawn(|| {
+            let session = disarmed.session();
+            for _ in 0..ROUNDS {
+                barrier.wait();
+                let resp = session
+                    .execute("influences+", &opts)
+                    .expect("a disarmed service is structurally unable to fire");
+                assert_eq!(resp.rows, reference.rows);
+            }
+        });
+    });
+    assert_eq!(plan.fired().values().sum::<u64>(), ROUNDS as u64);
+    assert_eq!(disarmed.metrics().errors_transient, 0);
+    assert_eq!(armed.metrics().errors_transient, ROUNDS as u64);
+    armed.shutdown();
+    disarmed.shutdown();
 }

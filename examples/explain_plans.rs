@@ -11,9 +11,10 @@
 //! ```
 
 use schema_graph_query::harness::experiments::{fig15_16, fig17, physical_plans};
+use schema_graph_query::harness::replay::Catalog;
 
 fn main() {
     println!("{}", fig15_16());
     println!("{}", fig17(0.3));
-    println!("{}", physical_plans());
+    println!("{}", physical_plans(&Catalog::ldbc(0.1)));
 }

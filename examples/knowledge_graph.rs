@@ -6,8 +6,8 @@
 //! cargo run --release --example knowledge_graph
 //! ```
 
-use schema_graph_query::datasets::yago::{self, YagoConfig};
 use schema_graph_query::harness::experiments::{fig12, table6, yago_suite, ExperimentConfig};
+use schema_graph_query::harness::replay::Catalog;
 use schema_graph_query::harness::runner::{Backend, RunConfig};
 use schema_graph_query::prelude::RedundancyRule;
 
@@ -27,7 +27,7 @@ fn main() {
         backend: Backend::Relational,
     };
 
-    let (schema, db) = yago::generate(YagoConfig::scaled(cfg.yago_scale));
+    let Catalog { schema, db, .. } = Catalog::yago(cfg.yago_scale);
     println!(
         "Synthetic YAGO: {} nodes, {} edges, {} node labels, {} edge labels\n",
         db.node_count(),

@@ -117,6 +117,9 @@ fn figures_15_16_translations() {
         "label in the Cypher:\n{report}"
     );
     assert!(report.contains("-[:knows]->"), "{report}");
+    for table in ["FROM knows", "FROM workAt", "FROM isLocatedIn"] {
+        assert!(report.contains(table), "{table}:\n{report}");
+    }
 }
 
 #[test]
@@ -130,6 +133,24 @@ fn figure_17_plan_costs() {
     assert!(
         report.contains("Semi Join") || report.contains("∈ Company"),
         "{report}"
+    );
+    // The Fig. 17 narrative: the semi-join collapses the isLocatedIn
+    // input by an order of magnitude before the join.
+    let number_after = |prefix: &str| -> usize {
+        let at = report.find(prefix).expect("marker present") + prefix.len();
+        let digits: String = report[at..]
+            .chars()
+            .take_while(|c| c.is_ascii_digit())
+            .collect();
+        digits.parse().expect("number")
+    };
+    let (full, filtered) = (
+        number_after("isLocatedIn relation: "),
+        number_after("reduced to "),
+    );
+    assert!(
+        filtered * 5 <= full,
+        "semi-join should cut isLocatedIn by >=5x ({filtered} of {full})\n{report}"
     );
 }
 
