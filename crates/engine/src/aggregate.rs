@@ -62,6 +62,17 @@ pub fn grouped_count(
 
 /// Grouped count over already-materialised rows.
 pub fn grouped_count_rows(rows: &Rows, group_column: usize) -> GroupedCounts {
+    if group_column == 0 {
+        // Rows are sorted by their first column: each group is one run.
+        let mut out = GroupedCounts::new();
+        for row in rows {
+            match out.last_mut() {
+                Some((group, count)) if *group == row[0] => *count += 1,
+                _ => out.push((row[0], 1)),
+            }
+        }
+        return out;
+    }
     let mut counts: FxHashMap<NodeId, u64> = FxHashMap::default();
     for row in rows {
         *counts.entry(row[group_column]).or_insert(0) += 1;
@@ -123,6 +134,19 @@ mod tests {
                 (NodeId::new(5), 2),
             ]
         );
+    }
+
+    #[test]
+    fn grouped_count_by_target() {
+        let db = fig2_yago_database();
+        let engine = GraphEngine::new(&db);
+        let q = Ucqt::path_query(parse_path("isLocatedIn+", &db).unwrap());
+        let groups = grouped_count(&engine, &q, 1).unwrap();
+        assert_eq!(groups.iter().map(|g| g.1).sum::<u64>(), 8);
+        assert!(groups.windows(2).all(|w| w[0].0 < w[1].0));
+        // France (n6) is reached from the property, both cities and the
+        // region.
+        assert!(groups.contains(&(NodeId::new(6), 4)));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 
 use sgq_algebra::ast::PathExpr;
 use sgq_algebra::eval::PairSet;
-use sgq_common::{NodeId, Result};
+use sgq_common::Result;
 use sgq_graph::GraphDatabase;
 use sgq_query::cqt::Ucqt;
 
 use crate::conjunctive::run_cqt;
-pub use crate::conjunctive::Rows;
 use crate::patheval::{eval_seeded, EvalCounters, Seeds};
+pub use crate::rows::Rows;
 
 /// A query engine bound to one graph database.
 pub struct GraphEngine<'a> {
@@ -52,15 +52,23 @@ impl<'a> GraphEngine<'a> {
     }
 
     /// Runs a UCQT query, returning sorted deduplicated head rows.
+    ///
+    /// Disjuncts of one query tend to repeat sub-expressions under the
+    /// same seeds (the rewrite distributes unions over concatenation), so
+    /// a query with several disjuncts evaluates them against a shared
+    /// memo that lives exactly as long as this call.
     pub fn run_ucqt(&self, query: &Ucqt) -> Result<Rows> {
         query.validate()?;
-        let mut out: Rows = Vec::new();
-        for cqt in &query.disjuncts {
-            out.extend(run_cqt(self.db, cqt, &self.counters)?);
+        if let [cqt] = query.disjuncts.as_slice() {
+            return run_cqt(self.db, cqt, &self.counters);
         }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
+        let _memo = self.counters.arm_memo();
+        let parts = query
+            .disjuncts
+            .iter()
+            .map(|cqt| run_cqt(self.db, cqt, &self.counters))
+            .collect::<Result<Vec<Rows>>>()?;
+        Ok(Rows::union(query.head.len(), parts))
     }
 
     /// Total pairs materialised since construction (work counter).
@@ -74,29 +82,13 @@ impl<'a> GraphEngine<'a> {
     }
 }
 
-/// Convenience: runs a query and converts binary rows into a pair set.
-pub fn rows_to_pairs(rows: &Rows) -> PairSet {
-    rows.iter().map(|r| (r[0], r[1])).collect()
-}
-
-/// Convenience: converts a pair set into rows.
-pub fn pairs_to_rows(pairs: &PairSet) -> Rows {
-    pairs.iter().map(|&(s, t)| vec![s, t]).collect()
-}
-
-/// Runs a `RewriteOutcome`-shaped pair of queries — used by callers that
-/// hold both the baseline and the rewritten form. Kept here so the harness
-/// can time baseline and rewritten runs identically.
-pub fn run_binary_query(engine: &GraphEngine<'_>, query: &Ucqt) -> Result<Vec<(NodeId, NodeId)>> {
-    let rows = engine.run_ucqt(query)?;
-    Ok(rows_to_pairs(&rows))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sgq_algebra::parser::parse_path;
+    use sgq_common::SgqError;
     use sgq_graph::database::fig2_yago_database;
+    use sgq_query::cqt::{Cqt, Relation};
 
     #[test]
     fn engine_matches_reference_on_paths() {
@@ -121,6 +113,100 @@ mod tests {
         assert_eq!(rows.len(), 1);
     }
 
+    /// Two disjuncts over a common first relation, each followed by
+    /// `tail`: `(x, livesIn/isLocatedIn, z) ∧ (z, tail, y)`.
+    fn shared_prefix_query(db: &GraphDatabase, tails: [&str; 2]) -> Ucqt {
+        let [x, y, z] = [0, 1, 2].map(sgq_common::VarId::new);
+        let disjunct = |tail: &str| Cqt {
+            head: vec![x, y],
+            atoms: vec![],
+            relations: vec![
+                Relation::plain(x, parse_path("livesIn/isLocatedIn", db).unwrap(), z),
+                Relation::plain(z, parse_path(tail, db).unwrap(), y),
+            ],
+        };
+        Ucqt {
+            head: vec![x, y],
+            disjuncts: tails.map(disjunct).to_vec(),
+        }
+    }
+
+    #[test]
+    fn memo_shares_work_without_changing_rows_and_never_outlives_the_call() {
+        let db = fig2_yago_database();
+        let query = shared_prefix_query(&db, ["isLocatedIn", "isLocatedIn/isLocatedIn"]);
+
+        // Memo off: every disjunct on its own.
+        let plain = GraphEngine::new(&db);
+        let parts = query
+            .disjuncts
+            .iter()
+            .map(|c| run_cqt(&db, c, &plain.counters).unwrap())
+            .collect();
+        let unshared = Rows::union(2, parts);
+        assert!(!unshared.is_empty());
+
+        let engine = GraphEngine::new(&db);
+        assert_eq!(engine.run_ucqt(&query).unwrap(), unshared);
+        assert!(
+            engine.pairs_materialized() < plain.pairs_materialized(),
+            "the second disjunct reuses livesIn/isLocatedIn"
+        );
+        assert!(!engine.counters.memo_armed(), "dropped after Ok");
+
+        let mut starved = GraphEngine::new(&db);
+        starved.set_max_pairs(1);
+        assert!(starved.run_ucqt(&query).unwrap_err().is_row_budget());
+        assert!(!starved.counters.memo_armed(), "dropped after Err");
+    }
+
+    /// `(a, isLocatedIn, b) ∧ (c, isLocatedIn, d)`: no shared variable, so
+    /// the second join is a cartesian product of 4 × 4 rows built from
+    /// only 8 materialised pairs.
+    fn cartesian_query(db: &GraphDatabase) -> Ucqt {
+        let [a, b, c, d] = [0, 1, 2, 3].map(sgq_common::VarId::new);
+        let located = || parse_path("isLocatedIn", db).unwrap();
+        Ucqt::single(Cqt {
+            head: vec![a, b, c, d],
+            atoms: vec![],
+            relations: vec![
+                Relation::plain(a, located(), b),
+                Relation::plain(c, located(), d),
+            ],
+        })
+    }
+
+    #[test]
+    fn binding_table_rows_are_held_to_the_pair_budget() {
+        let db = fig2_yago_database();
+        let query = cartesian_query(&db);
+        let unlimited = GraphEngine::new(&db);
+        assert_eq!(unlimited.run_ucqt(&query).unwrap().len(), 16);
+        assert_eq!(unlimited.pairs_materialized(), 8);
+
+        let mut engine = GraphEngine::new(&db);
+        engine.set_max_pairs(10);
+        match engine.run_ucqt(&query) {
+            Err(SgqError::RowBudget { rows, budget }) => assert_eq!((rows, budget), (16, 10)),
+            other => panic!("expected a row-budget error, got {other:?}"),
+        }
+        assert_eq!(
+            engine.pairs_materialized(),
+            8,
+            "table rows are not counted as materialised pairs"
+        );
+    }
+
+    #[test]
+    fn expired_deadline_cancels_a_conjunctive_query() {
+        let db = fig2_yago_database();
+        let engine = GraphEngine::with_timeout(&db, 0);
+        assert!(engine
+            .run_ucqt(&cartesian_query(&db))
+            .unwrap_err()
+            .is_timeout());
+    }
+
     #[test]
     fn counters_accumulate() {
         let db = fig2_yago_database();
@@ -129,12 +215,5 @@ mod tests {
         let _ = engine.eval_path(&e).unwrap();
         assert!(engine.pairs_materialized() > 0);
         assert!(engine.tc_rounds() > 0);
-    }
-
-    #[test]
-    fn roundtrip_helpers() {
-        let pairs = vec![(sgq_common::NodeId::new(1), sgq_common::NodeId::new(2))];
-        let rows = pairs_to_rows(&pairs);
-        assert_eq!(rows_to_pairs(&rows), pairs);
     }
 }

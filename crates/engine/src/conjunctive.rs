@@ -6,17 +6,25 @@
 //! sharing a bound variable, the one with the smallest cardinality estimate
 //! goes first — a deliberately simple version of what Neo4j's planner does
 //! with graph patterns.
+//!
+//! The binding table is a flat [`Rows`]. Every join writes its output
+//! rows straight into one buffer and keeps only the *live* variables —
+//! those in the head or used by a relation still to come — so a chain
+//! query's table stays two columns wide however long the chain is, and
+//! the table left by the last join is the answer.
 
 use sgq_algebra::ast::PathExpr;
-use sgq_common::{sorted, FxHashMap, FxHashSet, NodeId, Result, SgqError, VarId};
+use sgq_common::{sorted, FxHashMap, NodeId, Result, VarId};
 use sgq_graph::GraphDatabase;
 use sgq_query::annotated::LabelSet;
 use sgq_query::cqt::Cqt;
 
 use crate::patheval::{eval_seeded, EvalCounters, Seeds};
+use crate::rows::Rows;
 
-/// Result rows over the head variables (sorted, deduplicated).
-pub type Rows = Vec<Vec<NodeId>>;
+/// How many emitted rows a join writes between two polls of the deadline
+/// and the row budget.
+const POLL_ROWS: usize = 1 << 16;
 
 /// Executes one CQT against the database.
 pub fn run_cqt(db: &GraphDatabase, cqt: &Cqt, counters: &EvalCounters) -> Result<Rows> {
@@ -24,198 +32,225 @@ pub fn run_cqt(db: &GraphDatabase, cqt: &Cqt, counters: &EvalCounters) -> Result
     // Per-variable label constraints (intersected).
     let mut constraints: FxHashMap<VarId, LabelSet> = FxHashMap::default();
     for atom in &cqt.atoms {
-        match constraints.entry(atom.var) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let merged = sorted::intersect(e.get(), &atom.labels);
-                e.insert(merged);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(atom.labels.clone());
-            }
-        }
+        constraints
+            .entry(atom.var)
+            .and_modify(|labels| *labels = sorted::intersect(labels, &atom.labels))
+            .or_insert_with(|| atom.labels.clone());
     }
     if constraints.values().any(|l| l.is_empty()) {
-        return Ok(Vec::new());
+        return Ok(Rows::empty(cqt.head.len()));
     }
-    // Candidate node sets for constrained variables.
-    let candidates: FxHashMap<VarId, Vec<NodeId>> = constraints
-        .iter()
-        .map(|(&v, labels)| {
-            let mut nodes: Vec<NodeId> = labels
-                .iter()
-                .flat_map(|&l| db.nodes_with_label(l).iter().copied())
-                .collect();
-            sorted::normalize(&mut nodes);
-            (v, nodes)
-        })
-        .collect();
 
+    let exprs: Vec<PathExpr> = cqt.relations.iter().map(|r| r.path.strip()).collect();
+    let estimates: Vec<usize> = exprs.iter().map(|e| estimate(db, e)).collect();
     let mut remaining: Vec<usize> = (0..cqt.relations.len()).collect();
-    let mut schema: Vec<VarId> = Vec::new();
-    let mut rows: Rows = vec![Vec::new()]; // the unit table: one empty row
+    let mut vars: Vec<VarId> = Vec::new();
+    let mut rows = Rows::unit();
 
     while !remaining.is_empty() {
-        let bound: FxHashSet<VarId> = schema.iter().copied().collect();
         // Greedy pick: prefer relations sharing a bound variable.
         let pick_pos = remaining
             .iter()
             .enumerate()
             .min_by_key(|&(_, &idx)| {
                 let r = &cqt.relations[idx];
-                let shares = bound.contains(&r.src) || bound.contains(&r.tgt) || schema.is_empty();
-                (!shares, estimate(db, &r.path.strip()))
+                let shares = vars.contains(&r.src) || vars.contains(&r.tgt) || vars.is_empty();
+                (!shares, estimates[idx])
             })
             .map(|(pos, _)| pos)
             .expect("remaining is non-empty");
         let idx = remaining.swap_remove(pick_pos);
         let rel = &cqt.relations[idx];
-        let expr = rel.path.strip();
 
         // Seeds: bound column values take precedence over atom candidates.
-        let src_seed = seed_for(rel.src, &schema, &rows, &candidates);
-        let tgt_seed = seed_for(rel.tgt, &schema, &rows, &candidates);
-        let pairs = eval_seeded(
+        // Seeding is exact, so the pairs already satisfy the label atoms
+        // of both endpoints and join with every bound value they mention.
+        let seed = |var: VarId| match vars.iter().position(|&v| v == var) {
+            Some(pos) => {
+                let mut values: Vec<NodeId> = rows.column(pos).collect();
+                sorted::normalize(&mut values);
+                Some(values)
+            }
+            None => constraints.get(&var).map(|labels| candidates(db, labels)),
+        };
+        let (src_seed, tgt_seed) = (seed(rel.src), seed(rel.tgt));
+        let mut pairs = eval_seeded(
             db,
-            &expr,
+            &exprs[idx],
             Seeds {
                 sources: src_seed.as_deref(),
                 targets: tgt_seed.as_deref(),
             },
             counters,
         )?;
-        // Atom filters not already pushed as seeds.
-        let pairs: Vec<(NodeId, NodeId)> = pairs
-            .into_iter()
-            .filter(|&(s, t)| {
-                label_ok(db, &constraints, rel.src, s) && label_ok(db, &constraints, rel.tgt, t)
-            })
-            .filter(|&(s, t)| rel.src != rel.tgt || s == t)
-            .collect();
-
-        rows = join(&schema, rows, rel.src, rel.tgt, &pairs);
-        if !schema.contains(&rel.src) {
-            schema.push(rel.src);
+        if rel.src == rel.tgt {
+            pairs.retain(|&(s, t)| s == t);
         }
-        if rel.tgt != rel.src && !schema.contains(&rel.tgt) {
-            schema.push(rel.tgt);
-        }
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-
-    // Project onto the head.
-    let positions: Vec<usize> = cqt
-        .head
-        .iter()
-        .map(|h| {
-            schema
+        let admits = |var: VarId, n: NodeId| {
+            let labels = constraints.get(&var);
+            labels.is_none_or(|l| sorted::contains(l, &db.node_label(n)))
+        };
+        debug_assert!(
+            pairs
                 .iter()
-                .position(|v| v == h)
-                .ok_or_else(|| SgqError::Query(format!("head variable {h} never bound")))
-        })
-        .collect::<Result<_>>()?;
-    let mut out: Rows = rows
-        .into_iter()
-        .map(|row| positions.iter().map(|&p| row[p]).collect())
+                .all(|&(s, t)| admits(rel.src, s) && admits(rel.tgt, t)),
+            "seeding is exact"
+        );
+
+        let needed: Vec<VarId> = remaining
+            .iter()
+            .flat_map(|&i| [cqt.relations[i].src, cqt.relations[i].tgt])
+            .collect();
+        let live = live_vars(&vars, rel.src, rel.tgt, &cqt.head, &needed);
+        rows = join(&vars, &rows, rel.src, rel.tgt, &pairs, &live, counters)?;
+        vars = live;
+        if rows.is_empty() {
+            return Ok(Rows::empty(cqt.head.len()));
+        }
+    }
+    debug_assert_eq!(vars, cqt.head, "validated: every head variable is bound");
+    Ok(rows)
+}
+
+/// The sorted nodes carrying one of `labels`.
+fn candidates(db: &GraphDatabase, labels: &LabelSet) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = labels
+        .iter()
+        .flat_map(|&l| db.nodes_with_label(l).iter().copied())
         .collect();
-    out.sort_unstable();
-    out.dedup();
-    Ok(out)
+    sorted::normalize(&mut nodes);
+    nodes
 }
 
-/// Seed values for a variable: bound column values, else atom candidates.
-fn seed_for(
-    var: VarId,
-    schema: &[VarId],
+/// Early projection: the columns to keep once the relation `(src, tgt)`
+/// has been joined into a table over `vars`. A variable stays while it is
+/// in the head or `needed` by a relation not joined yet; everything else
+/// can no longer influence the answer. Head variables come first, in head
+/// order, so the table left by the last join *is* the head projection.
+fn live_vars(
+    vars: &[VarId],
+    src: VarId,
+    tgt: VarId,
+    head: &[VarId],
+    needed: &[VarId],
+) -> Vec<VarId> {
+    let bound = |v: &VarId| vars.contains(v) || *v == src || *v == tgt;
+    let mut live: Vec<VarId> = head.iter().copied().filter(bound).collect();
+    for &v in vars.iter().chain([&src, &tgt]) {
+        if needed.contains(&v) && !live.contains(&v) {
+            live.push(v);
+        }
+    }
+    live
+}
+
+/// The output side of a join: projects each matched *wide row* (the
+/// table row followed by the relation's source and target) onto the live
+/// columns, straight into one flat buffer.
+struct Emitter<'a> {
+    wide: Vec<NodeId>,
+    /// Position in the wide row of each output column.
+    columns: Vec<usize>,
+    data: Vec<NodeId>,
+    emitted: usize,
+    counters: &'a EvalCounters,
+}
+
+impl Emitter<'_> {
+    /// Emits the current wide row.
+    #[inline]
+    fn push(&mut self) -> Result<()> {
+        self.data.extend(self.columns.iter().map(|&p| self.wide[p]));
+        self.emitted += 1;
+        if self.emitted.is_multiple_of(POLL_ROWS) {
+            self.counters.check_rows(self.emitted)?;
+        }
+        Ok(())
+    }
+}
+
+/// Joins the binding table `rows` over `vars` with the canonical `pairs`
+/// of a relation `(src, tgt)` on whichever of the two are already bound,
+/// keeping the columns `live`.
+fn join(
+    vars: &[VarId],
     rows: &Rows,
-    candidates: &FxHashMap<VarId, Vec<NodeId>>,
-) -> Option<Vec<NodeId>> {
-    if let Some(pos) = schema.iter().position(|&v| v == var) {
-        let mut vals: Vec<NodeId> = rows.iter().map(|r| r[pos]).collect();
-        sorted::normalize(&mut vals);
-        return Some(vals);
-    }
-    candidates.get(&var).cloned()
-}
-
-#[inline]
-fn label_ok(
-    db: &GraphDatabase,
-    constraints: &FxHashMap<VarId, LabelSet>,
-    var: VarId,
-    n: NodeId,
-) -> bool {
-    match constraints.get(&var) {
-        None => true,
-        Some(labels) => sorted::contains(labels, &db.node_label(n)),
-    }
-}
-
-/// Joins the binding table with a pair set on whichever of `src`/`tgt` are
-/// already bound.
-fn join(schema: &[VarId], rows: Rows, src: VarId, tgt: VarId, pairs: &[(NodeId, NodeId)]) -> Rows {
-    let src_pos = schema.iter().position(|&v| v == src);
-    let tgt_pos = schema.iter().position(|&v| v == tgt);
-    let mut out: Rows = Vec::new();
-    match (src_pos, tgt_pos) {
+    src: VarId,
+    tgt: VarId,
+    pairs: &[(NodeId, NodeId)],
+    live: &[VarId],
+    counters: &EvalCounters,
+) -> Result<Rows> {
+    let arity = vars.len();
+    let position = |var: VarId| vars.iter().position(|&v| v == var);
+    let (src_slot, tgt_slot) = (arity, arity + 1);
+    let mut out = Emitter {
+        wide: vec![NodeId::new(0); arity + 2],
+        columns: live
+            .iter()
+            .map(|&v| position(v).unwrap_or(if v == src { src_slot } else { tgt_slot }))
+            .collect(),
+        data: Vec::new(),
+        emitted: 0,
+        counters,
+    };
+    match (position(src), position(tgt)) {
         (None, None) => {
             // Cartesian extension (first relation, or disconnected pattern).
-            for row in &rows {
+            for row in rows {
+                out.wide[..arity].copy_from_slice(row);
                 for &(s, t) in pairs {
-                    let mut r = row.clone();
-                    r.push(s);
-                    if tgt != src {
-                        r.push(t);
-                    }
-                    out.push(r);
+                    out.wide[src_slot] = s;
+                    out.wide[tgt_slot] = t;
+                    out.push()?;
                 }
             }
         }
-        (Some(sp), None) => {
-            let mut index: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-            for &(s, t) in pairs {
-                index.entry(s).or_default().push(t);
-            }
-            for row in &rows {
-                if let Some(ts) = index.get(&row[sp]) {
-                    for &t in ts {
-                        let mut r = row.clone();
-                        r.push(t);
-                        out.push(r);
-                    }
+        (Some(key_pos), None) => extend(rows, key_pos, pairs, tgt_slot, &mut out)?,
+        (None, Some(key_pos)) => {
+            let mut flipped: Vec<(NodeId, NodeId)> = pairs.iter().map(|&(s, t)| (t, s)).collect();
+            flipped.sort_unstable();
+            extend(rows, key_pos, &flipped, src_slot, &mut out)?;
+        }
+        (Some(src_pos), Some(tgt_pos)) => {
+            for row in rows {
+                if sorted::contains(pairs, &(row[src_pos], row[tgt_pos])) {
+                    out.wide[..arity].copy_from_slice(row);
+                    out.push()?;
                 }
             }
-        }
-        (None, Some(tp)) => {
-            let mut index: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-            for &(s, t) in pairs {
-                index.entry(t).or_default().push(s);
-            }
-            for row in &rows {
-                if let Some(ss) = index.get(&row[tp]) {
-                    for &s in ss {
-                        let mut r = row.clone();
-                        r.push(s);
-                        out.push(r);
-                    }
-                }
-            }
-        }
-        (Some(sp), Some(tp)) => {
-            let set: FxHashSet<(NodeId, NodeId)> = pairs.iter().copied().collect();
-            out = rows
-                .into_iter()
-                .filter(|row| set.contains(&(row[sp], row[tp])))
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            return out;
         }
     }
-    out.sort_unstable();
-    out.dedup();
-    out
+    counters.check_rows(out.emitted)?;
+    Ok(Rows::from_flat(live.len(), out.emitted, out.data))
+}
+
+/// Extends every row by the partners of its `key_pos` value in `keyed`
+/// (`(key, partner)` pairs sorted by key, so the partners of one key are
+/// one contiguous run), with each partner in slot `slot` of the wide row.
+fn extend(
+    rows: &Rows,
+    key_pos: usize,
+    keyed: &[(NodeId, NodeId)],
+    slot: usize,
+    out: &mut Emitter<'_>,
+) -> Result<()> {
+    let mut runs: FxHashMap<NodeId, (usize, usize)> = FxHashMap::default();
+    let mut start = 0;
+    for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+        runs.insert(run[0].0, (start, start + run.len()));
+        start += run.len();
+    }
+    for row in rows {
+        if let Some(&(lo, hi)) = runs.get(&row[key_pos]) {
+            out.wide[..row.len()].copy_from_slice(row);
+            for &(_, partner) in &keyed[lo..hi] {
+                out.wide[slot] = partner;
+                out.push()?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A crude cardinality estimate used only for join ordering: the smallest
@@ -243,6 +278,49 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    #[test]
+    fn early_projection_keeps_exactly_the_live_variables() {
+        let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(VarId::new);
+        // Table over (a, b, c); joining (c, _, d); head (d, a); a later
+        // relation still needs b and d.
+        let live = live_vars(&[a, b, c], c, d, &[d, a], &[b, d, e]);
+        assert_eq!(live, [d, a, b], "head first in head order, c dropped");
+        // A head variable not bound yet is not invented ...
+        assert_eq!(live_vars(&[a], a, b, &[e, a], &[]), [a]);
+        // ... one needed later survives although it is not in the head ...
+        assert_eq!(live_vars(&[a], a, b, &[a], &[b]), [a, b]);
+        // ... and with nothing left to join only the head remains.
+        assert_eq!(live_vars(&[a, b, c], c, d, &[d, a], &[]), [d, a]);
+    }
+
+    #[test]
+    fn dropped_variables_do_not_change_the_answer() {
+        // (x, livesIn, c) ∧ (c, isLocatedIn, r) ∧ (r, isLocatedIn, k) with
+        // head (k, x): c and r die as soon as their second relation is
+        // joined, and the head comes back in head order.
+        let db = fig2_yago_database();
+        let [x, c, r, k] = [0, 1, 2, 3].map(VarId::new);
+        let step = |s, label, t| Relation::plain(s, parse_path(label, &db).unwrap(), t);
+        let q = Cqt {
+            head: vec![k, x],
+            atoms: vec![],
+            relations: vec![
+                step(x, "livesIn", c),
+                step(c, "isLocatedIn", r),
+                step(r, "isLocatedIn", k),
+            ],
+        };
+        let rows = run_cqt(&db, &q, &EvalCounters::default()).unwrap();
+        let e = parse_path("livesIn/isLocatedIn/isLocatedIn", &db).unwrap();
+        let mut want: Vec<[NodeId; 2]> = sgq_algebra::eval::eval_path(&db, &e)
+            .into_iter()
+            .map(|(s, t)| [t, s])
+            .collect();
+        want.sort_unstable();
+        assert!(!want.is_empty());
+        assert_eq!(rows.iter().collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -274,7 +352,7 @@ mod tests {
         };
         let counters = EvalCounters::default();
         let rows = run_cqt(&db, &c1, &counters).unwrap();
-        assert_eq!(rows, vec![vec![n(1)]]);
+        assert_eq!(rows.iter().collect::<Vec<_>>(), [[n(1)]]);
     }
 
     #[test]
@@ -298,7 +376,10 @@ mod tests {
         };
         let counters = EvalCounters::default();
         let rows = run_cqt(&db, &c, &counters).unwrap();
-        assert_eq!(rows, vec![vec![n(3), n(4)], vec![n(5), n(4)]]);
+        assert_eq!(
+            rows.iter().collect::<Vec<_>>(),
+            [[n(3), n(4)], [n(5), n(4)]]
+        );
     }
 
     #[test]
@@ -342,7 +423,7 @@ mod tests {
         };
         let counters = EvalCounters::default();
         let rows = run_cqt(&db, &c, &counters).unwrap();
-        assert_eq!(rows, vec![vec![n(1)], vec![n(2)]]);
+        assert_eq!(rows.iter().collect::<Vec<_>>(), [[n(1)], [n(2)]]);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! * [`patheval`] — seeded pair-set evaluation of path expressions over
 //!   CSR adjacency, with semi-naive / frontier-BFS transitive closure,
 //! * [`conjunctive`] — a binding-table executor for CQTs (greedy join
-//!   ordering, semi-join pushdown of label atoms and bound variables),
+//!   ordering, semi-join pushdown of label atoms and bound variables,
+//!   early projection),
+//! * [`rows`] — the flat row-major table that is both that binding table
+//!   and the engine's result type,
 //! * [`backend`] — the public [`GraphEngine`] facade used by the harness.
 
 #![warn(missing_docs)]
@@ -14,6 +17,7 @@ pub mod aggregate;
 pub mod backend;
 pub mod conjunctive;
 pub mod patheval;
+pub mod rows;
 
 pub use aggregate::{aggregate, grouped_count, Aggregate};
 pub use backend::{GraphEngine, Rows};

@@ -13,7 +13,7 @@
 //!   benches can demonstrate the intermediate-result reduction that the
 //!   schema-based rewrite buys (the paper's Fig. 17 narrative).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
 use sgq_algebra::ast::PathExpr;
@@ -62,6 +62,24 @@ pub struct EvalCounters {
     /// keeps infeasible closures from exhausting memory before the
     /// deadline fires.
     pub max_pairs: usize,
+    /// Sub-expression results shared by the disjuncts of one query;
+    /// `None` except while a [`MemoGuard`] is alive.
+    memo: RefCell<Option<Memo>>,
+}
+
+/// Evaluated sub-expressions by (expression, source seeds, target seeds).
+type Memo = FxHashMap<MemoKey, PairSet>;
+type MemoKey = (PathExpr, Option<Vec<NodeId>>, Option<Vec<NodeId>>);
+
+/// Keeps the memo of an [`EvalCounters`] armed; dropping it (on success,
+/// error or unwind alike) discards every cached result, so nothing
+/// outlives the query that armed it.
+pub(crate) struct MemoGuard<'a>(&'a EvalCounters);
+
+impl Drop for MemoGuard<'_> {
+    fn drop(&mut self) {
+        self.0.memo.borrow_mut().take();
+    }
 }
 
 impl EvalCounters {
@@ -72,6 +90,31 @@ impl EvalCounters {
             limit_ms,
             ..Default::default()
         }
+    }
+
+    /// Arms the sub-expression memo until the guard is dropped.
+    pub(crate) fn arm_memo(&self) -> MemoGuard<'_> {
+        *self.memo.borrow_mut() = Some(Memo::default());
+        MemoGuard(self)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn memo_armed(&self) -> bool {
+        self.memo.borrow().is_some()
+    }
+
+    /// The memo key of an evaluation, if the memo is armed and `expr` is
+    /// worth caching (single labels are read straight off the CSR).
+    fn memo_key(&self, expr: &PathExpr, seeds: Seeds<'_>) -> Option<MemoKey> {
+        if matches!(expr, PathExpr::Label(_) | PathExpr::Reverse(_)) || self.memo.borrow().is_none()
+        {
+            return None;
+        }
+        Some((
+            expr.clone(),
+            seeds.sources.map(<[_]>::to_vec),
+            seeds.targets.map(<[_]>::to_vec),
+        ))
     }
 
     fn add_pairs(&self, n: usize) {
@@ -97,6 +140,19 @@ impl EvalCounters {
             _ => Ok(()),
         }
     }
+
+    /// [`check`](Self::check), and additionally holds `rows` binding-table
+    /// rows to the pair budget. The rows are not added to `pairs`, which
+    /// counts path evaluation only.
+    pub(crate) fn check_rows(&self, rows: usize) -> Result<()> {
+        if self.max_pairs > 0 && rows > self.max_pairs {
+            return Err(SgqError::RowBudget {
+                rows,
+                budget: self.max_pairs,
+            });
+        }
+        self.check()
+    }
 }
 
 /// Evaluates `expr` over `db`, restricted to `seeds`.
@@ -104,6 +160,9 @@ impl EvalCounters {
 /// The result is canonical (sorted, deduplicated) and exact: restricting by
 /// `seeds` never adds pairs, it only avoids computing pairs whose endpoints
 /// fall outside the restriction.
+///
+/// While the memo is armed, a composite `(expr, seeds)` evaluated before
+/// is answered from it; a hit materialises nothing and is not counted.
 pub fn eval_seeded(
     db: &GraphDatabase,
     expr: &PathExpr,
@@ -111,7 +170,30 @@ pub fn eval_seeded(
     counters: &EvalCounters,
 ) -> Result<PairSet> {
     counters.check()?;
-    let out = match expr {
+    let key = counters.memo_key(expr, seeds);
+    if let Some(key) = &key {
+        if let Some(hit) = counters.memo.borrow().as_ref().and_then(|m| m.get(key)) {
+            return Ok(hit.clone());
+        }
+    }
+    let out = eval_node(db, expr, seeds, counters)?;
+    counters.add_pairs(out.len());
+    if let Some(key) = key {
+        if let Some(memo) = counters.memo.borrow_mut().as_mut() {
+            memo.insert(key, out.clone());
+        }
+    }
+    Ok(out)
+}
+
+/// One step of [`eval_seeded`]: the operator at the root of `expr`.
+fn eval_node(
+    db: &GraphDatabase,
+    expr: &PathExpr,
+    seeds: Seeds<'_>,
+    counters: &EvalCounters,
+) -> Result<PairSet> {
+    Ok(match expr {
         PathExpr::Label(le) => match (seeds.sources, seeds.targets) {
             (Some(srcs), _) => {
                 let mut v: Vec<(NodeId, NodeId)> = Vec::new();
@@ -213,9 +295,7 @@ pub fn eval_seeded(
                 .collect()
         }
         PathExpr::Plus(a) => transitive_closure_seeded(db, a, seeds, counters)?,
-    };
-    counters.add_pairs(out.len());
-    Ok(out)
+    })
 }
 
 #[inline]

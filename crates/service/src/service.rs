@@ -772,8 +772,8 @@ fn run_query(
                     other => other,
                 })?;
                 Ok(rows
-                    .into_iter()
-                    .map(|r| r.into_iter().map(|n| n.raw()).collect())
+                    .iter()
+                    .map(|r| r.iter().map(|n| n.raw()).collect())
                     .collect())
             }
             PreparedBody::Relational(plan) => {

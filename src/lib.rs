@@ -34,7 +34,7 @@
 //! let enriched: Vec<_> = engine
 //!     .run_ucqt(&query)
 //!     .unwrap()
-//!     .into_iter()
+//!     .iter()
 //!     .map(|row| (row[0], row[1]))
 //!     .collect();
 //! assert_eq!(baseline, enriched);

@@ -11,8 +11,8 @@ use sgq_datasets::yago::{self, YagoConfig};
 use sgq_ra::RelStore;
 use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
 
-fn pairs_from_rows(rows: Vec<Vec<sgq_common::NodeId>>) -> Vec<(u32, u32)> {
-    rows.into_iter().map(|r| (r[0].raw(), r[1].raw())).collect()
+fn pairs_from_rows(rows: sgq_engine::Rows) -> Vec<(u32, u32)> {
+    rows.iter().map(|r| (r[0].raw(), r[1].raw())).collect()
 }
 
 fn relational_pairs(store: &RelStore, query: &Ucqt, optimize: bool) -> Vec<(u32, u32)> {
@@ -121,7 +121,7 @@ fn rewrites_agree_under_every_redundancy_rule() {
             let rewritten = rewrite_path(&schema, &q.expr, opts);
             if let Some(query) = rewritten.outcome.query() {
                 let rows = engine.run_ucqt(query).expect("engine runs");
-                let pairs: Vec<_> = rows.into_iter().map(|r| (r[0], r[1])).collect();
+                let pairs: Vec<_> = rows.iter().map(|r| (r[0], r[1])).collect();
                 assert_eq!(pairs, reference, "{} diverged under {rule:?}", q.name);
             }
         }

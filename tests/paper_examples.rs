@@ -174,5 +174,6 @@ fn query_c1_example_5() {
     let engine = GraphEngine::new(&db);
     let rows = engine.run_ucqt(&Ucqt::single(c1)).unwrap();
     assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0][0].raw(), 1, "John is node n2 (id 1)");
+    let john = rows.iter().next().expect("one row");
+    assert_eq!(john[0].raw(), 1, "John is node n2 (id 1)");
 }

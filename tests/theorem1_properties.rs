@@ -5,11 +5,19 @@
 //!
 //! Randomness comes from the in-repo seeded [`Rng`]; every case prints
 //! its seed on failure so it replays deterministically.
+//!
+//! Besides uniformly random expressions, a second generator aims at the
+//! shapes the graph engine treats specially: unions under bounded
+//! repetition and prefixes shared by several disjuncts (the per-query
+//! memo), overloaded edge labels (label atoms that really filter), and
+//! hand-built CQTs with a `src == tgt` relation whose head variables are
+//! bound first and last (early projection, head ordering).
 
 use schema_graph_query::prelude::*;
-use sgq_algebra::eval::eval_path;
-use sgq_common::{NodeId, Rng};
+use sgq_algebra::eval::{compose, eval_path};
+use sgq_common::{NodeId, Rng, VarId};
 use sgq_engine::GraphEngine;
+use sgq_query::cqt::Relation;
 
 const CASES: u64 = 48;
 
@@ -22,9 +30,14 @@ fn spread(i: u64) -> u64 {
 /// edges over up to 4 edge labels (parallel triples allowed — that is what
 /// exercises the inference).
 fn random_schema(seed: u64) -> GraphSchema {
+    random_schema_over(seed, &["r", "s", "t", "u"])
+}
+
+/// The same over the given edge labels: the fewer there are, the more
+/// node-label pairs each one connects (an *overloaded* label).
+fn random_schema_over(seed: u64, edge_labels: &[&str]) -> GraphSchema {
     let mut rng = Rng::seed_from_u64(seed);
     let node_labels = ["A", "B", "C", "D", "E"];
-    let edge_labels = ["r", "s", "t", "u"];
     let n_nodes = rng.gen_range(2..6);
     let n_edges = rng.gen_range(2..9);
     let mut b = GraphSchema::builder();
@@ -133,8 +146,41 @@ fn build_expr(rng: &mut Rng, labels: &[sgq_common::EdgeLabelId], depth: usize) -
     }
 }
 
-/// Evaluates a rewrite outcome on the graph engine and compares against
-/// the reference semantics of the original expression.
+/// A seeded expression of one of the shapes the rewrite distributes into
+/// several disjuncts over a common part.
+fn shared_work_expr(schema: &GraphSchema, seed: u64) -> PathExpr {
+    let labels: Vec<sgq_common::EdgeLabelId> = schema.edge_labels().collect();
+    let rng = &mut Rng::seed_from_u64(seed ^ 0x5a4e_d001);
+    let mut part = |depth| build_expr(rng, &labels, depth);
+    match seed % 4 {
+        // (a ∪ b){1,2}: union under bounded repetition.
+        0 => PathExpr::repeat(PathExpr::union(part(0), part(1)), 1, 2),
+        // a{1,3}/(b ∪ c/d): the shape of LDBC IC1.
+        1 => PathExpr::concat(
+            PathExpr::repeat(part(0), 1, 3),
+            PathExpr::union(part(0), PathExpr::concat(part(0), part(0))),
+        ),
+        // p/(a ∪ b ∪ c) with a composite prefix p.
+        2 => PathExpr::concat(
+            PathExpr::concat(part(1), part(0)),
+            PathExpr::union(PathExpr::union(part(0), part(0)), part(1)),
+        ),
+        // a+/(b ∪ c)/d: a closure prefix shared by both branches.
+        _ => PathExpr::concat(
+            PathExpr::concat(PathExpr::plus(part(0)), PathExpr::union(part(0), part(0))),
+            part(0),
+        ),
+    }
+}
+
+fn engine_pairs(db: &GraphDatabase, query: &Ucqt) -> Vec<(NodeId, NodeId)> {
+    let rows = GraphEngine::new(db).run_ucqt(query).expect("engine runs");
+    rows.iter().map(|r| (r[0], r[1])).collect()
+}
+
+/// Evaluates a rewrite outcome and the baseline query on the graph engine
+/// and compares both against the reference semantics of the original
+/// expression.
 fn check_equivalence(
     schema: &GraphSchema,
     db: &GraphDatabase,
@@ -142,14 +188,12 @@ fn check_equivalence(
     opts: RewriteOptions,
 ) {
     let reference = eval_path(db, expr);
+    let baseline = engine_pairs(db, &Ucqt::path_query(expr.clone()));
+    assert_eq!(&reference, &baseline, "baseline diverged for ϕ = {expr:?}");
     let rewritten = sgq_core::pipeline::rewrite_path(schema, expr, opts);
     let pairs: Vec<(NodeId, NodeId)> = match &rewritten.outcome {
         RewriteOutcome::Empty => Vec::new(),
-        RewriteOutcome::Enriched(q) | RewriteOutcome::Reverted(q) => {
-            let engine = GraphEngine::new(db);
-            let rows = engine.run_ucqt(q).expect("engine runs");
-            rows.into_iter().map(|r| (r[0], r[1])).collect()
-        }
+        RewriteOutcome::Enriched(q) | RewriteOutcome::Reverted(q) => engine_pairs(db, q),
     };
     assert_eq!(
         &reference, &pairs,
@@ -166,6 +210,61 @@ fn theorem1_default_options() {
         let db = random_database(&schema, seed);
         let expr = random_expr(&schema, expr_seed, 3);
         check_equivalence(&schema, &db, &expr, RewriteOptions::default());
+    }
+}
+
+#[test]
+fn theorem1_shared_work_over_overloaded_labels() {
+    for i in 0..CASES {
+        let seed = spread(i ^ 0x5a4);
+        let schema = random_schema_over(seed, &["r", "s"]);
+        let db = random_database(&schema, seed);
+        let expr = shared_work_expr(&schema, seed.rotate_left(23));
+        check_equivalence(&schema, &db, &expr, RewriteOptions::default());
+    }
+}
+
+/// `{(x0, x1) | (x0, a, x2) ∧ (x2, b, x2) ∧ (x2, c, x1)}` against the
+/// reference composition `a / (b restricted to its loops) / c`, with the
+/// head in both orders: whichever relation the executor joins last binds
+/// a head variable, and `x2` must survive until both neighbours joined.
+#[test]
+fn handmade_cqt_with_loop_variable() {
+    let (x0, x1, x2) = (VarId::new(0), VarId::new(1), VarId::new(2));
+    for i in 0..CASES {
+        let seed = spread(i ^ 0x100b);
+        let schema = random_schema_over(seed, &["r", "s"]);
+        let db = random_database(&schema, seed);
+        let [a, b, c] = [1, 2, 3].map(|k| random_expr(&schema, seed.rotate_left(k), 1));
+        // Random expressions rarely loop on a small graph; `l/-l` loops on
+        // every source of `l`.
+        let b = match a.edge_labels().first() {
+            Some(&l) if i % 2 == 0 => PathExpr::concat(PathExpr::Label(l), PathExpr::Reverse(l)),
+            _ => b,
+        };
+        let loops: Vec<_> = eval_path(&db, &b)
+            .into_iter()
+            .filter(|(s, t)| s == t)
+            .collect();
+        let forward = compose(&compose(&eval_path(&db, &a), &loops), &eval_path(&db, &c));
+        let mut backward: Vec<_> = forward.iter().map(|&(s, t)| (t, s)).collect();
+        backward.sort_unstable();
+        for (head, want) in [(vec![x0, x1], &forward), (vec![x1, x0], &backward)] {
+            let query = Ucqt::single(Cqt {
+                head,
+                atoms: vec![],
+                relations: vec![
+                    Relation::plain(x0, a.clone(), x2),
+                    Relation::plain(x2, b.clone(), x2),
+                    Relation::plain(x2, c.clone(), x1),
+                ],
+            });
+            assert_eq!(
+                &engine_pairs(&db, &query),
+                want,
+                "case {i}: {a:?} / loops of {b:?} / {c:?}"
+            );
+        }
     }
 }
 
