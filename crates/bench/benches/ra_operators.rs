@@ -13,7 +13,8 @@ use sgq_bench::{criterion_group, criterion_main, Criterion};
 use sgq_datasets::ldbc::{self, LdbcConfig};
 use sgq_ra::exec::{execute_plan, ExecContext};
 use sgq_ra::term::{closure_fixpoint, RaTerm};
-use sgq_ra::{plan, RelStore};
+use sgq_ra::{plan, RelStore, TaskScheduler};
+use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let (schema, db) = ldbc::generate(LdbcConfig::at_scale(0.3));
@@ -80,10 +81,13 @@ fn bench(c: &mut Criterion) {
         // delta shrinks).
         let t = closure_fixpoint(s.recvar("X"), scan(is_part_of, x, y), x, y, m);
         let p = plan(&t, &store).unwrap();
+        // Lent, so the timed loop never spawns threads.
+        let scheduler = Arc::new(TaskScheduler::new(4));
         b.iter(|| {
             let mut ctx = ExecContext::new();
             ctx.dop = 4;
             ctx.parallel_threshold = 1024;
+            ctx.set_scheduler(Arc::clone(&scheduler));
             execute_plan(&p, &store, &mut ctx).unwrap()
         })
     });

@@ -17,7 +17,8 @@ use sgq_bench::{criterion_group, criterion_main, Criterion};
 use sgq_datasets::ldbc::{self, LdbcConfig};
 use sgq_ra::exec::{execute_plan, ExecContext};
 use sgq_ra::term::{closure_fixpoint, RaTerm};
-use sgq_ra::{plan, PhysOp, RelStore};
+use sgq_ra::{plan, PhysOp, RelStore, TaskScheduler};
+use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let (schema, db) = ldbc::generate(LdbcConfig::at_scale(0.3));
@@ -88,10 +89,15 @@ fn bench(c: &mut Criterion) {
     store.index_joins = false;
     let p_par_hash = plan(&big, &store).unwrap();
     store.index_joins = true;
+    // One scheduler wide enough for the sweep, lent to every context
+    // (the per-run `dop` caps the morsels in flight), so the timed runs
+    // never spawn threads.
+    let scheduler = Arc::new(TaskScheduler::new(8));
     for (name, p) in [("index", &p_par_index), ("hash", &p_par_hash)] {
         let run = |dop: usize| {
             let mut ctx = ExecContext::new();
             ctx.dop = dop;
+            ctx.set_scheduler(Arc::clone(&scheduler));
             // The sweep measures scaling, not the admission gate: force
             // parallel sections even if this scale sits near the default
             // 16K-row threshold.

@@ -11,7 +11,9 @@
 //!   ([`json`]),
 //! * lock-free memory accounting with per-query and global ceilings
 //!   ([`governor`]),
-//! * deterministic fault injection for robustness testing ([`fault`]).
+//! * deterministic fault injection for robustness testing ([`fault`]),
+//! * the one thread pool, for bounded-admission jobs and scatter-gather
+//!   batches alike ([`pool`]).
 
 #![warn(missing_docs)]
 
@@ -23,6 +25,7 @@ pub mod hash;
 pub mod id;
 pub mod intern;
 pub mod json;
+pub mod pool;
 pub mod rng;
 pub mod sorted;
 

@@ -1,78 +1,103 @@
-//! A `std::thread` worker pool with a bounded job queue.
+//! The one thread pool: a fixed set of `std::thread` workers over one
+//! FIFO, serving two task classes.
 //!
-//! The serving layer's execution substrate: a fixed set of worker
-//! threads drains a bounded FIFO of jobs. The bound is the admission
-//! control — when the queue is full, [`WorkerPool::try_submit`] fails
-//! *immediately* with [`SgqError::Busy`] instead of letting latency grow
-//! without bound (callers see back-pressure, not a slow service).
+//! * **Jobs** ([`TaskScheduler::try_submit_capped`]) are fire-and-forget
+//!   closures admitted against a queue bound. The bound is the admission
+//!   control: a full queue fails *immediately* with [`SgqError::Busy`]
+//!   instead of letting latency grow without bound. The serving layer
+//!   runs its queries this way.
+//! * **Scatter-gather** ([`TaskScheduler::run`]) submits a batch, keeps
+//!   at most `dop` of it in flight, blocks until the batch is done and
+//!   returns the results in task order. It bypasses the queue bound (the
+//!   in-flight cap already bounds it) and is how the executor runs the
+//!   morsels of one operator.
 //!
-//! Shutdown is graceful: [`WorkerPool::shutdown`] stops admitting new
-//! jobs, lets the workers drain everything already queued (each queued
-//! job carries a response channel someone is waiting on), and joins the
-//! threads. Dropping the pool shuts it down the same way.
+//! A caller that blocks in `run` from inside a job must use a *second*
+//! instance for the batch: on one FIFO its tasks would queue behind
+//! other jobs waiting for the same thing.
+//!
+//! Shutdown is graceful: [`TaskScheduler::shutdown`] stops admitting,
+//! lets the workers drain everything already queued (somebody is waiting
+//! on each task) and joins the threads. Dropping the pool does the same.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use sgq_common::{Result, SgqError};
+use crate::{Result, SgqError};
 
-/// A unit of work: a boxed closure run on one worker thread.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+type Task = Box<dyn FnOnce() + Send + 'static>;
 
 struct Queue {
-    jobs: VecDeque<Job>,
+    tasks: VecDeque<Task>,
     shutdown: bool,
 }
 
 struct Shared {
     queue: Mutex<Queue>,
-    /// Signalled when a job is enqueued or shutdown begins.
+    /// Signalled when a task is enqueued or shutdown begins.
     available: Condvar,
+    /// The admission bound for jobs (`usize::MAX`: unbounded).
     capacity: usize,
-    /// Panics caught (and contained) by worker threads.
+    /// Panics that escaped a task and were contained by a worker.
     panics: AtomicU64,
 }
 
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, Queue> {
+        // No task runs under the lock, so a poisoned queue is still valid.
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// A fixed-size pool of worker threads over a bounded job queue.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    worker_count: usize,
+/// Runs `f`, turning a panic into its payload — the pool's single
+/// containment point, for escaped job panics and scatter-gather tasks
+/// alike.
+fn contain<T>(f: impl FnOnce() -> T) -> std::result::Result<T, Box<dyn Any + Send>> {
+    catch_unwind(AssertUnwindSafe(f))
 }
 
-impl std::fmt::Debug for WorkerPool {
+/// A fixed-size pool of worker threads over one FIFO of tasks.
+pub struct TaskScheduler {
+    shared: Arc<Shared>,
+    handles: Mutex<Vec<JoinHandle<()>>>,
+    workers: usize,
+}
+
+impl std::fmt::Debug for TaskScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.worker_count)
+        f.debug_struct("TaskScheduler")
+            .field("workers", &self.workers)
             .field("capacity", &self.shared.capacity)
-            .field("queued", &self.queue_len())
+            .field("queued", &self.shared.lock().tasks.len())
             .finish()
     }
 }
 
-impl WorkerPool {
-    /// Spawns `workers` threads over a queue bounded at `queue_capacity`
-    /// (both clamped to at least 1).
-    pub fn new(workers: usize, queue_capacity: usize) -> Self {
-        let worker_count = workers.max(1);
+impl TaskScheduler {
+    /// Spawns `workers` threads (clamped to at least 1) with no admission
+    /// bound — the scatter-gather configuration.
+    pub fn new(workers: usize) -> Self {
+        Self::bounded(workers, usize::MAX)
+    }
+
+    /// Spawns `workers` threads over a queue admitting at most
+    /// `queue_capacity` waiting jobs (both clamped to at least 1).
+    pub fn bounded(workers: usize, queue_capacity: usize) -> Self {
+        let workers = workers.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
-                jobs: VecDeque::new(),
+                tasks: VecDeque::new(),
                 shutdown: false,
             }),
             available: Condvar::new(),
             capacity: queue_capacity.max(1),
             panics: AtomicU64::new(0),
         });
-        let handles = (0..worker_count)
+        let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -81,26 +106,33 @@ impl WorkerPool {
                     .expect("spawn worker thread")
             })
             .collect();
-        WorkerPool {
+        TaskScheduler {
             shared,
             handles: Mutex::new(handles),
-            worker_count,
+            workers,
         }
     }
 
     /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.worker_count
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
-    /// The admission bound.
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
-    /// Jobs currently queued (not yet picked up by a worker).
-    pub fn queue_len(&self) -> usize {
-        self.shared.lock().jobs.len()
+    /// Enqueues `task` unless `limit` tasks already wait or the pool is
+    /// shut down.
+    fn push(&self, limit: usize, task: Task) -> Result<()> {
+        {
+            let mut q = self.shared.lock();
+            if q.shutdown {
+                return Err(SgqError::Execution("worker pool is shut down".into()));
+            }
+            if q.tasks.len() >= limit {
+                return Err(SgqError::Busy { capacity: limit });
+            }
+            q.tasks.push_back(task);
+        }
+        self.shared.available.notify_one();
+        Ok(())
     }
 
     /// Enqueues a job, or rejects it right away: [`SgqError::Busy`] when
@@ -109,51 +141,94 @@ impl WorkerPool {
         self.try_submit_capped(self.shared.capacity, job)
     }
 
-    /// Like [`WorkerPool::try_submit`] but admitting only while the
+    /// Like [`TaskScheduler::try_submit`] but admitting only while the
     /// queue is shorter than `min(cap, capacity)` — the degradation
     /// hook: under memory pressure the service shrinks the *effective*
     /// queue without reconfiguring the pool. `Busy` reports the
     /// effective bound the caller actually hit.
     pub fn try_submit_capped(&self, cap: usize, job: impl FnOnce() + Send + 'static) -> Result<()> {
-        let effective = cap.clamp(1, self.shared.capacity);
-        {
-            let mut q = self.shared.lock();
-            if q.shutdown {
-                return Err(SgqError::Execution("worker pool is shut down".into()));
-            }
-            if q.jobs.len() >= effective {
-                return Err(SgqError::Busy {
-                    capacity: effective,
-                });
-            }
-            q.jobs.push_back(Box::new(job));
-        }
-        self.shared.available.notify_one();
-        Ok(())
+        self.push(cap.clamp(1, self.shared.capacity), Box::new(job))
     }
 
-    /// Panics caught by worker threads since the pool started. Every
-    /// count is a contained failure: the worker survived and kept
-    /// draining the queue.
+    /// Panics that escaped a job and were contained by a worker since
+    /// the pool started: the worker survived and kept draining the queue.
     pub fn panic_count(&self) -> u64 {
         self.shared.panics.load(Ordering::Relaxed)
     }
 
-    /// Graceful shutdown: stops admission, drains the queued jobs, joins
-    /// every worker. Idempotent; later [`WorkerPool::try_submit`] calls
-    /// fail.
+    /// Scatter-gather: runs `tasks` on the workers with at most `dop`
+    /// in flight at once, blocking until all complete, and returns their
+    /// results in task order. The in-flight cap is what honours a
+    /// query's degree of parallelism on a pool shared by many queries.
+    ///
+    /// A panicking task does not hang the batch: its unwind is caught on
+    /// the worker and reported as that task's result; nothing further is
+    /// submitted, the tasks in flight are awaited, and the first payload
+    /// is re-raised *here*, on the calling thread.
+    pub fn run<T, F>(&self, dop: usize, tasks: Vec<F>) -> Vec<T>
+    where
+        F: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
+    {
+        let cap = dop.max(1);
+        let (tx, rx) = mpsc::channel();
+        let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(tasks.len()).collect();
+        let mut pending = tasks.into_iter().enumerate();
+        let mut in_flight = 0usize;
+        let mut panic = None;
+        loop {
+            while in_flight < cap && panic.is_none() {
+                let Some((i, task)) = pending.next() else {
+                    break;
+                };
+                let tx = tx.clone();
+                // The receiver outlives the batch, so the send only
+                // fails if this thread is itself unwinding.
+                let report = move || {
+                    let _ = tx.send((i, contain(task)));
+                };
+                self.push(usize::MAX, Box::new(report))
+                    .expect("scatter-gather needs a pool that is not shut down");
+                in_flight += 1;
+            }
+            if in_flight == 0 {
+                break;
+            }
+            let (i, result) = rx
+                .recv()
+                .expect("a sender is held here and every queued task reports");
+            in_flight -= 1;
+            match result {
+                Ok(v) => out[i] = Some(v),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        out.into_iter()
+            .map(|v| v.expect("every task reported"))
+            .collect()
+    }
+
+    /// Graceful shutdown: stops admission, drains the queued tasks, joins
+    /// every worker. Idempotent; later submissions fail.
     pub fn shutdown(&self) {
         self.shared.lock().shutdown = true;
         self.shared.available.notify_all();
         let handles: Vec<JoinHandle<()>> =
             std::mem::take(&mut self.handles.lock().unwrap_or_else(|e| e.into_inner()));
         for h in handles {
+            // Workers contain task panics, so a join error has no cause
+            // left to report, and `Drop` must not panic.
             let _ = h.join();
         }
     }
 }
 
-impl Drop for WorkerPool {
+impl Drop for TaskScheduler {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -161,35 +236,29 @@ impl Drop for WorkerPool {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let job = {
+        let task = {
             let mut q = shared.lock();
             loop {
-                // Draining has priority over the shutdown flag, so jobs
+                // Draining has priority over the shutdown flag, so tasks
                 // admitted before shutdown still run to completion.
-                if let Some(j) = q.jobs.pop_front() {
-                    break Some(j);
+                if let Some(t) = q.tasks.pop_front() {
+                    break t;
                 }
                 if q.shutdown {
-                    break None;
+                    return;
                 }
                 q = shared.available.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        match job {
-            Some(j) => {
-                // A panicking job must not take the worker down with it:
-                // the thread would silently stop draining and every
-                // later submission would queue forever. The service's
-                // jobs catch their own panics and reply with a
-                // structured `SgqError::Internal`; this backstop covers
-                // a panic escaping the job wrapper itself (the response
-                // sender is dropped by the unwind, so the waiting client
-                // sees a disconnect error, not a hang) and counts it.
-                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(j)).is_err() {
-                    shared.panics.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => return,
+        // A panicking task must not take the worker down with it: the
+        // thread would silently stop draining and every later submission
+        // would queue forever. Scatter-gather tasks report their own
+        // panics and the service's jobs reply `SgqError::Internal`; this
+        // backstop covers a panic escaping such a wrapper (whatever
+        // sender it held is dropped by the unwind, so the waiting side
+        // sees a disconnect, not a hang) and counts it.
+        if contain(task).is_err() {
+            shared.panics.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -202,7 +271,7 @@ mod tests {
 
     #[test]
     fn jobs_run_on_workers() {
-        let pool = WorkerPool::new(2, 8);
+        let pool = TaskScheduler::bounded(2, 8);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..8 {
             let c = Arc::clone(&counter);
@@ -217,7 +286,7 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_busy() {
-        let pool = WorkerPool::new(1, 1);
+        let pool = TaskScheduler::bounded(1, 1);
         // Block the single worker on a gate so the queue state is
         // deterministic: one running job, one queued job, then rejection.
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
@@ -237,7 +306,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs() {
-        let pool = WorkerPool::new(1, 16);
+        let pool = TaskScheduler::bounded(1, 16);
         let counter = Arc::new(AtomicUsize::new(0));
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (running_tx, running_rx) = mpsc::channel::<()>();
@@ -262,7 +331,7 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_fails() {
-        let pool = WorkerPool::new(1, 1);
+        let pool = TaskScheduler::bounded(1, 1);
         pool.shutdown();
         let err = pool.try_submit(|| {}).unwrap_err();
         assert!(matches!(err, SgqError::Execution(_)), "got {err}");
@@ -272,7 +341,7 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_the_worker() {
-        let pool = WorkerPool::new(1, 8);
+        let pool = TaskScheduler::bounded(1, 8);
         assert_eq!(pool.panic_count(), 0);
         pool.try_submit(|| panic!("job panic must be contained"))
             .unwrap();
@@ -293,7 +362,7 @@ mod tests {
         // The regression for the swallowed-panic bug: a caller waiting
         // on a panicked job's response channel must get a prompt
         // disconnect, never a hang.
-        let pool = WorkerPool::new(1, 8);
+        let pool = TaskScheduler::bounded(1, 8);
         let (tx, rx) = mpsc::channel::<i32>();
         pool.try_submit(move || {
             let _keep = tx; // dropped by the unwind
@@ -317,7 +386,7 @@ mod tests {
 
     #[test]
     fn capped_submit_shrinks_the_effective_queue() {
-        let pool = WorkerPool::new(1, 8);
+        let pool = TaskScheduler::bounded(1, 8);
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (running_tx, running_rx) = mpsc::channel::<()>();
         pool.try_submit(move || {
@@ -346,7 +415,7 @@ mod tests {
 
     #[test]
     fn jobs_run_in_parallel() {
-        let pool = WorkerPool::new(4, 8);
+        let pool = TaskScheduler::bounded(4, 8);
         // Four jobs that can only finish when all four are running at
         // once: a rendezvous proves genuine parallelism.
         let barrier = Arc::new(std::sync::Barrier::new(4));

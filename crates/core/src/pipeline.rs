@@ -17,7 +17,7 @@ use crate::simplify::simplify;
 use crate::translate::q_translate;
 
 /// Switches and budgets for the rewrite pipeline. The boolean switches are
-/// the ablation axes benchmarked by `sgq-bench/benches/ablation.rs`.
+/// the ablation axes `tests/theorem1_properties.rs` sweeps.
 #[derive(Debug, Clone, Copy)]
 pub struct RewriteOptions {
     /// Apply the preliminary path simplification R1–R5 (Fig. 6).

@@ -31,7 +31,7 @@ use sgq_datasets::CatalogQuery;
 use sgq_graph::{GraphDatabase, GraphSchema};
 use sgq_obs::QueryTrace;
 use sgq_ra::exec::{execute_plan, ExecContext};
-use sgq_ra::{LayoutKind, RelStore};
+use sgq_ra::{LayoutKind, RelStore, TaskScheduler};
 use sgq_service::prepared::{prepare, PreparedBody, PreparedQuery};
 use sgq_service::{
     retry_with_backoff, MetricsSnapshot, QueryOptions, QueryResponse, RetryPolicy, Service,
@@ -447,6 +447,9 @@ struct PassCtx<'a> {
     store: Arc<RelStore>,
     timeout_ms: u64,
     faults: Option<Arc<FaultPlan>>,
+    /// The scheduler a parallel variant's direct executions are lent, so
+    /// the pass spawns its workers once rather than once per context.
+    scheduler: Option<Arc<TaskScheduler>>,
     /// The reference answers to compare against (`None` while running
     /// the reference itself).
     expected: Option<&'a [Option<Answer>]>,
@@ -490,6 +493,9 @@ impl PassCtx<'_> {
             ctx.dop = s.dop;
             ctx.parallel_threshold = s.threshold;
             ctx.morsel_rows = s.morsel_rows.max(1);
+        }
+        if let Some(scheduler) = &self.scheduler {
+            ctx.set_scheduler(Arc::clone(scheduler));
         }
         ctx
     }
@@ -694,6 +700,9 @@ fn run_pass(
         store: cat.store(variant.layout),
         timeout_ms,
         faults: faults.map(FaultPlan::new),
+        scheduler: (variant.sizing)
+            .filter(|s| s.dop > 1)
+            .map(|s| Arc::new(TaskScheduler::new(s.dop))),
         expected,
     };
     ctx.set_memo();

@@ -26,21 +26,24 @@
 //! endpoint filters run as binary searches in the store's sorted label
 //! sets.
 //!
-//! **Intra-query parallelism.** With [`ExecContext::dop`] above 1, the
-//! probe side of hash/index (semi-)joins and the scan side of hashed
-//! filtered scans are split into morsels (see [`mod@crate::parallel`])
-//! once the probe clears [`ExecContext::parallel_threshold`]. Each
-//! morsel runs as an owned task (Arc-cloned probe buffer, shared
-//! read-only build side) and the per-morsel outputs are merged back to
-//! the canonical form — order-preserving filters concatenate, re-sorting
-//! joins merge-dedup per-morsel sorted runs — so a parallel run is
-//! bit-identical to the serial one. Inside a fixpoint this means each
-//! round's delta probe parallelises against the round-cached static
-//! build sides for free. The deadline and row budget become shared
-//! atomics (`Limits`): the first morsel to breach trips a cancel flag
-//! every other morsel polls, bounding overshoot to about one in-flight
-//! morsel per worker.
+//! **One kernel per probe-side operator.** The probe side of hash/index
+//! (semi-)joins and the scan side of hashed filtered scans are each one
+//! *kernel*: a function from a row range of the probe to that range's
+//! canonical output run, owning `Arc`-shared handles on its inputs. The
+//! range runner (`Interp::run_ranges`) is the only thing that invokes a
+//! kernel: once, inline, over the whole probe — or, with
+//! [`ExecContext::dop`] above 1 and a probe that clears
+//! [`ExecContext::parallel_threshold`], once per morsel (see
+//! [`mod@crate::parallel`]) on the scheduler, combining the runs by the
+//! operator's `Combine` rule, so a parallel run is bit-identical to
+//! the inline one. Inside a fixpoint this means each round's delta probe
+//! parallelises against the round-cached static build sides for free.
+//! Every poll and every record goes through one `Limits` value: the
+//! deadline, the row and memory budgets as shared atomics, and a cancel
+//! flag the first morsel to breach trips for its siblings, bounding
+//! overshoot to about one in-flight morsel per worker.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,6 +52,7 @@ use sgq_common::{
     faultpoint, relation_bytes, ColId, FaultPlan, FxHashMap, NodeId, QueryBudget, RecVarId, Result,
     SgqError,
 };
+use sgq_graph::Csr;
 use sgq_obs::{OpSpan, OpTraceBuilder, TraceClock};
 
 use crate::parallel::{self, TaskScheduler};
@@ -113,12 +117,11 @@ pub struct ExecContext {
     pub replan_factor: f64,
     /// Mid-flight re-plans performed (build sides flipped).
     pub replans: usize,
-    /// The scheduler parallel sections run on: injected by the service
-    /// (its shared, bounded scheduler) or lazily the process-global one.
+    /// The scheduler parallel sections run on: lent through
+    /// [`ExecContext::set_scheduler`], or spawned (`dop` workers) by the
+    /// first parallel section of a context that was lent none and joined
+    /// when the context drops.
     scheduler: Option<Arc<TaskScheduler>>,
-    /// Trips when any morsel breaches the deadline or row budget, so
-    /// sibling morsels stop at their next poll.
-    cancelled: Arc<AtomicBool>,
     /// Memory budget charged at every materialisation point (rows ×
     /// arity × 4 bytes), shared with morsel workers. `None` (the
     /// default) skips memory accounting entirely.
@@ -148,7 +151,6 @@ impl Default for ExecContext {
             replan_factor: REPLAN_FACTOR,
             replans: 0,
             scheduler: None,
-            cancelled: Arc::new(AtomicBool::new(false)),
             budget: None,
             faults: None,
         }
@@ -175,60 +177,34 @@ impl ExecContext {
         self.rows.load(Ordering::Relaxed)
     }
 
-    /// Injects the scheduler parallel sections run on (the service lends
-    /// its shared one); without this, the first parallel section falls
-    /// back to the process-global scheduler.
+    /// Lends the scheduler parallel sections run on (the service lends
+    /// its shared one); without this, the first parallel section spawns
+    /// one this context owns.
     pub fn set_scheduler(&mut self, scheduler: Arc<TaskScheduler>) {
         self.scheduler = Some(scheduler);
     }
 
-    fn check(&self) -> Result<()> {
-        match self.deadline {
-            Some(d) if Instant::now() > d => Err(SgqError::Timeout {
-                limit_ms: self.limit_ms,
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Accounts a materialised relation and enforces the row budget *at
-    /// materialisation time*: the error fires on the batch that crosses
-    /// the budget, so an oversized operator can overshoot by at most its
-    /// own output (not until some later operator happens to poll — a
-    /// top-level operator would never have been polled again at all).
-    fn record(&mut self, rel: &Relation) -> Result<()> {
-        let total = self.rows.fetch_add(rel.len(), Ordering::Relaxed) + rel.len();
-        if self.max_rows > 0 && total > self.max_rows {
-            return Err(SgqError::RowBudget {
-                rows: total,
-                budget: self.max_rows,
-            });
-        }
-        if let Some(budget) = &self.budget {
-            budget.charge(relation_bytes(rel.len(), rel.arity()))?;
-        }
-        Ok(())
-    }
-
-    /// The shareable view of this context's limits, handed to morsel
-    /// workers.
+    /// The limits of one execution under this context, with a fresh
+    /// cancel flag: what the interpreter and its morsel tasks poll and
+    /// record into.
     fn limits(&self) -> Limits {
         Limits {
             deadline: self.deadline,
             limit_ms: self.limit_ms,
             max_rows: self.max_rows,
             rows: Arc::clone(&self.rows),
-            cancelled: Arc::clone(&self.cancelled),
+            cancelled: Arc::new(AtomicBool::new(false)),
             budget: self.budget.clone(),
             faults: self.faults.clone(),
         }
     }
 
-    /// Opens a parallel section over a `probe_rows`-row probe side, or
-    /// `None` when the operator should stay serial: `dop` is 1, the
-    /// probe is under the cost threshold, or it fits a single morsel.
-    /// The serial path never touches the scheduler at all.
-    fn parallel_section(&mut self, probe_rows: usize) -> Option<ParSection> {
+    /// Opens a parallel section over a `probe_rows`-row probe side — the
+    /// scheduler to run on and the morsel size — or `None` when the
+    /// operator should run inline: `dop` is 1, the probe is under the
+    /// cost threshold, or it fits a single morsel. The inline path never
+    /// touches a scheduler at all.
+    fn parallel_section(&mut self, probe_rows: usize) -> Option<(Arc<TaskScheduler>, usize)> {
         if self.dop <= 1 || probe_rows < self.parallel_threshold {
             return None;
         }
@@ -236,121 +212,86 @@ impl ExecContext {
         if morsel >= probe_rows {
             return None;
         }
-        let sched = match &self.scheduler {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = parallel::global();
-                self.scheduler = Some(Arc::clone(&s));
-                s
-            }
-        };
-        Some(ParSection {
-            sched,
-            morsel,
-            dop: self.dop,
-            limits: self.limits(),
-        })
+        let dop = self.dop;
+        let sched = self
+            .scheduler
+            .get_or_insert_with(|| Arc::new(TaskScheduler::new(dop)));
+        Some((Arc::clone(sched), morsel))
     }
 }
 
-/// The thread-shareable slice of [`ExecContext`]: deadline, row budget
-/// and the shared counters every morsel worker polls and records into.
+/// The limits of one execution: deadline, row and memory budgets, and
+/// the shared counters the interpreter and every morsel task poll and
+/// record into — the one implementation of both.
 #[derive(Clone, Debug)]
 struct Limits {
     deadline: Option<Instant>,
     limit_ms: u64,
     max_rows: usize,
     rows: Arc<AtomicUsize>,
+    /// Trips when a poll or a record fails, so sibling morsels stop at
+    /// their next poll.
     cancelled: Arc<AtomicBool>,
     budget: Option<Arc<QueryBudget>>,
     faults: Option<Arc<FaultPlan>>,
 }
 
 impl Limits {
-    /// The morsel-side cooperative check: exits fast once a sibling
-    /// tripped the cancel flag, else checks the deadline (and trips the
-    /// flag on breach so siblings stop too).
+    /// Trips the cancel flag on the way out with a real error.
+    fn cancel(&self, e: SgqError) -> SgqError {
+        self.cancelled.store(true, Ordering::Relaxed);
+        e
+    }
+
+    /// The cooperative check: exits fast once a sibling tripped the
+    /// cancel flag, else checks the deadline.
     fn poll(&self) -> Result<()> {
         if self.cancelled.load(Ordering::Relaxed) {
             return Err(parallel::cancelled());
         }
-        if let Some(d) = self.deadline {
-            if Instant::now() > d {
-                self.cancelled.store(true, Ordering::Relaxed);
-                return Err(SgqError::Timeout {
-                    limit_ms: self.limit_ms,
-                });
-            }
+        match self.deadline {
+            Some(d) if Instant::now() > d => Err(self.cancel(SgqError::Timeout {
+                limit_ms: self.limit_ms,
+            })),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
-    /// Accounts one morsel's output rows against the shared row and
-    /// memory budgets; a breach trips the cancel flag, so the overshoot
-    /// is bounded by the morsels already in flight (about one per
-    /// worker). Budget errors are *real* errors (not cancel sentinels),
-    /// so [`ParSection::execute`] propagates them to the caller. Also the
-    /// morsel-side fault site: a fired fault cancels the siblings the
-    /// same way a breach does.
+    /// Accounts `rows` materialised rows and enforces the row and memory
+    /// budgets *at materialisation time*: the error fires on the batch
+    /// that crosses the budget, so an oversized operator can overshoot
+    /// by at most its own output (a top-level operator would never be
+    /// polled again), and a parallel one by the morsels already in
+    /// flight (about one per worker). Budget errors are *real* errors,
+    /// not cancel sentinels.
     fn record(&self, rows: usize, arity: usize) -> Result<()> {
-        if let Some(plan) = &self.faults {
-            if let Err(e) = plan.check("exec.morsel") {
-                self.cancelled.store(true, Ordering::Relaxed);
-                return Err(e);
-            }
-        }
         let total = self.rows.fetch_add(rows, Ordering::Relaxed) + rows;
         if self.max_rows > 0 && total > self.max_rows {
-            self.cancelled.store(true, Ordering::Relaxed);
-            return Err(SgqError::RowBudget {
+            return Err(self.cancel(SgqError::RowBudget {
                 rows: total,
                 budget: self.max_rows,
-            });
+            }));
         }
-        if let Some(budget) = &self.budget {
-            if let Err(e) = budget.charge(relation_bytes(rows, arity)) {
-                self.cancelled.store(true, Ordering::Relaxed);
-                return Err(e);
-            }
+        match &self.budget {
+            Some(budget) => budget
+                .charge(relation_bytes(rows, arity))
+                .map_err(|e| self.cancel(e)),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
-/// One operator's open parallel section: the scheduler to run on, the
-/// chosen morsel size, and the shared limits.
-struct ParSection {
-    sched: Arc<TaskScheduler>,
-    morsel: usize,
-    dop: usize,
-    limits: Limits,
-}
-
-impl ParSection {
-    /// Runs the morsel tasks and collects their output runs in morsel
-    /// order. Cancellation sentinels are dropped in favour of the first
-    /// real error (the one from the morsel that actually breached).
-    fn execute<F>(&self, tasks: Vec<F>) -> Result<Vec<Vec<u32>>>
-    where
-        F: FnOnce() -> Result<Vec<u32>> + Send + 'static,
-    {
-        let results = self.sched.run(self.dop, tasks);
-        let mut runs = Vec::with_capacity(results.len());
-        let mut cancel_err = None;
-        for r in results {
-            match r {
-                Ok(run) => runs.push(run),
-                Err(e) if parallel::is_cancelled(&e) => {
-                    cancel_err.get_or_insert(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(e) = cancel_err {
-            return Err(e);
-        }
-        Ok(runs)
-    }
+/// How the per-morsel runs of one operator combine into its canonical
+/// output (the inline whole-range run needs no combining).
+#[derive(Clone, Copy, Debug)]
+enum Combine {
+    /// Every run is canonical and the runs ascend with their ranges
+    /// (order-preserving filters, probe-leading CSR expansion):
+    /// concatenation is canonical.
+    Concat,
+    /// Every run is canonical on its own (its kernel sorted it): a
+    /// merge-dedup of the runs equals normalising their concatenation.
+    Merge,
 }
 
 /// Evaluates `term` against `store`: lowers it to a physical plan
@@ -372,6 +313,7 @@ pub fn execute_plan(
 ) -> Result<Relation> {
     Interp {
         store,
+        limits: ctx.limits(),
         ctx,
         ops: None,
     }
@@ -417,6 +359,7 @@ pub fn execute_plan_traced_at(
 ) -> Result<(Relation, ExecTrace)> {
     let mut interp = Interp {
         store,
+        limits: ctx.limits(),
         ctx,
         ops: Some(OpTraceBuilder::new(p.node_count(), clock)),
     };
@@ -452,21 +395,14 @@ type StepCache = FxHashMap<u32, Cached>;
 struct Interp<'a> {
     store: &'a crate::storage::RelStore,
     ctx: &'a mut ExecContext,
+    /// This execution's limits: every poll and record goes through it.
+    limits: Limits,
     /// Per-operator span recorder; `None` on the untraced path, where
     /// the only cost left is this `Option` check per operator.
     ops: Option<OpTraceBuilder>,
 }
 
 impl Interp<'_> {
-    /// Whether `node` carries one of `labels` — binary search in the
-    /// store's sorted node-label sets. An empty list (an impossible
-    /// filter intersection) matches nothing.
-    fn in_label_sets(&self, labels: &[sgq_common::NodeLabelId], node: u32) -> bool {
-        labels
-            .iter()
-            .any(|&l| self.store.node_set(l).binary_search(&node).is_ok())
-    }
-
     /// Evaluates one operator, recording a span (timing + rows) around
     /// it when tracing. Recording is two `Vec` pushes and an `Instant`
     /// read in the single-threaded interpreter — no locks or atomics.
@@ -504,7 +440,7 @@ impl Interp<'_> {
     }
 
     fn eval(&mut self, p: &PhysPlan, mut cache: Option<&mut StepCache>) -> Result<Relation> {
-        self.ctx.check()?;
+        self.limits.poll()?;
         // A maximal static subtree inside a fixpoint step is computed in
         // the first round and reused afterwards. (Dynamic hash joins and
         // semi-joins additionally cache their static build sides below.)
@@ -599,34 +535,16 @@ impl Interp<'_> {
                 self.ctx.scans += 1;
                 faultpoint!(self.ctx.faults, "exec.scan");
                 let edges = self.store.edge_table(*label).into_cols(p.cols.clone());
-                if *merge {
-                    let frel = self.eval(filter, cache.as_deref_mut())?;
-                    let ctx = &mut *self.ctx;
-                    edges.merge_semijoin_checked(&frel, key.len(), &mut || ctx.check())?
-                } else {
-                    let edge_key_pos = positions(&p.cols, key);
-                    let filter_key_pos = positions(&filter.cols, key);
-                    let (data, recorded) = self.hash_semi_filter(
-                        p.id,
-                        &edges,
-                        &edge_key_pos,
-                        filter,
-                        &filter_key_pos,
-                        cache,
-                    )?;
-                    let out = Relation::from_flat_sorted(p.cols.clone(), data);
-                    if recorded {
-                        // A parallel scan already recorded per morsel.
-                        return Ok(out);
-                    }
-                    out
+                if !*merge {
+                    return self.hash_semi_filter(p, edges, filter, key, cache);
                 }
+                let frel = self.eval(filter, cache.as_deref_mut())?;
+                edges.merge_semijoin_checked(&frel, key.len(), &mut || self.limits.poll())?
             }
             PhysOp::MergeJoin { left, right, key } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
                 let r = self.eval(right, cache)?;
-                let ctx = &mut *self.ctx;
-                l.merge_join_checked(&r, key.len(), &mut || ctx.check())?
+                l.merge_join_checked(&r, key.len(), &mut || self.limits.poll())?
             }
             PhysOp::HashJoin {
                 left,
@@ -660,10 +578,9 @@ impl Interp<'_> {
                             std::collections::hash_map::Entry::Vacant(slot) => {
                                 let rel = self.eval(build_plan, None)?;
                                 faultpoint!(self.ctx.faults, "exec.hash_build");
-                                let ctx = &mut *self.ctx;
                                 let index =
                                     Arc::new(JoinIndex::build(&rel, &build_key_pos, &mut || {
-                                        ctx.check()
+                                        self.limits.poll()
                                     })?);
                                 self.ctx.hash_builds += 1;
                                 slot.insert(Cached::Build { rel, index });
@@ -672,15 +589,15 @@ impl Interp<'_> {
                         let Some(Cached::Build { rel, index }) = c.get(&p.id) else {
                             unreachable!("just inserted")
                         };
+                        let (rel, index) = (rel.clone(), Arc::clone(index));
                         return self.probe_join(
                             p,
-                            left,
                             rel,
                             index,
-                            &probe_rel,
+                            probe_rel,
                             *build_left,
-                            &probe_key_pos,
-                            &right_extra_pos,
+                            probe_key_pos,
+                            right_extra_pos,
                         );
                     }
                 }
@@ -703,20 +620,18 @@ impl Interp<'_> {
                     (rel, build_key_pos, probe_rel, probe_key_pos, *build_left)
                 };
                 faultpoint!(self.ctx.faults, "exec.hash_build");
-                let ctx = &mut *self.ctx;
                 let index = Arc::new(JoinIndex::build(&build_rel, &build_pos, &mut || {
-                    ctx.check()
+                    self.limits.poll()
                 })?);
                 self.ctx.hash_builds += 1;
                 return self.probe_join(
                     p,
-                    left,
-                    &build_rel,
-                    &index,
-                    &probe_rel,
+                    build_rel,
+                    index,
+                    probe_rel,
                     build_left,
-                    &probe_pos,
-                    &right_extra_pos,
+                    probe_pos,
+                    right_extra_pos,
                 );
             }
             PhysOp::IndexJoin {
@@ -730,10 +645,8 @@ impl Interp<'_> {
             } => {
                 let prel = self.eval(probe, cache)?;
                 faultpoint!(self.ctx.faults, "exec.csr_probe");
-                let csr = if *forward {
-                    self.store.forward_csr(*label)
-                } else {
-                    self.store.reverse_csr(*label)
+                let Some(csr) = self.csr(*label, *forward) else {
+                    return Ok(Relation::empty(p.cols.clone()));
                 };
                 let key_pos = prel
                     .col_index(*key)
@@ -762,108 +675,31 @@ impl Interp<'_> {
                 } else {
                     (tgt_labels.as_deref(), src_labels.as_deref())
                 };
-                if csr.is_some() {
-                    if let Some(section) = self.ctx.parallel_section(prel.len()) {
-                        let csr = if *forward {
-                            self.store.forward_csr_shared(*label)
-                        } else {
-                            self.store.reverse_csr_shared(*label)
-                        }
-                        .expect("csr checked in range");
-                        // Label filters travel as shared node-table
-                        // handles (their flat data is the sorted id set).
-                        let key_sets = self.label_set_tables(key_filter);
-                        let emit_sets = self.label_set_tables(emit_filter);
-                        let arity = p.cols.len();
-                        let tasks: Vec<_> = parallel::morsel_ranges(prel.len(), section.morsel)
-                            .into_iter()
-                            .map(|(start, end)| {
-                                let probe = prel.clone();
-                                let csr = Arc::clone(&csr);
-                                let key_sets = key_sets.clone();
-                                let emit_sets = emit_sets.clone();
-                                let layout = layout.clone();
-                                let limits = section.limits.clone();
-                                move || -> Result<Vec<u32>> {
-                                    // Poll up front: a morsel queued behind a
-                                    // cancellation exits before doing any work,
-                                    // bounding budget overshoot to the morsels
-                                    // already in flight.
-                                    limits.poll()?;
-                                    let mut data: Vec<u32> = Vec::new();
-                                    let mut steps = 0usize;
-                                    for prow in probe.rows_range(start, end) {
-                                        steps += 1;
-                                        if steps & POLL_MASK == 0 {
-                                            limits.poll()?;
-                                        }
-                                        let v = prow[key_pos];
-                                        if let Some(sets) = &key_sets {
-                                            if !tables_contain(sets, v) {
-                                                continue;
-                                            }
-                                        }
-                                        for &n in csr.neighbors(NodeId::new(v)) {
-                                            steps += 1;
-                                            if steps & POLL_MASK == 0 {
-                                                limits.poll()?;
-                                            }
-                                            let nv = n.raw();
-                                            if let Some(sets) = &emit_sets {
-                                                if !tables_contain(sets, nv) {
-                                                    continue;
-                                                }
-                                            }
-                                            for slot in &layout {
-                                                data.push(match slot {
-                                                    Some(i) => prow[*i],
-                                                    None => nv,
-                                                });
-                                            }
-                                        }
-                                    }
-                                    if !probe_leading {
-                                        normalize_flat(arity, &mut data);
-                                    }
-                                    limits.record(data.len() / arity, arity)?;
-                                    Ok(data)
-                                }
-                            })
-                            .collect();
-                        let runs = section.execute(tasks)?;
-                        self.ctx.morsels_executed += runs.len();
-                        // Probe-leading morsels emit disjoint ascending
-                        // runs, so concatenation is already canonical;
-                        // otherwise merge-dedup the per-morsel sorted runs.
-                        return Ok(if probe_leading {
-                            Relation::from_flat_sorted(p.cols.clone(), runs.concat())
-                        } else {
-                            Relation::merge_sorted_runs(p.cols.clone(), runs)
-                        });
-                    }
-                }
-                let mut data: Vec<u32> = Vec::new();
-                let mut steps = 0usize;
-                if let Some(csr) = csr {
-                    for prow in prel.rows() {
+                let key_sets = self.label_set_tables(key_filter);
+                let emit_sets = self.label_set_tables(emit_filter);
+                let (len, arity) = (prel.len(), p.cols.len());
+                let kernel = move |range: Range<usize>, limits: &Limits| {
+                    let mut data: Vec<u32> = Vec::new();
+                    let mut steps = 0usize;
+                    for prow in prel.rows_range(range.start, range.end) {
                         steps += 1;
                         if steps & POLL_MASK == 0 {
-                            self.ctx.check()?;
+                            limits.poll()?;
                         }
                         let v = prow[key_pos];
-                        if let Some(ls) = key_filter {
-                            if !self.in_label_sets(ls, v) {
+                        if let Some(sets) = &key_sets {
+                            if !tables_contain(sets, v) {
                                 continue;
                             }
                         }
                         for &n in csr.neighbors(NodeId::new(v)) {
                             steps += 1;
                             if steps & POLL_MASK == 0 {
-                                self.ctx.check()?;
+                                limits.poll()?;
                             }
                             let nv = n.raw();
-                            if let Some(ls) = emit_filter {
-                                if !self.in_label_sets(ls, nv) {
+                            if let Some(sets) = &emit_sets {
+                                if !tables_contain(sets, nv) {
                                     continue;
                                 }
                             }
@@ -875,12 +711,18 @@ impl Interp<'_> {
                             }
                         }
                     }
-                }
-                if probe_leading {
-                    Relation::from_flat_sorted(p.cols.clone(), data)
+                    if !probe_leading {
+                        normalize_flat(arity, &mut data);
+                    }
+                    Ok(data)
+                };
+                // Probe-leading morsels emit disjoint ascending runs.
+                let combine = if probe_leading {
+                    Combine::Concat
                 } else {
-                    Relation::from_flat(p.cols.clone(), data)
-                }
+                    Combine::Merge
+                };
+                return self.run_ranges(p, len, combine, kernel);
             }
             PhysOp::IndexSemiJoin {
                 left,
@@ -892,10 +734,8 @@ impl Interp<'_> {
             } => {
                 let lrel = self.eval(left, cache)?;
                 faultpoint!(self.ctx.faults, "exec.csr_probe");
-                let csr = if *forward {
-                    self.store.forward_csr(*label)
-                } else {
-                    self.store.reverse_csr(*label)
+                let Some(csr) = self.csr(*label, *forward) else {
+                    return Ok(Relation::empty(p.cols.clone()));
                 };
                 let key_pos = lrel
                     .col_index(*key)
@@ -905,105 +745,43 @@ impl Interp<'_> {
                 } else {
                     (tgt_labels.as_deref(), src_labels.as_deref())
                 };
-                if csr.is_some() {
-                    if let Some(section) = self.ctx.parallel_section(lrel.len()) {
-                        let csr = if *forward {
-                            self.store.forward_csr_shared(*label)
-                        } else {
-                            self.store.reverse_csr_shared(*label)
-                        }
-                        .expect("csr checked in range");
-                        let key_sets = self.label_set_tables(key_filter);
-                        let far_sets = self.label_set_tables(far_filter);
-                        let arity = p.cols.len();
-                        let tasks: Vec<_> = parallel::morsel_ranges(lrel.len(), section.morsel)
-                            .into_iter()
-                            .map(|(start, end)| {
-                                let left = lrel.clone();
-                                let csr = Arc::clone(&csr);
-                                let key_sets = key_sets.clone();
-                                let far_sets = far_sets.clone();
-                                let limits = section.limits.clone();
-                                move || -> Result<Vec<u32>> {
-                                    limits.poll()?;
-                                    let mut data: Vec<u32> = Vec::new();
-                                    for (i, row) in left.rows_range(start, end).enumerate() {
-                                        if i & POLL_MASK == 0 {
-                                            limits.poll()?;
-                                        }
-                                        let v = row[key_pos];
-                                        if let Some(sets) = &key_sets {
-                                            if !tables_contain(sets, v) {
-                                                continue;
-                                            }
-                                        }
-                                        let neigh = csr.neighbors(NodeId::new(v));
-                                        let hit = match &far_sets {
-                                            None => !neigh.is_empty(),
-                                            Some(sets) => {
-                                                neigh.iter().any(|&n| tables_contain(sets, n.raw()))
-                                            }
-                                        };
-                                        if hit {
-                                            data.extend_from_slice(row);
-                                        }
-                                    }
-                                    limits.record(data.len() / arity, arity)?;
-                                    Ok(data)
-                                }
-                            })
-                            .collect();
-                        let runs = section.execute(tasks)?;
-                        self.ctx.morsels_executed += runs.len();
-                        // Filtering preserves canonical order; morsels
-                        // cover disjoint ascending ranges, so the runs
-                        // concatenate straight into canonical form.
-                        return Ok(Relation::from_flat_sorted(p.cols.clone(), runs.concat()));
-                    }
-                }
-                let mut data: Vec<u32> = Vec::new();
-                if let Some(csr) = csr {
-                    for (i, row) in lrel.rows().enumerate() {
+                let key_sets = self.label_set_tables(key_filter);
+                let far_sets = self.label_set_tables(far_filter);
+                let len = lrel.len();
+                let kernel = move |range: Range<usize>, limits: &Limits| {
+                    let mut data: Vec<u32> = Vec::new();
+                    for (i, row) in lrel.rows_range(range.start, range.end).enumerate() {
                         if i & POLL_MASK == 0 {
-                            self.ctx.check()?;
+                            limits.poll()?;
                         }
                         let v = row[key_pos];
-                        if let Some(ls) = key_filter {
-                            if !self.in_label_sets(ls, v) {
+                        if let Some(sets) = &key_sets {
+                            if !tables_contain(sets, v) {
                                 continue;
                             }
                         }
                         let neigh = csr.neighbors(NodeId::new(v));
-                        let hit = match far_filter {
+                        let hit = match &far_sets {
                             None => !neigh.is_empty(),
-                            Some(ls) => neigh.iter().any(|&n| self.in_label_sets(ls, n.raw())),
+                            Some(sets) => neigh.iter().any(|&n| tables_contain(sets, n.raw())),
                         };
                         if hit {
                             data.extend_from_slice(row);
                         }
                     }
-                }
+                    Ok(data)
+                };
                 // Filtering preserves canonical order.
-                Relation::from_flat_sorted(p.cols.clone(), data)
+                return self.run_ranges(p, len, Combine::Concat, kernel);
             }
             PhysOp::MergeSemiJoin { left, right, key } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
                 let r = self.eval(right, cache)?;
-                let ctx = &mut *self.ctx;
-                l.merge_semijoin_checked(&r, key.len(), &mut || ctx.check())?
+                l.merge_semijoin_checked(&r, key.len(), &mut || self.limits.poll())?
             }
             PhysOp::HashSemiJoin { left, right, key } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
-                let left_key_pos = positions(&left.cols, key);
-                let filter_key_pos = positions(&right.cols, key);
-                let (data, recorded) =
-                    self.hash_semi_filter(p.id, &l, &left_key_pos, right, &filter_key_pos, cache)?;
-                let out = Relation::from_flat_sorted(p.cols.clone(), data);
-                if recorded {
-                    // A parallel filter already recorded per morsel.
-                    return Ok(out);
-                }
-                out
+                return self.hash_semi_filter(p, l, right, key, cache);
             }
             PhysOp::Union { left, right } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
@@ -1028,7 +806,7 @@ impl Interp<'_> {
                 let mut delta = base_rel;
                 let mut step_cache = StepCache::default();
                 while !delta.is_empty() {
-                    self.ctx.check()?;
+                    self.limits.poll()?;
                     faultpoint!(self.ctx.faults, "exec.fixpoint_round");
                     self.ctx.fixpoint_rounds += 1;
                     self.ctx.env.insert(*var, delta);
@@ -1047,7 +825,7 @@ impl Interp<'_> {
                         stepped.into_cols(cols.clone())
                     };
                     let fresh = stepped.difference(&acc);
-                    self.ctx.record(&fresh)?;
+                    self.limits.record(fresh.len(), fresh.arity())?;
                     acc = acc.union(&fresh);
                     delta = fresh;
                 }
@@ -1062,12 +840,12 @@ impl Interp<'_> {
                 rel.with_cols(p.cols.clone())
             }
         };
-        self.ctx.record(&out)?;
+        self.limits.record(out.len(), out.arity())?;
         Ok(out)
     }
 
     /// Shared node-table handles for a label filter (their flat data is
-    /// the sorted id set), so morsel tasks can own the membership sets.
+    /// the sorted id set), so a kernel owns its membership sets.
     fn label_set_tables(
         &self,
         labels: Option<&[sgq_common::NodeLabelId]>,
@@ -1075,192 +853,185 @@ impl Interp<'_> {
         labels.map(|ls| ls.iter().map(|&l| self.store.node_table(l)).collect())
     }
 
+    /// Shared handle on `label`'s load-time CSR in the probed direction
+    /// (`None` for a label out of the store's range).
+    fn csr(&self, label: sgq_common::EdgeLabelId, forward: bool) -> Option<Arc<Csr>> {
+        if forward {
+            self.store.forward_csr_shared(label)
+        } else {
+            self.store.reverse_csr_shared(label)
+        }
+    }
+
+    /// The range runner — the only place an operator kernel is invoked
+    /// and the only place a parallel section opens. `kernel` maps a row
+    /// range of its `len`-row probe to that range's canonical output run
+    /// (polling `limits` as it goes); the runner records every run.
+    /// With no section open the kernel runs once, inline, over `0..len`;
+    /// otherwise once per morsel on the scheduler — where the
+    /// `exec.morsel` fault site sits — and the runs combine by `combine`
+    /// into exactly the relation the inline run produces.
+    fn run_ranges<K>(
+        &mut self,
+        p: &PhysPlan,
+        len: usize,
+        combine: Combine,
+        kernel: K,
+    ) -> Result<Relation>
+    where
+        K: Fn(Range<usize>, &Limits) -> Result<Vec<u32>> + Send + Sync + 'static,
+    {
+        let arity = p.cols.len();
+        let Some((sched, morsel)) = self.ctx.parallel_section(len) else {
+            let run = kernel(0..len, &self.limits)?;
+            self.limits.record(run.len() / arity, arity)?;
+            return Ok(Relation::from_flat_sorted(p.cols.clone(), run));
+        };
+        let shared = Arc::new((kernel, self.limits.clone()));
+        let tasks: Vec<_> = parallel::morsel_ranges(len, morsel)
+            .into_iter()
+            .map(|(start, end)| {
+                let shared = Arc::clone(&shared);
+                move || -> Result<Vec<u32>> {
+                    let (kernel, limits) = &*shared;
+                    // Poll up front: a morsel queued behind a
+                    // cancellation exits before doing any work, bounding
+                    // budget overshoot to the morsels already in flight.
+                    limits.poll()?;
+                    let run = kernel(start..end, limits)?;
+                    if let Some(plan) = &limits.faults {
+                        plan.check("exec.morsel").map_err(|e| limits.cancel(e))?;
+                    }
+                    limits.record(run.len() / arity, arity)?;
+                    Ok(run)
+                }
+            })
+            .collect();
+        // Cancellation sentinels are dropped in favour of the first real
+        // error (the one from the morsel that actually breached).
+        let mut runs = Vec::with_capacity(tasks.len());
+        let mut cancel_err = None;
+        for result in sched.run(self.ctx.dop, tasks) {
+            match result {
+                Ok(run) => runs.push(run),
+                Err(e) if parallel::is_cancelled(&e) => cancel_err = Some(e),
+                Err(e) => return Err(e),
+            }
+        }
+        if let Some(e) = cancel_err {
+            return Err(e);
+        }
+        self.ctx.morsels_executed += runs.len();
+        Ok(match combine {
+            Combine::Concat => Relation::from_flat_sorted(p.cols.clone(), runs.concat()),
+            Combine::Merge => Relation::merge_sorted_runs(p.cols.clone(), runs),
+        })
+    }
+
     /// Probes a (possibly cached) hash-join build side with the probe
-    /// relation, emitting in left-then-right-extras schema order. Above
-    /// the parallel threshold the probe is split into morsels; each
-    /// worker sorts its own output and the runs merge-dedup back to
-    /// exactly the canonical relation the serial path produces.
+    /// relation, emitting in left-then-right-extras schema order. Each
+    /// run is sorted by its kernel, so morsel runs merge-dedup back to
+    /// exactly the canonical relation the inline run produces.
     #[allow(clippy::too_many_arguments)]
     fn probe_join(
         &mut self,
         p: &PhysPlan,
-        left: &PhysPlan,
-        build_rel: &Relation,
-        index: &Arc<JoinIndex>,
-        probe_rel: &Relation,
+        build: Relation,
+        index: Arc<JoinIndex>,
+        probe: Relation,
         build_left: bool,
-        probe_key_pos: &[usize],
-        right_extra_pos: &[usize],
+        key_pos: Vec<usize>,
+        extras: Vec<usize>,
     ) -> Result<Relation> {
-        let left_arity = left.cols.len();
-        if let Some(section) = self.ctx.parallel_section(probe_rel.len()) {
-            let arity = p.cols.len();
-            let tasks: Vec<_> = parallel::morsel_ranges(probe_rel.len(), section.morsel)
-                .into_iter()
-                .map(|(start, end)| {
-                    let probe = probe_rel.clone();
-                    let build = build_rel.clone();
-                    let index = Arc::clone(index);
-                    let key_pos = probe_key_pos.to_vec();
-                    let extras = right_extra_pos.to_vec();
-                    let limits = section.limits.clone();
-                    move || -> Result<Vec<u32>> {
-                        limits.poll()?;
-                        let mut data: Vec<u32> = Vec::new();
-                        for (i, prow) in probe.rows_range(start, end).enumerate() {
-                            if i & POLL_MASK == 0 {
-                                limits.poll()?;
-                            }
-                            for &bi in index.probe(prow, &key_pos) {
-                                let brow = build.row(bi as usize);
-                                let (lrow, rrow) = if build_left {
-                                    (brow, prow)
-                                } else {
-                                    (prow, brow)
-                                };
-                                data.extend_from_slice(lrow);
-                                for &ri in &extras {
-                                    data.push(rrow[ri]);
-                                }
-                            }
-                        }
-                        normalize_flat(arity, &mut data);
-                        limits.record(data.len() / arity, arity)?;
-                        Ok(data)
+        let (len, arity) = (probe.len(), p.cols.len());
+        let kernel = move |range: Range<usize>, limits: &Limits| {
+            let mut data: Vec<u32> = Vec::new();
+            for (i, prow) in probe.rows_range(range.start, range.end).enumerate() {
+                if i & POLL_MASK == 0 {
+                    limits.poll()?;
+                }
+                for &bi in index.probe(prow, &key_pos) {
+                    let brow = build.row(bi as usize);
+                    let (lrow, rrow) = if build_left {
+                        (brow, prow)
+                    } else {
+                        (prow, brow)
+                    };
+                    data.extend_from_slice(lrow);
+                    for &ri in &extras {
+                        data.push(rrow[ri]);
                     }
-                })
-                .collect();
-            let runs = section.execute(tasks)?;
-            self.ctx.morsels_executed += runs.len();
-            return Ok(Relation::merge_sorted_runs(p.cols.clone(), runs));
-        }
-        let mut data: Vec<u32> = Vec::new();
-        for (i, prow) in probe_rel.rows().enumerate() {
-            if i & POLL_MASK == 0 {
-                self.ctx.check()?;
-            }
-            for &bi in index.probe(prow, probe_key_pos) {
-                let brow = build_rel.row(bi as usize);
-                let (lrow, rrow) = if build_left {
-                    (brow, prow)
-                } else {
-                    (prow, brow)
-                };
-                debug_assert_eq!(lrow.len(), left_arity);
-                data.extend_from_slice(lrow);
-                for &ri in right_extra_pos {
-                    data.push(rrow[ri]);
                 }
             }
-        }
-        let out = Relation::from_flat(p.cols.clone(), data);
-        self.ctx.record(&out)?;
-        Ok(out)
+            normalize_flat(arity, &mut data);
+            Ok(data)
+        };
+        self.run_ranges(p, len, Combine::Merge, kernel)
     }
 
-    /// Filters `left_rel` by a (possibly cached) key set collected from
-    /// `filter_plan`, returning the surviving rows' flat data (canonical:
-    /// filtering preserves order) and whether the rows were already
-    /// recorded (a parallel scan records per morsel; the serial path
-    /// leaves recording to the caller's operator epilogue).
+    /// Evaluates a semi-join's filter side and collects its key set.
+    fn build_keys(
+        &mut self,
+        filter: &PhysPlan,
+        filter_key_pos: &[usize],
+        cache: Option<&mut StepCache>,
+    ) -> Result<Arc<SemiKeys>> {
+        let frel = self.eval(filter, cache)?;
+        faultpoint!(self.ctx.faults, "exec.hash_build");
+        let keys = SemiKeys::build(&frel, filter_key_pos, &mut || self.limits.poll())?;
+        self.ctx.hash_builds += 1;
+        Ok(Arc::new(keys))
+    }
+
+    /// Filters `left` (whose schema is `p`'s) by a (possibly cached) key
+    /// set collected from `filter` on the `key` columns. Filtering
+    /// preserves canonical order, so morsel runs concatenate.
     fn hash_semi_filter(
         &mut self,
-        node_id: u32,
-        left_rel: &Relation,
-        left_key_pos: &[usize],
-        filter_plan: &PhysPlan,
-        filter_key_pos: &[usize],
-        mut cache: Option<&mut StepCache>,
-    ) -> Result<(Vec<u32>, bool)> {
-        if filter_plan.is_static() {
-            if let Some(c) = cache.as_deref_mut() {
-                match c.entry(node_id) {
-                    std::collections::hash_map::Entry::Occupied(_) => {
-                        self.ctx.cache_hits += 1;
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        let frel = self.eval(filter_plan, None)?;
-                        faultpoint!(self.ctx.faults, "exec.hash_build");
-                        let ctx = &mut *self.ctx;
-                        let keys =
-                            Arc::new(SemiKeys::build(&frel, filter_key_pos, &mut || ctx.check())?);
-                        self.ctx.hash_builds += 1;
-                        slot.insert(Cached::Keys(keys));
-                    }
+        p: &PhysPlan,
+        left: Relation,
+        filter: &PhysPlan,
+        key: &[ColId],
+        cache: Option<&mut StepCache>,
+    ) -> Result<Relation> {
+        let key_pos = positions(left.cols(), key);
+        let filter_key_pos = positions(&filter.cols, key);
+        let keys = match cache {
+            // A static filter inside a fixpoint: collect its key set
+            // once, filter every round's rows against it.
+            Some(c) if filter.is_static() => {
+                if let Some(Cached::Keys(keys)) = c.get(&p.id) {
+                    self.ctx.cache_hits += 1;
+                    Arc::clone(keys)
+                } else {
+                    let keys = self.build_keys(filter, &filter_key_pos, None)?;
+                    c.insert(p.id, Cached::Keys(Arc::clone(&keys)));
+                    keys
                 }
-                let Some(Cached::Keys(keys)) = c.get(&node_id) else {
-                    unreachable!("just inserted")
-                };
-                let keys = Arc::clone(keys);
-                return filter_by_keys(left_rel, left_key_pos, &keys, self.ctx);
             }
-        }
-        let frel = self.eval(filter_plan, cache)?;
-        faultpoint!(self.ctx.faults, "exec.hash_build");
-        let ctx = &mut *self.ctx;
-        let keys = Arc::new(SemiKeys::build(&frel, filter_key_pos, &mut || ctx.check())?);
-        self.ctx.hash_builds += 1;
-        filter_by_keys(left_rel, left_key_pos, &keys, self.ctx)
+            cache => self.build_keys(filter, &filter_key_pos, cache)?,
+        };
+        let len = left.len();
+        let kernel = move |range: Range<usize>, limits: &Limits| {
+            let mut data: Vec<u32> = Vec::new();
+            for (i, row) in left.rows_range(range.start, range.end).enumerate() {
+                if i & POLL_MASK == 0 {
+                    limits.poll()?;
+                }
+                if keys.contains(row, &key_pos) {
+                    data.extend_from_slice(row);
+                }
+            }
+            Ok(data)
+        };
+        self.run_ranges(p, len, Combine::Concat, kernel)
     }
 }
 
-/// Whether `v` is in any of the node tables' sorted id sets — the
-/// owned-handle counterpart of `Interp::in_label_sets` used by morsel
-/// workers (an empty list matches nothing, like the serial path).
+/// Whether `v` is in any of the node tables' sorted id sets (an empty
+/// list — an impossible filter intersection — matches nothing).
 fn tables_contain(sets: &[Relation], v: u32) -> bool {
     sets.iter().any(|s| s.flat().binary_search(&v).is_ok())
-}
-
-/// Filters `left` by the shared key set, splitting into morsels above
-/// the parallel threshold. Returns the surviving flat rows and whether
-/// they were already recorded against the row budget (true on the
-/// parallel path, which records per morsel).
-fn filter_by_keys(
-    left: &Relation,
-    key_pos: &[usize],
-    keys: &Arc<SemiKeys>,
-    ctx: &mut ExecContext,
-) -> Result<(Vec<u32>, bool)> {
-    if let Some(section) = ctx.parallel_section(left.len()) {
-        let arity = left.arity();
-        let tasks: Vec<_> = parallel::morsel_ranges(left.len(), section.morsel)
-            .into_iter()
-            .map(|(start, end)| {
-                let left = left.clone();
-                let keys = Arc::clone(keys);
-                let key_pos = key_pos.to_vec();
-                let limits = section.limits.clone();
-                move || -> Result<Vec<u32>> {
-                    limits.poll()?;
-                    let mut data: Vec<u32> = Vec::new();
-                    for (i, row) in left.rows_range(start, end).enumerate() {
-                        if i & POLL_MASK == 0 {
-                            limits.poll()?;
-                        }
-                        if keys.contains(row, &key_pos) {
-                            data.extend_from_slice(row);
-                        }
-                    }
-                    limits.record(data.len() / arity, arity)?;
-                    Ok(data)
-                }
-            })
-            .collect();
-        let runs = section.execute(tasks)?;
-        ctx.morsels_executed += runs.len();
-        // Disjoint ascending ranges filtered in order: plain concat.
-        return Ok((runs.concat(), true));
-    }
-    let mut data = Vec::new();
-    for (i, row) in left.rows().enumerate() {
-        if i & POLL_MASK == 0 {
-            ctx.check()?;
-        }
-        if keys.contains(row, key_pos) {
-            data.extend_from_slice(row);
-        }
-    }
-    Ok((data, false))
 }
 
 /// Positions of `key` columns within `cols`.
@@ -1821,11 +1592,10 @@ mod tests {
         assert!(err.is_timeout());
     }
 
-    #[test]
-    fn fault_plan_fires_on_the_caller_and_inside_morsels() {
-        use sgq_common::fault::{FaultConfig, FaultKind};
+    /// The closure of `isLocatedIn` with index joins ablated, so the
+    /// step hash-joins each round's delta — per morsel at `dop > 1`.
+    fn hash_closure_plan() -> (RelStore, PhysPlan) {
         let (db, mut store) = store();
-        // Ablate index joins so the closure's step hash-joins per morsel.
         store.index_joins = false;
         let s = &store.symbols;
         let f = closure_fixpoint(
@@ -1836,25 +1606,91 @@ mod tests {
             s.col("m"),
         );
         let p = plan(&f, &store).unwrap();
-        for site in ["exec.scan", "exec.morsel"] {
-            let faults = FaultPlan::new(FaultConfig {
-                seed: 1,
-                probability: 1.0,
-                site: Some(site),
-                kind: FaultKind::Error,
-            });
+        (store, p)
+    }
+
+    #[test]
+    fn fault_plan_fires_on_the_caller_and_inside_morsels() {
+        use sgq_common::fault::{FaultConfig, FaultKind};
+        // On its own thread under a watchdog: a morsel panic that is not
+        // carried back to the caller shows as a hang, not a failure.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let (store, p) = hash_closure_plan();
+            for (site, kind) in [
+                ("exec.scan", FaultKind::Error),
+                ("exec.morsel", FaultKind::Error),
+                ("exec.morsel", FaultKind::Panic),
+            ] {
+                let faults = FaultPlan::new(FaultConfig {
+                    seed: 1,
+                    probability: 1.0,
+                    site: Some(site),
+                    kind,
+                });
+                let mut ctx = ExecContext::new();
+                ctx.dop = 4;
+                ctx.parallel_threshold = 1;
+                ctx.morsel_rows = 1;
+                ctx.faults = Some(Arc::clone(&faults));
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    execute_plan(&p, &store, &mut ctx).unwrap_err()
+                }));
+                match kind {
+                    FaultKind::Error => assert_eq!(outcome.unwrap(), SgqError::Transient { site }),
+                    // The worker caught it; the caller's thread re-raises it.
+                    FaultKind::Panic => assert_eq!(
+                        outcome.unwrap_err().downcast_ref::<String>().unwrap(),
+                        "injected fault at exec.morsel"
+                    ),
+                }
+                assert!(faults.fired()[site] >= 1);
+                // A context without the handle runs the same plan untouched.
+                let mut clean = ExecContext::new();
+                execute_plan(&p, &store, &mut clean).unwrap();
+            }
+            done_tx.send(()).unwrap();
+        });
+        let done = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(
+            done != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "a faulted morsel hung its query"
+        );
+        body.join().unwrap();
+    }
+
+    #[test]
+    fn context_without_a_lent_scheduler_owns_one_until_it_drops() {
+        let (store, p) = hash_closure_plan();
+        let run = |lend: Option<Arc<TaskScheduler>>| {
             let mut ctx = ExecContext::new();
-            ctx.dop = 4;
+            ctx.dop = 2;
             ctx.parallel_threshold = 1;
             ctx.morsel_rows = 1;
-            ctx.faults = Some(Arc::clone(&faults));
-            let err = execute_plan(&p, &store, &mut ctx).unwrap_err();
-            assert_eq!(err, SgqError::Transient { site });
-            assert!(faults.fired()[site] >= 1);
-            // A context without the handle runs the same plan untouched.
-            let mut clean = ExecContext::new();
-            execute_plan(&p, &store, &mut clean).unwrap();
-        }
+            if let Some(sched) = lend {
+                ctx.set_scheduler(sched);
+            }
+            (execute_plan(&p, &store, &mut ctx).unwrap(), ctx)
+        };
+        let lent = Arc::new(TaskScheduler::new(2));
+        let (r_lent, ctx_lent) = run(Some(Arc::clone(&lent)));
+        let (r_own, ctx_own) = run(None);
+        assert_eq!(r_lent, r_own);
+        assert!(ctx_own.morsels_executed >= 2, "delta probes go parallel");
+        assert_eq!(ctx_lent.morsels_executed, ctx_own.morsels_executed);
+        // A lent scheduler outlives the context it was lent to.
+        drop(ctx_lent);
+        assert_eq!(lent.run(1, vec![|| 1]), vec![1]);
+        // The owned one has `dop` workers and is joined by the drop: a
+        // task still queued when the context goes has run, and released
+        // what it held, by the time `drop` returns.
+        let owned = ctx_own.scheduler.as_ref().expect("spawned on demand");
+        assert_eq!(owned.workers(), 2);
+        let sentinel = Arc::new(());
+        let held = Arc::clone(&sentinel);
+        owned.try_submit(move || drop(held)).unwrap();
+        drop(ctx_own);
+        assert_eq!(Arc::strong_count(&sentinel), 1);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! * [`exec`] — a semi-naive bottom-up interpreter over physical plans
 //!   with cooperative timeouts and optional morsel-driven intra-query
 //!   parallelism ([`ExecContext::dop`](exec::ExecContext)),
-//! * [`parallel`] — the morsel task scheduler (a small shared-queue
-//!   executor) and morsel partitioning helpers,
+//! * [`parallel`] — morsel partitioning helpers and the scheduler
+//!   morsels run on (the workspace's one thread pool, re-exported),
 //! * [`cost`] — cardinality estimation over [`sgq_graph::GraphStats`],
 //!   consulting the runtime feedback memo before the static formulas,
 //! * [`feedback`] — the cardinality feedback memo: observed subtree

@@ -1,23 +1,20 @@
-//! Morsel-driven intra-query parallelism: the task scheduler and the
-//! morsel partitioning helpers.
+//! Morsel-driven intra-query parallelism: the morsel partitioning
+//! helpers and the cancellation sentinel.
 //!
 //! The executor splits the probe side of a large join into fixed-size
 //! **morsels** — contiguous row ranges over the shared `Arc`-backed row
 //! buffer ([`crate::table::Relation`]), so partitioning is pointer
-//! arithmetic, never a copy — and runs each morsel as one task on a
-//! [`TaskScheduler`]. The scheduler is a deliberately small shared-queue
-//! executor (no work stealing: morsels are uniform enough that a single
-//! FIFO balances fine) built from the same `std::thread` +
-//! `Mutex<VecDeque>` + `Condvar` pattern as the serving layer's worker
-//! pool.
+//! arithmetic, never a copy — and runs each morsel as one task of a
+//! scatter-gather batch on a [`TaskScheduler`] (no work stealing:
+//! morsels are uniform enough that a single FIFO balances fine).
 //!
 //! **Ownership.** The scheduler is injectable through
 //! [`crate::exec::ExecContext::set_scheduler`]: the query service lends
-//! every query one shared, bounded scheduler (so intra-query threads
-//! stay capped service-wide no matter how many queries run), while a
-//! standalone [`crate::exec::execute_plan`] call falls back to a lazily
-//! spawned process-global scheduler sized to
-//! `std::thread::available_parallelism()`. A query's degree of
+//! every query one shared scheduler (so intra-query threads stay capped
+//! service-wide no matter how many queries run), and any caller that
+//! executes many plans should lend one too. A context at `dop > 1` that
+//! was lent none spawns a `dop`-worker scheduler at its first parallel
+//! section and joins it when the context drops. A query's degree of
 //! parallelism caps how many of its morsels are in flight at once
 //! ([`TaskScheduler::run`]'s `dop`), not how many threads exist.
 //!
@@ -27,11 +24,9 @@
 //! its next poll with the `cancelled()` sentinel, which the caller
 //! discards in favour of the real error.
 
-use std::collections::VecDeque;
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::thread::JoinHandle;
-
 use sgq_common::SgqError;
+
+pub use sgq_common::pool::TaskScheduler;
 
 /// Default morsel size cap, in probe rows. Large enough that per-morsel
 /// scheduling and merge overhead (~tens of µs) disappears against the
@@ -80,181 +75,10 @@ pub(crate) fn morsel_size(rows: usize, dop: usize, cap: usize) -> usize {
         .min(cap.max(1))
 }
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-struct Queue {
-    tasks: VecDeque<Task>,
-    shutdown: bool,
-}
-
-struct Shared {
-    queue: Mutex<Queue>,
-    /// Signalled when a task is enqueued or shutdown begins.
-    available: Condvar,
-}
-
-impl Shared {
-    fn lock(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A fixed-size pool of morsel workers over one shared FIFO.
-///
-/// Unlike the serving pool there is no admission bound: tasks are
-/// internal morsels submitted by [`TaskScheduler::run`], which already
-/// caps how many are in flight per query, and every batch is awaited
-/// before its parallel section returns.
-pub struct TaskScheduler {
-    shared: Arc<Shared>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    workers: usize,
-}
-
-impl std::fmt::Debug for TaskScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskScheduler")
-            .field("workers", &self.workers)
-            .finish()
-    }
-}
-
-impl TaskScheduler {
-    /// Spawns `workers` morsel threads (clamped to at least 1).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue {
-                tasks: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("sgq-morsel-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn morsel worker thread")
-            })
-            .collect();
-        TaskScheduler {
-            shared,
-            handles: Mutex::new(handles),
-            workers,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn submit(&self, task: Task) {
-        self.shared.lock().tasks.push_back(task);
-        self.shared.available.notify_one();
-    }
-
-    /// Scatter-gather: runs `tasks` on the workers with at most `dop`
-    /// in flight at once, blocking until all complete, and returns their
-    /// results in task order. The in-flight cap is what honours a
-    /// query's degree of parallelism on a scheduler shared by many
-    /// queries.
-    pub fn run<T, F>(&self, dop: usize, tasks: Vec<F>) -> Vec<T>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        let n = tasks.len();
-        let cap = dop.max(1);
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
-        let mut pending = tasks.into_iter().enumerate();
-        let mut in_flight = 0usize;
-        let mut done = 0usize;
-        while done < n {
-            while in_flight < cap {
-                let Some((i, task)) = pending.next() else {
-                    break;
-                };
-                let tx = tx.clone();
-                self.submit(Box::new(move || {
-                    // The receiver outlives the batch; a send only fails
-                    // if the caller panicked, and then nobody is waiting.
-                    let _ = tx.send((i, task()));
-                }));
-                in_flight += 1;
-            }
-            let (i, v) = rx.recv().expect("a morsel worker completes each task");
-            out[i] = Some(v);
-            in_flight -= 1;
-            done += 1;
-        }
-        out.into_iter()
-            .map(|v| v.expect("every task reported"))
-            .collect()
-    }
-
-    /// Stops the workers once the queue drains and joins them.
-    /// Idempotent; the process-global scheduler is never shut down.
-    pub fn shutdown(&self) {
-        self.shared.lock().shutdown = true;
-        self.shared.available.notify_all();
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut self.handles.lock().unwrap_or_else(|e| e.into_inner()));
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TaskScheduler {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let task = {
-            let mut q = shared.lock();
-            loop {
-                if let Some(t) = q.tasks.pop_front() {
-                    break Some(t);
-                }
-                if q.shutdown {
-                    break None;
-                }
-                q = shared.available.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        match task {
-            // A panicking morsel must not take the worker down: the
-            // batch's sender is dropped by the unwind, so the waiting
-            // query fails loudly instead of the whole scheduler dying.
-            Some(t) => {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(t));
-            }
-            None => return,
-        }
-    }
-}
-
-/// The process-global scheduler standalone `execute_plan` calls fall
-/// back on: spawned lazily on the first parallel section, sized to the
-/// hardware thread count, never shut down.
-pub(crate) fn global() -> Arc<TaskScheduler> {
-    static GLOBAL: OnceLock<Arc<TaskScheduler>> = OnceLock::new();
-    Arc::clone(GLOBAL.get_or_init(|| {
-        let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-        Arc::new(TaskScheduler::new(workers))
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn morsel_ranges_cover_exactly() {
@@ -316,14 +140,30 @@ mod tests {
         let results = sched.run(7, (0..100usize).map(|i| move || i).collect());
         assert_eq!(results.len(), 100);
         assert!(results.iter().enumerate().all(|(i, &v)| i == v));
-    }
 
-    #[test]
-    fn global_scheduler_is_shared() {
-        let a = global();
-        let b = global();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(a.workers() >= 1);
+        // A batch with a panicking task completes too: the panic is
+        // caught on the worker and re-raised on the caller, and the
+        // scheduler serves the next batch. Under a watchdog, because the
+        // failure mode is `run` never returning.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            type Task = Box<dyn FnOnce() -> usize + Send>;
+            let tasks: Vec<Task> = vec![
+                Box::new(|| 1),
+                Box::new(|| panic!("morsel panic")),
+                Box::new(|| 3),
+            ];
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.run(2, tasks)));
+            let message = caught.map_err(|p| p.downcast_ref::<&str>().copied());
+            tx.send((message, sched.run(2, vec![|| 7usize]))).unwrap();
+        });
+        let (message, next) = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("`run` hangs on a panicking task");
+        assert_eq!(message, Err(Some("morsel panic")));
+        assert_eq!(next, vec![7]);
+        caller.join().unwrap();
     }
 
     #[test]

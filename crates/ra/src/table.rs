@@ -229,13 +229,6 @@ impl Relation {
         }
     }
 
-    /// Builds a canonical relation from flattened row data (row-major,
-    /// `data.len()` a multiple of `cols.len()`).
-    pub(crate) fn from_flat(cols: Vec<ColId>, mut data: Vec<u32>) -> Relation {
-        normalize_flat(cols.len(), &mut data);
-        Relation::new(cols, data)
-    }
-
     /// Builds a relation from flattened row data the caller guarantees is
     /// already canonical (sorted, deduplicated) — e.g. a merge join's
     /// output.
@@ -1161,8 +1154,9 @@ mod tests {
             vec![1, 10, 9, 90],
         ];
         let merged = Relation::merge_sorted_runs(cols.clone(), runs.clone());
-        let concat: Vec<u32> = runs.concat();
-        let expect = Relation::from_flat(cols.clone(), concat);
+        let mut concat: Vec<u32> = runs.concat();
+        normalize_flat(2, &mut concat);
+        let expect = Relation::from_flat_sorted(cols.clone(), concat);
         assert_eq!(merged, expect);
         // All-empty runs collapse onto the shared empty buffer.
         let none = Relation::merge_sorted_runs(cols.clone(), vec![vec![], vec![]]);
@@ -1285,7 +1279,9 @@ mod proptests {
                 .collect();
             let cols = vec![ColId::new(0), ColId::new(1)];
             let merged = Relation::merge_sorted_runs(cols.clone(), runs.clone());
-            let expect = Relation::from_flat(cols, runs.concat());
+            let mut concat = runs.concat();
+            normalize_flat(2, &mut concat);
+            let expect = Relation::from_flat_sorted(cols, concat);
             assert_eq!(merged, expect, "seed {seed}");
         }
     }

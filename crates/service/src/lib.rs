@@ -13,10 +13,11 @@
 //!   text, schema fingerprint/version, backend + options), with
 //!   hit/miss/eviction counters and whole-cache invalidation on schema
 //!   version bumps,
-//! * [`pool`] — [`WorkerPool`]: a `std::thread` pool over a bounded job
-//!   queue; a full queue rejects at admission
-//!   ([`sgq_common::SgqError::Busy`]) instead of growing latency, and
-//!   shutdown drains gracefully,
+//! * [`sgq_common::pool::TaskScheduler`], twice: one instance runs the
+//!   query jobs behind a bounded queue — a full queue rejects at
+//!   admission ([`sgq_common::SgqError::Busy`]) instead of growing
+//!   latency, and shutdown drains gracefully — and a second one runs the
+//!   morsels of `dop > 1` queries,
 //! * [`service`] — [`Service`] / [`Session`]: submit a query string or
 //!   parsed expression with per-call options (backend, timeout, row
 //!   budget, cache bypass), get rows plus execution stats,
@@ -60,14 +61,12 @@
 
 pub mod cache;
 pub mod metrics;
-pub mod pool;
 pub mod prepared;
 pub mod retry;
 pub mod service;
 
 pub use cache::{schema_fingerprint, CacheKey, CacheOutcome, CacheStats, PlanCache};
 pub use metrics::{LatencyHistogram, MetricsRegistry, MetricsSnapshot};
-pub use pool::WorkerPool;
 pub use prepared::{prepare, Approach, Backend, PreparedBody, PreparedQuery};
 pub use retry::{retry_with_backoff, retrying, RetryPolicy};
 pub use service::{
@@ -81,7 +80,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<PreparedQuery>();
     assert_send_sync::<PlanCache>();
-    assert_send_sync::<WorkerPool>();
+    assert_send_sync::<sgq_common::pool::TaskScheduler>();
     assert_send_sync::<MetricsRegistry>();
     assert_send_sync::<Service>();
     assert_send_sync::<Session>();

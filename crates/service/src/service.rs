@@ -28,7 +28,6 @@ use sgq_ra::{LayoutKind, RelStore, TaskScheduler};
 
 use crate::cache::{schema_fingerprint, CacheKey, CacheOutcome, PlanCache};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::pool::WorkerPool;
 use crate::prepared::{prepare, Approach, Backend, PreparedBody, PreparedQuery};
 
 /// Default q-error divergence between a cached plan's root estimate and
@@ -227,7 +226,7 @@ pub struct QueryResponse {
 
 /// Shared immutable service state (everything a worker job needs).
 ///
-/// Deliberately does *not* contain the worker pool: queued jobs hold an
+/// Deliberately does *not* contain the job pool: queued jobs hold an
 /// `Arc<Core>`, and a job holding the pool would keep the pool's own
 /// queue alive in a cycle.
 struct Core {
@@ -245,7 +244,10 @@ struct Core {
     slow_log: SlowQueryLog,
     /// Morsel scheduler shared by every parallel query (lazily spawned
     /// on the first `dop > 1` call, sized to `max_dop` so intra-query
-    /// threads stay bounded regardless of concurrent queries).
+    /// threads stay bounded regardless of concurrent queries). A second
+    /// instance of the job pool's type, never the job pool itself: a
+    /// job blocking on morsels queued behind other jobs in the same
+    /// FIFO would deadlock.
     exec_scheduler: OnceLock<Arc<TaskScheduler>>,
     /// Memory governor every relational query charges its materialised
     /// state into (per-query + global ceilings, pressure signal).
@@ -274,14 +276,15 @@ impl Core {
 /// The concurrent query service.
 pub struct Service {
     core: Arc<Core>,
-    pool: Arc<WorkerPool>,
+    /// The bounded-admission pool the query jobs run on.
+    pool: Arc<TaskScheduler>,
 }
 
 impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
-            .field("workers", &self.pool.worker_count())
-            .field("queue_capacity", &self.pool.queue_capacity())
+            .field("jobs", &self.pool)
+            .field("morsels", &self.core.exec_scheduler.get())
             .field("cache", &self.core.cache)
             .finish()
     }
@@ -311,7 +314,10 @@ impl Service {
         config: ServiceConfig,
     ) -> Self {
         let schema_fp = schema_fingerprint(&schema);
-        let pool = Arc::new(WorkerPool::new(config.workers, config.queue_capacity));
+        let pool = Arc::new(TaskScheduler::bounded(
+            config.workers,
+            config.queue_capacity,
+        ));
         let tracer = Tracer::new(config.trace_ring_capacity);
         tracer.set_enabled(config.tracing);
         tracer.set_sample_every(config.trace_sample_every);
@@ -442,10 +448,14 @@ impl Service {
         self.pool.panic_count()
     }
 
-    /// Graceful shutdown: drains queued queries, joins the workers.
-    /// Subsequent submissions fail. Idempotent.
+    /// Graceful shutdown: drains queued queries, joins the workers —
+    /// the jobs' first, then the morsel scheduler's, which by then has
+    /// nothing in flight. Subsequent submissions fail. Idempotent.
     pub fn shutdown(&self) {
         self.pool.shutdown();
+        if let Some(morsels) = self.core.exec_scheduler.get() {
+            morsels.shutdown();
+        }
     }
 }
 
@@ -454,7 +464,7 @@ impl Service {
 #[derive(Clone)]
 pub struct Session {
     core: Arc<Core>,
-    pool: Arc<WorkerPool>,
+    pool: Arc<TaskScheduler>,
 }
 
 impl std::fmt::Debug for Session {

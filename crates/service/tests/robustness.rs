@@ -180,32 +180,57 @@ fn deadline_expiry_mid_morsel_is_graceful_under_every_layout() {
 
 #[test]
 fn injected_worker_panic_is_contained_as_internal_error() {
-    let service = service_with(ServiceConfig::with_workers(1));
-    let session = service.session();
-    let opts = QueryOptions::default();
-    let reference = session.execute("influences+", &opts).unwrap();
+    // A panic on the job's own thread (`service.dispatch`) and one on a
+    // morsel worker (`exec.morsel`, every operator forced parallel),
+    // which must travel back to the job before it can be contained. On
+    // its own thread under a watchdog: a lost morsel panic shows as a
+    // query that never answers.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let body = std::thread::spawn(move || {
+        for site in ["service.dispatch", "exec.morsel"] {
+            let service = service_with(ServiceConfig {
+                default_dop: 4,
+                max_dop: 4,
+                parallel_row_threshold: 1,
+                morsel_rows: 2,
+                ..ServiceConfig::with_workers(1)
+            });
+            let session = service.session();
+            let opts = QueryOptions::default();
+            let reference = session.execute("influences+", &opts).unwrap();
 
-    service.set_fault_plan(Some(FaultPlan::new(FaultConfig {
-        seed: 1,
-        probability: 1.0,
-        site: Some("service.dispatch"),
-        kind: FaultKind::Panic,
-    })));
-    let err = session.execute("influences+", &opts).unwrap_err();
-    assert!(err.is_internal(), "panic must surface as Internal: {err}");
-    let msg = err.to_string();
-    assert!(msg.contains("worker panicked"), "message: {msg}");
-    assert!(msg.contains("service.dispatch"), "payload preserved: {msg}");
-    service.set_fault_plan(None);
+            let faults = FaultPlan::new(FaultConfig {
+                seed: 1,
+                probability: 1.0,
+                site: Some(site),
+                kind: FaultKind::Panic,
+            });
+            service.set_fault_plan(Some(Arc::clone(&faults)));
+            let err = session.execute("influences+", &opts).unwrap_err();
+            assert!(err.is_internal(), "panic must surface as Internal: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains("worker panicked"), "message: {msg}");
+            assert!(msg.contains(site), "payload preserved: {msg}");
+            assert!(faults.fired()[site] >= 1);
+            service.set_fault_plan(None);
 
-    let m = service.metrics();
-    assert!(m.worker_panics >= 1, "containment is counted: {m}");
-    assert_eq!(service.governor().used(), 0);
+            let m = service.metrics();
+            assert!(m.worker_panics >= 1, "containment is counted: {m}");
+            assert_eq!(service.governor().used(), 0);
 
-    // The same worker serves the next query, disarmed.
-    let after = session.execute("influences+", &opts).unwrap();
-    assert_eq!(after.rows, reference.rows);
-    service.shutdown();
+            // The same worker serves the next query, disarmed.
+            let after = session.execute("influences+", &opts).unwrap();
+            assert_eq!(after.rows, reference.rows);
+            service.shutdown();
+        }
+        done_tx.send(()).unwrap();
+    });
+    let done = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+    assert!(
+        done != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+        "a panicking worker hung its query or the shutdown"
+    );
+    body.join().unwrap();
 }
 
 #[test]

@@ -29,7 +29,7 @@
 use sgq_algebra::ast::PathExpr;
 use sgq_common::{ColId, Rng};
 use sgq_graph::database::fig2_yago_database;
-use sgq_ra::exec::{execute, execute_plan, ExecContext};
+use sgq_ra::exec::{execute, execute_plan, execute_plan_traced, ExecContext};
 use sgq_ra::optimize::optimize;
 use sgq_ra::term::{closure_fixpoint, RaTerm};
 use sgq_ra::{plan, PhysOp, RelStore, Relation};
@@ -534,35 +534,86 @@ fn fig2_scan_estimates_match_triple_counts_exactly() {
 fn parallel_execution_is_bit_identical_to_serial() {
     // The morsel-parallel soundness property: for random optimised
     // plans, `execute_plan(DOP=N) == execute_plan(DOP=1)` bit-for-bit
-    // (same columns, same row buffer contents). Parallelism is forced
-    // on the tiny fixture by dropping the cost gate to 1 row and
-    // capping morsels at 2 rows; DOP=7 exercises an uneven last morsel
-    // and more workers than morsels.
+    // (same columns, same row buffer contents) — i.e. every probe-side
+    // kernel run per morsel and combined equals its inline whole-range
+    // run. Parallelism is forced on the tiny fixture by dropping the
+    // cost gate to 1 row; DOP=7 exercises more workers than morsels.
+    // Morsel sizes sweep the range boundaries: 1 (every row its own
+    // range), 2 (an uneven last morsel), and `len - 1` for every length
+    // an operator of the plan produced, which splits a probe of that
+    // length into all-but-the-last row and the last row alone. With the
+    // CSR indexes on, the index (semi-)join kernels run; ablated, the
+    // hash join and hash filter kernels — between them both combine
+    // rules (concatenation and merge-dedup).
     let db = fig2_yago_database();
-    let store = RelStore::load(&db);
-    let (v0, v1) = (store.symbols.col("v0"), store.symbols.col("v1"));
-    for seed in 0..96u64 {
-        let mut rng = Rng::seed_from_u64(seed ^ 0xd0b);
-        let expr = random_expr(&db, &mut rng, 3);
-        let mut names = NameGen::new(&store.symbols);
-        let term = path_to_term(&expr, v0, v1, &mut names);
-        let term = random_filters(&db, &mut rng, term, &[v0, v1]);
-        let opt = optimize(&term, &store);
-        let p = plan(&opt, &store).expect("optimized term lowers");
-
-        let mut ctx = ExecContext::new();
-        let serial = execute_plan(&p, &store, &mut ctx).expect("serial plan executes");
-        for dop in [2usize, 7] {
+    let mut kinds_run_parallel = std::collections::BTreeSet::new();
+    for index_joins in [true, false] {
+        let mut store = RelStore::load(&db);
+        store.index_joins = index_joins;
+        let s = &store.symbols;
+        let (v0, v1) = (s.col("v0"), s.col("v1"));
+        let mut terms: Vec<(String, RaTerm)> = (0..96u64)
+            .map(|seed| {
+                let mut rng = Rng::seed_from_u64(seed ^ 0xd0b);
+                let expr = random_expr(&db, &mut rng, 3);
+                let mut names = NameGen::new(s);
+                let term = path_to_term(&expr, v0, v1, &mut names);
+                let term = random_filters(&db, &mut rng, term, &[v0, v1]);
+                (format!("seed {seed}: {expr:?}"), optimize(&term, &store))
+            })
+            .collect();
+        // Path expressions never semi-join against an edge table, the
+        // one shape that plans as an index semi-join: add it directed.
+        let located = |src, tgt| RaTerm::EdgeScan {
+            label: db.edge_label_id("isLocatedIn").unwrap(),
+            src,
+            tgt,
+        };
+        let has_out_edge = RaTerm::semijoin(
+            RaTerm::join(located(v0, v1), located(v1, s.col("w"))),
+            located(v1, s.col("q")),
+        );
+        terms.push((
+            "(isLocatedIn ⋈ isLocatedIn) ⋉ isLocatedIn".into(),
+            has_out_edge,
+        ));
+        for (what, term) in &terms {
+            let p = plan(term, &store).expect("optimized term lowers");
             let mut ctx = ExecContext::new();
-            ctx.dop = dop;
-            ctx.parallel_threshold = 1;
-            ctx.morsel_rows = 2;
-            let par = execute_plan(&p, &store, &mut ctx).expect("parallel plan executes");
-            assert_eq!(
-                serial, par,
-                "DOP={dop} changed results (seed {seed}) for {expr:?}"
+            let (serial, trace) =
+                execute_plan_traced(&p, &store, &mut ctx).expect("serial plan executes");
+            let mut sizes = std::collections::BTreeSet::from([1usize, 2]);
+            sizes.extend(
+                trace
+                    .spans
+                    .iter()
+                    .filter(|s| s.rows > 2)
+                    .map(|s| s.rows - 1),
             );
+            for dop in [2usize, 7] {
+                for &morsel_rows in &sizes {
+                    let mut ctx = ExecContext::new();
+                    ctx.dop = dop;
+                    ctx.parallel_threshold = 1;
+                    ctx.morsel_rows = morsel_rows;
+                    let par = execute_plan(&p, &store, &mut ctx).expect("parallel plan executes");
+                    assert_eq!(
+                        serial, par,
+                        "DOP={dop} morsel_rows={morsel_rows} index_joins={index_joins} \
+                         changed results for {what}"
+                    );
+                    if ctx.morsels_executed > 0 {
+                        kinds_run_parallel.extend(trace.spans.iter().map(|s| s.kind));
+                    }
+                }
+            }
         }
+    }
+    for kind in ["IndexJoin", "IndexSemiJoin", "HashJoin", "HashSemiJoin"] {
+        assert!(
+            kinds_run_parallel.contains(kind),
+            "no parallel plan exercised {kind}: {kinds_run_parallel:?}"
+        );
     }
 }
 
