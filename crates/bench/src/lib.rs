@@ -2,12 +2,13 @@
 //! surface.
 //!
 //! The workspace is dependency-free (no network at build time), so the
-//! benches in `benches/` run on this ~150-line harness instead of the
-//! `criterion` crate: same `Criterion` / `benchmark_group` /
-//! `bench_function` / `bench_with_input` / `criterion_group!` /
-//! `criterion_main!` shape, wall-clock timing via [`std::time::Instant`],
-//! and a min/mean/max report per benchmark. Set `SGQ_BENCH_SAMPLES` to
-//! change the per-benchmark sample count (default 10).
+//! benches in `benches/` run on this ~120-line harness instead of the
+//! `criterion` crate: the part of its shape they use — `Criterion` /
+//! `benchmark_group` / `bench_function` / `criterion_group!` /
+//! `criterion_main!` — with wall-clock timing via
+//! [`std::time::Instant`] and a min/mean/max report per benchmark. Set
+//! `SGQ_BENCH_SAMPLES` to change the per-benchmark sample count
+//! (default 10).
 
 use std::time::{Duration, Instant};
 
@@ -48,12 +49,6 @@ pub struct BenchmarkGroup {
 }
 
 impl BenchmarkGroup {
-    /// Sets the number of timed samples per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
     /// Runs one benchmark identified by `id`.
     pub fn bench_function(
         &mut self,
@@ -69,35 +64,8 @@ impl BenchmarkGroup {
         self
     }
 
-    /// Runs one parameterised benchmark.
-    pub fn bench_with_input<I: ?Sized>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        let mut b = Bencher {
-            sample_size: self.sample_size,
-            samples: Vec::new(),
-        };
-        f(&mut b, input);
-        report(&self.name, &id.0, &b.samples);
-        self
-    }
-
     /// Ends the group (no-op; kept for API compatibility).
     pub fn finish(self) {}
-}
-
-/// A `function/parameter` benchmark identifier.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId(String);
-
-impl BenchmarkId {
-    /// Builds an id from a function name and a parameter display.
-    pub fn new(function: impl std::fmt::Display, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId(format!("{function}/{parameter}"))
-    }
 }
 
 /// Timing driver handed to each benchmark closure.
@@ -198,10 +166,5 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_micros(2)), "2.00µs");
         assert_eq!(fmt_duration(Duration::from_millis(3)), "3.00ms");
         assert_eq!(fmt_duration(Duration::from_secs(4)), "4.00s");
-    }
-
-    #[test]
-    fn benchmark_id_joins_parts() {
-        assert_eq!(BenchmarkId::new("f", "p").0, "f/p");
     }
 }

@@ -8,12 +8,13 @@
 //! rendered names — so they live here, below both.
 
 /// Which engine executes a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// The property-graph engine (the Neo4j stand-in).
     Graph,
     /// The recursive relational algebra engine with the logical
     /// optimiser (the PostgreSQL stand-in).
+    #[default]
     Relational,
     /// The relational engine with the logical optimiser disabled — the
     /// stand-in for the paper's "MySQL/SQLite are much slower" remark,

@@ -9,8 +9,8 @@
 //! *structurally* unable to fire. With a [`FaultPlan`], each visit
 //! consults the plan's seeded SplitMix64 stream and, with the configured
 //! probability, either returns [`SgqError::Transient`] (the common case:
-//! a classified, retryable failure) or panics (to exercise the serving
-//! layer's panic containment).
+//! a classified, retryable failure), panics (to exercise the serving
+//! layer's panic containment) or expires the visiting query's deadline.
 //!
 //! The plan is a *value*: a service owns its handle and stamps it on the
 //! execution context of every query it runs, so two services in one
@@ -33,6 +33,9 @@ pub enum FaultKind {
     Error,
     /// Panic with a message naming the site (exercises containment).
     Panic,
+    /// Return [`SgqError::Timeout`]: the visiting query's deadline
+    /// expires here, on purpose instead of by wall-clock luck.
+    Expire,
 }
 
 /// A fault-injection plan's parameters: which sites fire, how often,
@@ -138,6 +141,7 @@ impl FaultPlan {
         *state.fired.entry(site).or_insert(0) += 1;
         match self.kind {
             FaultKind::Error => Err(SgqError::Transient { site }),
+            FaultKind::Expire => Err(SgqError::Timeout { limit_ms: 0 }),
             FaultKind::Panic => {
                 // Release the lock before unwinding so the containment
                 // layer can still reach the plan.

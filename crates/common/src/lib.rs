@@ -12,6 +12,7 @@
 //! * lock-free memory accounting with per-query and global ceilings
 //!   ([`governor`]),
 //! * deterministic fault injection for robustness testing ([`fault`]),
+//! * the deadline / budget / cancellation contract of both backends ([`limits`]),
 //! * the one thread pool, for bounded-admission jobs and scatter-gather
 //!   batches alike ([`pool`]).
 
@@ -25,6 +26,7 @@ pub mod hash;
 pub mod id;
 pub mod intern;
 pub mod json;
+pub mod limits;
 pub mod pool;
 pub mod rng;
 pub mod sorted;
@@ -36,4 +38,5 @@ pub use governor::{relation_bytes, QueryBudget, ResourceGovernor};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use id::{ColId, EdgeId, EdgeLabelId, KeyId, NodeId, NodeLabelId, RecVarId, VarId};
 pub use intern::Interner;
+pub use limits::Limits;
 pub use rng::Rng;

@@ -3,7 +3,7 @@
 
 use sgq_algebra::ast::PathExpr;
 use sgq_algebra::eval::PairSet;
-use sgq_common::Result;
+use sgq_common::{Limits, Result};
 use sgq_graph::GraphDatabase;
 use sgq_query::cqt::Ucqt;
 
@@ -11,34 +11,35 @@ use crate::conjunctive::run_cqt;
 use crate::patheval::{eval_seeded, EvalCounters, Seeds};
 pub use crate::rows::Rows;
 
-/// A query engine bound to one graph database.
+/// A query engine bound to one graph database, evaluating under one
+/// [`Limits`].
 pub struct GraphEngine<'a> {
-    db: &'a GraphDatabase,
-    counters: EvalCounters,
+    pub(crate) db: &'a GraphDatabase,
+    pub(crate) counters: EvalCounters,
+    pub(crate) limits: Limits,
 }
 
 impl<'a> GraphEngine<'a> {
-    /// Creates an engine over `db`.
+    /// Creates an engine over `db` with no deadline and no budget.
     pub fn new(db: &'a GraphDatabase) -> Self {
+        GraphEngine::with_limits(db, Limits::default())
+    }
+
+    /// Creates an engine whose evaluations poll, record into and visit
+    /// the fault sites of `limits`.
+    pub fn with_limits(db: &'a GraphDatabase, limits: Limits) -> Self {
         GraphEngine {
             db,
             counters: EvalCounters::default(),
-        }
-    }
-
-    /// Creates an engine whose evaluations abort with
-    /// [`sgq_common::SgqError::Timeout`] after `limit_ms` milliseconds.
-    pub fn with_timeout(db: &'a GraphDatabase, limit_ms: u64) -> Self {
-        GraphEngine {
-            db,
-            counters: EvalCounters::with_timeout(limit_ms),
+            limits,
         }
     }
 
     /// Aborts evaluation once `max_pairs` pairs have been materialised
-    /// (0 = unlimited).
+    /// (0 = unlimited); a binding table is held to the same number of
+    /// rows.
     pub fn set_max_pairs(&mut self, max_pairs: usize) {
-        self.counters.max_pairs = max_pairs;
+        self.limits.max_rows = max_pairs;
     }
 
     /// The underlying database.
@@ -48,7 +49,7 @@ impl<'a> GraphEngine<'a> {
 
     /// Evaluates a bare path expression (baseline evaluation).
     pub fn eval_path(&self, expr: &PathExpr) -> Result<PairSet> {
-        eval_seeded(self.db, expr, Seeds::none(), &self.counters)
+        eval_seeded(self, expr, Seeds::none())
     }
 
     /// Runs a UCQT query, returning sorted deduplicated head rows.
@@ -60,13 +61,13 @@ impl<'a> GraphEngine<'a> {
     pub fn run_ucqt(&self, query: &Ucqt) -> Result<Rows> {
         query.validate()?;
         if let [cqt] = query.disjuncts.as_slice() {
-            return run_cqt(self.db, cqt, &self.counters);
+            return run_cqt(self, cqt);
         }
         let _memo = self.counters.arm_memo();
         let parts = query
             .disjuncts
             .iter()
-            .map(|cqt| run_cqt(self.db, cqt, &self.counters))
+            .map(|cqt| run_cqt(self, cqt))
             .collect::<Result<Vec<Rows>>>()?;
         Ok(Rows::union(query.head.len(), parts))
     }
@@ -141,7 +142,7 @@ mod tests {
         let parts = query
             .disjuncts
             .iter()
-            .map(|c| run_cqt(&db, c, &plain.counters).unwrap())
+            .map(|c| run_cqt(&plain, c).unwrap())
             .collect();
         let unshared = Rows::union(2, parts);
         assert!(!unshared.is_empty());
@@ -200,7 +201,11 @@ mod tests {
     #[test]
     fn expired_deadline_cancels_a_conjunctive_query() {
         let db = fig2_yago_database();
-        let engine = GraphEngine::with_timeout(&db, 0);
+        let limits = Limits {
+            deadline: Some(std::time::Instant::now()),
+            ..Default::default()
+        };
+        let engine = GraphEngine::with_limits(&db, limits);
         assert!(engine
             .run_ucqt(&cartesian_query(&db))
             .unwrap_err()

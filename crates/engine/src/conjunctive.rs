@@ -14,20 +14,22 @@
 //! the table left by the last join is the answer.
 
 use sgq_algebra::ast::PathExpr;
-use sgq_common::{sorted, FxHashMap, NodeId, Result, VarId};
+use sgq_common::{sorted, FxHashMap, Limits, NodeId, Result, VarId};
 use sgq_graph::GraphDatabase;
 use sgq_query::annotated::LabelSet;
 use sgq_query::cqt::Cqt;
 
-use crate::patheval::{eval_seeded, EvalCounters, Seeds};
+use crate::backend::GraphEngine;
+use crate::patheval::{eval_seeded, Seeds};
 use crate::rows::Rows;
 
 /// How many emitted rows a join writes between two polls of the deadline
 /// and the row budget.
 const POLL_ROWS: usize = 1 << 16;
 
-/// Executes one CQT against the database.
-pub fn run_cqt(db: &GraphDatabase, cqt: &Cqt, counters: &EvalCounters) -> Result<Rows> {
+/// Executes one CQT against the engine's database, under its limits.
+pub fn run_cqt(eng: &GraphEngine<'_>, cqt: &Cqt) -> Result<Rows> {
+    let db = eng.db;
     cqt.validate()?;
     // Per-variable label constraints (intersected).
     let mut constraints: FxHashMap<VarId, LabelSet> = FxHashMap::default();
@@ -74,15 +76,11 @@ pub fn run_cqt(db: &GraphDatabase, cqt: &Cqt, counters: &EvalCounters) -> Result
             None => constraints.get(&var).map(|labels| candidates(db, labels)),
         };
         let (src_seed, tgt_seed) = (seed(rel.src), seed(rel.tgt));
-        let mut pairs = eval_seeded(
-            db,
-            &exprs[idx],
-            Seeds {
-                sources: src_seed.as_deref(),
-                targets: tgt_seed.as_deref(),
-            },
-            counters,
-        )?;
+        let seeds = Seeds {
+            sources: src_seed.as_deref(),
+            targets: tgt_seed.as_deref(),
+        };
+        let mut pairs = eval_seeded(eng, &exprs[idx], seeds)?;
         if rel.src == rel.tgt {
             pairs.retain(|&(s, t)| s == t);
         }
@@ -102,7 +100,7 @@ pub fn run_cqt(db: &GraphDatabase, cqt: &Cqt, counters: &EvalCounters) -> Result
             .flat_map(|&i| [cqt.relations[i].src, cqt.relations[i].tgt])
             .collect();
         let live = live_vars(&vars, rel.src, rel.tgt, &cqt.head, &needed);
-        rows = join(&vars, &rows, rel.src, rel.tgt, &pairs, &live, counters)?;
+        rows = join(&vars, &rows, rel.src, rel.tgt, &pairs, &live, &eng.limits)?;
         vars = live;
         if rows.is_empty() {
             return Ok(Rows::empty(cqt.head.len()));
@@ -153,7 +151,7 @@ struct Emitter<'a> {
     columns: Vec<usize>,
     data: Vec<NodeId>,
     emitted: usize,
-    counters: &'a EvalCounters,
+    limits: &'a Limits,
 }
 
 impl Emitter<'_> {
@@ -163,7 +161,7 @@ impl Emitter<'_> {
         self.data.extend(self.columns.iter().map(|&p| self.wide[p]));
         self.emitted += 1;
         if self.emitted.is_multiple_of(POLL_ROWS) {
-            self.counters.check_rows(self.emitted)?;
+            self.limits.check_rows(self.emitted)?;
         }
         Ok(())
     }
@@ -179,8 +177,9 @@ fn join(
     tgt: VarId,
     pairs: &[(NodeId, NodeId)],
     live: &[VarId],
-    counters: &EvalCounters,
+    limits: &Limits,
 ) -> Result<Rows> {
+    limits.fault("engine.join")?;
     let arity = vars.len();
     let position = |var: VarId| vars.iter().position(|&v| v == var);
     let (src_slot, tgt_slot) = (arity, arity + 1);
@@ -192,7 +191,7 @@ fn join(
             .collect(),
         data: Vec::new(),
         emitted: 0,
-        counters,
+        limits,
     };
     match (position(src), position(tgt)) {
         (None, None) => {
@@ -221,7 +220,7 @@ fn join(
             }
         }
     }
-    counters.check_rows(out.emitted)?;
+    limits.check_rows(out.emitted)?;
     Ok(Rows::from_flat(live.len(), out.emitted, out.data))
 }
 
@@ -312,7 +311,7 @@ mod tests {
                 step(r, "isLocatedIn", k),
             ],
         };
-        let rows = run_cqt(&db, &q, &EvalCounters::default()).unwrap();
+        let rows = run_cqt(&GraphEngine::new(&db), &q).unwrap();
         let e = parse_path("livesIn/isLocatedIn/isLocatedIn", &db).unwrap();
         let mut want: Vec<[NodeId; 2]> = sgq_algebra::eval::eval_path(&db, &e)
             .into_iter()
@@ -328,8 +327,7 @@ mod tests {
         let db = fig2_yago_database();
         let e = parse_path("livesIn/isLocatedIn+", &db).unwrap();
         let q = Ucqt::path_query(e.clone());
-        let counters = EvalCounters::default();
-        let rows = run_cqt(&db, &q.disjuncts[0], &counters).unwrap();
+        let rows = run_cqt(&GraphEngine::new(&db), &q.disjuncts[0]).unwrap();
         let pairs: Vec<(NodeId, NodeId)> = rows.iter().map(|r| (r[0], r[1])).collect();
         assert_eq!(pairs, sgq_algebra::eval::eval_path(&db, &e));
     }
@@ -350,8 +348,7 @@ mod tests {
                 Relation::plain(y, parse_path("owns", &db).unwrap(), z),
             ],
         };
-        let counters = EvalCounters::default();
-        let rows = run_cqt(&db, &c1, &counters).unwrap();
+        let rows = run_cqt(&GraphEngine::new(&db), &c1).unwrap();
         assert_eq!(rows.iter().collect::<Vec<_>>(), [[n(1)]]);
     }
 
@@ -374,8 +371,7 @@ mod tests {
                 b,
             )],
         };
-        let counters = EvalCounters::default();
-        let rows = run_cqt(&db, &c, &counters).unwrap();
+        let rows = run_cqt(&GraphEngine::new(&db), &c).unwrap();
         assert_eq!(
             rows.iter().collect::<Vec<_>>(),
             [[n(3), n(4)], [n(5), n(4)]]
@@ -403,8 +399,7 @@ mod tests {
             ],
             relations: vec![Relation::plain(a, parse_path("livesIn", &db).unwrap(), b)],
         };
-        let counters = EvalCounters::default();
-        assert!(run_cqt(&db, &c, &counters).unwrap().is_empty());
+        assert!(run_cqt(&GraphEngine::new(&db), &c).unwrap().is_empty());
     }
 
     #[test]
@@ -421,8 +416,7 @@ mod tests {
                 x,
             )],
         };
-        let counters = EvalCounters::default();
-        let rows = run_cqt(&db, &c, &counters).unwrap();
+        let rows = run_cqt(&GraphEngine::new(&db), &c).unwrap();
         assert_eq!(rows.iter().collect::<Vec<_>>(), [[n(1)], [n(2)]]);
     }
 
@@ -444,7 +438,6 @@ mod tests {
                 Relation::plain(y, parse_path("isLocatedIn", &db).unwrap(), z),
             ],
         };
-        let counters = EvalCounters::default();
-        assert!(run_cqt(&db, &c, &counters).unwrap().is_empty());
+        assert!(run_cqt(&GraphEngine::new(&db), &c).unwrap().is_empty());
     }
 }

@@ -14,12 +14,12 @@
 //!   schema-based rewrite buys (the paper's Fig. 17 narrative).
 
 use std::cell::{Cell, RefCell};
-use std::time::Instant;
 
 use sgq_algebra::ast::PathExpr;
 use sgq_algebra::eval::PairSet;
-use sgq_common::{sorted, FxHashMap, FxHashSet, NodeId, Result, SgqError};
-use sgq_graph::GraphDatabase;
+use sgq_common::{sorted, FxHashMap, FxHashSet, Limits, NodeId, Result};
+
+use crate::backend::GraphEngine;
 
 /// Optional restriction on the endpoints of an evaluation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -45,23 +45,15 @@ impl<'a> Seeds<'a> {
     }
 }
 
-/// Work counters (and the cooperative deadline) threaded through every
-/// evaluation.
+/// The work counters of a [`GraphEngine`]. The deadline and the budgets
+/// are not here: every evaluation polls and records through the engine's
+/// [`Limits`].
 #[derive(Debug, Default)]
 pub struct EvalCounters {
     /// Pairs materialised across all operators.
     pub pairs: Cell<usize>,
     /// Semi-naive closure iterations run.
     pub tc_rounds: Cell<usize>,
-    /// Cooperative deadline: long-running loops poll it and abort with
-    /// [`SgqError::Timeout`] once passed (the paper's §5.1.5 protocol).
-    pub deadline: Option<Instant>,
-    /// Timeout value reported in errors, in milliseconds.
-    pub limit_ms: u64,
-    /// Abort once this many pairs have been materialised (0 = unlimited);
-    /// keeps infeasible closures from exhausting memory before the
-    /// deadline fires.
-    pub max_pairs: usize,
     /// Sub-expression results shared by the disjuncts of one query;
     /// `None` except while a [`MemoGuard`] is alive.
     memo: RefCell<Option<Memo>>,
@@ -83,15 +75,6 @@ impl Drop for MemoGuard<'_> {
 }
 
 impl EvalCounters {
-    /// Counters with a deadline `limit_ms` from now.
-    pub fn with_timeout(limit_ms: u64) -> Self {
-        EvalCounters {
-            deadline: Some(Instant::now() + std::time::Duration::from_millis(limit_ms)),
-            limit_ms,
-            ..Default::default()
-        }
-    }
-
     /// Arms the sub-expression memo until the guard is dropped.
     pub(crate) fn arm_memo(&self) -> MemoGuard<'_> {
         *self.memo.borrow_mut() = Some(Memo::default());
@@ -117,45 +100,19 @@ impl EvalCounters {
         ))
     }
 
-    fn add_pairs(&self, n: usize) {
+    /// Counts `n` materialised pairs and records them against `limits`
+    /// (row budget, memory budget).
+    fn add_pairs(&self, n: usize, limits: &Limits) -> Result<()> {
         self.pairs.set(self.pairs.get() + n);
+        limits.record(n, 2)
     }
 
     fn add_round(&self) {
         self.tc_rounds.set(self.tc_rounds.get() + 1);
     }
-
-    /// Polls the deadline and the pair budget.
-    pub fn check(&self) -> Result<()> {
-        if self.max_pairs > 0 && self.pairs.get() > self.max_pairs {
-            return Err(SgqError::RowBudget {
-                rows: self.pairs.get(),
-                budget: self.max_pairs,
-            });
-        }
-        match self.deadline {
-            Some(d) if Instant::now() > d => Err(SgqError::Timeout {
-                limit_ms: self.limit_ms,
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// [`check`](Self::check), and additionally holds `rows` binding-table
-    /// rows to the pair budget. The rows are not added to `pairs`, which
-    /// counts path evaluation only.
-    pub(crate) fn check_rows(&self, rows: usize) -> Result<()> {
-        if self.max_pairs > 0 && rows > self.max_pairs {
-            return Err(SgqError::RowBudget {
-                rows,
-                budget: self.max_pairs,
-            });
-        }
-        self.check()
-    }
 }
 
-/// Evaluates `expr` over `db`, restricted to `seeds`.
+/// Evaluates `expr` over the engine's database, restricted to `seeds`.
 ///
 /// The result is canonical (sorted, deduplicated) and exact: restricting by
 /// `seeds` never adds pairs, it only avoids computing pairs whose endpoints
@@ -163,21 +120,18 @@ impl EvalCounters {
 ///
 /// While the memo is armed, a composite `(expr, seeds)` evaluated before
 /// is answered from it; a hit materialises nothing and is not counted.
-pub fn eval_seeded(
-    db: &GraphDatabase,
-    expr: &PathExpr,
-    seeds: Seeds<'_>,
-    counters: &EvalCounters,
-) -> Result<PairSet> {
-    counters.check()?;
+pub fn eval_seeded(eng: &GraphEngine<'_>, expr: &PathExpr, seeds: Seeds<'_>) -> Result<PairSet> {
+    let (counters, limits) = (&eng.counters, &eng.limits);
+    limits.poll()?;
+    limits.fault("engine.eval")?;
     let key = counters.memo_key(expr, seeds);
     if let Some(key) = &key {
         if let Some(hit) = counters.memo.borrow().as_ref().and_then(|m| m.get(key)) {
             return Ok(hit.clone());
         }
     }
-    let out = eval_node(db, expr, seeds, counters)?;
-    counters.add_pairs(out.len());
+    let out = eval_node(eng, expr, seeds)?;
+    counters.add_pairs(out.len(), limits)?;
     if let Some(key) = key {
         if let Some(memo) = counters.memo.borrow_mut().as_mut() {
             memo.insert(key, out.clone());
@@ -187,12 +141,8 @@ pub fn eval_seeded(
 }
 
 /// One step of [`eval_seeded`]: the operator at the root of `expr`.
-fn eval_node(
-    db: &GraphDatabase,
-    expr: &PathExpr,
-    seeds: Seeds<'_>,
-    counters: &EvalCounters,
-) -> Result<PairSet> {
+fn eval_node(eng: &GraphEngine<'_>, expr: &PathExpr, seeds: Seeds<'_>) -> Result<PairSet> {
+    let db = eng.db;
     Ok(match expr {
         PathExpr::Label(le) => match (seeds.sources, seeds.targets) {
             (Some(srcs), _) => {
@@ -221,13 +171,12 @@ fn eval_node(
         PathExpr::Reverse(le) => {
             // J-leK = reversed pairs; sources of -le are targets of le.
             let inner = eval_seeded(
-                db,
+                eng,
                 &PathExpr::Label(*le),
                 Seeds {
                     sources: seeds.targets,
                     targets: seeds.sources,
                 },
-                counters,
             )?;
             let mut v: Vec<(NodeId, NodeId)> = inner.iter().map(|&(s, t)| (t, s)).collect();
             sorted::normalize(&mut v);
@@ -235,66 +184,62 @@ fn eval_node(
         }
         PathExpr::Concat(a, b) => {
             let left = eval_seeded(
-                db,
+                eng,
                 a,
                 Seeds {
                     sources: seeds.sources,
                     targets: None,
                 },
-                counters,
             )?;
             let mids = sgq_algebra::eval::target_set(&left);
             let right = eval_seeded(
-                db,
+                eng,
                 b,
                 Seeds {
                     sources: Some(&mids),
                     targets: seeds.targets,
                 },
-                counters,
             )?;
-            compose(&left, &right, counters)?
+            compose(&left, &right, &eng.limits)?
         }
-        PathExpr::Union(a, b) => sorted::union(
-            &eval_seeded(db, a, seeds, counters)?,
-            &eval_seeded(db, b, seeds, counters)?,
-        ),
+        PathExpr::Union(a, b) => {
+            sorted::union(&eval_seeded(eng, a, seeds)?, &eval_seeded(eng, b, seeds)?)
+        }
         PathExpr::Conj(a, b) => {
-            let left = eval_seeded(db, a, seeds, counters)?;
+            let left = eval_seeded(eng, a, seeds)?;
             // evaluate the right side restricted to the left's endpoints
             let srcs = sgq_algebra::eval::source_set(&left);
             let tgts = sgq_algebra::eval::target_set(&left);
             let right = eval_seeded(
-                db,
+                eng,
                 b,
                 Seeds {
                     sources: Some(&srcs),
                     targets: Some(&tgts),
                 },
-                counters,
             )?;
             sorted::intersect(&left, &right)
         }
         PathExpr::BranchR(a, b) => {
-            let left = eval_seeded(db, a, seeds, counters)?;
+            let left = eval_seeded(eng, a, seeds)?;
             let tgts = sgq_algebra::eval::target_set(&left);
-            let right = eval_seeded(db, b, Seeds::from_sources(&tgts), counters)?;
+            let right = eval_seeded(eng, b, Seeds::from_sources(&tgts))?;
             let witnesses = sgq_algebra::eval::source_set(&right);
             left.into_iter()
                 .filter(|&(_, m)| sorted::contains(&witnesses, &m))
                 .collect()
         }
         PathExpr::BranchL(a, b) => {
-            let right = eval_seeded(db, b, seeds, counters)?;
+            let right = eval_seeded(eng, b, seeds)?;
             let srcs = sgq_algebra::eval::source_set(&right);
-            let left = eval_seeded(db, a, Seeds::from_sources(&srcs), counters)?;
+            let left = eval_seeded(eng, a, Seeds::from_sources(&srcs))?;
             let witnesses = sgq_algebra::eval::source_set(&left);
             right
                 .into_iter()
                 .filter(|&(n, _)| sorted::contains(&witnesses, &n))
                 .collect()
         }
-        PathExpr::Plus(a) => transitive_closure_seeded(db, a, seeds, counters)?,
+        PathExpr::Plus(a) => transitive_closure_seeded(eng, a, seeds)?,
     })
 }
 
@@ -304,7 +249,7 @@ fn within(filter: Option<&[NodeId]>, n: NodeId) -> bool {
 }
 
 /// Hash-join composition of two canonical pair sets.
-fn compose(a: &PairSet, b: &PairSet, counters: &EvalCounters) -> Result<PairSet> {
+fn compose(a: &PairSet, b: &PairSet, limits: &Limits) -> Result<PairSet> {
     if a.is_empty() || b.is_empty() {
         return Ok(Vec::new());
     }
@@ -315,7 +260,7 @@ fn compose(a: &PairSet, b: &PairSet, counters: &EvalCounters) -> Result<PairSet>
     let mut out = Vec::new();
     for (i, &(n, z)) in a.iter().enumerate() {
         if i % 65536 == 0 {
-            counters.check()?;
+            limits.poll()?;
         }
         if let Some(ms) = by_src.get(&z) {
             for &m in ms {
@@ -334,14 +279,14 @@ fn compose(a: &PairSet, b: &PairSet, counters: &EvalCounters) -> Result<PairSet>
 /// * With target seeds only: the same, on the reversed step relation.
 /// * Unrestricted: classic semi-naive iteration.
 fn transitive_closure_seeded(
-    db: &GraphDatabase,
+    eng: &GraphEngine<'_>,
     inner: &PathExpr,
     seeds: Seeds<'_>,
-    counters: &EvalCounters,
 ) -> Result<PairSet> {
+    let (counters, limits) = (&eng.counters, &eng.limits);
     match (seeds.sources, seeds.targets) {
         (Some(srcs), _) => {
-            let out = bfs_closure(db, inner, srcs, Direction::Forward, counters)?;
+            let out = bfs_closure(eng, inner, srcs, Direction::Forward)?;
             Ok(match seeds.targets {
                 None => out,
                 Some(tgts) => out
@@ -351,20 +296,20 @@ fn transitive_closure_seeded(
             })
         }
         (None, Some(tgts)) => {
-            let rev = bfs_closure(db, inner, tgts, Direction::Backward, counters)?;
+            let rev = bfs_closure(eng, inner, tgts, Direction::Backward)?;
             let mut out: Vec<(NodeId, NodeId)> = rev.iter().map(|&(t, s)| (s, t)).collect();
             sorted::normalize(&mut out);
             Ok(out)
         }
         (None, None) => {
-            let base = eval_seeded(db, inner, Seeds::none(), counters)?;
+            let base = eval_seeded(eng, inner, Seeds::none())?;
             let mut acc = base.clone();
             let mut delta = base.clone();
             while !delta.is_empty() {
                 counters.add_round();
-                counters.check()?;
-                let step = compose(&delta, &base, counters)?;
-                counters.add_pairs(step.len());
+                limits.poll()?;
+                let step = compose(&delta, &base, limits)?;
+                counters.add_pairs(step.len(), limits)?;
                 let fresh = sorted::difference(&step, &acc);
                 acc = sorted::union(&acc, &fresh);
                 delta = fresh;
@@ -385,17 +330,17 @@ enum Direction {
 /// For single-label steps the CSR is walked directly; otherwise the step
 /// relation is materialised once and indexed.
 fn bfs_closure(
-    db: &GraphDatabase,
+    eng: &GraphEngine<'_>,
     inner: &PathExpr,
     starts: &[NodeId],
     dir: Direction,
-    counters: &EvalCounters,
 ) -> Result<PairSet> {
+    let (db, counters, limits) = (eng.db, &eng.counters, &eng.limits);
     // Fast path: inner is a single (possibly reversed) label.
     let step_index: Option<FxHashMap<NodeId, Vec<NodeId>>> = match inner {
         PathExpr::Label(_) | PathExpr::Reverse(_) => None,
         _ => {
-            let base = eval_seeded(db, inner, Seeds::none(), counters)?;
+            let base = eval_seeded(eng, inner, Seeds::none())?;
             let mut map: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
             for &(s, t) in &base {
                 match dir {
@@ -433,7 +378,7 @@ fn bfs_closure(
         frontier.push(s);
         while !frontier.is_empty() {
             counters.add_round();
-            counters.check()?;
+            limits.poll()?;
             next.clear();
             for &n in &frontier {
                 step(n, &mut next);
@@ -445,7 +390,7 @@ fn bfs_closure(
                     frontier.push(t);
                 }
             }
-            counters.add_pairs(frontier.len());
+            counters.add_pairs(frontier.len(), limits)?;
         }
     }
     sorted::normalize(&mut out);
@@ -458,14 +403,15 @@ mod tests {
     use sgq_algebra::eval::eval_path;
     use sgq_algebra::parser::parse_path;
     use sgq_graph::database::fig2_yago_database;
+    use sgq_graph::GraphDatabase;
 
     fn check(db: &GraphDatabase, s: &str) {
         let e = parse_path(s, db).unwrap();
-        let counters = EvalCounters::default();
-        let got = eval_seeded(db, &e, Seeds::none(), &counters).unwrap();
+        let engine = GraphEngine::new(db);
+        let got = eval_seeded(&engine, &e, Seeds::none()).unwrap();
         let want = eval_path(db, &e);
         assert_eq!(got, want, "mismatch for {s}");
-        assert!(counters.pairs.get() >= want.len());
+        assert!(engine.pairs_materialized() >= want.len());
     }
 
     #[test]
@@ -493,10 +439,10 @@ mod tests {
     fn source_seeds_restrict() {
         let db = fig2_yago_database();
         let e = parse_path("isLocatedIn+", &db).unwrap();
-        let counters = EvalCounters::default();
-        let full = eval_seeded(&db, &e, Seeds::none(), &counters).unwrap();
+        let engine = GraphEngine::new(&db);
+        let full = eval_seeded(&engine, &e, Seeds::none()).unwrap();
         let n0 = NodeId::new(0);
-        let seeded = eval_seeded(&db, &e, Seeds::from_sources(&[n0]), &counters).unwrap();
+        let seeded = eval_seeded(&engine, &e, Seeds::from_sources(&[n0])).unwrap();
         let expect: PairSet = full.iter().copied().filter(|&(s, _)| s == n0).collect();
         assert_eq!(seeded, expect);
     }
@@ -505,17 +451,16 @@ mod tests {
     fn target_seeds_restrict() {
         let db = fig2_yago_database();
         let e = parse_path("isLocatedIn+", &db).unwrap();
-        let counters = EvalCounters::default();
-        let full = eval_seeded(&db, &e, Seeds::none(), &counters).unwrap();
+        let engine = GraphEngine::new(&db);
+        let full = eval_seeded(&engine, &e, Seeds::none()).unwrap();
         let france = NodeId::new(6);
         let seeded = eval_seeded(
-            &db,
+            &engine,
             &e,
             Seeds {
                 sources: None,
                 targets: Some(&[france]),
             },
-            &counters,
         )
         .unwrap();
         let expect: PairSet = full.iter().copied().filter(|&(_, t)| t == france).collect();
@@ -526,16 +471,16 @@ mod tests {
     fn seeded_closure_does_less_work() {
         let db = fig2_yago_database();
         let e = parse_path("isLocatedIn+", &db).unwrap();
-        let full_counters = EvalCounters::default();
-        let _ = eval_seeded(&db, &e, Seeds::none(), &full_counters).unwrap();
-        let seeded_counters = EvalCounters::default();
+        let full_engine = GraphEngine::new(&db);
+        let _ = eval_seeded(&full_engine, &e, Seeds::none()).unwrap();
+        let seeded_engine = GraphEngine::new(&db);
         let n3 = NodeId::new(3);
-        let _ = eval_seeded(&db, &e, Seeds::from_sources(&[n3]), &seeded_counters).unwrap();
+        let _ = eval_seeded(&seeded_engine, &e, Seeds::from_sources(&[n3])).unwrap();
         assert!(
-            seeded_counters.pairs.get() < full_counters.pairs.get(),
+            seeded_engine.pairs_materialized() < full_engine.pairs_materialized(),
             "seeding should reduce materialised pairs ({} vs {})",
-            seeded_counters.pairs.get(),
-            full_counters.pairs.get()
+            seeded_engine.pairs_materialized(),
+            full_engine.pairs_materialized()
         );
     }
 
@@ -543,15 +488,14 @@ mod tests {
     fn both_seeds_combine() {
         let db = fig2_yago_database();
         let e = parse_path("isLocatedIn", &db).unwrap();
-        let counters = EvalCounters::default();
+        let engine = GraphEngine::new(&db);
         let r = eval_seeded(
-            &db,
+            &engine,
             &e,
             Seeds {
                 sources: Some(&[NodeId::new(5)]),
                 targets: Some(&[NodeId::new(4)]),
             },
-            &counters,
         )
         .unwrap();
         assert_eq!(r, vec![(NodeId::new(5), NodeId::new(4))]);
@@ -613,8 +557,8 @@ mod proptests {
         for seed in 0..96u64 {
             let db = random_db(seed);
             let expr = random_expr(seed, 3);
-            let counters = EvalCounters::default();
-            let got = eval_seeded(&db, &expr, Seeds::none(), &counters).unwrap();
+            let engine = GraphEngine::new(&db);
+            let got = eval_seeded(&engine, &expr, Seeds::none()).unwrap();
             assert_eq!(got, sgq_algebra::eval::eval_path(&db, &expr), "seed {seed}");
         }
     }
@@ -627,14 +571,13 @@ mod proptests {
             let mask = Rng::seed_from_u64(seed ^ 0x5eed).gen_u32();
             let db = random_db(seed);
             let expr = random_expr(seed, 3);
-            let counters = EvalCounters::default();
-            let full = eval_seeded(&db, &expr, Seeds::none(), &counters).unwrap();
+            let engine = GraphEngine::new(&db);
+            let full = eval_seeded(&engine, &expr, Seeds::none()).unwrap();
             let subset: Vec<NodeId> = db
                 .node_ids()
                 .filter(|n| (mask >> (n.raw() % 32)) & 1 == 1)
                 .collect();
-            let seeded_src =
-                eval_seeded(&db, &expr, Seeds::from_sources(&subset), &counters).unwrap();
+            let seeded_src = eval_seeded(&engine, &expr, Seeds::from_sources(&subset)).unwrap();
             let expect_src: PairSet = full
                 .iter()
                 .copied()
@@ -642,13 +585,12 @@ mod proptests {
                 .collect();
             assert_eq!(seeded_src, expect_src, "seed {seed}");
             let seeded_tgt = eval_seeded(
-                &db,
+                &engine,
                 &expr,
                 Seeds {
                     sources: None,
                     targets: Some(&subset),
                 },
-                &counters,
             )
             .unwrap();
             let expect_tgt: PairSet = full

@@ -8,7 +8,7 @@
 //! | `estimates` | cold memo            | warm memo                         | cold median q-error ≤ 2, warm ≤ cold   |
 //! | `observe`   | direct               | traced service                    | trace == `EXPLAIN ANALYZE`, overhead   |
 //! | `serve`     | sequential, uncached | workers × cache, concurrent       | 0 errors, warm cache always hit        |
-//! | `chaos`     | fault-free service   | one armed service per seed        | ≥ 1 fault fired                        |
+//! | `chaos`     | fault-free service   | one armed service per seed × backend | `exec.*` and `engine.*` sites fired |
 //!
 //! Bit-identity of every variant to its reference (and, for services,
 //! a balanced governor and zero worker panics) is asserted by the
@@ -19,7 +19,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use sgq_common::fault::FireReport;
 use sgq_common::json::{self, JsonValue};
+use sgq_common::Backend;
 use sgq_obs::{chrome_traces_json, QueryTrace, Tracer};
 use sgq_ra::cost::q_error;
 use sgq_ra::exec::{execute_plan, execute_plan_traced, ExecContext};
@@ -45,7 +47,7 @@ pub struct GateParams {
     pub clients: usize,
     /// `serve`: passes over the catalog per client.
     pub passes: usize,
-    /// `chaos`: fault-plan seeds, one armed service each.
+    /// `chaos`: fault-plan seeds, one armed service per backend each.
     pub seeds: Vec<u64>,
     /// `chaos`: per-visit fire probability.
     pub probability: f64,
@@ -440,12 +442,13 @@ fn serve(cats: &Catalogs, p: &GateParams, gate: bool) -> String {
 /// `chaos`: attempts per query before a retryable failure stands.
 const CHAOS_MAX_ATTEMPTS: usize = 16;
 
-/// `chaos`: deterministic fault injection — per seed, a service armed
-/// with a seeded error plan at every fault site replays the catalog
-/// sequentially (so the schedule is reproducible). Every query must
-/// match the fault-free reference bit for bit or fail retryable once
-/// its retry budget is spent, and the same service must answer the
-/// whole catalog exactly once disarmed (all asserted by the driver).
+/// `chaos`: deterministic fault injection — per seed and backend, a
+/// service armed with a seeded error plan at every fault site replays
+/// the catalog sequentially (so the schedule is reproducible). Every
+/// query must match the fault-free relational reference bit for bit or
+/// fail retryable once its retry budget is spent, and the same service
+/// must answer the whole catalog exactly once disarmed (all asserted by
+/// the driver).
 fn chaos(cats: &Catalogs, p: &GateParams) -> String {
     let sequential = Via::Service {
         workers: 2,
@@ -454,14 +457,16 @@ fn chaos(cats: &Catalogs, p: &GateParams) -> String {
         cached: true,
     };
     let armed: Vec<Variant> = (p.seeds.iter())
-        .map(|&seed| Variant {
+        .flat_map(|&seed| [Backend::Relational, Backend::Graph].map(|backend| (seed, backend)))
+        .map(|(seed, backend)| Variant {
+            backend,
             via: sequential,
             faults: Some(Faults {
                 seed,
                 probability: p.probability,
                 max_attempts: CHAOS_MAX_ATTEMPTS,
             }),
-            ..Variant::new(format!("seed {seed}"))
+            ..Variant::new(format!("seed {seed}, {backend}"))
         })
         .collect();
     let fault_free = Variant {
@@ -469,22 +474,36 @@ fn chaos(cats: &Catalogs, p: &GateParams) -> String {
         ..Variant::new("fault-free")
     };
     let rep = replay(&cats.ldbc, cats.scale.timeout_ms, &fault_free, &armed);
-    // A chaos run where nothing happened proves nothing.
-    let fires: u64 = rep.variants.iter().flat_map(|p| p.fired.values()).sum();
-    assert!(
-        fires > 0,
-        "chaos: no fault fired across {} seeds — raise the probability",
-        p.seeds.len()
-    );
+    // A chaos run where a backend's sites never fired proves nothing
+    // about that backend.
+    let mut fired = FireReport::new();
+    for (&site, &n) in rep.variants.iter().flat_map(|p| &p.fired) {
+        *fired.entry(site).or_insert(0) += n;
+    }
+    let family = |prefix: &str| -> String {
+        let sites = fired.iter().filter(|(s, _)| s.starts_with(prefix));
+        let sites: Vec<String> = sites.map(|(s, n)| format!("{s}:{n}")).collect();
+        assert!(
+            !sites.is_empty(),
+            "chaos: no {prefix}* fault fired across {} seeds — raise the probability",
+            p.seeds.len()
+        );
+        sites.join(" ")
+    };
     let head = format!(
         "Chaos: LDBC SF{} x {} queries, p = {} per fault-point visit\n\n",
         cats.scale.sf,
         cats.ldbc.queries.len(),
         p.probability
     );
-    let closing = "\nevery query bit-identical or classified-retryable; post-fault replay \
-                   identical; 0 worker panics; governor balanced\n";
-    finish(head, &pass_table(&rep), closing, [&rep])
+    let closing = format!(
+        "\nevery query bit-identical or classified-retryable; post-fault replay \
+         identical; 0 worker panics; governor balanced\n\
+         relational fires: {}\ngraph fires: {}\n",
+        family("exec."),
+        family("engine.")
+    );
+    finish(head, &pass_table(&rep), &closing, [&rep])
 }
 
 /// Tolerance (µs) for span-boundary comparisons: phase spans are
@@ -746,7 +765,7 @@ mod tests {
                     "0 hash builds with the CSR index",
                     "planning a CSR Index Join",
                 ],
-                "chaos" => &["0 worker panics", "fired sites"],
+                "chaos" => &["0 worker panics", "fired sites", "exec.", "engine.eval:"],
                 _ => &["gate: PASS"],
             }
             .iter()

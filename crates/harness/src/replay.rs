@@ -6,10 +6,10 @@
 //! * [`Catalog`] / [`Catalogs`] — a generated dataset, its parsed query
 //!   catalog and its relational stores, built **once per process** (the
 //!   only `generate` call sites),
-//! * [`Variant`] — one way of executing a catalog: storage layout ×
-//!   morsel sizing × traced × fault plan × feedback memo cold/warm ×
-//!   direct `execute_plan` or through a [`Service`]; the front end is
-//!   always the library's own [`prepare`],
+//! * [`Variant`] — one way of executing a catalog: backend × storage
+//!   layout × morsel sizing × traced × fault plan × feedback memo
+//!   cold/warm × direct [`PreparedQuery::execute`] or through a
+//!   [`Service`]; the front end is always the library's own [`prepare`],
 //! * [`replay`] — a named reference variant and a list of variants over
 //!   a catalog, every answer compared **bit for bit**,
 //! * [`Table`] and [`Replay::to_json`] — the one table renderer and the
@@ -30,11 +30,11 @@ use sgq_datasets::yago::{self, YagoConfig};
 use sgq_datasets::CatalogQuery;
 use sgq_graph::{GraphDatabase, GraphSchema};
 use sgq_obs::QueryTrace;
-use sgq_ra::exec::{execute_plan, ExecContext};
+use sgq_ra::exec::ExecContext;
 use sgq_ra::{LayoutKind, RelStore, TaskScheduler};
-use sgq_service::prepared::{prepare, PreparedBody, PreparedQuery};
+use sgq_service::prepared::{prepare, PreparedQuery};
 use sgq_service::{
-    retry_with_backoff, MetricsSnapshot, QueryOptions, QueryResponse, RetryPolicy, Service,
+    retry_with_backoff, Answer, MetricsSnapshot, QueryOptions, QueryResponse, RetryPolicy, Service,
     ServiceConfig, Session,
 };
 
@@ -212,7 +212,7 @@ pub enum Memo {
 /// How a variant reaches the executor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Via {
-    /// `prepare` + `execute_plan` on the calling thread.
+    /// `prepare` + `PreparedQuery::execute` on the calling thread.
     #[default]
     Direct,
     /// Through a [`Service`] built over the variant's store.
@@ -230,12 +230,14 @@ pub enum Via {
 }
 
 /// One way of executing a catalog. The default is what is served, run
-/// plainly: advised layout, serial, untraced, no faults, cold memo,
-/// direct, one execution.
+/// plainly: relational backend, advised layout, serial, untraced, no
+/// faults, cold memo, direct, one execution.
 #[derive(Debug, Clone, Default)]
 pub struct Variant {
     /// Name used in reports and divergence panics.
     pub name: String,
+    /// The backend the schema-rewritten statements are prepared for.
+    pub backend: Backend,
     /// Storage layout; `None` = the advisor's pick (what is served).
     pub layout: Option<LayoutKind>,
     /// Morsel parallelism (direct variants); `None` = serial.
@@ -261,19 +263,6 @@ impl Variant {
             name: name.into(),
             ..Default::default()
         }
-    }
-}
-
-/// One query's answer in canonical form (sorted, deduplicated rows).
-#[derive(PartialEq, Eq)]
-struct Answer {
-    arity: usize,
-    flat: Vec<u32>,
-}
-
-impl Answer {
-    fn rows(&self) -> usize {
-        self.flat.len() / self.arity.max(1)
     }
 }
 
@@ -469,8 +458,8 @@ impl PassCtx<'_> {
                 got == want,
                 "{}{stage} diverged from the reference: {} rows vs {}",
                 self.label(i),
-                got.rows(),
-                want.rows(),
+                got.rows().len(),
+                want.rows().len(),
             );
         }
     }
@@ -501,7 +490,7 @@ impl PassCtx<'_> {
     }
 
     fn prepare(&self, q: &CatalogQuery) -> Result<PreparedQuery> {
-        let (backend, approach) = (Backend::Relational, Approach::Schema);
+        let (backend, approach) = (self.variant.backend, Approach::Schema);
         let rewrite = RewriteOptions::default();
         prepare(
             &self.cat.schema,
@@ -523,8 +512,8 @@ impl PassCtx<'_> {
                 .filter_map(|q| self.prepare(q).ok())
                 .collect();
             memo.set_enabled(true);
-            for plan in cold.iter().filter_map(PreparedQuery::plan) {
-                let _ = execute_plan(plan, &self.store, &mut self.exec_context());
+            for prepared in &cold {
+                let _ = prepared.execute(&self.cat.db, &self.store, &mut self.exec_context(), None);
             }
         }
     }
@@ -546,17 +535,16 @@ impl PassCtx<'_> {
             arity: prepared.columns().len(),
             flat: Vec::new(),
         };
-        if let PreparedBody::Relational(plan) = prepared.body() {
+        if !prepared.is_provably_empty() {
             run.ms = f64::INFINITY;
             for _ in 0..self.variant.repeats.max(1) {
                 let mut ctx = self.exec_context();
                 let start = Instant::now();
-                let rel = execute_plan(plan, &self.store, &mut ctx)?;
+                (answer, _) = prepared.execute(&self.cat.db, &self.store, &mut ctx, None)?;
                 run.ms = run.ms.min(start.elapsed().as_secs_f64() * 1e3);
                 run.morsels = ctx.morsels_executed;
                 run.materialised = ctx.rows_materialized();
-                run.rows = rel.len();
-                answer.flat = rel.rows().flatten().copied().collect();
+                run.rows = answer.rows().len();
             }
         }
         Ok((run, answer))
@@ -596,6 +584,7 @@ impl<'a> Served<'a> {
             service.slow_query_log().set_threshold_us(1);
         }
         let opts = QueryOptions {
+            backend: variant.backend,
             use_cache: cached,
             analyze: variant.traced,
             ..Default::default()

@@ -6,9 +6,8 @@ use std::time::Instant;
 use sgq_algebra::ast::PathExpr;
 use sgq_common::SgqError;
 use sgq_core::pipeline::RewriteOptions;
-use sgq_engine::GraphEngine;
 use sgq_ra::exec::ExecContext;
-use sgq_service::prepared::{prepare, PreparedBody};
+use sgq_service::prepared::prepare;
 
 use crate::replay::Catalog;
 
@@ -84,28 +83,20 @@ pub fn run_query(
         Err(e) if infeasible(&e) => return Measurement::Infeasible,
         Err(other) => panic!("unexpected planning failure: {other}"),
     };
+    if prepared.is_provably_empty() {
+        // The schema proves the query empty: essentially free.
+        return Measurement::Feasible { ms: 0.0, rows: 0 };
+    }
     let reps = config.repetitions.max(1);
     let mut total_ms = 0.0;
     let mut rows = 0usize;
     for _ in 0..reps {
         let start = Instant::now();
-        let result = match prepared.body() {
-            // The schema proves the query empty: essentially free.
-            PreparedBody::Empty => return Measurement::Feasible { ms: 0.0, rows: 0 },
-            PreparedBody::Graph(query) => {
-                let mut engine = GraphEngine::with_timeout(&cat.db, config.timeout_ms);
-                engine.set_max_pairs(config.max_rows);
-                engine.run_ucqt(query).map(|rows| rows.len())
-            }
-            PreparedBody::Relational(plan) => {
-                let mut ctx = ExecContext::with_timeout(config.timeout_ms);
-                ctx.max_rows = config.max_rows;
-                sgq_ra::execute_plan(plan, &store, &mut ctx).map(|rel| rel.len())
-            }
-        };
-        match result {
-            Ok(n) => {
-                rows = n;
+        let mut ctx = ExecContext::with_timeout(config.timeout_ms);
+        ctx.max_rows = config.max_rows;
+        match prepared.execute(&cat.db, &store, &mut ctx, None) {
+            Ok((answer, _)) => {
+                rows = answer.rows().len();
                 total_ms += start.elapsed().as_secs_f64() * 1e3;
             }
             Err(e) if infeasible(&e) => return Measurement::Infeasible,

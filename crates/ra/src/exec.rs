@@ -38,20 +38,19 @@
 //! operator's `Combine` rule, so a parallel run is bit-identical to
 //! the inline one. Inside a fixpoint this means each round's delta probe
 //! parallelises against the round-cached static build sides for free.
-//! Every poll and every record goes through one `Limits` value: the
-//! deadline, the row and memory budgets as shared atomics, and a cancel
-//! flag the first morsel to breach trips for its siblings, bounding
-//! overshoot to about one in-flight morsel per worker.
+//! Every poll, every record and every fault site goes through the
+//! execution's [`Limits`] — the same contract the graph engine runs
+//! under: the deadline, the row and memory budgets as shared atomics, and
+//! a cancel flag the first morsel to breach trips for its siblings,
+//! bounding overshoot to about one in-flight morsel per worker.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use sgq_common::{
-    faultpoint, relation_bytes, ColId, FaultPlan, FxHashMap, NodeId, QueryBudget, RecVarId, Result,
-    SgqError,
-};
+use sgq_common::limits::{is_cancelled, Limits};
+use sgq_common::{ColId, FaultPlan, FxHashMap, NodeId, QueryBudget, RecVarId, Result, SgqError};
 use sgq_graph::Csr;
 use sgq_obs::{OpSpan, OpTraceBuilder, TraceClock};
 
@@ -126,7 +125,7 @@ pub struct ExecContext {
     /// arity × 4 bytes), shared with morsel workers. `None` (the
     /// default) skips memory accounting entirely.
     pub budget: Option<Arc<QueryBudget>>,
-    /// The fault plan this execution's `faultpoint!` sites consult.
+    /// The fault plan this execution's fault sites consult.
     /// `None` (the default) makes every site structurally inert.
     pub faults: Option<Arc<FaultPlan>>,
 }
@@ -185,17 +184,17 @@ impl ExecContext {
     }
 
     /// The limits of one execution under this context, with a fresh
-    /// cancel flag: what the interpreter and its morsel tasks poll and
-    /// record into.
-    fn limits(&self) -> Limits {
+    /// cancel flag: what the executing backend — the interpreter and its
+    /// morsel tasks, or the graph engine — polls and records into.
+    pub fn limits(&self) -> Limits {
         Limits {
             deadline: self.deadline,
             limit_ms: self.limit_ms,
             max_rows: self.max_rows,
-            rows: Arc::clone(&self.rows),
-            cancelled: Arc::new(AtomicBool::new(false)),
             budget: self.budget.clone(),
             faults: self.faults.clone(),
+            rows: Arc::clone(&self.rows),
+            cancelled: Arc::default(),
         }
     }
 
@@ -217,67 +216,6 @@ impl ExecContext {
             .scheduler
             .get_or_insert_with(|| Arc::new(TaskScheduler::new(dop)));
         Some((Arc::clone(sched), morsel))
-    }
-}
-
-/// The limits of one execution: deadline, row and memory budgets, and
-/// the shared counters the interpreter and every morsel task poll and
-/// record into — the one implementation of both.
-#[derive(Clone, Debug)]
-struct Limits {
-    deadline: Option<Instant>,
-    limit_ms: u64,
-    max_rows: usize,
-    rows: Arc<AtomicUsize>,
-    /// Trips when a poll or a record fails, so sibling morsels stop at
-    /// their next poll.
-    cancelled: Arc<AtomicBool>,
-    budget: Option<Arc<QueryBudget>>,
-    faults: Option<Arc<FaultPlan>>,
-}
-
-impl Limits {
-    /// Trips the cancel flag on the way out with a real error.
-    fn cancel(&self, e: SgqError) -> SgqError {
-        self.cancelled.store(true, Ordering::Relaxed);
-        e
-    }
-
-    /// The cooperative check: exits fast once a sibling tripped the
-    /// cancel flag, else checks the deadline.
-    fn poll(&self) -> Result<()> {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return Err(parallel::cancelled());
-        }
-        match self.deadline {
-            Some(d) if Instant::now() > d => Err(self.cancel(SgqError::Timeout {
-                limit_ms: self.limit_ms,
-            })),
-            _ => Ok(()),
-        }
-    }
-
-    /// Accounts `rows` materialised rows and enforces the row and memory
-    /// budgets *at materialisation time*: the error fires on the batch
-    /// that crosses the budget, so an oversized operator can overshoot
-    /// by at most its own output (a top-level operator would never be
-    /// polled again), and a parallel one by the morsels already in
-    /// flight (about one per worker). Budget errors are *real* errors,
-    /// not cancel sentinels.
-    fn record(&self, rows: usize, arity: usize) -> Result<()> {
-        let total = self.rows.fetch_add(rows, Ordering::Relaxed) + rows;
-        if self.max_rows > 0 && total > self.max_rows {
-            return Err(self.cancel(SgqError::RowBudget {
-                rows: total,
-                budget: self.max_rows,
-            }));
-        }
-        match &self.budget {
-            Some(budget) => budget
-                .charge(relation_bytes(rows, arity))
-                .map_err(|e| self.cancel(e)),
-            None => Ok(()),
-        }
     }
 }
 
@@ -471,12 +409,12 @@ impl Interp<'_> {
         let out = match &p.op {
             PhysOp::EdgeScan { label } => {
                 self.ctx.scans += 1;
-                faultpoint!(self.ctx.faults, "exec.scan");
+                self.limits.fault("exec.scan")?;
                 self.store.edge_table(*label).into_cols(p.cols.clone())
             }
             PhysOp::MultiEdgeScan { labels } => {
                 self.ctx.scans += 1;
-                faultpoint!(self.ctx.faults, "exec.scan");
+                self.limits.fault("exec.scan")?;
                 // One masked pass over the polymorphic table; a layout
                 // without it degrades to the union-all the operator
                 // replaced (same rows by construction).
@@ -494,7 +432,7 @@ impl Interp<'_> {
                 tgt_label,
             } => {
                 self.ctx.scans += 1;
-                faultpoint!(self.ctx.faults, "exec.scan");
+                self.limits.fault("exec.scan")?;
                 // The precomputed endpoint-label slice; a layout without
                 // it filters the base table through the sorted node sets
                 // (same rows, just not free).
@@ -513,7 +451,7 @@ impl Interp<'_> {
             }
             PhysOp::NodeScan { labels } => {
                 self.ctx.scans += 1;
-                faultpoint!(self.ctx.faults, "exec.scan");
+                self.limits.fault("exec.scan")?;
                 if labels.is_empty() {
                     Relation::empty(p.cols.clone())
                 } else {
@@ -533,7 +471,7 @@ impl Interp<'_> {
                 merge,
             } => {
                 self.ctx.scans += 1;
-                faultpoint!(self.ctx.faults, "exec.scan");
+                self.limits.fault("exec.scan")?;
                 let edges = self.store.edge_table(*label).into_cols(p.cols.clone());
                 if !*merge {
                     return self.hash_semi_filter(p, edges, filter, key, cache);
@@ -577,7 +515,7 @@ impl Interp<'_> {
                             }
                             std::collections::hash_map::Entry::Vacant(slot) => {
                                 let rel = self.eval(build_plan, None)?;
-                                faultpoint!(self.ctx.faults, "exec.hash_build");
+                                self.limits.fault("exec.hash_build")?;
                                 let index =
                                     Arc::new(JoinIndex::build(&rel, &build_key_pos, &mut || {
                                         self.limits.poll()
@@ -619,7 +557,7 @@ impl Interp<'_> {
                 } else {
                     (rel, build_key_pos, probe_rel, probe_key_pos, *build_left)
                 };
-                faultpoint!(self.ctx.faults, "exec.hash_build");
+                self.limits.fault("exec.hash_build")?;
                 let index = Arc::new(JoinIndex::build(&build_rel, &build_pos, &mut || {
                     self.limits.poll()
                 })?);
@@ -644,7 +582,7 @@ impl Interp<'_> {
                 tgt_labels,
             } => {
                 let prel = self.eval(probe, cache)?;
-                faultpoint!(self.ctx.faults, "exec.csr_probe");
+                self.limits.fault("exec.csr_probe")?;
                 let Some(csr) = self.csr(*label, *forward) else {
                     return Ok(Relation::empty(p.cols.clone()));
                 };
@@ -733,7 +671,7 @@ impl Interp<'_> {
                 tgt_labels,
             } => {
                 let lrel = self.eval(left, cache)?;
-                faultpoint!(self.ctx.faults, "exec.csr_probe");
+                self.limits.fault("exec.csr_probe")?;
                 let Some(csr) = self.csr(*label, *forward) else {
                     return Ok(Relation::empty(p.cols.clone()));
                 };
@@ -807,7 +745,7 @@ impl Interp<'_> {
                 let mut step_cache = StepCache::default();
                 while !delta.is_empty() {
                     self.limits.poll()?;
-                    faultpoint!(self.ctx.faults, "exec.fixpoint_round");
+                    self.limits.fault("exec.fixpoint_round")?;
                     self.ctx.fixpoint_rounds += 1;
                     self.ctx.env.insert(*var, delta);
                     let round_cache = if self.ctx.no_fixpoint_cache {
@@ -899,9 +837,7 @@ impl Interp<'_> {
                     // budget overshoot to the morsels already in flight.
                     limits.poll()?;
                     let run = kernel(start..end, limits)?;
-                    if let Some(plan) = &limits.faults {
-                        plan.check("exec.morsel").map_err(|e| limits.cancel(e))?;
-                    }
+                    limits.fault("exec.morsel")?;
                     limits.record(run.len() / arity, arity)?;
                     Ok(run)
                 }
@@ -914,7 +850,7 @@ impl Interp<'_> {
         for result in sched.run(self.ctx.dop, tasks) {
             match result {
                 Ok(run) => runs.push(run),
-                Err(e) if parallel::is_cancelled(&e) => cancel_err = Some(e),
+                Err(e) if is_cancelled(&e) => cancel_err = Some(e),
                 Err(e) => return Err(e),
             }
         }
@@ -977,7 +913,7 @@ impl Interp<'_> {
         cache: Option<&mut StepCache>,
     ) -> Result<Arc<SemiKeys>> {
         let frel = self.eval(filter, cache)?;
-        faultpoint!(self.ctx.faults, "exec.hash_build");
+        self.limits.fault("exec.hash_build")?;
         let keys = SemiKeys::build(&frel, filter_key_pos, &mut || self.limits.poll())?;
         self.ctx.hash_builds += 1;
         Ok(Arc::new(keys))
@@ -1621,6 +1557,8 @@ mod tests {
                 ("exec.scan", FaultKind::Error),
                 ("exec.morsel", FaultKind::Error),
                 ("exec.morsel", FaultKind::Panic),
+                ("exec.fixpoint_round", FaultKind::Expire),
+                ("exec.morsel", FaultKind::Expire),
             ] {
                 let faults = FaultPlan::new(FaultConfig {
                     seed: 1,
@@ -1638,6 +1576,10 @@ mod tests {
                 }));
                 match kind {
                     FaultKind::Error => assert_eq!(outcome.unwrap(), SgqError::Transient { site }),
+                    // Reads as the context's own deadline passing.
+                    FaultKind::Expire => {
+                        assert_eq!(outcome.unwrap(), SgqError::Timeout { limit_ms: 0 })
+                    }
                     // The worker caught it; the caller's thread re-raises it.
                     FaultKind::Panic => assert_eq!(
                         outcome.unwrap_err().downcast_ref::<String>().unwrap(),

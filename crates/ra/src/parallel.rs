@@ -1,5 +1,5 @@
 //! Morsel-driven intra-query parallelism: the morsel partitioning
-//! helpers and the cancellation sentinel.
+//! helpers.
 //!
 //! The executor splits the probe side of a large join into fixed-size
 //! **morsels** — contiguous row ranges over the shared `Arc`-backed row
@@ -18,13 +18,11 @@
 //! parallelism caps how many of its morsels are in flight at once
 //! ([`TaskScheduler::run`]'s `dop`), not how many threads exist.
 //!
-//! **Cancellation.** Morsel tasks poll a shared cancel flag plus the
-//! query deadline and row budget (see `exec`'s shared limits); the first
-//! task to breach a limit trips the flag, and every other task exits at
-//! its next poll with the `cancelled()` sentinel, which the caller
-//! discards in favour of the real error.
-
-use sgq_common::SgqError;
+//! **Cancellation.** Morsel tasks poll and record through the
+//! execution's [`sgq_common::Limits`]: the first task to breach a limit
+//! trips its cancel flag, and every other task exits at its next poll
+//! with the cancellation sentinel, which the caller discards in favour
+//! of the real error.
 
 pub use sgq_common::pool::TaskScheduler;
 
@@ -41,20 +39,6 @@ pub(crate) const MIN_MORSEL_ROWS: usize = 4_096;
 /// Morsels targeted per worker, for load balancing: stragglers cost at
 /// most 1/this of a worker's share.
 pub(crate) const MORSELS_PER_WORKER: usize = 4;
-
-/// The error a morsel task returns when it observed the shared cancel
-/// flag (some other task already hit the real limit). Callers drop it
-/// in favour of the first real error.
-pub(crate) fn cancelled() -> SgqError {
-    SgqError::Execution(CANCEL_SENTINEL.into())
-}
-
-/// Whether `e` is the cancellation sentinel (not a real failure).
-pub(crate) fn is_cancelled(e: &SgqError) -> bool {
-    matches!(e, SgqError::Execution(m) if m == CANCEL_SENTINEL)
-}
-
-const CANCEL_SENTINEL: &str = "parallel section cancelled";
 
 /// Splits `rows` into contiguous `(start, end)` morsel ranges of at
 /// most `morsel` rows (the last range may be shorter).
@@ -164,12 +148,5 @@ mod tests {
         assert_eq!(message, Err(Some("morsel panic")));
         assert_eq!(next, vec![7]);
         caller.join().unwrap();
-    }
-
-    #[test]
-    fn cancellation_sentinel_roundtrips() {
-        assert!(is_cancelled(&cancelled()));
-        assert!(!is_cancelled(&SgqError::Execution("other".into())));
-        assert!(!is_cancelled(&SgqError::Timeout { limit_ms: 1 }));
     }
 }

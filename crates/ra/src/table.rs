@@ -26,7 +26,6 @@
 //! canonical order (semi-join, selection, renaming, prefix projection)
 //! skip the re-sort entirely.
 
-use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 use sgq_common::{ColId, FxHashMap, FxHashSet, Result};
@@ -163,6 +162,13 @@ impl Relation {
         &self.data
     }
 
+    /// The flattened row-major data, owned: the buffer itself when
+    /// nothing else shares it (an operator's output), a copy otherwise
+    /// (a base-table scan).
+    pub fn into_flat(self) -> Vec<u32> {
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
+    }
+
     /// Whether two relations share the same underlying row buffer — the
     /// zero-copy pin used by tests: a cloned or positionally renamed
     /// base-table scan must share, never copy.
@@ -276,158 +282,47 @@ impl Relation {
         Relation::new(self.cols.clone(), data)
     }
 
-    /// Natural join on shared column ids (hash join, smaller side built).
+    /// Natural join on shared column ids: a hash join through a
+    /// [`JoinIndex`] over `other`. Output schema: self's columns, then
+    /// other's non-shared columns.
     pub fn join(&self, other: &Relation) -> Relation {
-        self.join_checked(other, &mut || Ok(()))
-            .expect("no-op poll cannot fail")
-    }
-
-    /// [`Relation::join`] with a cooperative poll invoked periodically
-    /// inside the probe loop, so deadlines fire mid-operator.
-    pub fn join_checked(
-        &self,
-        other: &Relation,
-        poll: &mut dyn FnMut() -> Result<()>,
-    ) -> Result<Relation> {
-        let shared: Vec<ColId> = self
-            .cols
-            .iter()
-            .filter(|&&c| other.col_index(c).is_some())
-            .copied()
+        let shared = self.cols.iter().filter(|c| other.cols.contains(c));
+        let (self_key, other_key): (Vec<usize>, Vec<usize>) = shared
+            .map(|&c| (self.col_index(c).unwrap(), other.col_index(c).unwrap()))
+            .unzip();
+        let extra: Vec<usize> = (0..other.arity())
+            .filter(|&i| !self.cols.contains(&other.cols[i]))
             .collect();
-        let (build, probe, build_is_self) = if self.len() <= other.len() {
-            (self, other, true)
-        } else {
-            (other, self, false)
-        };
-        let build_key: Vec<usize> = shared
-            .iter()
-            .map(|&c| build.col_index(c).unwrap())
-            .collect();
-        let probe_key: Vec<usize> = shared
-            .iter()
-            .map(|&c| probe.col_index(c).unwrap())
-            .collect();
-        // Output schema: self's cols then other's non-shared cols.
-        let extra: Vec<(usize, ColId)> = other
-            .cols
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| self.col_index(c).is_none())
-            .map(|(i, &c)| (i, c))
-            .collect();
-        let out_cols: Vec<ColId> = self
-            .cols
-            .iter()
-            .copied()
-            .chain(extra.iter().map(|&(_, c)| c))
-            .collect();
-
+        let cols = self.cols.iter().copied();
+        let cols: Vec<ColId> = cols.chain(extra.iter().map(|&i| other.cols[i])).collect();
+        let index =
+            JoinIndex::build(other, &other_key, &mut || Ok(())).expect("no-op poll cannot fail");
         let mut data: Vec<u32> = Vec::new();
-        {
-            let mut emit = |build_row: &[u32], probe_row: &[u32]| {
-                let (self_row, other_row) = if build_is_self {
-                    (build_row, probe_row)
-                } else {
-                    (probe_row, build_row)
-                };
-                data.extend_from_slice(self_row);
-                for &(oi, _) in &extra {
-                    data.push(other_row[oi]);
-                }
-            };
-            // The dominant case is a one-column (arity-2 ⋈ arity-2) join:
-            // key on a single u32 instead of hashing a Vec per row.
-            match build_key.len() {
-                0 => hash_join(build, probe, |_| (), |_| (), &mut emit, poll)?,
-                1 => {
-                    let (bk, pk) = (build_key[0], probe_key[0]);
-                    hash_join(build, probe, |r| r[bk], |r| r[pk], &mut emit, poll)?;
-                }
-                2 => {
-                    let (b0, b1) = (build_key[0], build_key[1]);
-                    let (p0, p1) = (probe_key[0], probe_key[1]);
-                    hash_join(
-                        build,
-                        probe,
-                        |r| pack2(r[b0], r[b1]),
-                        |r| pack2(r[p0], r[p1]),
-                        &mut emit,
-                        poll,
-                    )?;
-                }
-                _ => hash_join(
-                    build,
-                    probe,
-                    |r| build_key.iter().map(|&k| r[k]).collect::<Vec<u32>>(),
-                    |r| probe_key.iter().map(|&k| r[k]).collect::<Vec<u32>>(),
-                    &mut emit,
-                    poll,
-                )?,
+        for row in self.rows() {
+            for &oi in index.probe(row, &self_key) {
+                data.extend_from_slice(row);
+                data.extend(extra.iter().map(|&i| other.row(oi as usize)[i]));
             }
         }
-        normalize_flat(out_cols.len(), &mut data);
-        Ok(Relation::new(out_cols, data))
+        normalize_flat(cols.len(), &mut data);
+        Relation::new(cols, data)
     }
 
-    /// Semi-join `self ⋉ other` on shared column ids. Filtering preserves
-    /// canonical order, so the result needs no re-sort.
+    /// Semi-join `self ⋉ other` on shared column ids, through
+    /// [`SemiKeys`]. Filtering preserves canonical order, so the result
+    /// needs no re-sort.
     pub fn semijoin(&self, other: &Relation) -> Relation {
-        self.semijoin_checked(other, &mut || Ok(()))
-            .expect("no-op poll cannot fail")
-    }
-
-    /// [`Relation::semijoin`] with a cooperative poll invoked periodically
-    /// inside the scan loop.
-    pub fn semijoin_checked(
-        &self,
-        other: &Relation,
-        poll: &mut dyn FnMut() -> Result<()>,
-    ) -> Result<Relation> {
-        let shared: Vec<ColId> = self
-            .cols
-            .iter()
-            .filter(|&&c| other.col_index(c).is_some())
-            .copied()
-            .collect();
-        if shared.is_empty() {
-            return Ok(if other.is_empty() {
-                Relation::empty(self.cols.clone())
-            } else {
-                self.clone()
-            });
+        let shared = self.cols.iter().filter(|c| other.cols.contains(c));
+        let (self_key, other_key): (Vec<usize>, Vec<usize>) = shared
+            .map(|&c| (self.col_index(c).unwrap(), other.col_index(c).unwrap()))
+            .unzip();
+        let keys =
+            SemiKeys::build(other, &other_key, &mut || Ok(())).expect("no-op poll cannot fail");
+        let mut data = Vec::new();
+        for row in self.rows().filter(|row| keys.contains(row, &self_key)) {
+            data.extend_from_slice(row);
         }
-        let self_key: Vec<usize> = shared.iter().map(|&c| self.col_index(c).unwrap()).collect();
-        let other_key: Vec<usize> = shared
-            .iter()
-            .map(|&c| other.col_index(c).unwrap())
-            .collect();
-        let data = match self_key.len() {
-            // Single-u32 keys: the dominant label-filter semi-join.
-            1 => {
-                let (sk, ok) = (self_key[0], other_key[0]);
-                semi_filter(self, other, |r| r[sk], |r| r[ok], poll)?
-            }
-            2 => {
-                let (s0, s1) = (self_key[0], self_key[1]);
-                let (o0, o1) = (other_key[0], other_key[1]);
-                semi_filter(
-                    self,
-                    other,
-                    |r| pack2(r[s0], r[s1]),
-                    |r| pack2(r[o0], r[o1]),
-                    poll,
-                )?
-            }
-            _ => semi_filter(
-                self,
-                other,
-                |r| self_key.iter().map(|&k| r[k]).collect::<Vec<u32>>(),
-                |r| other_key.iter().map(|&k| r[k]).collect::<Vec<u32>>(),
-                poll,
-            )?,
-        };
-        Ok(Relation::new(self.cols.clone(), data))
+        Relation::new(self.cols.clone(), data)
     }
 
     /// Union (same column ids required). Both inputs are canonical, so
@@ -846,62 +741,48 @@ impl SemiKeys {
     }
 }
 
-/// Hash-join skeleton shared by all key widths: builds an index over
-/// `build`, probes with `probe`, polling every [`POLL_MASK`]+1 rows.
-fn hash_join<K: Eq + Hash>(
-    build: &Relation,
-    probe: &Relation,
-    build_key: impl Fn(&[u32]) -> K,
-    probe_key: impl Fn(&[u32]) -> K,
-    emit: &mut impl FnMut(&[u32], &[u32]),
-    poll: &mut dyn FnMut() -> Result<()>,
-) -> Result<()> {
-    let mut index: FxHashMap<K, Vec<u32>> = FxHashMap::default();
-    for (i, row) in build.rows().enumerate() {
-        if i & POLL_MASK == 0 {
-            poll()?;
-        }
-        index.entry(build_key(row)).or_default().push(i as u32);
-    }
-    for (i, probe_row) in probe.rows().enumerate() {
-        if i & POLL_MASK == 0 {
-            poll()?;
-        }
-        if let Some(matches) = index.get(&probe_key(probe_row)) {
-            for &bi in matches {
-                emit(build.row(bi as usize), probe_row);
-            }
+/// Nested-loop natural join straight from the definition — the reference
+/// the join operators are tested against, sharing no code with them.
+#[cfg(test)]
+fn nested_loop_join(r: &Relation, s: &Relation) -> Relation {
+    let extra: Vec<usize> = (0..s.arity())
+        .filter(|&j| r.col_index(s.cols()[j]).is_none())
+        .collect();
+    let cols = r.cols().iter().copied();
+    let cols: Vec<ColId> = cols.chain(extra.iter().map(|&j| s.cols()[j])).collect();
+    let mut rows = Vec::new();
+    for x in r.rows() {
+        for y in s.rows().filter(|y| rows_agree(r, x, s, y)) {
+            rows.push(
+                x.iter()
+                    .copied()
+                    .chain(extra.iter().map(|&j| y[j]))
+                    .collect(),
+            );
         }
     }
-    Ok(())
+    Relation::from_rows(cols, rows)
 }
 
-/// Semi-join skeleton shared by all key widths: hashes `other`'s keys,
-/// filters `left`'s rows in order, polling every [`POLL_MASK`]+1 rows.
-fn semi_filter<K: Eq + Hash>(
-    left: &Relation,
-    other: &Relation,
-    left_key: impl Fn(&[u32]) -> K,
-    other_key: impl Fn(&[u32]) -> K,
-    poll: &mut dyn FnMut() -> Result<()>,
-) -> Result<Vec<u32>> {
-    let mut keys: FxHashSet<K> = FxHashSet::default();
-    for (i, row) in other.rows().enumerate() {
-        if i & POLL_MASK == 0 {
-            poll()?;
-        }
-        keys.insert(other_key(row));
-    }
-    let mut data = Vec::new();
-    for (i, row) in left.rows().enumerate() {
-        if i & POLL_MASK == 0 {
-            poll()?;
-        }
-        if keys.contains(&left_key(row)) {
-            data.extend_from_slice(row);
-        }
-    }
-    Ok(data)
+/// The semi-join twin of [`nested_loop_join`].
+#[cfg(test)]
+fn nested_loop_semijoin(r: &Relation, s: &Relation) -> Relation {
+    let kept = r
+        .rows()
+        .filter(|x| s.rows().any(|y| rows_agree(r, x, s, y)));
+    Relation::from_rows(r.cols().to_vec(), kept.map(<[u32]>::to_vec))
+}
+
+/// Whether row `x` of `r` and row `y` of `s` coincide on every column id
+/// the two schemas share.
+#[cfg(test)]
+fn rows_agree(r: &Relation, x: &[u32], s: &Relation, y: &[u32]) -> bool {
+    let mut shared = r
+        .cols()
+        .iter()
+        .zip(x)
+        .filter_map(|(&c, &v)| Some((s.col_index(c)?, v)));
+    shared.all(|(j, v)| y[j] == v)
 }
 
 #[cfg(test)]
@@ -1039,8 +920,9 @@ mod tests {
         let r = rel(&[0, 1], &[&[1, 10], &[1, 11], &[2, 20]]);
         let s = rel(&[0, 2], &[&[1, 100], &[1, 101], &[3, 300]]);
         let mj = r.merge_join_checked(&s, 1, &mut || Ok(())).unwrap();
-        let hj = r.join(&s);
-        assert_eq!(mj, hj);
+        let reference = nested_loop_join(&r, &s);
+        assert_eq!(mj, reference);
+        assert_eq!(r.join(&s), reference);
         assert_eq!(mj.cols(), &[c(0), c(1), c(2)]);
         assert_eq!(mj.len(), 4);
     }
@@ -1050,7 +932,7 @@ mod tests {
         let r = rel(&[0, 1], &[&[1, 2], &[3, 4]]);
         let s = rel(&[0, 1], &[&[1, 2], &[3, 5]]);
         let mj = r.merge_join_checked(&s, 2, &mut || Ok(())).unwrap();
-        assert_eq!(mj, r.join(&s));
+        assert_eq!(mj, nested_loop_join(&r, &s));
     }
 
     #[test]
@@ -1058,7 +940,9 @@ mod tests {
         let r = rel(&[0, 1], &[&[1, 10], &[1, 11], &[2, 20], &[3, 30]]);
         let f = rel(&[0], &[&[1], &[3]]);
         let msj = r.merge_semijoin_checked(&f, 1, &mut || Ok(())).unwrap();
-        assert_eq!(msj, r.semijoin(&f));
+        let reference = nested_loop_semijoin(&r, &f);
+        assert_eq!(msj, reference);
+        assert_eq!(r.semijoin(&f), reference);
         assert_eq!(msj.len(), 3);
     }
 
@@ -1167,10 +1051,11 @@ mod tests {
     #[test]
     fn checked_operators_propagate_poll_errors() {
         let r = rel(&[0, 1], &[&[1, 10], &[2, 20]]);
-        let s = rel(&[1, 2], &[&[10, 100]]);
         let mut fail = || Err(sgq_common::SgqError::Timeout { limit_ms: 0 });
-        assert!(r.join_checked(&s, &mut fail).is_err());
-        assert!(r.semijoin_checked(&s, &mut fail).is_err());
+        for key in [&[0][..], &[0, 1]] {
+            assert!(JoinIndex::build(&r, key, &mut fail).is_err());
+            assert!(SemiKeys::build(&r, key, &mut fail).is_err());
+        }
     }
 }
 
@@ -1198,22 +1083,12 @@ mod proptests {
             let mut rng = Rng::seed_from_u64(seed);
             let r = arb_rel(&mut rng, &[0, 1]);
             let s = arb_rel(&mut rng, &[1, 2]);
-            let j = r.join(&s);
-            let mut expect: Vec<Vec<u32>> = Vec::new();
-            for x in r.rows() {
-                for y in s.rows() {
-                    if x[1] == y[0] {
-                        expect.push(vec![x[0], x[1], y[1]]);
-                    }
-                }
-            }
-            let expect =
-                Relation::from_rows(vec![ColId::new(0), ColId::new(1), ColId::new(2)], expect);
-            assert_eq!(j, expect, "seed {seed}");
+            assert_eq!(r.join(&s), nested_loop_join(&r, &s), "seed {seed}");
         }
     }
 
-    /// Semi-join is the join projected back onto the left schema.
+    /// Semi-join agrees with the nested-loop definition, and is the join
+    /// projected back onto the left schema.
     #[test]
     fn semijoin_matches_projected_join() {
         for seed in 0..128u64 {
@@ -1221,6 +1096,7 @@ mod proptests {
             let r = arb_rel(&mut rng, &[0, 1]);
             let s = arb_rel(&mut rng, &[1, 2]);
             let sj = r.semijoin(&s);
+            assert_eq!(sj, nested_loop_semijoin(&r, &s), "seed {seed}");
             let expect = r.join(&s).project(&[ColId::new(0), ColId::new(1)]);
             assert_eq!(sj, expect, "seed {seed}");
         }
@@ -1246,18 +1122,21 @@ mod proptests {
         }
     }
 
-    /// Merge join/semi-join agree with the hash implementations on
-    /// prefix-aligned schemas.
+    /// Merge and hash join/semi-join agree with the nested-loop
+    /// definition on prefix-aligned schemas.
     #[test]
     fn merge_operators_match_hash_operators() {
         for seed in 0..128u64 {
             let mut rng = Rng::seed_from_u64(seed ^ 0x6a31);
             let r = arb_rel(&mut rng, &[0, 1]);
             let s = arb_rel(&mut rng, &[0, 2]);
+            let (join, semijoin) = (nested_loop_join(&r, &s), nested_loop_semijoin(&r, &s));
             let mj = r.merge_join_checked(&s, 1, &mut || Ok(())).unwrap();
-            assert_eq!(mj, r.join(&s), "merge join seed {seed}");
+            assert_eq!(mj, join, "merge join seed {seed}");
+            assert_eq!(r.join(&s), join, "hash join seed {seed}");
             let msj = r.merge_semijoin_checked(&s, 1, &mut || Ok(())).unwrap();
-            assert_eq!(msj, r.semijoin(&s), "merge semijoin seed {seed}");
+            assert_eq!(msj, semijoin, "merge semijoin seed {seed}");
+            assert_eq!(r.semijoin(&s), semijoin, "hash semijoin seed {seed}");
         }
     }
 

@@ -67,7 +67,7 @@ pub mod service;
 
 pub use cache::{schema_fingerprint, CacheKey, CacheOutcome, CacheStats, PlanCache};
 pub use metrics::{LatencyHistogram, MetricsRegistry, MetricsSnapshot};
-pub use prepared::{prepare, Approach, Backend, PreparedBody, PreparedQuery};
+pub use prepared::{prepare, Answer, Approach, Backend, PreparedQuery};
 pub use retry::{retry_with_backoff, retrying, RetryPolicy};
 pub use service::{
     PendingQuery, QueryOptions, QueryResponse, QueryStats, Service, ServiceConfig, Session,

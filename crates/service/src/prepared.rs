@@ -8,6 +8,13 @@
 //! `lib.rs`), so one `Arc<PreparedQuery>` is shared by every session and
 //! worker that executes the same statement; execution never re-enters
 //! the front-end.
+//!
+//! [`PreparedQuery::execute`] is the one way a statement runs — the
+//! service, the measurement runner and the replay driver all call it —
+//! and the one place the body kinds are told apart: whichever backend
+//! the statement was prepared for runs under the limits of the caller's
+//! [`ExecContext`] (deadline, row and memory budgets, fault plan) and
+//! leaves its counters there.
 
 use std::time::Instant;
 
@@ -15,8 +22,11 @@ use sgq_algebra::ast::PathExpr;
 use sgq_algebra::display::path_to_string;
 use sgq_common::Result;
 use sgq_core::pipeline::{rewrite_path, RewriteOptions, RewriteOutcome};
-use sgq_graph::GraphSchema;
+use sgq_engine::GraphEngine;
+use sgq_graph::{GraphDatabase, GraphSchema};
+use sgq_obs::TraceClock;
 use sgq_query::cqt::Ucqt;
+use sgq_ra::exec::{execute_plan, execute_plan_traced_at, ExecContext, ExecTrace};
 use sgq_ra::{PhysPlan, RelStore};
 use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
 
@@ -27,7 +37,7 @@ pub use sgq_common::{Approach, Backend};
 
 /// The executable body of a prepared query.
 #[derive(Debug)]
-pub enum PreparedBody {
+enum PreparedBody {
     /// The schema proves the query empty (rewrite outcome ∅): execution
     /// returns no rows without touching either engine.
     Empty,
@@ -72,11 +82,6 @@ impl PreparedQuery {
         &self.columns
     }
 
-    /// The executable body.
-    pub fn body(&self) -> &PreparedBody {
-        &self.body
-    }
-
     /// Whether the schema proved the query empty at prepare time.
     pub fn is_provably_empty(&self) -> bool {
         matches!(self.body, PreparedBody::Empty)
@@ -94,6 +99,56 @@ impl PreparedQuery {
     pub fn prepare_micros(&self) -> u64 {
         self.prepare_micros
     }
+
+    /// Runs the statement on the backend it was prepared for, under
+    /// `ctx`: the graph engine over `db` or the plan interpreter over
+    /// `store` polls `ctx`'s deadline, records into its row counter and
+    /// memory budget and visits its fault plan; a statement the schema
+    /// proved empty touches neither. With a `trace` clock a relational
+    /// execution also returns its operator trace (the graph engine has
+    /// no plan nodes to trace).
+    pub fn execute(
+        &self,
+        db: &GraphDatabase,
+        store: &RelStore,
+        ctx: &mut ExecContext,
+        trace: Option<TraceClock>,
+    ) -> Result<(Answer, Option<ExecTrace>)> {
+        let (flat, ops) = match &self.body {
+            PreparedBody::Empty => (Vec::new(), None),
+            PreparedBody::Graph(query) => {
+                let rows = GraphEngine::with_limits(db, ctx.limits()).run_ucqt(query)?;
+                (rows.iter().flatten().map(|n| n.raw()).collect(), None)
+            }
+            PreparedBody::Relational(plan) => match trace {
+                Some(clock) => {
+                    let (rel, ops) = execute_plan_traced_at(plan, store, ctx, clock)?;
+                    (rel.into_flat(), Some(ops))
+                }
+                None => (execute_plan(plan, store, ctx)?.into_flat(), None),
+            },
+        };
+        let arity = self.columns.len();
+        Ok((Answer { arity, flat }, ops))
+    }
+}
+
+/// The answer of one execution: canonical (sorted, deduplicated) rows of
+/// raw node ids, flattened row-major — the same value whichever backend
+/// produced it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Answer {
+    /// Values per row (the statement's column count, never 0).
+    pub arity: usize,
+    /// The rows, `arity` values each.
+    pub flat: Vec<u32>,
+}
+
+impl Answer {
+    /// The rows in lexicographic order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[u32]> {
+        self.flat.chunks_exact(self.arity)
+    }
 }
 
 /// The canonical text of a path expression: parse-normalised rendering,
@@ -106,7 +161,8 @@ pub fn canonical_text(expr: &PathExpr, schema: &GraphSchema) -> String {
 ///
 /// For [`Approach::Schema`] the paper's rewrite runs first; an `∅`
 /// outcome (the schema proves the query unsatisfiable) yields a
-/// [`PreparedBody::Empty`] statement that executes for free. Relational
+/// statement that [is provably empty](PreparedQuery::is_provably_empty)
+/// and executes for free. Relational
 /// backends then translate to RA, optionally optimise, and lower to a
 /// physical plan against `store`.
 pub fn prepare(
@@ -209,7 +265,7 @@ mod tests {
             RewriteOptions::default(),
         )
         .unwrap();
-        assert!(matches!(p.body(), PreparedBody::Graph(_)));
+        assert!(matches!(p.body, PreparedBody::Graph(_)));
         assert!(p.plan().is_none());
     }
 

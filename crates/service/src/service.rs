@@ -20,15 +20,14 @@ use sgq_algebra::ast::PathExpr;
 use sgq_algebra::parser::parse_path;
 use sgq_common::{faultpoint, relation_bytes, FaultPlan, ResourceGovernor, Result, SgqError};
 use sgq_core::pipeline::RewriteOptions;
-use sgq_engine::GraphEngine;
 use sgq_graph::{GraphDatabase, GraphSchema};
 use sgq_obs::{QueryTrace, SlowQueryLog, TagValue, Tracer};
-use sgq_ra::exec::{ExecContext, ExecTrace};
+use sgq_ra::exec::ExecContext;
 use sgq_ra::{LayoutKind, RelStore, TaskScheduler};
 
 use crate::cache::{schema_fingerprint, CacheKey, CacheOutcome, PlanCache};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::prepared::{prepare, Approach, Backend, PreparedBody, PreparedQuery};
+use crate::prepared::{prepare, Approach, Backend, PreparedQuery};
 
 /// Default q-error divergence between a cached plan's root estimate and
 /// the feedback memo's observation beyond which the plan is considered
@@ -172,7 +171,7 @@ pub struct QueryOptions {
     pub analyze: bool,
     /// Per-query memory-budget override in bytes
     /// (`None` = [`ServiceConfig::query_memory_limit`]; `Some(0)` =
-    /// unlimited for this call). Relational backend only.
+    /// unlimited for this call).
     pub max_memory: Option<usize>,
 }
 
@@ -204,8 +203,8 @@ pub struct QueryStats {
     pub exec_micros: u64,
     /// End-to-end latency from submission (µs).
     pub total_micros: u64,
-    /// Rows materialised by the relational interpreter (0 for the graph
-    /// backend, which counts pairs internally).
+    /// Rows materialised by the relational interpreter, or pairs by the
+    /// graph engine's path evaluation.
     pub rows_materialized: usize,
 }
 
@@ -249,8 +248,8 @@ struct Core {
     /// job blocking on morsels queued behind other jobs in the same
     /// FIFO would deadlock.
     exec_scheduler: OnceLock<Arc<TaskScheduler>>,
-    /// Memory governor every relational query charges its materialised
-    /// state into (per-query + global ceilings, pressure signal).
+    /// Memory governor every query charges its materialised state into
+    /// (per-query + global ceilings, pressure signal).
     governor: Arc<ResourceGovernor>,
     /// The fault plan this service's fault points consult; `None`
     /// (always, outside robustness tests) makes them inert.
@@ -703,17 +702,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Execution-side counters captured for the trace's `execute` span.
-#[derive(Clone, Copy, Default)]
-struct ExecCounters {
-    rows_materialized: usize,
-    morsels: usize,
-    hash_builds: usize,
-    step_cache_hits: usize,
-    fixpoint_rounds: usize,
-    replans: usize,
-}
-
 fn outcome_str(o: CacheOutcome) -> &'static str {
     match o {
         CacheOutcome::Hit => "hit",
@@ -752,95 +740,41 @@ fn run_query(
             prepared.prepare_micros()
         }
     };
-    let max_rows = opts.max_rows.unwrap_or(core.config.default_max_rows);
-    let mut counters = ExecCounters::default();
-    let mut exec_trace: Option<ExecTrace> = None;
     let exec_start = Instant::now();
-    let exec_result: Result<Vec<Vec<u32>>> = (|| {
-        match prepared.body() {
-            PreparedBody::Empty => Ok(Vec::new()),
-            PreparedBody::Graph(query) => {
-                // The deadline started at submission: hand the engine only
-                // what remains of the budget, rounded *up* to whole ms so a
-                // sub-millisecond remainder is not truncated into a spurious
-                // timeout.
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(SgqError::Timeout {
-                        limit_ms: timeout_ms,
-                    });
-                }
-                let remaining_ms = remaining.as_nanos().div_ceil(1_000_000) as u64;
-                let mut engine = GraphEngine::with_timeout(&core.db, remaining_ms);
-                engine.set_max_pairs(max_rows);
-                // The engine only knows the remaining budget; report the
-                // configured timeout (matching the relational path).
-                let rows = engine.run_ucqt(query).map_err(|e| match e {
-                    SgqError::Timeout { .. } => SgqError::Timeout {
-                        limit_ms: timeout_ms,
-                    },
-                    other => other,
-                })?;
-                Ok(rows
-                    .iter()
-                    .map(|r| r.iter().map(|n| n.raw()).collect())
-                    .collect())
-            }
-            PreparedBody::Relational(plan) => {
-                let mut ctx = ExecContext::new();
-                ctx.deadline = Some(deadline);
-                ctx.limit_ms = timeout_ms;
-                ctx.max_rows = max_rows;
-                ctx.replan_factor = core.config.replan_factor;
-                // Every relational query charges its materialised bytes
-                // into the shared governor; the budget handle releases
-                // the balance when this arm returns (success, error or
-                // deadline alike), so the governor reads zero between
-                // queries.
-                let query_limit = opts.max_memory.unwrap_or(core.config.query_memory_limit);
-                ctx.budget = Some(core.governor.begin(query_limit));
-                ctx.faults = faults.clone();
-                let dop = opts
-                    .dop
-                    .unwrap_or(core.config.default_dop)
-                    .clamp(1, core.config.max_dop.max(1));
-                if dop > 1 {
-                    ctx.dop = dop;
-                    ctx.parallel_threshold = core.config.parallel_row_threshold;
-                    ctx.morsel_rows = core.config.morsel_rows.max(1);
-                    ctx.set_scheduler(core.scheduler());
-                }
-                let ran = if traced {
-                    sgq_ra::exec::execute_plan_traced_at(
-                        plan,
-                        &core.store,
-                        &mut ctx,
-                        core.tracer.clock(),
-                    )
-                    .map(|(rel, trace)| {
-                        exec_trace = Some(trace);
-                        rel
-                    })
-                } else {
-                    sgq_ra::execute_plan(plan, &core.store, &mut ctx)
-                };
-                core.metrics.record_parallel(ctx.morsels_executed);
-                core.metrics
-                    .record_scans(core.store.layout_kind(), ctx.scans);
-                counters = ExecCounters {
-                    rows_materialized: ctx.rows_materialized(),
-                    morsels: ctx.morsels_executed,
-                    hash_builds: ctx.hash_builds,
-                    step_cache_hits: ctx.cache_hits,
-                    fixpoint_rounds: ctx.fixpoint_rounds,
-                    replans: ctx.replans,
-                };
-                let rel = ran?;
-                Ok(rel.rows().map(|r| r.to_vec()).collect())
-            }
-        }
-    })();
+    let mut ctx = ExecContext::new();
+    ctx.deadline = Some(deadline);
+    ctx.limit_ms = timeout_ms;
+    ctx.max_rows = opts.max_rows.unwrap_or(core.config.default_max_rows);
+    ctx.replan_factor = core.config.replan_factor;
+    // Every query, on either backend, charges its materialised bytes
+    // into the shared governor.
+    let query_limit = opts.max_memory.unwrap_or(core.config.query_memory_limit);
+    ctx.budget = Some(core.governor.begin(query_limit));
+    ctx.faults = faults.clone();
+    let dop = opts
+        .dop
+        .unwrap_or(core.config.default_dop)
+        .clamp(1, core.config.max_dop.max(1));
+    if dop > 1 {
+        ctx.dop = dop;
+        ctx.parallel_threshold = core.config.parallel_row_threshold;
+        ctx.morsel_rows = core.config.morsel_rows.max(1);
+        ctx.set_scheduler(core.scheduler());
+    }
+    let clock = traced.then(|| core.tracer.clock());
+    let ran = prepared.execute(&core.db, &core.store, &mut ctx, clock);
+    // The budget handle releases the balance here — success, error or
+    // deadline alike; a panic drops the context — so the governor reads
+    // zero between queries.
+    ctx.budget = None;
     let exec_micros = exec_start.elapsed().as_micros() as u64;
+    core.metrics.record_parallel(ctx.morsels_executed);
+    core.metrics
+        .record_scans(core.store.layout_kind(), ctx.scans);
+    let (exec_result, mut exec_trace) = match ran {
+        Ok((answer, trace)) => (Ok(answer), trace),
+        Err(e) => (Err(e), None),
+    };
     let total_micros = submitted.elapsed().as_micros() as u64;
     let analyze_json = match (&exec_result, exec_trace.as_ref(), prepared.plan()) {
         (Ok(_), Some(trace), Some(plan)) if opts.analyze => Some(
@@ -858,7 +792,7 @@ fn run_query(
         let mut root_tags: Vec<(&'static str, TagValue)> = vec![
             ("backend", format!("{:?}", prepared.backend()).into()),
             ("cache", outcome_str(cache).into()),
-            ("replans", counters.replans.into()),
+            ("replans", ctx.replans.into()),
         ];
         if let Err(e) = &exec_result {
             root_tags.push(("error", e.to_string().into()));
@@ -882,11 +816,11 @@ fn run_query(
             tb.add_span("prepare", cache_span, start, dur, Vec::new());
         }
         let exec_tags: Vec<(&'static str, TagValue)> = vec![
-            ("rows_materialized", counters.rows_materialized.into()),
-            ("morsels", counters.morsels.into()),
-            ("hash_builds", counters.hash_builds.into()),
-            ("step_cache_hits", counters.step_cache_hits.into()),
-            ("fixpoint_rounds", counters.fixpoint_rounds.into()),
+            ("rows_materialized", ctx.rows_materialized().into()),
+            ("morsels", ctx.morsels_executed.into()),
+            ("hash_builds", ctx.hash_builds.into()),
+            ("step_cache_hits", ctx.cache_hits.into()),
+            ("fixpoint_rounds", ctx.fixpoint_rounds.into()),
         ];
         tb.add_span(
             "execute",
@@ -905,9 +839,9 @@ fn run_query(
         }
         core.slow_log.offer(total_micros, || trace);
     }
-    let rows = exec_result?;
+    let answer = exec_result?;
     Ok(QueryResponse {
-        rows,
+        rows: answer.rows().map(<[u32]>::to_vec).collect(),
         columns: prepared.columns().to_vec(),
         stats: QueryStats {
             cache,
@@ -915,7 +849,7 @@ fn run_query(
             prepare_micros,
             exec_micros,
             total_micros,
-            rows_materialized: counters.rows_materialized,
+            rows_materialized: ctx.rows_materialized(),
         },
         analyze_json,
     })

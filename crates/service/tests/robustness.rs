@@ -1,14 +1,17 @@
 //! Robustness acceptance tests for the query service.
 //!
-//! * Memory budgets: a query exceeding its budget aborts with
-//!   `BudgetExceeded` while a concurrent in-budget query on the same
-//!   service completes, and the governor balances back to zero.
+//! * Memory budgets: a query exceeding its budget — on either backend —
+//!   aborts with `BudgetExceeded` while a concurrent in-budget query on
+//!   the same service completes, and the governor balances back to zero.
 //! * Deadlines: expiry mid-fixpoint and mid-morsel under every physical
-//!   storage layout yields a prompt timeout error, a zero governor
-//!   balance, and a pool that accepts the next query.
-//! * Panic containment: an injected worker panic surfaces to the caller
-//!   as `SgqError::Internal`, is counted in metrics, and leaves the
-//!   worker healthy.
+//!   storage layout, and mid-evaluation on the graph backend, yields a
+//!   timeout error, a zero governor balance, and a pool that accepts the
+//!   next query. The expiry is a `FaultKind::Expire` site, so it strikes
+//!   where the test says, not where the wall clock happens to.
+//! * Panic containment: an injected worker panic — in the service, on a
+//!   morsel worker or inside the graph engine — surfaces to the caller as
+//!   `SgqError::Internal`, is counted in metrics, and leaves the worker
+//!   healthy.
 //! * Fault isolation: a fault plan is a value armed on one service; a
 //!   second service in the same process never sees its faults.
 
@@ -17,7 +20,7 @@ use std::sync::{Arc, Barrier};
 use sgq_common::fault::{FaultConfig, FaultKind, FaultPlan};
 use sgq_datasets::yago::{self, YagoConfig};
 use sgq_ra::LayoutKind;
-use sgq_service::{QueryOptions, Service, ServiceConfig};
+use sgq_service::{Backend, QueryOptions, Service, ServiceConfig};
 
 fn service_with(config: ServiceConfig) -> Service {
     let (schema, db) = yago::generate(YagoConfig::tiny());
@@ -101,45 +104,70 @@ fn per_call_override_can_lift_the_configured_budget() {
     service.shutdown();
 }
 
-/// Drives one query through a decreasing-timeout loop under the given
-/// config: starting from a deadline the warm query comfortably meets,
-/// halve until expiry strikes mid-execution (timeout 0 deterministically
-/// expires, so the loop always terminates). After every timeout the
-/// governor must read zero and the pool must accept the next query.
-fn assert_deadline_expiry_is_graceful(config: ServiceConfig, query: &str, opts: &QueryOptions) {
+#[test]
+fn graph_queries_are_charged_to_the_governor() {
+    let service = service_with(ServiceConfig::with_workers(1));
+    let session = service.session();
+    let graph = QueryOptions {
+        backend: Backend::Graph,
+        use_cache: false,
+        ..Default::default()
+    };
+    let reference = session.execute("owns/isLocatedIn+", &graph).unwrap();
+    assert!(reference.stats.rows_materialized > 0);
+
+    let tight = QueryOptions {
+        max_memory: Some(16), // 16 bytes: the third pair already breaches
+        ..graph
+    };
+    let err = session.execute("owns/isLocatedIn+", &tight).unwrap_err();
+    assert!(err.is_budget(), "expected BudgetExceeded, got: {err}");
+    assert_eq!(service.governor().used(), 0);
+    assert_eq!(service.governor().active_queries(), 0);
+    assert!(service.metrics().errors_memory_budget >= 1);
+
+    let next = session.execute("owns/isLocatedIn+", &graph).unwrap();
+    assert_eq!(next.rows, reference.rows);
+    service.shutdown();
+}
+
+/// Expires `query`'s deadline at fault site `site` — mid-execution by
+/// construction — and asserts the expiry is graceful:
+/// a classified timeout naming the configured limit, a governor back at
+/// zero, and a service that answers the same query correctly next.
+fn assert_deadline_expiry_is_graceful(
+    config: ServiceConfig,
+    query: &str,
+    opts: &QueryOptions,
+    site: &'static str,
+) {
     let service = service_with(config);
     let session = service.session();
-
     // Warm pass (also fills the plan cache): the reference rows.
     let reference = session.execute(query, opts).expect("warm pass");
-    let warm_micros = reference.stats.total_micros.max(1);
 
-    let mut timeout_ms = (warm_micros / 1000).max(2);
-    let mut saw_timeout = false;
-    loop {
-        let attempt = QueryOptions {
-            timeout_ms: Some(timeout_ms),
-            ..*opts
-        };
-        match session.execute(query, &attempt) {
-            Ok(resp) => assert_eq!(resp.rows, reference.rows),
-            Err(e) => {
-                assert!(e.is_timeout(), "deadline expiry must classify: {e}");
-                saw_timeout = true;
-                // Partial state of the cancelled query is fully released.
-                assert_eq!(service.governor().used(), 0, "governor leaked");
-                assert_eq!(service.governor().active_queries(), 0);
-                // The worker survived: the next query is admitted and runs.
-                let next = session.execute(query, opts).expect("pool serves on");
-                assert_eq!(next.rows, reference.rows);
-            }
-        }
-        if timeout_ms == 0 {
-            break;
-        }
-        timeout_ms /= 2;
-    }
-    assert!(saw_timeout, "timeout 0 must expire");
+    let faults = FaultPlan::new(FaultConfig {
+        seed: 1,
+        probability: 1.0,
+        site: Some(site),
+        kind: FaultKind::Expire,
+    });
+    service.set_fault_plan(Some(Arc::clone(&faults)));
+    let err = session.execute(query, opts).unwrap_err();
+    assert!(err.is_timeout(), "deadline expiry must classify: {err}");
+    let limit_ms = ServiceConfig::default().default_timeout_ms;
+    assert!(err.to_string().contains(&limit_ms.to_string()), "{err}");
+    // (Morsels already in flight may each reach the site once more.)
+    assert!(faults.fired()[site] >= 1);
+    service.set_fault_plan(None);
+
+    // Partial state of the cancelled query is fully released.
+    assert_eq!(service.governor().used(), 0, "governor leaked");
+    assert_eq!(service.governor().active_queries(), 0);
+    assert_eq!(service.metrics().timeouts, 1);
+    // The worker survived: the next query is admitted and runs.
+    let next = session.execute(query, opts).expect("pool serves on");
+    assert_eq!(next.rows, reference.rows);
     service.shutdown();
 }
 
@@ -152,7 +180,8 @@ fn deadline_expiry_mid_fixpoint_is_graceful_under_every_layout() {
             ..Default::default()
         };
         // `influences+` is a transitive closure: rounds of a fixpoint.
-        assert_deadline_expiry_is_graceful(config, "influences+", &QueryOptions::default());
+        let opts = QueryOptions::default();
+        assert_deadline_expiry_is_graceful(config, "influences+", &opts, "exec.fixpoint_round");
     }
 }
 
@@ -174,20 +203,63 @@ fn deadline_expiry_mid_morsel_is_graceful_under_every_layout() {
             dop: Some(4),
             ..Default::default()
         };
-        assert_deadline_expiry_is_graceful(config, "owns/isLocatedIn+", &opts);
+        assert_deadline_expiry_is_graceful(config, "owns/isLocatedIn+", &opts, "exec.morsel");
     }
 }
 
 #[test]
+fn deadline_expiry_mid_graph_evaluation_is_graceful() {
+    let config = ServiceConfig::with_workers(1);
+    let opts = QueryOptions {
+        backend: Backend::Graph,
+        ..Default::default()
+    };
+    assert_deadline_expiry_is_graceful(config, "owns/isLocatedIn+", &opts, "engine.eval");
+}
+
+/// The real-clock path: a deadline that has passed by the time a worker
+/// picks the query up expires it at the first poll, on both backends.
+#[test]
+fn an_already_expired_deadline_is_a_timeout_on_both_backends() {
+    let service = service_with(ServiceConfig::with_workers(1));
+    let session = service.session();
+    for backend in [Backend::Relational, Backend::Graph] {
+        let opts = QueryOptions {
+            backend,
+            timeout_ms: Some(0),
+            ..Default::default()
+        };
+        let err = session.execute("influences+", &opts).unwrap_err();
+        assert!(err.is_timeout(), "{backend}: {err}");
+        assert_eq!(service.governor().used(), 0);
+        let roomy = QueryOptions {
+            backend,
+            ..Default::default()
+        };
+        assert!(!session
+            .execute("influences+", &roomy)
+            .unwrap()
+            .rows
+            .is_empty());
+    }
+    service.shutdown();
+}
+
+#[test]
 fn injected_worker_panic_is_contained_as_internal_error() {
-    // A panic on the job's own thread (`service.dispatch`) and one on a
+    // A panic on the job's own thread (`service.dispatch`), one on a
     // morsel worker (`exec.morsel`, every operator forced parallel),
-    // which must travel back to the job before it can be contained. On
-    // its own thread under a watchdog: a lost morsel panic shows as a
-    // query that never answers.
+    // which must travel back to the job before it can be contained, and
+    // one inside the graph engine (`engine.eval`). On its own thread
+    // under a watchdog: a lost morsel panic shows as a query that never
+    // answers.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let body = std::thread::spawn(move || {
-        for site in ["service.dispatch", "exec.morsel"] {
+        for (site, backend) in [
+            ("service.dispatch", Backend::Relational),
+            ("exec.morsel", Backend::Relational),
+            ("engine.eval", Backend::Graph),
+        ] {
             let service = service_with(ServiceConfig {
                 default_dop: 4,
                 max_dop: 4,
@@ -196,7 +268,10 @@ fn injected_worker_panic_is_contained_as_internal_error() {
                 ..ServiceConfig::with_workers(1)
             });
             let session = service.session();
-            let opts = QueryOptions::default();
+            let opts = QueryOptions {
+                backend,
+                ..Default::default()
+            };
             let reference = session.execute("influences+", &opts).unwrap();
 
             let faults = FaultPlan::new(FaultConfig {
@@ -215,7 +290,7 @@ fn injected_worker_panic_is_contained_as_internal_error() {
             service.set_fault_plan(None);
 
             let m = service.metrics();
-            assert!(m.worker_panics >= 1, "containment is counted: {m}");
+            assert_eq!(m.worker_panics, 1, "containment is counted: {m}");
             assert_eq!(service.governor().used(), 0);
 
             // The same worker serves the next query, disarmed.
