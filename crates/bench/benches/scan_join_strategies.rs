@@ -192,89 +192,6 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // --- Mid-flight re-planning at the hash-join boundary. ---
-    // Poison the feedback memo so the planner builds the big join side;
-    // execution detects the blowup at the materialisation boundary and
-    // flips the build side. The poisoned-vs-reference delta is the
-    // plan-switch latency; on non-replanned queries the trigger check
-    // must cost nothing (asserted < 5%).
-    store.index_joins = false;
-    store.feedback.clear();
-    let join_t = RaTerm::join(scan(likes, w, y), scan(knows, y, z));
-    let p_ref = plan(&join_t, &store).unwrap();
-    let (big_term, big_len) = {
-        let (l, k) = (store.edge_table(likes).len(), store.edge_table(knows).len());
-        if l >= k {
-            (scan(likes, w, y), l)
-        } else {
-            (scan(knows, y, z), k)
-        }
-    };
-    store
-        .feedback
-        .observe(sgq_ra::cost::fingerprint(&big_term, &store), 0);
-    let p_poisoned = plan(&join_t, &store).unwrap();
-    store.feedback.clear();
-    store.index_joins = true;
-    let mut ctx = ExecContext::new();
-    let flipped = execute_plan(&p_poisoned, &store, &mut ctx).unwrap();
-    assert_eq!(
-        ctx.replans, 1,
-        "the poisoned build side ({big_len} rows, estimated 0) must flip"
-    );
-    let mut ctx = ExecContext::new();
-    let reference = execute_plan(&p_ref, &store, &mut ctx).unwrap();
-    assert_eq!(ctx.replans, 0);
-    assert_eq!(flipped, reference, "the flip must not change results");
-    let time_min = |p: &sgq_ra::PhysPlan, replan_factor: f64| {
-        let reps = 20;
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let mut ctx = ExecContext::new();
-            ctx.replan_factor = replan_factor;
-            let start = std::time::Instant::now();
-            std::hint::black_box(execute_plan(p, &store, &mut ctx).unwrap());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let t_poisoned = time_min(&p_poisoned, sgq_ra::exec::REPLAN_FACTOR);
-    let t_reference = time_min(&p_ref, sgq_ra::exec::REPLAN_FACTOR);
-    println!(
-        "replan trigger: poisoned-plan flip {:.3} ms vs reference {:.3} ms \
-         (plan-switch latency {:+.1}%)",
-        t_poisoned * 1e3,
-        t_reference * 1e3,
-        (t_poisoned / t_reference - 1.0) * 100.0
-    );
-    let t_guarded = time_min(&p_ref, sgq_ra::exec::REPLAN_FACTOR);
-    let t_unguarded = time_min(&p_ref, 0.0);
-    let overhead = t_guarded / t_unguarded - 1.0;
-    println!(
-        "replan trigger overhead on a non-replanned query: {:+.2}% \
-         (guarded {:.3} ms, unguarded {:.3} ms)",
-        overhead * 100.0,
-        t_guarded * 1e3,
-        t_unguarded * 1e3
-    );
-    assert!(
-        overhead < 0.05,
-        "replan trigger must be free on non-replanned queries: {:+.2}%",
-        overhead * 100.0
-    );
-    group.bench_function("replan/poisoned_build_flip", |b| {
-        b.iter(|| {
-            let mut ctx = ExecContext::new();
-            execute_plan(&p_poisoned, &store, &mut ctx).unwrap()
-        })
-    });
-    group.bench_function("replan/reference_no_flip", |b| {
-        b.iter(|| {
-            let mut ctx = ExecContext::new();
-            execute_plan(&p_ref, &store, &mut ctx).unwrap()
-        })
-    });
-
     // --- The closure fixpoint: CSR probes vs cached hash builds. ---
     let closure = closure_fixpoint(s.recvar("X"), scan(is_part_of, x, y), x, y, m);
     let p_index = plan(&closure, &store).unwrap();

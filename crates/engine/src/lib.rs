@@ -13,12 +13,10 @@
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod backend;
 pub mod conjunctive;
 pub mod patheval;
 pub mod rows;
 
-pub use aggregate::{aggregate, grouped_count, Aggregate};
 pub use backend::{GraphEngine, Rows};
 pub use patheval::{eval_seeded, EvalCounters, Seeds};

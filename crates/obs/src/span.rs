@@ -353,14 +353,13 @@ pub const OP_SPAN_CAP: usize = 65_536;
 /// by the (single-threaded) interpreter, so recording is two `Vec`
 /// pushes and an `Instant` read per operator — no locks, no atomics.
 ///
-/// The builder also maintains the per-node `actuals` and `replanned`
-/// vectors that `explain_analyze` renders, which is what unifies the
-/// explain path and the tracer on one recording.
+/// The builder also maintains the per-node `actuals` vector that
+/// `explain_analyze` renders, which is what unifies the explain path
+/// and the tracer on one recording.
 #[derive(Debug)]
 pub struct OpTraceBuilder {
     clock: TraceClock,
     actuals: Vec<usize>,
-    replanned: Vec<bool>,
     spans: Vec<OpSpan>,
     /// Child-time accumulators for the open evaluations: `enter` pushes
     /// a zero, `exit` pops its own accumulator and adds its inclusive
@@ -375,7 +374,6 @@ impl OpTraceBuilder {
         OpTraceBuilder {
             clock,
             actuals: vec![0; node_count],
-            replanned: vec![false; node_count],
             spans: Vec::new(),
             stack: Vec::new(),
         }
@@ -429,21 +427,14 @@ impl OpTraceBuilder {
         }
     }
 
-    /// Flags node `node` as re-planned mid-flight.
-    pub fn mark_replanned(&mut self, node: u32) {
-        if let Some(b) = self.replanned.get_mut(node as usize) {
-            *b = true;
-        }
-    }
-
     /// Rows recorded so far for `node`.
     pub fn rows_of(&self, node: u32) -> usize {
         self.actuals.get(node as usize).copied().unwrap_or(0)
     }
 
-    /// Consumes the builder: `(actuals, replanned, spans)`.
-    pub fn finish(self) -> (Vec<usize>, Vec<bool>, Vec<OpSpan>) {
-        (self.actuals, self.replanned, self.spans)
+    /// Consumes the builder: `(actuals, spans)`.
+    pub fn finish(self) -> (Vec<usize>, Vec<OpSpan>) {
+        (self.actuals, self.spans)
     }
 }
 
@@ -497,11 +488,9 @@ mod tests {
         let s1 = ob.enter();
         ob.exit(1, "NodeScan", 4.0, 3, s1);
         ob.exit(0, "HashJoin", 10.0, 8, s0);
-        ob.mark_replanned(0);
         assert_eq!(ob.rows_of(1), 8);
-        let (actuals, replanned, spans) = ob.finish();
+        let (actuals, spans) = ob.finish();
         assert_eq!(actuals, vec![8, 8, 0]);
-        assert_eq!(replanned, vec![true, false, false]);
         assert_eq!(spans.len(), 3);
         let parent = spans.last().unwrap();
         assert_eq!(parent.node, 0);
@@ -524,7 +513,7 @@ mod tests {
         let s1 = ob.enter();
         ob.exit_err(s1);
         ob.exit(0, "Union", 1.0, 2, s0);
-        let (actuals, _, spans) = ob.finish();
+        let (actuals, spans) = ob.finish();
         assert_eq!(actuals, vec![2, 0]);
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].node, 0);

@@ -18,13 +18,13 @@
 //! Fixpoints are evaluated semi-naively against the pre-planned step.
 //! Per [`mod@crate::plan`]'s marking, every recursion-independent input is
 //! computed once and cached; a hash join whose build side is static
-//! caches the *built hash table* ([`JoinIndex`]), so later rounds only
-//! re-scan the delta probe; hash semi-join key sets ([`SemiKeys`])
-//! cache the same way. Index (semi-)joins probe the store's load-time
-//! CSR adjacency lists directly — the absorbed edge table is never
-//! materialised, no hash table is built in any round, and node-label
-//! endpoint filters run as binary searches in the store's sorted label
-//! sets.
+//! caches the *built hash table* (a [`KeyMap`] of build row ids), so
+//! later rounds only re-scan the delta probe; hash semi-join key sets
+//! (a [`KeyMap`] of `()`) cache the same way. Index (semi-)joins probe
+//! the store's load-time CSR adjacency lists directly — the absorbed
+//! edge table is never materialised, no hash table is built in any
+//! round, and node-label endpoint filters run as binary searches in the
+//! store's sorted label sets.
 //!
 //! **One kernel per probe-side operator.** The probe side of hash/index
 //! (semi-)joins and the scan side of hashed filtered scans are each one
@@ -56,14 +56,8 @@ use sgq_obs::{OpSpan, OpTraceBuilder, TraceClock};
 
 use crate::parallel::{self, TaskScheduler};
 use crate::plan::{plan, PhysOp, PhysPlan};
-use crate::table::{normalize_flat, JoinIndex, Relation, SemiKeys, POLL_MASK};
+use crate::table::{normalize_flat, KeyMap, Relation, POLL_MASK};
 use crate::term::RaTerm;
-
-/// Default mid-flight re-planning trigger: a hash-join build side whose
-/// actual row count exceeds its estimate by at least this factor (and
-/// exceeds the already-materialised probe side) flips the build side at
-/// the materialisation boundary. See [`ExecContext::replan_factor`].
-pub const REPLAN_FACTOR: f64 = 64.0;
 
 /// Execution context: the fixpoint environment, a cooperative deadline,
 /// work counters, and the degree-of-parallelism knob.
@@ -108,13 +102,9 @@ pub struct ExecContext {
     /// multi-label and denormalised scans alike) — the service buckets
     /// this per storage layout (`scans_by_layout`).
     pub scans: usize,
-    /// Mid-flight re-planning trigger: when a hash-join build side
-    /// materialises at least `replan_factor` × its estimated rows *and*
-    /// more rows than the already-materialised probe side, the executor
-    /// flips the build side — both intermediates are spliced in as base
-    /// relations of the corrected join. `0.0` disables re-planning.
-    pub replan_factor: f64,
-    /// Mid-flight re-plans performed (build sides flipped).
+    /// Always 0: nothing increments it since the mid-flight build-side
+    /// flip was retired (ROADMAP 8(b)). Retained only because the
+    /// benchmark's binding surface reads it; ROADMAP item 5(d) removes it.
     pub replans: usize,
     /// The scheduler parallel sections run on: lent through
     /// [`ExecContext::set_scheduler`], or spawned (`dop` workers) by the
@@ -147,7 +137,6 @@ impl Default for ExecContext {
             parallel_threshold: crate::cost::PARALLEL_ROW_THRESHOLD,
             morsels_executed: 0,
             scans: 0,
-            replan_factor: REPLAN_FACTOR,
             replans: 0,
             scheduler: None,
             budget: None,
@@ -268,9 +257,6 @@ pub fn execute_plan(
 pub struct ExecTrace {
     /// Total rows each operator produced (summed over fixpoint rounds).
     pub actuals: Vec<usize>,
-    /// Whether each operator was re-planned mid-flight (its hash-join
-    /// build side flipped after the estimate proved wrong).
-    pub replanned: Vec<bool>,
     /// One span per operator evaluation: kind, est vs actual rows,
     /// inclusive and self time (a fixpoint's `RecRef` gets one span per
     /// round, carrying that round's delta).
@@ -278,7 +264,7 @@ pub struct ExecTrace {
 }
 
 /// [`execute_plan`] with per-node tracing: returns the result and an
-/// [`ExecTrace`] of per-operator spans, actual rows and re-plan flags.
+/// [`ExecTrace`] of per-operator spans and actual rows.
 pub fn execute_plan_traced(
     p: &PhysPlan,
     store: &crate::storage::RelStore,
@@ -302,19 +288,13 @@ pub fn execute_plan_traced_at(
         ops: Some(OpTraceBuilder::new(p.node_count(), clock)),
     };
     let rel = interp.eval(p, None)?;
-    let (actuals, replanned, spans) = interp.ops.take().expect("tracing was enabled").finish();
-    Ok((
-        rel,
-        ExecTrace {
-            actuals,
-            replanned,
-            spans,
-        },
-    ))
+    let (actuals, spans) = interp.ops.take().expect("tracing was enabled").finish();
+    Ok((rel, ExecTrace { actuals, spans }))
 }
 
 /// Intermediates cached across the rounds of one fixpoint, keyed by the
-/// plan-node id that produced them.
+/// plan-node id that produced them. Clones are reference bumps.
+#[derive(Clone)]
 enum Cached {
     /// A static subtree's full result.
     Rel(Relation),
@@ -322,10 +302,10 @@ enum Cached {
     /// (`Arc`-shared so parallel morsel workers probe it read-only).
     Build {
         rel: Relation,
-        index: Arc<JoinIndex>,
+        index: Arc<KeyMap<Vec<u32>>>,
     },
     /// A static semi-join filter's key set, shared the same way.
-    Keys(Arc<SemiKeys>),
+    Keys(Arc<KeyMap<()>>),
 }
 
 type StepCache = FxHashMap<u32, Cached>;
@@ -365,15 +345,6 @@ impl Interp<'_> {
     fn observe(&mut self, p: &PhysPlan, rel: &Relation) {
         if p.is_static() {
             self.store.feedback.observe(p.fp, rel.len());
-        }
-    }
-
-    /// Counts a mid-flight re-plan at node `p` (and flags it for
-    /// `EXPLAIN ANALYZE` when tracing).
-    fn mark_replanned(&mut self, p: &PhysPlan) {
-        self.ctx.replans += 1;
-        if let Some(ops) = self.ops.as_mut() {
-            ops.mark_replanned(p.id);
         }
     }
 
@@ -477,12 +448,12 @@ impl Interp<'_> {
                     return self.hash_semi_filter(p, edges, filter, key, cache);
                 }
                 let frel = self.eval(filter, cache.as_deref_mut())?;
-                edges.merge_semijoin_checked(&frel, key.len(), &mut || self.limits.poll())?
+                edges.merge_semijoin_checked(&frel, key.len(), &self.limits)?
             }
             PhysOp::MergeJoin { left, right, key } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
                 let r = self.eval(right, cache)?;
-                l.merge_join_checked(&r, key.len(), &mut || self.limits.poll())?
+                l.merge_join_checked(&r, key.len(), &self.limits)?
             }
             PhysOp::HashJoin {
                 left,
@@ -505,70 +476,20 @@ impl Interp<'_> {
                     .filter(|(_, c)| !left.cols.contains(c))
                     .map(|(i, _)| i)
                     .collect();
-                // A static build side inside a fixpoint: build the hash
-                // table once, probe it with every round's delta.
-                if build_plan.is_static() {
-                    if let Some(c) = cache.as_deref_mut() {
-                        match c.entry(p.id) {
-                            std::collections::hash_map::Entry::Occupied(_) => {
-                                self.ctx.cache_hits += 1;
-                            }
-                            std::collections::hash_map::Entry::Vacant(slot) => {
-                                let rel = self.eval(build_plan, None)?;
-                                self.limits.fault("exec.hash_build")?;
-                                let index =
-                                    Arc::new(JoinIndex::build(&rel, &build_key_pos, &mut || {
-                                        self.limits.poll()
-                                    })?);
-                                self.ctx.hash_builds += 1;
-                                slot.insert(Cached::Build { rel, index });
-                            }
-                        }
-                        let Some(Cached::Build { rel, index }) = c.get(&p.id) else {
-                            unreachable!("just inserted")
-                        };
-                        let (rel, index) = (rel.clone(), Arc::clone(index));
-                        return self.probe_join(
-                            p,
-                            rel,
-                            index,
-                            probe_rel,
-                            *build_left,
-                            probe_key_pos,
-                            right_extra_pos,
-                        );
-                    }
-                }
-                let rel = self.eval(build_plan, cache)?;
-                // Mid-flight re-planning at the materialisation boundary:
-                // both join inputs are relations now, so if the planned
-                // build side blew past its estimate by the replan factor
-                // and is larger than the probe actually is, hash the
-                // smaller side instead — the materialised intermediates
-                // are spliced into the corrected join as base relations.
-                // (The cached static-build path above is exempt: its hash
-                // table amortises over every fixpoint round.)
-                let flip = self.ctx.replan_factor > 0.0
-                    && rel.len() as f64 >= build_plan.est.rows.max(1.0) * self.ctx.replan_factor
-                    && probe_rel.len() < rel.len();
-                let (build_rel, build_pos, probe_rel, probe_pos, build_left) = if flip {
-                    self.mark_replanned(p);
-                    (probe_rel, probe_key_pos, rel, build_key_pos, !*build_left)
-                } else {
-                    (rel, build_key_pos, probe_rel, probe_key_pos, *build_left)
+                let built = self.build_side(p, build_plan, cache, |rel, limits| {
+                    let index = Arc::new(KeyMap::build(&rel, &build_key_pos, limits)?);
+                    Ok(Cached::Build { rel, index })
+                })?;
+                let Cached::Build { rel, index } = built else {
+                    unreachable!("a hash join's cache slot holds its build side")
                 };
-                self.limits.fault("exec.hash_build")?;
-                let index = Arc::new(JoinIndex::build(&build_rel, &build_pos, &mut || {
-                    self.limits.poll()
-                })?);
-                self.ctx.hash_builds += 1;
                 return self.probe_join(
                     p,
-                    build_rel,
+                    rel,
                     index,
                     probe_rel,
-                    build_left,
-                    probe_pos,
+                    *build_left,
+                    probe_key_pos,
                     right_extra_pos,
                 );
             }
@@ -715,7 +636,7 @@ impl Interp<'_> {
             PhysOp::MergeSemiJoin { left, right, key } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
                 let r = self.eval(right, cache)?;
-                l.merge_semijoin_checked(&r, key.len(), &mut || self.limits.poll())?
+                l.merge_semijoin_checked(&r, key.len(), &self.limits)?
             }
             PhysOp::HashSemiJoin { left, right, key } => {
                 let l = self.eval(left, cache.as_deref_mut())?;
@@ -873,7 +794,7 @@ impl Interp<'_> {
         &mut self,
         p: &PhysPlan,
         build: Relation,
-        index: Arc<JoinIndex>,
+        index: Arc<KeyMap<Vec<u32>>>,
         probe: Relation,
         build_left: bool,
         key_pos: Vec<usize>,
@@ -886,7 +807,7 @@ impl Interp<'_> {
                 if i & POLL_MASK == 0 {
                     limits.poll()?;
                 }
-                for &bi in index.probe(prow, &key_pos) {
+                for &bi in index.get(prow, &key_pos).into_iter().flatten() {
                     let brow = build.row(bi as usize);
                     let (lrow, rrow) = if build_left {
                         (brow, prow)
@@ -905,18 +826,32 @@ impl Interp<'_> {
         self.run_ranges(p, len, Combine::Merge, kernel)
     }
 
-    /// Evaluates a semi-join's filter side and collects its key set.
-    fn build_keys(
+    /// The build half of hash (semi-)join `p`: evaluates `side` and keys
+    /// it with `build` — or, for a static side inside a fixpoint, hands
+    /// back what the first round built, so every later round only probes.
+    fn build_side(
         &mut self,
-        filter: &PhysPlan,
-        filter_key_pos: &[usize],
+        p: &PhysPlan,
+        side: &PhysPlan,
         cache: Option<&mut StepCache>,
-    ) -> Result<Arc<SemiKeys>> {
-        let frel = self.eval(filter, cache)?;
+        build: impl FnOnce(Relation, &Limits) -> Result<Cached>,
+    ) -> Result<Cached> {
+        let (slot, cache) = match cache {
+            Some(c) if side.is_static() => (Some(c), None),
+            cache => (None, cache),
+        };
+        if let Some(hit) = slot.as_ref().and_then(|c| c.get(&p.id)) {
+            self.ctx.cache_hits += 1;
+            return Ok(hit.clone());
+        }
+        let rel = self.eval(side, cache)?;
         self.limits.fault("exec.hash_build")?;
-        let keys = SemiKeys::build(&frel, filter_key_pos, &mut || self.limits.poll())?;
+        let built = build(rel, &self.limits)?;
         self.ctx.hash_builds += 1;
-        Ok(Arc::new(keys))
+        if let Some(c) = slot {
+            c.insert(p.id, built.clone());
+        }
+        Ok(built)
     }
 
     /// Filters `left` (whose schema is `p`'s) by a (possibly cached) key
@@ -932,20 +867,12 @@ impl Interp<'_> {
     ) -> Result<Relation> {
         let key_pos = positions(left.cols(), key);
         let filter_key_pos = positions(&filter.cols, key);
-        let keys = match cache {
-            // A static filter inside a fixpoint: collect its key set
-            // once, filter every round's rows against it.
-            Some(c) if filter.is_static() => {
-                if let Some(Cached::Keys(keys)) = c.get(&p.id) {
-                    self.ctx.cache_hits += 1;
-                    Arc::clone(keys)
-                } else {
-                    let keys = self.build_keys(filter, &filter_key_pos, None)?;
-                    c.insert(p.id, Cached::Keys(Arc::clone(&keys)));
-                    keys
-                }
-            }
-            cache => self.build_keys(filter, &filter_key_pos, cache)?,
+        let built = self.build_side(p, filter, cache, |rel, limits| {
+            let keys = KeyMap::build(&rel, &filter_key_pos, limits)?;
+            Ok(Cached::Keys(Arc::new(keys)))
+        })?;
+        let Cached::Keys(keys) = built else {
+            unreachable!("a hash semi-join's cache slot holds its key set")
         };
         let len = left.len();
         let kernel = move |range: Range<usize>, limits: &Limits| {
@@ -954,7 +881,7 @@ impl Interp<'_> {
                 if i & POLL_MASK == 0 {
                     limits.poll()?;
                 }
-                if keys.contains(row, &key_pos) {
+                if keys.get(row, &key_pos).is_some() {
                     data.extend_from_slice(row);
                 }
             }
@@ -1430,43 +1357,6 @@ mod tests {
         let p = plan(&f, &store).unwrap();
         assert!(p.memo_est);
         assert_eq!(p.est.rows, r.len() as f64);
-    }
-
-    #[test]
-    fn poisoned_estimate_triggers_mid_flight_replan() {
-        // A hash join whose planned build side blows past its estimate
-        // (here: a memo poisoned with a 0-row observation) is corrected
-        // at the materialisation boundary: the executor flips the build
-        // side, splicing both materialised inputs into the corrected
-        // join. Results stay bit-identical.
-        let (db, mut store) = store();
-        store.index_joins = false;
-        let inner = scan(&db, &store, "isLocatedIn", "y", "z");
-        let t = RaTerm::join(scan(&db, &store, "owns", "x", "y"), inner.clone());
-        store
-            .feedback
-            .observe(crate::cost::fingerprint(&inner, &store), 0);
-        let p = plan(&t, &store).unwrap();
-        let PhysOp::HashJoin { build_left, .. } = &p.op else {
-            panic!("hash plan expected: {p:?}")
-        };
-        assert!(
-            !build_left,
-            "the poisoned 0-row estimate wins the build side: {p:?}"
-        );
-        let mut ctx = ExecContext::new();
-        // 4 actual rows against a sub-1 estimate: trip at 2×.
-        ctx.replan_factor = 2.0;
-        let (r, trace) = execute_plan_traced(&p, &store, &mut ctx).unwrap();
-        assert_eq!(ctx.replans, 1, "the build side was flipped once");
-        assert!(trace.replanned[p.id as usize]);
-        // Bit-identical to the reference executed without feedback.
-        store.feedback.clear();
-        let p_ref = plan(&t, &store).unwrap();
-        let mut ctx_ref = ExecContext::new();
-        let r_ref = execute_plan(&p_ref, &store, &mut ctx_ref).unwrap();
-        assert_eq!(ctx_ref.replans, 0);
-        assert_eq!(r, r_ref);
     }
 
     #[test]

@@ -86,10 +86,9 @@ pub fn explain_analyze(
 /// [`explain_analyze`]) and returns the result plus a JSON array with
 /// one object per plan node in pre-order — `id`, `op`, `depth`,
 /// `est_rows`, `est_cost`, `actual_rows`, `q_error`, and the feedback
-/// provenance flags `memo` (the estimate came from the runtime feedback
-/// memo) and `replanned` (the executor corrected the node mid-flight).
-/// Harness and tests read these fields instead of scraping the text
-/// renderer's lines.
+/// provenance flag `memo` (the estimate came from the runtime feedback
+/// memo). Harness and tests read these fields instead of scraping the
+/// text renderer's lines.
 pub fn explain_analyze_json(
     term: &RaTerm,
     store: &RelStore,
@@ -137,10 +136,6 @@ fn collect_json(
             JsonValue::Num(crate::cost::q_error(p.est.rows, actual as f64)),
         ),
         ("memo", JsonValue::Bool(p.memo_est)),
-        (
-            "replanned",
-            JsonValue::Bool(trace.replanned.get(p.id as usize).copied().unwrap_or(false)),
-        ),
     ]));
     for child in p.children() {
         collect_json(child, store, names, depth + 1, trace, out);
@@ -398,13 +393,8 @@ fn render(
     let line = match trace {
         Some(t) => {
             let actual = t.actuals.get(p.id as usize).copied().unwrap_or(0);
-            let replanned = if t.replanned.get(p.id as usize).copied().unwrap_or(false) {
-                " [replanned]"
-            } else {
-                ""
-            };
             format!(
-                "{} (cost = {:.2} rows = {:.0}{memo} actual = {actual} q = {:.2}){parallel}{replanned}\n",
+                "{} (cost = {:.2} rows = {:.0}{memo} actual = {actual} q = {:.2}){parallel}\n",
                 describe(p, names, &store.symbols),
                 p.est.cost,
                 p.est.rows,
@@ -560,7 +550,6 @@ mod tests {
         assert_eq!(field(&nodes[0], "actual_rows"), JsonValue::Int(1));
         assert_eq!(field(&nodes[0], "q_error"), JsonValue::Num(1.0));
         assert_eq!(field(&nodes[0], "memo"), JsonValue::Bool(false));
-        assert_eq!(field(&nodes[0], "replanned"), JsonValue::Bool(false));
         assert_eq!(field(&nodes[1], "depth"), JsonValue::Int(1));
         // And the tree renders as a well-formed document.
         assert!(

@@ -28,7 +28,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use sgq_common::{ColId, FxHashMap, FxHashSet, Result};
+use sgq_common::limits::Limits;
+use sgq_common::{ColId, FxHashMap, Result};
 
 /// A column identifier. Query variables become interned `v0`, `v1`, ...;
 /// the storage layer uses `Sr` / `Tr` like the paper's Fig. 11.
@@ -196,7 +197,7 @@ impl Relation {
         // Projecting onto a prefix of the lexicographic sort key keeps
         // rows sorted; only duplicates can appear.
         if positions.iter().copied().eq(0..positions.len()) {
-            dedup_sorted_flat(positions.len(), &mut data);
+            data = dedup_rows(data.len(), data.chunks_exact(positions.len()));
         } else {
             normalize_flat(positions.len(), &mut data);
         }
@@ -261,7 +262,7 @@ impl Relation {
             let mut it = runs.into_iter();
             while let Some(a) = it.next() {
                 match it.next() {
-                    Some(b) => next.push(merge_dedup_flat(arity, &a, &b)),
+                    Some(b) => next.push(merge_flat::<true>(arity, &a, &b)),
                     None => next.push(a),
                 }
             }
@@ -283,7 +284,7 @@ impl Relation {
     }
 
     /// Natural join on shared column ids: a hash join through a
-    /// [`JoinIndex`] over `other`. Output schema: self's columns, then
+    /// [`KeyMap`] over `other`. Output schema: self's columns, then
     /// other's non-shared columns.
     pub fn join(&self, other: &Relation) -> Relation {
         let shared = self.cols.iter().filter(|c| other.cols.contains(c));
@@ -295,11 +296,11 @@ impl Relation {
             .collect();
         let cols = self.cols.iter().copied();
         let cols: Vec<ColId> = cols.chain(extra.iter().map(|&i| other.cols[i])).collect();
-        let index =
-            JoinIndex::build(other, &other_key, &mut || Ok(())).expect("no-op poll cannot fail");
+        let index: KeyMap<Vec<u32>> =
+            KeyMap::build(other, &other_key, &Limits::default()).expect("inert limits cannot fail");
         let mut data: Vec<u32> = Vec::new();
         for row in self.rows() {
-            for &oi in index.probe(row, &self_key) {
+            for &oi in index.get(row, &self_key).into_iter().flatten() {
                 data.extend_from_slice(row);
                 data.extend(extra.iter().map(|&i| other.row(oi as usize)[i]));
             }
@@ -308,18 +309,18 @@ impl Relation {
         Relation::new(cols, data)
     }
 
-    /// Semi-join `self ⋉ other` on shared column ids, through
-    /// [`SemiKeys`]. Filtering preserves canonical order, so the result
-    /// needs no re-sort.
+    /// Semi-join `self ⋉ other` on shared column ids, through a
+    /// [`KeyMap`] key set. Filtering preserves canonical order, so the
+    /// result needs no re-sort.
     pub fn semijoin(&self, other: &Relation) -> Relation {
         let shared = self.cols.iter().filter(|c| other.cols.contains(c));
         let (self_key, other_key): (Vec<usize>, Vec<usize>) = shared
             .map(|&c| (self.col_index(c).unwrap(), other.col_index(c).unwrap()))
             .unzip();
-        let keys =
-            SemiKeys::build(other, &other_key, &mut || Ok(())).expect("no-op poll cannot fail");
+        let keys: KeyMap<()> =
+            KeyMap::build(other, &other_key, &Limits::default()).expect("inert limits cannot fail");
         let mut data = Vec::new();
-        for row in self.rows().filter(|row| keys.contains(row, &self_key)) {
+        for row in self.rows().filter(|row| keys.get(row, &self_key).is_some()) {
             data.extend_from_slice(row);
         }
         Relation::new(self.cols.clone(), data)
@@ -329,55 +330,14 @@ impl Relation {
     /// the result is a linear merge — no re-sort.
     pub fn union(&self, other: &Relation) -> Relation {
         assert_eq!(self.cols, other.cols, "union requires identical schemas");
-        let arity = self.arity();
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        let (n, m) = (self.len(), other.len());
-        while i < n && j < m {
-            match self.row(i).cmp(other.row(j)) {
-                std::cmp::Ordering::Less => {
-                    data.extend_from_slice(self.row(i));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    data.extend_from_slice(other.row(j));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    data.extend_from_slice(self.row(i));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        data.extend_from_slice(&self.data[i * arity..]);
-        data.extend_from_slice(&other.data[j * arity..]);
+        let data = merge_flat::<true>(self.arity(), &self.data, &other.data);
         Relation::new(self.cols.clone(), data)
     }
 
     /// Difference `self \ other` (same column ids; both canonical).
     pub fn difference(&self, other: &Relation) -> Relation {
         assert_eq!(self.cols, other.cols);
-        let mut data = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        let (n, m) = (self.len(), other.len());
-        while i < n && j < m {
-            match self.row(i).cmp(other.row(j)) {
-                std::cmp::Ordering::Less => {
-                    data.extend_from_slice(self.row(i));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        while i < n {
-            data.extend_from_slice(self.row(i));
-            i += 1;
-        }
+        let data = merge_flat::<false>(self.arity(), &self.data, &other.data);
         Relation::new(self.cols.clone(), data)
     }
 
@@ -413,7 +373,7 @@ impl Relation {
         &self,
         other: &Relation,
         key_len: usize,
-        poll: &mut dyn FnMut() -> Result<()>,
+        limits: &Limits,
     ) -> Result<Relation> {
         assert!(key_len >= 1, "merge join requires at least one key column");
         assert_eq!(
@@ -434,7 +394,7 @@ impl Relation {
         while i < n && j < m {
             steps += 1;
             if steps & POLL_MASK == 0 {
-                poll()?;
+                limits.poll()?;
             }
             let a = &self.row(i)[..key_len];
             let b = &other.row(j)[..key_len];
@@ -451,7 +411,7 @@ impl Relation {
                         for rj in j..j2 {
                             steps += 1;
                             if steps & POLL_MASK == 0 {
-                                poll()?;
+                                limits.poll()?;
                             }
                             data.extend_from_slice(self.row(li));
                             data.extend_from_slice(&other.row(rj)[key_len..]);
@@ -472,7 +432,7 @@ impl Relation {
         &self,
         other: &Relation,
         key_len: usize,
-        poll: &mut dyn FnMut() -> Result<()>,
+        limits: &Limits,
     ) -> Result<Relation> {
         assert!(
             key_len >= 1,
@@ -490,7 +450,7 @@ impl Relation {
         while i < n && j < m {
             steps += 1;
             if steps & POLL_MASK == 0 {
-                poll()?;
+                limits.poll()?;
             }
             let a = &self.row(i)[..key_len];
             let b = &other.row(j)[..key_len];
@@ -509,33 +469,38 @@ impl Relation {
     }
 }
 
-/// Merges two canonical flat buffers into one canonical flat buffer
-/// (the flat-buffer counterpart of [`Relation::union`]).
-fn merge_dedup_flat(arity: usize, a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// The one two-cursor merge over canonical flat runs `a` and `b`: their
+/// union, or with `UNION` off the difference `a \ b` — the same walk
+/// keeping only what `a` alone holds. Canonical in, canonical out.
+fn merge_flat<const UNION: bool>(arity: usize, a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(if UNION { a.len() + b.len() } else { 0 });
     let (mut i, mut j) = (0usize, 0usize);
-    let (n, m) = (a.len() / arity, b.len() / arity);
-    while i < n && j < m {
-        let ra = &a[i * arity..(i + 1) * arity];
-        let rb = &b[j * arity..(j + 1) * arity];
+    while i < a.len() && j < b.len() {
+        let (ra, rb) = (&a[i..i + arity], &b[j..j + arity]);
         match ra.cmp(rb) {
             std::cmp::Ordering::Less => {
                 out.extend_from_slice(ra);
-                i += 1;
+                i += arity;
             }
             std::cmp::Ordering::Greater => {
-                out.extend_from_slice(rb);
-                j += 1;
+                if UNION {
+                    out.extend_from_slice(rb);
+                }
+                j += arity;
             }
             std::cmp::Ordering::Equal => {
-                out.extend_from_slice(ra);
-                i += 1;
-                j += 1;
+                if UNION {
+                    out.extend_from_slice(ra);
+                }
+                i += arity;
+                j += arity;
             }
         }
     }
-    out.extend_from_slice(&a[i * arity..]);
-    out.extend_from_slice(&b[j * arity..]);
+    out.extend_from_slice(&a[i..]);
+    if UNION {
+        out.extend_from_slice(&b[j..]);
+    }
     out
 }
 
@@ -552,237 +517,109 @@ pub(crate) fn normalize_flat(arity: usize, data: &mut Vec<u32>) {
         data[a as usize * arity..(a as usize + 1) * arity]
             .cmp(&data[b as usize * arity..(b as usize + 1) * arity])
     });
-    let mut out = Vec::with_capacity(data.len());
-    let mut last: Option<&[u32]> = None;
-    for &i in &idx {
-        let row = &data[i as usize * arity..(i as usize + 1) * arity];
-        if last != Some(row) {
-            out.extend_from_slice(row);
-        }
-        last = Some(row);
-    }
-    *data = out;
-}
-
-/// Removes adjacent duplicate rows from a flat buffer (sufficient when
-/// rows are already sorted, e.g. after a prefix projection).
-fn dedup_sorted_flat(arity: usize, data: &mut Vec<u32>) {
-    if data.is_empty() {
-        return;
-    }
-    debug_assert!(arity >= 1);
-    let mut out = Vec::with_capacity(data.len());
-    let mut last: Option<&[u32]> = None;
-    for row in data.chunks_exact(arity) {
-        if last != Some(row) {
-            out.extend_from_slice(row);
-        }
-        last = Some(row);
-    }
-    *data = out;
-}
-
-/// A hash index over a build-side relation, keyed on a fixed set of
-/// column positions. Building it is the expensive half of a hash join;
-/// the physical executor builds it once per static fixpoint input and
-/// probes it with every round's delta.
-#[derive(Debug)]
-pub enum JoinIndex {
-    /// No shared columns: every build row matches every probe row.
-    All(Vec<u32>),
-    /// Single-column key (the dominant arity-2 join).
-    One(FxHashMap<u32, Vec<u32>>),
-    /// Two-column key packed into one `u64`.
-    Two(FxHashMap<u64, Vec<u32>>),
-    /// Three or more key columns.
-    Wide(FxHashMap<Vec<u32>, Vec<u32>>),
-}
-
-impl JoinIndex {
-    /// Builds the index over `rel`'s rows keyed at `key_pos`, polling the
-    /// cooperative deadline every few thousand rows.
-    pub fn build(
-        rel: &Relation,
-        key_pos: &[usize],
-        poll: &mut dyn FnMut() -> Result<()>,
-    ) -> Result<JoinIndex> {
-        Ok(match key_pos.len() {
-            0 => JoinIndex::All((0..rel.len() as u32).collect()),
-            1 => {
-                let k = key_pos[0];
-                let mut map: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-                for (i, row) in rel.rows().enumerate() {
-                    if i & POLL_MASK == 0 {
-                        poll()?;
-                    }
-                    map.entry(row[k]).or_default().push(i as u32);
-                }
-                JoinIndex::One(map)
-            }
-            2 => {
-                let (k0, k1) = (key_pos[0], key_pos[1]);
-                let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                for (i, row) in rel.rows().enumerate() {
-                    if i & POLL_MASK == 0 {
-                        poll()?;
-                    }
-                    map.entry(pack2(row[k0], row[k1]))
-                        .or_default()
-                        .push(i as u32);
-                }
-                JoinIndex::Two(map)
-            }
-            _ => {
-                let mut map: FxHashMap<Vec<u32>, Vec<u32>> = FxHashMap::default();
-                for (i, row) in rel.rows().enumerate() {
-                    if i & POLL_MASK == 0 {
-                        poll()?;
-                    }
-                    let key: Vec<u32> = key_pos.iter().map(|&k| row[k]).collect();
-                    map.entry(key).or_default().push(i as u32);
-                }
-                JoinIndex::Wide(map)
-            }
-        })
-    }
-
-    /// The build-row indices matching a probe row keyed at `key_pos`.
-    pub fn probe(&self, row: &[u32], key_pos: &[usize]) -> &[u32] {
-        const EMPTY: &[u32] = &[];
-        match self {
-            JoinIndex::All(all) => all,
-            JoinIndex::One(map) => map
-                .get(&row[key_pos[0]])
-                .map(Vec::as_slice)
-                .unwrap_or(EMPTY),
-            JoinIndex::Two(map) => map
-                .get(&pack2(row[key_pos[0]], row[key_pos[1]]))
-                .map(Vec::as_slice)
-                .unwrap_or(EMPTY),
-            JoinIndex::Wide(map) => {
-                let key: Vec<u32> = key_pos.iter().map(|&k| row[k]).collect();
-                map.get(&key).map(Vec::as_slice).unwrap_or(EMPTY)
-            }
-        }
-    }
-}
-
-/// The key set of a semi-join's right side — the build half of a hash
-/// semi-join, reusable across fixpoint rounds exactly like
-/// [`JoinIndex`].
-#[derive(Debug)]
-pub enum SemiKeys {
-    /// No shared columns: the semi-join keeps everything or nothing,
-    /// depending on whether the right side was non-empty.
-    Any(bool),
-    /// Single-column key.
-    One(FxHashSet<u32>),
-    /// Two-column key packed into one `u64`.
-    Two(FxHashSet<u64>),
-    /// Three or more key columns.
-    Wide(FxHashSet<Vec<u32>>),
-}
-
-impl SemiKeys {
-    /// Collects `rel`'s keys at `key_pos`, polling periodically.
-    pub fn build(
-        rel: &Relation,
-        key_pos: &[usize],
-        poll: &mut dyn FnMut() -> Result<()>,
-    ) -> Result<SemiKeys> {
-        Ok(match key_pos.len() {
-            0 => SemiKeys::Any(!rel.is_empty()),
-            1 => {
-                let k = key_pos[0];
-                let mut set: FxHashSet<u32> = FxHashSet::default();
-                for (i, row) in rel.rows().enumerate() {
-                    if i & POLL_MASK == 0 {
-                        poll()?;
-                    }
-                    set.insert(row[k]);
-                }
-                SemiKeys::One(set)
-            }
-            2 => {
-                let (k0, k1) = (key_pos[0], key_pos[1]);
-                let mut set: FxHashSet<u64> = FxHashSet::default();
-                for (i, row) in rel.rows().enumerate() {
-                    if i & POLL_MASK == 0 {
-                        poll()?;
-                    }
-                    set.insert(pack2(row[k0], row[k1]));
-                }
-                SemiKeys::Two(set)
-            }
-            _ => {
-                let mut set: FxHashSet<Vec<u32>> = FxHashSet::default();
-                for (i, row) in rel.rows().enumerate() {
-                    if i & POLL_MASK == 0 {
-                        poll()?;
-                    }
-                    set.insert(key_pos.iter().map(|&k| row[k]).collect::<Vec<u32>>());
-                }
-                SemiKeys::Wide(set)
-            }
-        })
-    }
-
-    /// Whether a left row keyed at `key_pos` has a match.
-    pub fn contains(&self, row: &[u32], key_pos: &[usize]) -> bool {
-        match self {
-            SemiKeys::Any(non_empty) => *non_empty,
-            SemiKeys::One(set) => set.contains(&row[key_pos[0]]),
-            SemiKeys::Two(set) => set.contains(&pack2(row[key_pos[0]], row[key_pos[1]])),
-            SemiKeys::Wide(set) => {
-                let key: Vec<u32> = key_pos.iter().map(|&k| row[k]).collect();
-                set.contains(&key)
-            }
-        }
-    }
-}
-
-/// Nested-loop natural join straight from the definition — the reference
-/// the join operators are tested against, sharing no code with them.
-#[cfg(test)]
-fn nested_loop_join(r: &Relation, s: &Relation) -> Relation {
-    let extra: Vec<usize> = (0..s.arity())
-        .filter(|&j| r.col_index(s.cols()[j]).is_none())
-        .collect();
-    let cols = r.cols().iter().copied();
-    let cols: Vec<ColId> = cols.chain(extra.iter().map(|&j| s.cols()[j])).collect();
-    let mut rows = Vec::new();
-    for x in r.rows() {
-        for y in s.rows().filter(|y| rows_agree(r, x, s, y)) {
-            rows.push(
-                x.iter()
-                    .copied()
-                    .chain(extra.iter().map(|&j| y[j]))
-                    .collect(),
-            );
-        }
-    }
-    Relation::from_rows(cols, rows)
-}
-
-/// The semi-join twin of [`nested_loop_join`].
-#[cfg(test)]
-fn nested_loop_semijoin(r: &Relation, s: &Relation) -> Relation {
-    let kept = r
-        .rows()
-        .filter(|x| s.rows().any(|y| rows_agree(r, x, s, y)));
-    Relation::from_rows(r.cols().to_vec(), kept.map(<[u32]>::to_vec))
-}
-
-/// Whether row `x` of `r` and row `y` of `s` coincide on every column id
-/// the two schemas share.
-#[cfg(test)]
-fn rows_agree(r: &Relation, x: &[u32], s: &Relation, y: &[u32]) -> bool {
-    let mut shared = r
-        .cols()
+    let sorted = idx
         .iter()
-        .zip(x)
-        .filter_map(|(&c, &v)| Some((s.col_index(c)?, v)));
-    shared.all(|(j, v)| y[j] == v)
+        .map(|&i| &data[i as usize * arity..(i as usize + 1) * arity]);
+    *data = dedup_rows(data.len(), sorted);
+}
+
+/// The one dedup loop: copies ascending `rows` into a fresh flat buffer,
+/// dropping adjacent duplicates (all of them, since equal rows of a
+/// sorted sequence are adjacent).
+fn dedup_rows<'a>(capacity: usize, rows: impl Iterator<Item = &'a [u32]>) -> Vec<u32> {
+    let mut out = Vec::with_capacity(capacity);
+    let mut last: Option<&[u32]> = None;
+    for row in rows {
+        if last != Some(row) {
+            out.extend_from_slice(row);
+        }
+        last = Some(row);
+    }
+    out
+}
+
+/// What a [`KeyMap`] holds per distinct key: a join collects the ids of
+/// the build rows carrying the key, a semi-join only that the key occurs.
+pub trait KeyValue: Default {
+    /// Notes that build row `row` carries this value's key.
+    fn add(&mut self, row: u32);
+}
+
+impl KeyValue for Vec<u32> {
+    fn add(&mut self, row: u32) {
+        self.push(row);
+    }
+}
+
+impl KeyValue for () {
+    fn add(&mut self, _row: u32) {}
+}
+
+/// A hash map over a build-side relation, keyed on a fixed set of column
+/// positions — the build half of a hash join (`V = Vec<u32>`: the build
+/// row ids per key) and of a hash semi-join (`V = ()`: the key set).
+/// Building it is the expensive half of either; the physical executor
+/// builds it once per static fixpoint input and probes it with every
+/// round's delta. One or two key columns hash a single `u32` / `u64`
+/// per row instead of allocating a `Vec<u32>` key.
+#[derive(Debug)]
+pub enum KeyMap<V> {
+    /// No key columns: every probe row sees the one value, which a join
+    /// fills with every build row; `None` over an empty build side.
+    Zero(Option<V>),
+    /// Single-column key (the dominant arity-2 join).
+    One(FxHashMap<u32, V>),
+    /// Two-column key packed into one `u64`.
+    Two(FxHashMap<u64, V>),
+    /// Three or more key columns.
+    Wide(FxHashMap<Vec<u32>, V>),
+}
+
+impl<V: KeyValue> KeyMap<V> {
+    /// Builds the map over `rel`'s rows keyed at `key_pos`, polling
+    /// `limits` every few thousand rows.
+    pub fn build(rel: &Relation, key_pos: &[usize], limits: &Limits) -> Result<KeyMap<V>> {
+        /// The one build loop, monomorphised per key width.
+        fn fill<K: std::hash::Hash + Eq, V: KeyValue>(
+            rel: &Relation,
+            limits: &Limits,
+            key: impl Fn(&[u32]) -> K,
+        ) -> Result<FxHashMap<K, V>> {
+            let mut map: FxHashMap<K, V> = FxHashMap::default();
+            for (i, row) in rel.rows().enumerate() {
+                if i & POLL_MASK == 0 {
+                    limits.poll()?;
+                }
+                map.entry(key(row)).or_default().add(i as u32);
+            }
+            Ok(map)
+        }
+        Ok(match *key_pos {
+            [] => {
+                let mut all = V::default();
+                (0..rel.len() as u32).for_each(|i| all.add(i));
+                KeyMap::Zero((!rel.is_empty()).then_some(all))
+            }
+            [k] => KeyMap::One(fill(rel, limits, |row| row[k])?),
+            [k0, k1] => KeyMap::Two(fill(rel, limits, |row| pack2(row[k0], row[k1]))?),
+            _ => KeyMap::Wide(fill(rel, limits, |row| {
+                key_pos.iter().map(|&k| row[k]).collect()
+            })?),
+        })
+    }
+
+    /// The value under the key of a probe row keyed at `key_pos`.
+    pub fn get(&self, row: &[u32], key_pos: &[usize]) -> Option<&V> {
+        match self {
+            KeyMap::Zero(all) => all.as_ref(),
+            KeyMap::One(map) => map.get(&row[key_pos[0]]),
+            KeyMap::Two(map) => map.get(&pack2(row[key_pos[0]], row[key_pos[1]])),
+            KeyMap::Wide(map) => {
+                let key: Vec<u32> = key_pos.iter().map(|&k| row[k]).collect();
+                map.get(&key)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -798,6 +635,47 @@ mod tests {
             cols.iter().map(|&i| c(i)).collect(),
             rows.iter().map(|r| r.to_vec()),
         )
+    }
+
+    /// Nested-loop natural join straight from the definition — the reference
+    /// the join operators are tested against, sharing no code with them.
+    pub(super) fn nested_loop_join(r: &Relation, s: &Relation) -> Relation {
+        let extra: Vec<usize> = (0..s.arity())
+            .filter(|&j| r.col_index(s.cols()[j]).is_none())
+            .collect();
+        let cols = r.cols().iter().copied();
+        let cols: Vec<ColId> = cols.chain(extra.iter().map(|&j| s.cols()[j])).collect();
+        let mut rows = Vec::new();
+        for x in r.rows() {
+            for y in s.rows().filter(|y| rows_agree(r, x, s, y)) {
+                rows.push(
+                    x.iter()
+                        .copied()
+                        .chain(extra.iter().map(|&j| y[j]))
+                        .collect(),
+                );
+            }
+        }
+        Relation::from_rows(cols, rows)
+    }
+
+    /// The semi-join twin of [`nested_loop_join`].
+    pub(super) fn nested_loop_semijoin(r: &Relation, s: &Relation) -> Relation {
+        let kept = r
+            .rows()
+            .filter(|x| s.rows().any(|y| rows_agree(r, x, s, y)));
+        Relation::from_rows(r.cols().to_vec(), kept.map(<[u32]>::to_vec))
+    }
+
+    /// Whether row `x` of `r` and row `y` of `s` coincide on every column id
+    /// the two schemas share.
+    fn rows_agree(r: &Relation, x: &[u32], s: &Relation, y: &[u32]) -> bool {
+        let mut shared = r
+            .cols()
+            .iter()
+            .zip(x)
+            .filter_map(|(&c, &v)| Some((s.col_index(c)?, v)));
+        shared.all(|(j, v)| y[j] == v)
     }
 
     #[test]
@@ -919,7 +797,7 @@ mod tests {
     fn merge_join_matches_hash_join() {
         let r = rel(&[0, 1], &[&[1, 10], &[1, 11], &[2, 20]]);
         let s = rel(&[0, 2], &[&[1, 100], &[1, 101], &[3, 300]]);
-        let mj = r.merge_join_checked(&s, 1, &mut || Ok(())).unwrap();
+        let mj = r.merge_join_checked(&s, 1, &Limits::default()).unwrap();
         let reference = nested_loop_join(&r, &s);
         assert_eq!(mj, reference);
         assert_eq!(r.join(&s), reference);
@@ -931,7 +809,7 @@ mod tests {
     fn merge_join_full_key() {
         let r = rel(&[0, 1], &[&[1, 2], &[3, 4]]);
         let s = rel(&[0, 1], &[&[1, 2], &[3, 5]]);
-        let mj = r.merge_join_checked(&s, 2, &mut || Ok(())).unwrap();
+        let mj = r.merge_join_checked(&s, 2, &Limits::default()).unwrap();
         assert_eq!(mj, nested_loop_join(&r, &s));
     }
 
@@ -939,7 +817,7 @@ mod tests {
     fn merge_semijoin_matches_hash_semijoin() {
         let r = rel(&[0, 1], &[&[1, 10], &[1, 11], &[2, 20], &[3, 30]]);
         let f = rel(&[0], &[&[1], &[3]]);
-        let msj = r.merge_semijoin_checked(&f, 1, &mut || Ok(())).unwrap();
+        let msj = r.merge_semijoin_checked(&f, 1, &Limits::default()).unwrap();
         let reference = nested_loop_semijoin(&r, &f);
         assert_eq!(msj, reference);
         assert_eq!(r.semijoin(&f), reference);
@@ -996,25 +874,20 @@ mod tests {
         let _ = Relation::from_rows(vec![], std::iter::empty());
     }
 
+    /// The join instantiation lists exactly the matching build rows.
     #[test]
     fn join_index_probe_matches_join() {
-        let r = rel(&[0, 1], &[&[1, 10], &[2, 20], &[2, 21]]);
-        let idx = JoinIndex::build(&r, &[0], &mut || Ok(())).unwrap();
-        assert_eq!(idx.probe(&[2, 0], &[0]).len(), 2);
-        assert_eq!(idx.probe(&[7, 0], &[0]).len(), 0);
-        let wide = JoinIndex::build(&r, &[0, 1], &mut || Ok(())).unwrap();
-        assert_eq!(wide.probe(&[2, 20], &[0, 1]).len(), 1);
+        super::proptests::key_map_matches_naive_filter::<Vec<u32>>(0x101e, |got, ids| {
+            got.map_or(&[][..], Vec::as_slice) == ids
+        });
     }
 
+    /// The semi-join instantiation holds a key iff some build row has it.
     #[test]
     fn semi_keys_contains_matches_semijoin() {
-        let f = rel(&[0], &[&[1], &[3]]);
-        let keys = SemiKeys::build(&f, &[0], &mut || Ok(())).unwrap();
-        assert!(keys.contains(&[1, 99], &[0]));
-        assert!(!keys.contains(&[2, 99], &[0]));
-        let empty = Relation::empty(vec![c(0)]);
-        let any = SemiKeys::build(&empty, &[], &mut || Ok(())).unwrap();
-        assert!(!any.contains(&[5], &[]));
+        super::proptests::key_map_matches_naive_filter::<()>(0x5e11, |got, ids| {
+            got.is_some() != ids.is_empty()
+        });
     }
 
     #[test]
@@ -1051,29 +924,80 @@ mod tests {
     #[test]
     fn checked_operators_propagate_poll_errors() {
         let r = rel(&[0, 1], &[&[1, 10], &[2, 20]]);
-        let mut fail = || Err(sgq_common::SgqError::Timeout { limit_ms: 0 });
-        for key in [&[0][..], &[0, 1]] {
-            assert!(JoinIndex::build(&r, key, &mut fail).is_err());
-            assert!(SemiKeys::build(&r, key, &mut fail).is_err());
+        // Fresh per call: the first failing poll trips the cancel flag.
+        let expired = || Limits {
+            deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
+            limit_ms: 7,
+            ..Limits::default()
+        };
+        let timeout = sgq_common::SgqError::Timeout { limit_ms: 7 };
+        for key in [&[0][..], &[0, 1], &[0, 1, 0]] {
+            let join = KeyMap::<Vec<u32>>::build(&r, key, &expired());
+            assert_eq!(join.unwrap_err(), timeout);
+            let semi = KeyMap::<()>::build(&r, key, &expired());
+            assert_eq!(semi.unwrap_err(), timeout);
         }
+        // The merge operators poll every `POLL_MASK + 1` steps.
+        let long = Relation::from_rows(vec![c(0)], (0..=POLL_MASK as u32).map(|v| vec![v]));
+        let join = long.merge_join_checked(&long, 1, &expired());
+        assert_eq!(join.unwrap_err(), timeout);
+        let semi = long.merge_semijoin_checked(&long, 1, &expired());
+        assert_eq!(semi.unwrap_err(), timeout);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{nested_loop_join, nested_loop_semijoin};
     use super::*;
     use sgq_common::Rng;
 
     fn arb_rel(rng: &mut Rng, cols: &[u32]) -> Relation {
+        arb_rel_in(rng, cols, 12)
+    }
+
+    /// Up to 23 random rows over `cols` with values below `domain`.
+    fn arb_rel_in(rng: &mut Rng, cols: &[u32], domain: usize) -> Relation {
         let n = rng.gen_range(0..24);
         let rows: Vec<Vec<u32>> = (0..n)
             .map(|_| {
                 (0..cols.len())
-                    .map(|_| rng.gen_range(0..12) as u32)
+                    .map(|_| rng.gen_range(0..domain) as u32)
                     .collect()
             })
             .collect();
         Relation::from_rows(cols.iter().map(|&i| ColId::new(i)).collect(), rows)
+    }
+
+    /// `KeyMap` build + get against a naive filter of the build rows, at
+    /// every key width (0: no key, 1: `u32`, 2: packed `u64`, 3: wide)
+    /// with build and probe keyed at different positions. `agrees`
+    /// compares what the map holds under a probe row's key with the ids
+    /// of the build rows carrying that key.
+    pub(super) fn key_map_matches_naive_filter<V: KeyValue>(
+        salt: u64,
+        agrees: impl Fn(Option<&V>, &[u32]) -> bool,
+    ) {
+        let (build_pos, probe_pos) = ([2, 0, 1], [1, 2, 0]);
+        for (width, seed) in (0..=3).flat_map(|w| (0..32u64).map(move |s| (w, s))) {
+            let mut rng = Rng::seed_from_u64(seed ^ salt);
+            let build = arb_rel_in(&mut rng, &[0, 1, 2], 3);
+            let probe = arb_rel_in(&mut rng, &[3, 4, 5], 3);
+            let (bpos, ppos) = (&build_pos[..width], &probe_pos[..width]);
+            let map = KeyMap::<V>::build(&build, bpos, &Limits::default()).unwrap();
+            for prow in probe.rows() {
+                let same_key =
+                    |brow: &[u32]| bpos.iter().zip(ppos).all(|(&b, &p)| brow[b] == prow[p]);
+                let ids: Vec<u32> = (0..build.len())
+                    .filter(|&i| same_key(build.row(i)))
+                    .map(|i| i as u32)
+                    .collect();
+                assert!(
+                    agrees(map.get(prow, ppos), &ids),
+                    "width {width} seed {seed} probe row {prow:?}"
+                );
+            }
+        }
     }
 
     /// Natural join agrees with the nested-loop definition.
@@ -1122,6 +1046,37 @@ mod proptests {
         }
     }
 
+    /// The shared merge kernel against code it shares nothing with: on
+    /// arity-1 data `sgq_common::sorted`; above arity 1 the normalised
+    /// concatenation (union) and dropping what the nested-loop semi-join
+    /// keeps (difference).
+    #[test]
+    fn merge_kernel_matches_references() {
+        use sgq_common::sorted;
+        for seed in 0..128u64 {
+            let mut rng = Rng::seed_from_u64(seed ^ 0x3e26);
+            let a = arb_rel(&mut rng, &[0]);
+            let b = arb_rel(&mut rng, &[0]);
+            assert_eq!(a.union(&b).flat(), sorted::union(a.flat(), b.flat()));
+            assert_eq!(
+                a.difference(&b).flat(),
+                sorted::difference(a.flat(), b.flat())
+            );
+            for cols in [&[0, 1][..], &[0, 1, 2]] {
+                let r = arb_rel_in(&mut rng, cols, 3);
+                let s = arb_rel_in(&mut rng, cols, 3);
+                let both = r.rows().chain(s.rows()).map(<[u32]>::to_vec);
+                let union = Relation::from_rows(r.cols().to_vec(), both);
+                assert_eq!(r.union(&s), union, "seed {seed}");
+                let common = nested_loop_semijoin(&r, &s);
+                let only_r = r.rows().filter(|x| common.rows().all(|y| y != *x));
+                let difference =
+                    Relation::from_rows(r.cols().to_vec(), only_r.map(<[u32]>::to_vec));
+                assert_eq!(r.difference(&s), difference, "seed {seed}");
+            }
+        }
+    }
+
     /// Merge and hash join/semi-join agree with the nested-loop
     /// definition on prefix-aligned schemas.
     #[test]
@@ -1131,10 +1086,10 @@ mod proptests {
             let r = arb_rel(&mut rng, &[0, 1]);
             let s = arb_rel(&mut rng, &[0, 2]);
             let (join, semijoin) = (nested_loop_join(&r, &s), nested_loop_semijoin(&r, &s));
-            let mj = r.merge_join_checked(&s, 1, &mut || Ok(())).unwrap();
+            let mj = r.merge_join_checked(&s, 1, &Limits::default()).unwrap();
             assert_eq!(mj, join, "merge join seed {seed}");
             assert_eq!(r.join(&s), join, "hash join seed {seed}");
-            let msj = r.merge_semijoin_checked(&s, 1, &mut || Ok(())).unwrap();
+            let msj = r.merge_semijoin_checked(&s, 1, &Limits::default()).unwrap();
             assert_eq!(msj, semijoin, "merge semijoin seed {seed}");
             assert_eq!(r.semijoin(&s), semijoin, "hash semijoin seed {seed}");
         }

@@ -29,10 +29,25 @@ use crate::cache::{schema_fingerprint, CacheKey, CacheOutcome, PlanCache};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::prepared::{prepare, Approach, Backend, PreparedQuery};
 
-/// Default q-error divergence between a cached plan's root estimate and
-/// the feedback memo's observation beyond which the plan is considered
-/// stale and re-prepared on its next cache hit.
+/// Q-error divergence between a cached plan's root estimate and the
+/// feedback memo's observation at or beyond which the plan is stale: it
+/// is dropped and transparently re-prepared on its next cache hit.
 pub const CACHE_STALENESS_FACTOR: f64 = 8.0;
+
+/// Independently locked plan-cache shards.
+const PLAN_CACHE_SHARDS: usize = 8;
+
+/// Traces retained by the tracer's ring buffer.
+const TRACE_RING_CAPACITY: usize = 64;
+
+/// Traces retained by the slow-query log's ring buffer.
+const SLOW_QUERY_CAPACITY: usize = 32;
+
+/// Fraction of `global_memory_limit` at which graceful degradation
+/// kicks in: the service halves the effective admission queue and
+/// re-prepares oversized cached plans (see the governor's
+/// [`ResourceGovernor::under_pressure`]).
+const MEMORY_PRESSURE_FACTOR: f64 = 0.75;
 
 /// Construction-time configuration of a [`Service`].
 #[derive(Debug, Clone)]
@@ -44,8 +59,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Total prepared statements held by the plan cache.
     pub plan_cache_capacity: usize,
-    /// Independently locked cache shards.
-    pub plan_cache_shards: usize,
     /// Deadline applied when a call does not set its own (ms).
     pub default_timeout_ms: u64,
     /// Row-materialisation budget per query (0 = unlimited).
@@ -62,15 +75,6 @@ pub struct ServiceConfig {
     pub parallel_row_threshold: usize,
     /// Morsel size cap in rows for parallel sections.
     pub morsel_rows: usize,
-    /// A cached plan whose estimated root cardinality diverges from the
-    /// feedback memo's observation by at least this q-error factor is
-    /// stale: it is dropped and transparently re-prepared on the next
-    /// hit (0.0 disables staleness checks).
-    pub cache_staleness_factor: f64,
-    /// Mid-flight re-planning trigger passed to the executor: a hash
-    /// join whose materialised build side reaches `replan_factor ×`
-    /// its estimate is corrected at the boundary (0.0 disables).
-    pub replan_factor: f64,
     /// Rewrite switches used by [`Approach::Schema`] statements.
     pub rewrite: RewriteOptions,
     /// Start with query tracing enabled (flip at runtime via
@@ -79,13 +83,9 @@ pub struct ServiceConfig {
     pub tracing: bool,
     /// Trace 1 in N queries when tracing is enabled (1 = every query).
     pub trace_sample_every: u64,
-    /// Traces retained by the tracer's ring buffer.
-    pub trace_ring_capacity: usize,
     /// Slow-query threshold in milliseconds: a query slower than this
     /// lands in the slow-query log regardless of sampling (0 disables).
     pub slow_query_ms: u64,
-    /// Traces retained by the slow-query log's ring buffer.
-    pub slow_query_capacity: usize,
     /// Physical storage layout for the relational store: `Some(kind)`
     /// forces that layout, `None` lets the schema-driven
     /// [`sgq_ra::LayoutAdvisor`] choose at load. Ignored by
@@ -98,11 +98,6 @@ pub struct ServiceConfig {
     /// Per-query memory ceiling applied when a call does not set
     /// [`QueryOptions::max_memory`] (0 = unlimited).
     pub query_memory_limit: usize,
-    /// Fraction of `global_memory_limit` at which graceful degradation
-    /// kicks in: the service halves the effective admission queue and
-    /// re-prepares oversized cached plans (see the governor's
-    /// [`ResourceGovernor::under_pressure`]).
-    pub memory_pressure_factor: f64,
 }
 
 impl Default for ServiceConfig {
@@ -114,25 +109,19 @@ impl Default for ServiceConfig {
             workers,
             queue_capacity: workers * 8,
             plan_cache_capacity: 256,
-            plan_cache_shards: 8,
             default_timeout_ms: 30_000,
             default_max_rows: 20_000_000,
             default_dop: 1,
             max_dop: workers,
             parallel_row_threshold: sgq_ra::cost::PARALLEL_ROW_THRESHOLD,
             morsel_rows: sgq_ra::parallel::MORSEL_ROWS,
-            cache_staleness_factor: CACHE_STALENESS_FACTOR,
-            replan_factor: sgq_ra::exec::REPLAN_FACTOR,
             rewrite: RewriteOptions::default(),
             tracing: false,
             trace_sample_every: 1,
-            trace_ring_capacity: 64,
             slow_query_ms: 0,
-            slow_query_capacity: 32,
             layout: None,
             global_memory_limit: 0,
             query_memory_limit: 0,
-            memory_pressure_factor: 0.75,
         }
     }
 }
@@ -317,20 +306,19 @@ impl Service {
             config.workers,
             config.queue_capacity,
         ));
-        let tracer = Tracer::new(config.trace_ring_capacity);
+        let tracer = Tracer::new(TRACE_RING_CAPACITY);
         tracer.set_enabled(config.tracing);
         tracer.set_sample_every(config.trace_sample_every);
         let slow_log = SlowQueryLog::new(
             config.slow_query_ms.saturating_mul(1_000),
-            config.slow_query_capacity,
+            SLOW_QUERY_CAPACITY,
         );
-        let governor =
-            ResourceGovernor::new(config.global_memory_limit, config.memory_pressure_factor);
+        let governor = ResourceGovernor::new(config.global_memory_limit, MEMORY_PRESSURE_FACTOR);
         let core = Arc::new(Core {
             schema,
             db,
             store,
-            cache: PlanCache::new(config.plan_cache_capacity, config.plan_cache_shards),
+            cache: PlanCache::new(config.plan_cache_capacity, PLAN_CACHE_SHARDS),
             metrics: MetricsRegistry::new(),
             schema_fp,
             schema_version: AtomicU64::new(0),
@@ -590,7 +578,7 @@ impl Session {
 ///
 /// A hit is validated against the cardinality feedback memo: when the
 /// cached plan's root estimate diverges from the memo's observation of
-/// the same subtree by at least `cache_staleness_factor` (q-error), the
+/// the same subtree by at least [`CACHE_STALENESS_FACTOR`] (q-error), the
 /// entry is dropped and the statement re-prepared — the fresh plan
 /// estimates from the memo, so it reflects the measured cardinalities.
 fn prepare_via_cache(
@@ -662,17 +650,13 @@ fn prepare_via_cache(
 }
 
 /// Whether a cached plan's root estimate diverges from the feedback
-/// memo's observed cardinality by the configured staleness factor.
+/// memo's observed cardinality by [`CACHE_STALENESS_FACTOR`].
 fn plan_is_stale(core: &Core, prepared: &PreparedQuery) -> bool {
-    let factor = core.config.cache_staleness_factor;
-    if factor <= 0.0 {
-        return false;
-    }
     let Some(plan) = prepared.plan() else {
         return false;
     };
     match core.store.feedback.lookup(plan.fp) {
-        Some(obs) => sgq_ra::cost::q_error(plan.est.rows, obs.rows) >= factor,
+        Some(obs) => sgq_ra::cost::q_error(plan.est.rows, obs.rows) >= CACHE_STALENESS_FACTOR,
         None => false,
     }
 }
@@ -745,7 +729,6 @@ fn run_query(
     ctx.deadline = Some(deadline);
     ctx.limit_ms = timeout_ms;
     ctx.max_rows = opts.max_rows.unwrap_or(core.config.default_max_rows);
-    ctx.replan_factor = core.config.replan_factor;
     // Every query, on either backend, charges its materialised bytes
     // into the shared governor.
     let query_limit = opts.max_memory.unwrap_or(core.config.query_memory_limit);
@@ -792,7 +775,6 @@ fn run_query(
         let mut root_tags: Vec<(&'static str, TagValue)> = vec![
             ("backend", format!("{:?}", prepared.backend()).into()),
             ("cache", outcome_str(cache).into()),
-            ("replans", ctx.replans.into()),
         ];
         if let Err(e) = &exec_result {
             root_tags.push(("error", e.to_string().into()));

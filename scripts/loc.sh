@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Lines of Rust per crate: total, and non-test (each file cut at its
-# first `#[cfg(test)]`; files under a tests/ directory are test code
-# whole, benches and examples are programs and count). One row per crate
-# plus a workspace total — the table ROADMAP asks every CHANGES.md entry
-# to report.
+# first `#[cfg(test)]` whose next line opens a `mod` — a test-only item
+# among the code does not end the count; files under a tests/ directory
+# are test code whole, benches and examples are programs and count). One
+# row per crate plus a workspace total — the table ROADMAP asks every
+# CHANGES.md entry to report.
 #
 #   scripts/loc.sh [repo-root]        # default: the checkout this script is in
 #   scripts/loc.sh --against <rev>    # this checkout next to <rev>: before → after (Δ)
@@ -18,10 +19,14 @@ cd "${1:-$(dirname "$0")/..}"
 # Prints "<total> <non-test>" for the .rs files under the given dirs.
 count() {
     find "$@" -name '*.rs' -not -path '*/target/*' 2>/dev/null | sort | xargs -r awk '
-        FNR == 1 { cut = (FILENAME ~ /(^|\/)tests\//) }
-        /#\[cfg\(test\)\]/ { cut = 1 }
-        { total++; if (!cut) nontest++ }
-        END { printf "%d %d\n", total, nontest }'
+        FNR == 1 { nontest += held; held = 0; cut = (FILENAME ~ /(^|\/)tests\//) }
+        { total++ }
+        cut { next }
+        held && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { held = 0; cut = 1; next }
+        { nontest += held; held = 0 }
+        /#\[cfg\(test\)\]/ { held = 1; next }
+        { nontest++ }
+        END { printf "%d %d\n", total, nontest + held }'
 }
 
 # Prints "<crate> <total> <non-test>" per crate of the checkout at $1,
