@@ -16,20 +16,23 @@
 //! experiment-specific predicate on top.
 
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
 use sgq_common::fault::FireReport;
 use sgq_common::json::{self, JsonValue};
-use sgq_common::Backend;
+use sgq_common::{Backend, FxHasher};
+use sgq_core::pipeline::{rewrite_path, RewriteOptions, RewriteOutcome};
 use sgq_obs::{chrome_traces_json, QueryTrace, Tracer};
 use sgq_ra::cost::q_error;
 use sgq_ra::exec::{execute_plan, execute_plan_traced, ExecContext};
 use sgq_ra::{LayoutAdvisor, LayoutKind, PhysPlan, RelStore};
+use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
 
 use crate::experiments;
 use crate::replay::{
-    replay, Catalog, Catalogs, Faults, Memo, Replay, Run, Sizing, Table, Variant, Via,
+    replay, Catalog, Catalogs, Faults, Memo, Pass, Replay, Run, Sizing, Table, Variant, Via,
 };
 use crate::summary::Summary;
 
@@ -280,6 +283,37 @@ fn strategy(run: &Run, cat: &Catalog, store: &RelStore) -> Option<String> {
     )
 }
 
+/// One line that is equal at two commits iff `cat`'s cold-pass plans
+/// are: statements planned, the nodes of their optimised terms and of
+/// their plans, and a digest of every plan's `EXPLAIN` text — so "plans
+/// unchanged" is a one-line diff of this experiment's output.
+fn plans_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> String {
+    let (mut planned, mut term_nodes, mut plan_nodes) = (0, 0, 0);
+    let mut digest = FxHasher::default();
+    for (q, run) in cat.queries.iter().zip(&cold.runs) {
+        let prepared = run.as_ref().and_then(|r| r.prepared.as_deref());
+        let Some(plan) = prepared.and_then(|p| p.plan()) else {
+            continue;
+        };
+        // The term `prepare` lowered, rebuilt: it keeps only the plan.
+        let rewritten = rewrite_path(&cat.schema, &q.expr, RewriteOptions::default()).outcome;
+        let (RewriteOutcome::Enriched(query) | RewriteOutcome::Reverted(query)) = rewritten else {
+            unreachable!("{}/{}: a planned statement has a query", cat.name, q.name);
+        };
+        let term = ucqt_to_term(&query, &mut NameGen::new(&store.symbols)).expect("planned once");
+        planned += 1;
+        term_nodes += sgq_ra::optimize::optimize(&term, store).size();
+        plan_nodes += plan.node_count();
+        sgq_ra::explain::explain_plan(plan, store, &*cat.db).hash(&mut digest);
+    }
+    format!(
+        "{}: {planned} statements planned, {term_nodes} optimised term nodes, \
+         {plan_nodes} plan nodes, plans digest {:016x}\n",
+        cat.name,
+        digest.finish()
+    )
+}
+
 /// `estimates`: cardinality-estimation quality. The cold pass plans
 /// from the statistics alone and records each root estimate's q-error
 /// against the executed row count; the warm pass re-plans after the
@@ -325,6 +359,7 @@ fn estimates(cats: &Catalogs, gate: bool) -> String {
             closing,
             "{name}: median q-error over {n} feasible queries: cold = {mc:.2}, warm = {mw:.2}"
         );
+        closing.push_str(&plans_line(cat, &store, &rep.reference));
         if gate {
             assert!(n > 0, "estimates: no feasible {name} queries");
             assert!(

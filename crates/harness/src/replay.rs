@@ -469,8 +469,11 @@ impl PassCtx<'_> {
     /// `true`); a panic otherwise.
     fn give_up(&self, i: usize, e: &SgqError) -> bool {
         let retryable = self.faults.is_some() && e.retryable();
-        let infeasible = e.is_timeout() || matches!(e, SgqError::RowBudget { .. });
-        assert!(retryable || infeasible, "{} failed: {e}", self.label(i));
+        assert!(
+            retryable || crate::runner::infeasible(e),
+            "{} failed: {e}",
+            self.label(i)
+        );
         retryable
     }
 

@@ -57,12 +57,11 @@ pub enum Measurement {
 }
 
 /// Whether `e` classifies the run as infeasible (over the timeout or
-/// the materialisation budget) rather than as a harness bug.
-fn infeasible(e: &SgqError) -> bool {
-    matches!(
-        e,
-        SgqError::Timeout { .. } | SgqError::RowBudget { .. } | SgqError::Execution(_)
-    )
+/// the materialisation budget) rather than as a bug: the predicate the
+/// replay driver gives up a query on. A planner or executor error — a
+/// malformed term, an unbound recursion variable — is not a measurement.
+pub(crate) fn infeasible(e: &SgqError) -> bool {
+    e.is_timeout() || e.is_row_budget()
 }
 
 /// Runs a query under the full protocol: the library front end
@@ -130,6 +129,26 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let m = run_query(&cat, &expr, Approach::Baseline, Backend::Graph, &config);
         assert_eq!(m, Measurement::Infeasible);
+    }
+
+    #[test]
+    fn malformed_term_is_a_bug_not_an_infeasible_cell() {
+        let cat = tiny();
+        let store = cat.store(None);
+        // σ over a column the scan does not produce: `plan()` rejects it.
+        let owns = cat.db.edge_label_id("owns").expect("YAGO has owns");
+        let (x, y) = (store.symbols.col("x"), store.symbols.col("y"));
+        let scan = sgq_ra::RaTerm::EdgeScan {
+            label: owns,
+            src: x,
+            tgt: y,
+        };
+        let malformed = sgq_ra::RaTerm::select_eq(scan, x, store.symbols.col("nope"));
+        let e = sgq_ra::plan(&malformed, &store).expect_err("unknown column");
+        assert!(matches!(e, SgqError::Execution(_)), "{e}");
+        assert!(!infeasible(&e), "{e}");
+        assert!(infeasible(&SgqError::Timeout { limit_ms: 1 }));
+        assert!(infeasible(&SgqError::RowBudget { rows: 2, budget: 1 }));
     }
 
     #[test]

@@ -1,47 +1,56 @@
-//! Cardinality estimation over [`sgq_graph::GraphStats`].
+//! Cardinality estimation over [`sgq_graph::GraphStats`]: one step per
+//! operator, folded once.
 //!
-//! The estimator drives (a) the greedy join ordering in the optimiser,
-//! (b) the build-side selection of the physical planner
-//! ([`mod@crate::plan`]) and (c) the costs printed by `EXPLAIN` (Fig. 17).
+//! **The step.** Everything the front end derives for a term node is
+//! one `Summary`: output columns, the `Card` (estimated rows, a
+//! distinct-value estimate per column, and for a — possibly
+//! label-filtered — scan its **label pedigree**), the rename-invariant
+//! fingerprint, the cost split into a recursion-independent part (paid
+//! once per fixpoint) and a recursion-dependent part (paid every round),
+//! whether the rows came from the feedback memo, and the deepest closure
+//! bound of the edge labels underneath. `Estimator::step` computes a
+//! node's summary from the node's own fields and its children's
+//! summaries — it never descends. The formulas, all off measured
+//! statistics:
 //!
-//! **Statistics v2.** Estimation tracks, per intermediate, the estimated
-//! row count *and* a per-column distinct-value estimate (the internal
-//! `Card`), seeded from the measured statistics instead of textbook
-//! guesses:
+//! * a scan filtered by node-label semi-joins is estimated straight from
+//!   the per-triple counts — for a fully annotated scan the estimate is
+//!   *exact*;
+//! * join selectivity is `1 / max(V(L,c), V(R,c))` over the tracked
+//!   distinct counts (falling back to `min(|rel|, |V(G)|)` only when a
+//!   column's provenance is unknown), an equality selection
+//!   `1 / max(V(a), V(b))`, a generic semi-join the containment
+//!   assumption;
+//! * a fixpoint grows its base by half the deepest measured closure
+//!   depth ([`sgq_graph::GraphStats::closure_depth`]) among the labels it
+//!   iterates over, and multiplies only the recursion-dependent part of
+//!   its step cost by that factor — the static part is computed (and, in
+//!   the executor, cached) once;
+//! * a recursive reference is estimated at the base case of the fixpoint
+//!   that binds it. That binding is the only state a fold carries, and
+//!   `Estimator::within` is the only place it is made.
 //!
-//! * an edge scan knows its measured distinct source/target counts;
-//! * a scan filtered by node-label semi-joins keeps a **label pedigree**
-//!   (the internal `ScanInfo`) and is estimated straight from the
-//!   per-triple counts — for a fully label-annotated scan the estimate
-//!   is *exact*;
-//! * join selectivity is `1 / max(V(L,c), V(R,c))` with `V` taken from the
-//!   tracked distinct counts (falling back to `min(|rel|, |V(G)|)` only
-//!   when a column's provenance is unknown);
-//! * an equality selection uses `1 / max(V(a), V(b))` instead of the flat
-//!   10% guess;
-//! * a fixpoint's growth factor is derived from the measured closure depth
-//!   bound of the edge labels it iterates over
-//!   ([`sgq_graph::GraphStats::closure_depth`]) instead of a constant.
+//! **Who folds.** `Estimator::fold` walks a term once, bottom-up, and
+//! returns every node's summary in preorder. [`estimate`] and
+//! [`fingerprint`] are its root entry; [`crate::plan::plan`] folds the
+//! term once and lowers it reading the summaries — an operand absorbed
+//! into an index join or a slice scan is summarised by the same fold and
+//! never lowered; [`mod@crate::optimize`] folds each operand of a join
+//! chain once and scores every greedy candidate with a single
+//! `Estimator::join` step over two summaries. No caller re-enters the
+//! estimator for a node it already has a summary of.
 //!
-//! Estimation is *environment-threaded*: inside a fixpoint `µX. b ∪ s`,
-//! a recursive reference `X` is estimated at the base case's
-//! cardinality (bound in an [`EstEnv`]) rather than a constant, and
-//! the per-iteration growth factor applies only to the part of the
-//! step that actually depends on `X` — the static part is computed
-//! (and, in the physical executor, cached) once.
-//!
-//! **Runtime feedback.** Alongside its estimate, every subterm gets a
-//! structural **fingerprint** ([`fingerprint`]): a bottom-up hash over
+//! **Runtime feedback.** The **fingerprint** is a bottom-up hash over
 //! operator kinds, edge labels, node-label filters and join-key
 //! *positions* in the children's output schemas. Column names never
-//! enter the hash, so the fingerprint is invariant under renaming; and
-//! because it is computed from the logical term, physical strategies
-//! (hash vs merge vs index join) of the same logical subtree share it.
-//! Before returning a recursion-independent estimate, the formulas ask
-//! the store's [`crate::feedback::FeedbackMemo`] whether this exact
-//! subtree has been executed before — if so, the *observed* cardinality
-//! replaces the estimated one, so re-prepared queries get measured row
-//! counts where it matters (join ordering, build sides, index-vs-hash).
+//! enter the hash, so it is invariant under renaming; and because it is
+//! computed from the logical term, physical strategies (hash vs merge vs
+//! index join) of the same logical subtree share it. Each step finishes
+//! by asking the store's [`crate::feedback::FeedbackMemo`] — once —
+//! whether this exact recursion-independent subtree has executed
+//! before; if so the *observed* cardinality replaces the formula's, so
+//! re-prepared queries get measured row counts where it matters (join
+//! ordering, build sides, index-vs-hash).
 
 use std::hash::{Hash, Hasher};
 
@@ -61,7 +70,7 @@ pub struct Estimate {
 
 /// Fixpoint growth multiplier used when a fixpoint iterates over no
 /// scannable edge label (no closure depth to measure).
-pub(crate) const DEFAULT_FIXPOINT_GROWTH: f64 = 4.0;
+const DEFAULT_FIXPOINT_GROWTH: f64 = 4.0;
 
 /// Probe sides below this many rows stay serial at any degree of
 /// parallelism. Dispatching a morsel costs tens of microseconds
@@ -83,121 +92,10 @@ pub fn q_error(est: f64, actual: f64) -> f64 {
     (e / a).max(a / e)
 }
 
-/// Estimation environment: the base-case cardinality of every enclosing
-/// fixpoint, keyed by recursion variable. A [`RaTerm::RecRef`] is
-/// estimated at its binding (falling back to 1 row when unbound).
-#[derive(Debug, Default)]
-pub struct EstEnv {
-    rows: FxHashMap<RecVarId, f64>,
-    /// Fingerprint tokens per bound recursion variable: the de-Bruijn
-    /// style nesting depth at bind time, so a recursive reference hashes
-    /// by *which enclosing fixpoint* it refers to rather than by the
-    /// variable's interned name (rename-invariance).
-    fp_tokens: FxHashMap<RecVarId, u64>,
-    fp_depth: u64,
-}
-
-impl EstEnv {
-    /// An empty environment (no enclosing fixpoints).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Assigns `var` the fingerprint token for the next nesting level,
-    /// returning the previous token for [`EstEnv::restore_fp`].
-    fn bind_fp(&mut self, var: RecVarId) -> Option<u64> {
-        self.fp_depth += 1;
-        self.fp_tokens.insert(var, self.fp_depth)
-    }
-
-    /// Restores the token saved by [`EstEnv::bind_fp`].
-    fn restore_fp(&mut self, var: RecVarId, prev: Option<u64>) {
-        self.fp_depth -= 1;
-        match prev {
-            Some(t) => {
-                self.fp_tokens.insert(var, t);
-            }
-            None => {
-                self.fp_tokens.remove(&var);
-            }
-        }
-    }
-
-    /// The fingerprint token for `var`: the de-Bruijn index (distance
-    /// from the current nesting depth to the binder), so a fixpoint
-    /// fingerprints identically whether estimated at its own root or
-    /// nested inside another fixpoint. Unbound references (estimating a
-    /// step subterm in isolation) fall back to the variable's id — still
-    /// deterministic, and such subtrees are recursion-dependent anyway,
-    /// so the memo never stores them.
-    fn fp_token(&self, var: RecVarId) -> u64 {
-        self.fp_tokens
-            .get(&var)
-            .map(|&bound_at| self.fp_depth - bound_at)
-            .unwrap_or(0x5eed_0000_0000_0000 | var.raw() as u64)
-    }
-
-    /// Binds `var` to an estimated cardinality, returning the previous
-    /// binding so nested fixpoints over the same variable can restore it.
-    pub fn bind(&mut self, var: RecVarId, rows: f64) -> Option<f64> {
-        self.rows.insert(var, rows)
-    }
-
-    /// Restores the binding saved by [`EstEnv::bind`].
-    pub fn restore(&mut self, var: RecVarId, prev: Option<f64>) {
-        match prev {
-            Some(r) => {
-                self.rows.insert(var, r);
-            }
-            None => {
-                self.rows.remove(&var);
-            }
-        }
-    }
-
-    /// The bound cardinality for `var`, if any.
-    pub fn rows(&self, var: RecVarId) -> Option<f64> {
-        self.rows.get(&var).copied()
-    }
-}
-
 /// Estimates `term` against the statistics in `store`, outside any
 /// fixpoint (recursive references fall back to 1 row).
 pub fn estimate(term: &RaTerm, store: &RelStore) -> Estimate {
-    estimate_with_env(term, store, &mut EstEnv::new())
-}
-
-/// Estimates `term` with recursive references resolved through `env`.
-pub fn estimate_with_env(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> Estimate {
-    let p = parts(term, store, env);
-    Estimate {
-        rows: p.card.rows,
-        cost: p.st + p.dy,
-    }
-}
-
-/// A planner-facing per-node estimate: the rows, the subtree's
-/// structural fingerprint, and whether the rows came from the runtime
-/// feedback memo rather than the formulas.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NodeEst {
-    /// Estimated (or observed) output rows.
-    pub(crate) rows: f64,
-    /// Structural fingerprint of the logical subtree.
-    pub(crate) fp: u64,
-    /// Whether `rows` is a memoised observation.
-    pub(crate) memo: bool,
-}
-
-/// Estimates `term` and returns rows + fingerprint + memo provenance —
-/// what the planner stamps onto each lowered node.
-pub(crate) fn node_est(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> NodeEst {
-    let p = parts(term, store, env);
-    NodeEst {
-        rows: p.card.rows,
-        fp: p.fp,
-        memo: p.memo,
-    }
+    Estimator::new(store).root(term).estimate()
 }
 
 /// The structural fingerprint of `term`: a bottom-up hash over operator
@@ -205,7 +103,7 @@ pub(crate) fn node_est(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> Nod
 /// Invariant under column renaming (columns enter as positions in their
 /// child's output schema) and under join operand order.
 pub fn fingerprint(term: &RaTerm, store: &RelStore) -> u64 {
-    parts(term, store, &mut EstEnv::new()).fp
+    Estimator::new(store).root(term).fp
 }
 
 // Fingerprint hashing. Tags keep distinct operators from colliding;
@@ -230,29 +128,23 @@ fn fp_hash(tag: u64, vals: &[u64]) -> u64 {
     h.finish()
 }
 
+/// Position of `key` within `cols` as a hash input (`u64::MAX` when
+/// absent).
+fn fp_position(cols: &[ColId], key: ColId) -> u64 {
+    cols.iter()
+        .position(|&c| c == key)
+        .map_or(u64::MAX, |p| p as u64)
+}
+
 /// Hash of `keys` as positions within `cols`, in the order given.
 fn fp_positions(cols: &[ColId], keys: &[ColId]) -> u64 {
-    let pos: Vec<u64> = keys
-        .iter()
-        .map(|k| {
-            cols.iter()
-                .position(|c| c == k)
-                .map_or(u64::MAX, |p| p as u64)
-        })
-        .collect();
+    let pos: Vec<u64> = keys.iter().map(|&k| fp_position(cols, k)).collect();
     fp_hash(FP_POS, &pos)
 }
 
 /// Hash of `keys` as a *set* of positions within `cols` (sorted).
 fn fp_position_set(cols: &[ColId], keys: &[ColId]) -> u64 {
-    let mut pos: Vec<u64> = keys
-        .iter()
-        .map(|k| {
-            cols.iter()
-                .position(|c| c == k)
-                .map_or(u64::MAX, |p| p as u64)
-        })
-        .collect();
+    let mut pos: Vec<u64> = keys.iter().map(|&k| fp_position(cols, k)).collect();
     pos.sort_unstable();
     fp_hash(FP_POS, &pos)
 }
@@ -275,19 +167,11 @@ fn fp_commutative(tag: u64, fa: u64, ca: &[ColId], fb: u64, cb: &[ColId], shared
     direct.min(mirror)
 }
 
-/// Growth multiplier for a fixpoint term: half the measured closure depth
-/// bound of the deepest edge label the fixpoint iterates over (a chain of
-/// depth `d` produces about `d/2` times its base in closure pairs),
-/// clamped to `[1, 256]`. Falls back to [`DEFAULT_FIXPOINT_GROWTH`] when
-/// no edge label is in scope.
-pub(crate) fn fixpoint_growth(term: &RaTerm, store: &RelStore) -> f64 {
-    let mut labels = Vec::new();
-    collect_edge_labels(term, &mut labels);
-    let depth = labels
-        .iter()
-        .map(|&le| store.stats.closure_depth(le))
-        .max()
-        .unwrap_or(0);
+/// Growth multiplier of a fixpoint whose subtree's deepest measured
+/// closure bound is `depth`: half of it (a chain of depth `d` produces
+/// about `d/2` times its base in closure pairs), clamped to `[1, 256]`;
+/// [`DEFAULT_FIXPOINT_GROWTH`] when no edge label with edges is in scope.
+fn fixpoint_growth(depth: usize) -> f64 {
     if depth == 0 {
         DEFAULT_FIXPOINT_GROWTH
     } else {
@@ -351,28 +235,6 @@ pub(crate) fn denorm_scan_cost(slice_rows: f64) -> f64 {
     slice_rows
 }
 
-fn collect_edge_labels(term: &RaTerm, out: &mut Vec<EdgeLabelId>) {
-    match term {
-        RaTerm::EdgeScan { label, .. } => {
-            if !out.contains(label) {
-                out.push(*label);
-            }
-        }
-        RaTerm::NodeScan { .. } | RaTerm::RecRef { .. } => {}
-        RaTerm::Join(a, b) | RaTerm::Semijoin(a, b) | RaTerm::Union(a, b) => {
-            collect_edge_labels(a, out);
-            collect_edge_labels(b, out);
-        }
-        RaTerm::Project { input, .. }
-        | RaTerm::Rename { input, .. }
-        | RaTerm::Select { input, .. } => collect_edge_labels(input, out),
-        RaTerm::Fixpoint { base, step, .. } => {
-            collect_edge_labels(base, out);
-            collect_edge_labels(step, out);
-        }
-    }
-}
-
 /// Label pedigree of an edge scan: which node labels its endpoints are
 /// known (via semi-join filters) to carry. `None` = unrestricted.
 #[derive(Debug, Clone)]
@@ -426,8 +288,8 @@ impl ScanInfo {
 /// label-filtered — edge or node scan) its provenance for triple-count
 /// lookups.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Card {
-    pub(crate) rows: f64,
+struct Card {
+    rows: f64,
     /// Per-column distinct-value estimates.
     distinct: Vec<(ColId, f64)>,
     /// Edge-scan pedigree, when the rows are exactly a label-restricted
@@ -623,133 +485,221 @@ fn semijoin_card(a: &Card, b: &Card, shared: &[ColId], store: &RelStore) -> Card
     out.cap_distinct()
 }
 
-/// One term's estimate split into the cost of its recursion-independent
-/// part (`st`, computed once per fixpoint) and its recursion-dependent
-/// part (`dy`, recomputed every iteration), plus the subtree's
-/// structural fingerprint and memo provenance.
-struct Parts {
+/// Everything estimation derives for one term node, computed by one
+/// [`Estimator::step`] from the summaries of the node's children.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Summary {
+    /// Output columns, in order (what [`RaTerm::cols`] would recompute).
+    pub(crate) cols: Vec<ColId>,
     card: Card,
-    st: f64,
-    dy: f64,
+    /// Structural fingerprint of the subtree.
+    pub(crate) fp: u64,
+    /// Whether the rows are a memoised observation, not the formulas'.
+    pub(crate) memo: bool,
+    /// Whether the subtree depends on an enclosing fixpoint's recursive
+    /// reference (then it is neither looked up in nor fed to the memo:
+    /// per-round deltas are not its cardinality).
     dep: bool,
-    /// Structural fingerprint of this subtree.
-    fp: u64,
-    /// Whether `card.rows` was overridden by a memoised observation.
-    memo: bool,
+    /// Cost of the recursion-independent part, paid once per fixpoint.
+    st: f64,
+    /// Cost of the recursion-dependent part, paid every round.
+    dy: f64,
+    /// Deepest measured closure bound among the subtree's edge labels.
+    depth: usize,
+    /// Term nodes in the subtree: in a preorder fold a node's first child
+    /// follows it directly and its second follows the first's subtree.
+    pub(crate) size: usize,
 }
 
-/// Folds child parts with this node's local cost: a node is dynamic as
-/// soon as any input depends on a recursive reference, and only then
-/// does its local cost join the per-iteration bucket.
-fn fold(children: &[&Parts], local: f64, card: Card, fp: u64) -> Parts {
-    let dep = children.iter().any(|c| c.dep);
-    let st: f64 = children.iter().map(|c| c.st).sum();
-    let dy: f64 = children.iter().map(|c| c.dy).sum();
-    if dep {
-        Parts {
+impl Summary {
+    /// A node over `kids` with `local` cost of its own: the node is
+    /// dynamic as soon as any input depends on a recursive reference,
+    /// and only then does its local cost join the per-round bucket.
+    fn over(kids: &[&Summary], local: f64, cols: Vec<ColId>, card: Card, fp: u64) -> Summary {
+        let dep = kids.iter().any(|k| k.dep);
+        let st: f64 = kids.iter().map(|k| k.st).sum();
+        let dy: f64 = kids.iter().map(|k| k.dy).sum();
+        Summary {
+            cols,
             card,
-            st,
-            dy: dy + local,
-            dep,
             fp,
             memo: false,
-        }
-    } else {
-        Parts {
-            card,
-            st: st + local,
-            dy,
             dep,
-            fp,
-            memo: false,
+            st: if dep { st } else { st + local },
+            dy: if dep { dy + local } else { dy },
+            depth: kids.iter().map(|k| k.depth).max().unwrap_or(0),
+            size: 1 + kids.iter().map(|k| k.size).sum::<usize>(),
         }
+    }
+
+    /// Estimated (or observed) output rows.
+    pub(crate) fn rows(&self) -> f64 {
+        self.card.rows
+    }
+
+    /// Rows and cumulative cost of the subtree.
+    pub(crate) fn estimate(&self) -> Estimate {
+        Estimate {
+            rows: self.card.rows,
+            cost: self.st + self.dy,
+        }
+    }
+
+    /// Growth multiplier of a fixpoint iterating over this subtree.
+    pub(crate) fn growth(&self) -> f64 {
+        fixpoint_growth(self.depth)
     }
 }
 
-/// Estimates one node, then lets the runtime feedback memo override the
-/// formula estimate: a recursion-independent subtree that has executed
-/// before reports its *observed* cardinality instead. Recursion-dependent
-/// subtrees are skipped (per-round deltas would poison the memo — they
-/// are never recorded either).
-fn parts(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> Parts {
-    let mut p = parts_raw(term, store, env);
-    if !p.dep {
-        if let Some(obs) = store.feedback.lookup(p.fp) {
-            p.card.rows = obs.rows;
-            p.card = p.card.cap_distinct();
-            p.memo = true;
-        }
-    }
-    p
+/// The second child of a binary node whose descendants' summaries, in
+/// preorder, are `below`.
+fn second(below: &[Summary]) -> &Summary {
+    &below[below[0].size]
 }
 
-fn parts_raw(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> Parts {
-    match term {
-        RaTerm::EdgeScan { label, src, tgt } => {
-            let card = scan_card(ScanInfo::bare(*label, *src, *tgt), store);
-            let rows = card.rows;
-            let fp = fp_hash(FP_EDGE, &[label.raw() as u64, (src == tgt) as u64]);
-            fold(&[], rows, card, fp)
+#[cfg(test)]
+thread_local! {
+    /// Estimator steps taken on this thread — what the one-fold tests count.
+    pub(crate) static STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One fold of the estimator over a term: the statistics and memo of
+/// `store`, plus the only state a fold carries — the enclosing fixpoints'
+/// bindings, made by [`Estimator::within`] alone.
+pub(crate) struct Estimator<'a> {
+    store: &'a RelStore,
+    /// Per bound recursion variable: its base case's estimated rows (what
+    /// a recursive reference is estimated at) and the nesting depth at
+    /// bind time (what it fingerprints by).
+    bound: FxHashMap<RecVarId, (f64, u64)>,
+    nesting: u64,
+}
+
+impl<'a> Estimator<'a> {
+    /// A fold outside any fixpoint.
+    pub(crate) fn new(store: &'a RelStore) -> Self {
+        Estimator {
+            store,
+            bound: FxHashMap::default(),
+            nesting: 0,
         }
-        RaTerm::NodeScan { labels, col } => {
-            let rows: f64 = labels
-                .iter()
-                .map(|&l| store.stats.label_cardinality(l) as f64)
-                .sum();
-            let card = Card {
-                rows,
-                distinct: vec![(*col, rows)],
-                scan: None,
-                node_labels: Some((*col, labels.clone())),
-            };
-            let mut ls: Vec<u64> = labels.iter().map(|l| l.raw() as u64).collect();
-            ls.sort_unstable();
-            let fp = fp_hash(FP_NODE, &ls);
-            fold(&[], rows, card, fp)
+    }
+
+    /// Runs `body` — the fold of a fixpoint's step — with `var` bound to
+    /// a base case of `base_rows` rows, restoring any shadowed binding
+    /// of the same variable afterwards.
+    pub(crate) fn within<R>(
+        &mut self,
+        var: RecVarId,
+        base_rows: f64,
+        body: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        self.nesting += 1;
+        let shadowed = self.bound.insert(var, (base_rows, self.nesting));
+        let out = body(self);
+        self.nesting -= 1;
+        match shadowed {
+            Some(outer) => self.bound.insert(var, outer),
+            None => self.bound.remove(&var),
+        };
+        out
+    }
+
+    /// The summary of every node of `term`, in preorder: one step per
+    /// node, children first.
+    pub(crate) fn fold(&mut self, term: &RaTerm) -> Vec<Summary> {
+        let mut out = Vec::new();
+        self.fold_into(term, &mut out);
+        out
+    }
+
+    /// The summary of `term` itself.
+    pub(crate) fn root(&mut self, term: &RaTerm) -> Summary {
+        self.fold(term).swap_remove(0)
+    }
+
+    fn fold_into(&mut self, term: &RaTerm, out: &mut Vec<Summary>) {
+        let at = out.len();
+        out.push(Summary::default());
+        match term {
+            RaTerm::EdgeScan { .. } | RaTerm::NodeScan { .. } | RaTerm::RecRef { .. } => {}
+            RaTerm::Join(a, b) | RaTerm::Semijoin(a, b) | RaTerm::Union(a, b) => {
+                self.fold_into(a, out);
+                self.fold_into(b, out);
+            }
+            RaTerm::Project { input, .. }
+            | RaTerm::Rename { input, .. }
+            | RaTerm::Select { input, .. } => self.fold_into(input, out),
+            RaTerm::Fixpoint {
+                var, base, step, ..
+            } => {
+                self.fold_into(base, out);
+                let base_rows = out[at + 1].rows();
+                self.within(*var, base_rows, |est| est.fold_into(step, out));
+            }
         }
-        RaTerm::Join(a, b) => {
-            let pa = parts(a, store, env);
-            let pb = parts(b, store, env);
-            let (ca, cb) = (a.cols(), b.cols());
-            let shared: Vec<ColId> = ca.iter().copied().filter(|c| cb.contains(c)).collect();
-            let card = join_card(&pa.card, &pb.card, &shared, store);
-            let fp = fp_commutative(FP_JOIN, pa.fp, &ca, pb.fp, &cb, &shared);
-            let local = pa.card.rows + pb.card.rows + card.rows;
-            fold(&[&pa, &pb], local, card, fp)
-        }
-        RaTerm::Semijoin(a, b) => {
-            let pa = parts(a, store, env);
-            let pb = parts(b, store, env);
-            let (ca, cb) = (a.cols(), b.cols());
-            let shared: Vec<ColId> = ca.iter().copied().filter(|c| cb.contains(c)).collect();
-            let card = semijoin_card(&pa.card, &pb.card, &shared, store);
-            // A semi-join is directional: sides do not commute.
-            let fp = fp_hash(
-                FP_SEMI,
-                &[
-                    pa.fp,
-                    fp_positions(&ca, &shared),
-                    pb.fp,
-                    fp_positions(&cb, &shared),
-                ],
-            );
-            let local = pa.card.rows + pb.card.rows;
-            fold(&[&pa, &pb], local, card, fp)
-        }
-        RaTerm::Union(a, b) => {
-            let pa = parts(a, store, env);
-            let pb = parts(b, store, env);
-            let (ca, cb) = (a.cols(), b.cols());
-            let fp = fp_commutative(FP_UNION, pa.fp, &ca, pb.fp, &cb, &ca);
-            let rows = pa.card.rows + pb.card.rows;
-            let card = {
-                let distinct = pa
-                    .card
-                    .distinct
+        let summary = self.step(term, &out[at + 1..]);
+        out[at] = summary;
+    }
+
+    /// The one estimation step: the summary of the node `term` from its
+    /// own fields and its descendants' summaries `below` (preorder, so
+    /// the children are `below[0]` and [`second`]). Never descends into
+    /// `term`'s children.
+    fn step(&self, term: &RaTerm, below: &[Summary]) -> Summary {
+        #[cfg(test)]
+        STEPS.with(|n| n.set(n.get() + 1));
+        let store = self.store;
+        let raw = match term {
+            RaTerm::EdgeScan { label, src, tgt } => {
+                let card = scan_card(ScanInfo::bare(*label, *src, *tgt), store);
+                let fp = fp_hash(FP_EDGE, &[label.raw() as u64, (src == tgt) as u64]);
+                Summary {
+                    depth: store.stats.closure_depth(*label),
+                    ..Summary::over(&[], card.rows, vec![*src, *tgt], card, fp)
+                }
+            }
+            RaTerm::NodeScan { labels, col } => {
+                let rows: f64 = labels
                     .iter()
-                    .map(|&(c, va)| (c, va + pb.card.dv(c, store)))
+                    .map(|&l| store.stats.label_cardinality(l) as f64)
+                    .sum();
+                let card = Card {
+                    rows,
+                    distinct: vec![(*col, rows)],
+                    scan: None,
+                    node_labels: Some((*col, labels.clone())),
+                };
+                let mut ls: Vec<u64> = labels.iter().map(|l| l.raw() as u64).collect();
+                ls.sort_unstable();
+                Summary::over(&[], rows, vec![*col], card, fp_hash(FP_NODE, &ls))
+            }
+            RaTerm::Join(..) => self.join_formula(&below[0], second(below)),
+            RaTerm::Semijoin(..) => {
+                let (a, b) = (&below[0], second(below));
+                let shared = shared_cols(&a.cols, &b.cols);
+                let card = semijoin_card(&a.card, &b.card, &shared, store);
+                // A semi-join is directional: sides do not commute.
+                let fp = fp_hash(
+                    FP_SEMI,
+                    &[
+                        a.fp,
+                        fp_positions(&a.cols, &shared),
+                        b.fp,
+                        fp_positions(&b.cols, &shared),
+                    ],
+                );
+                let local = a.card.rows + b.card.rows;
+                Summary::over(&[a, b], local, a.cols.clone(), card, fp)
+            }
+            RaTerm::Union(..) => {
+                let (a, b) = (&below[0], second(below));
+                let fp = fp_commutative(FP_UNION, a.fp, &a.cols, b.fp, &b.cols, &a.cols);
+                let rows = a.card.rows + b.card.rows;
+                let distinct = (a.card.distinct.iter())
+                    .map(|&(c, va)| (c, va + b.card.dv(c, store)))
                     .collect();
-                let node_labels = match (&pa.card.node_labels, &pb.card.node_labels) {
+                let node_labels = match (&a.card.node_labels, &b.card.node_labels) {
                     (Some((ca, als)), Some((cb, bls))) if ca == cb => {
                         let mut ls = als.clone();
                         for l in bls {
@@ -761,154 +711,178 @@ fn parts_raw(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> Parts {
                     }
                     _ => None,
                 };
-                Card {
+                let card = Card {
                     rows,
                     distinct,
                     scan: None,
                     node_labels,
                 }
-                .cap_distinct()
-            };
-            fold(&[&pa, &pb], rows, card, fp)
-        }
-        RaTerm::Project { input, cols } => {
-            let p = parts(input, store, env);
-            let fp = fp_hash(FP_PROJECT, &[p.fp, fp_position_set(&input.cols(), cols)]);
-            let local = p.card.rows;
-            let card = {
+                .cap_distinct();
+                Summary::over(&[a, b], rows, a.cols.clone(), card, fp)
+            }
+            RaTerm::Project { cols, .. } => {
+                let p = &below[0];
+                let fp = fp_hash(FP_PROJECT, &[p.fp, fp_position_set(&p.cols, cols)]);
                 // Set semantics: the projection cannot produce more rows
                 // than the product of its columns' distinct values.
                 let prod: f64 = cols.iter().map(|&c| p.card.dv(c, store).max(1.0)).product();
-                let rows = p.card.rows.min(prod);
-                let distinct = p
-                    .card
-                    .distinct
-                    .iter()
+                let distinct = (p.card.distinct.iter())
                     .filter(|(c, _)| cols.contains(c))
                     .copied()
                     .collect();
-                let scan = p
-                    .card
-                    .scan
-                    .clone()
+                let scan = (p.card.scan.clone())
                     .filter(|info| cols.contains(&info.src) && cols.contains(&info.tgt));
                 let node_labels = p.card.node_labels.clone().filter(|(c, _)| cols.contains(c));
-                Card {
-                    rows,
+                let card = Card {
+                    rows: p.card.rows.min(prod),
                     distinct,
                     scan,
                     node_labels,
                 }
-                .cap_distinct()
-            };
-            fold(&[&p], local, card, fp)
-        }
-        RaTerm::Rename { input, from, to } => {
-            // Renames are positional no-ops: the fingerprint passes
-            // through unchanged (rename-invariance by construction).
-            let mut p = parts(input, store, env);
-            p.card.rename(*from, *to);
-            p
-        }
-        RaTerm::Select { input, a, b } => {
-            let p = parts(input, store, env);
-            let ci = input.cols();
-            let (pa, pb) = (
-                ci.iter()
-                    .position(|c| c == a)
-                    .map_or(u64::MAX, |x| x as u64),
-                ci.iter()
-                    .position(|c| c == b)
-                    .map_or(u64::MAX, |x| x as u64),
-            );
-            let fp = fp_hash(FP_SELECT, &[p.fp, pa.min(pb), pa.max(pb)]);
-            let local = p.card.rows;
-            let card = {
+                .cap_distinct();
+                Summary::over(&[p], p.card.rows, cols.clone(), card, fp)
+            }
+            RaTerm::Rename { from, to, .. } => {
+                // A positional no-op: fingerprint, rows and memo
+                // provenance are the input's, so there is nothing to
+                // look up again.
+                let mut s = below[0].clone();
+                s.size += 1;
+                s.card.rename(*from, *to);
+                for c in &mut s.cols {
+                    if *c == *from {
+                        *c = *to;
+                    }
+                }
+                return s;
+            }
+            RaTerm::Select { a, b, .. } => {
+                let p = &below[0];
+                let (pa, pb) = (fp_position(&p.cols, *a), fp_position(&p.cols, *b));
+                let fp = fp_hash(FP_SELECT, &[p.fp, pa.min(pb), pa.max(pb)]);
                 let v = p.card.dv(*a, store).max(p.card.dv(*b, store)).max(1.0);
-                let mut out = p.card.clone();
-                out.rows = p.card.rows / v;
-                out.scan = None;
-                out.node_labels = None;
-                out.cap_distinct()
-            };
-            fold(&[&p], local, card, fp)
-        }
-        RaTerm::Fixpoint {
-            var,
-            base,
-            step,
-            stable,
-        } => {
-            let pb = parts(base, store, env);
-            let prev = env.bind(*var, pb.card.rows);
-            let prev_fp = env.bind_fp(*var);
-            let ps = parts(step, store, env);
-            env.restore_fp(*var, prev_fp);
-            env.restore(*var, prev);
-            let fp = fp_hash(
-                FP_FIX,
-                &[pb.fp, ps.fp, fp_position_set(&base.cols(), stable)],
-            );
-            let growth = fixpoint_growth(term, store);
-            let rows = pb.card.rows * growth;
-            let card = {
+                let mut card = p.card.clone();
+                card.rows = p.card.rows / v;
+                card.scan = None;
+                card.node_labels = None;
+                Summary::over(&[p], p.card.rows, p.cols.clone(), card.cap_distinct(), fp)
+            }
+            RaTerm::Fixpoint { stable, .. } => {
+                let (base, step) = (&below[0], second(below));
+                let fp = fp_hash(
+                    FP_FIX,
+                    &[base.fp, step.fp, fp_position_set(&base.cols, stable)],
+                );
+                let depth = base.depth.max(step.depth);
+                let growth = fixpoint_growth(depth);
+                let rows = base.card.rows * growth;
                 // Stable columns keep the base's distinct values (every
                 // round copies them unchanged); the others may range over
                 // anything reachable.
                 let nodes = nodes_f(store);
-                let distinct = pb
-                    .card
-                    .distinct
-                    .iter()
+                let distinct = (base.card.distinct.iter())
                     .map(|&(c, v)| {
-                        if stable.contains(&c) {
-                            (c, v)
-                        } else {
-                            (c, rows.min(nodes))
-                        }
+                        (
+                            c,
+                            if stable.contains(&c) {
+                                v
+                            } else {
+                                rows.min(nodes)
+                            },
+                        )
                     })
                     .collect();
-                Card {
+                let card = Card {
                     rows,
                     distinct,
                     scan: None,
                     node_labels: None,
                 }
-                .cap_distinct()
-            };
-            // The static step cost is paid once (the physical executor
-            // caches those intermediates across rounds); only the
-            // delta-dependent part multiplies with the iteration count.
-            let total = pb.st + pb.dy + ps.st + ps.dy * growth + rows;
-            if pb.dep {
-                Parts {
+                .cap_distinct();
+                // The static step cost is paid once (the physical executor
+                // caches those intermediates across rounds); only the
+                // delta-dependent part multiplies with the iteration
+                // count. The whole closure is as dynamic as its base.
+                let total = base.st + base.dy + step.st + step.dy * growth + rows;
+                Summary {
+                    cols: base.cols.clone(),
                     card,
-                    st: 0.0,
-                    dy: total,
-                    dep: true,
                     fp,
                     memo: false,
-                }
-            } else {
-                Parts {
-                    card,
-                    st: total,
-                    dy: 0.0,
-                    dep: false,
-                    fp,
-                    memo: false,
+                    dep: base.dep,
+                    st: if base.dep { 0.0 } else { total },
+                    dy: if base.dep { total } else { 0.0 },
+                    depth,
+                    size: 1 + base.size + step.size,
                 }
             }
-        }
-        RaTerm::RecRef { var, cols } => Parts {
-            card: Card::plain(env.rows(*var).unwrap_or(1.0)),
-            st: 0.0,
-            dy: 0.0,
-            dep: true,
-            fp: fp_hash(FP_RECREF, &[env.fp_token(*var), cols.len() as u64]),
-            memo: false,
-        },
+            RaTerm::RecRef { var, cols } => {
+                // Estimated at the binding fixpoint's base case (1 row
+                // when unbound) and fingerprinted by *which* enclosing
+                // fixpoint it refers to — the de-Bruijn distance to the
+                // binder, never the variable's interned name — so a
+                // closure fingerprints identically at the root and nested
+                // in another. An unbound reference (a step folded in
+                // isolation) falls back to the variable's id: such a
+                // subtree is recursion-dependent, so the memo never sees
+                // it.
+                let (rows, token) = match self.bound.get(var) {
+                    Some(&(rows, bound_at)) => (rows, self.nesting - bound_at),
+                    None => (1.0, 0x5eed_0000_0000_0000 | var.raw() as u64),
+                };
+                Summary {
+                    cols: cols.clone(),
+                    card: Card::plain(rows),
+                    fp: fp_hash(FP_RECREF, &[token, cols.len() as u64]),
+                    dep: true,
+                    size: 1,
+                    ..Summary::default()
+                }
+            }
+        };
+        self.observed(raw)
     }
+
+    /// The step of `a ⋈ b` from two summaries alone — what greedy join
+    /// ordering scores a candidate with, no term built.
+    pub(crate) fn join(&self, a: &Summary, b: &Summary) -> Summary {
+        #[cfg(test)]
+        STEPS.with(|n| n.set(n.get() + 1));
+        self.observed(self.join_formula(a, b))
+    }
+
+    fn join_formula(&self, a: &Summary, b: &Summary) -> Summary {
+        let shared = shared_cols(&a.cols, &b.cols);
+        let card = join_card(&a.card, &b.card, &shared, self.store);
+        let fp = fp_commutative(FP_JOIN, a.fp, &a.cols, b.fp, &b.cols, &shared);
+        let local = a.card.rows + b.card.rows + card.rows;
+        let mut cols = a.cols.clone();
+        for &c in &b.cols {
+            if !cols.contains(&c) {
+                cols.push(c);
+            }
+        }
+        Summary::over(&[a, b], local, cols, card, fp)
+    }
+
+    /// The memo override, applied here and nowhere else: a
+    /// recursion-independent subtree that has executed before reports its
+    /// *observed* cardinality instead of the formulas'.
+    fn observed(&self, mut s: Summary) -> Summary {
+        if !s.dep {
+            if let Some(obs) = self.store.feedback.lookup(s.fp) {
+                s.card.rows = obs.rows;
+                s.card = s.card.cap_distinct();
+                s.memo = true;
+            }
+        }
+        s
+    }
+}
+
+/// Shared columns in left-schema order.
+pub(crate) fn shared_cols(left: &[ColId], right: &[ColId]) -> Vec<ColId> {
+    left.iter().filter(|c| right.contains(c)).copied().collect()
 }
 
 #[cfg(test)]
@@ -1011,7 +985,7 @@ mod tests {
             s.col("y"),
             s.col("m"),
         );
-        assert_eq!(fixpoint_growth(&f, &store), 2.0);
+        assert_eq!(Estimator::new(&store).root(&f).growth(), 2.0);
         assert_eq!(estimate(&f, &store).rows, 8.0);
         // owns: a single 2-node edge cannot compose — the closure is its
         // base, and the estimate says so.
@@ -1022,7 +996,7 @@ mod tests {
             s.col("y"),
             s.col("m"),
         );
-        assert_eq!(fixpoint_growth(&f, &store), 1.0);
+        assert_eq!(Estimator::new(&store).root(&f).growth(), 1.0);
         assert_eq!(estimate(&f, &store).rows, 1.0);
     }
 
@@ -1065,9 +1039,8 @@ mod tests {
         // Unbound: the old 1-row fallback.
         assert_eq!(estimate(&recref, &store).rows, 1.0);
         // Bound: the enclosing fixpoint's base estimate.
-        let mut env = EstEnv::new();
-        env.bind(var, 4.0);
-        assert_eq!(estimate_with_env(&recref, &store, &mut env).rows, 4.0);
+        let mut est = Estimator::new(&store);
+        assert_eq!(est.within(var, 4.0, |e| e.root(&recref).rows()), 4.0);
         // Inside the canonical closure, the recursive join therefore sees
         // a 4-row left input instead of a 1-row one.
         let f = closure_fixpoint(
@@ -1080,9 +1053,7 @@ mod tests {
         let RaTerm::Fixpoint { step, .. } = &f else {
             panic!()
         };
-        let mut env = EstEnv::new();
-        env.bind(var, 4.0);
-        let e_step = estimate_with_env(step, &store, &mut env);
+        let e_step = est.within(var, 4.0, |e| e.root(step).estimate());
         assert!(
             e_step.rows >= 4.0,
             "step estimate should reflect the recursive input: {e_step:?}"
@@ -1103,11 +1074,10 @@ mod tests {
         let (RaTerm::Fixpoint { base, step, .. },) = (&f,) else {
             panic!()
         };
-        let growth = fixpoint_growth(&f, &store);
+        let mut est = Estimator::new(&store);
+        let growth = est.root(&f).growth();
         let eb = estimate(base, &store);
-        let mut env = EstEnv::new();
-        env.bind(var, eb.rows);
-        let es = estimate_with_env(step, &store, &mut env);
+        let es = est.within(var, eb.rows, |e| e.root(step).estimate());
         let e_fix = estimate(&f, &store);
         let naive = eb.cost + es.cost * growth + eb.rows * growth;
         assert!(

@@ -28,7 +28,7 @@
 //! executing against the store feeds the same memo, and a schema change
 //! clears it alongside the plan cache.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use sgq_common::FxHashMap;
@@ -56,8 +56,6 @@ pub struct Observation {
 pub struct FeedbackMemo {
     shards: Vec<Mutex<FxHashMap<u64, Observation>>>,
     enabled: AtomicBool,
-    hits: AtomicU64,
-    recorded: AtomicU64,
 }
 
 impl Default for FeedbackMemo {
@@ -74,8 +72,6 @@ impl FeedbackMemo {
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
             enabled: AtomicBool::new(true),
-            hits: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
         }
     }
 
@@ -95,18 +91,14 @@ impl FeedbackMemo {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// The remembered observation for `fp`, counting a hit. `None` when
-    /// never observed or the memo is disabled.
+    /// The remembered observation for `fp`. `None` when never observed
+    /// or the memo is disabled.
     pub fn lookup(&self, fp: u64) -> Option<Observation> {
         if !self.is_enabled() {
             return None;
         }
         let shard = self.shard(fp).lock().unwrap_or_else(|e| e.into_inner());
-        let obs = shard.get(&fp).copied();
-        if obs.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        obs
+        shard.get(&fp).copied()
     }
 
     /// Folds an observed row count into the entry for `fp` with the
@@ -123,8 +115,6 @@ impl FeedbackMemo {
         let carried = entry.weight * DECAY;
         entry.rows = (entry.rows * carried + rows as f64) / (carried + 1.0);
         entry.weight = carried + 1.0;
-        drop(shard);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops every observation (schema change: observed cardinalities
@@ -147,17 +137,6 @@ impl FeedbackMemo {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Estimation lookups that found an observation.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Observations folded in since creation (or the last counter-free
-    /// [`FeedbackMemo::clear`] — counters survive clears).
-    pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -174,8 +153,6 @@ mod tests {
         assert_eq!(obs.rows, 100.0);
         assert_eq!(obs.weight, 1.0);
         assert_eq!(memo.len(), 1);
-        assert_eq!(memo.recorded(), 1);
-        assert_eq!(memo.hits(), 1);
     }
 
     #[test]
@@ -242,7 +219,6 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(memo.len(), 8);
-        assert_eq!(memo.recorded(), 4 * 256);
         for fp in 0..8 {
             let obs = memo.lookup(fp).unwrap();
             assert!(obs.rows >= 1.0 && obs.rows <= 31.0, "rows = {}", obs.rows);

@@ -20,7 +20,7 @@
 
 use sgq_common::ColId;
 
-use crate::cost::{estimate_with_env, EstEnv};
+use crate::cost::{Estimator, Summary};
 use crate::storage::RelStore;
 use crate::term::RaTerm;
 
@@ -28,7 +28,7 @@ use crate::term::RaTerm;
 pub fn optimize(term: &RaTerm, store: &RelStore) -> RaTerm {
     let mut current = term.clone();
     for _ in 0..8 {
-        let next = pass(&current, store, &mut EstEnv::new());
+        let next = pass(&current, &mut Estimator::new(store));
         if next == current {
             break;
         }
@@ -37,23 +37,23 @@ pub fn optimize(term: &RaTerm, store: &RelStore) -> RaTerm {
     current
 }
 
-fn pass(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> RaTerm {
-    // Bottom-up. The estimation environment binds each fixpoint's base
-    // estimate before descending into its step, so join reordering
-    // inside a step sees the recursive input at its real cardinality.
+fn pass(term: &RaTerm, est: &mut Estimator) -> RaTerm {
+    // Bottom-up. A fixpoint's step is rewritten with the recursion
+    // variable bound to the base's estimate, so join reordering inside
+    // the step sees the recursive input at its real cardinality.
     let term = match term {
         RaTerm::EdgeScan { .. } | RaTerm::NodeScan { .. } | RaTerm::RecRef { .. } => term.clone(),
-        RaTerm::Join(a, b) => RaTerm::join(pass(a, store, env), pass(b, store, env)),
-        RaTerm::Semijoin(a, b) => RaTerm::semijoin(pass(a, store, env), pass(b, store, env)),
-        RaTerm::Union(a, b) => RaTerm::union(pass(a, store, env), pass(b, store, env)),
-        RaTerm::Project { input, cols } => RaTerm::project(pass(input, store, env), cols.clone()),
+        RaTerm::Join(a, b) => RaTerm::join(pass(a, est), pass(b, est)),
+        RaTerm::Semijoin(a, b) => RaTerm::semijoin(pass(a, est), pass(b, est)),
+        RaTerm::Union(a, b) => RaTerm::union(pass(a, est), pass(b, est)),
+        RaTerm::Project { input, cols } => RaTerm::project(pass(input, est), cols.clone()),
         RaTerm::Rename { input, from, to } => RaTerm::Rename {
-            input: Box::new(pass(input, store, env)),
+            input: Box::new(pass(input, est)),
             from: *from,
             to: *to,
         },
         RaTerm::Select { input, a, b } => RaTerm::Select {
-            input: Box::new(pass(input, store, env)),
+            input: Box::new(pass(input, est)),
             a: *a,
             b: *b,
         },
@@ -63,11 +63,9 @@ fn pass(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> RaTerm {
             step,
             stable,
         } => {
-            let base = pass(base, store, env);
-            let base_rows = estimate_with_env(&base, store, env).rows;
-            let prev = env.bind(*var, base_rows);
-            let step = pass(step, store, env);
-            env.restore(*var, prev);
+            let base = pass(base, est);
+            let base_rows = est.root(&base).rows();
+            let step = est.within(*var, base_rows, |est| pass(step, est));
             RaTerm::Fixpoint {
                 var: *var,
                 base: Box::new(base),
@@ -77,7 +75,7 @@ fn pass(term: &RaTerm, store: &RelStore, env: &mut EstEnv) -> RaTerm {
         }
     };
     let term = push_semijoin(term);
-    reorder_joins(term, store, env)
+    reorder_joins(term, est)
 }
 
 /// Rules 1 and 2: semi-join pushdown.
@@ -129,8 +127,10 @@ fn push_semijoin(term: RaTerm) -> RaTerm {
     }
 }
 
-/// Rule 3: flatten join chains and rebuild greedily.
-fn reorder_joins(term: RaTerm, store: &RelStore, env: &mut EstEnv) -> RaTerm {
+/// Rule 3: flatten join chains and rebuild greedily. Each operand is
+/// folded once; a candidate `acc ⋈ p` is then scored by one join step
+/// over the two summaries, and the winner's summary becomes `acc`'s.
+fn reorder_joins(term: RaTerm, est: &mut Estimator) -> RaTerm {
     match term {
         RaTerm::Join(_, _) => {
             let mut parts: Vec<RaTerm> = Vec::new();
@@ -140,33 +140,37 @@ fn reorder_joins(term: RaTerm, store: &RelStore, env: &mut EstEnv) -> RaTerm {
             }
             // Start from the smallest estimate; then repeatedly pick the
             // connected part minimising the joined estimate.
-            let mut remaining = parts;
+            let mut remaining: Vec<(RaTerm, Summary)> = Vec::with_capacity(parts.len());
+            for p in parts {
+                let summary = est.root(&p);
+                remaining.push((p, summary));
+            }
             let mut best_idx = 0;
             let mut best_rows = f64::INFINITY;
-            for (i, p) in remaining.iter().enumerate() {
-                let e = estimate_with_env(p, store, env);
-                if e.rows < best_rows {
-                    best_rows = e.rows;
+            for (i, (_, s)) in remaining.iter().enumerate() {
+                if s.rows() < best_rows {
+                    best_rows = s.rows();
                     best_idx = i;
                 }
             }
-            let mut acc = remaining.swap_remove(best_idx);
+            let (mut acc, mut acc_sum) = remaining.swap_remove(best_idx);
             while !remaining.is_empty() {
-                let acc_cols = acc.cols();
+                let mut joined: Vec<Summary> = (remaining.iter())
+                    .map(|(_, s)| est.join(&acc_sum, s))
+                    .collect();
                 let mut pick = 0;
                 let mut pick_score = (false, f64::INFINITY);
-                for (i, p) in remaining.iter().enumerate() {
-                    let connected = p.cols().iter().any(|c| acc_cols.contains(c));
-                    let rows =
-                        estimate_with_env(&RaTerm::join(acc.clone(), p.clone()), store, env).rows;
-                    let score = (!connected, rows);
+                for (i, (_, s)) in remaining.iter().enumerate() {
+                    let connected = s.cols.iter().any(|c| acc_sum.cols.contains(c));
+                    let score = (!connected, joined[i].rows());
                     if score < pick_score {
                         pick_score = score;
                         pick = i;
                     }
                 }
-                let next = remaining.swap_remove(pick);
+                let (next, _) = remaining.swap_remove(pick);
                 acc = RaTerm::join(acc, next);
+                acc_sum = joined.swap_remove(pick);
             }
             acc
         }

@@ -10,11 +10,9 @@
 //!   the join (or semi-join) runs as a linear merge with no hash table
 //!   at all.
 //! * **Cost.** For the remaining hash joins the build side is chosen by
-//!   [`crate::cost::estimate`]-style cardinalities instead of being
-//!   rediscovered at run time, with ties broken towards the
-//!   recursion-independent side so a fixpoint can cache the built table
-//!   across rounds (see below).
-//!
+//!   the term's estimated cardinalities instead of being rediscovered at
+//!   run time, with ties broken towards the recursion-independent side
+//!   so a fixpoint can cache the built table across rounds (see below).
 //! * **Indexes.** The store carries per-edge-label forward/reverse CSR
 //!   adjacency indexes. When one side of a join is a (possibly renamed
 //!   and/or node-label-filtered) base edge scan sharing exactly one
@@ -40,11 +38,15 @@
 //!   at all: the "build side" is the index built once at load time.
 //!
 //! Every node carries its output columns and an [`Estimate`], which is
-//! what the physical `EXPLAIN` ([`crate::explain`]) renders.
+//! what the physical `EXPLAIN` ([`crate::explain`]) renders. The rows,
+//! fingerprints and memo provenance come from one fold of the estimator
+//! over the term ([`mod@crate::cost`]), made before lowering starts:
+//! every strategy decision reads the summaries of the node and its
+//! operands, and none re-enters the estimator.
 
 use sgq_common::{ColId, EdgeLabelId, NodeLabelId, RecVarId, Result, SgqError};
 
-use crate::cost::{self, EstEnv, Estimate, NodeEst};
+use crate::cost::{self, shared_cols, Estimate, Estimator, Summary};
 use crate::storage::RelStore;
 use crate::term::RaTerm;
 
@@ -363,123 +365,104 @@ impl PhysPlan {
 
 /// Lowers an (ideally [`crate::optimize`]d) term into a physical plan.
 ///
+/// The estimator is folded over the term once, up front; lowering then
+/// only reads each node's summary, so every plan node's rows,
+/// fingerprint and memo provenance are the term-level ones.
+///
 /// Fails when the term is malformed — a selection or projection names a
 /// column its input does not produce.
 pub fn plan(term: &RaTerm, store: &RelStore) -> Result<PhysPlan> {
+    let sums = Estimator::new(store).fold(term);
     let mut planner = Planner {
         store,
-        env: EstEnv::new(),
+        sums: &sums,
         next_id: 0,
     };
-    planner.lower(term)
+    planner.lower(term, 0)
 }
 
 struct Planner<'a> {
     store: &'a RelStore,
-    /// Base-case cardinalities of enclosing fixpoints.
-    env: EstEnv,
+    /// The summary of every term node, in preorder: `lower` is handed a
+    /// node together with its index here.
+    sums: &'a [Summary],
     next_id: u32,
 }
 
-impl Planner<'_> {
+impl<'a> Planner<'a> {
+    /// The plan node computing term node `at`: rows, fingerprint and memo
+    /// provenance are the term's; `cost` is the chosen strategy's.
     fn node(
         &mut self,
+        at: usize,
         cols: Vec<ColId>,
-        est: Estimate,
-        src: NodeEst,
+        cost: f64,
         free_rec: Vec<RecVarId>,
         op: PhysOp,
     ) -> PhysPlan {
         let id = self.next_id;
         self.next_id += 1;
+        let e = &self.sums[at];
         PhysPlan {
             id,
             cols,
-            est,
-            fp: src.fp,
-            memo_est: src.memo,
+            est: Estimate {
+                rows: e.rows(),
+                cost,
+            },
+            fp: e.fp,
+            memo_est: e.memo,
             free_rec,
             op,
         }
     }
 
-    /// Estimate of `term` under the current fixpoint environment — rows,
-    /// structural fingerprint and memo provenance, the single source of
-    /// cardinalities for every plan node, so plan and term estimates
-    /// agree by construction.
-    ///
-    /// Each call re-estimates the whole subterm, making lowering
-    /// quadratic in term size. Catalog terms are tens of nodes
-    /// (microseconds per plan, and the service caches plans); if huge
-    /// machine-generated terms ever matter, thread the estimator's
-    /// per-node `Card` through `lower` instead.
-    fn est_node(&mut self, term: &RaTerm) -> NodeEst {
-        cost::node_est(term, self.store, &mut self.env)
+    /// Indices of the two children of the binary term node `at`.
+    fn children(&self, at: usize) -> (usize, usize) {
+        (at + 1, at + 1 + self.sums[at + 1].size)
     }
 
-    fn lower(&mut self, term: &RaTerm) -> Result<PhysPlan> {
+    fn lower(&mut self, term: &RaTerm, at: usize) -> Result<PhysPlan> {
+        let rows = self.sums[at].rows();
         match term {
             RaTerm::EdgeScan { label, src, tgt } => {
-                let e = self.est_node(term);
-                let rows = e.rows;
-                Ok(self.node(
-                    vec![*src, *tgt],
-                    Estimate { rows, cost: rows },
-                    e,
-                    vec![],
-                    PhysOp::EdgeScan { label: *label },
-                ))
+                let op = PhysOp::EdgeScan { label: *label };
+                Ok(self.node(at, vec![*src, *tgt], rows, vec![], op))
             }
             RaTerm::NodeScan { labels, col } => {
-                let e = self.est_node(term);
-                let rows = e.rows;
-                Ok(self.node(
-                    vec![*col],
-                    Estimate { rows, cost: rows },
-                    e,
-                    vec![],
-                    PhysOp::NodeScan {
-                        labels: labels.clone(),
-                    },
-                ))
+                let op = PhysOp::NodeScan {
+                    labels: labels.clone(),
+                };
+                Ok(self.node(at, vec![*col], rows, vec![], op))
             }
             RaTerm::Join(a, b) => {
-                let e = self.est_node(term);
-                if let Some(p) = self.try_index_join(a, b, e)? {
+                if let Some(p) = self.try_index_join(a, b, at)? {
                     return Ok(p);
                 }
-                let left = self.lower(a)?;
-                let right = self.lower(b)?;
-                Ok(self.lower_join(left, right, e))
+                let (l, r) = self.children(at);
+                let left = self.lower(a, l)?;
+                let right = self.lower(b, r)?;
+                Ok(self.lower_join(left, right, at))
             }
-            RaTerm::Semijoin(a, b) => self.lower_semijoin(term, a, b),
+            RaTerm::Semijoin(a, b) => self.lower_semijoin(term, a, b, at),
             RaTerm::Union(a, b) => {
-                let e = self.est_node(term);
-                if let Some(p) = self.try_multi_scan(term, e) {
+                if let Some(p) = self.try_multi_scan(term, at) {
                     return Ok(p);
                 }
-                let left = self.lower(a)?;
-                let right = self.lower(b)?;
-                let est = Estimate {
-                    rows: e.rows,
-                    cost: left.est.cost + right.est.cost + e.rows,
-                };
+                let (l, r) = self.children(at);
+                let left = self.lower(a, l)?;
+                let right = self.lower(b, r)?;
+                let cost = left.est.cost + right.est.cost + rows;
                 let cols = left.cols.clone();
                 let free = union_free(&left.free_rec, &right.free_rec);
-                Ok(self.node(
-                    cols,
-                    est,
-                    e,
-                    free,
-                    PhysOp::Union {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                    },
-                ))
+                let op = PhysOp::Union {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                };
+                Ok(self.node(at, cols, cost, free, op))
             }
             RaTerm::Project { input, cols } => {
-                let e = self.est_node(term);
-                let child = self.lower(input)?;
+                let child = self.lower(input, at + 1)?;
                 for c in cols {
                     if !child.cols.contains(c) {
                         return Err(SgqError::Execution(format!(
@@ -487,56 +470,34 @@ impl Planner<'_> {
                         )));
                     }
                 }
-                let est = Estimate {
-                    rows: e.rows,
-                    cost: child.est.cost + child.est.rows,
-                };
+                let cost = child.est.cost + child.est.rows;
                 let free = child.free_rec.clone();
-                Ok(self.node(
-                    cols.clone(),
-                    est,
-                    e,
-                    free,
-                    PhysOp::Project {
-                        input: Box::new(child),
-                    },
-                ))
+                let op = PhysOp::Project {
+                    input: Box::new(child),
+                };
+                Ok(self.node(at, cols.clone(), cost, free, op))
             }
             RaTerm::Select { input, a, b } => {
-                let e = self.est_node(term);
-                let child = self.lower(input)?;
-                let ia = child
-                    .cols
-                    .iter()
-                    .position(|c| c == a)
-                    .ok_or_else(|| SgqError::Execution(format!("unknown column {a}")))?;
-                let ib = child
-                    .cols
-                    .iter()
-                    .position(|c| c == b)
-                    .ok_or_else(|| SgqError::Execution(format!("unknown column {b}")))?;
-                let est = Estimate {
-                    rows: e.rows,
-                    cost: child.est.cost + child.est.rows,
+                let child = self.lower(input, at + 1)?;
+                let position = |col: &ColId| {
+                    (child.cols.iter().position(|c| c == col))
+                        .ok_or_else(|| SgqError::Execution(format!("unknown column {col}")))
                 };
+                let (ia, ib) = (position(a)?, position(b)?);
+                let cost = child.est.cost + child.est.rows;
                 let cols = child.cols.clone();
                 let free = child.free_rec.clone();
-                Ok(self.node(
-                    cols,
-                    est,
-                    e,
-                    free,
-                    PhysOp::Select {
-                        input: Box::new(child),
-                        a: *a,
-                        b: *b,
-                        ia,
-                        ib,
-                    },
-                ))
+                let op = PhysOp::Select {
+                    input: Box::new(child),
+                    a: *a,
+                    b: *b,
+                    ia,
+                    ib,
+                };
+                Ok(self.node(at, cols, cost, free, op))
             }
             RaTerm::Rename { input, from, to } => {
-                let child = self.lower(input)?;
+                let child = self.lower(input, at + 1)?;
                 if !child.cols.contains(from) {
                     return Err(SgqError::Execution(format!("unknown column {from}")));
                 }
@@ -545,86 +506,53 @@ impl Planner<'_> {
                     .iter()
                     .map(|&c| if c == *from { *to } else { c })
                     .collect();
-                // Zero-copy at execution: the rename adds no cost, and
-                // the fingerprint is the child's (renames are invisible
-                // to the position-based hash).
-                let est = child.est;
-                let e = NodeEst {
-                    rows: child.est.rows,
-                    fp: child.fp,
-                    memo: child.memo_est,
-                };
+                // Zero-copy at execution: the rename adds no cost (and its
+                // summary is the child's — renames are invisible to the
+                // position-based fingerprint).
+                let cost = child.est.cost;
                 let free = child.free_rec.clone();
-                Ok(self.node(
-                    cols,
-                    est,
-                    e,
-                    free,
-                    PhysOp::Rename {
-                        input: Box::new(child),
-                    },
-                ))
+                let op = PhysOp::Rename {
+                    input: Box::new(child),
+                };
+                Ok(self.node(at, cols, cost, free, op))
             }
             RaTerm::Fixpoint {
                 var, base, step, ..
             } => {
-                // Estimated before lowering so a memoised observation of
-                // the whole closure overrides the growth extrapolation.
-                let e = self.est_node(term);
-                let base_plan = self.lower(base)?;
-                let prev = self.env.bind(*var, base_plan.est.rows);
-                let step_plan = self.lower(step);
-                self.env.restore(*var, prev);
-                let step_plan = step_plan?;
-                // Growth from the measured closure depth bound of the
-                // labels the fixpoint iterates over.
-                let growth = cost::fixpoint_growth(term, self.store);
-                let rows = e.rows;
+                let (l, r) = self.children(at);
+                let base_plan = self.lower(base, l)?;
+                let step_plan = self.lower(step, r)?;
                 // Static step inputs are cached across rounds, so only
-                // the delta-dependent cost multiplies with the growth.
+                // the delta-dependent cost multiplies with the growth
+                // (from the measured closure depth of the labels the
+                // fixpoint iterates over). `rows` may be a memoised
+                // observation of the whole closure, which overrides the
+                // growth extrapolation.
                 let (st, dy) = split_cost(&step_plan);
-                let est = Estimate {
-                    rows,
-                    cost: base_plan.est.cost + st + dy * growth + rows,
-                };
+                let cost = base_plan.est.cost + st + dy * self.sums[at].growth() + rows;
                 let cols = base_plan.cols.clone();
                 let mut free = union_free(&base_plan.free_rec, &step_plan.free_rec);
                 free.retain(|v| v != var);
-                Ok(self.node(
-                    cols,
-                    est,
-                    e,
-                    free,
-                    PhysOp::Fixpoint {
-                        var: *var,
-                        base: Box::new(base_plan),
-                        step: Box::new(step_plan),
-                    },
-                ))
+                let op = PhysOp::Fixpoint {
+                    var: *var,
+                    base: Box::new(base_plan),
+                    step: Box::new(step_plan),
+                };
+                Ok(self.node(at, cols, cost, free, op))
             }
             RaTerm::RecRef { var, cols } => {
-                let e = self.est_node(term);
-                Ok(self.node(
-                    cols.clone(),
-                    Estimate {
-                        rows: e.rows,
-                        cost: 0.0,
-                    },
-                    e,
-                    vec![*var],
-                    PhysOp::RecRef { var: *var },
-                ))
+                let op = PhysOp::RecRef { var: *var };
+                Ok(self.node(at, cols.clone(), 0.0, vec![*var], op))
             }
         }
     }
 
-    /// Join strategy selection: merge when the shared columns lead both
-    /// schemas, otherwise hash with the cost-chosen build side. `e` is
-    /// the term-level estimate of the join's output.
-    fn lower_join(&mut self, left: PhysPlan, right: PhysPlan, e: NodeEst) -> PhysPlan {
-        let rows = e.rows;
+    /// Join strategy selection for term node `at`: merge when the shared
+    /// columns lead both schemas, otherwise hash with the cost-chosen
+    /// build side.
+    fn lower_join(&mut self, left: PhysPlan, right: PhysPlan, at: usize) -> PhysPlan {
+        let rows = self.sums[at].rows();
         let key = shared_cols(&left.cols, &right.cols);
-        let k = key.len();
         let cols: Vec<ColId> = left
             .cols
             .iter()
@@ -632,28 +560,17 @@ impl Planner<'_> {
             .copied()
             .collect();
         let free = union_free(&left.free_rec, &right.free_rec);
-        if k >= 1 && is_prefix(&key, &left.cols) && is_prefix(&key, &right.cols) {
+        if !key.is_empty() && is_prefix(&key, &left.cols) && is_prefix(&key, &right.cols) {
             // Both inputs arrive sorted on the key: skip hashing entirely.
-            let est = Estimate {
-                rows,
-                cost: left.est.cost + right.est.cost + rows,
+            let cost = left.est.cost + right.est.cost + rows;
+            let op = PhysOp::MergeJoin {
+                left: Box::new(left),
+                right: Box::new(right),
+                key,
             };
-            return self.node(
-                cols,
-                est,
-                e,
-                free,
-                PhysOp::MergeJoin {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    key,
-                },
-            );
+            return self.node(at, cols, cost, free, op);
         }
-        let est = Estimate {
-            rows,
-            cost: left.est.cost + right.est.cost + left.est.rows + right.est.rows + rows,
-        };
+        let cost = left.est.cost + right.est.cost + left.est.rows + right.est.rows + rows;
         // Build the estimated-smaller side; break ties towards the
         // recursion-independent side, whose table a fixpoint can cache.
         let build_left = if left.est.rows < right.est.rows {
@@ -663,39 +580,40 @@ impl Planner<'_> {
         } else {
             left.is_static() || !right.is_static()
         };
-        self.node(
-            cols,
-            est,
-            e,
-            free,
-            PhysOp::HashJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                key,
-                build_left,
-            },
-        )
+        let op = PhysOp::HashJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            key,
+            build_left,
+        };
+        self.node(at, cols, cost, free, op)
     }
 
-    /// Attempts to lower `a ⋈ b` as a CSR index join. One side must be
-    /// an indexable base-edge scan ([`indexable_scan`]) sharing exactly
-    /// one column — one of its endpoints — with the other side, and the
-    /// cost model must prefer probing the CSR (probe rows × (1 + avg
-    /// degree)) over the best scan-based strategy (merge or hash) for
-    /// the same term. When both sides qualify, the cheaper probe
-    /// orientation competes.
-    fn try_index_join(&mut self, a: &RaTerm, b: &RaTerm, e: NodeEst) -> Result<Option<PhysPlan>> {
+    /// Attempts to lower the join `a ⋈ b` at term node `at` as a CSR
+    /// index join. One side must be an indexable base-edge scan
+    /// ([`indexable_scan`]) sharing exactly one column — one of its
+    /// endpoints — with the other side, and the cost model must prefer
+    /// probing the CSR (probe rows × (1 + avg degree)) over the best
+    /// scan-based strategy (merge or hash) for the same term. When both
+    /// sides qualify, the cheaper probe orientation competes. The
+    /// absorbed scan side is never lowered: the fold already summarised
+    /// it.
+    fn try_index_join(&mut self, a: &RaTerm, b: &RaTerm, at: usize) -> Result<Option<PhysPlan>> {
         if !self.store.index_joins {
             return Ok(None);
         }
-        let rows = e.rows;
-        // Indexable orientations: (scan, scan-on-the-left, forward).
-        let mut candidates: Vec<(IndexableScan, bool, bool)> = Vec::new();
-        for (scan_term, probe_term, scan_left) in [(a, b, true), (b, a, false)] {
+        let sums = self.sums;
+        let rows = sums[at].rows();
+        let (l, r) = self.children(at);
+        let (ea, eb) = (sums[l].estimate(), sums[r].estimate());
+        // The cheapest indexable orientation: (scan, scan-on-the-left,
+        // forward, cost).
+        let mut best: Option<(IndexableScan, bool, bool, f64)> = None;
+        for (scan_term, probe, scan_left) in [(a, r, true), (b, l, false)] {
             let Some(s) = indexable_scan(scan_term) else {
                 continue;
             };
-            let probe_cols = probe_term.cols();
+            let probe_cols = &sums[probe].cols;
             let forward = match (probe_cols.contains(&s.src), probe_cols.contains(&s.tgt)) {
                 (true, false) => true,
                 (false, true) => false,
@@ -703,32 +621,20 @@ impl Planner<'_> {
                 // not an index-join shape.
                 _ => continue,
             };
-            candidates.push((s, scan_left, forward));
-        }
-        if candidates.is_empty() {
-            return Ok(None);
-        }
-        // One estimate per side serves every candidate's probe cost and
-        // the scan-based alternative below.
-        let ea = cost::estimate_with_env(a, self.store, &mut self.env);
-        let eb = cost::estimate_with_env(b, self.store, &mut self.env);
-        let mut best: Option<(IndexableScan, bool, bool, f64)> = None;
-        for (s, scan_left, forward) in candidates {
-            let probe = if scan_left { &eb } else { &ea };
             let deg = cost::index_degree(self.store, s.label, forward);
-            let c = cost::index_join_cost(probe, deg, rows);
+            let c = cost::index_join_cost(if scan_left { &eb } else { &ea }, deg, rows);
             if best.as_ref().is_none_or(|&(_, _, _, bc)| c < bc) {
                 best = Some((s, scan_left, forward, c));
             }
         }
         let Some((s, scan_left, forward, index_cost)) = best else {
-            unreachable!("at least one candidate was scored");
+            return Ok(None);
         };
         // The scan-based alternative this term would otherwise lower to.
-        let (a_cols, b_cols) = (a.cols(), b.cols());
-        let key_cols = shared_cols(&a_cols, &b_cols);
+        let (a_cols, b_cols) = (&sums[l].cols, &sums[r].cols);
+        let key_cols = shared_cols(a_cols, b_cols);
         let merge_ok =
-            !key_cols.is_empty() && is_prefix(&key_cols, &a_cols) && is_prefix(&key_cols, &b_cols);
+            !key_cols.is_empty() && is_prefix(&key_cols, a_cols) && is_prefix(&key_cols, b_cols);
         let scan_based = if merge_ok {
             ea.cost + eb.cost + rows
         } else {
@@ -737,7 +643,11 @@ impl Planner<'_> {
         if index_cost >= scan_based {
             return Ok(None);
         }
-        let probe = self.lower(if scan_left { b } else { a })?;
+        let probe = if scan_left {
+            self.lower(b, r)?
+        } else {
+            self.lower(a, l)?
+        };
         let (key, out) = if forward {
             (s.src, s.tgt)
         } else {
@@ -755,54 +665,46 @@ impl Planner<'_> {
         } else {
             probe.cols.iter().copied().chain([out]).collect()
         };
-        let est = Estimate {
-            rows,
-            cost: index_cost,
-        };
         let free = probe.free_rec.clone();
-        Ok(Some(self.node(
-            cols,
-            est,
-            e,
-            free,
-            PhysOp::IndexJoin {
-                probe: Box::new(probe),
-                label: s.label,
-                key,
-                out,
-                forward,
-                src_labels: s.src_labels,
-                tgt_labels: s.tgt_labels,
-            },
-        )))
+        let op = PhysOp::IndexJoin {
+            probe: Box::new(probe),
+            label: s.label,
+            key,
+            out,
+            forward,
+            src_labels: s.src_labels,
+            tgt_labels: s.tgt_labels,
+        };
+        Ok(Some(self.node(at, cols, index_cost, free, op)))
     }
 
-    /// Attempts to lower `a ⋉ b` as a CSR index semi-join: `b` must be
-    /// an indexable base-edge scan sharing exactly one endpoint column
-    /// with `a`, and the per-row degree probe must beat collecting the
-    /// scan's key set.
+    /// Attempts to lower the semi-join `a ⋉ b` at term node `at` as a CSR
+    /// index semi-join: `b` must be an indexable base-edge scan sharing
+    /// exactly one endpoint column with `a`, and the per-row degree probe
+    /// must beat collecting the scan's key set.
     fn try_index_semijoin(
         &mut self,
         a: &RaTerm,
         b: &RaTerm,
-        e: NodeEst,
+        at: usize,
     ) -> Result<Option<PhysPlan>> {
         if !self.store.index_joins {
             return Ok(None);
         }
-        let rows = e.rows;
+        let sums = self.sums;
+        let rows = sums[at].rows();
         let Some(s) = indexable_scan(b) else {
             return Ok(None);
         };
-        let a_cols = a.cols();
+        let (l, r) = self.children(at);
+        let a_cols = &sums[l].cols;
         let forward = match (a_cols.contains(&s.src), a_cols.contains(&s.tgt)) {
             (true, false) => true,
             (false, true) => false,
             _ => return Ok(None),
         };
         let key = if forward { s.src } else { s.tgt };
-        let ea = cost::estimate_with_env(a, self.store, &mut self.env);
-        let eb = cost::estimate_with_env(b, self.store, &mut self.env);
+        let (ea, eb) = (sums[l].estimate(), sums[r].estimate());
         let index_cost = cost::index_semijoin_cost(&ea);
         // Merge filtering needs the key to lead both sides; the scan side
         // leads with its source column.
@@ -815,118 +717,91 @@ impl Planner<'_> {
         if index_cost >= scan_based {
             return Ok(None);
         }
-        let left = self.lower(a)?;
+        let left = self.lower(a, l)?;
         let cols = left.cols.clone();
-        let est = Estimate {
-            rows,
-            cost: index_cost,
-        };
         let free = left.free_rec.clone();
-        Ok(Some(self.node(
-            cols,
-            est,
-            e,
-            free,
-            PhysOp::IndexSemiJoin {
-                left: Box::new(left),
-                label: s.label,
-                key,
-                forward,
-                src_labels: s.src_labels,
-                tgt_labels: s.tgt_labels,
-            },
-        )))
+        let op = PhysOp::IndexSemiJoin {
+            left: Box::new(left),
+            label: s.label,
+            key,
+            forward,
+            src_labels: s.src_labels,
+            tgt_labels: s.tgt_labels,
+        };
+        Ok(Some(self.node(at, cols, index_cost, free, op)))
     }
 
     /// Semi-join strategy selection: fuse onto bare edge scans, probe the
     /// CSR when the filter is an indexable scan, merge on sorted key
-    /// prefixes, hash otherwise. `term` is the original semi-join term,
-    /// whose label-aware estimate every strategy shares.
-    fn lower_semijoin(&mut self, term: &RaTerm, a: &RaTerm, b: &RaTerm) -> Result<PhysPlan> {
-        let e = self.est_node(term);
-        let rows = e.rows;
+    /// prefixes, hash otherwise. `term` is the semi-join `a ⋉ b` at term
+    /// node `at`, whose label-aware estimate every strategy shares.
+    fn lower_semijoin(
+        &mut self,
+        term: &RaTerm,
+        a: &RaTerm,
+        b: &RaTerm,
+        at: usize,
+    ) -> Result<PhysPlan> {
+        let rows = self.sums[at].rows();
+        let (l, r) = self.children(at);
         // A node-label filter on a scan whose slice the denormalised
         // layout precomputed needs no filtering at all — it is a strict
         // improvement over every strategy below, so no cost race.
-        if let Some(p) = self.try_denorm_scan(term, e) {
+        if let Some(p) = self.try_denorm_scan(term, at) {
             return Ok(p);
         }
         if let RaTerm::EdgeScan { label, src, tgt } = a {
-            let filter = self.lower(b)?;
+            let filter = self.lower(b, r)?;
             let scan_cols = vec![*src, *tgt];
             let key = shared_cols(&scan_cols, &filter.cols);
             let merge =
                 !key.is_empty() && is_prefix(&key, &scan_cols) && is_prefix(&key, &filter.cols);
             let scan_rows = self.store.stats.edge_cardinality(*label) as f64;
-            let est = Estimate {
-                rows,
-                cost: scan_rows + filter.est.cost + filter.est.rows,
-            };
+            let cost = scan_rows + filter.est.cost + filter.est.rows;
             let free = filter.free_rec.clone();
             // The fused node computes the whole semi-join term, so it
             // carries the semi-join's fingerprint.
-            return Ok(self.node(
-                scan_cols,
-                est,
-                e,
-                free,
-                PhysOp::FilteredEdgeScan {
-                    label: *label,
-                    filter: Box::new(filter),
-                    key,
-                    merge,
-                },
-            ));
+            let op = PhysOp::FilteredEdgeScan {
+                label: *label,
+                filter: Box::new(filter),
+                key,
+                merge,
+            };
+            return Ok(self.node(at, scan_cols, cost, free, op));
         }
-        if let Some(p) = self.try_index_semijoin(a, b, e)? {
+        if let Some(p) = self.try_index_semijoin(a, b, at)? {
             return Ok(p);
         }
-        let left = self.lower(a)?;
-        let right = self.lower(b)?;
+        let left = self.lower(a, l)?;
+        let right = self.lower(b, r)?;
         let key = shared_cols(&left.cols, &right.cols);
         let cols = left.cols.clone();
         let free = union_free(&left.free_rec, &right.free_rec);
         if !key.is_empty() && is_prefix(&key, &left.cols) && is_prefix(&key, &right.cols) {
-            let est = Estimate {
-                rows,
-                cost: left.est.cost + right.est.cost + rows,
-            };
-            return Ok(self.node(
-                cols,
-                est,
-                e,
-                free,
-                PhysOp::MergeSemiJoin {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    key,
-                },
-            ));
-        }
-        let est = Estimate {
-            rows,
-            cost: left.est.cost + right.est.cost + left.est.rows + right.est.rows,
-        };
-        Ok(self.node(
-            cols,
-            est,
-            e,
-            free,
-            PhysOp::HashSemiJoin {
+            let cost = left.est.cost + right.est.cost + rows;
+            let op = PhysOp::MergeSemiJoin {
                 left: Box::new(left),
                 right: Box::new(right),
                 key,
-            },
-        ))
+            };
+            return Ok(self.node(at, cols, cost, free, op));
+        }
+        let cost = left.est.cost + right.est.cost + left.est.rows + right.est.rows;
+        let op = PhysOp::HashSemiJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            key,
+        };
+        Ok(self.node(at, cols, cost, free, op))
     }
 
-    /// Attempts to lower a union tree whose leaves are all plain
-    /// (possibly renamed, unfiltered) edge scans exposing the same
-    /// `(src, tgt)` column pair into one [`PhysOp::MultiEdgeScan`] over
-    /// the polymorphic layout's global table. Fires only when the
+    /// Attempts to lower a union tree (term node `at`) whose leaves are
+    /// all plain (possibly renamed, unfiltered) edge scans exposing the
+    /// same `(src, tgt)` column pair into one [`PhysOp::MultiEdgeScan`]
+    /// over the polymorphic layout's global table. Fires only when the
     /// layout supports it and the masked single pass is estimated
     /// cheaper than the union-all of per-label scans.
-    fn try_multi_scan(&mut self, term: &RaTerm, e: NodeEst) -> Option<PhysPlan> {
+    fn try_multi_scan(&mut self, term: &RaTerm, at: usize) -> Option<PhysPlan> {
         if !self.store.supports_multi_scan() {
             return None;
         }
@@ -949,30 +824,21 @@ impl Planner<'_> {
             .iter()
             .map(|&l| self.store.stats.edge_cardinality(l) as f64)
             .sum();
-        let masked = cost::multi_scan_cost(poly_rows, e.rows);
+        let masked = cost::multi_scan_cost(poly_rows, self.sums[at].rows());
         if masked >= cost::union_all_cost(label_rows) {
             return None;
         }
-        let est = Estimate {
-            rows: e.rows,
-            cost: masked,
-        };
-        Some(self.node(
-            vec![src, tgt],
-            est,
-            e,
-            vec![],
-            PhysOp::MultiEdgeScan { labels },
-        ))
+        let op = PhysOp::MultiEdgeScan { labels };
+        Some(self.node(at, vec![src, tgt], masked, vec![], op))
     }
 
     /// Attempts to lower a node-label semi-join over a base edge scan
-    /// into a [`PhysOp::DenormEdgeScan`]: when the denormalised layout
-    /// precomputed the endpoint-label slice, the whole term is a single
-    /// scan of exactly its output rows — the filter costs nothing.
-    /// Restricted to single-label filters per endpoint (the only slices
-    /// the layout materialises).
-    fn try_denorm_scan(&mut self, term: &RaTerm, e: NodeEst) -> Option<PhysPlan> {
+    /// (term node `at`) into a [`PhysOp::DenormEdgeScan`]: when the
+    /// denormalised layout precomputed the endpoint-label slice, the
+    /// whole term is a single scan of exactly its output rows — the
+    /// filter costs nothing. Restricted to single-label filters per
+    /// endpoint (the only slices the layout materialises).
+    fn try_denorm_scan(&mut self, term: &RaTerm, at: usize) -> Option<PhysPlan> {
         let s = indexable_scan(term)?;
         let single = |labels: &Option<Vec<NodeLabelId>>| match labels {
             None => Some(None),
@@ -994,21 +860,13 @@ impl Planner<'_> {
             (None, Some(b)) => stats.target_group(s.label, b).count as f64,
             (None, None) => unreachable!("at least one endpoint is filtered"),
         };
-        let est = Estimate {
-            rows: e.rows,
-            cost: cost::denorm_scan_cost(slice_rows),
+        let op = PhysOp::DenormEdgeScan {
+            label: s.label,
+            src_label,
+            tgt_label,
         };
-        Some(self.node(
-            vec![s.src, s.tgt],
-            est,
-            e,
-            vec![],
-            PhysOp::DenormEdgeScan {
-                label: s.label,
-                src_label,
-                tgt_label,
-            },
-        ))
+        let cost = cost::denorm_scan_cost(slice_rows);
+        Some(self.node(at, vec![s.src, s.tgt], cost, vec![], op))
     }
 }
 
@@ -1085,11 +943,6 @@ fn indexable_scan(term: &RaTerm) -> Option<IndexableScan> {
         }
         _ => None,
     }
-}
-
-/// Shared columns in left-schema order.
-fn shared_cols(left: &[ColId], right: &[ColId]) -> Vec<ColId> {
-    left.iter().filter(|c| right.contains(c)).copied().collect()
 }
 
 /// Whether `key` is the leading prefix of `cols`.
@@ -1386,6 +1239,40 @@ mod tests {
             s.col("nope"),
         );
         assert!(plan(&t, &store).is_err());
+    }
+
+    #[test]
+    fn lowering_takes_one_estimator_step_per_term_node() {
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let s = &store.symbols;
+        // A left-deep chain of 64 joins, where re-estimating each join's
+        // subtree from its root would be quadratic …
+        let hop = |i: usize| {
+            let (src, tgt) = (format!("c{i}"), format!("c{}", i + 1));
+            scan(&db, &store, "isLocatedIn", &src, &tgt)
+        };
+        let chain = (1..=64).fold(hop(0), |acc, i| RaTerm::join(acc, hop(i)));
+        // … and a closure nested in a join, whose step is folded under
+        // the binding of its base.
+        let closure = closure_fixpoint(
+            s.recvar("X"),
+            scan(&db, &store, "isLocatedIn", "y", "z"),
+            s.col("y"),
+            s.col("z"),
+            s.col("m"),
+        );
+        let nested = RaTerm::join(scan(&db, &store, "owns", "x", "y"), closure);
+        for term in [chain, nested] {
+            cost::STEPS.with(|n| n.set(0));
+            plan(&term, &store).unwrap();
+            let steps = cost::STEPS.with(|n| n.get());
+            assert!(
+                steps <= 2 * term.size(),
+                "{steps} estimator steps for {} term nodes",
+                term.size()
+            );
+        }
     }
 
     #[test]

@@ -617,6 +617,15 @@ fn parallel_execution_is_bit_identical_to_serial() {
     }
 }
 
+/// "Plan and term estimates agree by construction": the plan's root
+/// carries the fingerprint and rows the estimator's public fold gives the
+/// term, under whatever memo state `store` is in.
+fn assert_root_estimate_is_the_terms(p: &sgq_ra::PhysPlan, term: &RaTerm, store: &RelStore) {
+    assert_eq!(p.fp, sgq_ra::cost::fingerprint(term, store), "{term:?}");
+    let rows = sgq_ra::cost::estimate(term, store).rows;
+    assert_eq!(p.est.rows, rows, "{term:?}");
+}
+
 #[test]
 fn storage_layouts_are_bit_identical_to_the_reference_executor() {
     // The pluggable-layout soundness property: for random optimised
@@ -649,7 +658,9 @@ fn storage_layouts_are_bit_identical_to_the_reference_executor() {
         for store in &stores {
             // Each layout plans with its own capabilities (masked scans,
             // denorm slices) — lower against this store, not a shared plan.
-            let p = plan(&optimize(&term, store), store).expect("plan lowers");
+            let opt = optimize(&term, store);
+            let p = plan(&opt, store).expect("plan lowers");
+            assert_root_estimate_is_the_terms(&p, &opt, store);
             let mut ctx = ExecContext::new();
             let serial = execute_plan(&p, store, &mut ctx).expect("plan executes");
             assert_eq!(
@@ -696,6 +707,7 @@ fn memo_warm_plans_are_bit_identical_to_cold() {
         // the true cardinalities of every static subtree.
         store.feedback.clear();
         let p_cold = plan(&opt, &store).expect("cold plan lowers");
+        assert_root_estimate_is_the_terms(&p_cold, &opt, &store);
         let mut ctx = ExecContext::new();
         let cold = execute_plan(&p_cold, &store, &mut ctx).expect("cold plan executes");
         let mut ctx = ExecContext::new();
@@ -710,6 +722,7 @@ fn memo_warm_plans_are_bit_identical_to_cold() {
         // Re-planning now draws estimates from the observations; the
         // physical strategy may change, the result must not.
         let p_warm = plan(&opt, &store).expect("warm plan lowers");
+        assert_root_estimate_is_the_terms(&p_warm, &opt, &store);
         let mut ctx = ExecContext::new();
         let warm = execute_plan(&p_warm, &store, &mut ctx).expect("warm plan executes");
         assert_eq!(
