@@ -163,6 +163,33 @@ impl PathExpr {
         walk(self, &mut out);
         out
     }
+
+    /// Union-normal form: `∪` distributed through concatenation,
+    /// conjunction and branching (not through `+`), as the union-free
+    /// components in order. `None` as soon as a union or cross product
+    /// would exceed `cap` components.
+    pub fn union_normal_form(&self, cap: usize) -> Option<Vec<PathExpr>> {
+        let (a, b, f): (_, _, fn(PathExpr, PathExpr) -> PathExpr) = match self {
+            PathExpr::Label(_) | PathExpr::Reverse(_) | PathExpr::Plus(_) => {
+                return Some(vec![self.clone()])
+            }
+            PathExpr::Union(a, b) => {
+                let mut out = a.union_normal_form(cap)?;
+                out.extend(b.union_normal_form(cap)?);
+                return (out.len() <= cap).then_some(out);
+            }
+            PathExpr::Concat(a, b) => (a, b, PathExpr::concat),
+            PathExpr::Conj(a, b) => (a, b, PathExpr::conj),
+            PathExpr::BranchR(a, b) => (a, b, PathExpr::branch_r),
+            PathExpr::BranchL(a, b) => (a, b, PathExpr::branch_l),
+        };
+        let (xs, ys) = (a.union_normal_form(cap)?, b.union_normal_form(cap)?);
+        if xs.len().saturating_mul(ys.len()) > cap {
+            return None;
+        }
+        let pairs = xs.iter().flat_map(|x| ys.iter().map(move |y| (x, y)));
+        Some(pairs.map(|(x, y)| f(x.clone(), y.clone())).collect())
+    }
 }
 
 #[cfg(test)]
@@ -216,5 +243,28 @@ mod tests {
         let e = PathExpr::union(PathExpr::union(le(0), le(1)), le(2));
         assert_eq!(e.union_components().len(), 3);
         assert_eq!(le(5).union_components().len(), 1);
+    }
+
+    #[test]
+    fn union_normal_form_distributes_in_order() {
+        // (a|b)/(c|d) = a/c ∪ a/d ∪ b/c ∪ b/d
+        let e = PathExpr::concat(PathExpr::union(le(0), le(1)), PathExpr::union(le(2), le(3)));
+        let pairs = [(0, 2), (0, 3), (1, 2), (1, 3)];
+        let want: Vec<PathExpr> = (pairs.iter())
+            .map(|&(x, y)| PathExpr::concat(le(x), le(y)))
+            .collect();
+        assert_eq!(e.union_normal_form(64), Some(want));
+        // Unions under `+` stay put.
+        let closure = PathExpr::plus(PathExpr::union(le(0), le(1)));
+        assert_eq!(closure.union_normal_form(1), Some(vec![closure.clone()]));
+    }
+
+    #[test]
+    fn union_normal_form_gives_up_at_the_cap_not_after_the_blowup() {
+        // 24 concatenated (a|b): 2^24 components uncapped.
+        let ab = PathExpr::union(le(0), le(1));
+        let e = PathExpr::concat_all(std::iter::repeat_n(ab, 24)).unwrap();
+        assert_eq!(e.union_normal_form(64), None);
+        assert_eq!(e.union_normal_form(256), None);
     }
 }

@@ -33,11 +33,12 @@ impl std::fmt::Display for Backend {
 }
 
 /// Baseline (initial query) or the schema-based rewrite (§5.1.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Approach {
     /// The initial, non-enriched query.
     Baseline,
     /// The schema-enriched query (running the baseline plan on reverts).
+    #[default]
     Schema,
 }
 

@@ -365,7 +365,7 @@ fn is_trivial_rewrite(enriched: &Ucqt, baseline: &Ucqt) -> bool {
     }
     match (enriched.as_single_path(), baseline.as_single_path()) {
         (Some(e), Some(b)) => {
-            let (Some(mut ec), Some(mut bc)) = (distribute_unions(&e), distribute_unions(&b))
+            let (Some(mut ec), Some(mut bc)) = (e.union_normal_form(256), b.union_normal_form(256))
             else {
                 return false;
             };
@@ -374,52 +374,6 @@ fn is_trivial_rewrite(enriched: &Ucqt, baseline: &Ucqt) -> bool {
             ec == bc
         }
         _ => false,
-    }
-}
-
-/// Union-normal form: distributes `∪` through concatenation, conjunction
-/// and branching (but not through `+`), returning the union-free
-/// components. `None` when the expansion exceeds a safety cap.
-fn distribute_unions(expr: &PathExpr) -> Option<Vec<PathExpr>> {
-    const CAP: usize = 256;
-    let cross = |xs: Vec<PathExpr>,
-                 ys: Vec<PathExpr>,
-                 f: fn(PathExpr, PathExpr) -> PathExpr|
-     -> Option<Vec<PathExpr>> {
-        if xs.len().saturating_mul(ys.len()) > CAP {
-            return None;
-        }
-        let mut out = Vec::with_capacity(xs.len() * ys.len());
-        for x in &xs {
-            for y in &ys {
-                out.push(f(x.clone(), y.clone()));
-            }
-        }
-        Some(out)
-    };
-    match expr {
-        PathExpr::Label(_) | PathExpr::Reverse(_) | PathExpr::Plus(_) => Some(vec![expr.clone()]),
-        PathExpr::Union(a, b) => {
-            let mut out = distribute_unions(a)?;
-            out.extend(distribute_unions(b)?);
-            (out.len() <= CAP).then_some(out)
-        }
-        PathExpr::Concat(a, b) => cross(
-            distribute_unions(a)?,
-            distribute_unions(b)?,
-            PathExpr::concat,
-        ),
-        PathExpr::Conj(a, b) => cross(distribute_unions(a)?, distribute_unions(b)?, PathExpr::conj),
-        PathExpr::BranchR(a, b) => cross(
-            distribute_unions(a)?,
-            distribute_unions(b)?,
-            PathExpr::branch_r,
-        ),
-        PathExpr::BranchL(a, b) => cross(
-            distribute_unions(a)?,
-            distribute_unions(b)?,
-            PathExpr::branch_l,
-        ),
     }
 }
 

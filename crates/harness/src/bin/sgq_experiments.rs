@@ -16,20 +16,22 @@
 //!              (the last eight run explicit only, not as part of `all`)
 //! ```
 //!
-//! The paper suite (`table*`, `fig*`, `reverts`) runs every catalog
-//! query baseline vs schema-rewritten under `--timeout-ms`/`--reps`;
-//! `--sf-max` caps the LDBC scale factors, `--out` dumps the raw records.
+//! Everything that executes catalog queries is a client of the one
+//! replay driver — a named reference variant, a list of variants, every
+//! answer asserted bit-identical. The paper suite (`table*`, `fig*`,
+//! `reverts`) replays every catalog query baseline vs schema-rewritten
+//! under `--timeout-ms` (an infeasible cell per run over it), averaging
+//! `--reps` executions; `--sf-max` caps the LDBC scale factors, `--out`
+//! dumps the raw records.
 //!
 //! The last eight share one set of catalogs (`--sf`, `--yago-scale`,
 //! `--timeout-ms`), generated once per process however many are named.
-//! `smoke` cross-checks both backends on the tiny Fig. 2 database and
-//! `plans` prints the physical-plan showcase; the other six are clients
-//! of the one replay driver — a named reference variant, a list of
-//! variants, every answer asserted bit-identical (`sgq_harness::gates`
-//! documents each variant list and gate). `--smoke` switches to the
-//! small CI scale and arms every gate, so the whole CI gate is one
-//! process, chaos included (a fault plan is a value owned by the
-//! service it is armed on):
+//! `smoke` replays a few paths on both backends over the tiny Fig. 2
+//! database and `plans` prints the physical-plan showcase; the other six
+//! are the gates (`sgq_harness::gates` documents each variant list and
+//! gate). `--smoke` switches to the small CI scale and arms every gate,
+//! so the whole CI gate is one process, chaos included (a fault plan is
+//! a value owned by the service it is armed on):
 //!
 //! ```text
 //! sgq-experiments smoke plans estimates serve parallel observe layouts chaos --smoke
@@ -41,7 +43,7 @@ use sgq_core::RedundancyRule;
 use sgq_harness::experiments::{self, ExperimentConfig};
 use sgq_harness::gates::{self, GateParams};
 use sgq_harness::replay::{Catalogs, Scale};
-use sgq_harness::runner::Backend;
+use sgq_harness::Backend;
 
 fn num<T: std::str::FromStr>(v: &str, flag: &str) -> T {
     v.parse()
@@ -72,10 +74,10 @@ fn main() {
         };
         match flag {
             "--timeout-ms" => {
-                cfg.run.timeout_ms = num(value(), flag);
-                scale.timeout_ms = cfg.run.timeout_ms;
+                cfg.timeout_ms = num(value(), flag);
+                scale.timeout_ms = cfg.timeout_ms;
             }
-            "--reps" => cfg.run.repetitions = num(value(), flag),
+            "--reps" => cfg.repeats = num(value(), flag),
             "--sf-max" => {
                 let max: f64 = num(value(), flag);
                 cfg.ldbc_sfs.retain(|&sf| sf <= max);
@@ -86,7 +88,7 @@ fn main() {
                 scale.yago_scale = cfg.yago_scale;
             }
             "--redundancy" => {
-                cfg.run.rewrite.redundancy = match value() {
+                cfg.rewrite.redundancy = match value() {
                     "bothsides" => RedundancyRule::BothSides,
                     "eitherside" => RedundancyRule::EitherSide,
                     "never" => RedundancyRule::Never,
@@ -144,7 +146,7 @@ fn main() {
     }
     if want("fig12") {
         let records = experiments::yago_suite(&cfg);
-        println!("{}", experiments::fig12(&records, cfg.run.timeout_ms));
+        println!("{}", experiments::fig12(&records, cfg.timeout_ms));
         all_records.extend(records);
     }
     let need_ldbc = ["table5", "table7", "table8", "fig13"]
@@ -154,17 +156,17 @@ fn main() {
         eprintln!(
             "running the LDBC suite (30 queries x {} scale factors x 2 approaches, timeout {} ms)...",
             cfg.ldbc_sfs.len(),
-            cfg.run.timeout_ms
+            cfg.timeout_ms
         );
         let records = experiments::ldbc_suite(&cfg);
         if want("table5") {
             println!("{}", experiments::table5(&records, &cfg));
         }
         if want("table7") {
-            println!("{}", experiments::table7(&records, cfg.run.timeout_ms));
+            println!("{}", experiments::table7(&records, cfg.timeout_ms));
         }
         if want("table8") {
-            println!("{}", experiments::table8(&records, cfg.run.timeout_ms));
+            println!("{}", experiments::table8(&records, cfg.timeout_ms));
         }
         if want("fig13") {
             println!("{}", experiments::fig13(&records, &cfg));

@@ -5,9 +5,10 @@
 
 use std::fmt::Write as _;
 
+use sgq_common::{Approach, Backend};
 use sgq_core::pipeline::{rewrite_path, RewriteOptions, RewriteOutcome};
 use sgq_datasets::stats::{dataset_stats, DatasetStats};
-use sgq_datasets::{ldbc, yago, CatalogQuery};
+use sgq_datasets::{ldbc, yago, CatalogQuery, QueryOrigin};
 use sgq_graph::GraphSchema;
 use sgq_query::cqt::Ucqt;
 use sgq_ra::exec::ExecContext;
@@ -15,19 +16,23 @@ use sgq_service::prepared::prepare;
 use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
 
 use crate::records::RunRecord;
-use crate::replay::{Catalog, Table};
-use crate::runner::{run_query, Approach, Backend, Measurement, RunConfig};
+use crate::replay::{replay, Catalog, Replay, Table, Variant};
 use crate::summary::Summary;
 
 /// Configuration shared by the experiment suite.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
-    /// Timeout/repetition protocol.
-    pub run: RunConfig,
+    /// Per-query timeout in milliseconds (the paper used 30 minutes;
+    /// the harness scales this down).
+    pub timeout_ms: u64,
     /// LDBC scale factors to evaluate (subset of the paper's six).
     pub ldbc_sfs: Vec<f64>,
     /// Scaling of the YAGO dataset relative to the default size.
     pub yago_scale: f64,
+    /// Timed executions averaged per query (the paper used 5).
+    pub repeats: usize,
+    /// Options of the schema rewrite.
+    pub rewrite: RewriteOptions,
     /// The backend for the single-backend experiments (the paper's main
     /// backend is PostgreSQL → our relational engine).
     pub backend: Backend,
@@ -36,12 +41,58 @@ pub struct ExperimentConfig {
 impl Default for ExperimentConfig {
     fn default() -> Self {
         ExperimentConfig {
-            run: RunConfig::default(),
+            timeout_ms: 2_000,
             ldbc_sfs: ldbc::SCALE_FACTORS.to_vec(),
             yago_scale: 1.0,
+            repeats: 3,
+            rewrite: RewriteOptions::default(),
             backend: Backend::Relational,
         }
     }
+}
+
+/// The default variant on `backend` under `approach` with `cfg`'s
+/// repeats and rewrite options, named after backend and approach.
+fn on(cfg: &ExperimentConfig, backend: Backend, approach: Approach) -> Variant {
+    Variant {
+        backend,
+        approach,
+        rewrite: cfg.rewrite,
+        repeats: cfg.repeats,
+        ..Variant::new(format!("{backend}/{approach}"))
+    }
+}
+
+/// {relational, graph} × {B, S}: the paper's main backend's baseline
+/// first, the reference of a replay over all four.
+fn both_backends(cfg: &ExperimentConfig) -> [Variant; 4] {
+    let (r, g) = (Backend::Relational, Backend::Graph);
+    let (b, s) = (Approach::Baseline, Approach::Schema);
+    [(r, b), (r, s), (g, b), (g, s)].map(|(backend, approach)| on(cfg, backend, approach))
+}
+
+/// The records of a replay, read off its passes: per catalog query, one
+/// per pass in pass order; schema runs note whether the rewrite
+/// reverted (§5.2).
+fn records(cat: &Catalog, rep: &Replay) -> Vec<RunRecord> {
+    let mut records = Vec::new();
+    for (i, q) in cat.queries.iter().enumerate() {
+        for pass in rep.passes() {
+            let (v, run) = (&pass.variant, pass.runs[i].as_ref());
+            let outcome = || rewrite_path(&cat.schema, &q.expr, v.rewrite).outcome;
+            records.push(RunRecord {
+                query: q.name.to_string(),
+                kind: q.kind().to_string(),
+                scale_factor: cat.sf,
+                approach: v.approach.to_string(),
+                backend: v.backend.to_string(),
+                ms: run.map(|r| r.ms),
+                rows: run.map(|r| r.rows),
+                reverted: (v.approach == Approach::Schema).then(|| outcome().is_reverted()),
+            });
+        }
+    }
+    records
 }
 
 /// Tab. 3: dataset characteristics.
@@ -70,27 +121,11 @@ pub fn yago_suite(cfg: &ExperimentConfig) -> Vec<RunRecord> {
     suite(&Catalog::yago(cfg.yago_scale), cfg)
 }
 
-/// Every catalog query × {B, S} on the configured backend.
+/// Every catalog query × {B, S} on the configured backend: one replay,
+/// the baseline pass the reference every schema answer is compared to.
 fn suite(cat: &Catalog, cfg: &ExperimentConfig) -> Vec<RunRecord> {
-    let mut records = Vec::new();
-    for q in &cat.queries {
-        let reverted = rewrite_path(&cat.schema, &q.expr, cfg.run.rewrite)
-            .outcome
-            .is_reverted();
-        for approach in [Approach::Baseline, Approach::Schema] {
-            let m = run_query(cat, &q.expr, approach, cfg.backend, &cfg.run);
-            records.push(RunRecord::new(
-                q.name,
-                &q.kind().to_string(),
-                cat.sf,
-                approach,
-                cfg.backend,
-                m,
-                (approach == Approach::Schema).then_some(reverted),
-            ));
-        }
-    }
-    records
+    let [b, s] = [Approach::Baseline, Approach::Schema].map(|a| on(cfg, cfg.backend, a));
+    records(cat, &replay(cat, cfg.timeout_ms, &b, &[s]))
 }
 
 /// Runtimes (ms) of the records matching `pred`. With `timeout_ms`,
@@ -148,7 +183,7 @@ pub fn table6(cfg: &ExperimentConfig) -> String {
     let mut t = Table::new("<Query|#Paths|Min|Avg|Max|<outcome");
     let mut eliminated = 0usize;
     for q in &queries {
-        let r = rewrite_path(&schema, &q.expr, cfg.run.rewrite);
+        let r = rewrite_path(&schema, &q.expr, cfg.rewrite);
         let stats = &r.report.plus_stats;
         let outcome = if r.outcome.is_reverted() {
             "reverted"
@@ -267,29 +302,22 @@ pub fn fig14(cfg: &ExperimentConfig) -> (Vec<RunRecord>, String) {
         .filter(|&sf| sf <= 3.0)
         .collect();
     let backends = [(Backend::Graph, "G"), (Backend::Relational, "P")];
-    let mut records = Vec::new();
+    let mut all = Vec::new();
     let mut chain_count = 0;
     for &sf in &sfs {
-        let cat = Catalog::ldbc(sf);
-        let chain = |q: &&CatalogQuery| sgq_translate::cypher_expressible(&q.ucqt());
-        chain_count = cat.queries.iter().filter(chain).count();
-        for q in cat.queries.iter().filter(chain) {
-            for (backend, _) in backends {
-                for approach in [Approach::Baseline, Approach::Schema] {
-                    let m = run_query(&cat, &q.expr, approach, backend, &cfg.run);
-                    let kind = q.kind().to_string();
-                    records.push(RunRecord::new(
-                        q.name, &kind, cat.sf, approach, backend, m, None,
-                    ));
-                }
-            }
-        }
+        let mut cat = Catalog::ldbc(sf);
+        cat.queries
+            .retain(|q| sgq_translate::cypher_expressible(&q.ucqt()));
+        chain_count = cat.queries.len();
+        let [rb, rs, gb, gs] = both_backends(cfg);
+        let rep = replay(&cat, cfg.timeout_ms, &rb, &[rs, gb, gs]);
+        all.extend(records(&cat, &rep));
     }
     let mut t = Table::new(Summary::COLUMNS);
     for &sf in &sfs {
         for (backend, tag) in backends {
             for approach in ["B", "S"] {
-                let values = series(&records, None, |r| {
+                let values = series(&all, None, |r| {
                     r.scale_factor == Some(sf)
                         && r.backend == backend.to_string()
                         && r.approach == approach
@@ -304,7 +332,7 @@ pub fn fig14(cfg: &ExperimentConfig) -> (Vec<RunRecord>, String) {
          / Cypher-expressible)\n{}",
         t.render()
     );
-    (records, out)
+    (all, out)
 }
 
 /// The paper's Q1 (`knows/workAt/isLocatedIn`, baseline) and Q2 (its
@@ -390,7 +418,7 @@ pub fn reverts(cfg: &ExperimentConfig) -> String {
     let mut list = |name: &str, schema: GraphSchema, queries: Vec<CatalogQuery>| {
         let reverted: Vec<&str> = (queries.iter())
             .filter(|q| {
-                rewrite_path(&schema, &q.expr, cfg.run.rewrite)
+                rewrite_path(&schema, &q.expr, cfg.rewrite)
                     .outcome
                     .is_reverted()
             })
@@ -552,44 +580,29 @@ pub fn physical_plans(ldbc: &Catalog) -> String {
     out
 }
 
-/// CI smoke run on the tiny Fig. 2 database: both backends, both
-/// approaches, a handful of recursive and non-recursive paths. Panics on
-/// any disagreement so a broken harness path fails the build.
+/// CI smoke run on the tiny Fig. 2 database: a handful of recursive
+/// and non-recursive paths replayed on both backends under both
+/// approaches. Panics on any disagreement or infeasible run so a broken
+/// harness path fails the build.
 pub fn smoke() -> String {
-    let cat = Catalog::new(
-        "FIG2",
-        sgq_graph::schema::fig1_yago_schema(),
-        sgq_graph::database::fig2_yago_database(),
-        Vec::new(),
+    let schema = sgq_graph::schema::fig1_yago_schema();
+    let texts = "isLocatedIn isLocatedIn+ owns/isLocatedIn+ livesIn/isLocatedIn isMarriedTo+";
+    let parse = |text| CatalogQuery::parse(text, QueryOrigin::YagoStyle, text, &schema);
+    let queries: sgq_common::Result<_> = texts.split(' ').map(parse).collect();
+    let db = sgq_graph::database::fig2_yago_database();
+    let cat = Catalog::new("FIG2", schema, db, queries.expect("smoke queries parse"));
+    let [rb, rs, gb, gs] = both_backends(&ExperimentConfig::default());
+    let rep = replay(&cat, 10_000, &rb, &[rs, gb, gs]);
+    let compared = rep.compared();
+    assert_eq!(
+        compared.len(),
+        cat.queries.len(),
+        "a smoke query was infeasible"
     );
-    let config = RunConfig {
-        timeout_ms: 10_000,
-        repetitions: 1,
-        ..Default::default()
-    };
-    let mut t = Table::new("<query|G/B|G/S|R/B|R/S");
-    let queries = "isLocatedIn isLocatedIn+ owns/isLocatedIn+ livesIn/isLocatedIn isMarriedTo+";
-    for text in queries.split(' ') {
-        let expr = sgq_algebra::parser::parse_path(text, &*cat.schema).expect("smoke query parses");
-        let mut cards = Vec::new();
-        for backend in [Backend::Graph, Backend::Relational] {
-            for approach in [Approach::Baseline, Approach::Schema] {
-                match run_query(&cat, &expr, approach, backend, &config) {
-                    Measurement::Feasible { rows, .. } => cards.push(rows),
-                    Measurement::Infeasible => {
-                        panic!("smoke query {text} infeasible on {backend}/{approach}")
-                    }
-                }
-            }
-        }
-        assert!(
-            cards.windows(2).all(|w| w[0] == w[1]),
-            "smoke query {text} disagrees across backends/approaches: {cards:?}"
-        );
-        t.row(format!(
-            "{text}|{}|{}|{}|{}",
-            cards[0], cards[1], cards[2], cards[3]
-        ));
+    let mut t = Table::new("<query|R/B|R/S|G/B|G/S");
+    for (query, rb, v) in compared {
+        let [rs, gb, gs] = [0, 1, 2].map(|k| v[k].rows);
+        t.row(format!("{query}|{}|{rs}|{gb}|{gs}", rb.rows));
     }
     format!(
         "Smoke run (Fig. 2 database, graph vs relational)\n\n{}",
@@ -603,14 +616,12 @@ mod tests {
 
     fn tiny_cfg() -> ExperimentConfig {
         ExperimentConfig {
-            run: RunConfig {
-                timeout_ms: 4_000,
-                repetitions: 1,
-                ..Default::default()
-            },
+            timeout_ms: 4_000,
             ldbc_sfs: vec![0.1],
             yago_scale: 0.02,
+            repeats: 1,
             backend: Backend::Graph,
+            ..ExperimentConfig::default()
         }
     }
 
@@ -636,9 +647,9 @@ mod tests {
         assert_eq!(records.len(), 30 * 2);
         let t5 = table5(&records, &cfg);
         assert!(t5.contains("SF"), "{t5}");
-        let t7 = table7(&records, cfg.run.timeout_ms);
+        let t7 = table7(&records, cfg.timeout_ms);
         assert!(t7.contains("Recursive baseline"), "{t7}");
-        let t8 = table8(&records, cfg.run.timeout_ms);
+        let t8 = table8(&records, cfg.timeout_ms);
         assert!(t8.contains("Baseline"), "{t8}");
         let f13 = fig13(&records, &cfg);
         assert!(f13.contains("SF0.1"), "{f13}");
@@ -649,9 +660,36 @@ mod tests {
         let cfg = tiny_cfg();
         let records = yago_suite(&cfg);
         assert_eq!(records.len(), 18 * 2);
-        let s = fig12(&records, cfg.run.timeout_ms);
+        let s = fig12(&records, cfg.timeout_ms);
         assert!(s.contains("Average speedup"), "{s}");
         assert!(s.contains("Y1"), "{s}");
+    }
+
+    #[test]
+    fn fig14_runs_both_backends_under_both_approaches_per_chain_query() {
+        let (records, report) = fig14(&tiny_cfg());
+        let mut names: Vec<&str> = records.iter().map(|r| r.query.as_str()).collect();
+        names.dedup();
+        assert!(names.len() >= 15, "the paper's 15 chain queries: {names:?}");
+        assert!(
+            report.contains(&format!("({} of 30", names.len())),
+            "{report}"
+        );
+        for name in names {
+            let mut cells: Vec<(&str, &str)> = (records.iter())
+                .filter(|r| r.query == name)
+                .map(|r| (r.backend.as_str(), r.approach.as_str()))
+                .collect();
+            cells.sort_unstable();
+            let want = [
+                ("graph", "B"),
+                ("graph", "S"),
+                ("relational", "B"),
+                ("relational", "S"),
+            ];
+            assert_eq!(cells, want, "{name}");
+        }
+        assert!(report.contains("SF0.1 GB"), "{report}");
     }
 
     #[test]

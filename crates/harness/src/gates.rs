@@ -42,7 +42,7 @@ use crate::summary::Summary;
 pub struct GateParams {
     /// `parallel`: morsel sizing of the DOP = N variant.
     pub sizing: Sizing,
-    /// `layouts`: timed executions per (query, layout), best kept.
+    /// `layouts`: timed executions per (query, layout), averaged.
     pub repeats: usize,
     /// `serve`: worker-pool sizes to sweep.
     pub worker_counts: Vec<usize>,
@@ -262,7 +262,7 @@ fn layouts(cats: &Catalogs, p: &GateParams, gate: bool) -> String {
         closing.push_str("layouts gate: PASS (all layouts bit-identical on both catalogs)\n");
     }
     let head = format!(
-        "storage layouts: per-label vs polymorphic vs denormalized ({}, best of {} runs)\n",
+        "storage layouts: per-label vs polymorphic vs denormalized ({}, mean of {} runs)\n",
         scales(cats),
         p.repeats.max(1)
     );

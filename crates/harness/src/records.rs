@@ -6,8 +6,6 @@
 
 use sgq_common::json::JsonValue;
 
-use crate::runner::{Approach, Backend, Measurement};
-
 /// One (query, scale factor, approach, backend) measurement.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
@@ -30,32 +28,6 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Builds a record from a measurement.
-    pub fn new(
-        query: &str,
-        kind: &str,
-        scale_factor: Option<f64>,
-        approach: Approach,
-        backend: Backend,
-        measurement: Measurement,
-        reverted: Option<bool>,
-    ) -> Self {
-        let (ms, rows) = match measurement {
-            Measurement::Feasible { ms, rows } => (Some(ms), Some(rows)),
-            Measurement::Infeasible => (None, None),
-        };
-        RunRecord {
-            query: query.to_string(),
-            kind: kind.to_string(),
-            scale_factor,
-            approach: approach.to_string(),
-            backend: backend.to_string(),
-            ms,
-            rows,
-            reverted,
-        }
-    }
-
     /// Whether this run finished within the budget.
     pub fn feasible(&self) -> bool {
         self.ms.is_some()
@@ -84,17 +56,22 @@ pub fn to_json(records: &[RunRecord]) -> String {
 mod tests {
     use super::*;
 
+    fn record(query: &str, measured: Option<(f64, usize)>, reverted: Option<bool>) -> RunRecord {
+        RunRecord {
+            query: query.to_string(),
+            kind: "RQ".to_string(),
+            scale_factor: None,
+            approach: "S".to_string(),
+            backend: "relational".to_string(),
+            ms: measured.map(|(ms, _)| ms),
+            rows: measured.map(|(_, rows)| rows),
+            reverted,
+        }
+    }
+
     #[test]
     fn record_roundtrip() {
-        let r = RunRecord::new(
-            "IC13",
-            "RQ",
-            Some(1.0),
-            Approach::Schema,
-            Backend::Relational,
-            Measurement::Feasible { ms: 12.5, rows: 42 },
-            Some(true),
-        );
+        let r = record("IC13", Some((12.5, 42)), Some(true));
         assert!(r.feasible());
         let json = to_json(&[r]);
         assert!(json.contains("\"IC13\""));
@@ -104,15 +81,7 @@ mod tests {
 
     #[test]
     fn infeasible_record() {
-        let r = RunRecord::new(
-            "Y1",
-            "RQ",
-            None,
-            Approach::Baseline,
-            Backend::Graph,
-            Measurement::Infeasible,
-            None,
-        );
+        let r = record("Y1", None, None);
         assert!(!r.feasible());
         assert!(r.ms.is_none());
         let json = to_json(&[r]);

@@ -1,29 +1,32 @@
 //! The one replay driver behind every experiment.
 //!
 //! The paper's protocol (§5.1.5) is a single loop — every catalog query,
-//! same database, timeout, compare — and this is its only implementation:
+//! same database, timeout, repeat, compare — and this is its only
+//! implementation:
 //!
 //! * [`Catalog`] / [`Catalogs`] — a generated dataset, its parsed query
 //!   catalog and its relational stores, built **once per process** (the
 //!   only `generate` call sites),
-//! * [`Variant`] — one way of executing a catalog: backend × storage
-//!   layout × morsel sizing × traced × fault plan × feedback memo
-//!   cold/warm × direct [`PreparedQuery::execute`] or through a
-//!   [`Service`]; the front end is always the library's own [`prepare`],
+//! * [`Variant`] — one way of executing a catalog: backend × approach
+//!   (baseline or schema-rewritten) × storage layout × morsel sizing ×
+//!   traced × fault plan × feedback memo cold/warm × direct
+//!   [`PreparedQuery::execute`] or through a [`Service`]; the front end
+//!   is always the library's own [`prepare`],
 //! * [`replay`] — a named reference variant and a list of variants over
 //!   a catalog, every answer compared **bit for bit**,
 //! * [`Table`] and [`Replay::to_json`] — the one table renderer and the
 //!   one JSON emitter (per-pass [`Summary`] of the timings).
 //!
 //! An experiment is a variant list plus a gate predicate over the
-//! returned [`Replay`] (see [`crate::gates`]).
+//! returned [`Replay`] (see [`crate::gates`]), or — the paper suite of
+//! [`crate::experiments`] — plus the records read off its passes.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sgq_common::fault::{FaultConfig, FaultPlan, FireReport};
 use sgq_common::json::JsonValue;
-use sgq_common::{Result, SgqError};
+use sgq_common::{Approach, Backend, Result, SgqError};
 use sgq_core::pipeline::RewriteOptions;
 use sgq_datasets::ldbc::{self, LdbcConfig};
 use sgq_datasets::yago::{self, YagoConfig};
@@ -38,12 +41,18 @@ use sgq_service::{
     ServiceConfig, Session,
 };
 
-use crate::runner::{Approach, Backend};
 use crate::summary::Summary;
 
 /// Row-materialisation budget of every replayed execution (the service
 /// default).
 const MAX_ROWS: usize = 20_000_000;
+
+/// Whether `e` makes a run an infeasible cell (over the timeout or the
+/// row budget) rather than a bug. A planner or executor error — a
+/// malformed term, an unbound recursion variable — is not a measurement.
+fn infeasible(e: &SgqError) -> bool {
+    e.is_timeout() || e.is_row_budget()
+}
 
 /// Dataset sizes and the per-query timeout shared by every experiment.
 #[derive(Debug, Clone, Copy)]
@@ -230,14 +239,19 @@ pub enum Via {
 }
 
 /// One way of executing a catalog. The default is what is served, run
-/// plainly: relational backend, advised layout, serial, untraced, no
-/// faults, cold memo, direct, one execution.
+/// plainly: relational backend, schema-rewritten with the default
+/// options, advised layout, serial, untraced, no faults, cold memo,
+/// direct, one execution.
 #[derive(Debug, Clone, Default)]
 pub struct Variant {
     /// Name used in reports and divergence panics.
     pub name: String,
-    /// The backend the schema-rewritten statements are prepared for.
+    /// The backend the statements are prepared for.
     pub backend: Backend,
+    /// Baseline or schema-rewritten statements.
+    pub approach: Approach,
+    /// Options of the schema rewrite.
+    pub rewrite: RewriteOptions,
     /// Storage layout; `None` = the advisor's pick (what is served).
     pub layout: Option<LayoutKind>,
     /// Morsel parallelism (direct variants); `None` = serial.
@@ -251,8 +265,7 @@ pub struct Variant {
     pub memo: Memo,
     /// Direct execution or through a service.
     pub via: Via,
-    /// Timed executions per query (direct only, 0 = 1); the best is
-    /// kept.
+    /// Timed executions per query (direct only, 0 = 1), averaged.
     pub repeats: usize,
 }
 
@@ -271,7 +284,7 @@ impl Variant {
 pub struct Run {
     /// Result rows.
     pub rows: usize,
-    /// Execution time (ms): best of the repeats when direct, the
+    /// Execution time (ms): mean of the repeats when direct, the
     /// service's end-to-end latency otherwise.
     pub ms: f64,
     /// Morsel tasks dispatched (direct only).
@@ -300,10 +313,9 @@ impl Run {
 pub struct Pass {
     /// The variant that ran.
     pub variant: Variant,
-    /// Per catalog query, in catalog order: `None` when skipped (no
-    /// reference answer), infeasible, or failed retryable under faults.
-    /// Concurrent passes compare inside their client threads and keep
-    /// no per-query runs.
+    /// Per catalog query, in catalog order: `None` when infeasible or
+    /// failed retryable under faults. Concurrent passes compare inside
+    /// their client threads and keep no per-query runs.
     pub runs: Vec<Option<Run>>,
     /// Queries that spent their retry budget and failed retryable.
     pub retryable_failures: usize,
@@ -386,9 +398,13 @@ impl Replay {
             .collect()
     }
 
+    /// The reference pass, then the variants'.
+    pub fn passes(&self) -> impl Iterator<Item = &Pass> {
+        std::iter::once(&self.reference).chain(&self.variants)
+    }
+
     /// Machine-readable form: one [`Pass::to_json`] per pass.
     pub fn to_json(&self) -> JsonValue {
-        let passes = std::iter::once(&self.reference).chain(&self.variants);
         JsonValue::obj([
             ("catalog", JsonValue::str(self.catalog)),
             (
@@ -397,20 +413,21 @@ impl Replay {
             ),
             (
                 "passes",
-                JsonValue::Arr(passes.map(Pass::to_json).collect()),
+                JsonValue::Arr(self.passes().map(Pass::to_json).collect()),
             ),
         ])
     }
 }
 
-/// Replays `cat` under `reference` and then under each of `variants`,
-/// asserting every variant answer bit-identical to the reference's.
+/// Replays `cat` under `reference` and then under each of `variants`:
+/// every pass runs every query, and every variant answer to a query the
+/// reference answered must be bit-identical to the reference's.
 ///
-/// A query the reference cannot finish within `timeout_ms` (or the row
-/// budget) is skipped everywhere; a variant that exceeds the budget
-/// skips that query for itself; under a fault plan a query may instead
-/// fail *retryable* once its retry budget is spent. Anything else — a
-/// different answer, a non-retryable error — panics naming catalog,
+/// A run over `timeout_ms` or the row budget is an infeasible cell
+/// (`None`) for that pass only — a schema variant may finish where its
+/// baseline reference did not (Tab. 5); under a fault plan a query may
+/// instead fail *retryable* once its retry budget is spent. Anything
+/// else — a different answer, any other error — panics naming catalog,
 /// query and variant. Service variants additionally assert a balanced
 /// memory governor and zero worker panics, and a fault variant is
 /// followed by a disarmed replay on the same service that must again
@@ -464,16 +481,12 @@ impl PassCtx<'_> {
         }
     }
 
-    /// Classifies a failed query: skipped when it did not fit the
-    /// protocol's budget or — under faults — failed retryable (returns
+    /// Classifies a failed query: infeasible when it did not fit the
+    /// protocol's budget, or — under faults — failed retryable (returns
     /// `true`); a panic otherwise.
     fn give_up(&self, i: usize, e: &SgqError) -> bool {
         let retryable = self.faults.is_some() && e.retryable();
-        assert!(
-            retryable || crate::runner::infeasible(e),
-            "{} failed: {e}",
-            self.label(i)
-        );
+        assert!(retryable || infeasible(e), "{} failed: {e}", self.label(i));
         retryable
     }
 
@@ -493,15 +506,14 @@ impl PassCtx<'_> {
     }
 
     fn prepare(&self, q: &CatalogQuery) -> Result<PreparedQuery> {
-        let (backend, approach) = (self.variant.backend, Approach::Schema);
-        let rewrite = RewriteOptions::default();
+        let (schema, v) = (&self.cat.schema, self.variant);
         prepare(
-            &self.cat.schema,
+            schema,
             &self.store,
             &q.expr,
-            backend,
-            approach,
-            rewrite,
+            v.backend,
+            v.approach,
+            v.rewrite,
         )
     }
 
@@ -521,8 +533,8 @@ impl PassCtx<'_> {
         }
     }
 
-    /// One direct attempt: prepare, then the best of `repeats` timed
-    /// executions.
+    /// One direct attempt: prepare, then the mean of `repeats` timed
+    /// executions (§5.1.5).
     fn run_direct(&self, q: &CatalogQuery) -> Result<(Run, Answer)> {
         let prepared = Arc::new(self.prepare(q)?);
         let mut run = Run {
@@ -539,12 +551,12 @@ impl PassCtx<'_> {
             flat: Vec::new(),
         };
         if !prepared.is_provably_empty() {
-            run.ms = f64::INFINITY;
-            for _ in 0..self.variant.repeats.max(1) {
+            let repeats = self.variant.repeats.max(1);
+            for _ in 0..repeats {
                 let mut ctx = self.exec_context();
                 let start = Instant::now();
                 (answer, _) = prepared.execute(&self.cat.db, &self.store, &mut ctx, None)?;
-                run.ms = run.ms.min(start.elapsed().as_secs_f64() * 1e3);
+                run.ms += start.elapsed().as_secs_f64() * 1e3 / repeats as f64;
                 run.morsels = ctx.morsels_executed;
                 run.materialised = ctx.rows_materialized();
                 run.rows = answer.rows().len();
@@ -565,19 +577,14 @@ struct Served<'a> {
 impl<'a> Served<'a> {
     /// Builds the service over the pass's store, warms its plan cache
     /// when `cached`, then arms the pass's fault plan.
-    fn start(
-        ctx: &'a PassCtx<'a>,
-        wanted: &[usize],
-        workers: usize,
-        clients: usize,
-        cached: bool,
-    ) -> Self {
+    fn start(ctx: &'a PassCtx<'a>, workers: usize, clients: usize, cached: bool) -> Self {
         let (cat, variant) = (ctx.cat, ctx.variant);
         let config = ServiceConfig {
             queue_capacity: (clients * 2).max(8),
             default_timeout_ms: ctx.timeout_ms,
             default_max_rows: MAX_ROWS,
             tracing: variant.traced,
+            rewrite: variant.rewrite,
             ..ServiceConfig::with_workers(workers)
         };
         let (schema, db) = (Arc::clone(&cat.schema), Arc::clone(&cat.db));
@@ -588,6 +595,7 @@ impl<'a> Served<'a> {
         }
         let opts = QueryOptions {
             backend: variant.backend,
+            approach: variant.approach,
             use_cache: cached,
             analyze: variant.traced,
             ..Default::default()
@@ -597,8 +605,8 @@ impl<'a> Served<'a> {
             // Warm the plan cache so the loop measures execution, not
             // first-touch prepares (`prepare` runs inline and leaves
             // the latency registry alone).
-            for &i in wanted {
-                let warmed = session.prepare(cat.queries[i].text, &opts);
+            for (i, q) in cat.queries.iter().enumerate() {
+                let warmed = session.prepare(q.text, &opts);
                 warmed.unwrap_or_else(|e| panic!("{} warm-up: {e}", ctx.label(i)));
             }
         }
@@ -648,20 +656,32 @@ impl<'a> Served<'a> {
 
     /// Disarms, replays the catalog once more when the pass was armed,
     /// asserts the service survived intact and shuts it down.
-    fn finish(self, wanted: &[usize], pass: &mut Pass) {
+    fn finish(self, pass: &mut Pass) {
         self.service.set_fault_plan(None);
-        let session = &self.session;
+        let (session, queries) = (&self.session, &self.ctx.cat.queries);
         if self.ctx.faults.is_some() {
             // The storm is over: the same service must still answer every
-            // query exactly — no state was corrupted, no worker lost.
-            for &i in wanted {
-                let resp = session.execute_expr(&self.ctx.cat.queries[i].expr, &self.opts);
-                let resp = resp.unwrap_or_else(|e| panic!("{} post-fault: {e}", self.ctx.label(i)));
-                self.ctx
-                    .check(i, &Served::answer(&resp), " (disarmed, post-fault)");
+            // query the reference answered, exactly — no state was
+            // corrupted, no worker lost. Only a query the reference could
+            // not answer either may be infeasible again.
+            for (i, q) in queries.iter().enumerate() {
+                match session.execute_expr(&q.expr, &self.opts) {
+                    Ok(resp) => {
+                        self.ctx
+                            .check(i, &Served::answer(&resp), " (disarmed, post-fault)")
+                    }
+                    Err(e) => {
+                        let skipped = self.ctx.expected.is_some_and(|want| want[i].is_none());
+                        assert!(
+                            skipped && infeasible(&e),
+                            "{} post-fault: {e}",
+                            self.ctx.label(i)
+                        );
+                    }
+                }
             }
         }
-        if let Some(&last) = wanted.last() {
+        if let Some(last) = queries.len().checked_sub(1) {
             self.assert_balanced(last);
         }
         let metrics = self.service.metrics();
@@ -704,11 +724,6 @@ fn run_pass(
         ..Default::default()
     };
     let mut answers: Vec<Option<Answer>> = cat.queries.iter().map(|_| None).collect();
-    // Queries this pass runs: all of them for the reference, else those
-    // the reference answered.
-    let wanted: Vec<usize> = (0..cat.queries.len())
-        .filter(|&i| expected.is_none_or(|e| e[i].is_some()))
-        .collect();
     let (served, clients, passes) = match variant.via {
         Via::Direct => (None, 1, 1),
         Via::Service {
@@ -717,7 +732,7 @@ fn run_pass(
             passes,
             cached,
         } => {
-            let served = Served::start(&ctx, &wanted, workers, clients, cached);
+            let served = Served::start(&ctx, workers, clients, cached);
             (Some(served), clients, passes)
         }
     };
@@ -731,19 +746,19 @@ fn run_pass(
     let start = Instant::now();
     match &served {
         Some(served) if clients > 1 => {
-            let exprs: Vec<_> = wanted.iter().map(|&i| &cat.queries[i].expr).collect();
-            let seen = |k: usize, r: &Result<QueryResponse>| match r {
-                Ok(resp) => ctx.check(wanted[k], &Served::answer(resp), ""),
-                Err(e) => drop(ctx.give_up(wanted[k], e)),
+            let exprs: Vec<_> = cat.queries.iter().map(|q| &q.expr).collect();
+            let seen = |i: usize, r: &Result<QueryResponse>| match r {
+                Ok(resp) => ctx.check(i, &Served::answer(resp), ""),
+                Err(e) => drop(ctx.give_up(i, e)),
             };
             (pass.completed, pass.retries) =
                 run_clients(&served.service, &exprs, clients, passes, &served.opts, seen);
         }
         _ => {
-            for &i in &wanted {
+            for (i, q) in cat.queries.iter().enumerate() {
                 let (result, retries) = retry_with_backoff(policy, || match &served {
                     Some(served) => served.run(i),
-                    None => ctx.run_direct(&cat.queries[i]),
+                    None => ctx.run_direct(q),
                 });
                 pass.retries += retries;
                 match result {
@@ -753,7 +768,8 @@ fn run_pass(
                         pass.runs[i] = Some(run);
                         answers[i] = Some(answer);
                     }
-                    Err(e) => pass.retryable_failures += ctx.give_up(i, &e) as usize,
+                    Err(e) if ctx.give_up(i, &e) => pass.retryable_failures += 1,
+                    Err(_) => {}
                 }
                 if let Some(served) = &served {
                     served.assert_balanced(i);
@@ -763,7 +779,7 @@ fn run_pass(
     }
     pass.elapsed_s = start.elapsed().as_secs_f64();
     if let Some(served) = served {
-        served.finish(&wanted, &mut pass);
+        served.finish(&mut pass);
     }
     if let Some(plan) = &ctx.faults {
         pass.fired = plan.fired();
@@ -953,11 +969,91 @@ mod tests {
         let cat = tiny();
         let rep = replay(&cat, 0, &Variant::new("advised"), &[Variant::new("again")]);
         // Timeout 0 expires (nearly) every query that executes at all:
-        // they are skipped everywhere, nothing panics.
+        // an infeasible cell for the pass that hit it, left out of the
+        // comparison, nothing panics — and every pass still ran every
+        // query, whatever the reference managed.
         assert!(rep.compared().len() < cat.queries.len());
-        for (reference, variant) in rep.reference.runs.iter().zip(&rep.variants[0].runs) {
-            assert!(reference.is_some() || variant.is_none());
+        for pass in rep.passes() {
+            let skipped = pass.runs.iter().filter(|r| r.is_none()).count();
+            assert!(skipped > 0, "{}", pass.variant.name);
+            let ran = pass.completed as usize + skipped;
+            assert_eq!(ran, cat.queries.len(), "{}", pass.variant.name);
         }
+    }
+
+    #[test]
+    fn after_the_faults_every_query_the_reference_answered_is_answered_again() {
+        let cat = tiny();
+        let armed = Variant {
+            via: Via::Service {
+                workers: 1,
+                clients: 1,
+                passes: 1,
+                cached: true,
+            },
+            faults: Some(Faults {
+                seed: 7,
+                probability: 0.0,
+                max_attempts: 1,
+            }),
+            ..Variant::new("armed")
+        };
+        // Timeout 0 on both sides: what the reference skipped the armed
+        // pass may skip, during and after the faults.
+        let (_, skipped) = run_pass(&cat, 0, &Variant::new("reference"), None);
+        run_pass(&cat, 0, &armed, Some(&skipped));
+        // A reference that answered: the disarmed replay timing out on
+        // the same queries is a service that did not survive.
+        let (_, answered) = run_pass(&cat, 10_000, &Variant::new("reference"), None);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_pass(&cat, 0, &armed, Some(&answered))
+        }))
+        .expect_err("an unanswered post-fault query must panic");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("variant `armed` post-fault"), "{msg}");
+    }
+
+    #[test]
+    fn a_schema_query_may_finish_where_its_baseline_timed_out() {
+        // Tab. 5's point: the schema proves dealsWith/owns empty (see
+        // `prepared.rs`), so it needs no execution; the baseline
+        // executes and times out.
+        let schema = sgq_graph::schema::fig1_yago_schema();
+        let text = "dealsWith/owns";
+        let origin = sgq_datasets::QueryOrigin::YagoStyle;
+        let q = CatalogQuery::parse(text, origin, text, &schema).expect("parses");
+        let db = sgq_graph::database::fig2_yago_database();
+        let cat = Catalog::new("FIG2", schema, db, vec![q]);
+        let baseline = Variant {
+            approach: Approach::Baseline,
+            ..Variant::new("baseline")
+        };
+        let rep = replay(&cat, 0, &baseline, &[Variant::new("schema")]);
+        assert!(rep.reference.runs[0].is_none(), "the baseline timed out");
+        let rescued = rep.variants[0].runs[0]
+            .as_ref()
+            .expect("the schema finishes");
+        assert_eq!(rescued.rows, 0);
+    }
+
+    #[test]
+    fn malformed_term_is_a_bug_not_an_infeasible_cell() {
+        let cat = tiny();
+        let store = cat.store(None);
+        // σ over a column the scan does not produce: `plan()` rejects it.
+        let owns = cat.db.edge_label_id("owns").expect("YAGO has owns");
+        let (x, y) = (store.symbols.col("x"), store.symbols.col("y"));
+        let scan = sgq_ra::RaTerm::EdgeScan {
+            label: owns,
+            src: x,
+            tgt: y,
+        };
+        let malformed = sgq_ra::RaTerm::select_eq(scan, x, store.symbols.col("nope"));
+        let e = sgq_ra::plan(&malformed, &store).expect_err("unknown column");
+        assert!(matches!(e, SgqError::Execution(_)), "{e}");
+        assert!(!infeasible(&e), "{e}");
+        assert!(infeasible(&SgqError::Timeout { limit_ms: 1 }));
+        assert!(infeasible(&SgqError::RowBudget { rows: 2, budget: 1 }));
     }
 
     #[test]

@@ -331,8 +331,8 @@ impl PhysPlan {
         self.memo_est || self.children().iter().any(|c| c.uses_memo())
     }
 
-    /// Whether any node of the subtree satisfies `pred` — how tests,
-    /// benches and the harness assert a plan contains a strategy.
+    /// Whether any node of the subtree satisfies `pred` — how tests and
+    /// the harness assert a plan contains a strategy.
     pub fn contains_op(&self, pred: &dyn Fn(&PhysOp) -> bool) -> bool {
         pred(&self.op) || self.children().iter().any(|c| c.contains_op(pred))
     }

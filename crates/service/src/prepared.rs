@@ -10,7 +10,7 @@
 //! the front-end.
 //!
 //! [`PreparedQuery::execute`] is the one way a statement runs — the
-//! service, the measurement runner and the replay driver all call it —
+//! service and the harness's replay driver both call it —
 //! and the one place the body kinds are told apart: whichever backend
 //! the statement was prepared for runs under the limits of the caller's
 //! [`ExecContext`] (deadline, row and memory budgets, fault plan) and

@@ -36,20 +36,21 @@ pub fn cypher_expressible(query: &Ucqt) -> bool {
 
 /// Distributes unions inside relation paths into additional disjuncts:
 /// `knows{1,2}/-hasC` (= `(knows ∪ knows/knows)/-hasC`) becomes two
-/// Cypher `MATCH ... UNION MATCH ...` branches. Bounded by a safety cap;
-/// beyond it the query is returned unchanged.
+/// Cypher `MATCH ... UNION MATCH ...` branches. Bounded by a safety cap,
+/// checked while distributing; beyond it the query is returned unchanged.
 pub fn normalize_unions(query: &Ucqt) -> Ucqt {
     const CAP: usize = 64;
     let mut disjuncts = Vec::new();
     for cqt in &query.disjuncts {
         // components per relation
-        let per_rel: Vec<Vec<PathExpr>> = cqt
-            .relations
-            .iter()
-            .map(|r| distribute(&r.path.strip()))
+        let per_rel: Option<Vec<Vec<PathExpr>>> = (cqt.relations.iter())
+            .map(|r| r.path.strip().union_normal_form(CAP))
             .collect();
+        let Some(per_rel) = per_rel else {
+            return query.clone();
+        };
         let combos: usize = per_rel.iter().map(Vec::len).product();
-        if combos == 0 || combos > CAP || disjuncts.len() + combos > 4 * CAP {
+        if combos > CAP || disjuncts.len() + combos > 4 * CAP {
             return query.clone();
         }
         let mut indices = vec![0usize; per_rel.len()];
@@ -83,31 +84,6 @@ pub fn normalize_unions(query: &Ucqt) -> Ucqt {
     Ucqt {
         head: query.head.clone(),
         disjuncts,
-    }
-}
-
-/// Union-free components of a plain expression (unions under `+` stay).
-fn distribute(e: &PathExpr) -> Vec<PathExpr> {
-    let cross = |xs: Vec<PathExpr>, ys: Vec<PathExpr>, f: fn(PathExpr, PathExpr) -> PathExpr| {
-        let mut out = Vec::with_capacity(xs.len() * ys.len());
-        for x in &xs {
-            for y in &ys {
-                out.push(f(x.clone(), y.clone()));
-            }
-        }
-        out
-    };
-    match e {
-        PathExpr::Label(_) | PathExpr::Reverse(_) | PathExpr::Plus(_) => vec![e.clone()],
-        PathExpr::Union(a, b) => {
-            let mut out = distribute(a);
-            out.extend(distribute(b));
-            out
-        }
-        PathExpr::Concat(a, b) => cross(distribute(a), distribute(b), PathExpr::concat),
-        PathExpr::Conj(a, b) => cross(distribute(a), distribute(b), PathExpr::conj),
-        PathExpr::BranchR(a, b) => cross(distribute(a), distribute(b), PathExpr::branch_r),
-        PathExpr::BranchL(a, b) => cross(distribute(a), distribute(b), PathExpr::branch_l),
     }
 }
 

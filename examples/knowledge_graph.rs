@@ -8,24 +8,21 @@
 
 use schema_graph_query::harness::experiments::{fig12, table6, yago_suite, ExperimentConfig};
 use schema_graph_query::harness::replay::Catalog;
-use schema_graph_query::harness::runner::{Backend, RunConfig};
+use schema_graph_query::harness::Backend;
 use schema_graph_query::prelude::RedundancyRule;
 
 fn main() {
-    let mut run = RunConfig {
+    let mut cfg = ExperimentConfig {
         timeout_ms: 5_000,
-        repetitions: 3,
-        ..Default::default()
+        ldbc_sfs: vec![],
+        yago_scale: 1.0,
+        repeats: 3,
+        backend: Backend::Relational,
+        ..ExperimentConfig::default()
     };
     // Example 13's redundancy rule keeps the rewritten queries lean, which
     // is the better trade on the in-memory relational backend.
-    run.rewrite.redundancy = RedundancyRule::EitherSide;
-    let cfg = ExperimentConfig {
-        run,
-        ldbc_sfs: vec![],
-        yago_scale: 1.0,
-        backend: Backend::Relational,
-    };
+    cfg.rewrite.redundancy = RedundancyRule::EitherSide;
 
     let Catalog { schema, db, .. } = Catalog::yago(cfg.yago_scale);
     println!(
@@ -40,5 +37,5 @@ fn main() {
 
     println!("Running the 18 recursive queries (relational backend)...\n");
     let records = yago_suite(&cfg);
-    println!("{}", fig12(&records, cfg.run.timeout_ms));
+    println!("{}", fig12(&records, cfg.timeout_ms));
 }

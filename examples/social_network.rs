@@ -10,28 +10,26 @@
 use schema_graph_query::harness::experiments::{
     fig13, ldbc_suite, table5, table7, table8, ExperimentConfig,
 };
-use schema_graph_query::harness::runner::{Backend, RunConfig};
+use schema_graph_query::harness::Backend;
 
 fn main() {
     let cfg = ExperimentConfig {
-        run: RunConfig {
-            timeout_ms: 1_000,
-            repetitions: 2,
-            ..Default::default()
-        },
+        timeout_ms: 1_000,
         ldbc_sfs: vec![0.1, 0.3, 1.0],
         yago_scale: 1.0,
+        repeats: 2,
         backend: Backend::Graph,
+        ..ExperimentConfig::default()
     };
     println!(
         "Running the 30 Tab. 4 queries on LDBC scale factors {:?} (graph backend, {} ms timeout)...\n",
-        cfg.ldbc_sfs, cfg.run.timeout_ms
+        cfg.ldbc_sfs, cfg.timeout_ms
     );
     let records = ldbc_suite(&cfg);
 
     println!("{}", table5(&records, &cfg));
-    println!("{}", table7(&records, cfg.run.timeout_ms));
-    println!("{}", table8(&records, cfg.run.timeout_ms));
+    println!("{}", table7(&records, cfg.timeout_ms));
+    println!("{}", table8(&records, cfg.timeout_ms));
     println!("{}", fig13(&records, &cfg));
 
     // Highlight the headline effect: queries infeasible under the
