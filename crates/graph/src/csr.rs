@@ -42,18 +42,6 @@ impl Csr {
         Csr { offsets, targets }
     }
 
-    /// Builds a CSR with *set semantics*: parallel edges collapse to a
-    /// single entry, so every neighbour list is strictly sorted. This is
-    /// the constructor index-backed relational execution wants — the
-    /// edge *tables* are sets, so the adjacency index probed in their
-    /// place must be one too.
-    pub fn from_pairs_dedup(node_count: usize, pairs: &[(NodeId, NodeId)]) -> Self {
-        let mut sorted = pairs.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        Self::from_pairs(node_count, &sorted)
-    }
-
     /// Neighbour list of `n` (sorted).
     #[inline]
     pub fn neighbors(&self, n: NodeId) -> &[NodeId] {
@@ -129,32 +117,6 @@ mod tests {
         let pairs = vec![(n(0), n(1)), (n(0), n(1))];
         let csr = Csr::from_pairs(2, &pairs);
         assert_eq!(csr.neighbors(n(0)).len(), 2);
-    }
-
-    #[test]
-    fn dedup_constructor_collapses_parallel_edges() {
-        // A multigraph input: parallel edges and unsorted pairs. The
-        // set-semantics constructor must produce strictly sorted
-        // neighbour lists with no duplicates — matching the executor's
-        // set semantics — while `from_pairs` keeps the multigraph.
-        let pairs = vec![
-            (n(0), n(2)),
-            (n(0), n(1)),
-            (n(0), n(2)),
-            (n(0), n(2)),
-            (n(1), n(0)),
-            (n(1), n(0)),
-        ];
-        let csr = Csr::from_pairs_dedup(3, &pairs);
-        assert_eq!(csr.neighbors(n(0)), &[n(1), n(2)]);
-        assert_eq!(csr.neighbors(n(1)), &[n(0)]);
-        assert_eq!(csr.edge_count(), 3);
-        for v in 0..3 {
-            let ns = csr.neighbors(n(v));
-            assert!(ns.windows(2).all(|w| w[0] < w[1]), "strictly sorted");
-        }
-        // The multigraph constructor keeps all six.
-        assert_eq!(Csr::from_pairs(3, &pairs).edge_count(), 6);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! adjacency, a per-node-label index, and sorted pair relations — the
 //! physical structures both query engines run on.
 
+use std::sync::Arc;
+
 use sgq_common::{EdgeLabelId, Interner, KeyId, NodeId, NodeLabelId, Result, SgqError};
 
 use crate::csr::Csr;
@@ -28,10 +30,11 @@ pub struct EdgeRelation {
     pub by_src: Vec<(NodeId, NodeId)>,
     /// `(tgt, src)` pairs sorted by `(tgt, src)` — the reversed relation.
     pub by_tgt: Vec<(NodeId, NodeId)>,
-    /// Forward adjacency.
-    pub fwd: Csr,
-    /// Reverse adjacency.
-    pub rev: Csr,
+    /// Forward adjacency (set semantics: `by_src` is deduplicated), shared
+    /// with the relational store's index joins.
+    pub fwd: Arc<Csr>,
+    /// Reverse adjacency, shared the same way.
+    pub rev: Arc<Csr>,
 }
 
 /// A graph database instance (Definition 2).
@@ -285,8 +288,8 @@ impl DatabaseBuilder {
             by_src.dedup();
             let mut by_tgt: Vec<(NodeId, NodeId)> = by_src.iter().map(|&(s, t)| (t, s)).collect();
             by_tgt.sort_unstable();
-            let fwd = Csr::from_pairs(node_count, &by_src);
-            let rev = Csr::from_pairs(node_count, &by_tgt);
+            let fwd = Arc::new(Csr::from_pairs(node_count, &by_src));
+            let rev = Arc::new(Csr::from_pairs(node_count, &by_tgt));
             relations.push(EdgeRelation {
                 by_src,
                 by_tgt,
@@ -404,6 +407,10 @@ mod tests {
         b.edge(a, "livesIn", c);
         let db = b.build().unwrap();
         assert_eq!(db.edge_count(), 1);
+        // The CSRs the relational store shares collapse the parallel edge.
+        let lives = db.edge_label_id("livesIn").unwrap();
+        assert_eq!(db.out_neighbors(a, lives), &[c]);
+        assert_eq!(db.in_neighbors(c, lives), &[a]);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 pub mod consistency;
 pub mod csr;
 pub mod database;
-pub mod infer_schema;
 pub mod schema;
 pub mod stats;
 pub mod value;
@@ -21,7 +20,6 @@ pub mod value;
 pub use consistency::{check_consistency, ConsistencyReport, Violation};
 pub use csr::Csr;
 pub use database::{DatabaseBuilder, GraphDatabase};
-pub use infer_schema::infer_schema;
 pub use schema::{GraphSchema, SchemaBuilder, SchemaTriple};
 pub use stats::GraphStats;
 pub use value::{DataType, Value};

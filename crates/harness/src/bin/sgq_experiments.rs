@@ -12,8 +12,8 @@
 //! EXPERIMENTS: all (default) | table3 | table5 | table6 | table7 | table8
 //!              | fig12 | fig13 | fig14 | fig15 | fig17 | reverts
 //!              | smoke | plans | estimates | serve | parallel | observe
-//!              | layouts | chaos
-//!              (the last eight run explicit only, not as part of `all`)
+//!              | chaos
+//!              (the last seven run explicit only, not as part of `all`)
 //! ```
 //!
 //! Everything that executes catalog queries is a client of the one
@@ -24,17 +24,17 @@
 //! `--reps` executions; `--sf-max` caps the LDBC scale factors, `--out`
 //! dumps the raw records.
 //!
-//! The last eight share one set of catalogs (`--sf`, `--yago-scale`,
+//! The last seven share one set of catalogs (`--sf`, `--yago-scale`,
 //! `--timeout-ms`), generated once per process however many are named.
 //! `smoke` replays a few paths on both backends over the tiny Fig. 2
-//! database and `plans` prints the physical-plan showcase; the other six
+//! database and `plans` prints the physical-plan showcase; the other five
 //! are the gates (`sgq_harness::gates` documents each variant list and
 //! gate). `--smoke` switches to the small CI scale and arms every gate,
 //! so the whole CI gate is one process, chaos included (a fault plan is
 //! a value owned by the service it is armed on):
 //!
 //! ```text
-//! sgq-experiments smoke plans estimates serve parallel observe layouts chaos --smoke
+//! sgq-experiments smoke plans estimates serve parallel observe chaos --smoke
 //! ```
 
 use std::io::Write as _;

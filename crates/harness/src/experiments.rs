@@ -373,10 +373,9 @@ pub fn fig15_16() -> String {
 /// Fig. 17: execution plans with estimated cost/rows and actual rows for
 /// Q1 and Q2 on an LDBC instance.
 pub fn fig17(sf: f64) -> String {
-    // The paper's Fig. 11 per-label tables: the plans read like Fig. 17's.
     let cat = Catalog::ldbc(sf);
     let (schema, db): (&GraphSchema, &sgq_graph::GraphDatabase) = (&cat.schema, &cat.db);
-    let store = &*cat.store(Some(sgq_ra::LayoutKind::PerLabel));
+    let store = &*cat.store();
     let (baseline, enriched) = q1_q2(schema);
     let mut names = NameGen::new(&store.symbols);
     let mut out = format!("Figure 17 — execution plans (LDBC SF {sf})\n");
@@ -447,7 +446,7 @@ pub fn reverts(cfg: &ExperimentConfig) -> String {
 
 /// Physical plan showcase on the Fig. 2 database: join strategy
 /// selection (CSR index vs merge vs hash, cost-chosen build sides),
-/// fused filtered scans, and fixpoint work counters with and without
+/// precomputed slice scans, and fixpoint work counters with and without
 /// the adjacency indexes. Ends with the LDBC smoke assertion: at least
 /// one query of the `ldbc` catalog must plan a CSR `IndexJoin`.
 pub fn physical_plans(ldbc: &Catalog) -> String {
@@ -534,8 +533,9 @@ pub fn physical_plans(ldbc: &Catalog) -> String {
     );
 
     // 4. The µ-RA pushdown composed with the physical layer: the label
-    //    filter migrates into the fixpoint base, then fuses into the
-    //    scan (or becomes an index-join endpoint filter).
+    //    filter migrates into the fixpoint base, which then scans the
+    //    store's precomputed slice (or becomes an index-join endpoint
+    //    filter).
     let city = RaTerm::NodeScan {
         labels: vec![db.node_label_id("CITY").expect("label exists")],
         col: x,
@@ -549,7 +549,7 @@ pub fn physical_plans(ldbc: &Catalog) -> String {
     // 5. CI gate for the index layer: on the served LDBC store the cost
     //    model must choose a CSR index join for at least one catalog
     //    query (baseline, optimised), from measured statistics alone.
-    let served = ldbc.store(None);
+    let served = ldbc.store();
     let indexed: Vec<(&str, String)> = (ldbc.queries.iter())
         .filter_map(|q| {
             let (backend, approach) = (Backend::Relational, Approach::Baseline);

@@ -4,7 +4,6 @@
 //! | experiment  | reference            | variants                          | gate                                   |
 //! |-------------|----------------------|-----------------------------------|----------------------------------------|
 //! | `parallel`  | serial               | DOP = N morsel execution          | ≥ 1 morsel dispatched                  |
-//! | `layouts`   | per-label            | polymorphic, denormalised         | ≥ 1 query plans ≥ 10 % cheaper         |
 //! | `estimates` | cold memo            | warm memo                         | cold median q-error ≤ 2, warm ≤ cold   |
 //! | `observe`   | direct               | traced service                    | trace == `EXPLAIN ANALYZE`, overhead   |
 //! | `serve`     | sequential, uncached | workers × cache, concurrent       | 0 errors, warm cache always hit        |
@@ -27,7 +26,7 @@ use sgq_core::pipeline::{rewrite_path, RewriteOptions, RewriteOutcome};
 use sgq_obs::{chrome_traces_json, QueryTrace, Tracer};
 use sgq_ra::cost::q_error;
 use sgq_ra::exec::{execute_plan, execute_plan_traced, ExecContext};
-use sgq_ra::{LayoutAdvisor, LayoutKind, PhysPlan, RelStore};
+use sgq_ra::{PhysPlan, RelStore};
 use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
 
 use crate::experiments;
@@ -42,8 +41,6 @@ use crate::summary::Summary;
 pub struct GateParams {
     /// `parallel`: morsel sizing of the DOP = N variant.
     pub sizing: Sizing,
-    /// `layouts`: timed executions per (query, layout), averaged.
-    pub repeats: usize,
     /// `serve`: worker-pool sizes to sweep.
     pub worker_counts: Vec<usize>,
     /// `serve`: closed-loop client threads.
@@ -64,7 +61,6 @@ impl Default for GateParams {
                 threshold: 1_024,
                 morsel_rows: sgq_ra::parallel::MORSEL_ROWS,
             },
-            repeats: 3,
             worker_counts: vec![1, 2, 4],
             clients: 8,
             passes: 3,
@@ -85,7 +81,6 @@ impl GateParams {
                 threshold: 1,
                 morsel_rows: 256,
             },
-            repeats: 1,
             worker_counts: vec![1, 2],
             clients: 4,
             passes: 1,
@@ -96,14 +91,13 @@ impl GateParams {
 }
 
 /// Every experiment [`run`] knows, in CI order.
-pub const GATES: [&str; 8] = [
+pub const GATES: [&str; 7] = [
     "smoke",
     "plans",
     "estimates",
     "serve",
     "parallel",
     "observe",
-    "layouts",
     "chaos",
 ];
 
@@ -117,7 +111,6 @@ pub fn run(name: &str, cats: &Catalogs, p: &GateParams, gate: bool) -> Option<St
         "serve" => serve(cats, p, gate),
         "parallel" => parallel(cats, p, gate),
         "observe" => observe(cats, gate),
-        "layouts" => layouts(cats, p, gate),
         "chaos" => chaos(cats, p),
         _ => return None,
     })
@@ -204,71 +197,6 @@ fn parallel(cats: &Catalogs, p: &GateParams, gate: bool) -> String {
     finish(head, &t, &closing, reps.iter().map(|(_, r)| r))
 }
 
-/// `layouts`: the physical-storage-layout ablation — every catalog
-/// query planned (each layout with its own capabilities) and executed
-/// under all three layouts, per-label as the reference.
-fn layouts(cats: &Catalogs, p: &GateParams, gate: bool) -> String {
-    let under = |kind: LayoutKind| Variant {
-        layout: Some(kind),
-        repeats: p.repeats,
-        ..Variant::new(kind.name())
-    };
-    let mut t = Table::new(
-        "<dataset|<query|rows|per-label ms|polymorphic ms|denormalized ms|<advised|speedup",
-    );
-    let (mut per_label, mut advised_ms) = (Vec::new(), Vec::new());
-    let (mut best, mut cheaper) = (0.0f64, 0);
-    let [per, poly, denorm] = LayoutKind::ALL.map(under);
-    let reps = replay_both(cats, &per, &[poly, denorm]);
-    for (cat, rep) in &reps {
-        let stats = &cat.store(Some(LayoutKind::PerLabel)).stats;
-        let advised = LayoutAdvisor::choose(&cat.schema, stats);
-        for (query, base, v) in rep.compared() {
-            let ms = [base.ms, v[0].ms, v[1].ms];
-            let cost = |r: &Run| r.estimate().map_or(0.0, |(_, cost)| cost);
-            // Deterministic, unlike the timings: some non-default
-            // layout plans at least 10% cheaper (estimated cost).
-            cheaper += (cost(v[0]).min(cost(v[1])) <= cost(base) * 0.9) as usize;
-            let speedup = ms[0] / ms[1].min(ms[2]).max(1e-9);
-            best = best.max(speedup);
-            per_label.push(ms[0]);
-            let idx = LayoutKind::ALL.iter().position(|&k| k == advised);
-            advised_ms.push(ms[idx.expect("ALL covers every layout kind")]);
-            t.row(format!(
-                "{}|{query}|{}|{:.2}|{:.2}|{:.2}|{}|{speedup:.2}x",
-                cat.name,
-                base.rows,
-                ms[0],
-                ms[1],
-                ms[2],
-                advised.name()
-            ));
-        }
-    }
-    let mut closing = format!(
-        "median per-label {:.2} ms, median advised {:.2} ms; best non-default speedup \
-         {best:.2}x; {cheaper} of {} queries plan >=10% cheaper off-default\n",
-        median(per_label.iter().copied()),
-        median(advised_ms.iter().copied()),
-        per_label.len()
-    );
-    if gate {
-        assert!(!per_label.is_empty(), "layouts: no comparable queries");
-        assert!(
-            cheaper > 0,
-            "layouts: no query planned measurably cheaper under a non-default \
-             layout — the layout-specific strategies never fired"
-        );
-        closing.push_str("layouts gate: PASS (all layouts bit-identical on both catalogs)\n");
-    }
-    let head = format!(
-        "storage layouts: per-label vs polymorphic vs denormalized ({}, mean of {} runs)\n",
-        scales(cats),
-        p.repeats.max(1)
-    );
-    finish(head, &t, &closing, reps.iter().map(|(_, r)| r))
-}
-
 /// The physical shape of a plan with the estimate annotations stripped:
 /// operator kinds, join keys, build sides and filters — what a warm
 /// re-plan can change.
@@ -328,7 +256,7 @@ fn estimates(cats: &Catalogs, gate: bool) -> String {
     let (mut switches, mut cheaper) = (0, 0);
     let reps = replay_both(cats, &Variant::new("cold"), &[warm]);
     for (cat, rep) in &reps {
-        let store = cat.store(None);
+        let store = cat.store();
         let (mut q_cold, mut q_warm) = (Vec::new(), Vec::new());
         for (query, cold, v) in rep.compared() {
             // A rewrite that proves the query empty has no plan to
@@ -743,7 +671,7 @@ fn observe(cats: &Catalogs, gate: bool) -> String {
         .find(|(_, prepared)| prepared.plan().is_some())
         .expect("at least one catalog query plans");
     let plan = prepared.plan().expect("found by having a plan");
-    let [base, disabled, traced_us] = measure_overhead(&cat.store(None), plan, timeout_ms);
+    let [base, disabled, traced_us] = measure_overhead(&cat.store(), plan, timeout_ms);
     let pct = |us: f64| (us - base) / base.max(1.0) * 100.0;
     let _ = writeln!(
         closing,
@@ -808,11 +736,6 @@ mod tests {
             if !matches!(name, "smoke" | "plans") {
                 assert!(report.contains("runs as JSON: [{"), "{report}");
             }
-        }
-        // Both bundled schemas overload edge labels across several
-        // endpoint-label triples, so the advisor serves denormalised.
-        for cat in cats.both() {
-            assert_eq!(cat.store(None).layout_kind(), LayoutKind::Denormalized);
         }
         assert!(run("nonsense", &cats, &params, true).is_none());
     }

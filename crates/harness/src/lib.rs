@@ -4,14 +4,14 @@
 //! * [`replay`] — the one replay driver every experiment executes
 //!   through: [`Catalogs`](replay::Catalogs) (datasets, parsed catalogs
 //!   and relational stores built once per process),
-//!   [`Variant`](replay::Variant) (backend × approach × layout × morsel
-//!   sizing × traced × fault plan × memo cold/warm × direct or through
-//!   a service), the timeout / mean-of-repeats protocol of §5.1.5, the
+//!   [`Variant`](replay::Variant) (backend × approach × morsel sizing ×
+//!   traced × fault plan × memo cold/warm × direct or through a
+//!   service), the timeout / mean-of-repeats protocol of §5.1.5, the
 //!   bit-identity comparator against a named reference variant, the
 //!   table renderer and the JSON emitter,
 //! * [`gates`] — the replay-driven experiments, each a variant list plus
-//!   a gate predicate: `parallel`, `layouts`, `estimates`, `observe`,
-//!   `serve`, `chaos` (CI runs them all, armed, in one
+//!   a gate predicate: `parallel`, `estimates`, `observe`, `serve`,
+//!   `chaos` (CI runs them all, armed, in one
 //!   `sgq-experiments … --smoke` process),
 //! * [`experiments`] — one function per paper table/figure, each
 //!   returning a printable report (the suites replay every catalog

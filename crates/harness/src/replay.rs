@@ -5,11 +5,11 @@
 //! implementation:
 //!
 //! * [`Catalog`] / [`Catalogs`] — a generated dataset, its parsed query
-//!   catalog and its relational stores, built **once per process** (the
+//!   catalog and its relational store, built **once per process** (the
 //!   only `generate` call sites),
 //! * [`Variant`] — one way of executing a catalog: backend × approach
-//!   (baseline or schema-rewritten) × storage layout × morsel sizing ×
-//!   traced × fault plan × feedback memo cold/warm × direct
+//!   (baseline or schema-rewritten) × morsel sizing × traced × fault
+//!   plan × feedback memo cold/warm × direct
 //!   [`PreparedQuery::execute`] or through a [`Service`]; the front end
 //!   is always the library's own [`prepare`],
 //! * [`replay`] — a named reference variant and a list of variants over
@@ -21,7 +21,7 @@
 //! returned [`Replay`] (see [`crate::gates`]), or — the paper suite of
 //! [`crate::experiments`] — plus the records read off its passes.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use sgq_common::fault::{FaultConfig, FaultPlan, FireReport};
@@ -34,7 +34,7 @@ use sgq_datasets::CatalogQuery;
 use sgq_graph::{GraphDatabase, GraphSchema};
 use sgq_obs::QueryTrace;
 use sgq_ra::exec::ExecContext;
-use sgq_ra::{LayoutKind, RelStore, TaskScheduler};
+use sgq_ra::{RelStore, TaskScheduler};
 use sgq_service::prepared::{prepare, PreparedQuery};
 use sgq_service::{
     retry_with_backoff, Answer, MetricsSnapshot, QueryOptions, QueryResponse, RetryPolicy, Service,
@@ -87,7 +87,7 @@ impl Scale {
 }
 
 /// One generated dataset with its parsed query catalog and its lazily
-/// loaded relational stores (one per requested layout).
+/// loaded relational store.
 pub struct Catalog {
     /// `YAGO` / `LDBC` (or a caller-chosen name for ad-hoc databases).
     pub name: &'static str,
@@ -99,7 +99,7 @@ pub struct Catalog {
     pub db: Arc<GraphDatabase>,
     /// The parsed query catalog.
     pub queries: Vec<CatalogQuery>,
-    stores: Mutex<Vec<(Option<LayoutKind>, Arc<RelStore>)>>,
+    store: OnceLock<Arc<RelStore>>,
 }
 
 impl Catalog {
@@ -116,7 +116,7 @@ impl Catalog {
             schema: Arc::new(schema),
             db: Arc::new(db),
             queries,
-            stores: Mutex::new(Vec::new()),
+            store: OnceLock::new(),
         }
     }
 
@@ -138,20 +138,13 @@ impl Catalog {
         Catalog::new("YAGO", schema, db, queries)
     }
 
-    /// The relational load of the database under `layout`; `None` is the
-    /// advisor's pick — what [`Service::new`] serves. Loaded on first
-    /// use, then shared.
-    pub fn store(&self, layout: Option<LayoutKind>) -> Arc<RelStore> {
-        let mut stores = self.stores.lock().expect("store loading does not panic");
-        if let Some((_, store)) = stores.iter().find(|(l, _)| *l == layout) {
-            return Arc::clone(store);
-        }
-        let store = Arc::new(match layout {
-            Some(kind) => RelStore::load_with_layout(&self.db, kind),
-            None => RelStore::load_advised(&self.db, &self.schema),
-        });
-        stores.push((layout, Arc::clone(&store)));
-        store
+    /// The relational load of the database — what [`Service::new`]
+    /// serves. Loaded on first use, then shared.
+    pub fn store(&self) -> Arc<RelStore> {
+        Arc::clone(
+            self.store
+                .get_or_init(|| Arc::new(RelStore::load(&self.db))),
+        )
     }
 }
 
@@ -240,8 +233,8 @@ pub enum Via {
 
 /// One way of executing a catalog. The default is what is served, run
 /// plainly: relational backend, schema-rewritten with the default
-/// options, advised layout, serial, untraced, no faults, cold memo,
-/// direct, one execution.
+/// options, serial, untraced, no faults, cold memo, direct, one
+/// execution.
 #[derive(Debug, Clone, Default)]
 pub struct Variant {
     /// Name used in reports and divergence panics.
@@ -252,8 +245,6 @@ pub struct Variant {
     pub approach: Approach,
     /// Options of the schema rewrite.
     pub rewrite: RewriteOptions,
-    /// Storage layout; `None` = the advisor's pick (what is served).
-    pub layout: Option<LayoutKind>,
     /// Morsel parallelism (direct variants); `None` = serial.
     pub sizing: Option<Sizing>,
     /// Trace every execution and return its structured `EXPLAIN
@@ -709,7 +700,7 @@ fn run_pass(
     let ctx = PassCtx {
         cat,
         variant,
-        store: cat.store(variant.layout),
+        store: cat.store(),
         timeout_ms,
         faults: faults.map(FaultPlan::new),
         scheduler: (variant.sizing)
@@ -914,10 +905,7 @@ mod tests {
     #[test]
     fn identical_variants_replay_clean_and_stores_load_once() {
         let cat = tiny();
-        let per_label = Variant {
-            layout: Some(LayoutKind::PerLabel),
-            ..Variant::new("per-label")
-        };
+        let again = Variant::new("again");
         let served = Variant {
             via: Via::Service {
                 workers: 2,
@@ -927,35 +915,31 @@ mod tests {
             },
             ..Variant::new("served")
         };
-        let rep = replay(&cat, 10_000, &Variant::new("advised"), &[per_label, served]);
+        let rep = replay(&cat, 10_000, &Variant::new("direct"), &[again, served]);
         assert_eq!(rep.compared().len(), cat.queries.len());
         assert!(rep.compared().iter().all(|(_, _, v)| v.len() == 1));
         assert_eq!(rep.variants[1].completed, 2 * cat.queries.len() as u64);
-        assert!(Arc::ptr_eq(&cat.store(None), &cat.store(None)));
+        assert!(Arc::ptr_eq(&cat.store(), &cat.store()));
         let json = rep.to_json().render();
-        assert!(json.contains("\"variant\": \"per-label\""), "{json}");
+        assert!(json.contains("\"variant\": \"again\""), "{json}");
         assert!(json.contains("\"median\""), "{json}");
     }
 
     #[test]
     fn a_one_row_perturbation_panics_naming_query_and_variant() {
         let cat = tiny();
-        // Plant a store loaded from a database missing one edge as the
-        // polymorphic layout's: that variant now answers one row short.
+        // The catalog's one store, loaded from a database missing one
+        // edge: a relational variant now answers one row short of the
+        // graph backend, which reads the intact `cat.db`.
         let perturbed = without_one_edge(&cat.schema, &cat.db, "isLocatedIn");
-        cat.stores.lock().unwrap().push((
-            Some(LayoutKind::Polymorphic),
-            Arc::new(RelStore::load_with_layout(
-                &perturbed,
-                LayoutKind::Polymorphic,
-            )),
-        ));
-        let variant = Variant {
-            layout: Some(LayoutKind::Polymorphic),
-            ..Variant::new("one-row-short")
+        let planted = cat.store.set(Arc::new(RelStore::load(&perturbed)));
+        assert!(planted.is_ok(), "the store was not loaded yet");
+        let graph = Variant {
+            backend: Backend::Graph,
+            ..Variant::new("graph")
         };
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            replay(&cat, 10_000, &Variant::new("advised"), &[variant])
+            replay(&cat, 10_000, &graph, &[Variant::new("one-row-short")])
         }))
         .expect_err("a diverging variant must panic");
         let msg = panic.downcast_ref::<String>().expect("formatted panic");
@@ -967,7 +951,7 @@ mod tests {
     #[test]
     fn a_reference_timeout_is_a_skip_not_a_failure() {
         let cat = tiny();
-        let rep = replay(&cat, 0, &Variant::new("advised"), &[Variant::new("again")]);
+        let rep = replay(&cat, 0, &Variant::new("direct"), &[Variant::new("again")]);
         // Timeout 0 expires (nearly) every query that executes at all:
         // an infeasible cell for the pass that hit it, left out of the
         // comparison, nothing panics — and every pass still ran every
@@ -1039,7 +1023,7 @@ mod tests {
     #[test]
     fn malformed_term_is_a_bug_not_an_infeasible_cell() {
         let cat = tiny();
-        let store = cat.store(None);
+        let store = cat.store();
         // σ over a column the scan does not produce: `plan()` rejects it.
         let owns = cat.db.edge_label_id("owns").expect("YAGO has owns");
         let (x, y) = (store.symbols.col("x"), store.symbols.col("y"));

@@ -213,21 +213,6 @@ pub(crate) fn index_semijoin_cost(left: &Estimate) -> f64 {
     left.cost + left.rows * 2.0
 }
 
-/// Cost of a masked multi-label scan over the polymorphic layout's
-/// single edge table: one pass over all `poly_rows` distinct `(s, t)`
-/// pairs (a bitmask test per row) plus the emitted output.
-pub(crate) fn multi_scan_cost(poly_rows: usize, out_rows: f64) -> f64 {
-    poly_rows as f64 + out_rows
-}
-
-/// Cost of the union-all of per-label scans the masked pass competes
-/// with: each label's table is scanned and the collected rows are
-/// normalised once (`Relation::union_many` sorts + dedups), so every
-/// input row is touched roughly twice.
-pub(crate) fn union_all_cost(label_rows: f64) -> f64 {
-    2.0 * label_rows
-}
-
 /// Cost of a denormalised filtered scan: the endpoint-label slice was
 /// materialised at load, so the scan pays exactly the slice's rows —
 /// the semi-join filter is free.

@@ -98,9 +98,8 @@ pub struct ExecContext {
     pub parallel_threshold: usize,
     /// Morsel tasks executed by parallel sections.
     pub morsels_executed: usize,
-    /// Base-table scan operators evaluated (edge, node, filtered, masked
-    /// multi-label and denormalised scans alike) — the service buckets
-    /// this per storage layout (`scans_by_layout`).
+    /// Base-table scan operators evaluated (edge, node, filtered and
+    /// denormalised scans alike) — the service's `scans` counter.
     pub scans: usize,
     /// Always 0: nothing increments it since the mid-flight build-side
     /// flip was retired (ROADMAP 8(b)). Retained only because the
@@ -383,20 +382,6 @@ impl Interp<'_> {
                 self.limits.fault("exec.scan")?;
                 self.store.edge_table(*label).into_cols(p.cols.clone())
             }
-            PhysOp::MultiEdgeScan { labels } => {
-                self.ctx.scans += 1;
-                self.limits.fault("exec.scan")?;
-                // One masked pass over the polymorphic table; a layout
-                // without it degrades to the union-all the operator
-                // replaced (same rows by construction).
-                let rel = match self.store.multi_edge_table(labels) {
-                    Some(rel) => rel,
-                    None => Relation::union_many(
-                        labels.iter().map(|&l| self.store.edge_table(l)).collect(),
-                    ),
-                };
-                rel.into_cols(p.cols.clone())
-            }
             PhysOp::DenormEdgeScan {
                 label,
                 src_label,
@@ -404,21 +389,10 @@ impl Interp<'_> {
             } => {
                 self.ctx.scans += 1;
                 self.limits.fault("exec.scan")?;
-                // The precomputed endpoint-label slice; a layout without
-                // it filters the base table through the sorted node sets
-                // (same rows, just not free).
-                let rel = match self
-                    .store
+                // The endpoint-label slice precomputed at load.
+                (self.store)
                     .filtered_edge_table(*label, *src_label, *tgt_label)
-                {
-                    Some(rel) => rel,
-                    None => crate::layout::filter_edges_by_sets(
-                        &self.store.edge_table(*label),
-                        src_label.map(|l| self.store.node_set(l)),
-                        tgt_label.map(|l| self.store.node_set(l)),
-                    ),
-                };
-                rel.into_cols(p.cols.clone())
+                    .into_cols(p.cols.clone())
             }
             PhysOp::NodeScan { labels } => {
                 self.ctx.scans += 1;

@@ -45,20 +45,8 @@ pub fn explain_plan_with_dop(
     dop: usize,
 ) -> String {
     let mut out = String::new();
-    layout_header(store, &mut out);
     render(p, store, names, 0, &mut out, None, dop);
     out
-}
-
-/// Prepends the store's storage layout when it is not the default —
-/// per-label plans render exactly as before this line existed, while a
-/// polymorphic or denormalised store announces what its scans run
-/// against.
-fn layout_header(store: &RelStore, out: &mut String) {
-    let kind = store.layout_kind();
-    if kind != crate::layout::LayoutKind::PerLabel {
-        out.push_str(&format!("layout: {kind}\n"));
-    }
 }
 
 /// Executes the term and renders the physical plan with estimated *and*
@@ -77,7 +65,6 @@ pub fn explain_analyze(
     let mut ctx = ExecContext::new();
     let (rel, trace) = execute_plan_traced(&p, store, &mut ctx)?;
     let mut out = String::new();
-    layout_header(store, &mut out);
     render(&p, store, names, 0, &mut out, Some(&trace), 1);
     Ok((rel, out))
 }
@@ -184,14 +171,6 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
             if *merge { "merge" } else { "hash" },
             symbols.col_list(key, ", ")
         ),
-        PhysOp::MultiEdgeScan { labels } => {
-            let ls: Vec<String> = labels.iter().map(|&l| names.edge_name(l)).collect();
-            format!(
-                "Multi Seq Scan on {} ({}) [masked polymorphic pass]",
-                ls.join("∪"),
-                symbols.col_list(&p.cols, ", ")
-            )
-        }
         PhysOp::DenormEdgeScan {
             label,
             src_label,
@@ -481,8 +460,11 @@ mod tests {
                 src: s.col("x"),
                 tgt: s.col("y"),
             },
+            // Two labels: a filter no precomputed slice serves.
             RaTerm::NodeScan {
-                labels: vec![db.node_label_id("REGION").unwrap()],
+                labels: ["REGION", "COUNTRY"]
+                    .map(|l| db.node_label_id(l).unwrap())
+                    .to_vec(),
                 col: s.col("x"),
             },
         );
@@ -501,7 +483,10 @@ mod tests {
             rendered.contains("Filtered Seq Scan on isLocatedIn (x, y) [merge filter on x]"),
             "{rendered}"
         );
-        assert!(rendered.contains("Index Scan on REGION"), "{rendered}");
+        assert!(
+            rendered.contains("Index Scan on REGION∪COUNTRY"),
+            "{rendered}"
+        );
     }
 
     #[test]
@@ -515,8 +500,11 @@ mod tests {
                 src: s.col("x"),
                 tgt: s.col("y"),
             },
+            // Two labels: a filter no precomputed slice serves.
             RaTerm::NodeScan {
-                labels: vec![db.node_label_id("REGION").unwrap()],
+                labels: ["REGION", "COUNTRY"]
+                    .map(|l| db.node_label_id(l).unwrap())
+                    .to_vec(),
                 col: s.col("x"),
             },
         );

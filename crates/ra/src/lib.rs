@@ -7,13 +7,9 @@
 //! * [`table`] — set-semantics relations with interned columns and
 //!   `Arc`-shared row buffers (clones, renames and scans are O(1)),
 //! * [`storage`] — the relational representation of a property graph
-//!   (Fig. 11): a thin façade over a pluggable physical layout, handing
-//!   out tables zero-copy plus per-edge-label forward/reverse CSR
-//!   adjacency indexes and sorted node-label sets,
-//! * [`layout`] — the [`StorageLayout`] trait and its three
-//!   implementations (per-label, polymorphic single table with a label
-//!   bitmask, denormalised endpoint-label slices), plus the
-//!   schema-driven [`LayoutAdvisor`],
+//!   (Fig. 11): per-label edge tables, their precomputed endpoint-label
+//!   slices and the node tables, handed out zero-copy, plus the
+//!   database's per-edge-label forward/reverse CSR adjacency indexes,
 //! * [`term`] — the RA term language (σ/π/ρ/⋈/⋉/∪ and the fixpoint µ),
 //! * [`optimize`] — µ-RA-style rewritings: semi-join pushdown through
 //!   joins and *into fixpoints*, plus greedy join ordering,
@@ -39,7 +35,6 @@ pub mod cost;
 pub mod exec;
 pub mod explain;
 pub mod feedback;
-pub mod layout;
 pub mod optimize;
 pub mod parallel;
 pub mod plan;
@@ -50,7 +45,6 @@ pub mod term;
 
 pub use exec::{execute, execute_plan, ExecContext};
 pub use feedback::FeedbackMemo;
-pub use layout::{LayoutAdvisor, LayoutKind, StorageLayout};
 pub use parallel::TaskScheduler;
 pub use plan::{plan, PhysOp, PhysPlan};
 pub use storage::RelStore;

@@ -26,7 +26,9 @@
 //!
 //! Two further physical rewrites:
 //!
-//! * a semi-join landing directly on an edge scan fuses into a
+//! * a node-label semi-join on an edge scan (one label per endpoint) is
+//!   a [`PhysOp::DenormEdgeScan`] of the store's precomputed slice; any
+//!   other semi-join landing directly on an edge scan fuses into a
 //!   [`PhysOp::FilteredEdgeScan`], so the unfiltered table is never
 //!   materialised as a separate operator output;
 //! * a [`PhysOp::Fixpoint`] pre-plans its step once, and every node of
@@ -99,21 +101,10 @@ pub enum PhysOp {
         /// merge filter instead of a hashed key set.
         merge: bool,
     },
-    /// Masked multi-label scan over the polymorphic layout's single
-    /// edge table: the union of several labels' tables emitted in one
-    /// pass over the global `(Sr, Tr)` rows instead of a union-all of
-    /// per-label scans. Only lowered when the loaded layout supports it
-    /// ([`RelStore::supports_multi_scan`]) and the masked pass is
-    /// estimated cheaper.
-    MultiEdgeScan {
-        /// Edge labels whose union the scan emits.
-        labels: Vec<EdgeLabelId>,
-    },
     /// Scan of a denormalised endpoint-label slice: an edge table
     /// restricted to rows whose endpoints carry the given node labels,
-    /// materialised at load by the denormalised layout so the label
-    /// semi-join is free at scan time. Only lowered when the slice
-    /// exists ([`RelStore::has_filtered_table`]).
+    /// materialised at load ([`RelStore::filtered_edge_table`]) so the
+    /// label semi-join is free at scan time.
     DenormEdgeScan {
         /// Edge label.
         label: EdgeLabelId,
@@ -264,7 +255,6 @@ impl PhysOp {
         match self {
             PhysOp::EdgeScan { .. } => "EdgeScan",
             PhysOp::FilteredEdgeScan { .. } => "FilteredEdgeScan",
-            PhysOp::MultiEdgeScan { .. } => "MultiEdgeScan",
             PhysOp::DenormEdgeScan { .. } => "DenormEdgeScan",
             PhysOp::NodeScan { .. } => "NodeScan",
             PhysOp::MergeJoin { .. } => "MergeJoin",
@@ -288,7 +278,6 @@ impl PhysPlan {
     pub fn children(&self) -> Vec<&PhysPlan> {
         match &self.op {
             PhysOp::EdgeScan { .. }
-            | PhysOp::MultiEdgeScan { .. }
             | PhysOp::DenormEdgeScan { .. }
             | PhysOp::NodeScan { .. }
             | PhysOp::RecRef { .. } => vec![],
@@ -446,9 +435,6 @@ impl<'a> Planner<'a> {
             }
             RaTerm::Semijoin(a, b) => self.lower_semijoin(term, a, b, at),
             RaTerm::Union(a, b) => {
-                if let Some(p) = self.try_multi_scan(term, at) {
-                    return Ok(p);
-                }
                 let (l, r) = self.children(at);
                 let left = self.lower(a, l)?;
                 let right = self.lower(b, r)?;
@@ -744,9 +730,9 @@ impl<'a> Planner<'a> {
     ) -> Result<PhysPlan> {
         let rows = self.sums[at].rows();
         let (l, r) = self.children(at);
-        // A node-label filter on a scan whose slice the denormalised
-        // layout precomputed needs no filtering at all — it is a strict
-        // improvement over every strategy below, so no cost race.
+        // A node-label filter on a scan whose slice the store precomputed
+        // needs no filtering at all — it is a strict improvement over
+        // every strategy below, so no cost race.
         if let Some(p) = self.try_denorm_scan(term, at) {
             return Ok(p);
         }
@@ -795,49 +781,12 @@ impl<'a> Planner<'a> {
         Ok(self.node(at, cols, cost, free, op))
     }
 
-    /// Attempts to lower a union tree (term node `at`) whose leaves are
-    /// all plain (possibly renamed, unfiltered) edge scans exposing the
-    /// same `(src, tgt)` column pair into one [`PhysOp::MultiEdgeScan`]
-    /// over the polymorphic layout's global table. Fires only when the
-    /// layout supports it and the masked single pass is estimated
-    /// cheaper than the union-all of per-label scans.
-    fn try_multi_scan(&mut self, term: &RaTerm, at: usize) -> Option<PhysPlan> {
-        if !self.store.supports_multi_scan() {
-            return None;
-        }
-        let poly_rows = self.store.poly_rows()?;
-        let mut leaves = Vec::new();
-        if !collect_union_scans(term, &mut leaves) || leaves.len() < 2 {
-            return None;
-        }
-        let (src, tgt) = (leaves[0].1, leaves[0].2);
-        if leaves.iter().any(|&(_, s, t)| s != src || t != tgt) {
-            return None;
-        }
-        let mut labels: Vec<EdgeLabelId> = Vec::new();
-        for &(l, _, _) in &leaves {
-            if !labels.contains(&l) {
-                labels.push(l);
-            }
-        }
-        let label_rows: f64 = labels
-            .iter()
-            .map(|&l| self.store.stats.edge_cardinality(l) as f64)
-            .sum();
-        let masked = cost::multi_scan_cost(poly_rows, self.sums[at].rows());
-        if masked >= cost::union_all_cost(label_rows) {
-            return None;
-        }
-        let op = PhysOp::MultiEdgeScan { labels };
-        Some(self.node(at, vec![src, tgt], masked, vec![], op))
-    }
-
     /// Attempts to lower a node-label semi-join over a base edge scan
-    /// (term node `at`) into a [`PhysOp::DenormEdgeScan`]: when the
-    /// denormalised layout precomputed the endpoint-label slice, the
-    /// whole term is a single scan of exactly its output rows — the
-    /// filter costs nothing. Restricted to single-label filters per
-    /// endpoint (the only slices the layout materialises).
+    /// (term node `at`) into a [`PhysOp::DenormEdgeScan`]: the store
+    /// precomputed the endpoint-label slice, so the whole term is a
+    /// single scan of exactly its output rows — the filter costs
+    /// nothing. Restricted to single-label filters per endpoint (the
+    /// only slices the store materialises).
     fn try_denorm_scan(&mut self, term: &RaTerm, at: usize) -> Option<PhysPlan> {
         let s = indexable_scan(term)?;
         let single = |labels: &Option<Vec<NodeLabelId>>| match labels {
@@ -848,9 +797,6 @@ impl<'a> Planner<'a> {
         let src_label = single(&s.src_labels)?;
         let tgt_label = single(&s.tgt_labels)?;
         if src_label.is_none() && tgt_label.is_none() {
-            return None;
-        }
-        if !self.store.has_filtered_table(s.label, src_label, tgt_label) {
             return None;
         }
         let stats = &self.store.stats;
@@ -867,22 +813,6 @@ impl<'a> Planner<'a> {
         };
         let cost = cost::denorm_scan_cost(slice_rows);
         Some(self.node(at, vec![s.src, s.tgt], cost, vec![], op))
-    }
-}
-
-/// Collects the leaves of a union tree when every leaf is a plain
-/// (possibly renamed, unfiltered) base edge scan; returns `false` as
-/// soon as any leaf is not, so the union lowers operator by operator.
-fn collect_union_scans(term: &RaTerm, out: &mut Vec<(EdgeLabelId, ColId, ColId)>) -> bool {
-    match term {
-        RaTerm::Union(a, b) => collect_union_scans(a, out) && collect_union_scans(b, out),
-        _ => match indexable_scan(term) {
-            Some(s) if s.src_labels.is_none() && s.tgt_labels.is_none() => {
-                out.push((s.label, s.src, s.tgt));
-                true
-            }
-            _ => false,
-        },
     }
 }
 
@@ -985,6 +915,7 @@ fn split_cost(p: &PhysPlan) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::storage::RelStore;
+    use crate::symbols::SymbolTable;
     use crate::term::closure_fixpoint;
     use sgq_graph::database::fig2_yago_database;
 
@@ -1157,10 +1088,12 @@ mod tests {
     fn semijoin_on_scan_fuses() {
         let db = fig2_yago_database();
         let store = RelStore::load(&db);
+        // A two-label filter: no precomputed slice serves it.
+        let labels = ["CITY", "REGION"].map(|l| db.node_label_id(l).unwrap());
         let t = RaTerm::semijoin(
             scan(&db, &store, "isLocatedIn", "x", "y"),
             RaTerm::NodeScan {
-                labels: vec![db.node_label_id("REGION").unwrap()],
+                labels: labels.to_vec(),
                 col: store.symbols.col("x"),
             },
         );
@@ -1296,85 +1229,19 @@ mod tests {
         assert_eq!(p.node_count(), 3);
     }
 
-    /// A database where three edge labels cover the same pair set, so
-    /// the polymorphic global table (4 rows) is far smaller than the
-    /// union-all of the per-label scans (12 rows scanned + merged).
-    fn overlapping_labels_db() -> sgq_graph::GraphDatabase {
-        let mut b = sgq_graph::GraphDatabase::standalone_builder();
-        let nodes: Vec<_> = (0..5).map(|_| b.node("N", &[])).collect();
-        for le in ["e0", "e1", "e2"] {
-            for i in 0..4 {
-                b.edge(nodes[i], le, nodes[i + 1]);
-            }
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn overlapping_label_union_lowers_to_multi_scan_on_polymorphic() {
-        let db = overlapping_labels_db();
-        let term = |store: &RelStore| {
-            RaTerm::union(
-                scan(&db, store, "e0", "x", "y"),
-                RaTerm::union(
-                    scan(&db, store, "e1", "x", "y"),
-                    scan(&db, store, "e2", "x", "y"),
-                ),
-            )
-        };
-        let poly = RelStore::load_with_layout(&db, crate::layout::LayoutKind::Polymorphic);
-        let p = plan(&term(&poly), &poly).unwrap();
-        match &p.op {
-            PhysOp::MultiEdgeScan { labels } => assert_eq!(labels.len(), 3, "{p:?}"),
-            other => panic!("expected masked multi scan, got {other:?}"),
-        }
-        // The default layout cannot serve a masked pass: same term stays
-        // a union-all of per-label scans.
-        let per = RelStore::load(&db);
-        let q = plan(&term(&per), &per).unwrap();
-        assert!(!q.contains_op(&|op| matches!(op, PhysOp::MultiEdgeScan { .. })));
-        assert!(q.contains_op(&|op| matches!(op, PhysOp::Union { .. })));
-        // Both plans compute the same rows.
-        let a = crate::exec::execute_plan(&p, &poly, &mut crate::exec::ExecContext::new()).unwrap();
-        let b = crate::exec::execute_plan(&q, &per, &mut crate::exec::ExecContext::new()).unwrap();
-        assert_eq!(a, b);
-        // And the masked pass is the measurably cheaper plan.
-        assert!(p.est.cost < q.est.cost, "{} vs {}", p.est.cost, q.est.cost);
-    }
-
-    #[test]
-    fn disjoint_label_union_keeps_union_all_even_on_polymorphic() {
-        // fig2's labels barely overlap: scanning the whole 9-row global
-        // table to emit a 3-row union loses to two small scans, so the
-        // cost race keeps the union-all.
-        let db = fig2_yago_database();
-        let poly = RelStore::load_with_layout(&db, crate::layout::LayoutKind::Polymorphic);
-        let t = RaTerm::union(
-            scan(&db, &poly, "owns", "x", "y"),
-            scan(&db, &poly, "isMarriedTo", "x", "y"),
-        );
-        let p = plan(&t, &poly).unwrap();
-        assert!(
-            !p.contains_op(&|op| matches!(op, PhysOp::MultiEdgeScan { .. })),
-            "{p:?}"
-        );
-    }
-
     #[test]
     fn label_filtered_scan_lowers_to_denorm_slice() {
         let db = fig2_yago_database();
-        let city = db.node_label_id("CITY").unwrap();
-        let term = |store: &RelStore| {
-            RaTerm::semijoin(
-                scan(&db, store, "isLocatedIn", "x", "y"),
-                RaTerm::NodeScan {
-                    labels: vec![city],
-                    col: store.symbols.col("x"),
-                },
-            )
-        };
-        let den = RelStore::load_with_layout(&db, crate::layout::LayoutKind::Denormalized);
-        let p = plan(&term(&den), &den).unwrap();
+        let store = RelStore::load(&db);
+        let (city, x) = (db.node_label_id("CITY").unwrap(), store.symbols.col("x"));
+        let t = RaTerm::semijoin(
+            scan(&db, &store, "isLocatedIn", "x", "y"),
+            RaTerm::NodeScan {
+                labels: vec![city],
+                col: x,
+            },
+        );
+        let p = plan(&t, &store).unwrap();
         match &p.op {
             PhysOp::DenormEdgeScan {
                 src_label,
@@ -1386,19 +1253,13 @@ mod tests {
             }
             other => panic!("expected denorm scan, got {other:?}"),
         }
-        // The default layout keeps the fused filtered scan.
-        let per = RelStore::load(&db);
-        let q = plan(&term(&per), &per).unwrap();
-        assert!(
-            q.contains_op(&|op| matches!(op, PhysOp::FilteredEdgeScan { .. })),
-            "{q:?}"
-        );
-        // Same rows, and the precomputed slice plans strictly cheaper.
-        let a = crate::exec::execute_plan(&p, &den, &mut crate::exec::ExecContext::new()).unwrap();
-        let b = crate::exec::execute_plan(&q, &per, &mut crate::exec::ExecContext::new()).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 2, "two isLocatedIn edges start from a CITY");
-        assert!(p.est.cost < q.est.cost, "{} vs {}", p.est.cost, q.est.cost);
+        // The slice is the semi-join of the base relations.
+        let out = crate::exec::execute_plan(&p, &store, &mut crate::exec::ExecContext::new());
+        let base = store.edge_table(db.edge_label_id("isLocatedIn").unwrap());
+        let cities = store.node_table(city).with_cols(vec![SymbolTable::SR]);
+        let expected = base.semijoin(&cities).into_cols(p.cols.clone());
+        assert_eq!(out.unwrap(), expected);
+        assert_eq!(expected.len(), 2, "two isLocatedIn edges start from a CITY");
     }
 
     #[test]
@@ -1406,7 +1267,7 @@ mod tests {
         let db = fig2_yago_database();
         let city = db.node_label_id("CITY").unwrap();
         let region = db.node_label_id("REGION").unwrap();
-        let den = RelStore::load_with_layout(&db, crate::layout::LayoutKind::Denormalized);
+        let den = RelStore::load(&db);
         let s = &den.symbols;
         // ((isLocatedIn ⋉ CITY on x) ⋉ REGION on y): both endpoint
         // filters collapse into one slice scan.

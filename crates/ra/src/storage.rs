@@ -1,6 +1,5 @@
 //! The relational representation of a property graph (the paper's
-//! Fig. 11): a thin façade over a pluggable physical layout
-//! ([`crate::layout::StorageLayout`]).
+//! Fig. 11), plus the indexes and precomputed slices execution reads.
 //!
 //! **Zero-copy scans.** Tables hold their rows behind shared buffers
 //! ([`Relation`]'s `Arc`-backed data), so [`RelStore::edge_table`] /
@@ -8,24 +7,23 @@
 //! the graph. Out-of-range labels return a handle onto the process-wide
 //! shared empty buffer instead of allocating.
 //!
-//! **Pluggable layouts.** [`RelStore::load`] keeps the classic
-//! per-label layout (one `(Sr, Tr)` table per edge label);
-//! [`RelStore::load_with_layout`] selects any [`LayoutKind`] and
-//! [`RelStore::load_advised`] lets the [`crate::layout::LayoutAdvisor`]
-//! pick one from the schema. The store's public surface is
-//! layout-independent — plus capability probes
-//! ([`RelStore::supports_multi_scan`], [`RelStore::has_filtered_table`])
-//! the planner uses to decide whether the layout-specific scan
-//! operators may be emitted.
+//! **One layout.** [`RelStore::load`] builds, from the database:
 //!
-//! **Adjacency indexes.** Every layout builds, per edge label, a
-//! forward and a reverse [`Csr`] with set semantics (parallel edges
-//! deduplicated to match the relational tables), plus it exposes each
-//! node table's sorted id set ([`RelStore::node_set`]). The physical
-//! planner ([`mod@crate::plan`]) uses these for
-//! [`crate::plan::PhysOp::IndexJoin`] / `IndexSemiJoin`: instead of
-//! materialising and hashing a base edge table, the executor probes the
-//! CSR neighbour lists directly.
+//! * one canonical `(Sr, Tr)` table per edge label (Fig. 11);
+//! * the endpoint-label slices: for every observed `(src label, le,
+//!   tgt label)` triple and every one-sided group, the rows of `le`'s
+//!   table whose endpoints carry those labels
+//!   ([`RelStore::filtered_edge_table`]), so a node-label semi-join on a
+//!   scan ([`crate::plan::PhysOp::DenormEdgeScan`]) costs exactly its
+//!   output rows. A slice covering the whole label aliases the base
+//!   table's buffer;
+//! * one node table per node label, whose flat data is the sorted id set
+//!   ([`RelStore::node_set`]);
+//! * per edge label, the database's own forward and reverse [`Csr`]
+//!   (set semantics, shared by `Arc`, never rebuilt): the physical
+//!   planner ([`mod@crate::plan`]) uses them for
+//!   [`crate::plan::PhysOp::IndexJoin`] / `IndexSemiJoin`, probing
+//!   neighbour lists instead of materialising and hashing a base table.
 //!
 //! The store also owns the [`SymbolTable`] that defines the column-id
 //! space every [`crate::term::RaTerm`] executed against it lives in:
@@ -35,11 +33,10 @@
 
 use std::sync::Arc;
 
-use sgq_common::{EdgeLabelId, NodeLabelId};
+use sgq_common::{EdgeLabelId, FxHashMap, NodeId, NodeLabelId};
 use sgq_graph::{Csr, GraphDatabase, GraphSchema, GraphStats};
 
 use crate::feedback::FeedbackMemo;
-use crate::layout::{build_layout, LayoutAdvisor, LayoutKind, StorageLayout};
 use crate::symbols::SymbolTable;
 use crate::table::Relation;
 
@@ -48,12 +45,24 @@ pub const SR: &str = "Sr";
 /// Column name used for targets (paper's `Tr`).
 pub const TR: &str = "Tr";
 
+/// An endpoint-label slice key: edge label, source label, target label
+/// (`None` = unrestricted on that side).
+type SliceKey = (EdgeLabelId, Option<NodeLabelId>, Option<NodeLabelId>);
+
 /// A column store over a graph database plus its adjacency indexes,
-/// statistics and the symbol table for the terms executed against it.
-/// The physical representation lives behind a [`StorageLayout`].
+/// endpoint-label slices, statistics and the symbol table for the terms
+/// executed against it.
 pub struct RelStore {
-    /// The physical layout serving scans, CSRs and node sets.
-    layout: Box<dyn StorageLayout>,
+    /// One canonical `(Sr, Tr)` table per edge label.
+    edge_tables: Vec<Relation>,
+    /// The endpoint-label slices of every edge table, by [`SliceKey`].
+    slices: FxHashMap<SliceKey, Relation>,
+    /// One sorted `(Sr)` table per node label.
+    node_tables: Vec<Relation>,
+    /// Per edge label: the database's forward CSR (targets per source).
+    edge_fwd: Vec<Arc<Csr>>,
+    /// Per edge label: the database's reverse CSR (sources per target).
+    edge_rev: Vec<Arc<Csr>>,
     /// Statistics for the cost model.
     pub stats: GraphStats,
     /// Interned column / recursion-variable names for this store's terms.
@@ -72,20 +81,35 @@ pub struct RelStore {
 }
 
 impl RelStore {
-    /// Loads a graph database into relational tables (Fig. 11) under the
-    /// default per-label layout and builds the per-label CSR adjacency
-    /// indexes.
+    /// Loads a graph database into relational tables (Fig. 11), their
+    /// endpoint-label slices and node tables, sharing the database's
+    /// per-label CSR adjacency indexes.
     pub fn load(db: &GraphDatabase) -> Self {
-        RelStore::load_with_layout(db, LayoutKind::PerLabel)
-    }
-
-    /// Loads a graph database under an explicitly chosen layout. A
-    /// polymorphic request over a schema with more than
-    /// [`crate::layout::POLY_MAX_LABELS`] edge labels degrades to
-    /// per-label (the row bitmask cannot represent it).
-    pub fn load_with_layout(db: &GraphDatabase, kind: LayoutKind) -> Self {
+        let labels = (0..db.edge_label_count()).map(|i| EdgeLabelId::new(i as u32));
+        // `db.edges(le)` is already sorted and deduplicated: canonical.
+        let edge_tables: Vec<Relation> = labels
+            .clone()
+            .map(|le| {
+                let flat = db.edges(le).iter().flat_map(|&(s, t)| [s.raw(), t.raw()]);
+                Relation::from_flat_sorted(vec![SymbolTable::SR, SymbolTable::TR], flat.collect())
+            })
+            .collect();
+        let node_tables = (0..db.node_label_count())
+            .map(|l| {
+                let ids = db.nodes_with_label(NodeLabelId::new(l as u32));
+                let flat = ids.iter().map(|n| n.raw()).collect();
+                Relation::from_flat_sorted(vec![SymbolTable::SR], flat)
+            })
+            .collect();
         RelStore {
-            layout: build_layout(db, kind),
+            slices: slices(db, &edge_tables),
+            edge_tables,
+            node_tables,
+            edge_fwd: labels
+                .clone()
+                .map(|le| Arc::clone(&db.relation(le).fwd))
+                .collect(),
+            edge_rev: labels.map(|le| Arc::clone(&db.relation(le).rev)).collect(),
             stats: GraphStats::compute(db),
             symbols: SymbolTable::new(),
             index_joins: true,
@@ -93,114 +117,114 @@ impl RelStore {
         }
     }
 
-    /// Loads a graph database under the layout the
-    /// [`LayoutAdvisor`] picks for its schema.
-    pub fn load_advised(db: &GraphDatabase, schema: &GraphSchema) -> Self {
-        let stats = GraphStats::compute(db);
-        let kind = LayoutAdvisor::choose(schema, &stats);
-        RelStore {
-            layout: build_layout(db, kind),
-            stats,
-            symbols: SymbolTable::new(),
-            index_joins: true,
-            feedback: FeedbackMemo::new(),
-        }
-    }
-
-    /// Which physical layout this store was loaded with.
-    pub fn layout_kind(&self) -> LayoutKind {
-        self.layout.kind()
+    /// [`RelStore::load`]; the schema is unused. Kept, with this
+    /// signature, because the benchmark's binding surface calls it
+    /// (ROADMAP item 5(f)).
+    pub fn load_advised(db: &GraphDatabase, _schema: &GraphSchema) -> Self {
+        RelStore::load(db)
     }
 
     /// The edge table for `le`: an O(1) shared handle, never a row copy.
     /// Out-of-range labels share the static empty buffer.
     pub fn edge_table(&self, le: EdgeLabelId) -> Relation {
-        self.layout.edge_table(le)
+        (self.edge_tables.get(le.index()).cloned())
+            .unwrap_or_else(|| Relation::empty(vec![SymbolTable::SR, SymbolTable::TR]))
     }
 
     /// The node table for `l`: an O(1) shared handle, never a row copy.
     /// Out-of-range labels share the static empty buffer.
     pub fn node_table(&self, l: NodeLabelId) -> Relation {
-        self.layout.node_table(l)
+        (self.node_tables.get(l.index()).cloned())
+            .unwrap_or_else(|| Relation::empty(vec![SymbolTable::SR]))
     }
 
-    /// The forward CSR for `le` (targets per source), if in range.
-    pub fn forward_csr(&self, le: EdgeLabelId) -> Option<&Csr> {
-        self.layout.forward_csr(le)
-    }
-
-    /// The reverse CSR for `le` (sources per target), if in range.
-    pub fn reverse_csr(&self, le: EdgeLabelId) -> Option<&Csr> {
-        self.layout.reverse_csr(le)
-    }
-
-    /// Shared handle on the forward CSR for `le` — O(1), lets a morsel
-    /// worker own the index for the duration of a parallel probe.
-    pub fn forward_csr_shared(&self, le: EdgeLabelId) -> Option<Arc<Csr>> {
-        self.layout.forward_csr_shared(le)
-    }
-
-    /// Shared handle on the reverse CSR for `le`.
-    pub fn reverse_csr_shared(&self, le: EdgeLabelId) -> Option<Arc<Csr>> {
-        self.layout.reverse_csr_shared(le)
-    }
-
-    /// The sorted set of node ids carrying label `l` (empty when out of
-    /// range) — the membership side of label-filtered index joins.
-    pub fn node_set(&self, l: NodeLabelId) -> &[u32] {
-        self.layout.node_set(l)
-    }
-
-    /// Number of edge tables.
-    pub fn edge_table_count(&self) -> usize {
-        self.layout.edge_table_count()
-    }
-
-    /// Number of node tables.
-    pub fn node_table_count(&self) -> usize {
-        self.layout.node_table_count()
-    }
-
-    /// Total rows of the polymorphic layout's single edge table, when
-    /// the store has one — the cost model's input for pricing masked
-    /// multi-label scans.
-    pub fn poly_rows(&self) -> Option<usize> {
-        self.layout.poly_rows()
-    }
-
-    /// Whether the layout serves multi-label scans natively
-    /// ([`crate::plan::PhysOp::MultiEdgeScan`]).
-    pub fn supports_multi_scan(&self) -> bool {
-        self.layout.supports_multi_scan()
-    }
-
-    /// One canonical `(Sr, Tr)` union of the given labels' tables from
-    /// the polymorphic layout, `None` elsewhere.
-    pub fn multi_edge_table(&self, labels: &[EdgeLabelId]) -> Option<Relation> {
-        self.layout.multi_edge_table(labels)
-    }
-
-    /// Whether a precomputed endpoint-label slice of `le`'s table exists
-    /// ([`crate::plan::PhysOp::DenormEdgeScan`] is only emitted then).
-    pub fn has_filtered_table(
-        &self,
-        le: EdgeLabelId,
-        src: Option<NodeLabelId>,
-        tgt: Option<NodeLabelId>,
-    ) -> bool {
-        self.layout.has_filtered_table(le, src, tgt)
-    }
-
-    /// The precomputed endpoint-label slice of `le`'s table, when the
-    /// layout denormalises it.
+    /// The endpoint-label slice of `le`'s table: the rows whose source
+    /// (resp. target) carries `src` (resp. `tgt`), `None` leaving that
+    /// side unrestricted — an O(1) shared handle. An unobserved
+    /// combination or an out-of-range label is the shared empty relation.
     pub fn filtered_edge_table(
         &self,
         le: EdgeLabelId,
         src: Option<NodeLabelId>,
         tgt: Option<NodeLabelId>,
-    ) -> Option<Relation> {
-        self.layout.filtered_edge_table(le, src, tgt)
+    ) -> Relation {
+        if src.is_none() && tgt.is_none() {
+            return self.edge_table(le);
+        }
+        (self.slices.get(&(le, src, tgt)).cloned())
+            .unwrap_or_else(|| Relation::empty(vec![SymbolTable::SR, SymbolTable::TR]))
     }
+
+    /// The forward CSR for `le` (targets per source), if in range.
+    pub fn forward_csr(&self, le: EdgeLabelId) -> Option<&Csr> {
+        self.edge_fwd.get(le.index()).map(Arc::as_ref)
+    }
+
+    /// The reverse CSR for `le` (sources per target), if in range.
+    pub fn reverse_csr(&self, le: EdgeLabelId) -> Option<&Csr> {
+        self.edge_rev.get(le.index()).map(Arc::as_ref)
+    }
+
+    /// Shared handle on the forward CSR for `le` — O(1), lets a morsel
+    /// worker own the index for the duration of a parallel probe.
+    pub fn forward_csr_shared(&self, le: EdgeLabelId) -> Option<Arc<Csr>> {
+        self.edge_fwd.get(le.index()).cloned()
+    }
+
+    /// Shared handle on the reverse CSR for `le`.
+    pub fn reverse_csr_shared(&self, le: EdgeLabelId) -> Option<Arc<Csr>> {
+        self.edge_rev.get(le.index()).cloned()
+    }
+
+    /// The sorted set of node ids carrying label `l` (empty when out of
+    /// range).
+    pub fn node_set(&self, l: NodeLabelId) -> &[u32] {
+        self.node_tables.get(l.index()).map_or(&[], Relation::flat)
+    }
+
+    /// Number of edge tables.
+    pub fn edge_table_count(&self) -> usize {
+        self.edge_tables.len()
+    }
+
+    /// Number of node tables.
+    pub fn node_table_count(&self) -> usize {
+        self.node_tables.len()
+    }
+}
+
+/// The endpoint-label slices of `edge_tables`, in one grouping pass per
+/// edge label: each canonical base row lands in its triple bucket and
+/// both one-sided buckets, so every bucket's flat data is itself
+/// canonical. A bucket holding every row of its label is the base table,
+/// shared instead of copied.
+fn slices(db: &GraphDatabase, edge_tables: &[Relation]) -> FxHashMap<SliceKey, Relation> {
+    let mut buckets: FxHashMap<SliceKey, Vec<u32>> = FxHashMap::default();
+    for (le_idx, table) in edge_tables.iter().enumerate() {
+        let le = EdgeLabelId::new(le_idx as u32);
+        for row in table.rows() {
+            let sl = db.node_label(NodeId::new(row[0]));
+            let tl = db.node_label(NodeId::new(row[1]));
+            for key in [
+                (le, Some(sl), Some(tl)),
+                (le, Some(sl), None),
+                (le, None, Some(tl)),
+            ] {
+                buckets.entry(key).or_default().extend_from_slice(row);
+            }
+        }
+    }
+    (buckets.into_iter())
+        .map(|(key, data)| {
+            let base = &edge_tables[key.0.index()];
+            let rel = if data.len() == base.flat().len() {
+                base.clone()
+            } else {
+                Relation::from_flat_sorted(base.cols().to_vec(), data)
+            };
+            (key, rel)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -236,6 +260,10 @@ mod tests {
         let store = RelStore::load(&db);
         assert!(store.edge_table(EdgeLabelId::new(99)).is_empty());
         assert!(store.node_table(NodeLabelId::new(99)).is_empty());
+        let city = NodeLabelId::new(0);
+        assert!(store
+            .filtered_edge_table(EdgeLabelId::new(99), Some(city), None)
+            .is_empty());
         assert!(store.forward_csr(EdgeLabelId::new(99)).is_none());
         assert!(store.node_set(NodeLabelId::new(99)).is_empty());
     }
@@ -273,33 +301,20 @@ mod tests {
     }
 
     #[test]
-    fn polymorphic_scans_are_zero_copy_after_first_slice() {
-        // The lazy per-label slices of the polymorphic layout are cached:
-        // repeated scans share one buffer just like the eager layouts.
-        let db = fig2_yago_database();
-        let store = RelStore::load_with_layout(&db, LayoutKind::Polymorphic);
-        assert_eq!(store.layout_kind(), LayoutKind::Polymorphic);
-        let le = db.edge_label_id("isLocatedIn").unwrap();
-        assert!(store.edge_table(le).shares_data(&store.edge_table(le)));
-    }
-
-    #[test]
     fn csr_indexes_match_edge_tables() {
         let db = fig2_yago_database();
-        for kind in LayoutKind::ALL {
-            let store = RelStore::load_with_layout(&db, kind);
-            for le_idx in 0..store.edge_table_count() {
-                let le = EdgeLabelId::new(le_idx as u32);
-                let table = store.edge_table(le);
-                let fwd = store.forward_csr(le).expect("in range");
-                let rev = store.reverse_csr(le).expect("in range");
-                assert_eq!(fwd.edge_count(), table.len(), "set semantics ({kind})");
-                assert_eq!(rev.edge_count(), table.len());
-                for row in table.rows() {
-                    let (s, t) = (NodeId::new(row[0]), NodeId::new(row[1]));
-                    assert!(fwd.has_edge(s, t), "forward CSR has {row:?} ({kind})");
-                    assert!(rev.has_edge(t, s), "reverse CSR has {row:?} ({kind})");
-                }
+        let store = RelStore::load(&db);
+        for le_idx in 0..store.edge_table_count() {
+            let le = EdgeLabelId::new(le_idx as u32);
+            let table = store.edge_table(le);
+            let fwd = store.forward_csr(le).expect("in range");
+            let rev = store.reverse_csr(le).expect("in range");
+            assert_eq!(fwd.edge_count(), table.len(), "set semantics");
+            assert_eq!(rev.edge_count(), table.len());
+            for row in table.rows() {
+                let (s, t) = (NodeId::new(row[0]), NodeId::new(row[1]));
+                assert!(fwd.has_edge(s, t), "forward CSR has {row:?}");
+                assert!(rev.has_edge(t, s), "reverse CSR has {row:?}");
             }
         }
     }
@@ -316,6 +331,30 @@ mod tests {
         ));
         assert!(store.forward_csr_shared(EdgeLabelId::new(99)).is_none());
         assert!(store.reverse_csr_shared(le).is_some());
+    }
+
+    #[test]
+    fn csr_indexes_are_the_databases_own() {
+        // The store holds the database's adjacency, not a second copy.
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        for le in (0..db.edge_label_count()).map(|i| EdgeLabelId::new(i as u32)) {
+            let (fwd, rev) = (&db.relation(le).fwd, &db.relation(le).rev);
+            assert!(Arc::ptr_eq(&store.forward_csr_shared(le).unwrap(), fwd));
+            assert!(Arc::ptr_eq(&store.reverse_csr_shared(le).unwrap(), rev));
+        }
+    }
+
+    #[test]
+    fn full_coverage_slices_share_the_base_buffer() {
+        // Every `owns` edge is PERSON→PROPERTY, so its slices alias the
+        // base table instead of copying it.
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let owns = db.edge_label_id("owns").unwrap();
+        let person = db.node_label_id("PERSON").unwrap();
+        let slice = store.filtered_edge_table(owns, Some(person), None);
+        assert!(slice.shares_data(&store.edge_table(owns)));
     }
 
     #[test]
@@ -337,17 +376,5 @@ mod tests {
         let store = RelStore::load(&db);
         assert_eq!(store.symbols.col(SR), SymbolTable::SR);
         assert_eq!(store.symbols.col(TR), SymbolTable::TR);
-    }
-
-    #[test]
-    fn default_load_is_per_label_and_lacks_capabilities() {
-        let db = fig2_yago_database();
-        let store = RelStore::load(&db);
-        assert_eq!(store.layout_kind(), LayoutKind::PerLabel);
-        assert!(!store.supports_multi_scan());
-        assert!(store.poly_rows().is_none());
-        let le = db.edge_label_id("owns").unwrap();
-        assert!(store.multi_edge_table(&[le]).is_none());
-        assert!(!store.has_filtered_table(le, None, None));
     }
 }

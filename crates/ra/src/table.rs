@@ -106,17 +106,6 @@ impl Relation {
         Relation::new(cols, data)
     }
 
-    /// Builds a canonical binary relation from pairs.
-    pub fn from_pairs(c1: ColId, c2: ColId, pairs: &[(u32, u32)]) -> Self {
-        let mut data = Vec::with_capacity(pairs.len() * 2);
-        for &(a, b) in pairs {
-            data.push(a);
-            data.push(b);
-        }
-        normalize_flat(2, &mut data);
-        Relation::new(vec![c1, c2], data)
-    }
-
     /// Column ids.
     pub fn cols(&self) -> &[ColId] {
         &self.cols

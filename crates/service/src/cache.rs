@@ -6,10 +6,8 @@
 //! share an entry), a *schema fingerprint + version* (a schema change
 //! must never serve a stale plan — bumping the service's schema version
 //! invalidates every entry), and the *backend/options signature*
-//! (backend, approach, storage layout, rewrite switches — each
-//! combination plans differently; in particular a plan lowered against
-//! one physical layout may reference scan operators another layout
-//! cannot serve).
+//! (backend, approach, rewrite switches — each combination plans
+//! differently).
 //!
 //! The cache is split into shards, each an independently locked LRU, so
 //! concurrent sessions hitting different statements rarely contend on
@@ -23,7 +21,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use sgq_common::FxHasher;
 use sgq_core::pipeline::RewriteOptions;
 use sgq_graph::GraphSchema;
-use sgq_ra::LayoutKind;
 
 use crate::prepared::{Approach, Backend, PreparedQuery};
 
@@ -68,20 +65,17 @@ impl CacheKey {
     /// `schema_fingerprint` is the structural hash of the schema
     /// ([`schema_fingerprint`]); `schema_version` is the service's
     /// monotone version counter, so an in-place schema change (same
-    /// structure, new data semantics) can still invalidate. `layout` is
-    /// the store's physical layout: plans are lowered against one
-    /// layout's capabilities, so a layout switch must miss.
+    /// structure, new data semantics) can still invalidate.
     pub fn new(
         canonical_query: &str,
         schema_fingerprint: u64,
         schema_version: u64,
         backend: Backend,
         approach: Approach,
-        layout: LayoutKind,
         rewrite: &RewriteOptions,
     ) -> Self {
         let text = format!(
-            "{canonical_query}\u{1f}{schema_fingerprint:016x}\u{1f}{schema_version}\u{1f}{backend}\u{1f}{approach}\u{1f}{layout}\u{1f}{}",
+            "{canonical_query}\u{1f}{schema_fingerprint:016x}\u{1f}{schema_version}\u{1f}{backend}\u{1f}{approach}\u{1f}{}",
             rewrite_signature(rewrite)
         );
         let mut h = FxHasher::default();
@@ -372,7 +366,6 @@ mod tests {
             version,
             Backend::Relational,
             Approach::Baseline,
-            LayoutKind::PerLabel,
             &RewriteOptions::default(),
         )
     }
@@ -413,45 +406,11 @@ mod tests {
             0,
             Backend::Graph,
             Approach::Baseline,
-            LayoutKind::PerLabel,
             &RewriteOptions::default(),
         );
         let other_version = key("owns", 1);
         assert_ne!(base, other_backend);
         assert_ne!(base, other_version);
-    }
-
-    #[test]
-    fn distinct_layouts_are_distinct_keys() {
-        // A plan lowered against one layout may reference scan operators
-        // another layout cannot serve (masked multi scans, denormalised
-        // slices), so every layout must key its own cache entry — a
-        // layout switch can never be served a stale plan.
-        let cache = PlanCache::new(8, 2);
-        let keys: Vec<CacheKey> = LayoutKind::ALL
-            .iter()
-            .map(|&l| {
-                CacheKey::new(
-                    "owns",
-                    0xabcd,
-                    0,
-                    Backend::Relational,
-                    Approach::Baseline,
-                    l,
-                    &RewriteOptions::default(),
-                )
-            })
-            .collect();
-        for (i, a) in keys.iter().enumerate() {
-            for b in keys.iter().skip(i + 1) {
-                assert_ne!(a, b);
-            }
-        }
-        let p = Arc::new(prepared_for("owns"));
-        cache.insert(keys[0].clone(), Arc::clone(&p));
-        assert!(cache.get(&keys[1]).is_none(), "polymorphic must miss");
-        assert!(cache.get(&keys[2]).is_none(), "denormalized must miss");
-        assert!(cache.get(&keys[0]).is_some());
     }
 
     #[test]

@@ -13,18 +13,8 @@ use std::time::Instant;
 
 use sgq_common::json::JsonValue;
 use sgq_obs::{OpKindProfile, OpSpan, ProfileRegistry};
-use sgq_ra::LayoutKind;
 
 use crate::cache::CacheStats;
-
-/// The position of `kind` in [`LayoutKind::ALL`] — the bucket index of
-/// the per-layout scan counters.
-fn layout_idx(kind: LayoutKind) -> usize {
-    LayoutKind::ALL
-        .iter()
-        .position(|&k| k == kind)
-        .expect("ALL covers every layout kind")
-}
 
 /// A fixed-bucket geometric latency histogram (microsecond domain).
 ///
@@ -114,9 +104,8 @@ pub struct MetricsRegistry {
     parallel_queries: AtomicU64,
     replans: AtomicU64,
     feedback_hits: AtomicU64,
-    /// Base-table scan operators executed, bucketed by the store's
-    /// physical layout ([`LayoutKind::ALL`] order).
-    scans_by_layout: [AtomicU64; 3],
+    /// Base-table scan operators executed.
+    scans: AtomicU64,
     latency: LatencyHistogram,
     /// Always-on per-operator-kind profile, fed by traced executions.
     ops: ProfileRegistry,
@@ -148,7 +137,7 @@ impl MetricsRegistry {
             parallel_queries: AtomicU64::new(0),
             replans: AtomicU64::new(0),
             feedback_hits: AtomicU64::new(0),
-            scans_by_layout: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            scans: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             ops: ProfileRegistry::new(),
         }
@@ -229,12 +218,9 @@ impl MetricsRegistry {
         self.feedback_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `scans` base-table scan operators executed against a
-    /// store loaded under `layout` (no-op for a scan-free query).
-    pub fn record_scans(&self, layout: LayoutKind, scans: usize) {
-        if scans > 0 {
-            self.scans_by_layout[layout_idx(layout)].fetch_add(scans as u64, Ordering::Relaxed);
-        }
+    /// Records `scans` base-table scan operators executed by one query.
+    pub fn record_scans(&self, scans: usize) {
+        self.scans.fetch_add(scans as u64, Ordering::Relaxed);
     }
 
     /// Folds one traced execution's operator spans into the always-on
@@ -281,11 +267,7 @@ impl MetricsRegistry {
             parallel_queries: self.parallel_queries.load(Ordering::Relaxed),
             replans: self.replans.load(Ordering::Relaxed),
             feedback_hits: self.feedback_hits.load(Ordering::Relaxed),
-            scans_by_layout: [
-                self.scans_by_layout[0].load(Ordering::Relaxed),
-                self.scans_by_layout[1].load(Ordering::Relaxed),
-                self.scans_by_layout[2].load(Ordering::Relaxed),
-            ],
+            scans: self.scans.load(Ordering::Relaxed),
             op_profiles: self.ops.snapshot(),
             cache,
         }
@@ -340,10 +322,8 @@ pub struct MetricsSnapshot {
     pub replans: u64,
     /// Prepares whose plan drew an estimate from the feedback memo.
     pub feedback_hits: u64,
-    /// Base-table scan operators executed, bucketed by the store's
-    /// physical layout (in [`LayoutKind::ALL`] order: per-label,
-    /// polymorphic, denormalized).
-    pub scans_by_layout: [u64; 3],
+    /// Base-table scan operators executed.
+    pub scans: u64,
     /// Per-operator-kind runtime totals from traced executions, ordered
     /// by self time (descending).
     pub op_profiles: Vec<OpKindProfile>,
@@ -386,15 +366,7 @@ impl MetricsSnapshot {
             ("parallel_queries", JsonValue::Int(self.parallel_queries)),
             ("replans", JsonValue::Int(self.replans)),
             ("feedback_hits", JsonValue::Int(self.feedback_hits)),
-            (
-                "scans_by_layout",
-                JsonValue::obj(
-                    LayoutKind::ALL
-                        .iter()
-                        .zip(self.scans_by_layout)
-                        .map(|(k, n)| (k.name(), JsonValue::Int(n))),
-                ),
-            ),
+            ("scans", JsonValue::Int(self.scans)),
             (
                 "op_profiles",
                 JsonValue::Arr(
@@ -465,11 +437,7 @@ impl std::fmt::Display for MetricsSnapshot {
             "feedback: {} memo-informed prepares, {} stale plans re-prepared",
             self.feedback_hits, self.replans
         )?;
-        writeln!(
-            f,
-            "scans: {} per-label, {} polymorphic, {} denormalized",
-            self.scans_by_layout[0], self.scans_by_layout[1], self.scans_by_layout[2]
-        )?;
+        writeln!(f, "scans: {} base-table scans", self.scans)?;
         if !self.op_profiles.is_empty() {
             write!(f, "operators (self time):")?;
             for (i, p) in self.op_profiles.iter().enumerate() {
@@ -612,27 +580,17 @@ mod tests {
     }
 
     #[test]
-    fn per_layout_scan_counters_pin_text_and_json() {
+    fn scan_counter_pins_text_and_json() {
         let m = MetricsRegistry::new();
-        m.record_scans(LayoutKind::PerLabel, 0); // scan-free query: no movement
-        m.record_scans(LayoutKind::Polymorphic, 4);
-        m.record_scans(LayoutKind::Denormalized, 3);
-        m.record_scans(LayoutKind::Denormalized, 2);
+        m.record_scans(0); // scan-free query: no movement
+        m.record_scans(4);
+        m.record_scans(5);
         let s = m.snapshot(CacheStats::default());
-        assert_eq!(s.scans_by_layout, [0, 4, 5]);
+        assert_eq!(s.scans, 9);
         let json = s.to_json();
-        assert!(
-            json.contains(
-                "\"scans_by_layout\": {\"per-label\": 0, \
-                 \"polymorphic\": 4, \"denormalized\": 5}"
-            ),
-            "{json}"
-        );
+        assert!(json.contains("\"scans\": 9,"), "{json}");
         let text = s.to_string();
-        assert!(
-            text.contains("scans: 0 per-label, 4 polymorphic, 5 denormalized"),
-            "{text}"
-        );
+        assert!(text.contains("scans: 9 base-table scans"), "{text}");
     }
 
     #[test]

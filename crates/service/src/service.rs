@@ -23,7 +23,7 @@ use sgq_core::pipeline::RewriteOptions;
 use sgq_graph::{GraphDatabase, GraphSchema};
 use sgq_obs::{QueryTrace, SlowQueryLog, TagValue, Tracer};
 use sgq_ra::exec::ExecContext;
-use sgq_ra::{LayoutKind, RelStore, TaskScheduler};
+use sgq_ra::{RelStore, TaskScheduler};
 
 use crate::cache::{schema_fingerprint, CacheKey, CacheOutcome, PlanCache};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -86,11 +86,6 @@ pub struct ServiceConfig {
     /// Slow-query threshold in milliseconds: a query slower than this
     /// lands in the slow-query log regardless of sampling (0 disables).
     pub slow_query_ms: u64,
-    /// Physical storage layout for the relational store: `Some(kind)`
-    /// forces that layout, `None` lets the schema-driven
-    /// [`sgq_ra::LayoutAdvisor`] choose at load. Ignored by
-    /// [`Service::with_store`], which takes a pre-loaded store.
-    pub layout: Option<LayoutKind>,
     /// Global ceiling on bytes of materialised intermediate state across
     /// every in-flight query; the query whose charge crosses it aborts
     /// with [`SgqError::BudgetExceeded`] (0 = unlimited).
@@ -119,7 +114,6 @@ impl Default for ServiceConfig {
             tracing: false,
             trace_sample_every: 1,
             slow_query_ms: 0,
-            layout: None,
             global_memory_limit: 0,
             query_memory_limit: 0,
         }
@@ -280,14 +274,9 @@ impl std::fmt::Debug for Service {
 
 impl Service {
     /// Builds a service over an already-shared schema and database,
-    /// loading the relational store once — under
-    /// [`ServiceConfig::layout`] when set, otherwise under the layout
-    /// the schema-driven advisor picks.
+    /// loading the relational store once.
     pub fn new(schema: Arc<GraphSchema>, db: Arc<GraphDatabase>, config: ServiceConfig) -> Self {
-        let store = Arc::new(match config.layout {
-            Some(kind) => RelStore::load_with_layout(&db, kind),
-            None => RelStore::load_advised(&db, &schema),
-        });
+        let store = Arc::new(RelStore::load(&db));
         Self::with_store(schema, db, store, config)
     }
 
@@ -359,11 +348,6 @@ impl Service {
     /// Current metrics snapshot (including plan-cache counters).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.core.metrics.snapshot(self.core.cache.stats())
-    }
-
-    /// The physical storage layout the relational store was loaded with.
-    pub fn layout_kind(&self) -> LayoutKind {
-        self.core.store.layout_kind()
     }
 
     /// The current schema version (bumped by
@@ -615,7 +599,6 @@ fn prepare_via_cache(
         core.schema_version.load(Ordering::SeqCst),
         opts.backend,
         opts.approach,
-        core.store.layout_kind(),
         &core.config.rewrite,
     );
     let (prepared, outcome) = core.cache.get_or_prepare(key.clone(), do_prepare)?;
@@ -752,8 +735,7 @@ fn run_query(
     ctx.budget = None;
     let exec_micros = exec_start.elapsed().as_micros() as u64;
     core.metrics.record_parallel(ctx.morsels_executed);
-    core.metrics
-        .record_scans(core.store.layout_kind(), ctx.scans);
+    core.metrics.record_scans(ctx.scans);
     let (exec_result, mut exec_trace) = match ran {
         Ok((answer, trace)) => (Ok(answer), trace),
         Err(e) => (Err(e), None),
@@ -894,52 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_override_and_advisor_agree_on_rows() {
-        // fig1's isLocatedIn spans two schema triples, so the advisor
-        // picks the denormalised layout for the default service.
-        let advised = small_service(1);
-        assert_eq!(advised.layout_kind(), LayoutKind::Denormalized);
-        let texts = ["owns/isLocatedIn+", "isMarriedTo+", "livesIn"];
-        let reference: Vec<_> = texts
-            .iter()
-            .map(|t| {
-                advised
-                    .session()
-                    .execute(t, &QueryOptions::default())
-                    .unwrap()
-                    .rows
-            })
-            .collect();
-        for kind in LayoutKind::ALL {
-            let config = ServiceConfig {
-                layout: Some(kind),
-                ..ServiceConfig::with_workers(1)
-            };
-            let service = Service::build(fig1_yago_schema(), fig2_yago_database(), config);
-            assert_eq!(service.layout_kind(), kind, "override must win");
-            for (text, want) in texts.iter().zip(&reference) {
-                let got = service
-                    .session()
-                    .execute(text, &QueryOptions::default())
-                    .unwrap();
-                assert_eq!(&got.rows, want, "{text} diverged under {kind}");
-            }
-            // Every query scanned base tables; the counters land in this
-            // layout's bucket and no other.
-            let m = service.metrics();
-            for (i, k) in LayoutKind::ALL.iter().enumerate() {
-                if *k == kind {
-                    assert!(m.scans_by_layout[i] > 0, "{m}");
-                } else {
-                    assert_eq!(m.scans_by_layout[i], 0, "{m}");
-                }
-            }
-            service.shutdown();
-        }
-        advised.shutdown();
-    }
-
-    #[test]
     fn parse_errors_surface_before_submission() {
         let service = small_service(1);
         let session = service.session();
@@ -1061,21 +997,26 @@ mod tests {
     fn parallel_dop_matches_serial_and_moves_counters() {
         // Force parallel sections on the tiny fixture: threshold 1 and
         // a 2-row morsel cap make every join probe split into morsels.
-        // Pinned to the per-label layout: the advisor's denormalised
-        // slices replace the one probe large enough to split here.
+        // Baseline statements: the schema rewrite's label filters become
+        // precomputed slices, replacing the one probe large enough to
+        // split here.
         let config = ServiceConfig {
             max_dop: 4,
             parallel_row_threshold: 1,
             morsel_rows: 2,
-            layout: Some(LayoutKind::PerLabel),
             ..ServiceConfig::with_workers(2)
         };
         let service = Service::build(fig1_yago_schema(), fig2_yago_database(), config);
         let session = service.session();
+        let serial = QueryOptions {
+            approach: Approach::Baseline,
+            ..Default::default()
+        };
         for text in ["owns/isLocatedIn+", "isMarriedTo+", "livesIn/isLocatedIn+"] {
-            let serial = session.execute(text, &QueryOptions::default()).unwrap();
+            let serial = session.execute(text, &serial).unwrap();
             let opts = QueryOptions {
                 dop: Some(4),
+                approach: Approach::Baseline,
                 ..Default::default()
             };
             let parallel = session.execute(text, &opts).unwrap();

@@ -3,8 +3,8 @@
 //! * Memory budgets: a query exceeding its budget — on either backend —
 //!   aborts with `BudgetExceeded` while a concurrent in-budget query on
 //!   the same service completes, and the governor balances back to zero.
-//! * Deadlines: expiry mid-fixpoint and mid-morsel under every physical
-//!   storage layout, and mid-evaluation on the graph backend, yields a
+//! * Deadlines: expiry mid-fixpoint and mid-morsel on the relational
+//!   store, and mid-evaluation on the graph backend, yields a
 //!   timeout error, a zero governor balance, and a pool that accepts the
 //!   next query. The expiry is a `FaultKind::Expire` site, so it strikes
 //!   where the test says, not where the wall clock happens to.
@@ -19,7 +19,6 @@ use std::sync::{Arc, Barrier};
 
 use sgq_common::fault::{FaultConfig, FaultKind, FaultPlan};
 use sgq_datasets::yago::{self, YagoConfig};
-use sgq_ra::LayoutKind;
 use sgq_service::{Backend, QueryOptions, Service, ServiceConfig};
 
 fn service_with(config: ServiceConfig) -> Service {
@@ -173,38 +172,32 @@ fn assert_deadline_expiry_is_graceful(
 
 #[test]
 fn deadline_expiry_mid_fixpoint_is_graceful_under_every_layout() {
-    for layout in LayoutKind::ALL {
-        let config = ServiceConfig {
-            workers: 1,
-            layout: Some(layout),
-            ..Default::default()
-        };
-        // `influences+` is a transitive closure: rounds of a fixpoint.
-        let opts = QueryOptions::default();
-        assert_deadline_expiry_is_graceful(config, "influences+", &opts, "exec.fixpoint_round");
-    }
+    let config = ServiceConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    // `influences+` is a transitive closure: rounds of a fixpoint.
+    let opts = QueryOptions::default();
+    assert_deadline_expiry_is_graceful(config, "influences+", &opts, "exec.fixpoint_round");
 }
 
 #[test]
 fn deadline_expiry_mid_morsel_is_graceful_under_every_layout() {
-    for layout in LayoutKind::ALL {
-        let config = ServiceConfig {
-            workers: 1,
-            layout: Some(layout),
-            // Force every probe to split into 2-row morsels at DOP 4 so
-            // the deadline lands inside a parallel section.
-            default_dop: 4,
-            max_dop: 4,
-            parallel_row_threshold: 1,
-            morsel_rows: 2,
-            ..Default::default()
-        };
-        let opts = QueryOptions {
-            dop: Some(4),
-            ..Default::default()
-        };
-        assert_deadline_expiry_is_graceful(config, "owns/isLocatedIn+", &opts, "exec.morsel");
-    }
+    let config = ServiceConfig {
+        workers: 1,
+        // Force every probe to split into 2-row morsels at DOP 4 so the
+        // deadline lands inside a parallel section.
+        default_dop: 4,
+        max_dop: 4,
+        parallel_row_threshold: 1,
+        morsel_rows: 2,
+        ..Default::default()
+    };
+    let opts = QueryOptions {
+        dop: Some(4),
+        ..Default::default()
+    };
+    assert_deadline_expiry_is_graceful(config, "owns/isLocatedIn+", &opts, "exec.morsel");
 }
 
 #[test]

@@ -13,9 +13,10 @@
 //! 3. `execute_plan(index-enabled) == execute_plan(index-disabled) ==
 //!    execute(t)` — planning against the store's CSR adjacency indexes
 //!    never changes results.
-//!    3b. `execute_plan(layout)` is bit-identical to the reference
-//!    executor for every storage layout (per-label, polymorphic,
-//!    denormalised), serially and under morsel parallelism.
+//!    3b. `execute_plan` on the store's own plans (precomputed
+//!    endpoint-label slice scans included) is bit-identical to the
+//!    reference executor, serially and under morsel parallelism, and
+//!    every slice is its base table filtered by the node sets.
 //! 4. Every `Relation` operator returns a canonical (strictly sorted,
 //!    deduplicated) result, including the operators that skip the re-sort
 //!    because they provably preserve order.
@@ -27,7 +28,7 @@
 //! table shares the store's row buffer — Arc pointer equality).
 
 use sgq_algebra::ast::PathExpr;
-use sgq_common::{ColId, Rng};
+use sgq_common::{ColId, EdgeLabelId, NodeLabelId, Rng};
 use sgq_graph::database::fig2_yago_database;
 use sgq_ra::exec::{execute, execute_plan, execute_plan_traced, ExecContext};
 use sgq_ra::optimize::optimize;
@@ -206,6 +207,8 @@ fn planner_fuses_semijoin_onto_scan() {
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
     let s = &store.symbols;
+    // A two-label filter: no precomputed slice serves it.
+    let labels = ["CITY", "REGION"].map(|l| db.node_label_id(l).unwrap());
     let t = RaTerm::semijoin(
         RaTerm::EdgeScan {
             label: db.edge_label_id("isLocatedIn").unwrap(),
@@ -213,7 +216,7 @@ fn planner_fuses_semijoin_onto_scan() {
             tgt: s.col("y"),
         },
         RaTerm::NodeScan {
-            labels: vec![db.node_label_id("CITY").unwrap()],
+            labels: labels.to_vec(),
             col: s.col("y"),
         },
     );
@@ -227,12 +230,12 @@ fn planner_fuses_semijoin_onto_scan() {
     }
     let mut ctx = ExecContext::new();
     let fused = execute_plan(&p, &store, &mut ctx).unwrap();
-    // The reference is the nested-loop definition: y is a CITY.
+    // The reference is the nested-loop definition: y is a CITY or a
+    // REGION.
     let located = store.edge_table(db.edge_label_id("isLocatedIn").unwrap());
-    let cities = store.node_table(db.node_label_id("CITY").unwrap());
     let kept = located
         .rows()
-        .filter(|e| cities.rows().any(|c| c[0] == e[1]));
+        .filter(|e| labels.iter().any(|&l| store.node_set(l).contains(&e[1])));
     let reference = Relation::from_rows(vec![s.col("x"), s.col("y")], kept.map(<[u32]>::to_vec));
     assert_eq!(fused, reference);
 }
@@ -628,61 +631,96 @@ fn assert_root_estimate_is_the_terms(p: &sgq_ra::PhysPlan, term: &RaTerm, store:
 
 #[test]
 fn storage_layouts_are_bit_identical_to_the_reference_executor() {
-    // The pluggable-layout soundness property: for random optimised
-    // terms (joins, unions, label filters and fixpoints via `plus`),
-    // planning and executing against every storage layout — per-label,
-    // polymorphic (masked multi scans), denormalised (precomputed
-    // endpoint-label slices) — produces results bit-identical to the
-    // term-level reference executor, serially and at DOP ∈ {2, 7}.
+    // For random optimised terms (joins, unions, label filters and
+    // fixpoints via `plus`), the store's plans — precomputed
+    // endpoint-label slice scans included — produce results
+    // bit-identical to the term-level reference executor, serially and
+    // at DOP ∈ {2, 7}.
     let db = fig2_yago_database();
-    let reference_store = RelStore::load(&db);
-    let (v0, v1) = (
-        reference_store.symbols.col("v0"),
-        reference_store.symbols.col("v1"),
-    );
-    let stores: Vec<RelStore> = sgq_ra::LayoutKind::ALL
-        .iter()
-        .map(|&k| RelStore::load_with_layout(&db, k))
-        .collect();
+    let store = RelStore::load(&db);
+    let (v0, v1) = (store.symbols.col("v0"), store.symbols.col("v1"));
     for seed in 0..64u64 {
         let mut rng = Rng::seed_from_u64(seed ^ 0x1a40);
         let expr = random_expr(&db, &mut rng, 3);
-        let mut names = NameGen::new(&reference_store.symbols);
+        let mut names = NameGen::new(&store.symbols);
         let term = path_to_term(&expr, v0, v1, &mut names);
         let term = random_filters(&db, &mut rng, term, &[v0, v1]);
 
         let mut ctx = ExecContext::new();
-        let reference = execute(&term, &reference_store, &mut ctx).expect("term executes");
+        let reference = execute(&term, &store, &mut ctx).expect("term executes");
         let head = [v0, v1];
         let reference = reference.project(&head);
-        for store in &stores {
-            // Each layout plans with its own capabilities (masked scans,
-            // denorm slices) — lower against this store, not a shared plan.
-            let opt = optimize(&term, store);
-            let p = plan(&opt, store).expect("plan lowers");
-            assert_root_estimate_is_the_terms(&p, &opt, store);
+        let opt = optimize(&term, &store);
+        let p = plan(&opt, &store).expect("plan lowers");
+        assert_root_estimate_is_the_terms(&p, &opt, &store);
+        let mut ctx = ExecContext::new();
+        let serial = execute_plan(&p, &store, &mut ctx).expect("plan executes");
+        assert_eq!(
+            reference,
+            serial.project(&head),
+            "plan changed semantics (seed {seed}) for {expr:?}"
+        );
+        for dop in [2usize, 7] {
             let mut ctx = ExecContext::new();
-            let serial = execute_plan(&p, store, &mut ctx).expect("plan executes");
+            ctx.dop = dop;
+            ctx.parallel_threshold = 1;
+            ctx.morsel_rows = 2;
+            let par = execute_plan(&p, &store, &mut ctx).expect("parallel plan executes");
             assert_eq!(
-                reference,
-                serial.project(&head),
-                "layout {} changed semantics (seed {seed}) for {expr:?}",
-                store.layout_kind()
+                serial, par,
+                "DOP={dop} changed results (seed {seed}) for {expr:?}"
             );
-            for dop in [2usize, 7] {
-                let mut ctx = ExecContext::new();
-                ctx.dop = dop;
-                ctx.parallel_threshold = 1;
-                ctx.morsel_rows = 2;
-                let par = execute_plan(&p, store, &mut ctx).expect("parallel plan executes");
-                assert_eq!(
-                    serial,
-                    par,
-                    "layout {} DOP={dop} changed results (seed {seed}) for {expr:?}",
-                    store.layout_kind()
-                );
+        }
+    }
+}
+
+/// The reference an endpoint-label slice must equal: `table`'s rows
+/// whose source (resp. target) is in the sorted node set.
+fn filter_edges_by_sets(
+    table: &Relation,
+    src_set: Option<&[u32]>,
+    tgt_set: Option<&[u32]>,
+) -> Relation {
+    let keep = |set: Option<&[u32]>, n: u32| set.is_none_or(|s| s.binary_search(&n).is_ok());
+    let rows = table
+        .rows()
+        .filter(|r| keep(src_set, r[0]) && keep(tgt_set, r[1]));
+    Relation::from_rows(table.cols().to_vec(), rows.map(<[u32]>::to_vec))
+}
+
+#[test]
+fn slices_are_base_tables_filtered_by_node_sets() {
+    // On the tiny LDBC and YAGO catalogs: every edge label's slice for
+    // every observed two-sided and one-sided endpoint label combination
+    // is its base table filtered by the sorted node sets, and an
+    // unobserved in-range combination is empty.
+    let tiny = [
+        sgq_datasets::ldbc::generate(sgq_datasets::ldbc::LdbcConfig::at_scale(0.01)),
+        sgq_datasets::yago::generate(sgq_datasets::yago::YagoConfig::tiny()),
+    ];
+    for (_, db) in &tiny {
+        let store = RelStore::load(db);
+        let node_labels = (0..db.node_label_count()).map(|l| NodeLabelId::new(l as u32));
+        let sides: Vec<Option<NodeLabelId>> =
+            std::iter::once(None).chain(node_labels.map(Some)).collect();
+        let (mut observed, mut unobserved) = (0, 0);
+        for le in (0..db.edge_label_count()).map(|i| EdgeLabelId::new(i as u32)) {
+            let base = store.edge_table(le);
+            for &src in &sides {
+                for &tgt in &sides {
+                    let slice = store.filtered_edge_table(le, src, tgt);
+                    let set = |l: Option<NodeLabelId>| l.map(|l| store.node_set(l));
+                    let expected = filter_edges_by_sets(&base, set(src), set(tgt));
+                    assert_eq!(slice, expected, "{le:?} ({src:?}, {tgt:?})");
+                    if expected.is_empty() {
+                        unobserved += 1;
+                    } else {
+                        observed += 1;
+                    }
+                }
             }
         }
+        assert!(observed > 0 && unobserved > 0, "{observed} / {unobserved}");
     }
 }
 
