@@ -21,6 +21,7 @@
 //! returned [`Replay`] (see [`crate::gates`]), or — the paper suite of
 //! [`crate::experiments`] — plus the records read off its passes.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -738,12 +739,23 @@ fn run_pass(
     match &served {
         Some(served) if clients > 1 => {
             let exprs: Vec<_> = cat.queries.iter().map(|q| &q.expr).collect();
+            let failed = AtomicUsize::new(0);
             let seen = |i: usize, r: &Result<QueryResponse>| match r {
                 Ok(resp) => ctx.check(i, &Served::answer(resp), ""),
-                Err(e) => drop(ctx.give_up(i, e)),
+                Err(e) => {
+                    failed.fetch_add(ctx.give_up(i, e) as usize, Ordering::Relaxed);
+                }
             };
-            (pass.completed, pass.retries) =
-                run_clients(&served.service, &exprs, clients, passes, &served.opts, seen);
+            (pass.completed, pass.retries) = run_clients(
+                &served.service,
+                &exprs,
+                clients,
+                passes,
+                &served.opts,
+                policy,
+                seen,
+            );
+            pass.retryable_failures = failed.into_inner();
         }
         _ => {
             for (i, q) in cat.queries.iter().enumerate() {
@@ -785,7 +797,7 @@ fn run_pass(
 /// keeps one query in flight for `passes` passes over `queries` (offset
 /// per client so the loop does not hit the same statement in
 /// lock-step), retrying retryable errors (`Busy`, injected transients)
-/// with an unbounded jittered backoff instead of a hot spin. `seen` is
+/// with `policy`'s jittered backoff instead of a hot spin. `seen` is
 /// handed every final outcome with the query's index. Returns
 /// `(completed, retries)`; errors are also counted in the service
 /// metrics.
@@ -795,6 +807,7 @@ pub fn run_clients(
     clients: usize,
     passes: usize,
     opts: &QueryOptions,
+    policy: RetryPolicy,
     seen: impl Fn(usize, &Result<QueryResponse>) + Sync,
 ) -> (u64, u64) {
     std::thread::scope(|s| {
@@ -803,10 +816,12 @@ pub fn run_clients(
                 let (session, seen) = (service.session(), &seen);
                 s.spawn(move || {
                     let (mut ok, mut retries) = (0u64, 0u64);
-                    // Unbounded: a closed-loop client must eventually
-                    // admit every request; the jitter is seeded per
-                    // client so colliding clients decorrelate.
-                    let policy = RetryPolicy::unbounded(0x9e37_79b9 ^ client as u64);
+                    // The jitter is seeded per client so colliding
+                    // clients decorrelate.
+                    let policy = RetryPolicy {
+                        seed: policy.seed ^ client as u64,
+                        ..policy
+                    };
                     for pass in 0..passes {
                         for i in 0..queries.len() {
                             let k = (i + client + pass) % queries.len();

@@ -220,19 +220,26 @@ pub(crate) fn denorm_scan_cost(slice_rows: f64) -> f64 {
     slice_rows
 }
 
-/// Label pedigree of an edge scan: which node labels its endpoints are
-/// known (via semi-join filters) to carry. `None` = unrestricted.
-#[derive(Debug, Clone)]
-struct ScanInfo {
-    label: EdgeLabelId,
-    src: ColId,
-    tgt: ColId,
-    src_labels: Option<Vec<NodeLabelId>>,
-    tgt_labels: Option<Vec<NodeLabelId>>,
+/// Label pedigree of an edge scan: the columns its endpoints are named
+/// after renames, and which node labels they are known (via semi-join
+/// filters) to carry (a node passes when its label is in the list;
+/// `None` = unrestricted). Also the scan a CSR index (semi-)join absorbs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScanInfo {
+    /// Edge label.
+    pub label: EdgeLabelId,
+    /// Source endpoint column.
+    pub src: ColId,
+    /// Target endpoint column.
+    pub tgt: ColId,
+    /// Node labels of the source endpoint.
+    pub src_labels: Option<Vec<NodeLabelId>>,
+    /// Node labels of the target endpoint.
+    pub tgt_labels: Option<Vec<NodeLabelId>>,
 }
 
 impl ScanInfo {
-    fn bare(label: EdgeLabelId, src: ColId, tgt: ColId) -> Self {
+    pub(crate) fn bare(label: EdgeLabelId, src: ColId, tgt: ColId) -> Self {
         ScanInfo {
             label,
             src,
@@ -244,26 +251,37 @@ impl ScanInfo {
 
     /// Restricts the endpoint exposed as `col` to `labels` (intersecting
     /// with any previous restriction).
-    fn refine(&self, col: ColId, labels: &[NodeLabelId]) -> ScanInfo {
-        let mut out = self.clone();
+    pub(crate) fn refine(mut self, col: ColId, labels: &[NodeLabelId]) -> ScanInfo {
         let slot = if col == self.src {
-            &mut out.src_labels
+            &mut self.src_labels
         } else {
-            &mut out.tgt_labels
+            &mut self.tgt_labels
         };
         *slot = Some(match slot.take() {
             Some(prev) => prev.into_iter().filter(|l| labels.contains(l)).collect(),
             None => labels.to_vec(),
         });
-        out
+        self
     }
 
-    fn rename(&mut self, from: ColId, to: ColId) {
+    pub(crate) fn rename(&mut self, from: ColId, to: ColId) {
         if self.src == from {
             self.src = to;
         }
         if self.tgt == from {
             self.tgt = to;
+        }
+    }
+
+    /// The endpoint a CSR in direction `forward` is keyed by (the source
+    /// for the forward CSR), then the other: each column with its filter.
+    pub fn endpoints(&self, forward: bool) -> [(ColId, Option<&[NodeLabelId]>); 2] {
+        let src = (self.src, self.src_labels.as_deref());
+        let tgt = (self.tgt, self.tgt_labels.as_deref());
+        if forward {
+            [src, tgt]
+        } else {
+            [tgt, src]
         }
     }
 }
@@ -425,7 +443,7 @@ fn semijoin_card(a: &Card, b: &Card, shared: &[ColId], store: &RelStore) -> Card
     // left side's pedigree endpoints.
     if let (Some(info), Some((col, labels))) = (&a.scan, &b.node_labels) {
         if shared == [*col] && (*col == info.src || *col == info.tgt) {
-            let refined = info.refine(*col, labels);
+            let refined = info.clone().refine(*col, labels);
             let mut out = scan_card(refined, store);
             out.rows = out.rows.min(la);
             return out.cap_distinct();

@@ -10,21 +10,20 @@
 //! * joins, semi-joins and index builds poll the cooperative deadline
 //!   every few thousand rows, so timeouts fire *mid-operator*;
 //! * `rows_materialized` counts every materialised row exactly once —
-//!   which now includes *not* counting what is never materialised:
-//!   renames are zero-copy, fused filtered scans materialise only the
-//!   surviving rows, and intermediates cached across fixpoint rounds
-//!   are counted in the round that computes them, not on reuse.
+//!   which includes *not* counting what is never materialised: renames
+//!   are zero-copy, fused filtered scans materialise only the surviving
+//!   rows, and a cached node counts (and is charged, traced and fed back)
+//!   where it is computed, not where it is reused.
 //!
-//! Fixpoints are evaluated semi-naively against the pre-planned step.
-//! Per [`mod@crate::plan`]'s marking, every recursion-independent input is
-//! computed once and cached; a hash join whose build side is static
-//! caches the *built hash table* (a [`KeyMap`] of build row ids), so
-//! later rounds only re-scan the delta probe; hash semi-join key sets
-//! (a [`KeyMap`] of `()`) cache the same way. Index (semi-)joins probe
-//! the store's load-time CSR adjacency lists directly — the absorbed
-//! edge table is never materialised, no hash table is built in any
-//! round, and node-label endpoint filters run as binary searches in the
-//! store's sorted label sets.
+//! **One node cache per execution**, keyed by plan-node id, serves both
+//! kinds of reuse. A shared node ([`PhysPlan::parents`] above 1) is
+//! computed once and dropped after its last parent read it. Fixpoints
+//! run semi-naively against the pre-planned step; every maximal static
+//! subtree of a step is computed in the first round and dropped when the
+//! fixpoint finishes, and a static hash build side is kept as its *built*
+//! [`KeyMap`] (row ids, or `()` for a semi-join's key set), so later
+//! rounds only probe with the delta. Index (semi-)joins probe the store's
+//! load-time CSR lists directly: nothing to build, in any round.
 //!
 //! **One kernel per probe-side operator.** The probe side of hash/index
 //! (semi-)joins and the scan side of hashed filtered scans are each one
@@ -80,7 +79,7 @@ pub struct ExecContext {
     pub max_rows: usize,
     /// Hash tables and semi-join key sets built.
     pub hash_builds: usize,
-    /// Fixpoint-cache hits (a static input or build side reused).
+    /// Node-cache hits (a shared node, or a fixpoint's static input or build side, reused).
     pub cache_hits: usize,
     /// Disables static-input caching across fixpoint rounds (every round
     /// re-evaluates the full step, like the old term interpreter).
@@ -242,8 +241,10 @@ pub fn execute_plan(
         limits: ctx.limits(),
         ctx,
         ops: None,
+        cache: FxHashMap::default(),
+        scope: None,
     }
-    .eval(p, None)
+    .eval(p)
 }
 
 /// Per-node execution trace, indexed by [`PhysPlan::id`] — the "actual"
@@ -285,14 +286,16 @@ pub fn execute_plan_traced_at(
         limits: ctx.limits(),
         ctx,
         ops: Some(OpTraceBuilder::new(p.node_count(), clock)),
+        cache: FxHashMap::default(),
+        scope: None,
     };
-    let rel = interp.eval(p, None)?;
+    let rel = interp.eval(p)?;
     let (actuals, spans) = interp.ops.take().expect("tracing was enabled").finish();
     Ok((rel, ExecTrace { actuals, spans }))
 }
 
-/// Intermediates cached across the rounds of one fixpoint, keyed by the
-/// plan-node id that produced them. Clones are reference bumps.
+/// A node result held in the execution's node cache. Clones are
+/// reference bumps.
 #[derive(Clone)]
 enum Cached {
     /// A static subtree's full result.
@@ -307,8 +310,6 @@ enum Cached {
     Keys(Arc<KeyMap<()>>),
 }
 
-type StepCache = FxHashMap<u32, Cached>;
-
 struct Interp<'a> {
     store: &'a crate::storage::RelStore,
     ctx: &'a mut ExecContext,
@@ -317,17 +318,52 @@ struct Interp<'a> {
     /// Per-operator span recorder; `None` on the untraced path, where
     /// the only cost left is this `Option` check per operator.
     ops: Option<OpTraceBuilder>,
+    /// The one node cache of this execution, keyed by plan-node id:
+    /// shared nodes, and the static inputs and build sides of fixpoint
+    /// steps. Each entry holds the reads a shared node still awaits (the
+    /// last drops it) and the fixpoint, by node id, it lives until — the
+    /// one whose step created it or took its last counted read.
+    cache: FxHashMap<u32, (Cached, u32, Option<u32>)>,
+    /// The fixpoint whose step is being evaluated with caching on —
+    /// `None` outside steps, below a node being cached (its inputs are
+    /// read once) and with [`ExecContext::no_fixpoint_cache`].
+    scope: Option<u32>,
 }
 
 impl Interp<'_> {
+    /// Reads node `id`'s cache entry, counting the hit. The last counted
+    /// read of a shared node's entry drops it — or, inside a fixpoint
+    /// step, hands it to that fixpoint, since every round reads it again.
+    fn hit(&mut self, id: u32) -> Option<Cached> {
+        let (value, reads_left, scope) = self.cache.get_mut(&id)?;
+        self.ctx.cache_hits += 1;
+        if scope.is_none() {
+            *reads_left -= 1;
+            if *reads_left == 0 {
+                if self.scope.is_none() {
+                    return self.cache.remove(&id).map(|e| e.0);
+                }
+                *scope = self.scope;
+            }
+        }
+        Some(value.clone())
+    }
+
+    /// Caches node `p`'s result: for its other parents when shared, for
+    /// the enclosing fixpoint's later rounds inside a step.
+    fn keep(&mut self, p: &PhysPlan, value: Cached) {
+        self.cache
+            .insert(p.id, (value, p.parents() - 1, self.scope));
+    }
+
     /// Evaluates one operator, recording a span (timing + rows) around
     /// it when tracing. Recording is two `Vec` pushes and an `Instant`
     /// read in the single-threaded interpreter — no locks or atomics.
-    fn run_op(&mut self, p: &PhysPlan, cache: Option<&mut StepCache>) -> Result<Relation> {
+    fn run_op(&mut self, p: &PhysPlan) -> Result<Relation> {
         let Some(start) = self.ops.as_mut().map(OpTraceBuilder::enter) else {
-            return self.eval_op(p, cache);
+            return self.eval_op(p);
         };
-        let result = self.eval_op(p, cache);
+        let result = self.eval_op(p);
         let ops = self.ops.as_mut().expect("tracing was enabled");
         match &result {
             Ok(out) => ops.exit(p.id, p.op.kind(), p.est.rows, out.len(), start),
@@ -347,35 +383,34 @@ impl Interp<'_> {
         }
     }
 
-    fn eval(&mut self, p: &PhysPlan, mut cache: Option<&mut StepCache>) -> Result<Relation> {
+    fn eval(&mut self, p: &PhysPlan) -> Result<Relation> {
         self.limits.poll()?;
-        // A maximal static subtree inside a fixpoint step is computed in
-        // the first round and reused afterwards. (Dynamic hash joins and
-        // semi-joins additionally cache their static build sides below.)
-        if p.is_static() {
-            if let Some(c) = cache.as_deref_mut() {
-                if let Some(Cached::Rel(r)) = c.get(&p.id) {
-                    self.ctx.cache_hits += 1;
-                    // Not re-traced: "actual" rows count the round that
-                    // computed the result, matching the Build/Keys cache
-                    // paths. The clone hands the consumer an owned
-                    // relation (operators like the zero-copy rename take
-                    // ownership); hash-join build sides avoid this copy
-                    // entirely by probing the cached index by reference.
-                    return Ok(r.clone());
-                }
-                let out = self.run_op(p, None)?;
-                c.insert(p.id, Cached::Rel(out.clone()));
-                self.observe(p, &out);
-                return Ok(out);
-            }
+        // A shared node, and a maximal static subtree inside a fixpoint
+        // step, is computed once — with step caching off below it, as its
+        // inputs are read once — and then read from the cache. (Dynamic
+        // hash joins and semi-joins additionally cache their static build
+        // sides below.)
+        let cached = p.is_static() && (p.parents() > 1 || self.scope.is_some());
+        if let Some(Cached::Rel(r)) = cached.then(|| self.hit(p.id)).flatten() {
+            // Not re-traced, re-recorded or re-observed: "actual" rows
+            // count the evaluation that computed the result. A shared
+            // node's other occurrences name their columns differently,
+            // and the rename is positional and zero-copy.
+            return Ok(r.into_cols(p.cols.clone()));
         }
-        let out = self.run_op(p, cache)?;
+        let scope = self.scope;
+        self.scope = scope.filter(|_| !cached);
+        let out = self.run_op(p);
+        self.scope = scope;
+        let out = out?;
         self.observe(p, &out);
+        if cached {
+            self.keep(p, Cached::Rel(out.clone()));
+        }
         Ok(out)
     }
 
-    fn eval_op(&mut self, p: &PhysPlan, mut cache: Option<&mut StepCache>) -> Result<Relation> {
+    fn eval_op(&mut self, p: &PhysPlan) -> Result<Relation> {
         let out = match &p.op {
             PhysOp::EdgeScan { label } => {
                 self.ctx.scans += 1;
@@ -419,14 +454,14 @@ impl Interp<'_> {
                 self.limits.fault("exec.scan")?;
                 let edges = self.store.edge_table(*label).into_cols(p.cols.clone());
                 if !*merge {
-                    return self.hash_semi_filter(p, edges, filter, key, cache);
+                    return self.hash_semi_filter(p, edges, filter, key);
                 }
-                let frel = self.eval(filter, cache.as_deref_mut())?;
+                let frel = self.eval(filter)?;
                 edges.merge_semijoin_checked(&frel, key.len(), &self.limits)?
             }
             PhysOp::MergeJoin { left, right, key } => {
-                let l = self.eval(left, cache.as_deref_mut())?;
-                let r = self.eval(right, cache)?;
+                let l = self.eval(left)?;
+                let r = self.eval(right)?;
                 l.merge_join_checked(&r, key.len(), &self.limits)?
             }
             PhysOp::HashJoin {
@@ -440,7 +475,7 @@ impl Interp<'_> {
                 } else {
                     (right, left)
                 };
-                let probe_rel = self.eval(probe_plan, cache.as_deref_mut())?;
+                let probe_rel = self.eval(probe_plan)?;
                 let probe_key_pos = positions(&probe_plan.cols, key);
                 let build_key_pos = positions(&build_plan.cols, key);
                 let right_extra_pos: Vec<usize> = right
@@ -450,7 +485,7 @@ impl Interp<'_> {
                     .filter(|(_, c)| !left.cols.contains(c))
                     .map(|(i, _)| i)
                     .collect();
-                let built = self.build_side(p, build_plan, cache, |rel, limits| {
+                let built = self.build_side(p, build_plan, |rel, limits| {
                     let index = Arc::new(KeyMap::build(&rel, &build_key_pos, limits)?);
                     Ok(Cached::Build { rel, index })
                 })?;
@@ -469,20 +504,17 @@ impl Interp<'_> {
             }
             PhysOp::IndexJoin {
                 probe,
-                label,
-                key,
-                out,
+                scan,
                 forward,
-                src_labels,
-                tgt_labels,
             } => {
-                let prel = self.eval(probe, cache)?;
+                let prel = self.eval(probe)?;
                 self.limits.fault("exec.csr_probe")?;
-                let Some(csr) = self.csr(*label, *forward) else {
+                let Some(csr) = self.csr(scan.label, *forward) else {
                     return Ok(Relation::empty(p.cols.clone()));
                 };
+                let [(key, key_filter), (out, emit_filter)] = scan.endpoints(*forward);
                 let key_pos = prel
-                    .col_index(*key)
+                    .col_index(key)
                     .expect("index-join key is a probe column (ensured at plan time)");
                 // Where each output column comes from: a probe position,
                 // or the expanded neighbour (`None`).
@@ -490,7 +522,7 @@ impl Interp<'_> {
                     .cols
                     .iter()
                     .map(|c| {
-                        if c == out {
+                        if *c == out {
                             None
                         } else {
                             Some(prel.col_index(*c).expect("output column from probe"))
@@ -502,12 +534,7 @@ impl Interp<'_> {
                 // in canonical order and skips the re-sort.
                 let probe_leading = p.cols.len() == prel.arity() + 1
                     && p.cols[..prel.arity()] == *prel.cols()
-                    && p.cols.last() == Some(out);
-                let (key_filter, emit_filter) = if *forward {
-                    (src_labels.as_deref(), tgt_labels.as_deref())
-                } else {
-                    (tgt_labels.as_deref(), src_labels.as_deref())
-                };
+                    && p.cols.last() == Some(&out);
                 let key_sets = self.label_set_tables(key_filter);
                 let emit_sets = self.label_set_tables(emit_filter);
                 let (len, arity) = (prel.len(), p.cols.len());
@@ -559,25 +586,18 @@ impl Interp<'_> {
             }
             PhysOp::IndexSemiJoin {
                 left,
-                label,
-                key,
+                scan,
                 forward,
-                src_labels,
-                tgt_labels,
             } => {
-                let lrel = self.eval(left, cache)?;
+                let lrel = self.eval(left)?;
                 self.limits.fault("exec.csr_probe")?;
-                let Some(csr) = self.csr(*label, *forward) else {
+                let Some(csr) = self.csr(scan.label, *forward) else {
                     return Ok(Relation::empty(p.cols.clone()));
                 };
+                let [(key, key_filter), (_, far_filter)] = scan.endpoints(*forward);
                 let key_pos = lrel
-                    .col_index(*key)
+                    .col_index(key)
                     .expect("index-semi-join key is a left column (ensured at plan time)");
-                let (key_filter, far_filter) = if *forward {
-                    (src_labels.as_deref(), tgt_labels.as_deref())
-                } else {
-                    (tgt_labels.as_deref(), src_labels.as_deref())
-                };
                 let key_sets = self.label_set_tables(key_filter);
                 let far_sets = self.label_set_tables(far_filter);
                 let len = lrel.len();
@@ -608,47 +628,45 @@ impl Interp<'_> {
                 return self.run_ranges(p, len, Combine::Concat, kernel);
             }
             PhysOp::MergeSemiJoin { left, right, key } => {
-                let l = self.eval(left, cache.as_deref_mut())?;
-                let r = self.eval(right, cache)?;
+                let l = self.eval(left)?;
+                let r = self.eval(right)?;
                 l.merge_semijoin_checked(&r, key.len(), &self.limits)?
             }
             PhysOp::HashSemiJoin { left, right, key } => {
-                let l = self.eval(left, cache.as_deref_mut())?;
-                return self.hash_semi_filter(p, l, right, key, cache);
+                let l = self.eval(left)?;
+                return self.hash_semi_filter(p, l, right, key);
             }
             PhysOp::Union { left, right } => {
-                let l = self.eval(left, cache.as_deref_mut())?;
-                let r = self.eval(right, cache)?;
+                let l = self.eval(left)?;
+                let r = self.eval(right)?;
                 l.union(&r)
             }
-            PhysOp::Project { input } => self.eval(input, cache)?.project(&p.cols),
-            PhysOp::Select { input, ia, ib, .. } => self.eval(input, cache)?.select_eq_at(*ia, *ib),
+            PhysOp::Project { input } => self.eval(input)?.project(&p.cols),
+            PhysOp::Select { input, ia, ib, .. } => self.eval(input)?.select_eq_at(*ia, *ib),
             PhysOp::Rename { input } => {
                 // Zero-copy: positional renaming of an owned relation
                 // materialises nothing, so it is not recorded.
-                let rel = self.eval(input, cache)?;
+                let rel = self.eval(input)?;
                 return Ok(rel.into_cols(p.cols.clone()));
             }
             PhysOp::Fixpoint { var, base, step } => {
                 // Semi-naive: the step is linear in the recursion
                 // variable, so each round only extends from the newly
                 // discovered delta.
-                let base_rel = self.eval(base, cache)?;
+                let base_rel = self.eval(base)?;
                 let cols = base_rel.cols().to_vec();
                 let mut acc = base_rel.clone();
                 let mut delta = base_rel;
-                let mut step_cache = StepCache::default();
+                let (outer, scope) = (self.scope, (!self.ctx.no_fixpoint_cache).then_some(p.id));
                 while !delta.is_empty() {
                     self.limits.poll()?;
                     self.limits.fault("exec.fixpoint_round")?;
                     self.ctx.fixpoint_rounds += 1;
                     self.ctx.env.insert(*var, delta);
-                    let round_cache = if self.ctx.no_fixpoint_cache {
-                        None
-                    } else {
-                        Some(&mut step_cache)
-                    };
-                    let stepped = self.eval(step, round_cache)?;
+                    self.scope = scope;
+                    let stepped = self.eval(step);
+                    self.scope = outer;
+                    let stepped = stepped?;
                     self.ctx.env.remove(var);
                     // Align schema positionally (projections inside the
                     // step produce the fixpoint's columns).
@@ -662,6 +680,7 @@ impl Interp<'_> {
                     acc = acc.union(&fresh);
                     delta = fresh;
                 }
+                self.cache.retain(|_, e| e.2 != Some(p.id));
                 // Accumulated rows were recorded delta by delta; skip the
                 // generic record below to count each row exactly once.
                 return Ok(acc);
@@ -807,23 +826,22 @@ impl Interp<'_> {
         &mut self,
         p: &PhysPlan,
         side: &PhysPlan,
-        cache: Option<&mut StepCache>,
         build: impl FnOnce(Relation, &Limits) -> Result<Cached>,
     ) -> Result<Cached> {
-        let (slot, cache) = match cache {
-            Some(c) if side.is_static() => (Some(c), None),
-            cache => (None, cache),
-        };
-        if let Some(hit) = slot.as_ref().and_then(|c| c.get(&p.id)) {
-            self.ctx.cache_hits += 1;
-            return Ok(hit.clone());
+        let cached = self.scope.is_some() && side.is_static();
+        if let Some(hit) = cached.then(|| self.hit(p.id)).flatten() {
+            return Ok(hit);
         }
-        let rel = self.eval(side, cache)?;
+        let scope = self.scope;
+        self.scope = scope.filter(|_| !cached);
+        let rel = self.eval(side);
+        self.scope = scope;
+        let rel = rel?;
         self.limits.fault("exec.hash_build")?;
         let built = build(rel, &self.limits)?;
         self.ctx.hash_builds += 1;
-        if let Some(c) = slot {
-            c.insert(p.id, built.clone());
+        if cached {
+            self.keep(p, built.clone());
         }
         Ok(built)
     }
@@ -837,11 +855,10 @@ impl Interp<'_> {
         left: Relation,
         filter: &PhysPlan,
         key: &[ColId],
-        cache: Option<&mut StepCache>,
     ) -> Result<Relation> {
         let key_pos = positions(left.cols(), key);
         let filter_key_pos = positions(&filter.cols, key);
-        let built = self.build_side(p, filter, cache, |rel, limits| {
+        let built = self.build_side(p, filter, |rel, limits| {
             let keys = KeyMap::build(&rel, &filter_key_pos, limits)?;
             Ok(Cached::Keys(Arc::new(keys)))
         })?;
@@ -1111,7 +1128,7 @@ mod tests {
         let t = RaTerm::join(scan(&db, &store, "owns", "x", "y"), filtered);
         let p = plan(&t, &store).unwrap();
         assert!(
-            matches!(p.op, PhysOp::IndexJoin { ref src_labels, .. } if src_labels.is_some()),
+            matches!(p.op, PhysOp::IndexJoin { ref scan, .. } if scan.src_labels.is_some()),
             "{p:?}"
         );
         let mut ctx = ExecContext::new();
@@ -1337,7 +1354,8 @@ mod tests {
     fn traced_spans_agree_with_actuals_bit_for_bit() {
         // The explain path and the tracer share one recording: summing
         // span rows per node reproduces `actuals` exactly, fixpoint
-        // rounds included, and every span names a real operator kind.
+        // rounds and shared nodes included, and every span names a real
+        // operator kind.
         let (db, store) = store();
         let s = &store.symbols;
         let f = closure_fixpoint(
@@ -1347,32 +1365,150 @@ mod tests {
             s.col("y"),
             s.col("m"),
         );
-        let p = plan(&f, &store).unwrap();
+        for t in [f, shared_union(&db, &store)] {
+            let p = plan(&t, &store).unwrap();
+            let mut ctx = ExecContext::new();
+            let (r, trace) = execute_plan_traced(&p, &store, &mut ctx).unwrap();
+            assert!(!r.is_empty());
+            assert!(
+                ctx.fixpoint_rounds >= 2 || ctx.cache_hits == 1,
+                "iterates or shares"
+            );
+            assert_eq!(trace.actuals.len(), p.node_count());
+            assert!(!trace.spans.is_empty());
+            let mut per_node = vec![0usize; p.node_count()];
+            for span in &trace.spans {
+                per_node[span.node as usize] += span.rows;
+                assert!(!span.kind.is_empty());
+                assert!(span.self_us <= span.dur_us);
+            }
+            assert_eq!(per_node, trace.actuals);
+            // A reused occurrence emits no span: one per shared node.
+            for shared in shared(&p) {
+                let spans = trace.spans.iter().filter(|sp| sp.node == shared.id);
+                assert_eq!(spans.count(), 1, "{p:?}");
+            }
+            // The root span's inclusive time bounds every other span.
+            let root = trace
+                .spans
+                .iter()
+                .find(|sp| sp.node == p.id)
+                .expect("root evaluated");
+            for span in &trace.spans {
+                assert!(root.start_us <= span.start_us && span.end_us() <= root.end_us());
+            }
+            // Untraced execution of the same plan is bit-identical.
+            let mut ctx2 = ExecContext::new();
+            assert_eq!(execute_plan(&p, &store, &mut ctx2).unwrap(), r);
+        }
+    }
+
+    /// Every occurrence of a shared node in `p`.
+    fn shared(p: &PhysPlan) -> Vec<&PhysPlan> {
+        let mut out: Vec<&PhysPlan> = p.children().into_iter().flat_map(shared).collect();
+        if p.parents() > 1 {
+            out.push(p);
+        }
+        out
+    }
+
+    /// `π(x,z)(owns(x,y) ⋈ isLocatedIn(y,z)) ∪ π(x,z)(owns(x,m) ⋈
+    /// isLocatedIn(m,z))`: one sub-plan twice, under different column
+    /// names.
+    fn shared_union(db: &sgq_graph::GraphDatabase, store: &RelStore) -> RaTerm {
+        let s = &store.symbols;
+        let hop = |mid: &str| {
+            RaTerm::project(
+                RaTerm::join(
+                    scan(db, store, "owns", "x", mid),
+                    scan(db, store, "isLocatedIn", mid, "z"),
+                ),
+                vec![s.col("x"), s.col("z")],
+            )
+        };
+        RaTerm::union(hop("y"), hop("m"))
+    }
+
+    #[test]
+    fn a_shared_node_is_evaluated_recorded_and_counted_once() {
+        let (db, store) = store();
+        let p = plan(&shared_union(&db, &store), &store).unwrap();
+        let shared = shared(&p);
+        assert_eq!(shared.len(), 2, "both occurrences: {p:?}");
+        assert_eq!((shared[0].id, shared[0].parents()), (shared[1].id, 2));
+        let PhysOp::Union { left, .. } = &p.op else {
+            panic!("{p:?}")
+        };
+        let mut alone = ExecContext::new();
+        let half = execute_plan(left, &store, &mut alone).unwrap();
         let mut ctx = ExecContext::new();
-        let (r, trace) = execute_plan_traced(&p, &store, &mut ctx).unwrap();
-        assert!(!r.is_empty());
-        assert!(ctx.fixpoint_rounds >= 2, "closure iterates");
-        assert_eq!(trace.actuals.len(), p.node_count());
-        assert!(!trace.spans.is_empty());
-        let mut per_node = vec![0usize; p.node_count()];
-        for span in &trace.spans {
-            per_node[span.node as usize] += span.rows;
-            assert!(!span.kind.is_empty());
-            assert!(span.self_us <= span.dur_us);
+        let r = execute_plan(&p, &store, &mut ctx).unwrap();
+        assert_eq!(r, half, "the union of two equal arms");
+        // One arm's rows plus the union's own output; the second arm
+        // is a cache hit that scans and materialises nothing.
+        assert_eq!(ctx.rows_materialized(), alone.rows_materialized() + r.len());
+        assert_eq!((ctx.cache_hits, ctx.scans), (1, alone.scans));
+    }
+
+    #[test]
+    fn a_closure_reads_its_shared_base_in_its_step() {
+        // The step of `(isLocatedIn/isLocatedIn)+` repeats the base under
+        // a rename: computed once, before the first round, and read by
+        // the step's cached build side — with the fixpoint cache on or off.
+        let (db, mut store) = store();
+        store.index_joins = false;
+        let s = &store.symbols;
+        let two_hops = RaTerm::project(
+            RaTerm::join(
+                scan(&db, &store, "isLocatedIn", "x", "y"),
+                scan(&db, &store, "isLocatedIn", "y", "z"),
+            ),
+            vec![s.col("x"), s.col("z")],
+        );
+        let f = closure_fixpoint(s.recvar("X"), two_hops, s.col("x"), s.col("z"), s.col("m"));
+        let p = plan(&f, &store).unwrap();
+        assert!(!shared(&p).is_empty(), "{p:?}");
+        let expect = sgq_algebra::eval::eval_path(
+            &db,
+            &sgq_algebra::parser::parse_path("(isLocatedIn/isLocatedIn)+", &db).unwrap(),
+        );
+        let want: Vec<(u32, u32)> = expect.iter().map(|&(s, t)| (s.raw(), t.raw())).collect();
+        for no_fixpoint_cache in [false, true] {
+            let mut ctx = ExecContext::new();
+            ctx.no_fixpoint_cache = no_fixpoint_cache;
+            let r = execute_plan(&p, &store, &mut ctx).unwrap();
+            let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
+            assert_eq!(got, want, "no_fixpoint_cache = {no_fixpoint_cache}");
+            assert!(ctx.cache_hits >= 1);
         }
-        assert_eq!(per_node, trace.actuals);
-        // The root span's inclusive time bounds every other span.
-        let root = trace
-            .spans
-            .iter()
-            .find(|sp| sp.node == p.id)
-            .expect("root evaluated");
-        for span in &trace.spans {
-            assert!(root.start_us <= span.start_us && span.end_us() <= root.end_us());
-        }
-        // Untraced execution of the same plan is bit-identical.
-        let mut ctx2 = ExecContext::new();
-        assert_eq!(execute_plan(&p, &store, &mut ctx2).unwrap(), r);
+    }
+
+    #[test]
+    fn one_plan_with_a_shared_node_runs_on_two_threads_at_once() {
+        // The plan cache hands one plan to concurrent sessions: the node
+        // cache lives in each execution, never on the plan.
+        let (db, store) = store();
+        let p = plan(&shared_union(&db, &store), &store).unwrap();
+        assert!(!shared(&p).is_empty());
+        let start = std::sync::Barrier::new(2);
+        let run = || {
+            start.wait();
+            (0..200)
+                .map(|_| {
+                    let mut ctx = ExecContext::new();
+                    let r = execute_plan(&p, &store, &mut ctx).unwrap();
+                    let c = &ctx;
+                    let counters = [c.rows_materialized(), c.hash_builds, c.cache_hits, c.scans];
+                    (r, counters)
+                })
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(run), s.spawn(run));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert!(a.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

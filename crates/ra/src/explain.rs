@@ -69,28 +69,15 @@ pub fn explain_analyze(
     Ok((rel, out))
 }
 
-/// Structured `EXPLAIN ANALYZE`: executes the term once (tracing it like
-/// [`explain_analyze`]) and returns the result plus a JSON array with
-/// one object per plan node in pre-order — `id`, `op`, `depth`,
-/// `est_rows`, `est_cost`, `actual_rows`, `q_error`, and the feedback
-/// provenance flag `memo` (the estimate came from the runtime feedback
-/// memo). Harness and tests read these fields instead of scraping the
-/// text renderer's lines.
-pub fn explain_analyze_json(
-    term: &RaTerm,
-    store: &RelStore,
-    names: &dyn PlanNames,
-) -> Result<(Relation, JsonValue)> {
-    let p = plan(term, store)?;
-    let mut ctx = ExecContext::new();
-    let (rel, trace) = execute_plan_traced(&p, store, &mut ctx)?;
-    Ok((rel, analyze_json(&p, store, names, &trace)))
-}
-
-/// The JSON array of [`explain_analyze_json`] for an already-executed
-/// plan and its [`ExecTrace`] — what the service's per-query analyze
-/// option renders from the production execution instead of re-running
-/// the query through the term-level path.
+/// Structured `EXPLAIN ANALYZE` of an executed plan and its
+/// [`ExecTrace`]: a JSON array with one object per plan node in
+/// pre-order — `id`, `op`, `depth`, `est_rows`, `est_cost`,
+/// `actual_rows`, `q_error`, the feedback provenance flag `memo` (the
+/// estimate came from the runtime feedback memo) and, on a shared node,
+/// `shared` (its parent count; a later occurrence has no subtree). The
+/// service's per-query analyze option renders it from the production
+/// execution; harness and tests read these fields instead of scraping
+/// the text renderer's lines.
 pub fn analyze_json(
     p: &PhysPlan,
     store: &RelStore,
@@ -111,7 +98,7 @@ fn collect_json(
     out: &mut Vec<JsonValue>,
 ) {
     let actual = trace.actuals.get(p.id as usize).copied().unwrap_or(0);
-    out.push(JsonValue::obj([
+    let mut fields = vec![
         ("id", JsonValue::Int(p.id as u64)),
         ("op", JsonValue::str(describe(p, names, &store.symbols))),
         ("depth", JsonValue::Int(depth as u64)),
@@ -123,7 +110,14 @@ fn collect_json(
             JsonValue::Num(crate::cost::q_error(p.est.rows, actual as f64)),
         ),
         ("memo", JsonValue::Bool(p.memo_est)),
-    ]));
+    ];
+    if p.parents > 1 {
+        fields.push(("shared", JsonValue::Int(p.parents as u64)));
+    }
+    out.push(JsonValue::obj(fields));
+    if p.later {
+        return;
+    }
     for child in p.children() {
         collect_json(child, store, names, depth + 1, trace, out);
     }
@@ -223,35 +217,23 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
                 symbols.col_list(key, ", ")
             }
         ),
-        PhysOp::IndexJoin {
-            label,
-            key,
-            out,
-            forward,
-            src_labels,
-            tgt_labels,
-            ..
-        } => format!(
-            "Index Join on {} ({} CSR, {} → {}{})",
-            names.edge_name(*label),
-            if *forward { "forward" } else { "reverse" },
-            symbols.col_name(*key),
-            symbols.col_name(*out),
-            endpoint_filters(names, src_labels, tgt_labels)
-        ),
-        PhysOp::IndexSemiJoin {
-            label,
-            key,
-            forward,
-            src_labels,
-            tgt_labels,
-            ..
-        } => format!(
+        PhysOp::IndexJoin { scan, forward, .. } => {
+            let [(key, _), (out, _)] = scan.endpoints(*forward);
+            format!(
+                "Index Join on {} ({} CSR, {} → {}{})",
+                names.edge_name(scan.label),
+                if *forward { "forward" } else { "reverse" },
+                symbols.col_name(key),
+                symbols.col_name(out),
+                endpoint_filters(names, scan)
+            )
+        }
+        PhysOp::IndexSemiJoin { scan, forward, .. } => format!(
             "Index Semi Join on {} ({} CSR, key = {}{})",
-            names.edge_name(*label),
+            names.edge_name(scan.label),
             if *forward { "forward" } else { "reverse" },
-            symbols.col_name(*key),
-            endpoint_filters(names, src_labels, tgt_labels)
+            symbols.col_name(scan.endpoints(*forward)[0].0),
+            endpoint_filters(names, scan)
         ),
         PhysOp::Union { .. } => "Merge Union".to_string(),
         PhysOp::Project { .. } => {
@@ -282,11 +264,7 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
 /// Renders the endpoint label restrictions of an index (semi-)join,
 /// e.g. `, src ∈ City, tgt ∈ Country` (`∅` for an impossible filter
 /// intersection).
-fn endpoint_filters(
-    names: &dyn PlanNames,
-    src_labels: &Option<Vec<sgq_common::NodeLabelId>>,
-    tgt_labels: &Option<Vec<sgq_common::NodeLabelId>>,
-) -> String {
+fn endpoint_filters(names: &dyn PlanNames, scan: &crate::cost::ScanInfo) -> String {
     let render = |labels: &Vec<sgq_common::NodeLabelId>| {
         if labels.is_empty() {
             "∅".to_string()
@@ -299,53 +277,23 @@ fn endpoint_filters(
         }
     };
     let mut s = String::new();
-    if let Some(ls) = src_labels {
+    if let Some(ls) = &scan.src_labels {
         s.push_str(&format!(", src ∈ {}", render(ls)));
     }
-    if let Some(ls) = tgt_labels {
+    if let Some(ls) = &scan.tgt_labels {
         s.push_str(&format!(", tgt ∈ {}", render(ls)));
     }
     s
 }
 
-/// Number of maximal static subtrees (plus static build sides) of a
-/// fixpoint step — the intermediates the executor caches across rounds.
+/// Number of maximal static subtrees of a fixpoint step — the node-cache
+/// entries the executor keeps across its rounds (a static hash build side
+/// is kept as its built table: still one entry).
 fn count_cacheable(p: &PhysPlan) -> usize {
     if p.is_static() {
         return 1;
     }
-    match &p.op {
-        // A dynamic hash (semi-)join caches its static build/filter side
-        // as a built hash table / key set rather than a plain relation.
-        PhysOp::HashJoin {
-            left,
-            right,
-            build_left,
-            ..
-        } => {
-            let (build, probe) = if *build_left {
-                (left, right)
-            } else {
-                (right, left)
-            };
-            if build.is_static() {
-                1 + count_cacheable(probe)
-            } else {
-                count_cacheable(left) + count_cacheable(right)
-            }
-        }
-        PhysOp::HashSemiJoin { left, right, .. } => {
-            if right.is_static() {
-                1 + count_cacheable(left)
-            } else {
-                count_cacheable(left) + count_cacheable(right)
-            }
-        }
-        // (A FilteredEdgeScan needs no arm: its free recvars equal its
-        // filter's, so a static filter makes the whole node static and
-        // the early return above already counted it.)
-        _ => p.children().iter().map(|c| count_cacheable(c)).sum(),
-    }
+    p.children().iter().map(|c| count_cacheable(c)).sum()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -359,6 +307,11 @@ fn render(
     dop: usize,
 ) {
     out.push_str(&"  ".repeat(depth));
+    let describe = describe(p, names, &store.symbols);
+    if p.later {
+        out.push_str(&format!("{describe} (shared with #{})\n", p.id));
+        return;
+    }
     let parallel = if dop > 1
         && p.parallel_probe_rows()
             .is_some_and(|rows| rows >= crate::cost::PARALLEL_ROW_THRESHOLD as f64)
@@ -369,22 +322,24 @@ fn render(
     };
     // Feedback provenance: the estimate came from the runtime memo.
     let memo = if p.memo_est { " [memo]" } else { "" };
+    let shared = if p.parents > 1 {
+        format!(" [#{} shared ×{}]", p.id, p.parents)
+    } else {
+        String::new()
+    };
     let line = match trace {
         Some(t) => {
             let actual = t.actuals.get(p.id as usize).copied().unwrap_or(0);
             format!(
-                "{} (cost = {:.2} rows = {:.0}{memo} actual = {actual} q = {:.2}){parallel}\n",
-                describe(p, names, &store.symbols),
+                "{describe} (cost = {:.2} rows = {:.0}{memo} actual = {actual} q = {:.2}){parallel}{shared}\n",
                 p.est.cost,
                 p.est.rows,
                 crate::cost::q_error(p.est.rows, actual as f64)
             )
         }
         None => format!(
-            "{} (cost = {:.2} rows = {:.0}{memo}){parallel}\n",
-            describe(p, names, &store.symbols),
-            p.est.cost,
-            p.est.rows
+            "{describe} (cost = {:.2} rows = {:.0}{memo}){parallel}{shared}\n",
+            p.est.cost, p.est.rows
         ),
     };
     out.push_str(&line);
@@ -489,6 +444,14 @@ mod tests {
         );
     }
 
+    /// Executes `t` traced and renders its structured `EXPLAIN ANALYZE`.
+    fn analyzed(t: &RaTerm, store: &RelStore, db: &dyn PlanNames) -> (Relation, JsonValue) {
+        let p = plan(t, store).unwrap();
+        let mut ctx = ExecContext::new();
+        let (rel, trace) = execute_plan_traced(&p, store, &mut ctx).unwrap();
+        (rel, analyze_json(&p, store, db, &trace))
+    }
+
     #[test]
     fn explain_analyze_json_reports_per_node_records() {
         let db = fig2_yago_database();
@@ -508,7 +471,7 @@ mod tests {
                 col: s.col("x"),
             },
         );
-        let (rel, json) = explain_analyze_json(&t, &store, &db).unwrap();
+        let (rel, json) = analyzed(&t, &store, &db);
         assert_eq!(rel.len(), 1);
         let JsonValue::Arr(nodes) = &json else {
             panic!("array of node records, got {json:?}")
@@ -639,6 +602,42 @@ mod tests {
         let rendered = explain_plan_with_dop(&p, &store, &db, 4);
         assert!(rendered.contains("[parallel ×4]"), "{rendered}");
         assert!(!explain_plan(&p, &store, &db).contains("parallel"));
+    }
+
+    #[test]
+    fn a_shared_node_renders_once() {
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let s = &store.symbols;
+        let hop = |mid: &str| {
+            let scan = |label: &str, src: &str, tgt: &str| RaTerm::EdgeScan {
+                label: db.edge_label_id(label).unwrap(),
+                src: s.col(src),
+                tgt: s.col(tgt),
+            };
+            let j = RaTerm::join(scan("owns", "x", mid), scan("isLocatedIn", mid, "z"));
+            RaTerm::project(j, vec![s.col("x"), s.col("z")])
+        };
+        let t = RaTerm::union(hop("y"), hop("m"));
+        let rendered = explain(&t, &store, &db);
+        assert!(rendered.contains("rows = 1) [#2 shared ×2]"), "{rendered}");
+        assert!(
+            rendered.contains("\n  Project (x, z) (shared with #2)\n"),
+            "{rendered}"
+        );
+        assert_eq!(rendered.matches("Index Join").count(), 1, "{rendered}");
+        let (rel, json) = analyzed(&t, &store, &db);
+        assert_eq!(rel.len(), 1);
+        let JsonValue::Arr(nodes) = &json else {
+            panic!("{json:?}")
+        };
+        // Union, the shared project and its two-node subtree, then the
+        // later occurrence without a subtree.
+        assert_eq!(nodes.len(), 5, "{}", json.render());
+        let shared: Vec<_> = nodes.iter().filter_map(|n| n.get("shared")).collect();
+        assert_eq!(shared, [&JsonValue::Int(2), &JsonValue::Int(2)]);
+        assert_eq!(nodes[1].get("id"), nodes[4].get("id"));
+        assert_eq!(nodes[1].get("actual_rows"), Some(&JsonValue::Int(1)));
     }
 
     #[test]

@@ -45,10 +45,20 @@
 //! over the term ([`mod@crate::cost`]), made before lowering starts:
 //! every strategy decision reads the summaries of the node and its
 //! operands, and none re-enters the estimator.
+//!
+//! **Shared sub-plans.** Sub-plans equal up to column and recursion
+//! variable names — the schema rewrite's union expansion repeats them —
+//! carry one set of ids, and a static, combining one read by several
+//! parents ([`PhysPlan::parents`]) is evaluated once per execution
+//! (DESIGN.md, "Shared sub-plans"). The estimator still costs each copy.
 
-use sgq_common::{ColId, EdgeLabelId, NodeLabelId, RecVarId, Result, SgqError};
+use std::hash::{Hash, Hasher};
 
-use crate::cost::{self, shared_cols, Estimate, Estimator, Summary};
+use sgq_common::{
+    ColId, EdgeLabelId, FxHashMap, FxHasher, NodeLabelId, RecVarId, Result, SgqError,
+};
+
+use crate::cost::{self, shared_cols, Estimate, Estimator, ScanInfo, Summary};
 use crate::storage::RelStore;
 use crate::term::RaTerm;
 
@@ -56,9 +66,14 @@ use crate::term::RaTerm;
 /// recursion variables it (transitively) references.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysPlan {
-    /// Dense node id (preorder of lowering), used to key per-fixpoint
-    /// caches and `EXPLAIN ANALYZE` row counters.
+    /// Dense node id (post-order of lowering), used to key the
+    /// executor's node cache and `EXPLAIN ANALYZE` row counters; every
+    /// occurrence of a shared sub-plan carries the same ids.
     pub id: u32,
+    /// How many parents read the node (above 1: shared), and whether it
+    /// is a later occurrence in pre-order (`EXPLAIN` omits its subtree).
+    pub(crate) parents: u32,
+    pub(crate) later: bool,
     /// Output column ids, in order.
     pub cols: Vec<ColId>,
     /// Estimated output rows and cumulative cost.
@@ -166,22 +181,14 @@ pub enum PhysOp {
     IndexJoin {
         /// The evaluated (probe) input — the non-scan side.
         probe: Box<PhysPlan>,
-        /// The indexed edge label.
-        label: EdgeLabelId,
-        /// The shared column: its value in each probe row is the node
-        /// whose neighbour list is read.
-        key: ColId,
-        /// The column produced from the neighbour list (the scan's other
-        /// endpoint).
-        out: ColId,
-        /// `true`: `key` is the edge source (forward CSR, neighbours are
-        /// targets); `false`: `key` is the target (reverse CSR).
+        /// The absorbed scan. Its keyed endpoint ([`ScanInfo::endpoints`])
+        /// is the column shared with the probe, whose value in each probe
+        /// row is the node whose neighbour list is read; the other
+        /// endpoint is the column produced from the neighbour list.
+        scan: ScanInfo,
+        /// `true`: the key is the edge source (forward CSR, neighbours are
+        /// targets); `false`: the target (reverse CSR).
         forward: bool,
-        /// Node-label restriction on the edge's source endpoint (the
-        /// node's label must be in the list; `None` = unrestricted).
-        src_labels: Option<Vec<NodeLabelId>>,
-        /// Node-label restriction on the edge's target endpoint.
-        tgt_labels: Option<Vec<NodeLabelId>>,
     },
     /// CSR index semi-join: keeps the left rows whose key value has at
     /// least one (label-filtered) neighbour in the edge label's CSR —
@@ -189,16 +196,11 @@ pub enum PhysOp {
     IndexSemiJoin {
         /// Left (filtered) input.
         left: Box<PhysPlan>,
-        /// The indexed edge label (the semi-join's right side).
-        label: EdgeLabelId,
-        /// The shared column probed into the CSR.
-        key: ColId,
-        /// `true`: `key` matches edge sources (forward CSR).
+        /// The absorbed scan (the semi-join's right side), keyed by the
+        /// endpoint shared with `left`.
+        scan: ScanInfo,
+        /// `true`: the key matches edge sources (forward CSR).
         forward: bool,
-        /// Node-label restriction on the edge's source endpoint.
-        src_labels: Option<Vec<NodeLabelId>>,
-        /// Node-label restriction on the edge's target endpoint.
-        tgt_labels: Option<Vec<NodeLabelId>>,
     },
     /// Merge union of two canonical inputs.
     Union {
@@ -247,6 +249,35 @@ pub enum PhysOp {
     },
 }
 
+/// The children of a plan node's operator, by shared or by mutable
+/// reference, in two slots: the one match behind `kids` and `kids_mut`.
+macro_rules! children {
+    ($op:expr) => {
+        match $op {
+            PhysOp::EdgeScan { .. }
+            | PhysOp::DenormEdgeScan { .. }
+            | PhysOp::NodeScan { .. }
+            | PhysOp::RecRef { .. } => [None, None],
+            PhysOp::FilteredEdgeScan { filter: c, .. }
+            | PhysOp::IndexJoin { probe: c, .. }
+            | PhysOp::IndexSemiJoin { left: c, .. }
+            | PhysOp::Project { input: c }
+            | PhysOp::Select { input: c, .. }
+            | PhysOp::Rename { input: c } => [Some(c), None],
+            PhysOp::MergeJoin { left, right, .. }
+            | PhysOp::HashJoin { left, right, .. }
+            | PhysOp::MergeSemiJoin { left, right, .. }
+            | PhysOp::HashSemiJoin { left, right, .. }
+            | PhysOp::Union { left, right }
+            | PhysOp::Fixpoint {
+                base: left,
+                step: right,
+                ..
+            } => [Some(left), Some(right)],
+        }
+    };
+}
+
 impl PhysOp {
     /// The operator kind as a static string — the key the observability
     /// layer profiles by (`sgq_obs::OpKindProfile`) and the name an
@@ -271,40 +302,45 @@ impl PhysOp {
             PhysOp::RecRef { .. } => "RecRef",
         }
     }
+
+    /// Whether the operator combines inputs: two of them, or one and the
+    /// store (anything but a scan, a projection, a selection or a rename).
+    fn combines(&self) -> bool {
+        let [_, second] = children!(self);
+        let probes = matches!(
+            self,
+            PhysOp::FilteredEdgeScan { .. } | PhysOp::IndexJoin { .. }
+        );
+        second.is_some() || probes || matches!(self, PhysOp::IndexSemiJoin { .. })
+    }
 }
 
 impl PhysPlan {
     /// Child plans, for rendering and cost splitting.
     pub fn children(&self) -> Vec<&PhysPlan> {
-        match &self.op {
-            PhysOp::EdgeScan { .. }
-            | PhysOp::DenormEdgeScan { .. }
-            | PhysOp::NodeScan { .. }
-            | PhysOp::RecRef { .. } => vec![],
-            PhysOp::FilteredEdgeScan { filter, .. } => vec![filter],
-            PhysOp::IndexJoin { probe, .. } => vec![probe],
-            PhysOp::IndexSemiJoin { left, .. } => vec![left],
-            PhysOp::MergeJoin { left, right, .. }
-            | PhysOp::HashJoin { left, right, .. }
-            | PhysOp::MergeSemiJoin { left, right, .. }
-            | PhysOp::HashSemiJoin { left, right, .. }
-            | PhysOp::Union { left, right } => vec![left, right],
-            PhysOp::Project { input } | PhysOp::Select { input, .. } | PhysOp::Rename { input } => {
-                vec![input]
-            }
-            PhysOp::Fixpoint { base, step, .. } => vec![base, step],
-        }
+        self.kids().collect()
+    }
+
+    fn kids(&self) -> impl Iterator<Item = &PhysPlan> {
+        children!(&self.op).into_iter().flatten().map(|c| &**c)
+    }
+
+    fn kids_mut(&mut self) -> impl Iterator<Item = &mut PhysPlan> {
+        children!(&mut self.op)
+            .into_iter()
+            .flatten()
+            .map(|c| &mut **c)
+    }
+
+    /// How many parents read this node's result (1 unless shared).
+    pub fn parents(&self) -> u32 {
+        self.parents
     }
 
     /// Number of nodes (ids are dense, so this is `max id + 1`).
     pub fn node_count(&self) -> usize {
-        let mut max = self.id;
-        let mut stack = self.children();
-        while let Some(p) = stack.pop() {
-            max = max.max(p.id);
-            stack.extend(p.children());
-        }
-        max as usize + 1
+        let below = self.kids().map(PhysPlan::node_count).max();
+        below.unwrap_or(0).max(self.id as usize + 1)
     }
 
     /// Whether the subtree references no recursion variable (and can
@@ -317,13 +353,13 @@ impl PhysPlan {
     /// i.e. the planner consulted runtime feedback for this plan. The
     /// service counts such prepares as `feedback_hits`.
     pub fn uses_memo(&self) -> bool {
-        self.memo_est || self.children().iter().any(|c| c.uses_memo())
+        self.memo_est || self.kids().any(PhysPlan::uses_memo)
     }
 
     /// Whether any node of the subtree satisfies `pred` — how tests and
     /// the harness assert a plan contains a strategy.
     pub fn contains_op(&self, pred: &dyn Fn(&PhysOp) -> bool) -> bool {
-        pred(&self.op) || self.children().iter().any(|c| c.contains_op(pred))
+        pred(&self.op) || self.kids().any(|c| c.contains_op(pred))
     }
 
     /// The estimated rows of this operator's morsel-partitionable probe
@@ -366,8 +402,180 @@ pub fn plan(term: &RaTerm, store: &RelStore) -> Result<PhysPlan> {
         store,
         sums: &sums,
         next_id: 0,
+        combining: Vec::with_capacity(sums.len()),
     };
-    planner.lower(term, 0)
+    let mut root = planner.lower(term, 0)?;
+    // Copies of a shared sub-plan have combining nodes of equal
+    // (rename-invariant) fingerprints; only then classify every node and
+    // renumber a plan that shares something.
+    planner.combining.sort_unstable();
+    if !planner.combining.windows(2).any(|w| w[0] == w[1]) {
+        return Ok(root);
+    }
+    let class = vec![0; planner.next_id as usize];
+    let mut s = Sharing {
+        class,
+        ..Sharing::default()
+    };
+    s.classify(&root);
+    if s.readers.iter().any(|&r| r > 1) {
+        s.new = vec![0; s.class.len()];
+        s.renumber(&mut root, None);
+    }
+    Ok(root)
+}
+
+/// Finding shared sub-plans by hash-consing. Before renumbering, ids are
+/// the lowering's post-order: a subtree's ids are contiguous, and two
+/// occurrences of one class correspond at equal offsets from their roots.
+#[derive(Default)]
+struct Sharing {
+    /// Key hash → class; per class, its exact key ([`Sharing::shape`]) as
+    /// the operator kind and a span of `keys`, its first occurrence's
+    /// lowering id, whether it is static and combining (worth evaluating
+    /// once), and if so its readers: one per parent class and child slot,
+    /// as every occurrence of a class has the same children and below a
+    /// later occurrence nothing runs.
+    index: FxHashMap<u64, u32>,
+    keys: Vec<u32>,
+    spans: Vec<(&'static str, usize, usize)>,
+    first: Vec<u32>,
+    worth: Vec<bool>,
+    readers: Vec<u32>,
+    /// Per lowering id: its class, then its final id.
+    class: Vec<u32>,
+    new: Vec<u32>,
+    next: u32,
+    /// One node's key and the columns it numbers.
+    key: Vec<u32>,
+    seen: Vec<ColId>,
+}
+
+impl Sharing {
+    /// Classifies `p`'s subtree; returns whether it combines inputs. On a
+    /// hash match the keys are compared exactly; a collision only costs
+    /// a missed share.
+    fn classify(&mut self, p: &PhysPlan) -> bool {
+        let mut combines = p.op.combines();
+        for c in p.kids() {
+            combines |= self.classify(c);
+        }
+        let mut key = std::mem::take(&mut self.key);
+        self.shape(p, &mut key);
+        let kind = p.op.kind();
+        let mut hasher = FxHasher::default();
+        (kind, &key).hash(&mut hasher);
+        let hash = hasher.finish();
+        let same =
+            |(k, start, end): (&str, usize, usize)| k == kind && self.keys[start..end] == key;
+        let k = match self.index.get(&hash).copied() {
+            Some(k) if same(self.spans[k as usize]) => k,
+            _ => {
+                let fresh = self.first.len() as u32;
+                self.index.entry(hash).or_insert(fresh);
+                self.spans
+                    .push((kind, self.keys.len(), self.keys.len() + key.len()));
+                self.keys.extend(&key);
+                self.first.push(p.id);
+                self.worth.push(p.is_static() && combines);
+                self.readers.push(0);
+                for c in p.kids().map(|c| self.class[c.id as usize] as usize) {
+                    self.readers[c] += u32::from(self.worth[c]);
+                }
+                fresh
+            }
+        };
+        self.class[p.id as usize] = k;
+        self.key = key;
+        combines
+    }
+
+    /// Writes `p`'s exact, order-sensitive key up to renaming: its
+    /// children's classes, then its columns, labels, CSR direction and
+    /// column parameters, the recursion variable it binds or references,
+    /// and each child's columns and free recursion variables — columns
+    /// and variables numbered by first appearance. Left out is what the
+    /// columns imply (join keys, an index join's new column) and what
+    /// leaves the rows alone (build sides, merge or hash filtering).
+    fn shape(&mut self, p: &PhysPlan, key: &mut Vec<u32>) {
+        key.clear();
+        key.extend(p.kids().map(|c| self.class[c.id as usize]));
+        let seen = &mut self.seen;
+        seen.clear();
+        number(key, seen, &p.cols);
+        let mut var = None;
+        match &p.op {
+            PhysOp::EdgeScan { label } | PhysOp::FilteredEdgeScan { label, .. } => {
+                key.push(label.raw())
+            }
+            PhysOp::DenormEdgeScan {
+                label,
+                src_label,
+                tgt_label,
+            } => {
+                let end = |l: &Option<NodeLabelId>| l.map_or(0, |l| l.raw() + 1);
+                key.extend([label.raw(), end(src_label), end(tgt_label)]);
+            }
+            PhysOp::NodeScan { labels } => key.extend(labels.iter().map(|l| l.raw())),
+            PhysOp::IndexJoin {
+                scan: s, forward, ..
+            }
+            | PhysOp::IndexSemiJoin {
+                scan: s, forward, ..
+            } => {
+                key.extend([s.label.raw(), *forward as u32]);
+                for ls in [&s.src_labels, &s.tgt_labels] {
+                    key.push(ls.as_ref().map_or(u32::MAX, |l| l.len() as u32));
+                    key.extend(ls.iter().flatten().map(|l| l.raw()));
+                }
+                number(key, seen, &[s.src, s.tgt]);
+            }
+            PhysOp::Select { a, b, .. } => number(key, seen, &[*a, *b]),
+            PhysOp::Fixpoint { var: v, .. } | PhysOp::RecRef { var: v } => var = Some(*v),
+            _ => {}
+        }
+        let mut vars = Vec::new();
+        number(key, &mut vars, var.as_slice());
+        for c in p.kids() {
+            number(key, seen, &c.cols);
+            number(key, &mut vars, &c.free_rec);
+        }
+    }
+
+    /// Gives every node its final id, in post-order, and its parent
+    /// count. A later occurrence of a shared class (`copy` = the first
+    /// occurrence's root and its own) takes the first occurrence's ids,
+    /// offset by offset, which post-order assigned already.
+    fn renumber(&mut self, p: &mut PhysPlan, copy: Option<(u32, u32)>) {
+        let (old, c) = (p.id, self.class[p.id as usize] as usize);
+        p.parents = self.readers[c].max(1);
+        p.later = p.parents > 1 && self.first[c] != old;
+        let copy = copy.or(p.later.then_some((self.first[c], old)));
+        for child in p.kids_mut() {
+            self.renumber(child, copy);
+        }
+        p.id = match copy {
+            Some((first, root)) => self.new[(old - (root - first)) as usize],
+            None => {
+                self.next += 1;
+                self.next - 1
+            }
+        };
+        self.new[old as usize] = p.id;
+    }
+}
+
+/// Appends `ids`' length and each id's index of first appearance in
+/// `seen`.
+fn number<T: PartialEq + Copy>(key: &mut Vec<u32>, seen: &mut Vec<T>, ids: &[T]) {
+    key.push(ids.len() as u32);
+    for id in ids {
+        let i = seen.iter().position(|s| s == id).unwrap_or(seen.len());
+        if i == seen.len() {
+            seen.push(*id);
+        }
+        key.push(i as u32);
+    }
 }
 
 struct Planner<'a> {
@@ -376,6 +584,8 @@ struct Planner<'a> {
     /// node together with its index here.
     sums: &'a [Summary],
     next_id: u32,
+    /// The fingerprints of the static combining nodes lowered so far.
+    combining: Vec<u64>,
 }
 
 impl<'a> Planner<'a> {
@@ -392,8 +602,13 @@ impl<'a> Planner<'a> {
         let id = self.next_id;
         self.next_id += 1;
         let e = &self.sums[at];
+        if free_rec.is_empty() && op.combines() {
+            self.combining.push(e.fp);
+        }
         PhysPlan {
             id,
+            parents: 1,
+            later: false,
             cols,
             est: Estimate {
                 rows: e.rows(),
@@ -594,7 +809,7 @@ impl<'a> Planner<'a> {
         let (ea, eb) = (sums[l].estimate(), sums[r].estimate());
         // The cheapest indexable orientation: (scan, scan-on-the-left,
         // forward, cost).
-        let mut best: Option<(IndexableScan, bool, bool, f64)> = None;
+        let mut best: Option<(ScanInfo, bool, bool, f64)> = None;
         for (scan_term, probe, scan_left) in [(a, r, true), (b, l, false)] {
             let Some(s) = indexable_scan(scan_term) else {
                 continue;
@@ -634,11 +849,7 @@ impl<'a> Planner<'a> {
         } else {
             self.lower(a, l)?
         };
-        let (key, out) = if forward {
-            (s.src, s.tgt)
-        } else {
-            (s.tgt, s.src)
-        };
+        let [(key, _), (out, _)] = s.endpoints(forward);
         // Output schema stays the standard join layout (left's columns,
         // then the right side's non-shared columns), so sibling plans —
         // e.g. the two arms of a union — agree on column order no matter
@@ -654,12 +865,8 @@ impl<'a> Planner<'a> {
         let free = probe.free_rec.clone();
         let op = PhysOp::IndexJoin {
             probe: Box::new(probe),
-            label: s.label,
-            key,
-            out,
+            scan: s,
             forward,
-            src_labels: s.src_labels,
-            tgt_labels: s.tgt_labels,
         };
         Ok(Some(self.node(at, cols, index_cost, free, op)))
     }
@@ -689,7 +896,7 @@ impl<'a> Planner<'a> {
             (false, true) => false,
             _ => return Ok(None),
         };
-        let key = if forward { s.src } else { s.tgt };
+        let key = s.endpoints(forward)[0].0;
         let (ea, eb) = (sums[l].estimate(), sums[r].estimate());
         let index_cost = cost::index_semijoin_cost(&ea);
         // Merge filtering needs the key to lead both sides; the scan side
@@ -708,11 +915,8 @@ impl<'a> Planner<'a> {
         let free = left.free_rec.clone();
         let op = PhysOp::IndexSemiJoin {
             left: Box::new(left),
-            label: s.label,
-            key,
+            scan: s,
             forward,
-            src_labels: s.src_labels,
-            tgt_labels: s.tgt_labels,
         };
         Ok(Some(self.node(at, cols, index_cost, free, op)))
     }
@@ -816,60 +1020,29 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// A join side the planner can replace with CSR index probes: a base
-/// edge scan, optionally renamed and filtered by node-label semi-joins
-/// on its endpoints. `src`/`tgt` are the column ids the scan exposes
-/// after renames; the label lists use intersection semantics across
-/// stacked filters (a node passes when its label is in the list).
-struct IndexableScan {
-    label: EdgeLabelId,
-    src: ColId,
-    tgt: ColId,
-    src_labels: Option<Vec<NodeLabelId>>,
-    tgt_labels: Option<Vec<NodeLabelId>>,
-}
-
-/// Recognises the indexable-scan shape (see [`IndexableScan`]). Renames
-/// of columns the scan does not expose, filters that are not node scans
-/// on an endpoint, and degenerate scans (`src == tgt`) all return `None`
-/// so the term falls back to the scan-based strategies.
-fn indexable_scan(term: &RaTerm) -> Option<IndexableScan> {
+/// Recognises a join side the planner can replace with CSR index probes:
+/// a base edge scan, optionally renamed and filtered by node-label
+/// semi-joins on its endpoints (intersected across stacked filters).
+/// Renames of columns the scan does not expose, filters that are not
+/// node scans on an endpoint, and degenerate scans (`src == tgt`) all
+/// return `None` so the term falls back to the scan-based strategies.
+fn indexable_scan(term: &RaTerm) -> Option<ScanInfo> {
     match term {
-        RaTerm::EdgeScan { label, src, tgt } if src != tgt => Some(IndexableScan {
-            label: *label,
-            src: *src,
-            tgt: *tgt,
-            src_labels: None,
-            tgt_labels: None,
-        }),
+        RaTerm::EdgeScan { label, src, tgt } if src != tgt => {
+            Some(ScanInfo::bare(*label, *src, *tgt))
+        }
         RaTerm::Rename { input, from, to } => {
             let mut s = indexable_scan(input)?;
-            if s.src == *from {
-                s.src = *to;
-            } else if s.tgt == *from {
-                s.tgt = *to;
-            } else {
-                return None;
-            }
-            (s.src != s.tgt).then_some(s)
+            let exposed = [s.src, s.tgt].contains(from);
+            s.rename(*from, *to);
+            (exposed && s.src != s.tgt).then_some(s)
         }
         RaTerm::Semijoin(left, filter) => {
-            let mut s = indexable_scan(left)?;
+            let s = indexable_scan(left)?;
             let RaTerm::NodeScan { labels, col } = &**filter else {
                 return None;
             };
-            let slot = if *col == s.src {
-                &mut s.src_labels
-            } else if *col == s.tgt {
-                &mut s.tgt_labels
-            } else {
-                return None;
-            };
-            *slot = Some(match slot.take() {
-                Some(prev) => prev.into_iter().filter(|l| labels.contains(l)).collect(),
-                None => labels.clone(),
-            });
-            Some(s)
+            [s.src, s.tgt].contains(col).then(|| s.refine(*col, labels))
         }
         _ => None,
     }
@@ -984,14 +1157,13 @@ mod tests {
         match &p.op {
             PhysOp::IndexJoin {
                 probe,
+                scan,
                 forward,
-                key,
-                out,
-                ..
             } => {
                 assert!(*forward, "y is isLocatedIn's source: forward CSR");
-                assert_eq!(*key, store.symbols.col("y"));
-                assert_eq!(*out, store.symbols.col("z"));
+                let [(key, _), (out, _)] = scan.endpoints(*forward);
+                assert_eq!(key, store.symbols.col("y"));
+                assert_eq!(out, store.symbols.col("z"));
                 assert!(
                     matches!(probe.op, PhysOp::EdgeScan { .. }),
                     "owns is the probe: {probe:?}"
@@ -1026,17 +1198,13 @@ mod tests {
         let t = RaTerm::join(scan(&db, &store, "owns", "x", "y"), filtered);
         let p = plan(&t, &store).unwrap();
         match &p.op {
-            PhysOp::IndexJoin {
-                src_labels,
-                tgt_labels,
-                ..
-            } => {
+            PhysOp::IndexJoin { scan, .. } => {
                 assert_eq!(
-                    src_labels.as_deref(),
+                    scan.src_labels.as_deref(),
                     Some(&[db.node_label_id("CITY").unwrap()][..])
                 );
                 assert_eq!(
-                    tgt_labels.as_deref(),
+                    scan.tgt_labels.as_deref(),
                     Some(&[db.node_label_id("REGION").unwrap()][..])
                 );
             }
@@ -1057,8 +1225,8 @@ mod tests {
         let t = RaTerm::semijoin(left, scan(&db, &store, "isLocatedIn", "y", "q"));
         let p = plan(&t, &store).unwrap();
         match &p.op {
-            PhysOp::IndexSemiJoin { key, forward, .. } => {
-                assert_eq!(*key, store.symbols.col("y"));
+            PhysOp::IndexSemiJoin { scan, forward, .. } => {
+                assert_eq!(scan.endpoints(*forward)[0].0, store.symbols.col("y"));
                 assert!(*forward);
             }
             other => panic!("expected index semi-join, got {other:?}"),
@@ -1227,6 +1395,56 @@ mod tests {
             PhysOp::Project { ref input } if matches!(input.op, PhysOp::IndexJoin { .. })
         ));
         assert_eq!(p.node_count(), 3);
+    }
+
+    #[test]
+    fn rename_equivalent_subtrees_share_one_id() {
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let s = &store.symbols;
+        let (x, z) = (s.col("x"), s.col("z"));
+        // π_head(owns(x,mid) ⋈ isLocatedIn(mid,z)).
+        let hop = |mid: &str, head: Vec<ColId>| {
+            let j = RaTerm::join(
+                scan(&db, &store, "owns", "x", mid),
+                scan(&db, &store, "isLocatedIn", mid, "z"),
+            );
+            RaTerm::project(j, head)
+        };
+        let arms = |p: &PhysPlan| match &p.op {
+            PhysOp::Union { left, right } => (left.clone(), right.clone()),
+            other => panic!("expected a union, got {other:?}"),
+        };
+        // The arms differ only in the join column's name: one node (and
+        // one subtree of ids) read by both, so the ids stay dense.
+        let p = plan(
+            &RaTerm::union(hop("y", vec![x, z]), hop("m", vec![x, z])),
+            &store,
+        )
+        .unwrap();
+        let (l, r) = arms(&p);
+        assert_eq!((l.id, l.parents(), r.parents()), (r.id, 2, 2));
+        assert_eq!(l.children()[0].id, r.children()[0].id);
+        assert_ne!(l.children()[0].cols, r.children()[0].cols);
+        assert_eq!(p.node_count(), 4, "union, project, index join, scan");
+        assert!(!l.later && r.later, "only the first renders its subtree");
+        // Column order is part of the shape: π(x,z) ≠ π(z,x), though the
+        // join under both is still one node.
+        let p = plan(
+            &RaTerm::union(hop("y", vec![x, z]), hop("m", vec![z, x])),
+            &store,
+        )
+        .unwrap();
+        let (l, r) = arms(&p);
+        assert_ne!(l.id, r.id);
+        assert_eq!((l.parents(), l.children()[0].parents()), (1, 2));
+        assert_eq!(l.children()[0].id, r.children()[0].id);
+        // A repeated bare scan is not worth a cache entry.
+        let owns = |mid: &str| scan(&db, &store, "owns", "x", mid);
+        let p = plan(&RaTerm::union(owns("y"), owns("m")), &store).unwrap();
+        let (l, r) = arms(&p);
+        assert_ne!(l.id, r.id);
+        assert_eq!((l.parents(), r.parents()), (1, 1));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use sgq_graph::database::fig2_yago_database;
 use sgq_ra::exec::{execute, execute_plan, execute_plan_traced, ExecContext};
 use sgq_ra::optimize::optimize;
 use sgq_ra::term::{closure_fixpoint, RaTerm};
-use sgq_ra::{plan, PhysOp, RelStore, Relation};
+use sgq_ra::{plan, PhysOp, PhysPlan, RelStore, Relation};
 use sgq_translate::ucqt2rra::{path_to_term, NameGen};
 
 /// A random path expression over the Fig. 2 database's edge labels.
@@ -160,6 +160,42 @@ fn physical_plans_match_term_execution() {
             "fixpoint caching changed results (seed {seed}) for {expr:?}"
         );
     }
+}
+
+/// Whether any node of `p` is read by more than one parent.
+fn shares_a_node(p: &PhysPlan) -> bool {
+    p.parents() > 1 || p.children().into_iter().any(shares_a_node)
+}
+
+#[test]
+fn shared_sub_plans_keep_their_column_order() {
+    // π(a,b)(ϕ(a,b)) ∪ π(a,b)(ϕ(b,a)): the two arms' inputs are one
+    // sub-plan up to renaming, evaluated once, but the second arm reads
+    // it with its columns swapped. The answer is ⟦ϕ⟧ ∪ ⟦ϕ⟧⁻¹ by
+    // `eval_path`, which shares no code with the executor.
+    let db = fig2_yago_database();
+    let store = RelStore::load(&db);
+    let (a, b) = (store.symbols.col("a"), store.symbols.col("b"));
+    let mut shared = 0;
+    for seed in 0..96u64 {
+        let mut rng = Rng::seed_from_u64(seed ^ 0x5ade);
+        let expr = random_expr(&db, &mut rng, 3);
+        let mut names = NameGen::new(&store.symbols);
+        let mut arm =
+            |src, tgt| RaTerm::project(path_to_term(&expr, src, tgt, &mut names), vec![a, b]);
+        let p = plan(&RaTerm::union(arm(a, b), arm(b, a)), &store).expect("lowers");
+        shared += shares_a_node(&p) as usize;
+        let rel = execute_plan(&p, &store, &mut ExecContext::new()).expect("executes");
+        let got: Vec<(u32, u32)> = rel.rows().map(|r| (r[0], r[1])).collect();
+        let pairs = sgq_algebra::eval::eval_path(&db, &expr).into_iter();
+        let mut want: Vec<(u32, u32)> = pairs
+            .flat_map(|(s, t)| [(s.raw(), t.raw()), (t.raw(), s.raw())])
+            .collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(got, want, "seed {seed}: {expr:?}");
+    }
+    assert!(shared > 0, "no case shared a sub-plan");
 }
 
 #[test]
@@ -349,8 +385,8 @@ fn label_filtered_index_join_matches_scan_strategies() {
     assert!(
         matches!(
             p.op,
-            PhysOp::IndexJoin { ref src_labels, ref tgt_labels, .. }
-                if src_labels.is_some() && tgt_labels.is_some()
+            PhysOp::IndexJoin { ref scan, .. }
+                if scan.src_labels.is_some() && scan.tgt_labels.is_some()
         ),
         "{p:?}"
     );
@@ -395,7 +431,10 @@ fn index_join_inside_fixpoint_interacts_with_the_step_cache() {
     let mut uncached = ExecContext::new();
     uncached.no_fixpoint_cache = true;
     let r_uncached = execute_plan(&p, &store, &mut uncached).unwrap();
-    assert_eq!(r_cached, r_uncached, "step cache must not change results");
+    assert_eq!(
+        r_cached, r_uncached,
+        "fixpoint caching must not change results"
+    );
     assert!(cached.fixpoint_rounds >= 2, "closure iterates");
     assert_eq!(cached.hash_builds, 0, "the CSR is the build side");
     assert_eq!(uncached.hash_builds, 0);
@@ -809,8 +848,8 @@ fn parallel_index_join_respects_label_filters() {
     assert!(
         matches!(
             p.op,
-            PhysOp::IndexJoin { ref src_labels, ref tgt_labels, .. }
-                if src_labels.is_some() && tgt_labels.is_some()
+            PhysOp::IndexJoin { ref scan, .. }
+                if scan.src_labels.is_some() && scan.tgt_labels.is_some()
         ),
         "{p:?}"
     );

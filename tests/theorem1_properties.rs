@@ -1,23 +1,30 @@
 //! Theorem 1 as an executable property: for a random schema, a random
 //! database conforming to it, and a random path expression, the
 //! schema-enriched query `RS(ϕ)` returns exactly `JϕKD` — under every
-//! redundancy rule and every ablation switch.
+//! redundancy rule and every ablation switch, on the graph engine and on
+//! the relational executor (at DOP 1, and at DOP 2 with one-row morsels),
+//! checked against `eval_path`, which shares no code with either.
 //!
 //! Randomness comes from the in-repo seeded [`Rng`]; every case prints
 //! its seed on failure so it replays deterministically.
 //!
 //! Besides uniformly random expressions, a second generator aims at the
-//! shapes the graph engine treats specially: unions under bounded
-//! repetition and prefixes shared by several disjuncts (the per-query
-//! memo), overloaded edge labels (label atoms that really filter), and
-//! hand-built CQTs with a `src == tgt` relation whose head variables are
-//! bound first and last (early projection, head ordering).
+//! shapes the engines treat specially: unions under bounded repetition
+//! and prefixes shared by several disjuncts (the graph engine's per-query
+//! memo, the relational plan's shared nodes), overloaded edge labels
+//! (label atoms that really filter), and hand-built CQTs with a
+//! `src == tgt` relation whose head variables are bound first and last
+//! (early projection, head ordering).
+
+mod support;
 
 use schema_graph_query::prelude::*;
 use sgq_algebra::eval::{compose, eval_path};
 use sgq_common::{NodeId, Rng, VarId};
 use sgq_engine::GraphEngine;
 use sgq_query::cqt::Relation;
+use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
+use support::{random_database, random_expr, random_schema, random_schema_over, shared_work_expr};
 
 const CASES: u64 = 48;
 
@@ -26,179 +33,70 @@ fn spread(i: u64) -> u64 {
     Rng::seed_from_u64(i).gen_u64()
 }
 
-/// Builds a random schema from a seed: up to 5 node labels, up to 8 schema
-/// edges over up to 4 edge labels (parallel triples allowed — that is what
-/// exercises the inference).
-fn random_schema(seed: u64) -> GraphSchema {
-    random_schema_over(seed, &["r", "s", "t", "u"])
-}
-
-/// The same over the given edge labels: the fewer there are, the more
-/// node-label pairs each one connects (an *overloaded* label).
-fn random_schema_over(seed: u64, edge_labels: &[&str]) -> GraphSchema {
-    let mut rng = Rng::seed_from_u64(seed);
-    let node_labels = ["A", "B", "C", "D", "E"];
-    let n_nodes = rng.gen_range(2..6);
-    let n_edges = rng.gen_range(2..9);
-    let mut b = GraphSchema::builder();
-    for l in node_labels.iter().take(n_nodes) {
-        b.node(l, &[]);
-    }
-    for _ in 0..n_edges {
-        let src = node_labels[rng.gen_range(0..n_nodes)];
-        let tgt = node_labels[rng.gen_range(0..n_nodes)];
-        let le = edge_labels[rng.gen_range(0..edge_labels.len())];
-        b.edge(src, le, tgt);
-    }
-    b.build().expect("random schema is well-formed")
-}
-
-/// Builds a random database conforming to `schema`.
-fn random_database(schema: &GraphSchema, seed: u64) -> GraphDatabase {
-    let mut rng = Rng::seed_from_u64(seed ^ 0x9e37_79b9);
-    let mut b = GraphDatabase::builder(schema);
-    let n_nodes = rng.gen_range(6..30);
-    let labels: Vec<String> = schema
-        .node_labels()
-        .map(|l| schema.node_label_name(l).to_string())
-        .collect();
-    let nodes: Vec<(NodeId, String)> = (0..n_nodes)
-        .map(|_| {
-            let label = labels[rng.gen_range(0..labels.len())].clone();
-            (b.node(&label, &[]), label)
-        })
-        .collect();
-    // For each schema triple, add random conforming edges.
-    let triples: Vec<(String, String, String)> = schema
-        .triples()
-        .iter()
-        .map(|t| {
-            (
-                schema.node_label_name(t.src).to_string(),
-                schema.edge_label_name(t.label).to_string(),
-                schema.node_label_name(t.tgt).to_string(),
-            )
-        })
-        .collect();
-    let n_edges = rng.gen_range(5..60);
-    for _ in 0..n_edges {
-        let (src_l, le, tgt_l) = &triples[rng.gen_range(0..triples.len())];
-        let srcs: Vec<NodeId> = nodes
-            .iter()
-            .filter(|(_, l)| l == src_l)
-            .map(|&(n, _)| n)
-            .collect();
-        let tgts: Vec<NodeId> = nodes
-            .iter()
-            .filter(|(_, l)| l == tgt_l)
-            .map(|&(n, _)| n)
-            .collect();
-        if srcs.is_empty() || tgts.is_empty() {
-            continue;
-        }
-        let s = srcs[rng.gen_range(0..srcs.len())];
-        let t = tgts[rng.gen_range(0..tgts.len())];
-        b.edge(s, le, t);
-    }
-    b.build().expect("random database is well-formed")
-}
-
-/// A seeded recursive random path expression over the schema's labels.
-fn random_expr(schema: &GraphSchema, seed: u64, depth: usize) -> PathExpr {
-    let labels: Vec<sgq_common::EdgeLabelId> = schema.edge_labels().collect();
-    let mut rng = Rng::seed_from_u64(seed ^ 0xdead_beef);
-    build_expr(&mut rng, &labels, depth)
-}
-
-fn build_expr(rng: &mut Rng, labels: &[sgq_common::EdgeLabelId], depth: usize) -> PathExpr {
-    let leaf = depth == 0 || rng.gen_bool(0.3);
-    if leaf {
-        let le = labels[rng.gen_range(0..labels.len())];
-        if rng.gen_bool(0.25) {
-            PathExpr::Reverse(le)
-        } else {
-            PathExpr::Label(le)
-        }
-    } else {
-        match rng.gen_range(0..7) {
-            0 | 1 => PathExpr::concat(
-                build_expr(rng, labels, depth - 1),
-                build_expr(rng, labels, depth - 1),
-            ),
-            2 => PathExpr::union(
-                build_expr(rng, labels, depth - 1),
-                build_expr(rng, labels, depth - 1),
-            ),
-            3 => PathExpr::conj(
-                build_expr(rng, labels, depth - 1),
-                build_expr(rng, labels, depth - 1),
-            ),
-            4 => PathExpr::branch_r(
-                build_expr(rng, labels, depth - 1),
-                build_expr(rng, labels, depth - 1),
-            ),
-            5 => PathExpr::branch_l(
-                build_expr(rng, labels, depth - 1),
-                build_expr(rng, labels, depth - 1),
-            ),
-            _ => PathExpr::plus(build_expr(rng, labels, depth - 1)),
-        }
-    }
-}
-
-/// A seeded expression of one of the shapes the rewrite distributes into
-/// several disjuncts over a common part.
-fn shared_work_expr(schema: &GraphSchema, seed: u64) -> PathExpr {
-    let labels: Vec<sgq_common::EdgeLabelId> = schema.edge_labels().collect();
-    let rng = &mut Rng::seed_from_u64(seed ^ 0x5a4e_d001);
-    let mut part = |depth| build_expr(rng, &labels, depth);
-    match seed % 4 {
-        // (a ∪ b){1,2}: union under bounded repetition.
-        0 => PathExpr::repeat(PathExpr::union(part(0), part(1)), 1, 2),
-        // a{1,3}/(b ∪ c/d): the shape of LDBC IC1.
-        1 => PathExpr::concat(
-            PathExpr::repeat(part(0), 1, 3),
-            PathExpr::union(part(0), PathExpr::concat(part(0), part(0))),
-        ),
-        // p/(a ∪ b ∪ c) with a composite prefix p.
-        2 => PathExpr::concat(
-            PathExpr::concat(part(1), part(0)),
-            PathExpr::union(PathExpr::union(part(0), part(0)), part(1)),
-        ),
-        // a+/(b ∪ c)/d: a closure prefix shared by both branches.
-        _ => PathExpr::concat(
-            PathExpr::concat(PathExpr::plus(part(0)), PathExpr::union(part(0), part(0))),
-            part(0),
-        ),
-    }
-}
-
 fn engine_pairs(db: &GraphDatabase, query: &Ucqt) -> Vec<(NodeId, NodeId)> {
     let rows = GraphEngine::new(db).run_ucqt(query).expect("engine runs");
     rows.iter().map(|r| (r[0], r[1])).collect()
 }
 
-/// Evaluates a rewrite outcome and the baseline query on the graph engine
-/// and compares both against the reference semantics of the original
-/// expression.
+/// The relational answer: translate → optimise → plan → `execute_plan`,
+/// at DOP 1 and at DOP 2 with every probe split into one-row morsels
+/// (which must agree). Also says whether the plan shares a node.
+fn relational_pairs(store: &RelStore, query: &Ucqt) -> (Vec<(NodeId, NodeId)>, bool) {
+    let term = ucqt_to_term(query, &mut NameGen::new(&store.symbols)).expect("translates");
+    let p = plan(&sgq_ra::optimize::optimize(&term, store), store).expect("plans");
+    let head = [store.symbols.col("v0"), store.symbols.col("v1")];
+    let [serial, parallel] = [1, 2].map(|dop| {
+        let mut ctx = ExecContext::new();
+        (ctx.dop, ctx.parallel_threshold, ctx.morsel_rows) = (dop, 1, 1);
+        let rel = execute_plan(&p, store, &mut ctx).expect("executes");
+        let rows = rel.project(&head);
+        let pairs = rows.rows().map(|r| (NodeId::new(r[0]), NodeId::new(r[1])));
+        pairs.collect::<Vec<_>>()
+    });
+    assert_eq!(serial, parallel, "DOP 2 diverged from DOP 1 on {query:?}");
+    (serial, support::shares_a_node(&p))
+}
+
+/// Evaluates the baseline query and the rewrite outcome on the graph
+/// engine and on the relational executor, and compares every answer
+/// against the reference semantics of the original expression. Returns
+/// how many of the relational plans shared a node.
 fn check_equivalence(
     schema: &GraphSchema,
     db: &GraphDatabase,
     expr: &PathExpr,
     opts: RewriteOptions,
-) {
+) -> usize {
+    let store = RelStore::load(db);
     let reference = eval_path(db, expr);
-    let baseline = engine_pairs(db, &Ucqt::path_query(expr.clone()));
-    assert_eq!(&reference, &baseline, "baseline diverged for ϕ = {expr:?}");
-    let rewritten = sgq_core::pipeline::rewrite_path(schema, expr, opts);
-    let pairs: Vec<(NodeId, NodeId)> = match &rewritten.outcome {
-        RewriteOutcome::Empty => Vec::new(),
-        RewriteOutcome::Enriched(q) | RewriteOutcome::Reverted(q) => engine_pairs(db, q),
-    };
+    let baseline = Ucqt::path_query(expr.clone());
+    assert_eq!(
+        &reference,
+        &engine_pairs(db, &baseline),
+        "baseline diverged for ϕ = {expr:?}"
+    );
+    let (pairs, mut shared) = relational_pairs(&store, &baseline);
     assert_eq!(
         &reference, &pairs,
-        "RS(ϕ) diverged (opts {opts:?}) for ϕ = {expr:?}"
+        "relational baseline diverged for ϕ = {expr:?}"
     );
+    let rewritten = sgq_core::pipeline::rewrite_path(schema, expr, opts);
+    if let Some(q) = rewritten.outcome.query() {
+        assert_eq!(
+            &reference,
+            &engine_pairs(db, q),
+            "RS(ϕ) diverged (opts {opts:?}) for ϕ = {expr:?}"
+        );
+        let (pairs, s) = relational_pairs(&store, q);
+        assert_eq!(
+            &reference, &pairs,
+            "relational RS(ϕ) diverged (opts {opts:?}) for ϕ = {expr:?}"
+        );
+        shared |= s;
+    } else {
+        assert!(reference.is_empty(), "RS(ϕ) claims ϕ = {expr:?} is empty");
+    }
+    shared as usize
 }
 
 #[test]
@@ -215,13 +113,17 @@ fn theorem1_default_options() {
 
 #[test]
 fn theorem1_shared_work_over_overloaded_labels() {
+    let mut shared = 0;
     for i in 0..CASES {
         let seed = spread(i ^ 0x5a4);
         let schema = random_schema_over(seed, &["r", "s"]);
         let db = random_database(&schema, seed);
         let expr = shared_work_expr(&schema, seed.rotate_left(23));
-        check_equivalence(&schema, &db, &expr, RewriteOptions::default());
+        shared += check_equivalence(&schema, &db, &expr, RewriteOptions::default());
     }
+    // The shapes are the rewrite's shared work: some relational plan must
+    // evaluate a shared node, or the property never reaches that path.
+    assert!(shared > 0, "no case planned a shared node");
 }
 
 /// `{(x0, x1) | (x0, a, x2) ∧ (x2, b, x2) ∧ (x2, c, x1)}` against the
