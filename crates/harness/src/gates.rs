@@ -214,9 +214,13 @@ fn strategy(run: &Run, cat: &Catalog, store: &RelStore) -> Option<String> {
 /// One line that is equal at two commits iff `cat`'s cold-pass plans
 /// are: statements planned, the nodes of their optimised terms and of
 /// their plans, and a digest of every plan's `EXPLAIN` text — so "plans
-/// unchanged" is a one-line diff of this experiment's output.
+/// unchanged" is a one-line diff of this experiment's output. A second
+/// line counts the nodes of the translated and the optimised terms, and
+/// how many are distinct: the repeated sub-terms the front end's term
+/// DAG handles once.
 fn plans_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> String {
     let (mut planned, mut term_nodes, mut plan_nodes) = (0, 0, 0);
+    let mut sizes = [[0; 2]; 2];
     let mut digest = FxHasher::default();
     for (q, run) in cat.queries.iter().zip(&cold.runs) {
         let prepared = run.as_ref().and_then(|r| r.prepared.as_deref());
@@ -230,15 +234,23 @@ fn plans_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> String {
         };
         let term = ucqt_to_term(&query, &mut NameGen::new(&store.symbols)).expect("planned once");
         planned += 1;
-        term_nodes += sgq_ra::optimize::optimize(&term, store).size();
+        let optimised = sgq_ra::optimize::optimize(&term, store);
+        term_nodes += optimised.size();
+        for (n, t) in sizes.iter_mut().zip([&term, &optimised]) {
+            (n[0], n[1]) = (n[0] + t.size(), n[1] + t.distinct());
+        }
         plan_nodes += plan.node_count();
         sgq_ra::explain::explain_plan(plan, store, &*cat.db).hash(&mut digest);
     }
+    let [[tn, td], [on, od]] = sizes;
     format!(
         "{}: {planned} statements planned, {term_nodes} optimised term nodes, \
-         {plan_nodes} plan nodes, plans digest {:016x}\n",
+         {plan_nodes} plan nodes, plans digest {:016x}\n\
+         {}: translated terms {tn} term nodes, {td} distinct; \
+         optimised terms {on} term nodes, {od} distinct\n",
         cat.name,
-        digest.finish()
+        digest.finish(),
+        cat.name,
     )
 }
 

@@ -1,16 +1,16 @@
 //! Cardinality estimation over [`sgq_graph::GraphStats`]: one step per
-//! operator, folded once.
+//! distinct operator node.
 //!
 //! **The step.** Everything the front end derives for a term node is
-//! one `Summary`: output columns, the `Card` (estimated rows, a
+//! one `Summary`: the `Card` (estimated rows, a
 //! distinct-value estimate per column, and for a — possibly
 //! label-filtered — scan its **label pedigree**), the rename-invariant
 //! fingerprint, the cost split into a recursion-independent part (paid
 //! once per fixpoint) and a recursion-dependent part (paid every round),
 //! whether the rows came from the feedback memo, and the deepest closure
 //! bound of the edge labels underneath. `Estimator::step` computes a
-//! node's summary from the node's own fields and its children's
-//! summaries — it never descends. The formulas, all off measured
+//! node's summary from the node's own fields and its children's columns
+//! and summaries — it never descends. The formulas, all off measured
 //! statistics:
 //!
 //! * a scan filtered by node-label semi-joins is estimated straight from
@@ -27,18 +27,19 @@
 //!   its step cost by that factor — the static part is computed (and, in
 //!   the executor, cached) once;
 //! * a recursive reference is estimated at the base case of the fixpoint
-//!   that binds it. That binding is the only state a fold carries, and
-//!   `Estimator::within` is the only place it is made.
+//!   that binds it, made by `Estimator::bind`.
 //!
-//! **Who folds.** `Estimator::fold` walks a term once, bottom-up, and
-//! returns every node's summary in preorder. [`estimate`] and
-//! [`fingerprint`] are its root entry; [`crate::plan::plan`] folds the
-//! term once and lowers it reading the summaries — an operand absorbed
-//! into an index join or a slice scan is summarised by the same fold and
-//! never lowered; [`mod@crate::optimize`] folds each operand of a join
-//! chain once and scores every greedy candidate with a single
-//! `Estimator::join` step over two summaries. No caller re-enters the
-//! estimator for a node it already has a summary of.
+//! **Who folds.** An `Estimator` belongs to one `optimize` or `plan` call
+//! and its term DAG ([`crate::term`]). `Estimator::summary` memoises each
+//! node's summary per (node, binding frame): a static node under frame 0,
+//! a node with free recursion variables under the frame of the enclosing
+//! fixpoints' bindings. [`estimate`] and [`fingerprint`] are the root
+//! entry; [`crate::plan::plan`] lowers its DAG reading the summaries — an
+//! operand absorbed into an index join or a slice scan is summarised and
+//! never lowered; [`mod@crate::optimize`] summarises every operand of a
+//! join chain once and scores a greedy candidate once per pair of operand
+//! summaries (`Estimator::join`). No caller re-enters the estimator for a
+//! node it already has a summary of.
 //!
 //! **Runtime feedback.** The **fingerprint** is a bottom-up hash over
 //! operator kinds, edge labels, node-label filters and join-key
@@ -50,14 +51,19 @@
 //! whether this exact recursion-independent subtree has executed
 //! before; if so the *observed* cardinality replaces the formula's, so
 //! re-prepared queries get measured row counts where it matters (join
-//! ordering, build sides, index-vs-hash).
+//! ordering, build sides, index-vs-hash). An estimator asks once per
+//! fingerprint and keeps the answer: every node of one fingerprint in a
+//! call sees the same observation, even while other sessions feed the
+//! memo.
 
 use std::hash::{Hash, Hasher};
 
+use sgq_common::hash::map_with_capacity;
 use sgq_common::{ColId, EdgeLabelId, FxHashMap, FxHasher, NodeLabelId, RecVarId};
 
+use crate::feedback::Observation;
 use crate::storage::RelStore;
-use crate::term::RaTerm;
+use crate::term::{Dag, Id, NodeMemo, Op, RaTerm};
 
 /// An estimate for one term: output rows and cumulative cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,7 +101,7 @@ pub fn q_error(est: f64, actual: f64) -> f64 {
 /// Estimates `term` against the statistics in `store`, outside any
 /// fixpoint (recursive references fall back to 1 row).
 pub fn estimate(term: &RaTerm, store: &RelStore) -> Estimate {
-    Estimator::new(store).root(term).estimate()
+    root(term, store).estimate()
 }
 
 /// The structural fingerprint of `term`: a bottom-up hash over operator
@@ -103,7 +109,15 @@ pub fn estimate(term: &RaTerm, store: &RelStore) -> Estimate {
 /// Invariant under column renaming (columns enter as positions in their
 /// child's output schema) and under join operand order.
 pub fn fingerprint(term: &RaTerm, store: &RelStore) -> u64 {
-    Estimator::new(store).root(term).fp
+    root(term, store).fp
+}
+
+/// The summary of `term`'s root, outside any fixpoint.
+fn root(term: &RaTerm, store: &RelStore) -> Summary {
+    let (dag, id) = Dag::of(term, false);
+    let mut est = Estimator::new(store, dag.len().0);
+    let s = est.summary(&dag, id);
+    est.sums.swap_remove(s as usize)
 }
 
 // Fingerprint hashing. Tags keep distinct operators from colliding;
@@ -492,8 +506,6 @@ fn semijoin_card(a: &Card, b: &Card, shared: &[ColId], store: &RelStore) -> Card
 /// [`Estimator::step`] from the summaries of the node's children.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Summary {
-    /// Output columns, in order (what [`RaTerm::cols`] would recompute).
-    pub(crate) cols: Vec<ColId>,
     card: Card,
     /// Structural fingerprint of the subtree.
     pub(crate) fp: u64,
@@ -509,21 +521,17 @@ pub(crate) struct Summary {
     dy: f64,
     /// Deepest measured closure bound among the subtree's edge labels.
     depth: usize,
-    /// Term nodes in the subtree: in a preorder fold a node's first child
-    /// follows it directly and its second follows the first's subtree.
-    pub(crate) size: usize,
 }
 
 impl Summary {
     /// A node over `kids` with `local` cost of its own: the node is
     /// dynamic as soon as any input depends on a recursive reference,
     /// and only then does its local cost join the per-round bucket.
-    fn over(kids: &[&Summary], local: f64, cols: Vec<ColId>, card: Card, fp: u64) -> Summary {
+    fn over(kids: &[&Summary], local: f64, card: Card, fp: u64) -> Summary {
         let dep = kids.iter().any(|k| k.dep);
         let st: f64 = kids.iter().map(|k| k.st).sum();
         let dy: f64 = kids.iter().map(|k| k.dy).sum();
         Summary {
-            cols,
             card,
             fp,
             memo: false,
@@ -531,7 +539,6 @@ impl Summary {
             st: if dep { st } else { st + local },
             dy: if dep { dy + local } else { dy },
             depth: kids.iter().map(|k| k.depth).max().unwrap_or(0),
-            size: 1 + kids.iter().map(|k| k.size).sum::<usize>(),
         }
     }
 
@@ -554,21 +561,20 @@ impl Summary {
     }
 }
 
-/// The second child of a binary node whose descendants' summaries, in
-/// preorder, are `below`.
-fn second(below: &[Summary]) -> &Summary {
-    &below[below[0].size]
-}
-
 #[cfg(test)]
 thread_local! {
-    /// Estimator steps taken on this thread — what the one-fold tests count.
+    /// Estimator steps taken on this thread, and how many of them scored
+    /// a greedy join candidate — what the one-step-per-node tests count.
     pub(crate) static STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    pub(crate) static JOIN_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// One fold of the estimator over a term: the statistics and memo of
-/// `store`, plus the only state a fold carries — the enclosing fixpoints'
-/// bindings, made by [`Estimator::within`] alone.
+/// A binding made by [`Estimator::bind`], undone by [`Estimator::unbind`].
+pub(crate) type Binding = (u32, Option<(f64, u64)>);
+
+/// The estimator of one `optimize` or `plan` call: the statistics and
+/// memo of `store`, the enclosing fixpoints' bindings, and every summary
+/// computed so far, memoised per (node, binding).
 pub(crate) struct Estimator<'a> {
     store: &'a RelStore,
     /// Per bound recursion variable: its base case's estimated rows (what
@@ -576,93 +582,128 @@ pub(crate) struct Estimator<'a> {
     /// bind time (what it fingerprints by).
     bound: FxHashMap<RecVarId, (f64, u64)>,
     nesting: u64,
+    /// The current binding frame (0: none), interned from the enclosing
+    /// frame, the variable and its rows: the same bindings, the same frame.
+    frame: u32,
+    frames: FxHashMap<(u32, RecVarId, u64), u32>,
+    /// Summaries, keyed by (node, frame) and, for a greedy join
+    /// candidate, by its operands' summaries.
+    sums: Vec<Summary>,
+    memo: NodeMemo,
+    joins: FxHashMap<(u32, u32), u32>,
+    /// The feedback memo's answer per fingerprint, asked once per call.
+    observations: FxHashMap<u64, Option<Observation>>,
+}
+
+impl std::ops::Index<u32> for Estimator<'_> {
+    type Output = Summary;
+    fn index(&self, s: u32) -> &Summary {
+        &self.sums[s as usize]
+    }
 }
 
 impl<'a> Estimator<'a> {
-    /// A fold outside any fixpoint.
-    pub(crate) fn new(store: &'a RelStore) -> Self {
+    /// An estimator outside any fixpoint, sized for a DAG of `nodes`.
+    pub(crate) fn new(store: &'a RelStore, nodes: usize) -> Self {
         Estimator {
             store,
             bound: FxHashMap::default(),
             nesting: 0,
+            frame: 0,
+            frames: FxHashMap::default(),
+            sums: Vec::with_capacity(nodes),
+            memo: NodeMemo::new(nodes),
+            joins: FxHashMap::default(),
+            observations: map_with_capacity(nodes),
         }
     }
 
-    /// Runs `body` — the fold of a fixpoint's step — with `var` bound to
-    /// a base case of `base_rows` rows, restoring any shadowed binding
-    /// of the same variable afterwards.
-    pub(crate) fn within<R>(
-        &mut self,
-        var: RecVarId,
-        base_rows: f64,
-        body: impl FnOnce(&mut Self) -> R,
-    ) -> R {
+    /// Binds `var` to a base case of `base_rows` rows — how a fixpoint's
+    /// step is estimated — until the matching [`Estimator::unbind`].
+    pub(crate) fn bind(&mut self, var: RecVarId, base_rows: f64) -> Binding {
         self.nesting += 1;
+        let fresh = self.frames.len() as u32 + 1;
+        let key = (self.frame, var, base_rows.to_bits());
+        let frame = *self.frames.entry(key).or_insert(fresh);
         let shadowed = self.bound.insert(var, (base_rows, self.nesting));
-        let out = body(self);
+        (std::mem::replace(&mut self.frame, frame), shadowed)
+    }
+
+    /// Undoes [`Estimator::bind`], restoring any shadowed binding of the
+    /// same variable.
+    pub(crate) fn unbind(&mut self, var: RecVarId, (frame, shadowed): Binding) {
         self.nesting -= 1;
+        self.frame = frame;
         match shadowed {
             Some(outer) => self.bound.insert(var, outer),
             None => self.bound.remove(&var),
         };
-        out
     }
 
-    /// The summary of every node of `term`, in preorder: one step per
-    /// node, children first.
-    pub(crate) fn fold(&mut self, term: &RaTerm) -> Vec<Summary> {
-        let mut out = Vec::new();
-        self.fold_into(term, &mut out);
-        out
+    /// The memo key of node `id` under the current bindings.
+    pub(crate) fn key(&self, dag: &Dag, id: Id) -> (Id, u32) {
+        let frame = if dag.free(id).is_empty() {
+            0
+        } else {
+            self.frame
+        };
+        (id, frame)
     }
 
-    /// The summary of `term` itself.
-    pub(crate) fn root(&mut self, term: &RaTerm) -> Summary {
-        self.fold(term).swap_remove(0)
-    }
-
-    fn fold_into(&mut self, term: &RaTerm, out: &mut Vec<Summary>) {
-        let at = out.len();
-        out.push(Summary::default());
-        match term {
-            RaTerm::EdgeScan { .. } | RaTerm::NodeScan { .. } | RaTerm::RecRef { .. } => {}
-            RaTerm::Join(a, b) | RaTerm::Semijoin(a, b) | RaTerm::Union(a, b) => {
-                self.fold_into(a, out);
-                self.fold_into(b, out);
-            }
-            RaTerm::Project { input, .. }
-            | RaTerm::Rename { input, .. }
-            | RaTerm::Select { input, .. } => self.fold_into(input, out),
-            RaTerm::Fixpoint {
-                var, base, step, ..
-            } => {
-                self.fold_into(base, out);
-                let base_rows = out[at + 1].rows();
-                self.within(*var, base_rows, |est| est.fold_into(step, out));
+    /// The summary of node `id` (an index into this estimator): one step
+    /// per distinct (node, binding), children first.
+    pub(crate) fn summary(&mut self, dag: &Dag, id: Id) -> u32 {
+        let key = self.key(dag, id);
+        if let Some(s) = self.memo.get(key) {
+            return s;
+        }
+        let node = dag.node(id);
+        let mut kids = [0; 2];
+        if let Op::Fixpoint(var, base, step, _) = *node {
+            kids[0] = self.summary(dag, base);
+            let saved = self.bind(var, self[kids[0]].rows());
+            kids[1] = self.summary(dag, step);
+            self.unbind(var, saved);
+        } else {
+            for (i, k) in node.kids().enumerate() {
+                kids[i] = self.summary(dag, k);
             }
         }
-        let summary = self.step(term, &out[at + 1..]);
-        out[at] = summary;
+        let s = self.step(dag, id, kids);
+        self.sums.push(s);
+        let s = self.sums.len() as u32 - 1;
+        self.memo.insert(key, s);
+        s
     }
 
-    /// The one estimation step: the summary of the node `term` from its
-    /// own fields and its descendants' summaries `below` (preorder, so
-    /// the children are `below[0]` and [`second`]). Never descends into
-    /// `term`'s children.
-    fn step(&self, term: &RaTerm, below: &[Summary]) -> Summary {
+    /// Records summary `s` as node `key`'s, unless it has one: the score
+    /// of the join candidate the optimiser built.
+    pub(crate) fn assign(&mut self, key: (Id, u32), s: u32) {
+        self.memo.insert(key, s);
+    }
+
+    /// The one estimation step: the summary of node `id` from its own
+    /// fields, its children's columns and their summaries `kids`. Never
+    /// descends into the children.
+    fn step(&mut self, dag: &Dag, id: Id, kids: [u32; 2]) -> Summary {
         #[cfg(test)]
         STEPS.with(|n| n.set(n.get() + 1));
         let store = self.store;
-        let raw = match term {
-            RaTerm::EdgeScan { label, src, tgt } => {
+        let mut cols = dag.node(id).kids().map(|k| dag.cols(k));
+        let (ca, cb) = (
+            cols.next().unwrap_or_default(),
+            cols.next().unwrap_or_default(),
+        );
+        let raw = match dag.node(id) {
+            Op::EdgeScan(label, src, tgt) => {
                 let card = scan_card(ScanInfo::bare(*label, *src, *tgt), store);
                 let fp = fp_hash(FP_EDGE, &[label.raw() as u64, (src == tgt) as u64]);
                 Summary {
                     depth: store.stats.closure_depth(*label),
-                    ..Summary::over(&[], card.rows, vec![*src, *tgt], card, fp)
+                    ..Summary::over(&[], card.rows, card, fp)
                 }
             }
-            RaTerm::NodeScan { labels, col } => {
+            Op::NodeScan(labels, col) => {
                 let rows: f64 = labels
                     .iter()
                     .map(|&l| store.stats.label_cardinality(l) as f64)
@@ -675,29 +716,29 @@ impl<'a> Estimator<'a> {
                 };
                 let mut ls: Vec<u64> = labels.iter().map(|l| l.raw() as u64).collect();
                 ls.sort_unstable();
-                Summary::over(&[], rows, vec![*col], card, fp_hash(FP_NODE, &ls))
+                Summary::over(&[], rows, card, fp_hash(FP_NODE, &ls))
             }
-            RaTerm::Join(..) => self.join_formula(&below[0], second(below)),
-            RaTerm::Semijoin(..) => {
-                let (a, b) = (&below[0], second(below));
-                let shared = shared_cols(&a.cols, &b.cols);
+            Op::Join(..) => self.join_formula((ca, &self[kids[0]]), (cb, &self[kids[1]])),
+            Op::Semijoin(..) => {
+                let (a, b) = (&self[kids[0]], &self[kids[1]]);
+                let shared = shared_cols(ca, cb);
                 let card = semijoin_card(&a.card, &b.card, &shared, store);
                 // A semi-join is directional: sides do not commute.
                 let fp = fp_hash(
                     FP_SEMI,
                     &[
                         a.fp,
-                        fp_positions(&a.cols, &shared),
+                        fp_positions(ca, &shared),
                         b.fp,
-                        fp_positions(&b.cols, &shared),
+                        fp_positions(cb, &shared),
                     ],
                 );
                 let local = a.card.rows + b.card.rows;
-                Summary::over(&[a, b], local, a.cols.clone(), card, fp)
+                Summary::over(&[a, b], local, card, fp)
             }
-            RaTerm::Union(..) => {
-                let (a, b) = (&below[0], second(below));
-                let fp = fp_commutative(FP_UNION, a.fp, &a.cols, b.fp, &b.cols, &a.cols);
+            Op::Union(..) => {
+                let (a, b) = (&self[kids[0]], &self[kids[1]]);
+                let fp = fp_commutative(FP_UNION, a.fp, ca, b.fp, cb, ca);
                 let rows = a.card.rows + b.card.rows;
                 let distinct = (a.card.distinct.iter())
                     .map(|&(c, va)| (c, va + b.card.dv(c, store)))
@@ -721,11 +762,11 @@ impl<'a> Estimator<'a> {
                     node_labels,
                 }
                 .cap_distinct();
-                Summary::over(&[a, b], rows, a.cols.clone(), card, fp)
+                Summary::over(&[a, b], rows, card, fp)
             }
-            RaTerm::Project { cols, .. } => {
-                let p = &below[0];
-                let fp = fp_hash(FP_PROJECT, &[p.fp, fp_position_set(&p.cols, cols)]);
+            Op::Project(_, cols) => {
+                let p = &self[kids[0]];
+                let fp = fp_hash(FP_PROJECT, &[p.fp, fp_position_set(ca, cols)]);
                 // Set semantics: the projection cannot produce more rows
                 // than the product of its columns' distinct values.
                 let prod: f64 = cols.iter().map(|&c| p.card.dv(c, store).max(1.0)).product();
@@ -743,39 +784,30 @@ impl<'a> Estimator<'a> {
                     node_labels,
                 }
                 .cap_distinct();
-                Summary::over(&[p], p.card.rows, cols.clone(), card, fp)
+                Summary::over(&[p], p.card.rows, card, fp)
             }
-            RaTerm::Rename { from, to, .. } => {
+            Op::Rename(_, from, to) => {
                 // A positional no-op: fingerprint, rows and memo
                 // provenance are the input's, so there is nothing to
                 // look up again.
-                let mut s = below[0].clone();
-                s.size += 1;
+                let mut s = self[kids[0]].clone();
                 s.card.rename(*from, *to);
-                for c in &mut s.cols {
-                    if *c == *from {
-                        *c = *to;
-                    }
-                }
                 return s;
             }
-            RaTerm::Select { a, b, .. } => {
-                let p = &below[0];
-                let (pa, pb) = (fp_position(&p.cols, *a), fp_position(&p.cols, *b));
+            Op::Select(_, a, b) => {
+                let p = &self[kids[0]];
+                let (pa, pb) = (fp_position(ca, *a), fp_position(ca, *b));
                 let fp = fp_hash(FP_SELECT, &[p.fp, pa.min(pb), pa.max(pb)]);
                 let v = p.card.dv(*a, store).max(p.card.dv(*b, store)).max(1.0);
                 let mut card = p.card.clone();
                 card.rows = p.card.rows / v;
                 card.scan = None;
                 card.node_labels = None;
-                Summary::over(&[p], p.card.rows, p.cols.clone(), card.cap_distinct(), fp)
+                Summary::over(&[p], p.card.rows, card.cap_distinct(), fp)
             }
-            RaTerm::Fixpoint { stable, .. } => {
-                let (base, step) = (&below[0], second(below));
-                let fp = fp_hash(
-                    FP_FIX,
-                    &[base.fp, step.fp, fp_position_set(&base.cols, stable)],
-                );
+            Op::Fixpoint(_, _, _, stable) => {
+                let (base, step) = (&self[kids[0]], &self[kids[1]]);
+                let fp = fp_hash(FP_FIX, &[base.fp, step.fp, fp_position_set(ca, stable)]);
                 let depth = base.depth.max(step.depth);
                 let growth = fixpoint_growth(depth);
                 let rows = base.card.rows * growth;
@@ -808,7 +840,6 @@ impl<'a> Estimator<'a> {
                 // count. The whole closure is as dynamic as its base.
                 let total = base.st + base.dy + step.st + step.dy * growth + rows;
                 Summary {
-                    cols: base.cols.clone(),
                     card,
                     fp,
                     memo: false,
@@ -816,16 +847,15 @@ impl<'a> Estimator<'a> {
                     st: if base.dep { 0.0 } else { total },
                     dy: if base.dep { total } else { 0.0 },
                     depth,
-                    size: 1 + base.size + step.size,
                 }
             }
-            RaTerm::RecRef { var, cols } => {
+            Op::RecRef(var, cols) => {
                 // Estimated at the binding fixpoint's base case (1 row
                 // when unbound) and fingerprinted by *which* enclosing
                 // fixpoint it refers to — the de-Bruijn distance to the
                 // binder, never the variable's interned name — so a
                 // closure fingerprints identically at the root and nested
-                // in another. An unbound reference (a step folded in
+                // in another. An unbound reference (a step summarised in
                 // isolation) falls back to the variable's id: such a
                 // subtree is recursion-dependent, so the memo never sees
                 // it.
@@ -834,11 +864,9 @@ impl<'a> Estimator<'a> {
                     None => (1.0, 0x5eed_0000_0000_0000 | var.raw() as u64),
                 };
                 Summary {
-                    cols: cols.clone(),
                     card: Card::plain(rows),
                     fp: fp_hash(FP_RECREF, &[token, cols.len() as u64]),
                     dep: true,
-                    size: 1,
                     ..Summary::default()
                 }
             }
@@ -846,34 +874,50 @@ impl<'a> Estimator<'a> {
         self.observed(raw)
     }
 
-    /// The step of `a ⋈ b` from two summaries alone — what greedy join
-    /// ordering scores a candidate with, no term built.
-    pub(crate) fn join(&self, a: &Summary, b: &Summary) -> Summary {
+    /// The summary of `a ⋈ b` from the operand nodes' summaries alone,
+    /// once per pair of summaries — how greedy join ordering scores a
+    /// candidate it has not built.
+    pub(crate) fn join(&mut self, dag: &Dag, a: Id, b: Id) -> u32 {
+        let (sa, sb) = (self.summary(dag, a), self.summary(dag, b));
+        if let Some(&s) = self.joins.get(&(sa, sb)) {
+            return s;
+        }
         #[cfg(test)]
-        STEPS.with(|n| n.set(n.get() + 1));
-        self.observed(self.join_formula(a, b))
+        for n in [&STEPS, &JOIN_STEPS] {
+            n.with(|n| n.set(n.get() + 1));
+        }
+        let joined = self.join_formula((dag.cols(a), &self[sa]), (dag.cols(b), &self[sb]));
+        let joined = self.observed(joined);
+        self.sums.push(joined);
+        let s = self.sums.len() as u32 - 1;
+        self.joins.insert((sa, sb), s);
+        s
     }
 
-    fn join_formula(&self, a: &Summary, b: &Summary) -> Summary {
-        let shared = shared_cols(&a.cols, &b.cols);
+    /// The join formula over two operands' columns and summaries.
+    fn join_formula(
+        &self,
+        (ca, a): (&[ColId], &Summary),
+        (cb, b): (&[ColId], &Summary),
+    ) -> Summary {
+        let shared = shared_cols(ca, cb);
         let card = join_card(&a.card, &b.card, &shared, self.store);
-        let fp = fp_commutative(FP_JOIN, a.fp, &a.cols, b.fp, &b.cols, &shared);
+        let fp = fp_commutative(FP_JOIN, a.fp, ca, b.fp, cb, &shared);
         let local = a.card.rows + b.card.rows + card.rows;
-        let mut cols = a.cols.clone();
-        for &c in &b.cols {
-            if !cols.contains(&c) {
-                cols.push(c);
-            }
-        }
-        Summary::over(&[a, b], local, cols, card, fp)
+        Summary::over(&[a, b], local, card, fp)
     }
 
     /// The memo override, applied here and nowhere else: a
     /// recursion-independent subtree that has executed before reports its
-    /// *observed* cardinality instead of the formulas'.
-    fn observed(&self, mut s: Summary) -> Summary {
+    /// *observed* cardinality instead of the formulas'. The memo is asked
+    /// once per fingerprint, so every node of one fingerprint gets the
+    /// same rows, whatever other sessions record meanwhile — the planner
+    /// relies on it to lower every occurrence of a term class alike.
+    fn observed(&mut self, mut s: Summary) -> Summary {
         if !s.dep {
-            if let Some(obs) = self.store.feedback.lookup(s.fp) {
+            let feedback = &self.store.feedback;
+            let seen = self.observations.entry(s.fp);
+            if let Some(obs) = *seen.or_insert_with(|| feedback.lookup(s.fp)) {
                 s.card.rows = obs.rows;
                 s.card = s.card.cap_distinct();
                 s.memo = true;
@@ -914,6 +958,15 @@ mod tests {
             labels: vec![db.node_label_id(label).unwrap()],
             col: store.symbols.col(col),
         }
+    }
+
+    /// The summary of `term` with `var` bound to a base case of `rows`.
+    fn bound(store: &RelStore, var: RecVarId, rows: f64, term: &RaTerm) -> Summary {
+        let (dag, id) = Dag::of(term, false);
+        let mut est = Estimator::new(store, dag.len().0);
+        est.bind(var, rows);
+        let s = est.summary(&dag, id);
+        est.sums.swap_remove(s as usize)
     }
 
     #[test]
@@ -988,7 +1041,7 @@ mod tests {
             s.col("y"),
             s.col("m"),
         );
-        assert_eq!(Estimator::new(&store).root(&f).growth(), 2.0);
+        assert_eq!(root(&f, &store).growth(), 2.0);
         assert_eq!(estimate(&f, &store).rows, 8.0);
         // owns: a single 2-node edge cannot compose — the closure is its
         // base, and the estimate says so.
@@ -999,7 +1052,7 @@ mod tests {
             s.col("y"),
             s.col("m"),
         );
-        assert_eq!(Estimator::new(&store).root(&f).growth(), 1.0);
+        assert_eq!(root(&f, &store).growth(), 1.0);
         assert_eq!(estimate(&f, &store).rows, 1.0);
     }
 
@@ -1042,8 +1095,7 @@ mod tests {
         // Unbound: the old 1-row fallback.
         assert_eq!(estimate(&recref, &store).rows, 1.0);
         // Bound: the enclosing fixpoint's base estimate.
-        let mut est = Estimator::new(&store);
-        assert_eq!(est.within(var, 4.0, |e| e.root(&recref).rows()), 4.0);
+        assert_eq!(bound(&store, var, 4.0, &recref).rows(), 4.0);
         // Inside the canonical closure, the recursive join therefore sees
         // a 4-row left input instead of a 1-row one.
         let f = closure_fixpoint(
@@ -1056,7 +1108,7 @@ mod tests {
         let RaTerm::Fixpoint { step, .. } = &f else {
             panic!()
         };
-        let e_step = est.within(var, 4.0, |e| e.root(step).estimate());
+        let e_step = bound(&store, var, 4.0, step).estimate();
         assert!(
             e_step.rows >= 4.0,
             "step estimate should reflect the recursive input: {e_step:?}"
@@ -1077,10 +1129,9 @@ mod tests {
         let (RaTerm::Fixpoint { base, step, .. },) = (&f,) else {
             panic!()
         };
-        let mut est = Estimator::new(&store);
-        let growth = est.root(&f).growth();
+        let growth = root(&f, &store).growth();
         let eb = estimate(base, &store);
-        let es = est.within(var, eb.rows, |e| e.root(step).estimate());
+        let es = bound(&store, var, eb.rows, step).estimate();
         let e_fix = estimate(&f, &store);
         let naive = eb.cost + es.cost * growth + eb.rows * growth;
         assert!(
@@ -1165,5 +1216,36 @@ mod tests {
             to: s.col("t"),
         };
         assert_eq!(estimate(&renamed, &store).rows, 100.0);
+    }
+
+    #[test]
+    fn one_estimator_sees_one_observation_per_fingerprint() {
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let hops = |a: &str, b: &str, c: &str| {
+            RaTerm::join(
+                scan(&db, &store, "isLocatedIn", a, b),
+                scan(&db, &store, "isLocatedIn", b, c),
+            )
+        };
+        // Two renamings of one join: two nodes, one fingerprint.
+        let (dag, root) = Dag::of(
+            &RaTerm::union(hops("x", "y", "z"), hops("a", "b", "c")),
+            false,
+        );
+        let Op::Union(first, second) = *dag.node(root) else {
+            panic!()
+        };
+        let mut est = Estimator::new(&store, dag.len().0);
+        let s = est.summary(&dag, first);
+        assert_eq!(est[s].rows(), 4.0, "formula");
+        // Another session records the join between the two summaries;
+        // this estimator keeps the answer it had, a new one reads it.
+        store.feedback.observe(est[s].fp, 100);
+        let s = est.summary(&dag, second);
+        assert_eq!((est[s].rows(), est[s].memo), (4.0, false));
+        let mut fresh = Estimator::new(&store, dag.len().0);
+        let s = fresh.summary(&dag, second);
+        assert_eq!((fresh[s].rows(), fresh[s].memo), (100.0, true));
     }
 }

@@ -14,185 +14,194 @@
 //!    smallest-estimate-first, preferring connected (column-sharing)
 //!    joins.
 //!
-//! All schema reasoning here — "does this input expose the filter's key
-//! columns?" — is `ColId` comparison; the up-to-eight `next == current`
-//! convergence checks never compare a string.
+//! **One DAG, one memo.** `optimize` interns its input once into a
+//! per-call term DAG ([`crate::term`]) and rewrites ids. A pass's result
+//! is memoised per (node, recursion binding) for the whole call, so a
+//! sub-term repeated in k disjuncts is rewritten once per call, and the
+//! pass that confirms convergence — the `next == current` id comparison,
+//! O(1) like every column lookup — re-derives nothing it already has.
+//! The estimator memoises the same way: every distinct sub-term is
+//! summarised once, and a greedy candidate `acc ⋈ p` is scored once per
+//! pair of operand summaries, so a join chain whose operands were already
+//! ordered is not re-scored. The tree is extracted once, at the end (the
+//! input itself when no pass changed it).
 
 use sgq_common::ColId;
 
-use crate::cost::{Estimator, Summary};
+use crate::cost::Estimator;
 use crate::storage::RelStore;
-use crate::term::RaTerm;
+use crate::term::{Dag, Id, NodeMemo, Op, RaTerm};
 
-/// Applies all rewritings until a fixed point is reached.
+/// Applies all rewritings until a fixed point is reached (at most eight
+/// passes).
 pub fn optimize(term: &RaTerm, store: &RelStore) -> RaTerm {
-    let mut current = term.clone();
+    let (dag, root) = Dag::of(term, false);
+    let mut opt = Optimizer {
+        est: Estimator::new(store, 0),
+        passed: NodeMemo::new(dag.len().0),
+        dag,
+    };
+    let mut current = root;
     for _ in 0..8 {
-        let next = pass(&current, &mut Estimator::new(store));
+        let next = opt.pass(current);
         if next == current {
             break;
         }
         current = next;
     }
-    current
-}
-
-fn pass(term: &RaTerm, est: &mut Estimator) -> RaTerm {
-    // Bottom-up. A fixpoint's step is rewritten with the recursion
-    // variable bound to the base's estimate, so join reordering inside
-    // the step sees the recursive input at its real cardinality.
-    let term = match term {
-        RaTerm::EdgeScan { .. } | RaTerm::NodeScan { .. } | RaTerm::RecRef { .. } => term.clone(),
-        RaTerm::Join(a, b) => RaTerm::join(pass(a, est), pass(b, est)),
-        RaTerm::Semijoin(a, b) => RaTerm::semijoin(pass(a, est), pass(b, est)),
-        RaTerm::Union(a, b) => RaTerm::union(pass(a, est), pass(b, est)),
-        RaTerm::Project { input, cols } => RaTerm::project(pass(input, est), cols.clone()),
-        RaTerm::Rename { input, from, to } => RaTerm::Rename {
-            input: Box::new(pass(input, est)),
-            from: *from,
-            to: *to,
-        },
-        RaTerm::Select { input, a, b } => RaTerm::Select {
-            input: Box::new(pass(input, est)),
-            a: *a,
-            b: *b,
-        },
-        RaTerm::Fixpoint {
-            var,
-            base,
-            step,
-            stable,
-        } => {
-            let base = pass(base, est);
-            let base_rows = est.root(&base).rows();
-            let step = est.within(*var, base_rows, |est| pass(step, est));
-            RaTerm::Fixpoint {
-                var: *var,
-                base: Box::new(base),
-                step: Box::new(step),
-                stable: stable.clone(),
-            }
-        }
-    };
-    let term = push_semijoin(term);
-    reorder_joins(term, est)
-}
-
-/// Rules 1 and 2: semi-join pushdown.
-fn push_semijoin(term: RaTerm) -> RaTerm {
-    match term {
-        RaTerm::Semijoin(left, filter) => {
-            let filter_cols = filter.cols();
-            match *left {
-                // Push through a join onto every side exposing the key.
-                RaTerm::Join(a, b) => {
-                    let a_has = filter_cols.iter().all(|c| a.cols().contains(c));
-                    let b_has = filter_cols.iter().all(|c| b.cols().contains(c));
-                    if a_has || b_has {
-                        let a2 = if a_has {
-                            push_semijoin(RaTerm::Semijoin(a, filter.clone()))
-                        } else {
-                            *a
-                        };
-                        let b2 = if b_has {
-                            push_semijoin(RaTerm::Semijoin(b, filter))
-                        } else {
-                            *b
-                        };
-                        RaTerm::join(a2, b2)
-                    } else {
-                        RaTerm::Semijoin(Box::new(RaTerm::Join(a, b)), filter)
-                    }
-                }
-                // Push through projections that keep the key columns.
-                RaTerm::Project { input, cols } if filter_cols.iter().all(|c| cols.contains(c)) => {
-                    RaTerm::project(push_semijoin(RaTerm::Semijoin(input, filter)), cols)
-                }
-                // Push into a fixpoint when the key is stable.
-                RaTerm::Fixpoint {
-                    var,
-                    base,
-                    step,
-                    stable,
-                } if filter_cols.iter().all(|c| stable.contains(c)) => RaTerm::Fixpoint {
-                    var,
-                    base: Box::new(push_semijoin(RaTerm::Semijoin(base, filter))),
-                    step,
-                    stable,
-                },
-                other => RaTerm::Semijoin(Box::new(other), filter),
-            }
-        }
-        other => other,
+    if current == root {
+        term.clone()
+    } else {
+        opt.dag.term(current)
     }
 }
 
-/// Rule 3: flatten join chains and rebuild greedily. Each operand is
-/// folded once; a candidate `acc ⋈ p` is then scored by one join step
-/// over the two summaries, and the winner's summary becomes `acc`'s.
-fn reorder_joins(term: RaTerm, est: &mut Estimator) -> RaTerm {
-    match term {
-        RaTerm::Join(_, _) => {
-            let mut parts: Vec<RaTerm> = Vec::new();
-            flatten_joins(term, &mut parts);
-            if parts.len() <= 2 {
-                return rebuild(parts);
-            }
-            // Start from the smallest estimate; then repeatedly pick the
-            // connected part minimising the joined estimate.
-            let mut remaining: Vec<(RaTerm, Summary)> = Vec::with_capacity(parts.len());
-            for p in parts {
-                let summary = est.root(&p);
-                remaining.push((p, summary));
-            }
-            let mut best_idx = 0;
-            let mut best_rows = f64::INFINITY;
-            for (i, (_, s)) in remaining.iter().enumerate() {
-                if s.rows() < best_rows {
-                    best_rows = s.rows();
-                    best_idx = i;
-                }
-            }
-            let (mut acc, mut acc_sum) = remaining.swap_remove(best_idx);
-            while !remaining.is_empty() {
-                let mut joined: Vec<Summary> = (remaining.iter())
-                    .map(|(_, s)| est.join(&acc_sum, s))
-                    .collect();
-                let mut pick = 0;
-                let mut pick_score = (false, f64::INFINITY);
-                for (i, (_, s)) in remaining.iter().enumerate() {
-                    let connected = s.cols.iter().any(|c| acc_sum.cols.contains(c));
-                    let score = (!connected, joined[i].rows());
-                    if score < pick_score {
-                        pick_score = score;
-                        pick = i;
-                    }
-                }
-                let (next, _) = remaining.swap_remove(pick);
-                acc = RaTerm::join(acc, next);
-                acc_sum = joined.swap_remove(pick);
-            }
-            acc
+struct Optimizer<'a> {
+    dag: Dag,
+    est: Estimator<'a>,
+    /// A pass's result per (node, binding): the same for every pass.
+    passed: NodeMemo,
+}
+
+impl Optimizer<'_> {
+    fn pass(&mut self, id: Id) -> Id {
+        let key = self.est.key(&self.dag, id);
+        if let Some(out) = self.passed.get(key) {
+            return out;
         }
-        other => other,
+        // Bottom-up. A fixpoint's step is rewritten with the recursion
+        // variable bound to the base's estimate, so join reordering inside
+        // the step sees the recursive input at its real cardinality.
+        let mut kids = [id; 2];
+        let mut changed = false;
+        if let Op::Fixpoint(var, base, step, _) = *self.dag.node(id) {
+            kids[0] = self.pass(base);
+            let rows = self.est.summary(&self.dag, kids[0]);
+            let saved = self.est.bind(var, self.est[rows].rows());
+            kids[1] = self.pass(step);
+            self.est.unbind(var, saved);
+            changed = (kids[0], kids[1]) != (base, step);
+        } else {
+            for (i, k) in self.dag.node(id).kids().enumerate() {
+                kids[i] = self.pass(k);
+                changed |= kids[i] != k;
+            }
+        }
+        let out = if changed {
+            self.dag.add(self.dag.node(id).with_kids(&kids))
+        } else {
+            id
+        };
+        let out = self.push_semijoin(out);
+        let out = self.reorder_joins(out);
+        self.passed.insert(key, out);
+        out
+    }
+
+    /// Whether node `id` exposes every column of `filter`.
+    fn covers(&self, id: Id, filter: Id) -> bool {
+        covered(self.dag.cols(filter), self.dag.cols(id))
+    }
+
+    /// Rules 1 and 2: semi-join pushdown.
+    fn push_semijoin(&mut self, id: Id) -> Id {
+        let Op::Semijoin(left, filter) = *self.dag.node(id) else {
+            return id;
+        };
+        let onto = |o: &mut Self, x: Id| {
+            let s = o.dag.add(Op::Semijoin(x, filter));
+            o.push_semijoin(s)
+        };
+        let fcols = self.dag.cols(filter);
+        match *self.dag.node(left) {
+            // Push through a join onto every side exposing the key.
+            Op::Join(a, b) => {
+                let (a_has, b_has) = (self.covers(a, filter), self.covers(b, filter));
+                if !(a_has || b_has) {
+                    return id;
+                }
+                let a = if a_has { onto(self, a) } else { a };
+                let b = if b_has { onto(self, b) } else { b };
+                self.dag.add(Op::Join(a, b))
+            }
+            // Push through projections that keep the key columns.
+            Op::Project(input, ref cols) if covered(fcols, cols) => {
+                let cols = cols.clone();
+                let input = onto(self, input);
+                self.dag.add(Op::Project(input, cols))
+            }
+            // Push into a fixpoint when the key is stable.
+            Op::Fixpoint(var, base, step, ref stable) if covered(fcols, stable) => {
+                let stable = stable.clone();
+                let base = onto(self, base);
+                self.dag.add(Op::Fixpoint(var, base, step, stable))
+            }
+            _ => id,
+        }
+    }
+
+    /// Rule 3: flatten join chains and rebuild greedily. Each operand's
+    /// summary is memoised; a candidate `acc ⋈ p` is scored by one join
+    /// step over the two summaries, and the winner's summary becomes the
+    /// summary of the `acc` node it builds.
+    fn reorder_joins(&mut self, id: Id) -> Id {
+        if !matches!(self.dag.node(id), Op::Join(..)) {
+            return id;
+        }
+        let mut remaining = Vec::new();
+        flatten_joins(&self.dag, id, &mut remaining);
+        if remaining.len() <= 2 {
+            return id;
+        }
+        // Start from the smallest estimate; then repeatedly pick the
+        // connected part minimising the joined estimate.
+        let mut best_idx = 0;
+        let mut best_rows = f64::INFINITY;
+        for (i, &p) in remaining.iter().enumerate() {
+            let s = self.est.summary(&self.dag, p);
+            if self.est[s].rows() < best_rows {
+                best_rows = self.est[s].rows();
+                best_idx = i;
+            }
+        }
+        let mut acc = remaining.swap_remove(best_idx);
+        while !remaining.is_empty() {
+            let mut joined: Vec<u32> = (remaining.iter())
+                .map(|&p| self.est.join(&self.dag, acc, p))
+                .collect();
+            let mut pick = 0;
+            let mut pick_score = (false, f64::INFINITY);
+            for (i, &p) in remaining.iter().enumerate() {
+                let acc_cols = self.dag.cols(acc);
+                let connected = self.dag.cols(p).iter().any(|c| acc_cols.contains(c));
+                let score = (!connected, self.est[joined[i]].rows());
+                if score < pick_score {
+                    pick_score = score;
+                    pick = i;
+                }
+            }
+            let next = remaining.swap_remove(pick);
+            acc = self.dag.add(Op::Join(acc, next));
+            let key = self.est.key(&self.dag, acc);
+            self.est.assign(key, joined.swap_remove(pick));
+        }
+        acc
     }
 }
 
-fn flatten_joins(term: RaTerm, out: &mut Vec<RaTerm>) {
-    match term {
-        RaTerm::Join(a, b) => {
-            flatten_joins(*a, out);
-            flatten_joins(*b, out);
-        }
-        other => out.push(other),
-    }
+/// Whether `cols` holds every column of `filter`.
+fn covered(filter: &[ColId], cols: &[ColId]) -> bool {
+    filter.iter().all(|c| cols.contains(c))
 }
 
-fn rebuild(parts: Vec<RaTerm>) -> RaTerm {
-    parts
-        .into_iter()
-        .reduce(RaTerm::join)
-        .expect("join chain is non-empty")
+fn flatten_joins(dag: &Dag, id: Id, out: &mut Vec<Id>) {
+    match *dag.node(id) {
+        Op::Join(a, b) => {
+            flatten_joins(dag, a, out);
+            flatten_joins(dag, b, out);
+        }
+        _ => out.push(id),
+    }
 }
 
 /// Collects the columns of every semi-join filter remaining at the top of
@@ -336,6 +345,60 @@ mod tests {
         let r = execute(&opt, &store, &mut ctx).unwrap();
         // pairs reaching France: n1, n6, n4, n5 (ids 0, 5, 3, 4)
         assert_eq!(r.len(), 4);
+    }
+
+    #[test]
+    fn optimising_takes_one_estimator_step_per_distinct_sub_term() {
+        use crate::cost::{JOIN_STEPS, STEPS};
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let s = &store.symbols;
+        // One translation of a path: a 16-hop chain, a closure after it,
+        // and a label filter on its source — what the schema rewrite's
+        // disjuncts repeat.
+        let hop = |i: usize| {
+            scan(
+                &db,
+                &store,
+                "isLocatedIn",
+                &format!("c{i}"),
+                &format!("c{}", i + 1),
+            )
+        };
+        let chain = (1..16).fold(hop(0), |acc, i| RaTerm::join(acc, hop(i)));
+        let (c16, z) = (s.col("c16"), s.col("z"));
+        let closure = closure_fixpoint(s.recvar("X"), hop(16), c16, z, s.col("m"));
+        let one = RaTerm::project(
+            RaTerm::semijoin(
+                RaTerm::join(chain, closure),
+                node(&db, &store, "CITY", "c0"),
+            ),
+            vec![s.col("c0"), z],
+        );
+        // (all steps, greedy join scores) of one `optimize` call.
+        let steps = |t: &RaTerm| {
+            STEPS.with(|n| n.set(0));
+            JOIN_STEPS.with(|n| n.set(0));
+            optimize(t, &store);
+            (STEPS.with(|n| n.get()), JOIN_STEPS.with(|n| n.get()))
+        };
+        // Re-optimising an optimised term folds each distinct sub-term at
+        // most once, however often a chain level re-flattens it.
+        let opt = optimize(&one, &store);
+        let (all, joins) = steps(&opt);
+        let folds = all - joins;
+        assert!(
+            folds <= opt.distinct(),
+            "{folds} folds, {} distinct",
+            opt.distinct()
+        );
+        // k copies of one translation cost one translation plus O(k).
+        let (once, _) = steps(&one);
+        for k in [2, 8] {
+            let copies = (1..k).fold(one.clone(), |acc, _| RaTerm::union(acc, one.clone()));
+            let (all, _) = steps(&copies);
+            assert!(all <= once + k, "{k} copies: {all} steps, one: {once}");
+        }
     }
 
     #[test]

@@ -40,27 +40,24 @@
 //!   at all: the "build side" is the index built once at load time.
 //!
 //! Every node carries its output columns and an [`Estimate`], which is
-//! what the physical `EXPLAIN` ([`crate::explain`]) renders. The rows,
-//! fingerprints and memo provenance come from one fold of the estimator
-//! over the term ([`mod@crate::cost`]), made before lowering starts:
-//! every strategy decision reads the summaries of the node and its
-//! operands, and none re-enters the estimator.
+//! what the physical `EXPLAIN` ([`crate::explain`]) renders. `plan`
+//! interns its term once into a term DAG ([`crate::term`]); the rows,
+//! fingerprints and memo provenance are the estimator's summaries
+//! ([`mod@crate::cost`]), one per distinct (node, binding), and every
+//! strategy decision reads the summaries of the node and its operands.
 //!
-//! **Shared sub-plans.** Sub-plans equal up to column and recursion
+//! **Shared sub-plans.** Sub-terms equal up to column and recursion
 //! variable names — the schema rewrite's union expansion repeats them —
-//! carry one set of ids, and a static, combining one read by several
-//! parents ([`PhysPlan::parents`]) is evaluated once per execution
-//! (DESIGN.md, "Shared sub-plans"). The estimator still costs each copy.
+//! share a term class, computed when the DAG is built. The plan nodes of
+//! one class carry one set of ids, and a static, combining one read by
+//! several parents ([`PhysPlan::parents`]) is evaluated once per
+//! execution (DESIGN.md, "Shared sub-plans").
 
-use std::hash::{Hash, Hasher};
-
-use sgq_common::{
-    ColId, EdgeLabelId, FxHashMap, FxHasher, NodeLabelId, RecVarId, Result, SgqError,
-};
+use sgq_common::{ColId, EdgeLabelId, NodeLabelId, RecVarId, Result, SgqError};
 
 use crate::cost::{self, shared_cols, Estimate, Estimator, ScanInfo, Summary};
 use crate::storage::RelStore;
-use crate::term::RaTerm;
+use crate::term::{Dag, Id, Op, RaTerm};
 
 /// A physical plan node: operator, output schema, estimate and the
 /// recursion variables it (transitively) references.
@@ -390,280 +387,182 @@ impl PhysPlan {
 
 /// Lowers an (ideally [`crate::optimize`]d) term into a physical plan.
 ///
-/// The estimator is folded over the term once, up front; lowering then
-/// only reads each node's summary, so every plan node's rows,
-/// fingerprint and memo provenance are the term-level ones.
+/// Each distinct term node is summarised once, so every plan node's
+/// rows, fingerprint and memo provenance are the term-level ones.
 ///
 /// Fails when the term is malformed — a selection or projection names a
 /// column its input does not produce.
 pub fn plan(term: &RaTerm, store: &RelStore) -> Result<PhysPlan> {
-    let sums = Estimator::new(store).fold(term);
-    let mut planner = Planner {
-        store,
-        sums: &sums,
-        next_id: 0,
-        combining: Vec::with_capacity(sums.len()),
-    };
-    let mut root = planner.lower(term, 0)?;
-    // Copies of a shared sub-plan have combining nodes of equal
-    // (rename-invariant) fingerprints; only then classify every node and
-    // renumber a plan that shares something.
-    planner.combining.sort_unstable();
-    if !planner.combining.windows(2).any(|w| w[0] == w[1]) {
-        return Ok(root);
-    }
-    let class = vec![0; planner.next_id as usize];
-    let mut s = Sharing {
-        class,
-        ..Sharing::default()
-    };
-    s.classify(&root);
-    if s.readers.iter().any(|&r| r > 1) {
-        s.new = vec![0; s.class.len()];
-        s.renumber(&mut root, None);
-    }
-    Ok(root)
+    let (dag, root) = Dag::of(term, true);
+    let mut planner = Planner::new(store, &dag);
+    let root = planner.lower(root)?;
+    Ok(planner.share(root))
 }
 
-/// Finding shared sub-plans by hash-consing. Before renumbering, ids are
-/// the lowering's post-order: a subtree's ids are contiguous, and two
-/// occurrences of one class correspond at equal offsets from their roots.
-#[derive(Default)]
-struct Sharing {
-    /// Key hash → class; per class, its exact key ([`Sharing::shape`]) as
-    /// the operator kind and a span of `keys`, its first occurrence's
-    /// lowering id, whether it is static and combining (worth evaluating
-    /// once), and if so its readers: one per parent class and child slot,
-    /// as every occurrence of a class has the same children and below a
-    /// later occurrence nothing runs.
-    index: FxHashMap<u64, u32>,
-    keys: Vec<u32>,
-    spans: Vec<(&'static str, usize, usize)>,
-    first: Vec<u32>,
-    worth: Vec<bool>,
-    readers: Vec<u32>,
-    /// Per lowering id: its class, then its final id.
+/// Lowers one term DAG. A term node is lowered once per occurrence, each
+/// estimator summary is computed once per (node, binding), and a plan
+/// node's id is, until [`Planner::renumber`], its post-order position.
+struct Planner<'a> {
+    store: &'a RelStore,
+    dag: &'a Dag,
+    est: Estimator<'a>,
+    /// Per plan node: the class of the term node it computes, its
+    /// subtree's node count, and whether the subtree combines inputs.
     class: Vec<u32>,
-    new: Vec<u32>,
-    next: u32,
-    /// One node's key and the columns it numbers.
-    key: Vec<u32>,
-    seen: Vec<ColId>,
+    size: Vec<u32>,
+    combines: Vec<bool>,
+    /// Per term class: its first occurrence's plan id, and if that is
+    /// static and combining (worth evaluating once) its readers — one per
+    /// parent class and child slot, as every occurrence of a class has
+    /// the same children and below a later occurrence nothing runs.
+    first: Vec<u32>,
+    readers: Vec<u32>,
 }
 
-impl Sharing {
-    /// Classifies `p`'s subtree; returns whether it combines inputs. On a
-    /// hash match the keys are compared exactly; a collision only costs
-    /// a missed share.
-    fn classify(&mut self, p: &PhysPlan) -> bool {
-        let mut combines = p.op.combines();
-        for c in p.kids() {
-            combines |= self.classify(c);
+impl<'a> Planner<'a> {
+    fn new(store: &'a RelStore, dag: &'a Dag) -> Self {
+        let (nodes, classes) = dag.len();
+        Planner {
+            store,
+            dag,
+            est: Estimator::new(store, nodes),
+            class: Vec::with_capacity(nodes),
+            size: Vec::with_capacity(nodes),
+            combines: Vec::with_capacity(nodes),
+            first: vec![u32::MAX; classes],
+            readers: vec![0; classes],
         }
-        let mut key = std::mem::take(&mut self.key);
-        self.shape(p, &mut key);
-        let kind = p.op.kind();
-        let mut hasher = FxHasher::default();
-        (kind, &key).hash(&mut hasher);
-        let hash = hasher.finish();
-        let same =
-            |(k, start, end): (&str, usize, usize)| k == kind && self.keys[start..end] == key;
-        let k = match self.index.get(&hash).copied() {
-            Some(k) if same(self.spans[k as usize]) => k,
-            _ => {
-                let fresh = self.first.len() as u32;
-                self.index.entry(hash).or_insert(fresh);
-                self.spans
-                    .push((kind, self.keys.len(), self.keys.len() + key.len()));
-                self.keys.extend(&key);
-                self.first.push(p.id);
-                self.worth.push(p.is_static() && combines);
-                self.readers.push(0);
-                for c in p.kids().map(|c| self.class[c.id as usize] as usize) {
-                    self.readers[c] += u32::from(self.worth[c]);
-                }
-                fresh
-            }
-        };
-        self.class[p.id as usize] = k;
-        self.key = key;
-        combines
     }
 
-    /// Writes `p`'s exact, order-sensitive key up to renaming: its
-    /// children's classes, then its columns, labels, CSR direction and
-    /// column parameters, the recursion variable it binds or references,
-    /// and each child's columns and free recursion variables — columns
-    /// and variables numbered by first appearance. Left out is what the
-    /// columns imply (join keys, an index join's new column) and what
-    /// leaves the rows alone (build sides, merge or hash filtering).
-    fn shape(&mut self, p: &PhysPlan, key: &mut Vec<u32>) {
-        key.clear();
-        key.extend(p.kids().map(|c| self.class[c.id as usize]));
-        let seen = &mut self.seen;
-        seen.clear();
-        number(key, seen, &p.cols);
-        let mut var = None;
-        match &p.op {
-            PhysOp::EdgeScan { label } | PhysOp::FilteredEdgeScan { label, .. } => {
-                key.push(label.raw())
-            }
-            PhysOp::DenormEdgeScan {
-                label,
-                src_label,
-                tgt_label,
-            } => {
-                let end = |l: &Option<NodeLabelId>| l.map_or(0, |l| l.raw() + 1);
-                key.extend([label.raw(), end(src_label), end(tgt_label)]);
-            }
-            PhysOp::NodeScan { labels } => key.extend(labels.iter().map(|l| l.raw())),
-            PhysOp::IndexJoin {
-                scan: s, forward, ..
-            }
-            | PhysOp::IndexSemiJoin {
-                scan: s, forward, ..
-            } => {
-                key.extend([s.label.raw(), *forward as u32]);
-                for ls in [&s.src_labels, &s.tgt_labels] {
-                    key.push(ls.as_ref().map_or(u32::MAX, |l| l.len() as u32));
-                    key.extend(ls.iter().flatten().map(|l| l.raw()));
-                }
-                number(key, seen, &[s.src, s.tgt]);
-            }
-            PhysOp::Select { a, b, .. } => number(key, seen, &[*a, *b]),
-            PhysOp::Fixpoint { var: v, .. } | PhysOp::RecRef { var: v } => var = Some(*v),
-            _ => {}
+    /// The lowered plan `root` with its final ids: shared sub-plans take
+    /// their first occurrence's.
+    fn share(&self, mut root: PhysPlan) -> PhysPlan {
+        if self.readers.iter().any(|&r| r > 1) && self.copies_match() {
+            let mut new = vec![0; self.class.len()];
+            self.renumber(&mut root, None, &mut new, &mut 0);
         }
-        let mut vars = Vec::new();
-        number(key, &mut vars, var.as_slice());
-        for c in p.kids() {
-            number(key, seen, &c.cols);
-            number(key, &mut vars, &c.free_rec);
+        root
+    }
+
+    /// The summary of term node `id` under the current bindings.
+    fn sum(&mut self, id: Id) -> &Summary {
+        let s = self.est.summary(self.dag, id);
+        &self.est[s]
+    }
+
+    /// The plan node computing term node `at`: columns, free recursion
+    /// variables, rows, fingerprint and memo provenance are the term's;
+    /// `cost` is the chosen strategy's.
+    fn node(&mut self, at: Id, cost: f64, op: PhysOp) -> PhysPlan {
+        let e = self.sum(at);
+        let (rows, fp, memo_est) = (e.rows(), e.fp, e.memo);
+        let p = PhysPlan {
+            id: self.class.len() as u32,
+            parents: 1,
+            later: false,
+            cols: self.dag.cols(at).to_vec(),
+            est: Estimate { rows, cost },
+            fp,
+            memo_est,
+            free_rec: self.dag.free(at).to_vec(),
+            op,
+        };
+        let class = self.dag.class(at);
+        let combines = p.op.combines() || p.kids().any(|k| self.combines[k.id as usize]);
+        let size = 1 + p.kids().map(|k| self.size[k.id as usize]).sum::<u32>();
+        self.class.push(class);
+        self.size.push(size);
+        self.combines.push(combines);
+        if self.first[class as usize] == u32::MAX {
+            self.first[class as usize] = p.id;
+            for k in p.kids() {
+                let worth = k.is_static() && self.combines[k.id as usize];
+                self.readers[self.class[k.id as usize] as usize] += u32::from(worth);
+            }
         }
+        p
+    }
+
+    /// Whether every later occurrence of a shared class lowered to its
+    /// first occurrence's shape: node by node in post-order, the same
+    /// class and the same subtree size (which fixes the tree). Both lower
+    /// the same term class from the same summaries (one feedback
+    /// observation per fingerprint and call), so they do; this is what
+    /// lets [`Planner::renumber`] map one onto the other by offset, and a
+    /// plan where it fails is not shared at all.
+    fn copies_match(&self) -> bool {
+        (0..self.class.len()).all(|later| {
+            let c = self.class[later] as usize;
+            let first = self.first[c] as usize;
+            let n = self.size[later] as usize;
+            let same = |i: usize| {
+                let (a, b) = (first - i, later - i);
+                (self.class[a], self.size[a]) == (self.class[b], self.size[b])
+            };
+            self.readers[c] <= 1 || first == later || (0..n).all(same)
+        })
     }
 
     /// Gives every node its final id, in post-order, and its parent
     /// count. A later occurrence of a shared class (`copy` = the first
     /// occurrence's root and its own) takes the first occurrence's ids,
-    /// offset by offset, which post-order assigned already.
-    fn renumber(&mut self, p: &mut PhysPlan, copy: Option<(u32, u32)>) {
+    /// offset by offset: post-order lowering made each subtree's ids
+    /// contiguous, and assigned the first occurrence's already.
+    fn renumber(
+        &self,
+        p: &mut PhysPlan,
+        copy: Option<(u32, u32)>,
+        new: &mut [u32],
+        next: &mut u32,
+    ) {
         let (old, c) = (p.id, self.class[p.id as usize] as usize);
         p.parents = self.readers[c].max(1);
         p.later = p.parents > 1 && self.first[c] != old;
         let copy = copy.or(p.later.then_some((self.first[c], old)));
         for child in p.kids_mut() {
-            self.renumber(child, copy);
+            self.renumber(child, copy, new, next);
         }
         p.id = match copy {
-            Some((first, root)) => self.new[(old - (root - first)) as usize],
+            Some((first, root)) => new[(old - (root - first)) as usize],
             None => {
-                self.next += 1;
-                self.next - 1
+                *next += 1;
+                *next - 1
             }
         };
-        self.new[old as usize] = p.id;
-    }
-}
-
-/// Appends `ids`' length and each id's index of first appearance in
-/// `seen`.
-fn number<T: PartialEq + Copy>(key: &mut Vec<u32>, seen: &mut Vec<T>, ids: &[T]) {
-    key.push(ids.len() as u32);
-    for id in ids {
-        let i = seen.iter().position(|s| s == id).unwrap_or(seen.len());
-        if i == seen.len() {
-            seen.push(*id);
-        }
-        key.push(i as u32);
-    }
-}
-
-struct Planner<'a> {
-    store: &'a RelStore,
-    /// The summary of every term node, in preorder: `lower` is handed a
-    /// node together with its index here.
-    sums: &'a [Summary],
-    next_id: u32,
-    /// The fingerprints of the static combining nodes lowered so far.
-    combining: Vec<u64>,
-}
-
-impl<'a> Planner<'a> {
-    /// The plan node computing term node `at`: rows, fingerprint and memo
-    /// provenance are the term's; `cost` is the chosen strategy's.
-    fn node(
-        &mut self,
-        at: usize,
-        cols: Vec<ColId>,
-        cost: f64,
-        free_rec: Vec<RecVarId>,
-        op: PhysOp,
-    ) -> PhysPlan {
-        let id = self.next_id;
-        self.next_id += 1;
-        let e = &self.sums[at];
-        if free_rec.is_empty() && op.combines() {
-            self.combining.push(e.fp);
-        }
-        PhysPlan {
-            id,
-            parents: 1,
-            later: false,
-            cols,
-            est: Estimate {
-                rows: e.rows(),
-                cost,
-            },
-            fp: e.fp,
-            memo_est: e.memo,
-            free_rec,
-            op,
-        }
+        new[old as usize] = p.id;
     }
 
-    /// Indices of the two children of the binary term node `at`.
-    fn children(&self, at: usize) -> (usize, usize) {
-        (at + 1, at + 1 + self.sums[at + 1].size)
-    }
-
-    fn lower(&mut self, term: &RaTerm, at: usize) -> Result<PhysPlan> {
-        let rows = self.sums[at].rows();
-        match term {
-            RaTerm::EdgeScan { label, src, tgt } => {
-                let op = PhysOp::EdgeScan { label: *label };
-                Ok(self.node(at, vec![*src, *tgt], rows, vec![], op))
-            }
-            RaTerm::NodeScan { labels, col } => {
+    fn lower(&mut self, at: Id) -> Result<PhysPlan> {
+        let (dag, rows) = (self.dag, self.sum(at).rows());
+        match dag.node(at) {
+            Op::EdgeScan(label, ..) => Ok(self.node(at, rows, PhysOp::EdgeScan { label: *label })),
+            Op::NodeScan(labels, _) => {
                 let op = PhysOp::NodeScan {
                     labels: labels.clone(),
                 };
-                Ok(self.node(at, vec![*col], rows, vec![], op))
+                Ok(self.node(at, rows, op))
             }
-            RaTerm::Join(a, b) => {
+            &Op::Join(a, b) => {
                 if let Some(p) = self.try_index_join(a, b, at)? {
                     return Ok(p);
                 }
-                let (l, r) = self.children(at);
-                let left = self.lower(a, l)?;
-                let right = self.lower(b, r)?;
+                let left = self.lower(a)?;
+                let right = self.lower(b)?;
                 Ok(self.lower_join(left, right, at))
             }
-            RaTerm::Semijoin(a, b) => self.lower_semijoin(term, a, b, at),
-            RaTerm::Union(a, b) => {
-                let (l, r) = self.children(at);
-                let left = self.lower(a, l)?;
-                let right = self.lower(b, r)?;
+            &Op::Semijoin(a, b) => self.lower_semijoin(a, b, at),
+            &Op::Union(a, b) => {
+                let left = self.lower(a)?;
+                let right = self.lower(b)?;
                 let cost = left.est.cost + right.est.cost + rows;
-                let cols = left.cols.clone();
-                let free = union_free(&left.free_rec, &right.free_rec);
                 let op = PhysOp::Union {
                     left: Box::new(left),
                     right: Box::new(right),
                 };
-                Ok(self.node(at, cols, cost, free, op))
+                Ok(self.node(at, cost, op))
             }
-            RaTerm::Project { input, cols } => {
-                let child = self.lower(input, at + 1)?;
+            Op::Project(input, cols) => {
+                let child = self.lower(*input)?;
                 for c in cols {
                     if !child.cols.contains(c) {
                         return Err(SgqError::Execution(format!(
@@ -672,57 +571,50 @@ impl<'a> Planner<'a> {
                     }
                 }
                 let cost = child.est.cost + child.est.rows;
-                let free = child.free_rec.clone();
                 let op = PhysOp::Project {
                     input: Box::new(child),
                 };
-                Ok(self.node(at, cols.clone(), cost, free, op))
+                Ok(self.node(at, cost, op))
             }
-            RaTerm::Select { input, a, b } => {
-                let child = self.lower(input, at + 1)?;
-                let position = |col: &ColId| {
-                    (child.cols.iter().position(|c| c == col))
+            &Op::Select(input, a, b) => {
+                let child = self.lower(input)?;
+                let position = |col: ColId| {
+                    (child.cols.iter().position(|&c| c == col))
                         .ok_or_else(|| SgqError::Execution(format!("unknown column {col}")))
                 };
                 let (ia, ib) = (position(a)?, position(b)?);
                 let cost = child.est.cost + child.est.rows;
-                let cols = child.cols.clone();
-                let free = child.free_rec.clone();
                 let op = PhysOp::Select {
                     input: Box::new(child),
-                    a: *a,
-                    b: *b,
+                    a,
+                    b,
                     ia,
                     ib,
                 };
-                Ok(self.node(at, cols, cost, free, op))
+                Ok(self.node(at, cost, op))
             }
-            RaTerm::Rename { input, from, to } => {
-                let child = self.lower(input, at + 1)?;
-                if !child.cols.contains(from) {
+            &Op::Rename(input, from, _) => {
+                let child = self.lower(input)?;
+                if !child.cols.contains(&from) {
                     return Err(SgqError::Execution(format!("unknown column {from}")));
                 }
-                let cols: Vec<ColId> = child
-                    .cols
-                    .iter()
-                    .map(|&c| if c == *from { *to } else { c })
-                    .collect();
                 // Zero-copy at execution: the rename adds no cost (and its
                 // summary is the child's — renames are invisible to the
                 // position-based fingerprint).
                 let cost = child.est.cost;
-                let free = child.free_rec.clone();
                 let op = PhysOp::Rename {
                     input: Box::new(child),
                 };
-                Ok(self.node(at, cols, cost, free, op))
+                Ok(self.node(at, cost, op))
             }
-            RaTerm::Fixpoint {
-                var, base, step, ..
-            } => {
-                let (l, r) = self.children(at);
-                let base_plan = self.lower(base, l)?;
-                let step_plan = self.lower(step, r)?;
+            &Op::Fixpoint(var, base, step, _) => {
+                let base_plan = self.lower(base)?;
+                // The step is lowered under the binding its summaries
+                // were computed under: the base case's rows.
+                let saved = self.est.bind(var, base_plan.est.rows);
+                let step_plan = self.lower(step);
+                self.est.unbind(var, saved);
+                let step_plan = step_plan?;
                 // Static step inputs are cached across rounds, so only
                 // the delta-dependent cost multiplies with the growth
                 // (from the measured closure depth of the labels the
@@ -730,37 +622,24 @@ impl<'a> Planner<'a> {
                 // observation of the whole closure, which overrides the
                 // growth extrapolation.
                 let (st, dy) = split_cost(&step_plan);
-                let cost = base_plan.est.cost + st + dy * self.sums[at].growth() + rows;
-                let cols = base_plan.cols.clone();
-                let mut free = union_free(&base_plan.free_rec, &step_plan.free_rec);
-                free.retain(|v| v != var);
+                let cost = base_plan.est.cost + st + dy * self.sum(at).growth() + rows;
                 let op = PhysOp::Fixpoint {
-                    var: *var,
+                    var,
                     base: Box::new(base_plan),
                     step: Box::new(step_plan),
                 };
-                Ok(self.node(at, cols, cost, free, op))
+                Ok(self.node(at, cost, op))
             }
-            RaTerm::RecRef { var, cols } => {
-                let op = PhysOp::RecRef { var: *var };
-                Ok(self.node(at, cols.clone(), 0.0, vec![*var], op))
-            }
+            Op::RecRef(var, _) => Ok(self.node(at, 0.0, PhysOp::RecRef { var: *var })),
         }
     }
 
     /// Join strategy selection for term node `at`: merge when the shared
     /// columns lead both schemas, otherwise hash with the cost-chosen
     /// build side.
-    fn lower_join(&mut self, left: PhysPlan, right: PhysPlan, at: usize) -> PhysPlan {
-        let rows = self.sums[at].rows();
+    fn lower_join(&mut self, left: PhysPlan, right: PhysPlan, at: Id) -> PhysPlan {
+        let rows = self.sum(at).rows();
         let key = shared_cols(&left.cols, &right.cols);
-        let cols: Vec<ColId> = left
-            .cols
-            .iter()
-            .chain(right.cols.iter().filter(|c| !left.cols.contains(c)))
-            .copied()
-            .collect();
-        let free = union_free(&left.free_rec, &right.free_rec);
         if !key.is_empty() && is_prefix(&key, &left.cols) && is_prefix(&key, &right.cols) {
             // Both inputs arrive sorted on the key: skip hashing entirely.
             let cost = left.est.cost + right.est.cost + rows;
@@ -769,7 +648,7 @@ impl<'a> Planner<'a> {
                 right: Box::new(right),
                 key,
             };
-            return self.node(at, cols, cost, free, op);
+            return self.node(at, cost, op);
         }
         let cost = left.est.cost + right.est.cost + left.est.rows + right.est.rows + rows;
         // Build the estimated-smaller side; break ties towards the
@@ -787,7 +666,7 @@ impl<'a> Planner<'a> {
             key,
             build_left,
         };
-        self.node(at, cols, cost, free, op)
+        self.node(at, cost, op)
     }
 
     /// Attempts to lower the join `a ⋈ b` at term node `at` as a CSR
@@ -797,24 +676,25 @@ impl<'a> Planner<'a> {
     /// probing the CSR (probe rows × (1 + avg degree)) over the best
     /// scan-based strategy (merge or hash) for the same term. When both
     /// sides qualify, the cheaper probe orientation competes. The
-    /// absorbed scan side is never lowered: the fold already summarised
-    /// it.
-    fn try_index_join(&mut self, a: &RaTerm, b: &RaTerm, at: usize) -> Result<Option<PhysPlan>> {
+    /// absorbed scan side is never lowered: the estimator already
+    /// summarised it. The output keeps the join's term columns (left's,
+    /// then the right side's new ones), so sibling plans — e.g. the two
+    /// arms of a union — agree on column order whichever strategy each
+    /// picked.
+    fn try_index_join(&mut self, a: Id, b: Id, at: Id) -> Result<Option<PhysPlan>> {
         if !self.store.index_joins {
             return Ok(None);
         }
-        let sums = self.sums;
-        let rows = sums[at].rows();
-        let (l, r) = self.children(at);
-        let (ea, eb) = (sums[l].estimate(), sums[r].estimate());
+        let (dag, rows) = (self.dag, self.sum(at).rows());
+        let (ea, eb) = (self.sum(a).estimate(), self.sum(b).estimate());
         // The cheapest indexable orientation: (scan, scan-on-the-left,
         // forward, cost).
         let mut best: Option<(ScanInfo, bool, bool, f64)> = None;
-        for (scan_term, probe, scan_left) in [(a, r, true), (b, l, false)] {
-            let Some(s) = indexable_scan(scan_term) else {
+        for (scan_term, probe, scan_left) in [(a, b, true), (b, a, false)] {
+            let Some(s) = indexable_scan(dag, scan_term) else {
                 continue;
             };
-            let probe_cols = &sums[probe].cols;
+            let probe_cols = dag.cols(probe);
             let forward = match (probe_cols.contains(&s.src), probe_cols.contains(&s.tgt)) {
                 (true, false) => true,
                 (false, true) => false,
@@ -832,7 +712,7 @@ impl<'a> Planner<'a> {
             return Ok(None);
         };
         // The scan-based alternative this term would otherwise lower to.
-        let (a_cols, b_cols) = (&sums[l].cols, &sums[r].cols);
+        let (a_cols, b_cols) = (dag.cols(a), dag.cols(b));
         let key_cols = shared_cols(a_cols, b_cols);
         let merge_ok =
             !key_cols.is_empty() && is_prefix(&key_cols, a_cols) && is_prefix(&key_cols, b_cols);
@@ -844,60 +724,35 @@ impl<'a> Planner<'a> {
         if index_cost >= scan_based {
             return Ok(None);
         }
-        let probe = if scan_left {
-            self.lower(b, r)?
-        } else {
-            self.lower(a, l)?
-        };
-        let [(key, _), (out, _)] = s.endpoints(forward);
-        // Output schema stays the standard join layout (left's columns,
-        // then the right side's non-shared columns), so sibling plans —
-        // e.g. the two arms of a union — agree on column order no matter
-        // which strategy each picked.
-        let cols: Vec<ColId> = if scan_left {
-            [s.src, s.tgt]
-                .into_iter()
-                .chain(probe.cols.iter().copied().filter(|&c| c != key))
-                .collect()
-        } else {
-            probe.cols.iter().copied().chain([out]).collect()
-        };
-        let free = probe.free_rec.clone();
+        let probe = self.lower(if scan_left { b } else { a })?;
         let op = PhysOp::IndexJoin {
             probe: Box::new(probe),
             scan: s,
             forward,
         };
-        Ok(Some(self.node(at, cols, index_cost, free, op)))
+        Ok(Some(self.node(at, index_cost, op)))
     }
 
     /// Attempts to lower the semi-join `a ⋉ b` at term node `at` as a CSR
     /// index semi-join: `b` must be an indexable base-edge scan sharing
     /// exactly one endpoint column with `a`, and the per-row degree probe
     /// must beat collecting the scan's key set.
-    fn try_index_semijoin(
-        &mut self,
-        a: &RaTerm,
-        b: &RaTerm,
-        at: usize,
-    ) -> Result<Option<PhysPlan>> {
+    fn try_index_semijoin(&mut self, a: Id, b: Id, at: Id) -> Result<Option<PhysPlan>> {
         if !self.store.index_joins {
             return Ok(None);
         }
-        let sums = self.sums;
-        let rows = sums[at].rows();
-        let Some(s) = indexable_scan(b) else {
+        let (dag, rows) = (self.dag, self.sum(at).rows());
+        let Some(s) = indexable_scan(dag, b) else {
             return Ok(None);
         };
-        let (l, r) = self.children(at);
-        let a_cols = &sums[l].cols;
+        let a_cols = dag.cols(a);
         let forward = match (a_cols.contains(&s.src), a_cols.contains(&s.tgt)) {
             (true, false) => true,
             (false, true) => false,
             _ => return Ok(None),
         };
         let key = s.endpoints(forward)[0].0;
-        let (ea, eb) = (sums[l].estimate(), sums[r].estimate());
+        let (ea, eb) = (self.sum(a).estimate(), self.sum(b).estimate());
         let index_cost = cost::index_semijoin_cost(&ea);
         // Merge filtering needs the key to lead both sides; the scan side
         // leads with its source column.
@@ -910,63 +765,51 @@ impl<'a> Planner<'a> {
         if index_cost >= scan_based {
             return Ok(None);
         }
-        let left = self.lower(a, l)?;
-        let cols = left.cols.clone();
-        let free = left.free_rec.clone();
+        let left = self.lower(a)?;
         let op = PhysOp::IndexSemiJoin {
             left: Box::new(left),
             scan: s,
             forward,
         };
-        Ok(Some(self.node(at, cols, index_cost, free, op)))
+        Ok(Some(self.node(at, index_cost, op)))
     }
 
-    /// Semi-join strategy selection: fuse onto bare edge scans, probe the
-    /// CSR when the filter is an indexable scan, merge on sorted key
-    /// prefixes, hash otherwise. `term` is the semi-join `a ⋉ b` at term
-    /// node `at`, whose label-aware estimate every strategy shares.
-    fn lower_semijoin(
-        &mut self,
-        term: &RaTerm,
-        a: &RaTerm,
-        b: &RaTerm,
-        at: usize,
-    ) -> Result<PhysPlan> {
-        let rows = self.sums[at].rows();
-        let (l, r) = self.children(at);
+    /// Semi-join strategy selection for `a ⋉ b` at term node `at`, whose
+    /// label-aware estimate every strategy shares: fuse onto bare edge
+    /// scans, probe the CSR when the filter is an indexable scan, merge on
+    /// sorted key prefixes, hash otherwise.
+    fn lower_semijoin(&mut self, a: Id, b: Id, at: Id) -> Result<PhysPlan> {
+        let (dag, rows) = (self.dag, self.sum(at).rows());
         // A node-label filter on a scan whose slice the store precomputed
         // needs no filtering at all — it is a strict improvement over
         // every strategy below, so no cost race.
-        if let Some(p) = self.try_denorm_scan(term, at) {
+        if let Some(p) = self.try_denorm_scan(at) {
             return Ok(p);
         }
-        if let RaTerm::EdgeScan { label, src, tgt } = a {
-            let filter = self.lower(b, r)?;
-            let scan_cols = vec![*src, *tgt];
-            let key = shared_cols(&scan_cols, &filter.cols);
+        if let Op::EdgeScan(label, ..) = *dag.node(a) {
+            let filter = self.lower(b)?;
+            let scan_cols = dag.cols(a);
+            let key = shared_cols(scan_cols, &filter.cols);
             let merge =
-                !key.is_empty() && is_prefix(&key, &scan_cols) && is_prefix(&key, &filter.cols);
-            let scan_rows = self.store.stats.edge_cardinality(*label) as f64;
+                !key.is_empty() && is_prefix(&key, scan_cols) && is_prefix(&key, &filter.cols);
+            let scan_rows = self.store.stats.edge_cardinality(label) as f64;
             let cost = scan_rows + filter.est.cost + filter.est.rows;
-            let free = filter.free_rec.clone();
             // The fused node computes the whole semi-join term, so it
             // carries the semi-join's fingerprint.
             let op = PhysOp::FilteredEdgeScan {
-                label: *label,
+                label,
                 filter: Box::new(filter),
                 key,
                 merge,
             };
-            return Ok(self.node(at, scan_cols, cost, free, op));
+            return Ok(self.node(at, cost, op));
         }
         if let Some(p) = self.try_index_semijoin(a, b, at)? {
             return Ok(p);
         }
-        let left = self.lower(a, l)?;
-        let right = self.lower(b, r)?;
+        let left = self.lower(a)?;
+        let right = self.lower(b)?;
         let key = shared_cols(&left.cols, &right.cols);
-        let cols = left.cols.clone();
-        let free = union_free(&left.free_rec, &right.free_rec);
         if !key.is_empty() && is_prefix(&key, &left.cols) && is_prefix(&key, &right.cols) {
             let cost = left.est.cost + right.est.cost + rows;
             let op = PhysOp::MergeSemiJoin {
@@ -974,7 +817,7 @@ impl<'a> Planner<'a> {
                 right: Box::new(right),
                 key,
             };
-            return Ok(self.node(at, cols, cost, free, op));
+            return Ok(self.node(at, cost, op));
         }
         let cost = left.est.cost + right.est.cost + left.est.rows + right.est.rows;
         let op = PhysOp::HashSemiJoin {
@@ -982,7 +825,7 @@ impl<'a> Planner<'a> {
             right: Box::new(right),
             key,
         };
-        Ok(self.node(at, cols, cost, free, op))
+        Ok(self.node(at, cost, op))
     }
 
     /// Attempts to lower a node-label semi-join over a base edge scan
@@ -991,8 +834,8 @@ impl<'a> Planner<'a> {
     /// single scan of exactly its output rows — the filter costs
     /// nothing. Restricted to single-label filters per endpoint (the
     /// only slices the store materialises).
-    fn try_denorm_scan(&mut self, term: &RaTerm, at: usize) -> Option<PhysPlan> {
-        let s = indexable_scan(term)?;
+    fn try_denorm_scan(&mut self, at: Id) -> Option<PhysPlan> {
+        let s = indexable_scan(self.dag, at)?;
         let single = |labels: &Option<Vec<NodeLabelId>>| match labels {
             None => Some(None),
             Some(v) if v.len() == 1 => Some(Some(v[0])),
@@ -1016,7 +859,7 @@ impl<'a> Planner<'a> {
             tgt_label,
         };
         let cost = cost::denorm_scan_cost(slice_rows);
-        Some(self.node(at, vec![s.src, s.tgt], cost, vec![], op))
+        Some(self.node(at, cost, op))
     }
 }
 
@@ -1026,20 +869,18 @@ impl<'a> Planner<'a> {
 /// Renames of columns the scan does not expose, filters that are not
 /// node scans on an endpoint, and degenerate scans (`src == tgt`) all
 /// return `None` so the term falls back to the scan-based strategies.
-fn indexable_scan(term: &RaTerm) -> Option<ScanInfo> {
-    match term {
-        RaTerm::EdgeScan { label, src, tgt } if src != tgt => {
-            Some(ScanInfo::bare(*label, *src, *tgt))
-        }
-        RaTerm::Rename { input, from, to } => {
-            let mut s = indexable_scan(input)?;
-            let exposed = [s.src, s.tgt].contains(from);
-            s.rename(*from, *to);
+fn indexable_scan(dag: &Dag, id: Id) -> Option<ScanInfo> {
+    match *dag.node(id) {
+        Op::EdgeScan(label, src, tgt) if src != tgt => Some(ScanInfo::bare(label, src, tgt)),
+        Op::Rename(input, from, to) => {
+            let mut s = indexable_scan(dag, input)?;
+            let exposed = [s.src, s.tgt].contains(&from);
+            s.rename(from, to);
             (exposed && s.src != s.tgt).then_some(s)
         }
-        RaTerm::Semijoin(left, filter) => {
-            let s = indexable_scan(left)?;
-            let RaTerm::NodeScan { labels, col } = &**filter else {
+        Op::Semijoin(left, filter) => {
+            let s = indexable_scan(dag, left)?;
+            let Op::NodeScan(labels, col) = dag.node(filter) else {
                 return None;
             };
             [s.src, s.tgt].contains(col).then(|| s.refine(*col, labels))
@@ -1051,16 +892,6 @@ fn indexable_scan(term: &RaTerm) -> Option<ScanInfo> {
 /// Whether `key` is the leading prefix of `cols`.
 fn is_prefix(key: &[ColId], cols: &[ColId]) -> bool {
     cols.len() >= key.len() && &cols[..key.len()] == key
-}
-
-fn union_free(a: &[RecVarId], b: &[RecVarId]) -> Vec<RecVarId> {
-    let mut out = a.to_vec();
-    for v in b {
-        if !out.contains(v) {
-            out.push(*v);
-        }
-    }
-    out
 }
 
 /// Splits a step plan's cost into (static, per-round) parts: a static
@@ -1445,6 +1276,53 @@ mod tests {
         let (l, r) = arms(&p);
         assert_ne!(l.id, r.id);
         assert_eq!((l.parents(), r.parents()), (1, 1));
+    }
+
+    #[test]
+    fn copies_of_one_class_share_only_in_one_shape() {
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let s = &store.symbols;
+        let (x, z) = (s.col("x"), s.col("z"));
+        let hop = |mid: &str| {
+            let j = RaTerm::join(
+                scan(&db, &store, "owns", "x", mid),
+                scan(&db, &store, "isLocatedIn", mid, "z"),
+            );
+            RaTerm::project(j, vec![x, z])
+        };
+        let term = RaTerm::union(hop("y"), hop("m"));
+        let (dag, root) = Dag::of(&term, true);
+        let Op::Union(left, _) = *dag.node(root) else {
+            panic!()
+        };
+        // Whether some index join of `p` absorbs a scan of `label`.
+        let absorbs = |p: &PhysPlan, label: &str| {
+            let label = db.edge_label_id(label).unwrap();
+            p.contains_op(&|op| matches!(op, PhysOp::IndexJoin { scan, .. } if scan.label == label))
+        };
+        // Another session records a million `owns` rows once the left
+        // copy is summarised. Read by the right copy alone, that would
+        // make it probe `owns` instead of `isLocatedIn`; but the planner
+        // asks the memo once per fingerprint, so both copies keep one
+        // shape.
+        let mut planner = Planner::new(&store, &dag);
+        planner.sum(left);
+        let owns = cost::fingerprint(&scan(&db, &store, "owns", "x", "y"), &store);
+        store.feedback.observe(owns, 1_000_000);
+        let lowered = planner.lower(root).unwrap();
+        let p = planner.share(lowered.clone());
+        assert_eq!(p.node_count(), 4, "union, project, index join, scan");
+        assert!(absorbs(&p, "isLocatedIn") && !absorbs(&p, "owns"));
+        assert!(absorbs(&plan(&term, &store).unwrap(), "owns"));
+        // A later copy of another shape than the first is not shared: the
+        // plan keeps its post-order ids.
+        planner.class[3] = planner.class[6];
+        let p = planner.share(lowered);
+        assert_eq!(p.node_count(), 7);
+        assert!(
+            !p.contains_op(&|op| matches!(op, PhysOp::Union { left, .. } if left.parents() > 1))
+        );
     }
 
     #[test]

@@ -8,12 +8,32 @@
 //! (Jachiet et al.'s key rewriting, used by [`crate::optimize`]).
 //!
 //! All column and recursion-variable names are interned ids (see
-//! [`crate::symbols::SymbolTable`]): structural equality of terms — which
-//! the optimiser's fixpoint loop computes up to eight times per query —
-//! is pure integer comparison, and cloning a term never touches the heap
-//! for its symbols.
+//! [`crate::symbols::SymbolTable`]), so comparing or hashing a term never
+//! touches a string.
+//!
+//! **The term DAG.** [`crate::optimize::optimize`] and [`crate::plan()`]
+//! each intern their input once into a per-call `Dag`: every distinct
+//! node is stored once, under one id, with its output columns, its free
+//! recursion variables and a rename-invariant *class*, all computed when
+//! the node is added. Equal sub-terms are equal ids, so the optimiser's
+//! convergence test and every column lookup are O(1), and a memo keyed by
+//! id (the estimator's summaries, the optimiser's passes) visits each
+//! distinct sub-term once. Two nodes share a class when they compute the
+//! same rows up to a positional renaming of their columns: the same
+//! operator and parameters over children of equal classes, with the
+//! columns of the node, of its parameters and of each child, and its
+//! recursion variables, numbered by first appearance. The schema
+//! rewrite's disjuncts repeat sub-terms under fresh `m$` names; the
+//! planner evaluates such a class once (DESIGN.md, "Shared sub-plans").
+//! Nothing of a `Dag` outlives the call that built it: no interner is
+//! process-global, as the feedback memo the summaries read changes
+//! between calls.
 
-use sgq_common::{ColId, EdgeLabelId, NodeLabelId, RecVarId};
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
+
+use sgq_common::hash::map_with_capacity;
+use sgq_common::{ColId, EdgeLabelId, FxHashMap, FxHasher, NodeLabelId, RecVarId};
 
 /// A recursive relational algebra term.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,6 +199,382 @@ impl RaTerm {
             RaTerm::Fixpoint { base, step, .. } => 1 + base.size() + step.size(),
         }
     }
+
+    /// Number of distinct operator nodes: what [`RaTerm::size`] counts
+    /// once the term is interned, so a repeated sub-term counts once.
+    pub fn distinct(&self) -> usize {
+        Dag::of(self, false).0.len().0
+    }
+}
+
+/// Index of a node in a [`Dag`].
+pub(crate) type Id = u32;
+
+/// One interned operator: a [`RaTerm`] node whose children are ids, its
+/// fields in the [`RaTerm`] variant's order.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum Op {
+    EdgeScan(EdgeLabelId, ColId, ColId),
+    NodeScan(Vec<NodeLabelId>, ColId),
+    Join(Id, Id),
+    Semijoin(Id, Id),
+    Union(Id, Id),
+    Project(Id, Vec<ColId>),
+    Select(Id, ColId, ColId),
+    Rename(Id, ColId, ColId),
+    Fixpoint(RecVarId, Id, Id, Vec<ColId>),
+    RecRef(RecVarId, Vec<ColId>),
+}
+
+impl Op {
+    /// The children, in order (a fixpoint's base, then its step).
+    pub(crate) fn kids(&self) -> impl Iterator<Item = Id> {
+        let pair = match *self {
+            Op::EdgeScan(..) | Op::NodeScan(..) | Op::RecRef(..) => [None, None],
+            Op::Project(i, _) | Op::Select(i, ..) | Op::Rename(i, ..) => [Some(i), None],
+            Op::Join(a, b) | Op::Semijoin(a, b) | Op::Union(a, b) | Op::Fixpoint(_, a, b, _) => {
+                [Some(a), Some(b)]
+            }
+        };
+        pair.into_iter().flatten()
+    }
+
+    /// The same operator over the children `kids`, in [`Op::kids`] order.
+    pub(crate) fn with_kids(&self, kids: &[Id]) -> Op {
+        let mut op = self.clone();
+        match &mut op {
+            Op::EdgeScan(..) | Op::NodeScan(..) | Op::RecRef(..) => {}
+            Op::Project(i, _) | Op::Select(i, ..) | Op::Rename(i, ..) => *i = kids[0],
+            Op::Join(a, b) | Op::Semijoin(a, b) | Op::Union(a, b) | Op::Fixpoint(_, a, b, _) => {
+                (*a, *b) = (kids[0], kids[1])
+            }
+        }
+        op
+    }
+}
+
+/// A hash-consed term: each distinct node once, with its output columns,
+/// free recursion variables and rename-invariant class. Columns,
+/// variables and class keys live back to back in flat pools, and the two
+/// indexes map a hash to an id (a collision probes the next hash), so a
+/// node's metadata costs no allocation of its own.
+#[derive(Default)]
+pub(crate) struct Dag {
+    nodes: Vec<Op>,
+    /// Per node: its columns' and free variables' spans of the pools, and
+    /// its class.
+    meta: Vec<(Span, Span, u32)>,
+    cols: Vec<ColId>,
+    vars: Vec<RecVarId>,
+    index: FxHashMap<u64, Id>,
+    /// Whether nodes get classes; the class keys back to back (class
+    /// `c`'s ends at `key_ends[c]`), and scratch for the next key.
+    classify: bool,
+    keys: Vec<u32>,
+    key_ends: Vec<u32>,
+    classes: FxHashMap<u64, u32>,
+    key: Vec<u32>,
+}
+
+impl Dag {
+    /// A DAG holding `term`, and the root's id. Only a DAG made with
+    /// `classes` gives its nodes classes: the planner shares sub-plans by
+    /// them, the optimiser never asks.
+    pub(crate) fn of(term: &RaTerm, classes: bool) -> (Dag, Id) {
+        let n = term.size();
+        let k = if classes { n } else { 0 };
+        let mut dag = Dag {
+            nodes: Vec::with_capacity(n),
+            meta: Vec::with_capacity(n),
+            cols: Vec::with_capacity(2 * n),
+            index: map_with_capacity(n),
+            classify: classes,
+            keys: Vec::with_capacity(8 * k),
+            key_ends: Vec::with_capacity(k),
+            classes: map_with_capacity(k),
+            ..Dag::default()
+        };
+        let root = dag.intern(term);
+        (dag, root)
+    }
+
+    /// Interns `term` bottom-up; returns its root's id.
+    fn intern(&mut self, term: &RaTerm) -> Id {
+        let op = match term {
+            RaTerm::EdgeScan { label, src, tgt } => Op::EdgeScan(*label, *src, *tgt),
+            RaTerm::NodeScan { labels, col } => Op::NodeScan(labels.clone(), *col),
+            RaTerm::Join(a, b) => Op::Join(self.intern(a), self.intern(b)),
+            RaTerm::Semijoin(a, b) => Op::Semijoin(self.intern(a), self.intern(b)),
+            RaTerm::Union(a, b) => Op::Union(self.intern(a), self.intern(b)),
+            RaTerm::Project { input, cols } => Op::Project(self.intern(input), cols.clone()),
+            RaTerm::Select { input, a, b } => Op::Select(self.intern(input), *a, *b),
+            RaTerm::Rename { input, from, to } => Op::Rename(self.intern(input), *from, *to),
+            RaTerm::Fixpoint {
+                var,
+                base,
+                step,
+                stable,
+            } => Op::Fixpoint(*var, self.intern(base), self.intern(step), stable.clone()),
+            RaTerm::RecRef { var, cols } => Op::RecRef(*var, cols.clone()),
+        };
+        self.add(op)
+    }
+
+    /// The id of `op`, adding it if it is new.
+    pub(crate) fn add(&mut self, op: Op) -> Id {
+        let id = self.nodes.len() as Id;
+        let mut h = hash(&op);
+        loop {
+            match self.index.entry(h) {
+                Entry::Occupied(e) if self.nodes[*e.get() as usize] == op => return *e.get(),
+                Entry::Occupied(_) => h = h.wrapping_add(1),
+                Entry::Vacant(e) => {
+                    e.insert(id);
+                    break;
+                }
+            }
+        }
+        let c0 = self.cols.len();
+        match &op {
+            Op::EdgeScan(_, src, tgt) => self.cols.extend([*src, *tgt]),
+            Op::NodeScan(_, col) => self.cols.push(*col),
+            Op::Project(_, cols) | Op::RecRef(_, cols) => self.cols.extend_from_slice(cols),
+            &Op::Rename(input, from, to) => {
+                for i in span(self.meta[input as usize].0) {
+                    let c = self.cols[i];
+                    self.cols.push(if c == from { to } else { c });
+                }
+            }
+            op => {
+                let first = op.kids().next().expect("has an input");
+                let left = span(self.meta[first as usize].0);
+                self.cols.extend_from_within(left.clone());
+                // A join appends the right side's new columns.
+                if let Op::Join(_, b) = *op {
+                    for i in span(self.meta[b as usize].0) {
+                        let c = self.cols[i];
+                        if !self.cols[left.clone()].contains(&c) {
+                            self.cols.push(c);
+                        }
+                    }
+                }
+            }
+        }
+        let v0 = self.vars.len();
+        for k in op.kids() {
+            for i in span(self.meta[k as usize].1) {
+                let v = self.vars[i];
+                if !self.vars[v0..].contains(&v) {
+                    self.vars.push(v);
+                }
+            }
+        }
+        match op {
+            Op::Fixpoint(var, ..) => {
+                if let Some(p) = self.vars[v0..].iter().position(|&v| v == var) {
+                    self.vars.remove(v0 + p);
+                }
+            }
+            Op::RecRef(var, _) => self.vars.push(var),
+            _ => {}
+        }
+        let span_of = |start: usize, end: usize| (start as u32, end as u32);
+        let spans = (span_of(c0, self.cols.len()), span_of(v0, self.vars.len()));
+        self.meta.push((spans.0, spans.1, 0));
+        self.nodes.push(op);
+        if self.classify {
+            self.meta[id as usize].2 = self.class_of(id);
+        }
+        id
+    }
+
+    /// The class of node `id`, whose children have theirs. Its key is the
+    /// operator, its labels and its children's classes, plus where each
+    /// column the node names — its own, its parameters', a later child's —
+    /// and each later child's free recursion variable sits among the first
+    /// child's (`u32::MAX`: a new one). Equal keys therefore mean equal
+    /// rows up to a positional renaming.
+    fn class_of(&mut self, id: Id) -> u32 {
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        let class = |k: Id| self.class(k);
+        match *self.node(id) {
+            Op::EdgeScan(label, src, tgt) => key.extend([0, label.raw(), (src == tgt) as u32]),
+            Op::NodeScan(ref labels, _) => {
+                key.extend([1, labels.len() as u32]);
+                key.extend(labels.iter().map(|l| l.raw()));
+            }
+            Op::Join(a, b) | Op::Semijoin(a, b) | Op::Union(a, b) => {
+                let tag = match self.node(id) {
+                    Op::Join(..) => 2,
+                    Op::Semijoin(..) => 3,
+                    _ => 4,
+                };
+                key.extend([tag, class(a), class(b)]);
+                positions(&mut key, self.cols(b), self.cols(a));
+                positions(&mut key, self.free(b), self.free(a));
+            }
+            Op::Project(input, ref cols) => {
+                key.extend([5, class(input)]);
+                positions(&mut key, cols, self.cols(input));
+            }
+            Op::Select(input, a, b) | Op::Rename(input, a, b) => {
+                let tag = if matches!(self.node(id), Op::Select(..)) {
+                    6
+                } else {
+                    7
+                };
+                key.extend([tag, class(input)]);
+                positions(&mut key, &[a, b], self.cols(input));
+            }
+            Op::Fixpoint(var, base, step, ref stable) => {
+                key.extend([8, class(base), class(step)]);
+                positions(&mut key, stable, self.cols(base));
+                positions(&mut key, self.cols(step), self.cols(base));
+                positions(&mut key, self.free(step), self.free(base));
+                positions(&mut key, &[var], self.free(step));
+            }
+            Op::RecRef(_, ref cols) => {
+                key.push(9);
+                positions(&mut key, cols, cols);
+            }
+        }
+        let mut h = hash(&key);
+        let class = loop {
+            let fresh = self.key_ends.len() as u32;
+            match self.classes.entry(h) {
+                Entry::Occupied(e) => {
+                    let c = *e.get();
+                    let start = c.checked_sub(1).map_or(0, |p| self.key_ends[p as usize]);
+                    if self.keys[span((start, self.key_ends[c as usize]))] == key {
+                        break c;
+                    }
+                    h = h.wrapping_add(1);
+                }
+                Entry::Vacant(e) => {
+                    e.insert(fresh);
+                    self.keys.extend_from_slice(&key);
+                    self.key_ends.push(self.keys.len() as u32);
+                    break fresh;
+                }
+            }
+        };
+        self.key = key;
+        class
+    }
+
+    /// The node `id`.
+    pub(crate) fn node(&self, id: Id) -> &Op {
+        &self.nodes[id as usize]
+    }
+
+    /// Output columns of `id`, in order.
+    pub(crate) fn cols(&self, id: Id) -> &[ColId] {
+        &self.cols[span(self.meta[id as usize].0)]
+    }
+
+    /// Free recursion variables of `id`, in order of first appearance
+    /// (empty: the sub-term is static).
+    pub(crate) fn free(&self, id: Id) -> &[RecVarId] {
+        &self.vars[span(self.meta[id as usize].1)]
+    }
+
+    /// The rename-invariant class of `id`.
+    pub(crate) fn class(&self, id: Id) -> u32 {
+        self.meta[id as usize].2
+    }
+
+    /// How many distinct nodes the DAG holds, and how many classes.
+    pub(crate) fn len(&self) -> (usize, usize) {
+        (self.nodes.len(), self.key_ends.len())
+    }
+
+    /// The tree `id` denotes.
+    pub(crate) fn term(&self, id: Id) -> RaTerm {
+        let t = |k: Id| self.term(k);
+        match self.node(id).clone() {
+            Op::EdgeScan(label, src, tgt) => RaTerm::EdgeScan { label, src, tgt },
+            Op::NodeScan(labels, col) => RaTerm::NodeScan { labels, col },
+            Op::Join(a, b) => RaTerm::join(t(a), t(b)),
+            Op::Semijoin(a, b) => RaTerm::semijoin(t(a), t(b)),
+            Op::Union(a, b) => RaTerm::union(t(a), t(b)),
+            Op::Project(i, cols) => RaTerm::project(t(i), cols),
+            Op::Select(i, a, b) => RaTerm::select_eq(t(i), a, b),
+            Op::Rename(i, from, to) => rename(t(i), from, to),
+            Op::Fixpoint(var, base, step, stable) => RaTerm::Fixpoint {
+                var,
+                base: Box::new(t(base)),
+                step: Box::new(t(step)),
+                stable,
+            },
+            Op::RecRef(var, cols) => RaTerm::RecRef { var, cols },
+        }
+    }
+}
+
+/// A memo over a DAG's nodes under recursion-binding frames, keyed as
+/// `Estimator::key` makes the keys: a vector for frame 0 — every static
+/// node's — and a hash map for the rest.
+pub(crate) struct NodeMemo {
+    fixed: Vec<u32>,
+    bound: FxHashMap<(Id, u32), u32>,
+}
+
+impl NodeMemo {
+    /// An empty memo sized for `nodes` static keys.
+    pub(crate) fn new(nodes: usize) -> Self {
+        NodeMemo {
+            fixed: vec![u32::MAX; nodes],
+            bound: FxHashMap::default(),
+        }
+    }
+
+    pub(crate) fn get(&self, (id, frame): (Id, u32)) -> Option<u32> {
+        match frame {
+            0 => self
+                .fixed
+                .get(id as usize)
+                .copied()
+                .filter(|&v| v != u32::MAX),
+            _ => self.bound.get(&(id, frame)).copied(),
+        }
+    }
+
+    /// Sets `key`'s value unless it has one.
+    pub(crate) fn insert(&mut self, key: (Id, u32), v: u32) {
+        let (id, frame) = (key.0 as usize, key.1);
+        if frame != 0 {
+            self.bound.entry(key).or_insert(v);
+        } else if self.fixed.get(id).is_none_or(|&old| old == u32::MAX) {
+            if self.fixed.len() <= id {
+                self.fixed.resize(id + 1, u32::MAX);
+            }
+            self.fixed[id] = v;
+        }
+    }
+}
+
+/// A `start..end` range of one of a [`Dag`]'s pools.
+type Span = (u32, u32);
+
+fn span((start, end): Span) -> std::ops::Range<usize> {
+    start as usize..end as usize
+}
+
+fn hash<T: Hash>(x: &T) -> u64 {
+    let mut h = FxHasher::default();
+    x.hash(&mut h);
+    h.finish()
+}
+
+/// Appends `ids`' length and where each sits in `within` (`u32::MAX`:
+/// absent).
+fn positions<T: PartialEq>(key: &mut Vec<u32>, ids: &[T], within: &[T]) {
+    key.push(ids.len() as u32);
+    for id in ids {
+        let at = within.iter().position(|w| w == id);
+        key.push(at.map_or(u32::MAX, |p| p as u32));
+    }
 }
 
 /// Builds the canonical transitive-closure fixpoint for a binary term
@@ -226,20 +622,17 @@ pub fn rename_binary(
 ) -> RaTerm {
     let mut t = term;
     if old_src != src {
-        t = RaTerm::Rename {
-            input: Box::new(t),
-            from: old_src,
-            to: src,
-        };
+        t = rename(t, old_src, src);
     }
     if old_tgt != tgt {
-        t = RaTerm::Rename {
-            input: Box::new(t),
-            from: old_tgt,
-            to: tgt,
-        };
+        t = rename(t, old_tgt, tgt);
     }
     t
+}
+
+fn rename(input: RaTerm, from: ColId, to: ColId) -> RaTerm {
+    let input = Box::new(input);
+    RaTerm::Rename { input, from, to }
 }
 
 #[cfg(test)]

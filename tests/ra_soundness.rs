@@ -3,13 +3,16 @@
 //!
 //! Randomized properties over the Fig. 2 database:
 //!
-//! 1. `execute(optimize(t)) == execute(t)` for random `RaTerm`s built
-//!    from random path expressions (joins, semi-joins, unions, fixpoints)
-//!    plus random node-label semi-join filters — the shapes the
-//!    translator and the µ-RA rewriter actually produce.
-//! 2. `execute_plan(plan(optimize(t))) == execute(t)` — explicit
-//!    pre-lowering (the harness path) agrees with term-level execution,
-//!    with and without fixpoint build-side caching.
+//! 1. `execute(t)` and `execute(optimize(t))` both equal the answer of
+//!    `sgq_algebra::eval::eval_path` — an oracle that shares no code with
+//!    the RA layer — for random `RaTerm`s built from random path
+//!    expressions (joins, semi-joins, unions, fixpoints) plus random
+//!    node-label semi-join filters, the shapes the translator and the
+//!    µ-RA rewriter actually produce; a third of the cases union two
+//!    translations of the path, as the schema rewrite's disjuncts do.
+//! 2. `execute_plan(plan(optimize(t)))` equals the oracle too, with and
+//!    without fixpoint build-side caching, and some cases plan a shared
+//!    node.
 //! 3. `execute_plan(index-enabled) == execute_plan(index-disabled) ==
 //!    execute(t)` — planning against the store's CSR adjacency indexes
 //!    never changes results.
@@ -80,7 +83,17 @@ fn random_filters(
     term: RaTerm,
     cols: &[ColId],
 ) -> RaTerm {
-    let mut term = term;
+    filtered(db, rng, term, cols).0
+}
+
+/// [`random_filters`], also returning each filter as (column, label).
+fn filtered(
+    db: &sgq_graph::GraphDatabase,
+    rng: &mut Rng,
+    term: RaTerm,
+    cols: &[ColId],
+) -> (RaTerm, Vec<(ColId, NodeLabelId)>) {
+    let (mut term, mut filters) = (term, Vec::new());
     for &col in cols {
         if rng.gen_bool(0.4) {
             let label =
@@ -92,22 +105,62 @@ fn random_filters(
                     col,
                 },
             );
+            filters.push((col, label));
         }
     }
-    term
+    (term, filters)
+}
+
+/// A random path's translation to `(v0, v1)` under random node-label
+/// filters — for a third of the seeds, the union of two translations,
+/// the second under fresh `m$` names and its own filters, as the schema
+/// rewrite's disjuncts repeat a sub-term — and its answer by
+/// `eval_path`, with each arm's filters applied to the pairs.
+fn random_case(
+    db: &sgq_graph::GraphDatabase,
+    store: &RelStore,
+    rng: &mut Rng,
+) -> (PathExpr, RaTerm, Vec<(u32, u32)>) {
+    let (v0, v1) = (store.symbols.col("v0"), store.symbols.col("v1"));
+    let expr = random_expr(db, rng, 3);
+    let pairs = sgq_algebra::eval::eval_path(db, &expr);
+    let mut names = NameGen::new(&store.symbols);
+    let (mut term, mut want) = (None, Vec::new());
+    for _ in 0..if rng.gen_bool(1.0 / 3.0) { 2 } else { 1 } {
+        let arm = RaTerm::project(path_to_term(&expr, v0, v1, &mut names), vec![v0, v1]);
+        let (arm, filters) = filtered(db, rng, arm, &[v0, v1]);
+        let keep = |&(s, t): &(sgq_common::NodeId, sgq_common::NodeId)| {
+            let node = |col| if col == v0 { s } else { t };
+            filters
+                .iter()
+                .all(|&(col, l)| db.node_label(node(col)) == l)
+        };
+        want.extend(
+            pairs
+                .iter()
+                .filter(|p| keep(p))
+                .map(|(s, t)| (s.raw(), t.raw())),
+        );
+        term = Some(term.map_or(arm.clone(), |t| RaTerm::union(t, arm)));
+    }
+    want.sort_unstable();
+    want.dedup();
+    (expr, term.expect("one arm at least"), want)
+}
+
+/// The `(v0, v1)` pairs of a relation.
+fn head_pairs(rel: &Relation, store: &RelStore) -> Vec<(u32, u32)> {
+    let head = [store.symbols.col("v0"), store.symbols.col("v1")];
+    rel.project(&head).rows().map(|r| (r[0], r[1])).collect()
 }
 
 #[test]
 fn optimize_preserves_execution_results() {
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
-    let (v0, v1) = (store.symbols.col("v0"), store.symbols.col("v1"));
     for seed in 0..96u64 {
         let mut rng = Rng::seed_from_u64(seed);
-        let expr = random_expr(&db, &mut rng, 3);
-        let mut names = NameGen::new(&store.symbols);
-        let term = path_to_term(&expr, v0, v1, &mut names);
-        let term = random_filters(&db, &mut rng, term, &[v0, v1]);
+        let (expr, term, want) = random_case(&db, &store, &mut rng);
         let opt = optimize(&term, &store);
 
         let mut ctx = ExecContext::new();
@@ -115,33 +168,33 @@ fn optimize_preserves_execution_results() {
         let mut ctx = ExecContext::new();
         let optimized = execute(&opt, &store, &mut ctx).expect("optimized term executes");
         // Join reordering may permute columns; compare on the query head.
+        let what = format!("(seed {seed}) for {expr:?}");
         assert_eq!(
-            plain.project(&[v0, v1]),
-            optimized.project(&[v0, v1]),
-            "optimize changed semantics (seed {seed}) for {expr:?}"
+            head_pairs(&plain, &store),
+            want,
+            "term disagrees with eval_path {what}"
+        );
+        assert_eq!(
+            head_pairs(&optimized, &store),
+            want,
+            "optimize changed semantics {what}"
         );
     }
 }
 
 #[test]
 fn physical_plans_match_term_execution() {
-    // execute_plan(plan(optimize(t))) == execute(t), with the cached and
+    // execute_plan(plan(optimize(t))) == eval_path, with the cached and
     // uncached fixpoint paths agreeing too.
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
-    let (v0, v1) = (store.symbols.col("v0"), store.symbols.col("v1"));
+    let mut shared = 0;
     for seed in 0..96u64 {
         let mut rng = Rng::seed_from_u64(seed ^ 0x9a7);
-        let expr = random_expr(&db, &mut rng, 3);
-        let mut names = NameGen::new(&store.symbols);
-        let term = path_to_term(&expr, v0, v1, &mut names);
-        let term = random_filters(&db, &mut rng, term, &[v0, v1]);
-
-        let mut ctx = ExecContext::new();
-        let reference = execute(&term, &store, &mut ctx).expect("term executes");
-
+        let (expr, term, want) = random_case(&db, &store, &mut rng);
         let opt = optimize(&term, &store);
         let p = plan(&opt, &store).expect("optimized term lowers");
+        shared += shares_a_node(&p) as usize;
         let mut ctx = ExecContext::new();
         let planned = execute_plan(&p, &store, &mut ctx).expect("plan executes");
         let mut ctx = ExecContext::new();
@@ -149,10 +202,9 @@ fn physical_plans_match_term_execution() {
         let uncached = execute_plan(&p, &store, &mut ctx).expect("plan executes uncached");
 
         // Join reordering may permute columns; compare on the query head.
-        let head = [v0, v1];
         assert_eq!(
-            reference.project(&head),
-            planned.project(&head),
+            head_pairs(&planned, &store),
+            want,
             "plan changed semantics (seed {seed}) for {expr:?}"
         );
         assert_eq!(
@@ -160,6 +212,7 @@ fn physical_plans_match_term_execution() {
             "fixpoint caching changed results (seed {seed}) for {expr:?}"
         );
     }
+    assert!(shared > 0, "no case planned a shared node");
 }
 
 /// Whether any node of `p` is read by more than one parent.
