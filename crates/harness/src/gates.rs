@@ -21,12 +21,12 @@ use std::time::Instant;
 
 use sgq_common::fault::FireReport;
 use sgq_common::json::{self, JsonValue};
-use sgq_common::{Backend, FxHasher};
+use sgq_common::{Backend, FxHashSet, FxHasher};
 use sgq_core::pipeline::{rewrite_path, RewriteOptions, RewriteOutcome};
 use sgq_obs::{chrome_traces_json, QueryTrace, Tracer};
 use sgq_ra::cost::q_error;
-use sgq_ra::exec::{execute_plan, execute_plan_traced, ExecContext};
-use sgq_ra::{PhysPlan, RelStore};
+use sgq_ra::exec::{execute_plan, execute_plan_traced, fuses_its_join, ExecContext};
+use sgq_ra::{PhysOp, PhysPlan, RelStore};
 use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
 
 use crate::experiments;
@@ -290,6 +290,31 @@ fn shared_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> (usize, String) 
     (statements, line)
 }
 
+/// One line counting the hash and index joins of `cat`'s cold-pass plans,
+/// and how many of them emit through their projection
+/// ([`fuses_its_join`]).
+fn fused_line(cat: &Catalog, cold: &Pass) -> String {
+    let (mut fused, mut joins) = (0, 0);
+    for run in cold.runs.iter().flatten() {
+        let Some(plan) = run.prepared.as_ref().and_then(|p| p.plan()) else {
+            continue;
+        };
+        let (mut seen, mut stack) = (FxHashSet::default(), vec![plan]);
+        while let Some(n) = stack.pop() {
+            if !seen.insert(n.id) {
+                continue;
+            }
+            joins += matches!(n.op, PhysOp::HashJoin { .. } | PhysOp::IndexJoin { .. }) as usize;
+            fused += fuses_its_join(n) as usize;
+            stack.extend(n.children());
+        }
+    }
+    format!(
+        "{}: {fused} of {joins} joins emit through their projection\n",
+        cat.name
+    )
+}
+
 /// `estimates`: cardinality-estimation quality. The cold pass plans
 /// from the statistics alone and records each root estimate's q-error
 /// against the executed row count; the warm pass re-plans after the
@@ -338,6 +363,7 @@ fn estimates(cats: &Catalogs, gate: bool) -> String {
         closing.push_str(&plans_line(cat, &store, &rep.reference));
         let (sharing, line) = shared_line(cat, &store, &rep.reference);
         closing.push_str(&line);
+        closing.push_str(&fused_line(cat, &rep.reference));
         if gate {
             // IC1's schema plan repeats `knows ⋈ knows` under fresh names.
             assert!(

@@ -12,8 +12,10 @@
 //! * `rows_materialized` counts every materialised row exactly once —
 //!   which includes *not* counting what is never materialised: renames
 //!   are zero-copy, fused filtered scans materialise only the surviving
-//!   rows, and a cached node counts (and is charged, traced and fed back)
-//!   where it is computed, not where it is reused.
+//!   rows, a cached node counts (and is charged, traced and fed back)
+//!   where it is computed, not where it is reused, and a join fused into
+//!   its projection counts its emit buffer — the projected columns of
+//!   every match, before dedup — as the join's rows.
 //!
 //! **One node cache per execution**, keyed by plan-node id, serves both
 //! kinds of reuse. A shared node ([`PhysPlan::parents`] above 1) is
@@ -27,10 +29,14 @@
 //!
 //! **One kernel per probe-side operator.** The probe side of hash/index
 //! (semi-)joins and the scan side of hashed filtered scans are each one
-//! *kernel*: a function from a row range of the probe to that range's
-//! canonical output run, owning `Arc`-shared handles on its inputs. The
-//! range runner (`Interp::run_ranges`) is the only thing that invokes a
-//! kernel: once, inline, over the whole probe — or, with
+//! *kernel*: a function from a row range of the probe to the rows it
+//! emits for that range, owning `Arc`-shared handles on its inputs. A
+//! join kernel emits through a layout: its own columns, or — when a
+//! projection is the join's only reader — the projected ones, so the wide
+//! join output is never built and the one sort left runs on the narrow
+//! run. The range runner (`Interp::run_ranges`) is the only thing that
+//! invokes a kernel, records its emitted rows and normalises its run:
+//! once, inline, over the whole probe — or, with
 //! [`ExecContext::dop`] above 1 and a probe that clears
 //! [`ExecContext::parallel_threshold`], once per morsel (see
 //! [`mod@crate::parallel`]) on the scheduler, combining the runs by the
@@ -214,8 +220,9 @@ enum Combine {
     /// (order-preserving filters, probe-leading CSR expansion):
     /// concatenation is canonical.
     Concat,
-    /// Every run is canonical on its own (its kernel sorted it): a
-    /// merge-dedup of the runs equals normalising their concatenation.
+    /// The runner normalises every run (sort + dedup) where it was
+    /// emitted: a merge-dedup of the runs equals normalising their
+    /// concatenation.
     Merge,
 }
 
@@ -356,31 +363,34 @@ impl Interp<'_> {
             .insert(p.id, (value, p.parents() - 1, self.scope));
     }
 
-    /// Evaluates one operator, recording a span (timing + rows) around
-    /// it when tracing. Recording is two `Vec` pushes and an `Instant`
-    /// read in the single-threaded interpreter — no locks or atomics.
-    fn run_op(&mut self, p: &PhysPlan) -> Result<Relation> {
-        let Some(start) = self.ops.as_mut().map(OpTraceBuilder::enter) else {
-            return self.eval_op(p);
-        };
-        let result = self.eval_op(p);
-        let ops = self.ops.as_mut().expect("tracing was enabled");
-        match &result {
-            Ok(out) => ops.exit(p.id, p.op.kind(), p.est.rows, out.len(), start),
-            Err(_) => ops.exit_err(start),
-        }
-        result
-    }
-
-    /// Feeds a static node's observed cardinality into the store's
-    /// feedback memo — at the point the relation is materialised anyway,
-    /// so feedback costs no extra pass. Dynamic nodes (those under a
+    /// Evaluates operator `p` through `op`, which returns `p`'s own rows
+    /// and the output — the output's rows, except for a join fused into
+    /// its projection, whose own rows are those it emitted. Records a span
+    /// (timing + rows) around it when tracing: two `Vec` pushes and an
+    /// `Instant` read in the single-threaded interpreter — no locks or
+    /// atomics. Then feeds a static node's rows into the store's feedback
+    /// memo — at the point the relation is materialised anyway, so
+    /// feedback costs no extra pass. Dynamic nodes (those under a
     /// fixpoint's recursion variable) see per-round deltas, not their
     /// subtree's true cardinality, and are never recorded.
-    fn observe(&mut self, p: &PhysPlan, rel: &Relation) {
-        if p.is_static() {
-            self.store.feedback.observe(p.fp, rel.len());
+    fn run_op(
+        &mut self,
+        p: &PhysPlan,
+        op: impl FnOnce(&mut Self) -> Result<(usize, Relation)>,
+    ) -> Result<Relation> {
+        let start = self.ops.as_mut().map(OpTraceBuilder::enter);
+        let result = op(self);
+        if let Some((start, ops)) = start.zip(self.ops.as_mut()) {
+            match &result {
+                Ok((rows, _)) => ops.exit(p.id, p.op.kind(), p.est.rows, *rows, start),
+                Err(_) => ops.exit_err(start),
+            }
         }
+        let (rows, out) = result?;
+        if p.is_static() {
+            self.store.feedback.observe(p.fp, rows);
+        }
+        Ok(out)
     }
 
     fn eval(&mut self, p: &PhysPlan) -> Result<Relation> {
@@ -400,10 +410,9 @@ impl Interp<'_> {
         }
         let scope = self.scope;
         self.scope = scope.filter(|_| !cached);
-        let out = self.run_op(p);
+        let out = self.run_op(p, |s| s.eval_op(p).map(|out| (out.len(), out)));
         self.scope = scope;
         let out = out?;
-        self.observe(p, &out);
         if cached {
             self.keep(p, Cached::Rel(out.clone()));
         }
@@ -464,125 +473,8 @@ impl Interp<'_> {
                 let r = self.eval(right)?;
                 l.merge_join_checked(&r, key.len(), &self.limits)?
             }
-            PhysOp::HashJoin {
-                left,
-                right,
-                key,
-                build_left,
-            } => {
-                let (build_plan, probe_plan): (&PhysPlan, &PhysPlan) = if *build_left {
-                    (left, right)
-                } else {
-                    (right, left)
-                };
-                let probe_rel = self.eval(probe_plan)?;
-                let probe_key_pos = positions(&probe_plan.cols, key);
-                let build_key_pos = positions(&build_plan.cols, key);
-                let right_extra_pos: Vec<usize> = right
-                    .cols
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| !left.cols.contains(c))
-                    .map(|(i, _)| i)
-                    .collect();
-                let built = self.build_side(p, build_plan, |rel, limits| {
-                    let index = Arc::new(KeyMap::build(&rel, &build_key_pos, limits)?);
-                    Ok(Cached::Build { rel, index })
-                })?;
-                let Cached::Build { rel, index } = built else {
-                    unreachable!("a hash join's cache slot holds its build side")
-                };
-                return self.probe_join(
-                    p,
-                    rel,
-                    index,
-                    probe_rel,
-                    *build_left,
-                    probe_key_pos,
-                    right_extra_pos,
-                );
-            }
-            PhysOp::IndexJoin {
-                probe,
-                scan,
-                forward,
-            } => {
-                let prel = self.eval(probe)?;
-                self.limits.fault("exec.csr_probe")?;
-                let Some(csr) = self.csr(scan.label, *forward) else {
-                    return Ok(Relation::empty(p.cols.clone()));
-                };
-                let [(key, key_filter), (out, emit_filter)] = scan.endpoints(*forward);
-                let key_pos = prel
-                    .col_index(key)
-                    .expect("index-join key is a probe column (ensured at plan time)");
-                // Where each output column comes from: a probe position,
-                // or the expanded neighbour (`None`).
-                let layout: Vec<Option<usize>> = p
-                    .cols
-                    .iter()
-                    .map(|c| {
-                        if *c == out {
-                            None
-                        } else {
-                            Some(prel.col_index(*c).expect("output column from probe"))
-                        }
-                    })
-                    .collect();
-                // Probe rows ascend and CSR neighbour lists are strictly
-                // sorted (set semantics), so a probe-leading layout emits
-                // in canonical order and skips the re-sort.
-                let probe_leading = p.cols.len() == prel.arity() + 1
-                    && p.cols[..prel.arity()] == *prel.cols()
-                    && p.cols.last() == Some(&out);
-                let key_sets = self.label_set_tables(key_filter);
-                let emit_sets = self.label_set_tables(emit_filter);
-                let (len, arity) = (prel.len(), p.cols.len());
-                let kernel = move |range: Range<usize>, limits: &Limits| {
-                    let mut data: Vec<u32> = Vec::new();
-                    let mut steps = 0usize;
-                    for prow in prel.rows_range(range.start, range.end) {
-                        steps += 1;
-                        if steps & POLL_MASK == 0 {
-                            limits.poll()?;
-                        }
-                        let v = prow[key_pos];
-                        if let Some(sets) = &key_sets {
-                            if !tables_contain(sets, v) {
-                                continue;
-                            }
-                        }
-                        for &n in csr.neighbors(NodeId::new(v)) {
-                            steps += 1;
-                            if steps & POLL_MASK == 0 {
-                                limits.poll()?;
-                            }
-                            let nv = n.raw();
-                            if let Some(sets) = &emit_sets {
-                                if !tables_contain(sets, nv) {
-                                    continue;
-                                }
-                            }
-                            for slot in &layout {
-                                data.push(match slot {
-                                    Some(i) => prow[*i],
-                                    None => nv,
-                                });
-                            }
-                        }
-                    }
-                    if !probe_leading {
-                        normalize_flat(arity, &mut data);
-                    }
-                    Ok(data)
-                };
-                // Probe-leading morsels emit disjoint ascending runs.
-                let combine = if probe_leading {
-                    Combine::Concat
-                } else {
-                    Combine::Merge
-                };
-                return self.run_ranges(p, len, combine, kernel);
+            PhysOp::HashJoin { .. } | PhysOp::IndexJoin { .. } => {
+                return self.join(p, &p.cols).map(|(_, out)| out);
             }
             PhysOp::IndexSemiJoin {
                 left,
@@ -625,7 +517,9 @@ impl Interp<'_> {
                     Ok(data)
                 };
                 // Filtering preserves canonical order.
-                return self.run_ranges(p, len, Combine::Concat, kernel);
+                return self
+                    .run_ranges(&p.cols, len, Combine::Concat, kernel)
+                    .map(|(_, out)| out);
             }
             PhysOp::MergeSemiJoin { left, right, key } => {
                 let l = self.eval(left)?;
@@ -640,6 +534,16 @@ impl Interp<'_> {
                 let l = self.eval(left)?;
                 let r = self.eval(right)?;
                 l.union(&r)
+            }
+            // A projection that is a hash or index join's only reader:
+            // the join runs as itself (polled, traced, recorded, observed)
+            // with its kernel emitting the projected columns, so the wide
+            // join output is never built. Such a join is never cached on
+            // its own: it is static only when its projection is, and the
+            // projection is what a shared node or a step caches.
+            PhysOp::Project { input } if fuses_its_join(p) => {
+                self.limits.poll()?;
+                self.run_op(input, |s| s.join(input, &p.cols))?
             }
             PhysOp::Project { input } => self.eval(input)?.project(&p.cols),
             PhysOp::Select { input, ia, ib, .. } => self.eval(input)?.select_eq_at(*ia, *ib),
@@ -717,34 +621,44 @@ impl Interp<'_> {
 
     /// The range runner — the only place an operator kernel is invoked
     /// and the only place a parallel section opens. `kernel` maps a row
-    /// range of its `len`-row probe to that range's canonical output run
-    /// (polling `limits` as it goes); the runner records every run.
-    /// With no section open the kernel runs once, inline, over `0..len`;
-    /// otherwise once per morsel on the scheduler — where the
-    /// `exec.morsel` fault site sits — and the runs combine by `combine`
-    /// into exactly the relation the inline run produces.
+    /// range of its `len`-row probe to the rows it emits for that range,
+    /// flat in the columns `cols` (polling `limits` as it goes). The
+    /// runner records every run's emitted rows at that width and, under
+    /// [`Combine::Merge`], normalises the run. With no section open the
+    /// kernel runs once, inline, over `0..len`; otherwise once per morsel
+    /// on the scheduler — where the `exec.morsel` fault site sits, and
+    /// where each run is normalised — and the runs combine by `combine`
+    /// into exactly the relation the inline run produces. Returns the
+    /// rows emitted, the same at every DOP, and that relation.
     fn run_ranges<K>(
         &mut self,
-        p: &PhysPlan,
+        cols: &[ColId],
         len: usize,
         combine: Combine,
         kernel: K,
-    ) -> Result<Relation>
+    ) -> Result<(usize, Relation)>
     where
         K: Fn(Range<usize>, &Limits) -> Result<Vec<u32>> + Send + Sync + 'static,
     {
-        let arity = p.cols.len();
+        let arity = cols.len();
+        let finish = move |mut run: Vec<u32>, limits: &Limits| -> Result<(usize, Vec<u32>)> {
+            let rows = run.len() / arity;
+            limits.record(rows, arity)?;
+            if let Combine::Merge = combine {
+                normalize_flat(arity, &mut run);
+            }
+            Ok((rows, run))
+        };
         let Some((sched, morsel)) = self.ctx.parallel_section(len) else {
-            let run = kernel(0..len, &self.limits)?;
-            self.limits.record(run.len() / arity, arity)?;
-            return Ok(Relation::from_flat_sorted(p.cols.clone(), run));
+            let (rows, run) = finish(kernel(0..len, &self.limits)?, &self.limits)?;
+            return Ok((rows, Relation::from_flat_sorted(cols.to_vec(), run)));
         };
         let shared = Arc::new((kernel, self.limits.clone()));
         let tasks: Vec<_> = parallel::morsel_ranges(len, morsel)
             .into_iter()
             .map(|(start, end)| {
                 let shared = Arc::clone(&shared);
-                move || -> Result<Vec<u32>> {
+                move || {
                     let (kernel, limits) = &*shared;
                     // Poll up front: a morsel queued behind a
                     // cancellation exits before doing any work, bounding
@@ -752,18 +666,20 @@ impl Interp<'_> {
                     limits.poll()?;
                     let run = kernel(start..end, limits)?;
                     limits.fault("exec.morsel")?;
-                    limits.record(run.len() / arity, arity)?;
-                    Ok(run)
+                    finish(run, limits)
                 }
             })
             .collect();
         // Cancellation sentinels are dropped in favour of the first real
         // error (the one from the morsel that actually breached).
-        let mut runs = Vec::with_capacity(tasks.len());
+        let (mut rows, mut runs) = (0, Vec::with_capacity(tasks.len()));
         let mut cancel_err = None;
         for result in sched.run(self.ctx.dop, tasks) {
             match result {
-                Ok(run) => runs.push(run),
+                Ok((n, run)) => {
+                    rows += n;
+                    runs.push(run);
+                }
                 Err(e) if is_cancelled(&e) => cancel_err = Some(e),
                 Err(e) => return Err(e),
             }
@@ -772,51 +688,122 @@ impl Interp<'_> {
             return Err(e);
         }
         self.ctx.morsels_executed += runs.len();
-        Ok(match combine {
-            Combine::Concat => Relation::from_flat_sorted(p.cols.clone(), runs.concat()),
-            Combine::Merge => Relation::merge_sorted_runs(p.cols.clone(), runs),
-        })
+        let rel = match combine {
+            Combine::Concat => Relation::from_flat_sorted(cols.to_vec(), runs.concat()),
+            Combine::Merge => Relation::merge_sorted_runs(cols.to_vec(), runs),
+        };
+        Ok((rows, rel))
     }
 
-    /// Probes a (possibly cached) hash-join build side with the probe
-    /// relation, emitting in left-then-right-extras schema order. Each
-    /// run is sorted by its kernel, so morsel runs merge-dedup back to
-    /// exactly the canonical relation the inline run produces.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_join(
-        &mut self,
-        p: &PhysPlan,
-        build: Relation,
-        index: Arc<KeyMap<Vec<u32>>>,
-        probe: Relation,
-        build_left: bool,
-        key_pos: Vec<usize>,
-        extras: Vec<usize>,
-    ) -> Result<Relation> {
-        let (len, arity) = (probe.len(), p.cols.len());
-        let kernel = move |range: Range<usize>, limits: &Limits| {
-            let mut data: Vec<u32> = Vec::new();
-            for (i, prow) in probe.rows_range(range.start, range.end).enumerate() {
-                if i & POLL_MASK == 0 {
-                    limits.poll()?;
-                }
-                for &bi in index.get(prow, &key_pos).into_iter().flatten() {
-                    let brow = build.row(bi as usize);
-                    let (lrow, rrow) = if build_left {
-                        (brow, prow)
-                    } else {
-                        (prow, brow)
-                    };
-                    data.extend_from_slice(lrow);
-                    for &ri in &extras {
-                        data.push(rrow[ri]);
+    /// Hash or index join `j`, its kernel emitting the columns `emit`:
+    /// `j`'s own, or those of the projection that is its only reader —
+    /// which then never sees the wide join output. Returns the rows the
+    /// kernel emitted, `j`'s own output size either way (a join of two
+    /// duplicate-free inputs that keeps every column emits no duplicate),
+    /// and the emitted relation.
+    fn join(&mut self, j: &PhysPlan, emit: &[ColId]) -> Result<(usize, Relation)> {
+        match &j.op {
+            PhysOp::HashJoin {
+                left,
+                right,
+                key,
+                build_left,
+            } => {
+                let (build_plan, probe_plan) = if *build_left {
+                    (left, right)
+                } else {
+                    (right, left)
+                };
+                let probe = self.eval(probe_plan)?;
+                let key_pos = positions(&probe_plan.cols, key);
+                let build_key_pos = positions(&build_plan.cols, key);
+                let layout = emit_layout(emit, &probe_plan.cols, &build_plan.cols);
+                let built = self.build_side(j, build_plan, |rel, limits| {
+                    let index = Arc::new(KeyMap::build(&rel, &build_key_pos, limits)?);
+                    Ok(Cached::Build { rel, index })
+                })?;
+                let Cached::Build { rel: build, index } = built else {
+                    unreachable!("a hash join's cache slot holds its build side")
+                };
+                let len = probe.len();
+                let kernel = move |range: Range<usize>, limits: &Limits| {
+                    let mut data: Vec<u32> = Vec::new();
+                    for (i, prow) in probe.rows_range(range.start, range.end).enumerate() {
+                        if i & POLL_MASK == 0 {
+                            limits.poll()?;
+                        }
+                        for &bi in index.get(prow, &key_pos).into_iter().flatten() {
+                            emit_row(&layout, prow, build.row(bi as usize), &mut data);
+                        }
                     }
-                }
+                    Ok(data)
+                };
+                self.run_ranges(emit, len, Combine::Merge, kernel)
             }
-            normalize_flat(arity, &mut data);
-            Ok(data)
-        };
-        self.run_ranges(p, len, Combine::Merge, kernel)
+            PhysOp::IndexJoin {
+                probe,
+                scan,
+                forward,
+            } => {
+                let prel = self.eval(probe)?;
+                self.limits.fault("exec.csr_probe")?;
+                let Some(csr) = self.csr(scan.label, *forward) else {
+                    return Ok((0, Relation::empty(emit.to_vec())));
+                };
+                let [(key, key_filter), (out, emit_filter)] = scan.endpoints(*forward);
+                let key_pos = prel
+                    .col_index(key)
+                    .expect("index-join key is a probe column (ensured at plan time)");
+                let layout = emit_layout(emit, prel.cols(), &[out]);
+                // Probe rows ascend and CSR neighbour lists are strictly
+                // sorted (set semantics), so a probe-leading layout emits
+                // in canonical order and skips the re-sort: its morsels
+                // emit disjoint ascending runs.
+                let probe_leading = emit.len() == prel.arity() + 1
+                    && emit[..prel.arity()] == *prel.cols()
+                    && emit.last() == Some(&out);
+                let key_sets = self.label_set_tables(key_filter);
+                let emit_sets = self.label_set_tables(emit_filter);
+                let len = prel.len();
+                let kernel = move |range: Range<usize>, limits: &Limits| {
+                    let mut data: Vec<u32> = Vec::new();
+                    let mut steps = 0usize;
+                    for prow in prel.rows_range(range.start, range.end) {
+                        steps += 1;
+                        if steps & POLL_MASK == 0 {
+                            limits.poll()?;
+                        }
+                        let v = prow[key_pos];
+                        if let Some(sets) = &key_sets {
+                            if !tables_contain(sets, v) {
+                                continue;
+                            }
+                        }
+                        for n in csr.neighbors(NodeId::new(v)) {
+                            steps += 1;
+                            if steps & POLL_MASK == 0 {
+                                limits.poll()?;
+                            }
+                            let nv = n.raw();
+                            if let Some(sets) = &emit_sets {
+                                if !tables_contain(sets, nv) {
+                                    continue;
+                                }
+                            }
+                            emit_row(&layout, prow, &[nv], &mut data);
+                        }
+                    }
+                    Ok(data)
+                };
+                let combine = if probe_leading {
+                    Combine::Concat
+                } else {
+                    Combine::Merge
+                };
+                self.run_ranges(emit, len, combine, kernel)
+            }
+            _ => unreachable!("only hash and index joins emit through a layout"),
+        }
     }
 
     /// The build half of hash (semi-)join `p`: evaluates `side` and keys
@@ -878,8 +865,17 @@ impl Interp<'_> {
             }
             Ok(data)
         };
-        self.run_ranges(p, len, Combine::Concat, kernel)
+        self.run_ranges(&p.cols, len, Combine::Concat, kernel)
+            .map(|(_, out)| out)
     }
+}
+
+/// Whether `p` is a projection that is the only reader of a hash or
+/// index join, which then emits the projected columns: the one rule for
+/// which joins fuse.
+pub fn fuses_its_join(p: &PhysPlan) -> bool {
+    matches!(&p.op, PhysOp::Project { input } if input.parents() == 1
+        && matches!(input.op, PhysOp::HashJoin { .. } | PhysOp::IndexJoin { .. }))
 }
 
 /// Whether `v` is in any of the node tables' sorted id sets (an empty
@@ -888,13 +884,34 @@ fn tables_contain(sets: &[Relation], v: u32) -> bool {
     sets.iter().any(|s| s.flat().binary_search(&v).is_ok())
 }
 
-/// Positions of `key` columns within `cols`.
+/// The emit layout of a join kernel: where each `emit` column sits in a
+/// probe row followed by its match (a build row, or an index join's
+/// neighbour).
+fn emit_layout(emit: &[ColId], probe: &[ColId], matched: &[ColId]) -> Vec<usize> {
+    let joined: Vec<ColId> = probe.iter().chain(matched).copied().collect();
+    positions(&joined, emit)
+}
+
+/// Appends one joined row in emit `layout` (see [`emit_layout`]).
+#[inline]
+fn emit_row(layout: &[usize], probe: &[u32], matched: &[u32], data: &mut Vec<u32>) {
+    let at = |i: usize| {
+        if i < probe.len() {
+            probe[i]
+        } else {
+            matched[i - probe.len()]
+        }
+    };
+    data.extend(layout.iter().map(|&i| at(i)));
+}
+
+/// Positions of `key` (or emitted) columns within `cols`.
 fn positions(cols: &[ColId], key: &[ColId]) -> Vec<usize> {
     key.iter()
         .map(|k| {
             cols.iter()
                 .position(|c| c == k)
-                .expect("key column present in schema (ensured at plan time)")
+                .expect("column present in schema (ensured at plan time)")
         })
         .collect()
 }
@@ -1509,6 +1526,183 @@ mod tests {
         });
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    /// Runs `p` traced at dop 1, then at dop 4 with 1-row morsels:
+    /// results and counters must be identical, and the second run must
+    /// have gone parallel. Returns the serial result, trace and context.
+    fn serial_then_parallel(p: &PhysPlan, store: &RelStore) -> (Relation, ExecTrace, ExecContext) {
+        let mut serial = ExecContext::new();
+        let (r, trace) = execute_plan_traced(p, store, &mut serial).unwrap();
+        let mut par = ExecContext::new();
+        (par.dop, par.parallel_threshold, par.morsel_rows) = (4, 1, 1);
+        assert_eq!(execute_plan(p, store, &mut par).unwrap(), r, "{p:?}");
+        let counters = |c: &ExecContext| {
+            let rounds = c.fixpoint_rounds;
+            [
+                c.rows_materialized(),
+                c.hash_builds,
+                c.cache_hits,
+                c.scans,
+                rounds,
+            ]
+        };
+        assert_eq!(counters(&par), counters(&serial), "{p:?}");
+        assert!(par.morsels_executed > 0, "{p:?}");
+        (r, trace, serial)
+    }
+
+    /// Asserts that `p`, a projection over join node `j`, ran `j` fused:
+    /// the result is `want`, and `j` counted, traced and fed back the
+    /// reference join's rows as its own — after `inputs` rows for the
+    /// join's inputs, and before the projected rows.
+    fn assert_fused(
+        p: &PhysPlan,
+        store: &RelStore,
+        join: &Relation,
+        want: &Relation,
+        inputs: usize,
+    ) {
+        let PhysOp::Project { input: j } = &p.op else {
+            panic!("{p:?}")
+        };
+        assert!(fuses_its_join(p), "{p:?}");
+        let (r, trace, ctx) = serial_then_parallel(p, store);
+        assert_eq!(&r, want);
+        assert_eq!(ctx.rows_materialized(), inputs + join.len() + r.len());
+        assert_eq!(trace.actuals[j.id as usize], join.len());
+        assert_eq!(trace.actuals[p.id as usize], r.len());
+        let observed = store
+            .feedback
+            .lookup(j.fp)
+            .expect("the fused join was observed");
+        assert_eq!(observed.rows, join.len() as f64);
+    }
+
+    #[test]
+    fn a_projection_fuses_into_its_hash_join_on_either_build_side() {
+        // π(z)(livesIn(x,y) ⋈ isLocatedIn(y,z)): both people live in a
+        // city of the same region — the fused kernel sorts and dedups the
+        // narrow run — in either join order, so the planner builds on
+        // either side (the smaller, livesIn).
+        let (db, mut store) = store();
+        store.index_joins = false;
+        let z = store.symbols.col("z");
+        let (xy, yz) = (
+            scan(&db, &store, "livesIn", "x", "y"),
+            scan(&db, &store, "isLocatedIn", "y", "z"),
+        );
+        let mut build_sides = std::collections::BTreeSet::new();
+        for (l, r) in [(&xy, &yz), (&yz, &xy)] {
+            let t = RaTerm::project(RaTerm::join(l.clone(), r.clone()), vec![z]);
+            let p = plan(&t, &store).unwrap();
+            let PhysOp::Project { input: j } = &p.op else {
+                panic!("{p:?}")
+            };
+            let PhysOp::HashJoin { build_left, .. } = j.op else {
+                panic!("{p:?}")
+            };
+            build_sides.insert(build_left);
+            let (l, r) = (execute(l, &store, &mut ExecContext::new()).unwrap(), {
+                execute(r, &store, &mut ExecContext::new()).unwrap()
+            });
+            let join = l.join(&r);
+            let want = join.project(&[z]);
+            assert!(want.len() < join.len(), "the projection dedups");
+            assert_fused(&p, &store, &join, &want, l.len() + r.len());
+        }
+        assert_eq!(build_sides.len(), 2, "built on both sides");
+    }
+
+    #[test]
+    fn a_projection_fuses_into_its_label_filtered_index_join() {
+        // π(z)(isLocatedIn(x,y) ⋈ (isLocatedIn(y,z) ⋉ REGION(y))): the
+        // projection drops the probe key, so the kernel's emit layout is
+        // not probe-leading and its run is sorted and deduplicated.
+        let (db, store) = store();
+        let (y, z) = (store.symbols.col("y"), store.symbols.col("z"));
+        let region = RaTerm::NodeScan {
+            labels: vec![db.node_label_id("REGION").unwrap()],
+            col: y,
+        };
+        let probe = scan(&db, &store, "isLocatedIn", "x", "y");
+        let filtered = RaTerm::semijoin(scan(&db, &store, "isLocatedIn", "y", "z"), region);
+        let t = RaTerm::project(RaTerm::join(probe.clone(), filtered.clone()), vec![z]);
+        let p = plan(&t, &store).unwrap();
+        let PhysOp::Project { input: j } = &p.op else {
+            panic!("{p:?}")
+        };
+        assert!(
+            matches!(&j.op, PhysOp::IndexJoin { scan, .. } if scan.src_labels.is_some()),
+            "{p:?}"
+        );
+        let run = |t: &RaTerm| execute(t, &store, &mut ExecContext::new()).unwrap();
+        let join = run(&probe).join(&run(&filtered));
+        let want = join.project(&[z]);
+        assert!(want.len() < join.len(), "the projection dedups");
+        assert_fused(&p, &store, &join, &want, run(&probe).len());
+    }
+
+    #[test]
+    fn a_shared_join_is_not_fused_and_runs_once() {
+        // π(x,y)(J) ⋈ π(y,z)(J) with J = isLocatedIn(x,y) ⋈ isLocatedIn(y,z):
+        // two projections read J, so neither fuses; J is computed, traced
+        // and counted once, and the second projection reads the cache.
+        let (db, store) = store();
+        let s = &store.symbols;
+        let (x, y, z) = (s.col("x"), s.col("y"), s.col("z"));
+        let j = RaTerm::join(
+            scan(&db, &store, "isLocatedIn", "x", "y"),
+            scan(&db, &store, "isLocatedIn", "y", "z"),
+        );
+        let t = RaTerm::join(
+            RaTerm::project(j.clone(), vec![x, y]),
+            RaTerm::project(j.clone(), vec![y, z]),
+        );
+        let p = plan(&t, &store).unwrap();
+        let shared = shared(&p);
+        assert!(
+            !shared.is_empty() && shared.iter().all(|n| n.parents() == 2),
+            "{p:?}"
+        );
+        let projections = p.children();
+        assert!(projections.iter().all(|c| !fuses_its_join(c)), "{p:?}");
+        let join = execute(&j, &store, &mut ExecContext::new()).unwrap();
+        let want = join.project(&[x, y]).join(&join.project(&[y, z]));
+        let (r, trace, ctx) = serial_then_parallel(&p, &store);
+        assert_eq!(r, want);
+        assert_eq!(ctx.cache_hits, 1);
+        let spans = trace.spans.iter().filter(|sp| sp.node == shared[0].id);
+        assert_eq!(spans.map(|sp| sp.rows).collect::<Vec<_>>(), [join.len()]);
+    }
+
+    #[test]
+    fn a_fused_join_in_a_fixpoint_step_builds_its_static_side_once() {
+        // The closure's step π(x,y)(X(x,m) ⋈ isLocatedIn(m,y)) fuses the
+        // projection into its hash join; the static scan's hash table is
+        // still cached under the join's id, so it is built in round one
+        // and only probed after.
+        let (store, p) = hash_closure_plan();
+        let PhysOp::Fixpoint { step, .. } = &p.op else {
+            panic!("{p:?}")
+        };
+        assert!(
+            fuses_its_join(step)
+                && matches!(&step.op, PhysOp::Project { input }
+                    if matches!(input.op, PhysOp::HashJoin { .. })),
+            "{p:?}"
+        );
+        let (r, _, ctx) = serial_then_parallel(&p, &store);
+        assert!(ctx.fixpoint_rounds >= 2, "closure iterates");
+        assert_eq!(ctx.hash_builds, 1);
+        let db = fig2_yago_database();
+        let expect = sgq_algebra::eval::eval_path(
+            &db,
+            &sgq_algebra::parser::parse_path("isLocatedIn+", &db).unwrap(),
+        );
+        let want: Vec<(u32, u32)> = expect.iter().map(|&(s, t)| (s.raw(), t.raw())).collect();
+        let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

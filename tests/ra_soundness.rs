@@ -639,7 +639,9 @@ fn parallel_execution_is_bit_identical_to_serial() {
     // length into all-but-the-last row and the last row alone. With the
     // CSR indexes on, the index (semi-)join kernels run; ablated, the
     // hash join and hash filter kernels — between them both combine
-    // rules (concatenation and merge-dedup).
+    // rules (concatenation and merge-dedup). The work counters must
+    // match the serial run's too: a kernel's emitted rows are recorded
+    // once, not once per morsel run after its dedup.
     let db = fig2_yago_database();
     let mut kinds_run_parallel = std::collections::BTreeSet::new();
     for index_joins in [true, false] {
@@ -674,9 +676,12 @@ fn parallel_execution_is_bit_identical_to_serial() {
         ));
         for (what, term) in &terms {
             let p = plan(term, &store).expect("optimized term lowers");
+            let counters =
+                |c: &ExecContext| [c.rows_materialized(), c.hash_builds, c.cache_hits, c.scans];
             let mut ctx = ExecContext::new();
             let (serial, trace) =
                 execute_plan_traced(&p, &store, &mut ctx).expect("serial plan executes");
+            let serial_counters = counters(&ctx);
             let mut sizes = std::collections::BTreeSet::from([1usize, 2]);
             sizes.extend(
                 trace
@@ -696,6 +701,12 @@ fn parallel_execution_is_bit_identical_to_serial() {
                         serial, par,
                         "DOP={dop} morsel_rows={morsel_rows} index_joins={index_joins} \
                          changed results for {what}"
+                    );
+                    assert_eq!(
+                        counters(&ctx),
+                        serial_counters,
+                        "DOP={dop} morsel_rows={morsel_rows} index_joins={index_joins} \
+                         changed the work counters for {what}"
                     );
                     if ctx.morsels_executed > 0 {
                         kinds_run_parallel.extend(trace.spans.iter().map(|s| s.kind));
