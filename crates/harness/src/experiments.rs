@@ -506,29 +506,24 @@ pub fn physical_plans(ldbc: &Catalog) -> String {
     let plan_hash = sgq_ra::plan(&closure, &store).expect("closure plans");
     store.index_joins = true;
 
-    let run = |plan, no_fixpoint_cache| {
+    let run = |plan| {
         let mut ctx = ExecContext::new();
-        ctx.no_fixpoint_cache = no_fixpoint_cache;
         let rel = execute_plan(plan, &store, &mut ctx).expect("executes");
         (rel, ctx)
     };
-    let (r_index, ctx_index) = run(&plan_index, false);
-    let (r1, cached) = run(&plan_hash, false);
-    let (r2, uncached) = run(&plan_hash, true);
-    assert_eq!(r1, r2, "build-side caching must not change results");
-    assert_eq!(r1, r_index, "index joins must not change results");
+    let (r_index, ctx_index) = run(&plan_index);
+    let (r_hash, ctx_hash) = run(&plan_hash);
+    assert_eq!(r_hash, r_index, "index joins must not change results");
     section(
         "work counters",
         format!(
             "Closure over {} rounds: {} hash builds with the CSR index ({} with cached hash \
-             builds, {} uncached), {} rows materialised ({} / {} for the hash plans)\n",
+             builds), {} rows materialised ({} for the hash plan)\n",
             ctx_index.fixpoint_rounds,
             ctx_index.hash_builds,
-            cached.hash_builds,
-            uncached.hash_builds,
+            ctx_hash.hash_builds,
             ctx_index.rows_materialized(),
-            cached.rows_materialized(),
-            uncached.rows_materialized(),
+            ctx_hash.rows_materialized(),
         ),
     );
 

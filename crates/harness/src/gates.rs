@@ -292,9 +292,11 @@ fn shared_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> (usize, String) 
 
 /// One line counting the hash and index joins of `cat`'s cold-pass plans,
 /// and how many of them emit through their projection
-/// ([`fuses_its_join`]).
-fn fused_line(cat: &Catalog, cold: &Pass) -> String {
+/// ([`fuses_its_join`]); and the strategy census, one count per operator
+/// kind ([`PhysOp::kind`]) in name order, a shared node once.
+fn strategy_lines(cat: &Catalog, cold: &Pass) -> String {
     let (mut fused, mut joins) = (0, 0);
+    let mut kinds = std::collections::BTreeMap::<&str, usize>::new();
     for run in cold.runs.iter().flatten() {
         let Some(plan) = run.prepared.as_ref().and_then(|p| p.plan()) else {
             continue;
@@ -306,12 +308,16 @@ fn fused_line(cat: &Catalog, cold: &Pass) -> String {
             }
             joins += matches!(n.op, PhysOp::HashJoin { .. } | PhysOp::IndexJoin { .. }) as usize;
             fused += fuses_its_join(n) as usize;
+            *kinds.entry(n.op.kind()).or_default() += 1;
             stack.extend(n.children());
         }
     }
+    let census: Vec<String> = kinds.iter().map(|(k, n)| format!("{k} {n}")).collect();
     format!(
-        "{}: {fused} of {joins} joins emit through their projection\n",
-        cat.name
+        "{name}: {fused} of {joins} joins emit through their projection\n\
+         {name}: strategies {}\n",
+        census.join(", "),
+        name = cat.name,
     )
 }
 
@@ -363,7 +369,7 @@ fn estimates(cats: &Catalogs, gate: bool) -> String {
         closing.push_str(&plans_line(cat, &store, &rep.reference));
         let (sharing, line) = shared_line(cat, &store, &rep.reference);
         closing.push_str(&line);
-        closing.push_str(&fused_line(cat, &rep.reference));
+        closing.push_str(&strategy_lines(cat, &rep.reference));
         if gate {
             // IC1's schema plan repeats `knows ⋈ knows` under fresh names.
             assert!(

@@ -85,7 +85,7 @@ const DEFAULT_FIXPOINT_GROWTH: f64 = 4.0;
 /// rows before splitting pays for itself; under the threshold the
 /// executor never touches the scheduler. The same bound gates the
 /// `parallel ×N` annotation in `EXPLAIN`, driven by the *estimated*
-/// probe rows ([`crate::plan::PhysPlan::parallel_probe_rows`]).
+/// probe rows (a filtered scan's: its whole edge table).
 pub const PARALLEL_ROW_THRESHOLD: usize = 16_384;
 
 /// The q-error of an estimate against the observed cardinality:
@@ -220,13 +220,6 @@ pub(crate) fn index_join_cost(probe: &Estimate, degree: f64, out_rows: f64) -> f
     probe.cost + probe.rows * (1.0 + degree) + out_rows
 }
 
-/// Cost of an index semi-join: the left side pays one CSR degree lookup
-/// (plus a bounded neighbour check when the far endpoint is
-/// label-filtered) per row; the edge table is never scanned.
-pub(crate) fn index_semijoin_cost(left: &Estimate) -> f64 {
-    left.cost + left.rows * 2.0
-}
-
 /// Cost of a denormalised filtered scan: the endpoint-label slice was
 /// materialised at load, so the scan pays exactly the slice's rows —
 /// the semi-join filter is free.
@@ -237,7 +230,7 @@ pub(crate) fn denorm_scan_cost(slice_rows: f64) -> f64 {
 /// Label pedigree of an edge scan: the columns its endpoints are named
 /// after renames, and which node labels they are known (via semi-join
 /// filters) to carry (a node passes when its label is in the list;
-/// `None` = unrestricted). Also the scan a CSR index (semi-)join absorbs.
+/// `None` = unrestricted). Also the scan a CSR index join absorbs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanInfo {
     /// Edge label.

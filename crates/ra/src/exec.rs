@@ -24,19 +24,21 @@
 //! subtree of a step is computed in the first round and dropped when the
 //! fixpoint finishes, and a static hash build side is kept as its *built*
 //! [`KeyMap`] (row ids, or `()` for a semi-join's key set), so later
-//! rounds only probe with the delta. Index (semi-)joins probe the store's
+//! rounds only probe with the delta. Index joins probe the store's
 //! load-time CSR lists directly: nothing to build, in any round.
 //!
-//! **One kernel per probe-side operator.** The probe side of hash/index
-//! (semi-)joins and the scan side of hashed filtered scans are each one
-//! *kernel*: a function from a row range of the probe to the rows it
-//! emits for that range, owning `Arc`-shared handles on its inputs. A
-//! join kernel emits through a layout: its own columns, or — when a
-//! projection is the join's only reader — the projected ones, so the wide
-//! join output is never built and the one sort left runs on the narrow
-//! run. The range runner (`Interp::run_ranges`) is the only thing that
-//! invokes a kernel, records its emitted rows and normalises its run:
-//! once, inline, over the whole probe — or, with
+//! **One kernel per probe-side operator.** The probe side of a hash or
+//! index join is one *kernel*, and so is every semi-join that is not a
+//! precomputed slice — a hash semi-join or a filter fused onto an edge
+//! scan, both the one hash filter: a function from a row range of the
+//! probe to the rows it emits for that range, owning `Arc`-shared
+//! handles on its inputs. A join kernel emits through a layout: its own
+//! columns, or — when a projection is the join's only reader — the
+//! projected ones, so the wide join output is never built and the one
+//! sort left runs on the narrow run. The range runner
+//! (`Interp::run_ranges`) is the only thing that invokes a kernel,
+//! records its emitted rows and normalises its run: once, inline, over
+//! the whole probe — or, with
 //! [`ExecContext::dop`] above 1 and a probe that clears
 //! [`ExecContext::parallel_threshold`], once per morsel (see
 //! [`mod@crate::parallel`]) on the scheduler, combining the runs by the
@@ -87,9 +89,6 @@ pub struct ExecContext {
     pub hash_builds: usize,
     /// Node-cache hits (a shared node, or a fixpoint's static input or build side, reused).
     pub cache_hits: usize,
-    /// Disables static-input caching across fixpoint rounds (every round
-    /// re-evaluates the full step, like the old term interpreter).
-    pub no_fixpoint_cache: bool,
     /// Degree of parallelism: how many morsels of one operator may run
     /// concurrently. 1 (the default) keeps execution fully serial with
     /// zero scheduler overhead.
@@ -135,7 +134,6 @@ impl Default for ExecContext {
             max_rows: 0,
             hash_builds: 0,
             cache_hits: 0,
-            no_fixpoint_cache: false,
             dop: 1,
             morsel_rows: parallel::MORSEL_ROWS,
             parallel_threshold: crate::cost::PARALLEL_ROW_THRESHOLD,
@@ -217,7 +215,7 @@ impl ExecContext {
 #[derive(Clone, Copy, Debug)]
 enum Combine {
     /// Every run is canonical and the runs ascend with their ranges
-    /// (order-preserving filters, probe-leading CSR expansion):
+    /// (the order-preserving hash filter, probe-leading CSR expansion):
     /// concatenation is canonical.
     Concat,
     /// The runner normalises every run (sort + dedup) where it was
@@ -331,9 +329,8 @@ struct Interp<'a> {
     /// last drops it) and the fixpoint, by node id, it lives until — the
     /// one whose step created it or took its last counted read.
     cache: FxHashMap<u32, (Cached, u32, Option<u32>)>,
-    /// The fixpoint whose step is being evaluated with caching on —
-    /// `None` outside steps, below a node being cached (its inputs are
-    /// read once) and with [`ExecContext::no_fixpoint_cache`].
+    /// The fixpoint whose step is being evaluated — `None` outside steps
+    /// and below a node being cached (its inputs are read once).
     scope: Option<u32>,
 }
 
@@ -453,20 +450,11 @@ impl Interp<'_> {
                     Relation::union_many(tables)
                 }
             }
-            PhysOp::FilteredEdgeScan {
-                label,
-                filter,
-                key,
-                merge,
-            } => {
+            PhysOp::FilteredEdgeScan { label, filter, key } => {
                 self.ctx.scans += 1;
                 self.limits.fault("exec.scan")?;
                 let edges = self.store.edge_table(*label).into_cols(p.cols.clone());
-                if !*merge {
-                    return self.hash_semi_filter(p, edges, filter, key);
-                }
-                let frel = self.eval(filter)?;
-                edges.merge_semijoin_checked(&frel, key.len(), &self.limits)?
+                return self.hash_semi_filter(p, edges, filter, key);
             }
             PhysOp::MergeJoin { left, right, key } => {
                 let l = self.eval(left)?;
@@ -475,56 +463,6 @@ impl Interp<'_> {
             }
             PhysOp::HashJoin { .. } | PhysOp::IndexJoin { .. } => {
                 return self.join(p, &p.cols).map(|(_, out)| out);
-            }
-            PhysOp::IndexSemiJoin {
-                left,
-                scan,
-                forward,
-            } => {
-                let lrel = self.eval(left)?;
-                self.limits.fault("exec.csr_probe")?;
-                let Some(csr) = self.csr(scan.label, *forward) else {
-                    return Ok(Relation::empty(p.cols.clone()));
-                };
-                let [(key, key_filter), (_, far_filter)] = scan.endpoints(*forward);
-                let key_pos = lrel
-                    .col_index(key)
-                    .expect("index-semi-join key is a left column (ensured at plan time)");
-                let key_sets = self.label_set_tables(key_filter);
-                let far_sets = self.label_set_tables(far_filter);
-                let len = lrel.len();
-                let kernel = move |range: Range<usize>, limits: &Limits| {
-                    let mut data: Vec<u32> = Vec::new();
-                    for (i, row) in lrel.rows_range(range.start, range.end).enumerate() {
-                        if i & POLL_MASK == 0 {
-                            limits.poll()?;
-                        }
-                        let v = row[key_pos];
-                        if let Some(sets) = &key_sets {
-                            if !tables_contain(sets, v) {
-                                continue;
-                            }
-                        }
-                        let neigh = csr.neighbors(NodeId::new(v));
-                        let hit = match &far_sets {
-                            None => !neigh.is_empty(),
-                            Some(sets) => neigh.iter().any(|&n| tables_contain(sets, n.raw())),
-                        };
-                        if hit {
-                            data.extend_from_slice(row);
-                        }
-                    }
-                    Ok(data)
-                };
-                // Filtering preserves canonical order.
-                return self
-                    .run_ranges(&p.cols, len, Combine::Concat, kernel)
-                    .map(|(_, out)| out);
-            }
-            PhysOp::MergeSemiJoin { left, right, key } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                l.merge_semijoin_checked(&r, key.len(), &self.limits)?
             }
             PhysOp::HashSemiJoin { left, right, key } => {
                 let l = self.eval(left)?;
@@ -561,7 +499,7 @@ impl Interp<'_> {
                 let cols = base_rel.cols().to_vec();
                 let mut acc = base_rel.clone();
                 let mut delta = base_rel;
-                let (outer, scope) = (self.scope, (!self.ctx.no_fixpoint_cache).then_some(p.id));
+                let (outer, scope) = (self.scope, Some(p.id));
                 while !delta.is_empty() {
                     self.limits.poll()?;
                     self.limits.fault("exec.fixpoint_round")?;
@@ -1064,12 +1002,21 @@ mod tests {
         assert_eq!(ctx.rows_materialized(), 3);
     }
 
+    /// The `(src, tgt)` pairs of `eval_path(path)` on the Fig. 2
+    /// database — an oracle sharing no code with this crate.
+    fn oracle(db: &sgq_graph::GraphDatabase, path: &str) -> Vec<(u32, u32)> {
+        let expr = sgq_algebra::parser::parse_path(path, db).unwrap();
+        let pairs = sgq_algebra::eval::eval_path(db, &expr).into_iter();
+        pairs.map(|(s, t)| (s.raw(), t.raw())).collect()
+    }
+
     #[test]
     fn fixpoint_caches_static_build_sides() {
         // The closure's step joins the delta against the static renamed
-        // scan: its hash table must be built once, not once per round.
-        // (Index joins ablated — with them on, no hash table is built at
-        // all; see `index_join_inside_fixpoint_builds_nothing`.)
+        // scan: its hash table is built once, in the first of the three
+        // rounds, and read from the cache in the other two. (Index joins
+        // ablated — with them on, no hash table is built at all; see
+        // `index_join_inside_fixpoint_builds_nothing`.)
         let (db, mut store) = store();
         store.index_joins = false;
         let s = &store.symbols;
@@ -1081,24 +1028,13 @@ mod tests {
             s.col("m"),
         );
         let p = plan(&f, &store).unwrap();
-
-        let mut cached = ExecContext::new();
-        let r_cached = execute_plan(&p, &store, &mut cached).unwrap();
-        let mut uncached = ExecContext::new();
-        uncached.no_fixpoint_cache = true;
-        let r_uncached = execute_plan(&p, &store, &mut uncached).unwrap();
-
-        assert_eq!(r_cached, r_uncached, "caching must not change results");
-        assert!(cached.fixpoint_rounds >= 2, "closure iterates");
-        assert_eq!(cached.fixpoint_rounds, uncached.fixpoint_rounds);
-        assert!(
-            cached.hash_builds < uncached.hash_builds,
-            "caching must reduce hash builds: {} !< {}",
-            cached.hash_builds,
-            uncached.hash_builds
-        );
-        assert!(cached.cache_hits > 0);
-        assert_eq!(uncached.cache_hits, 0);
+        let mut ctx = ExecContext::new();
+        let r = execute_plan(&p, &store, &mut ctx).unwrap();
+        let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
+        assert_eq!(got, oracle(&db, "isLocatedIn+"));
+        assert_eq!(ctx.fixpoint_rounds, 3);
+        assert_eq!(ctx.hash_builds, 1, "built once, not once per round");
+        assert_eq!(ctx.cache_hits, 2);
     }
 
     #[test]
@@ -1156,30 +1092,6 @@ mod tests {
         let r_ref = execute_plan(&p_ref, &store, &mut ctx).unwrap();
         assert_eq!(r_index, r_ref);
         assert!(r_index.is_empty(), "n1 is a PROPERTY, not a CITY");
-    }
-
-    #[test]
-    fn index_semijoin_matches_hash_semijoin() {
-        // (owns ⋈ livesIn) ⋉ isLocatedIn(y,_): keep pairs whose y has at
-        // least one out-edge — an O(1) degree check per row.
-        let (db, mut store) = store();
-        let left = RaTerm::join(
-            scan(&db, &store, "owns", "x", "y"),
-            scan(&db, &store, "livesIn", "w", "x"),
-        );
-        let t = RaTerm::semijoin(left, scan(&db, &store, "isLocatedIn", "y", "q"));
-        let p = plan(&t, &store).unwrap();
-        assert!(
-            p.contains_op(&|op| matches!(op, PhysOp::IndexSemiJoin { .. })),
-            "{p:?}"
-        );
-        let mut ctx = ExecContext::new();
-        let r_index = execute_plan(&p, &store, &mut ctx).unwrap();
-        store.index_joins = false;
-        let p_ref = plan(&t, &store).unwrap();
-        let mut ctx = ExecContext::new();
-        let r_ref = execute_plan(&p_ref, &store, &mut ctx).unwrap();
-        assert_eq!(r_index, r_ref);
     }
 
     #[test]
@@ -1471,7 +1383,7 @@ mod tests {
     fn a_closure_reads_its_shared_base_in_its_step() {
         // The step of `(isLocatedIn/isLocatedIn)+` repeats the base under
         // a rename: computed once, before the first round, and read by
-        // the step's cached build side — with the fixpoint cache on or off.
+        // the step's cached build side.
         let (db, mut store) = store();
         store.index_joins = false;
         let s = &store.symbols;
@@ -1485,19 +1397,11 @@ mod tests {
         let f = closure_fixpoint(s.recvar("X"), two_hops, s.col("x"), s.col("z"), s.col("m"));
         let p = plan(&f, &store).unwrap();
         assert!(!shared(&p).is_empty(), "{p:?}");
-        let expect = sgq_algebra::eval::eval_path(
-            &db,
-            &sgq_algebra::parser::parse_path("(isLocatedIn/isLocatedIn)+", &db).unwrap(),
-        );
-        let want: Vec<(u32, u32)> = expect.iter().map(|&(s, t)| (s.raw(), t.raw())).collect();
-        for no_fixpoint_cache in [false, true] {
-            let mut ctx = ExecContext::new();
-            ctx.no_fixpoint_cache = no_fixpoint_cache;
-            let r = execute_plan(&p, &store, &mut ctx).unwrap();
-            let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
-            assert_eq!(got, want, "no_fixpoint_cache = {no_fixpoint_cache}");
-            assert!(ctx.cache_hits >= 1);
-        }
+        let mut ctx = ExecContext::new();
+        let r = execute_plan(&p, &store, &mut ctx).unwrap();
+        let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
+        assert_eq!(got, oracle(&db, "(isLocatedIn/isLocatedIn)+"));
+        assert!(ctx.cache_hits >= 1);
     }
 
     #[test]
@@ -1550,6 +1454,55 @@ mod tests {
         assert_eq!(counters(&par), counters(&serial), "{p:?}");
         assert!(par.morsels_executed > 0, "{p:?}");
         (r, trace, serial)
+    }
+
+    /// Plans `left ⋉ filter` and asserts it runs as the one semi-join
+    /// kernel — `kind`, a hash semi-join or a hash-filtered edge scan —
+    /// under the range runner: `Relation::semijoin`'s answer, the same
+    /// serially and in 1-row morsels. Returns the result.
+    fn one_semijoin_kernel(left: RaTerm, filter: RaTerm, store: &RelStore, kind: &str) -> Relation {
+        let p = plan(&RaTerm::semijoin(left.clone(), filter.clone()), store).unwrap();
+        assert_eq!(p.op.kind(), kind, "{p:?}");
+        let (r, _, _) = serial_then_parallel(&p, store);
+        let run = |t: &RaTerm| execute(t, store, &mut ExecContext::new()).unwrap();
+        assert_eq!(r, run(&left).semijoin(&run(&filter)));
+        r
+    }
+
+    #[test]
+    fn a_semijoin_whose_key_leads_both_sides_is_a_hash_semijoin() {
+        // π(x,z)(isLocatedIn(x,y) ⋈ isLocatedIn(y,z)) ⋉ CITY(x): both
+        // sides arrive sorted on x, so a merge walk could filter — the
+        // hash filter runs anyway, in morsels at dop > 1.
+        let (db, store) = store();
+        let s = &store.symbols;
+        let two_hops = RaTerm::project(
+            RaTerm::join(
+                scan(&db, &store, "isLocatedIn", "x", "y"),
+                scan(&db, &store, "isLocatedIn", "y", "z"),
+            ),
+            vec![s.col("x"), s.col("z")],
+        );
+        let city = RaTerm::NodeScan {
+            labels: vec![db.node_label_id("CITY").unwrap()],
+            col: s.col("x"),
+        };
+        let r = one_semijoin_kernel(two_hops, city, &store, "HashSemiJoin");
+        // Elerslie and Montbonnot → Grenoble → France.
+        assert_eq!(r.flat(), &[3, 6, 5, 6]);
+    }
+
+    #[test]
+    fn a_semijoin_on_a_scan_whose_key_leads_both_sides_is_a_hash_filter() {
+        // isLocatedIn(x,y) ⋉ π(x)(livesIn(w,x)): x leads the scan and the
+        // filter, so a merge walk could filter — the hash filter runs.
+        let (db, store) = store();
+        let x = store.symbols.col("x");
+        let homes = RaTerm::project(scan(&db, &store, "livesIn", "w", "x"), vec![x]);
+        let located = scan(&db, &store, "isLocatedIn", "x", "y");
+        let r = one_semijoin_kernel(located, homes, &store, "FilteredEdgeScan");
+        // Elerslie and Montbonnot are in Grenoble.
+        assert_eq!(r.flat(), &[3, 4, 5, 4]);
     }
 
     /// Asserts that `p`, a projection over join node `j`, ran `j` fused:

@@ -156,13 +156,10 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
             names.edge_name(*label),
             symbols.col_list(&p.cols, ", ")
         ),
-        PhysOp::FilteredEdgeScan {
-            label, key, merge, ..
-        } => format!(
-            "Filtered Seq Scan on {} ({}) [{} filter on {}]",
+        PhysOp::FilteredEdgeScan { label, key, .. } => format!(
+            "Filtered Seq Scan on {} ({}) [hash filter on {}]",
             names.edge_name(*label),
             symbols.col_list(&p.cols, ", "),
-            if *merge { "merge" } else { "hash" },
             symbols.col_list(key, ", ")
         ),
         PhysOp::DenormEdgeScan {
@@ -206,9 +203,6 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
                 symbols.col_list(key, ", ")
             }
         ),
-        PhysOp::MergeSemiJoin { key, .. } => {
-            format!("Merge Semi Join (key = {})", symbols.col_list(key, ", "))
-        }
         PhysOp::HashSemiJoin { key, .. } => format!(
             "Hash Semi Join (key = {})",
             if key.is_empty() {
@@ -228,13 +222,6 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
                 endpoint_filters(names, scan)
             )
         }
-        PhysOp::IndexSemiJoin { scan, forward, .. } => format!(
-            "Index Semi Join on {} ({} CSR, key = {}{})",
-            names.edge_name(scan.label),
-            if *forward { "forward" } else { "reverse" },
-            symbols.col_name(scan.endpoints(*forward)[0].0),
-            endpoint_filters(names, scan)
-        ),
         PhysOp::Union { .. } => "Merge Union".to_string(),
         PhysOp::Project { .. } => {
             format!("Project ({})", symbols.col_list(&p.cols, ", "))
@@ -261,7 +248,7 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
     }
 }
 
-/// Renders the endpoint label restrictions of an index (semi-)join,
+/// Renders the endpoint label restrictions of an index join,
 /// e.g. `, src ∈ City, tgt ∈ Country` (`∅` for an impossible filter
 /// intersection).
 fn endpoint_filters(names: &dyn PlanNames, scan: &crate::cost::ScanInfo) -> String {
@@ -284,6 +271,25 @@ fn endpoint_filters(names: &dyn PlanNames, scan: &crate::cost::ScanInfo) -> Stri
         s.push_str(&format!(", tgt ∈ {}", render(ls)));
     }
     s
+}
+
+/// The estimated rows of `p`'s morsel-partitionable probe side, if it
+/// has one — what a `dop > 1` execution splits: the probe input of a hash
+/// or index join, the filtered left of a hash semi-join, and the whole
+/// edge table a filtered scan filters (its output is only what survives).
+fn parallel_probe_rows(p: &PhysPlan, store: &RelStore) -> Option<f64> {
+    match &p.op {
+        PhysOp::HashJoin {
+            left,
+            right,
+            build_left,
+            ..
+        } => Some(if *build_left { &right.est } else { &left.est }.rows),
+        PhysOp::IndexJoin { probe, .. } => Some(probe.est.rows),
+        PhysOp::HashSemiJoin { left, .. } => Some(left.est.rows),
+        PhysOp::FilteredEdgeScan { label, .. } => Some(store.stats.edge_cardinality(*label) as f64),
+        _ => None,
+    }
 }
 
 /// Number of maximal static subtrees of a fixpoint step — the node-cache
@@ -313,7 +319,7 @@ fn render(
         return;
     }
     let parallel = if dop > 1
-        && p.parallel_probe_rows()
+        && parallel_probe_rows(p, store)
             .is_some_and(|rows| rows >= crate::cost::PARALLEL_ROW_THRESHOLD as f64)
     {
         format!(" [parallel ×{dop}]")
@@ -432,10 +438,9 @@ mod tests {
             rendered.contains("rows = 1 actual = 1 q = 1.00"),
             "{rendered}"
         );
-        // The semi-join fuses onto the scan, with a merge filter since x
-        // leads both schemas.
+        // The semi-join fuses onto the scan as a hash filter on x.
         assert!(
-            rendered.contains("Filtered Seq Scan on isLocatedIn (x, y) [merge filter on x]"),
+            rendered.contains("Filtered Seq Scan on isLocatedIn (x, y) [hash filter on x]"),
             "{rendered}"
         );
         assert!(
@@ -602,6 +607,47 @@ mod tests {
         let rendered = explain_plan_with_dop(&p, &store, &db, 4);
         assert!(rendered.contains("[parallel ×4]"), "{rendered}");
         assert!(!explain_plan(&p, &store, &db).contains("parallel"));
+    }
+
+    #[test]
+    fn explain_annotates_a_filtered_scan_iff_it_runs_in_morsels() {
+        // 128 × 128 PROPERTY → CITY isLocatedIn edges — as many as the
+        // parallel threshold — filtered on the target by the one city
+        // anybody lives in: a selective filter no slice serves. The scan
+        // splits the whole edge table, whatever its output estimate.
+        let schema = sgq_graph::schema::fig1_yago_schema();
+        let mut b = sgq_graph::GraphDatabase::builder(&schema);
+        let props: Vec<_> = (0..128).map(|_| b.node("PROPERTY", &[])).collect();
+        let cities: Vec<_> = (0..128).map(|_| b.node("CITY", &[])).collect();
+        for (&p, &c) in props
+            .iter()
+            .flat_map(|p| cities.iter().map(move |c| (p, c)))
+        {
+            b.edge(p, "isLocatedIn", c);
+        }
+        let person = b.node("PERSON", &[]);
+        b.edge(person, "livesIn", cities[0]);
+        let db = b.build().unwrap();
+        let store = RelStore::load(&db);
+        let s = &store.symbols;
+        let scan = |label: &str, src: &str, tgt: &str| RaTerm::EdgeScan {
+            label: db.edge_label_id(label).unwrap(),
+            src: s.col(src),
+            tgt: s.col(tgt),
+        };
+        let homes = RaTerm::project(scan("livesIn", "w", "x"), vec![s.col("x")]);
+        let t = RaTerm::semijoin(scan("isLocatedIn", "y", "x"), homes);
+        let p = plan(&t, &store).unwrap();
+        assert!(matches!(p.op, PhysOp::FilteredEdgeScan { .. }), "{p:?}");
+        let threshold = crate::cost::PARALLEL_ROW_THRESHOLD;
+        assert!(p.est.rows < threshold as f64, "{p:?}");
+        let annotated = explain_plan_with_dop(&p, &store, &db, 2).contains("[parallel ×2]");
+        let mut ctx = ExecContext::new();
+        ctx.dop = 2;
+        let r = crate::exec::execute_plan(&p, &store, &mut ctx).unwrap();
+        assert_eq!(r.len(), 128);
+        assert!(ctx.morsels_executed > 0);
+        assert_eq!(annotated, ctx.morsels_executed > 0);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! * **Order.** Every [`crate::table::Relation`] is canonical — rows
 //!   sorted lexicographically in column order — so whenever a join's
 //!   shared columns form the leading prefix of *both* inputs' schemas,
-//!   the join (or semi-join) runs as a linear merge with no hash table
-//!   at all.
+//!   the join runs as a linear merge with no hash table at all. A
+//!   semi-join does not: every one that is not a precomputed slice
+//!   filters through a hashed key set, one kernel under the range
+//!   runner ([`PhysOp::HashSemiJoin`], or fused onto an edge scan).
 //! * **Cost.** For the remaining hash joins the build side is chosen by
 //!   the term's estimated cardinalities instead of being rediscovered at
 //!   run time, with ties broken towards the recursion-independent side
@@ -17,12 +19,11 @@
 //!   adjacency indexes. When one side of a join is a (possibly renamed
 //!   and/or node-label-filtered) base edge scan sharing exactly one
 //!   endpoint column with the other side, the planner may replace the
-//!   scan with direct CSR probes ([`PhysOp::IndexJoin`] /
-//!   [`PhysOp::IndexSemiJoin`]): the edge table is never materialised
-//!   and no hash table is built. The choice between merge, hash and
-//!   index is by estimated cost — probe rows × (1 + measured average
-//!   degree) against scanning + building — and can be disabled with
-//!   [`RelStore::index_joins`] for ablation.
+//!   scan with direct CSR probes ([`PhysOp::IndexJoin`]): the edge table
+//!   is never materialised and no hash table is built. The choice
+//!   between merge, hash and index is by estimated cost — probe rows ×
+//!   (1 + measured average degree) against scanning + building — and can
+//!   be disabled with [`RelStore::index_joins`] for ablation.
 //!
 //! Two further physical rewrites:
 //!
@@ -109,9 +110,6 @@ pub enum PhysOp {
         filter: Box<PhysPlan>,
         /// Shared (key) columns, in scan-schema order.
         key: Vec<ColId>,
-        /// Whether the key is a sorted prefix of both sides, enabling a
-        /// merge filter instead of a hashed key set.
-        merge: bool,
     },
     /// Scan of a denormalised endpoint-label slice: an edge table
     /// restricted to rows whose endpoints carry the given node labels,
@@ -152,15 +150,6 @@ pub enum PhysOp {
         /// Whether the left input is the build side.
         build_left: bool,
     },
-    /// Merge semi-join on a shared sorted key prefix.
-    MergeSemiJoin {
-        /// Left (filtered) input.
-        left: Box<PhysPlan>,
-        /// Right (filter) input.
-        right: Box<PhysPlan>,
-        /// Shared key columns.
-        key: Vec<ColId>,
-    },
     /// Hash semi-join: the right side's keys are hashed, the left side
     /// is filtered in order.
     HashSemiJoin {
@@ -185,18 +174,6 @@ pub enum PhysOp {
         scan: ScanInfo,
         /// `true`: the key is the edge source (forward CSR, neighbours are
         /// targets); `false`: the target (reverse CSR).
-        forward: bool,
-    },
-    /// CSR index semi-join: keeps the left rows whose key value has at
-    /// least one (label-filtered) neighbour in the edge label's CSR —
-    /// an O(1) degree lookup per row, no scan and no key-set build.
-    IndexSemiJoin {
-        /// Left (filtered) input.
-        left: Box<PhysPlan>,
-        /// The absorbed scan (the semi-join's right side), keyed by the
-        /// endpoint shared with `left`.
-        scan: ScanInfo,
-        /// `true`: the key matches edge sources (forward CSR).
         forward: bool,
     },
     /// Merge union of two canonical inputs.
@@ -257,13 +234,11 @@ macro_rules! children {
             | PhysOp::RecRef { .. } => [None, None],
             PhysOp::FilteredEdgeScan { filter: c, .. }
             | PhysOp::IndexJoin { probe: c, .. }
-            | PhysOp::IndexSemiJoin { left: c, .. }
             | PhysOp::Project { input: c }
             | PhysOp::Select { input: c, .. }
             | PhysOp::Rename { input: c } => [Some(c), None],
             PhysOp::MergeJoin { left, right, .. }
             | PhysOp::HashJoin { left, right, .. }
-            | PhysOp::MergeSemiJoin { left, right, .. }
             | PhysOp::HashSemiJoin { left, right, .. }
             | PhysOp::Union { left, right }
             | PhysOp::Fixpoint {
@@ -287,10 +262,8 @@ impl PhysOp {
             PhysOp::NodeScan { .. } => "NodeScan",
             PhysOp::MergeJoin { .. } => "MergeJoin",
             PhysOp::HashJoin { .. } => "HashJoin",
-            PhysOp::MergeSemiJoin { .. } => "MergeSemiJoin",
             PhysOp::HashSemiJoin { .. } => "HashSemiJoin",
             PhysOp::IndexJoin { .. } => "IndexJoin",
-            PhysOp::IndexSemiJoin { .. } => "IndexSemiJoin",
             PhysOp::Union { .. } => "Union",
             PhysOp::Project { .. } => "Project",
             PhysOp::Select { .. } => "Select",
@@ -304,11 +277,11 @@ impl PhysOp {
     /// store (anything but a scan, a projection, a selection or a rename).
     fn combines(&self) -> bool {
         let [_, second] = children!(self);
-        let probes = matches!(
-            self,
-            PhysOp::FilteredEdgeScan { .. } | PhysOp::IndexJoin { .. }
-        );
-        second.is_some() || probes || matches!(self, PhysOp::IndexSemiJoin { .. })
+        second.is_some()
+            || matches!(
+                self,
+                PhysOp::FilteredEdgeScan { .. } | PhysOp::IndexJoin { .. }
+            )
     }
 }
 
@@ -357,31 +330,6 @@ impl PhysPlan {
     /// the harness assert a plan contains a strategy.
     pub fn contains_op(&self, pred: &dyn Fn(&PhysOp) -> bool) -> bool {
         pred(&self.op) || self.kids().any(|c| c.contains_op(pred))
-    }
-
-    /// The estimated rows of this operator's morsel-partitionable probe
-    /// side, if the operator has one: the probe input of hash/index
-    /// joins, the filtered left of hash/index semi-joins, and the scan
-    /// side of a hashed filtered edge scan. `EXPLAIN` compares this
-    /// against [`crate::cost::PARALLEL_ROW_THRESHOLD`] to annotate which
-    /// operators a `dop > 1` execution would actually split.
-    pub fn parallel_probe_rows(&self) -> Option<f64> {
-        match &self.op {
-            PhysOp::HashJoin {
-                left,
-                right,
-                build_left,
-                ..
-            } => Some(if *build_left { &right.est } else { &left.est }.rows),
-            PhysOp::IndexJoin { probe, .. } => Some(probe.est.rows),
-            PhysOp::IndexSemiJoin { left, .. } | PhysOp::HashSemiJoin { left, .. } => {
-                Some(left.est.rows)
-            }
-            // The hashed (non-merge) variant scans the full edge table;
-            // its output estimate is the conservative proxy for that.
-            PhysOp::FilteredEdgeScan { merge: false, .. } => Some(self.est.rows),
-            _ => None,
-        }
     }
 }
 
@@ -642,6 +590,9 @@ impl<'a> Planner<'a> {
         let key = shared_cols(&left.cols, &right.cols);
         if !key.is_empty() && is_prefix(&key, &left.cols) && is_prefix(&key, &right.cols) {
             // Both inputs arrive sorted on the key: skip hashing entirely.
+            // Kept, unlike the merge semi-join: planned as hash instead,
+            // five catalog statements ran 11–36 % slower and `serve-mixed`
+            // lost 14–18 % of its throughput (2-core x86 VM).
             let cost = left.est.cost + right.est.cost + rows;
             let op = PhysOp::MergeJoin {
                 left: Box::new(left),
@@ -733,53 +684,12 @@ impl<'a> Planner<'a> {
         Ok(Some(self.node(at, index_cost, op)))
     }
 
-    /// Attempts to lower the semi-join `a ⋉ b` at term node `at` as a CSR
-    /// index semi-join: `b` must be an indexable base-edge scan sharing
-    /// exactly one endpoint column with `a`, and the per-row degree probe
-    /// must beat collecting the scan's key set.
-    fn try_index_semijoin(&mut self, a: Id, b: Id, at: Id) -> Result<Option<PhysPlan>> {
-        if !self.store.index_joins {
-            return Ok(None);
-        }
-        let (dag, rows) = (self.dag, self.sum(at).rows());
-        let Some(s) = indexable_scan(dag, b) else {
-            return Ok(None);
-        };
-        let a_cols = dag.cols(a);
-        let forward = match (a_cols.contains(&s.src), a_cols.contains(&s.tgt)) {
-            (true, false) => true,
-            (false, true) => false,
-            _ => return Ok(None),
-        };
-        let key = s.endpoints(forward)[0].0;
-        let (ea, eb) = (self.sum(a).estimate(), self.sum(b).estimate());
-        let index_cost = cost::index_semijoin_cost(&ea);
-        // Merge filtering needs the key to lead both sides; the scan side
-        // leads with its source column.
-        let merge_ok = a_cols.first() == Some(&key) && forward;
-        let scan_based = if merge_ok {
-            ea.cost + eb.cost + rows
-        } else {
-            ea.cost + eb.cost + ea.rows + eb.rows
-        };
-        if index_cost >= scan_based {
-            return Ok(None);
-        }
-        let left = self.lower(a)?;
-        let op = PhysOp::IndexSemiJoin {
-            left: Box::new(left),
-            scan: s,
-            forward,
-        };
-        Ok(Some(self.node(at, index_cost, op)))
-    }
-
     /// Semi-join strategy selection for `a ⋉ b` at term node `at`, whose
-    /// label-aware estimate every strategy shares: fuse onto bare edge
-    /// scans, probe the CSR when the filter is an indexable scan, merge on
-    /// sorted key prefixes, hash otherwise.
+    /// label-aware estimate every strategy shares: a precomputed slice
+    /// when one serves it, else one hash filter — fused onto a bare edge
+    /// scan, or over the lowered left side.
     fn lower_semijoin(&mut self, a: Id, b: Id, at: Id) -> Result<PhysPlan> {
-        let (dag, rows) = (self.dag, self.sum(at).rows());
+        let dag = self.dag;
         // A node-label filter on a scan whose slice the store precomputed
         // needs no filtering at all — it is a strict improvement over
         // every strategy below, so no cost race.
@@ -790,8 +700,6 @@ impl<'a> Planner<'a> {
             let filter = self.lower(b)?;
             let scan_cols = dag.cols(a);
             let key = shared_cols(scan_cols, &filter.cols);
-            let merge =
-                !key.is_empty() && is_prefix(&key, scan_cols) && is_prefix(&key, &filter.cols);
             let scan_rows = self.store.stats.edge_cardinality(label) as f64;
             let cost = scan_rows + filter.est.cost + filter.est.rows;
             // The fused node computes the whole semi-join term, so it
@@ -800,25 +708,12 @@ impl<'a> Planner<'a> {
                 label,
                 filter: Box::new(filter),
                 key,
-                merge,
             };
             return Ok(self.node(at, cost, op));
-        }
-        if let Some(p) = self.try_index_semijoin(a, b, at)? {
-            return Ok(p);
         }
         let left = self.lower(a)?;
         let right = self.lower(b)?;
         let key = shared_cols(&left.cols, &right.cols);
-        if !key.is_empty() && is_prefix(&key, &left.cols) && is_prefix(&key, &right.cols) {
-            let cost = left.est.cost + right.est.cost + rows;
-            let op = PhysOp::MergeSemiJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                key,
-            };
-            return Ok(self.node(at, cost, op));
-        }
         let cost = left.est.cost + right.est.cost + left.est.rows + right.est.rows;
         let op = PhysOp::HashSemiJoin {
             left: Box::new(left),
@@ -1044,27 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_against_scan_lowers_to_index_semijoin() {
-        let db = fig2_yago_database();
-        let store = RelStore::load(&db);
-        // (owns ⋈ livesIn) ⋉ isLocatedIn(y,z'): the filter side is a base
-        // scan — an O(1) degree probe per left row, no key-set build.
-        let left = RaTerm::join(
-            scan(&db, &store, "owns", "x", "y"),
-            scan(&db, &store, "livesIn", "w", "x"),
-        );
-        let t = RaTerm::semijoin(left, scan(&db, &store, "isLocatedIn", "y", "q"));
-        let p = plan(&t, &store).unwrap();
-        match &p.op {
-            PhysOp::IndexSemiJoin { scan, forward, .. } => {
-                assert_eq!(scan.endpoints(*forward)[0].0, store.symbols.col("y"));
-                assert!(*forward);
-            }
-            other => panic!("expected index semi-join, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn index_join_disabled_by_the_ablation_knob() {
         let db = fig2_yago_database();
         let mut store = RelStore::load(&db);
@@ -1098,8 +972,8 @@ mod tests {
         );
         let p = plan(&t, &store).unwrap();
         match &p.op {
-            PhysOp::FilteredEdgeScan { merge, .. } => {
-                assert!(*merge, "x leads both schemas: {p:?}");
+            PhysOp::FilteredEdgeScan { key, .. } => {
+                assert_eq!(key, &[store.symbols.col("x")], "{p:?}");
             }
             other => panic!("expected fused filtered scan, got {other:?}"),
         }

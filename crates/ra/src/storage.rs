@@ -22,8 +22,8 @@
 //! * per edge label, the database's own forward and reverse [`Csr`]
 //!   (set semantics, shared by `Arc`, never rebuilt): the physical
 //!   planner ([`mod@crate::plan`]) uses them for
-//!   [`crate::plan::PhysOp::IndexJoin`] / `IndexSemiJoin`, probing
-//!   neighbour lists instead of materialising and hashing a base table.
+//!   [`crate::plan::PhysOp::IndexJoin`], probing neighbour lists instead
+//!   of materialising and hashing a base table.
 //!
 //! The store also owns the [`SymbolTable`] that defines the column-id
 //! space every [`crate::term::RaTerm`] executed against it lives in:

@@ -413,49 +413,6 @@ impl Relation {
         }
         Ok(Relation::from_flat_sorted(out_cols, data))
     }
-
-    /// Merge semi-join on the shared `key_len`-column prefix: keeps
-    /// self's rows whose key prefix appears in `other`, by a linear walk
-    /// of both canonical inputs — no hash set is built.
-    pub fn merge_semijoin_checked(
-        &self,
-        other: &Relation,
-        key_len: usize,
-        limits: &Limits,
-    ) -> Result<Relation> {
-        assert!(
-            key_len >= 1,
-            "merge semi-join requires at least one key column"
-        );
-        assert_eq!(
-            &self.cols[..key_len],
-            &other.cols[..key_len],
-            "merge semi-join requires a shared key prefix"
-        );
-        let (n, m) = (self.len(), other.len());
-        let mut data: Vec<u32> = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut steps = 0usize;
-        while i < n && j < m {
-            steps += 1;
-            if steps & POLL_MASK == 0 {
-                limits.poll()?;
-            }
-            let a = &self.row(i)[..key_len];
-            let b = &other.row(j)[..key_len];
-            match a.cmp(b) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    // Keep the left row; the next left row may share the
-                    // same key, so only the left cursor advances.
-                    data.extend_from_slice(self.row(i));
-                    i += 1;
-                }
-            }
-        }
-        Ok(Relation::new(self.cols.clone(), data))
-    }
 }
 
 /// The one two-cursor merge over canonical flat runs `a` and `b`: their
@@ -803,17 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_semijoin_matches_hash_semijoin() {
-        let r = rel(&[0, 1], &[&[1, 10], &[1, 11], &[2, 20], &[3, 30]]);
-        let f = rel(&[0], &[&[1], &[3]]);
-        let msj = r.merge_semijoin_checked(&f, 1, &Limits::default()).unwrap();
-        let reference = nested_loop_semijoin(&r, &f);
-        assert_eq!(msj, reference);
-        assert_eq!(r.semijoin(&f), reference);
-        assert_eq!(msj.len(), 3);
-    }
-
-    #[test]
     fn union_many_matches_pairwise_fold() {
         let a = rel(&[0], &[&[1], &[4]]);
         let b = rel(&[0], &[&[2], &[4]]);
@@ -926,12 +872,10 @@ mod tests {
             let semi = KeyMap::<()>::build(&r, key, &expired());
             assert_eq!(semi.unwrap_err(), timeout);
         }
-        // The merge operators poll every `POLL_MASK + 1` steps.
+        // The merge join polls every `POLL_MASK + 1` steps.
         let long = Relation::from_rows(vec![c(0)], (0..=POLL_MASK as u32).map(|v| vec![v]));
         let join = long.merge_join_checked(&long, 1, &expired());
         assert_eq!(join.unwrap_err(), timeout);
-        let semi = long.merge_semijoin_checked(&long, 1, &expired());
-        assert_eq!(semi.unwrap_err(), timeout);
     }
 }
 
@@ -1066,8 +1010,8 @@ mod proptests {
         }
     }
 
-    /// Merge and hash join/semi-join agree with the nested-loop
-    /// definition on prefix-aligned schemas.
+    /// Merge and hash join, and the hash semi-join, agree with the
+    /// nested-loop definition on prefix-aligned schemas.
     #[test]
     fn merge_operators_match_hash_operators() {
         for seed in 0..128u64 {
@@ -1078,8 +1022,6 @@ mod proptests {
             let mj = r.merge_join_checked(&s, 1, &Limits::default()).unwrap();
             assert_eq!(mj, join, "merge join seed {seed}");
             assert_eq!(r.join(&s), join, "hash join seed {seed}");
-            let msj = r.merge_semijoin_checked(&s, 1, &Limits::default()).unwrap();
-            assert_eq!(msj, semijoin, "merge semijoin seed {seed}");
             assert_eq!(r.semijoin(&s), semijoin, "hash semijoin seed {seed}");
         }
     }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Plans at two commits: builds sgq-experiments at <rev> (a git archive
 # into $TMPDIR, its own target directory) and at this checkout, runs
-# `estimates --smoke` on both, and prints each catalog's `plans digest`
-# and `shared node` lines side by side, each pair `identical` or
-# `differ`. It only reports: a change that means to move plans exits 0
-# too. A failed build or run exits non-zero.
+# `estimates --smoke` on both, and prints each catalog's `plans digest`,
+# `shared node` and `strategies` (operator-kind census) lines side by
+# side, each pair `identical` or `differ`. It only reports: a change that
+# means to move plans exits 0 too. A failed build or run exits non-zero.
 #
 #   scripts/plans.sh --against <rev>
 set -euo pipefail
@@ -21,17 +21,17 @@ git archive "$against" | tar -x -C "$before"
 plans() (
     cd "$1"
     cargo run --release --quiet --bin sgq-experiments -- estimates --smoke |
-        grep -E 'plans digest|plan a shared node'
+        grep -E 'plans digest|plan a shared node|: strategies '
 )
 
 CARGO_TARGET_DIR="$before/target" plans "$before" >"$before/plans.before"
 plans . >"$before/plans.after"
 echo "plans: $against → here"
-# Lines pair by catalog and kind (`<catalog>: digest` / `<catalog>:
-# shared`), not by position: a line one side lacks is `differ` against
+# Lines pair by catalog and kind (`<catalog>: digest` / `shared` /
+# `strategies`), not by position: a line one side lacks is `differ` against
 # `(none)`, and so is a kind a side prints twice.
 awk '
-    { key = $1 (/plans digest/ ? " digest" : " shared") }
+    { key = $1 (/plans digest/ ? " digest" : /: strategies / ? " strategies" : " shared") }
     FNR == NR { old[key] = nold[key]++ ? old[key] " | " $0 : $0 }
     FNR != NR { new[key] = nnew[key]++ ? new[key] " | " $0 : $0 }
     !(key in seen) { seen[key] = 1; order[++n] = key }

@@ -10,9 +10,8 @@
 //!    node-label semi-join filters, the shapes the translator and the
 //!    µ-RA rewriter actually produce; a third of the cases union two
 //!    translations of the path, as the schema rewrite's disjuncts do.
-//! 2. `execute_plan(plan(optimize(t)))` equals the oracle too, with and
-//!    without fixpoint build-side caching, and some cases plan a shared
-//!    node.
+//! 2. `execute_plan(plan(optimize(t)))` equals the oracle too, and some
+//!    cases plan a shared node.
 //! 3. `execute_plan(index-enabled) == execute_plan(index-disabled) ==
 //!    execute(t)` — planning against the store's CSR adjacency indexes
 //!    never changes results.
@@ -184,8 +183,7 @@ fn optimize_preserves_execution_results() {
 
 #[test]
 fn physical_plans_match_term_execution() {
-    // execute_plan(plan(optimize(t))) == eval_path, with the cached and
-    // uncached fixpoint paths agreeing too.
+    // execute_plan(plan(optimize(t))) == eval_path.
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
     let mut shared = 0;
@@ -197,19 +195,12 @@ fn physical_plans_match_term_execution() {
         shared += shares_a_node(&p) as usize;
         let mut ctx = ExecContext::new();
         let planned = execute_plan(&p, &store, &mut ctx).expect("plan executes");
-        let mut ctx = ExecContext::new();
-        ctx.no_fixpoint_cache = true;
-        let uncached = execute_plan(&p, &store, &mut ctx).expect("plan executes uncached");
 
         // Join reordering may permute columns; compare on the query head.
         assert_eq!(
             head_pairs(&planned, &store),
             want,
             "plan changed semantics (seed {seed}) for {expr:?}"
-        );
-        assert_eq!(
-            planned, uncached,
-            "fixpoint caching changed results (seed {seed}) for {expr:?}"
         );
     }
     assert!(shared > 0, "no case planned a shared node");
@@ -311,10 +302,7 @@ fn planner_fuses_semijoin_onto_scan() {
     );
     let p = plan(&t, &store).unwrap();
     match &p.op {
-        PhysOp::FilteredEdgeScan { merge, .. } => {
-            // y does not lead the scan schema: hashed key set.
-            assert!(!merge);
-        }
+        PhysOp::FilteredEdgeScan { key, .. } => assert_eq!(key, &[s.col("y")]),
         other => panic!("expected fused filtered scan, got {other:?}"),
     }
     let mut ctx = ExecContext::new();
@@ -349,23 +337,29 @@ fn fixpoint_build_caching_reduces_work_with_identical_results() {
         s.col("m"),
     );
     let p = plan(&f, &store).unwrap();
-    let mut cached = ExecContext::new();
-    let r_cached = execute_plan(&p, &store, &mut cached).unwrap();
-    let mut uncached = ExecContext::new();
-    uncached.no_fixpoint_cache = true;
-    let r_uncached = execute_plan(&p, &store, &mut uncached).unwrap();
-    assert_eq!(r_cached, r_uncached);
-    assert!(cached.fixpoint_rounds >= 2, "closure must iterate");
-    assert!(
-        cached.hash_builds < uncached.hash_builds,
-        "caching must build fewer hash tables ({} !< {})",
-        cached.hash_builds,
-        uncached.hash_builds
-    );
-    assert!(
-        cached.rows_materialized() <= uncached.rows_materialized(),
-        "cached intermediates must not inflate materialisation"
-    );
+    let mut ctx = ExecContext::new();
+    let r = execute_plan(&p, &store, &mut ctx).unwrap();
+    assert_eq!(pairs(&r), closure_pairs(&db, "isLocatedIn+"));
+    assert_eq!(ctx.fixpoint_rounds, 3, "closure must iterate");
+    // The step's static build side is hashed in the first round only.
+    assert_eq!(ctx.hash_builds, 1);
+    assert_eq!(ctx.cache_hits, 2);
+    // The base's 4 rows and the cached scan's 4 once, then per round the
+    // delta read, the join, its projection and the fresh rows: 4 + 4 +
+    // (4 + 3 + 3 + 3) + (3 + 1 + 1 + 1) + (1 + 0 + 0 + 0).
+    assert_eq!(ctx.rows_materialized(), 28);
+}
+
+/// The first two columns of `rel`'s rows.
+fn pairs(rel: &Relation) -> Vec<(u32, u32)> {
+    rel.rows().map(|r| (r[0], r[1])).collect()
+}
+
+/// `eval_path(path)`'s pairs, in order.
+fn closure_pairs(db: &sgq_graph::GraphDatabase, path: &str) -> Vec<(u32, u32)> {
+    let expr = sgq_algebra::parser::parse_path(path, db).expect("path parses");
+    let pairs = sgq_algebra::eval::eval_path(db, &expr).into_iter();
+    pairs.map(|(s, t)| (s.raw(), t.raw())).collect()
 }
 
 #[test]
@@ -456,9 +450,9 @@ fn label_filtered_index_join_matches_scan_strategies() {
 #[test]
 fn index_join_inside_fixpoint_interacts_with_the_step_cache() {
     // Directed: the closure step's join against the static renamed scan
-    // probes the CSR instead of building a hash table. Cached and
-    // uncached fixpoint execution agree, no hash table is built in any
-    // round, and the index-disabled plan produces identical results.
+    // probes the CSR instead of building a hash table. The answer is
+    // `eval_path`'s, no hash table is built in any round, and the
+    // index-disabled plan produces identical results.
     let db = fig2_yago_database();
     let mut store = RelStore::load(&db);
     let s = &store.symbols;
@@ -481,16 +475,9 @@ fn index_join_inside_fixpoint_interacts_with_the_step_cache() {
 
     let mut cached = ExecContext::new();
     let r_cached = execute_plan(&p, &store, &mut cached).unwrap();
-    let mut uncached = ExecContext::new();
-    uncached.no_fixpoint_cache = true;
-    let r_uncached = execute_plan(&p, &store, &mut uncached).unwrap();
-    assert_eq!(
-        r_cached, r_uncached,
-        "fixpoint caching must not change results"
-    );
+    assert_eq!(pairs(&r_cached), closure_pairs(&db, "isLocatedIn+"));
     assert!(cached.fixpoint_rounds >= 2, "closure iterates");
     assert_eq!(cached.hash_builds, 0, "the CSR is the build side");
-    assert_eq!(uncached.hash_builds, 0);
 
     store.index_joins = false;
     let p_scan = plan(&f, &store).unwrap();
@@ -637,9 +624,10 @@ fn parallel_execution_is_bit_identical_to_serial() {
     // range), 2 (an uneven last morsel), and `len - 1` for every length
     // an operator of the plan produced, which splits a probe of that
     // length into all-but-the-last row and the last row alone. With the
-    // CSR indexes on, the index (semi-)join kernels run; ablated, the
-    // hash join and hash filter kernels — between them both combine
-    // rules (concatenation and merge-dedup). The work counters must
+    // CSR indexes on, the index join kernel runs; ablated, the hash join
+    // kernel; and either way the one semi-join kernel, the hash filter,
+    // fused onto scans or not — between them both combine rules
+    // (concatenation and merge-dedup). The work counters must
     // match the serial run's too: a kernel's emitted rows are recorded
     // once, not once per morsel run after its dedup.
     let db = fig2_yago_database();
@@ -659,8 +647,8 @@ fn parallel_execution_is_bit_identical_to_serial() {
                 (format!("seed {seed}: {expr:?}"), optimize(&term, &store))
             })
             .collect();
-        // Path expressions never semi-join against an edge table, the
-        // one shape that plans as an index semi-join: add it directed.
+        // Path expressions never semi-join against an edge table: add
+        // that shape directed, a hash semi-join over a join.
         let located = |src, tgt| RaTerm::EdgeScan {
             label: db.edge_label_id("isLocatedIn").unwrap(),
             src,
@@ -715,7 +703,7 @@ fn parallel_execution_is_bit_identical_to_serial() {
             }
         }
     }
-    for kind in ["IndexJoin", "IndexSemiJoin", "HashJoin", "HashSemiJoin"] {
+    for kind in ["IndexJoin", "FilteredEdgeScan", "HashJoin", "HashSemiJoin"] {
         assert!(
             kinds_run_parallel.contains(kind),
             "no parallel plan exercised {kind}: {kinds_run_parallel:?}"
