@@ -2,7 +2,8 @@
 //!
 //! [`infer_triples`] computes `TS(ϕ) = {t | ⊢S ϕ : t}` — the set of all
 //! graph schema triples compatible with `ϕ` — by structural induction,
-//! delegating transitive closures to [`crate::plc`].
+//! delegating transitive closures to [`crate::plc`]. It runs on the ids of
+//! one arena (`crate::arena`); `infer_triples` extracts the result as trees.
 //!
 //! The inference rules:
 //!
@@ -22,17 +23,17 @@
 //! ```
 
 use sgq_algebra::ast::PathExpr;
-use sgq_common::{Result, SgqError};
+use sgq_common::{EdgeLabelId, NodeLabelId, Result, SgqError};
 use sgq_graph::GraphSchema;
-use sgq_query::annotated::AnnotatedPath;
 
+use crate::arena::{Arena, IdTriple, Node, Path, PathId, EMPTY};
 use crate::plc::{plc, PlcOptions};
 use crate::triple::Triple;
 
 /// Budgets and switches for the inference.
 #[derive(Debug, Clone, Copy)]
 pub struct InferOptions {
-    /// Passed through to [`plc`].
+    /// Passed through to `PlC` ([`mod@crate::plc`]).
     pub plc: PlcOptions,
     /// Maximum size of any intermediate `TS(ϕ)`; exceeding it aborts the
     /// rewrite (the pipeline then reverts to the baseline query).
@@ -48,18 +49,23 @@ impl Default for InferOptions {
     }
 }
 
-/// Computes `TS(ϕ)` under `schema`.
+/// Computes `TS(ϕ)` under `schema`, sorted and deduplicated.
 pub fn infer_triples(
     schema: &GraphSchema,
     expr: &PathExpr,
     opts: InferOptions,
 ) -> Result<Vec<Triple>> {
-    let mut out = infer_rec(schema, expr, &opts)?;
-    dedup(&mut out);
-    Ok(out)
+    let mut arena = Arena::new(schema);
+    let phi = arena.intern_path(expr);
+    let triples = infer(&mut arena, phi, &opts)?;
+    let tree = |t: &IdTriple| {
+        let lens = arena.lens_of(t.lens).to_vec();
+        Triple::with_paths(t.src, arena.tree(t.psi), t.tgt, lens)
+    };
+    Ok(triples.iter().map(tree).collect())
 }
 
-fn check_budget(set: &[Triple], opts: &InferOptions) -> Result<()> {
+fn check_budget(set: &[IdTriple], opts: &InferOptions) -> Result<()> {
     if set.len() > opts.max_triples {
         return Err(SgqError::Execution(format!(
             "type inference exceeded the triple budget ({} > {})",
@@ -70,130 +76,87 @@ fn check_budget(set: &[Triple], opts: &InferOptions) -> Result<()> {
     Ok(())
 }
 
-fn dedup(v: &mut Vec<Triple>) {
-    v.sort_unstable_by(|a, b| {
-        (a.src, &a.psi, a.tgt, &a.plus_paths).cmp(&(b.src, &b.psi, b.tgt, &b.plus_paths))
-    });
-    v.dedup();
-}
-
-fn infer_rec(schema: &GraphSchema, expr: &PathExpr, opts: &InferOptions) -> Result<Vec<Triple>> {
-    let mut out = match expr {
+/// `TS(ϕ)` of the interned `phi`, in the structural order of
+/// `(src, ψ, tgt, plus_paths)` and deduplicated; the budget is checked on
+/// every sub-expression's set.
+pub(crate) fn infer(arena: &mut Arena, phi: PathId, opts: &InferOptions) -> Result<Vec<IdTriple>> {
+    let mut out: Vec<IdTriple> = match arena.path_node(phi) {
         // TBASIC
-        PathExpr::Label(le) => schema
-            .triples_for_edge_label(*le)
-            .iter()
-            .map(|&(s, t)| Triple::new(s, AnnotatedPath::plain(PathExpr::Label(*le)), t))
-            .collect(),
+        Path::Label(le) => basic(arena, phi, le, false),
         // TMINUS (reverse flips endpoints)
-        PathExpr::Reverse(le) => schema
-            .triples_for_edge_label(*le)
-            .iter()
-            .map(|&(s, t)| Triple::new(t, AnnotatedPath::plain(PathExpr::Reverse(*le)), s))
-            .collect(),
+        Path::Reverse(le) => basic(arena, phi, le, true),
         // TCONCAT
-        PathExpr::Concat(a, b) => {
-            let ta = infer_rec(schema, a, opts)?;
-            let tb = infer_rec(schema, b, opts)?;
-            let mut out = Vec::new();
-            for t1 in &ta {
-                for t2 in &tb {
-                    if t1.tgt == t2.src {
-                        let mut paths = t1.plus_paths.clone();
-                        paths.extend_from_slice(&t2.plus_paths);
-                        out.push(Triple::with_paths(
-                            t1.src,
-                            AnnotatedPath::concat(
-                                t1.psi.clone(),
-                                Some(vec![t1.tgt]),
-                                t2.psi.clone(),
-                            ),
-                            t2.tgt,
-                            paths,
-                        ));
-                    }
-                }
-            }
-            out
-        }
+        Path::Concat(a, b) => join(arena, a, b, opts, |arena, t1, t2| {
+            let mid = |arena: &mut Arena| Some(arena.set(&[t1.tgt]));
+            (t1.tgt == t2.src).then(|| (t1.src, Node::Concat(t1.psi, mid(arena), t2.psi), t2.tgt))
+        })?,
         // TUNION (left and right)
-        PathExpr::Union(a, b) => {
-            let mut out = infer_rec(schema, a, opts)?;
-            out.extend(infer_rec(schema, b, opts)?);
+        Path::Union(a, b) => {
+            let mut out = infer(arena, a, opts)?;
+            out.extend(infer(arena, b, opts)?);
             out
         }
         // TCONJ: both endpoints must agree
-        PathExpr::Conj(a, b) => {
-            let ta = infer_rec(schema, a, opts)?;
-            let tb = infer_rec(schema, b, opts)?;
-            let mut out = Vec::new();
-            for t1 in &ta {
-                for t2 in &tb {
-                    if t1.src == t2.src && t1.tgt == t2.tgt {
-                        let mut paths = t1.plus_paths.clone();
-                        paths.extend_from_slice(&t2.plus_paths);
-                        out.push(Triple::with_paths(
-                            t1.src,
-                            AnnotatedPath::conj(t1.psi.clone(), t2.psi.clone()),
-                            t1.tgt,
-                            paths,
-                        ));
-                    }
-                }
-            }
-            out
-        }
+        Path::Conj(a, b) => join(arena, a, b, opts, |_, t1, t2| {
+            let agree = t1.src == t2.src && t1.tgt == t2.tgt;
+            agree.then_some((t1.src, Node::Conj(t1.psi, t2.psi), t1.tgt))
+        })?,
         // TBRANCHR: result endpoints come from ϕ1
-        PathExpr::BranchR(a, b) => {
-            let ta = infer_rec(schema, a, opts)?;
-            let tb = infer_rec(schema, b, opts)?;
-            let mut out = Vec::new();
-            for t1 in &ta {
-                for t2 in &tb {
-                    if t1.tgt == t2.src {
-                        let mut paths = t1.plus_paths.clone();
-                        paths.extend_from_slice(&t2.plus_paths);
-                        out.push(Triple::with_paths(
-                            t1.src,
-                            AnnotatedPath::branch_r(t1.psi.clone(), t2.psi.clone()),
-                            t1.tgt,
-                            paths,
-                        ));
-                    }
-                }
-            }
-            out
-        }
+        Path::BranchR(a, b) => join(arena, a, b, opts, |_, t1, t2| {
+            (t1.tgt == t2.src).then_some((t1.src, Node::BranchR(t1.psi, t2.psi), t1.tgt))
+        })?,
         // TBRANCHL: result endpoints are (sc(ϕ2) = sc(ϕ1), tr(ϕ2))
-        PathExpr::BranchL(a, b) => {
-            let ta = infer_rec(schema, a, opts)?;
-            let tb = infer_rec(schema, b, opts)?;
-            let mut out = Vec::new();
-            for t1 in &ta {
-                for t2 in &tb {
-                    if t1.src == t2.src {
-                        let mut paths = t1.plus_paths.clone();
-                        paths.extend_from_slice(&t2.plus_paths);
-                        out.push(Triple::with_paths(
-                            t2.src,
-                            AnnotatedPath::branch_l(t1.psi.clone(), t2.psi.clone()),
-                            t2.tgt,
-                            paths,
-                        ));
-                    }
-                }
-            }
-            out
-        }
+        Path::BranchL(a, b) => join(arena, a, b, opts, |_, t1, t2| {
+            (t1.src == t2.src).then_some((t2.src, Node::BranchL(t1.psi, t2.psi), t2.tgt))
+        })?,
         // TPLUS
-        PathExpr::Plus(a) => {
-            let mut ta = infer_rec(schema, a, opts)?;
-            dedup(&mut ta);
-            plc(a, &ta, opts.plc)
+        Path::Plus(a) => {
+            let ta = infer(arena, a, opts)?;
+            plc(arena, a, &ta, opts.plc)
         }
     };
-    dedup(&mut out);
+    out.sort_unstable_by(|x, y| arena.cmp_triple(x, y));
+    out.dedup();
     check_budget(&out, opts)?;
+    Ok(out)
+}
+
+/// `TS(l)`, or `TS(-l)` when `reverse`: one triple per schema edge of
+/// `l`, in the schema's order, `phi` being `l` or `-l`.
+pub(crate) fn basic(
+    arena: &mut Arena,
+    phi: PathId,
+    le: EdgeLabelId,
+    reverse: bool,
+) -> Vec<IdTriple> {
+    let psi = arena.plain(phi);
+    let flip = |&(s, t)| if reverse { (t, s) } else { (s, t) };
+    let pairs = arena.schema().triples_for_edge_label(le).iter().map(flip);
+    pairs
+        .map(|(s, t)| IdTriple::new(s, psi, t, EMPTY))
+        .collect()
+}
+
+/// The binary rules: every pair of `TS(a) × TS(b)` that `rule` accepts,
+/// their plus-path lengths joined.
+fn join(
+    arena: &mut Arena,
+    a: PathId,
+    b: PathId,
+    opts: &InferOptions,
+    rule: impl Fn(&mut Arena, &IdTriple, &IdTriple) -> Option<(NodeLabelId, Node, NodeLabelId)>,
+) -> Result<Vec<IdTriple>> {
+    let ta = infer(arena, a, opts)?;
+    let tb = infer(arena, b, opts)?;
+    let mut out = Vec::new();
+    for t1 in &ta {
+        for t2 in &tb {
+            if let Some((src, node, tgt)) = rule(arena, t1, t2) {
+                let lens = arena.join_lens(t1.lens, t2.lens);
+                out.push(IdTriple::new(src, arena.add(node), tgt, lens));
+            }
+        }
+    }
     Ok(out)
 }
 
@@ -354,6 +317,74 @@ mod tests {
             ..Default::default()
         };
         assert!(infer_triples(&schema, &e, opts).is_err());
+    }
+
+    fn rendered_with(s: &str, tc_elimination: bool, max_paths: usize) -> Vec<String> {
+        let schema = fig1_yago_schema();
+        let e = parse_path(s, &schema).unwrap();
+        let plc = PlcOptions {
+            tc_elimination,
+            max_paths,
+        };
+        let opts = InferOptions {
+            plc,
+            ..Default::default()
+        };
+        let r = infer_triples(&schema, &e, opts).unwrap();
+        r.iter().map(|t| t.display(&schema)).collect()
+    }
+
+    const ISL_REACH: [&str; 6] = [
+        "(CITY, isLocatedIn+, REGION)",
+        "(CITY, isLocatedIn+, COUNTRY)",
+        "(PROPERTY, isLocatedIn+, CITY)",
+        "(PROPERTY, isLocatedIn+, REGION)",
+        "(PROPERTY, isLocatedIn+, COUNTRY)",
+        "(REGION, isLocatedIn+, COUNTRY)",
+    ];
+
+    #[test]
+    fn no_tc_elimination_gives_the_reachability_closure() {
+        assert_eq!(rendered_with("isLocatedIn+", false, 4096), ISL_REACH);
+        assert_eq!(
+            rendered_with("-isLocatedIn+", false, 4096),
+            [
+                "(CITY, -isLocatedIn+, PROPERTY)",
+                "(REGION, -isLocatedIn+, CITY)",
+                "(REGION, -isLocatedIn+, PROPERTY)",
+                "(COUNTRY, -isLocatedIn+, CITY)",
+                "(COUNTRY, -isLocatedIn+, PROPERTY)",
+                "(COUNTRY, -isLocatedIn+, REGION)",
+            ]
+        );
+    }
+
+    #[test]
+    fn max_paths_below_the_enumeration_falls_back_to_reachability() {
+        // isLocatedIn's label graph has exactly six simple paths.
+        assert_eq!(rendered_with("isLocatedIn+", true, 5), ISL_REACH);
+        assert_eq!(
+            rendered_with("isLocatedIn+", true, 6),
+            [
+                "(CITY, isLocatedIn, REGION)",
+                "(CITY, isLocatedIn/{REGION}isLocatedIn, COUNTRY)",
+                "(PROPERTY, isLocatedIn, CITY)",
+                "(PROPERTY, isLocatedIn/{CITY}isLocatedIn, REGION)",
+                "(PROPERTY, isLocatedIn/{CITY}isLocatedIn/{REGION}isLocatedIn, COUNTRY)",
+                "(REGION, isLocatedIn, COUNTRY)",
+            ]
+        );
+        assert_eq!(rendered_with("-isLocatedIn+", true, 5).len(), 6);
+        assert!(rendered_with("-isLocatedIn+", true, 5)
+            .iter()
+            .all(|t| t.contains("-isLocatedIn+")));
+        assert_eq!(
+            rendered_with("-isLocatedIn+", true, 6)[..2],
+            [
+                "(CITY, -isLocatedIn, PROPERTY)",
+                "(REGION, -isLocatedIn, CITY)",
+            ]
+        );
     }
 
     #[test]

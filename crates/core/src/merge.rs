@@ -2,112 +2,173 @@
 //!
 //! Triples of `TS(ϕ)` sharing the same *underlying* path expression differ
 //! only in their annotations; evaluating them separately and unioning
-//! afterwards would duplicate work. [`merge_triples`] partitions `TS(ϕ)` by
+//! afterwards would duplicate work. `merge_triples` partitions `TS(ϕ)` by
 //! underlying expression (and annotation *shape*) and merges each group
-//! into a single [`MergedTriple`] whose annotations are label sets.
+//! into a single merged triple whose annotations are label sets.
 
-use std::collections::BTreeMap;
+use sgq_common::{sorted, Result};
+use sgq_query::annotated::LabelSet;
 
-use sgq_algebra::ast::PathExpr;
-use sgq_graph::GraphSchema;
-use sgq_query::annotated::{AnnotatedPath, LabelSet};
-use sgq_query::cqt::annotated_to_string;
+use crate::arena::{Arena, Id, IdMerged, IdTriple, Node, PathId};
+use crate::infer::{infer, InferOptions};
+use crate::redundant::{remove_redundant, RedundancyRule};
 
-use crate::triple::Triple;
-
-/// The merged triple `M(T) = (L1, Ψ, L2)` of Definition 9.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergedTriple {
-    /// Allowed source labels (`None` once proven redundant, §3.2.2).
-    pub src_labels: Option<LabelSet>,
-    /// The merged annotated path expression.
-    pub psi: AnnotatedPath,
-    /// Allowed target labels (`None` once proven redundant).
-    pub tgt_labels: Option<LabelSet>,
-    /// Fixed-length plus-expansion lengths carried through from the group
-    /// (Table 6 statistics).
-    pub plus_paths: Vec<u16>,
-}
-
-impl MergedTriple {
-    /// Renders in the paper's `(L1, Ψ, L2)` notation.
-    pub fn display(&self, schema: &GraphSchema) -> String {
-        let side = |ls: &Option<LabelSet>| match ls {
-            None => "∅".to_string(),
-            Some(ls) => {
-                let names: Vec<&str> = ls.iter().map(|&l| schema.node_label_name(l)).collect();
-                format!("{{{}}}", names.join(","))
-            }
-        };
-        format!(
-            "({}, {}, {})",
-            side(&self.src_labels),
-            annotated_to_string(&self.psi, schema),
-            side(&self.tgt_labels)
-        )
-    }
-}
-
-/// Shape fingerprint: the annotated expression with every label set
-/// replaced by a placeholder, so that `Some`/`None` positions (but not
-/// their contents) distinguish groups.
-fn shape(psi: &AnnotatedPath) -> AnnotatedPath {
-    match psi {
-        AnnotatedPath::Plain(e) => AnnotatedPath::Plain(e.clone()),
-        AnnotatedPath::Concat(a, ann, b) => {
-            AnnotatedPath::concat(shape(a), ann.as_ref().map(|_| Vec::new()), shape(b))
-        }
-        AnnotatedPath::BranchR(a, b) => AnnotatedPath::branch_r(shape(a), shape(b)),
-        AnnotatedPath::BranchL(a, b) => AnnotatedPath::branch_l(shape(a), shape(b)),
-        AnnotatedPath::Conj(a, b) => AnnotatedPath::conj(shape(a), shape(b)),
-    }
+/// `TS(ϕ)` inferred, merged (Def. 9), pruned of redundant annotations
+/// and canonicalised (§3.2.2): one relation's alternatives.
+pub(crate) fn alternatives(
+    arena: &mut Arena,
+    phi: PathId,
+    opts: &InferOptions,
+    rule: RedundancyRule,
+) -> Result<Vec<IdMerged>> {
+    let triples = infer(arena, phi, opts)?;
+    let merged = merge_triples(arena, &triples);
+    Ok(merged
+        .into_iter()
+        .map(|m| remove_redundant(arena, m, rule))
+        .collect())
 }
 
 /// Computes `MS(ϕ)`: partitions `triples` by underlying expression and
-/// merges each group (Definition 9).
-pub fn merge_triples(triples: &[Triple]) -> Vec<MergedTriple> {
-    let mut groups: BTreeMap<(PathExpr, AnnotatedPath), Vec<&Triple>> = BTreeMap::new();
-    for t in triples {
-        groups
-            .entry((t.psi.strip(), shape(&t.psi)))
-            .or_default()
-            .push(t);
-    }
-    let mut out = Vec::with_capacity(groups.len());
-    for (_, group) in groups {
-        let mut src: LabelSet = group.iter().map(|t| t.src).collect();
-        let mut tgt: LabelSet = group.iter().map(|t| t.tgt).collect();
-        sgq_common::sorted::normalize(&mut src);
-        sgq_common::sorted::normalize(&mut tgt);
-        let mut psi = group[0].psi.clone();
-        for t in &group[1..] {
-            psi = psi
-                .merge_with(&t.psi)
+/// annotation shape, and merges each group (Definition 9). Groups come in
+/// the structural order of (strip, shape); a group's triples in input
+/// order.
+pub(crate) fn merge_triples(arena: &mut Arena, triples: &[IdTriple]) -> Vec<IdMerged> {
+    let key = |t: &IdTriple| (arena.strip(t.psi), arena.shape(t.psi));
+    let mut keyed: Vec<_> = triples.iter().map(|t| (key(t), *t)).collect();
+    keyed.sort_by(|((sx, hx), _), ((sy, hy), _)| {
+        arena.cmp_path(*sx, *sy).then_with(|| arena.cmp(*hx, *hy))
+    });
+    let mut out = Vec::new();
+    for group in keyed.chunk_by(|x, y| x.0 == y.0) {
+        let mut src: LabelSet = group.iter().map(|(_, t)| t.src).collect();
+        let mut tgt: LabelSet = group.iter().map(|(_, t)| t.tgt).collect();
+        sorted::normalize(&mut src);
+        sorted::normalize(&mut tgt);
+        let mut psi = group[0].1.psi;
+        for (_, t) in &group[1..] {
+            psi = merge_with(arena, psi, t.psi)
                 .expect("triples in a merge group share their annotation shape");
         }
-        out.push(MergedTriple {
-            src_labels: Some(src),
+        out.push(IdMerged {
+            src: Some(arena.set(&src)),
             psi,
-            tgt_labels: Some(tgt),
-            plus_paths: group[0].plus_paths.clone(),
+            tgt: Some(arena.set(&tgt)),
+            lens: group[0].1.lens,
         });
     }
     out
 }
 
+/// Structurally merges two expressions of one strip, unioning
+/// annotations position-wise; `None` when their structures differ. An
+/// un-annotated position absorbs an annotated one: the merged triple
+/// accepts everything either input accepts.
+pub(crate) fn merge_with(arena: &mut Arena, a: Id, b: Id) -> Option<Id> {
+    if a == b {
+        return Some(a);
+    }
+    let (x, y) = (arena.node(a), arena.node(b));
+    let mut two = |a1, a2, b1, b2| Some((merge_with(arena, a1, a2)?, merge_with(arena, b1, b2)?));
+    let node = match (x, y) {
+        (Node::Concat(a1, n1, b1), Node::Concat(a2, n2, b2)) => {
+            let (a, b) = two(a1, a2, b1, b2)?;
+            let ann = match (n1, n2) {
+                (Some(l1), Some(l2)) => Some(arena.set_op(sorted::union, l1, l2)),
+                _ => None,
+            };
+            Node::Concat(a, ann, b)
+        }
+        (Node::BranchR(a1, b1), Node::BranchR(a2, b2)) => {
+            let (a, b) = two(a1, a2, b1, b2)?;
+            Node::BranchR(a, b)
+        }
+        (Node::BranchL(a1, b1), Node::BranchL(a2, b2)) => {
+            let (a, b) = two(a1, a2, b1, b2)?;
+            Node::BranchL(a, b)
+        }
+        (Node::Conj(a1, b1), Node::Conj(a2, b2)) => {
+            let (a, b) = two(a1, a2, b1, b2)?;
+            Node::Conj(a, b)
+        }
+        _ => return None,
+    };
+    Some(arena.add(node))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::{infer_triples, InferOptions};
+    use crate::arena::tests::{intern_tree, intern_triple, MergedTriple};
+    use crate::triple::Triple;
     use sgq_algebra::parser::parse_path;
     use sgq_common::NodeLabelId;
     use sgq_graph::schema::fig1_yago_schema;
+    use sgq_query::annotated::AnnotatedPath;
 
     fn merged(s: &str) -> Vec<MergedTriple> {
         let schema = fig1_yago_schema();
-        let e = parse_path(s, &schema).unwrap();
-        let t = infer_triples(&schema, &e, InferOptions::default()).unwrap();
-        merge_triples(&t)
+        let mut arena = Arena::new(&schema);
+        let phi = arena.intern_path(&parse_path(s, &schema).unwrap());
+        let t = infer(&mut arena, phi, &InferOptions::default()).unwrap();
+        let m = merge_triples(&mut arena, &t);
+        m.iter().map(|m| arena.merged(m)).collect()
+    }
+
+    /// [`merge_triples`] over hand-built trees.
+    fn merge_trees(triples: &[Triple]) -> Vec<MergedTriple> {
+        let schema = fig1_yago_schema();
+        let mut arena = Arena::new(&schema);
+        let t: Vec<IdTriple> = triples
+            .iter()
+            .map(|t| intern_triple(&mut arena, t))
+            .collect();
+        let m = merge_triples(&mut arena, &t);
+        m.iter().map(|m| arena.merged(m)).collect()
+    }
+
+    /// [`merge_with`] over two hand-built trees.
+    fn merge_two(a: &AnnotatedPath, b: &AnnotatedPath) -> Option<AnnotatedPath> {
+        let schema = fig1_yago_schema();
+        let mut arena = Arena::new(&schema);
+        let (a, b) = (intern_tree(&mut arena, a), intern_tree(&mut arena, b));
+        merge_with(&mut arena, a, b).map(|m| arena.tree(m))
+    }
+
+    fn plain(s: &str) -> AnnotatedPath {
+        AnnotatedPath::plain(parse_path(s, &fig1_yago_schema()).unwrap())
+    }
+
+    #[test]
+    fn merge_unions_annotations() {
+        // Example 11: (m, a+/nb/ld, p) + (m, a+/qb/rd, l)
+        // merged inner annotations {n,q} and {l,r}.
+        let [n, q, l, r] = [10, 11, 12, 13].map(NodeLabelId::new);
+        let (a_plus, b, d) = (plain("isMarriedTo+"), plain("owns"), plain("livesIn"));
+        let t = |x, y| {
+            let inner = AnnotatedPath::concat(a_plus.clone(), Some(vec![x]), b.clone());
+            AnnotatedPath::concat(inner, Some(vec![y]), d.clone())
+        };
+        let merged = merge_two(&t(n, l), &t(q, r)).unwrap();
+        assert_eq!(merged, {
+            let inner = AnnotatedPath::concat(a_plus.clone(), Some(vec![n, q]), b.clone());
+            AnnotatedPath::concat(inner, Some(vec![l, r]), d.clone())
+        });
+    }
+
+    #[test]
+    fn merge_requires_same_structure() {
+        assert!(merge_two(&plain("owns"), &plain("livesIn")).is_none());
+        let c = AnnotatedPath::concat(plain("owns"), None, plain("livesIn"));
+        assert!(merge_two(&c, &plain("owns")).is_none());
+    }
+
+    #[test]
+    fn merge_none_absorbs() {
+        let property = fig1_yago_schema().node_label("PROPERTY").unwrap();
+        let some = AnnotatedPath::concat(plain("owns"), Some(vec![property]), plain("isLocatedIn"));
+        let none = AnnotatedPath::concat(plain("owns"), None, plain("isLocatedIn"));
+        assert_eq!(merge_two(&some, &none), Some(none));
     }
 
     #[test]
@@ -165,7 +226,7 @@ mod tests {
         };
         let t1 = mk(10, 12, 0, 3);
         let t2 = mk(11, 13, 0, 4);
-        let m = merge_triples(&[t1, t2]);
+        let m = merge_trees(&[t1, t2]);
         assert_eq!(m.len(), 1);
         let mt = &m[0];
         assert_eq!(mt.src_labels.as_deref(), Some(&[NodeLabelId::new(0)][..]));

@@ -3,17 +3,18 @@
 //! ablation switches exercised by the benchmark suite.
 
 use sgq_algebra::ast::PathExpr;
-use sgq_common::{FxHashMap, Result, VarId};
+use sgq_common::{sorted, FxHashMap, Result, VarId};
 use sgq_graph::GraphSchema;
-use sgq_query::annotated::{AnnotatedPath, LabelSet};
-use sgq_query::cqt::{Cqt, LabelAtom, Relation, Ucqt};
+use sgq_query::annotated::AnnotatedPath;
+use sgq_query::cqt::{Cqt, LabelAtom, QueryKind, Relation, Ucqt};
 use sgq_query::vars::VarGen;
 
-use crate::infer::{infer_triples, InferOptions};
-use crate::merge::{merge_triples, MergedTriple};
+use crate::arena::{Arena, IdMerged, SetId, EMPTY};
+use crate::infer::InferOptions;
+use crate::merge::alternatives;
 use crate::plc::{PlcOptions, PlusStats};
-use crate::redundant::{remove_redundant_with, RedundancyRule};
-use crate::simplify::simplify;
+use crate::redundant::RedundancyRule;
+use crate::simplify::simplify_in_place;
 use crate::translate::q_translate;
 
 /// Switches and budgets for the rewrite pipeline. The boolean switches are
@@ -126,84 +127,65 @@ pub struct Rewritten {
 
 /// Rewrites a bare path query `{(α, β) | (α, ϕ, β)}`.
 pub fn rewrite_path(schema: &GraphSchema, phi: &PathExpr, opts: RewriteOptions) -> Rewritten {
-    rewrite_ucqt(schema, &Ucqt::path_query(phi.clone()), opts)
+    rewrite(schema, Ucqt::path_query(phi.clone()), opts)
 }
 
 /// Rewrites an arbitrary UCQT: every relation of every disjunct is
 /// simplified, type-inferred, merged and re-translated; the per-relation
 /// alternatives are distributed into a union of CQTs.
 pub fn rewrite_ucqt(schema: &GraphSchema, query: &Ucqt, opts: RewriteOptions) -> Rewritten {
-    let baseline = simplify_query(query, opts.simplify);
-    let was_recursive = query.kind() == sgq_query::cqt::QueryKind::Recursive;
+    rewrite(schema, query.clone(), opts)
+}
 
-    match try_rewrite(schema, &baseline, opts) {
-        Ok(Some((enriched, stats))) => {
-            if enriched.disjuncts.is_empty() {
-                let report = RewriteReport {
-                    plus_stats: stats,
-                    was_recursive,
-                    still_recursive: false,
-                    disjuncts: 0,
-                    atoms: 0,
-                    revert_reason: None,
-                };
-                return Rewritten {
-                    outcome: RewriteOutcome::Empty,
-                    report,
-                };
-            }
-            let trivial = is_trivial_rewrite(&enriched, &baseline);
-            let still_recursive = enriched.kind() == sgq_query::cqt::QueryKind::Recursive;
-            let atoms = enriched.disjuncts.iter().map(|c| c.atoms.len()).sum();
-            let report = RewriteReport {
-                plus_stats: stats,
-                was_recursive,
-                still_recursive,
-                disjuncts: enriched.disjuncts.len(),
-                atoms,
-                revert_reason: trivial.then(|| "no exploitable schema information".into()),
-            };
-            let outcome = if trivial {
-                RewriteOutcome::Reverted(baseline)
-            } else {
-                RewriteOutcome::Enriched(enriched)
-            };
-            Rewritten { outcome, report }
-        }
-        Ok(None) | Err(_) => {
-            // Budget exceeded (or inference failed): revert, never degrade.
-            let reason = "rewrite budget exceeded".to_string();
-            let report = RewriteReport {
-                plus_stats: PlusStats::default(),
-                was_recursive,
-                still_recursive: was_recursive,
-                disjuncts: baseline.disjuncts.len(),
-                atoms: 0,
-                revert_reason: Some(reason),
-            };
-            Rewritten {
-                outcome: RewriteOutcome::Reverted(baseline),
-                report,
-            }
-        }
+fn rewrite(schema: &GraphSchema, mut baseline: Ucqt, opts: RewriteOptions) -> Rewritten {
+    let was_recursive = baseline.kind() == QueryKind::Recursive;
+    if opts.simplify {
+        simplify_query(&mut baseline);
     }
+    let (outcome, plus_stats, revert_reason) = match try_rewrite(schema, &baseline, opts) {
+        Ok(Some((q, stats))) if q.disjuncts.is_empty() => (RewriteOutcome::Empty, stats, None),
+        Ok(Some((q, stats))) if is_trivial_rewrite(&q, &baseline) => {
+            let reason = "no exploitable schema information";
+            (RewriteOutcome::Reverted(baseline), stats, Some(reason))
+        }
+        Ok(Some((q, stats))) => (RewriteOutcome::Enriched(q), stats, None),
+        // Budget exceeded (or inference failed): revert, never degrade.
+        Ok(None) | Err(_) => {
+            let reason = "rewrite budget exceeded";
+            (
+                RewriteOutcome::Reverted(baseline),
+                PlusStats::default(),
+                Some(reason),
+            )
+        }
+    };
+    // The report describes the query served: on a revert, the baseline.
+    let served = outcome.query();
+    let report = RewriteReport {
+        plus_stats,
+        was_recursive,
+        still_recursive: served.is_some_and(|q| q.kind() == QueryKind::Recursive),
+        disjuncts: served.map_or(0, |q| q.disjuncts.len()),
+        atoms: served.map_or(0, |q| q.disjuncts.iter().map(|c| c.atoms.len()).sum()),
+        revert_reason: revert_reason.map(String::from),
+    };
+    Rewritten { outcome, report }
 }
 
 /// Simplifies every relation of the query with R1–R5.
-fn simplify_query(query: &Ucqt, enabled: bool) -> Ucqt {
-    if !enabled {
-        return query.clone();
-    }
-    let mut out = query.clone();
-    for c in &mut out.disjuncts {
-        for r in &mut c.relations {
-            r.path = AnnotatedPath::Plain(simplify(&r.path.strip()));
+fn simplify_query(query: &mut Ucqt) {
+    for r in query.disjuncts.iter_mut().flat_map(|c| &mut c.relations) {
+        if !matches!(r.path, AnnotatedPath::Plain(_)) {
+            r.path = AnnotatedPath::Plain(r.path.strip());
+        }
+        if let AnnotatedPath::Plain(e) = &mut r.path {
+            simplify_in_place(e);
         }
     }
-    out
 }
 
-/// Core rewrite: returns `Ok(None)` when a budget was exceeded.
+/// Core rewrite: returns `Ok(None)` when a budget was exceeded. One
+/// arena serves every relation of every disjunct.
 fn try_rewrite(
     schema: &GraphSchema,
     baseline: &Ucqt,
@@ -211,25 +193,28 @@ fn try_rewrite(
 ) -> Result<Option<(Ucqt, PlusStats)>> {
     let mut disjuncts_out: Vec<Cqt> = Vec::new();
     let mut stats = PlusStats::default();
+    let mut arena = Arena::new(schema);
 
     for cqt in &baseline.disjuncts {
         // Per-relation merged alternatives.
-        let mut per_relation: Vec<Vec<MergedTriple>> = Vec::with_capacity(cqt.relations.len());
+        let mut per_relation: Vec<Vec<IdMerged>> = Vec::with_capacity(cqt.relations.len());
         for rel in &cqt.relations {
-            let phi = rel.path.strip();
-            let triples = infer_triples(schema, &phi, opts.infer_opts())?;
-            let mut merged: Vec<MergedTriple> = merge_triples(&triples)
-                .iter()
-                .map(|m| remove_redundant_with(schema, m, opts.redundancy))
-                .collect();
+            let phi = match &rel.path {
+                AnnotatedPath::Plain(e) => arena.intern_path(e),
+                annotated => arena.intern_path(&annotated.strip()),
+            };
+            let mut merged = alternatives(&mut arena, phi, &opts.infer_opts(), opts.redundancy)?;
             if !opts.annotations {
-                merged = merged.into_iter().map(strip_annotations).collect();
+                // Drop all annotations and endpoint constraints (the "no
+                // annotations" ablation), keeping the structural rewrite.
+                for m in &mut merged {
+                    (m.src, m.tgt) = (None, None);
+                    m.psi = arena.plain(arena.strip(m.psi));
+                }
             }
             for m in &merged {
-                stats.path_lengths.extend_from_slice(&m.plus_paths);
-                if m.psi.is_recursive() {
-                    stats.closure_kept = true;
-                }
+                stats.path_lengths.extend_from_slice(arena.lens_of(m.lens));
+                stats.closure_kept |= arena.recursive(arena.strip(m.psi));
             }
             per_relation.push(merged);
         }
@@ -244,8 +229,10 @@ fn try_rewrite(
             return Ok(None);
         }
         let mut indices = vec![0usize; per_relation.len()];
+        let vars = VarGen::above(cqt.vars());
         loop {
-            if let Some(new_cqt) = build_combo(cqt, &per_relation, &indices) {
+            let chosen = per_relation.iter().zip(&indices).map(|(alts, &i)| &alts[i]);
+            if let Some(new_cqt) = build_combo(&mut arena, cqt, chosen, vars.clone()) {
                 disjuncts_out.push(new_cqt);
             }
             if !advance(&mut indices, &per_relation) {
@@ -264,7 +251,7 @@ fn try_rewrite(
 
 /// Advances a mixed-radix counter over the per-relation alternatives;
 /// returns `false` once all combinations have been visited.
-fn advance(indices: &mut [usize], radix: &[Vec<MergedTriple>]) -> bool {
+fn advance(indices: &mut [usize], radix: &[Vec<IdMerged>]) -> bool {
     for i in (0..indices.len()).rev() {
         indices[i] += 1;
         if indices[i] < radix[i].len() {
@@ -278,60 +265,56 @@ fn advance(indices: &mut [usize], radix: &[Vec<MergedTriple>]) -> bool {
 /// Builds one distributed disjunct: translates each relation's chosen
 /// merged triple, merges label atoms per variable (intersections), and
 /// drops the combination when some variable's label set becomes empty.
-fn build_combo(
+fn build_combo<'a>(
+    arena: &mut Arena,
     original: &Cqt,
-    per_relation: &[Vec<MergedTriple>],
-    indices: &[usize],
+    chosen: impl Iterator<Item = &'a IdMerged>,
+    mut vars: VarGen,
 ) -> Option<Cqt> {
-    let mut vars = VarGen::above(original.vars());
     let mut relations: Vec<Relation> = Vec::new();
-    let mut constraints: FxHashMap<VarId, LabelSet> = FxHashMap::default();
-    let add_constraint = |map: &mut FxHashMap<VarId, LabelSet>, var: VarId, labels: &LabelSet| {
-        match map.entry(var) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let merged = sgq_common::sorted::intersect(e.get(), labels);
-                e.insert(merged);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(labels.clone());
-            }
-        }
+    let mut constraints: FxHashMap<VarId, SetId> = FxHashMap::default();
+    let mut add_constraint = |arena: &mut Arena, var: VarId, labels: SetId| {
+        let merged = match constraints.get(&var) {
+            Some(&old) => arena.set_op(sorted::intersect, old, labels),
+            None => labels,
+        };
+        constraints.insert(var, merged);
     };
 
     // Original atoms first.
     for atom in &original.atoms {
-        add_constraint(&mut constraints, atom.var, &atom.labels);
+        let labels = arena.set(&atom.labels);
+        add_constraint(arena, atom.var, labels);
     }
 
-    for (rel_idx, rel) in original.relations.iter().enumerate() {
-        let triple = &per_relation[rel_idx][indices[rel_idx]];
-        let mut atoms = Vec::new();
+    let mut atoms = Vec::new();
+    for (rel, triple) in original.relations.iter().zip(chosen) {
+        let ends = (rel.src, rel.tgt);
         q_translate(
-            &triple.psi,
-            rel.src,
-            rel.tgt,
+            arena,
+            triple.psi,
+            ends,
             &mut vars,
             &mut relations,
             &mut atoms,
         );
-        for atom in atoms {
-            add_constraint(&mut constraints, atom.var, &atom.labels);
-        }
-        if let Some(labels) = &triple.src_labels {
-            add_constraint(&mut constraints, rel.src, labels);
-        }
-        if let Some(labels) = &triple.tgt_labels {
-            add_constraint(&mut constraints, rel.tgt, labels);
+        let endpoints = [(rel.src, triple.src), (rel.tgt, triple.tgt)];
+        let endpoints = endpoints.into_iter().filter_map(|(v, l)| Some((v, l?)));
+        for (var, labels) in atoms.drain(..).chain(endpoints) {
+            add_constraint(arena, var, labels);
         }
     }
 
     // Unsatisfiable label constraint: drop this combination.
-    if constraints.values().any(|l| l.is_empty()) {
+    if constraints.values().any(|&l| l == EMPTY) {
         return None;
     }
     let mut atoms: Vec<LabelAtom> = constraints
         .into_iter()
-        .map(|(var, labels)| LabelAtom { var, labels })
+        .map(|(var, labels)| LabelAtom {
+            var,
+            labels: arena.labels(labels).to_vec(),
+        })
         .collect();
     atoms.sort_unstable_by_key(|a| a.var);
     Some(Cqt {
@@ -339,17 +322,6 @@ fn build_combo(
         atoms,
         relations,
     })
-}
-
-/// Drops all annotations and endpoint constraints (the "no annotations"
-/// ablation) while keeping the structural rewrite (TC expansions).
-fn strip_annotations(m: MergedTriple) -> MergedTriple {
-    MergedTriple {
-        src_labels: None,
-        psi: AnnotatedPath::Plain(m.psi.strip()),
-        tgt_labels: None,
-        plus_paths: m.plus_paths,
-    }
 }
 
 /// Revert detection (§5.2): the rewrite is trivial when no schema
@@ -474,6 +446,42 @@ mod tests {
     }
 
     #[test]
+    fn max_triples_overrun_reverts_at_the_same_point() {
+        // TS(isLocatedIn+) has six triples: a budget of five reverts, six
+        // does not.
+        let schema = fig1_yago_schema();
+        let rewrite = |max_triples| {
+            let opts = RewriteOptions {
+                max_triples,
+                ..Default::default()
+            };
+            rewrite_path(&schema, &pe("isLocatedIn+"), opts)
+        };
+        let r = rewrite(5);
+        assert_eq!(
+            r.outcome,
+            RewriteOutcome::Reverted(Ucqt::path_query(pe("isLocatedIn+")))
+        );
+        assert_eq!(
+            r.report.revert_reason.as_deref(),
+            Some("rewrite budget exceeded")
+        );
+        let r = rewrite(6);
+        let Some(q) = r.outcome.query().filter(|_| !r.outcome.is_reverted()) else {
+            panic!("expected enrichment, got {:?}", r.outcome);
+        };
+        assert_eq!(
+            sgq_query::cqt::ucqt_to_string(q, &schema),
+            "{(?x0, ?x1) | (?x0, isLocatedIn, ?x1)} ∪ \
+             {(?x0, ?x1) | (?x0, isLocatedIn, ?x2) ∧ (?x2, isLocatedIn, ?x1) ∧ \
+             η(?x0) ∈ {CITY,PROPERTY} ∧ η(?x1) ∈ {REGION,COUNTRY} ∧ η(?x2) ∈ {CITY,REGION}} ∪ \
+             {(?x0, ?x1) | (?x0, isLocatedIn, ?x3) ∧ (?x3, isLocatedIn, ?x2) ∧ \
+             (?x2, isLocatedIn, ?x1) ∧ η(?x0) ∈ {PROPERTY} ∧ η(?x1) ∈ {COUNTRY} ∧ \
+             η(?x2) ∈ {REGION} ∧ η(?x3) ∈ {CITY}}"
+        );
+    }
+
+    #[test]
     fn ablation_no_tc_elimination_keeps_closure() {
         let schema = fig1_yago_schema();
         let opts = RewriteOptions {
@@ -549,6 +557,34 @@ mod tests {
         let schema = fig1_yago_schema();
         let r = rewrite_path(&schema, &pe("isMarriedTo{1,2}"), RewriteOptions::default());
         assert!(r.outcome.is_reverted(), "{:?}", r.outcome);
+    }
+
+    #[test]
+    fn a_revert_reports_the_served_query() {
+        // isMarriedTo{1,2} splits into two disjuncts, finds nothing to
+        // exploit and serves the one-disjunct baseline: the report counts
+        // what is served, as a budget revert's does.
+        let schema = fig1_yago_schema();
+        let r = rewrite_path(&schema, &pe("isMarriedTo{1,2}"), RewriteOptions::default());
+        assert_eq!(
+            r.report.revert_reason.as_deref(),
+            Some("no exploitable schema information")
+        );
+        assert_eq!((r.report.disjuncts, r.report.atoms), (1, 0));
+        let opts = RewriteOptions {
+            max_triples: 1,
+            ..Default::default()
+        };
+        let r = rewrite_path(&schema, &pe("isLocatedIn[dealsWith+]"), opts);
+        assert_eq!(
+            r.report.revert_reason.as_deref(),
+            Some("rewrite budget exceeded")
+        );
+        assert_eq!((r.report.disjuncts, r.report.atoms), (1, 0));
+        assert!(
+            !r.report.still_recursive,
+            "R2 dropped the closure: the served query has none"
+        );
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //! entirely* — the paper's headline optimisation (16 of 18 YAGO queries,
 //! Tab. 6).
 
-use sgq_algebra::ast::PathExpr;
-use sgq_common::{FxHashMap, FxHashSet, NodeLabelId};
-use sgq_query::annotated::AnnotatedPath;
+use sgq_common::NodeLabelId;
+use sgq_graph::schema::LABEL_PATH_CAP;
+use sgq_graph::LabelPaths;
 
-use crate::triple::Triple;
+use crate::arena::{Arena, Id, IdTriple, Node, Path, PathId, EMPTY};
+use crate::infer::basic;
 
 /// Statistics about the fixed-length paths generated while eliminating a
 /// transitive closure (feeds the paper's Table 6).
@@ -78,235 +79,154 @@ impl Default for PlcOptions {
     }
 }
 
-/// Computes `PlC(ϕ, T)` (Definition 8).
-pub fn plc(phi: &PathExpr, triples: &[Triple], opts: PlcOptions) -> Vec<Triple> {
-    let graph = LabelGraph::new(triples);
-    if !opts.tc_elimination {
-        return reachability_closure(phi, &graph);
+/// Computes `PlC(ϕ, T)` (Definition 8) for `T = triples`, the inferred
+/// `TS(ϕ)`, in no particular order.
+///
+/// The closure of a single label `l+` or `-l+` reads `G`'s simple paths
+/// off the schema ([`GraphSchema::label_paths`](sgq_graph::GraphSchema::label_paths)):
+/// `T` holds one triple per schema edge of `l`, so `G` is `l`'s subgraph,
+/// or that subgraph reversed, whose simple paths are its paths reversed.
+/// Anything else enumerates `G` here. Either way, more simple paths than
+/// `opts.max_paths` give the reachability-only result.
+pub(crate) fn plc(
+    arena: &mut Arena,
+    phi: PathId,
+    triples: &[IdTriple],
+    opts: PlcOptions,
+) -> Vec<IdTriple> {
+    let plus = arena.path(Path::Plus(phi));
+    let plus = arena.plain(plus);
+    let cap = if opts.tc_elimination {
+        opts.max_paths
+    } else {
+        0
+    };
+    let table = match arena.path_node(phi) {
+        Path::Label(le) => Some((le, false)),
+        Path::Reverse(le) => Some((le, true)),
+        _ => None,
     }
-    let k = graph.cyclic_vertices();
-
-    let mut result: FxHashSet<Triple> = FxHashSet::default();
-    // Trivial paths: every vertex on a cycle yields (A, ϕ+, A).
-    for &a in &k {
-        result.insert(Triple::new(
-            a,
-            AnnotatedPath::plain(PathExpr::plus(phi.clone())),
-            a,
-        ));
-    }
-
-    // Enumerate simple paths (no repeated vertices) from every vertex.
-    let mut budget = opts.max_paths;
-    for &start in graph.vertices() {
-        let mut visited: FxHashSet<NodeLabelId> = FxHashSet::default();
-        visited.insert(start);
-        let mut stack: Vec<usize> = Vec::new();
-        if !dfs(
-            &graph,
-            &k,
-            phi,
-            start,
-            &mut visited,
-            &mut stack,
-            &mut result,
-            &mut budget,
-        ) {
-            // Budget exhausted: fall back to the sound, complete,
-            // non-eliminating result.
-            return reachability_closure(phi, &graph);
+    .and_then(|(le, reverse)| Some((le, reverse, arena.schema().label_paths(le)?)))
+    .filter(|(_, _, paths)| paths.complete || cap <= LABEL_PATH_CAP);
+    let owned;
+    let (steps, paths, reverse): (Vec<IdTriple>, &LabelPaths, bool) = match table {
+        Some((le, reverse, paths)) => (basic(arena, phi, le, reverse), paths, reverse),
+        None => {
+            #[cfg(test)]
+            LIVE_ENUMERATIONS.with(|n| n.set(n.get() + 1));
+            let edges: Vec<_> = triples.iter().map(|t| (t.src, t.tgt)).collect();
+            owned = LabelPaths::enumerate(&edges, cap);
+            (triples.to_vec(), &owned, false)
         }
-    }
-    let mut v: Vec<Triple> = result.into_iter().collect();
-    v.sort_unstable_by(|a, b| (a.src, &a.psi, a.tgt).cmp(&(b.src, &b.psi, b.tgt)));
-    v
-}
-
-/// Extracts the Table 6 statistics from a `PlC` result.
-pub fn plus_stats(result: &[Triple], phi: &PathExpr) -> PlusStats {
-    let plus_form = AnnotatedPath::plain(PathExpr::plus(phi.clone()));
-    let mut stats = PlusStats::default();
-    for t in result {
-        if t.psi == plus_form {
-            stats.closure_kept = true;
-        } else {
-            // The outermost expansion is recorded as the *last* entry the
-            // construction pushed; every entry is still a generated path.
-            stats.path_lengths.push(*t.plus_paths.last().unwrap_or(&1));
-        }
-    }
-    stats.path_lengths.sort_unstable();
-    stats
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    graph: &LabelGraph<'_>,
-    k: &FxHashSet<NodeLabelId>,
-    phi: &PathExpr,
-    current: NodeLabelId,
-    visited: &mut FxHashSet<NodeLabelId>,
-    stack: &mut Vec<usize>,
-    result: &mut FxHashSet<Triple>,
-    budget: &mut usize,
-) -> bool {
-    for &edge_idx in graph.out_edges(current) {
-        let triple = &graph.triples[edge_idx];
-        let next = triple.tgt;
-        if visited.contains(&next) {
-            continue;
-        }
-        if *budget == 0 {
-            return false;
-        }
-        *budget -= 1;
-        stack.push(edge_idx);
-        emit_path(graph, k, phi, stack, result);
-        visited.insert(next);
-        if !dfs(graph, k, phi, next, visited, stack, result, budget) {
-            return false;
-        }
-        visited.remove(&next);
-        stack.pop();
-    }
-    true
-}
-
-/// Emits the triple for the current path `stack` (a sequence of edges).
-fn emit_path(
-    graph: &LabelGraph<'_>,
-    k: &FxHashSet<NodeLabelId>,
-    phi: &PathExpr,
-    stack: &[usize],
-    result: &mut FxHashSet<Triple>,
-) {
-    let first = &graph.triples[stack[0]];
-    let last = &graph.triples[*stack.last().unwrap()];
-    let (a, b) = (first.src, last.tgt);
-    let touches_k = k.contains(&a) || stack.iter().any(|&i| k.contains(&graph.triples[i].tgt));
-    if touches_k {
-        result.insert(Triple::new(
-            a,
-            AnnotatedPath::plain(PathExpr::plus(phi.clone())),
-            b,
-        ));
-        return;
-    }
-    // Concatenate the path's expressions, annotating each junction with the
-    // intermediate node label (left-associated).
-    let mut psi = first.psi.clone();
-    let mut plus_paths: Vec<u16> = first.plus_paths.clone();
-    for window in stack.windows(2) {
-        let junction = graph.triples[window[0]].tgt;
-        let next = &graph.triples[window[1]];
-        psi = AnnotatedPath::concat(psi, Some(vec![junction]), next.psi.clone());
-        plus_paths.extend_from_slice(&next.plus_paths);
-    }
-    plus_paths.push(stack.len() as u16);
-    result.insert(Triple::with_paths(a, psi, b, plus_paths));
-}
-
-/// Fallback / ablation result: `(A, ϕ+, B)` for every pair connected by a
-/// non-empty path in `G` — sound and complete but with no elimination.
-fn reachability_closure(phi: &PathExpr, graph: &LabelGraph<'_>) -> Vec<Triple> {
-    let plus = PathExpr::plus(phi.clone());
-    let mut pairs: Vec<(NodeLabelId, NodeLabelId)> =
-        graph.triples.iter().map(|t| (t.src, t.tgt)).collect();
-    sgq_common::sorted::normalize(&mut pairs);
-    let closed = sgq_algebra::eval::transitive_closure(
-        &pairs
-            .iter()
-            .map(|&(a, b)| {
-                (
-                    sgq_common::NodeId::new(a.raw()),
-                    sgq_common::NodeId::new(b.raw()),
-                )
-            })
-            .collect::<Vec<_>>(),
-    );
-    closed
-        .into_iter()
-        .map(|(a, b)| {
-            Triple::new(
-                NodeLabelId::new(a.raw()),
-                AnnotatedPath::plain(plus.clone()),
-                NodeLabelId::new(b.raw()),
-            )
-        })
-        .collect()
-}
-
-/// The multigraph `G` of Definition 8.
-struct LabelGraph<'a> {
-    triples: &'a [Triple],
-    vertices: Vec<NodeLabelId>,
-    out: FxHashMap<NodeLabelId, Vec<usize>>,
-}
-
-impl<'a> LabelGraph<'a> {
-    fn new(triples: &'a [Triple]) -> Self {
-        let mut vertices: Vec<NodeLabelId> = triples.iter().flat_map(|t| [t.src, t.tgt]).collect();
-        sgq_common::sorted::normalize(&mut vertices);
-        let mut out: FxHashMap<NodeLabelId, Vec<usize>> = FxHashMap::default();
-        for (i, t) in triples.iter().enumerate() {
-            out.entry(t.src).or_default().push(i);
-        }
-        LabelGraph {
-            triples,
-            vertices,
-            out,
-        }
-    }
-
-    fn vertices(&self) -> &[NodeLabelId] {
-        &self.vertices
-    }
-
-    fn out_edges(&self, v: NodeLabelId) -> &[usize] {
-        self.out.get(&v).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// `K`: vertices that lie on a cycle (reach themselves via a non-empty
-    /// path).
-    fn cyclic_vertices(&self) -> FxHashSet<NodeLabelId> {
-        // Floyd–Warshall-style reachability on the (small) label graph.
-        let n = self.vertices.len();
-        let index: FxHashMap<NodeLabelId, usize> = self
-            .vertices
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
+    };
+    let flip = |(a, b)| if reverse { (b, a) } else { (a, b) };
+    if !(opts.tc_elimination && paths.complete && paths.len() <= opts.max_paths) {
+        // Disabled, or over budget: the sound, complete, non-eliminating
+        // result — `(A, ϕ+, B)` for every pair joined by a path in `G`.
+        let pairs = paths.reach.iter().map(|&p| flip(p));
+        return pairs
+            .map(|(a, b)| IdTriple::new(a, plus, b, EMPTY))
             .collect();
-        let mut reach = vec![false; n * n];
-        for t in self.triples {
-            reach[index[&t.src] * n + index[&t.tgt]] = true;
-        }
-        for k in 0..n {
-            for i in 0..n {
-                if reach[i * n + k] {
-                    for j in 0..n {
-                        if reach[k * n + j] {
-                            reach[i * n + j] = true;
-                        }
-                    }
-                }
-            }
-        }
-        self.vertices
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| reach[i * n + i])
-            .map(|(_, &v)| v)
-            .collect()
     }
+    // Trivial paths: every vertex on a cycle yields (A, ϕ+, A).
+    let mut out: Vec<IdTriple> = paths
+        .cyclic
+        .iter()
+        .map(|&a| IdTriple::new(a, plus, a, EMPTY))
+        .collect();
+    let (mut path, mut lens) = (Vec::new(), Vec::new());
+    for p in paths.paths() {
+        path.clear();
+        match reverse {
+            true => path.extend(p.iter().rev().map(|&e| steps[e as usize])),
+            false => path.extend(p.iter().map(|&e| steps[e as usize])),
+        }
+        out.push(emit_path(arena, &paths.cyclic, &path, plus, &mut lens));
+    }
+    out
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Label graphs `plc` enumerated itself on this thread.
+    static LIVE_ENUMERATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The triple for one simple path of `G`, given as its edges' triples:
+/// `(A, ϕ+, B)` if it touches a cyclic label, otherwise the concatenation
+/// of its expressions, each junction annotated with its label
+/// (left-associated).
+fn emit_path(
+    arena: &mut Arena,
+    cyclic: &[NodeLabelId],
+    path: &[IdTriple],
+    plus: Id,
+    lens: &mut Vec<u16>,
+) -> IdTriple {
+    let (first, last) = (path[0], path[path.len() - 1]);
+    let on_cycle = |l: &NodeLabelId| cyclic.binary_search(l).is_ok();
+    if on_cycle(&first.src) || path.iter().any(|t| on_cycle(&t.tgt)) {
+        return IdTriple::new(first.src, plus, last.tgt, EMPTY);
+    }
+    let mut psi = first.psi;
+    lens.clear();
+    lens.extend_from_slice(arena.lens_of(first.lens));
+    for w in path.windows(2) {
+        let junction = Some(arena.set(&[w[0].tgt]));
+        psi = arena.add(Node::Concat(psi, junction, w[1].psi));
+        lens.extend_from_slice(arena.lens_of(w[1].lens));
+    }
+    lens.push(path.len() as u16);
+    IdTriple::new(first.src, psi, last.tgt, arena.lens(lens))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::tests::intern_triple;
+    use crate::triple::Triple;
+    use sgq_algebra::ast::PathExpr;
     use sgq_algebra::parser::parse_path;
     use sgq_graph::schema::fig1_yago_schema;
     use sgq_graph::GraphSchema;
+    use sgq_query::annotated::AnnotatedPath;
+
+    /// [`super::plc`] over hand-built trees, sorted as inference sorts.
+    fn plc(
+        schema: &GraphSchema,
+        phi: &PathExpr,
+        triples: &[Triple],
+        opts: PlcOptions,
+    ) -> Vec<Triple> {
+        let mut arena = Arena::new(schema);
+        let p = arena.intern_path(phi);
+        let t: Vec<IdTriple> = triples
+            .iter()
+            .map(|t| intern_triple(&mut arena, t))
+            .collect();
+        let mut r = super::plc(&mut arena, p, &t, opts);
+        r.sort_unstable_by(|x, y| arena.cmp_triple(x, y));
+        let tree = |t: &IdTriple| {
+            let lens = arena.lens_of(t.lens).to_vec();
+            Triple::with_paths(t.src, arena.tree(t.psi), t.tgt, lens)
+        };
+        r.iter().map(tree).collect()
+    }
+
+    /// The Table 6 statistics of a `PlC` result.
+    fn plus_stats(result: &[Triple], phi: &PathExpr) -> PlusStats {
+        let plus_form = AnnotatedPath::plain(PathExpr::plus(phi.clone()));
+        let mut stats = PlusStats::default();
+        for t in result {
+            if t.psi == plus_form {
+                stats.closure_kept = true;
+            } else {
+                stats.path_lengths.push(*t.plus_paths.last().unwrap_or(&1));
+            }
+        }
+        stats.path_lengths.sort_unstable();
+        stats
+    }
 
     fn basic_triples(schema: &GraphSchema, label: &str) -> Vec<Triple> {
         let le = schema.edge_label(label).unwrap();
@@ -323,7 +243,7 @@ mod tests {
         let schema = fig1_yago_schema();
         let phi = parse_path("dealsWith", &schema).unwrap();
         let t = basic_triples(&schema, "dealsWith");
-        let r = plc(&phi, &t, PlcOptions::default());
+        let r = plc(&schema, &phi, &t, PlcOptions::default());
         assert_eq!(r.len(), 1);
         let country = schema.node_label("COUNTRY").unwrap();
         assert_eq!(r[0].src, country);
@@ -341,7 +261,7 @@ mod tests {
         let schema = fig1_yago_schema();
         let phi = parse_path("isLocatedIn", &schema).unwrap();
         let t = basic_triples(&schema, "isLocatedIn");
-        let r = plc(&phi, &t, PlcOptions::default());
+        let r = plc(&schema, &phi, &t, PlcOptions::default());
         assert_eq!(r.len(), 6);
         let stats = plus_stats(&r, &phi);
         assert!(!stats.closure_kept);
@@ -358,6 +278,7 @@ mod tests {
         let phi = parse_path("isLocatedIn", &schema).unwrap();
         let t = basic_triples(&schema, "isLocatedIn");
         let r = plc(
+            &schema,
             &phi,
             &t,
             PlcOptions {
@@ -377,6 +298,7 @@ mod tests {
         let phi = parse_path("isLocatedIn", &schema).unwrap();
         let t = basic_triples(&schema, "isLocatedIn");
         let r = plc(
+            &schema,
             &phi,
             &t,
             PlcOptions {
@@ -400,7 +322,7 @@ mod tests {
         let schema = b.build().unwrap();
         let phi = parse_path("r", &schema).unwrap();
         let t = basic_triples(&schema, "r");
-        let r = plc(&phi, &t, PlcOptions::default());
+        let r = plc(&schema, &phi, &t, PlcOptions::default());
         let plus_form = AnnotatedPath::plain(PathExpr::plus(phi.clone()));
         assert!(r.iter().all(|t| t.psi == plus_form), "{r:?}");
         // pairs: (A,B),(A,C),(B,B),(B,C) — and A->B->B->C etc. collapse
@@ -424,9 +346,65 @@ mod tests {
             Triple::new(a, AnnotatedPath::plain(PathExpr::Label(r_le)), bb),
             Triple::new(a, AnnotatedPath::plain(PathExpr::Label(s_le)), bb),
         ];
-        let r = plc(&phi, &triples, PlcOptions::default());
+        let r = plc(&schema, &phi, &triples, PlcOptions::default());
         assert_eq!(r.len(), 2);
         let stats = plus_stats(&r, &phi);
         assert_eq!(stats.path_lengths, vec![1, 1]);
+    }
+
+    #[test]
+    fn single_label_closures_read_the_schema_table() {
+        // `l+` and `-l+` enumerate nothing per statement: two rewrites of
+        // isLocatedIn+ read the paths the schema enumerated at build.
+        use crate::pipeline::{rewrite_path, RewriteOptions};
+        let schema = fig1_yago_schema();
+        let before = LIVE_ENUMERATIONS.with(|n| n.get());
+        let table = schema.label_paths(schema.edge_label("isLocatedIn").unwrap());
+        for s in ["isLocatedIn+", "isLocatedIn+", "-isLocatedIn+"] {
+            let phi = parse_path(s, &schema).unwrap();
+            assert!(rewrite_path(&schema, &phi, RewriteOptions::default())
+                .report
+                .closure_eliminated());
+        }
+        assert_eq!(LIVE_ENUMERATIONS.with(|n| n.get()), before);
+        let again = schema.label_paths(schema.edge_label("isLocatedIn").unwrap());
+        assert!(std::ptr::eq(table.unwrap(), again.unwrap()));
+        // A compound closure has no table.
+        let phi = parse_path("(isLocatedIn|owns)+", &schema).unwrap();
+        rewrite_path(&schema, &phi, RewriteOptions::default());
+        assert_eq!(LIVE_ENUMERATIONS.with(|n| n.get()), before + 1);
+    }
+
+    #[test]
+    fn a_label_past_the_table_cap_is_enumerated_when_the_budget_allows() {
+        // r over a 13-label transitive tournament has 2^13 - 14 simple
+        // paths, more than the schema keeps: a larger budget eliminates
+        // the closure anyway, a smaller one falls back to reachability.
+        let mut b = GraphSchema::builder();
+        let names: Vec<String> = (0..13).map(|i| format!("N{i:02}")).collect();
+        for i in 0..13 {
+            for j in i + 1..13 {
+                b.edge(&names[i], "r", &names[j]);
+            }
+        }
+        let schema = b.build().unwrap();
+        let le = schema.edge_label("r").unwrap();
+        assert!(!schema.label_paths(le).unwrap().complete);
+        let phi = parse_path("r", &schema).unwrap();
+        let t: Vec<Triple> = (schema.triples_for_edge_label(le).iter())
+            .map(|&(s, t)| Triple::new(s, AnnotatedPath::plain(phi.clone()), t))
+            .collect();
+        let run = |max_paths| {
+            let opts = PlcOptions {
+                tc_elimination: true,
+                max_paths,
+            };
+            plus_stats(&plc(&schema, &phi, &t, opts), &phi)
+        };
+        let eliminated = run(8178);
+        assert!(!eliminated.closure_kept);
+        assert_eq!(eliminated.count(), 8178);
+        let kept = run(8177);
+        assert!(kept.closure_kept && kept.count() == 0);
     }
 }

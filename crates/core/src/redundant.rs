@@ -15,12 +15,7 @@
 //! that can occur, which makes removal sound: we only drop a filter when
 //! even the over-approximation is covered.
 
-use sgq_algebra::ast::PathExpr;
-use sgq_common::sorted;
-use sgq_graph::GraphSchema;
-use sgq_query::annotated::{AnnotatedPath, LabelSet};
-
-use crate::merge::MergedTriple;
+use crate::arena::{Arena, Id, IdMerged, Node, Path, SetId};
 
 /// When is an annotation *redundant* (§3.2.2)?
 ///
@@ -43,238 +38,134 @@ pub enum RedundancyRule {
     Never,
 }
 
-/// Over-approximated `(source labels, target labels)` of a plain path
-/// expression under `schema`.
-pub fn plain_endpoints(schema: &GraphSchema, e: &PathExpr) -> (LabelSet, LabelSet) {
-    match e {
-        PathExpr::Label(le) => (schema.source_labels(*le), schema.target_labels(*le)),
-        PathExpr::Reverse(le) => (schema.target_labels(*le), schema.source_labels(*le)),
-        PathExpr::Concat(a, b) => {
-            let (src, _) = plain_endpoints(schema, a);
-            let (_, tgt) = plain_endpoints(schema, b);
-            (src, tgt)
-        }
-        PathExpr::Union(a, b) => {
-            let (sa, ta) = plain_endpoints(schema, a);
-            let (sb, tb) = plain_endpoints(schema, b);
-            (sorted::union(&sa, &sb), sorted::union(&ta, &tb))
-        }
-        PathExpr::Conj(a, b) => {
-            let (sa, ta) = plain_endpoints(schema, a);
-            let (sb, tb) = plain_endpoints(schema, b);
-            (sorted::intersect(&sa, &sb), sorted::intersect(&ta, &tb))
-        }
-        PathExpr::BranchR(a, b) => {
-            let (sa, ta) = plain_endpoints(schema, a);
-            let (sb, _) = plain_endpoints(schema, b);
-            (sa, sorted::intersect(&ta, &sb))
-        }
-        PathExpr::BranchL(a, b) => {
-            let (sa, _) = plain_endpoints(schema, a);
-            let (sb, tb) = plain_endpoints(schema, b);
-            (sorted::intersect(&sa, &sb), tb)
-        }
-        PathExpr::Plus(a) => plain_endpoints(schema, a),
-    }
-}
-
-/// Over-approximated endpoints of an annotated path expression.
-pub fn annotated_endpoints(schema: &GraphSchema, psi: &AnnotatedPath) -> (LabelSet, LabelSet) {
-    match psi {
-        AnnotatedPath::Plain(e) => plain_endpoints(schema, e),
-        AnnotatedPath::Concat(a, _, b) => {
-            let (src, _) = annotated_endpoints(schema, a);
-            let (_, tgt) = annotated_endpoints(schema, b);
-            (src, tgt)
-        }
-        AnnotatedPath::BranchR(a, b) => {
-            let (sa, ta) = annotated_endpoints(schema, a);
-            let (sb, _) = annotated_endpoints(schema, b);
-            (sa, sorted::intersect(&ta, &sb))
-        }
-        AnnotatedPath::BranchL(a, b) => {
-            let (sa, _) = annotated_endpoints(schema, a);
-            let (sb, tb) = annotated_endpoints(schema, b);
-            (sorted::intersect(&sa, &sb), tb)
-        }
-        AnnotatedPath::Conj(a, b) => {
-            let (sa, ta) = annotated_endpoints(schema, a);
-            let (sb, tb) = annotated_endpoints(schema, b);
-            (sorted::intersect(&sa, &sb), sorted::intersect(&ta, &tb))
-        }
-    }
-}
-
-/// Removes redundant annotations from `psi` (§3.2.2) under `rule`.
-fn remove_in_expr(
-    schema: &GraphSchema,
-    psi: &AnnotatedPath,
-    rule: RedundancyRule,
-) -> AnnotatedPath {
-    match psi {
-        AnnotatedPath::Plain(e) => AnnotatedPath::Plain(e.clone()),
-        AnnotatedPath::Concat(a, ann, b) => {
-            let a2 = remove_in_expr(schema, a, rule);
-            let b2 = remove_in_expr(schema, b, rule);
-            let ann2 = match ann {
-                None => None,
-                Some(labels) => {
-                    let (_, a_tgts) = annotated_endpoints(schema, &a2);
-                    let (b_srcs, _) = annotated_endpoints(schema, &b2);
-                    let implied_left = sorted::difference(&a_tgts, labels).is_empty();
-                    let implied_right = sorted::difference(&b_srcs, labels).is_empty();
-                    let redundant = match rule {
-                        RedundancyRule::EitherSide => implied_left || implied_right,
-                        RedundancyRule::BothSides => implied_left && implied_right,
-                        RedundancyRule::Never => false,
-                    };
-                    if redundant {
-                        None
-                    } else {
-                        Some(labels.clone())
-                    }
-                }
+/// Removes redundant annotations from `psi` (§3.2.2) under `rule`. The
+/// labels an annotation's sides imply are their strips' endpoints, which
+/// removal leaves alone: each is read off the arena, not re-derived.
+fn remove_in_expr(arena: &mut Arena, psi: Id, rule: RedundancyRule) -> Id {
+    let node = arena.node(psi);
+    let node = match (node, node.map_kids(|k| remove_in_expr(arena, k, rule))) {
+        (Node::Plain(_), _) => return psi,
+        (Node::Concat(a, Some(labels), b), Node::Concat(a2, _, b2)) => {
+            let implied_left = arena.subset(arena.ends(arena.strip(a)).1, labels);
+            let implied_right = arena.subset(arena.ends(arena.strip(b)).0, labels);
+            let redundant = match rule {
+                RedundancyRule::EitherSide => implied_left || implied_right,
+                RedundancyRule::BothSides => implied_left && implied_right,
+                RedundancyRule::Never => false,
             };
-            AnnotatedPath::concat(a2, ann2, b2)
+            Node::Concat(a2, (!redundant).then_some(labels), b2)
         }
-        AnnotatedPath::BranchR(a, b) => AnnotatedPath::branch_r(
-            remove_in_expr(schema, a, rule),
-            remove_in_expr(schema, b, rule),
-        ),
-        AnnotatedPath::BranchL(a, b) => AnnotatedPath::branch_l(
-            remove_in_expr(schema, a, rule),
-            remove_in_expr(schema, b, rule),
-        ),
-        AnnotatedPath::Conj(a, b) => AnnotatedPath::conj(
-            remove_in_expr(schema, a, rule),
-            remove_in_expr(schema, b, rule),
-        ),
-    }
+        (_, removed) => removed,
+    };
+    arena.add(node)
 }
 
 /// Removes redundant annotations (internal positions and endpoints) and
-/// canonicalises the expression, using the default [`RedundancyRule`].
-pub fn remove_redundant(schema: &GraphSchema, triple: &MergedTriple) -> MergedTriple {
-    remove_redundant_with(schema, triple, RedundancyRule::default())
-}
-
-/// [`remove_redundant`] with an explicit rule.
-pub fn remove_redundant_with(
-    schema: &GraphSchema,
-    triple: &MergedTriple,
+/// canonicalises the expression under `rule`.
+pub(crate) fn remove_redundant(
+    arena: &mut Arena,
+    triple: IdMerged,
     rule: RedundancyRule,
-) -> MergedTriple {
-    let psi = remove_in_expr(schema, &triple.psi, rule);
+) -> IdMerged {
+    let psi = remove_in_expr(arena, triple.psi, rule);
     // Endpoint constraints never pre-filter another join side within the
     // triple itself, so the schema-implied check applies under every rule
     // except `Never`.
-    let (src_possible, tgt_possible) = annotated_endpoints(schema, &psi);
-    let keep_all = rule == RedundancyRule::Never;
-    let src_labels = triple
-        .src_labels
-        .clone()
-        .filter(|labels| keep_all || !sorted::difference(&src_possible, labels).is_empty());
-    let tgt_labels = triple
-        .tgt_labels
-        .clone()
-        .filter(|labels| keep_all || !sorted::difference(&tgt_possible, labels).is_empty());
-    MergedTriple {
-        src_labels,
-        psi: canonicalize(&psi),
-        tgt_labels,
-        plus_paths: triple.plus_paths.clone(),
+    let (src_possible, tgt_possible) = arena.ends(arena.strip(psi));
+    let arena_ref = &*arena;
+    let keep = |possible| {
+        move |labels: &SetId| rule == RedundancyRule::Never || !arena_ref.subset(possible, *labels)
+    };
+    IdMerged {
+        src: triple.src.filter(keep(src_possible)),
+        tgt: triple.tgt.filter(keep(tgt_possible)),
+        psi: canonicalize(arena, psi),
+        lens: triple.lens,
     }
 }
 
 /// Canonicalises an annotated expression:
 ///
-/// * subtrees with no annotations collapse into [`AnnotatedPath::Plain`],
+/// * subtrees with no annotations collapse into one plain expression,
 /// * concatenation spines are flattened and re-segmented so that maximal
 ///   annotation-free runs become single plain expressions.
-pub fn canonicalize(psi: &AnnotatedPath) -> AnnotatedPath {
-    if !psi.has_annotations() {
-        return AnnotatedPath::Plain(psi.strip());
+pub(crate) fn canonicalize(arena: &mut Arena, psi: Id) -> Id {
+    if !arena.annotated(psi) {
+        return arena.plain(arena.strip(psi));
     }
-    match psi {
-        AnnotatedPath::Plain(e) => AnnotatedPath::Plain(e.clone()),
-        AnnotatedPath::Concat(..) => {
-            // Flatten the spine: parts p0 .. pn with annotations a0 .. a(n-1).
-            let mut parts: Vec<AnnotatedPath> = Vec::new();
-            let mut anns: Vec<Option<LabelSet>> = Vec::new();
-            flatten(psi, &mut parts, &mut anns);
-            let parts: Vec<AnnotatedPath> = parts.iter().map(canonicalize).collect();
-            // Coalesce: merge adjacent plain parts joined by `None`.
-            let mut out_parts: Vec<AnnotatedPath> = vec![parts[0].clone()];
-            let mut out_anns: Vec<Option<LabelSet>> = Vec::new();
-            for (i, part) in parts.iter().enumerate().skip(1) {
-                let ann = anns[i - 1].clone();
-                let last = out_parts.last_mut().expect("non-empty");
-                match (&ann, &last, part) {
-                    (None, AnnotatedPath::Plain(l), AnnotatedPath::Plain(r)) => {
-                        *last = AnnotatedPath::Plain(PathExpr::concat(l.clone(), r.clone()));
-                    }
-                    _ => {
-                        out_anns.push(ann);
-                        out_parts.push(part.clone());
-                    }
-                }
-            }
-            // Rebuild left-associated.
-            let mut iter = out_parts.into_iter();
-            let mut acc = iter.next().expect("non-empty");
-            for (part, ann) in iter.zip(out_anns) {
-                acc = AnnotatedPath::concat(acc, ann, part);
-            }
-            acc
+    let node = match arena.node(psi) {
+        Node::Plain(_) => return psi,
+        Node::Concat(..) => {
+            let mut spine = None;
+            resegment(arena, psi, None, &mut spine);
+            let (prefix, last) = spine.expect("a spine has parts");
+            return prefix.map_or(last, |(acc, ann)| arena.add(Node::Concat(acc, ann, last)));
         }
-        AnnotatedPath::BranchR(a, b) => AnnotatedPath::branch_r(canonicalize(a), canonicalize(b)),
-        AnnotatedPath::BranchL(a, b) => AnnotatedPath::branch_l(canonicalize(a), canonicalize(b)),
-        AnnotatedPath::Conj(a, b) => AnnotatedPath::conj(canonicalize(a), canonicalize(b)),
-    }
+        other => other.map_kids(|k| canonicalize(arena, k)),
+    };
+    arena.add(node)
 }
 
-/// Flattens a concatenation spine into parts and the annotations between
-/// them.
-fn flatten(psi: &AnnotatedPath, parts: &mut Vec<AnnotatedPath>, anns: &mut Vec<Option<LabelSet>>) {
-    match psi {
-        AnnotatedPath::Concat(a, ann, b) => {
-            flatten(a, parts, anns);
-            anns.push(ann.clone());
-            flatten(b, parts, anns);
-        }
-        other => parts.push(other.clone()),
+/// A concatenation spine re-segmented so far: the left-associated
+/// prefix with the annotation that joins it to the last part, and the
+/// last part, which the next part may still coalesce with.
+type Spine = Option<(Option<(Id, Option<SetId>)>, Id)>;
+
+/// Walks `psi`'s spine left to right, canonicalising each part and
+/// coalescing adjacent plain parts joined by `None`; `ann` joins `psi`'s
+/// first part to the spine so far.
+fn resegment(arena: &mut Arena, psi: Id, ann: Option<SetId>, spine: &mut Spine) {
+    if let Node::Concat(a, inner, b) = arena.node(psi) {
+        resegment(arena, a, ann, spine);
+        return resegment(arena, b, inner, spine);
     }
+    let part = canonicalize(arena, psi);
+    *spine = Some(match spine.take() {
+        None => (None, part),
+        Some((prefix, last)) => match (ann, arena.node(last), arena.node(part)) {
+            (None, Node::Plain(l), Node::Plain(r)) => {
+                let joined = arena.path(Path::Concat(l, r));
+                (prefix, arena.plain(joined))
+            }
+            _ => {
+                let acc = prefix.map_or(last, |(acc, a)| arena.add(Node::Concat(acc, a, last)));
+                (Some((acc, ann)), part)
+            }
+        },
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::{infer_triples, InferOptions};
-    use crate::merge::merge_triples;
+    use crate::arena::tests::intern_tree;
+    use crate::arena::tests::MergedTriple;
+    use crate::infer::{infer, InferOptions};
+    use crate::merge::{alternatives, merge_triples};
     use sgq_algebra::parser::parse_path;
     use sgq_graph::schema::fig1_yago_schema;
+    use sgq_query::annotated::AnnotatedPath;
 
     fn pipeline(s: &str, rule: RedundancyRule) -> Vec<MergedTriple> {
         let schema = fig1_yago_schema();
-        let e = parse_path(s, &schema).unwrap();
-        let t = infer_triples(&schema, &e, InferOptions::default()).unwrap();
-        merge_triples(&t)
-            .iter()
-            .map(|m| remove_redundant_with(&schema, m, rule))
-            .collect()
+        let mut arena = Arena::new(&schema);
+        let phi = arena.intern_path(&parse_path(s, &schema).unwrap());
+        let m = alternatives(&mut arena, phi, &InferOptions::default(), rule).unwrap();
+        m.iter().map(|m| arena.merged(m)).collect()
     }
 
     #[test]
     fn endpoints_of_plain_exprs() {
         let schema = fig1_yago_schema();
-        let e = parse_path("livesIn", &schema).unwrap();
-        let (src, tgt) = plain_endpoints(&schema, &e);
-        assert_eq!(src, vec![schema.node_label("PERSON").unwrap()]);
-        assert_eq!(tgt, vec![schema.node_label("CITY").unwrap()]);
-        let e = parse_path("isLocatedIn+", &schema).unwrap();
-        let (src, tgt) = plain_endpoints(&schema, &e);
-        assert_eq!(src.len(), 3);
-        assert_eq!(tgt.len(), 3);
+        let mut arena = Arena::new(&schema);
+        let e = arena.intern_path(&parse_path("livesIn", &schema).unwrap());
+        let (src, tgt) = arena.ends(e);
+        assert_eq!(arena.labels(src), [schema.node_label("PERSON").unwrap()]);
+        assert_eq!(arena.labels(tgt), [schema.node_label("CITY").unwrap()]);
+        let e = arena.intern_path(&parse_path("isLocatedIn+", &schema).unwrap());
+        let (src, tgt) = arena.ends(e);
+        assert_eq!(arena.labels(src).len(), 3);
+        assert_eq!(arena.labels(tgt).len(), 3);
     }
 
     #[test]
@@ -327,7 +218,10 @@ mod tests {
             None,
             d,
         );
-        let canon = canonicalize(&spine);
+        let mut arena = Arena::new(&schema);
+        let spine = intern_tree(&mut arena, &spine);
+        let canon = canonicalize(&mut arena, spine);
+        let canon = arena.tree(canon);
         match &canon {
             AnnotatedPath::Concat(left, ann, right) => {
                 assert_eq!(ann.as_deref(), Some(&[region][..]));
@@ -355,18 +249,19 @@ mod tests {
             "owns/isLocatedIn",
             "isLocatedIn+",
         ] {
-            let e = parse_path(s, &schema).unwrap();
-            let triples = infer_triples(&schema, &e, InferOptions::default()).unwrap();
-            for m in merge_triples(&triples) {
+            let mut arena = Arena::new(&schema);
+            let phi = arena.intern_path(&parse_path(s, &schema).unwrap());
+            let triples = infer(&mut arena, phi, &InferOptions::default()).unwrap();
+            for m in merge_triples(&mut arena, &triples) {
                 for rule in [
                     RedundancyRule::BothSides,
                     RedundancyRule::EitherSide,
                     RedundancyRule::Never,
                 ] {
-                    let removed = remove_redundant_with(&schema, &m, rule);
+                    let removed = remove_redundant(&mut arena, m, rule);
                     assert_eq!(
-                        eval_annotated(&db, &m.psi),
-                        eval_annotated(&db, &removed.psi),
+                        eval_annotated(&db, &arena.tree(m.psi)),
+                        eval_annotated(&db, &arena.tree(removed.psi)),
                         "redundancy removal ({rule:?}) changed semantics for {s}"
                     );
                 }

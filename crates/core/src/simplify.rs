@@ -23,15 +23,33 @@
 
 use sgq_algebra::ast::PathExpr;
 
-/// Applies R1–R5 bottom-up to a fixpoint.
+/// Applies R1–R5 bottom-up to a fixpoint: a pass changes the expression
+/// exactly when some rule applies somewhere in it.
 pub fn simplify(expr: &PathExpr) -> PathExpr {
-    let mut current = expr.clone();
-    loop {
-        let next = pass(&current);
-        if next == current {
-            return current;
-        }
-        current = next;
+    let mut e = expr.clone();
+    simplify_in_place(&mut e);
+    e
+}
+
+/// [`simplify`] without the copy.
+pub(crate) fn simplify_in_place(e: &mut PathExpr) {
+    while has_redex(e) {
+        *e = pass(e);
+    }
+}
+
+/// Whether a rule applies at some node of `e`.
+fn has_redex(e: &PathExpr) -> bool {
+    let test = |t: &PathExpr| matches!(t, PathExpr::Plus(_) | PathExpr::Concat(..));
+    match e {
+        PathExpr::Label(_) | PathExpr::Reverse(_) => false,
+        PathExpr::Plus(a) => matches!(**a, PathExpr::Plus(_)) || has_redex(a),
+        PathExpr::BranchR(_, t) | PathExpr::BranchL(t, _) if test(t) => true,
+        PathExpr::Concat(a, b)
+        | PathExpr::Union(a, b)
+        | PathExpr::Conj(a, b)
+        | PathExpr::BranchR(a, b)
+        | PathExpr::BranchL(a, b) => has_redex(a) || has_redex(b),
     }
 }
 

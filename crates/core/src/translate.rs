@@ -1,146 +1,101 @@
 //! From merged triples back to CQTs: the function `Q(α, β, ψ)` of Fig. 9,
-//! the per-triple query `C(t)` (Def. 10) and the schema-enriched query
-//! `RS(ϕ)` (Def. 11).
+//! the last step of the rewrite and where its results leave the arena —
+//! each relation's plain expression is built as a tree here, once per
+//! disjunct that uses it.
 
-use sgq_algebra::ast::PathExpr;
-use sgq_common::{Result, VarId};
-use sgq_graph::GraphSchema;
-use sgq_query::annotated::AnnotatedPath;
-use sgq_query::cqt::{Cqt, LabelAtom, Relation, Ucqt};
+use sgq_common::VarId;
+use sgq_query::cqt::Relation;
 use sgq_query::vars::VarGen;
 
-use crate::infer::{infer_triples, InferOptions};
-use crate::merge::{merge_triples, MergedTriple};
-use crate::redundant::{remove_redundant_with, RedundancyRule};
+use crate::arena::{Arena, Id, Node, SetId};
 
 /// The recursive translation `Q(α, β, ψ)` of Fig. 9. Appends the produced
-/// relations and label atoms to `relations` / `atoms`, allocating fresh
-/// variables from `vars`.
-pub fn q_translate(
-    psi: &AnnotatedPath,
-    alpha: VarId,
-    beta: VarId,
+/// relations, and the label atoms as `(variable, label set)`, to
+/// `relations` / `atoms`, allocating fresh variables from `vars`.
+pub(crate) fn q_translate(
+    arena: &Arena,
+    psi: Id,
+    (alpha, beta): (VarId, VarId),
     vars: &mut VarGen,
     relations: &mut Vec<Relation>,
-    atoms: &mut Vec<LabelAtom>,
+    atoms: &mut Vec<(VarId, SetId)>,
 ) {
-    match psi {
+    let mut q =
+        |psi, ends, vars: &mut VarGen| q_translate(arena, psi, ends, vars, relations, atoms);
+    match arena.node(psi) {
         // Q(α, β, ϕ) = (∅, ∅, {(α, ϕ, β)})
-        AnnotatedPath::Plain(e) => relations.push(Relation::plain(alpha, e.clone(), beta)),
+        Node::Plain(e) => relations.push(Relation::plain(alpha, arena.path_expr(e), beta)),
         // Q(α, β, ψ1 /L ψ2): fresh γ, η(γ) ∈ L
-        AnnotatedPath::Concat(a, ann, b) => {
+        Node::Concat(a, ann, b) => {
             let gamma = vars.fresh();
-            q_translate(a, alpha, gamma, vars, relations, atoms);
-            q_translate(b, gamma, beta, vars, relations, atoms);
-            if let Some(labels) = ann {
-                atoms.push(LabelAtom {
-                    var: gamma,
-                    labels: labels.clone(),
-                });
-            }
+            q(a, (alpha, gamma), vars);
+            q(b, (gamma, beta), vars);
+            atoms.extend(ann.map(|labels| (gamma, labels)));
         }
         // Q(α, β, ψ1[ψ2]): fresh γ, test hangs off β
-        AnnotatedPath::BranchR(a, b) => {
+        Node::BranchR(a, b) => {
             let gamma = vars.fresh();
-            q_translate(a, alpha, beta, vars, relations, atoms);
-            q_translate(b, beta, gamma, vars, relations, atoms);
+            q(a, (alpha, beta), vars);
+            q(b, (beta, gamma), vars);
         }
         // Q(α, β, [ψ1]ψ2): fresh γ, test hangs off α
-        AnnotatedPath::BranchL(a, b) => {
+        Node::BranchL(a, b) => {
             let gamma = vars.fresh();
-            q_translate(a, alpha, gamma, vars, relations, atoms);
-            q_translate(b, alpha, beta, vars, relations, atoms);
+            q(a, (alpha, gamma), vars);
+            q(b, (alpha, beta), vars);
         }
         // Q(α, β, ψ1 ∩ ψ2): both sides share the endpoints
-        AnnotatedPath::Conj(a, b) => {
-            q_translate(a, alpha, beta, vars, relations, atoms);
-            q_translate(b, alpha, beta, vars, relations, atoms);
+        Node::Conj(a, b) => {
+            q(a, (alpha, beta), vars);
+            q(b, (alpha, beta), vars);
         }
     }
-}
-
-/// The CQT `C(t)` associated with a merged triple (Def. 10): head `{α, β}`
-/// plus the endpoint atoms `η(α) ∈ L1`, `η(β) ∈ L2` when constrained.
-pub fn triple_to_cqt(t: &MergedTriple, alpha: VarId, beta: VarId, vars: &mut VarGen) -> Cqt {
-    let mut relations = Vec::new();
-    let mut atoms = Vec::new();
-    q_translate(&t.psi, alpha, beta, vars, &mut relations, &mut atoms);
-    if let Some(labels) = &t.src_labels {
-        atoms.push(LabelAtom {
-            var: alpha,
-            labels: labels.clone(),
-        });
-    }
-    if let Some(labels) = &t.tgt_labels {
-        atoms.push(LabelAtom {
-            var: beta,
-            labels: labels.clone(),
-        });
-    }
-    Cqt {
-        head: vec![alpha, beta],
-        atoms,
-        relations,
-    }
-}
-
-/// The schema-enriched query `RS(ϕ)` of Definition 11: one CQT per merged
-/// triple, unioned. Returns `Ok(None)` when `TS(ϕ)` is empty (the query is
-/// unsatisfiable on every database conforming to the schema).
-pub fn schema_enriched_query(
-    schema: &GraphSchema,
-    phi: &PathExpr,
-    opts: InferOptions,
-) -> Result<Option<Ucqt>> {
-    schema_enriched_query_with(schema, phi, opts, RedundancyRule::EitherSide)
-}
-
-/// [`schema_enriched_query`] with an explicit redundancy rule.
-pub fn schema_enriched_query_with(
-    schema: &GraphSchema,
-    phi: &PathExpr,
-    opts: InferOptions,
-    rule: RedundancyRule,
-) -> Result<Option<Ucqt>> {
-    let simplified = crate::simplify::simplify(phi);
-    let triples = infer_triples(schema, &simplified, opts)?;
-    if triples.is_empty() {
-        return Ok(None);
-    }
-    let merged: Vec<MergedTriple> = merge_triples(&triples)
-        .iter()
-        .map(|m| remove_redundant_with(schema, m, rule))
-        .collect();
-    let alpha = VarId::new(0);
-    let beta = VarId::new(1);
-    let disjuncts: Vec<Cqt> = merged
-        .iter()
-        .map(|t| {
-            let mut vars = VarGen::above([alpha, beta]);
-            triple_to_cqt(t, alpha, beta, &mut vars)
-        })
-        .collect();
-    Ok(Some(Ucqt {
-        head: vec![alpha, beta],
-        disjuncts,
-    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::tests::intern_tree;
+    use crate::pipeline::{rewrite_path, RewriteOptions, RewriteOutcome};
+    use crate::redundant::RedundancyRule;
+    use sgq_algebra::ast::PathExpr;
     use sgq_algebra::parser::parse_path;
     use sgq_graph::schema::fig1_yago_schema;
-    use sgq_query::cqt::ucqt_to_string;
+    use sgq_query::annotated::AnnotatedPath;
+    use sgq_query::cqt::{ucqt_to_string, Ucqt};
+
+    /// `RS(ϕ)` (Def. 11) as the paper's Example 13 removes annotations:
+    /// `None` when the schema proves `ϕ` empty.
+    fn schema_enriched_query(phi: &PathExpr) -> Option<Ucqt> {
+        let opts = RewriteOptions {
+            redundancy: RedundancyRule::EitherSide,
+            ..Default::default()
+        };
+        match rewrite_path(&fig1_yago_schema(), phi, opts).outcome {
+            RewriteOutcome::Enriched(q) => Some(q),
+            RewriteOutcome::Empty => None,
+            other => panic!("expected enrichment, got {other:?}"),
+        }
+    }
+
+    /// [`q_translate`] of a hand-built tree from `(?x0, ?x1)`.
+    fn translate(psi: &AnnotatedPath) -> (Vec<Relation>, Vec<(VarId, SetId)>) {
+        let schema = fig1_yago_schema();
+        let mut arena = Arena::new(&schema);
+        let psi = intern_tree(&mut arena, psi);
+        let ends = (VarId::new(0), VarId::new(1));
+        let mut vars = VarGen::above([ends.0, ends.1]);
+        let (mut relations, mut atoms) = (Vec::new(), Vec::new());
+        q_translate(&arena, psi, ends, &mut vars, &mut relations, &mut atoms);
+        (relations, atoms)
+    }
 
     #[test]
     fn example13_rewritten_query() {
         // RS(ϕ4) = {α, β | ∃γ (α, lvIn/isL, γ) ∧ (γ, isL/dw+, β) ∧ η(γ) ∈ {REG}}
         let schema = fig1_yago_schema();
         let phi = parse_path("livesIn/isLocatedIn+/dealsWith+", &schema).unwrap();
-        let q = schema_enriched_query(&schema, &phi, InferOptions::default())
-            .unwrap()
-            .expect("satisfiable");
+        let q = schema_enriched_query(&phi).expect("satisfiable");
         assert_eq!(q.disjuncts.len(), 1);
         let c = &q.disjuncts[0];
         assert_eq!(c.relations.len(), 2);
@@ -174,17 +129,14 @@ mod tests {
         // livesIn/owns can never match under the Fig. 1 schema
         let schema = fig1_yago_schema();
         let phi = parse_path("livesIn/owns", &schema).unwrap();
-        let q = schema_enriched_query(&schema, &phi, InferOptions::default()).unwrap();
-        assert!(q.is_none());
+        assert!(schema_enriched_query(&phi).is_none());
     }
 
     #[test]
     fn plus_expansion_becomes_union() {
         let schema = fig1_yago_schema();
         let phi = parse_path("isLocatedIn+", &schema).unwrap();
-        let q = schema_enriched_query(&schema, &phi, InferOptions::default())
-            .unwrap()
-            .unwrap();
+        let q = schema_enriched_query(&phi).unwrap();
         // lengths 1, 2, 3 -> three disjuncts, none recursive
         assert_eq!(q.disjuncts.len(), 3);
         assert!(q
@@ -208,17 +160,7 @@ mod tests {
             ),
             AnnotatedPath::plain(parse_path("isMarriedTo", &schema).unwrap()),
         );
-        let mut vars = VarGen::above([VarId::new(0), VarId::new(1)]);
-        let mut relations = Vec::new();
-        let mut atoms = Vec::new();
-        q_translate(
-            &psi,
-            VarId::new(0),
-            VarId::new(1),
-            &mut vars,
-            &mut relations,
-            &mut atoms,
-        );
+        let (relations, atoms) = translate(&psi);
         // owns -> γ2, -owns γ2 -> β, isMarriedTo β -> γ1
         assert_eq!(relations.len(), 3);
         assert_eq!(atoms.len(), 1);
@@ -233,17 +175,7 @@ mod tests {
             AnnotatedPath::plain(parse_path("isMarriedTo", &schema).unwrap()),
             AnnotatedPath::plain(parse_path("isMarriedTo/isMarriedTo", &schema).unwrap()),
         );
-        let mut vars = VarGen::above([VarId::new(0), VarId::new(1)]);
-        let mut relations = Vec::new();
-        let mut atoms = Vec::new();
-        q_translate(
-            &psi,
-            VarId::new(0),
-            VarId::new(1),
-            &mut vars,
-            &mut relations,
-            &mut atoms,
-        );
+        let (relations, _) = translate(&psi);
         assert_eq!(relations.len(), 2);
         assert!(relations
             .iter()

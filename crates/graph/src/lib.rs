@@ -5,6 +5,8 @@
 //! * [`consistency`] — schema–database consistency checking (Def. 3),
 //! * [`value`] — property values and data types (the `Υ` typing function),
 //! * [`csr`] — compressed sparse row adjacency,
+//! * [`paths`] — simple paths over node labels: the enumeration behind the
+//!   rewrite's closure elimination, kept per edge label by the schema,
 //! * [`stats`] — per-label and per-triple cardinality statistics used by
 //!   the relational cost model.
 
@@ -13,6 +15,7 @@
 pub mod consistency;
 pub mod csr;
 pub mod database;
+pub mod paths;
 pub mod schema;
 pub mod stats;
 pub mod value;
@@ -20,6 +23,7 @@ pub mod value;
 pub use consistency::{check_consistency, ConsistencyReport, Violation};
 pub use csr::Csr;
 pub use database::{DatabaseBuilder, GraphDatabase};
+pub use paths::LabelPaths;
 pub use schema::{GraphSchema, SchemaBuilder, SchemaTriple};
 pub use stats::GraphStats;
 pub use value::{DataType, Value};

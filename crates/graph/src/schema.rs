@@ -12,11 +12,22 @@
 //! * node labels are unique across schema nodes, and
 //! * no two schema edges share the same `(source label, edge label,
 //!   target label)` triple.
+//!
+//! What the rewrite asks of an edge label alone — its source and target
+//! label sets, and the simple paths of its own subgraph that closure
+//! elimination enumerates ([`GraphSchema::label_paths`]) — is derived
+//! once, when the schema is built: it depends on the schema and nothing
+//! else, and every statement over the schema reads the same tables.
 
 use sgq_common::{EdgeLabelId, KeyId, NodeLabelId};
 use sgq_common::{FxHashSet, Interner, Result, SgqError};
 
+use crate::paths::LabelPaths;
 use crate::value::DataType;
+
+/// At most this many simple paths of one edge label's subgraph are kept
+/// ([`GraphSchema::label_paths`]); `PlC`'s default budget.
+pub const LABEL_PATH_CAP: usize = 4096;
 
 /// A basic graph schema triple `(ln, le, l'n)` (Definition 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,8 +58,44 @@ pub struct GraphSchema {
     nodes: Vec<SchemaNode>,
     /// All basic schema triples `Tb(S)`, sorted.
     triples: Vec<SchemaTriple>,
-    /// Triples grouped by edge label: `by_edge_label[le] = [(src, tgt)...]`.
-    by_edge_label: Vec<Vec<(NodeLabelId, NodeLabelId)>>,
+    /// What the rewrite asks of each edge label, indexed by label.
+    edge_label_facts: Vec<EdgeLabelFacts>,
+}
+
+/// The schema-derived facts of one edge label, built once with the schema.
+#[derive(Debug, Clone)]
+struct EdgeLabelFacts {
+    /// Its `(source label, target label)` pairs, sorted.
+    pairs: Vec<(NodeLabelId, NodeLabelId)>,
+    /// Its source and target labels, sorted and deduplicated.
+    sources: Vec<NodeLabelId>,
+    targets: Vec<NodeLabelId>,
+    /// The simple paths of its own subgraph: what `PlC` enumerates for
+    /// its closure.
+    paths: LabelPaths,
+}
+
+impl EdgeLabelFacts {
+    fn new(pairs: Vec<(NodeLabelId, NodeLabelId)>) -> Self {
+        let mut sources: Vec<_> = pairs.iter().map(|&(s, _)| s).collect();
+        let mut targets: Vec<_> = pairs.iter().map(|&(_, t)| t).collect();
+        sgq_common::sorted::normalize(&mut sources);
+        sgq_common::sorted::normalize(&mut targets);
+        #[cfg(test)]
+        ENUMERATIONS.with(|n| n.set(n.get() + 1));
+        EdgeLabelFacts {
+            paths: LabelPaths::enumerate(&pairs, LABEL_PATH_CAP),
+            pairs,
+            sources,
+            targets,
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Edge-label subgraphs enumerated on this thread.
+    static ENUMERATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl GraphSchema {
@@ -79,32 +126,29 @@ impl GraphSchema {
 
     /// The `(source label, target label)` pairs allowed for `le`.
     pub fn triples_for_edge_label(&self, le: EdgeLabelId) -> &[(NodeLabelId, NodeLabelId)] {
-        self.by_edge_label
-            .get(le.index())
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.edge_label_facts(le).map_or(&[], |f| &f.pairs)
     }
 
     /// All source labels the schema allows for edge label `le` (sorted, deduped).
-    pub fn source_labels(&self, le: EdgeLabelId) -> Vec<NodeLabelId> {
-        let mut v: Vec<_> = self
-            .triples_for_edge_label(le)
-            .iter()
-            .map(|&(s, _)| s)
-            .collect();
-        sgq_common::sorted::normalize(&mut v);
-        v
+    pub fn source_labels(&self, le: EdgeLabelId) -> &[NodeLabelId] {
+        self.edge_label_facts(le).map_or(&[], |f| &f.sources)
     }
 
     /// All target labels the schema allows for edge label `le` (sorted, deduped).
-    pub fn target_labels(&self, le: EdgeLabelId) -> Vec<NodeLabelId> {
-        let mut v: Vec<_> = self
-            .triples_for_edge_label(le)
-            .iter()
-            .map(|&(_, t)| t)
-            .collect();
-        sgq_common::sorted::normalize(&mut v);
-        v
+    pub fn target_labels(&self, le: EdgeLabelId) -> &[NodeLabelId] {
+        self.edge_label_facts(le).map_or(&[], |f| &f.targets)
+    }
+
+    /// The simple paths of `le`'s subgraph, over the edges of
+    /// [`GraphSchema::triples_for_edge_label`] and with at most
+    /// [`LABEL_PATH_CAP`] of them kept; `None` for a label the schema
+    /// does not know.
+    pub fn label_paths(&self, le: EdgeLabelId) -> Option<&LabelPaths> {
+        self.edge_label_facts(le).map(|f| &f.paths)
+    }
+
+    fn edge_label_facts(&self, le: EdgeLabelId) -> Option<&EdgeLabelFacts> {
+        self.edge_label_facts.get(le.index())
     }
 
     /// Resolves a node label id to its name.
@@ -245,13 +289,14 @@ impl SchemaBuilder {
         for v in &mut by_edge_label {
             v.sort_unstable();
         }
+        let edge_label_facts = by_edge_label.into_iter().map(EdgeLabelFacts::new).collect();
         Ok(GraphSchema {
             node_labels: self.node_labels,
             edge_labels: self.edge_labels,
             keys: self.keys,
             nodes: self.nodes,
             triples: self.triples,
-            by_edge_label,
+            edge_label_facts,
         })
     }
 }
@@ -308,17 +353,50 @@ mod tests {
         let isl = s.edge_label("isLocatedIn").unwrap();
         let srcs: Vec<_> = s
             .source_labels(isl)
-            .into_iter()
-            .map(|l| s.node_label_name(l).to_string())
+            .iter()
+            .map(|&l| s.node_label_name(l).to_string())
             .collect();
         assert_eq!(srcs, vec!["CITY", "PROPERTY", "REGION"]);
         // Sorted by label id, i.e. declaration order in Fig. 1.
         let tgts: Vec<_> = s
             .target_labels(isl)
-            .into_iter()
-            .map(|l| s.node_label_name(l).to_string())
+            .iter()
+            .map(|&l| s.node_label_name(l).to_string())
             .collect();
         assert_eq!(tgts, vec!["CITY", "REGION", "COUNTRY"]);
+    }
+
+    #[test]
+    fn label_paths_are_enumerated_once_per_schema() {
+        // Building a schema enumerates each edge label's subgraph once;
+        // reading the table does not enumerate again, and a second schema
+        // builds its own.
+        let before = ENUMERATIONS.with(|n| n.get());
+        let s = fig1_yago_schema();
+        assert_eq!(
+            ENUMERATIONS.with(|n| n.get()) - before,
+            s.edge_label_count()
+        );
+        let isl = s.edge_label("isLocatedIn").unwrap();
+        let first = s.label_paths(isl).unwrap();
+        assert!(first.complete && first.cyclic.is_empty());
+        assert_eq!(first.len(), 6, "PROPERTY → CITY → REGION → COUNTRY");
+        assert!(std::ptr::eq(first, s.label_paths(isl).unwrap()));
+        assert_eq!(
+            ENUMERATIONS.with(|n| n.get()) - before,
+            s.edge_label_count()
+        );
+        let other = fig1_yago_schema();
+        assert!(!std::ptr::eq(first, other.label_paths(isl).unwrap()));
+        assert_eq!(
+            ENUMERATIONS.with(|n| n.get()) - before,
+            2 * s.edge_label_count()
+        );
+        let dw = s.edge_label("dealsWith").unwrap();
+        assert_eq!(
+            s.label_paths(dw).unwrap().cyclic,
+            [s.node_label("COUNTRY").unwrap()]
+        );
     }
 
     #[test]

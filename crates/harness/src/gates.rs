@@ -24,6 +24,7 @@ use sgq_common::json::{self, JsonValue};
 use sgq_common::{Backend, FxHashSet, FxHasher};
 use sgq_core::pipeline::{rewrite_path, RewriteOptions, RewriteOutcome};
 use sgq_obs::{chrome_traces_json, QueryTrace, Tracer};
+use sgq_query::cqt::ucqt_to_string;
 use sgq_ra::cost::q_error;
 use sgq_ra::exec::{execute_plan, execute_plan_traced, fuses_its_join, ExecContext};
 use sgq_ra::{PhysOp, PhysPlan, RelStore};
@@ -254,6 +255,24 @@ fn plans_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> String {
     )
 }
 
+/// One line that is equal at two commits iff the schema rewrite of every
+/// statement of `cat` is, as the cold pass rewrites it: a digest of each
+/// outcome's kind and its UCQT text.
+fn rewrite_line(cat: &Catalog) -> String {
+    let mut digest = FxHasher::default();
+    for q in &cat.queries {
+        let outcome = rewrite_path(&cat.schema, &q.expr, RewriteOptions::default()).outcome;
+        let kind = match outcome {
+            RewriteOutcome::Enriched(_) => "enriched",
+            RewriteOutcome::Reverted(_) => "reverted",
+            RewriteOutcome::Empty => "empty",
+        };
+        let text = outcome.query().map(|u| ucqt_to_string(u, &cat.schema));
+        (kind, text).hash(&mut digest);
+    }
+    format!("{}: rewrite digest {:016x}\n", cat.name, digest.finish())
+}
+
 /// How many of `cat`'s cold-pass plans share a node, and one line saying
 /// so with the rows the reuse did not recompute — (parents − 1) × output
 /// rows per shared node, from one traced execution of each such plan.
@@ -367,6 +386,7 @@ fn estimates(cats: &Catalogs, gate: bool) -> String {
             "{name}: median q-error over {n} feasible queries: cold = {mc:.2}, warm = {mw:.2}"
         );
         closing.push_str(&plans_line(cat, &store, &rep.reference));
+        closing.push_str(&rewrite_line(cat));
         let (sharing, line) = shared_line(cat, &store, &rep.reference);
         closing.push_str(&line);
         closing.push_str(&strategy_lines(cat, &rep.reference));

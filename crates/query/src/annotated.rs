@@ -97,40 +97,6 @@ impl AnnotatedPath {
             | AnnotatedPath::Conj(a, b) => a.is_recursive() || b.is_recursive(),
         }
     }
-
-    /// Structurally merges two annotated expressions with the same
-    /// underlying plain expression, unioning annotations position-wise
-    /// (Def. 9). Returns `None` if the structures differ.
-    ///
-    /// `None` annotations absorb: merging an un-annotated position with an
-    /// annotated one yields the un-annotated (weaker) position, since the
-    /// merged triple must accept everything either input accepts.
-    pub fn merge_with(&self, other: &AnnotatedPath) -> Option<AnnotatedPath> {
-        match (self, other) {
-            (AnnotatedPath::Plain(a), AnnotatedPath::Plain(b)) if a == b => {
-                Some(AnnotatedPath::Plain(a.clone()))
-            }
-            (AnnotatedPath::Concat(a1, n1, b1), AnnotatedPath::Concat(a2, n2, b2)) => {
-                let a = a1.merge_with(a2)?;
-                let b = b1.merge_with(b2)?;
-                let ann = match (n1, n2) {
-                    (Some(l1), Some(l2)) => Some(sorted::union(l1, l2)),
-                    _ => None,
-                };
-                Some(AnnotatedPath::concat(a, ann, b))
-            }
-            (AnnotatedPath::BranchR(a1, b1), AnnotatedPath::BranchR(a2, b2)) => Some(
-                AnnotatedPath::branch_r(a1.merge_with(a2)?, b1.merge_with(b2)?),
-            ),
-            (AnnotatedPath::BranchL(a1, b1), AnnotatedPath::BranchL(a2, b2)) => Some(
-                AnnotatedPath::branch_l(a1.merge_with(a2)?, b1.merge_with(b2)?),
-            ),
-            (AnnotatedPath::Conj(a1, b1), AnnotatedPath::Conj(a2, b2)) => {
-                Some(AnnotatedPath::conj(a1.merge_with(a2)?, b1.merge_with(b2)?))
-            }
-            _ => None,
-        }
-    }
 }
 
 impl From<PathExpr> for AnnotatedPath {
@@ -285,64 +251,6 @@ mod tests {
                 sgq_algebra::eval::eval_path(&db, &e),
                 "mismatch for {s}"
             );
-        }
-    }
-
-    #[test]
-    fn merge_unions_annotations() {
-        // Example 11: (m, a+/nb/ld, p) + (m, a+/qb/rd, l)
-        // merged inner annotations {n,q} and {l,r}.
-        let n = NodeLabelId::new(10);
-        let q = NodeLabelId::new(11);
-        let l = NodeLabelId::new(12);
-        let r = NodeLabelId::new(13);
-        let a_plus = plain("isMarriedTo+");
-        let b = plain("owns");
-        let d = plain("livesIn");
-        let t1 = AnnotatedPath::concat(
-            AnnotatedPath::concat(a_plus.clone(), Some(vec![n]), b.clone()),
-            Some(vec![l]),
-            d.clone(),
-        );
-        let t2 = AnnotatedPath::concat(
-            AnnotatedPath::concat(a_plus.clone(), Some(vec![q]), b.clone()),
-            Some(vec![r]),
-            d.clone(),
-        );
-        let merged = t1.merge_with(&t2).unwrap();
-        match &merged {
-            AnnotatedPath::Concat(inner, ann, _) => {
-                assert_eq!(ann.as_deref(), Some(&[l, r][..]));
-                match inner.as_ref() {
-                    AnnotatedPath::Concat(_, inner_ann, _) => {
-                        assert_eq!(inner_ann.as_deref(), Some(&[n, q][..]));
-                    }
-                    _ => panic!("wrong shape"),
-                }
-            }
-            _ => panic!("wrong shape"),
-        }
-    }
-
-    #[test]
-    fn merge_requires_same_structure() {
-        assert!(plain("owns").merge_with(&plain("livesIn")).is_none());
-        let c = AnnotatedPath::concat(plain("owns"), None, plain("livesIn"));
-        assert!(c.merge_with(&plain("owns")).is_none());
-    }
-
-    #[test]
-    fn merge_none_absorbs() {
-        let some = AnnotatedPath::concat(
-            plain("owns"),
-            Some(vec![label("PROPERTY")]),
-            plain("isLocatedIn"),
-        );
-        let none = AnnotatedPath::concat(plain("owns"), None, plain("isLocatedIn"));
-        let merged = some.merge_with(&none).unwrap();
-        match merged {
-            AnnotatedPath::Concat(_, ann, _) => assert!(ann.is_none()),
-            _ => panic!(),
         }
     }
 }

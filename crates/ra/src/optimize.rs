@@ -166,24 +166,25 @@ impl Optimizer<'_> {
         }
         let mut acc = remaining.swap_remove(best_idx);
         while !remaining.is_empty() {
-            let mut joined: Vec<u32> = (remaining.iter())
-                .map(|&p| self.est.join(&self.dag, acc, p))
-                .collect();
-            let mut pick = 0;
-            let mut pick_score = (false, f64::INFINITY);
+            // Only a connected candidate is scored: the smallest joined
+            // estimate wins, and with none connected the first is taken.
+            let (mut pick, mut joined) = (0, None);
+            let mut pick_rows = f64::INFINITY;
             for (i, &p) in remaining.iter().enumerate() {
                 let acc_cols = self.dag.cols(acc);
-                let connected = self.dag.cols(p).iter().any(|c| acc_cols.contains(c));
-                let score = (!connected, self.est[joined[i]].rows());
-                if score < pick_score {
-                    pick_score = score;
-                    pick = i;
+                if !self.dag.cols(p).iter().any(|c| acc_cols.contains(c)) {
+                    continue;
+                }
+                let s = self.est.join(&self.dag, acc, p);
+                if self.est[s].rows() < pick_rows {
+                    (pick, pick_rows, joined) = (i, self.est[s].rows(), Some(s));
                 }
             }
+            let joined = joined.unwrap_or_else(|| self.est.join(&self.dag, acc, remaining[0]));
             let next = remaining.swap_remove(pick);
             acc = self.dag.add(Op::Join(acc, next));
             let key = self.est.key(&self.dag, acc);
-            self.est.assign(key, joined.swap_remove(pick));
+            self.est.assign(key, joined);
         }
         acc
     }
@@ -398,6 +399,38 @@ mod tests {
             let copies = (1..k).fold(one.clone(), |acc, _| RaTerm::union(acc, one.clone()));
             let (all, _) = steps(&copies);
             assert!(all <= once + k, "{k} copies: {all} steps, one: {once}");
+        }
+    }
+
+    #[test]
+    fn the_greedy_scores_only_connected_candidates() {
+        // On a flat k-hop chain only the two ends of the accumulated path
+        // share a column with it: at most two candidates a step are
+        // scored, so the scores grow linearly in k, not quadratically.
+        use crate::cost::JOIN_STEPS;
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        for k in [8, 16, 32] {
+            let hop = |i: usize| {
+                scan(
+                    &db,
+                    &store,
+                    "isLocatedIn",
+                    &format!("h{i}"),
+                    &format!("h{}", i + 1),
+                )
+            };
+            let chain = (1..k).fold(hop(0), |acc, i| RaTerm::join(acc, hop(i)));
+            JOIN_STEPS.with(|n| n.set(0));
+            let opt = optimize(&chain, &store);
+            let scored = JOIN_STEPS.with(|n| n.get());
+            assert!(scored <= 2 * k, "{k} hops: {scored} candidates scored");
+            let mut ctx = ExecContext::new();
+            let (a, b) = (
+                execute(&chain, &store, &mut ctx),
+                execute(&opt, &store, &mut ctx),
+            );
+            assert_eq!(a.unwrap().len(), b.unwrap().len());
         }
     }
 
