@@ -846,4 +846,31 @@ mod tests {
         }
         assert!(run("nonsense", &cats, &params, true).is_none());
     }
+
+    /// Both disjuncts of IS7's schema rewrite join `hasCreator ⋉ Comment`
+    /// with `replyOf ⋉ Comment ⋈ hasCreator`. The optimiser orders the
+    /// two chains alike (ties go to translation order), so the planner
+    /// runs the whole hash join once, not just the projection under it.
+    #[test]
+    fn is7_schema_plan_shares_its_hash_join() {
+        fn shared_hash_join(p: &PhysPlan) -> bool {
+            (p.op.kind() == "HashJoin" && p.parents() == 2)
+                || p.children().into_iter().any(shared_hash_join)
+        }
+        let cat = Catalog::ldbc(Scale::smoke().sf);
+        let is7 = cat.queries.iter().find(|q| q.name == "IS7").expect("IS7");
+        let prepared = sgq_service::prepared::prepare(
+            &cat.schema,
+            &cat.store(),
+            &is7.expr,
+            Backend::Relational,
+            sgq_common::Approach::Schema,
+            RewriteOptions::default(),
+        )
+        .expect("IS7 prepares");
+        let plan = prepared.plan().expect("IS7 is planned");
+        let store = cat.store();
+        let text = sgq_ra::explain::explain_plan(plan, &store, &*cat.db);
+        assert!(shared_hash_join(plan), "{text}");
+    }
 }

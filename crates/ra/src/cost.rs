@@ -556,10 +556,12 @@ impl Summary {
 
 #[cfg(test)]
 thread_local! {
-    /// Estimator steps taken on this thread, and how many of them scored
-    /// a greedy join candidate — what the one-step-per-node tests count.
+    /// Estimator steps taken on this thread, how many of them scored a
+    /// greedy join candidate, and how many join chains the greedy ordered
+    /// — what the one-step-per-node and order-once tests count.
     pub(crate) static STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     pub(crate) static JOIN_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    pub(crate) static REORDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// A binding made by [`Estimator::bind`], undone by [`Estimator::unbind`].

@@ -2,9 +2,10 @@
 # Plans at two commits: builds sgq-experiments at <rev> (a git archive
 # into $TMPDIR, its own target directory) and at this checkout, runs
 # `estimates --smoke` on both, and prints each catalog's `plans digest`,
-# `shared node`, `strategies` (operator-kind census) and `rewrite digest`
-# (every statement's rewrite outcome) lines side by side, each pair
-# `identical` or `differ`. It only reports: a change that
+# `translated terms … optimised terms …` (term sizes before and after the
+# optimiser), `shared node`, `strategies` (operator-kind census) and
+# `rewrite digest` (every statement's rewrite outcome) lines side by side,
+# each pair `identical` or `differ`. It only reports: a change that
 # means to move plans exits 0 too. A failed build or run exits non-zero.
 #
 #   scripts/plans.sh --against <rev>
@@ -22,19 +23,19 @@ git archive "$against" | tar -x -C "$before"
 plans() (
     cd "$1"
     cargo run --release --quiet --bin sgq-experiments -- estimates --smoke |
-        grep -E 'plans digest|plan a shared node|: strategies |rewrite digest'
+        grep -E 'plans digest|: translated terms |plan a shared node|: strategies |rewrite digest'
 )
 
 CARGO_TARGET_DIR="$before/target" plans "$before" >"$before/plans.before"
 plans . >"$before/plans.after"
 echo "plans: $against → here"
-# Lines pair by catalog and kind (`<catalog>: digest` / `shared` /
-# `strategies` / `rewrite`), not by position: a line one side lacks is
+# Lines pair by catalog and kind (`<catalog>: digest` / `terms` / `shared`
+# / `strategies` / `rewrite`), not by position: a line one side lacks is
 # `differ` against `(none)`, and so is a kind a side prints twice.
 awk '
     {
-        key = $1 (/plans digest/ ? " digest" : /: strategies / ? " strategies" \
-            : /rewrite digest/ ? " rewrite" : " shared")
+        key = $1 (/plans digest/ ? " digest" : /: translated terms / ? " terms" \
+            : /: strategies / ? " strategies" : /rewrite digest/ ? " rewrite" : " shared")
     }
     FNR == NR { old[key] = nold[key]++ ? old[key] " | " $0 : $0 }
     FNR != NR { new[key] = nnew[key]++ ? new[key] " | " $0 : $0 }

@@ -9,7 +9,11 @@
 //!    expressions (joins, semi-joins, unions, fixpoints) plus random
 //!    node-label semi-join filters, the shapes the translator and the
 //!    µ-RA rewriter actually produce; a third of the cases union two
-//!    translations of the path, as the schema rewrite's disjuncts do.
+//!    translations of the path, as the schema rewrite's disjuncts do, and
+//!    a third translate the path's Fig. 1 schema rewrite itself — flat
+//!    n-ary joins under stacked node-label semi-joins, checked against
+//!    the same oracle by Theorem 1. `optimize` is idempotent on every
+//!    case.
 //! 2. `execute_plan(plan(optimize(t)))` equals the oracle too, and some
 //!    cases plan a shared node.
 //! 3. `execute_plan(index-enabled) == execute_plan(index-disabled) ==
@@ -31,12 +35,14 @@
 
 use sgq_algebra::ast::PathExpr;
 use sgq_common::{ColId, EdgeLabelId, NodeLabelId, Rng};
+use sgq_core::pipeline::{rewrite_path, RewriteOptions};
 use sgq_graph::database::fig2_yago_database;
+use sgq_graph::schema::fig1_yago_schema;
 use sgq_ra::exec::{execute, execute_plan, execute_plan_traced, ExecContext};
 use sgq_ra::optimize::optimize;
 use sgq_ra::term::{closure_fixpoint, RaTerm};
 use sgq_ra::{plan, PhysOp, PhysPlan, RelStore, Relation};
-use sgq_translate::ucqt2rra::{path_to_term, NameGen};
+use sgq_translate::ucqt2rra::{path_to_term, ucqt_to_term, NameGen};
 
 /// A random path expression over the Fig. 2 database's edge labels.
 fn random_expr(db: &sgq_graph::GraphDatabase, rng: &mut Rng, depth: usize) -> PathExpr {
@@ -114,18 +120,35 @@ fn filtered(
 /// filters — for a third of the seeds, the union of two translations,
 /// the second under fresh `m$` names and its own filters, as the schema
 /// rewrite's disjuncts repeat a sub-term — and its answer by
-/// `eval_path`, with each arm's filters applied to the pairs.
+/// `eval_path`, with each arm's filters applied to the pairs. For
+/// another third the term is the translation of the path's Fig. 1 schema
+/// rewrite, whose answer is the path's by Theorem 1. Most random paths
+/// are empty under the schema, so that kind redraws the path, up to eight
+/// times, until the rewrite is not `∅` (each `∅` is checked empty by
+/// `eval_path`); after eight it falls back to one arm.
 fn random_case(
     db: &sgq_graph::GraphDatabase,
     store: &RelStore,
     rng: &mut Rng,
 ) -> (PathExpr, RaTerm, Vec<(u32, u32)>) {
     let (v0, v1) = (store.symbols.col("v0"), store.symbols.col("v1"));
-    let expr = random_expr(db, rng, 3);
-    let pairs = sgq_algebra::eval::eval_path(db, &expr);
+    let mut expr = random_expr(db, rng, 3);
+    let mut pairs = sgq_algebra::eval::eval_path(db, &expr);
     let mut names = NameGen::new(&store.symbols);
+    let kind = rng.gen_range(0..3);
+    for _ in 0..if kind == 2 { 8 } else { 0 } {
+        let rewritten = rewrite_path(&fig1_yago_schema(), &expr, RewriteOptions::default());
+        if let Some(query) = rewritten.outcome.query() {
+            let term = ucqt_to_term(query, &mut names).expect("the rewrite translates");
+            let want = pairs.iter().map(|(s, t)| (s.raw(), t.raw())).collect();
+            return (expr, term, want);
+        }
+        assert!(pairs.is_empty(), "the schema proves {expr:?} empty");
+        expr = random_expr(db, rng, 3);
+        pairs = sgq_algebra::eval::eval_path(db, &expr);
+    }
     let (mut term, mut want) = (None, Vec::new());
-    for _ in 0..if rng.gen_bool(1.0 / 3.0) { 2 } else { 1 } {
+    for _ in 0..if kind == 0 { 2 } else { 1 } {
         let arm = RaTerm::project(path_to_term(&expr, v0, v1, &mut names), vec![v0, v1]);
         let (arm, filters) = filtered(db, rng, arm, &[v0, v1]);
         let keep = |&(s, t): &(sgq_common::NodeId, sgq_common::NodeId)| {
@@ -161,6 +184,7 @@ fn optimize_preserves_execution_results() {
         let mut rng = Rng::seed_from_u64(seed);
         let (expr, term, want) = random_case(&db, &store, &mut rng);
         let opt = optimize(&term, &store);
+        assert_eq!(optimize(&opt, &store), opt, "(seed {seed}) not idempotent");
 
         let mut ctx = ExecContext::new();
         let plain = execute(&term, &store, &mut ctx).expect("plain term executes");
@@ -191,6 +215,7 @@ fn physical_plans_match_term_execution() {
         let mut rng = Rng::seed_from_u64(seed ^ 0x9a7);
         let (expr, term, want) = random_case(&db, &store, &mut rng);
         let opt = optimize(&term, &store);
+        assert_eq!(optimize(&opt, &store), opt, "(seed {seed}) not idempotent");
         let p = plan(&opt, &store).expect("optimized term lowers");
         shared += shares_a_node(&p) as usize;
         let mut ctx = ExecContext::new();
