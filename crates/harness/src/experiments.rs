@@ -457,10 +457,12 @@ pub fn physical_plans(ldbc: &Catalog) -> String {
     let db = sgq_graph::database::fig2_yago_database();
     let mut store = sgq_ra::RelStore::load(&db);
     let s = &store.symbols;
-    let scan = |label: &str, src: &str, tgt: &str| RaTerm::EdgeScan {
-        label: db.edge_label_id(label).expect("label exists"),
-        src: s.col(src),
-        tgt: s.col(tgt),
+    let scan = |label: &str, src: &str, tgt: &str| {
+        RaTerm::edge_scan(
+            db.edge_label_id(label).expect("label exists"),
+            s.col(src),
+            s.col(tgt),
+        )
     };
     let mut out = String::from("Physical execution plans (Fig. 2 database)\n");
     let mut section = |title: &str, plan: String| {

@@ -27,7 +27,7 @@ use sgq_obs::{chrome_traces_json, QueryTrace, Tracer};
 use sgq_query::cqt::ucqt_to_string;
 use sgq_ra::cost::q_error;
 use sgq_ra::exec::{execute_plan, execute_plan_traced, fuses_its_join, ExecContext};
-use sgq_ra::{PhysOp, PhysPlan, RelStore};
+use sgq_ra::{PhysOp, PhysPlan, RaTerm, RelStore};
 use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
 
 use crate::experiments;
@@ -218,10 +218,12 @@ fn strategy(run: &Run, cat: &Catalog, store: &RelStore) -> Option<String> {
 /// unchanged" is a one-line diff of this experiment's output. A second
 /// line counts the nodes of the translated and the optimised terms, and
 /// how many are distinct: the repeated sub-terms the front end's term
-/// DAG handles once.
+/// DAG handles once; and the semi-joins and node scans left in the
+/// optimised terms: the label filters that did not fold into a scan.
 fn plans_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> String {
     let (mut planned, mut term_nodes, mut plan_nodes) = (0, 0, 0);
     let mut sizes = [[0; 2]; 2];
+    let mut filters = [0; 2];
     let mut digest = FxHasher::default();
     for (q, run) in cat.queries.iter().zip(&cold.runs) {
         let prepared = run.as_ref().and_then(|r| r.prepared.as_deref());
@@ -237,6 +239,7 @@ fn plans_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> String {
         planned += 1;
         let optimised = sgq_ra::optimize::optimize(&term, store);
         term_nodes += optimised.size();
+        count_filters(&optimised, &mut filters);
         for (n, t) in sizes.iter_mut().zip([&term, &optimised]) {
             (n[0], n[1]) = (n[0] + t.size(), n[1] + t.distinct());
         }
@@ -244,15 +247,42 @@ fn plans_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> String {
         sgq_ra::explain::explain_plan(plan, store, &*cat.db).hash(&mut digest);
     }
     let [[tn, td], [on, od]] = sizes;
+    let [semijoins, node_scans] = filters;
     format!(
         "{}: {planned} statements planned, {term_nodes} optimised term nodes, \
          {plan_nodes} plan nodes, plans digest {:016x}\n\
          {}: translated terms {tn} term nodes, {td} distinct; \
-         optimised terms {on} term nodes, {od} distinct\n",
+         optimised terms {on} term nodes, {od} distinct, \
+         {semijoins} semi-joins, {node_scans} node scans\n",
         cat.name,
         digest.finish(),
         cat.name,
     )
+}
+
+/// Adds `term`'s `Semijoin` and `NodeScan` nodes to `counts`.
+fn count_filters(term: &RaTerm, counts: &mut [usize; 2]) {
+    let kids: Vec<&RaTerm> = match term {
+        RaTerm::Semijoin(a, b) => {
+            counts[0] += 1;
+            vec![a, b]
+        }
+        RaTerm::NodeScan { .. } => {
+            counts[1] += 1;
+            vec![]
+        }
+        RaTerm::Join(a, b) | RaTerm::Union(a, b) => vec![a, b],
+        RaTerm::Fixpoint { base, step, .. } => vec![base, step],
+        RaTerm::Project { input, .. }
+        | RaTerm::Select { input, .. }
+        | RaTerm::Rename { input, .. } => {
+            vec![input]
+        }
+        RaTerm::EdgeScan { .. } | RaTerm::RecRef { .. } => vec![],
+    };
+    for k in kids {
+        count_filters(k, counts);
+    }
 }
 
 /// One line that is equal at two commits iff the schema rewrite of every

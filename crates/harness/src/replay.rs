@@ -1042,11 +1042,7 @@ mod tests {
         // σ over a column the scan does not produce: `plan()` rejects it.
         let owns = cat.db.edge_label_id("owns").expect("YAGO has owns");
         let (x, y) = (store.symbols.col("x"), store.symbols.col("y"));
-        let scan = sgq_ra::RaTerm::EdgeScan {
-            label: owns,
-            src: x,
-            tgt: y,
-        };
+        let scan = sgq_ra::RaTerm::edge_scan(owns, x, y);
         let malformed = sgq_ra::RaTerm::select_eq(scan, x, store.symbols.col("nope"));
         let e = sgq_ra::plan(&malformed, &store).expect_err("unknown column");
         assert!(matches!(e, SgqError::Execution(_)), "{e}");

@@ -2,9 +2,8 @@
 //! distinct operator node.
 //!
 //! **The step.** Everything the front end derives for a term node is
-//! one `Summary`: the `Card` (estimated rows, a
-//! distinct-value estimate per column, and for a — possibly
-//! label-filtered — scan its **label pedigree**), the rename-invariant
+//! one `Summary`: the `Card` (estimated rows and a distinct-value
+//! estimate per column), the rename-invariant
 //! fingerprint, the cost split into a recursion-independent part (paid
 //! once per fixpoint) and a recursion-dependent part (paid every round),
 //! whether the rows came from the feedback memo, and the deepest closure
@@ -13,9 +12,10 @@
 //! and summaries — it never descends. The formulas, all off measured
 //! statistics:
 //!
-//! * a scan filtered by node-label semi-joins is estimated straight from
-//!   the per-triple counts — for a fully annotated scan the estimate is
-//!   *exact*;
+//! * a label-filtered scan is estimated straight from the per-triple
+//!   counts of its **label pedigree** — for a fully annotated scan the
+//!   estimate is *exact* — and costed as the semi-join stack it stands
+//!   for, so join ordering and the index-join race see either form alike;
 //! * join selectivity is `1 / max(V(L,c), V(R,c))` over the tracked
 //!   distinct counts (falling back to `min(|rel|, |V(G)|)` only when a
 //!   column's provenance is unknown), an equality selection
@@ -63,7 +63,7 @@ use sgq_common::{ColId, EdgeLabelId, FxHashMap, FxHasher, NodeLabelId, RecVarId}
 
 use crate::feedback::Observation;
 use crate::storage::RelStore;
-use crate::term::{Dag, Id, NodeMemo, Op, RaTerm};
+use crate::term::{Dag, Id, NodeMemo, Op, RaTerm, ScanLabels};
 
 /// An estimate for one term: output rows and cumulative cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,18 +220,11 @@ pub(crate) fn index_join_cost(probe: &Estimate, degree: f64, out_rows: f64) -> f
     probe.cost + probe.rows * (1.0 + degree) + out_rows
 }
 
-/// Cost of a denormalised filtered scan: the endpoint-label slice was
-/// materialised at load, so the scan pays exactly the slice's rows —
-/// the semi-join filter is free.
-pub(crate) fn denorm_scan_cost(slice_rows: f64) -> f64 {
-    slice_rows
-}
-
 /// Label pedigree of an edge scan: the columns its endpoints are named
 /// after renames, and which node labels they are known (via semi-join
 /// filters) to carry (a node passes when its label is in the list;
 /// `None` = unrestricted). Also the scan a CSR index join absorbs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScanInfo {
     /// Edge label.
     pub label: EdgeLabelId,
@@ -240,35 +233,22 @@ pub struct ScanInfo {
     /// Target endpoint column.
     pub tgt: ColId,
     /// Node labels of the source endpoint.
-    pub src_labels: Option<Vec<NodeLabelId>>,
+    pub src_labels: Option<Box<[NodeLabelId]>>,
     /// Node labels of the target endpoint.
-    pub tgt_labels: Option<Vec<NodeLabelId>>,
+    pub tgt_labels: Option<Box<[NodeLabelId]>>,
 }
 
 impl ScanInfo {
-    pub(crate) fn bare(label: EdgeLabelId, src: ColId, tgt: ColId) -> Self {
+    /// The pedigree of a scan node's fields.
+    pub(crate) fn of(label: EdgeLabelId, src: ColId, tgt: ColId, ls: &ScanLabels) -> Self {
+        let [src_labels, tgt_labels] = ls.as_deref().cloned().unwrap_or_default();
         ScanInfo {
             label,
             src,
             tgt,
-            src_labels: None,
-            tgt_labels: None,
+            src_labels,
+            tgt_labels,
         }
-    }
-
-    /// Restricts the endpoint exposed as `col` to `labels` (intersecting
-    /// with any previous restriction).
-    pub(crate) fn refine(mut self, col: ColId, labels: &[NodeLabelId]) -> ScanInfo {
-        let slot = if col == self.src {
-            &mut self.src_labels
-        } else {
-            &mut self.tgt_labels
-        };
-        *slot = Some(match slot.take() {
-            Some(prev) => prev.into_iter().filter(|l| labels.contains(l)).collect(),
-            None => labels.to_vec(),
-        });
-        self
     }
 
     pub(crate) fn rename(&mut self, from: ColId, to: ColId) {
@@ -293,20 +273,13 @@ impl ScanInfo {
     }
 }
 
-/// Cardinality description of one intermediate: estimated rows, estimated
-/// distinct values per column, and (when the intermediate is a — possibly
-/// label-filtered — edge or node scan) its provenance for triple-count
-/// lookups.
+/// Cardinality description of one intermediate: estimated rows and
+/// estimated distinct values per column.
 #[derive(Debug, Clone, Default)]
 struct Card {
     rows: f64,
     /// Per-column distinct-value estimates.
     distinct: Vec<(ColId, f64)>,
-    /// Edge-scan pedigree, when the rows are exactly a label-restricted
-    /// edge table.
-    scan: Option<ScanInfo>,
-    /// Node-scan pedigree: the column and the node labels it ranges over.
-    node_labels: Option<(ColId, Vec<NodeLabelId>)>,
 }
 
 impl Card {
@@ -340,14 +313,6 @@ impl Card {
                 *c = to;
             }
         }
-        if let Some(info) = &mut self.scan {
-            info.rename(from, to);
-        }
-        if let Some((c, _)) = &mut self.node_labels {
-            if *c == from {
-                *c = to;
-            }
-        }
     }
 }
 
@@ -359,16 +324,20 @@ fn nodes_f(store: &RelStore) -> f64 {
 /// from the statistics: unrestricted scans read the per-label counts,
 /// single-endpoint restrictions the per-`(src, le)` / `(le, tgt)`
 /// aggregates, and doubly restricted scans the exact triple counts.
-fn scan_card(info: ScanInfo, store: &RelStore) -> Card {
+fn scan_card(
+    le: EdgeLabelId,
+    cols: [ColId; 2],
+    labels: [Option<&[NodeLabelId]>; 2],
+    store: &RelStore,
+) -> Card {
     let st = &store.stats;
-    let le = info.label;
-    let (rows, dsrc, dtgt) = match (&info.src_labels, &info.tgt_labels) {
-        (None, None) => (
+    let (rows, dsrc, dtgt) = match labels {
+        [None, None] => (
             st.edge_cardinality(le) as f64,
             st.distinct_sources(le) as f64,
             st.distinct_targets(le) as f64,
         ),
-        (Some(srcs), None) => {
+        [Some(srcs), None] => {
             let (mut c, mut ds) = (0.0, 0.0);
             for &s in srcs {
                 let g = st.source_group(s, le);
@@ -377,7 +346,7 @@ fn scan_card(info: ScanInfo, store: &RelStore) -> Card {
             }
             (c, ds, (st.distinct_targets(le) as f64).min(c))
         }
-        (None, Some(tgts)) => {
+        [None, Some(tgts)] => {
             let (mut c, mut dt) = (0.0, 0.0);
             for &t in tgts {
                 let g = st.target_group(le, t);
@@ -386,7 +355,7 @@ fn scan_card(info: ScanInfo, store: &RelStore) -> Card {
             }
             (c, (st.distinct_sources(le) as f64).min(c), dt)
         }
-        (Some(srcs), Some(tgts)) => {
+        [Some(srcs), Some(tgts)] => {
             let (mut c, mut ds, mut dt) = (0.0, 0.0, 0.0);
             for &s in srcs {
                 for &t in tgts {
@@ -399,12 +368,10 @@ fn scan_card(info: ScanInfo, store: &RelStore) -> Card {
             (c, ds, dt)
         }
     };
-    let (src, tgt) = (info.src, info.tgt);
+    let [src, tgt] = cols;
     Card {
         rows,
         distinct: vec![(src, dsrc.min(rows)), (tgt, dtgt.min(rows))],
-        scan: Some(info),
-        node_labels: None,
     }
 }
 
@@ -430,49 +397,15 @@ fn join_card(a: &Card, b: &Card, shared: &[ColId], store: &RelStore) -> Card {
             distinct.push((c, vb));
         }
     }
-    Card {
-        rows,
-        distinct,
-        scan: None,
-        node_labels: None,
-    }
-    .cap_distinct()
+    Card { rows, distinct }.cap_distinct()
 }
 
-/// Semi-join output cardinality. A node-label filter on an edge
-/// scan refines the scan's label pedigree and re-reads the aggregate /
-/// triple counts — the estimate for a fully annotated scan is exact;
-/// everything else uses the containment assumption
-/// `Π_c min(V(L,c), V(R,c)) / V(L,c)`.
+/// Semi-join output cardinality by the containment assumption
+/// `Π_c min(V(L,c), V(R,c)) / V(L,c)`. (A node-label filter on an edge
+/// scan's endpoint is no semi-join: it is the scan's own label set, read
+/// by `scan_card`.)
 fn semijoin_card(a: &Card, b: &Card, shared: &[ColId], store: &RelStore) -> Card {
     let (la, lb) = (a.rows, b.rows);
-    // Label-aware fast paths: the filter is a node scan on one of the
-    // left side's pedigree endpoints.
-    if let (Some(info), Some((col, labels))) = (&a.scan, &b.node_labels) {
-        if shared == [*col] && (*col == info.src || *col == info.tgt) {
-            let refined = info.clone().refine(*col, labels);
-            let mut out = scan_card(refined, store);
-            out.rows = out.rows.min(la);
-            return out.cap_distinct();
-        }
-    }
-    if let (Some((ca, als)), Some((cb, bls))) = (&a.node_labels, &b.node_labels) {
-        if ca == cb && shared == [*ca] {
-            let inter: Vec<NodeLabelId> = als.iter().copied().filter(|l| bls.contains(l)).collect();
-            let rows = (inter
-                .iter()
-                .map(|&l| store.stats.label_cardinality(l) as f64)
-                .sum::<f64>())
-            .min(la);
-            let col = *ca;
-            return Card {
-                rows,
-                distinct: vec![(col, rows)],
-                scan: None,
-                node_labels: Some((col, inter)),
-            };
-        }
-    }
     let mut frac = if shared.is_empty() {
         if lb > 0.0 {
             1.0
@@ -489,9 +422,6 @@ fn semijoin_card(a: &Card, b: &Card, shared: &[ColId], store: &RelStore) -> Card
     }
     let mut out = a.clone();
     out.rows = la * frac;
-    // The surviving rows are no longer exactly a label-restricted table.
-    out.scan = None;
-    out.node_labels = None;
     out.cap_distinct()
 }
 
@@ -690,28 +620,36 @@ impl<'a> Estimator<'a> {
             cols.next().unwrap_or_default(),
         );
         let raw = match dag.node(id) {
-            Op::EdgeScan(label, src, tgt) => {
-                let card = scan_card(ScanInfo::bare(*label, *src, *tgt), store);
-                let fp = fp_hash(FP_EDGE, &[label.raw() as u64, (src == tgt) as u64]);
+            Op::EdgeScan(label, src, tgt, ls) => {
+                // Priced and fingerprinted as the semi-join stack it
+                // stands for, the target's filter innermost as the
+                // rewrite's atoms, listed by variable, stack: a filter
+                // pays its node scan and both inputs' rows.
+                let [s, t] = ls
+                    .as_deref()
+                    .map_or([None, None], |[s, t]| [s.as_deref(), t.as_deref()]);
+                let mut fp = fp_hash(FP_EDGE, &[label.raw() as u64, (src == tgt) as u64]);
+                let mut card = scan_card(*label, [*src, *tgt], [None, None], store);
+                let mut cost = card.rows;
+                for (pos, labels, ends) in [(1, t, [None, t]), (0, s, [s, t])] {
+                    let Some(labels) = labels else { continue };
+                    cost += card.rows + 2.0 * node_rows(labels, store);
+                    let key = [fp_hash(FP_POS, &[pos]), fp_hash(FP_POS, &[0])];
+                    fp = fp_hash(FP_SEMI, &[fp, key[0], node_fp(labels), key[1]]);
+                    let rows = card.rows;
+                    card = scan_card(*label, [*src, *tgt], ends, store);
+                    card.rows = card.rows.min(rows);
+                    card = card.cap_distinct();
+                }
                 Summary {
                     depth: store.stats.closure_depth(*label),
-                    ..Summary::over(&[], card.rows, card, fp)
+                    ..Summary::over(&[], cost, card, fp)
                 }
             }
             Op::NodeScan(labels, col) => {
-                let rows: f64 = labels
-                    .iter()
-                    .map(|&l| store.stats.label_cardinality(l) as f64)
-                    .sum();
-                let card = Card {
-                    rows,
-                    distinct: vec![(*col, rows)],
-                    scan: None,
-                    node_labels: Some((*col, labels.clone())),
-                };
-                let mut ls: Vec<u64> = labels.iter().map(|l| l.raw() as u64).collect();
-                ls.sort_unstable();
-                Summary::over(&[], rows, card, fp_hash(FP_NODE, &ls))
+                let rows = node_rows(labels, store);
+                let distinct = vec![(*col, rows)];
+                Summary::over(&[], rows, Card { rows, distinct }, node_fp(labels))
             }
             Op::Join(..) => self.join_formula((ca, &self[kids[0]]), (cb, &self[kids[1]])),
             Op::Semijoin(..) => {
@@ -738,25 +676,7 @@ impl<'a> Estimator<'a> {
                 let distinct = (a.card.distinct.iter())
                     .map(|&(c, va)| (c, va + b.card.dv(c, store)))
                     .collect();
-                let node_labels = match (&a.card.node_labels, &b.card.node_labels) {
-                    (Some((ca, als)), Some((cb, bls))) if ca == cb => {
-                        let mut ls = als.clone();
-                        for l in bls {
-                            if !ls.contains(l) {
-                                ls.push(*l);
-                            }
-                        }
-                        Some((*ca, ls))
-                    }
-                    _ => None,
-                };
-                let card = Card {
-                    rows,
-                    distinct,
-                    scan: None,
-                    node_labels,
-                }
-                .cap_distinct();
+                let card = Card { rows, distinct }.cap_distinct();
                 Summary::over(&[a, b], rows, card, fp)
             }
             Op::Project(_, cols) => {
@@ -769,16 +689,8 @@ impl<'a> Estimator<'a> {
                     .filter(|(c, _)| cols.contains(c))
                     .copied()
                     .collect();
-                let scan = (p.card.scan.clone())
-                    .filter(|info| cols.contains(&info.src) && cols.contains(&info.tgt));
-                let node_labels = p.card.node_labels.clone().filter(|(c, _)| cols.contains(c));
-                let card = Card {
-                    rows: p.card.rows.min(prod),
-                    distinct,
-                    scan,
-                    node_labels,
-                }
-                .cap_distinct();
+                let rows = p.card.rows.min(prod);
+                let card = Card { rows, distinct }.cap_distinct();
                 Summary::over(&[p], p.card.rows, card, fp)
             }
             Op::Rename(_, from, to) => {
@@ -796,8 +708,6 @@ impl<'a> Estimator<'a> {
                 let v = p.card.dv(*a, store).max(p.card.dv(*b, store)).max(1.0);
                 let mut card = p.card.clone();
                 card.rows = p.card.rows / v;
-                card.scan = None;
-                card.node_labels = None;
                 Summary::over(&[p], p.card.rows, card.cap_distinct(), fp)
             }
             Op::Fixpoint(_, _, _, stable) => {
@@ -822,13 +732,7 @@ impl<'a> Estimator<'a> {
                         )
                     })
                     .collect();
-                let card = Card {
-                    rows,
-                    distinct,
-                    scan: None,
-                    node_labels: None,
-                }
-                .cap_distinct();
+                let card = Card { rows, distinct }.cap_distinct();
                 // The static step cost is paid once (the physical executor
                 // caches those intermediates across rounds); only the
                 // delta-dependent part multiplies with the iteration
@@ -922,6 +826,19 @@ impl<'a> Estimator<'a> {
     }
 }
 
+/// Rows of the union of the node tables of `labels`.
+fn node_rows(labels: &[NodeLabelId], store: &RelStore) -> f64 {
+    let rows = labels.iter().map(|&l| store.stats.label_cardinality(l));
+    rows.sum::<usize>() as f64
+}
+
+/// Fingerprint of a node scan over `labels`, whatever their order.
+fn node_fp(labels: &[NodeLabelId]) -> u64 {
+    let mut ls: Vec<u64> = labels.iter().map(|l| l.raw() as u64).collect();
+    ls.sort_unstable();
+    fp_hash(FP_NODE, &ls)
+}
+
 /// Shared columns in left-schema order.
 pub(crate) fn shared_cols(left: &[ColId], right: &[ColId]) -> Vec<ColId> {
     left.iter().filter(|c| right.contains(c)).copied().collect()
@@ -941,11 +858,11 @@ mod tests {
         src: &str,
         tgt: &str,
     ) -> RaTerm {
-        RaTerm::EdgeScan {
-            label: db.edge_label_id(label).unwrap(),
-            src: store.symbols.col(src),
-            tgt: store.symbols.col(tgt),
-        }
+        RaTerm::edge_scan(
+            db.edge_label_id(label).unwrap(),
+            store.symbols.col(src),
+            store.symbols.col(tgt),
+        )
     }
 
     fn node(db: &sgq_graph::GraphDatabase, store: &RelStore, label: &str, col: &str) -> RaTerm {

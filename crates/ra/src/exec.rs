@@ -28,9 +28,9 @@
 //! load-time CSR lists directly: nothing to build, in any round.
 //!
 //! **One kernel per probe-side operator.** The probe side of a hash or
-//! index join is one *kernel*, and so is every semi-join that is not a
-//! precomputed slice — a hash semi-join or a filter fused onto an edge
-//! scan, both the one hash filter: a function from a row range of the
+//! index join is one *kernel*, and so is every filter that is not a
+//! precomputed slice — a hash semi-join, a key set or label test on an
+//! edge scan, all one row filter: a function from a row range of the
 //! probe to the rows it emits for that range, owning `Arc`-shared
 //! handles on its inputs. A join kernel emits through a layout: its own
 //! columns, or — when a projection is the join's only reader — the
@@ -450,11 +450,23 @@ impl Interp<'_> {
                     Relation::union_many(tables)
                 }
             }
-            PhysOp::FilteredEdgeScan { label, filter, key } => {
+            PhysOp::FilteredEdgeScan { scan, filter, key } => {
                 self.ctx.scans += 1;
                 self.limits.fault("exec.scan")?;
-                let edges = self.store.edge_table(*label).into_cols(p.cols.clone());
-                return self.hash_semi_filter(p, edges, filter, key);
+                let mut edges = self.store.edge_table(scan.label).into_cols(p.cols.clone());
+                if scan.src_labels.is_some() || scan.tgt_labels.is_some() {
+                    // The index join's membership check, per endpoint.
+                    let sets = scan
+                        .endpoints(true)
+                        .map(|(_, ls)| self.label_set_tables(ls));
+                    let pass =
+                        move |row: &[u32]| sets.iter().zip(row).all(|(s, &v)| tables_contain(s, v));
+                    edges = self.filter_rows(p, edges, pass)?;
+                }
+                return match filter {
+                    Some(filter) => self.hash_semi_filter(p, edges, filter, key),
+                    None => Ok(edges),
+                };
             }
             PhysOp::MergeJoin { left, right, key } => {
                 let l = self.eval(left)?;
@@ -712,10 +724,8 @@ impl Interp<'_> {
                             limits.poll()?;
                         }
                         let v = prow[key_pos];
-                        if let Some(sets) = &key_sets {
-                            if !tables_contain(sets, v) {
-                                continue;
-                            }
+                        if !tables_contain(&key_sets, v) {
+                            continue;
                         }
                         for n in csr.neighbors(NodeId::new(v)) {
                             steps += 1;
@@ -723,10 +733,8 @@ impl Interp<'_> {
                                 limits.poll()?;
                             }
                             let nv = n.raw();
-                            if let Some(sets) = &emit_sets {
-                                if !tables_contain(sets, nv) {
-                                    continue;
-                                }
+                            if !tables_contain(&emit_sets, nv) {
+                                continue;
                             }
                             emit_row(&layout, prow, &[nv], &mut data);
                         }
@@ -772,8 +780,7 @@ impl Interp<'_> {
     }
 
     /// Filters `left` (whose schema is `p`'s) by a (possibly cached) key
-    /// set collected from `filter` on the `key` columns. Filtering
-    /// preserves canonical order, so morsel runs concatenate.
+    /// set collected from `filter` on the `key` columns.
     fn hash_semi_filter(
         &mut self,
         p: &PhysPlan,
@@ -790,6 +797,17 @@ impl Interp<'_> {
         let Cached::Keys(keys) = built else {
             unreachable!("a hash semi-join's cache slot holds its key set")
         };
+        self.filter_rows(p, left, move |row| keys.get(row, &key_pos).is_some())
+    }
+
+    /// The rows of `left` (whose schema is `p`'s) that `pass`. Filtering
+    /// preserves canonical order, so morsel runs concatenate.
+    fn filter_rows(
+        &mut self,
+        p: &PhysPlan,
+        left: Relation,
+        pass: impl Fn(&[u32]) -> bool + Send + Sync + 'static,
+    ) -> Result<Relation> {
         let len = left.len();
         let kernel = move |range: Range<usize>, limits: &Limits| {
             let mut data: Vec<u32> = Vec::new();
@@ -797,7 +815,7 @@ impl Interp<'_> {
                 if i & POLL_MASK == 0 {
                     limits.poll()?;
                 }
-                if keys.get(row, &key_pos).is_some() {
+                if pass(row) {
                     data.extend_from_slice(row);
                 }
             }
@@ -816,10 +834,12 @@ pub fn fuses_its_join(p: &PhysPlan) -> bool {
         && matches!(input.op, PhysOp::HashJoin { .. } | PhysOp::IndexJoin { .. }))
 }
 
-/// Whether `v` is in any of the node tables' sorted id sets (an empty
-/// list — an impossible filter intersection — matches nothing).
-fn tables_contain(sets: &[Relation], v: u32) -> bool {
-    sets.iter().any(|s| s.flat().binary_search(&v).is_ok())
+/// Whether `v` passes a label filter: there is none, or `v` is in one of
+/// its node tables' sorted id sets (an empty list — an impossible filter
+/// intersection — matches nothing).
+fn tables_contain(sets: &Option<Vec<Relation>>, v: u32) -> bool {
+    let hit = |s: &Relation| s.flat().binary_search(&v).is_ok();
+    sets.as_ref().is_none_or(|sets| sets.iter().any(hit))
 }
 
 /// The emit layout of a join kernel: where each `emit` column sits in a
@@ -874,11 +894,11 @@ mod tests {
         src: &str,
         tgt: &str,
     ) -> RaTerm {
-        RaTerm::EdgeScan {
-            label: db.edge_label_id(label).unwrap(),
-            src: store.symbols.col(src),
-            tgt: store.symbols.col(tgt),
-        }
+        RaTerm::edge_scan(
+            db.edge_label_id(label).unwrap(),
+            store.symbols.col(src),
+            store.symbols.col(tgt),
+        )
     }
 
     #[test]

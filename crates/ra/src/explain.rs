@@ -156,11 +156,15 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
             names.edge_name(*label),
             symbols.col_list(&p.cols, ", ")
         ),
-        PhysOp::FilteredEdgeScan { label, key, .. } => format!(
-            "Filtered Seq Scan on {} ({}) [hash filter on {}]",
-            names.edge_name(*label),
+        PhysOp::FilteredEdgeScan { scan, filter, key } => format!(
+            "Filtered Seq Scan on {} ({}{}) [{}]",
+            names.edge_name(scan.label),
             symbols.col_list(&p.cols, ", "),
-            symbols.col_list(key, ", ")
+            endpoint_filters(names, scan),
+            match filter {
+                Some(_) => format!("hash filter on {}", symbols.col_list(key, ", ")),
+                None => "label filter".to_string(),
+            }
         ),
         PhysOp::DenormEdgeScan {
             label,
@@ -248,11 +252,11 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
     }
 }
 
-/// Renders the endpoint label restrictions of an index join,
-/// e.g. `, src ∈ City, tgt ∈ Country` (`∅` for an impossible filter
-/// intersection).
+/// Renders the endpoint label restrictions of a filtered scan or an
+/// index join, e.g. `, src ∈ City, tgt ∈ Country` (`∅` for an impossible
+/// filter intersection).
 fn endpoint_filters(names: &dyn PlanNames, scan: &crate::cost::ScanInfo) -> String {
-    let render = |labels: &Vec<sgq_common::NodeLabelId>| {
+    let render = |labels: &[sgq_common::NodeLabelId]| {
         if labels.is_empty() {
             "∅".to_string()
         } else {
@@ -287,7 +291,9 @@ fn parallel_probe_rows(p: &PhysPlan, store: &RelStore) -> Option<f64> {
         } => Some(if *build_left { &right.est } else { &left.est }.rows),
         PhysOp::IndexJoin { probe, .. } => Some(probe.est.rows),
         PhysOp::HashSemiJoin { left, .. } => Some(left.est.rows),
-        PhysOp::FilteredEdgeScan { label, .. } => Some(store.stats.edge_cardinality(*label) as f64),
+        PhysOp::FilteredEdgeScan { scan, .. } => {
+            Some(store.stats.edge_cardinality(scan.label) as f64)
+        }
         _ => None,
     }
 }
@@ -366,16 +372,12 @@ mod tests {
         store.index_joins = false;
         let s = &store.symbols;
         let t = RaTerm::join(
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("owns").unwrap(),
-                src: s.col("x"),
-                tgt: s.col("y"),
-            },
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("isLocatedIn").unwrap(),
-                src: s.col("y"),
-                tgt: s.col("z"),
-            },
+            RaTerm::edge_scan(db.edge_label_id("owns").unwrap(), s.col("x"), s.col("y")),
+            RaTerm::edge_scan(
+                db.edge_label_id("isLocatedIn").unwrap(),
+                s.col("y"),
+                s.col("z"),
+            ),
         );
         let rendered = explain(&t, &store, &db);
         // owns (1 row) is the estimated-smaller side: it builds.
@@ -394,16 +396,12 @@ mod tests {
         store.index_joins = false;
         let s = &store.symbols;
         let t = RaTerm::join(
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("isLocatedIn").unwrap(),
-                src: s.col("x"),
-                tgt: s.col("y"),
-            },
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("owns").unwrap(),
-                src: s.col("x"),
-                tgt: s.col("z"),
-            },
+            RaTerm::edge_scan(
+                db.edge_label_id("isLocatedIn").unwrap(),
+                s.col("x"),
+                s.col("y"),
+            ),
+            RaTerm::edge_scan(db.edge_label_id("owns").unwrap(), s.col("x"), s.col("z")),
         );
         let rendered = explain(&t, &store, &db);
         assert!(rendered.contains("Merge Join (key = x)"), "{rendered}");
@@ -416,11 +414,11 @@ mod tests {
         let store = RelStore::load(&db);
         let s = &store.symbols;
         let t = RaTerm::semijoin(
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("isLocatedIn").unwrap(),
-                src: s.col("x"),
-                tgt: s.col("y"),
-            },
+            RaTerm::edge_scan(
+                db.edge_label_id("isLocatedIn").unwrap(),
+                s.col("x"),
+                s.col("y"),
+            ),
             // Two labels: a filter no precomputed slice serves.
             RaTerm::NodeScan {
                 labels: ["REGION", "COUNTRY"]
@@ -438,15 +436,14 @@ mod tests {
             rendered.contains("rows = 1 actual = 1 q = 1.00"),
             "{rendered}"
         );
-        // The semi-join fuses onto the scan as a hash filter on x.
+        // The semi-join is the scan's label filter on x: no node scan.
         assert!(
-            rendered.contains("Filtered Seq Scan on isLocatedIn (x, y) [hash filter on x]"),
+            rendered.contains(
+                "Filtered Seq Scan on isLocatedIn (x, y, src ∈ REGION∪COUNTRY) [label filter]"
+            ),
             "{rendered}"
         );
-        assert!(
-            rendered.contains("Index Scan on REGION∪COUNTRY"),
-            "{rendered}"
-        );
+        assert!(!rendered.contains("Index Scan"), "{rendered}");
     }
 
     /// Executes `t` traced and renders its structured `EXPLAIN ANALYZE`.
@@ -463,11 +460,11 @@ mod tests {
         let store = RelStore::load(&db);
         let s = &store.symbols;
         let t = RaTerm::semijoin(
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("isLocatedIn").unwrap(),
-                src: s.col("x"),
-                tgt: s.col("y"),
-            },
+            RaTerm::edge_scan(
+                db.edge_label_id("isLocatedIn").unwrap(),
+                s.col("x"),
+                s.col("y"),
+            ),
             // Two labels: a filter no precomputed slice serves.
             RaTerm::NodeScan {
                 labels: ["REGION", "COUNTRY"]
@@ -476,12 +473,13 @@ mod tests {
                 col: s.col("x"),
             },
         );
+        let t = RaTerm::project(t, vec![s.col("x"), s.col("y")]);
         let (rel, json) = analyzed(&t, &store, &db);
         assert_eq!(rel.len(), 1);
         let JsonValue::Arr(nodes) = &json else {
             panic!("array of node records, got {json:?}")
         };
-        // Fused filtered scan + its node-scan filter, in pre-order.
+        // The projection + the label-filtered scan, in pre-order.
         assert_eq!(nodes.len(), 2);
         let field = |node: &JsonValue, key: &str| -> JsonValue {
             let JsonValue::Obj(fields) = node else {
@@ -499,8 +497,9 @@ mod tests {
         assert_eq!(field(&nodes[0], "id"), JsonValue::Int(1));
         assert_eq!(field(&nodes[1], "id"), JsonValue::Int(0));
         assert_eq!(field(&nodes[0], "depth"), JsonValue::Int(0));
+        assert!(matches!(field(&nodes[0], "op"), JsonValue::Str(op) if op.contains("Project")));
         assert!(
-            matches!(field(&nodes[0], "op"), JsonValue::Str(op) if op.contains("Filtered Seq Scan")),
+            matches!(field(&nodes[1], "op"), JsonValue::Str(op) if op.contains("Filtered Seq Scan")),
         );
         // The triple-count estimate is exact here: 1 row, q-error 1.
         assert_eq!(field(&nodes[0], "actual_rows"), JsonValue::Int(1));
@@ -520,11 +519,11 @@ mod tests {
         let db = fig2_yago_database();
         let store = RelStore::load(&db);
         let s = &store.symbols;
-        let t = RaTerm::EdgeScan {
-            label: db.edge_label_id("isLocatedIn").unwrap(),
-            src: s.col("x"),
-            tgt: s.col("y"),
-        };
+        let t = RaTerm::edge_scan(
+            db.edge_label_id("isLocatedIn").unwrap(),
+            s.col("x"),
+            s.col("y"),
+        );
         let before = explain(&t, &store, &db);
         assert!(!before.contains("[memo]"), "{before}");
         // An observed cardinality overrides the formula estimate, and the
@@ -542,22 +541,18 @@ mod tests {
         let store = RelStore::load(&db);
         let s = &store.symbols;
         let filtered = RaTerm::semijoin(
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("isLocatedIn").unwrap(),
-                src: s.col("y"),
-                tgt: s.col("z"),
-            },
+            RaTerm::edge_scan(
+                db.edge_label_id("isLocatedIn").unwrap(),
+                s.col("y"),
+                s.col("z"),
+            ),
             RaTerm::NodeScan {
                 labels: vec![db.node_label_id("REGION").unwrap()],
                 col: s.col("z"),
             },
         );
         let t = RaTerm::join(
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("owns").unwrap(),
-                src: s.col("x"),
-                tgt: s.col("y"),
-            },
+            RaTerm::edge_scan(db.edge_label_id("owns").unwrap(), s.col("x"), s.col("y")),
             filtered,
         );
         let rendered = explain(&t, &store, &db);
@@ -576,16 +571,12 @@ mod tests {
         store.index_joins = false;
         let s = &store.symbols;
         let t = RaTerm::join(
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("owns").unwrap(),
-                src: s.col("x"),
-                tgt: s.col("y"),
-            },
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("isLocatedIn").unwrap(),
-                src: s.col("y"),
-                tgt: s.col("z"),
-            },
+            RaTerm::edge_scan(db.edge_label_id("owns").unwrap(), s.col("x"), s.col("y")),
+            RaTerm::edge_scan(
+                db.edge_label_id("isLocatedIn").unwrap(),
+                s.col("y"),
+                s.col("z"),
+            ),
         );
         let mut p = plan(&t, &store).unwrap();
         // Sub-threshold probes stay serial: no annotation even at dop 4.
@@ -630,10 +621,8 @@ mod tests {
         let db = b.build().unwrap();
         let store = RelStore::load(&db);
         let s = &store.symbols;
-        let scan = |label: &str, src: &str, tgt: &str| RaTerm::EdgeScan {
-            label: db.edge_label_id(label).unwrap(),
-            src: s.col(src),
-            tgt: s.col(tgt),
+        let scan = |label: &str, src: &str, tgt: &str| {
+            RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt))
         };
         let homes = RaTerm::project(scan("livesIn", "w", "x"), vec![s.col("x")]);
         let t = RaTerm::semijoin(scan("isLocatedIn", "y", "x"), homes);
@@ -656,10 +645,8 @@ mod tests {
         let store = RelStore::load(&db);
         let s = &store.symbols;
         let hop = |mid: &str| {
-            let scan = |label: &str, src: &str, tgt: &str| RaTerm::EdgeScan {
-                label: db.edge_label_id(label).unwrap(),
-                src: s.col(src),
-                tgt: s.col(tgt),
+            let scan = |label: &str, src: &str, tgt: &str| {
+                RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt))
             };
             let j = RaTerm::join(scan("owns", "x", mid), scan("isLocatedIn", mid, "z"));
             RaTerm::project(j, vec![s.col("x"), s.col("z")])
@@ -694,11 +681,11 @@ mod tests {
         let s = &store.symbols;
         let f = crate::term::closure_fixpoint(
             s.recvar("X"),
-            RaTerm::EdgeScan {
-                label: db.edge_label_id("isLocatedIn").unwrap(),
-                src: s.col("x"),
-                tgt: s.col("y"),
-            },
+            RaTerm::edge_scan(
+                db.edge_label_id("isLocatedIn").unwrap(),
+                s.col("x"),
+                s.col("y"),
+            ),
             s.col("x"),
             s.col("y"),
             s.col("m"),

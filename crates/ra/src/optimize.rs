@@ -3,11 +3,12 @@
 //! Three rewritings:
 //!
 //! 1. **Semi-join pushdown through joins** — a semi-join filter migrates
-//!    to every join input that exposes all of its key columns (and
-//!    through projections that keep them), so label filters land directly
-//!    on the scans (the paper's Fig. 15/17 plan shape, where
-//!    `isLocatedIn ⋉ Organisation` happens *before* the join with
-//!    `workAt`).
+//!    to every join input that exposes all of its key columns (through
+//!    projections that keep them, and past a semi-join when it sinks
+//!    further), so a label filter lands on the scans, where the term DAG
+//!    makes it the scan's own label set (the paper's Fig. 15/17 plan
+//!    shape: `isLocatedIn ⋉ Organisation` *before* the join with
+//!    `workAt`). Translation puts most label atoms there directly.
 //! 2. **Semi-join pushdown into fixpoints** — a filter on a fixpoint's
 //!    *stable* columns restricts the base case, so the closure is only
 //!    computed from relevant seeds (Jachiet et al.'s µ-RA rewriting).
@@ -33,7 +34,7 @@
 //! The estimator memoises per (node, binding): every distinct sub-term is
 //! summarised once, and a greedy candidate `acc ⋈ p` is scored once per
 //! pair of operand summaries. The tree is extracted once, at the end (the
-//! input itself when nothing changed).
+//! input itself when nothing changed, interning included).
 
 use sgq_common::ColId;
 
@@ -57,7 +58,8 @@ pub fn optimize(term: &RaTerm, store: &RelStore) -> RaTerm {
         opt.done = NodeMemo::new(opt.dag.len().0);
     }
     let out = opt.order(out);
-    if out == root {
+    // Interning may have folded label semi-joins into their scans.
+    if out == root && !opt.dag.folded {
         term.clone()
     } else {
         opt.dag.term(out)
@@ -158,6 +160,15 @@ impl Optimizer<'_> {
                 let base = onto(self, base);
                 self.dag.add(Op::Fixpoint(var, base, step, stable))
             }
+            // Semi-joins commute: pass one when that lets the filter sink
+            // further (a mere swap would undo itself on the next call).
+            Op::Semijoin(input, other) => {
+                let pushed = onto(self, input);
+                if *self.dag.node(pushed) == Op::Semijoin(input, filter) {
+                    return id;
+                }
+                self.dag.add(Op::Semijoin(pushed, other))
+            }
             _ => id,
         }
     }
@@ -245,11 +256,11 @@ mod tests {
         src: &str,
         tgt: &str,
     ) -> RaTerm {
-        RaTerm::EdgeScan {
-            label: db.edge_label_id(label).unwrap(),
-            src: store.symbols.col(src),
-            tgt: store.symbols.col(tgt),
-        }
+        RaTerm::edge_scan(
+            db.edge_label_id(label).unwrap(),
+            store.symbols.col(src),
+            store.symbols.col(tgt),
+        )
     }
 
     fn node(db: &sgq_graph::GraphDatabase, store: &RelStore, label: &str, col: &str) -> RaTerm {
@@ -259,10 +270,23 @@ mod tests {
         }
     }
 
-    /// Collects the columns of every semi-join filter remaining at the top
-    /// of scans: where pushdown left each filter.
+    /// Collects the columns of every label filter — a scan's own, or a
+    /// semi-join's on what it filters: where pushdown left each filter.
     fn semijoin_positions(term: &RaTerm, out: &mut Vec<(&'static str, Vec<ColId>)>) {
         match term {
+            RaTerm::EdgeScan {
+                src,
+                tgt,
+                src_labels,
+                tgt_labels,
+                ..
+            } => {
+                for (col, labels) in [(src, src_labels), (tgt, tgt_labels)] {
+                    if labels.is_some() {
+                        out.push(("scan", vec![*col]));
+                    }
+                }
+            }
             RaTerm::Semijoin(left, filter) => {
                 let kind = match **left {
                     RaTerm::EdgeScan { .. } => "scan",
@@ -333,7 +357,13 @@ mod tests {
         match &opt {
             RaTerm::Fixpoint { base, .. } => {
                 assert!(
-                    matches!(**base, RaTerm::Semijoin(..)),
+                    matches!(
+                        **base,
+                        RaTerm::EdgeScan {
+                            src_labels: Some(_),
+                            ..
+                        }
+                    ),
                     "base should be filtered: {base:?}"
                 );
             }

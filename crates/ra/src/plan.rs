@@ -17,7 +17,7 @@
 //!   so a fixpoint can cache the built table across rounds (see below).
 //! * **Indexes.** The store carries per-edge-label forward/reverse CSR
 //!   adjacency indexes. When one side of a join is a (possibly renamed
-//!   and/or node-label-filtered) base edge scan sharing exactly one
+//!   and/or label-filtered) base edge scan sharing exactly one
 //!   endpoint column with the other side, the planner may replace the
 //!   scan with direct CSR probes ([`PhysOp::IndexJoin`]): the edge table
 //!   is never materialised and no hash table is built. The choice
@@ -27,11 +27,13 @@
 //!
 //! Two further physical rewrites:
 //!
-//! * a node-label semi-join on an edge scan (one label per endpoint) is
-//!   a [`PhysOp::DenormEdgeScan`] of the store's precomputed slice; any
-//!   other semi-join landing directly on an edge scan fuses into a
-//!   [`PhysOp::FilteredEdgeScan`], so the unfiltered table is never
-//!   materialised as a separate operator output;
+//! * a label-filtered edge scan (one term node: the term DAG folds every
+//!   node-label semi-join on a scan endpoint into it) is a
+//!   [`PhysOp::DenormEdgeScan`] of the store's precomputed slice when
+//!   each filtered endpoint has one label, else a
+//!   [`PhysOp::FilteredEdgeScan`] testing node-table membership; any
+//!   other semi-join on a bare edge scan fuses into a `FilteredEdgeScan`
+//!   too, so the unfiltered table is never an operator output;
 //! * a [`PhysOp::Fixpoint`] pre-plans its step once, and every node of
 //!   the step that does not depend on the recursion variable (tracked
 //!   by [`PhysPlan::free_rec`]) is marked for caching: the executor
@@ -58,7 +60,7 @@ use sgq_common::{ColId, EdgeLabelId, NodeLabelId, RecVarId, Result, SgqError};
 
 use crate::cost::{self, shared_cols, Estimate, Estimator, ScanInfo, Summary};
 use crate::storage::RelStore;
-use crate::term::{Dag, Id, Op, RaTerm};
+use crate::term::{Dag, Id, Labels, Op, RaTerm};
 
 /// A physical plan node: operator, output schema, estimate and the
 /// recursion variables it (transitively) references.
@@ -101,14 +103,16 @@ pub enum PhysOp {
         /// Edge label.
         label: EdgeLabelId,
     },
-    /// An edge scan fused with a semi-join filter: only the filtered
-    /// rows are ever materialised.
+    /// An edge scan filtered as it is read — by its endpoints' node
+    /// labels, checked against the store's node tables, and by a fused
+    /// semi-join's key set: only the surviving rows are ever
+    /// materialised.
     FilteredEdgeScan {
-        /// Edge label.
-        label: EdgeLabelId,
-        /// The filter input (right side of the fused semi-join).
-        filter: Box<PhysPlan>,
-        /// Shared (key) columns, in scan-schema order.
+        /// The scan: its edge label and endpoint label filters.
+        scan: ScanInfo,
+        /// The fused semi-join's filter input (its right side), if any.
+        filter: Option<Box<PhysPlan>>,
+        /// Columns shared with `filter`, in scan-schema order.
         key: Vec<ColId>,
     },
     /// Scan of a denormalised endpoint-label slice: an edge table
@@ -229,10 +233,13 @@ macro_rules! children {
     ($op:expr) => {
         match $op {
             PhysOp::EdgeScan { .. }
+            | PhysOp::FilteredEdgeScan { filter: None, .. }
             | PhysOp::DenormEdgeScan { .. }
             | PhysOp::NodeScan { .. }
             | PhysOp::RecRef { .. } => [None, None],
-            PhysOp::FilteredEdgeScan { filter: c, .. }
+            PhysOp::FilteredEdgeScan {
+                filter: Some(c), ..
+            }
             | PhysOp::IndexJoin { probe: c, .. }
             | PhysOp::Project { input: c }
             | PhysOp::Select { input: c, .. }
@@ -483,7 +490,13 @@ impl<'a> Planner<'a> {
     fn lower(&mut self, at: Id) -> Result<PhysPlan> {
         let (dag, rows) = (self.dag, self.sum(at).rows());
         match dag.node(at) {
-            Op::EdgeScan(label, ..) => Ok(self.node(at, rows, PhysOp::EdgeScan { label: *label })),
+            Op::EdgeScan(label, _, _, None) => {
+                Ok(self.node(at, rows, PhysOp::EdgeScan { label: *label }))
+            }
+            Op::EdgeScan(label, src, tgt, ls) => {
+                let scan = ScanInfo::of(*label, *src, *tgt, ls);
+                Ok(self.lower_labelled_scan(at, scan))
+            }
             Op::NodeScan(labels, _) => {
                 let op = PhysOp::NodeScan {
                     labels: labels.clone(),
@@ -684,29 +697,21 @@ impl<'a> Planner<'a> {
         Ok(Some(self.node(at, index_cost, op)))
     }
 
-    /// Semi-join strategy selection for `a ⋉ b` at term node `at`, whose
-    /// label-aware estimate every strategy shares: a precomputed slice
-    /// when one serves it, else one hash filter — fused onto a bare edge
-    /// scan, or over the lowered left side.
+    /// Semi-join strategy selection for `a ⋉ b` at term node `at`: one
+    /// hash filter — fused onto an edge scan with no label filter, or
+    /// over the lowered left side.
     fn lower_semijoin(&mut self, a: Id, b: Id, at: Id) -> Result<PhysPlan> {
         let dag = self.dag;
-        // A node-label filter on a scan whose slice the store precomputed
-        // needs no filtering at all — it is a strict improvement over
-        // every strategy below, so no cost race.
-        if let Some(p) = self.try_denorm_scan(at) {
-            return Ok(p);
-        }
-        if let Op::EdgeScan(label, ..) = *dag.node(a) {
+        if let Op::EdgeScan(label, src, tgt, None) = *dag.node(a) {
             let filter = self.lower(b)?;
-            let scan_cols = dag.cols(a);
-            let key = shared_cols(scan_cols, &filter.cols);
+            let key = shared_cols(dag.cols(a), &filter.cols);
             let scan_rows = self.store.stats.edge_cardinality(label) as f64;
             let cost = scan_rows + filter.est.cost + filter.est.rows;
             // The fused node computes the whole semi-join term, so it
             // carries the semi-join's fingerprint.
             let op = PhysOp::FilteredEdgeScan {
-                label,
-                filter: Box::new(filter),
+                scan: ScanInfo::of(label, src, tgt, &None),
+                filter: Some(Box::new(filter)),
                 key,
             };
             return Ok(self.node(at, cost, op));
@@ -723,62 +728,59 @@ impl<'a> Planner<'a> {
         Ok(self.node(at, cost, op))
     }
 
-    /// Attempts to lower a node-label semi-join over a base edge scan
-    /// (term node `at`) into a [`PhysOp::DenormEdgeScan`]: the store
-    /// precomputed the endpoint-label slice, so the whole term is a
-    /// single scan of exactly its output rows — the filter costs
-    /// nothing. Restricted to single-label filters per endpoint (the
-    /// only slices the store materialises).
-    fn try_denorm_scan(&mut self, at: Id) -> Option<PhysPlan> {
-        let s = indexable_scan(self.dag, at)?;
-        let single = |labels: &Option<Vec<NodeLabelId>>| match labels {
+    /// Lowers the label-filtered scan `scan` (term node `at`): to the
+    /// store's precomputed slice when each filtered endpoint has one label
+    /// (the filter is free), else to a membership test over the table,
+    /// costed as the table and, per label, the node scan it replaces.
+    fn lower_labelled_scan(&mut self, at: Id, scan: ScanInfo) -> PhysPlan {
+        let stats = &self.store.stats;
+        let one = |ls: &Labels| match ls.as_deref() {
             None => Some(None),
-            Some(v) if v.len() == 1 => Some(Some(v[0])),
+            Some(&[l]) => Some(Some(l)),
             Some(_) => None,
         };
-        let src_label = single(&s.src_labels)?;
-        let tgt_label = single(&s.tgt_labels)?;
-        if src_label.is_none() && tgt_label.is_none() {
-            return None;
+        if let (Some(src_label), Some(tgt_label)) = (one(&scan.src_labels), one(&scan.tgt_labels)) {
+            let slice_rows = match (src_label, tgt_label) {
+                (Some(a), Some(b)) => stats.triple_cardinality(a, scan.label, b),
+                (Some(a), None) => stats.source_group(a, scan.label).count,
+                (None, Some(b)) => stats.target_group(scan.label, b).count,
+                (None, None) => unreachable!("a labelled scan filters an endpoint"),
+            };
+            let label = scan.label;
+            let op = PhysOp::DenormEdgeScan {
+                label,
+                src_label,
+                tgt_label,
+            };
+            return self.node(at, slice_rows as f64, op);
         }
-        let stats = &self.store.stats;
-        let slice_rows = match (src_label, tgt_label) {
-            (Some(a), Some(b)) => stats.triple_cardinality(a, s.label, b) as f64,
-            (Some(a), None) => stats.source_group(a, s.label).count as f64,
-            (None, Some(b)) => stats.target_group(s.label, b).count as f64,
-            (None, None) => unreachable!("at least one endpoint is filtered"),
+        let labels = [&scan.src_labels, &scan.tgt_labels].into_iter().flatten();
+        let nodes: usize = labels.flatten().map(|&l| stats.label_cardinality(l)).sum();
+        let cost = (stats.edge_cardinality(scan.label) + 2 * nodes) as f64;
+        let op = PhysOp::FilteredEdgeScan {
+            scan,
+            filter: None,
+            key: Vec::new(),
         };
-        let op = PhysOp::DenormEdgeScan {
-            label: s.label,
-            src_label,
-            tgt_label,
-        };
-        let cost = cost::denorm_scan_cost(slice_rows);
-        Some(self.node(at, cost, op))
+        self.node(at, cost, op)
     }
 }
 
 /// Recognises a join side the planner can replace with CSR index probes:
-/// a base edge scan, optionally renamed and filtered by node-label
-/// semi-joins on its endpoints (intersected across stacked filters).
-/// Renames of columns the scan does not expose, filters that are not
-/// node scans on an endpoint, and degenerate scans (`src == tgt`) all
-/// return `None` so the term falls back to the scan-based strategies.
+/// a base edge scan, label-filtered or not, optionally renamed. Renames
+/// of columns the scan does not expose and degenerate scans (`src ==
+/// tgt`) return `None` so the term falls back to the scan-based
+/// strategies.
 fn indexable_scan(dag: &Dag, id: Id) -> Option<ScanInfo> {
     match *dag.node(id) {
-        Op::EdgeScan(label, src, tgt) if src != tgt => Some(ScanInfo::bare(label, src, tgt)),
+        Op::EdgeScan(label, src, tgt, ref ls) if src != tgt => {
+            Some(ScanInfo::of(label, src, tgt, ls))
+        }
         Op::Rename(input, from, to) => {
             let mut s = indexable_scan(dag, input)?;
             let exposed = [s.src, s.tgt].contains(&from);
             s.rename(from, to);
             (exposed && s.src != s.tgt).then_some(s)
-        }
-        Op::Semijoin(left, filter) => {
-            let s = indexable_scan(dag, left)?;
-            let Op::NodeScan(labels, col) = dag.node(filter) else {
-                return None;
-            };
-            [s.src, s.tgt].contains(col).then(|| s.refine(*col, labels))
         }
         _ => None,
     }
@@ -825,11 +827,11 @@ mod tests {
         src: &str,
         tgt: &str,
     ) -> RaTerm {
-        RaTerm::EdgeScan {
-            label: db.edge_label_id(label).unwrap(),
-            src: store.symbols.col(src),
-            tgt: store.symbols.col(tgt),
-        }
+        RaTerm::edge_scan(
+            db.edge_label_id(label).unwrap(),
+            store.symbols.col(src),
+            store.symbols.col(tgt),
+        )
     }
 
     #[test]
@@ -972,11 +974,68 @@ mod tests {
         );
         let p = plan(&t, &store).unwrap();
         match &p.op {
-            PhysOp::FilteredEdgeScan { key, .. } => {
-                assert_eq!(key, &[store.symbols.col("x")], "{p:?}");
+            PhysOp::FilteredEdgeScan {
+                scan, filter: None, ..
+            } => {
+                assert_eq!(scan.src_labels.as_deref(), Some(&labels[..]), "{p:?}");
+                assert_eq!(scan.tgt_labels, None);
             }
-            other => panic!("expected fused filtered scan, got {other:?}"),
+            other => panic!("expected a label-filtered scan, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn both_forms_of_a_labelled_scan_plan_alike() {
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let s = &store.symbols;
+        let l = |names: &[&str]| Some(names.iter().map(|n| db.node_label_id(n).unwrap()).collect());
+        let located = |src_labels, tgt_labels| RaTerm::EdgeScan {
+            label: db.edge_label_id("isLocatedIn").unwrap(),
+            src: s.col("y"),
+            tgt: s.col("z"),
+            src_labels,
+            tgt_labels,
+        };
+        let owns = scan(&db, &store, "owns", "x", "y");
+        // A slice, a label filter, and an index join's absorbed scan.
+        for labelled in [
+            located(l(&["CITY"]), l(&["REGION"])),
+            located(None, l(&["CITY", "REGION"])),
+            RaTerm::join(owns.clone(), located(l(&["CITY"]), None)),
+            RaTerm::join(owns, located(l(&["CITY", "REGION"]), l(&["COUNTRY"]))),
+        ] {
+            let stacked = match &labelled {
+                RaTerm::Join(a, b) => RaTerm::join((**a).clone(), b.as_semijoins().unwrap()),
+                scan => scan.as_semijoins().unwrap(),
+            };
+            assert_ne!(stacked, labelled);
+            assert_eq!(plan(&stacked, &store), plan(&labelled, &store));
+        }
+    }
+
+    #[test]
+    fn an_empty_label_intersection_scans_nothing() {
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let node = |label: &str| RaTerm::NodeScan {
+            labels: vec![db.node_label_id(label).unwrap()],
+            col: store.symbols.col("x"),
+        };
+        let t = RaTerm::semijoin(
+            RaTerm::semijoin(scan(&db, &store, "isLocatedIn", "x", "y"), node("CITY")),
+            node("REGION"),
+        );
+        let p = plan(&t, &store).unwrap();
+        assert!(
+            matches!(&p.op, PhysOp::FilteredEdgeScan { scan, .. } if scan.src_labels.as_deref() == Some(&[])),
+            "{p:?}"
+        );
+        assert_eq!(p.est.rows, 0.0);
+        let mut ctx = crate::exec::ExecContext::new();
+        assert!(crate::exec::execute_plan(&p, &store, &mut ctx)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

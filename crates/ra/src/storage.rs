@@ -13,9 +13,9 @@
 //! * the endpoint-label slices: for every observed `(src label, le,
 //!   tgt label)` triple and every one-sided group, the rows of `le`'s
 //!   table whose endpoints carry those labels
-//!   ([`RelStore::filtered_edge_table`]), so a node-label semi-join on a
-//!   scan ([`crate::plan::PhysOp::DenormEdgeScan`]) costs exactly its
-//!   output rows. A slice covering the whole label aliases the base
+//!   ([`RelStore::filtered_edge_table`]), so a label-filtered scan
+//!   ([`crate::plan::PhysOp::DenormEdgeScan`]) costs exactly its output
+//!   rows. A slice covering the whole label aliases the base
 //!   table's buffer;
 //! * one node table per node label, whose flat data is the sorted id set
 //!   ([`RelStore::node_set`]);

@@ -15,10 +15,11 @@
 //! each intern their input once into a per-call `Dag`: every distinct
 //! node is stored once, under one id, with its output columns, its free
 //! recursion variables and a rename-invariant *class*, all computed when
-//! the node is added. Equal sub-terms are equal ids, so the optimiser's
-//! convergence test and every column lookup are O(1), and a memo keyed by
-//! id (the estimator's summaries, the optimiser's passes) visits each
-//! distinct sub-term once. Two nodes share a class when they compute the
+//! the node is added. Equal sub-terms are equal ids, so every column
+//! lookup is O(1), a memo keyed by id (the estimator's summaries, the
+//! optimiser's walks) visits each distinct sub-term once, and adding a
+//! node-label semi-join on a scan endpoint adds the labelled scan: one
+//! form whoever builds it. Two nodes share a class when they compute the
 //! same rows up to a positional renaming of their columns: the same
 //! operator and parameters over children of equal classes, with the
 //! columns of the node, of its parameters and of each child, and its
@@ -38,7 +39,9 @@ use sgq_common::{ColId, EdgeLabelId, FxHashMap, FxHasher, NodeLabelId, RecVarId}
 /// A recursive relational algebra term.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RaTerm {
-    /// Scan of the edge table for `label`, columns named `src`/`tgt`.
+    /// Scan of the edge table for `label`, columns named `src`/`tgt`, of
+    /// the edges whose endpoints carry one of the given node labels —
+    /// the semi-joins [`RaTerm::as_semijoins`] (`None`: any; `[]`: none).
     EdgeScan {
         /// Edge label.
         label: EdgeLabelId,
@@ -46,6 +49,10 @@ pub enum RaTerm {
         src: ColId,
         /// Output id of the `Tr` column.
         tgt: ColId,
+        /// Node labels the source must carry.
+        src_labels: Option<Box<[NodeLabelId]>>,
+        /// Node labels the target must carry.
+        tgt_labels: Option<Box<[NodeLabelId]>>,
     },
     /// Scan of the union of node tables for `labels`, column named `col`.
     NodeScan {
@@ -111,6 +118,63 @@ pub enum RaTerm {
 }
 
 impl RaTerm {
+    /// Convenience constructor: an `EdgeScan` with no label filter.
+    pub fn edge_scan(label: EdgeLabelId, src: ColId, tgt: ColId) -> RaTerm {
+        RaTerm::EdgeScan {
+            label,
+            src,
+            tgt,
+            src_labels: None,
+            tgt_labels: None,
+        }
+    }
+
+    /// The semi-join stack a label-filtered edge scan stands for: the
+    /// bare scan under one `⋉ NodeScan` per filtered endpoint, the
+    /// target's innermost (the order the estimator prices); `None` for
+    /// any other term.
+    pub fn as_semijoins(&self) -> Option<RaTerm> {
+        let RaTerm::EdgeScan {
+            label,
+            src,
+            tgt,
+            src_labels,
+            tgt_labels,
+        } = self
+        else {
+            return None;
+        };
+        let mut term = RaTerm::edge_scan(*label, *src, *tgt);
+        for (&col, labels) in [(tgt, tgt_labels), (src, src_labels)] {
+            if let Some(labels) = labels {
+                let labels = labels.to_vec();
+                term = RaTerm::semijoin(term, RaTerm::NodeScan { labels, col });
+            }
+        }
+        (src_labels.is_some() || tgt_labels.is_some()).then_some(term)
+    }
+
+    /// Restricts the endpoint named `col` of this scan, or of the scan
+    /// under this projection, to `labels` (intersecting); a scan whose
+    /// endpoints are one column, and any other term, are left as they are.
+    pub fn restrict_endpoint(&mut self, col: ColId, labels: &[NodeLabelId]) {
+        match self {
+            RaTerm::Project { input, .. } => input.restrict_endpoint(col, labels),
+            RaTerm::EdgeScan {
+                src,
+                tgt,
+                src_labels,
+                tgt_labels,
+                ..
+            } if src != tgt => match col {
+                c if c == *src => restrict(src_labels, labels),
+                c if c == *tgt => restrict(tgt_labels, labels),
+                _ => {}
+            },
+            _ => {}
+        }
+    }
+
     /// Convenience constructor: `Join`.
     pub fn join(a: RaTerm, b: RaTerm) -> RaTerm {
         RaTerm::Join(Box::new(a), Box::new(b))
@@ -210,11 +274,17 @@ impl RaTerm {
 /// Index of a node in a [`Dag`].
 pub(crate) type Id = u32;
 
+/// An edge scan endpoint's label filter (`None`: unrestricted), and the
+/// source's and target's, boxed so that a scan — `None` when it has
+/// neither — is no larger than the other operators.
+pub(crate) type Labels = Option<Box<[NodeLabelId]>>;
+pub(crate) type ScanLabels = Option<Box<[Labels; 2]>>;
+
 /// One interned operator: a [`RaTerm`] node whose children are ids, its
 /// fields in the [`RaTerm`] variant's order.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum Op {
-    EdgeScan(EdgeLabelId, ColId, ColId),
+    EdgeScan(EdgeLabelId, ColId, ColId, ScanLabels),
     NodeScan(Vec<NodeLabelId>, ColId),
     Join(Id, Id),
     Semijoin(Id, Id),
@@ -267,6 +337,8 @@ pub(crate) struct Dag {
     cols: Vec<ColId>,
     vars: Vec<RecVarId>,
     index: FxHashMap<u64, Id>,
+    /// Whether [`Dag::add`] folded a semi-join: the root's tree is new.
+    pub(crate) folded: bool,
     /// Whether nodes get classes; the class keys back to back (class
     /// `c`'s ends at `key_ends[c]`), and scratch for the next key.
     classify: bool,
@@ -301,7 +373,17 @@ impl Dag {
     /// Interns `term` bottom-up; returns its root's id.
     fn intern(&mut self, term: &RaTerm) -> Id {
         let op = match term {
-            RaTerm::EdgeScan { label, src, tgt } => Op::EdgeScan(*label, *src, *tgt),
+            RaTerm::EdgeScan {
+                label,
+                src,
+                tgt,
+                src_labels,
+                tgt_labels,
+            } => {
+                let both = src_labels.is_some() || tgt_labels.is_some();
+                let ls = both.then(|| Box::new([src_labels.clone(), tgt_labels.clone()]));
+                Op::EdgeScan(*label, *src, *tgt, ls)
+            }
             RaTerm::NodeScan { labels, col } => Op::NodeScan(labels.clone(), *col),
             RaTerm::Join(a, b) => Op::Join(self.intern(a), self.intern(b)),
             RaTerm::Semijoin(a, b) => Op::Semijoin(self.intern(a), self.intern(b)),
@@ -320,8 +402,13 @@ impl Dag {
         self.add(op)
     }
 
-    /// The id of `op`, adding it if it is new.
+    /// The id of `op`, adding it if it is new — the labelled scan for a
+    /// node-label semi-join on a scan endpoint ([`Dag::labelled_scan`]).
     pub(crate) fn add(&mut self, op: Op) -> Id {
+        if let Some(scan) = self.labelled_scan(&op) {
+            self.folded = true;
+            return self.add(scan);
+        }
         let id = self.nodes.len() as Id;
         let mut h = hash(&op);
         loop {
@@ -336,7 +423,7 @@ impl Dag {
         }
         let c0 = self.cols.len();
         match &op {
-            Op::EdgeScan(_, src, tgt) => self.cols.extend([*src, *tgt]),
+            Op::EdgeScan(_, src, tgt, ..) => self.cols.extend([*src, *tgt]),
             Op::NodeScan(_, col) => self.cols.push(*col),
             Op::Project(_, cols) | Op::RecRef(_, cols) => self.cols.extend_from_slice(cols),
             &Op::Rename(input, from, to) => {
@@ -388,6 +475,25 @@ impl Dag {
         id
     }
 
+    /// The labelled scan `op` is, if it is `scan ⋉ NodeScan` on one
+    /// endpoint of a scan whose endpoints are distinct columns.
+    fn labelled_scan(&self, op: &Op) -> Option<Op> {
+        let &Op::Semijoin(a, b) = op else {
+            return None;
+        };
+        let (Op::EdgeScan(label, src, tgt, ls), Op::NodeScan(labels, col)) =
+            (self.node(a), self.node(b))
+        else {
+            return None;
+        };
+        if src == tgt || (col != src && col != tgt) {
+            return None;
+        }
+        let mut sets = ls.clone().unwrap_or_default();
+        restrict(&mut sets[(col == tgt) as usize], labels);
+        Some(Op::EdgeScan(*label, *src, *tgt, Some(sets)))
+    }
+
     /// The class of node `id`, whose children have theirs. Its key is the
     /// operator, its labels and its children's classes, plus where each
     /// column the node names — its own, its parameters', a later child's —
@@ -399,7 +505,14 @@ impl Dag {
         key.clear();
         let class = |k: Id| self.class(k);
         match *self.node(id) {
-            Op::EdgeScan(label, src, tgt) => key.extend([0, label.raw(), (src == tgt) as u32]),
+            Op::EdgeScan(label, src, tgt, ref ls) => {
+                key.extend([0, label.raw(), (src == tgt) as u32]);
+                for labels in ls.iter().flat_map(|ends| ends.iter()) {
+                    // `u32::MAX`: unrestricted, else the list's length.
+                    key.push(labels.as_ref().map_or(u32::MAX, |v| v.len() as u32));
+                    key.extend(labels.iter().flatten().map(|l| l.raw()));
+                }
+            }
             Op::NodeScan(ref labels, _) => {
                 key.extend([1, labels.len() as u32]);
                 key.extend(labels.iter().map(|l| l.raw()));
@@ -493,7 +606,16 @@ impl Dag {
     pub(crate) fn term(&self, id: Id) -> RaTerm {
         let t = |k: Id| self.term(k);
         match self.node(id).clone() {
-            Op::EdgeScan(label, src, tgt) => RaTerm::EdgeScan { label, src, tgt },
+            Op::EdgeScan(label, src, tgt, ls) => {
+                let [src_labels, tgt_labels] = ls.map_or_else(Default::default, |ends| *ends);
+                RaTerm::EdgeScan {
+                    label,
+                    src,
+                    tgt,
+                    src_labels,
+                    tgt_labels,
+                }
+            }
             Op::NodeScan(labels, col) => RaTerm::NodeScan { labels, col },
             Op::Join(a, b) => RaTerm::join(t(a), t(b)),
             Op::Semijoin(a, b) => RaTerm::semijoin(t(a), t(b)),
@@ -552,6 +674,16 @@ impl NodeMemo {
             self.fixed[id] = v;
         }
     }
+}
+
+/// Restricts an endpoint's label set to `labels`: the intersection, in
+/// the order of the earlier restriction (`None`: none yet).
+pub(crate) fn restrict(slot: &mut Labels, labels: &[NodeLabelId]) {
+    let keep = |l: &&NodeLabelId| labels.contains(l);
+    *slot = Some(match slot.take() {
+        Some(prev) => prev.iter().filter(keep).copied().collect(),
+        None => labels.into(),
+    });
 }
 
 /// A `start..end` range of one of a [`Dag`]'s pools.
@@ -641,11 +773,7 @@ mod tests {
     use crate::symbols::SymbolTable;
 
     fn scan(s: &SymbolTable, src: &str, tgt: &str) -> RaTerm {
-        RaTerm::EdgeScan {
-            label: EdgeLabelId::new(0),
-            src: s.col(src),
-            tgt: s.col(tgt),
-        }
+        RaTerm::edge_scan(EdgeLabelId::new(0), s.col(src), s.col(tgt))
     }
 
     #[test]
@@ -681,6 +809,106 @@ mod tests {
             to: x,
         };
         assert_eq!(r.cols(), vec![x, SymbolTable::TR]);
+    }
+
+    /// `term`'s root once interned, and the DAG's tree of it.
+    fn interned(term: &RaTerm) -> (Op, RaTerm) {
+        let (dag, root) = Dag::of(term, true);
+        (dag.node(root).clone(), dag.term(root))
+    }
+
+    fn node(labels: &[u32], col: ColId) -> RaTerm {
+        let labels = labels.iter().map(|&l| NodeLabelId::new(l)).collect();
+        RaTerm::NodeScan { labels, col }
+    }
+
+    fn labelled(s: &SymbolTable, src: Option<&[u32]>, tgt: Option<&[u32]>) -> RaTerm {
+        let ids =
+            |ls: Option<&[u32]>| ls.map(|ls| ls.iter().map(|&l| NodeLabelId::new(l)).collect());
+        RaTerm::EdgeScan {
+            label: EdgeLabelId::new(0),
+            src: s.col("x"),
+            tgt: s.col("y"),
+            src_labels: ids(src),
+            tgt_labels: ids(tgt),
+        }
+    }
+
+    #[test]
+    fn a_node_label_semijoin_on_an_endpoint_interns_as_the_labelled_scan() {
+        let s = SymbolTable::new();
+        let (x, y) = (s.col("x"), s.col("y"));
+        for (col, want) in [
+            (x, labelled(&s, Some(&[1, 2]), None)),
+            (y, labelled(&s, None, Some(&[1, 2]))),
+        ] {
+            let t = RaTerm::semijoin(scan(&s, "x", "y"), node(&[1, 2], col));
+            let (op, term) = interned(&t);
+            assert!(matches!(op, Op::EdgeScan(..)), "{op:?}");
+            assert_eq!(term, want);
+            assert_eq!(t.distinct(), 3, "the scan, the node scan, the fold");
+            assert_eq!(want.as_semijoins(), Some(t));
+        }
+    }
+
+    #[test]
+    fn stacked_label_filters_intersect() {
+        let s = SymbolTable::new();
+        let (x, y) = (s.col("x"), s.col("y"));
+        let t = RaTerm::semijoin(
+            RaTerm::semijoin(
+                RaTerm::semijoin(scan(&s, "x", "y"), node(&[3, 1, 2], x)),
+                node(&[2, 3], y),
+            ),
+            node(&[2, 3, 4], x),
+        );
+        assert_eq!(interned(&t).1, labelled(&s, Some(&[3, 2]), Some(&[2, 3])));
+        // A scan that is labelled already intersects the same way, and an
+        // empty intersection is a scan of nothing, not no filter.
+        let t = RaTerm::semijoin(labelled(&s, Some(&[1]), None), node(&[2], x));
+        assert_eq!(interned(&t).1, labelled(&s, Some(&[]), None));
+    }
+
+    #[test]
+    fn filters_off_a_scan_endpoint_do_not_fold() {
+        let s = SymbolTable::new();
+        let (x, z) = (s.col("x"), s.col("z"));
+        // A column the scan does not have, a self-loop scan (`src == tgt`,
+        // whose one column is both endpoints), a filter that is no node
+        // scan, and a node scan filtering a join: each stays a semi-join.
+        for t in [
+            RaTerm::semijoin(scan(&s, "x", "y"), node(&[1], z)),
+            RaTerm::semijoin(scan(&s, "x", "x"), node(&[1], x)),
+            RaTerm::semijoin(
+                scan(&s, "x", "y"),
+                RaTerm::project(scan(&s, "x", "z"), vec![x]),
+            ),
+            RaTerm::semijoin(
+                RaTerm::join(scan(&s, "x", "y"), scan(&s, "y", "z")),
+                node(&[1], x),
+            ),
+        ] {
+            let (op, term) = interned(&t);
+            assert!(matches!(op, Op::Semijoin(..)), "{op:?}");
+            assert_eq!(term, t);
+        }
+    }
+
+    #[test]
+    fn label_sets_enter_the_class() {
+        // Two scans differing only in a label set compute different rows.
+        let s = SymbolTable::new();
+        let (dag, root) = Dag::of(
+            &RaTerm::union(
+                labelled(&s, Some(&[1]), None),
+                labelled(&s, None, Some(&[1])),
+            ),
+            true,
+        );
+        let Op::Union(a, b) = *dag.node(root) else {
+            panic!()
+        };
+        assert_ne!(dag.class(a), dag.class(b));
     }
 
     #[test]

@@ -59,8 +59,14 @@ fn render(
     depth: usize,
 ) -> String {
     let col = |c: &sgq_common::ColId| symbols.col_name(*c);
+    // A label-filtered scan prints as the semi-joins it stands for.
+    if let Some(stack) = term.as_semijoins() {
+        return render(&stack, names, symbols, ctes, depth);
+    }
     match term {
-        RaTerm::EdgeScan { label, src, tgt } => format!(
+        RaTerm::EdgeScan {
+            label, src, tgt, ..
+        } => format!(
             "SELECT Sr AS {}, Tr AS {} FROM {}",
             col(src),
             col(tgt),

@@ -10,9 +10,10 @@
 //! ```
 //!
 //! Transitive closure becomes the µ fixpoint of
-//! [`sgq_ra::term::closure_fixpoint`]; label atoms become semi-joins with
-//! node tables; a CQT is the natural join of its relations projected onto
-//! the head.
+//! [`sgq_ra::term::closure_fixpoint`]; a CQT is the natural join of its
+//! relations projected onto the head. A label atom `x : L` is the label set
+//! of `x`'s endpoint on each plain relation (`l` or `-l`, `x` ≠ the other
+//! end), and a semi-join with `L`'s node tables only if `x` is on another.
 //!
 //! This is the RA stack's *ingestion edge*: every column and recursion
 //! variable is interned once here, through the [`SymbolTable`] borrowed
@@ -21,7 +22,8 @@
 
 use sgq_algebra::ast::PathExpr;
 use sgq_common::{ColId, RecVarId, Result, SgqError, VarId};
-use sgq_query::cqt::{Cqt, Ucqt};
+use sgq_query::annotated::AnnotatedPath::Plain;
+use sgq_query::cqt::{Cqt, Relation, Ucqt};
 use sgq_ra::symbols::SymbolTable;
 use sgq_ra::term::{closure_fixpoint, RaTerm};
 
@@ -66,21 +68,10 @@ impl<'a> NameGen<'a> {
 /// `(src, tgt)`.
 pub fn path_to_term(expr: &PathExpr, src: ColId, tgt: ColId, names: &mut NameGen<'_>) -> RaTerm {
     match expr {
-        PathExpr::Label(le) => RaTerm::EdgeScan {
-            label: *le,
-            src,
-            tgt,
-        },
+        PathExpr::Label(le) => RaTerm::edge_scan(*le, src, tgt),
         // ρ swaps the roles of Sr and Tr; re-project so every translation
         // exposes its columns in (src, tgt) order (unions require it).
-        PathExpr::Reverse(le) => RaTerm::project(
-            RaTerm::EdgeScan {
-                label: *le,
-                src: tgt,
-                tgt: src,
-            },
-            vec![src, tgt],
-        ),
+        PathExpr::Reverse(le) => RaTerm::project(RaTerm::edge_scan(*le, tgt, src), vec![src, tgt]),
         PathExpr::Concat(a, b) => {
             let m = names.mid();
             let left = path_to_term(a, src, m, names);
@@ -123,11 +114,15 @@ pub fn path_to_term(expr: &PathExpr, src: ColId, tgt: ColId, names: &mut NameGen
     }
 }
 
-/// Translates one CQT: relations joined naturally, label atoms as
-/// semi-joins with node tables, projected onto the head.
+/// Translates one CQT: relations joined naturally under their label
+/// atoms, projected onto the head.
 pub fn cqt_to_term(cqt: &Cqt, names: &mut NameGen<'_>) -> Result<RaTerm> {
     cqt.validate()?;
     let symbols = names.symbols();
+    // Whether a relation is one plain-label scan between two variables.
+    let plain = |r: &Relation| {
+        r.src != r.tgt && matches!(r.path, Plain(PathExpr::Label(_) | PathExpr::Reverse(_)))
+    };
     let mut acc: Option<RaTerm> = None;
     for rel in &cqt.relations {
         let expr = rel.path.strip();
@@ -139,12 +134,16 @@ pub fn cqt_to_term(cqt: &Cqt, names: &mut NameGen<'_>) -> Result<RaTerm> {
             let t = path_to_term(&expr, src, m, names);
             RaTerm::project(RaTerm::select_eq(t, src, m), vec![src])
         } else {
-            path_to_term(
-                &expr,
-                var_col(rel.src, symbols),
-                var_col(rel.tgt, symbols),
-                names,
-            )
+            let (src, tgt) = (var_col(rel.src, symbols), var_col(rel.tgt, symbols));
+            let mut term = path_to_term(&expr, src, tgt, names);
+            for atom in cqt.atoms.iter().filter(|_| plain(rel)) {
+                for (var, col) in [(rel.src, src), (rel.tgt, tgt)] {
+                    if atom.var == var {
+                        term.restrict_endpoint(col, &atom.labels);
+                    }
+                }
+            }
+            term
         };
         acc = Some(match acc {
             None => term,
@@ -153,6 +152,10 @@ pub fn cqt_to_term(cqt: &Cqt, names: &mut NameGen<'_>) -> Result<RaTerm> {
     }
     let mut term = acc.ok_or_else(|| SgqError::Query("CQT has no relations".into()))?;
     for atom in &cqt.atoms {
+        let mut at = (cqt.relations.iter()).filter(|r| r.src == atom.var || r.tgt == atom.var);
+        if at.clone().next().is_some() && at.all(plain) {
+            continue;
+        }
         term = RaTerm::semijoin(
             term,
             RaTerm::NodeScan {

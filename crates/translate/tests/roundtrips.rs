@@ -11,7 +11,7 @@ use sgq_core::RedundancyRule;
 use sgq_graph::schema::fig1_yago_schema;
 use sgq_graph::GraphSchema;
 use sgq_query::cqt::Ucqt;
-use sgq_ra::SymbolTable;
+use sgq_ra::{RaTerm, SymbolTable};
 use sgq_translate::gp2cypher::{cypher_expressible, to_cypher_resolved};
 use sgq_translate::rra2sql::to_sql;
 use sgq_translate::ucqt2rra::{path_to_term, NameGen};
@@ -214,6 +214,47 @@ fn rewritten_phi4_round_trips_with_labels() {
         !sql.contains("fp_") || sql.starts_with("WITH RECURSIVE"),
         "{sql}"
     );
+}
+
+#[test]
+fn a_labelled_scan_prints_as_the_semijoins_it_replaces() {
+    // A node-label filter on a scan endpoint is the scan's own label set
+    // in the RA; SQL still reads it as `WHERE EXISTS` on the node table,
+    // the same text as the semi-join form, at the root or nested.
+    let schema = fig1_yago_schema();
+    let symbols = SymbolTable::new();
+    let (x, y) = (symbols.col("v0"), symbols.col("v1"));
+    let node = |name| schema.node_label(name).unwrap();
+    let located = schema.edge_label("isLocatedIn").unwrap();
+    let labelled = RaTerm::EdgeScan {
+        label: located,
+        src: x,
+        tgt: y,
+        src_labels: Some([node("CITY")].into()),
+        tgt_labels: Some([node("REGION"), node("COUNTRY")].into()),
+    };
+    let stacked = RaTerm::semijoin(
+        RaTerm::semijoin(
+            RaTerm::edge_scan(located, x, y),
+            RaTerm::NodeScan {
+                labels: vec![node("REGION"), node("COUNTRY")],
+                col: y,
+            },
+        ),
+        RaTerm::NodeScan {
+            labels: vec![node("CITY")],
+            col: x,
+        },
+    );
+    let sql = |t: &RaTerm| to_sql(t, &schema, &symbols);
+    assert_eq!(sql(&labelled), sql(&stacked));
+    let nested = |t: &RaTerm| RaTerm::project(t.clone(), vec![x]);
+    assert_eq!(sql(&nested(&labelled)), sql(&nested(&stacked)));
+    let text = sql(&labelled);
+    assert_eq!(text.matches("WHERE EXISTS").count(), 2, "{text}");
+    for table in ["FROM CITY", "FROM REGION", "FROM COUNTRY"] {
+        assert!(text.contains(table), "{table}: {text}");
+    }
 }
 
 /// `PathExpr::is_recursive` drives the CTE check above; pin the helper's

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Work counters at two commits: runs the benchmark's smoke sizes with its
-# per-layer trace (`benchmark/run.sh --workload all --smoke --seconds 0.2
-# --trace 1`) at <rev> (a git archive into $TMPDIR, its own target
-# directory) and at this checkout, and prints every per-layer metric
-# whose unit is `count`, per workload, side by side: `identical` or
-# `differ`. The `service.*` counts of `serve-mixed` are skipped: they
-# count what its timed closed loop happened to do (cache evictions,
-# rejections), which varies from run to run. It only reports: a change
-# that means to move counters exits 0 too. A failed build or run, or a
-# run with a wrong row, exits non-zero.
+# Work counters at two commits: runs the benchmark at its full sizes for
+# a short slice with its per-layer trace (`benchmark/run.sh --workload
+# all --seconds 3 --trace 1`: several rounds of every workload, whose
+# median each count is) at <rev> (a git archive into $TMPDIR, its own
+# target directory) and at this checkout, and prints every per-layer
+# metric whose unit is `count`, per workload, side by side: `identical`
+# or `differ` (the smoke sizes miss plan changes the full sizes show). Three runs of one commit gave all
+# 195 counts equal but `serve-mixed`'s `service.cache.evictions`, so its
+# `service.*` counts are skipped: they count what its timed closed loop
+# happened to do (cache evictions, rejections). It only reports: a
+# change that means to move counters exits 0 too. A failed build or run,
+# or a run with a wrong row, exits non-zero. About 1 min per side plus
+# two builds.
 #
 #   scripts/counters.sh --against <rev>
 set -euo pipefail
@@ -20,10 +23,10 @@ before="$(mktemp -d)"
 trap 'rm -rf "$before"' EXIT
 git archive "$against" | tar -x -C "$before"
 
-# Writes the merged smoke report of the checkout at $1 to $2.
+# Writes the merged report of the checkout at $1 to $2.
 counters() (
     cd "$1"
-    benchmark/run.sh --workload all --smoke --seconds 0.2 --trace 1 --out "$2" >/dev/null
+    benchmark/run.sh --workload all --seconds 3 --trace 1 --out "$2" >/dev/null
 )
 
 CARGO_TARGET_DIR="$before/target" counters "$before" "$before/counters.before.json"

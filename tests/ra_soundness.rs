@@ -11,9 +11,9 @@
 //!    µ-RA rewriter actually produce; a third of the cases union two
 //!    translations of the path, as the schema rewrite's disjuncts do, and
 //!    a third translate the path's Fig. 1 schema rewrite itself — flat
-//!    n-ary joins under stacked node-label semi-joins, checked against
-//!    the same oracle by Theorem 1. `optimize` is idempotent on every
-//!    case.
+//!    n-ary joins of label-filtered scans, some under node-label
+//!    semi-joins, checked against the same oracle by Theorem 1.
+//!    `optimize` is idempotent on every case.
 //! 2. `execute_plan(plan(optimize(t)))` equals the oracle too, and some
 //!    cases plan a shared node.
 //! 3. `execute_plan(index-enabled) == execute_plan(index-disabled) ==
@@ -22,7 +22,9 @@
 //!    3b. `execute_plan` on the store's own plans (precomputed
 //!    endpoint-label slice scans included) is bit-identical to the
 //!    reference executor, serially and under morsel parallelism, and
-//!    every slice is its base table filtered by the node sets.
+//!    every slice is its base table filtered by the node sets; so is
+//!    every label-filtered scan, in its folded and its semi-join form,
+//!    self-loops and empty label intersections included.
 //! 4. Every `Relation` operator returns a canonical (strictly sorted,
 //!    deduplicated) result, including the operators that skip the re-sort
 //!    because they provably preserve order.
@@ -274,10 +276,8 @@ fn planner_selects_merge_join_for_aligned_inputs() {
     // Ablate index joins: this test pins the scan-based strategies.
     store.index_joins = false;
     let s = &store.symbols;
-    let scan = |label: &str, src, tgt| RaTerm::EdgeScan {
-        label: db.edge_label_id(label).unwrap(),
-        src: s.col(src),
-        tgt: s.col(tgt),
+    let scan = |label: &str, src, tgt| {
+        RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt))
     };
     // Shared x leads both schemas → merge join.
     let aligned = RaTerm::join(scan("isLocatedIn", "x", "y"), scan("owns", "x", "z"));
@@ -315,11 +315,11 @@ fn planner_fuses_semijoin_onto_scan() {
     // A two-label filter: no precomputed slice serves it.
     let labels = ["CITY", "REGION"].map(|l| db.node_label_id(l).unwrap());
     let t = RaTerm::semijoin(
-        RaTerm::EdgeScan {
-            label: db.edge_label_id("isLocatedIn").unwrap(),
-            src: s.col("x"),
-            tgt: s.col("y"),
-        },
+        RaTerm::edge_scan(
+            db.edge_label_id("isLocatedIn").unwrap(),
+            s.col("x"),
+            s.col("y"),
+        ),
         RaTerm::NodeScan {
             labels: labels.to_vec(),
             col: s.col("y"),
@@ -327,8 +327,12 @@ fn planner_fuses_semijoin_onto_scan() {
     );
     let p = plan(&t, &store).unwrap();
     match &p.op {
-        PhysOp::FilteredEdgeScan { key, .. } => assert_eq!(key, &[s.col("y")]),
-        other => panic!("expected fused filtered scan, got {other:?}"),
+        PhysOp::FilteredEdgeScan {
+            scan, filter: None, ..
+        } => {
+            assert_eq!(scan.tgt_labels.as_deref(), Some(&labels[..]))
+        }
+        other => panic!("expected a label-filtered scan, got {other:?}"),
     }
     let mut ctx = ExecContext::new();
     let fused = execute_plan(&p, &store, &mut ctx).unwrap();
@@ -352,11 +356,11 @@ fn fixpoint_build_caching_reduces_work_with_identical_results() {
     let s = &store.symbols;
     let f = closure_fixpoint(
         s.recvar("X"),
-        RaTerm::EdgeScan {
-            label: db.edge_label_id("isLocatedIn").unwrap(),
-            src: s.col("x"),
-            tgt: s.col("y"),
-        },
+        RaTerm::edge_scan(
+            db.edge_label_id("isLocatedIn").unwrap(),
+            s.col("x"),
+            s.col("y"),
+        ),
         s.col("x"),
         s.col("y"),
         s.col("m"),
@@ -439,10 +443,8 @@ fn label_filtered_index_join_matches_scan_strategies() {
     let db = fig2_yago_database();
     let mut store = RelStore::load(&db);
     let s = &store.symbols;
-    let scan = |label: &str, src, tgt| RaTerm::EdgeScan {
-        label: db.edge_label_id(label).unwrap(),
-        src: s.col(src),
-        tgt: s.col(tgt),
+    let scan = |label: &str, src, tgt| {
+        RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt))
     };
     let node = |label: &str, col: &str| RaTerm::NodeScan {
         labels: vec![db.node_label_id(label).unwrap()],
@@ -483,11 +485,11 @@ fn index_join_inside_fixpoint_interacts_with_the_step_cache() {
     let s = &store.symbols;
     let f = closure_fixpoint(
         s.recvar("X"),
-        RaTerm::EdgeScan {
-            label: db.edge_label_id("isLocatedIn").unwrap(),
-            src: s.col("x"),
-            tgt: s.col("y"),
-        },
+        RaTerm::edge_scan(
+            db.edge_label_id("isLocatedIn").unwrap(),
+            s.col("x"),
+            s.col("y"),
+        ),
         s.col("x"),
         s.col("y"),
         s.col("m"),
@@ -527,11 +529,7 @@ fn cloning_a_scanned_base_table_does_not_copy_row_data() {
     let renamed = t1.with_cols(vec![store.symbols.col("x"), store.symbols.col("y")]);
     assert!(renamed.shares_data(&t1), "positional rename shares");
 
-    let term = RaTerm::EdgeScan {
-        label: le,
-        src: store.symbols.col("x"),
-        tgt: store.symbols.col("y"),
-    };
+    let term = RaTerm::edge_scan(le, store.symbols.col("x"), store.symbols.col("y"));
     let mut ctx = ExecContext::new();
     let executed = execute(&term, &store, &mut ctx).unwrap();
     assert!(
@@ -604,11 +602,8 @@ fn fig2_scan_estimates_match_triple_counts_exactly() {
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
     let s = &store.symbols;
-    let scan = |label: &str| RaTerm::EdgeScan {
-        label: db.edge_label_id(label).unwrap(),
-        src: s.col("x"),
-        tgt: s.col("y"),
-    };
+    let scan =
+        |label: &str| RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col("x"), s.col("y"));
     let node = |label: &str, col: &str| RaTerm::NodeScan {
         labels: vec![db.node_label_id(label).unwrap()],
         col: s.col(col),
@@ -674,11 +669,8 @@ fn parallel_execution_is_bit_identical_to_serial() {
             .collect();
         // Path expressions never semi-join against an edge table: add
         // that shape directed, a hash semi-join over a join.
-        let located = |src, tgt| RaTerm::EdgeScan {
-            label: db.edge_label_id("isLocatedIn").unwrap(),
-            src,
-            tgt,
-        };
+        let located =
+            |src, tgt| RaTerm::edge_scan(db.edge_label_id("isLocatedIn").unwrap(), src, tgt);
         let has_out_edge = RaTerm::semijoin(
             RaTerm::join(located(v0, v1), located(v1, s.col("w"))),
             located(v1, s.col("q")),
@@ -840,6 +832,121 @@ fn slices_are_base_tables_filtered_by_node_sets() {
     }
 }
 
+/// One to two random node labels of `db`.
+fn random_labels(db: &sgq_graph::GraphDatabase, rng: &mut Rng) -> Vec<NodeLabelId> {
+    let n = db.node_label_count();
+    let mut labels: Vec<NodeLabelId> = (0..rng.gen_range(1..3))
+        .map(|_| NodeLabelId::new(rng.gen_range(0..n) as u32))
+        .collect();
+    labels.dedup();
+    labels
+}
+
+#[test]
+fn labelled_scans_are_their_edge_tables_filtered_by_node_tables() {
+    // Random edge scans under random stacked node-label semi-joins on
+    // either endpoint (up to two a side, so empty intersections occur),
+    // some over a self-loop scan (`src == tgt`), in both forms: the
+    // semi-join stack and the labelled scan it folds to. Each form, alone
+    // and as the absorbable side of a join, is optimised (idempotently),
+    // planned and run at DOP 1 and 2 against the edge table filtered
+    // here by node-table membership. On a self-loop the semi-joins test
+    // the scan's first column alone and do not fold.
+    let catalogs = [
+        fig2_yago_database(),
+        sgq_datasets::ldbc::generate(sgq_datasets::ldbc::LdbcConfig::at_scale(0.01)).1,
+    ];
+    let (mut empty, mut loops) = (0, 0);
+    for (i, db) in catalogs.iter().enumerate() {
+        let store = RelStore::load(db);
+        let s = &store.symbols;
+        let (w, x, y) = (s.col("w"), s.col("x"), s.col("y"));
+        let member = |l: NodeLabelId, v: u32| store.node_table(l).rows().any(|r| r[0] == v);
+        let allows = |set: &Option<Vec<NodeLabelId>>, v| {
+            set.as_ref()
+                .is_none_or(|ls| ls.iter().any(|&l| member(l, v)))
+        };
+        for seed in 0..48u64 {
+            let mut rng = Rng::seed_from_u64(seed ^ 0x1abe1 ^ i as u64);
+            let label = EdgeLabelId::new(rng.gen_range(0..db.edge_label_count()) as u32);
+            let self_loop = rng.gen_bool(0.2);
+            let tgt = if self_loop { x } else { y };
+            let (mut stacked, mut sets) = (RaTerm::edge_scan(label, x, tgt), [None, None]);
+            for (end, col) in [(0, x), (1, tgt)] {
+                for _ in 0..rng.gen_range(0..3) {
+                    let labels = random_labels(db, &mut rng);
+                    let set: &mut Option<Vec<NodeLabelId>> = &mut sets[end];
+                    *set = Some(match set.take() {
+                        Some(prev) => prev.into_iter().filter(|l| labels.contains(l)).collect(),
+                        None => labels.clone(),
+                    });
+                    stacked = RaTerm::semijoin(stacked, RaTerm::NodeScan { labels, col });
+                }
+            }
+            let [src_labels, tgt_labels] = sets.clone().map(|s| s.map(Vec::into_boxed_slice));
+            let labelled = RaTerm::EdgeScan {
+                label,
+                src: x,
+                tgt,
+                src_labels,
+                tgt_labels,
+            };
+            empty += sets.iter().flatten().any(Vec::is_empty) as usize;
+            loops += self_loop as usize;
+            // Each form with the column filters it means.
+            let mut forms = vec![(labelled, sets.clone())];
+            if self_loop {
+                let both = [sets[0].clone(), sets[1].clone()].into_iter().flatten();
+                let all = both.reduce(|a, b| a.into_iter().filter(|l| b.contains(l)).collect());
+                forms.push((stacked, [all, None]));
+            } else {
+                forms.push((stacked, sets));
+            }
+            let edges = store.edge_table(label);
+            let other = EdgeLabelId::new(rng.gen_range(0..db.edge_label_count()) as u32);
+            for (form, [first, second]) in forms {
+                let kept: Vec<Vec<u32>> = (edges.rows())
+                    .filter(|r| allows(&first, r[0]) && allows(&second, r[1]))
+                    .map(<[u32]>::to_vec)
+                    .collect();
+                let mut cases = vec![(form.clone(), kept.clone(), vec![x, tgt])];
+                if !self_loop {
+                    // w -other-> x ⋈ the scan: an index join may absorb it.
+                    let joined = (store.edge_table(other).rows())
+                        .flat_map(|o| {
+                            kept.iter()
+                                .filter(move |k| k[0] == o[1])
+                                .map(move |k| vec![o[0], k[0], k[1]])
+                        })
+                        .collect();
+                    let join = RaTerm::join(RaTerm::edge_scan(other, w, x), form);
+                    cases.push((join, joined, vec![w, x, y]));
+                }
+                for (term, mut want, cols) in cases {
+                    let what = format!("(catalog {i}, seed {seed}) {term:?}");
+                    let opt = optimize(&term, &store);
+                    assert_eq!(optimize(&opt, &store), opt, "not idempotent {what}");
+                    let p = plan(&opt, &store).expect("lowers");
+                    want.sort_unstable();
+                    want.dedup();
+                    for dop in [1, 2] {
+                        let mut ctx = ExecContext::new();
+                        (ctx.dop, ctx.parallel_threshold, ctx.morsel_rows) = (dop, 1, 2);
+                        let rel = execute_plan(&p, &store, &mut ctx).expect("executes");
+                        let rel = if self_loop { rel } else { rel.project(&cols) };
+                        let got: Vec<Vec<u32>> = rel.rows().map(<[u32]>::to_vec).collect();
+                        assert_eq!(got, want, "DOP {dop} {what}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        empty > 0 && loops > 0,
+        "{empty} empty intersections, {loops} self-loops"
+    );
+}
+
 #[test]
 fn memo_warm_plans_are_bit_identical_to_cold() {
     // The cardinality feedback memo changes estimates — and therefore
@@ -907,10 +1014,8 @@ fn parallel_index_join_respects_label_filters() {
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
     let s = &store.symbols;
-    let scan = |label: &str, src, tgt| RaTerm::EdgeScan {
-        label: db.edge_label_id(label).unwrap(),
-        src: s.col(src),
-        tgt: s.col(tgt),
+    let scan = |label: &str, src, tgt| {
+        RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt))
     };
     let node = |label: &str, col: &str| RaTerm::NodeScan {
         labels: vec![db.node_label_id(label).unwrap()],
@@ -956,11 +1061,11 @@ fn parallel_fixpoint_matches_serial_with_identical_builds() {
     let s = &store.symbols;
     let f = closure_fixpoint(
         s.recvar("X"),
-        RaTerm::EdgeScan {
-            label: db.edge_label_id("isLocatedIn").unwrap(),
-            src: s.col("x"),
-            tgt: s.col("y"),
-        },
+        RaTerm::edge_scan(
+            db.edge_label_id("isLocatedIn").unwrap(),
+            s.col("x"),
+            s.col("y"),
+        ),
         s.col("x"),
         s.col("y"),
         s.col("m"),
@@ -1005,10 +1110,8 @@ fn parallel_row_budget_stops_within_one_morsel_batch_per_worker() {
     let (_, db) = sgq_datasets::yago::generate(sgq_datasets::yago::YagoConfig::scaled(0.2));
     let store = RelStore::load(&db);
     let s = &store.symbols;
-    let scan = |label: &str, src, tgt| RaTerm::EdgeScan {
-        label: db.edge_label_id(label).unwrap(),
-        src: s.col(src),
-        tgt: s.col(tgt),
+    let scan = |label: &str, src, tgt| {
+        RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt))
     };
     // A fanout self-join (people sharing a city) whose output dwarfs its
     // inputs, so a budget above the scan sizes still trips inside the
