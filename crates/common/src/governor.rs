@@ -112,20 +112,9 @@ impl ResourceGovernor {
         self.active.load(Ordering::Relaxed)
     }
 
-    /// Bytes left under the global ceiling (`usize::MAX` when
-    /// unlimited).
-    pub fn headroom(&self) -> usize {
-        if self.global_limit == 0 {
-            usize::MAX
-        } else {
-            self.global_limit.saturating_sub(self.used())
-        }
-    }
-
     /// Whether charged bytes have crossed the pressure threshold — the
-    /// serving layer's cue to degrade gracefully (shrink admission,
-    /// re-prepare oversized plans) before the hard ceiling aborts
-    /// queries.
+    /// serving layer's cue to degrade gracefully (shrink admission)
+    /// before the hard ceiling aborts queries.
     pub fn under_pressure(&self) -> bool {
         self.pressure_bytes > 0 && self.used() >= self.pressure_bytes
     }
@@ -241,7 +230,6 @@ mod tests {
         let b = gov.begin(0);
         a.charge(70).unwrap();
         assert!(gov.under_pressure(), "70 >= 50% of 100");
-        assert_eq!(gov.headroom(), 30);
         let err = b.charge(40).unwrap_err();
         assert!(err.is_budget(), "got {err}");
         drop(b);
@@ -257,7 +245,6 @@ mod tests {
         let budget = gov.begin(0);
         budget.charge(usize::MAX / 2).unwrap();
         assert!(!gov.under_pressure());
-        assert_eq!(gov.headroom(), usize::MAX);
         drop(budget);
         assert_eq!(gov.used(), 0);
     }

@@ -4,7 +4,7 @@
 //! | experiment  | reference            | variants                          | gate                                   |
 //! |-------------|----------------------|-----------------------------------|----------------------------------------|
 //! | `parallel`  | serial               | DOP = N morsel execution          | ≥ 1 morsel dispatched                  |
-//! | `estimates` | cold memo            | warm memo                         | cold median q-error ≤ 2, warm ≤ cold   |
+//! | `estimates` | statistics           | —                                 | median root q-error ≤ 2                |
 //! | `observe`   | direct               | traced service                    | trace == `EXPLAIN ANALYZE`, overhead   |
 //! | `serve`     | sequential, uncached | workers × cache, concurrent       | 0 errors, warm cache always hit        |
 //! | `chaos`     | fault-free service   | one armed service per seed × backend, 2 clients | `exec.*` and `engine.*` sites fired |
@@ -31,9 +31,7 @@ use sgq_ra::{PhysOp, PhysPlan, RaTerm, RelStore};
 use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
 
 use crate::experiments;
-use crate::replay::{
-    replay, Catalog, Catalogs, Faults, Memo, Pass, Replay, Run, Sizing, Table, Variant, Via,
-};
+use crate::replay::{replay, Catalog, Catalogs, Faults, Pass, Replay, Sizing, Table, Variant, Via};
 use crate::summary::Summary;
 
 /// The experiment-specific knobs (dataset sizes and the timeout live in
@@ -198,21 +196,7 @@ fn parallel(cats: &Catalogs, p: &GateParams, gate: bool) -> String {
     finish(head, &t, &closing, reps.iter().map(|(_, r)| r))
 }
 
-/// The physical shape of a plan with the estimate annotations stripped:
-/// operator kinds, join keys, build sides and filters — what a warm
-/// re-plan can change.
-fn strategy(run: &Run, cat: &Catalog, store: &RelStore) -> Option<String> {
-    let plan = run.prepared.as_ref()?.plan()?;
-    Some(
-        sgq_ra::explain::explain_plan(plan, store, &*cat.db)
-            .lines()
-            .map(|l| l.split(" (cost").next().unwrap_or(l))
-            .collect::<Vec<_>>()
-            .join("\n"),
-    )
-}
-
-/// One line that is equal at two commits iff `cat`'s cold-pass plans
+/// One line that is equal at two commits iff `cat`'s plans
 /// are: statements planned, the nodes of their optimised terms and of
 /// their plans, and a digest of every plan's `EXPLAIN` text — so "plans
 /// unchanged" is a one-line diff of this experiment's output. A second
@@ -286,7 +270,7 @@ fn count_filters(term: &RaTerm, counts: &mut [usize; 2]) {
 }
 
 /// One line that is equal at two commits iff the schema rewrite of every
-/// statement of `cat` is, as the cold pass rewrites it: a digest of each
+/// statement of `cat` is, as the pass rewrites it: a digest of each
 /// outcome's kind and its UCQT text.
 fn rewrite_line(cat: &Catalog) -> String {
     let mut digest = FxHasher::default();
@@ -303,7 +287,7 @@ fn rewrite_line(cat: &Catalog) -> String {
     format!("{}: rewrite digest {:016x}\n", cat.name, digest.finish())
 }
 
-/// How many of `cat`'s cold-pass plans share a node, and one line saying
+/// How many of `cat`'s plans share a node, and one line saying
 /// so with the rows the reuse did not recompute — (parents − 1) × output
 /// rows per shared node, from one traced execution of each such plan.
 fn shared_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> (usize, String) {
@@ -326,12 +310,10 @@ fn shared_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> (usize, String) 
         shared.dedup_by_key(|n| n.id);
         statements += 1;
         let traced = execute_plan_traced(plan, store, &mut ExecContext::new());
-        let actuals = traced.expect("it ran in the cold pass").1.actuals;
+        let actuals = traced.expect("it ran in the pass").1.actuals;
         let rows = |n: &PhysPlan| (n.parents() as usize - 1) * actuals[n.id as usize];
         saved += shared.into_iter().map(rows).sum::<usize>();
     }
-    // Leave the shared store as a fresh load would be.
-    store.feedback.clear();
     let line = format!(
         "{}: {statements} statements plan a shared node; reuse saved {saved} rows\n",
         cat.name
@@ -339,7 +321,7 @@ fn shared_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> (usize, String) 
     (statements, line)
 }
 
-/// One line counting the hash and index joins of `cat`'s cold-pass plans,
+/// One line counting the hash and index joins of `cat`'s plans,
 /// and how many of them emit through their projection
 /// ([`fuses_its_join`]); and the strategy census, one count per operator
 /// kind ([`PhysOp::kind`]) in name order, a shared node once.
@@ -370,50 +352,35 @@ fn strategy_lines(cat: &Catalog, cold: &Pass) -> String {
     )
 }
 
-/// `estimates`: cardinality-estimation quality. The cold pass plans
-/// from the statistics alone and records each root estimate's q-error
-/// against the executed row count; the warm pass re-plans after the
-/// feedback memo observed one execution of every query.
+/// `estimates`: cardinality-estimation quality. Every statement is
+/// planned from the statistics and executed once, and each root
+/// estimate's q-error is taken against the executed row count.
 fn estimates(cats: &Catalogs, gate: bool) -> String {
-    let warm = Variant {
-        memo: Memo::Warm,
-        ..Variant::new("warm")
-    };
-    let mut t = Table::new("<data|<query|est cold|est warm|actual|q cold|q warm|<plan");
+    let mut t = Table::new("<data|<query|est|actual|q");
     let mut closing = String::new();
-    let (mut switches, mut cheaper) = (0, 0);
-    let reps = replay_both(cats, &Variant::new("cold"), &[warm]);
+    let reps = replay_both(cats, &Variant::new("statistics"), &[]);
     for (cat, rep) in &reps {
         let store = cat.store();
-        let (mut q_cold, mut q_warm) = (Vec::new(), Vec::new());
-        for (query, cold, v) in rep.compared() {
+        let mut q = Vec::new();
+        for (query, run, _) in rep.compared() {
             // A rewrite that proves the query empty has no plan to
             // estimate.
-            let (Some((est_cold, _)), Some((est_warm, _))) = (cold.estimate(), v[0].estimate())
-            else {
+            let Some((est, _)) = run.estimate() else {
                 continue;
             };
-            let actual = cold.rows as f64;
-            q_cold.push(q_error(est_cold, actual));
-            q_warm.push(q_error(est_warm, actual));
-            let switched = strategy(cold, cat, &store) != strategy(v[0], cat, &store);
-            switches += switched as usize;
-            // Rows materialised, not wall clock: the same on every run.
-            cheaper += (switched && v[0].materialised < cold.materialised) as usize;
+            q.push(q_error(est, run.rows as f64));
             t.row(format!(
-                "{}|{query}|{est_cold:.1}|{est_warm:.1}|{}|{:.2}|{:.2}|{}",
+                "{}|{query}|{est:.1}|{}|{:.2}",
                 cat.name,
-                cold.rows,
-                q_cold[q_cold.len() - 1],
-                q_warm[q_warm.len() - 1],
-                if switched { "switch" } else { "-" }
+                run.rows,
+                q[q.len() - 1]
             ));
         }
-        let (n, name) = (q_cold.len(), cat.name);
-        let (mc, mw) = (median(q_cold.into_iter()), median(q_warm.into_iter()));
+        let (n, name) = (q.len(), cat.name);
+        let mq = median(q.into_iter());
         let _ = writeln!(
             closing,
-            "{name}: median q-error over {n} feasible queries: cold = {mc:.2}, warm = {mw:.2}"
+            "{name}: median root q-error over {n} feasible queries: {mq:.2}"
         );
         closing.push_str(&plans_line(cat, &store, &rep.reference));
         closing.push_str(&rewrite_line(cat));
@@ -428,30 +395,16 @@ fn estimates(cats: &Catalogs, gate: bool) -> String {
             );
             assert!(n > 0, "estimates: no feasible {name} queries");
             assert!(
-                mc <= 2.0,
-                "estimates: cold median q-error regressed on {name}: {mc:.3} > 2.0"
-            );
-            assert!(
-                mw <= mc,
-                "estimates: warm-memo median q-error regressed on {name}: {mw:.3} > {mc:.3}"
+                mq <= 2.0,
+                "estimates: median root q-error regressed on {name}: {mq:.3} > 2.0"
             );
         }
     }
-    let _ = writeln!(
-        closing,
-        "feedback: {switches} queries switched physical strategy after memo \
-         warm-up ({cheaper} to a plan materialising fewer rows)"
-    );
     if gate {
-        assert!(
-            cheaper > 0,
-            "estimates: feedback must switch at least one query to a physical \
-             plan that materialises fewer rows"
-        );
         closing.push_str("estimates gate: PASS\n");
     }
     let head = format!(
-        "Cardinality estimation quality: statistics (cold) vs feedback memo (warm) ({})\n\n",
+        "Cardinality estimation quality: statistics-driven root estimates ({})\n\n",
         scales(cats)
     );
     finish(head, &t, &closing, reps.iter().map(|(_, r)| r))

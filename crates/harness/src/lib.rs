@@ -5,10 +5,10 @@
 //!   through: [`Catalogs`](replay::Catalogs) (datasets, parsed catalogs
 //!   and relational stores built once per process),
 //!   [`Variant`](replay::Variant) (backend × approach × morsel sizing ×
-//!   traced × fault plan × memo cold/warm × direct or through a
-//!   service), the timeout / mean-of-repeats protocol of §5.1.5, the
-//!   bit-identity comparator against a named reference variant, the
-//!   table renderer and the JSON emitter,
+//!   traced × fault plan × direct or through a service), the timeout /
+//!   mean-of-repeats protocol of §5.1.5, the bit-identity comparator
+//!   against a named reference variant, the table renderer and the JSON
+//!   emitter,
 //! * [`gates`] — the replay-driven experiments, each a variant list plus
 //!   a gate predicate: `parallel`, `estimates`, `observe`, `serve`,
 //!   `chaos` (CI runs them all, armed, in one

@@ -9,9 +9,8 @@
 //!   only `generate` call sites),
 //! * [`Variant`] — one way of executing a catalog: backend × approach
 //!   (baseline or schema-rewritten) × morsel sizing × traced × fault
-//!   plan × feedback memo cold/warm × direct
-//!   [`PreparedQuery::execute`] or through a [`Service`]; the front end
-//!   is always the library's own [`prepare`],
+//!   plan × direct [`PreparedQuery::execute`] or through a [`Service`];
+//!   the front end is always the library's own [`prepare`],
 //! * [`replay`] — a named reference variant and a list of variants over
 //!   a catalog, every answer compared **bit for bit**,
 //! * [`Table`] and [`Replay::to_json`] — the one table renderer and the
@@ -200,18 +199,6 @@ pub struct Faults {
     pub max_attempts: usize,
 }
 
-/// State of the cardinality-feedback memo while a variant plans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Memo {
-    /// Cleared and disabled: every plan is estimated from the
-    /// statistics alone.
-    #[default]
-    Cold,
-    /// Cleared, then trained by one recorded execution of every query's
-    /// cold plan; the variant plans from the observed cardinalities.
-    Warm,
-}
-
 /// How a variant reaches the executor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Via {
@@ -234,8 +221,7 @@ pub enum Via {
 
 /// One way of executing a catalog. The default is what is served, run
 /// plainly: relational backend, schema-rewritten with the default
-/// options, serial, untraced, no faults, cold memo, direct, one
-/// execution.
+/// options, serial, untraced, no faults, direct, one execution.
 #[derive(Debug, Clone, Default)]
 pub struct Variant {
     /// Name used in reports and divergence panics.
@@ -253,8 +239,6 @@ pub struct Variant {
     pub traced: bool,
     /// Fault plan armed while the variant runs.
     pub faults: Option<Faults>,
-    /// Feedback-memo state the variant plans under.
-    pub memo: Memo,
     /// Direct execution or through a service.
     pub via: Via,
     /// Timed executions per query (direct only, 0 = 1), averaged.
@@ -281,9 +265,6 @@ pub struct Run {
     pub ms: f64,
     /// Morsel tasks dispatched (direct only).
     pub morsels: usize,
-    /// Rows the executor materialised — the deterministic measure of
-    /// the work a plan did (direct only).
-    pub materialised: usize,
     /// The prepared statement that ran (direct only).
     pub prepared: Option<Arc<PreparedQuery>>,
     /// The query-lifecycle trace (traced service variants).
@@ -509,22 +490,6 @@ impl PassCtx<'_> {
         )
     }
 
-    /// Sets the store's feedback memo up for this variant.
-    fn set_memo(&self) {
-        let memo = &self.store.feedback;
-        memo.clear();
-        memo.set_enabled(false);
-        if self.variant.memo == Memo::Warm {
-            let cold: Vec<_> = (self.cat.queries.iter())
-                .filter_map(|q| self.prepare(q).ok())
-                .collect();
-            memo.set_enabled(true);
-            for prepared in &cold {
-                let _ = prepared.execute(&self.cat.db, &self.store, &mut self.exec_context(), None);
-            }
-        }
-    }
-
     /// One direct attempt: prepare, then the mean of `repeats` timed
     /// executions (§5.1.5).
     fn run_direct(&self, q: &CatalogQuery) -> Result<(Run, Answer)> {
@@ -533,7 +498,6 @@ impl PassCtx<'_> {
             rows: 0,
             ms: 0.0, // stays 0 when the schema proves the query empty
             morsels: 0,
-            materialised: 0,
             prepared: Some(Arc::clone(&prepared)),
             trace: None,
             analyze_json: None,
@@ -550,7 +514,6 @@ impl PassCtx<'_> {
                 (answer, _) = prepared.execute(&self.cat.db, &self.store, &mut ctx, None)?;
                 run.ms += start.elapsed().as_secs_f64() * 1e3 / repeats as f64;
                 run.morsels = ctx.morsels_executed;
-                run.materialised = ctx.rows_materialized();
                 run.rows = answer.rows().len();
             }
         }
@@ -628,7 +591,6 @@ impl<'a> Served<'a> {
             rows: resp.rows.len(),
             ms: resp.stats.total_micros as f64 / 1e3,
             morsels: 0,
-            materialised: resp.stats.rows_materialized,
             prepared: None,
             trace: traced.then(|| session.recent_traces().pop()).flatten(),
             analyze_json: resp.analyze_json,
@@ -709,7 +671,6 @@ fn run_pass(
             .map(|s| Arc::new(TaskScheduler::new(s.dop))),
         expected,
     };
-    ctx.set_memo();
     let mut pass = Pass {
         variant: variant.clone(),
         runs: vec![None; cat.queries.len()],
@@ -787,9 +748,6 @@ fn run_pass(
     if let Some(plan) = &ctx.faults {
         pass.fired = plan.fired();
     }
-    // Leave the shared store as a fresh load would be.
-    ctx.store.feedback.clear();
-    ctx.store.feedback.set_enabled(true);
     (pass, answers)
 }
 

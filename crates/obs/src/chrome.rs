@@ -34,10 +34,6 @@ fn phase_event(trace: &QueryTrace, span: &Span) -> JsonValue {
         .collect();
     if span.parent == 0 {
         args.push(("query".to_string(), JsonValue::str(trace.query.clone())));
-        args.push((
-            "fingerprint".to_string(),
-            JsonValue::str(format!("{:016x}", trace.fingerprint)),
-        ));
     }
     JsonValue::obj([
         ("name", JsonValue::str(span.name)),
@@ -117,7 +113,6 @@ mod tests {
     #[test]
     fn export_parses_and_carries_both_categories() {
         let mut tb = QueryTraceBuilder::standalone("select *");
-        tb.set_fingerprint(0xabcd);
         let root = tb.begin("query");
         let exec = tb.begin("execute");
         tb.end_tagged(exec, vec![("rows", 3usize.into())]);
@@ -149,10 +144,6 @@ mod tests {
         assert_eq!(
             args.get("query").and_then(JsonValue::as_str),
             Some("select *")
-        );
-        assert_eq!(
-            args.get("fingerprint").and_then(JsonValue::as_str),
-            Some("000000000000abcd")
         );
         let op = events
             .iter()

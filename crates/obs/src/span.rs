@@ -160,8 +160,6 @@ pub struct QueryTrace {
     pub trace_id: u64,
     /// The query text (canonical form when traced by the service).
     pub query: String,
-    /// Plan fingerprint (0 when unknown, e.g. graph-backend queries).
-    pub fingerprint: u64,
     /// Phase spans, in recording order.
     pub phases: Vec<Span>,
     /// Per-operator spans (empty for non-relational execution).
@@ -206,7 +204,6 @@ pub struct QueryTraceBuilder {
     ids: Arc<AtomicU64>,
     trace_id: u64,
     query: String,
-    fingerprint: u64,
     spans: Vec<Span>,
     /// Stack of open span ids; `begin` nests under the top.
     open: Vec<SpanId>,
@@ -225,7 +222,6 @@ impl QueryTraceBuilder {
             ids,
             trace_id,
             query,
-            fingerprint: 0,
             spans: Vec::new(),
             open: Vec::new(),
             ops: Vec::new(),
@@ -246,10 +242,6 @@ impl QueryTraceBuilder {
     /// The clock this builder stamps spans with.
     pub fn clock(&self) -> TraceClock {
         self.clock
-    }
-
-    pub fn set_fingerprint(&mut self, fp: u64) {
-        self.fingerprint = fp;
     }
 
     fn next_id(&self) -> SpanId {
@@ -337,7 +329,6 @@ impl QueryTraceBuilder {
         QueryTrace {
             trace_id: self.trace_id,
             query: self.query,
-            fingerprint: self.fingerprint,
             phases: self.spans,
             ops: self.ops,
             total_us: end.saturating_sub(start),

@@ -3,13 +3,11 @@
 //!
 //! **The step.** Everything the front end derives for a term node is
 //! one `Summary`: the `Card` (estimated rows and a distinct-value
-//! estimate per column), the rename-invariant
-//! fingerprint, the cost split into a recursion-independent part (paid
-//! once per fixpoint) and a recursion-dependent part (paid every round),
-//! whether the rows came from the feedback memo, and the deepest closure
-//! bound of the edge labels underneath. `Estimator::step` computes a
-//! node's summary from the node's own fields and its children's columns
-//! and summaries — it never descends. The formulas, all off measured
+//! estimate per column), the cost split into a recursion-independent part
+//! (paid once per fixpoint) and a recursion-dependent part (paid every
+//! round), and the deepest closure bound of the edge labels underneath.
+//! `Estimator::step` computes a node's summary from the node's own fields
+//! and its children's columns and summaries — it never descends. The formulas, all off measured
 //! statistics:
 //!
 //! * a label-filtered scan is estimated straight from the per-triple
@@ -33,35 +31,21 @@
 //! and its term DAG ([`crate::term`]). `Estimator::summary` memoises each
 //! node's summary per (node, binding frame): a static node under frame 0,
 //! a node with free recursion variables under the frame of the enclosing
-//! fixpoints' bindings. [`estimate`] and [`fingerprint`] are the root
-//! entry; [`crate::plan::plan`] lowers its DAG reading the summaries — an
-//! operand absorbed into an index join or a slice scan is summarised and
+//! fixpoints' bindings. [`estimate`] is the root entry;
+//! [`crate::plan::plan`] lowers its DAG reading the summaries — an operand
+//! absorbed into an index join or a slice scan is summarised and
 //! never lowered; [`mod@crate::optimize`] summarises every operand of a
 //! join chain once and scores a greedy candidate once per pair of operand
 //! summaries (`Estimator::join`). No caller re-enters the estimator for a
 //! node it already has a summary of.
 //!
-//! **Runtime feedback.** The **fingerprint** is a bottom-up hash over
-//! operator kinds, edge labels, node-label filters and join-key
-//! *positions* in the children's output schemas. Column names never
-//! enter the hash, so it is invariant under renaming; and because it is
-//! computed from the logical term, physical strategies (hash vs merge vs
-//! index join) of the same logical subtree share it. Each step finishes
-//! by asking the store's [`crate::feedback::FeedbackMemo`] — once —
-//! whether this exact recursion-independent subtree has executed
-//! before; if so the *observed* cardinality replaces the formula's, so
-//! re-prepared queries get measured row counts where it matters (join
-//! ordering, build sides, index-vs-hash). An estimator asks once per
-//! fingerprint and keeps the answer: every node of one fingerprint in a
-//! call sees the same observation, even while other sessions feed the
-//! memo.
+//! **Pure.** A summary reads the term and the store's statistics and
+//! nothing else — no observed cardinality, no state another execution
+//! changes — so a statement plans the same way cold, warm and on every
+//! worker (DESIGN.md, "Adaptive re-optimisation: the verdict").
 
-use std::hash::{Hash, Hasher};
+use sgq_common::{ColId, EdgeLabelId, FxHashMap, NodeLabelId, RecVarId};
 
-use sgq_common::hash::map_with_capacity;
-use sgq_common::{ColId, EdgeLabelId, FxHashMap, FxHasher, NodeLabelId, RecVarId};
-
-use crate::feedback::Observation;
 use crate::storage::RelStore;
 use crate::term::{Dag, Id, NodeMemo, Op, RaTerm, ScanLabels};
 
@@ -104,81 +88,12 @@ pub fn estimate(term: &RaTerm, store: &RelStore) -> Estimate {
     root(term, store).estimate()
 }
 
-/// The structural fingerprint of `term`: a bottom-up hash over operator
-/// kinds, edge labels, node-label filters and join-key positions.
-/// Invariant under column renaming (columns enter as positions in their
-/// child's output schema) and under join operand order.
-pub fn fingerprint(term: &RaTerm, store: &RelStore) -> u64 {
-    root(term, store).fp
-}
-
 /// The summary of `term`'s root, outside any fixpoint.
 fn root(term: &RaTerm, store: &RelStore) -> Summary {
     let (dag, id) = Dag::of(term, false);
     let mut est = Estimator::new(store, dag.len().0);
     let s = est.summary(&dag, id);
     est.sums.swap_remove(s as usize)
-}
-
-// Fingerprint hashing. Tags keep distinct operators from colliding;
-// positions (not names) make the hash rename-invariant.
-const FP_EDGE: u64 = 1;
-const FP_NODE: u64 = 2;
-const FP_JOIN: u64 = 3;
-const FP_SEMI: u64 = 4;
-const FP_UNION: u64 = 5;
-const FP_PROJECT: u64 = 6;
-const FP_SELECT: u64 = 7;
-const FP_FIX: u64 = 8;
-const FP_RECREF: u64 = 9;
-const FP_POS: u64 = 10;
-
-fn fp_hash(tag: u64, vals: &[u64]) -> u64 {
-    let mut h = FxHasher::default();
-    tag.hash(&mut h);
-    for v in vals {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Position of `key` within `cols` as a hash input (`u64::MAX` when
-/// absent).
-fn fp_position(cols: &[ColId], key: ColId) -> u64 {
-    cols.iter()
-        .position(|&c| c == key)
-        .map_or(u64::MAX, |p| p as u64)
-}
-
-/// Hash of `keys` as positions within `cols`, in the order given.
-fn fp_positions(cols: &[ColId], keys: &[ColId]) -> u64 {
-    let pos: Vec<u64> = keys.iter().map(|&k| fp_position(cols, k)).collect();
-    fp_hash(FP_POS, &pos)
-}
-
-/// Hash of `keys` as a *set* of positions within `cols` (sorted).
-fn fp_position_set(cols: &[ColId], keys: &[ColId]) -> u64 {
-    let mut pos: Vec<u64> = keys.iter().map(|&k| fp_position(cols, k)).collect();
-    pos.sort_unstable();
-    fp_hash(FP_POS, &pos)
-}
-
-/// Operand-order-invariant fingerprint of a binary node over `shared`
-/// key columns: the direct hash (keys enumerated in left-schema order)
-/// and the mirrored hash (right-schema order) are combined by `min`, so
-/// `a ⋈ b` and `b ⋈ a` fingerprint identically.
-fn fp_commutative(tag: u64, fa: u64, ca: &[ColId], fb: u64, cb: &[ColId], shared: &[ColId]) -> u64 {
-    let mut by_b: Vec<ColId> = shared.to_vec();
-    by_b.sort_unstable_by_key(|k| cb.iter().position(|c| c == k).unwrap_or(usize::MAX));
-    let direct = fp_hash(
-        tag,
-        &[fa, fp_positions(ca, shared), fb, fp_positions(cb, shared)],
-    );
-    let mirror = fp_hash(
-        tag,
-        &[fb, fp_positions(cb, &by_b), fa, fp_positions(ca, &by_b)],
-    );
-    direct.min(mirror)
 }
 
 /// Growth multiplier of a fixpoint whose subtree's deepest measured
@@ -430,13 +345,8 @@ fn semijoin_card(a: &Card, b: &Card, shared: &[ColId], store: &RelStore) -> Card
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Summary {
     card: Card,
-    /// Structural fingerprint of the subtree.
-    pub(crate) fp: u64,
-    /// Whether the rows are a memoised observation, not the formulas'.
-    pub(crate) memo: bool,
     /// Whether the subtree depends on an enclosing fixpoint's recursive
-    /// reference (then it is neither looked up in nor fed to the memo:
-    /// per-round deltas are not its cardinality).
+    /// reference (then its cost is paid every round).
     dep: bool,
     /// Cost of the recursion-independent part, paid once per fixpoint.
     st: f64,
@@ -450,14 +360,12 @@ impl Summary {
     /// A node over `kids` with `local` cost of its own: the node is
     /// dynamic as soon as any input depends on a recursive reference,
     /// and only then does its local cost join the per-round bucket.
-    fn over(kids: &[&Summary], local: f64, card: Card, fp: u64) -> Summary {
+    fn over(kids: &[&Summary], local: f64, card: Card) -> Summary {
         let dep = kids.iter().any(|k| k.dep);
         let st: f64 = kids.iter().map(|k| k.st).sum();
         let dy: f64 = kids.iter().map(|k| k.dy).sum();
         Summary {
             card,
-            fp,
-            memo: false,
             dep,
             st: if dep { st } else { st + local },
             dy: if dep { dy + local } else { dy },
@@ -465,7 +373,7 @@ impl Summary {
         }
     }
 
-    /// Estimated (or observed) output rows.
+    /// Estimated output rows.
     pub(crate) fn rows(&self) -> f64 {
         self.card.rows
     }
@@ -495,18 +403,16 @@ thread_local! {
 }
 
 /// A binding made by [`Estimator::bind`], undone by [`Estimator::unbind`].
-pub(crate) type Binding = (u32, Option<(f64, u64)>);
+pub(crate) type Binding = (u32, Option<f64>);
 
-/// The estimator of one `optimize` or `plan` call: the statistics and
-/// memo of `store`, the enclosing fixpoints' bindings, and every summary
-/// computed so far, memoised per (node, binding).
+/// The estimator of one `optimize` or `plan` call: the statistics of
+/// `store`, the enclosing fixpoints' bindings, and every summary computed
+/// so far, memoised per (node, binding).
 pub(crate) struct Estimator<'a> {
     store: &'a RelStore,
-    /// Per bound recursion variable: its base case's estimated rows (what
-    /// a recursive reference is estimated at) and the nesting depth at
-    /// bind time (what it fingerprints by).
-    bound: FxHashMap<RecVarId, (f64, u64)>,
-    nesting: u64,
+    /// Per bound recursion variable: its base case's estimated rows, what
+    /// a recursive reference is estimated at.
+    bound: FxHashMap<RecVarId, f64>,
     /// The current binding frame (0: none), interned from the enclosing
     /// frame, the variable and its rows: the same bindings, the same frame.
     frame: u32,
@@ -516,8 +422,6 @@ pub(crate) struct Estimator<'a> {
     sums: Vec<Summary>,
     memo: NodeMemo,
     joins: FxHashMap<(u32, u32), u32>,
-    /// The feedback memo's answer per fingerprint, asked once per call.
-    observations: FxHashMap<u64, Option<Observation>>,
 }
 
 impl std::ops::Index<u32> for Estimator<'_> {
@@ -533,31 +437,27 @@ impl<'a> Estimator<'a> {
         Estimator {
             store,
             bound: FxHashMap::default(),
-            nesting: 0,
             frame: 0,
             frames: FxHashMap::default(),
             sums: Vec::with_capacity(nodes),
             memo: NodeMemo::new(nodes),
             joins: FxHashMap::default(),
-            observations: map_with_capacity(nodes),
         }
     }
 
     /// Binds `var` to a base case of `base_rows` rows — how a fixpoint's
     /// step is estimated — until the matching [`Estimator::unbind`].
     pub(crate) fn bind(&mut self, var: RecVarId, base_rows: f64) -> Binding {
-        self.nesting += 1;
         let fresh = self.frames.len() as u32 + 1;
         let key = (self.frame, var, base_rows.to_bits());
         let frame = *self.frames.entry(key).or_insert(fresh);
-        let shadowed = self.bound.insert(var, (base_rows, self.nesting));
+        let shadowed = self.bound.insert(var, base_rows);
         (std::mem::replace(&mut self.frame, frame), shadowed)
     }
 
     /// Undoes [`Estimator::bind`], restoring any shadowed binding of the
     /// same variable.
     pub(crate) fn unbind(&mut self, var: RecVarId, (frame, shadowed): Binding) {
-        self.nesting -= 1;
         self.frame = frame;
         match shadowed {
             Some(outer) => self.bound.insert(var, outer),
@@ -610,7 +510,7 @@ impl<'a> Estimator<'a> {
     /// The one estimation step: the summary of node `id` from its own
     /// fields, its children's columns and their summaries `kids`. Never
     /// descends into the children.
-    fn step(&mut self, dag: &Dag, id: Id, kids: [u32; 2]) -> Summary {
+    fn step(&self, dag: &Dag, id: Id, kids: [u32; 2]) -> Summary {
         #[cfg(test)]
         STEPS.with(|n| n.set(n.get() + 1));
         let store = self.store;
@@ -619,23 +519,20 @@ impl<'a> Estimator<'a> {
             cols.next().unwrap_or_default(),
             cols.next().unwrap_or_default(),
         );
-        let raw = match dag.node(id) {
+        match dag.node(id) {
             Op::EdgeScan(label, src, tgt, ls) => {
-                // Priced and fingerprinted as the semi-join stack it
-                // stands for, the target's filter innermost as the
-                // rewrite's atoms, listed by variable, stack: a filter
-                // pays its node scan and both inputs' rows.
+                // Priced as the semi-join stack it stands for, the
+                // target's filter innermost as the rewrite's atoms, listed
+                // by variable, stack: a filter pays its node scan and both
+                // inputs' rows.
                 let [s, t] = ls
                     .as_deref()
                     .map_or([None, None], |[s, t]| [s.as_deref(), t.as_deref()]);
-                let mut fp = fp_hash(FP_EDGE, &[label.raw() as u64, (src == tgt) as u64]);
                 let mut card = scan_card(*label, [*src, *tgt], [None, None], store);
                 let mut cost = card.rows;
-                for (pos, labels, ends) in [(1, t, [None, t]), (0, s, [s, t])] {
+                for (labels, ends) in [(t, [None, t]), (s, [s, t])] {
                     let Some(labels) = labels else { continue };
                     cost += card.rows + 2.0 * node_rows(labels, store);
-                    let key = [fp_hash(FP_POS, &[pos]), fp_hash(FP_POS, &[0])];
-                    fp = fp_hash(FP_SEMI, &[fp, key[0], node_fp(labels), key[1]]);
                     let rows = card.rows;
                     card = scan_card(*label, [*src, *tgt], ends, store);
                     card.rows = card.rows.min(rows);
@@ -643,45 +540,33 @@ impl<'a> Estimator<'a> {
                 }
                 Summary {
                     depth: store.stats.closure_depth(*label),
-                    ..Summary::over(&[], cost, card, fp)
+                    ..Summary::over(&[], cost, card)
                 }
             }
             Op::NodeScan(labels, col) => {
                 let rows = node_rows(labels, store);
                 let distinct = vec![(*col, rows)];
-                Summary::over(&[], rows, Card { rows, distinct }, node_fp(labels))
+                Summary::over(&[], rows, Card { rows, distinct })
             }
             Op::Join(..) => self.join_formula((ca, &self[kids[0]]), (cb, &self[kids[1]])),
             Op::Semijoin(..) => {
                 let (a, b) = (&self[kids[0]], &self[kids[1]]);
                 let shared = shared_cols(ca, cb);
                 let card = semijoin_card(&a.card, &b.card, &shared, store);
-                // A semi-join is directional: sides do not commute.
-                let fp = fp_hash(
-                    FP_SEMI,
-                    &[
-                        a.fp,
-                        fp_positions(ca, &shared),
-                        b.fp,
-                        fp_positions(cb, &shared),
-                    ],
-                );
                 let local = a.card.rows + b.card.rows;
-                Summary::over(&[a, b], local, card, fp)
+                Summary::over(&[a, b], local, card)
             }
             Op::Union(..) => {
                 let (a, b) = (&self[kids[0]], &self[kids[1]]);
-                let fp = fp_commutative(FP_UNION, a.fp, ca, b.fp, cb, ca);
                 let rows = a.card.rows + b.card.rows;
                 let distinct = (a.card.distinct.iter())
                     .map(|&(c, va)| (c, va + b.card.dv(c, store)))
                     .collect();
                 let card = Card { rows, distinct }.cap_distinct();
-                Summary::over(&[a, b], rows, card, fp)
+                Summary::over(&[a, b], rows, card)
             }
             Op::Project(_, cols) => {
                 let p = &self[kids[0]];
-                let fp = fp_hash(FP_PROJECT, &[p.fp, fp_position_set(ca, cols)]);
                 // Set semantics: the projection cannot produce more rows
                 // than the product of its columns' distinct values.
                 let prod: f64 = cols.iter().map(|&c| p.card.dv(c, store).max(1.0)).product();
@@ -691,28 +576,23 @@ impl<'a> Estimator<'a> {
                     .collect();
                 let rows = p.card.rows.min(prod);
                 let card = Card { rows, distinct }.cap_distinct();
-                Summary::over(&[p], p.card.rows, card, fp)
+                Summary::over(&[p], p.card.rows, card)
             }
             Op::Rename(_, from, to) => {
-                // A positional no-op: fingerprint, rows and memo
-                // provenance are the input's, so there is nothing to
-                // look up again.
+                // A positional no-op: rows and cost are the input's.
                 let mut s = self[kids[0]].clone();
                 s.card.rename(*from, *to);
-                return s;
+                s
             }
             Op::Select(_, a, b) => {
                 let p = &self[kids[0]];
-                let (pa, pb) = (fp_position(ca, *a), fp_position(ca, *b));
-                let fp = fp_hash(FP_SELECT, &[p.fp, pa.min(pb), pa.max(pb)]);
                 let v = p.card.dv(*a, store).max(p.card.dv(*b, store)).max(1.0);
                 let mut card = p.card.clone();
                 card.rows = p.card.rows / v;
-                Summary::over(&[p], p.card.rows, card.cap_distinct(), fp)
+                Summary::over(&[p], p.card.rows, card.cap_distinct())
             }
             Op::Fixpoint(_, _, _, stable) => {
                 let (base, step) = (&self[kids[0]], &self[kids[1]]);
-                let fp = fp_hash(FP_FIX, &[base.fp, step.fp, fp_position_set(ca, stable)]);
                 let depth = base.depth.max(step.depth);
                 let growth = fixpoint_growth(depth);
                 let rows = base.card.rows * growth;
@@ -740,37 +620,20 @@ impl<'a> Estimator<'a> {
                 let total = base.st + base.dy + step.st + step.dy * growth + rows;
                 Summary {
                     card,
-                    fp,
-                    memo: false,
                     dep: base.dep,
                     st: if base.dep { 0.0 } else { total },
                     dy: if base.dep { total } else { 0.0 },
                     depth,
                 }
             }
-            Op::RecRef(var, cols) => {
+            Op::RecRef(var, _) => Summary {
                 // Estimated at the binding fixpoint's base case (1 row
-                // when unbound) and fingerprinted by *which* enclosing
-                // fixpoint it refers to — the de-Bruijn distance to the
-                // binder, never the variable's interned name — so a
-                // closure fingerprints identically at the root and nested
-                // in another. An unbound reference (a step summarised in
-                // isolation) falls back to the variable's id: such a
-                // subtree is recursion-dependent, so the memo never sees
-                // it.
-                let (rows, token) = match self.bound.get(var) {
-                    Some(&(rows, bound_at)) => (rows, self.nesting - bound_at),
-                    None => (1.0, 0x5eed_0000_0000_0000 | var.raw() as u64),
-                };
-                Summary {
-                    card: Card::plain(rows),
-                    fp: fp_hash(FP_RECREF, &[token, cols.len() as u64]),
-                    dep: true,
-                    ..Summary::default()
-                }
-            }
-        };
-        self.observed(raw)
+                // when unbound: a step summarised in isolation).
+                card: Card::plain(self.bound.get(var).copied().unwrap_or(1.0)),
+                dep: true,
+                ..Summary::default()
+            },
+        }
     }
 
     /// The summary of `a ⋈ b` from the operand nodes' summaries alone,
@@ -786,7 +649,6 @@ impl<'a> Estimator<'a> {
             n.with(|n| n.set(n.get() + 1));
         }
         let joined = self.join_formula((dag.cols(a), &self[sa]), (dag.cols(b), &self[sb]));
-        let joined = self.observed(joined);
         self.sums.push(joined);
         let s = self.sums.len() as u32 - 1;
         self.joins.insert((sa, sb), s);
@@ -801,28 +663,8 @@ impl<'a> Estimator<'a> {
     ) -> Summary {
         let shared = shared_cols(ca, cb);
         let card = join_card(&a.card, &b.card, &shared, self.store);
-        let fp = fp_commutative(FP_JOIN, a.fp, ca, b.fp, cb, &shared);
         let local = a.card.rows + b.card.rows + card.rows;
-        Summary::over(&[a, b], local, card, fp)
-    }
-
-    /// The memo override, applied here and nowhere else: a
-    /// recursion-independent subtree that has executed before reports its
-    /// *observed* cardinality instead of the formulas'. The memo is asked
-    /// once per fingerprint, so every node of one fingerprint gets the
-    /// same rows, whatever other sessions record meanwhile — the planner
-    /// relies on it to lower every occurrence of a term class alike.
-    fn observed(&mut self, mut s: Summary) -> Summary {
-        if !s.dep {
-            let feedback = &self.store.feedback;
-            let seen = self.observations.entry(s.fp);
-            if let Some(obs) = *seen.or_insert_with(|| feedback.lookup(s.fp)) {
-                s.card.rows = obs.rows;
-                s.card = s.card.cap_distinct();
-                s.memo = true;
-            }
-        }
-        s
+        Summary::over(&[a, b], local, card)
     }
 }
 
@@ -830,13 +672,6 @@ impl<'a> Estimator<'a> {
 fn node_rows(labels: &[NodeLabelId], store: &RelStore) -> f64 {
     let rows = labels.iter().map(|&l| store.stats.label_cardinality(l));
     rows.sum::<usize>() as f64
-}
-
-/// Fingerprint of a node scan over `labels`, whatever their order.
-fn node_fp(labels: &[NodeLabelId]) -> u64 {
-    let mut ls: Vec<u64> = labels.iter().map(|l| l.raw() as u64).collect();
-    ls.sort_unstable();
-    fp_hash(FP_NODE, &ls)
 }
 
 /// Shared columns in left-schema order.
@@ -1051,113 +886,5 @@ mod tests {
             "static scan cost must not be multiplied: {} !< {naive}",
             e_fix.cost
         );
-    }
-
-    #[test]
-    fn fingerprint_is_rename_invariant() {
-        let db = fig2_yago_database();
-        let store = RelStore::load(&db);
-        // The same logical join under different column namings.
-        let j1 = RaTerm::join(
-            scan(&db, &store, "livesIn", "x", "y"),
-            scan(&db, &store, "isLocatedIn", "y", "z"),
-        );
-        let j2 = RaTerm::join(
-            scan(&db, &store, "livesIn", "a", "b"),
-            scan(&db, &store, "isLocatedIn", "b", "c"),
-        );
-        assert_eq!(fingerprint(&j1, &store), fingerprint(&j2, &store));
-        // An explicit rename on top is transparent.
-        let renamed = RaTerm::Rename {
-            input: Box::new(j1.clone()),
-            from: store.symbols.col("z"),
-            to: store.symbols.col("w"),
-        };
-        assert_eq!(fingerprint(&renamed, &store), fingerprint(&j1, &store));
-        // Joining on different key positions is a different fingerprint.
-        let j3 = RaTerm::join(
-            scan(&db, &store, "livesIn", "x", "y"),
-            scan(&db, &store, "isLocatedIn", "x", "z"),
-        );
-        assert_ne!(fingerprint(&j1, &store), fingerprint(&j3, &store));
-        // So is a different edge label.
-        let j4 = RaTerm::join(
-            scan(&db, &store, "owns", "x", "y"),
-            scan(&db, &store, "isLocatedIn", "y", "z"),
-        );
-        assert_ne!(fingerprint(&j1, &store), fingerprint(&j4, &store));
-    }
-
-    #[test]
-    fn fingerprint_join_operands_commute() {
-        let db = fig2_yago_database();
-        let store = RelStore::load(&db);
-        let a = scan(&db, &store, "livesIn", "x", "y");
-        let b = scan(&db, &store, "isLocatedIn", "y", "z");
-        assert_eq!(
-            fingerprint(&RaTerm::join(a.clone(), b.clone()), &store),
-            fingerprint(&RaTerm::join(b.clone(), a.clone()), &store),
-        );
-        // Semi-joins are directional and must NOT commute.
-        let n = node(&db, &store, "CITY", "y");
-        assert_ne!(
-            fingerprint(&RaTerm::semijoin(a.clone(), n.clone()), &store),
-            fingerprint(&RaTerm::semijoin(n, a), &store),
-        );
-    }
-
-    #[test]
-    fn memo_overrides_formula_estimate() {
-        let db = fig2_yago_database();
-        let store = RelStore::load(&db);
-        let s = &store.symbols;
-        let f = closure_fixpoint(
-            s.recvar("X"),
-            scan(&db, &store, "isLocatedIn", "x", "y"),
-            s.col("x"),
-            s.col("y"),
-            s.col("m"),
-        );
-        assert_eq!(estimate(&f, &store).rows, 8.0, "formula baseline");
-        store.feedback.observe(fingerprint(&f, &store), 100);
-        assert_eq!(estimate(&f, &store).rows, 100.0, "observed rows win");
-        // A renamed variant of the same subtree shares the observation.
-        let renamed = RaTerm::Rename {
-            input: Box::new(f.clone()),
-            from: s.col("y"),
-            to: s.col("t"),
-        };
-        assert_eq!(estimate(&renamed, &store).rows, 100.0);
-    }
-
-    #[test]
-    fn one_estimator_sees_one_observation_per_fingerprint() {
-        let db = fig2_yago_database();
-        let store = RelStore::load(&db);
-        let hops = |a: &str, b: &str, c: &str| {
-            RaTerm::join(
-                scan(&db, &store, "isLocatedIn", a, b),
-                scan(&db, &store, "isLocatedIn", b, c),
-            )
-        };
-        // Two renamings of one join: two nodes, one fingerprint.
-        let (dag, root) = Dag::of(
-            &RaTerm::union(hops("x", "y", "z"), hops("a", "b", "c")),
-            false,
-        );
-        let Op::Union(first, second) = *dag.node(root) else {
-            panic!()
-        };
-        let mut est = Estimator::new(&store, dag.len().0);
-        let s = est.summary(&dag, first);
-        assert_eq!(est[s].rows(), 4.0, "formula");
-        // Another session records the join between the two summaries;
-        // this estimator keeps the answer it had, a new one reads it.
-        store.feedback.observe(est[s].fp, 100);
-        let s = est.summary(&dag, second);
-        assert_eq!((est[s].rows(), est[s].memo), (4.0, false));
-        let mut fresh = Estimator::new(&store, dag.len().0);
-        let s = fresh.summary(&dag, second);
-        assert_eq!((fresh[s].rows(), fresh[s].memo), (100.0, true));
     }
 }

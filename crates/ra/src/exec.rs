@@ -365,11 +365,7 @@ impl Interp<'_> {
     /// its projection, whose own rows are those it emitted. Records a span
     /// (timing + rows) around it when tracing: two `Vec` pushes and an
     /// `Instant` read in the single-threaded interpreter — no locks or
-    /// atomics. Then feeds a static node's rows into the store's feedback
-    /// memo — at the point the relation is materialised anyway, so
-    /// feedback costs no extra pass. Dynamic nodes (those under a
-    /// fixpoint's recursion variable) see per-round deltas, not their
-    /// subtree's true cardinality, and are never recorded.
+    /// atomics.
     fn run_op(
         &mut self,
         p: &PhysPlan,
@@ -383,11 +379,7 @@ impl Interp<'_> {
                 Err(_) => ops.exit_err(start),
             }
         }
-        let (rows, out) = result?;
-        if p.is_static() {
-            self.store.feedback.observe(p.fp, rows);
-        }
-        Ok(out)
+        result.map(|(_, out)| out)
     }
 
     fn eval(&mut self, p: &PhysPlan) -> Result<Relation> {
@@ -399,7 +391,7 @@ impl Interp<'_> {
         // sides below.)
         let cached = p.is_static() && (p.parents() > 1 || self.scope.is_some());
         if let Some(Cached::Rel(r)) = cached.then(|| self.hit(p.id)).flatten() {
-            // Not re-traced, re-recorded or re-observed: "actual" rows
+            // Not re-traced or re-recorded: "actual" rows
             // count the evaluation that computed the result. A shared
             // node's other occurrences name their columns differently,
             // and the rename is positional and zero-copy.
@@ -486,7 +478,7 @@ impl Interp<'_> {
                 l.union(&r)
             }
             // A projection that is a hash or index join's only reader:
-            // the join runs as itself (polled, traced, recorded, observed)
+            // the join runs as itself (polled, traced, recorded)
             // with its kernel emitting the projected columns, so the wide
             // join output is never built. Such a join is never cached on
             // its own: it is static only when its projection is, and the
@@ -1245,61 +1237,6 @@ mod tests {
     }
 
     #[test]
-    fn execution_feeds_the_feedback_memo() {
-        // Executing a plan observes every static node's true cardinality
-        // under its structural fingerprint, so a re-prepared plan
-        // estimates from measurements.
-        let (db, store) = store();
-        let t = RaTerm::join(
-            scan(&db, &store, "owns", "x", "y"),
-            scan(&db, &store, "isLocatedIn", "y", "z"),
-        );
-        assert!(store.feedback.is_empty());
-        let mut ctx = ExecContext::new();
-        let r = execute(&t, &store, &mut ctx).unwrap();
-        let fp = crate::cost::fingerprint(&t, &store);
-        let obs = store.feedback.lookup(fp).expect("join output was observed");
-        assert_eq!(obs.rows, r.len() as f64);
-        // Re-planning now carries the observed cardinality.
-        let p = plan(&t, &store).unwrap();
-        assert!(p.memo_est && p.uses_memo(), "{p:?}");
-        assert_eq!(p.est.rows, r.len() as f64);
-    }
-
-    #[test]
-    fn fixpoint_deltas_are_not_observed() {
-        // Dynamic nodes see per-round deltas, not their subtree's true
-        // cardinality: only static nodes may feed the memo. The closure's
-        // root (static) is observed with its final size; re-planning then
-        // estimates the fixpoint exactly.
-        let (db, store) = store();
-        let s = &store.symbols;
-        let f = closure_fixpoint(
-            s.recvar("X"),
-            scan(&db, &store, "isLocatedIn", "x", "y"),
-            s.col("x"),
-            s.col("y"),
-            s.col("m"),
-        );
-        let mut ctx = ExecContext::new();
-        let r = execute(&f, &store, &mut ctx).unwrap();
-        assert!(ctx.fixpoint_rounds >= 2);
-        let obs = store
-            .feedback
-            .lookup(crate::cost::fingerprint(&f, &store))
-            .expect("closure output was observed");
-        assert_eq!(obs.rows, r.len() as f64);
-        assert_eq!(
-            obs.weight, 1.0,
-            "one observation despite multiple rounds: the fixpoint node \
-             records its final accumulator, not per-round deltas"
-        );
-        let p = plan(&f, &store).unwrap();
-        assert!(p.memo_est);
-        assert_eq!(p.est.rows, r.len() as f64);
-    }
-
-    #[test]
     fn traced_spans_agree_with_actuals_bit_for_bit() {
         // The explain path and the tracer share one recording: summing
         // span rows per node reproduces `actuals` exactly, fixpoint
@@ -1526,9 +1463,9 @@ mod tests {
     }
 
     /// Asserts that `p`, a projection over join node `j`, ran `j` fused:
-    /// the result is `want`, and `j` counted, traced and fed back the
-    /// reference join's rows as its own — after `inputs` rows for the
-    /// join's inputs, and before the projected rows.
+    /// the result is `want`, and `j` counted and traced the reference
+    /// join's rows as its own — after `inputs` rows for the join's inputs,
+    /// and before the projected rows.
     fn assert_fused(
         p: &PhysPlan,
         store: &RelStore,
@@ -1545,11 +1482,6 @@ mod tests {
         assert_eq!(ctx.rows_materialized(), inputs + join.len() + r.len());
         assert_eq!(trace.actuals[j.id as usize], join.len());
         assert_eq!(trace.actuals[p.id as usize], r.len());
-        let observed = store
-            .feedback
-            .lookup(j.fp)
-            .expect("the fused join was observed");
-        assert_eq!(observed.rows, join.len() as f64);
     }
 
     #[test]

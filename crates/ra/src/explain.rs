@@ -72,12 +72,11 @@ pub fn explain_analyze(
 /// Structured `EXPLAIN ANALYZE` of an executed plan and its
 /// [`ExecTrace`]: a JSON array with one object per plan node in
 /// pre-order — `id`, `op`, `depth`, `est_rows`, `est_cost`,
-/// `actual_rows`, `q_error`, the feedback provenance flag `memo` (the
-/// estimate came from the runtime feedback memo) and, on a shared node,
-/// `shared` (its parent count; a later occurrence has no subtree). The
-/// service's per-query analyze option renders it from the production
-/// execution; harness and tests read these fields instead of scraping
-/// the text renderer's lines.
+/// `actual_rows`, `q_error` and, on a shared node, `shared` (its parent
+/// count; a later occurrence has no subtree). The service's per-query
+/// analyze option renders it from the production execution; harness and
+/// tests read these fields instead of scraping the text renderer's
+/// lines.
 pub fn analyze_json(
     p: &PhysPlan,
     store: &RelStore,
@@ -109,7 +108,6 @@ fn collect_json(
             "q_error",
             JsonValue::Num(crate::cost::q_error(p.est.rows, actual as f64)),
         ),
-        ("memo", JsonValue::Bool(p.memo_est)),
     ];
     if p.parents > 1 {
         fields.push(("shared", JsonValue::Int(p.parents as u64)));
@@ -332,8 +330,6 @@ fn render(
     } else {
         String::new()
     };
-    // Feedback provenance: the estimate came from the runtime memo.
-    let memo = if p.memo_est { " [memo]" } else { "" };
     let shared = if p.parents > 1 {
         format!(" [#{} shared ×{}]", p.id, p.parents)
     } else {
@@ -343,14 +339,14 @@ fn render(
         Some(t) => {
             let actual = t.actuals.get(p.id as usize).copied().unwrap_or(0);
             format!(
-                "{describe} (cost = {:.2} rows = {:.0}{memo} actual = {actual} q = {:.2}){parallel}{shared}\n",
+                "{describe} (cost = {:.2} rows = {:.0} actual = {actual} q = {:.2}){parallel}{shared}\n",
                 p.est.cost,
                 p.est.rows,
                 crate::cost::q_error(p.est.rows, actual as f64)
             )
         }
         None => format!(
-            "{describe} (cost = {:.2} rows = {:.0}{memo}){parallel}{shared}\n",
+            "{describe} (cost = {:.2} rows = {:.0}){parallel}{shared}\n",
             p.est.cost, p.est.rows
         ),
     };
@@ -504,7 +500,6 @@ mod tests {
         // The triple-count estimate is exact here: 1 row, q-error 1.
         assert_eq!(field(&nodes[0], "actual_rows"), JsonValue::Int(1));
         assert_eq!(field(&nodes[0], "q_error"), JsonValue::Num(1.0));
-        assert_eq!(field(&nodes[0], "memo"), JsonValue::Bool(false));
         assert_eq!(field(&nodes[1], "depth"), JsonValue::Int(1));
         // And the tree renders as a well-formed document.
         assert!(
@@ -515,24 +510,31 @@ mod tests {
     }
 
     #[test]
-    fn explain_annotates_memo_sourced_estimates() {
+    fn executing_a_plan_leaves_the_next_plan_of_its_term_unchanged() {
+        // A plan is a function of the term and the statistics: executing
+        // one — here with a shared sub-plan, run once for both readers —
+        // changes nothing the next planning of the same term reads.
         let db = fig2_yago_database();
         let store = RelStore::load(&db);
         let s = &store.symbols;
-        let t = RaTerm::edge_scan(
-            db.edge_label_id("isLocatedIn").unwrap(),
-            s.col("x"),
-            s.col("y"),
-        );
-        let before = explain(&t, &store, &db);
-        assert!(!before.contains("[memo]"), "{before}");
-        // An observed cardinality overrides the formula estimate, and the
-        // plan advertises the provenance.
-        store
-            .feedback
-            .observe(crate::cost::fingerprint(&t, &store), 123);
-        let after = explain(&t, &store, &db);
-        assert!(after.contains("rows = 123 [memo]"), "{after}");
+        let hop = |mid: &str| {
+            let j = RaTerm::join(
+                RaTerm::edge_scan(db.edge_label_id("owns").unwrap(), s.col("x"), s.col(mid)),
+                RaTerm::edge_scan(
+                    db.edge_label_id("isLocatedIn").unwrap(),
+                    s.col(mid),
+                    s.col("z"),
+                ),
+            );
+            RaTerm::project(j, vec![s.col("x"), s.col("z")])
+        };
+        let t = RaTerm::union(hop("y"), hop("m"));
+        let cold = plan(&t, &store).unwrap();
+        let before = explain_plan(&cold, &store, &db);
+        assert!(before.contains("shared ×2"), "{before}");
+        execute_plan_traced(&cold, &store, &mut ExecContext::new()).unwrap();
+        let after = explain_plan(&plan(&t, &store).unwrap(), &store, &db);
+        assert_eq!(before, after);
     }
 
     #[test]

@@ -21,10 +21,8 @@
 //!   parallelism ([`ExecContext::dop`](exec::ExecContext)),
 //! * [`parallel`] — morsel partitioning helpers and the scheduler
 //!   morsels run on (the workspace's one thread pool, re-exported),
-//! * [`cost`] — cardinality estimation over [`sgq_graph::GraphStats`],
-//!   consulting the runtime feedback memo before the static formulas,
-//! * [`feedback`] — the cardinality feedback memo: observed subtree
-//!   cardinalities keyed by rename-invariant structural fingerprints,
+//! * [`cost`] — cardinality estimation over [`sgq_graph::GraphStats`]:
+//!   a pure function of the term and the statistics,
 //! * [`explain`] — physical plan rendering with per-operator strategy,
 //!   estimated cost/rows and actual rows (the paper's Fig. 17, one
 //!   level lower).
@@ -34,7 +32,6 @@
 pub mod cost;
 pub mod exec;
 pub mod explain;
-pub mod feedback;
 pub mod optimize;
 pub mod parallel;
 pub mod plan;
@@ -44,7 +41,6 @@ pub mod table;
 pub mod term;
 
 pub use exec::{execute, execute_plan, ExecContext};
-pub use feedback::FeedbackMemo;
 pub use parallel::TaskScheduler;
 pub use plan::{plan, PhysOp, PhysPlan};
 pub use storage::RelStore;
@@ -62,7 +58,6 @@ pub use term::RaTerm;
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<RelStore>();
-    assert_send_sync::<FeedbackMemo>();
     assert_send_sync::<SymbolTable>();
     assert_send_sync::<PhysPlan>();
     assert_send_sync::<Relation>();

@@ -44,10 +44,10 @@
 //!
 //! Every node carries its output columns and an [`Estimate`], which is
 //! what the physical `EXPLAIN` ([`crate::explain`]) renders. `plan`
-//! interns its term once into a term DAG ([`crate::term`]); the rows,
-//! fingerprints and memo provenance are the estimator's summaries
-//! ([`mod@crate::cost`]), one per distinct (node, binding), and every
-//! strategy decision reads the summaries of the node and its operands.
+//! interns its term once into a term DAG ([`crate::term`]); the rows are
+//! the estimator's summaries ([`mod@crate::cost`]), one per distinct
+//! (node, binding), and every strategy decision reads the summaries of
+//! the node and its operands.
 //!
 //! **Shared sub-plans.** Sub-terms equal up to column and recursion
 //! variable names — the schema rewrite's union expansion repeats them —
@@ -78,13 +78,6 @@ pub struct PhysPlan {
     pub cols: Vec<ColId>,
     /// Estimated output rows and cumulative cost.
     pub est: Estimate,
-    /// Rename-invariant structural fingerprint of the logical subtree
-    /// this node computes — the key execution uses to feed observed
-    /// cardinalities back into the memo ([`crate::feedback`]).
-    pub fp: u64,
-    /// Whether `est.rows` came from a feedback-memo observation rather
-    /// than the static formulas (`EXPLAIN` renders it as `[memo]`).
-    pub memo_est: bool,
     /// Free recursion variables: empty means the subtree is static —
     /// inside a fixpoint step it is computed once and cached across
     /// rounds.
@@ -326,13 +319,6 @@ impl PhysPlan {
         self.free_rec.is_empty()
     }
 
-    /// Whether any node of the subtree carries a memo-sourced estimate —
-    /// i.e. the planner consulted runtime feedback for this plan. The
-    /// service counts such prepares as `feedback_hits`.
-    pub fn uses_memo(&self) -> bool {
-        self.memo_est || self.kids().any(PhysPlan::uses_memo)
-    }
-
     /// Whether any node of the subtree satisfies `pred` — how tests and
     /// the harness assert a plan contains a strategy.
     pub fn contains_op(&self, pred: &dyn Fn(&PhysOp) -> bool) -> bool {
@@ -343,7 +329,7 @@ impl PhysPlan {
 /// Lowers an (ideally [`crate::optimize`]d) term into a physical plan.
 ///
 /// Each distinct term node is summarised once, so every plan node's
-/// rows, fingerprint and memo provenance are the term-level ones.
+/// rows are the term-level ones.
 ///
 /// Fails when the term is malformed — a selection or projection names a
 /// column its input does not produce.
@@ -406,19 +392,15 @@ impl<'a> Planner<'a> {
     }
 
     /// The plan node computing term node `at`: columns, free recursion
-    /// variables, rows, fingerprint and memo provenance are the term's;
-    /// `cost` is the chosen strategy's.
+    /// variables and rows are the term's; `cost` is the chosen strategy's.
     fn node(&mut self, at: Id, cost: f64, op: PhysOp) -> PhysPlan {
-        let e = self.sum(at);
-        let (rows, fp, memo_est) = (e.rows(), e.fp, e.memo);
+        let rows = self.sum(at).rows();
         let p = PhysPlan {
             id: self.class.len() as u32,
             parents: 1,
             later: false,
             cols: self.dag.cols(at).to_vec(),
             est: Estimate { rows, cost },
-            fp,
-            memo_est,
             free_rec: self.dag.free(at).to_vec(),
             op,
         };
@@ -441,10 +423,10 @@ impl<'a> Planner<'a> {
     /// Whether every later occurrence of a shared class lowered to its
     /// first occurrence's shape: node by node in post-order, the same
     /// class and the same subtree size (which fixes the tree). Both lower
-    /// the same term class from the same summaries (one feedback
-    /// observation per fingerprint and call), so they do; this is what
-    /// lets [`Planner::renumber`] map one onto the other by offset, and a
-    /// plan where it fails is not shared at all.
+    /// the same term class from the same statistics, so they should; the
+    /// check is what makes [`Planner::renumber`]'s mapping of one onto
+    /// the other by offset safe, and a plan where it fails is not shared
+    /// at all.
     fn copies_match(&self) -> bool {
         (0..self.class.len()).all(|later| {
             let c = self.class[later] as usize;
@@ -560,8 +542,7 @@ impl<'a> Planner<'a> {
                     return Err(SgqError::Execution(format!("unknown column {from}")));
                 }
                 // Zero-copy at execution: the rename adds no cost (and its
-                // summary is the child's — renames are invisible to the
-                // position-based fingerprint).
+                // summary is the child's).
                 let cost = child.est.cost;
                 let op = PhysOp::Rename {
                     input: Box::new(child),
@@ -579,9 +560,7 @@ impl<'a> Planner<'a> {
                 // Static step inputs are cached across rounds, so only
                 // the delta-dependent cost multiplies with the growth
                 // (from the measured closure depth of the labels the
-                // fixpoint iterates over). `rows` may be a memoised
-                // observation of the whole closure, which overrides the
-                // growth extrapolation.
+                // fixpoint iterates over).
                 let (st, dy) = split_cost(&step_plan);
                 let cost = base_plan.est.cost + st + dy * self.sum(at).growth() + rows;
                 let op = PhysOp::Fixpoint {
@@ -707,8 +686,6 @@ impl<'a> Planner<'a> {
             let key = shared_cols(dag.cols(a), &filter.cols);
             let scan_rows = self.store.stats.edge_cardinality(label) as f64;
             let cost = scan_rows + filter.est.cost + filter.est.rows;
-            // The fused node computes the whole semi-join term, so it
-            // carries the semi-join's fingerprint.
             let op = PhysOp::FilteredEdgeScan {
                 scan: ScanInfo::of(label, src, tgt, &None),
                 filter: Some(Box::new(filter)),
@@ -1226,28 +1203,11 @@ mod tests {
         };
         let term = RaTerm::union(hop("y"), hop("m"));
         let (dag, root) = Dag::of(&term, true);
-        let Op::Union(left, _) = *dag.node(root) else {
-            panic!()
-        };
-        // Whether some index join of `p` absorbs a scan of `label`.
-        let absorbs = |p: &PhysPlan, label: &str| {
-            let label = db.edge_label_id(label).unwrap();
-            p.contains_op(&|op| matches!(op, PhysOp::IndexJoin { scan, .. } if scan.label == label))
-        };
-        // Another session records a million `owns` rows once the left
-        // copy is summarised. Read by the right copy alone, that would
-        // make it probe `owns` instead of `isLocatedIn`; but the planner
-        // asks the memo once per fingerprint, so both copies keep one
-        // shape.
+        // Both copies lower to one shape and share it.
         let mut planner = Planner::new(&store, &dag);
-        planner.sum(left);
-        let owns = cost::fingerprint(&scan(&db, &store, "owns", "x", "y"), &store);
-        store.feedback.observe(owns, 1_000_000);
         let lowered = planner.lower(root).unwrap();
         let p = planner.share(lowered.clone());
         assert_eq!(p.node_count(), 4, "union, project, index join, scan");
-        assert!(absorbs(&p, "isLocatedIn") && !absorbs(&p, "owns"));
-        assert!(absorbs(&plan(&term, &store).unwrap(), "owns"));
         // A later copy of another shape than the first is not shared: the
         // plan keeps its post-order ids.
         planner.class[3] = planner.class[6];

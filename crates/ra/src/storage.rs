@@ -36,7 +36,6 @@ use std::sync::Arc;
 use sgq_common::{EdgeLabelId, FxHashMap, NodeId, NodeLabelId};
 use sgq_graph::{Csr, GraphDatabase, GraphSchema, GraphStats};
 
-use crate::feedback::FeedbackMemo;
 use crate::symbols::SymbolTable;
 use crate::table::Relation;
 
@@ -72,12 +71,6 @@ pub struct RelStore {
     /// default; turned off for ablations and for tests that pin the
     /// scan-based strategies.
     pub index_joins: bool,
-    /// Runtime cardinality feedback: execution records the true row
-    /// counts of static plan subtrees; estimation consults them before
-    /// falling back to the statistics formulas. Interior-mutable so the
-    /// serving layer's shared `Arc<RelStore>` accumulates feedback from
-    /// every worker; cleared on schema changes alongside the plan cache.
-    pub feedback: FeedbackMemo,
 }
 
 impl RelStore {
@@ -113,7 +106,6 @@ impl RelStore {
             stats: GraphStats::compute(db),
             symbols: SymbolTable::new(),
             index_joins: true,
-            feedback: FeedbackMemo::new(),
         }
     }
 

@@ -27,8 +27,7 @@
 //! rewrite's disjuncts repeat sub-terms under fresh `m$` names; the
 //! planner evaluates such a class once (DESIGN.md, "Shared sub-plans").
 //! Nothing of a `Dag` outlives the call that built it: no interner is
-//! process-global, as the feedback memo the summaries read changes
-//! between calls.
+//! process-global.
 
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
@@ -337,7 +336,7 @@ pub(crate) struct Dag {
     cols: Vec<ColId>,
     vars: Vec<RecVarId>,
     index: FxHashMap<u64, Id>,
-    /// Whether [`Dag::add`] folded a semi-join: the root's tree is new.
+    /// Whether interning folded a semi-join: the root's tree is new.
     pub(crate) folded: bool,
     /// Whether nodes get classes; the class keys back to back (class
     /// `c`'s ends at `key_ends[c]`), and scratch for the next key.
@@ -370,23 +369,21 @@ impl Dag {
         (dag, root)
     }
 
-    /// Interns `term` bottom-up; returns its root's id.
+    /// Interns `term` bottom-up; returns its root's id. A label filter on
+    /// a scan endpoint folds on the tree, before either side is interned,
+    /// so the DAG holds no node the fold leaves unreachable.
     fn intern(&mut self, term: &RaTerm) -> Id {
         let op = match term {
-            RaTerm::EdgeScan {
-                label,
-                src,
-                tgt,
-                src_labels,
-                tgt_labels,
-            } => {
-                let both = src_labels.is_some() || tgt_labels.is_some();
-                let ls = both.then(|| Box::new([src_labels.clone(), tgt_labels.clone()]));
-                Op::EdgeScan(*label, *src, *tgt, ls)
-            }
+            RaTerm::EdgeScan { .. } => scan_op(term).expect("an edge scan"),
             RaTerm::NodeScan { labels, col } => Op::NodeScan(labels.clone(), *col),
             RaTerm::Join(a, b) => Op::Join(self.intern(a), self.intern(b)),
-            RaTerm::Semijoin(a, b) => Op::Semijoin(self.intern(a), self.intern(b)),
+            RaTerm::Semijoin(a, b) => match scan_op(term) {
+                Some(scan) => {
+                    self.folded = true;
+                    scan
+                }
+                None => Op::Semijoin(self.intern(a), self.intern(b)),
+            },
             RaTerm::Union(a, b) => Op::Union(self.intern(a), self.intern(b)),
             RaTerm::Project { input, cols } => Op::Project(self.intern(input), cols.clone()),
             RaTerm::Select { input, a, b } => Op::Select(self.intern(input), *a, *b),
@@ -481,17 +478,10 @@ impl Dag {
         let &Op::Semijoin(a, b) = op else {
             return None;
         };
-        let (Op::EdgeScan(label, src, tgt, ls), Op::NodeScan(labels, col)) =
-            (self.node(a), self.node(b))
-        else {
+        let Op::NodeScan(labels, col) = self.node(b) else {
             return None;
         };
-        if src == tgt || (col != src && col != tgt) {
-            return None;
-        }
-        let mut sets = ls.clone().unwrap_or_default();
-        restrict(&mut sets[(col == tgt) as usize], labels);
-        Some(Op::EdgeScan(*label, *src, *tgt, Some(sets)))
+        restrict_scan(self.node(a), labels, *col)
     }
 
     /// The class of node `id`, whose children have theirs. Its key is the
@@ -686,6 +676,46 @@ pub(crate) fn restrict(slot: &mut Labels, labels: &[NodeLabelId]) {
     });
 }
 
+/// The scan operator `term` interns to, if it is an edge scan or a stack
+/// of label filters that [`Dag::labelled_scan`] folds into one.
+fn scan_op(term: &RaTerm) -> Option<Op> {
+    match term {
+        RaTerm::EdgeScan {
+            label,
+            src,
+            tgt,
+            src_labels,
+            tgt_labels,
+        } => {
+            let both = src_labels.is_some() || tgt_labels.is_some();
+            let ls = both.then(|| Box::new([src_labels.clone(), tgt_labels.clone()]));
+            Some(Op::EdgeScan(*label, *src, *tgt, ls))
+        }
+        RaTerm::Semijoin(a, b) => {
+            let RaTerm::NodeScan { labels, col } = &**b else {
+                return None;
+            };
+            restrict_scan(&scan_op(a)?, labels, *col)
+        }
+        _ => None,
+    }
+}
+
+/// Scan `op` with its endpoint `col` restricted to `labels`; `None`
+/// unless `op` is a scan whose endpoints are distinct columns, one of
+/// them `col`.
+fn restrict_scan(op: &Op, labels: &[NodeLabelId], col: ColId) -> Option<Op> {
+    let Op::EdgeScan(label, src, tgt, ls) = op else {
+        return None;
+    };
+    if src == tgt || (col != *src && col != *tgt) {
+        return None;
+    }
+    let mut sets = ls.clone().unwrap_or_default();
+    restrict(&mut sets[(col == *tgt) as usize], labels);
+    Some(Op::EdgeScan(*label, *src, *tgt, Some(sets)))
+}
+
 /// A `start..end` range of one of a [`Dag`]'s pools.
 type Span = (u32, u32);
 
@@ -846,7 +876,7 @@ mod tests {
             let (op, term) = interned(&t);
             assert!(matches!(op, Op::EdgeScan(..)), "{op:?}");
             assert_eq!(term, want);
-            assert_eq!(t.distinct(), 3, "the scan, the node scan, the fold");
+            assert_eq!(t.distinct(), 1, "the fold alone");
             assert_eq!(want.as_semijoins(), Some(t));
         }
     }

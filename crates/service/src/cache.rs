@@ -33,11 +33,6 @@ pub enum CacheOutcome {
     Miss,
     /// Prepared now with caching disabled for the call.
     Bypass,
-    /// A cached plan was resident but stale — its estimated root
-    /// cardinality diverged from the feedback memo's observation by the
-    /// configured factor — so the front-end re-ran and the fresh plan
-    /// replaced the entry.
-    Replan,
 }
 
 impl std::fmt::Display for CacheOutcome {
@@ -46,7 +41,6 @@ impl std::fmt::Display for CacheOutcome {
             CacheOutcome::Hit => write!(f, "hit"),
             CacheOutcome::Miss => write!(f, "miss"),
             CacheOutcome::Bypass => write!(f, "bypass"),
-            CacheOutcome::Replan => write!(f, "replan"),
         }
     }
 }
@@ -284,20 +278,6 @@ impl PlanCache {
         }
         let prepared = Arc::new(f()?);
         Ok((self.insert(key, prepared), CacheOutcome::Miss))
-    }
-
-    /// Drops the entry under `key` (stale-plan replacement), returning
-    /// whether one was resident. Not counted as an invalidation — the
-    /// caller records the replan in the metrics registry.
-    pub fn remove(&self, key: &CacheKey) -> bool {
-        let mut shard = self.shard(key);
-        match shard.find(key) {
-            Some(idx) => {
-                shard.entries.swap_remove(idx);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Drops every entry (schema version bump), counting invalidations.

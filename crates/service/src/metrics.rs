@@ -96,14 +96,11 @@ pub struct MetricsRegistry {
     transient_errors: AtomicU64,
     worker_panics: AtomicU64,
     degraded_admissions: AtomicU64,
-    pressure_replans: AtomicU64,
     timeouts: AtomicU64,
     rejected: AtomicU64,
     total_micros: AtomicU64,
     morsels_executed: AtomicU64,
     parallel_queries: AtomicU64,
-    replans: AtomicU64,
-    feedback_hits: AtomicU64,
     /// Base-table scan operators executed.
     scans: AtomicU64,
     latency: LatencyHistogram,
@@ -129,14 +126,11 @@ impl MetricsRegistry {
             transient_errors: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             degraded_admissions: AtomicU64::new(0),
-            pressure_replans: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             total_micros: AtomicU64::new(0),
             morsels_executed: AtomicU64::new(0),
             parallel_queries: AtomicU64::new(0),
-            replans: AtomicU64::new(0),
-            feedback_hits: AtomicU64::new(0),
             scans: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             ops: ProfileRegistry::new(),
@@ -190,12 +184,6 @@ impl MetricsRegistry {
         self.degraded_admissions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a cached plan dropped under memory pressure because its
-    /// estimated output would not fit the governor's headroom.
-    pub fn record_pressure_replan(&self) {
-        self.pressure_replans.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a query's morsel-parallel work: `morsels` is the number of
     /// morsel tasks the executor dispatched (0 for a fully serial query).
     pub fn record_parallel(&self, morsels: usize) {
@@ -204,18 +192,6 @@ impl MetricsRegistry {
                 .fetch_add(morsels as u64, Ordering::Relaxed);
             self.parallel_queries.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Records a cached plan found stale against the feedback memo and
-    /// transparently re-prepared.
-    pub fn record_replan(&self) {
-        self.replans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a prepare whose plan drew at least one estimate from the
-    /// cardinality feedback memo.
-    pub fn record_feedback_hit(&self) {
-        self.feedback_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records `scans` base-table scan operators executed by one query.
@@ -250,7 +226,6 @@ impl MetricsRegistry {
                 .saturating_sub(transient),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             degraded_admissions: self.degraded_admissions.load(Ordering::Relaxed),
-            pressure_replans: self.pressure_replans.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             elapsed_s,
@@ -265,8 +240,7 @@ impl MetricsRegistry {
             p99_ms: to_ms(self.latency.quantile(0.99)),
             morsels_executed: self.morsels_executed.load(Ordering::Relaxed),
             parallel_queries: self.parallel_queries.load(Ordering::Relaxed),
-            replans: self.replans.load(Ordering::Relaxed),
-            feedback_hits: self.feedback_hits.load(Ordering::Relaxed),
+            replans: 0,
             scans: self.scans.load(Ordering::Relaxed),
             op_profiles: self.ops.snapshot(),
             cache,
@@ -294,9 +268,6 @@ pub struct MetricsSnapshot {
     /// Submissions admitted through the degraded (halved) queue while
     /// the governor was under memory pressure.
     pub degraded_admissions: u64,
-    /// Cached plans dropped under memory pressure (estimated output
-    /// exceeded the governor's headroom) and re-prepared.
-    pub pressure_replans: u64,
     /// Queries that exceeded their deadline.
     pub timeouts: u64,
     /// Queries rejected at admission (queue full / busy).
@@ -317,11 +288,11 @@ pub struct MetricsSnapshot {
     pub morsels_executed: u64,
     /// Queries that ran at least one parallel section.
     pub parallel_queries: u64,
-    /// Cached plans found stale against the feedback memo and
-    /// transparently re-prepared.
+    /// Always 0: a cached plan is never re-prepared, as a plan depends
+    /// only on its statement and the statistics. Retained only because
+    /// the benchmark's binding surface reads it; ROADMAP item 5(d)
+    /// removes it with `ExecContext::replans`.
     pub replans: u64,
-    /// Prepares whose plan drew an estimate from the feedback memo.
-    pub feedback_hits: u64,
     /// Base-table scan operators executed.
     pub scans: u64,
     /// Per-operator-kind runtime totals from traced executions, ordered
@@ -353,7 +324,6 @@ impl MetricsSnapshot {
                 "degraded_admissions",
                 JsonValue::Int(self.degraded_admissions),
             ),
-            ("pressure_replans", JsonValue::Int(self.pressure_replans)),
             ("timeouts", JsonValue::Int(self.timeouts)),
             ("rejected", JsonValue::Int(self.rejected)),
             ("elapsed_s", JsonValue::Num(self.elapsed_s)),
@@ -364,8 +334,6 @@ impl MetricsSnapshot {
             ("p99_ms", JsonValue::Num(self.p99_ms)),
             ("morsels_executed", JsonValue::Int(self.morsels_executed)),
             ("parallel_queries", JsonValue::Int(self.parallel_queries)),
-            ("replans", JsonValue::Int(self.replans)),
-            ("feedback_hits", JsonValue::Int(self.feedback_hits)),
             ("scans", JsonValue::Int(self.scans)),
             (
                 "op_profiles",
@@ -414,12 +382,11 @@ impl std::fmt::Display for MetricsSnapshot {
             self.qps,
             self.elapsed_s
         )?;
-        if self.worker_panics + self.degraded_admissions + self.pressure_replans > 0 {
+        if self.worker_panics + self.degraded_admissions > 0 {
             writeln!(
                 f,
-                "robustness: {} worker panics contained, {} degraded admissions, \
-                 {} pressure re-prepares",
-                self.worker_panics, self.degraded_admissions, self.pressure_replans
+                "robustness: {} worker panics contained, {} degraded admissions",
+                self.worker_panics, self.degraded_admissions
             )?;
         }
         writeln!(
@@ -431,11 +398,6 @@ impl std::fmt::Display for MetricsSnapshot {
             f,
             "parallel: {} queries ran parallel sections, {} morsels executed",
             self.parallel_queries, self.morsels_executed
-        )?;
-        writeln!(
-            f,
-            "feedback: {} memo-informed prepares, {} stale plans re-prepared",
-            self.feedback_hits, self.replans
         )?;
         writeln!(f, "scans: {} base-table scans", self.scans)?;
         if !self.op_profiles.is_empty() {
@@ -692,21 +654,15 @@ mod tests {
         m.record_worker_panic();
         m.record_degraded_admission();
         m.record_degraded_admission();
-        m.record_pressure_replan();
         let s = m.snapshot(CacheStats::default());
         assert_eq!(s.worker_panics, 1);
         assert_eq!(s.degraded_admissions, 2);
-        assert_eq!(s.pressure_replans, 1);
         let json = s.to_json();
         assert!(json.contains("\"worker_panics\": 1"), "{json}");
         assert!(json.contains("\"degraded_admissions\": 2"), "{json}");
-        assert!(json.contains("\"pressure_replans\": 1"), "{json}");
         let text = s.to_string();
         assert!(
-            text.contains(
-                "robustness: 1 worker panics contained, 2 degraded admissions, \
-                 1 pressure re-prepares"
-            ),
+            text.contains("robustness: 1 worker panics contained, 2 degraded admissions"),
             "{text}"
         );
     }

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use sgq_algebra::ast::PathExpr;
 use sgq_algebra::parser::parse_path;
-use sgq_common::{faultpoint, relation_bytes, FaultPlan, ResourceGovernor, Result, SgqError};
+use sgq_common::{faultpoint, FaultPlan, ResourceGovernor, Result, SgqError};
 use sgq_core::pipeline::RewriteOptions;
 use sgq_graph::{GraphDatabase, GraphSchema};
 use sgq_obs::{QueryTrace, SlowQueryLog, TagValue, Tracer};
@@ -28,11 +28,6 @@ use sgq_ra::{RelStore, TaskScheduler};
 use crate::cache::{schema_fingerprint, CacheKey, CacheOutcome, PlanCache};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::prepared::{prepare, Approach, Backend, PreparedQuery};
-
-/// Q-error divergence between a cached plan's root estimate and the
-/// feedback memo's observation at or beyond which the plan is stale: it
-/// is dropped and transparently re-prepared on its next cache hit.
-pub const CACHE_STALENESS_FACTOR: f64 = 8.0;
 
 /// Independently locked plan-cache shards.
 const PLAN_CACHE_SHARDS: usize = 8;
@@ -44,9 +39,8 @@ const TRACE_RING_CAPACITY: usize = 64;
 const SLOW_QUERY_CAPACITY: usize = 32;
 
 /// Fraction of `global_memory_limit` at which graceful degradation
-/// kicks in: the service halves the effective admission queue and
-/// re-prepares oversized cached plans (see the governor's
-/// [`ResourceGovernor::under_pressure`]).
+/// kicks in: the service halves the effective admission queue (see the
+/// governor's [`ResourceGovernor::under_pressure`]).
 const MEMORY_PRESSURE_FACTOR: f64 = 0.75;
 
 /// Construction-time configuration of a [`Service`].
@@ -357,13 +351,10 @@ impl Service {
     }
 
     /// Signals a schema change: bumps the version (future cache keys
-    /// differ), drops every cached statement and clears the cardinality
-    /// feedback memo — observations describe the old data, and a stale
-    /// memo would silently steer every re-prepared plan.
+    /// differ) and drops every cached statement.
     pub fn bump_schema_version(&self) -> u64 {
         let v = self.core.schema_version.fetch_add(1, Ordering::SeqCst) + 1;
         self.core.cache.invalidate_all();
-        self.core.store.feedback.clear();
         v
     }
 
@@ -559,12 +550,8 @@ impl Session {
 }
 
 /// Serves the statement from the plan cache or runs the front-end once.
-///
-/// A hit is validated against the cardinality feedback memo: when the
-/// cached plan's root estimate diverges from the memo's observation of
-/// the same subtree by at least [`CACHE_STALENESS_FACTOR`] (q-error), the
-/// entry is dropped and the statement re-prepared — the fresh plan
-/// estimates from the memo, so it reflects the measured cardinalities.
+/// A plan depends only on the statement and the store's statistics, so a
+/// cached one stays what a fresh prepare would build.
 fn prepare_via_cache(
     core: &Core,
     expr: &PathExpr,
@@ -582,15 +569,8 @@ fn prepare_via_cache(
             core.config.rewrite,
         )
     };
-    let note_feedback = |prepared: &PreparedQuery| {
-        if prepared.plan().is_some_and(|p| p.uses_memo()) {
-            core.metrics.record_feedback_hit();
-        }
-    };
     if !opts.use_cache {
-        let prepared = do_prepare()?;
-        note_feedback(&prepared);
-        return Ok((Arc::new(prepared), CacheOutcome::Bypass));
+        return Ok((Arc::new(do_prepare()?), CacheOutcome::Bypass));
     }
     let canonical = crate::prepared::canonical_text(expr, &core.schema);
     let key = CacheKey::new(
@@ -601,60 +581,7 @@ fn prepare_via_cache(
         opts.approach,
         &core.config.rewrite,
     );
-    let (prepared, outcome) = core.cache.get_or_prepare(key.clone(), do_prepare)?;
-    if outcome == CacheOutcome::Hit {
-        let stale = plan_is_stale(core, &prepared);
-        // Graceful degradation, plan-cache half: under memory pressure a
-        // cached plan whose estimated output would not fit the remaining
-        // headroom is dropped and re-prepared — the fresh preparation
-        // estimates from the feedback memo, so it reflects measured
-        // cardinalities and picks the cheaper memory profile the cost
-        // model now justifies.
-        let oversized = plan_is_oversized(core, &prepared);
-        if stale || oversized {
-            core.cache.remove(&key);
-            if oversized {
-                core.metrics.record_pressure_replan();
-            } else {
-                core.metrics.record_replan();
-            }
-            let fresh = do_prepare()?;
-            note_feedback(&fresh);
-            return Ok((
-                core.cache.insert(key, Arc::new(fresh)),
-                CacheOutcome::Replan,
-            ));
-        }
-    }
-    if outcome != CacheOutcome::Hit {
-        note_feedback(&prepared);
-    }
-    Ok((prepared, outcome))
-}
-
-/// Whether a cached plan's root estimate diverges from the feedback
-/// memo's observed cardinality by [`CACHE_STALENESS_FACTOR`].
-fn plan_is_stale(core: &Core, prepared: &PreparedQuery) -> bool {
-    let Some(plan) = prepared.plan() else {
-        return false;
-    };
-    match core.store.feedback.lookup(plan.fp) {
-        Some(obs) => sgq_ra::cost::q_error(plan.est.rows, obs.rows) >= CACHE_STALENESS_FACTOR,
-        None => false,
-    }
-}
-
-/// Whether (under memory pressure only) a cached plan's estimated
-/// output bytes exceed the governor's remaining global headroom.
-fn plan_is_oversized(core: &Core, prepared: &PreparedQuery) -> bool {
-    if !core.governor.under_pressure() {
-        return false;
-    }
-    let Some(plan) = prepared.plan() else {
-        return false;
-    };
-    let est_rows = plan.est.rows.max(0.0).min(usize::MAX as f64) as usize;
-    relation_bytes(est_rows, prepared.columns().len().max(1)) > core.governor.headroom()
+    core.cache.get_or_prepare(key, do_prepare)
 }
 
 /// Renders a caught panic payload (the common `&str` / `String` cases;
@@ -674,7 +601,6 @@ fn outcome_str(o: CacheOutcome) -> &'static str {
         CacheOutcome::Hit => "hit",
         CacheOutcome::Miss => "miss",
         CacheOutcome::Bypass => "bypass",
-        CacheOutcome::Replan => "replan",
     }
 }
 
@@ -703,9 +629,7 @@ fn run_query(
     let cache_micros = cache_start.elapsed().as_micros() as u64;
     let prepare_micros = match cache {
         CacheOutcome::Hit => 0,
-        CacheOutcome::Miss | CacheOutcome::Bypass | CacheOutcome::Replan => {
-            prepared.prepare_micros()
-        }
+        CacheOutcome::Miss | CacheOutcome::Bypass => prepared.prepare_micros(),
     };
     let exec_start = Instant::now();
     let mut ctx = ExecContext::new();
@@ -749,9 +673,6 @@ fn run_query(
     };
     if traced || core.slow_log.is_slow(total_micros) {
         let mut tb = core.tracer.builder(prepared.canonical());
-        if let Some(plan) = prepared.plan() {
-            tb.set_fingerprint(plan.fp);
-        }
         let clock = core.tracer.clock();
         let t_submit = clock.us_of(submitted);
         let mut root_tags: Vec<(&'static str, TagValue)> = vec![
@@ -929,67 +850,16 @@ mod tests {
     }
 
     #[test]
-    fn stale_cached_plans_are_transparently_replanned() {
-        let schema = Arc::new(fig1_yago_schema());
-        let db = Arc::new(fig2_yago_database());
-        let store = Arc::new(RelStore::load(&db));
-        let service = Service::with_store(
-            schema,
-            db,
-            Arc::clone(&store),
-            ServiceConfig::with_workers(1),
-        );
+    fn schema_version_bump_clears_the_plan_cache() {
+        let service = small_service(1);
         let session = service.session();
-        let opts = QueryOptions::default();
-        let (first, o1) = session.prepare("owns/isLocatedIn+", &opts).unwrap();
-        assert_eq!(o1, CacheOutcome::Miss);
-        let plan = first.plan().unwrap();
-        // Simulate execution feedback diverging 1000× from the estimate.
-        store
-            .feedback
-            .observe(plan.fp, (plan.est.rows as usize + 1) * 1000);
-        let (second, o2) = session.prepare("owns/isLocatedIn+", &opts).unwrap();
-        assert_eq!(o2, CacheOutcome::Replan, "divergent plan must re-prepare");
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert!(
-            second.plan().unwrap().memo_est,
-            "the fresh plan estimates from the memo"
-        );
-        let m = service.metrics();
-        assert_eq!(m.replans, 1, "{m}");
-        assert!(m.feedback_hits >= 1, "{m}");
-        // The refreshed entry agrees with the memo: plain hits again.
-        let (third, o3) = session.prepare("owns/isLocatedIn+", &opts).unwrap();
-        assert_eq!(o3, CacheOutcome::Hit);
-        assert!(Arc::ptr_eq(&second, &third));
-        assert_eq!(service.metrics().replans, 1);
-        service.shutdown();
-    }
-
-    #[test]
-    fn schema_version_bump_clears_the_feedback_memo() {
-        let schema = Arc::new(fig1_yago_schema());
-        let db = Arc::new(fig2_yago_database());
-        let store = Arc::new(RelStore::load(&db));
-        let service = Service::with_store(
-            schema,
-            db,
-            Arc::clone(&store),
-            ServiceConfig::with_workers(1),
-        );
-        let session = service.session();
-        session
-            .execute("owns/isLocatedIn+", &QueryOptions::default())
-            .unwrap();
-        assert!(
-            !store.feedback.is_empty(),
-            "execution populates the feedback memo"
-        );
+        for text in ["owns", "owns/isLocatedIn+"] {
+            session.prepare(text, &QueryOptions::default()).unwrap();
+        }
+        assert_eq!(service.metrics().cache.entries, 2);
         service.bump_schema_version();
-        assert!(
-            store.feedback.is_empty(),
-            "a schema bump must drop observations of the old data"
-        );
+        let cache = service.metrics().cache;
+        assert_eq!((cache.entries, cache.invalidations), (0, 2), "{cache:?}");
         service.shutdown();
     }
 
@@ -1143,7 +1013,6 @@ mod tests {
         let traces = session.recent_traces();
         assert_eq!(traces.len(), 1);
         let trace = &traces[0];
-        assert_ne!(trace.fingerprint, 0);
         let phase = |name: &str| {
             trace
                 .phases
