@@ -3,8 +3,8 @@
 //! rewrite is applied first ([`Approach`]).
 //!
 //! These are vocabulary types, not behaviour: the experiment harness
-//! keys its records on them, the serving layer folds them into
-//! plan-cache keys, and both must agree on the variants and their
+//! keys its records on them, the serving layer keys its plan cache on
+//! them, and both must agree on the variants and their
 //! rendered names — so they live here, below both.
 
 /// Which engine executes a query.
@@ -16,10 +16,6 @@ pub enum Backend {
     /// optimiser (the PostgreSQL stand-in).
     #[default]
     Relational,
-    /// The relational engine with the logical optimiser disabled — the
-    /// stand-in for the paper's "MySQL/SQLite are much slower" remark,
-    /// and the serving layer's optimiser ablation.
-    RelationalUnoptimized,
 }
 
 impl std::fmt::Display for Backend {
@@ -27,7 +23,6 @@ impl std::fmt::Display for Backend {
         match self {
             Backend::Graph => write!(f, "graph"),
             Backend::Relational => write!(f, "relational"),
-            Backend::RelationalUnoptimized => write!(f, "relational-unopt"),
         }
     }
 }
@@ -57,14 +52,10 @@ mod tests {
 
     #[test]
     fn display_names_are_stable() {
-        // Experiment records and plan-cache key signatures both embed
-        // these strings; changing them invalidates stored artifacts.
+        // Experiment records embed these strings; changing them
+        // invalidates stored artifacts.
         assert_eq!(Backend::Graph.to_string(), "graph");
         assert_eq!(Backend::Relational.to_string(), "relational");
-        assert_eq!(
-            Backend::RelationalUnoptimized.to_string(),
-            "relational-unopt"
-        );
         assert_eq!(Approach::Baseline.to_string(), "B");
         assert_eq!(Approach::Schema.to_string(), "S");
     }

@@ -27,33 +27,15 @@ use sgq_common::{EdgeLabelId, NodeLabelId, Result, SgqError};
 use sgq_graph::GraphSchema;
 
 use crate::arena::{Arena, IdTriple, Node, Path, PathId, EMPTY};
-use crate::plc::{plc, PlcOptions};
+use crate::pipeline::RewriteOptions;
+use crate::plc::plc;
 use crate::triple::Triple;
-
-/// Budgets and switches for the inference.
-#[derive(Debug, Clone, Copy)]
-pub struct InferOptions {
-    /// Passed through to `PlC` ([`mod@crate::plc`]).
-    pub plc: PlcOptions,
-    /// Maximum size of any intermediate `TS(ϕ)`; exceeding it aborts the
-    /// rewrite (the pipeline then reverts to the baseline query).
-    pub max_triples: usize,
-}
-
-impl Default for InferOptions {
-    fn default() -> Self {
-        InferOptions {
-            plc: PlcOptions::default(),
-            max_triples: 4096,
-        }
-    }
-}
 
 /// Computes `TS(ϕ)` under `schema`, sorted and deduplicated.
 pub fn infer_triples(
     schema: &GraphSchema,
     expr: &PathExpr,
-    opts: InferOptions,
+    opts: RewriteOptions,
 ) -> Result<Vec<Triple>> {
     let mut arena = Arena::new(schema);
     let phi = arena.intern_path(expr);
@@ -65,7 +47,9 @@ pub fn infer_triples(
     Ok(triples.iter().map(tree).collect())
 }
 
-fn check_budget(set: &[IdTriple], opts: &InferOptions) -> Result<()> {
+/// Every intermediate `TS(ϕ)` is at most `max_triples` large; past it
+/// the rewrite aborts, and the pipeline reverts to the baseline query.
+fn check_budget(set: &[IdTriple], opts: &RewriteOptions) -> Result<()> {
     if set.len() > opts.max_triples {
         return Err(SgqError::Execution(format!(
             "type inference exceeded the triple budget ({} > {})",
@@ -79,7 +63,11 @@ fn check_budget(set: &[IdTriple], opts: &InferOptions) -> Result<()> {
 /// `TS(ϕ)` of the interned `phi`, in the structural order of
 /// `(src, ψ, tgt, plus_paths)` and deduplicated; the budget is checked on
 /// every sub-expression's set.
-pub(crate) fn infer(arena: &mut Arena, phi: PathId, opts: &InferOptions) -> Result<Vec<IdTriple>> {
+pub(crate) fn infer(
+    arena: &mut Arena,
+    phi: PathId,
+    opts: &RewriteOptions,
+) -> Result<Vec<IdTriple>> {
     let mut out: Vec<IdTriple> = match arena.path_node(phi) {
         // TBASIC
         Path::Label(le) => basic(arena, phi, le, false),
@@ -112,7 +100,7 @@ pub(crate) fn infer(arena: &mut Arena, phi: PathId, opts: &InferOptions) -> Resu
         // TPLUS
         Path::Plus(a) => {
             let ta = infer(arena, a, opts)?;
-            plc(arena, a, &ta, opts.plc)
+            plc(arena, a, &ta, opts.max_paths)
         }
     };
     out.sort_unstable_by(|x, y| arena.cmp_triple(x, y));
@@ -143,7 +131,7 @@ fn join(
     arena: &mut Arena,
     a: PathId,
     b: PathId,
-    opts: &InferOptions,
+    opts: &RewriteOptions,
     rule: impl Fn(&mut Arena, &IdTriple, &IdTriple) -> Option<(NodeLabelId, Node, NodeLabelId)>,
 ) -> Result<Vec<IdTriple>> {
     let ta = infer(arena, a, opts)?;
@@ -170,7 +158,7 @@ mod tests {
     fn infer(s: &str) -> Vec<Triple> {
         let schema = fig1_yago_schema();
         let e = parse_path(s, &schema).unwrap();
-        infer_triples(&schema, &e, InferOptions::default()).unwrap()
+        infer_triples(&schema, &e, RewriteOptions::default()).unwrap()
     }
 
     fn rendered(s: &str) -> Vec<String> {
@@ -304,7 +292,7 @@ mod tests {
         interner.intern("r");
         interner.intern("ghost");
         let e = parse_path("ghost", &interner).unwrap();
-        let r = infer_triples(&schema, &e, InferOptions::default()).unwrap();
+        let r = infer_triples(&schema, &e, RewriteOptions::default()).unwrap();
         assert!(r.is_empty());
     }
 
@@ -312,22 +300,18 @@ mod tests {
     fn budget_is_enforced() {
         let schema = fig1_yago_schema();
         let e = parse_path("isLocatedIn+", &schema).unwrap();
-        let opts = InferOptions {
+        let opts = RewriteOptions {
             max_triples: 2,
             ..Default::default()
         };
         assert!(infer_triples(&schema, &e, opts).is_err());
     }
 
-    fn rendered_with(s: &str, tc_elimination: bool, max_paths: usize) -> Vec<String> {
+    fn rendered_with(s: &str, max_paths: usize) -> Vec<String> {
         let schema = fig1_yago_schema();
         let e = parse_path(s, &schema).unwrap();
-        let plc = PlcOptions {
-            tc_elimination,
+        let opts = RewriteOptions {
             max_paths,
-        };
-        let opts = InferOptions {
-            plc,
             ..Default::default()
         };
         let r = infer_triples(&schema, &e, opts).unwrap();
@@ -344,10 +328,10 @@ mod tests {
     ];
 
     #[test]
-    fn no_tc_elimination_gives_the_reachability_closure() {
-        assert_eq!(rendered_with("isLocatedIn+", false, 4096), ISL_REACH);
+    fn a_zero_path_budget_gives_the_reachability_closure() {
+        assert_eq!(rendered_with("isLocatedIn+", 0), ISL_REACH);
         assert_eq!(
-            rendered_with("-isLocatedIn+", false, 4096),
+            rendered_with("-isLocatedIn+", 0),
             [
                 "(CITY, -isLocatedIn+, PROPERTY)",
                 "(REGION, -isLocatedIn+, CITY)",
@@ -362,9 +346,9 @@ mod tests {
     #[test]
     fn max_paths_below_the_enumeration_falls_back_to_reachability() {
         // isLocatedIn's label graph has exactly six simple paths.
-        assert_eq!(rendered_with("isLocatedIn+", true, 5), ISL_REACH);
+        assert_eq!(rendered_with("isLocatedIn+", 5), ISL_REACH);
         assert_eq!(
-            rendered_with("isLocatedIn+", true, 6),
+            rendered_with("isLocatedIn+", 6),
             [
                 "(CITY, isLocatedIn, REGION)",
                 "(CITY, isLocatedIn/{REGION}isLocatedIn, COUNTRY)",
@@ -374,12 +358,12 @@ mod tests {
                 "(REGION, isLocatedIn, COUNTRY)",
             ]
         );
-        assert_eq!(rendered_with("-isLocatedIn+", true, 5).len(), 6);
-        assert!(rendered_with("-isLocatedIn+", true, 5)
+        assert_eq!(rendered_with("-isLocatedIn+", 5).len(), 6);
+        assert!(rendered_with("-isLocatedIn+", 5)
             .iter()
             .all(|t| t.contains("-isLocatedIn+")));
         assert_eq!(
-            rendered_with("-isLocatedIn+", true, 6)[..2],
+            rendered_with("-isLocatedIn+", 6)[..2],
             [
                 "(CITY, -isLocatedIn, PROPERTY)",
                 "(REGION, -isLocatedIn, CITY)",

@@ -10,8 +10,9 @@
 //! 5. [`redundant`] — redundant-annotation removal (§3.2.2),
 //! 6. `translate` — merged triples back to CQTs (`Q`, Fig. 9), distributed
 //!    into the schema-enriched union (Def. 11),
-//! 7. [`pipeline`] — the end-to-end rewriter with revert detection (§5.2)
-//!    and ablation switches.
+//! 7. [`pipeline`] — the end-to-end rewriter with revert detection (§5.2),
+//!    under one configuration ([`RewriteOptions`]: a redundancy rule and
+//!    three budgets).
 //!
 //! Steps 2–6 run on ids into one hash-consed arena per call (`arena`):
 //! each distinct annotated expression is added once, with its strip,

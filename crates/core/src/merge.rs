@@ -10,22 +10,22 @@ use sgq_common::{sorted, Result};
 use sgq_query::annotated::LabelSet;
 
 use crate::arena::{Arena, Id, IdMerged, IdTriple, Node, PathId};
-use crate::infer::{infer, InferOptions};
-use crate::redundant::{remove_redundant, RedundancyRule};
+use crate::infer::infer;
+use crate::pipeline::RewriteOptions;
+use crate::redundant::remove_redundant;
 
 /// `TS(ϕ)` inferred, merged (Def. 9), pruned of redundant annotations
 /// and canonicalised (§3.2.2): one relation's alternatives.
 pub(crate) fn alternatives(
     arena: &mut Arena,
     phi: PathId,
-    opts: &InferOptions,
-    rule: RedundancyRule,
+    opts: &RewriteOptions,
 ) -> Result<Vec<IdMerged>> {
     let triples = infer(arena, phi, opts)?;
     let merged = merge_triples(arena, &triples);
     Ok(merged
         .into_iter()
-        .map(|m| remove_redundant(arena, m, rule))
+        .map(|m| remove_redundant(arena, m, opts.redundancy))
         .collect())
 }
 
@@ -110,7 +110,7 @@ mod tests {
         let schema = fig1_yago_schema();
         let mut arena = Arena::new(&schema);
         let phi = arena.intern_path(&parse_path(s, &schema).unwrap());
-        let t = infer(&mut arena, phi, &InferOptions::default()).unwrap();
+        let t = infer(&mut arena, phi, &RewriteOptions::default()).unwrap();
         let m = merge_triples(&mut arena, &t);
         m.iter().map(|m| arena.merged(m)).collect()
     }

@@ -1,6 +1,5 @@
 //! The end-to-end rewriter (the paper's Fig. 10 "Rewriter" module):
-//! PPS → SQ-Rewriter → SQ-Merge, with revert detection (§5.2) and the
-//! ablation switches exercised by the benchmark suite.
+//! PPS → SQ-Rewriter → SQ-Merge, with revert detection (§5.2).
 
 use sgq_algebra::ast::PathExpr;
 use sgq_common::{sorted, FxHashMap, Result, VarId};
@@ -10,28 +9,25 @@ use sgq_query::cqt::{Cqt, LabelAtom, QueryKind, Relation, Ucqt};
 use sgq_query::vars::VarGen;
 
 use crate::arena::{Arena, IdMerged, SetId, EMPTY};
-use crate::infer::InferOptions;
 use crate::merge::alternatives;
-use crate::plc::{PlcOptions, PlusStats};
+use crate::plc::PlusStats;
 use crate::redundant::RedundancyRule;
 use crate::simplify::simplify_in_place;
 use crate::translate::q_translate;
 
-/// Switches and budgets for the rewrite pipeline. The boolean switches are
-/// the ablation axes `tests/theorem1_properties.rs` sweeps.
+/// The rewrite's one configuration: the redundancy rule (§3.2.2; Example
+/// 13 shows its `EitherSide` variant) and three budgets. R1–R5 always
+/// run, label atoms are always kept, and `PlC` always eliminates what
+/// `max_paths` allows.
 #[derive(Debug, Clone, Copy)]
 pub struct RewriteOptions {
-    /// Apply the preliminary path simplification R1–R5 (Fig. 6).
-    pub simplify: bool,
-    /// Allow `PlC` to replace closures with fixed-length paths (Def. 8).
-    pub tc_elimination: bool,
-    /// Keep node-label annotations / atoms (the semi-join sources).
-    pub annotations: bool,
     /// Which redundant annotations to remove (§3.2.2).
     pub redundancy: RedundancyRule,
     /// Budget: maximum `|TS(ϕ)|` before reverting.
     pub max_triples: usize,
-    /// Budget: maximum simple paths enumerated by `PlC`.
+    /// Budget: maximum simple paths `PlC` replaces a closure with. Past
+    /// it the closure stays, as `(A, ϕ+, B)` for every reachable pair:
+    /// `0` keeps every closure.
     pub max_paths: usize,
     /// Budget: maximum disjuncts in the rewritten union before reverting.
     pub max_disjuncts: usize,
@@ -40,25 +36,10 @@ pub struct RewriteOptions {
 impl Default for RewriteOptions {
     fn default() -> Self {
         RewriteOptions {
-            simplify: true,
-            tc_elimination: true,
-            annotations: true,
             redundancy: RedundancyRule::default(),
             max_triples: 4096,
             max_paths: 4096,
             max_disjuncts: 128,
-        }
-    }
-}
-
-impl RewriteOptions {
-    fn infer_opts(&self) -> InferOptions {
-        InferOptions {
-            plc: PlcOptions {
-                tc_elimination: self.tc_elimination,
-                max_paths: self.max_paths,
-            },
-            max_triples: self.max_triples,
         }
     }
 }
@@ -139,9 +120,7 @@ pub fn rewrite_ucqt(schema: &GraphSchema, query: &Ucqt, opts: RewriteOptions) ->
 
 fn rewrite(schema: &GraphSchema, mut baseline: Ucqt, opts: RewriteOptions) -> Rewritten {
     let was_recursive = baseline.kind() == QueryKind::Recursive;
-    if opts.simplify {
-        simplify_query(&mut baseline);
-    }
+    simplify_query(&mut baseline);
     let (outcome, plus_stats, revert_reason) = match try_rewrite(schema, &baseline, opts) {
         Ok(Some((q, stats))) if q.disjuncts.is_empty() => (RewriteOutcome::Empty, stats, None),
         Ok(Some((q, stats))) if is_trivial_rewrite(&q, &baseline) => {
@@ -203,15 +182,7 @@ fn try_rewrite(
                 AnnotatedPath::Plain(e) => arena.intern_path(e),
                 annotated => arena.intern_path(&annotated.strip()),
             };
-            let mut merged = alternatives(&mut arena, phi, &opts.infer_opts(), opts.redundancy)?;
-            if !opts.annotations {
-                // Drop all annotations and endpoint constraints (the "no
-                // annotations" ablation), keeping the structural rewrite.
-                for m in &mut merged {
-                    (m.src, m.tgt) = (None, None);
-                    m.psi = arena.plain(arena.strip(m.psi));
-                }
-            }
+            let merged = alternatives(&mut arena, phi, &opts)?;
             for m in &merged {
                 stats.path_lengths.extend_from_slice(arena.lens_of(m.lens));
                 stats.closure_kept |= arena.recursive(arena.strip(m.psi));
@@ -482,10 +453,10 @@ mod tests {
     }
 
     #[test]
-    fn ablation_no_tc_elimination_keeps_closure() {
+    fn a_zero_path_budget_keeps_the_closure() {
         let schema = fig1_yago_schema();
         let opts = RewriteOptions {
-            tc_elimination: false,
+            max_paths: 0,
             ..Default::default()
         };
         // isLocatedIn+ alone reverts (the closure covers everything), but
@@ -497,24 +468,6 @@ mod tests {
             RewriteOutcome::Enriched(q) => {
                 assert!(q.kind() == sgq_query::cqt::QueryKind::Recursive);
                 assert!(q.has_schema_info());
-            }
-            other => panic!("expected enrichment, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ablation_no_annotations_keeps_expansion() {
-        let schema = fig1_yago_schema();
-        let opts = RewriteOptions {
-            annotations: false,
-            ..Default::default()
-        };
-        let r = rewrite_path(&schema, &pe("isLocatedIn+"), opts);
-        match &r.outcome {
-            RewriteOutcome::Enriched(q) => {
-                assert!(!q.has_schema_info());
-                assert_eq!(q.disjuncts.len(), 3);
-                assert!(q.kind() == sgq_query::cqt::QueryKind::NonRecursive);
             }
             other => panic!("expected enrichment, got {other:?}"),
         }

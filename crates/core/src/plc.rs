@@ -59,26 +59,6 @@ impl PlusStats {
     }
 }
 
-/// Tuning knobs for `PlC`.
-#[derive(Debug, Clone, Copy)]
-pub struct PlcOptions {
-    /// When `false`, skip path enumeration entirely and keep `ϕ+` for every
-    /// reachable endpoint pair (the "no TC elimination" ablation).
-    pub tc_elimination: bool,
-    /// Upper bound on enumerated simple paths before falling back to the
-    /// reachability-only result (guards against dense label graphs).
-    pub max_paths: usize,
-}
-
-impl Default for PlcOptions {
-    fn default() -> Self {
-        PlcOptions {
-            tc_elimination: true,
-            max_paths: 4096,
-        }
-    }
-}
-
 /// Computes `PlC(ϕ, T)` (Definition 8) for `T = triples`, the inferred
 /// `TS(ϕ)`, in no particular order.
 ///
@@ -87,27 +67,23 @@ impl Default for PlcOptions {
 /// `T` holds one triple per schema edge of `l`, so `G` is `l`'s subgraph,
 /// or that subgraph reversed, whose simple paths are its paths reversed.
 /// Anything else enumerates `G` here. Either way, more simple paths than
-/// `opts.max_paths` give the reachability-only result.
+/// `max_paths` (the rewrite's budget, a guard against dense label graphs)
+/// give the reachability-only result.
 pub(crate) fn plc(
     arena: &mut Arena,
     phi: PathId,
     triples: &[IdTriple],
-    opts: PlcOptions,
+    max_paths: usize,
 ) -> Vec<IdTriple> {
     let plus = arena.path(Path::Plus(phi));
     let plus = arena.plain(plus);
-    let cap = if opts.tc_elimination {
-        opts.max_paths
-    } else {
-        0
-    };
     let table = match arena.path_node(phi) {
         Path::Label(le) => Some((le, false)),
         Path::Reverse(le) => Some((le, true)),
         _ => None,
     }
     .and_then(|(le, reverse)| Some((le, reverse, arena.schema().label_paths(le)?)))
-    .filter(|(_, _, paths)| paths.complete || cap <= LABEL_PATH_CAP);
+    .filter(|(_, _, paths)| paths.complete || max_paths <= LABEL_PATH_CAP);
     let owned;
     let (steps, paths, reverse): (Vec<IdTriple>, &LabelPaths, bool) = match table {
         Some((le, reverse, paths)) => (basic(arena, phi, le, reverse), paths, reverse),
@@ -115,13 +91,13 @@ pub(crate) fn plc(
             #[cfg(test)]
             LIVE_ENUMERATIONS.with(|n| n.set(n.get() + 1));
             let edges: Vec<_> = triples.iter().map(|t| (t.src, t.tgt)).collect();
-            owned = LabelPaths::enumerate(&edges, cap);
+            owned = LabelPaths::enumerate(&edges, max_paths);
             (triples.to_vec(), &owned, false)
         }
     };
     let flip = |(a, b)| if reverse { (b, a) } else { (a, b) };
-    if !(opts.tc_elimination && paths.complete && paths.len() <= opts.max_paths) {
-        // Disabled, or over budget: the sound, complete, non-eliminating
+    if !(paths.complete && paths.len() <= max_paths) {
+        // Over budget: the sound, complete, non-eliminating
         // result — `(A, ϕ+, B)` for every pair joined by a path in `G`.
         let pairs = paths.reach.iter().map(|&p| flip(p));
         return pairs
@@ -191,12 +167,17 @@ mod tests {
     use sgq_graph::GraphSchema;
     use sgq_query::annotated::AnnotatedPath;
 
+    /// The default `max_paths`.
+    fn budget() -> usize {
+        crate::pipeline::RewriteOptions::default().max_paths
+    }
+
     /// [`super::plc`] over hand-built trees, sorted as inference sorts.
     fn plc(
         schema: &GraphSchema,
         phi: &PathExpr,
         triples: &[Triple],
-        opts: PlcOptions,
+        max_paths: usize,
     ) -> Vec<Triple> {
         let mut arena = Arena::new(schema);
         let p = arena.intern_path(phi);
@@ -204,7 +185,7 @@ mod tests {
             .iter()
             .map(|t| intern_triple(&mut arena, t))
             .collect();
-        let mut r = super::plc(&mut arena, p, &t, opts);
+        let mut r = super::plc(&mut arena, p, &t, max_paths);
         r.sort_unstable_by(|x, y| arena.cmp_triple(x, y));
         let tree = |t: &IdTriple| {
             let lens = arena.lens_of(t.lens).to_vec();
@@ -243,7 +224,7 @@ mod tests {
         let schema = fig1_yago_schema();
         let phi = parse_path("dealsWith", &schema).unwrap();
         let t = basic_triples(&schema, "dealsWith");
-        let r = plc(&schema, &phi, &t, PlcOptions::default());
+        let r = plc(&schema, &phi, &t, budget());
         assert_eq!(r.len(), 1);
         let country = schema.node_label("COUNTRY").unwrap();
         assert_eq!(r[0].src, country);
@@ -261,7 +242,7 @@ mod tests {
         let schema = fig1_yago_schema();
         let phi = parse_path("isLocatedIn", &schema).unwrap();
         let t = basic_triples(&schema, "isLocatedIn");
-        let r = plc(&schema, &phi, &t, PlcOptions::default());
+        let r = plc(&schema, &phi, &t, budget());
         assert_eq!(r.len(), 6);
         let stats = plus_stats(&r, &phi);
         assert!(!stats.closure_kept);
@@ -277,16 +258,8 @@ mod tests {
         let schema = fig1_yago_schema();
         let phi = parse_path("isLocatedIn", &schema).unwrap();
         let t = basic_triples(&schema, "isLocatedIn");
-        let r = plc(
-            &schema,
-            &phi,
-            &t,
-            PlcOptions {
-                tc_elimination: false,
-                max_paths: 4096,
-            },
-        );
-        // 6 reachable pairs, all keeping ϕ+
+        // A zero budget keeps every closure: 6 reachable pairs, all ϕ+.
+        let r = plc(&schema, &phi, &t, 0);
         assert_eq!(r.len(), 6);
         let plus_form = AnnotatedPath::plain(PathExpr::plus(phi.clone()));
         assert!(r.iter().all(|t| t.psi == plus_form));
@@ -297,15 +270,7 @@ mod tests {
         let schema = fig1_yago_schema();
         let phi = parse_path("isLocatedIn", &schema).unwrap();
         let t = basic_triples(&schema, "isLocatedIn");
-        let r = plc(
-            &schema,
-            &phi,
-            &t,
-            PlcOptions {
-                tc_elimination: true,
-                max_paths: 2,
-            },
-        );
+        let r = plc(&schema, &phi, &t, 2);
         let plus_form = AnnotatedPath::plain(PathExpr::plus(phi.clone()));
         assert!(r.iter().all(|t| t.psi == plus_form));
     }
@@ -322,7 +287,7 @@ mod tests {
         let schema = b.build().unwrap();
         let phi = parse_path("r", &schema).unwrap();
         let t = basic_triples(&schema, "r");
-        let r = plc(&schema, &phi, &t, PlcOptions::default());
+        let r = plc(&schema, &phi, &t, budget());
         let plus_form = AnnotatedPath::plain(PathExpr::plus(phi.clone()));
         assert!(r.iter().all(|t| t.psi == plus_form), "{r:?}");
         // pairs: (A,B),(A,C),(B,B),(B,C) — and A->B->B->C etc. collapse
@@ -346,7 +311,7 @@ mod tests {
             Triple::new(a, AnnotatedPath::plain(PathExpr::Label(r_le)), bb),
             Triple::new(a, AnnotatedPath::plain(PathExpr::Label(s_le)), bb),
         ];
-        let r = plc(&schema, &phi, &triples, PlcOptions::default());
+        let r = plc(&schema, &phi, &triples, budget());
         assert_eq!(r.len(), 2);
         let stats = plus_stats(&r, &phi);
         assert_eq!(stats.path_lengths, vec![1, 1]);
@@ -394,13 +359,7 @@ mod tests {
         let t: Vec<Triple> = (schema.triples_for_edge_label(le).iter())
             .map(|&(s, t)| Triple::new(s, AnnotatedPath::plain(phi.clone()), t))
             .collect();
-        let run = |max_paths| {
-            let opts = PlcOptions {
-                tc_elimination: true,
-                max_paths,
-            };
-            plus_stats(&plc(&schema, &phi, &t, opts), &phi)
-        };
+        let run = |max_paths| plus_stats(&plc(&schema, &phi, &t, max_paths), &phi);
         let eliminated = run(8178);
         assert!(!eliminated.closure_kept);
         assert_eq!(eliminated.count(), 8178);

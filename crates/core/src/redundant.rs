@@ -34,7 +34,7 @@ pub enum RedundancyRule {
     /// Remove when either adjacent side implies the label set
     /// (Example 13's behaviour).
     EitherSide,
-    /// Never remove (the `redundant_removal: false` ablation).
+    /// Never remove: every annotation inference produced survives.
     Never,
 }
 
@@ -140,8 +140,9 @@ mod tests {
     use super::*;
     use crate::arena::tests::intern_tree;
     use crate::arena::tests::MergedTriple;
-    use crate::infer::{infer, InferOptions};
+    use crate::infer::infer;
     use crate::merge::{alternatives, merge_triples};
+    use crate::pipeline::RewriteOptions;
     use sgq_algebra::parser::parse_path;
     use sgq_graph::schema::fig1_yago_schema;
     use sgq_query::annotated::AnnotatedPath;
@@ -150,7 +151,11 @@ mod tests {
         let schema = fig1_yago_schema();
         let mut arena = Arena::new(&schema);
         let phi = arena.intern_path(&parse_path(s, &schema).unwrap());
-        let m = alternatives(&mut arena, phi, &InferOptions::default(), rule).unwrap();
+        let opts = RewriteOptions {
+            redundancy: rule,
+            ..Default::default()
+        };
+        let m = alternatives(&mut arena, phi, &opts).unwrap();
         m.iter().map(|m| arena.merged(m)).collect()
     }
 
@@ -251,7 +256,7 @@ mod tests {
         ] {
             let mut arena = Arena::new(&schema);
             let phi = arena.intern_path(&parse_path(s, &schema).unwrap());
-            let triples = infer(&mut arena, phi, &InferOptions::default()).unwrap();
+            let triples = infer(&mut arena, phi, &RewriteOptions::default()).unwrap();
             for m in merge_triples(&mut arena, &triples) {
                 for rule in [
                     RedundancyRule::BothSides,

@@ -363,9 +363,9 @@ pub fn fig15_16() -> String {
     out.push_str("\n\n-- SCHEMA-ENRICHED (Q2)\n");
     out.push_str(&sgq_translate::to_sql(&t_schema, &schema, &symbols));
     out.push_str("\n\nFigure 16 — Cypher translations\n\n// BASELINE (Q1)\n");
-    out.push_str(&sgq_translate::to_cypher_resolved(&baseline, &schema).expect("chain"));
+    out.push_str(&sgq_translate::to_cypher(&baseline, &schema).expect("chain"));
     out.push_str("\n\n// SCHEMA-ENRICHED (Q2)\n");
-    out.push_str(&sgq_translate::to_cypher_resolved(&enriched, &schema).expect("chain"));
+    out.push_str(&sgq_translate::to_cypher(&enriched, &schema).expect("chain"));
     out.push('\n');
     out
 }

@@ -26,11 +26,6 @@ impl VarGen {
         self.next += 1;
         v
     }
-
-    /// Number of variables allocated so far (next raw id).
-    pub fn allocated(&self) -> u32 {
-        self.next
-    }
 }
 
 #[cfg(test)]

@@ -11,10 +11,11 @@
 //!   semi-join does not: every one that is not a precomputed slice
 //!   filters through a hashed key set, one kernel under the range
 //!   runner ([`PhysOp::HashSemiJoin`], or fused onto an edge scan).
-//! * **Cost.** For the remaining hash joins the build side is chosen by
-//!   the term's estimated cardinalities instead of being rediscovered at
-//!   run time, with ties broken towards the recursion-independent side
-//!   so a fixpoint can cache the built table across rounds (see below).
+//! * **Cost.** For the remaining hash joins the build side is fixed at
+//!   plan time instead of being rediscovered at run time: inside a
+//!   fixpoint step the recursion-independent side, whose built table the
+//!   executor caches across rounds (see below), otherwise the side with
+//!   the smaller estimated cardinality.
 //! * **Indexes.** The store carries per-edge-label forward/reverse CSR
 //!   adjacency indexes. When one side of a join is a (possibly renamed
 //!   and/or label-filtered) base edge scan sharing exactly one
@@ -594,14 +595,14 @@ impl<'a> Planner<'a> {
             return self.node(at, cost, op);
         }
         let cost = left.est.cost + right.est.cost + left.est.rows + right.est.rows + rows;
-        // Build the estimated-smaller side; break ties towards the
-        // recursion-independent side, whose table a fixpoint can cache.
-        let build_left = if left.est.rows < right.est.rows {
-            true
-        } else if right.est.rows < left.est.rows {
-            false
-        } else {
-            left.is_static() || !right.is_static()
+        // In a fixpoint step, build the recursion-independent side: the
+        // executor keeps its table across rounds, so each round only
+        // probes with the delta. Otherwise build the estimated-smaller
+        // side, the left one on a tie.
+        let build_left = match (left.is_static(), right.is_static()) {
+            (true, false) => true,
+            (false, true) => false,
+            _ => left.est.rows <= right.est.rows,
         };
         let op = PhysOp::HashJoin {
             left: Box::new(left),
@@ -1042,6 +1043,65 @@ mod tests {
                 || p.children().iter().any(|c| any_static_scan(c))
         }
         assert!(any_static_scan(step), "{step:?}");
+    }
+
+    #[test]
+    fn a_fixpoint_step_builds_its_static_side() {
+        // The base keeps only PROPERTY sources, so the delta is estimated
+        // smaller than the step's static isLocatedIn scan; the static
+        // side is still the one built, and its table serves every round.
+        let db = fig2_yago_database();
+        let mut store = RelStore::load(&db);
+        store.index_joins = false;
+        let s = &store.symbols;
+        let (x, y, m, var) = (s.col("x"), s.col("y"), s.col("m"), s.recvar("X"));
+        let property = RaTerm::NodeScan {
+            labels: vec![db.node_label_id("PROPERTY").unwrap()],
+            col: x,
+        };
+        let step = RaTerm::join(
+            RaTerm::RecRef {
+                var,
+                cols: vec![x, m],
+            },
+            scan(&db, &store, "isLocatedIn", "m", "y"),
+        );
+        let f = RaTerm::Fixpoint {
+            var,
+            base: Box::new(RaTerm::semijoin(
+                scan(&db, &store, "isLocatedIn", "x", "y"),
+                property,
+            )),
+            step: Box::new(RaTerm::project(step, vec![x, y])),
+            stable: vec![x],
+        };
+        let p = plan(&f, &store).unwrap();
+        fn hash_join(p: &PhysPlan) -> Option<&PhysPlan> {
+            if matches!(p.op, PhysOp::HashJoin { .. }) {
+                return Some(p);
+            }
+            p.children().into_iter().find_map(hash_join)
+        }
+        let join = hash_join(&p).expect("the step hash-joins");
+        let PhysOp::HashJoin {
+            left,
+            right,
+            build_left,
+            ..
+        } = &join.op
+        else {
+            unreachable!()
+        };
+        let (build, probe) = match build_left {
+            true => (left, right),
+            false => (right, left),
+        };
+        assert!(build.is_static() && !probe.is_static(), "{join:?}");
+        assert!(probe.est.rows < build.est.rows, "{join:?}");
+        let mut ctx = crate::exec::ExecContext::new();
+        crate::exec::execute_plan(&p, &store, &mut ctx).unwrap();
+        assert_eq!(ctx.hash_builds, 1, "one build serves every round");
+        assert!(ctx.fixpoint_rounds >= 2 && ctx.cache_hits >= 1);
     }
 
     #[test]

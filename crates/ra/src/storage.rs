@@ -173,16 +173,6 @@ impl RelStore {
     pub fn node_set(&self, l: NodeLabelId) -> &[u32] {
         self.node_tables.get(l.index()).map_or(&[], Relation::flat)
     }
-
-    /// Number of edge tables.
-    pub fn edge_table_count(&self) -> usize {
-        self.edge_tables.len()
-    }
-
-    /// Number of node tables.
-    pub fn node_table_count(&self) -> usize {
-        self.node_tables.len()
-    }
 }
 
 /// The endpoint-label slices of `edge_tables`, in one grouping pass per
@@ -296,7 +286,7 @@ mod tests {
     fn csr_indexes_match_edge_tables() {
         let db = fig2_yago_database();
         let store = RelStore::load(&db);
-        for le_idx in 0..store.edge_table_count() {
+        for le_idx in 0..db.edge_label_count() {
             let le = EdgeLabelId::new(le_idx as u32);
             let table = store.edge_table(le);
             let fwd = store.forward_csr(le).expect("in range");

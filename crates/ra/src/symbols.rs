@@ -121,11 +121,6 @@ impl SymbolTable {
             .map(str::to_owned)
             .unwrap_or_else(|| id.to_string())
     }
-
-    /// Number of interned column names.
-    pub fn col_count(&self) -> usize {
-        self.lock().cols.len()
-    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,11 @@
 //! The sharded plan cache.
 //!
 //! Prepared statements ([`crate::prepared::PreparedQuery`]) are keyed by
-//! the triple the paper's front-end is deterministic in: the *canonical
-//! query text* (parse-normalised rendering, so formatting differences
-//! share an entry), a *schema fingerprint + version* (a schema change
-//! must never serve a stale plan — bumping the service's schema version
-//! invalidates every entry), and the *backend/options signature*
-//! (backend, approach, rewrite switches — each combination plans
-//! differently).
+//! what a service's front end is a function of ([`CacheKey`]): the
+//! *canonical query text* (parse-normalised rendering, so formatting
+//! differences share an entry), the service's *schema version*, the
+//! *backend* and the *approach*. The schema and the rewrite options are
+//! fixed for a service's lifetime, so they are not part of the key.
 //!
 //! The cache is split into shards, each an independently locked LRU, so
 //! concurrent sessions hitting different statements rarely contend on
@@ -19,8 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use sgq_common::FxHasher;
-use sgq_core::pipeline::RewriteOptions;
-use sgq_graph::GraphSchema;
 
 use crate::prepared::{Approach, Backend, PreparedQuery};
 
@@ -45,75 +41,22 @@ impl std::fmt::Display for CacheOutcome {
     }
 }
 
-/// A fully-resolved cache key. Equality compares the key text (the hash
-/// only routes to a shard and pre-filters).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A plan-cache key.
+///
+/// `schema_version` is the service's version counter when the lookup
+/// began: a prepare that straddles a version bump inserts under the old
+/// version, which no later lookup asks for.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    hash: u64,
-    text: String,
-}
-
-impl CacheKey {
-    /// Builds the key from its components.
-    ///
-    /// `schema_fingerprint` is the structural hash of the schema
-    /// ([`schema_fingerprint`]); `schema_version` is the service's
-    /// monotone version counter, so an in-place schema change (same
-    /// structure, new data semantics) can still invalidate.
-    pub fn new(
-        canonical_query: &str,
-        schema_fingerprint: u64,
-        schema_version: u64,
-        backend: Backend,
-        approach: Approach,
-        rewrite: &RewriteOptions,
-    ) -> Self {
-        let text = format!(
-            "{canonical_query}\u{1f}{schema_fingerprint:016x}\u{1f}{schema_version}\u{1f}{backend}\u{1f}{approach}\u{1f}{}",
-            rewrite_signature(rewrite)
-        );
-        let mut h = FxHasher::default();
-        text.hash(&mut h);
-        CacheKey {
-            hash: h.finish(),
-            text,
-        }
-    }
-}
-
-/// The options that change what `prepare` produces, folded into the key.
-fn rewrite_signature(o: &RewriteOptions) -> String {
-    format!(
-        "s{}t{}a{}r{:?}T{}P{}D{}",
-        o.simplify as u8,
-        o.tc_elimination as u8,
-        o.annotations as u8,
-        o.redundancy,
-        o.max_triples,
-        o.max_paths,
-        o.max_disjuncts
-    )
-}
-
-/// A structural fingerprint of a schema: label vocabularies plus the
-/// basic-triple set. Two schemas with the same fingerprint produce the
-/// same rewrites and plans.
-pub fn schema_fingerprint(schema: &GraphSchema) -> u64 {
-    let mut h = FxHasher::default();
-    for l in schema.node_labels() {
-        schema.node_label_name(l).hash(&mut h);
-    }
-    0xffu8.hash(&mut h);
-    for le in schema.edge_labels() {
-        schema.edge_label_name(le).hash(&mut h);
-    }
-    0xffu8.hash(&mut h);
-    for t in schema.triples() {
-        t.src.raw().hash(&mut h);
-        t.label.raw().hash(&mut h);
-        t.tgt.raw().hash(&mut h);
-    }
-    h.finish()
+    /// The statement's canonical text
+    /// ([`canonical_text`](crate::prepared::canonical_text)).
+    pub canonical: String,
+    /// The service's schema version.
+    pub schema_version: u64,
+    /// The executing backend.
+    pub backend: Backend,
+    /// Baseline or schema-rewritten statement.
+    pub approach: Approach,
 }
 
 struct Entry {
@@ -139,9 +82,7 @@ impl Shard {
     }
 
     fn find(&self, key: &CacheKey) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.key.hash == key.hash && e.key.text == key.text)
+        self.entries.iter().position(|e| e.key == *key)
     }
 }
 
@@ -216,7 +157,9 @@ impl PlanCache {
     }
 
     fn shard(&self, key: &CacheKey) -> MutexGuard<'_, Shard> {
-        let idx = (key.hash as usize) % self.shards.len();
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        let idx = (h.finish() as usize) % self.shards.len();
         self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -319,6 +262,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use sgq_algebra::parser::parse_path;
+    use sgq_core::pipeline::RewriteOptions;
     use sgq_graph::database::fig2_yago_database;
     use sgq_graph::schema::fig1_yago_schema;
     use sgq_ra::RelStore;
@@ -340,14 +284,12 @@ mod tests {
     }
 
     fn key(text: &str, version: u64) -> CacheKey {
-        CacheKey::new(
-            text,
-            0xabcd,
-            version,
-            Backend::Relational,
-            Approach::Baseline,
-            &RewriteOptions::default(),
-        )
+        CacheKey {
+            canonical: text.to_string(),
+            schema_version: version,
+            backend: Backend::Relational,
+            approach: Approach::Baseline,
+        }
     }
 
     #[test]
@@ -380,17 +322,37 @@ mod tests {
     #[test]
     fn distinct_options_are_distinct_keys() {
         let base = key("owns", 0);
-        let other_backend = CacheKey::new(
-            "owns",
-            0xabcd,
-            0,
-            Backend::Graph,
-            Approach::Baseline,
-            &RewriteOptions::default(),
-        );
-        let other_version = key("owns", 1);
-        assert_ne!(base, other_backend);
-        assert_ne!(base, other_version);
+        let other_backend = CacheKey {
+            backend: Backend::Graph,
+            ..base.clone()
+        };
+        let other_approach = CacheKey {
+            approach: Approach::Schema,
+            ..base.clone()
+        };
+        for other in [other_backend, other_approach, key("owns", 1), key("a", 0)] {
+            assert_ne!(base, other);
+        }
+    }
+
+    #[test]
+    fn a_prepare_that_straddles_a_version_bump_is_never_served_after_it() {
+        // The lookup starts at v0; the schema changes (the cache is
+        // cleared) while the front end runs, and the result is inserted
+        // under v0. A lookup at v1 must not see it.
+        let cache = PlanCache::new(8, 2);
+        let (_, outcome) = cache
+            .get_or_prepare(key("owns", 0), || {
+                cache.invalidate_all();
+                Ok(prepared_for("owns"))
+            })
+            .unwrap();
+        assert_eq!(outcome, CacheOutcome::Miss);
+        assert!(cache.get(&key("owns", 1)).is_none());
+        let (_, outcome) = cache
+            .get_or_prepare(key("owns", 1), || Ok(prepared_for("owns")))
+            .unwrap();
+        assert_eq!(outcome, CacheOutcome::Miss, "the v0 entry served v1");
     }
 
     #[test]
@@ -454,16 +416,5 @@ mod tests {
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn schema_fingerprint_is_structural() {
-        let a = schema_fingerprint(&fig1_yago_schema());
-        let b = schema_fingerprint(&fig1_yago_schema());
-        assert_eq!(a, b, "deterministic");
-        let mut builder = sgq_graph::GraphSchema::builder();
-        builder.node("ONLY", &[]);
-        let other = builder.build().unwrap();
-        assert_ne!(a, schema_fingerprint(&other));
     }
 }

@@ -10,7 +10,7 @@
 //!   and freezes an immutable, `Send + Sync` artifact (physical plan +
 //!   column metadata) shared via `Arc`,
 //! * [`cache`] — [`PlanCache`]: a sharded LRU keyed by (canonical query
-//!   text, schema fingerprint/version, backend + options), with
+//!   text, schema version, backend, approach), with
 //!   hit/miss/eviction counters and whole-cache invalidation on schema
 //!   version bumps,
 //! * [`sgq_common::pool::TaskScheduler`], twice: one instance runs the
@@ -65,7 +65,7 @@ pub mod prepared;
 pub mod retry;
 pub mod service;
 
-pub use cache::{schema_fingerprint, CacheKey, CacheOutcome, CacheStats, PlanCache};
+pub use cache::{CacheKey, CacheOutcome, CacheStats, PlanCache};
 pub use metrics::{LatencyHistogram, MetricsRegistry, MetricsSnapshot};
 pub use prepared::{prepare, Answer, Approach, Backend, PreparedQuery};
 pub use retry::{retry_with_backoff, retrying, RetryPolicy};

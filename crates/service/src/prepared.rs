@@ -162,9 +162,9 @@ pub fn canonical_text(expr: &PathExpr, schema: &GraphSchema) -> String {
 /// For [`Approach::Schema`] the paper's rewrite runs first; an `∅`
 /// outcome (the schema proves the query unsatisfiable) yields a
 /// statement that [is provably empty](PreparedQuery::is_provably_empty)
-/// and executes for free. Relational
-/// backends then translate to RA, optionally optimise, and lower to a
-/// physical plan against `store`.
+/// and executes for free. The relational
+/// backend then translates to RA, optimises, and lowers to a physical
+/// plan against `store`.
 pub fn prepare(
     schema: &GraphSchema,
     store: &RelStore,
@@ -194,14 +194,9 @@ pub fn prepare(
             let columns: Vec<String> = query.head.iter().map(|v| format!("v{}", v.raw())).collect();
             let body = match backend {
                 Backend::Graph => PreparedBody::Graph(query),
-                Backend::Relational | Backend::RelationalUnoptimized => {
-                    let mut names = NameGen::new(&store.symbols);
-                    let term = ucqt_to_term(&query, &mut names)?;
-                    let term = if backend == Backend::Relational {
-                        sgq_ra::optimize::optimize(&term, store)
-                    } else {
-                        term
-                    };
+                Backend::Relational => {
+                    let term = ucqt_to_term(&query, &mut NameGen::new(&store.symbols))?;
+                    let term = sgq_ra::optimize::optimize(&term, store);
                     PreparedBody::Relational(sgq_ra::plan(&term, store)?)
                 }
             };

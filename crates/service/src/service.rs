@@ -25,7 +25,7 @@ use sgq_obs::{QueryTrace, SlowQueryLog, TagValue, Tracer};
 use sgq_ra::exec::ExecContext;
 use sgq_ra::{RelStore, TaskScheduler};
 
-use crate::cache::{schema_fingerprint, CacheKey, CacheOutcome, PlanCache};
+use crate::cache::{CacheKey, CacheOutcome, PlanCache};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::prepared::{prepare, Approach, Backend, PreparedQuery};
 
@@ -69,7 +69,8 @@ pub struct ServiceConfig {
     pub parallel_row_threshold: usize,
     /// Morsel size cap in rows for parallel sections.
     pub morsel_rows: usize,
-    /// Rewrite switches used by [`Approach::Schema`] statements.
+    /// Rewrite options of [`Approach::Schema`] statements, fixed for the
+    /// service's lifetime (so not part of a plan-cache key).
     pub rewrite: RewriteOptions,
     /// Start with query tracing enabled (flip at runtime via
     /// [`Service::set_tracing`]). Disabled tracing costs one relaxed
@@ -211,7 +212,6 @@ struct Core {
     store: Arc<RelStore>,
     cache: PlanCache,
     metrics: MetricsRegistry,
-    schema_fp: u64,
     schema_version: AtomicU64,
     config: ServiceConfig,
     /// Query-lifecycle tracer (phase + operator spans, ring buffer).
@@ -284,7 +284,6 @@ impl Service {
         store: Arc<RelStore>,
         config: ServiceConfig,
     ) -> Self {
-        let schema_fp = schema_fingerprint(&schema);
         let pool = Arc::new(TaskScheduler::bounded(
             config.workers,
             config.queue_capacity,
@@ -303,7 +302,6 @@ impl Service {
             store,
             cache: PlanCache::new(config.plan_cache_capacity, PLAN_CACHE_SHARDS),
             metrics: MetricsRegistry::new(),
-            schema_fp,
             schema_version: AtomicU64::new(0),
             config,
             tracer,
@@ -367,14 +365,6 @@ impl Service {
     /// Enables or disables query tracing at runtime (next query onward).
     pub fn set_tracing(&self, on: bool) {
         self.core.tracer.set_enabled(on);
-    }
-
-    /// Reconfigures the slow-query threshold in milliseconds (0
-    /// disables the log).
-    pub fn set_slow_query_ms(&self, ms: u64) {
-        self.core
-            .slow_log
-            .set_threshold_us(ms.saturating_mul(1_000));
     }
 
     /// The slow-query log (µs-precision threshold control, drained via
@@ -572,15 +562,12 @@ fn prepare_via_cache(
     if !opts.use_cache {
         return Ok((Arc::new(do_prepare()?), CacheOutcome::Bypass));
     }
-    let canonical = crate::prepared::canonical_text(expr, &core.schema);
-    let key = CacheKey::new(
-        &canonical,
-        core.schema_fp,
-        core.schema_version.load(Ordering::SeqCst),
-        opts.backend,
-        opts.approach,
-        &core.config.rewrite,
-    );
+    let key = CacheKey {
+        canonical: crate::prepared::canonical_text(expr, &core.schema),
+        schema_version: core.schema_version.load(Ordering::SeqCst),
+        backend: opts.backend,
+        approach: opts.approach,
+    };
     core.cache.get_or_prepare(key, do_prepare)
 }
 
@@ -774,11 +761,7 @@ mod tests {
         let session = service.session();
         for text in ["owns/isLocatedIn+", "isMarriedTo+", "livesIn"] {
             let mut rows = Vec::new();
-            for backend in [
-                Backend::Graph,
-                Backend::Relational,
-                Backend::RelationalUnoptimized,
-            ] {
+            for backend in [Backend::Graph, Backend::Relational] {
                 for approach in [Approach::Baseline, Approach::Schema] {
                     let opts = QueryOptions {
                         backend,

@@ -9,29 +9,28 @@
 //! observation.
 
 use sgq_algebra::ast::PathExpr;
-use sgq_common::{Result, SgqError, VarId};
+use sgq_common::{EdgeLabelId, Result, SgqError, VarId};
 use sgq_graph::GraphSchema;
 use sgq_query::annotated::{AnnotatedPath, LabelSet};
 use sgq_query::cqt::{Cqt, Relation, Ucqt};
 
-/// One hop of a Cypher pattern.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Hop {
-    /// `-[:label]->` or `<-[:label]-` when `reversed`.
-    Single { label: String, reversed: bool },
-    /// `-[:label*]->` (one-or-more repetition).
-    Star { label: String, reversed: bool },
+/// One hop of a Cypher pattern: `-[:label]->`, `<-[:label]-` when
+/// `reversed`, and `-[:label*]->` (one-or-more repetition) when `star`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hop {
+    label: EdgeLabelId,
+    reversed: bool,
+    star: bool,
 }
 
 /// Checks whether a UCQT falls into the Cypher-expressible UC2RPQ chain
 /// fragment (after union normalisation).
 pub fn cypher_expressible(query: &Ucqt) -> bool {
     let query = normalize_unions(query);
-    query.disjuncts.iter().all(|c| {
-        c.relations
-            .iter()
-            .all(|r| chain_hops(&r.path, false).is_ok())
-    })
+    query
+        .disjuncts
+        .iter()
+        .all(|c| c.relations.iter().all(|r| chain_hops(&r.path).is_ok()))
 }
 
 /// Distributes unions inside relation paths into additional disjuncts:
@@ -110,38 +109,28 @@ fn cqt_to_cypher(cqt: &Cqt, schema: &GraphSchema) -> Result<String> {
     }
     let mut patterns: Vec<String> = Vec::new();
     let mut where_clauses: Vec<String> = Vec::new();
-    let mut anon = 0usize;
     for rel in &cqt.relations {
-        let hops = chain_hops(&rel.path, true).map_err(SgqError::NotExpressible)?;
+        let hops = chain_hops(&rel.path).map_err(SgqError::NotExpressible)?;
         let mut s = node_pattern(rel.src, &label_of, schema, &mut where_clauses);
         for (i, hop) in hops.iter().enumerate() {
-            let last = i + 1 == hops.len();
-            let target = if last {
-                node_pattern(rel.tgt, &label_of, schema, &mut where_clauses)
+            let label = schema.edge_label_name(hop.label);
+            let star = if hop.star { "*" } else { "" };
+            if hop.reversed {
+                s.push_str(&format!("<-[:{label}{star}]-"));
             } else {
-                anon += 1;
-                "()".to_string()
-            };
-            let edge = match hop {
-                Hop::Single { label, reversed } => {
-                    if *reversed {
-                        format!("<-[:{label}]-")
-                    } else {
-                        format!("-[:{label}]->")
-                    }
-                }
-                Hop::Star { label, reversed } => {
-                    if *reversed {
-                        format!("<-[:{label}*]-")
-                    } else {
-                        format!("-[:{label}*]->")
-                    }
-                }
-            };
-            s.push_str(&edge);
-            s.push_str(&target);
+                s.push_str(&format!("-[:{label}{star}]->"));
+            }
+            if i + 1 == hops.len() {
+                s.push_str(&node_pattern(
+                    rel.tgt,
+                    &label_of,
+                    schema,
+                    &mut where_clauses,
+                ));
+            } else {
+                s.push_str("()");
+            }
         }
-        let _ = anon;
         patterns.push(s);
     }
     let head: Vec<String> = cqt.head.iter().map(|v| var_name(*v)).collect();
@@ -182,17 +171,15 @@ fn node_pattern(
     }
 }
 
-/// Decomposes an annotated path into Cypher hops; `allow_names` controls
-/// whether label names are resolved (the expressibility check passes
-/// `false` and only needs the shape).
-fn chain_hops(path: &AnnotatedPath, _allow_names: bool) -> std::result::Result<Vec<Hop>, String> {
+/// Decomposes an annotated path into Cypher hops.
+fn chain_hops(path: &AnnotatedPath) -> std::result::Result<Vec<Hop>, String> {
     match path {
         AnnotatedPath::Plain(e) => plain_hops(e),
         AnnotatedPath::Concat(a, _ann, b) => {
             // annotations on rewritten queries appear as label atoms after
             // Q-translation; a raw annotated concat is still a chain
-            let mut hops = chain_hops(a, _allow_names)?;
-            hops.extend(chain_hops(b, _allow_names)?);
+            let mut hops = chain_hops(a)?;
+            hops.extend(chain_hops(b)?);
             Ok(hops)
         }
         AnnotatedPath::BranchR(..) | AnnotatedPath::BranchL(..) => {
@@ -203,29 +190,24 @@ fn chain_hops(path: &AnnotatedPath, _allow_names: bool) -> std::result::Result<V
 }
 
 fn plain_hops(e: &PathExpr) -> std::result::Result<Vec<Hop>, String> {
+    let hop = |label, reversed, star| {
+        Ok(vec![Hop {
+            label,
+            reversed,
+            star,
+        }])
+    };
     match e {
-        PathExpr::Label(le) => Ok(vec![Hop::Single {
-            label: format!("__LE{}#", le.raw()),
-            reversed: false,
-        }]),
-        PathExpr::Reverse(le) => Ok(vec![Hop::Single {
-            label: format!("__LE{}#", le.raw()),
-            reversed: true,
-        }]),
+        PathExpr::Label(le) => hop(*le, false, false),
+        PathExpr::Reverse(le) => hop(*le, true, false),
         PathExpr::Concat(a, b) => {
             let mut hops = plain_hops(a)?;
             hops.extend(plain_hops(b)?);
             Ok(hops)
         }
         PathExpr::Plus(inner) => match inner.as_ref() {
-            PathExpr::Label(le) => Ok(vec![Hop::Star {
-                label: format!("__LE{}#", le.raw()),
-                reversed: false,
-            }]),
-            PathExpr::Reverse(le) => Ok(vec![Hop::Star {
-                label: format!("__LE{}#", le.raw()),
-                reversed: true,
-            }]),
+            PathExpr::Label(le) => hop(*le, false, true),
+            PathExpr::Reverse(le) => hop(*le, true, true),
             _ => Err("closure of a composite path is not expressible in Cypher".into()),
         },
         PathExpr::Union(..) => Err("nested union is not expressible as one Cypher chain".into()),
@@ -234,23 +216,6 @@ fn plain_hops(e: &PathExpr) -> std::result::Result<Vec<Hop>, String> {
             Err("branching is not expressible in Cypher".into())
         }
     }
-}
-
-/// Resolves the `__LE<id>` placeholders emitted by [`plain_hops`] against
-/// a schema. Applied as a final pass by [`to_cypher`]'s caller-visible
-/// output.
-fn resolve_labels(s: String, schema: &GraphSchema) -> String {
-    let mut out = s;
-    for le in schema.edge_labels() {
-        out = out.replace(&format!("__LE{}#", le.raw()), schema.edge_label_name(le));
-    }
-    out
-}
-
-// Public wrapper that resolves label placeholders.
-#[doc(hidden)]
-pub fn to_cypher_resolved(query: &Ucqt, schema: &GraphSchema) -> Result<String> {
-    to_cypher(query, schema).map(|s| resolve_labels(s, schema))
 }
 
 #[cfg(test)]
@@ -266,7 +231,7 @@ mod tests {
         let e = parse_path("owns/isLocatedIn", &schema).unwrap();
         let q = Ucqt::path_query(e);
         assert!(cypher_expressible(&q));
-        let c = to_cypher_resolved(&q, &schema).unwrap();
+        let c = to_cypher(&q, &schema).unwrap();
         assert_eq!(
             c,
             "MATCH (v0)-[:owns]->()-[:isLocatedIn]->(v1)\nRETURN DISTINCT v0, v1;"
@@ -278,7 +243,7 @@ mod tests {
         let schema = fig1_yago_schema();
         let e = parse_path("-owns/isLocatedIn+", &schema).unwrap();
         let q = Ucqt::path_query(e);
-        let c = to_cypher_resolved(&q, &schema).unwrap();
+        let c = to_cypher(&q, &schema).unwrap();
         assert!(c.contains("<-[:owns]-"), "{c}");
         assert!(c.contains("-[:isLocatedIn*]->"), "{c}");
     }
@@ -293,7 +258,7 @@ mod tests {
             var: q.head[1],
             labels: vec![region],
         });
-        let c = to_cypher_resolved(&q, &schema).unwrap();
+        let c = to_cypher(&q, &schema).unwrap();
         assert!(c.contains("(v1:REGION)"), "{c}");
     }
 
@@ -308,7 +273,7 @@ mod tests {
             var: q.head[1],
             labels: vec![region, country],
         });
-        let c = to_cypher_resolved(&q, &schema).unwrap();
+        let c = to_cypher(&q, &schema).unwrap();
         assert!(c.contains("WHERE (v1:REGION OR v1:COUNTRY)"), "{c}");
     }
 
@@ -319,7 +284,7 @@ mod tests {
         let q = Ucqt::path_query(e);
         assert!(!cypher_expressible(&q));
         assert!(matches!(
-            to_cypher_resolved(&q, &schema),
+            to_cypher(&q, &schema),
             Err(SgqError::NotExpressible(_))
         ));
     }
@@ -351,7 +316,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let c = to_cypher_resolved(&q, &schema).unwrap();
+        let c = to_cypher(&q, &schema).unwrap();
         assert!(c.contains("UNION"), "{c}");
         assert!(c.contains("-[:owns]->"), "{c}");
         assert!(c.contains("-[:livesIn]->"), "{c}");
@@ -372,7 +337,7 @@ mod tests {
             ],
         };
         let q = Ucqt::single(c1);
-        let c = to_cypher_resolved(&q, &schema).unwrap();
+        let c = to_cypher(&q, &schema).unwrap();
         assert!(c.contains(", "), "{c}");
         assert!(c.contains("RETURN DISTINCT v0;"), "{c}");
     }
@@ -390,7 +355,7 @@ mod union_tests {
         let e = parse_path("isMarriedTo{1,2}/livesIn", &schema).unwrap();
         let q = Ucqt::path_query(e);
         assert!(cypher_expressible(&q));
-        let c = to_cypher_resolved(&q, &schema).unwrap();
+        let c = to_cypher(&q, &schema).unwrap();
         assert!(c.contains("UNION"), "{c}");
         assert!(
             c.contains("-[:isMarriedTo]->()-[:isMarriedTo]->()-[:livesIn]->"),
@@ -405,7 +370,7 @@ mod union_tests {
         let e = parse_path("isMarriedTo/(livesIn | owns/isLocatedIn)", &schema).unwrap();
         let q = Ucqt::path_query(e);
         assert!(cypher_expressible(&q));
-        let c = to_cypher_resolved(&q, &schema).unwrap();
+        let c = to_cypher(&q, &schema).unwrap();
         assert_eq!(c.matches("MATCH").count(), 2, "{c}");
     }
 

@@ -12,6 +12,6 @@ pub mod gp2cypher;
 pub mod rra2sql;
 pub mod ucqt2rra;
 
-pub use gp2cypher::{cypher_expressible, to_cypher, to_cypher_resolved};
+pub use gp2cypher::{cypher_expressible, to_cypher};
 pub use rra2sql::to_sql;
 pub use ucqt2rra::{cqt_to_term, path_to_term, ucqt_to_term};

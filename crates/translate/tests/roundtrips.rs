@@ -12,7 +12,7 @@ use sgq_graph::schema::fig1_yago_schema;
 use sgq_graph::GraphSchema;
 use sgq_query::cqt::Ucqt;
 use sgq_ra::{RaTerm, SymbolTable};
-use sgq_translate::gp2cypher::{cypher_expressible, to_cypher_resolved};
+use sgq_translate::gp2cypher::{cypher_expressible, to_cypher};
 use sgq_translate::rra2sql::to_sql;
 use sgq_translate::ucqt2rra::{path_to_term, NameGen};
 
@@ -131,13 +131,13 @@ fn cypher_snapshots_are_stable() {
     let q = Ucqt::path_query(phi4);
     assert!(cypher_expressible(&q));
     assert_eq!(
-        to_cypher_resolved(&q, &schema).unwrap(),
+        to_cypher(&q, &schema).unwrap(),
         "MATCH (v0)-[:livesIn]->()-[:isLocatedIn*]->()-[:dealsWith*]->(v1)\n\
          RETURN DISTINCT v0, v1;"
     );
     let closure = parse_path("isLocatedIn+", &schema).unwrap();
     assert_eq!(
-        to_cypher_resolved(&Ucqt::path_query(closure), &schema).unwrap(),
+        to_cypher(&Ucqt::path_query(closure), &schema).unwrap(),
         "MATCH (v0)-[:isLocatedIn*]->(v1)\nRETURN DISTINCT v0, v1;"
     );
 }
@@ -147,8 +147,8 @@ fn cypher_is_deterministic_and_classified_for_every_paper_query() {
     let schema = fig1_yago_schema();
     for text in PAPER_QUERIES {
         let q = Ucqt::path_query(parse_path(text, &schema).unwrap());
-        let first = to_cypher_resolved(&q, &schema);
-        let second = to_cypher_resolved(&q, &schema);
+        let first = to_cypher(&q, &schema);
+        let second = to_cypher(&q, &schema);
         match (first, second) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a, b, "Cypher rendering diverged for {text}");
@@ -185,7 +185,7 @@ fn rewritten_phi4_round_trips_with_labels() {
     let RewriteOutcome::Enriched(q) = rewrite_path(&schema, &phi4, opts).outcome else {
         panic!("ϕ4 is enrichable");
     };
-    let cypher = to_cypher_resolved(&q, &schema).unwrap();
+    let cypher = to_cypher(&q, &schema).unwrap();
     assert!(
         !cypher.contains("isLocatedIn*"),
         "rewrite eliminates the isLocatedIn closure: {cypher}"

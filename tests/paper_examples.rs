@@ -3,7 +3,7 @@
 //! lower level).
 
 use schema_graph_query::prelude::*;
-use sgq_core::infer::{infer_triples, InferOptions};
+use sgq_core::infer::infer_triples;
 use sgq_core::RedundancyRule;
 use sgq_graph::database::fig2_yago_database;
 use sgq_graph::schema::fig1_yago_schema;
@@ -40,7 +40,7 @@ fn table_1_inference_counts() {
     let schema = fig1_yago_schema();
     let count = |s: &str| {
         let e = parse_path(s, &schema).unwrap();
-        infer_triples(&schema, &e, InferOptions::default())
+        infer_triples(&schema, &e, RewriteOptions::default())
             .unwrap()
             .len()
     };
