@@ -85,11 +85,6 @@ pub fn map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
     FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
-/// Convenience constructor: an empty [`FxHashSet`] with `cap` capacity.
-pub fn set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,13 +116,5 @@ mod tests {
         assert_eq!(m.get(&1), Some(&"one"));
         assert_eq!(m.get(&2), Some(&"two"));
         assert_eq!(m.get(&3), None);
-    }
-
-    #[test]
-    fn set_with_capacity_works() {
-        let mut s: FxHashSet<u64> = set_with_capacity(8);
-        assert!(s.insert(7));
-        assert!(!s.insert(7));
-        assert!(s.contains(&7));
     }
 }

@@ -12,7 +12,7 @@
 use sgq_common::{NodeId, SgqError};
 
 use crate::database::GraphDatabase;
-use crate::schema::{GraphSchema, SchemaTriple};
+use crate::schema::GraphSchema;
 
 /// One consistency violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,29 +169,6 @@ pub fn check_consistency(schema: &GraphSchema, db: &GraphDatabase) -> Consistenc
     report
 }
 
-/// The schema–database mapping `SD` restricted to edges: returns the schema
-/// triple an edge maps to, if consistent.
-pub fn edge_schema_triple(
-    schema: &GraphSchema,
-    db: &GraphDatabase,
-    le: sgq_common::EdgeLabelId,
-    src: NodeId,
-    tgt: NodeId,
-) -> Option<SchemaTriple> {
-    let sle = schema.edge_label(db.edge_label_name(le))?;
-    let sl = db.node_label(src);
-    let tl = db.node_label(tgt);
-    schema
-        .triples_for_edge_label(sle)
-        .binary_search(&(sl, tl))
-        .ok()
-        .map(|_| SchemaTriple {
-            src: sl,
-            label: sle,
-            tgt: tl,
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,16 +248,5 @@ mod tests {
         b.node("CITY", &[("age", Value::Int(3))]);
         let db = b.build().unwrap();
         assert!(!check_consistency(&schema, &db).is_consistent());
-    }
-
-    #[test]
-    fn edge_mapping_sd() {
-        let schema = fig1_yago_schema();
-        let db = fig2_yago_database();
-        let isl = db.edge_label_id("isLocatedIn").unwrap();
-        // n6 (CITY Montbonnot) --isLocatedIn--> n5 (REGION Grenoble)
-        let t = edge_schema_triple(&schema, &db, isl, NodeId::new(5), NodeId::new(4)).unwrap();
-        assert_eq!(schema.node_label_name(t.src), "CITY");
-        assert_eq!(schema.node_label_name(t.tgt), "REGION");
     }
 }

@@ -112,12 +112,6 @@ impl GraphDatabase {
             .unwrap_or(&[])
     }
 
-    /// Whether node `n` carries `label`.
-    #[inline]
-    pub fn has_label(&self, n: NodeId, label: NodeLabelId) -> bool {
-        self.node_label(n) == label
-    }
-
     /// The physical relation for edge label `le` (empty if unused).
     pub fn relation(&self, le: EdgeLabelId) -> &EdgeRelation {
         static EMPTY: std::sync::OnceLock<EdgeRelation> = std::sync::OnceLock::new();

@@ -49,27 +49,6 @@ pub struct TripleStats {
     pub distinct_targets: usize,
 }
 
-impl TripleStats {
-    /// Average out-degree of the triple's sources (`count / distinct
-    /// sources`), 0 when the triple is unobserved.
-    pub fn avg_out_degree(&self) -> f64 {
-        if self.distinct_sources == 0 {
-            0.0
-        } else {
-            self.count as f64 / self.distinct_sources as f64
-        }
-    }
-
-    /// Average in-degree of the triple's targets.
-    pub fn avg_in_degree(&self) -> f64 {
-        if self.distinct_targets == 0 {
-            0.0
-        } else {
-            self.count as f64 / self.distinct_targets as f64
-        }
-    }
-}
-
 /// Aggregate statistics for a [`GraphDatabase`].
 #[derive(Debug, Clone)]
 pub struct GraphStats {
@@ -245,15 +224,6 @@ impl GraphStats {
         }
         self.source_group(src, le).count as f64 / total as f64
     }
-
-    /// Selectivity of restricting `le` to targets labeled `tgt`.
-    pub fn target_selectivity(&self, le: EdgeLabelId, tgt: NodeLabelId) -> f64 {
-        let total = self.edge_cardinality(le);
-        if total == 0 {
-            return 0.0;
-        }
-        self.target_group(le, tgt).count as f64 / total as f64
-    }
 }
 
 /// The longest chain through the SCC condensation of the edge set,
@@ -407,9 +377,6 @@ mod tests {
         let city = db.node_label_id("CITY").unwrap();
         // 2 of the 4 isLocatedIn edges start from CITY nodes.
         assert!((stats.source_selectivity(city, isl) - 0.5).abs() < 1e-9);
-        let region = db.node_label_id("REGION").unwrap();
-        // 2 of the 4 isLocatedIn edges end at REGION nodes.
-        assert!((stats.target_selectivity(isl, region) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -427,8 +394,6 @@ mod tests {
         assert_eq!(ts.count, 2);
         assert_eq!(ts.distinct_sources, 2);
         assert_eq!(ts.distinct_targets, 1);
-        assert!((ts.avg_out_degree() - 1.0).abs() < 1e-9);
-        assert!((ts.avg_in_degree() - 2.0).abs() < 1e-9);
         let group = stats.source_group(city, isl);
         assert_eq!(group.count, 2);
         assert_eq!(group.distinct, 2);

@@ -86,15 +86,6 @@ impl Cqt {
         v
     }
 
-    /// Existentially quantified body variables `B = vars \ H`.
-    pub fn body_vars(&self) -> Vec<VarId> {
-        let head: FxHashSet<VarId> = self.head.iter().copied().collect();
-        self.vars()
-            .into_iter()
-            .filter(|v| !head.contains(v))
-            .collect()
-    }
-
     /// Whether any relation is recursive.
     pub fn kind(&self) -> QueryKind {
         if self.relations.iter().any(|r| r.path.is_recursive()) {
@@ -361,7 +352,6 @@ mod tests {
             ],
         };
         assert!(c1.validate().is_ok());
-        assert_eq!(c1.body_vars(), vec![z, m]);
         assert_eq!(c1.kind(), QueryKind::Recursive);
         let q = Ucqt::single(c1);
         assert!(q.validate().is_ok());

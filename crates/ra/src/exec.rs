@@ -66,12 +66,10 @@ use crate::plan::{plan, PhysOp, PhysPlan};
 use crate::table::{normalize_flat, KeyMap, Relation, POLL_MASK};
 use crate::term::RaTerm;
 
-/// Execution context: the fixpoint environment, a cooperative deadline,
-/// work counters, and the degree-of-parallelism knob.
+/// Execution context: a cooperative deadline, work counters, and the
+/// degree-of-parallelism knob.
 #[derive(Debug)]
 pub struct ExecContext {
-    /// Fixpoint environment, keyed by interned recursion variable.
-    env: FxHashMap<RecVarId, Relation>,
     /// Cooperative deadline (the paper's 30-minute protocol, scaled).
     pub deadline: Option<Instant>,
     /// Reported timeout budget in milliseconds.
@@ -126,7 +124,6 @@ pub struct ExecContext {
 impl Default for ExecContext {
     fn default() -> Self {
         ExecContext {
-            env: FxHashMap::default(),
             deadline: None,
             limit_ms: 0,
             rows: Arc::new(AtomicUsize::new(0)),
@@ -248,6 +245,7 @@ pub fn execute_plan(
         ops: None,
         cache: FxHashMap::default(),
         scope: None,
+        env: FxHashMap::default(),
     }
     .eval(p)
 }
@@ -293,6 +291,7 @@ pub fn execute_plan_traced_at(
         ops: Some(OpTraceBuilder::new(p.node_count(), clock)),
         cache: FxHashMap::default(),
         scope: None,
+        env: FxHashMap::default(),
     };
     let rel = interp.eval(p)?;
     let (actuals, spans) = interp.ops.take().expect("tracing was enabled").finish();
@@ -332,6 +331,9 @@ struct Interp<'a> {
     /// The fixpoint whose step is being evaluated — `None` outside steps
     /// and below a node being cached (its inputs are read once).
     scope: Option<u32>,
+    /// Each running fixpoint's current delta, by recursion variable: run
+    /// state of this execution, gone with it however it ends.
+    env: FxHashMap<RecVarId, Relation>,
 }
 
 impl Interp<'_> {
@@ -508,12 +510,12 @@ impl Interp<'_> {
                     self.limits.poll()?;
                     self.limits.fault("exec.fixpoint_round")?;
                     self.ctx.fixpoint_rounds += 1;
-                    self.ctx.env.insert(*var, delta);
+                    self.env.insert(*var, delta);
                     self.scope = scope;
                     let stepped = self.eval(step);
                     self.scope = outer;
                     let stepped = stepped?;
-                    self.ctx.env.remove(var);
+                    self.env.remove(var);
                     // Align schema positionally (projections inside the
                     // step produce the fixpoint's columns).
                     let stepped = if stepped.cols() == cols.as_slice() {
@@ -532,7 +534,7 @@ impl Interp<'_> {
                 return Ok(acc);
             }
             PhysOp::RecRef { var } => {
-                let rel = self.ctx.env.get(var).ok_or_else(|| {
+                let rel = self.env.get(var).ok_or_else(|| {
                     SgqError::Execution(format!("unbound recursion variable {var}"))
                 })?;
                 rel.with_cols(p.cols.clone())
@@ -893,6 +895,14 @@ mod tests {
         )
     }
 
+    /// `t` under a projection onto its own columns: the same rows, but no
+    /// longer a base scan a CSR probe could replace, so a join with it
+    /// runs on the scan-based strategies.
+    fn projected(t: RaTerm) -> RaTerm {
+        let cols = t.cols();
+        RaTerm::project(t, cols)
+    }
+
     #[test]
     fn edge_scan() {
         let (db, store) = store();
@@ -922,14 +932,12 @@ mod tests {
 
     #[test]
     fn merge_join_composes_paths() {
-        // isLocatedIn(x,y) ⋈ owns(x,z): both lead with x, so (with index
-        // joins ablated) the planner selects a merge join; results must
-        // match the hash path.
-        let (db, mut store) = store();
-        store.index_joins = false;
+        // π(isLocatedIn(x,y)) ⋈ π(owns(x,z)): both lead with x and
+        // neither is a base scan, so the planner selects a merge join.
+        let (db, store) = store();
         let t = RaTerm::join(
-            scan(&db, &store, "isLocatedIn", "x", "y"),
-            scan(&db, &store, "owns", "x", "z"),
+            projected(scan(&db, &store, "isLocatedIn", "x", "y")),
+            projected(scan(&db, &store, "owns", "x", "z")),
         );
         let p = plan(&t, &store).unwrap();
         assert!(matches!(p.op, crate::plan::PhysOp::MergeJoin { .. }));
@@ -995,15 +1003,15 @@ mod tests {
         //
         // `owns` has a single edge (n2 → n1) that composes with nothing,
         // so the closure equals its base and one semi-naive round runs.
-        // With index joins ablated (the hash path under test here):
-        // base scan (1 row) + per-round RecRef (1) + inner scan (1) +
-        // rename (0: zero-copy) + empty join/project/delta (0) = 3.
-        let (db, mut store) = store();
-        store.index_joins = false;
+        // Its base projected, the step hash-joins: base scan and
+        // projection (1 + 1 rows) + per-round RecRef (1) + the build
+        // side's scan and projection (1 + 1) + renames (0: zero-copy) +
+        // empty join/project/delta (0) = 5.
+        let (db, store) = store();
         let s = &store.symbols;
         let f = closure_fixpoint(
             s.recvar("X"),
-            scan(&db, &store, "owns", "x", "y"),
+            projected(scan(&db, &store, "owns", "x", "y")),
             s.col("x"),
             s.col("y"),
             s.col("m"),
@@ -1011,7 +1019,7 @@ mod tests {
         let mut ctx = ExecContext::new();
         let r = execute(&f, &store, &mut ctx).unwrap();
         assert_eq!(r.len(), 1);
-        assert_eq!(ctx.rows_materialized(), 3);
+        assert_eq!(ctx.rows_materialized(), 5);
     }
 
     /// The `(src, tgt)` pairs of `eval_path(path)` on the Fig. 2
@@ -1025,16 +1033,15 @@ mod tests {
     #[test]
     fn fixpoint_caches_static_build_sides() {
         // The closure's step joins the delta against the static renamed
-        // scan: its hash table is built once, in the first of the three
-        // rounds, and read from the cache in the other two. (Index joins
-        // ablated — with them on, no hash table is built at all; see
+        // projection: its hash table is built once, in the first of the
+        // three rounds, and read from the cache in the other two. (Over
+        // the bare scan no hash table is built at all; see
         // `index_join_inside_fixpoint_builds_nothing`.)
-        let (db, mut store) = store();
-        store.index_joins = false;
+        let (db, store) = store();
         let s = &store.symbols;
         let f = closure_fixpoint(
             s.recvar("X"),
-            scan(&db, &store, "isLocatedIn", "x", "y"),
+            projected(scan(&db, &store, "isLocatedIn", "x", "y")),
             s.col("x"),
             s.col("y"),
             s.col("m"),
@@ -1051,20 +1058,21 @@ mod tests {
 
     #[test]
     fn index_join_matches_hash_join() {
-        // owns(x,y) ⋈ isLocatedIn(y,z) plans as an index join by
-        // default; the result must equal the hash plan's bit for bit.
-        let (db, mut store) = store();
-        let t = RaTerm::join(
+        // owns(x,y) ⋈ isLocatedIn(y,z) plans as an index join; the same
+        // join over projected operands, as a hash join. The results must
+        // agree bit for bit.
+        let (db, store) = store();
+        let (owns, located) = (
             scan(&db, &store, "owns", "x", "y"),
             scan(&db, &store, "isLocatedIn", "y", "z"),
         );
-        let p_index = plan(&t, &store).unwrap();
+        let p_index = plan(&RaTerm::join(owns.clone(), located.clone()), &store).unwrap();
         assert!(
             matches!(p_index.op, PhysOp::IndexJoin { .. }),
             "{p_index:?}"
         );
-        store.index_joins = false;
-        let p_hash = plan(&t, &store).unwrap();
+        let hashed = RaTerm::join(projected(owns), projected(located));
+        let p_hash = plan(&hashed, &store).unwrap();
         assert!(matches!(p_hash.op, PhysOp::HashJoin { .. }));
         let mut ctx = ExecContext::new();
         let r_index = execute_plan(&p_index, &store, &mut ctx).unwrap();
@@ -1082,7 +1090,7 @@ mod tests {
         // a membership check against the sorted CITY node set. n1 (a
         // PROPERTY) sources the only matching isLocatedIn edge for owns,
         // so the CITY restriction must empty the result.
-        let (db, mut store) = store();
+        let (db, store) = store();
         let filtered = RaTerm::semijoin(
             scan(&db, &store, "isLocatedIn", "y", "z"),
             RaTerm::NodeScan {
@@ -1090,7 +1098,8 @@ mod tests {
                 col: store.symbols.col("y"),
             },
         );
-        let t = RaTerm::join(scan(&db, &store, "owns", "x", "y"), filtered);
+        let owns = scan(&db, &store, "owns", "x", "y");
+        let t = RaTerm::join(owns.clone(), filtered.clone());
         let p = plan(&t, &store).unwrap();
         assert!(
             matches!(p.op, PhysOp::IndexJoin { ref scan, .. } if scan.src_labels.is_some()),
@@ -1098,8 +1107,10 @@ mod tests {
         );
         let mut ctx = ExecContext::new();
         let r_index = execute_plan(&p, &store, &mut ctx).unwrap();
-        store.index_joins = false;
-        let p_ref = plan(&t, &store).unwrap();
+        // The reference: the same join over projected operands, which
+        // scans the CITY slice and hash-joins.
+        let p_ref = plan(&RaTerm::join(projected(owns), projected(filtered)), &store).unwrap();
+        assert!(matches!(p_ref.op, PhysOp::HashJoin { .. }), "{p_ref:?}");
         let mut ctx = ExecContext::new();
         let r_ref = execute_plan(&p_ref, &store, &mut ctx).unwrap();
         assert_eq!(r_index, r_ref);
@@ -1111,16 +1122,14 @@ mod tests {
         // The closure's step joins each round's delta against the static
         // isLocatedIn scan. With index joins the "build side" is the CSR
         // computed at load time: no hash table is ever built, in any
-        // round, and results match the hash + build-cache path exactly.
-        let (db, mut store) = store();
+        // round, and results match the hash + build-cache path of the
+        // closure over the projected scan exactly.
+        let (db, store) = store();
         let s = &store.symbols;
-        let f = closure_fixpoint(
-            s.recvar("X"),
-            scan(&db, &store, "isLocatedIn", "x", "y"),
-            s.col("x"),
-            s.col("y"),
-            s.col("m"),
-        );
+        let located = scan(&db, &store, "isLocatedIn", "x", "y");
+        let closure =
+            |base| closure_fixpoint(s.recvar("X"), base, s.col("x"), s.col("y"), s.col("m"));
+        let f = closure(located.clone());
         let p_index = plan(&f, &store).unwrap();
         assert!(
             p_index.contains_op(&|op| matches!(op, PhysOp::IndexJoin { .. })),
@@ -1131,13 +1140,12 @@ mod tests {
         assert_eq!(ctx_index.hash_builds, 0, "no per-query build at all");
         assert!(ctx_index.fixpoint_rounds >= 2, "closure iterates");
 
-        store.index_joins = false;
-        let p_hash = plan(&f, &store).unwrap();
+        let p_hash = plan(&closure(projected(located)), &store).unwrap();
         let mut ctx_hash = ExecContext::new();
         let r_hash = execute_plan(&p_hash, &store, &mut ctx_hash).unwrap();
         assert_eq!(r_index, r_hash, "index joins must not change results");
         assert_eq!(ctx_index.fixpoint_rounds, ctx_hash.fixpoint_rounds);
-        assert!(ctx_hash.hash_builds > 0, "the ablation still builds");
+        assert!(ctx_hash.hash_builds > 0, "the hash step still builds");
     }
 
     #[test]
@@ -1341,8 +1349,7 @@ mod tests {
         // The step of `(isLocatedIn/isLocatedIn)+` repeats the base under
         // a rename: computed once, before the first round, and read by
         // the step's cached build side.
-        let (db, mut store) = store();
-        store.index_joins = false;
+        let (db, store) = store();
         let s = &store.symbols;
         let two_hops = RaTerm::project(
             RaTerm::join(
@@ -1489,13 +1496,13 @@ mod tests {
         // π(z)(livesIn(x,y) ⋈ isLocatedIn(y,z)): both people live in a
         // city of the same region — the fused kernel sorts and dedups the
         // narrow run — in either join order, so the planner builds on
-        // either side (the smaller, livesIn).
-        let (db, mut store) = store();
-        store.index_joins = false;
+        // either side (the smaller, livesIn). Projected operands keep the
+        // join off the CSR.
+        let (db, store) = store();
         let z = store.symbols.col("z");
         let (xy, yz) = (
-            scan(&db, &store, "livesIn", "x", "y"),
-            scan(&db, &store, "isLocatedIn", "y", "z"),
+            projected(scan(&db, &store, "livesIn", "x", "y")),
+            projected(scan(&db, &store, "isLocatedIn", "y", "z")),
         );
         let mut build_sides = std::collections::BTreeSet::new();
         for (l, r) in [(&xy, &yz), (&yz, &xy)] {
@@ -1514,7 +1521,8 @@ mod tests {
             let join = l.join(&r);
             let want = join.project(&[z]);
             assert!(want.len() < join.len(), "the projection dedups");
-            assert_fused(&p, &store, &join, &want, l.len() + r.len());
+            // Each operand: its scan's rows, then its projection's.
+            assert_fused(&p, &store, &join, &want, 2 * (l.len() + r.len()));
         }
         assert_eq!(build_sides.len(), 2, "built on both sides");
     }
@@ -1627,15 +1635,14 @@ mod tests {
         assert!(err.is_timeout());
     }
 
-    /// The closure of `isLocatedIn` with index joins ablated, so the
-    /// step hash-joins each round's delta — per morsel at `dop > 1`.
+    /// The closure of the projected `isLocatedIn` scan, so the step
+    /// hash-joins each round's delta — per morsel at `dop > 1`.
     fn hash_closure_plan() -> (RelStore, PhysPlan) {
-        let (db, mut store) = store();
-        store.index_joins = false;
+        let (db, store) = store();
         let s = &store.symbols;
         let f = closure_fixpoint(
             s.recvar("X"),
-            scan(&db, &store, "isLocatedIn", "x", "y"),
+            projected(scan(&db, &store, "isLocatedIn", "x", "y")),
             s.col("x"),
             s.col("y"),
             s.col("m"),
@@ -1744,5 +1751,31 @@ mod tests {
         };
         let mut ctx = ExecContext::new();
         assert!(execute(&t, &store, &mut ctx).is_err());
+    }
+
+    #[test]
+    fn a_failed_fixpoint_step_leaves_no_binding_behind() {
+        // The 4-row base fits a 5-row budget; the first step breaches it.
+        // The delta bound for that step lived in the execution, so a
+        // later `RecRef` on the same context finds nothing bound.
+        let (db, store) = store();
+        let s = &store.symbols;
+        let var = s.recvar("X");
+        let (x, y, m) = (s.col("x"), s.col("y"), s.col("m"));
+        let f = closure_fixpoint(var, scan(&db, &store, "isLocatedIn", "x", "y"), x, y, m);
+        let mut ctx = ExecContext::new();
+        ctx.max_rows = 5;
+        assert!(execute(&f, &store, &mut ctx).is_err());
+        assert_eq!(ctx.fixpoint_rounds, 1, "the step failed, not the base");
+        ctx.max_rows = 0;
+        let t = RaTerm::RecRef {
+            var,
+            cols: vec![x, m],
+        };
+        let err = execute(&t, &store, &mut ctx).unwrap_err();
+        assert!(
+            err.to_string().contains("unbound recursion variable"),
+            "{err}"
+        );
     }
 }

@@ -361,19 +361,27 @@ mod tests {
     use super::*;
     use sgq_graph::database::fig2_yago_database;
 
+    /// `label(src, tgt)` under a projection onto its own columns: no base
+    /// scan, so a join with it runs on the scan-based strategies.
+    fn projected(
+        db: &sgq_graph::GraphDatabase,
+        store: &RelStore,
+        label: &str,
+        src: &str,
+        tgt: &str,
+    ) -> RaTerm {
+        let (le, s) = (db.edge_label_id(label).unwrap(), &store.symbols);
+        let cols = vec![s.col(src), s.col(tgt)];
+        RaTerm::project(RaTerm::edge_scan(le, cols[0], cols[1]), cols)
+    }
+
     #[test]
     fn explain_renders_physical_tree() {
         let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        store.index_joins = false;
-        let s = &store.symbols;
+        let store = RelStore::load(&db);
         let t = RaTerm::join(
-            RaTerm::edge_scan(db.edge_label_id("owns").unwrap(), s.col("x"), s.col("y")),
-            RaTerm::edge_scan(
-                db.edge_label_id("isLocatedIn").unwrap(),
-                s.col("y"),
-                s.col("z"),
-            ),
+            projected(&db, &store, "owns", "x", "y"),
+            projected(&db, &store, "isLocatedIn", "y", "z"),
         );
         let rendered = explain(&t, &store, &db);
         // owns (1 row) is the estimated-smaller side: it builds.
@@ -388,16 +396,10 @@ mod tests {
     #[test]
     fn explain_shows_merge_join_for_aligned_inputs() {
         let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        store.index_joins = false;
-        let s = &store.symbols;
+        let store = RelStore::load(&db);
         let t = RaTerm::join(
-            RaTerm::edge_scan(
-                db.edge_label_id("isLocatedIn").unwrap(),
-                s.col("x"),
-                s.col("y"),
-            ),
-            RaTerm::edge_scan(db.edge_label_id("owns").unwrap(), s.col("x"), s.col("z")),
+            projected(&db, &store, "isLocatedIn", "x", "y"),
+            projected(&db, &store, "owns", "x", "z"),
         );
         let rendered = explain(&t, &store, &db);
         assert!(rendered.contains("Merge Join (key = x)"), "{rendered}");
@@ -569,16 +571,10 @@ mod tests {
     #[test]
     fn explain_annotates_parallel_eligible_operators() {
         let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        store.index_joins = false;
-        let s = &store.symbols;
+        let store = RelStore::load(&db);
         let t = RaTerm::join(
-            RaTerm::edge_scan(db.edge_label_id("owns").unwrap(), s.col("x"), s.col("y")),
-            RaTerm::edge_scan(
-                db.edge_label_id("isLocatedIn").unwrap(),
-                s.col("y"),
-                s.col("z"),
-            ),
+            projected(&db, &store, "owns", "x", "y"),
+            projected(&db, &store, "isLocatedIn", "y", "z"),
         );
         let mut p = plan(&t, &store).unwrap();
         // Sub-threshold probes stay serial: no annotation even at dop 4.
@@ -678,16 +674,11 @@ mod tests {
     #[test]
     fn explain_shows_fixpoint_cached_inputs() {
         let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        store.index_joins = false;
+        let store = RelStore::load(&db);
         let s = &store.symbols;
         let f = crate::term::closure_fixpoint(
             s.recvar("X"),
-            RaTerm::edge_scan(
-                db.edge_label_id("isLocatedIn").unwrap(),
-                s.col("x"),
-                s.col("y"),
-            ),
+            projected(&db, &store, "isLocatedIn", "x", "y"),
             s.col("x"),
             s.col("y"),
             s.col("m"),

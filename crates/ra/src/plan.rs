@@ -22,9 +22,10 @@
 //!   endpoint column with the other side, the planner may replace the
 //!   scan with direct CSR probes ([`PhysOp::IndexJoin`]): the edge table
 //!   is never materialised and no hash table is built. The choice
-//!   between merge, hash and index is by estimated cost — probe rows ×
-//!   (1 + measured average degree) against scanning + building — and can
-//!   be disabled with [`RelStore::index_joins`] for ablation.
+//!   between merge, hash and index is by estimated cost alone — probe
+//!   rows × (1 + measured average degree) against scanning + building;
+//!   a join with no base-scan side (say, one under a projection) is
+//!   always merge or hash.
 //!
 //! Two further physical rewrites:
 //!
@@ -626,9 +627,6 @@ impl<'a> Planner<'a> {
     /// arms of a union — agree on column order whichever strategy each
     /// picked.
     fn try_index_join(&mut self, a: Id, b: Id, at: Id) -> Result<Option<PhysPlan>> {
-        if !self.store.index_joins {
-            return Ok(None);
-        }
         let (dag, rows) = (self.dag, self.sum(at).rows());
         let (ea, eb) = (self.sum(a).estimate(), self.sum(b).estimate());
         // The cheapest indexable orientation: (scan, scan-on-the-left,
@@ -812,15 +810,21 @@ mod tests {
         )
     }
 
+    /// `t` under a projection onto its own columns: the same rows, but no
+    /// longer a base scan a CSR probe could replace.
+    fn projected(t: RaTerm) -> RaTerm {
+        let cols = t.cols();
+        RaTerm::project(t, cols)
+    }
+
     #[test]
     fn prefix_aligned_join_lowers_to_merge() {
         let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        store.index_joins = false;
-        // Both scans lead with x: canonical order matches the key.
+        let store = RelStore::load(&db);
+        // Both sides lead with x: canonical order matches the key.
         let t = RaTerm::join(
-            scan(&db, &store, "isLocatedIn", "x", "y"),
-            scan(&db, &store, "owns", "x", "z"),
+            projected(scan(&db, &store, "isLocatedIn", "x", "y")),
+            projected(scan(&db, &store, "owns", "x", "z")),
         );
         let p = plan(&t, &store).unwrap();
         assert!(
@@ -832,12 +836,11 @@ mod tests {
     #[test]
     fn misaligned_join_lowers_to_hash_with_cost_chosen_build() {
         let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        store.index_joins = false;
-        // owns(x,y) ⋈ isLocatedIn(y,z): y is not a prefix of the left.
+        let store = RelStore::load(&db);
+        // π(owns(x,y)) ⋈ π(isLocatedIn(y,z)): y is not a prefix of the left.
         let t = RaTerm::join(
-            scan(&db, &store, "owns", "x", "y"),
-            scan(&db, &store, "isLocatedIn", "y", "z"),
+            projected(scan(&db, &store, "owns", "x", "y")),
+            projected(scan(&db, &store, "isLocatedIn", "y", "z")),
         );
         let p = plan(&t, &store).unwrap();
         match &p.op {
@@ -916,25 +919,6 @@ mod tests {
             }
             other => panic!("expected label-filtered index join, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn index_join_disabled_by_the_ablation_knob() {
-        let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        let t = RaTerm::join(
-            scan(&db, &store, "owns", "x", "y"),
-            scan(&db, &store, "isLocatedIn", "y", "z"),
-        );
-        assert!(matches!(
-            plan(&t, &store).unwrap().op,
-            PhysOp::IndexJoin { .. }
-        ));
-        store.index_joins = false;
-        assert!(matches!(
-            plan(&t, &store).unwrap().op,
-            PhysOp::HashJoin { .. }
-        ));
     }
 
     #[test]
@@ -1019,14 +1003,13 @@ mod tests {
     #[test]
     fn fixpoint_step_marks_static_subtrees() {
         let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        // Ablate index joins: with them on, the step's static scan is
-        // absorbed into an IndexJoin and nothing needs caching.
-        store.index_joins = false;
+        let store = RelStore::load(&db);
+        // A projected base: a bare one would make the step's static scan
+        // an IndexJoin's absorbed side, with nothing left to cache.
         let s = &store.symbols;
         let f = closure_fixpoint(
             s.recvar("X"),
-            scan(&db, &store, "isLocatedIn", "x", "y"),
+            projected(scan(&db, &store, "isLocatedIn", "x", "y")),
             s.col("x"),
             s.col("y"),
             s.col("m"),
@@ -1051,8 +1034,7 @@ mod tests {
         // smaller than the step's static isLocatedIn scan; the static
         // side is still the one built, and its table serves every round.
         let db = fig2_yago_database();
-        let mut store = RelStore::load(&db);
-        store.index_joins = false;
+        let store = RelStore::load(&db);
         let s = &store.symbols;
         let (x, y, m, var) = (s.col("x"), s.col("y"), s.col("m"), s.recvar("X"));
         let property = RaTerm::NodeScan {
@@ -1064,7 +1046,7 @@ mod tests {
                 var,
                 cols: vec![x, m],
             },
-            scan(&db, &store, "isLocatedIn", "m", "y"),
+            projected(scan(&db, &store, "isLocatedIn", "m", "y")),
         );
         let f = RaTerm::Fixpoint {
             var,

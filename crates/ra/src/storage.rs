@@ -66,11 +66,6 @@ pub struct RelStore {
     pub stats: GraphStats,
     /// Interned column / recursion-variable names for this store's terms.
     pub symbols: SymbolTable,
-    /// Whether the planner may lower joins against base edge scans into
-    /// CSR index probes ([`crate::plan::PhysOp::IndexJoin`]). On by
-    /// default; turned off for ablations and for tests that pin the
-    /// scan-based strategies.
-    pub index_joins: bool,
 }
 
 impl RelStore {
@@ -105,7 +100,6 @@ impl RelStore {
             edge_rev: labels.map(|le| Arc::clone(&db.relation(le).rev)).collect(),
             stats: GraphStats::compute(db),
             symbols: SymbolTable::new(),
-            index_joins: true,
         }
     }
 
@@ -145,16 +139,6 @@ impl RelStore {
         }
         (self.slices.get(&(le, src, tgt)).cloned())
             .unwrap_or_else(|| Relation::empty(vec![SymbolTable::SR, SymbolTable::TR]))
-    }
-
-    /// The forward CSR for `le` (targets per source), if in range.
-    pub fn forward_csr(&self, le: EdgeLabelId) -> Option<&Csr> {
-        self.edge_fwd.get(le.index()).map(Arc::as_ref)
-    }
-
-    /// The reverse CSR for `le` (sources per target), if in range.
-    pub fn reverse_csr(&self, le: EdgeLabelId) -> Option<&Csr> {
-        self.edge_rev.get(le.index()).map(Arc::as_ref)
     }
 
     /// Shared handle on the forward CSR for `le` — O(1), lets a morsel
@@ -246,7 +230,7 @@ mod tests {
         assert!(store
             .filtered_edge_table(EdgeLabelId::new(99), Some(city), None)
             .is_empty());
-        assert!(store.forward_csr(EdgeLabelId::new(99)).is_none());
+        assert!(store.forward_csr_shared(EdgeLabelId::new(99)).is_none());
         assert!(store.node_set(NodeLabelId::new(99)).is_empty());
     }
 
@@ -289,8 +273,8 @@ mod tests {
         for le_idx in 0..db.edge_label_count() {
             let le = EdgeLabelId::new(le_idx as u32);
             let table = store.edge_table(le);
-            let fwd = store.forward_csr(le).expect("in range");
-            let rev = store.reverse_csr(le).expect("in range");
+            let fwd = store.forward_csr_shared(le).expect("in range");
+            let rev = store.reverse_csr_shared(le).expect("in range");
             assert_eq!(fwd.edge_count(), table.len(), "set semantics");
             assert_eq!(rev.edge_count(), table.len());
             for row in table.rows() {
@@ -307,10 +291,7 @@ mod tests {
         let store = RelStore::load(&db);
         let le = db.edge_label_id("isLocatedIn").unwrap();
         let shared = store.forward_csr_shared(le).expect("in range");
-        assert!(std::ptr::eq(
-            Arc::as_ptr(&shared),
-            store.forward_csr(le).unwrap()
-        ));
+        assert!(Arc::ptr_eq(&shared, &store.forward_csr_shared(le).unwrap()));
         assert!(store.forward_csr_shared(EdgeLabelId::new(99)).is_none());
         assert!(store.reverse_csr_shared(le).is_some());
     }
@@ -348,7 +329,7 @@ mod tests {
         assert_eq!(set.len(), store.node_table(l).len());
         assert!(set.windows(2).all(|w| w[0] < w[1]), "strictly sorted");
         for &n in set {
-            assert!(db.has_label(NodeId::new(n), l));
+            assert_eq!(db.node_label(NodeId::new(n)), l);
         }
     }
 

@@ -68,11 +68,6 @@ impl SymbolTable {
         ColId(self.lock().cols.intern(name))
     }
 
-    /// Looks up a column name without interning.
-    pub fn try_col(&self, name: &str) -> Option<ColId> {
-        self.lock().cols.get(name).map(ColId)
-    }
-
     /// Interns several column names at once.
     pub fn cols(&self, names: &[&str]) -> Vec<ColId> {
         let mut inner = self.lock();
@@ -130,8 +125,8 @@ mod tests {
     #[test]
     fn sr_tr_are_pre_interned() {
         let t = SymbolTable::new();
-        assert_eq!(t.try_col("Sr"), Some(SymbolTable::SR));
-        assert_eq!(t.try_col("Tr"), Some(SymbolTable::TR));
+        assert_eq!(t.col("Sr"), SymbolTable::SR);
+        assert_eq!(t.col("Tr"), SymbolTable::TR);
         assert_eq!(t.col_name(SymbolTable::SR), "Sr");
     }
 

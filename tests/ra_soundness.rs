@@ -14,12 +14,11 @@
 //!    n-ary joins of label-filtered scans, some under node-label
 //!    semi-joins, checked against the same oracle by Theorem 1.
 //!    `optimize` is idempotent on every case.
-//! 2. `execute_plan(plan(optimize(t)))` equals the oracle too, and some
-//!    cases plan a shared node.
-//! 3. `execute_plan(index-enabled) == execute_plan(index-disabled) ==
-//!    execute(t)` — planning against the store's CSR adjacency indexes
-//!    never changes results.
-//!    3b. `execute_plan` on the store's own plans (precomputed
+//! 2. `execute_plan(plan(optimize(t)))` equals the oracle too, some
+//!    cases plan a shared node, and the CSR index join is planned in
+//!    each of its shapes: forward, reverse, with a label-filtered
+//!    endpoint and inside a fixpoint step.
+//! 3. `execute_plan` on the store's own plans (precomputed
 //!    endpoint-label slice scans included) is bit-identical to the
 //!    reference executor, serially and under morsel parallelism, and
 //!    every slice is its base table filtered by the node sets; so is
@@ -209,10 +208,12 @@ fn optimize_preserves_execution_results() {
 
 #[test]
 fn physical_plans_match_term_execution() {
-    // execute_plan(plan(optimize(t))) == eval_path.
+    // execute_plan(plan(optimize(t))) == eval_path, with the cost model
+    // free to pick CSR probes: the census below shows it picked them in
+    // every shape the index join has.
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
-    let mut shared = 0;
+    let (mut shared, mut census) = (0, [0; 4]);
     for seed in 0..96u64 {
         let mut rng = Rng::seed_from_u64(seed ^ 0x9a7);
         let (expr, term, want) = random_case(&db, &store, &mut rng);
@@ -220,6 +221,7 @@ fn physical_plans_match_term_execution() {
         assert_eq!(optimize(&opt, &store), opt, "(seed {seed}) not idempotent");
         let p = plan(&opt, &store).expect("optimized term lowers");
         shared += shares_a_node(&p) as usize;
+        index_join_shapes(&p, false, &mut census);
         let mut ctx = ExecContext::new();
         let planned = execute_plan(&p, &store, &mut ctx).expect("plan executes");
 
@@ -231,6 +233,38 @@ fn physical_plans_match_term_execution() {
         );
     }
     assert!(shared > 0, "no case planned a shared node");
+    let shapes = [
+        "forward CSR",
+        "reverse CSR",
+        "label-filtered endpoint",
+        "fixpoint step",
+    ];
+    for (shape, n) in shapes.iter().zip(census) {
+        assert!(
+            n > 0,
+            "no case planned an IndexJoin with a {shape}: {census:?}"
+        );
+    }
+}
+
+/// Counts the `IndexJoin`s of `p` by shape into `census`: probing the
+/// forward CSR, the reverse CSR, with a label-filtered endpoint, and
+/// inside a fixpoint step (`in_step`).
+fn index_join_shapes(p: &PhysPlan, in_step: bool, census: &mut [usize; 4]) {
+    if let PhysOp::IndexJoin { scan, forward, .. } = &p.op {
+        let filtered = scan.src_labels.is_some() || scan.tgt_labels.is_some();
+        let hits = [*forward, !*forward, filtered, in_step];
+        for (n, hit) in census.iter_mut().zip(hits) {
+            *n += hit as usize;
+        }
+    }
+    if let PhysOp::Fixpoint { base, step, .. } = &p.op {
+        index_join_shapes(base, in_step, census);
+        return index_join_shapes(step, true, census);
+    }
+    for c in p.children() {
+        index_join_shapes(c, in_step, census);
+    }
 }
 
 /// Whether any node of `p` is read by more than one parent.
@@ -269,15 +303,26 @@ fn shared_sub_plans_keep_their_column_order() {
     assert!(shared > 0, "no case shared a sub-plan");
 }
 
+/// `t` under a projection onto its own columns: the same rows, but no
+/// longer a base scan a CSR probe could replace, so a join with it runs
+/// on the scan-based strategies.
+fn projected(t: RaTerm) -> RaTerm {
+    let cols = t.cols();
+    RaTerm::project(t, cols)
+}
+
 #[test]
 fn planner_selects_merge_join_for_aligned_inputs() {
     let db = fig2_yago_database();
-    let mut store = RelStore::load(&db);
-    // Ablate index joins: this test pins the scan-based strategies.
-    store.index_joins = false;
+    let store = RelStore::load(&db);
     let s = &store.symbols;
+    // Projected scans: neither join side is one a CSR probe replaces.
     let scan = |label: &str, src, tgt| {
-        RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt))
+        projected(RaTerm::edge_scan(
+            db.edge_label_id(label).unwrap(),
+            s.col(src),
+            s.col(tgt),
+        ))
     };
     // Shared x leads both schemas → merge join.
     let aligned = RaTerm::join(scan("isLocatedIn", "x", "y"), scan("owns", "x", "z"));
@@ -349,18 +394,17 @@ fn planner_fuses_semijoin_onto_scan() {
 #[test]
 fn fixpoint_build_caching_reduces_work_with_identical_results() {
     let db = fig2_yago_database();
-    let mut store = RelStore::load(&db);
-    // Ablate index joins so the step actually hash-joins: with the CSR
-    // the step builds nothing at all (pinned separately below).
-    store.index_joins = false;
+    let store = RelStore::load(&db);
+    // A projected base, so the step hash-joins: over the bare scan it
+    // probes the CSR and builds nothing at all (pinned separately below).
     let s = &store.symbols;
     let f = closure_fixpoint(
         s.recvar("X"),
-        RaTerm::edge_scan(
+        projected(RaTerm::edge_scan(
             db.edge_label_id("isLocatedIn").unwrap(),
             s.col("x"),
             s.col("y"),
-        ),
+        )),
         s.col("x"),
         s.col("y"),
         s.col("m"),
@@ -373,10 +417,11 @@ fn fixpoint_build_caching_reduces_work_with_identical_results() {
     // The step's static build side is hashed in the first round only.
     assert_eq!(ctx.hash_builds, 1);
     assert_eq!(ctx.cache_hits, 2);
-    // The base's 4 rows and the cached scan's 4 once, then per round the
-    // delta read, the join, its projection and the fresh rows: 4 + 4 +
-    // (4 + 3 + 3 + 3) + (3 + 1 + 1 + 1) + (1 + 0 + 0 + 0).
-    assert_eq!(ctx.rows_materialized(), 28);
+    // The base's scan and projection and the cached side's scan and
+    // projection, 4 rows each, once; then per round the delta read, the
+    // join, its projection and the fresh rows: 4 · 4 + (4 + 3 + 3 + 3) +
+    // (3 + 1 + 1 + 1) + (1 + 0 + 0 + 0).
+    assert_eq!(ctx.rows_materialized(), 36);
 }
 
 /// The first two columns of `rel`'s rows.
@@ -392,56 +437,15 @@ fn closure_pairs(db: &sgq_graph::GraphDatabase, path: &str) -> Vec<(u32, u32)> {
 }
 
 #[test]
-fn index_joins_preserve_execution_results() {
-    // The CSR index-join property: for random optimised terms,
-    // `execute_plan(index-enabled) == execute_plan(index-disabled) ==
-    // execute(term)` — planning against the adjacency indexes never
-    // changes results, only how they are computed.
-    let db = fig2_yago_database();
-    let mut store = RelStore::load(&db);
-    let (v0, v1) = (store.symbols.col("v0"), store.symbols.col("v1"));
-    for seed in 0..96u64 {
-        let mut rng = Rng::seed_from_u64(seed ^ 0x1d9);
-        let expr = random_expr(&db, &mut rng, 3);
-        let mut names = NameGen::new(&store.symbols);
-        let term = path_to_term(&expr, v0, v1, &mut names);
-        let term = random_filters(&db, &mut rng, term, &[v0, v1]);
-        let opt = optimize(&term, &store);
-
-        store.index_joins = true;
-        let p_index = plan(&opt, &store).expect("plans with indexes");
-        store.index_joins = false;
-        let p_scan = plan(&opt, &store).expect("plans without indexes");
-
-        let mut ctx = ExecContext::new();
-        let reference = execute(&term, &store, &mut ctx).expect("term executes");
-        let mut ctx = ExecContext::new();
-        let r_index = execute_plan(&p_index, &store, &mut ctx).expect("index plan executes");
-        let mut ctx = ExecContext::new();
-        let r_scan = execute_plan(&p_scan, &store, &mut ctx).expect("scan plan executes");
-
-        let head = [v0, v1];
-        assert_eq!(
-            reference.project(&head),
-            r_index.project(&head),
-            "index plan changed semantics (seed {seed}) for {expr:?}"
-        );
-        assert_eq!(
-            r_index.project(&head),
-            r_scan.project(&head),
-            "index and scan plans disagree (seed {seed}) for {expr:?}"
-        );
-    }
-    store.index_joins = true;
-}
-
-#[test]
 fn label_filtered_index_join_matches_scan_strategies() {
     // Directed: a doubly label-filtered edge scan absorbed into an
     // index join filters through the sorted node-label sets. CITY→REGION
-    // keeps only Grenoble→AuvergneRhôneAlpes reachable from livesIn.
+    // keeps only Grenoble→AuvergneRhôneAlpes reachable from livesIn. The
+    // index plan, and the scan-based plan of the same join over projected
+    // operands, both give the answer built from `eval_path`'s pairs and
+    // the nodes' labels.
     let db = fig2_yago_database();
-    let mut store = RelStore::load(&db);
+    let store = RelStore::load(&db);
     let s = &store.symbols;
     let scan = |label: &str, src, tgt| {
         RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt))
@@ -454,7 +458,8 @@ fn label_filtered_index_join_matches_scan_strategies() {
         RaTerm::semijoin(scan("isLocatedIn", "y", "z"), node("CITY", "y")),
         node("REGION", "z"),
     );
-    let t = RaTerm::join(scan("livesIn", "x", "y"), filtered);
+    let lives = scan("livesIn", "x", "y");
+    let t = RaTerm::join(lives.clone(), filtered.clone());
     let p = plan(&t, &store).unwrap();
     assert!(
         matches!(
@@ -464,24 +469,37 @@ fn label_filtered_index_join_matches_scan_strategies() {
         ),
         "{p:?}"
     );
-    let mut ctx = ExecContext::new();
-    let r_index = execute_plan(&p, &store, &mut ctx).unwrap();
-    store.index_joins = false;
-    let p_scan = plan(&t, &store).unwrap();
-    let mut ctx = ExecContext::new();
-    let r_scan = execute_plan(&p_scan, &store, &mut ctx).unwrap();
-    assert_eq!(r_index, r_scan);
-    assert_eq!(r_index.len(), 2, "one CITY→REGION hop per resident");
+    let p_scan = plan(&RaTerm::join(projected(lives), projected(filtered)), &store).unwrap();
+    assert!(!p_scan.contains_op(&|op| matches!(op, PhysOp::IndexJoin { .. })));
+    let label = |n: u32| db.node_label_name(db.node_label(sgq_common::NodeId::new(n)));
+    let located = closure_pairs(&db, "isLocatedIn");
+    let want: Vec<Vec<u32>> = (closure_pairs(&db, "livesIn").into_iter())
+        .flat_map(|(x, y)| {
+            located
+                .iter()
+                .filter(move |e| e.0 == y)
+                .map(move |e| vec![x, y, e.1])
+        })
+        .filter(|row| [row[1], row[2]].map(label) == ["CITY", "REGION"])
+        .collect();
+    assert_eq!(want.len(), 2, "one CITY→REGION hop per resident");
+    for p in [p, p_scan] {
+        let got = execute_plan(&p, &store, &mut ExecContext::new()).unwrap();
+        assert_eq!(
+            got.rows().map(<[u32]>::to_vec).collect::<Vec<_>>(),
+            want,
+            "{p:?}"
+        );
+    }
 }
 
 #[test]
 fn index_join_inside_fixpoint_interacts_with_the_step_cache() {
     // Directed: the closure step's join against the static renamed scan
     // probes the CSR instead of building a hash table. The answer is
-    // `eval_path`'s, no hash table is built in any round, and the
-    // index-disabled plan produces identical results.
+    // `eval_path`'s, and no hash table is built in any round.
     let db = fig2_yago_database();
-    let mut store = RelStore::load(&db);
+    let store = RelStore::load(&db);
     let s = &store.symbols;
     let f = closure_fixpoint(
         s.recvar("X"),
@@ -505,13 +523,6 @@ fn index_join_inside_fixpoint_interacts_with_the_step_cache() {
     assert_eq!(pairs(&r_cached), closure_pairs(&db, "isLocatedIn+"));
     assert!(cached.fixpoint_rounds >= 2, "closure iterates");
     assert_eq!(cached.hash_builds, 0, "the CSR is the build side");
-
-    store.index_joins = false;
-    let p_scan = plan(&f, &store).unwrap();
-    let mut ctx = ExecContext::new();
-    let r_scan = execute_plan(&p_scan, &store, &mut ctx).unwrap();
-    assert_eq!(r_cached, r_scan);
-    assert!(ctx.hash_builds > 0, "the ablation builds hash tables");
 }
 
 #[test]
@@ -643,79 +654,73 @@ fn parallel_execution_is_bit_identical_to_serial() {
     // Morsel sizes sweep the range boundaries: 1 (every row its own
     // range), 2 (an uneven last morsel), and `len - 1` for every length
     // an operator of the plan produced, which splits a probe of that
-    // length into all-but-the-last row and the last row alone. With the
-    // CSR indexes on, the index join kernel runs; ablated, the hash join
-    // kernel; and either way the one semi-join kernel, the hash filter,
-    // fused onto scans or not — between them both combine rules
-    // (concatenation and merge-dedup). The work counters must
-    // match the serial run's too: a kernel's emitted rows are recorded
-    // once, not once per morsel run after its dedup.
+    // length into all-but-the-last row and the last row alone. The cost
+    // model picks the index join kernel where a join side is a base scan
+    // and the hash join kernel elsewhere; and everywhere the one
+    // semi-join kernel, the hash filter, fused onto scans or not — between
+    // them both combine rules (concatenation and merge-dedup). The work
+    // counters must match the serial run's too: a kernel's emitted rows
+    // are recorded once, not once per morsel run after its dedup.
     let db = fig2_yago_database();
     let mut kinds_run_parallel = std::collections::BTreeSet::new();
-    for index_joins in [true, false] {
-        let mut store = RelStore::load(&db);
-        store.index_joins = index_joins;
-        let s = &store.symbols;
-        let (v0, v1) = (s.col("v0"), s.col("v1"));
-        let mut terms: Vec<(String, RaTerm)> = (0..96u64)
-            .map(|seed| {
-                let mut rng = Rng::seed_from_u64(seed ^ 0xd0b);
-                let expr = random_expr(&db, &mut rng, 3);
-                let mut names = NameGen::new(s);
-                let term = path_to_term(&expr, v0, v1, &mut names);
-                let term = random_filters(&db, &mut rng, term, &[v0, v1]);
-                (format!("seed {seed}: {expr:?}"), optimize(&term, &store))
-            })
-            .collect();
-        // Path expressions never semi-join against an edge table: add
-        // that shape directed, a hash semi-join over a join.
-        let located =
-            |src, tgt| RaTerm::edge_scan(db.edge_label_id("isLocatedIn").unwrap(), src, tgt);
-        let has_out_edge = RaTerm::semijoin(
-            RaTerm::join(located(v0, v1), located(v1, s.col("w"))),
-            located(v1, s.col("q")),
+    let store = RelStore::load(&db);
+    let s = &store.symbols;
+    let (v0, v1) = (s.col("v0"), s.col("v1"));
+    let mut terms: Vec<(String, RaTerm)> = (0..96u64)
+        .map(|seed| {
+            let mut rng = Rng::seed_from_u64(seed ^ 0xd0b);
+            let expr = random_expr(&db, &mut rng, 3);
+            let mut names = NameGen::new(s);
+            let term = path_to_term(&expr, v0, v1, &mut names);
+            let term = random_filters(&db, &mut rng, term, &[v0, v1]);
+            (format!("seed {seed}: {expr:?}"), optimize(&term, &store))
+        })
+        .collect();
+    // Path expressions never semi-join against an edge table: add
+    // that shape directed, a hash semi-join over a join.
+    let located = |src, tgt| RaTerm::edge_scan(db.edge_label_id("isLocatedIn").unwrap(), src, tgt);
+    let has_out_edge = RaTerm::semijoin(
+        RaTerm::join(located(v0, v1), located(v1, s.col("w"))),
+        located(v1, s.col("q")),
+    );
+    terms.push((
+        "(isLocatedIn ⋈ isLocatedIn) ⋉ isLocatedIn".into(),
+        has_out_edge,
+    ));
+    for (what, term) in &terms {
+        let p = plan(term, &store).expect("optimized term lowers");
+        let counters =
+            |c: &ExecContext| [c.rows_materialized(), c.hash_builds, c.cache_hits, c.scans];
+        let mut ctx = ExecContext::new();
+        let (serial, trace) =
+            execute_plan_traced(&p, &store, &mut ctx).expect("serial plan executes");
+        let serial_counters = counters(&ctx);
+        let mut sizes = std::collections::BTreeSet::from([1usize, 2]);
+        sizes.extend(
+            trace
+                .spans
+                .iter()
+                .filter(|s| s.rows > 2)
+                .map(|s| s.rows - 1),
         );
-        terms.push((
-            "(isLocatedIn ⋈ isLocatedIn) ⋉ isLocatedIn".into(),
-            has_out_edge,
-        ));
-        for (what, term) in &terms {
-            let p = plan(term, &store).expect("optimized term lowers");
-            let counters =
-                |c: &ExecContext| [c.rows_materialized(), c.hash_builds, c.cache_hits, c.scans];
-            let mut ctx = ExecContext::new();
-            let (serial, trace) =
-                execute_plan_traced(&p, &store, &mut ctx).expect("serial plan executes");
-            let serial_counters = counters(&ctx);
-            let mut sizes = std::collections::BTreeSet::from([1usize, 2]);
-            sizes.extend(
-                trace
-                    .spans
-                    .iter()
-                    .filter(|s| s.rows > 2)
-                    .map(|s| s.rows - 1),
-            );
-            for dop in [2usize, 7] {
-                for &morsel_rows in &sizes {
-                    let mut ctx = ExecContext::new();
-                    ctx.dop = dop;
-                    ctx.parallel_threshold = 1;
-                    ctx.morsel_rows = morsel_rows;
-                    let par = execute_plan(&p, &store, &mut ctx).expect("parallel plan executes");
-                    assert_eq!(
-                        serial, par,
-                        "DOP={dop} morsel_rows={morsel_rows} index_joins={index_joins} \
-                         changed results for {what}"
-                    );
-                    assert_eq!(
-                        counters(&ctx),
-                        serial_counters,
-                        "DOP={dop} morsel_rows={morsel_rows} index_joins={index_joins} \
-                         changed the work counters for {what}"
-                    );
-                    if ctx.morsels_executed > 0 {
-                        kinds_run_parallel.extend(trace.spans.iter().map(|s| s.kind));
-                    }
+        for dop in [2usize, 7] {
+            for &morsel_rows in &sizes {
+                let mut ctx = ExecContext::new();
+                ctx.dop = dop;
+                ctx.parallel_threshold = 1;
+                ctx.morsel_rows = morsel_rows;
+                let par = execute_plan(&p, &store, &mut ctx).expect("parallel plan executes");
+                assert_eq!(
+                    serial, par,
+                    "DOP={dop} morsel_rows={morsel_rows} changed results for {what}"
+                );
+                assert_eq!(
+                    counters(&ctx),
+                    serial_counters,
+                    "DOP={dop} morsel_rows={morsel_rows} changed the work counters for {what}"
+                );
+                if ctx.morsels_executed > 0 {
+                    kinds_run_parallel.extend(trace.spans.iter().map(|s| s.kind));
                 }
             }
         }
@@ -994,22 +999,16 @@ fn parallel_fixpoint_matches_serial_with_identical_builds() {
     // build-side hash tables are constructed on the caller thread —
     // exactly as many as the serial run builds.
     let db = fig2_yago_database();
-    let mut store = RelStore::load(&db);
-    // Ablate index joins so the step hash-joins and builds are counted.
-    store.index_joins = false;
+    let store = RelStore::load(&db);
     let s = &store.symbols;
-    let f = closure_fixpoint(
-        s.recvar("X"),
-        RaTerm::edge_scan(
-            db.edge_label_id("isLocatedIn").unwrap(),
-            s.col("x"),
-            s.col("y"),
-        ),
+    let located = RaTerm::edge_scan(
+        db.edge_label_id("isLocatedIn").unwrap(),
         s.col("x"),
         s.col("y"),
-        s.col("m"),
     );
-    let p = plan(&f, &store).unwrap();
+    let closure = |base| closure_fixpoint(s.recvar("X"), base, s.col("x"), s.col("y"), s.col("m"));
+    // Over the projected scan the step hash-joins, and builds are counted.
+    let p = plan(&closure(projected(located.clone())), &store).unwrap();
     let mut serial = ExecContext::new();
     let r_serial = execute_plan(&p, &store, &mut serial).unwrap();
     let mut par = ExecContext::new();
@@ -1026,9 +1025,9 @@ fn parallel_fixpoint_matches_serial_with_identical_builds() {
     assert!(par.morsels_executed >= 2, "delta probes must go parallel");
     assert!(serial.fixpoint_rounds >= 2, "closure iterates");
 
-    // The CSR-backed plan parallelises too, with zero hash builds.
-    store.index_joins = true;
-    let p_csr = plan(&f, &store).unwrap();
+    // Over the bare scan the step probes the CSR; it parallelises too,
+    // with zero hash builds.
+    let p_csr = plan(&closure(located), &store).unwrap();
     let mut csr = ExecContext::new();
     csr.dop = 4;
     csr.parallel_threshold = 1;

@@ -40,13 +40,13 @@ fn engine_pairs(db: &GraphDatabase, query: &Ucqt) -> Vec<(NodeId, NodeId)> {
 }
 
 /// The relational answer: translate → optimise → plan → `execute_plan`,
-/// at DOP 1 and at DOP 2 with every probe split into one-row morsels
-/// (which must agree). Also says whether the plan shares a node.
+/// at DOP 1, and at DOP 2 and 7 with every probe split into one-row
+/// morsels (all three must agree). Also says whether the plan shares a node.
 fn relational_pairs(store: &RelStore, query: &Ucqt) -> (Vec<(NodeId, NodeId)>, bool) {
     let term = ucqt_to_term(query, &mut NameGen::new(&store.symbols)).expect("translates");
     let p = plan(&sgq_ra::optimize::optimize(&term, store), store).expect("plans");
     let head = [store.symbols.col("v0"), store.symbols.col("v1")];
-    let [serial, parallel] = [1, 2].map(|dop| {
+    let [serial, two, seven] = [1, 2, 7].map(|dop| {
         let mut ctx = ExecContext::new();
         (ctx.dop, ctx.parallel_threshold, ctx.morsel_rows) = (dop, 1, 1);
         let rel = execute_plan(&p, store, &mut ctx).expect("executes");
@@ -54,7 +54,8 @@ fn relational_pairs(store: &RelStore, query: &Ucqt) -> (Vec<(NodeId, NodeId)>, b
         let pairs = rows.rows().map(|r| (NodeId::new(r[0]), NodeId::new(r[1])));
         pairs.collect::<Vec<_>>()
     });
-    assert_eq!(serial, parallel, "DOP 2 diverged from DOP 1 on {query:?}");
+    assert_eq!(serial, two, "DOP 2 diverged from DOP 1 on {query:?}");
+    assert_eq!(serial, seven, "DOP 7 diverged from DOP 1 on {query:?}");
     (serial, support::shares_a_node(&p))
 }
 
