@@ -8,6 +8,7 @@ use sgq_graph::GraphDatabase;
 use sgq_query::cqt::Ucqt;
 
 use crate::conjunctive::run_cqt;
+use crate::expand::{self, Chain};
 use crate::patheval::{eval_seeded, EvalCounters, Seeds};
 pub use crate::rows::Rows;
 
@@ -52,24 +53,25 @@ impl<'a> GraphEngine<'a> {
         eval_seeded(self, expr, Seeds::none())
     }
 
-    /// Runs a UCQT query, returning sorted deduplicated head rows.
-    ///
-    /// Disjuncts of one query tend to repeat sub-expressions under the
-    /// same seeds (the rewrite distributes unions over concatenation), so
-    /// a query with several disjuncts evaluates them against a shared
-    /// memo that lives exactly as long as this call.
+    /// Runs a UCQT query, returning sorted deduplicated head rows: the
+    /// chain disjuncts through the expand kernel as one trie, every other
+    /// disjunct through the binding-table executor, then their union.
     pub fn run_ucqt(&self, query: &Ucqt) -> Result<Rows> {
         query.validate()?;
-        if let [cqt] = query.disjuncts.as_slice() {
-            return run_cqt(self, cqt);
+        let (mut chains, mut parts) = (Vec::new(), Vec::new());
+        for cqt in &query.disjuncts {
+            match Chain::of(cqt) {
+                Some(chain) => chains.push(chain),
+                None => parts.push(run_cqt(self, cqt)?),
+            }
         }
-        let _memo = self.counters.arm_memo();
-        let parts = query
-            .disjuncts
-            .iter()
-            .map(|cqt| run_cqt(self, cqt))
-            .collect::<Result<Vec<Rows>>>()?;
-        Ok(Rows::union(query.head.len(), parts))
+        if !chains.is_empty() {
+            parts.push(expand::run(self, chains)?);
+        }
+        Ok(match parts.len() {
+            1 => parts.pop().expect("one part"),
+            _ => Rows::union(query.head.len(), parts),
+        })
     }
 
     /// Total pairs materialised since construction (work counter).
@@ -90,6 +92,7 @@ mod tests {
     use sgq_common::SgqError;
     use sgq_graph::database::fig2_yago_database;
     use sgq_query::cqt::{Cqt, Relation};
+    use std::sync::Arc;
 
     #[test]
     fn engine_matches_reference_on_paths() {
@@ -133,32 +136,123 @@ mod tests {
     }
 
     #[test]
-    fn memo_shares_work_without_changing_rows_and_never_outlives_the_call() {
+    fn trie_shares_a_prefix_without_changing_rows() {
         let db = fig2_yago_database();
         let query = shared_prefix_query(&db, ["isLocatedIn", "isLocatedIn/isLocatedIn"]);
+        let chains: Option<Vec<Chain>> = query.disjuncts.iter().map(Chain::of).collect();
+        let (_, trie) = expand::trie(&db, chains.expect("both disjuncts are chains"));
+        assert_eq!(
+            expand::trie_size(&trie),
+            4,
+            "livesIn/isLocatedIn/isLocatedIn, then one hop"
+        );
 
-        // Memo off: every disjunct on its own.
-        let plain = GraphEngine::new(&db);
+        // Every disjunct on its own, through the kernel and through the
+        // binding table.
+        let alone = GraphEngine::new(&db);
         let parts = query
             .disjuncts
             .iter()
-            .map(|c| run_cqt(&plain, c).unwrap())
-            .collect();
-        let unshared = Rows::union(2, parts);
+            .map(|c| alone.run_ucqt(&Ucqt::single(c.clone())));
+        let unshared = Rows::union(2, parts.collect::<Result<_>>().unwrap());
+        let table = GraphEngine::new(&db);
+        let parts = query.disjuncts.iter().map(|c| run_cqt(&table, c));
+        assert_eq!(
+            Rows::union(2, parts.collect::<Result<_>>().unwrap()),
+            unshared
+        );
         assert!(!unshared.is_empty());
 
         let engine = GraphEngine::new(&db);
         assert_eq!(engine.run_ucqt(&query).unwrap(), unshared);
         assert!(
-            engine.pairs_materialized() < plain.pairs_materialized(),
+            engine.pairs_materialized() < alone.pairs_materialized(),
             "the second disjunct reuses livesIn/isLocatedIn"
         );
-        assert!(!engine.counters.memo_armed(), "dropped after Ok");
 
         let mut starved = GraphEngine::new(&db);
         starved.set_max_pairs(1);
         assert!(starved.run_ucqt(&query).unwrap_err().is_row_budget());
-        assert!(!starved.counters.memo_armed(), "dropped after Err");
+    }
+
+    /// `r/s` through a hub: 300 sources reach it by `r`, and it reaches
+    /// 300 targets by `s`, so the second hop emits 90 000 pairs.
+    fn hub_database() -> GraphDatabase {
+        let mut b = GraphDatabase::standalone_builder();
+        let hub = b.node("N", &[]);
+        for _ in 0..300 {
+            let (src, tgt) = (b.node("N", &[]), b.node("N", &[]));
+            b.edge(src, "r", hub);
+            b.edge(hub, "s", tgt);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_pair_budget_stops_the_kernel_in_the_middle_of_a_hop() {
+        let db = hub_database();
+        let query = Ucqt::path_query(parse_path("r/s", &db).unwrap());
+        assert_eq!(
+            GraphEngine::new(&db).run_ucqt(&query).unwrap().len(),
+            90_000
+        );
+
+        let mut engine = GraphEngine::new(&db);
+        engine.set_max_pairs(50_000);
+        match engine.run_ucqt(&query) {
+            // The first hop's 300 pairs (as evaluated, then as the
+            // frontier), then the second hop's first batch: far short of
+            // its 90 000.
+            Err(SgqError::RowBudget { rows, budget }) => {
+                assert_eq!((rows, budget), (2 * 300 + (1 << 16), 50_000))
+            }
+            other => panic!("expected a row-budget error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_hop_visits_the_expand_fault_site() {
+        use sgq_common::fault::{FaultConfig, FaultKind, FaultPlan};
+        let db = fig2_yago_database();
+        let query = Ucqt::path_query(parse_path("livesIn/isLocatedIn+", &db).unwrap());
+        let armed = |kind| {
+            let faults = FaultPlan::new(FaultConfig {
+                seed: 1,
+                probability: 1.0,
+                site: Some("engine.expand"),
+                kind,
+            });
+            let limits = Limits {
+                faults: Some(Arc::clone(&faults)),
+                ..Default::default()
+            };
+            (faults, limits)
+        };
+        let (faults, limits) = armed(FaultKind::Error);
+        let err = GraphEngine::with_limits(&db, limits)
+            .run_ucqt(&query)
+            .unwrap_err();
+        assert!(
+            err.is_transient() && err.to_string().contains("engine.expand"),
+            "{err}"
+        );
+        assert_eq!(
+            faults.fired()["engine.expand"],
+            1,
+            "the first hop stops the walk"
+        );
+
+        let (_, limits) = armed(FaultKind::Expire);
+        let err = GraphEngine::with_limits(&db, limits)
+            .run_ucqt(&query)
+            .unwrap_err();
+        assert!(err.is_timeout(), "{err}");
+
+        let (_, limits) = armed(FaultKind::Panic);
+        let engine = GraphEngine::with_limits(&db, limits);
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run_ucqt(&query)));
+        assert!(panicked.is_err());
     }
 
     /// `(a, isLocatedIn, b) ∧ (c, isLocatedIn, d)`: no shared variable, so

@@ -1,17 +1,19 @@
-//! A binding-table executor for CQTs.
+//! A binding-table executor for the CQTs that are not chains.
 //!
-//! Relations are evaluated one at a time into pair sets (with seed
-//! pushdown from already-bound variables and node-label atoms) and joined
-//! into a growing binding table. Join order is greedy: among the relations
-//! sharing a bound variable, the one with the smallest cardinality estimate
-//! goes first — a deliberately simple version of what Neo4j's planner does
-//! with graph patterns.
+//! `GraphEngine::run_ucqt` sends every chain disjunct through the expand
+//! kernel; what reaches this module is a cycle (LDBC `IS7`'s second
+//! disjunct, YAGO `Y17`), a branching pattern, a `src == tgt` relation or
+//! a head of another arity. Relations are evaluated one at a time into
+//! pair sets (with seed pushdown from already-bound variables and
+//! node-label atoms) and joined into a growing binding table. Join order
+//! is greedy: among the relations sharing a bound variable, the one with
+//! the smallest cardinality estimate goes first — a deliberately simple
+//! version of what Neo4j's planner does with graph patterns.
 //!
 //! The binding table is a flat [`Rows`]. Every join writes its output
 //! rows straight into one buffer and keeps only the *live* variables —
-//! those in the head or used by a relation still to come — so a chain
-//! query's table stays two columns wide however long the chain is, and
-//! the table left by the last join is the answer.
+//! those in the head or used by a relation still to come — and the table
+//! left by the last join is the answer.
 
 use sgq_algebra::ast::PathExpr;
 use sgq_common::{sorted, FxHashMap, Limits, NodeId, Result, VarId};
@@ -111,7 +113,7 @@ pub fn run_cqt(eng: &GraphEngine<'_>, cqt: &Cqt) -> Result<Rows> {
 }
 
 /// The sorted nodes carrying one of `labels`.
-fn candidates(db: &GraphDatabase, labels: &LabelSet) -> Vec<NodeId> {
+pub(crate) fn candidates(db: &GraphDatabase, labels: &LabelSet) -> Vec<NodeId> {
     let mut nodes: Vec<NodeId> = labels
         .iter()
         .flat_map(|&l| db.nodes_with_label(l).iter().copied())
@@ -254,7 +256,7 @@ fn extend(
 
 /// A crude cardinality estimate used only for join ordering: the smallest
 /// edge-label relation mentioned in the expression, inflated for closures.
-fn estimate(db: &GraphDatabase, expr: &PathExpr) -> usize {
+pub(crate) fn estimate(db: &GraphDatabase, expr: &PathExpr) -> usize {
     let labels = expr.edge_labels();
     let base = labels
         .iter()

@@ -4,9 +4,14 @@
 //!
 //! * [`patheval`] — seeded pair-set evaluation of path expressions over
 //!   CSR adjacency, with semi-naive / frontier-BFS transitive closure,
-//! * [`conjunctive`] — a binding-table executor for CQTs (greedy join
-//!   ordering, semi-join pushdown of label atoms and bound variables,
-//!   early projection),
+//! * `expand` — the kernel every *chain* CQT runs through (the baseline's
+//!   path query and almost every rewritten disjunct): one seeded walk of
+//!   `(origin, current)` pairs hop by hop over CSR, the union's disjuncts
+//!   merged into a prefix trie, in the direction with the smaller first
+//!   frontier,
+//! * [`conjunctive`] — a binding-table executor for the CQTs that are not
+//!   chains (cycles, branching patterns): greedy join ordering, semi-join
+//!   pushdown of label atoms and bound variables, early projection,
 //! * [`rows`] — the flat row-major table that is both that binding table
 //!   and the engine's result type,
 //! * [`backend`] — the public [`GraphEngine`] facade used by the harness.
@@ -15,6 +20,7 @@
 
 pub mod backend;
 pub mod conjunctive;
+mod expand;
 pub mod patheval;
 pub mod rows;
 

@@ -13,7 +13,7 @@
 //!   benches can demonstrate the intermediate-result reduction that the
 //!   schema-based rewrite buys (the paper's Fig. 17 narrative).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 use sgq_algebra::ast::PathExpr;
 use sgq_algebra::eval::PairSet;
@@ -54,55 +54,12 @@ pub struct EvalCounters {
     pub pairs: Cell<usize>,
     /// Semi-naive closure iterations run.
     pub tc_rounds: Cell<usize>,
-    /// Sub-expression results shared by the disjuncts of one query;
-    /// `None` except while a [`MemoGuard`] is alive.
-    memo: RefCell<Option<Memo>>,
-}
-
-/// Evaluated sub-expressions by (expression, source seeds, target seeds).
-type Memo = FxHashMap<MemoKey, PairSet>;
-type MemoKey = (PathExpr, Option<Vec<NodeId>>, Option<Vec<NodeId>>);
-
-/// Keeps the memo of an [`EvalCounters`] armed; dropping it (on success,
-/// error or unwind alike) discards every cached result, so nothing
-/// outlives the query that armed it.
-pub(crate) struct MemoGuard<'a>(&'a EvalCounters);
-
-impl Drop for MemoGuard<'_> {
-    fn drop(&mut self) {
-        self.0.memo.borrow_mut().take();
-    }
 }
 
 impl EvalCounters {
-    /// Arms the sub-expression memo until the guard is dropped.
-    pub(crate) fn arm_memo(&self) -> MemoGuard<'_> {
-        *self.memo.borrow_mut() = Some(Memo::default());
-        MemoGuard(self)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn memo_armed(&self) -> bool {
-        self.memo.borrow().is_some()
-    }
-
-    /// The memo key of an evaluation, if the memo is armed and `expr` is
-    /// worth caching (single labels are read straight off the CSR).
-    fn memo_key(&self, expr: &PathExpr, seeds: Seeds<'_>) -> Option<MemoKey> {
-        if matches!(expr, PathExpr::Label(_) | PathExpr::Reverse(_)) || self.memo.borrow().is_none()
-        {
-            return None;
-        }
-        Some((
-            expr.clone(),
-            seeds.sources.map(<[_]>::to_vec),
-            seeds.targets.map(<[_]>::to_vec),
-        ))
-    }
-
     /// Counts `n` materialised pairs and records them against `limits`
     /// (row budget, memory budget).
-    fn add_pairs(&self, n: usize, limits: &Limits) -> Result<()> {
+    pub(crate) fn add_pairs(&self, n: usize, limits: &Limits) -> Result<()> {
         self.pairs.set(self.pairs.get() + n);
         limits.record(n, 2)
     }
@@ -117,26 +74,12 @@ impl EvalCounters {
 /// The result is canonical (sorted, deduplicated) and exact: restricting by
 /// `seeds` never adds pairs, it only avoids computing pairs whose endpoints
 /// fall outside the restriction.
-///
-/// While the memo is armed, a composite `(expr, seeds)` evaluated before
-/// is answered from it; a hit materialises nothing and is not counted.
 pub fn eval_seeded(eng: &GraphEngine<'_>, expr: &PathExpr, seeds: Seeds<'_>) -> Result<PairSet> {
     let (counters, limits) = (&eng.counters, &eng.limits);
     limits.poll()?;
     limits.fault("engine.eval")?;
-    let key = counters.memo_key(expr, seeds);
-    if let Some(key) = &key {
-        if let Some(hit) = counters.memo.borrow().as_ref().and_then(|m| m.get(key)) {
-            return Ok(hit.clone());
-        }
-    }
     let out = eval_node(eng, expr, seeds)?;
     counters.add_pairs(out.len(), limits)?;
-    if let Some(key) = key {
-        if let Some(memo) = counters.memo.borrow_mut().as_mut() {
-            memo.insert(key, out.clone());
-        }
-    }
     Ok(out)
 }
 

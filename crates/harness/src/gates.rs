@@ -818,7 +818,13 @@ mod tests {
                     "0 hash builds with the CSR index",
                     "planning a CSR Index Join",
                 ],
-                "chaos" => &["0 worker panics", "fired sites", "exec.", "engine.eval:"],
+                "chaos" => &[
+                    "0 worker panics",
+                    "fired sites",
+                    "exec.",
+                    "engine.eval:",
+                    "engine.expand:",
+                ],
                 _ => &["gate: PASS"],
             }
             .iter()

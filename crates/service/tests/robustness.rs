@@ -210,6 +210,16 @@ fn deadline_expiry_mid_graph_evaluation_is_graceful() {
     assert_deadline_expiry_is_graceful(config, "owns/isLocatedIn+", &opts, "engine.eval");
 }
 
+#[test]
+fn deadline_expiry_mid_graph_expansion_is_graceful() {
+    let config = ServiceConfig::with_workers(1);
+    let opts = QueryOptions {
+        backend: Backend::Graph,
+        ..Default::default()
+    };
+    assert_deadline_expiry_is_graceful(config, "owns/isLocatedIn+", &opts, "engine.expand");
+}
+
 /// The real-clock path: a deadline that has passed by the time a worker
 /// picks the query up expires it at the first poll, on both backends.
 #[test]
@@ -243,7 +253,7 @@ fn injected_worker_panic_is_contained_as_internal_error() {
     // A panic on the job's own thread (`service.dispatch`), one on a
     // morsel worker (`exec.morsel`, every operator forced parallel),
     // which must travel back to the job before it can be contained, and
-    // one inside the graph engine (`engine.eval`). On its own thread
+    // two inside the graph engine (`engine.eval`, `engine.expand`). On its own thread
     // under a watchdog: a lost morsel panic shows as a query that never
     // answers.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -252,6 +262,7 @@ fn injected_worker_panic_is_contained_as_internal_error() {
             ("service.dispatch", Backend::Relational),
             ("exec.morsel", Backend::Relational),
             ("engine.eval", Backend::Graph),
+            ("engine.expand", Backend::Graph),
         ] {
             let service = service_with(ServiceConfig {
                 default_dop: 4,

@@ -11,19 +11,20 @@
 //!
 //! Besides uniformly random expressions, a second generator aims at the
 //! shapes the engines treat specially: unions under bounded repetition
-//! and prefixes shared by several disjuncts (the graph engine's per-query
-//! memo, the relational plan's shared nodes), overloaded edge labels
+//! and prefixes shared by several disjuncts (the graph engine's expand
+//! trie, the relational plan's shared nodes), overloaded edge labels
 //! (label atoms that really filter), and hand-built CQTs with a
 //! `src == tgt` relation whose head variables are bound first and last
-//! (early projection, head ordering).
+//! (early projection, head ordering). A matrix of hand-built chain CQTs
+//! aims at the graph engine's expand kernel.
 
 mod support;
 
 use schema_graph_query::prelude::*;
 use sgq_algebra::eval::{compose, eval_path};
-use sgq_common::{NodeId, Rng, VarId};
+use sgq_common::{EdgeLabelId, NodeId, NodeLabelId, Rng, VarId};
 use sgq_engine::GraphEngine;
-use sgq_query::cqt::Relation;
+use sgq_query::cqt::{LabelAtom, Relation};
 use sgq_translate::ucqt2rra::{ucqt_to_term, NameGen};
 use support::{random_database, random_expr, random_schema, random_schema_over, shared_work_expr};
 
@@ -235,4 +236,213 @@ fn generated_databases_conform() {
         let report = sgq_graph::check_consistency(&schema, &db);
         assert!(report.is_consistent(), "{:?}", report.violations);
     }
+}
+
+/// One relation of a hand-built chain: its path, and whether it points
+/// along the chain (`(x_i, ϕ, x_{i+1})`) or against it.
+#[derive(Clone, Debug)]
+struct Link {
+    expr: PathExpr,
+    along: bool,
+}
+
+/// The chain CQT over `x_0 … x_k`, `filters[i]` an atom on `x_i`, with
+/// head `[x_0, x_k]` or, `swapped`, `[x_k, x_0]`. The end is variable 1
+/// whatever `k`, so chains of different lengths are union-compatible.
+fn chain_cqt(links: &[Link], filters: &[Option<Vec<NodeLabelId>>], swapped: bool) -> Cqt {
+    let k = links.len();
+    let x = |i: usize| {
+        VarId::new(if i == k {
+            1
+        } else if i == 0 {
+            0
+        } else {
+            i as u32 + 1
+        })
+    };
+    let (a, b) = (x(0), x(links.len()));
+    let relations = links.iter().enumerate().map(|(i, link)| match link.along {
+        true => Relation::plain(x(i), link.expr.clone(), x(i + 1)),
+        false => Relation::plain(x(i + 1), link.expr.clone(), x(i)),
+    });
+    let atoms = filters.iter().enumerate().filter_map(|(i, labels)| {
+        let labels = labels.clone()?;
+        Some(LabelAtom { var: x(i), labels })
+    });
+    Cqt {
+        head: if swapped { vec![b, a] } else { vec![a, b] },
+        atoms: atoms.collect(),
+        relations: relations.collect(),
+    }
+}
+
+/// The reference answer of [`chain_cqt`] (head `[x_0, x_k]`): every
+/// relation through `eval_path`, composed along the chain with `compose`,
+/// each variable filtered by its labels.
+fn chain_reference(
+    db: &GraphDatabase,
+    links: &[Link],
+    filters: &[Option<Vec<NodeLabelId>>],
+) -> Vec<(NodeId, NodeId)> {
+    let admits = |i: usize, n: NodeId| {
+        filters[i]
+            .as_ref()
+            .is_none_or(|l| l.contains(&db.node_label(n)))
+    };
+    let mut pairs: Vec<_> = db
+        .node_ids()
+        .filter(|&n| admits(0, n))
+        .map(|n| (n, n))
+        .collect();
+    for (i, link) in links.iter().enumerate() {
+        let mut step = eval_path(db, &link.expr);
+        if !link.along {
+            step = step.into_iter().map(|(s, t)| (t, s)).collect();
+            step.sort_unstable();
+        }
+        pairs = compose(&pairs, &step);
+        pairs.retain(|&(_, t)| admits(i + 1, t));
+    }
+    pairs
+}
+
+/// A matrix of hand-built chain CQTs, each shape aimed at one path of
+/// the graph engine's expand kernel, against [`chain_reference`], which
+/// shares no code with the engine: a walk from `b` back to `a`, reversed
+/// labels, closures seeded from either end, branch and conjunction hops,
+/// a multi-hop relation read backward, the head `[b, a]`, paths that
+/// collapse to one pair, a union whose disjuncts share a prefix and
+/// then diverge, and a relation hanging off an end of the chain.
+#[test]
+fn expand_kernel_chain_matrix() {
+    let mut collapsed = 0;
+    for i in 0..CASES * 3 {
+        let seed = spread(i ^ 0xe4a);
+        let schema = random_schema_over(seed, &["r", "s"]);
+        let db = random_database(&schema, seed);
+        let rng = &mut Rng::seed_from_u64(seed);
+        let edges: Vec<EdgeLabelId> = schema.edge_labels().collect();
+        let nodes: Vec<NodeLabelId> = schema.node_labels().collect();
+        let mut label = || PathExpr::Label(edges[rng.gen_range(0..edges.len())]);
+        let [l, m, n, o] = [(); 4].map(|_| label());
+        let reverse = |e: &PathExpr| match e {
+            PathExpr::Label(l) => PathExpr::Reverse(*l),
+            _ => unreachable!("a label"),
+        };
+        let along = |expr: PathExpr, along: bool| Link { expr, along };
+        let tail_along = rng.gen_bool(0.5);
+        let mut filter = |p: f64| {
+            let mut labels: Vec<NodeLabelId> = (0..rng.gen_range(1..3))
+                .map(|_| nodes[rng.gen_range(0..nodes.len())])
+                .collect();
+            labels.sort_unstable();
+            labels.dedup();
+            rng.gen_bool(p).then_some(labels)
+        };
+        let extra = filter(0.5);
+        let swapped = i % 9 == 5;
+        let (links, filters): (Vec<Link>, Vec<_>) = match i % 9 {
+            // A start filter on b only: the walk runs from b to a.
+            0 => (
+                vec![along(l, true), along(m, false), along(n, true)],
+                vec![None, None, None, filter(1.0)],
+            ),
+            1 => (
+                vec![
+                    along(reverse(&l), true),
+                    along(reverse(&m), false),
+                    along(n, true),
+                ],
+                vec![filter(0.5), filter(0.5), None, filter(0.5)],
+            ),
+            // A closure in the middle, seeded from a or from b.
+            2 | 3 => {
+                let ends = [filter(1.0), None];
+                let [first, last] = if i % 9 == 2 {
+                    ends
+                } else {
+                    [ends[1].clone(), ends[0].clone()]
+                };
+                (
+                    vec![
+                        along(l, true),
+                        along(PathExpr::plus(m), i % 2 == 0),
+                        along(n, false),
+                    ],
+                    vec![first, filter(0.3), None, last],
+                )
+            }
+            4 => (
+                vec![
+                    along(l, true),
+                    along(PathExpr::branch_r(m, n.clone()), false),
+                    along(PathExpr::conj(PathExpr::plus(n), o.clone()), true),
+                ],
+                vec![filter(0.5), filter(0.5), filter(0.5), filter(0.5)],
+            ),
+            // Head [b, a], with a two-hop relation read backward.
+            5 => (
+                vec![along(PathExpr::concat(l, m), false), along(n, true)],
+                vec![filter(0.5), filter(0.5), filter(0.5)],
+            ),
+            6 => (vec![along(l, true), along(m, true)], vec![None, None, None]),
+            7 => (
+                vec![along(l, true), along(m, false)],
+                vec![filter(0.5), filter(0.5), None],
+            ),
+            _ => (
+                vec![along(l, tail_along), along(m, !tail_along)],
+                vec![None, None, None],
+            ),
+        };
+        let mut want = chain_reference(&db, &links, &filters);
+        let mut query = Ucqt::single(chain_cqt(&links, &filters, swapped));
+        if i % 9 == 6 {
+            // Paths through different middles that end in the same pair.
+            let middles = |(a, b): (NodeId, NodeId)| {
+                let first = eval_path(&db, &links[0].expr);
+                let second = eval_path(&db, &links[1].expr);
+                let via = |&&(s, t): &&(NodeId, NodeId)| s == a && second.contains(&(t, b));
+                first.iter().filter(via).count()
+            };
+            collapsed += usize::from(want.iter().any(|&p| middles(p) > 1));
+        }
+        if i % 9 == 7 {
+            // A second disjunct: both links, then one more.
+            let longer = [links.clone(), vec![along(o.clone(), tail_along)]].concat();
+            let longer_filters = [filters.clone(), vec![extra]].concat();
+            want =
+                sgq_common::sorted::union(&want, &chain_reference(&db, &longer, &longer_filters));
+            query
+                .disjuncts
+                .push(chain_cqt(&longer, &longer_filters, swapped));
+        }
+        if i % 9 == 8 {
+            // A relation hanging off a or b at a variable used nowhere
+            // else: a test that the end has an `o`-neighbour.
+            let (end, out) = (VarId::new(i as u32 / 9 % 2), i / 18 % 2 == 0);
+            let dangling = VarId::new(7);
+            let o_pairs = eval_path(&db, &o);
+            let has = |n: NodeId| {
+                o_pairs
+                    .iter()
+                    .any(|&(s, t)| if out { s == n } else { t == n })
+            };
+            want.retain(|&(a, b)| has(if end == VarId::new(0) { a } else { b }));
+            let (src, tgt) = if out {
+                (end, dangling)
+            } else {
+                (dangling, end)
+            };
+            query.disjuncts[0]
+                .relations
+                .push(Relation::plain(src, o.clone(), tgt));
+        }
+        if swapped {
+            want = want.into_iter().map(|(s, t)| (t, s)).collect();
+            want.sort_unstable();
+        }
+        assert_eq!(engine_pairs(&db, &query), want, "case {i}: {query:?}");
+    }
+    assert!(collapsed > 0, "no case had two paths collapse to one pair");
 }
