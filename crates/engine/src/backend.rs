@@ -1,10 +1,12 @@
 //! The [`GraphEngine`] facade: the property-graph backend of the paper's
 //! architecture (Fig. 10), standing in for Neo4j.
 
+use std::cell::RefCell;
+
 use sgq_algebra::ast::PathExpr;
 use sgq_algebra::eval::PairSet;
 use sgq_common::{Limits, Result};
-use sgq_graph::GraphDatabase;
+use sgq_graph::{closure::Scratch, GraphDatabase};
 use sgq_query::cqt::Ucqt;
 
 use crate::conjunctive::run_cqt;
@@ -18,6 +20,9 @@ pub struct GraphEngine<'a> {
     pub(crate) db: &'a GraphDatabase,
     pub(crate) counters: EvalCounters,
     pub(crate) limits: Limits,
+    /// The closure kernel's node marks, reused by every closure of this
+    /// engine.
+    pub(crate) scratch: RefCell<Scratch>,
 }
 
 impl<'a> GraphEngine<'a> {
@@ -33,6 +38,7 @@ impl<'a> GraphEngine<'a> {
             db,
             counters: EvalCounters::default(),
             limits,
+            scratch: RefCell::new(Scratch::new(db.node_count())),
         }
     }
 
@@ -79,7 +85,8 @@ impl<'a> GraphEngine<'a> {
         self.counters.pairs.get()
     }
 
-    /// Transitive-closure rounds run since construction.
+    /// Frontier rounds of the closure kernel's component walks since
+    /// construction.
     pub fn tc_rounds(&self) -> usize {
         self.counters.tc_rounds.get()
     }
@@ -304,6 +311,81 @@ mod tests {
             .run_ucqt(&cartesian_query(&db))
             .unwrap_err()
             .is_timeout());
+    }
+
+    /// An `r` cycle through nodes `0..cycle`, and a tail of `tail` nodes
+    /// after it, each pointing at the next and the last at node 0.
+    fn cycle_and_tail(cycle: usize, tail: usize) -> GraphDatabase {
+        let mut b = GraphDatabase::standalone_builder();
+        let nodes: Vec<_> = (0..cycle + tail).map(|_| b.node("N", &[])).collect();
+        for i in 0..cycle {
+            b.edge(nodes[i], "r", nodes[(i + 1) % cycle]);
+        }
+        for i in cycle..cycle + tail {
+            b.edge(
+                nodes[i],
+                "r",
+                nodes[if i + 1 == cycle + tail { 0 } else { i + 1 }],
+            );
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_cycle_is_walked_once_for_all_its_starts() {
+        let db = cycle_and_tail(300, 300);
+        let engine = GraphEngine::new(&db);
+        let pairs = engine.eval_path(&parse_path("r+", &db).unwrap()).unwrap();
+        // Each cycle node reaches the cycle; tail node i reaches the
+        // 299 - i tail nodes after it and the cycle.
+        let tail: usize = (0..300).map(|i| 299 - i + 300).sum();
+        assert_eq!(pairs.len(), 300 * 300 + tail);
+        // One walk of the cycle, 301 rounds (the last finds nothing new),
+        // then 299 copies; tail node i walks alone, 600 - i rounds.
+        // Walking the cycle once per start would add 299 × 301.
+        let walks: usize = (0..300).map(|i| 600 - i).sum();
+        assert_eq!(engine.tc_rounds(), 301 + walks);
+        // The step's 600 edges, the kernel's pairs, the result's.
+        assert_eq!(engine.pairs_materialized(), 600 + 2 * pairs.len());
+    }
+
+    #[test]
+    fn a_pair_budget_stops_a_closure_among_its_copies() {
+        let db = cycle_and_tail(300, 300);
+        let mut engine = GraphEngine::new(&db);
+        engine.set_max_pairs(50_000);
+        match engine.eval_path(&parse_path("r+", &db).unwrap()) {
+            // The step's 600 edges, then the first batch of the cycle's
+            // runs: one walk and 218 copies, short of its 90 000 pairs.
+            Err(SgqError::RowBudget { rows, budget }) => {
+                assert_eq!((rows, budget), (600 + (1 << 16), 50_000))
+            }
+            other => panic!("expected a row-budget error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_expire_fault_inside_the_component_pass_is_a_timeout() {
+        use sgq_common::fault::{FaultConfig, FaultKind, FaultPlan};
+        // Two starts on a 70 000-node cycle: the pass takes 70 000 steps
+        // before any walk, and visits `engine.closure` at step 65 536.
+        let db = cycle_and_tail(70_000, 0);
+        let faults = FaultPlan::new(FaultConfig {
+            seed: 1,
+            probability: 1.0,
+            site: Some("engine.closure"),
+            kind: FaultKind::Expire,
+        });
+        let limits = Limits {
+            faults: Some(Arc::clone(&faults)),
+            ..Default::default()
+        };
+        let engine = GraphEngine::with_limits(&db, limits);
+        let starts = [0, 1].map(sgq_common::NodeId::new);
+        let expr = parse_path("r+", &db).unwrap();
+        let err = eval_seeded(&engine, &expr, Seeds::from_sources(&starts)).unwrap_err();
+        assert!(err.is_timeout(), "{err}");
+        assert_eq!(faults.visited()["engine.closure"], 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Evaluates UCQT queries directly over a [`sgq_graph::GraphDatabase`]:
 //!
 //! * [`patheval`] — seeded pair-set evaluation of path expressions over
-//!   CSR adjacency, with semi-naive / frontier-BFS transitive closure,
+//!   CSR adjacency, every `l+` through `sgq_graph::closure`,
 //! * `expand` — the kernel every *chain* CQT runs through (the baseline's
 //!   path query and almost every rewritten disjunct): one seeded walk of
 //!   `(origin, current)` pairs hop by hop over CSR, the union's disjuncts

@@ -3,12 +3,14 @@
 //! The evaluator improves on the reference semantics (`sgq_algebra::eval`)
 //! in two ways that matter for the paper's experiments:
 //!
-//! * **Seed pushdown** — when the conjunctive executor already knows the
-//!   candidate source (or target) nodes of a relation, evaluation is
-//!   restricted to them: base labels expand seeds through CSR adjacency,
-//!   and transitive closures run a frontier BFS from the seeds instead of
-//!   materialising the full closure. This is the graph-side analogue of
-//!   µ-RA's "push joins into fixpoints".
+//! * **Seed pushdown** — when the caller already knows the candidate
+//!   source (or target) nodes of a relation, evaluation is restricted to
+//!   them: base labels expand seeds through CSR adjacency, and `l+` runs
+//!   `sgq_graph`'s closure kernel from the seeds (target seeds walk the
+//!   reversed step) instead of materialising the full closure — the
+//!   graph-side analogue of µ-RA's "push joins into fixpoints". Unseeded,
+//!   the kernel starts from the step's distinct sources. Either way one
+//!   cyclic component's starts share one walk.
 //! * **Counters** — every materialised pair is counted, so tests and
 //!   benches can demonstrate the intermediate-result reduction that the
 //!   schema-based rewrite buys (the paper's Fig. 17 narrative).
@@ -17,7 +19,8 @@ use std::cell::Cell;
 
 use sgq_algebra::ast::PathExpr;
 use sgq_algebra::eval::PairSet;
-use sgq_common::{sorted, FxHashMap, FxHashSet, Limits, NodeId, Result};
+use sgq_common::{sorted, FxHashMap, Limits, NodeId, Result};
+use sgq_graph::closure::{self, Closure};
 
 use crate::backend::GraphEngine;
 
@@ -52,7 +55,7 @@ impl<'a> Seeds<'a> {
 pub struct EvalCounters {
     /// Pairs materialised across all operators.
     pub pairs: Cell<usize>,
-    /// Semi-naive closure iterations run.
+    /// Frontier rounds of the component walks run (`sgq_graph::closure`).
     pub tc_rounds: Cell<usize>,
 }
 
@@ -64,8 +67,11 @@ impl EvalCounters {
         limits.record(n, 2)
     }
 
-    fn add_round(&self) {
-        self.tc_rounds.set(self.tc_rounds.get() + 1);
+    /// Counts a closure's pairs and rounds; the kernel recorded the
+    /// pairs itself.
+    fn add_closure(&self, pairs: usize, rounds: usize) {
+        self.pairs.set(self.pairs.get() + pairs);
+        self.tc_rounds.set(self.tc_rounds.get() + rounds);
     }
 }
 
@@ -113,7 +119,7 @@ fn eval_node(eng: &GraphEngine<'_>, expr: &PathExpr, seeds: Seeds<'_>) -> Result
         },
         PathExpr::Reverse(le) => {
             // J-leK = reversed pairs; sources of -le are targets of le.
-            let inner = eval_seeded(
+            let mut pairs = eval_seeded(
                 eng,
                 &PathExpr::Label(*le),
                 Seeds {
@@ -121,9 +127,8 @@ fn eval_node(eng: &GraphEngine<'_>, expr: &PathExpr, seeds: Seeds<'_>) -> Result
                     targets: seeds.sources,
                 },
             )?;
-            let mut v: Vec<(NodeId, NodeId)> = inner.iter().map(|&(s, t)| (t, s)).collect();
-            sorted::normalize(&mut v);
-            v
+            flip(&mut pairs);
+            pairs
         }
         PathExpr::Concat(a, b) => {
             let left = eval_seeded(
@@ -182,7 +187,7 @@ fn eval_node(eng: &GraphEngine<'_>, expr: &PathExpr, seeds: Seeds<'_>) -> Result
                 .filter(|&(n, _)| sorted::contains(&witnesses, &n))
                 .collect()
         }
-        PathExpr::Plus(a) => transitive_closure_seeded(eng, a, seeds)?,
+        PathExpr::Plus(a) => closure(eng, a, seeds)?,
     })
 }
 
@@ -215,129 +220,64 @@ fn compose(a: &PairSet, b: &PairSet, limits: &Limits) -> Result<PairSet> {
     Ok(out)
 }
 
-/// Transitive closure with seed pushdown.
-///
-/// * With source seeds: frontier BFS — only reachability *from the seeds*
-///   is computed.
-/// * With target seeds only: the same, on the reversed step relation.
-/// * Unrestricted: classic semi-naive iteration.
-fn transitive_closure_seeded(
-    eng: &GraphEngine<'_>,
-    inner: &PathExpr,
-    seeds: Seeds<'_>,
-) -> Result<PairSet> {
-    let (counters, limits) = (&eng.counters, &eng.limits);
-    match (seeds.sources, seeds.targets) {
-        (Some(srcs), _) => {
-            let out = bfs_closure(eng, inner, srcs, Direction::Forward)?;
-            Ok(match seeds.targets {
-                None => out,
-                Some(tgts) => out
-                    .into_iter()
-                    .filter(|&(_, t)| sorted::contains(tgts, &t))
-                    .collect(),
-            })
-        }
-        (None, Some(tgts)) => {
-            let rev = bfs_closure(eng, inner, tgts, Direction::Backward)?;
-            let mut out: Vec<(NodeId, NodeId)> = rev.iter().map(|&(t, s)| (s, t)).collect();
-            sorted::normalize(&mut out);
-            Ok(out)
-        }
-        (None, None) => {
-            let base = eval_seeded(eng, inner, Seeds::none())?;
-            let mut acc = base.clone();
-            let mut delta = base.clone();
-            while !delta.is_empty() {
-                counters.add_round();
-                limits.poll()?;
-                let step = compose(&delta, &base, limits)?;
-                counters.add_pairs(step.len(), limits)?;
-                let fresh = sorted::difference(&step, &acc);
-                acc = sorted::union(&acc, &fresh);
-                delta = fresh;
-            }
-            Ok(acc)
-        }
-    }
+/// Reverses every pair of a canonical set, keeping it canonical.
+fn flip(pairs: &mut PairSet) {
+    pairs.iter_mut().for_each(|p| *p = (p.1, p.0));
+    pairs.sort_unstable();
 }
 
-enum Direction {
-    Forward,
-    Backward,
-}
-
-/// Frontier BFS from `starts`: pairs `(start, reached)` for every node
-/// reachable through one or more `inner`-steps.
-///
-/// For single-label steps the CSR is walked directly; otherwise the step
-/// relation is materialised once and indexed.
-fn bfs_closure(
-    eng: &GraphEngine<'_>,
-    inner: &PathExpr,
-    starts: &[NodeId],
-    dir: Direction,
-) -> Result<PairSet> {
-    let (db, counters, limits) = (eng.db, &eng.counters, &eng.limits);
-    // Fast path: inner is a single (possibly reversed) label.
-    let step_index: Option<FxHashMap<NodeId, Vec<NodeId>>> = match inner {
-        PathExpr::Label(_) | PathExpr::Reverse(_) => None,
+/// `step+` through the closure kernel of `sgq_graph`: from the source
+/// seeds (then filtered by the target seeds), from the target seeds over
+/// the reversed step, or unseeded from the step's distinct sources. A
+/// one-label step walks its CSR; any other step walks its own pair set,
+/// a node's row being the targets of its binary-searched run.
+fn closure(eng: &GraphEngine<'_>, step: &PathExpr, seeds: Seeds<'_>) -> Result<PairSet> {
+    let backward = seeds.sources.is_none() && seeds.targets.is_some();
+    let csr = match (step, backward) {
+        (PathExpr::Label(l), false) | (PathExpr::Reverse(l), true) => {
+            Some(&*eng.db.relation(*l).fwd)
+        }
+        (PathExpr::Label(l), true) | (PathExpr::Reverse(l), false) => {
+            Some(&*eng.db.relation(*l).rev)
+        }
+        _ => None,
+    };
+    // The step's pairs keyed by the walk's side: the rows of a composite
+    // step, the starts of an unseeded closure.
+    let (keys, targets): (Vec<NodeId>, Vec<NodeId>) = match (csr, seeds.sources.or(seeds.targets)) {
+        (Some(_), Some(_)) => Default::default(),
         _ => {
-            let base = eval_seeded(eng, inner, Seeds::none())?;
-            let mut map: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-            for &(s, t) in &base {
-                match dir {
-                    Direction::Forward => map.entry(s).or_default().push(t),
-                    Direction::Backward => map.entry(t).or_default().push(s),
-                }
+            let mut pairs = eval_seeded(eng, step, Seeds::none())?;
+            if backward {
+                flip(&mut pairs);
             }
-            Some(map)
+            pairs.into_iter().unzip()
         }
     };
-    let step = |n: NodeId, out: &mut Vec<NodeId>| match (&step_index, inner) {
-        (Some(map), _) => {
-            if let Some(ts) = map.get(&n) {
-                out.extend_from_slice(ts);
-            }
+    let row = |n: NodeId| match csr {
+        Some(csr) => csr.neighbors(n),
+        None => {
+            let lo = keys.partition_point(|&k| k < n);
+            &targets[lo..lo + keys[lo..].partition_point(|&k| k == n)]
         }
-        (None, PathExpr::Label(le)) => match dir {
-            Direction::Forward => out.extend_from_slice(db.out_neighbors(n, *le)),
-            Direction::Backward => out.extend_from_slice(db.in_neighbors(n, *le)),
-        },
-        (None, PathExpr::Reverse(le)) => match dir {
-            Direction::Forward => out.extend_from_slice(db.in_neighbors(n, *le)),
-            Direction::Backward => out.extend_from_slice(db.out_neighbors(n, *le)),
-        },
-        _ => unreachable!("step_index covers composite expressions"),
     };
-
-    let mut out: PairSet = Vec::new();
-    let mut frontier: Vec<NodeId> = Vec::new();
-    let mut next: Vec<NodeId> = Vec::new();
-    let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-    for &s in starts {
-        seen.clear();
-        frontier.clear();
-        frontier.push(s);
-        while !frontier.is_empty() {
-            counters.add_round();
-            limits.poll()?;
-            next.clear();
-            for &n in &frontier {
-                step(n, &mut next);
-            }
-            frontier.clear();
-            for &t in &next {
-                if seen.insert(t) {
-                    out.push((s, t));
-                    frontier.push(t);
-                }
-            }
-            counters.add_pairs(frontier.len(), limits)?;
-        }
+    let mut unseeded = Vec::new();
+    let starts = seeds.sources.or(seeds.targets).unwrap_or_else(|| {
+        unseeded = keys.clone();
+        unseeded.dedup();
+        &unseeded
+    });
+    let scratch = &mut eng.scratch.borrow_mut();
+    let Closure {
+        mut pairs, rounds, ..
+    } = closure::closure(row, starts, &eng.limits, scratch)?;
+    eng.counters.add_closure(pairs.len(), rounds);
+    if backward {
+        flip(&mut pairs);
+    } else if let (Some(_), Some(targets)) = (seeds.sources, seeds.targets) {
+        pairs.retain(|(_, t)| sorted::contains(targets, t));
     }
-    sorted::normalize(&mut out);
-    Ok(out)
+    Ok(pairs)
 }
 
 #[cfg(test)]
@@ -543,5 +483,103 @@ mod proptests {
                 .collect();
             assert_eq!(seeded_tgt, expect_tgt, "seed {seed}");
         }
+    }
+
+    /// A graph for the closure matrix over labels `a` and `b`: a cycle
+    /// of both labels through several nodes, a chain of `a` edges into
+    /// it, self-loops and a few random edges, node ids shuffled so that
+    /// starts meet the cycle in any order.
+    fn closure_db(seed: u64) -> GraphDatabase {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut b = GraphDatabase::standalone_builder();
+        let n = rng.gen_range(8..24);
+        let mut ids: Vec<NodeId> = (0..n).map(|_| b.node("N", &[])).collect();
+        for i in (1..n).rev() {
+            ids.swap(i, rng.gen_range(0..i + 1));
+        }
+        let cycle = rng.gen_range(2..n / 2);
+        for i in 0..cycle {
+            let (from, to) = (ids[i], ids[(i + 1) % cycle]);
+            b.edge(from, "a", to);
+            b.edge(from, "b", to);
+        }
+        // The chain ids[n - 1] → … → ids[cycle] → ids[0].
+        for i in cycle..n {
+            b.edge(ids[i], "a", ids[if i == cycle { 0 } else { i - 1 }]);
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let node = ids[rng.gen_range(0..n)];
+            b.edge(node, ["a", "b"][rng.gen_range(0..2)], node);
+        }
+        for _ in 0..rng.gen_range(0..4) {
+            let (from, to) = (ids[rng.gen_range(0..n)], ids[rng.gen_range(0..n)]);
+            b.edge(from, ["a", "b"][rng.gen_range(0..2)], to);
+        }
+        b.build().unwrap()
+    }
+
+    /// `a+`, `-a+`, `(a/b)+` and `(a|b)+`, unseeded, source-, target- and
+    /// both-seeded, against the reference semantics; the kernel's census
+    /// over the same starts shows both of its paths: a start copying the
+    /// run of an earlier start in its cyclic component, and several starts
+    /// that each walk alone.
+    #[test]
+    fn closure_matrix_matches_reference() {
+        use sgq_graph::closure::{closure, Scratch};
+        let (a, b) = (EdgeLabelId::new(0), EdgeLabelId::new(1));
+        let steps = [
+            PathExpr::Label(a),
+            PathExpr::Reverse(a),
+            PathExpr::concat(PathExpr::Label(a), PathExpr::Label(b)),
+            PathExpr::union(PathExpr::Label(a), PathExpr::Label(b)),
+        ];
+        let (mut copied, mut alone) = (0, 0);
+        for seed in 0..64u64 {
+            let db = closure_db(seed);
+            let mask = Rng::seed_from_u64(seed ^ 0xc105).gen_u32();
+            let subset: Vec<NodeId> = db
+                .node_ids()
+                .filter(|n| (mask >> (n.raw() % 32)) & 1 == 1)
+                .collect();
+            let within = |n: &NodeId| sorted::contains(&subset, n);
+            for step in &steps {
+                let expr = PathExpr::plus(step.clone());
+                let full = sgq_algebra::eval::eval_path(&db, &expr);
+                let engine = GraphEngine::new(&db);
+                for (sources, targets) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let seeds = Seeds {
+                        sources: sources.then_some(&subset[..]),
+                        targets: targets.then_some(&subset[..]),
+                    };
+                    let want: PairSet = full
+                        .iter()
+                        .copied()
+                        .filter(|(s, t)| (!sources || within(s)) && (!targets || within(t)))
+                        .collect();
+                    let got = eval_seeded(&engine, &expr, seeds).unwrap();
+                    assert_eq!(got, want, "seed {seed}, {expr:?}, {seeds:?}");
+                }
+                let mut rows = vec![Vec::new(); db.node_count()];
+                for (s, t) in sgq_algebra::eval::eval_path(&db, step) {
+                    rows[s.index()].push(t);
+                }
+                let mut scratch = Scratch::new(db.node_count());
+                for starts in [db.node_ids().collect(), subset.clone()] {
+                    let run = closure(
+                        |n: NodeId| &rows[n.index()][..],
+                        &starts,
+                        &Limits::default(),
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    copied += starts.len() - run.walks;
+                    alone += usize::from(run.walks == starts.len() && starts.len() > 1);
+                }
+            }
+        }
+        assert!(copied > 0, "no start shared a cyclic component's walk");
+        assert!(alone > 0, "no closure walked every start alone");
     }
 }

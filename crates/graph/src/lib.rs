@@ -5,6 +5,8 @@
 //! * [`consistency`] — schema–database consistency checking (Def. 3),
 //! * [`value`] — property values and data types (the `Υ` typing function),
 //! * [`csr`] — compressed sparse row adjacency,
+//! * [`closure`] — the closure kernel: `step+` from sorted starts over
+//!   CSR rows, one walk per cyclic component that holds a start,
 //! * [`paths`] — simple paths over node labels: the enumeration behind the
 //!   rewrite's closure elimination, kept per edge label by the schema,
 //! * [`stats`] — per-label and per-triple cardinality statistics used by
@@ -12,6 +14,7 @@
 
 #![warn(missing_docs)]
 
+pub mod closure;
 pub mod consistency;
 pub mod csr;
 pub mod database;

@@ -22,8 +22,10 @@
 //!   bounds the number of semi-naive fixpoint rounds a closure over that
 //!   label can take and replaces the cost model's constant growth factor.
 
-use sgq_common::{EdgeLabelId, FxHashMap, NodeId, NodeLabelId};
+use sgq_common::{sorted, EdgeLabelId, FxHashMap, Limits, NodeId, NodeLabelId};
 
+use crate::closure::{components, Scratch};
+use crate::csr::Csr;
 use crate::database::GraphDatabase;
 
 /// Aggregate over the edges of one label bound to one endpoint label:
@@ -93,6 +95,7 @@ impl GraphStats {
         let mut distinct_sources = vec![0usize; label_count];
         let mut distinct_targets = vec![0usize; label_count];
         let mut closure_depths = vec![0usize; label_count];
+        let mut scratch = Scratch::new(db.node_count());
         for le_idx in 0..label_count {
             let le = EdgeLabelId::new(le_idx as u32);
             // Forward orientation: `edges` is sorted by (src, tgt), so all
@@ -143,7 +146,7 @@ impl GraphStats {
                     last_tgt = Some(t);
                 }
             }
-            closure_depths[le_idx] = condensation_depth(edges);
+            closure_depths[le_idx] = condensation_depth(&db.relation(le).fwd, edges, &mut scratch);
         }
         GraphStats {
             nodes_per_label,
@@ -226,113 +229,27 @@ impl GraphStats {
     }
 }
 
-/// The longest chain through the SCC condensation of the edge set,
-/// counting each SCC at its node count. Iterative Tarjan (the LDBC reply
-/// trees are deep enough to overflow a recursive version's stack).
-fn condensation_depth(edges: &[(NodeId, NodeId)]) -> usize {
-    if edges.is_empty() {
-        return 0;
+/// The longest chain through the SCC condensation of `edges` (`csr`
+/// holding their rows), counting each SCC at its node count.
+fn condensation_depth(csr: &Csr, edges: &[(NodeId, NodeId)], scratch: &mut Scratch) -> usize {
+    let mut nodes: Vec<NodeId> = edges.iter().flat_map(|&(s, t)| [s, t]).collect();
+    sorted::normalize(&mut nodes);
+    let row = |n| csr.neighbors(n);
+    let (comps, cyclic) =
+        components(&row, &nodes, &Limits::default(), scratch, &mut 0).expect("no limits to break");
+    let comp = |n: NodeId| comps[nodes.binary_search(&n).expect("an endpoint")] as usize;
+    let mut cross: Vec<(usize, usize)> = edges.iter().map(|&(s, t)| (comp(s), comp(t))).collect();
+    cross.retain(|(a, b)| a != b);
+    cross.sort_unstable();
+    // Each component's size, then its longest chain: components are
+    // numbered sinks first, so every successor's chain is final first.
+    let mut depth = vec![0; cyclic.len()];
+    comps.iter().for_each(|&c| depth[c as usize] += 1);
+    for run in cross.chunk_by(|a, b| a.0 == b.0) {
+        let longest = run.iter().map(|&(_, t)| depth[t]).max();
+        depth[run[0].0] += longest.unwrap_or(0);
     }
-    // Compact the incident nodes.
-    let mut ids: FxHashMap<u32, u32> = FxHashMap::default();
-    let intern = |n: NodeId, ids: &mut FxHashMap<u32, u32>| -> u32 {
-        let next = ids.len() as u32;
-        *ids.entry(n.raw()).or_insert(next)
-    };
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
-    for &(s, t) in edges {
-        let si = intern(s, &mut ids);
-        let ti = intern(t, &mut ids);
-        pairs.push((si, ti));
-    }
-    let n = ids.len();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &(s, t) in &pairs {
-        adj[s as usize].push(t);
-    }
-    // Iterative Tarjan: components are emitted sinks-first, so for any
-    // cross edge u → v, comp[v] < comp[u].
-    const UNSEEN: u32 = u32::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut comp = vec![UNSEEN; n];
-    let mut comp_sizes: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut call: Vec<(u32, usize)> = Vec::new();
-    for root in 0..n as u32 {
-        if index[root as usize] != UNSEEN {
-            continue;
-        }
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-        call.push((root, 0));
-        while let Some(&(v, ci)) = call.last() {
-            let vu = v as usize;
-            if ci < adj[vu].len() {
-                call.last_mut().expect("just peeked").1 += 1;
-                let w = adj[vu][ci];
-                let wu = w as usize;
-                if index[wu] == UNSEEN {
-                    index[wu] = next_index;
-                    low[wu] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[wu] = true;
-                    call.push((w, 0));
-                } else if on_stack[wu] {
-                    low[vu] = low[vu].min(index[wu]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(p, _)) = call.last() {
-                    let pu = p as usize;
-                    low[pu] = low[pu].min(low[vu]);
-                }
-                if low[vu] == index[vu] {
-                    let cid = comp_sizes.len() as u32;
-                    let mut size = 0u32;
-                    loop {
-                        let w = stack.pop().expect("scc stack non-empty");
-                        on_stack[w as usize] = false;
-                        comp[w as usize] = cid;
-                        size += 1;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp_sizes.push(size);
-                }
-            }
-        }
-    }
-    // Longest weighted chain over the condensation DAG: components are
-    // numbered sinks-first, so every successor's dp is final before its
-    // predecessors are processed.
-    let ncomp = comp_sizes.len();
-    let mut out_edges: Vec<Vec<u32>> = vec![Vec::new(); ncomp];
-    for &(s, t) in &pairs {
-        let (cs, ct) = (comp[s as usize], comp[t as usize]);
-        if cs != ct {
-            out_edges[cs as usize].push(ct);
-        }
-    }
-    let mut dp = vec![0u64; ncomp];
-    let mut depth = 0u64;
-    for c in 0..ncomp {
-        let best = out_edges[c]
-            .iter()
-            .map(|&succ| dp[succ as usize])
-            .max()
-            .unwrap_or(0);
-        dp[c] = comp_sizes[c] as u64 + best;
-        depth = depth.max(dp[c]);
-    }
-    depth as usize
+    depth.into_iter().max().unwrap_or(0)
 }
 
 #[cfg(test)]
