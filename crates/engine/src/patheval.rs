@@ -270,7 +270,7 @@ fn closure(eng: &GraphEngine<'_>, step: &PathExpr, seeds: Seeds<'_>) -> Result<P
     let scratch = &mut eng.scratch.borrow_mut();
     let Closure {
         mut pairs, rounds, ..
-    } = closure::closure(row, starts, &eng.limits, scratch)?;
+    } = closure::closure(row, starts, &eng.limits, "engine.closure", scratch)?;
     eng.counters.add_closure(pairs.len(), rounds);
     if backward {
         flip(&mut pairs);
@@ -571,6 +571,7 @@ mod proptests {
                         |n: NodeId| &rows[n.index()][..],
                         &starts,
                         &Limits::default(),
+                        "engine.closure",
                         &mut scratch,
                     )
                     .unwrap();

@@ -11,7 +11,8 @@
 
 use sgq_common::{Limits, NodeId, Result};
 
-/// Steps between two polls, and pairs per recorded batch.
+/// Steps between two polls (a row read, an edge followed, a walk
+/// round), and pairs per recorded batch.
 const BATCH: usize = 1 << 16;
 /// The component of a node still on Tarjan's stack.
 const OPEN: u32 = u32::MAX;
@@ -54,30 +55,50 @@ pub struct Closure {
     pub walks: usize,
 }
 
-/// Adds `n` to `steps`; at a batch, polls and visits `engine.closure`.
-fn tick(limits: &Limits, steps: &mut usize, n: usize) -> Result<()> {
-    *steps += n;
-    if *steps >= BATCH {
-        *steps %= BATCH;
-        limits.poll()?;
-        limits.fault("engine.closure")?;
+/// The steps taken so far and where a batch of them is reported: the
+/// caller's limits, under the caller's fault site.
+pub(crate) struct Steps<'l> {
+    limits: &'l Limits,
+    site: &'static str,
+    taken: usize,
+}
+
+impl<'l> Steps<'l> {
+    pub(crate) fn new(limits: &'l Limits, site: &'static str) -> Self {
+        Steps {
+            limits,
+            site,
+            taken: 0,
+        }
     }
-    Ok(())
+
+    /// Adds `n` steps; at a batch, polls and visits the fault site.
+    fn tick(&mut self, n: usize) -> Result<()> {
+        self.taken += n;
+        if self.taken >= BATCH {
+            self.taken %= BATCH;
+            self.limits.poll()?;
+            self.limits.fault(self.site)?;
+        }
+        Ok(())
+    }
 }
 
 /// `step+` from `starts` (sorted, distinct, below the scratch's node
-/// count), `row(n)` being `n`'s sorted successors. Emitted pairs are
+/// count), `row(n)` being `n`'s sorted successors. Every batch of steps
+/// polls `limits` and visits the fault site `site`; emitted pairs are
 /// recorded against `limits` in batches.
 pub fn closure<'a>(
     row: impl Fn(NodeId) -> &'a [NodeId],
     starts: &[NodeId],
     limits: &Limits,
+    site: &'static str,
     scratch: &mut Scratch,
 ) -> Result<Closure> {
-    let mut steps = 0;
+    let mut steps = Steps::new(limits, site);
     let (comps, cyclic) = match starts.len() {
         0 | 1 => (vec![0; starts.len()], vec![false]),
-        _ => components(&row, starts, limits, scratch, &mut steps)?,
+        _ => components(&row, starts, scratch, &mut steps)?,
     };
     let mut out = Closure::default();
     // The run of the first start of each cyclic component.
@@ -85,7 +106,7 @@ pub fn closure<'a>(
     for (&start, &comp) in starts.iter().zip(&comps) {
         let (from, comp) = (out.pairs.len(), comp as usize);
         if let Some((at, len)) = runs[comp] {
-            tick(limits, &mut steps, len)?;
+            steps.tick(len)?;
             out.pairs.extend_from_within(at..at + len);
             out.pairs[from..].iter_mut().for_each(|p| p.0 = start);
         } else {
@@ -95,11 +116,11 @@ pub fn closure<'a>(
             let mut lo = 0;
             while lo < queue.len() {
                 out.rounds += 1;
-                limits.poll()?;
+                steps.tick(1)?;
                 let hi = queue.len();
                 for i in lo..hi {
                     let next = row(queue[i]);
-                    tick(limits, &mut steps, next.len())?;
+                    steps.tick(next.len())?;
                     for &n in next {
                         let seen = &mut scratch.marks[n.index()].2;
                         if *seen != epoch {
@@ -135,9 +156,8 @@ pub fn closure<'a>(
 pub(crate) fn components<'a>(
     row: &impl Fn(NodeId) -> &'a [NodeId],
     roots: &[NodeId],
-    limits: &Limits,
     scratch: &mut Scratch,
-    steps: &mut usize,
+    steps: &mut Steps<'_>,
 ) -> Result<(Vec<u32>, Vec<bool>)> {
     let pass = scratch.next_epoch();
     let marks = &mut scratch.marks;
@@ -163,7 +183,7 @@ pub(crate) fn components<'a>(
             let (vi, next) = (marks[v.index()].1 as usize, row(v));
             if let Some(&w) = next.get(*pos) {
                 *pos += 1;
-                tick(limits, steps, 1)?;
+                steps.tick(1)?;
                 match marks[w.index()] {
                     (p, wi, _) if p == pass && comp[wi as usize] == OPEN => {
                         low[vi] = low[vi].min(wi)
@@ -224,7 +244,7 @@ mod tests {
     fn run(edges: &[(NodeId, NodeId)], starts: &[NodeId], scratch: &mut Scratch) -> Closure {
         let csr = Csr::from_pairs(scratch.nodes, edges);
         let row = |n| csr.neighbors(n);
-        closure(row, starts, &Limits::default(), scratch).unwrap()
+        closure(row, starts, &Limits::default(), "test.closure", scratch).unwrap()
     }
 
     #[test]
@@ -256,5 +276,34 @@ mod tests {
             assert_eq!(run(&edges, &starts, &mut scratch).pairs, want);
         }
         assert!(scratch.epoch < 16, "wrapped");
+    }
+
+    #[test]
+    fn an_expired_deadline_stops_many_tiny_walks_within_one_batch() {
+        // Isolated starts: no component pass steps, one round per walk.
+        let starts: Vec<NodeId> = (0..BATCH as u32 * 3 / 2).map(n).collect();
+        let mut scratch = Scratch::new(starts.len());
+        let reads = std::cell::Cell::new(0);
+        let row = |_| {
+            reads.set(reads.get() + 1);
+            &[][..]
+        };
+        let expired = Limits {
+            deadline: Some(std::time::Instant::now()),
+            ..Limits::default()
+        };
+        let err = closure(row, &starts, &expired, "test.closure", &mut scratch).unwrap_err();
+        assert!(err.is_timeout(), "{err}");
+        // The component pass reads each row once, then walks start.
+        let walked = reads.get() - starts.len();
+        assert!(walked < BATCH, "{walked} walks");
+        let done = closure(
+            row,
+            &starts,
+            &Limits::default(),
+            "test.closure",
+            &mut scratch,
+        );
+        assert_eq!(done.unwrap().walks, starts.len());
     }
 }

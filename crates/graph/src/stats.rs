@@ -20,11 +20,14 @@
 //!   ([`GraphStats::closure_depth`]): the longest chain through the label
 //!   subgraph's SCC condensation, counting each SCC at its node count. This
 //!   bounds the number of semi-naive fixpoint rounds a closure over that
-//!   label can take and replaces the cost model's constant growth factor.
+//!   label can take and replaces the cost model's constant growth factor;
+//! * per edge label, whether any node both sources and targets one of its
+//!   edges ([`GraphStats::has_two_hop`]): if none does, `l∘l = ∅` and
+//!   `l+ = l`.
 
 use sgq_common::{sorted, EdgeLabelId, FxHashMap, Limits, NodeId, NodeLabelId};
 
-use crate::closure::{components, Scratch};
+use crate::closure::{components, Scratch, Steps};
 use crate::csr::Csr;
 use crate::database::GraphDatabase;
 
@@ -74,6 +77,8 @@ pub struct GraphStats {
     distinct_targets: Vec<usize>,
     /// Semi-naive closure depth bound per edge label (0 for empty labels).
     closure_depths: Vec<usize>,
+    /// Per edge label, whether some `l∘l` path exists.
+    two_hop: Vec<bool>,
 }
 
 impl GraphStats {
@@ -95,6 +100,7 @@ impl GraphStats {
         let mut distinct_sources = vec![0usize; label_count];
         let mut distinct_targets = vec![0usize; label_count];
         let mut closure_depths = vec![0usize; label_count];
+        let mut two_hop = vec![false; label_count];
         let mut scratch = Scratch::new(db.node_count());
         for le_idx in 0..label_count {
             let le = EdgeLabelId::new(le_idx as u32);
@@ -147,6 +153,9 @@ impl GraphStats {
                 }
             }
             closure_depths[le_idx] = condensation_depth(&db.relation(le).fwd, edges, &mut scratch);
+            two_hop[le_idx] = edges
+                .iter()
+                .any(|&(_, t)| !db.out_neighbors(t, le).is_empty());
         }
         GraphStats {
             nodes_per_label,
@@ -159,6 +168,7 @@ impl GraphStats {
             distinct_sources,
             distinct_targets,
             closure_depths,
+            two_hop,
         }
     }
 
@@ -217,6 +227,23 @@ impl GraphStats {
         self.closure_depths.get(le.index()).copied().unwrap_or(0)
     }
 
+    /// Whether some node both sources and targets an `le` edge: if not,
+    /// no `le` path has two hops, and `le+ = le`.
+    pub fn has_two_hop(&self, le: EdgeLabelId) -> bool {
+        self.two_hop.get(le.index()).copied().unwrap_or(false)
+    }
+
+    /// Whether every `le` edge's target (`tgt`) or source carries one of
+    /// `labels`: a filter on that endpoint keeps every edge.
+    pub fn covers(&self, le: EdgeLabelId, tgt: bool, labels: &[NodeLabelId]) -> bool {
+        let group = |(i, &l): (usize, &NodeLabelId)| match labels[..i].contains(&l) {
+            true => 0,
+            false if tgt => self.target_group(le, l).count,
+            false => self.source_group(l, le).count,
+        };
+        labels.iter().enumerate().map(group).sum::<usize>() == self.edge_cardinality(le)
+    }
+
     /// Selectivity of restricting `le` to sources labeled `src`:
     /// `|{(s,t) ∈ le : η(s) = src}| / |le|`, in `[0, 1]`. O(1) via the
     /// precomputed per-`(src, le)` aggregate.
@@ -235,8 +262,14 @@ fn condensation_depth(csr: &Csr, edges: &[(NodeId, NodeId)], scratch: &mut Scrat
     let mut nodes: Vec<NodeId> = edges.iter().flat_map(|&(s, t)| [s, t]).collect();
     sorted::normalize(&mut nodes);
     let row = |n| csr.neighbors(n);
-    let (comps, cyclic) =
-        components(&row, &nodes, &Limits::default(), scratch, &mut 0).expect("no limits to break");
+    let limits = Limits::default();
+    let (comps, cyclic) = components(
+        &row,
+        &nodes,
+        scratch,
+        &mut Steps::new(&limits, "graph.stats"),
+    )
+    .expect("no limits to break");
     let comp = |n: NodeId| comps[nodes.binary_search(&n).expect("an endpoint")] as usize;
     let mut cross: Vec<(usize, usize)> = edges.iter().map(|&(s, t)| (comp(s), comp(t))).collect();
     cross.retain(|(a, b)| a != b);
@@ -330,6 +363,32 @@ mod tests {
         // owns has one edge: a 2-node chain.
         let owns = db.edge_label_id("owns").unwrap();
         assert_eq!(stats.closure_depth(owns), 2);
+    }
+
+    #[test]
+    fn covers_holds_when_every_edge_passes_the_filter() {
+        let db = fig2_yago_database();
+        let stats = GraphStats::compute(&db);
+        let (isl, l) = (db.edge_label_id("isLocatedIn").unwrap(), |n| {
+            db.node_label_id(n).unwrap()
+        });
+        let sources = [l("PROPERTY"), l("CITY"), l("REGION")];
+        assert!(stats.covers(isl, false, &sources));
+        assert!(!stats.covers(isl, false, &sources[1..]));
+        // A repeated label counts once.
+        assert!(!stats.covers(isl, false, &[l("CITY"), l("CITY"), l("REGION")]));
+        assert!(stats.covers(isl, true, &[l("CITY"), l("REGION"), l("COUNTRY")]));
+    }
+
+    #[test]
+    fn two_hop_paths_are_recorded_per_label() {
+        let db = fig2_yago_database();
+        let stats = GraphStats::compute(&db);
+        let has = |l: &str| stats.has_two_hop(db.edge_label_id(l).unwrap());
+        // CITY→REGION→COUNTRY; the 2-cycle; one edge composing with none.
+        assert!(has("isLocatedIn") && has("isMarriedTo"));
+        assert!(!has("owns"));
+        assert!(!stats.has_two_hop(EdgeLabelId::new(99)));
     }
 
     /// Regression test for the `source_selectivity` fast path: the O(1)

@@ -505,10 +505,10 @@ pub fn physical_plans(ldbc: &Catalog) -> String {
         explain(&misaligned, &store, &db),
     );
 
-    // 3. Closures. A single-label step probes the load-time CSR every
-    //    round — zero per-query hash builds; a union's step
-    //    hash-joins each round's delta against its static side, built
-    //    once and cached.
+    // 3. Closures. A single-label closure is one run of the closure
+    //    kernel over the load-time CSR — zero per-query hash builds; a
+    //    union's step is semi-naive, hash-joining each round's delta
+    //    against its static side, built once and cached.
     let closure = closure_fixpoint(s.recvar("X"), scan("isLocatedIn", "x", "y"), x, y, m);
     let plan_index = sgq_ra::plan(&closure, &store).expect("closure plans");
     section(
@@ -527,9 +527,9 @@ pub fn physical_plans(ldbc: &Catalog) -> String {
     section(
         "work counters",
         format!(
-            "isLocatedIn+ over {} rounds: {} hash builds with the CSR index, {} rows \
-             materialised; (owns|isLocatedIn)+ over {} rounds: {} cached hash \
-             builds, {} rows materialised\n",
+            "isLocatedIn+ in the closure kernel, {} round: {} hash builds with the CSR \
+             index, {} rows materialised; (owns|isLocatedIn)+ over {} rounds: {} cached \
+             hash builds, {} rows materialised\n",
             ctx_index.fixpoint_rounds,
             ctx_index.hash_builds,
             ctx_index.rows_materialized(),

@@ -324,10 +324,12 @@ fn shared_line(cat: &Catalog, store: &RelStore, cold: &Pass) -> (usize, String) 
 /// One line counting the hash and index joins of `cat`'s plans,
 /// and how many of them emit through their projection
 /// ([`fuses_its_join`]); and the strategy census, one count per operator
-/// kind ([`PhysOp::kind`]) in name order, a shared node once.
+/// kind ([`PhysOp::kind`]) in name order, then one per fixpoint strategy
+/// ([`PhysOp::fixpoint_strategy`]), a shared node once.
 fn strategy_lines(cat: &Catalog, cold: &Pass) -> String {
     let (mut fused, mut joins) = (0, 0);
     let mut kinds = std::collections::BTreeMap::<&str, usize>::new();
+    let mut fixpoints = std::collections::BTreeMap::<&str, usize>::new();
     for run in cold.runs.iter().flatten() {
         let Some(plan) = run.prepared.as_ref().and_then(|p| p.plan()) else {
             continue;
@@ -340,14 +342,21 @@ fn strategy_lines(cat: &Catalog, cold: &Pass) -> String {
             joins += matches!(n.op, PhysOp::HashJoin { .. } | PhysOp::IndexJoin { .. }) as usize;
             fused += fuses_its_join(n) as usize;
             *kinds.entry(n.op.kind()).or_default() += 1;
+            if let Some(strategy) = n.op.fixpoint_strategy() {
+                *fixpoints.entry(strategy).or_default() += 1;
+            }
             stack.extend(n.children());
         }
     }
-    let census: Vec<String> = kinds.iter().map(|(k, n)| format!("{k} {n}")).collect();
+    let census = |map: &std::collections::BTreeMap<&str, usize>| {
+        let counts: Vec<String> = map.iter().map(|(k, n)| format!("{k} {n}")).collect();
+        counts.join(", ")
+    };
     format!(
         "{name}: {fused} of {joins} joins emit through their projection\n\
-         {name}: strategies {}\n",
-        census.join(", "),
+         {name}: strategies {}; fixpoints {}\n",
+        census(&kinds),
+        census(&fixpoints),
         name = cat.name,
     )
 }
@@ -799,6 +808,7 @@ fn observe(cats: &Catalogs, gate: bool) -> String {
 mod tests {
     use super::*;
     use crate::replay::Scale;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Every CI gate, armed, over one set of catalogs: the datasets are
     /// generated once and chaos runs in-process next to the others.
@@ -834,6 +844,73 @@ mod tests {
             }
         }
         assert!(run("nonsense", &cats, &params, true).is_none());
+    }
+
+    /// ROADMAP 18(a): every fixpoint the relational backend plans for
+    /// either catalog and approach at the benchmark's sizes, by strategy.
+    /// Every one-label closure runs the closure kernel — `knows+` and
+    /// `influences+`, the heavy statements', among them — and only the
+    /// composite steps of IC14 and BI20 stay semi-naive.
+    #[test]
+    fn one_label_fixpoints_run_the_closure_kernel() {
+        let (mut census, mut semi_naive) = (BTreeMap::new(), BTreeSet::new());
+        let mut kernel = BTreeSet::new();
+        for cat in [Catalog::ldbc(0.3), Catalog::yago(0.1)] {
+            let store = cat.store();
+            for q in &cat.queries {
+                for approach in [sgq_common::Approach::Baseline, sgq_common::Approach::Schema] {
+                    let prepared = sgq_service::prepared::prepare(
+                        &cat.schema,
+                        &store,
+                        &q.expr,
+                        Backend::Relational,
+                        approach,
+                        RewriteOptions::default(),
+                    );
+                    let prepared = prepared.expect("every statement prepares");
+                    let mut stack: Vec<&PhysPlan> = prepared.plan().into_iter().collect();
+                    while let Some(n) = stack.pop() {
+                        stack.extend(n.children());
+                        let Some(strategy) = n.op.fixpoint_strategy() else {
+                            continue;
+                        };
+                        *census.entry(strategy).or_insert(0) += 1;
+                        match &n.op {
+                            PhysOp::Closure { label, .. } => {
+                                let label = cat.db.edge_label_name(*label).to_string();
+                                kernel.insert((cat.name, q.name, label));
+                            }
+                            _ => _ = semi_naive.insert(q.name),
+                        }
+                    }
+                }
+            }
+        }
+        let strategies = [
+            "forward",
+            "reverse",
+            "stable-end filtered",
+            "no two-hop base",
+            "semi-naive",
+        ];
+        assert_eq!(
+            census.keys().copied().collect::<BTreeSet<_>>(),
+            strategies.into()
+        );
+        assert_eq!(semi_naive, ["BI20", "IC14"].into(), "{census:?}");
+        let heavy = [
+            ("LDBC", "IC13", "knows"),
+            ("LDBC", "Y1", "knows"),
+            ("LDBC", "Y2", "knows"),
+            ("LDBC", "BI10", "knows"),
+            ("YAGO", "Y7", "influences"),
+        ];
+        for (cat, q, label) in heavy {
+            assert!(
+                kernel.contains(&(cat, q, label.to_string())),
+                "{cat} {q}: {label}+"
+            );
+        }
     }
 
     /// Both disjuncts of IS7's schema rewrite join `hasCreator ⋉ Comment`

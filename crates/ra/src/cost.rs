@@ -90,7 +90,7 @@ pub fn estimate(term: &RaTerm, store: &RelStore) -> Estimate {
 
 /// The summary of `term`'s root, outside any fixpoint.
 fn root(term: &RaTerm, store: &RelStore) -> Summary {
-    let (dag, id) = Dag::of(term, false);
+    let (dag, id) = Dag::of(term, false, None);
     let mut est = Estimator::new(store, dag.len().0);
     let s = est.summary(&dag, id);
     est.sums.swap_remove(s as usize)
@@ -709,7 +709,7 @@ mod tests {
 
     /// The summary of `term` with `var` bound to a base case of `rows`.
     fn bound(store: &RelStore, var: RecVarId, rows: f64, term: &RaTerm) -> Summary {
-        let (dag, id) = Dag::of(term, false);
+        let (dag, id) = Dag::of(term, false, None);
         let mut est = Estimator::new(store, dag.len().0);
         est.bind(var, rows);
         let s = est.summary(&dag, id);

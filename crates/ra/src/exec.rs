@@ -19,7 +19,8 @@
 //!
 //! **One node cache per execution**, keyed by plan-node id, serves both
 //! kinds of reuse. A shared node ([`PhysPlan::parents`] above 1) is
-//! computed once and dropped after its last parent read it. Fixpoints
+//! computed once and dropped after its last parent read it. A one-label
+//! fixpoint ([`PhysOp::Closure`]) is one closure-kernel run; the others
 //! run semi-naively against the pre-planned step; every maximal static
 //! subtree of a step is computed in the first round and dropped when the
 //! fixpoint finishes, and a static hash build side is kept as its *built*
@@ -58,6 +59,7 @@ use std::time::Instant;
 
 use sgq_common::limits::{is_cancelled, Limits};
 use sgq_common::{ColId, FaultPlan, FxHashMap, NodeId, QueryBudget, RecVarId, Result, SgqError};
+use sgq_graph::closure::{closure, Scratch};
 use sgq_graph::Csr;
 use sgq_obs::{OpSpan, OpTraceBuilder, TraceClock};
 
@@ -79,7 +81,8 @@ pub struct ExecContext {
     /// cached fixpoint intermediates count in the round that computes
     /// them). Read it through [`ExecContext::rows_materialized`].
     rows: Arc<AtomicUsize>,
-    /// Fixpoint iterations run.
+    /// Fixpoint rounds run: each semi-naive round, and one per
+    /// evaluation of a closure-kernel fixpoint.
     pub fixpoint_rounds: usize,
     /// Abort once this many rows have been materialised (0 = unlimited).
     pub max_rows: usize,
@@ -246,6 +249,7 @@ pub fn execute_plan(
         cache: FxHashMap::default(),
         scope: None,
         env: FxHashMap::default(),
+        scratch: Scratch::new(store.stats.node_count),
     }
     .eval(p)
 }
@@ -292,6 +296,7 @@ pub fn execute_plan_traced_at(
         cache: FxHashMap::default(),
         scope: None,
         env: FxHashMap::default(),
+        scratch: Scratch::new(store.stats.node_count),
     };
     let rel = interp.eval(p)?;
     let (actuals, spans) = interp.ops.take().expect("tracing was enabled").finish();
@@ -334,6 +339,9 @@ struct Interp<'a> {
     /// Each running fixpoint's current delta, by recursion variable: run
     /// state of this execution, gone with it however it ends.
     env: FxHashMap<RecVarId, Relation>,
+    /// The closure kernel's node marks, allocated by its first run and
+    /// reused by every later one of this execution.
+    scratch: Scratch,
 }
 
 impl Interp<'_> {
@@ -532,6 +540,29 @@ impl Interp<'_> {
                 // Accumulated rows were recorded delta by delta; skip the
                 // generic record below to count each row exactly once.
                 return Ok(acc);
+            }
+            PhysOp::Closure {
+                base,
+                label,
+                forward,
+                two_hop,
+                ..
+            } => {
+                let base = self.eval(base)?.into_cols(p.cols.clone());
+                self.limits.fault("exec.fixpoint_round")?;
+                self.ctx.fixpoint_rounds += 1;
+                // No two-hop path: `l+ = l`, the base (shared, recorded).
+                let Some(csr) = self.csr(*label, *forward).filter(|_| *two_hop) else {
+                    return Ok(base);
+                };
+                // From the distinct stable (first) values, the kernel's
+                // canonical `(start, reached)` pairs are the rows.
+                let mut starts: Vec<NodeId> = base.rows().map(|r| NodeId::new(r[0])).collect();
+                starts.dedup();
+                let (row, site) = (|n| csr.neighbors(n), "exec.fixpoint_round");
+                let run = closure(row, &starts, &self.limits, site, &mut self.scratch)?;
+                let flat = run.pairs.iter().flat_map(|&(s, t)| [s.raw(), t.raw()]);
+                return Ok(Relation::from_flat_sorted(p.cols.clone(), flat.collect()));
             }
             PhysOp::RecRef { var } => {
                 let rel = self.env.get(var).ok_or_else(|| {
@@ -957,21 +988,27 @@ mod tests {
 
     #[test]
     fn fixpoint_transitive_closure() {
+        // A union step: semi-naive (a one-label step runs the kernel).
         let (db, store) = store();
         let s = &store.symbols;
         let f = closure_fixpoint(
             s.recvar("X"),
-            scan(&db, &store, "isLocatedIn", "x", "y"),
+            RaTerm::union(
+                scan(&db, &store, "owns", "x", "y"),
+                scan(&db, &store, "isLocatedIn", "x", "y"),
+            ),
             s.col("x"),
             s.col("y"),
             s.col("m"),
         );
+        let p = plan(&f, &store).unwrap();
+        assert_eq!(p.op.fixpoint_strategy(), Some("semi-naive"));
         let mut ctx = ExecContext::new();
-        let r = execute(&f, &store, &mut ctx).unwrap();
-        // must match the reference semantics of isLocatedIn+
+        let r = execute_plan(&p, &store, &mut ctx).unwrap();
+        // must match the reference semantics of (owns|isLocatedIn)+
         let expect = sgq_algebra::eval::eval_path(
             &db,
-            &sgq_algebra::parser::parse_path("isLocatedIn+", &db).unwrap(),
+            &sgq_algebra::parser::parse_path("(owns|isLocatedIn)+", &db).unwrap(),
         );
         let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
         let want: Vec<(u32, u32)> = expect.iter().map(|&(s, t)| (s.raw(), t.raw())).collect();
@@ -1057,6 +1094,33 @@ mod tests {
     }
 
     #[test]
+    fn a_one_label_closure_is_one_kernel_run() {
+        // isLocatedIn+ runs the closure kernel: one round, no hash build,
+        // the oracle's pairs. owns+ has no two-hop path, so it is its
+        // base: the store's own buffer.
+        let (db, store) = store();
+        let s = &store.symbols;
+        let closure = |label| {
+            let base = scan(&db, &store, label, "x", "y");
+            closure_fixpoint(s.recvar("X"), base, s.col("x"), s.col("y"), s.col("m"))
+        };
+        let p = plan(&closure("isLocatedIn"), &store).unwrap();
+        assert_eq!(p.op.fixpoint_strategy(), Some("forward"));
+        let mut ctx = ExecContext::new();
+        let r = execute_plan(&p, &store, &mut ctx).unwrap();
+        let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
+        assert_eq!(got, oracle(&db, "isLocatedIn+"));
+        assert_eq!((ctx.fixpoint_rounds, ctx.hash_builds), (1, 0));
+        let p = plan(&closure("owns"), &store).unwrap();
+        assert_eq!(p.op.fixpoint_strategy(), Some("no two-hop base"));
+        let mut ctx = ExecContext::new();
+        let r = execute_plan(&p, &store, &mut ctx).unwrap();
+        let owns = store.edge_table(db.edge_label_id("owns").unwrap());
+        assert!(r.shares_data(&owns));
+        assert_eq!(ctx.fixpoint_rounds, 1);
+    }
+
+    #[test]
     fn index_join_matches_hash_join() {
         // owns(x,y) ⋈ isLocatedIn(y,z) plans as an index join; the same
         // join over projected operands, as a hash join. The results must
@@ -1117,19 +1181,43 @@ mod tests {
         assert!(r_index.is_empty(), "n1 is a PROPERTY, not a CITY");
     }
 
+    /// `µX. E(x,y) ∪ π_{x,y}(π_{x,n}(X(x,m) ⋈ E(m,n)) ⋈ E(n,y))` over
+    /// `edge(src, tgt)`: the odd-length `E` paths, through a two-join
+    /// step, which plans semi-naive.
+    fn two_join_closure(store: &RelStore, edge: impl Fn(&str, &str) -> RaTerm) -> RaTerm {
+        let s = &store.symbols;
+        let var = s.recvar("X");
+        let rec = RaTerm::RecRef {
+            var,
+            cols: vec![s.col("x"), s.col("m")],
+        };
+        let first = RaTerm::join(rec, edge("m", "n"));
+        let first = RaTerm::project(first, vec![s.col("x"), s.col("n")]);
+        let step = RaTerm::join(first, edge("n", "y"));
+        RaTerm::Fixpoint {
+            var,
+            base: Box::new(edge("x", "y")),
+            step: Box::new(RaTerm::project(step, vec![s.col("x"), s.col("y")])),
+            stable: vec![s.col("x")],
+        }
+    }
+
     #[test]
     fn index_join_inside_fixpoint_builds_nothing() {
-        // The closure's step joins each round's delta against the static
-        // isLocatedIn scan. With index joins the "build side" is the CSR
-        // computed at load time: no hash table is ever built, in any
-        // round, and results match the hash + build-cache path of the
-        // closure over the projected scan exactly.
+        // The closure's two-join step joins each round's delta against
+        // the static isLocatedIn scan, twice. With index joins the "build
+        // side" is the CSR computed at load time: no hash table is ever
+        // built, in any round, and results match the hash + build-cache
+        // path of the closure over the projected scan exactly.
         let (db, store) = store();
-        let s = &store.symbols;
-        let located = scan(&db, &store, "isLocatedIn", "x", "y");
-        let closure =
-            |base| closure_fixpoint(s.recvar("X"), base, s.col("x"), s.col("y"), s.col("m"));
-        let f = closure(located.clone());
+        let located = |src: &str, tgt: &str| scan(&db, &store, "isLocatedIn", src, tgt);
+        let closure = |projecting: bool| {
+            two_join_closure(&store, |src, tgt| match projecting {
+                true => projected(located(src, tgt)),
+                false => located(src, tgt),
+            })
+        };
+        let f = closure(false);
         let p_index = plan(&f, &store).unwrap();
         assert!(
             p_index.contains_op(&|op| matches!(op, PhysOp::IndexJoin { .. })),
@@ -1140,7 +1228,7 @@ mod tests {
         assert_eq!(ctx_index.hash_builds, 0, "no per-query build at all");
         assert!(ctx_index.fixpoint_rounds >= 2, "closure iterates");
 
-        let p_hash = plan(&closure(projected(located)), &store).unwrap();
+        let p_hash = plan(&closure(true), &store).unwrap();
         let mut ctx_hash = ExecContext::new();
         let r_hash = execute_plan(&p_hash, &store, &mut ctx_hash).unwrap();
         assert_eq!(r_index, r_hash, "index joins must not change results");
@@ -1163,6 +1251,21 @@ mod tests {
         )
         .unwrap();
         assert!(r.shares_data(&store.edge_table(le)));
+    }
+
+    #[test]
+    fn an_identity_projection_shares_its_input_buffer() {
+        // π onto its input's own columns, in order, copies nothing, and
+        // is still recorded: the scan's rows count twice.
+        let (db, store) = store();
+        let le = db.edge_label_id("isLocatedIn").unwrap();
+        let mut ctx = ExecContext::new();
+        let t = projected(scan(&db, &store, "isLocatedIn", "x", "y"));
+        let p = plan(&t, &store).unwrap();
+        assert!(matches!(p.op, PhysOp::Project { .. }), "{p:?}");
+        let r = execute_plan(&p, &store, &mut ctx).unwrap();
+        assert!(r.shares_data(&store.edge_table(le)));
+        assert_eq!(ctx.rows_materialized(), 2 * r.len());
     }
 
     #[test]
@@ -1251,14 +1354,9 @@ mod tests {
         // rounds and shared nodes included, and every span names a real
         // operator kind.
         let (db, store) = store();
-        let s = &store.symbols;
-        let f = closure_fixpoint(
-            s.recvar("X"),
-            scan(&db, &store, "isLocatedIn", "x", "y"),
-            s.col("x"),
-            s.col("y"),
-            s.col("m"),
-        );
+        let f = two_join_closure(&store, |src, tgt| {
+            scan(&db, &store, "isLocatedIn", src, tgt)
+        });
         for t in [f, shared_union(&db, &store)] {
             let p = plan(&t, &store).unwrap();
             let mut ctx = ExecContext::new();
@@ -1755,14 +1853,17 @@ mod tests {
 
     #[test]
     fn a_failed_fixpoint_step_leaves_no_binding_behind() {
-        // The 4-row base fits a 5-row budget; the first step breaches it.
-        // The delta bound for that step lived in the execution, so a
-        // later `RecRef` on the same context finds nothing bound.
+        // The 4-row base fits a 5-row budget; the first step of the
+        // semi-naive two-join closure breaches it. The delta bound for
+        // that step lived in the execution, so a later `RecRef` on the
+        // same context finds nothing bound.
         let (db, store) = store();
         let s = &store.symbols;
         let var = s.recvar("X");
-        let (x, y, m) = (s.col("x"), s.col("y"), s.col("m"));
-        let f = closure_fixpoint(var, scan(&db, &store, "isLocatedIn", "x", "y"), x, y, m);
+        let (x, m) = (s.col("x"), s.col("m"));
+        let f = two_join_closure(&store, |src, tgt| {
+            scan(&db, &store, "isLocatedIn", src, tgt)
+        });
         let mut ctx = ExecContext::new();
         ctx.max_rows = 5;
         assert!(execute(&f, &store, &mut ctx).is_err());

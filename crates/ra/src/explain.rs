@@ -242,6 +242,22 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
             count_cacheable(step),
             if count_cacheable(step) == 1 { "" } else { "s" }
         ),
+        PhysOp::Closure {
+            var,
+            label,
+            forward,
+            two_hop,
+            ..
+        } => format!(
+            "Recursive Fixpoint µ{} ({} {}+)",
+            symbols.recvar_name(*var),
+            match (two_hop, forward) {
+                (false, _) => "no two-hop path: the base, for",
+                (true, true) => "closure kernel on the forward CSR of",
+                (true, false) => "closure kernel on the reverse CSR of",
+            },
+            names.edge_name(*label)
+        ),
         PhysOp::RecRef { var } => format!(
             "Recursive Ref {} ({})",
             symbols.recvar_name(*var),
@@ -689,5 +705,23 @@ mod tests {
             "{rendered}"
         );
         assert!(rendered.contains("Recursive Ref X (x, m)"), "{rendered}");
+    }
+
+    #[test]
+    fn explain_names_the_closure_kernel_strategy() {
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let s = &store.symbols;
+        let closure = |label: &str| {
+            let le = db.edge_label_id(label).unwrap();
+            let base = RaTerm::edge_scan(le, s.col("x"), s.col("y"));
+            crate::term::closure_fixpoint(s.recvar("X"), base, s.col("x"), s.col("y"), s.col("m"))
+        };
+        let kernel = explain(&closure("isLocatedIn"), &store, &db);
+        let heading = "Recursive Fixpoint µX (closure kernel on the forward CSR of isLocatedIn+)";
+        assert!(kernel.contains(heading), "{kernel}");
+        let base = explain(&closure("owns"), &store, &db);
+        let heading = "Recursive Fixpoint µX (no two-hop path: the base, for owns+)";
+        assert!(base.contains(heading), "{base}");
     }
 }

@@ -44,7 +44,7 @@ use crate::term::{Dag, Id, NodeMemo, Op, RaTerm};
 
 /// Pushes every semi-join down, then orders every join chain once.
 pub fn optimize(term: &RaTerm, store: &RelStore) -> RaTerm {
-    let (dag, root) = Dag::of(term, false);
+    let (dag, root) = Dag::of(term, false, Some(&store.stats));
     let nodes = dag.len().0;
     let mut opt = Optimizer {
         est: Estimator::new(store, 0),
@@ -67,7 +67,7 @@ pub fn optimize(term: &RaTerm, store: &RelStore) -> RaTerm {
 }
 
 struct Optimizer<'a> {
-    dag: Dag,
+    dag: Dag<'a>,
     est: Estimator<'a>,
     /// The current walk's result per (node, binding).
     done: NodeMemo,
@@ -543,5 +543,33 @@ mod tests {
         let s = &store.symbols;
         let cols = [s.col("x"), s.col("w"), s.col("y"), s.col("z")];
         assert_eq!(before.project(&cols), after.project(&cols));
+    }
+
+    #[test]
+    fn label_filters_every_edge_passes_are_dropped() {
+        // Fig. 2's one `owns` edge leaves a PERSON; `isLocatedIn` edges
+        // leave nodes of three labels, so only its CITY filter stays.
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let owns = scan(&db, &store, "owns", "x", "y");
+        let person = RaTerm::semijoin(owns.clone(), node(&db, &store, "PERSON", "x"));
+        assert_eq!(optimize(&person, &store), owns);
+        let located = scan(&db, &store, "isLocatedIn", "x", "y");
+        let city = RaTerm::semijoin(located, node(&db, &store, "CITY", "x"));
+        let opt = optimize(&city, &store);
+        assert!(
+            matches!(
+                opt,
+                RaTerm::EdgeScan {
+                    src_labels: Some(_),
+                    ..
+                }
+            ),
+            "{opt:?}"
+        );
+        for (term, opt) in [(&person, optimize(&person, &store)), (&city, opt)] {
+            let run = |t: &RaTerm| execute(t, &store, &mut ExecContext::new()).unwrap();
+            assert_eq!(run(term), run(&opt));
+        }
     }
 }

@@ -36,7 +36,9 @@
 //!   [`PhysOp::FilteredEdgeScan`] testing node-table membership; any
 //!   other semi-join on a bare edge scan fuses into a `FilteredEdgeScan`
 //!   too, so the unfiltered table is never an operator output;
-//! * a [`PhysOp::Fixpoint`] pre-plans its step once, and every node of
+//! * a one-label fixpoint is a [`PhysOp::Closure`], one run of
+//!   `sgq_graph`'s closure kernel; any other one is a semi-naive
+//!   [`PhysOp::Fixpoint`], which pre-plans its step once, and every node of
 //!   the step that does not depend on the recursion variable (tracked
 //!   by [`PhysPlan::free_rec`]) is marked for caching: the executor
 //!   computes static inputs — and static build-side hash tables — in
@@ -215,6 +217,22 @@ pub enum PhysOp {
         /// Step plan, re-evaluated per round against the current delta.
         step: Box<PhysPlan>,
     },
+    /// A fixpoint (kind `"Fixpoint"`) whose step extends the moving column
+    /// over one edge label `l`, and whose base is that scan filtered on
+    /// its stable column only: `l+` from the base's distinct stable values
+    /// by `sgq_graph`'s closure kernel.
+    Closure {
+        /// Recursion variable.
+        var: RecVarId,
+        /// Base-case plan: `l`'s rows, filtered on the stable column only.
+        base: Box<PhysPlan>,
+        /// The step's edge label `l`.
+        label: EdgeLabelId,
+        /// Whether the walk follows `l`'s forward CSR, else its reverse.
+        forward: bool,
+        /// Whether some `l` path has two hops: if not, `l+` is the base.
+        two_hop: bool,
+    },
     /// Reference to the enclosing fixpoint's current delta.
     RecRef {
         /// Recursion variable.
@@ -236,6 +254,7 @@ macro_rules! children {
                 filter: Some(c), ..
             }
             | PhysOp::IndexJoin { probe: c, .. }
+            | PhysOp::Closure { base: c, .. }
             | PhysOp::Project { input: c }
             | PhysOp::Select { input: c, .. }
             | PhysOp::Rename { input: c } => [Some(c), None],
@@ -270,7 +289,7 @@ impl PhysOp {
             PhysOp::Project { .. } => "Project",
             PhysOp::Select { .. } => "Select",
             PhysOp::Rename { .. } => "Rename",
-            PhysOp::Fixpoint { .. } => "Fixpoint",
+            PhysOp::Fixpoint { .. } | PhysOp::Closure { .. } => "Fixpoint",
             PhysOp::RecRef { .. } => "RecRef",
         }
     }
@@ -282,8 +301,28 @@ impl PhysOp {
         second.is_some()
             || matches!(
                 self,
-                PhysOp::FilteredEdgeScan { .. } | PhysOp::IndexJoin { .. }
+                PhysOp::FilteredEdgeScan { .. } | PhysOp::IndexJoin { .. } | PhysOp::Closure { .. }
             )
+    }
+
+    /// How a fixpoint runs (`None` for any other operator): the closure
+    /// kernel `"forward"`, `"reverse"` or from a `"stable-end filtered"`
+    /// base, the `"no two-hop base"`, or `"semi-naive"`.
+    pub fn fixpoint_strategy(&self) -> Option<&'static str> {
+        let filters = |op: &PhysOp| {
+            !matches!(
+                op,
+                PhysOp::EdgeScan { .. } | PhysOp::Project { .. } | PhysOp::Rename { .. }
+            )
+        };
+        Some(match self {
+            PhysOp::Fixpoint { .. } => "semi-naive",
+            PhysOp::Closure { two_hop: false, .. } => "no two-hop base",
+            PhysOp::Closure { base, .. } if base.contains_op(&filters) => "stable-end filtered",
+            PhysOp::Closure { forward: true, .. } => "forward",
+            PhysOp::Closure { .. } => "reverse",
+            _ => return None,
+        })
     }
 }
 
@@ -336,7 +375,7 @@ impl PhysPlan {
 /// Fails when the term is malformed — a selection or projection names a
 /// column its input does not produce.
 pub fn plan(term: &RaTerm, store: &RelStore) -> Result<PhysPlan> {
-    let (dag, root) = Dag::of(term, true);
+    let (dag, root) = Dag::of(term, true, None);
     let mut planner = Planner::new(store, &dag);
     let root = planner.lower(root)?;
     Ok(planner.share(root))
@@ -347,7 +386,7 @@ pub fn plan(term: &RaTerm, store: &RelStore) -> Result<PhysPlan> {
 /// node's id is, until [`Planner::renumber`], its post-order position.
 struct Planner<'a> {
     store: &'a RelStore,
-    dag: &'a Dag,
+    dag: &'a Dag<'a>,
     est: Estimator<'a>,
     /// Per plan node: the class of the term node it computes, its
     /// subtree's node count, and whether the subtree combines inputs.
@@ -363,7 +402,7 @@ struct Planner<'a> {
 }
 
 impl<'a> Planner<'a> {
-    fn new(store: &'a RelStore, dag: &'a Dag) -> Self {
+    fn new(store: &'a RelStore, dag: &'a Dag<'a>) -> Self {
         let (nodes, classes) = dag.len();
         Planner {
             store,
@@ -553,6 +592,19 @@ impl<'a> Planner<'a> {
             }
             &Op::Fixpoint(var, base, step, _) => {
                 let base_plan = self.lower(base)?;
+                if let Some((label, forward)) = kernel_step(dag, at) {
+                    let cost = base_plan.est.cost + rows;
+                    let two_hop = self.store.stats.has_two_hop(label);
+                    let base = Box::new(base_plan);
+                    let op = PhysOp::Closure {
+                        var,
+                        base,
+                        label,
+                        forward,
+                        two_hop,
+                    };
+                    return Ok(self.node(at, cost, op));
+                }
                 // The step is lowered under the binding its summaries
                 // were computed under: the base case's rows.
                 let saved = self.est.bind(var, base_plan.est.rows);
@@ -633,7 +685,7 @@ impl<'a> Planner<'a> {
         // forward, cost).
         let mut best: Option<(ScanInfo, bool, bool, f64)> = None;
         for (scan_term, probe, scan_left) in [(a, b, true), (b, a, false)] {
-            let Some(s) = indexable_scan(dag, scan_term) else {
+            let Some(s) = indexable_scan(dag, scan_term, false) else {
                 continue;
             };
             let probe_cols = dag.cols(probe);
@@ -742,24 +794,73 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Recognises a join side the planner can replace with CSR index probes:
-/// a base edge scan, label-filtered or not, optionally renamed. Renames
-/// of columns the scan does not expose and degenerate scans (`src ==
-/// tgt`) return `None` so the term falls back to the scan-based
-/// strategies.
-fn indexable_scan(dag: &Dag, id: Id) -> Option<ScanInfo> {
+/// Recognises a join side the planner can replace with CSR index probes
+/// — and, with `swaps`, the edge of a closure-kernel step: a base edge
+/// scan, label-filtered or not, optionally renamed (with `swaps`, also
+/// under column swaps, how a reversed label translates; a projection onto
+/// its input's own columns hides the scan from both, which is how a test
+/// keeps a join hashed or a closure semi-naive). Renames of columns the
+/// scan does not expose and degenerate scans (`src == tgt`) return `None`
+/// so the term falls back to the scan-based strategies.
+fn indexable_scan(dag: &Dag, id: Id, swaps: bool) -> Option<ScanInfo> {
     match *dag.node(id) {
         Op::EdgeScan(label, src, tgt, ref ls) if src != tgt => {
             Some(ScanInfo::of(label, src, tgt, ls))
         }
         Op::Rename(input, from, to) => {
-            let mut s = indexable_scan(dag, input)?;
+            let mut s = indexable_scan(dag, input, swaps)?;
             let exposed = [s.src, s.tgt].contains(&from);
             s.rename(from, to);
             (exposed && s.src != s.tgt).then_some(s)
         }
+        Op::Project(input, ref cols) if swaps && cols.iter().rev().eq(dag.cols(input)) => {
+            indexable_scan(dag, input, swaps)
+        }
         _ => None,
     }
+}
+
+/// The closure-kernel shape of fixpoint `at` (its label, and whether the
+/// walk is forward): the step is `π(RecRef ⋈ E(l))` over one unfiltered
+/// label, extending the moving column from the edge source (forward) or
+/// target to its other end; the base is that scan in the same
+/// orientation, filtered on its stable (first) column only.
+fn kernel_step(dag: &Dag, at: Id) -> Option<(EdgeLabelId, bool)> {
+    let Op::Fixpoint(var, base, step, ref stable) = *dag.node(at) else {
+        return None;
+    };
+    let (&[s, t], Op::Project(join, out)) = (dag.cols(at), dag.node(step)) else {
+        return None;
+    };
+    let (a, b) = match *dag.node(*join) {
+        Op::Join(a, b) if matches!(dag.node(b), Op::RecRef(..)) => (b, a),
+        Op::Join(a, b) => (a, b),
+        _ => return None,
+    };
+    let (Op::RecRef(v, rec), Some(e)) = (dag.node(a), indexable_scan(dag, b, true)) else {
+        return None;
+    };
+    let &[rs, m] = rec.as_slice() else {
+        return None;
+    };
+    let forward = (e.src, e.tgt) == (m, t);
+    let mut base = base;
+    while let Op::Semijoin(a, f) = *dag.node(base) {
+        let key = shared_cols(dag.cols(a), dag.cols(f));
+        if key.iter().any(|&c| c != s) {
+            return None;
+        }
+        base = a;
+    }
+    let b = indexable_scan(dag, base, true)?;
+    let (from, to, to_labels) = match forward {
+        true => (b.src, b.tgt, &b.tgt_labels),
+        false => (b.tgt, b.src, &b.src_labels),
+    };
+    let shape = *v == var && stable == &[s] && out == &[s, t] && rs == s && ![s, t].contains(&m);
+    let step = (forward || (e.src, e.tgt) == (t, m)) && e.src_labels.is_none();
+    let base = b.label == e.label && (from, to) == (s, t) && to_labels.is_none();
+    (shape && step && e.tgt_labels.is_none() && base).then_some((e.label, forward))
 }
 
 /// Whether `key` is the leading prefix of `cols`.
@@ -1088,12 +1189,13 @@ mod tests {
 
     #[test]
     fn recref_estimate_inherits_base() {
+        // Over the projected scan: a semi-naive step, with its RecRef.
         let db = fig2_yago_database();
         let store = RelStore::load(&db);
         let s = &store.symbols;
         let f = closure_fixpoint(
             s.recvar("X"),
-            scan(&db, &store, "isLocatedIn", "x", "y"),
+            projected(scan(&db, &store, "isLocatedIn", "x", "y")),
             s.col("x"),
             s.col("y"),
             s.col("m"),
@@ -1244,7 +1346,7 @@ mod tests {
             RaTerm::project(j, vec![x, z])
         };
         let term = RaTerm::union(hop("y"), hop("m"));
-        let (dag, root) = Dag::of(&term, true);
+        let (dag, root) = Dag::of(&term, true, None);
         // Both copies lower to one shape and share it.
         let mut planner = Planner::new(&store, &dag);
         let lowered = planner.lower(root).unwrap();

@@ -77,9 +77,15 @@ impl Relation {
     /// the zero-arity invariant lives in exactly one place. Freezes an
     /// owned buffer into the shared representation (empty buffers
     /// collapse onto the process-wide empty buffer).
-    fn new(cols: Vec<ColId>, data: Vec<u32>) -> Self {
+    fn new(cols: Vec<ColId>, mut data: Vec<u32>) -> Self {
         assert!(!cols.is_empty(), "relations need at least one column");
         debug_assert_eq!(data.len() % cols.len(), 0, "flat data must be row-major");
+        // A buffer that a dedup shrank or a growing kernel left loose
+        // hands its slack back: a shared buffer (an identity projection's)
+        // would hold it for as long as any reader lives.
+        if data.capacity() > data.len() {
+            data.shrink_to_fit();
+        }
         let data = if data.is_empty() {
             empty_data()
         } else {
@@ -171,8 +177,12 @@ impl Relation {
         self.cols.iter().position(|&c| c == col)
     }
 
-    /// `π_cols` with set semantics (duplicates removed).
+    /// `π_cols` with set semantics (duplicates removed). Onto the
+    /// relation's own columns, in order, it shares the row buffer.
     pub fn project(&self, cols: &[ColId]) -> Relation {
+        if cols == self.cols.as_slice() {
+            return self.clone();
+        }
         let positions: Vec<usize> = cols
             .iter()
             .map(|&c| self.col_index(c).expect("projection column must exist"))

@@ -34,6 +34,7 @@ use std::hash::{Hash, Hasher};
 
 use sgq_common::hash::map_with_capacity;
 use sgq_common::{ColId, EdgeLabelId, FxHashMap, FxHasher, NodeLabelId, RecVarId};
+use sgq_graph::GraphStats;
 
 /// A recursive relational algebra term.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -266,7 +267,7 @@ impl RaTerm {
     /// Number of distinct operator nodes: what [`RaTerm::size`] counts
     /// once the term is interned, so a repeated sub-term counts once.
     pub fn distinct(&self) -> usize {
-        Dag::of(self, false).0.len().0
+        Dag::of(self, false, None).0.len().0
     }
 }
 
@@ -328,7 +329,10 @@ impl Op {
 /// indexes map a hash to an id (a collision probes the next hash), so a
 /// node's metadata costs no allocation of its own.
 #[derive(Default)]
-pub(crate) struct Dag {
+pub(crate) struct Dag<'s> {
+    /// The statistics that prove an endpoint label filter vacuous
+    /// ([`Dag::of`]), if the DAG drops such filters.
+    stats: Option<&'s GraphStats>,
     nodes: Vec<Op>,
     /// Per node: its columns' and free variables' spans of the pools, and
     /// its class.
@@ -347,14 +351,18 @@ pub(crate) struct Dag {
     key: Vec<u32>,
 }
 
-impl Dag {
+impl<'s> Dag<'s> {
     /// A DAG holding `term`, and the root's id. Only a DAG made with
     /// `classes` gives its nodes classes: the planner shares sub-plans by
-    /// them, the optimiser never asks.
-    pub(crate) fn of(term: &RaTerm, classes: bool) -> (Dag, Id) {
+    /// them, the optimiser never asks. One made with `stats` drops every
+    /// endpoint label filter that every edge of its label passes
+    /// ([`GraphStats::covers`]): the same rows, and sub-terms that differed
+    /// only by it become one node.
+    pub(crate) fn of(term: &RaTerm, classes: bool, stats: Option<&'s GraphStats>) -> (Self, Id) {
         let n = term.size();
         let k = if classes { n } else { 0 };
         let mut dag = Dag {
+            stats,
             nodes: Vec::with_capacity(n),
             meta: Vec::with_capacity(n),
             cols: Vec::with_capacity(2 * n),
@@ -402,7 +410,7 @@ impl Dag {
     /// The id of `op`, adding it if it is new — the labelled scan for a
     /// node-label semi-join on a scan endpoint ([`Dag::labelled_scan`]).
     pub(crate) fn add(&mut self, op: Op) -> Id {
-        if let Some(scan) = self.labelled_scan(&op) {
+        if let Some(scan) = self.labelled_scan(&op).or_else(|| self.pruned_scan(&op)) {
             self.folded = true;
             return self.add(scan);
         }
@@ -482,6 +490,22 @@ impl Dag {
             return None;
         };
         restrict_scan(self.node(a), labels, *col)
+    }
+
+    /// The labelled scan `op` without the endpoint filters the DAG's
+    /// statistics prove vacuous, if it has any.
+    fn pruned_scan(&self, op: &Op) -> Option<Op> {
+        let (stats, Op::EdgeScan(label, src, tgt, Some(ls))) = (self.stats?, op) else {
+            return None;
+        };
+        let vacuous = |end: usize| {
+            ls[end]
+                .as_deref()
+                .is_some_and(|l| stats.covers(*label, end == 1, l))
+        };
+        let ends = [0, 1].map(|end| ls[end].clone().filter(|_| !vacuous(end)));
+        let kept = ends.iter().any(Option::is_some).then(|| Box::new(ends));
+        (kept.as_ref() != Some(ls)).then_some(Op::EdgeScan(*label, *src, *tgt, kept))
     }
 
     /// The class of node `id`, whose children have theirs. Its key is the
@@ -843,7 +867,7 @@ mod tests {
 
     /// `term`'s root once interned, and the DAG's tree of it.
     fn interned(term: &RaTerm) -> (Op, RaTerm) {
-        let (dag, root) = Dag::of(term, true);
+        let (dag, root) = Dag::of(term, true, None);
         (dag.node(root).clone(), dag.term(root))
     }
 
@@ -934,6 +958,7 @@ mod tests {
                 labelled(&s, None, Some(&[1])),
             ),
             true,
+            None,
         );
         let Op::Union(a, b) = *dag.node(root) else {
             panic!()

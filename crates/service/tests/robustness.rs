@@ -251,18 +251,19 @@ fn an_already_expired_deadline_is_a_timeout_on_both_backends() {
 #[test]
 fn injected_worker_panic_is_contained_as_internal_error() {
     // A panic on the job's own thread (`service.dispatch`), one on a
-    // morsel worker (`exec.morsel`, every operator forced parallel),
-    // which must travel back to the job before it can be contained, and
-    // two inside the graph engine (`engine.eval`, `engine.expand`). On its own thread
+    // morsel worker (`exec.morsel`, every operator forced parallel: a
+    // join, as a one-label closure runs no morsel), which must travel
+    // back to the job before it can be contained, and two inside the
+    // graph engine (`engine.eval`, `engine.expand`). On its own thread
     // under a watchdog: a lost morsel panic shows as a query that never
     // answers.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let body = std::thread::spawn(move || {
-        for (site, backend) in [
-            ("service.dispatch", Backend::Relational),
-            ("exec.morsel", Backend::Relational),
-            ("engine.eval", Backend::Graph),
-            ("engine.expand", Backend::Graph),
+        for (site, backend, query) in [
+            ("service.dispatch", Backend::Relational, "influences+"),
+            ("exec.morsel", Backend::Relational, "owns/isLocatedIn+"),
+            ("engine.eval", Backend::Graph, "influences+"),
+            ("engine.expand", Backend::Graph, "influences+"),
         ] {
             let service = service_with(ServiceConfig {
                 default_dop: 4,
@@ -276,7 +277,7 @@ fn injected_worker_panic_is_contained_as_internal_error() {
                 backend,
                 ..Default::default()
             };
-            let reference = session.execute("influences+", &opts).unwrap();
+            let reference = session.execute(query, &opts).unwrap();
 
             let faults = FaultPlan::new(FaultConfig {
                 seed: 1,
@@ -285,7 +286,7 @@ fn injected_worker_panic_is_contained_as_internal_error() {
                 kind: FaultKind::Panic,
             });
             service.set_fault_plan(Some(Arc::clone(&faults)));
-            let err = session.execute("influences+", &opts).unwrap_err();
+            let err = session.execute(query, &opts).unwrap_err();
             assert!(err.is_internal(), "panic must surface as Internal: {err}");
             let msg = err.to_string();
             assert!(msg.contains("worker panicked"), "message: {msg}");
@@ -298,7 +299,7 @@ fn injected_worker_panic_is_contained_as_internal_error() {
             assert_eq!(service.governor().used(), 0);
 
             // The same worker serves the next query, disarmed.
-            let after = session.execute("influences+", &opts).unwrap();
+            let after = session.execute(query, &opts).unwrap();
             assert_eq!(after.rows, reference.rows);
             service.shutdown();
         }

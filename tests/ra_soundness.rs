@@ -493,26 +493,41 @@ fn label_filtered_index_join_matches_scan_strategies() {
     }
 }
 
+/// `µX. E(x,y) ∪ π_{x,y}(π_{x,n}(X(x,m) ⋈ E(m,n)) ⋈ E(n,y))` for the
+/// edge label `label`: its odd-length paths, through a two-join step,
+/// which plans semi-naive.
+fn two_join_closure(db: &sgq_graph::GraphDatabase, store: &RelStore, label: &str) -> RaTerm {
+    let s = &store.symbols;
+    let edge =
+        |src, tgt| RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt));
+    let var = s.recvar("X");
+    let rec = RaTerm::RecRef {
+        var,
+        cols: vec![s.col("x"), s.col("m")],
+    };
+    let first = RaTerm::project(
+        RaTerm::join(rec, edge("m", "n")),
+        vec![s.col("x"), s.col("n")],
+    );
+    let step = RaTerm::join(first, edge("n", "y"));
+    RaTerm::Fixpoint {
+        var,
+        base: Box::new(edge("x", "y")),
+        step: Box::new(RaTerm::project(step, vec![s.col("x"), s.col("y")])),
+        stable: vec![s.col("x")],
+    }
+}
+
 #[test]
 fn index_join_inside_fixpoint_interacts_with_the_step_cache() {
-    // Directed: the closure step's join against the static renamed scan
-    // probes the CSR instead of building a hash table. The answer is
-    // `eval_path`'s, and no hash table is built in any round.
+    // Directed: the two-join closure step's joins against the static
+    // scan probe the CSR instead of building a hash table. The answer
+    // is `eval_path`'s, and no hash table is built in any round.
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
-    let s = &store.symbols;
-    let f = closure_fixpoint(
-        s.recvar("X"),
-        RaTerm::edge_scan(
-            db.edge_label_id("isLocatedIn").unwrap(),
-            s.col("x"),
-            s.col("y"),
-        ),
-        s.col("x"),
-        s.col("y"),
-        s.col("m"),
-    );
+    let f = two_join_closure(&db, &store, "isLocatedIn");
     let p = plan(&f, &store).unwrap();
+    assert_eq!(p.op.fixpoint_strategy(), Some("semi-naive"));
     assert!(
         p.contains_op(&|op| matches!(op, PhysOp::IndexJoin { .. })),
         "{p:?}"
@@ -520,7 +535,8 @@ fn index_join_inside_fixpoint_interacts_with_the_step_cache() {
 
     let mut cached = ExecContext::new();
     let r_cached = execute_plan(&p, &store, &mut cached).unwrap();
-    assert_eq!(pairs(&r_cached), closure_pairs(&db, "isLocatedIn+"));
+    let odd = "isLocatedIn|(isLocatedIn/(isLocatedIn/isLocatedIn)+)";
+    assert_eq!(pairs(&r_cached), closure_pairs(&db, odd));
     assert!(cached.fixpoint_rounds >= 2, "closure iterates");
     assert_eq!(cached.hash_builds, 0, "the CSR is the build side");
 }
@@ -1025,7 +1041,7 @@ fn parallel_fixpoint_matches_serial_with_identical_builds() {
     assert!(par.morsels_executed >= 2, "delta probes must go parallel");
     assert!(serial.fixpoint_rounds >= 2, "closure iterates");
 
-    // Over the bare scan the step probes the CSR; it parallelises too,
+    // Over the bare scan the closure kernel runs, serially at any DOP,
     // with zero hash builds.
     let p_csr = plan(&closure(located), &store).unwrap();
     let mut csr = ExecContext::new();
@@ -1166,5 +1182,163 @@ fn executed_plans_are_canonical() {
         let mut ctx = ExecContext::new();
         let rel = execute(&term, &store, &mut ctx).expect("term executes");
         assert_canonical(&rel, "executed plan");
+    }
+}
+
+/// A random graph for the closure matrix: shuffled ids, `N`/`M` node
+/// labels, and `a` edges forming a cycle, a chain into it, self-loops and
+/// a few random edges; `c` edges only from the first third of the nodes
+/// to the last, so no `c` path has two hops.
+fn closure_db(seed: u64) -> sgq_graph::GraphDatabase {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut b = sgq_graph::GraphDatabase::standalone_builder();
+    let n = rng.gen_range(8..24);
+    let mut ids: Vec<_> = (0..n)
+        .map(|_| b.node(["N", "M"][rng.gen_range(0..2)], &[]))
+        .collect();
+    for i in (1..n).rev() {
+        ids.swap(i, rng.gen_range(0..i + 1));
+    }
+    let cycle = rng.gen_range(2..n / 2);
+    for i in 0..cycle {
+        b.edge(ids[i], "a", ids[(i + 1) % cycle]);
+    }
+    for i in cycle..n {
+        b.edge(ids[i], "a", ids[if i == cycle { 0 } else { i - 1 }]);
+    }
+    for _ in 0..rng.gen_range(0..3) {
+        let node = ids[rng.gen_range(0..n)];
+        b.edge(node, "a", node);
+    }
+    for _ in 0..rng.gen_range(0..4) {
+        b.edge(ids[rng.gen_range(0..n)], "a", ids[rng.gen_range(0..n)]);
+    }
+    for _ in 0..rng.gen_range(1..6) {
+        b.edge(
+            ids[rng.gen_range(0..n / 3)],
+            "c",
+            ids[rng.gen_range(2 * n / 3..n)],
+        );
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn closure_kernel_fixpoints_match_eval_path_at_every_dop() {
+    // One-label closures run the closure kernel, forward and reverse, from
+    // a stable-end label filter, and as the base when no path has two
+    // hops; a filter on the moving end, or the stable column second, keeps
+    // the fixpoint semi-naive. Each is checked against `eval_path` at DOP
+    // 1, 2 and 7, and the census shows every shape was planned.
+    let mut census = std::collections::BTreeMap::<&str, usize>::new();
+    for seed in 0..48u64 {
+        let db = closure_db(seed);
+        let store = RelStore::load(&db);
+        let s = &store.symbols;
+        let (v0, v1, m) = (s.col("v0"), s.col("v1"), s.col("m"));
+        let a = db.edge_label_id("a").unwrap();
+        let translated = |path: &str| {
+            let expr = sgq_algebra::parser::parse_path(path, &db).unwrap();
+            path_to_term(&expr, v0, v1, &mut NameGen::new(&store.symbols))
+        };
+        let in_n = |t: RaTerm| {
+            let labels = vec![db.node_label_id("N").unwrap()];
+            RaTerm::semijoin(t, RaTerm::NodeScan { labels, col: v0 })
+        };
+        // µX. a(v0,v1) ∪ π(a(v0,m) ⋈ X(m,v1)): the stable column second.
+        let var = s.recvar("X");
+        let step = RaTerm::join(
+            RaTerm::edge_scan(a, v0, m),
+            RaTerm::RecRef {
+                var,
+                cols: vec![m, v1],
+            },
+        );
+        let stable_second = RaTerm::Fixpoint {
+            var,
+            base: Box::new(RaTerm::edge_scan(a, v0, v1)),
+            step: Box::new(RaTerm::project(step, vec![v0, v1])),
+            stable: vec![v1],
+        };
+        // µX. (a ⋉ N(v1)) ∪ π(X(v0,m) ⋈ a(m,v1)): a first hop into N,
+        // then any a path.
+        let step = RaTerm::join(
+            RaTerm::RecRef {
+                var,
+                cols: vec![v0, m],
+            },
+            RaTerm::edge_scan(a, m, v1),
+        );
+        let n_label = vec![db.node_label_id("N").unwrap()];
+        let into_n = RaTerm::semijoin(
+            RaTerm::edge_scan(a, v0, v1),
+            RaTerm::NodeScan {
+                labels: n_label,
+                col: v1,
+            },
+        );
+        let moving_filtered = RaTerm::Fixpoint {
+            var,
+            base: Box::new(into_n),
+            step: Box::new(RaTerm::project(step, vec![v0, v1])),
+            stable: vec![v0],
+        };
+        let is_n = |n: u32| db.node_label_name(db.node_label(sgq_common::NodeId::new(n))) == "N";
+        let plus = closure_pairs(&db, "a+");
+        let mut first_into_n = Vec::new();
+        for (s, x) in closure_pairs(&db, "a")
+            .into_iter()
+            .filter(|&(_, x)| is_n(x))
+        {
+            first_into_n.push((s, x));
+            first_into_n.extend(plus.iter().filter(|p| p.0 == x).map(|&(_, t)| (s, t)));
+        }
+        first_into_n.sort_unstable();
+        first_into_n.dedup();
+        let labelled = |path| {
+            let mut pairs = closure_pairs(&db, path);
+            pairs.retain(|&(s, _)| is_n(s));
+            pairs
+        };
+        let cases = [
+            (translated("a+"), closure_pairs(&db, "a+")),
+            (translated("-a+"), closure_pairs(&db, "-a+")),
+            (stable_second, closure_pairs(&db, "a+")),
+            (in_n(translated("a+")), labelled("a+")),
+            (in_n(translated("-a+")), labelled("-a+")),
+            (translated("c+"), closure_pairs(&db, "c+")),
+            (moving_filtered, first_into_n),
+        ];
+        for (term, want) in cases {
+            let p = plan(&optimize(&term, &store), &store).unwrap();
+            let mut strategy = None;
+            let mut stack = vec![&p];
+            while let Some(n) = stack.pop() {
+                strategy = strategy.or(n.op.fixpoint_strategy());
+                stack.extend(n.children());
+            }
+            *census.entry(strategy.expect("a fixpoint")).or_default() += 1;
+            for dop in [1, 2, 7] {
+                let mut ctx = ExecContext::new();
+                (ctx.dop, ctx.parallel_threshold, ctx.morsel_rows) = (dop, 1, 2);
+                let got = execute_plan(&p, &store, &mut ctx).unwrap();
+                assert_eq!(
+                    head_pairs(&got, &store),
+                    want,
+                    "seed {seed}, dop {dop}: {term:?}"
+                );
+            }
+        }
+    }
+    for shape in [
+        "forward",
+        "reverse",
+        "stable-end filtered",
+        "no two-hop base",
+    ] {
+        assert!(
+            census.get(shape).is_some_and(|&n| n > 0),
+            "no {shape} kernel: {census:?}"
+        );
     }
 }
