@@ -20,7 +20,7 @@ use std::cell::Cell;
 use sgq_algebra::ast::PathExpr;
 use sgq_algebra::eval::PairSet;
 use sgq_common::{sorted, FxHashMap, Limits, NodeId, Result};
-use sgq_graph::closure::{self, Closure};
+use sgq_graph::closure::{self, Closure, Runs};
 
 use crate::backend::GraphEngine;
 
@@ -244,27 +244,23 @@ fn closure(eng: &GraphEngine<'_>, step: &PathExpr, seeds: Seeds<'_>) -> Result<P
     };
     // The step's pairs keyed by the walk's side: the rows of a composite
     // step, the starts of an unseeded closure.
-    let (keys, targets): (Vec<NodeId>, Vec<NodeId>) = match (csr, seeds.sources.or(seeds.targets)) {
-        (Some(_), Some(_)) => Default::default(),
+    let runs = match (csr, seeds.sources.or(seeds.targets)) {
+        (Some(_), Some(_)) => Runs::default(),
         _ => {
             let mut pairs = eval_seeded(eng, step, Seeds::none())?;
             if backward {
                 flip(&mut pairs);
             }
-            pairs.into_iter().unzip()
+            Runs::of_sorted(pairs)
         }
     };
     let row = |n: NodeId| match csr {
         Some(csr) => csr.neighbors(n),
-        None => {
-            let lo = keys.partition_point(|&k| k < n);
-            &targets[lo..lo + keys[lo..].partition_point(|&k| k == n)]
-        }
+        None => runs.row(n),
     };
     let mut unseeded = Vec::new();
     let starts = seeds.sources.or(seeds.targets).unwrap_or_else(|| {
-        unseeded = keys.clone();
-        unseeded.dedup();
+        unseeded = runs.starts();
         &unseeded
     });
     let scratch = &mut eng.scratch.borrow_mut();

@@ -7,7 +7,8 @@
 //! order, so the output needs no global sort. Extra memory is O(reached):
 //! no reach set is kept for a component without a start (a chain would
 //! make that quadratic), and the node marks live in a [`Scratch`] that is
-//! valid by epoch, so no call clears it.
+//! valid by epoch, so no call clears it. A step with no CSR of its own
+//! gives its rows as [`Runs`] of its sorted pairs.
 
 use sgq_common::{Limits, NodeId, Result};
 
@@ -147,6 +148,36 @@ pub fn closure<'a>(
     }
     limits.record(unrecorded, 2)?;
     Ok(out)
+}
+
+/// A step's sorted, distinct `(from, to)` pairs as rows: `n`'s row is the
+/// `to` of its binary-searched run — how both backends walk a step that is
+/// not one edge label.
+#[derive(Debug, Default)]
+pub struct Runs {
+    from: Vec<NodeId>,
+    to: Vec<NodeId>,
+}
+
+impl Runs {
+    /// The runs of `pairs`, sorted and distinct.
+    pub fn of_sorted(pairs: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
+        let (from, to) = pairs.into_iter().unzip();
+        Runs { from, to }
+    }
+
+    /// `n`'s successors, sorted.
+    pub fn row(&self, n: NodeId) -> &[NodeId] {
+        let lo = self.from.partition_point(|&k| k < n);
+        &self.to[lo..lo + self.from[lo..].partition_point(|&k| k == n)]
+    }
+
+    /// The nodes with a successor, sorted: an unseeded closure's starts.
+    pub fn starts(&self) -> Vec<NodeId> {
+        let mut starts = self.from.clone();
+        starts.dedup();
+        starts
+    }
 }
 
 /// Tarjan's algorithm, iterative, over what `roots` reach: the component

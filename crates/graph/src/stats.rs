@@ -19,8 +19,8 @@
 //! * a per-edge-label **transitive-closure depth bound**
 //!   ([`GraphStats::closure_depth`]): the longest chain through the label
 //!   subgraph's SCC condensation, counting each SCC at its node count. This
-//!   bounds the number of semi-naive fixpoint rounds a closure over that
-//!   label can take and replaces the cost model's constant growth factor;
+//!   bounds the length of the shortest paths a closure over that label
+//!   composes and replaces the cost model's constant growth factor;
 //! * per edge label, whether any node both sources and targets one of its
 //!   edges ([`GraphStats::has_two_hop`]): if none does, `l∘l = ∅` and
 //!   `l+ = l`.
@@ -218,11 +218,11 @@ impl GraphStats {
         self.distinct_targets.get(le.index()).copied().unwrap_or(0)
     }
 
-    /// Semi-naive closure depth bound for `le`: the longest chain through
-    /// the SCC condensation of the label's subgraph, counting each SCC at
-    /// its node count — an upper bound on the number of edges on any
-    /// shortest `le`-path, and therefore on the rounds the semi-naive
-    /// fixpoint `le+` runs. 0 for labels with no edges.
+    /// Closure depth bound for `le`: the longest chain through the SCC
+    /// condensation of the label's subgraph, counting each SCC at its node
+    /// count — an upper bound on the number of edges on any shortest
+    /// `le`-path, and therefore on the frontier rounds of any walk of
+    /// `le+`. 0 for labels with no edges.
     pub fn closure_depth(&self, le: EdgeLabelId) -> usize {
         self.closure_depths.get(le.index()).copied().unwrap_or(0)
     }

@@ -632,8 +632,8 @@ fn check_against_analyze(trace: &QueryTrace, analyze: &str, label: &str) {
         .unwrap_or_else(|| panic!("{label}: analyze json is not an array"));
     assert!(!trace.ops.is_empty(), "{label}: no operator spans");
     for op in &trace.ops {
-        // A node evaluated several times (fixpoint rounds) has one span
-        // per evaluation; `actual_rows` is their sum.
+        // A node has one span per evaluation; `actual_rows` is their
+        // sum.
         let actual = nodes
             .iter()
             .find(|n| n.get("id").and_then(JsonValue::as_u64) == Some(op.node as u64))
@@ -808,6 +808,7 @@ fn observe(cats: &Catalogs, gate: bool) -> String {
 mod tests {
     use super::*;
     use crate::replay::Scale;
+    use sgq_ra::Step;
     use std::collections::{BTreeMap, BTreeSet};
 
     /// Every CI gate, armed, over one set of catalogs: the datasets are
@@ -824,8 +825,10 @@ mod tests {
                     "Index Join on isLocatedIn",
                     "Merge Join (key = x)",
                     "Hash Join (build = left, key = y)",
-                    "Recursive Fixpoint",
+                    "Recursive Fixpoint µX (closure kernel on the forward CSR of isLocatedIn+)",
+                    "Recursive Fixpoint µX (closure kernel on the sorted pairs of its step)",
                     "0 hash builds with the CSR index",
+                    "(owns|isLocatedIn)+ on the sorted pairs of its step, 1 round:",
                     "planning a CSR Index Join",
                 ],
                 "chaos" => &[
@@ -846,14 +849,15 @@ mod tests {
         assert!(run("nonsense", &cats, &params, true).is_none());
     }
 
-    /// ROADMAP 18(a): every fixpoint the relational backend plans for
-    /// either catalog and approach at the benchmark's sizes, by strategy.
-    /// Every one-label closure runs the closure kernel — `knows+` and
-    /// `influences+`, the heavy statements', among them — and only the
-    /// composite steps of IC14 and BI20 stay semi-naive.
+    /// ROADMAP 18(a), 25(a): every fixpoint the relational backend plans
+    /// for either catalog and approach at the benchmark's sizes, by
+    /// strategy. Every one runs the closure kernel: each one-label closure
+    /// on its CSR — `knows+` and `influences+`, the heavy statements',
+    /// among them — and the composite steps of IC14 and BI20 on their
+    /// pairs.
     #[test]
-    fn one_label_fixpoints_run_the_closure_kernel() {
-        let (mut census, mut semi_naive) = (BTreeMap::new(), BTreeSet::new());
+    fn every_fixpoint_runs_the_closure_kernel() {
+        let (mut census, mut composite) = (BTreeMap::new(), BTreeSet::new());
         let mut kernel = BTreeSet::new();
         for cat in [Catalog::ldbc(0.3), Catalog::yago(0.1)] {
             let store = cat.store();
@@ -876,11 +880,14 @@ mod tests {
                         };
                         *census.entry(strategy).or_insert(0) += 1;
                         match &n.op {
-                            PhysOp::Closure { label, .. } => {
+                            PhysOp::Closure {
+                                step: Step::Csr { label, .. },
+                                ..
+                            } => {
                                 let label = cat.db.edge_label_name(*label).to_string();
                                 kernel.insert((cat.name, q.name, label));
                             }
-                            _ => _ = semi_naive.insert(q.name),
+                            _ => _ = composite.insert(q.name),
                         }
                     }
                 }
@@ -891,13 +898,13 @@ mod tests {
             "reverse",
             "stable-end filtered",
             "no two-hop base",
-            "semi-naive",
+            "composite",
         ];
         assert_eq!(
             census.keys().copied().collect::<BTreeSet<_>>(),
             strategies.into()
         );
-        assert_eq!(semi_naive, ["BI20", "IC14"].into(), "{census:?}");
+        assert_eq!(composite, ["BI20", "IC14"].into(), "{census:?}");
         let heavy = [
             ("LDBC", "IC13", "knows"),
             ("LDBC", "Y1", "knows"),

@@ -7,10 +7,9 @@
 //!   or a harness experiment through a [`QueryTraceBuilder`].
 //! * [`OpSpan`] — one **operator evaluation** inside the relational
 //!   executor, recorded by an [`OpTraceBuilder`] that the interpreter
-//!   drives from its existing materialisation points. A node evaluated
-//!   several times (a `RecRef` under a fixpoint, say) gets one span per
-//!   evaluation; summing `rows` per node reproduces the `explain_analyze`
-//!   actuals exactly.
+//!   drives from its existing materialisation points: one span per
+//!   evaluation (a shared node's reused occurrences get none), so summing
+//!   `rows` per node reproduces the `explain_analyze` actuals exactly.
 //!
 //! All timestamps are microseconds relative to a [`TraceClock`] epoch, so
 //! spans from the service worker and from the executor share one timeline
@@ -140,8 +139,7 @@ pub struct OpSpan {
     pub self_us: u64,
     /// The planner's row estimate for the node.
     pub est_rows: f64,
-    /// Rows materialised by this evaluation (a fixpoint `RecRef` span
-    /// carries that round's delta).
+    /// Rows materialised by this evaluation.
     pub rows: usize,
 }
 

@@ -385,11 +385,6 @@ impl Summary {
             cost: self.st + self.dy,
         }
     }
-
-    /// Growth multiplier of a fixpoint iterating over this subtree.
-    pub(crate) fn growth(&self) -> f64 {
-        fixpoint_growth(self.depth)
-    }
 }
 
 #[cfg(test)]
@@ -613,8 +608,8 @@ impl<'a> Estimator<'a> {
                     })
                     .collect();
                 let card = Card { rows, distinct }.cap_distinct();
-                // The static step cost is paid once (the physical executor
-                // caches those intermediates across rounds); only the
+                // The static step cost is paid once (the executor
+                // evaluates a closure's step once); only the
                 // delta-dependent part multiplies with the iteration
                 // count. The whole closure is as dynamic as its base.
                 let total = base.st + base.dy + step.st + step.dy * growth + rows;
@@ -788,7 +783,7 @@ mod tests {
             s.col("y"),
             s.col("m"),
         );
-        assert_eq!(root(&f, &store).growth(), 2.0);
+        assert_eq!(fixpoint_growth(root(&f, &store).depth), 2.0);
         assert_eq!(estimate(&f, &store).rows, 8.0);
         // owns: a single 2-node edge cannot compose — the closure is its
         // base, and the estimate says so.
@@ -799,7 +794,7 @@ mod tests {
             s.col("y"),
             s.col("m"),
         );
-        assert_eq!(root(&f, &store).growth(), 1.0);
+        assert_eq!(fixpoint_growth(root(&f, &store).depth), 1.0);
         assert_eq!(estimate(&f, &store).rows, 1.0);
     }
 
@@ -876,7 +871,7 @@ mod tests {
         let (RaTerm::Fixpoint { base, step, .. },) = (&f,) else {
             panic!()
         };
-        let growth = root(&f, &store).growth();
+        let growth = fixpoint_growth(root(&f, &store).depth);
         let eb = estimate(base, &store);
         let es = bound(&store, var, eb.rows, step).estimate();
         let e_fix = estimate(&f, &store);

@@ -12,21 +12,19 @@
 //! * `rows_materialized` counts every materialised row exactly once —
 //!   which includes *not* counting what is never materialised: renames
 //!   are zero-copy, fused filtered scans materialise only the surviving
-//!   rows, a cached node counts (and is charged, traced and fed back)
+//!   rows, a shared node counts (and is charged, traced and fed back)
 //!   where it is computed, not where it is reused, and a join fused into
 //!   its projection counts its emit buffer — the projected columns of
 //!   every match, before dedup — as the join's rows.
 //!
-//! **One node cache per execution**, keyed by plan-node id, serves both
-//! kinds of reuse. A shared node ([`PhysPlan::parents`] above 1) is
-//! computed once and dropped after its last parent read it. A one-label
-//! fixpoint ([`PhysOp::Closure`]) is one closure-kernel run; the others
-//! run semi-naively against the pre-planned step; every maximal static
-//! subtree of a step is computed in the first round and dropped when the
-//! fixpoint finishes, and a static hash build side is kept as its *built*
-//! [`KeyMap`] (row ids, or `()` for a semi-join's key set), so later
-//! rounds only probe with the delta. Index joins probe the store's
-//! load-time CSR lists directly: nothing to build, in any round.
+//! **One node cache per execution**, keyed by plan-node id, of shared
+//! relations: a shared node ([`PhysPlan::parents`] above 1) is computed
+//! once and dropped after its last parent read it. Every fixpoint
+//! ([`PhysOp::Closure`]) is one closure-kernel run: over its label's
+//! load-time CSR, or over the pairs of its step, evaluated once (and,
+//! when the base is the step unfiltered, read from the cache). Index
+//! joins probe the store's load-time CSR lists directly: nothing to
+//! build.
 //!
 //! **One kernel per probe-side operator.** The probe side of a hash or
 //! index join is one *kernel*, and so is every filter that is not a
@@ -44,13 +42,11 @@
 //! [`ExecContext::parallel_threshold`], once per morsel (see
 //! [`mod@crate::parallel`]) on the scheduler, combining the runs by the
 //! operator's `Combine` rule, so a parallel run is bit-identical to
-//! the inline one. Inside a fixpoint this means each round's delta probe
-//! parallelises against the round-cached static build sides for free.
-//! Every poll, every record and every fault site goes through the
-//! execution's [`Limits`] — the same contract the graph engine runs
-//! under: the deadline, the row and memory budgets as shared atomics, and
-//! a cancel flag the first morsel to breach trips for its siblings,
-//! bounding overshoot to about one in-flight morsel per worker.
+//! the inline one. Every poll, every record and every fault site goes
+//! through the execution's [`Limits`] — the same contract the graph
+//! engine runs under: the deadline, the row and memory budgets as shared
+//! atomics, and a cancel flag the first morsel to breach trips for its
+//! siblings, bounding overshoot to about one in-flight morsel per worker.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,14 +54,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sgq_common::limits::{is_cancelled, Limits};
-use sgq_common::{ColId, FaultPlan, FxHashMap, NodeId, QueryBudget, RecVarId, Result, SgqError};
-use sgq_graph::closure::{closure, Scratch};
+use sgq_common::{ColId, FaultPlan, FxHashMap, NodeId, QueryBudget, Result};
+use sgq_graph::closure::{closure, Runs, Scratch};
 use sgq_graph::Csr;
 use sgq_obs::{OpSpan, OpTraceBuilder, TraceClock};
 
 use crate::parallel::{self, TaskScheduler};
-use crate::plan::{plan, PhysOp, PhysPlan};
-use crate::table::{normalize_flat, KeyMap, Relation, POLL_MASK};
+use crate::plan::{plan, PhysOp, PhysPlan, Step};
+use crate::table::{normalize_flat, KeyMap, KeyValue, Relation, POLL_MASK};
 use crate::term::RaTerm;
 
 /// Execution context: a cooperative deadline, work counters, and the
@@ -77,18 +73,17 @@ pub struct ExecContext {
     /// Reported timeout budget in milliseconds.
     pub limit_ms: u64,
     /// Total rows materialised by all operators, shared with parallel
-    /// morsel workers (each materialised row is counted exactly once;
-    /// cached fixpoint intermediates count in the round that computes
-    /// them). Read it through [`ExecContext::rows_materialized`].
+    /// morsel workers (each materialised row is counted exactly once; a
+    /// shared node's where it is computed). Read it through
+    /// [`ExecContext::rows_materialized`].
     rows: Arc<AtomicUsize>,
-    /// Fixpoint rounds run: each semi-naive round, and one per
-    /// evaluation of a closure-kernel fixpoint.
+    /// Fixpoint evaluations: one closure-kernel run each.
     pub fixpoint_rounds: usize,
     /// Abort once this many rows have been materialised (0 = unlimited).
     pub max_rows: usize,
     /// Hash tables and semi-join key sets built.
     pub hash_builds: usize,
-    /// Node-cache hits (a shared node, or a fixpoint's static input or build side, reused).
+    /// Node-cache hits: a shared node's result reused.
     pub cache_hits: usize,
     /// Degree of parallelism: how many morsels of one operator may run
     /// concurrently. 1 (the default) keeps execution fully serial with
@@ -153,7 +148,9 @@ impl ExecContext {
         Self::default()
     }
 
-    /// A context aborting with [`SgqError::Timeout`] after `limit_ms`.
+    /// A context aborting with
+    /// [`SgqError::Timeout`](sgq_common::SgqError::Timeout) after
+    /// `limit_ms`.
     pub fn with_timeout(limit_ms: u64) -> Self {
         ExecContext {
             deadline: Some(Instant::now() + std::time::Duration::from_millis(limit_ms)),
@@ -247,8 +244,6 @@ pub fn execute_plan(
         ctx,
         ops: None,
         cache: FxHashMap::default(),
-        scope: None,
-        env: FxHashMap::default(),
         scratch: Scratch::new(store.stats.node_count),
     }
     .eval(p)
@@ -262,11 +257,10 @@ pub fn execute_plan(
 /// explain path and the tracer can never disagree.
 #[derive(Debug, Clone)]
 pub struct ExecTrace {
-    /// Total rows each operator produced (summed over fixpoint rounds).
+    /// Total rows each operator produced.
     pub actuals: Vec<usize>,
     /// One span per operator evaluation: kind, est vs actual rows,
-    /// inclusive and self time (a fixpoint's `RecRef` gets one span per
-    /// round, carrying that round's delta).
+    /// inclusive and self time.
     pub spans: Vec<OpSpan>,
 }
 
@@ -294,29 +288,11 @@ pub fn execute_plan_traced_at(
         ctx,
         ops: Some(OpTraceBuilder::new(p.node_count(), clock)),
         cache: FxHashMap::default(),
-        scope: None,
-        env: FxHashMap::default(),
         scratch: Scratch::new(store.stats.node_count),
     };
     let rel = interp.eval(p)?;
     let (actuals, spans) = interp.ops.take().expect("tracing was enabled").finish();
     Ok((rel, ExecTrace { actuals, spans }))
-}
-
-/// A node result held in the execution's node cache. Clones are
-/// reference bumps.
-#[derive(Clone)]
-enum Cached {
-    /// A static subtree's full result.
-    Rel(Relation),
-    /// A static hash-join build side: the relation and its hash table
-    /// (`Arc`-shared so parallel morsel workers probe it read-only).
-    Build {
-        rel: Relation,
-        index: Arc<KeyMap<Vec<u32>>>,
-    },
-    /// A static semi-join filter's key set, shared the same way.
-    Keys(Arc<KeyMap<()>>),
 }
 
 struct Interp<'a> {
@@ -327,47 +303,26 @@ struct Interp<'a> {
     /// Per-operator span recorder; `None` on the untraced path, where
     /// the only cost left is this `Option` check per operator.
     ops: Option<OpTraceBuilder>,
-    /// The one node cache of this execution, keyed by plan-node id:
-    /// shared nodes, and the static inputs and build sides of fixpoint
-    /// steps. Each entry holds the reads a shared node still awaits (the
-    /// last drops it) and the fixpoint, by node id, it lives until — the
-    /// one whose step created it or took its last counted read.
-    cache: FxHashMap<u32, (Cached, u32, Option<u32>)>,
-    /// The fixpoint whose step is being evaluated — `None` outside steps
-    /// and below a node being cached (its inputs are read once).
-    scope: Option<u32>,
-    /// Each running fixpoint's current delta, by recursion variable: run
-    /// state of this execution, gone with it however it ends.
-    env: FxHashMap<RecVarId, Relation>,
+    /// The one node cache of this execution, keyed by plan-node id: each
+    /// shared node's result and the reads it still awaits (the last drops
+    /// it).
+    cache: FxHashMap<u32, (Relation, u32)>,
     /// The closure kernel's node marks, allocated by its first run and
     /// reused by every later one of this execution.
     scratch: Scratch,
 }
 
 impl Interp<'_> {
-    /// Reads node `id`'s cache entry, counting the hit. The last counted
-    /// read of a shared node's entry drops it — or, inside a fixpoint
-    /// step, hands it to that fixpoint, since every round reads it again.
-    fn hit(&mut self, id: u32) -> Option<Cached> {
-        let (value, reads_left, scope) = self.cache.get_mut(&id)?;
+    /// Reads node `id`'s cache entry, counting the hit; the last read
+    /// drops it.
+    fn hit(&mut self, id: u32) -> Option<Relation> {
+        let (value, reads_left) = self.cache.get_mut(&id)?;
         self.ctx.cache_hits += 1;
-        if scope.is_none() {
-            *reads_left -= 1;
-            if *reads_left == 0 {
-                if self.scope.is_none() {
-                    return self.cache.remove(&id).map(|e| e.0);
-                }
-                *scope = self.scope;
-            }
+        *reads_left -= 1;
+        if *reads_left == 0 {
+            return self.cache.remove(&id).map(|e| e.0);
         }
         Some(value.clone())
-    }
-
-    /// Caches node `p`'s result: for its other parents when shared, for
-    /// the enclosing fixpoint's later rounds inside a step.
-    fn keep(&mut self, p: &PhysPlan, value: Cached) {
-        self.cache
-            .insert(p.id, (value, p.parents() - 1, self.scope));
     }
 
     /// Evaluates operator `p` through `op`, which returns `p`'s own rows
@@ -394,26 +349,18 @@ impl Interp<'_> {
 
     fn eval(&mut self, p: &PhysPlan) -> Result<Relation> {
         self.limits.poll()?;
-        // A shared node, and a maximal static subtree inside a fixpoint
-        // step, is computed once — with step caching off below it, as its
-        // inputs are read once — and then read from the cache. (Dynamic
-        // hash joins and semi-joins additionally cache their static build
-        // sides below.)
-        let cached = p.is_static() && (p.parents() > 1 || self.scope.is_some());
-        if let Some(Cached::Rel(r)) = cached.then(|| self.hit(p.id)).flatten() {
+        // A shared node is computed once and then read from the cache.
+        let shared = p.parents() > 1;
+        if let Some(r) = shared.then(|| self.hit(p.id)).flatten() {
             // Not re-traced or re-recorded: "actual" rows
             // count the evaluation that computed the result. A shared
             // node's other occurrences name their columns differently,
             // and the rename is positional and zero-copy.
             return Ok(r.into_cols(p.cols.clone()));
         }
-        let scope = self.scope;
-        self.scope = scope.filter(|_| !cached);
-        let out = self.run_op(p, |s| s.eval_op(p).map(|out| (out.len(), out)));
-        self.scope = scope;
-        let out = out?;
-        if cached {
-            self.keep(p, Cached::Rel(out.clone()));
+        let out = self.run_op(p, |s| s.eval_op(p).map(|out| (out.len(), out)))?;
+        if shared {
+            self.cache.insert(p.id, (out.clone(), p.parents() - 1));
         }
         Ok(out)
     }
@@ -490,9 +437,8 @@ impl Interp<'_> {
             // A projection that is a hash or index join's only reader:
             // the join runs as itself (polled, traced, recorded)
             // with its kernel emitting the projected columns, so the wide
-            // join output is never built. Such a join is never cached on
-            // its own: it is static only when its projection is, and the
-            // projection is what a shared node or a step caches.
+            // join output is never built. Such a join is never shared:
+            // its projection is its only reader.
             PhysOp::Project { input } if fuses_its_join(p) => {
                 self.limits.poll()?;
                 self.run_op(input, |s| s.join(input, &p.cols))?
@@ -505,70 +451,36 @@ impl Interp<'_> {
                 let rel = self.eval(input)?;
                 return Ok(rel.into_cols(p.cols.clone()));
             }
-            PhysOp::Fixpoint { var, base, step } => {
-                // Semi-naive: the step is linear in the recursion
-                // variable, so each round only extends from the newly
-                // discovered delta.
-                let base_rel = self.eval(base)?;
-                let cols = base_rel.cols().to_vec();
-                let mut acc = base_rel.clone();
-                let mut delta = base_rel;
-                let (outer, scope) = (self.scope, Some(p.id));
-                while !delta.is_empty() {
-                    self.limits.poll()?;
-                    self.limits.fault("exec.fixpoint_round")?;
-                    self.ctx.fixpoint_rounds += 1;
-                    self.env.insert(*var, delta);
-                    self.scope = scope;
-                    let stepped = self.eval(step);
-                    self.scope = outer;
-                    let stepped = stepped?;
-                    self.env.remove(var);
-                    // Align schema positionally (projections inside the
-                    // step produce the fixpoint's columns).
-                    let stepped = if stepped.cols() == cols.as_slice() {
-                        stepped
-                    } else {
-                        stepped.into_cols(cols.clone())
-                    };
-                    let fresh = stepped.difference(&acc);
-                    self.limits.record(fresh.len(), fresh.arity())?;
-                    acc = acc.union(&fresh);
-                    delta = fresh;
-                }
-                self.cache.retain(|_, e| e.2 != Some(p.id));
-                // Accumulated rows were recorded delta by delta; skip the
-                // generic record below to count each row exactly once.
-                return Ok(acc);
-            }
-            PhysOp::Closure {
-                base,
-                label,
-                forward,
-                two_hop,
-                ..
-            } => {
+            PhysOp::Closure { base, step, .. } => {
                 let base = self.eval(base)?.into_cols(p.cols.clone());
+                let (csr, pairs) = match *step {
+                    Step::Csr {
+                        label,
+                        forward,
+                        two_hop,
+                    } => (self.csr(label, forward).filter(|_| two_hop), None),
+                    Step::Pairs(ref pairs) => (None, Some(self.eval(pairs)?)),
+                };
                 self.limits.fault("exec.fixpoint_round")?;
                 self.ctx.fixpoint_rounds += 1;
                 // No two-hop path: `l+ = l`, the base (shared, recorded).
-                let Some(csr) = self.csr(*label, *forward).filter(|_| *two_hop) else {
+                if csr.is_none() && pairs.is_none() {
                     return Ok(base);
+                }
+                let pair = |r: &[u32]| (NodeId::new(r[0]), NodeId::new(r[1]));
+                let runs = Runs::of_sorted(pairs.iter().flat_map(Relation::rows).map(pair));
+                let row = |n| match &csr {
+                    Some(csr) => csr.neighbors(n),
+                    None => runs.row(n),
                 };
                 // From the distinct stable (first) values, the kernel's
                 // canonical `(start, reached)` pairs are the rows.
                 let mut starts: Vec<NodeId> = base.rows().map(|r| NodeId::new(r[0])).collect();
                 starts.dedup();
-                let (row, site) = (|n| csr.neighbors(n), "exec.fixpoint_round");
+                let site = "exec.fixpoint_round";
                 let run = closure(row, &starts, &self.limits, site, &mut self.scratch)?;
                 let flat = run.pairs.iter().flat_map(|&(s, t)| [s.raw(), t.raw()]);
                 return Ok(Relation::from_flat_sorted(p.cols.clone(), flat.collect()));
-            }
-            PhysOp::RecRef { var } => {
-                let rel = self.env.get(var).ok_or_else(|| {
-                    SgqError::Execution(format!("unbound recursion variable {var}"))
-                })?;
-                rel.with_cols(p.cols.clone())
             }
         };
         self.limits.record(out.len(), out.arity())?;
@@ -693,13 +605,7 @@ impl Interp<'_> {
                 let key_pos = positions(&probe_plan.cols, key);
                 let build_key_pos = positions(&build_plan.cols, key);
                 let layout = emit_layout(emit, &probe_plan.cols, &build_plan.cols);
-                let built = self.build_side(j, build_plan, |rel, limits| {
-                    let index = Arc::new(KeyMap::build(&rel, &build_key_pos, limits)?);
-                    Ok(Cached::Build { rel, index })
-                })?;
-                let Cached::Build { rel: build, index } = built else {
-                    unreachable!("a hash join's cache slot holds its build side")
-                };
+                let (build, index) = self.build_side::<Vec<u32>>(build_plan, &build_key_pos)?;
                 let len = probe.len();
                 let kernel = move |range: Range<usize>, limits: &Limits| {
                     let mut data: Vec<u32> = Vec::new();
@@ -777,35 +683,22 @@ impl Interp<'_> {
         }
     }
 
-    /// The build half of hash (semi-)join `p`: evaluates `side` and keys
-    /// it with `build` — or, for a static side inside a fixpoint, hands
-    /// back what the first round built, so every later round only probes.
-    fn build_side(
+    /// The build half of a hash (semi-)join: evaluates `side` and keys its
+    /// rows on the columns at `key`.
+    fn build_side<V: KeyValue>(
         &mut self,
-        p: &PhysPlan,
         side: &PhysPlan,
-        build: impl FnOnce(Relation, &Limits) -> Result<Cached>,
-    ) -> Result<Cached> {
-        let cached = self.scope.is_some() && side.is_static();
-        if let Some(hit) = cached.then(|| self.hit(p.id)).flatten() {
-            return Ok(hit);
-        }
-        let scope = self.scope;
-        self.scope = scope.filter(|_| !cached);
-        let rel = self.eval(side);
-        self.scope = scope;
-        let rel = rel?;
+        key: &[usize],
+    ) -> Result<(Relation, KeyMap<V>)> {
+        let rel = self.eval(side)?;
         self.limits.fault("exec.hash_build")?;
-        let built = build(rel, &self.limits)?;
+        let index = KeyMap::build(&rel, key, &self.limits)?;
         self.ctx.hash_builds += 1;
-        if cached {
-            self.keep(p, built.clone());
-        }
-        Ok(built)
+        Ok((rel, index))
     }
 
-    /// Filters `left` (whose schema is `p`'s) by a (possibly cached) key
-    /// set collected from `filter` on the `key` columns.
+    /// Filters `left` (whose schema is `p`'s) by a key set collected from
+    /// `filter` on the `key` columns.
     fn hash_semi_filter(
         &mut self,
         p: &PhysPlan,
@@ -815,13 +708,7 @@ impl Interp<'_> {
     ) -> Result<Relation> {
         let key_pos = positions(left.cols(), key);
         let filter_key_pos = positions(&filter.cols, key);
-        let built = self.build_side(p, filter, |rel, limits| {
-            let keys = KeyMap::build(&rel, &filter_key_pos, limits)?;
-            Ok(Cached::Keys(Arc::new(keys)))
-        })?;
-        let Cached::Keys(keys) = built else {
-            unreachable!("a hash semi-join's cache slot holds its key set")
-        };
+        let (_, keys) = self.build_side::<()>(filter, &filter_key_pos)?;
         self.filter_rows(p, left, move |row| keys.get(row, &key_pos).is_some())
     }
 
@@ -904,6 +791,7 @@ mod tests {
     use super::*;
     use crate::storage::RelStore;
     use crate::term::closure_fixpoint;
+    use sgq_common::SgqError;
     use sgq_graph::database::fig2_yago_database;
 
     fn store() -> (sgq_graph::GraphDatabase, RelStore) {
@@ -988,7 +876,8 @@ mod tests {
 
     #[test]
     fn fixpoint_transitive_closure() {
-        // A union step: semi-naive (a one-label step runs the kernel).
+        // A union step: the kernel walks its pairs (a one-label step, its
+        // CSR).
         let (db, store) = store();
         let s = &store.symbols;
         let f = closure_fixpoint(
@@ -1002,7 +891,7 @@ mod tests {
             s.col("m"),
         );
         let p = plan(&f, &store).unwrap();
-        assert_eq!(p.op.fixpoint_strategy(), Some("semi-naive"));
+        assert_eq!(p.op.fixpoint_strategy(), Some("composite"));
         let mut ctx = ExecContext::new();
         let r = execute_plan(&p, &store, &mut ctx).unwrap();
         // must match the reference semantics of (owns|isLocatedIn)+
@@ -1013,7 +902,7 @@ mod tests {
         let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
         let want: Vec<(u32, u32)> = expect.iter().map(|&(s, t)| (s.raw(), t.raw())).collect();
         assert_eq!(got, want);
-        assert!(ctx.fixpoint_rounds >= 2);
+        assert_eq!(ctx.fixpoint_rounds, 1);
     }
 
     #[test]
@@ -1039,11 +928,11 @@ mod tests {
         // count nothing.
         //
         // `owns` has a single edge (n2 → n1) that composes with nothing,
-        // so the closure equals its base and one semi-naive round runs.
-        // Its base projected, the step hash-joins: base scan and
-        // projection (1 + 1 rows) + per-round RecRef (1) + the build
-        // side's scan and projection (1 + 1) + renames (0: zero-copy) +
-        // empty join/project/delta (0) = 5.
+        // so the closure equals its base. Its base projected, the kernel
+        // walks the step's pairs: base scan and projection (1 + 1 rows) +
+        // the step's scan and projection (1 + 1: a projected scan is not
+        // worth sharing) + its rename (0: zero-copy) + the kernel's one
+        // pair (1) = 5.
         let (db, store) = store();
         let s = &store.symbols;
         let f = closure_fixpoint(
@@ -1053,8 +942,10 @@ mod tests {
             s.col("y"),
             s.col("m"),
         );
+        let p = plan(&f, &store).unwrap();
+        assert_eq!(p.op.fixpoint_strategy(), Some("composite"));
         let mut ctx = ExecContext::new();
-        let r = execute(&f, &store, &mut ctx).unwrap();
+        let r = execute_plan(&p, &store, &mut ctx).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(ctx.rows_materialized(), 5);
     }
@@ -1065,32 +956,6 @@ mod tests {
         let expr = sgq_algebra::parser::parse_path(path, db).unwrap();
         let pairs = sgq_algebra::eval::eval_path(db, &expr).into_iter();
         pairs.map(|(s, t)| (s.raw(), t.raw())).collect()
-    }
-
-    #[test]
-    fn fixpoint_caches_static_build_sides() {
-        // The closure's step joins the delta against the static renamed
-        // projection: its hash table is built once, in the first of the
-        // three rounds, and read from the cache in the other two. (Over
-        // the bare scan no hash table is built at all; see
-        // `index_join_inside_fixpoint_builds_nothing`.)
-        let (db, store) = store();
-        let s = &store.symbols;
-        let f = closure_fixpoint(
-            s.recvar("X"),
-            projected(scan(&db, &store, "isLocatedIn", "x", "y")),
-            s.col("x"),
-            s.col("y"),
-            s.col("m"),
-        );
-        let p = plan(&f, &store).unwrap();
-        let mut ctx = ExecContext::new();
-        let r = execute_plan(&p, &store, &mut ctx).unwrap();
-        let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
-        assert_eq!(got, oracle(&db, "isLocatedIn+"));
-        assert_eq!(ctx.fixpoint_rounds, 3);
-        assert_eq!(ctx.hash_builds, 1, "built once, not once per round");
-        assert_eq!(ctx.cache_hits, 2);
     }
 
     #[test]
@@ -1181,44 +1046,33 @@ mod tests {
         assert!(r_index.is_empty(), "n1 is a PROPERTY, not a CITY");
     }
 
-    /// `µX. E(x,y) ∪ π_{x,y}(π_{x,n}(X(x,m) ⋈ E(m,n)) ⋈ E(n,y))` over
-    /// `edge(src, tgt)`: the odd-length `E` paths, through a two-join
-    /// step, which plans semi-naive.
-    fn two_join_closure(store: &RelStore, edge: impl Fn(&str, &str) -> RaTerm) -> RaTerm {
+    /// `(E/E)+` over `edge(src, tgt)`: a composite closure, whose step is
+    /// the two-hop join `π_{x,z}(edge(x,y) ⋈ edge(y,z))`, shared with the
+    /// base.
+    fn two_hop_closure(store: &RelStore, edge: impl Fn(&str, &str) -> RaTerm) -> RaTerm {
         let s = &store.symbols;
-        let var = s.recvar("X");
-        let rec = RaTerm::RecRef {
-            var,
-            cols: vec![s.col("x"), s.col("m")],
-        };
-        let first = RaTerm::join(rec, edge("m", "n"));
-        let first = RaTerm::project(first, vec![s.col("x"), s.col("n")]);
-        let step = RaTerm::join(first, edge("n", "y"));
-        RaTerm::Fixpoint {
-            var,
-            base: Box::new(edge("x", "y")),
-            step: Box::new(RaTerm::project(step, vec![s.col("x"), s.col("y")])),
-            stable: vec![s.col("x")],
-        }
+        let (x, z) = (s.col("x"), s.col("z"));
+        let two_hops = RaTerm::project(RaTerm::join(edge("x", "y"), edge("y", "z")), vec![x, z]);
+        closure_fixpoint(s.recvar("X"), two_hops, x, z, s.col("m"))
     }
 
     #[test]
     fn index_join_inside_fixpoint_builds_nothing() {
-        // The closure's two-join step joins each round's delta against
-        // the static isLocatedIn scan, twice. With index joins the "build
-        // side" is the CSR computed at load time: no hash table is ever
-        // built, in any round, and results match the hash + build-cache
-        // path of the closure over the projected scan exactly.
+        // The composite closure's step joins the isLocatedIn scan with
+        // itself. With an index join the "build side" is the CSR computed
+        // at load time: no hash table is ever built, and results match the
+        // hash-join step of the closure over projected scans exactly.
         let (db, store) = store();
         let located = |src: &str, tgt: &str| scan(&db, &store, "isLocatedIn", src, tgt);
         let closure = |projecting: bool| {
-            two_join_closure(&store, |src, tgt| match projecting {
+            two_hop_closure(&store, |src, tgt| match projecting {
                 true => projected(located(src, tgt)),
                 false => located(src, tgt),
             })
         };
         let f = closure(false);
         let p_index = plan(&f, &store).unwrap();
+        assert_eq!(p_index.op.fixpoint_strategy(), Some("composite"));
         assert!(
             p_index.contains_op(&|op| matches!(op, PhysOp::IndexJoin { .. })),
             "step probes the CSR: {p_index:?}"
@@ -1226,14 +1080,14 @@ mod tests {
         let mut ctx_index = ExecContext::new();
         let r_index = execute_plan(&p_index, &store, &mut ctx_index).unwrap();
         assert_eq!(ctx_index.hash_builds, 0, "no per-query build at all");
-        assert!(ctx_index.fixpoint_rounds >= 2, "closure iterates");
 
         let p_hash = plan(&closure(true), &store).unwrap();
         let mut ctx_hash = ExecContext::new();
         let r_hash = execute_plan(&p_hash, &store, &mut ctx_hash).unwrap();
         assert_eq!(r_index, r_hash, "index joins must not change results");
-        assert_eq!(ctx_index.fixpoint_rounds, ctx_hash.fixpoint_rounds);
-        assert!(ctx_hash.hash_builds > 0, "the hash step still builds");
+        let got: Vec<(u32, u32)> = r_index.rows().map(|row| (row[0], row[1])).collect();
+        assert_eq!(got, oracle(&db, "(isLocatedIn/isLocatedIn)+"));
+        assert_eq!(ctx_hash.hash_builds, 1, "the hash step builds once");
     }
 
     #[test]
@@ -1350,11 +1204,11 @@ mod tests {
     #[test]
     fn traced_spans_agree_with_actuals_bit_for_bit() {
         // The explain path and the tracer share one recording: summing
-        // span rows per node reproduces `actuals` exactly, fixpoint
-        // rounds and shared nodes included, and every span names a real
-        // operator kind.
+        // span rows per node reproduces `actuals` exactly, closures and
+        // shared nodes included, and every span names a real operator
+        // kind.
         let (db, store) = store();
-        let f = two_join_closure(&store, |src, tgt| {
+        let f = two_hop_closure(&store, |src, tgt| {
             scan(&db, &store, "isLocatedIn", src, tgt)
         });
         for t in [f, shared_union(&db, &store)] {
@@ -1362,10 +1216,7 @@ mod tests {
             let mut ctx = ExecContext::new();
             let (r, trace) = execute_plan_traced(&p, &store, &mut ctx).unwrap();
             assert!(!r.is_empty());
-            assert!(
-                ctx.fixpoint_rounds >= 2 || ctx.cache_hits == 1,
-                "iterates or shares"
-            );
+            assert_eq!(ctx.cache_hits, 1, "shares");
             assert_eq!(trace.actuals.len(), p.node_count());
             assert!(!trace.spans.is_empty());
             let mut per_node = vec![0usize; p.node_count()];
@@ -1445,8 +1296,8 @@ mod tests {
     #[test]
     fn a_closure_reads_its_shared_base_in_its_step() {
         // The step of `(isLocatedIn/isLocatedIn)+` repeats the base under
-        // a rename: computed once, before the first round, and read by
-        // the step's cached build side.
+        // a rename: computed once, for the base, and read from the cache
+        // for the kernel's walk over its pairs.
         let (db, store) = store();
         let s = &store.symbols;
         let two_hops = RaTerm::project(
@@ -1463,7 +1314,7 @@ mod tests {
         let r = execute_plan(&p, &store, &mut ctx).unwrap();
         let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
         assert_eq!(got, oracle(&db, "(isLocatedIn/isLocatedIn)+"));
-        assert!(ctx.cache_hits >= 1);
+        assert_eq!((ctx.cache_hits, ctx.fixpoint_rounds), (1, 1));
     }
 
     #[test]
@@ -1689,31 +1540,32 @@ mod tests {
 
     #[test]
     fn a_fused_join_in_a_fixpoint_step_builds_its_static_side_once() {
-        // The closure's step π(x,y)(X(x,m) ⋈ isLocatedIn(m,y)) fuses the
-        // projection into its hash join; the static scan's hash table is
-        // still cached under the join's id, so it is built in round one
-        // and only probed after.
+        // The composite closure's step π(x,z)(π(il(x,y)) ⋈ π(il(y,z)))
+        // fuses the projection into its hash join. It is the base too:
+        // built once, at any DOP, and its pairs walked by the kernel.
         let (store, p) = hash_closure_plan();
-        let PhysOp::Fixpoint { step, .. } = &p.op else {
+        let PhysOp::Closure {
+            base,
+            step: Step::Pairs(pairs),
+            ..
+        } = &p.op
+        else {
             panic!("{p:?}")
         };
         assert!(
-            fuses_its_join(step)
-                && matches!(&step.op, PhysOp::Project { input }
+            fuses_its_join(base)
+                && matches!(&base.op, PhysOp::Project { input }
                     if matches!(input.op, PhysOp::HashJoin { .. })),
             "{p:?}"
         );
+        assert!(matches!(&pairs.op, PhysOp::Rename { input } if input.id == base.id));
         let (r, _, ctx) = serial_then_parallel(&p, &store);
-        assert!(ctx.fixpoint_rounds >= 2, "closure iterates");
-        assert_eq!(ctx.hash_builds, 1);
-        let db = fig2_yago_database();
-        let expect = sgq_algebra::eval::eval_path(
-            &db,
-            &sgq_algebra::parser::parse_path("isLocatedIn+", &db).unwrap(),
-        );
-        let want: Vec<(u32, u32)> = expect.iter().map(|&(s, t)| (s.raw(), t.raw())).collect();
+        assert_eq!((ctx.fixpoint_rounds, ctx.hash_builds), (1, 1));
         let got: Vec<(u32, u32)> = r.rows().map(|row| (row[0], row[1])).collect();
-        assert_eq!(got, want);
+        assert_eq!(
+            got,
+            oracle(&fig2_yago_database(), "(isLocatedIn/isLocatedIn)+")
+        );
     }
 
     #[test]
@@ -1733,18 +1585,13 @@ mod tests {
         assert!(err.is_timeout());
     }
 
-    /// The closure of the projected `isLocatedIn` scan, so the step
-    /// hash-joins each round's delta — per morsel at `dop > 1`.
+    /// `(isLocatedIn/isLocatedIn)+` over projected scans: a composite
+    /// closure whose step hash-joins — per morsel at `dop > 1`.
     fn hash_closure_plan() -> (RelStore, PhysPlan) {
         let (db, store) = store();
-        let s = &store.symbols;
-        let f = closure_fixpoint(
-            s.recvar("X"),
-            projected(scan(&db, &store, "isLocatedIn", "x", "y")),
-            s.col("x"),
-            s.col("y"),
-            s.col("m"),
-        );
+        let f = two_hop_closure(&store, |src, tgt| {
+            projected(scan(&db, &store, "isLocatedIn", src, tgt))
+        });
         let p = plan(&f, &store).unwrap();
         (store, p)
     }
@@ -1822,7 +1669,10 @@ mod tests {
         let (r_lent, ctx_lent) = run(Some(Arc::clone(&lent)));
         let (r_own, ctx_own) = run(None);
         assert_eq!(r_lent, r_own);
-        assert!(ctx_own.morsels_executed >= 2, "delta probes go parallel");
+        assert!(
+            ctx_own.morsels_executed >= 2,
+            "the step's probe goes parallel"
+        );
         assert_eq!(ctx_lent.morsels_executed, ctx_own.morsels_executed);
         // A lent scheduler outlives the context it was lent to.
         drop(ctx_lent);
@@ -1841,6 +1691,7 @@ mod tests {
 
     #[test]
     fn unbound_recref_errors() {
+        // A recursive reference outside a closure's step fails to plan.
         let (_, store) = store();
         let s = &store.symbols;
         let t = RaTerm::RecRef {
@@ -1848,35 +1699,11 @@ mod tests {
             cols: vec![s.col("a"), s.col("b")],
         };
         let mut ctx = ExecContext::new();
-        assert!(execute(&t, &store, &mut ctx).is_err());
-    }
-
-    #[test]
-    fn a_failed_fixpoint_step_leaves_no_binding_behind() {
-        // The 4-row base fits a 5-row budget; the first step of the
-        // semi-naive two-join closure breaches it. The delta bound for
-        // that step lived in the execution, so a later `RecRef` on the
-        // same context finds nothing bound.
-        let (db, store) = store();
-        let s = &store.symbols;
-        let var = s.recvar("X");
-        let (x, m) = (s.col("x"), s.col("m"));
-        let f = two_join_closure(&store, |src, tgt| {
-            scan(&db, &store, "isLocatedIn", src, tgt)
-        });
-        let mut ctx = ExecContext::new();
-        ctx.max_rows = 5;
-        assert!(execute(&f, &store, &mut ctx).is_err());
-        assert_eq!(ctx.fixpoint_rounds, 1, "the step failed, not the base");
-        ctx.max_rows = 0;
-        let t = RaTerm::RecRef {
-            var,
-            cols: vec![x, m],
-        };
         let err = execute(&t, &store, &mut ctx).unwrap_err();
         assert!(
-            err.to_string().contains("unbound recursion variable"),
+            err.to_string().contains(crate::plan::NOT_CLOSURE_SHAPED),
             "{err}"
         );
+        assert_eq!(ctx.rows_materialized(), 0);
     }
 }

@@ -12,7 +12,7 @@
 use sgq_common::{json::JsonValue, Result};
 
 use crate::exec::{execute_plan_traced, ExecContext, ExecTrace};
-use crate::plan::{plan, PhysOp, PhysPlan};
+use crate::plan::{plan, PhysOp, PhysPlan, Step};
 use crate::storage::RelStore;
 use crate::symbols::SymbolTable;
 use crate::table::Relation;
@@ -54,8 +54,7 @@ pub fn explain_plan_with_dop(
 /// ([`crate::cost::q_error`], `max(est, actual) / min(est, actual)`
 /// floored at one row — 1.00 is a perfect estimate), like
 /// `EXPLAIN ANALYZE`. Actual rows come from tracing the single
-/// execution — per plan node, summed across fixpoint rounds — rather
-/// than re-running sub-plans.
+/// execution, per plan node, rather than re-running sub-plans.
 pub fn explain_analyze(
     term: &RaTerm,
     store: &RelStore,
@@ -236,32 +235,25 @@ fn describe(p: &PhysPlan, names: &dyn PlanNames, symbols: &SymbolTable) -> Strin
         PhysOp::Rename { .. } => {
             format!("Rename ({})", symbols.col_list(&p.cols, ", "))
         }
-        PhysOp::Fixpoint { var, step, .. } => format!(
-            "Recursive Fixpoint µ{} (semi-naive, {} cached static input{})",
+        PhysOp::Closure { var, step, .. } => format!(
+            "Recursive Fixpoint µ{} ({})",
             symbols.recvar_name(*var),
-            count_cacheable(step),
-            if count_cacheable(step) == 1 { "" } else { "s" }
-        ),
-        PhysOp::Closure {
-            var,
-            label,
-            forward,
-            two_hop,
-            ..
-        } => format!(
-            "Recursive Fixpoint µ{} ({} {}+)",
-            symbols.recvar_name(*var),
-            match (two_hop, forward) {
-                (false, _) => "no two-hop path: the base, for",
-                (true, true) => "closure kernel on the forward CSR of",
-                (true, false) => "closure kernel on the reverse CSR of",
-            },
-            names.edge_name(*label)
-        ),
-        PhysOp::RecRef { var } => format!(
-            "Recursive Ref {} ({})",
-            symbols.recvar_name(*var),
-            symbols.col_list(&p.cols, ", ")
+            match *step {
+                Step::Csr {
+                    label,
+                    forward,
+                    two_hop,
+                } => format!(
+                    "{} {}+",
+                    match (two_hop, forward) {
+                        (false, _) => "no two-hop path: the base, for",
+                        (true, true) => "closure kernel on the forward CSR of",
+                        (true, false) => "closure kernel on the reverse CSR of",
+                    },
+                    names.edge_name(label)
+                ),
+                Step::Pairs(_) => "closure kernel on the sorted pairs of its step".to_string(),
+            }
         ),
     }
 }
@@ -310,16 +302,6 @@ fn parallel_probe_rows(p: &PhysPlan, store: &RelStore) -> Option<f64> {
         }
         _ => None,
     }
-}
-
-/// Number of maximal static subtrees of a fixpoint step — the node-cache
-/// entries the executor keeps across its rounds (a static hash build side
-/// is kept as its built table: still one entry).
-fn count_cacheable(p: &PhysPlan) -> usize {
-    if p.is_static() {
-        return 1;
-    }
-    p.children().iter().map(|c| count_cacheable(c)).sum()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -689,22 +671,23 @@ mod tests {
 
     #[test]
     fn explain_shows_fixpoint_cached_inputs() {
+        // (isLocatedIn/isLocatedIn)+: the walk's step is the base under a
+        // rename, one node read from the cache by its second parent.
         let db = fig2_yago_database();
         let store = RelStore::load(&db);
         let s = &store.symbols;
-        let f = crate::term::closure_fixpoint(
-            s.recvar("X"),
-            projected(&db, &store, "isLocatedIn", "x", "y"),
-            s.col("x"),
-            s.col("y"),
-            s.col("m"),
-        );
+        let (x, z) = (s.col("x"), s.col("z"));
+        let hop = |src, tgt| projected(&db, &store, "isLocatedIn", src, tgt);
+        let two_hops = RaTerm::project(RaTerm::join(hop("x", "y"), hop("y", "z")), vec![x, z]);
+        let f = crate::term::closure_fixpoint(s.recvar("X"), two_hops, x, z, s.col("m"));
         let rendered = explain(&f, &store, &db);
+        let heading = "Recursive Fixpoint µX (closure kernel on the sorted pairs of its step)";
+        assert!(rendered.contains(heading), "{rendered}");
+        assert!(rendered.contains("[#5 shared ×2]"), "{rendered}");
         assert!(
-            rendered.contains("Recursive Fixpoint µX (semi-naive, 1 cached static input)"),
+            rendered.contains("    Project (x, z) (shared with #5)"),
             "{rendered}"
         );
-        assert!(rendered.contains("Recursive Ref X (x, m)"), "{rendered}");
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   joins and *into fixpoints*, plus greedy join ordering,
 //! * [`mod@plan`] — lowering of optimised terms into physical plans with
 //!   cost-chosen operators (CSR index joins vs merge vs hash, build
-//!   sides, fused filtered scans, cached fixpoint build sides),
-//! * [`exec`] — a semi-naive bottom-up interpreter over physical plans
-//!   with cooperative timeouts and optional morsel-driven intra-query
+//!   sides, fused filtered scans), every fixpoint one closure-kernel run,
+//! * [`exec`] — a bottom-up interpreter over physical plans with
+//!   cooperative timeouts and optional morsel-driven intra-query
 //!   parallelism ([`ExecContext::dop`](exec::ExecContext)),
 //! * [`parallel`] — morsel partitioning helpers and the scheduler
 //!   morsels run on (the workspace's one thread pool, re-exported),
@@ -42,7 +42,7 @@ pub mod term;
 
 pub use exec::{execute, execute_plan, ExecContext};
 pub use parallel::TaskScheduler;
-pub use plan::{plan, PhysOp, PhysPlan};
+pub use plan::{plan, PhysOp, PhysPlan, Step};
 pub use storage::RelStore;
 pub use symbols::SymbolTable;
 pub use table::{Col, Relation};

@@ -11,7 +11,11 @@
 //!    `workAt`). Translation puts most label atoms there directly.
 //! 2. **Semi-join pushdown into fixpoints** — a filter on a fixpoint's
 //!    *stable* columns restricts the base case, so the closure is only
-//!    computed from relevant seeds (Jachiet et al.'s µ-RA rewriting).
+//!    computed from relevant seeds (Jachiet et al.'s µ-RA rewriting). It
+//!    sinks into a scan base, where it becomes the scan's label set; on
+//!    any other base `S` it stays the base's own semi-join, `S ⋉ f`, over
+//!    the `S` of the step, which is the shape the closure kernel walks
+//!    ([`crate::plan()`]).
 //! 3. **Greedy join reordering** — n-ary join chains are rebuilt
 //!    smallest-estimate-first, preferring connected (column-sharing)
 //!    joins; a tie goes to the operand that comes first in the input.
@@ -39,6 +43,7 @@
 use sgq_common::ColId;
 
 use crate::cost::Estimator;
+use crate::plan::pairs_step;
 use crate::storage::RelStore;
 use crate::term::{Dag, Id, NodeMemo, Op, RaTerm};
 
@@ -79,7 +84,10 @@ impl Optimizer<'_> {
         if let Some(out) = self.done.get((id, 0)) {
             return out;
         }
-        let out = self.rebuild(id, Self::push);
+        let out = match pairs_step(&self.dag, id) {
+            Some(s) => self.push_closure(id, s),
+            None => self.rebuild(id, Self::push),
+        };
         let out = self.push_semijoin(out);
         self.done.insert((id, 0), out);
         out
@@ -122,6 +130,34 @@ impl Optimizer<'_> {
         }
     }
 
+    /// The push walk at fixpoint `id`, whose step's `S` is `s` and walked
+    /// as pairs: its base keeps its stable-column semi-joins over `S`.
+    fn push_closure(&mut self, id: Id, s: Id) -> Id {
+        let Op::Fixpoint(var, base, step, ref stable) = *self.dag.node(id) else {
+            unreachable!("only a fixpoint has a closure step")
+        };
+        let stable = stable.clone();
+        let (s, step) = (self.push(s), self.push(step));
+        let base = (self.push_base(base, s, &stable)).unwrap_or_else(|| self.push(base));
+        self.dag.add(Op::Fixpoint(var, base, step, stable))
+    }
+
+    /// Base `b` of a fixpoint whose step's `S` pushes to `s`, if it is `S`
+    /// under semi-joins on the `stable` columns: pushed, with those
+    /// semi-joins left on top (rule 2).
+    fn push_base(&mut self, b: Id, s: Id, stable: &[ColId]) -> Option<Id> {
+        // Peeled before `b` is pushed whole: sunk, a filter the statistics
+        // prove vacuous vanishes, where rule 2 left it on top.
+        if let Op::Semijoin(x, f) = *self.dag.node(b) {
+            let x = self.push_base(x, s, stable);
+            if let Some(x) = x.filter(|_| covered(self.dag.cols(f), stable)) {
+                let f = self.push(f);
+                return Some(self.dag.add(Op::Semijoin(x, f)));
+            }
+        }
+        (self.push(b) == s).then_some(s)
+    }
+
     /// Whether node `id` exposes every column of `filter`.
     fn covers(&self, id: Id, filter: Id) -> bool {
         covered(self.dag.cols(filter), self.dag.cols(id))
@@ -154,10 +190,15 @@ impl Optimizer<'_> {
                 let input = onto(self, input);
                 self.dag.add(Op::Project(input, cols))
             }
-            // Push into a fixpoint when the key is stable.
+            // Push into a fixpoint when the key is stable: on top of the
+            // base (the step's `S`, after the push walk) when the kernel
+            // walks `S`'s pairs, else as deep as it sinks.
             Op::Fixpoint(var, base, step, ref stable) if covered(fcols, stable) => {
                 let stable = stable.clone();
-                let base = onto(self, base);
+                let base = match pairs_step(&self.dag, left) {
+                    Some(_) => self.dag.add(Op::Semijoin(base, filter)),
+                    None => onto(self, base),
+                };
                 self.dag.add(Op::Fixpoint(var, base, step, stable))
             }
             // Semi-joins commute: pass one when that lets the filter sink
@@ -376,6 +417,44 @@ mod tests {
         assert_eq!(before, after);
         // Grenoble -> France only.
         assert_eq!(before.len(), 1);
+    }
+
+    #[test]
+    fn a_stable_filter_stays_on_a_composite_base() {
+        // ((isLocatedIn/isLocatedIn)+) ⋉ CITY(x): the filter enters the
+        // base, but stays its own semi-join over the step's S instead of
+        // sinking into the base's first scan, so the closure kernel still
+        // walks S's pairs — and a second pass leaves it there.
+        let db = fig2_yago_database();
+        let store = RelStore::load(&db);
+        let s = &store.symbols;
+        let (x, z) = (s.col("x"), s.col("z"));
+        let two_hops = RaTerm::project(
+            RaTerm::join(
+                scan(&db, &store, "isLocatedIn", "x", "y"),
+                scan(&db, &store, "isLocatedIn", "y", "z"),
+            ),
+            vec![x, z],
+        );
+        let f = closure_fixpoint(s.recvar("X"), two_hops.clone(), x, z, s.col("m"));
+        let t = RaTerm::semijoin(f, node(&db, &store, "CITY", "x"));
+        let opt = optimize(&t, &store);
+        assert_eq!(optimize(&opt, &store), opt, "idempotent");
+        let RaTerm::Fixpoint { base, .. } = &opt else {
+            panic!("expected a bare fixpoint after pushdown, got {opt:?}")
+        };
+        assert!(
+            matches!(&**base, RaTerm::Semijoin(s, _) if **s == two_hops),
+            "{base:?}"
+        );
+        let p = crate::plan(&opt, &store).unwrap();
+        assert_eq!(p.op.fixpoint_strategy(), Some("composite"));
+        let mut ctx = ExecContext::new();
+        let before = execute(&t, &store, &mut ctx).unwrap();
+        let after = crate::exec::execute_plan(&p, &store, &mut ctx).unwrap();
+        assert_eq!(before, after);
+        // Elerslie and Montbonnot → France.
+        assert_eq!(before.flat(), &[3, 6, 5, 6]);
     }
 
     #[test]

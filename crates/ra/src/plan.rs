@@ -12,9 +12,7 @@
 //!   filters through a hashed key set, one kernel under the range
 //!   runner ([`PhysOp::HashSemiJoin`], or fused onto an edge scan).
 //! * **Cost.** For the remaining hash joins the build side is fixed at
-//!   plan time instead of being rediscovered at run time: inside a
-//!   fixpoint step the recursion-independent side, whose built table the
-//!   executor caches across rounds (see below), otherwise the side with
+//!   plan time instead of being rediscovered at run time: the side with
 //!   the smaller estimated cardinality.
 //! * **Indexes.** The store carries per-edge-label forward/reverse CSR
 //!   adjacency indexes. When one side of a join is a (possibly renamed
@@ -36,15 +34,14 @@
 //!   [`PhysOp::FilteredEdgeScan`] testing node-table membership; any
 //!   other semi-join on a bare edge scan fuses into a `FilteredEdgeScan`
 //!   too, so the unfiltered table is never an operator output;
-//! * a one-label fixpoint is a [`PhysOp::Closure`], one run of
-//!   `sgq_graph`'s closure kernel; any other one is a semi-naive
-//!   [`PhysOp::Fixpoint`], which pre-plans its step once, and every node of
-//!   the step that does not depend on the recursion variable (tracked
-//!   by [`PhysPlan::free_rec`]) is marked for caching: the executor
-//!   computes static inputs — and static build-side hash tables — in
-//!   the first round and rebuilds only the delta probe afterwards.
-//!   An [`PhysOp::IndexJoin`] against the store's CSR needs no caching
-//!   at all: the "build side" is the index built once at load time.
+//! * every fixpoint is a [`PhysOp::Closure`], one run of `sgq_graph`'s
+//!   closure kernel: the translation's `µX. S ∪ π(X ⋈ ρ(S))`, its base
+//!   `S` filtered on the stable column at most, walks `S+` from the
+//!   base's distinct stable values ([`Step`]). Any other fixpoint, and a
+//!   recursive reference outside one, fails to plan
+//!   ([`NOT_CLOSURE_SHAPED`]); `translate` and `optimize` produce none.
+//!   An [`PhysOp::IndexJoin`] against the store's CSR builds nothing:
+//!   the "build side" is the index built once at load time.
 //!
 //! Every node carries its output columns and an [`Estimate`], which is
 //! what the physical `EXPLAIN` ([`crate::explain`]) renders. `plan`
@@ -56,8 +53,8 @@
 //! **Shared sub-plans.** Sub-terms equal up to column and recursion
 //! variable names — the schema rewrite's union expansion repeats them —
 //! share a term class, computed when the DAG is built. The plan nodes of
-//! one class carry one set of ids, and a static, combining one read by
-//! several parents ([`PhysPlan::parents`]) is evaluated once per
+//! one class carry one set of ids, and a combining one read by several
+//! parents ([`PhysPlan::parents`]) is evaluated once per
 //! execution (DESIGN.md, "Shared sub-plans").
 
 use sgq_common::{ColId, EdgeLabelId, NodeLabelId, RecVarId, Result, SgqError};
@@ -66,8 +63,7 @@ use crate::cost::{self, shared_cols, Estimate, Estimator, ScanInfo, Summary};
 use crate::storage::RelStore;
 use crate::term::{Dag, Id, Labels, Op, RaTerm};
 
-/// A physical plan node: operator, output schema, estimate and the
-/// recursion variables it (transitively) references.
+/// A physical plan node: operator, output schema and estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysPlan {
     /// Dense node id (post-order of lowering), used to key the
@@ -82,10 +78,6 @@ pub struct PhysPlan {
     pub cols: Vec<ColId>,
     /// Estimated output rows and cumulative cost.
     pub est: Estimate,
-    /// Free recursion variables: empty means the subtree is static —
-    /// inside a fixpoint step it is computed once and cached across
-    /// rounds.
-    pub free_rec: Vec<RecVarId>,
     /// The physical operator.
     pub op: PhysOp,
 }
@@ -207,38 +199,41 @@ pub enum PhysOp {
         /// Input plan.
         input: Box<PhysPlan>,
     },
-    /// Semi-naive fixpoint with a pre-planned step and static-input
-    /// caching across rounds.
-    Fixpoint {
-        /// Recursion variable.
-        var: RecVarId,
-        /// Base-case plan.
-        base: Box<PhysPlan>,
-        /// Step plan, re-evaluated per round against the current delta.
-        step: Box<PhysPlan>,
-    },
-    /// A fixpoint (kind `"Fixpoint"`) whose step extends the moving column
-    /// over one edge label `l`, and whose base is that scan filtered on
-    /// its stable column only: `l+` from the base's distinct stable values
-    /// by `sgq_graph`'s closure kernel.
+    /// A fixpoint (kind `"Fixpoint"`) `µX. S ∪ π(X ⋈ ρ(S))`: `S+` from the
+    /// base's distinct stable values, one run of `sgq_graph`'s closure
+    /// kernel over the rows of `step`.
     Closure {
         /// Recursion variable.
         var: RecVarId,
-        /// Base-case plan: `l`'s rows, filtered on the stable column only.
+        /// Base-case plan: `S`'s rows, filtered on the stable column only.
         base: Box<PhysPlan>,
-        /// The step's edge label `l`.
+        /// Where the walk reads `S`'s rows.
+        step: Step,
+    },
+}
+
+/// The rows a [`PhysOp::Closure`] walks: `S`, one row of successors per
+/// node.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Step {
+    /// `S` is one edge label `l`: its load-time CSR.
+    Csr {
+        /// The edge label `l`.
         label: EdgeLabelId,
         /// Whether the walk follows `l`'s forward CSR, else its reverse.
         forward: bool,
         /// Whether some `l` path has two hops: if not, `l+` is the base.
         two_hop: bool,
     },
-    /// Reference to the enclosing fixpoint's current delta.
-    RecRef {
-        /// Recursion variable.
-        var: RecVarId,
-    },
+    /// Any other `S`: this static plan of `ρ(S)`, columns `(m, t)`,
+    /// evaluated once and walked as binary-searched runs of its sorted
+    /// pairs.
+    Pairs(Box<PhysPlan>),
 }
+
+/// What [`plan`] fails with on a fixpoint that is not closure-shaped, or
+/// on a recursive reference outside one.
+pub const NOT_CLOSURE_SHAPED: &str = "not a closure-shaped fixpoint µX. S ∪ π(X ⋈ ρ(S))";
 
 /// The children of a plan node's operator, by shared or by mutable
 /// reference, in two slots: the one match behind `kids` and `kids_mut`.
@@ -248,13 +243,16 @@ macro_rules! children {
             PhysOp::EdgeScan { .. }
             | PhysOp::FilteredEdgeScan { filter: None, .. }
             | PhysOp::DenormEdgeScan { .. }
-            | PhysOp::NodeScan { .. }
-            | PhysOp::RecRef { .. } => [None, None],
+            | PhysOp::NodeScan { .. } => [None, None],
             PhysOp::FilteredEdgeScan {
                 filter: Some(c), ..
             }
             | PhysOp::IndexJoin { probe: c, .. }
-            | PhysOp::Closure { base: c, .. }
+            | PhysOp::Closure {
+                base: c,
+                step: Step::Csr { .. },
+                ..
+            }
             | PhysOp::Project { input: c }
             | PhysOp::Select { input: c, .. }
             | PhysOp::Rename { input: c } => [Some(c), None],
@@ -262,9 +260,9 @@ macro_rules! children {
             | PhysOp::HashJoin { left, right, .. }
             | PhysOp::HashSemiJoin { left, right, .. }
             | PhysOp::Union { left, right }
-            | PhysOp::Fixpoint {
+            | PhysOp::Closure {
                 base: left,
-                step: right,
+                step: Step::Pairs(right),
                 ..
             } => [Some(left), Some(right)],
         }
@@ -289,8 +287,7 @@ impl PhysOp {
             PhysOp::Project { .. } => "Project",
             PhysOp::Select { .. } => "Select",
             PhysOp::Rename { .. } => "Rename",
-            PhysOp::Fixpoint { .. } | PhysOp::Closure { .. } => "Fixpoint",
-            PhysOp::RecRef { .. } => "RecRef",
+            PhysOp::Closure { .. } => "Fixpoint",
         }
     }
 
@@ -306,8 +303,9 @@ impl PhysOp {
     }
 
     /// How a fixpoint runs (`None` for any other operator): the closure
-    /// kernel `"forward"`, `"reverse"` or from a `"stable-end filtered"`
-    /// base, the `"no two-hop base"`, or `"semi-naive"`.
+    /// kernel on a CSR `"forward"`, `"reverse"` or from a `"stable-end
+    /// filtered"` base, the `"no two-hop base"`, or on the pairs of a
+    /// `"composite"` step.
     pub fn fixpoint_strategy(&self) -> Option<&'static str> {
         let filters = |op: &PhysOp| {
             !matches!(
@@ -315,13 +313,15 @@ impl PhysOp {
                 PhysOp::EdgeScan { .. } | PhysOp::Project { .. } | PhysOp::Rename { .. }
             )
         };
-        Some(match self {
-            PhysOp::Fixpoint { .. } => "semi-naive",
-            PhysOp::Closure { two_hop: false, .. } => "no two-hop base",
-            PhysOp::Closure { base, .. } if base.contains_op(&filters) => "stable-end filtered",
-            PhysOp::Closure { forward: true, .. } => "forward",
-            PhysOp::Closure { .. } => "reverse",
-            _ => return None,
+        let PhysOp::Closure { base, step, .. } = self else {
+            return None;
+        };
+        Some(match step {
+            Step::Pairs(_) => "composite",
+            Step::Csr { two_hop: false, .. } => "no two-hop base",
+            _ if base.contains_op(&filters) => "stable-end filtered",
+            Step::Csr { forward: true, .. } => "forward",
+            Step::Csr { .. } => "reverse",
         })
     }
 }
@@ -354,12 +354,6 @@ impl PhysPlan {
         below.unwrap_or(0).max(self.id as usize + 1)
     }
 
-    /// Whether the subtree references no recursion variable (and can
-    /// therefore be cached across fixpoint rounds).
-    pub fn is_static(&self) -> bool {
-        self.free_rec.is_empty()
-    }
-
     /// Whether any node of the subtree satisfies `pred` — how tests and
     /// the harness assert a plan contains a strategy.
     pub fn contains_op(&self, pred: &dyn Fn(&PhysOp) -> bool) -> bool {
@@ -373,7 +367,8 @@ impl PhysPlan {
 /// rows are the term-level ones.
 ///
 /// Fails when the term is malformed — a selection or projection names a
-/// column its input does not produce.
+/// column its input does not produce — or holds a fixpoint that is not
+/// closure-shaped ([`NOT_CLOSURE_SHAPED`]).
 pub fn plan(term: &RaTerm, store: &RelStore) -> Result<PhysPlan> {
     let (dag, root) = Dag::of(term, true, None);
     let mut planner = Planner::new(store, &dag);
@@ -394,7 +389,7 @@ struct Planner<'a> {
     size: Vec<u32>,
     combines: Vec<bool>,
     /// Per term class: its first occurrence's plan id, and if that is
-    /// static and combining (worth evaluating once) its readers — one per
+    /// combining (worth evaluating once) its readers — one per
     /// parent class and child slot, as every occurrence of a class has
     /// the same children and below a later occurrence nothing runs.
     first: Vec<u32>,
@@ -432,8 +427,8 @@ impl<'a> Planner<'a> {
         &self.est[s]
     }
 
-    /// The plan node computing term node `at`: columns, free recursion
-    /// variables and rows are the term's; `cost` is the chosen strategy's.
+    /// The plan node computing term node `at`: columns and rows are the
+    /// term's; `cost` is the chosen strategy's.
     fn node(&mut self, at: Id, cost: f64, op: PhysOp) -> PhysPlan {
         let rows = self.sum(at).rows();
         let p = PhysPlan {
@@ -442,7 +437,6 @@ impl<'a> Planner<'a> {
             later: false,
             cols: self.dag.cols(at).to_vec(),
             est: Estimate { rows, cost },
-            free_rec: self.dag.free(at).to_vec(),
             op,
         };
         let class = self.dag.class(at);
@@ -454,7 +448,7 @@ impl<'a> Planner<'a> {
         if self.first[class as usize] == u32::MAX {
             self.first[class as usize] = p.id;
             for k in p.kids() {
-                let worth = k.is_static() && self.combines[k.id as usize];
+                let worth = self.combines[k.id as usize];
                 self.readers[self.class[k.id as usize] as usize] += u32::from(worth);
             }
         }
@@ -590,41 +584,28 @@ impl<'a> Planner<'a> {
                 };
                 Ok(self.node(at, cost, op))
             }
-            &Op::Fixpoint(var, base, step, _) => {
-                let base_plan = self.lower(base)?;
-                if let Some((label, forward)) = kernel_step(dag, at) {
-                    let cost = base_plan.est.cost + rows;
-                    let two_hop = self.store.stats.has_two_hop(label);
-                    let base = Box::new(base_plan);
-                    let op = PhysOp::Closure {
-                        var,
-                        base,
-                        label,
-                        forward,
-                        two_hop,
-                    };
-                    return Ok(self.node(at, cost, op));
-                }
-                // The step is lowered under the binding its summaries
-                // were computed under: the base case's rows.
-                let saved = self.est.bind(var, base_plan.est.rows);
-                let step_plan = self.lower(step);
-                self.est.unbind(var, saved);
-                let step_plan = step_plan?;
-                // Static step inputs are cached across rounds, so only
-                // the delta-dependent cost multiplies with the growth
-                // (from the measured closure depth of the labels the
-                // fixpoint iterates over).
-                let (st, dy) = split_cost(&step_plan);
-                let cost = base_plan.est.cost + st + dy * self.sum(at).growth() + rows;
-                let op = PhysOp::Fixpoint {
-                    var,
-                    base: Box::new(base_plan),
-                    step: Box::new(step_plan),
+            &Op::Fixpoint(var, base, ..) => {
+                let walk = closure_step(dag, at).ok_or_else(not_closure_shaped)?;
+                let base = Box::new(self.lower(base)?);
+                let (step, cost) = match walk {
+                    Walk::Csr(label, forward) => {
+                        let two_hop = self.store.stats.has_two_hop(label);
+                        let step = Step::Csr {
+                            label,
+                            forward,
+                            two_hop,
+                        };
+                        (step, base.est.cost + rows)
+                    }
+                    Walk::Pairs(pairs) => {
+                        let pairs = self.lower(pairs)?;
+                        let cost = base.est.cost + pairs.est.cost + rows;
+                        (Step::Pairs(Box::new(pairs)), cost)
+                    }
                 };
-                Ok(self.node(at, cost, op))
+                Ok(self.node(at, cost, PhysOp::Closure { var, base, step }))
             }
-            Op::RecRef(var, _) => Ok(self.node(at, 0.0, PhysOp::RecRef { var: *var })),
+            Op::RecRef(..) => Err(not_closure_shaped()),
         }
     }
 
@@ -648,15 +629,8 @@ impl<'a> Planner<'a> {
             return self.node(at, cost, op);
         }
         let cost = left.est.cost + right.est.cost + left.est.rows + right.est.rows + rows;
-        // In a fixpoint step, build the recursion-independent side: the
-        // executor keeps its table across rounds, so each round only
-        // probes with the delta. Otherwise build the estimated-smaller
-        // side, the left one on a tie.
-        let build_left = match (left.is_static(), right.is_static()) {
-            (true, false) => true,
-            (false, true) => false,
-            _ => left.est.rows <= right.est.rows,
-        };
+        // Build the estimated-smaller side, the left one on a tie.
+        let build_left = left.est.rows <= right.est.rows;
         let op = PhysOp::HashJoin {
             left: Box::new(left),
             right: Box::new(right),
@@ -795,13 +769,13 @@ impl<'a> Planner<'a> {
 }
 
 /// Recognises a join side the planner can replace with CSR index probes
-/// — and, with `swaps`, the edge of a closure-kernel step: a base edge
-/// scan, label-filtered or not, optionally renamed (with `swaps`, also
-/// under column swaps, how a reversed label translates; a projection onto
-/// its input's own columns hides the scan from both, which is how a test
-/// keeps a join hashed or a closure semi-naive). Renames of columns the
-/// scan does not expose and degenerate scans (`src == tgt`) return `None`
-/// so the term falls back to the scan-based strategies.
+/// — and, with `swaps`, the edge of a closure walked on its CSR: a base
+/// edge scan, label-filtered or not, optionally renamed (with `swaps`,
+/// also under column swaps, how a reversed label translates; a projection
+/// onto its input's own columns hides the scan from both, which is how a
+/// test keeps a join hashed or a closure on its step's pairs). Renames of
+/// columns the scan does not expose and degenerate scans (`src == tgt`)
+/// return `None` so the term falls back to the scan-based strategies.
 fn indexable_scan(dag: &Dag, id: Id, swaps: bool) -> Option<ScanInfo> {
     match *dag.node(id) {
         Op::EdgeScan(label, src, tgt, ref ls) if src != tgt => {
@@ -820,73 +794,105 @@ fn indexable_scan(dag: &Dag, id: Id, swaps: bool) -> Option<ScanInfo> {
     }
 }
 
-/// The closure-kernel shape of fixpoint `at` (its label, and whether the
-/// walk is forward): the step is `π(RecRef ⋈ E(l))` over one unfiltered
-/// label, extending the moving column from the edge source (forward) or
-/// target to its other end; the base is that scan in the same
-/// orientation, filtered on its stable (first) column only.
-fn kernel_step(dag: &Dag, at: Id) -> Option<(EdgeLabelId, bool)> {
+/// How the closure kernel walks a fixpoint.
+enum Walk {
+    /// One edge label's CSR, forward or not.
+    Csr(EdgeLabelId, bool),
+    /// The pairs of this term node, `S` renamed to `(m, t)`.
+    Pairs(Id),
+}
+
+/// The parts of fixpoint `at` when its step is linear,
+/// `µX(s,t). B ∪ π_{s,t}(X(s,m) ⋈ S')` with `s` stable (the join's sides
+/// in either order): the columns `[s, t, m]`, the base `B` and `S'`.
+fn linear_step(dag: &Dag, at: Id) -> Option<([ColId; 3], Id, Id)> {
     let Op::Fixpoint(var, base, step, ref stable) = *dag.node(at) else {
         return None;
     };
     let (&[s, t], Op::Project(join, out)) = (dag.cols(at), dag.node(step)) else {
         return None;
     };
-    let (a, b) = match *dag.node(*join) {
+    let (rec, side) = match *dag.node(*join) {
         Op::Join(a, b) if matches!(dag.node(b), Op::RecRef(..)) => (b, a),
         Op::Join(a, b) => (a, b),
         _ => return None,
     };
-    let (Op::RecRef(v, rec), Some(e)) = (dag.node(a), indexable_scan(dag, b, true)) else {
+    let Op::RecRef(v, rec) = dag.node(rec) else {
         return None;
     };
     let &[rs, m] = rec.as_slice() else {
         return None;
     };
-    let forward = (e.src, e.tgt) == (m, t);
-    let mut base = base;
-    while let Op::Semijoin(a, f) = *dag.node(base) {
-        let key = shared_cols(dag.cols(a), dag.cols(f));
-        if key.iter().any(|&c| c != s) {
-            return None;
-        }
-        base = a;
-    }
-    let b = indexable_scan(dag, base, true)?;
-    let (from, to, to_labels) = match forward {
-        true => (b.src, b.tgt, &b.tgt_labels),
-        false => (b.tgt, b.src, &b.src_labels),
-    };
     let shape = *v == var && stable == &[s] && out == &[s, t] && rs == s && ![s, t].contains(&m);
-    let step = (forward || (e.src, e.tgt) == (t, m)) && e.src_labels.is_none();
-    let base = b.label == e.label && (from, to) == (s, t) && to_labels.is_none();
-    (shape && step && e.tgt_labels.is_none() && base).then_some((e.label, forward))
+    shape.then_some(([s, t, m], base, side))
+}
+
+/// `S` of fixpoint `at` when the kernel walks it as pairs — its step is
+/// linear and `S'` is no edge scan: `S'` under its renames, the node over
+/// which `optimize` keeps the base's stable-column semi-joins.
+pub(crate) fn pairs_step(dag: &Dag, at: Id) -> Option<Id> {
+    let (_, _, side) = linear_step(dag, at)?;
+    indexable_scan(dag, side, true)
+        .is_none()
+        .then(|| unrenamed(dag, side))
+}
+
+/// `id` under its renames.
+fn unrenamed(dag: &Dag, mut id: Id) -> Id {
+    while let Op::Rename(input, ..) = *dag.node(id) {
+        id = input;
+    }
+    id
+}
+
+/// How the closure kernel walks fixpoint `at`, if it is closure-shaped: a
+/// linear step ([`linear_step`]) whose `S'` is `S` renamed to `(m, t)`,
+/// over a base `B` that is `S` under semi-joins on `s` only. A one-label
+/// `S` walks its CSR, and its base may also be that scan label-filtered on
+/// `s`, or semi-joined on `s` under the projection that reverses it; any
+/// other `S` walks the pairs of `S'`.
+fn closure_step(dag: &Dag, at: Id) -> Option<Walk> {
+    let ([s, t, m], base, side) = linear_step(dag, at)?;
+    // `B` under one of its semi-joins on `s` (or, with `swaps`, a
+    // projection that swaps its columns).
+    let unfiltered = |b: Id, swaps: bool| match *dag.node(b) {
+        Op::Semijoin(x, f)
+            if shared_cols(dag.cols(x), dag.cols(f))
+                .iter()
+                .all(|&c| c == s) =>
+        {
+            Some(x)
+        }
+        Op::Project(x, ref cols) if swaps && cols.iter().rev().eq(dag.cols(x)) => Some(x),
+        _ => None,
+    };
+    let csr = indexable_scan(dag, side, true).and_then(|e| {
+        let forward = (e.src, e.tgt) == (m, t);
+        let scan = std::iter::successors(Some(base), |&b| unfiltered(b, true)).last()?;
+        let b = indexable_scan(dag, scan, true)?;
+        let (from, to, to_labels) = match forward {
+            true => (b.src, b.tgt, &b.tgt_labels),
+            false => (b.tgt, b.src, &b.src_labels),
+        };
+        let step = (forward || (e.src, e.tgt) == (t, m)) && e.src_labels.is_none();
+        let base = b.label == e.label && (from, to) == (s, t) && to_labels.is_none();
+        (step && e.tgt_labels.is_none() && base).then_some(Walk::Csr(e.label, forward))
+    });
+    let class = dag.class(unrenamed(dag, side));
+    let mut bases = std::iter::successors(Some(base), |&b| unfiltered(b, false));
+    let pairs = dag.cols(side) == [m, t] && bases.any(|b| dag.class(b) == class);
+    csr.or(pairs.then_some(Walk::Pairs(side)))
+}
+
+/// The error [`plan`] returns for a term holding a fixpoint that is not
+/// closure-shaped, or a recursive reference outside one.
+fn not_closure_shaped() -> SgqError {
+    SgqError::Execution(NOT_CLOSURE_SHAPED.to_string())
 }
 
 /// Whether `key` is the leading prefix of `cols`.
 fn is_prefix(key: &[ColId], cols: &[ColId]) -> bool {
     cols.len() >= key.len() && &cols[..key.len()] == key
-}
-
-/// Splits a step plan's cost into (static, per-round) parts: a static
-/// subtree's full cost lands in the first bucket because the executor
-/// caches its result, while every recursion-dependent node's local cost
-/// recurs each round.
-fn split_cost(p: &PhysPlan) -> (f64, f64) {
-    if p.is_static() {
-        return (p.est.cost, 0.0);
-    }
-    let mut st = 0.0;
-    let mut dy = 0.0;
-    let mut child_cost = 0.0;
-    for c in p.children() {
-        let (s, d) = split_cost(c);
-        st += s;
-        dy += d;
-        child_cost += c.est.cost;
-    }
-    dy += (p.est.cost - child_cost).max(0.0);
-    (st, dy)
 }
 
 #[cfg(test)]
@@ -1099,119 +1105,6 @@ mod tests {
         assert!(crate::exec::execute_plan(&p, &store, &mut ctx)
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn fixpoint_step_marks_static_subtrees() {
-        let db = fig2_yago_database();
-        let store = RelStore::load(&db);
-        // A projected base: a bare one would make the step's static scan
-        // an IndexJoin's absorbed side, with nothing left to cache.
-        let s = &store.symbols;
-        let f = closure_fixpoint(
-            s.recvar("X"),
-            projected(scan(&db, &store, "isLocatedIn", "x", "y")),
-            s.col("x"),
-            s.col("y"),
-            s.col("m"),
-        );
-        let p = plan(&f, &store).unwrap();
-        assert!(p.is_static(), "a closed fixpoint has no free recvars");
-        let PhysOp::Fixpoint { step, .. } = &p.op else {
-            panic!("expected fixpoint, got {p:?}");
-        };
-        assert!(!step.is_static(), "the step depends on the delta");
-        // The renamed inner scan inside the step is recursion-free.
-        fn any_static_scan(p: &PhysPlan) -> bool {
-            (matches!(p.op, PhysOp::EdgeScan { .. }) && p.is_static())
-                || p.children().iter().any(|c| any_static_scan(c))
-        }
-        assert!(any_static_scan(step), "{step:?}");
-    }
-
-    #[test]
-    fn a_fixpoint_step_builds_its_static_side() {
-        // The base keeps only PROPERTY sources, so the delta is estimated
-        // smaller than the step's static isLocatedIn scan; the static
-        // side is still the one built, and its table serves every round.
-        let db = fig2_yago_database();
-        let store = RelStore::load(&db);
-        let s = &store.symbols;
-        let (x, y, m, var) = (s.col("x"), s.col("y"), s.col("m"), s.recvar("X"));
-        let property = RaTerm::NodeScan {
-            labels: vec![db.node_label_id("PROPERTY").unwrap()],
-            col: x,
-        };
-        let step = RaTerm::join(
-            RaTerm::RecRef {
-                var,
-                cols: vec![x, m],
-            },
-            projected(scan(&db, &store, "isLocatedIn", "m", "y")),
-        );
-        let f = RaTerm::Fixpoint {
-            var,
-            base: Box::new(RaTerm::semijoin(
-                scan(&db, &store, "isLocatedIn", "x", "y"),
-                property,
-            )),
-            step: Box::new(RaTerm::project(step, vec![x, y])),
-            stable: vec![x],
-        };
-        let p = plan(&f, &store).unwrap();
-        fn hash_join(p: &PhysPlan) -> Option<&PhysPlan> {
-            if matches!(p.op, PhysOp::HashJoin { .. }) {
-                return Some(p);
-            }
-            p.children().into_iter().find_map(hash_join)
-        }
-        let join = hash_join(&p).expect("the step hash-joins");
-        let PhysOp::HashJoin {
-            left,
-            right,
-            build_left,
-            ..
-        } = &join.op
-        else {
-            unreachable!()
-        };
-        let (build, probe) = match build_left {
-            true => (left, right),
-            false => (right, left),
-        };
-        assert!(build.is_static() && !probe.is_static(), "{join:?}");
-        assert!(probe.est.rows < build.est.rows, "{join:?}");
-        let mut ctx = crate::exec::ExecContext::new();
-        crate::exec::execute_plan(&p, &store, &mut ctx).unwrap();
-        assert_eq!(ctx.hash_builds, 1, "one build serves every round");
-        assert!(ctx.fixpoint_rounds >= 2 && ctx.cache_hits >= 1);
-    }
-
-    #[test]
-    fn recref_estimate_inherits_base() {
-        // Over the projected scan: a semi-naive step, with its RecRef.
-        let db = fig2_yago_database();
-        let store = RelStore::load(&db);
-        let s = &store.symbols;
-        let f = closure_fixpoint(
-            s.recvar("X"),
-            projected(scan(&db, &store, "isLocatedIn", "x", "y")),
-            s.col("x"),
-            s.col("y"),
-            s.col("m"),
-        );
-        let p = plan(&f, &store).unwrap();
-        let PhysOp::Fixpoint { step, .. } = &p.op else {
-            panic!()
-        };
-        fn find_recref(p: &PhysPlan) -> Option<&PhysPlan> {
-            if matches!(p.op, PhysOp::RecRef { .. }) {
-                return Some(p);
-            }
-            p.children().into_iter().find_map(find_recref)
-        }
-        let r = find_recref(step).expect("step contains the recursive ref");
-        assert_eq!(r.est.rows, 4.0, "inherits isLocatedIn's base estimate");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Rows are stored flattened (`data[row * arity + col]`) for cache
 //! friendliness; every public operation returns a *canonical* relation
 //! (rows sorted lexicographically, duplicates removed), which makes
-//! equality, union and difference cheap merges.
+//! equality and union cheap merges.
 //!
 //! **Sharing model.** The flattened row data sits behind an
 //! `Arc<Vec<u32>>`: relations are immutable once constructed, so
@@ -261,7 +261,7 @@ impl Relation {
             let mut it = runs.into_iter();
             while let Some(a) = it.next() {
                 match it.next() {
-                    Some(b) => next.push(merge_flat::<true>(arity, &a, &b)),
+                    Some(b) => next.push(merge_flat(arity, &a, &b)),
                     None => next.push(a),
                 }
             }
@@ -329,14 +329,7 @@ impl Relation {
     /// the result is a linear merge — no re-sort.
     pub fn union(&self, other: &Relation) -> Relation {
         assert_eq!(self.cols, other.cols, "union requires identical schemas");
-        let data = merge_flat::<true>(self.arity(), &self.data, &other.data);
-        Relation::new(self.cols.clone(), data)
-    }
-
-    /// Difference `self \ other` (same column ids; both canonical).
-    pub fn difference(&self, other: &Relation) -> Relation {
-        assert_eq!(self.cols, other.cols);
-        let data = merge_flat::<false>(self.arity(), &self.data, &other.data);
+        let data = merge_flat(self.arity(), &self.data, &other.data);
         Relation::new(self.cols.clone(), data)
     }
 
@@ -425,11 +418,10 @@ impl Relation {
     }
 }
 
-/// The one two-cursor merge over canonical flat runs `a` and `b`: their
-/// union, or with `UNION` off the difference `a \ b` — the same walk
-/// keeping only what `a` alone holds. Canonical in, canonical out.
-fn merge_flat<const UNION: bool>(arity: usize, a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(if UNION { a.len() + b.len() } else { 0 });
+/// The one two-cursor merge: the union of canonical flat runs `a` and
+/// `b`. Canonical in, canonical out.
+fn merge_flat(arity: usize, a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         let (ra, rb) = (&a[i..i + arity], &b[j..j + arity]);
@@ -439,24 +431,18 @@ fn merge_flat<const UNION: bool>(arity: usize, a: &[u32], b: &[u32]) -> Vec<u32>
                 i += arity;
             }
             std::cmp::Ordering::Greater => {
-                if UNION {
-                    out.extend_from_slice(rb);
-                }
+                out.extend_from_slice(rb);
                 j += arity;
             }
             std::cmp::Ordering::Equal => {
-                if UNION {
-                    out.extend_from_slice(ra);
-                }
+                out.extend_from_slice(ra);
                 i += arity;
                 j += arity;
             }
         }
     }
     out.extend_from_slice(&a[i..]);
-    if UNION {
-        out.extend_from_slice(&b[j..]);
-    }
+    out.extend_from_slice(&b[j..]);
     out
 }
 
@@ -723,14 +709,20 @@ mod tests {
         assert!(r.semijoin(&empty).is_empty());
     }
 
+    /// The rows of `a` that `b` lacks (same columns).
+    pub(super) fn difference(a: &Relation, b: &Relation) -> Relation {
+        let only_a = a.rows().filter(|x| b.rows().all(|y| y != *x));
+        Relation::from_rows(a.cols().to_vec(), only_a.map(<[u32]>::to_vec))
+    }
+
     #[test]
     fn union_and_difference() {
         let r = rel(&[0], &[&[1], &[2]]);
         let s = rel(&[0], &[&[2], &[3]]);
-        assert_eq!(r.union(&s).len(), 3);
-        let d = r.difference(&s);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d.row(0), &[1]);
+        let u = r.union(&s);
+        assert_eq!(u.flat(), &[1, 2, 3]);
+        assert_eq!(difference(&u, &s), difference(&r, &s));
+        assert_eq!(difference(&u, &s).flat(), &[1]);
     }
 
     #[test]
@@ -891,7 +883,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{nested_loop_join, nested_loop_semijoin};
+    use super::tests::{difference, nested_loop_join, nested_loop_semijoin};
     use super::*;
     use sgq_common::Rng;
 
@@ -977,7 +969,7 @@ mod proptests {
             let a = arb_rel(&mut rng, &[0]);
             let b = arb_rel(&mut rng, &[0]);
             let u = a.union(&b);
-            let d = u.difference(&b);
+            let d = difference(&u, &b);
             for row in d.rows() {
                 assert!(a.rows().any(|r| r == row), "seed {seed}");
             }
@@ -989,10 +981,9 @@ mod proptests {
         }
     }
 
-    /// The shared merge kernel against code it shares nothing with: on
-    /// arity-1 data `sgq_common::sorted`; above arity 1 the normalised
-    /// concatenation (union) and dropping what the nested-loop semi-join
-    /// keeps (difference).
+    /// The merge kernel against code it shares nothing with: on arity-1
+    /// data `sgq_common::sorted`; above arity 1 the normalised
+    /// concatenation.
     #[test]
     fn merge_kernel_matches_references() {
         use sgq_common::sorted;
@@ -1001,21 +992,12 @@ mod proptests {
             let a = arb_rel(&mut rng, &[0]);
             let b = arb_rel(&mut rng, &[0]);
             assert_eq!(a.union(&b).flat(), sorted::union(a.flat(), b.flat()));
-            assert_eq!(
-                a.difference(&b).flat(),
-                sorted::difference(a.flat(), b.flat())
-            );
             for cols in [&[0, 1][..], &[0, 1, 2]] {
                 let r = arb_rel_in(&mut rng, cols, 3);
                 let s = arb_rel_in(&mut rng, cols, 3);
                 let both = r.rows().chain(s.rows()).map(<[u32]>::to_vec);
                 let union = Relation::from_rows(r.cols().to_vec(), both);
                 assert_eq!(r.union(&s), union, "seed {seed}");
-                let common = nested_loop_semijoin(&r, &s);
-                let only_r = r.rows().filter(|x| common.rows().all(|y| y != *x));
-                let difference =
-                    Relation::from_rows(r.cols().to_vec(), only_r.map(<[u32]>::to_vec));
-                assert_eq!(r.difference(&s), difference, "seed {seed}");
             }
         }
     }

@@ -3,8 +3,8 @@
 //! plans with per-operator strategy (merge vs hash join, build side,
 //! fused filtered scans), estimated costs and actual cardinalities —
 //! showing the semi-join the annotation buys — and closes with the
-//! Fig. 2 physical-plan showcase, including the fixpoint build-side
-//! caching counters.
+//! Fig. 2 physical-plan showcase, including the work counters of a
+//! closure walked on the CSR and one walked on its step's pairs.
 //!
 //! ```sh
 //! cargo run --release --example explain_plans

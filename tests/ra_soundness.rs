@@ -17,7 +17,7 @@
 //! 2. `execute_plan(plan(optimize(t)))` equals the oracle too, some
 //!    cases plan a shared node, and the CSR index join is planned in
 //!    each of its shapes: forward, reverse, with a label-filtered
-//!    endpoint and inside a fixpoint step.
+//!    endpoint and inside a closure's step.
 //! 3. `execute_plan` on the store's own plans (precomputed
 //!    endpoint-label slice scans included) is bit-identical to the
 //!    reference executor, serially and under morsel parallelism, and
@@ -30,8 +30,8 @@
 //!
 //! Plus directed tests pinning the physical operator selection rules
 //! (index vs merge vs hash joins, label-filtered index scans, index
-//! joins inside fixpoint steps, fused filtered scans, cached build
-//! sides) and the zero-copy invariants (cloning or scanning a base
+//! joins inside closure steps, fused filtered scans, every fixpoint a
+//! closure-kernel run) and the zero-copy invariants (cloning or scanning a base
 //! table shares the store's row buffer — Arc pointer equality).
 
 use sgq_algebra::ast::PathExpr;
@@ -42,7 +42,7 @@ use sgq_graph::schema::fig1_yago_schema;
 use sgq_ra::exec::{execute, execute_plan, execute_plan_traced, ExecContext};
 use sgq_ra::optimize::optimize;
 use sgq_ra::term::{closure_fixpoint, RaTerm};
-use sgq_ra::{plan, PhysOp, PhysPlan, RelStore, Relation};
+use sgq_ra::{plan, PhysOp, PhysPlan, RelStore, Relation, Step};
 use sgq_translate::ucqt2rra::{path_to_term, ucqt_to_term, NameGen};
 
 /// A random path expression over the Fig. 2 database's edge labels.
@@ -237,7 +237,7 @@ fn physical_plans_match_term_execution() {
         "forward CSR",
         "reverse CSR",
         "label-filtered endpoint",
-        "fixpoint step",
+        "closure step",
     ];
     for (shape, n) in shapes.iter().zip(census) {
         assert!(
@@ -249,7 +249,7 @@ fn physical_plans_match_term_execution() {
 
 /// Counts the `IndexJoin`s of `p` by shape into `census`: probing the
 /// forward CSR, the reverse CSR, with a label-filtered endpoint, and
-/// inside a fixpoint step (`in_step`).
+/// inside a closure's step (`in_step`).
 fn index_join_shapes(p: &PhysPlan, in_step: bool, census: &mut [usize; 4]) {
     if let PhysOp::IndexJoin { scan, forward, .. } = &p.op {
         let filtered = scan.src_labels.is_some() || scan.tgt_labels.is_some();
@@ -258,9 +258,14 @@ fn index_join_shapes(p: &PhysPlan, in_step: bool, census: &mut [usize; 4]) {
             *n += hit as usize;
         }
     }
-    if let PhysOp::Fixpoint { base, step, .. } = &p.op {
+    if let PhysOp::Closure {
+        base,
+        step: Step::Pairs(pairs),
+        ..
+    } = &p.op
+    {
         index_join_shapes(base, in_step, census);
-        return index_join_shapes(step, true, census);
+        return index_join_shapes(pairs, true, census);
     }
     for c in p.children() {
         index_join_shapes(c, in_step, census);
@@ -391,39 +396,6 @@ fn planner_fuses_semijoin_onto_scan() {
     assert_eq!(fused, reference);
 }
 
-#[test]
-fn fixpoint_build_caching_reduces_work_with_identical_results() {
-    let db = fig2_yago_database();
-    let store = RelStore::load(&db);
-    // A projected base, so the step hash-joins: over the bare scan it
-    // probes the CSR and builds nothing at all (pinned separately below).
-    let s = &store.symbols;
-    let f = closure_fixpoint(
-        s.recvar("X"),
-        projected(RaTerm::edge_scan(
-            db.edge_label_id("isLocatedIn").unwrap(),
-            s.col("x"),
-            s.col("y"),
-        )),
-        s.col("x"),
-        s.col("y"),
-        s.col("m"),
-    );
-    let p = plan(&f, &store).unwrap();
-    let mut ctx = ExecContext::new();
-    let r = execute_plan(&p, &store, &mut ctx).unwrap();
-    assert_eq!(pairs(&r), closure_pairs(&db, "isLocatedIn+"));
-    assert_eq!(ctx.fixpoint_rounds, 3, "closure must iterate");
-    // The step's static build side is hashed in the first round only.
-    assert_eq!(ctx.hash_builds, 1);
-    assert_eq!(ctx.cache_hits, 2);
-    // The base's scan and projection and the cached side's scan and
-    // projection, 4 rows each, once; then per round the delta read, the
-    // join, its projection and the fresh rows: 4 · 4 + (4 + 3 + 3 + 3) +
-    // (3 + 1 + 1 + 1) + (1 + 0 + 0 + 0).
-    assert_eq!(ctx.rows_materialized(), 36);
-}
-
 /// The first two columns of `rel`'s rows.
 fn pairs(rel: &Relation) -> Vec<(u32, u32)> {
     rel.rows().map(|r| (r[0], r[1])).collect()
@@ -493,41 +465,34 @@ fn label_filtered_index_join_matches_scan_strategies() {
     }
 }
 
-/// `µX. E(x,y) ∪ π_{x,y}(π_{x,n}(X(x,m) ⋈ E(m,n)) ⋈ E(n,y))` for the
-/// edge label `label`: its odd-length paths, through a two-join step,
-/// which plans semi-naive.
-fn two_join_closure(db: &sgq_graph::GraphDatabase, store: &RelStore, label: &str) -> RaTerm {
+/// `(E/E)+` for the edge label `label`, each `E` scan under `wrap`: a
+/// composite closure whose step, the two-hop join, is its base too.
+fn two_hop_closure(
+    db: &sgq_graph::GraphDatabase,
+    store: &RelStore,
+    label: &str,
+    wrap: fn(RaTerm) -> RaTerm,
+) -> RaTerm {
     let s = &store.symbols;
-    let edge =
-        |src, tgt| RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt));
-    let var = s.recvar("X");
-    let rec = RaTerm::RecRef {
-        var,
-        cols: vec![s.col("x"), s.col("m")],
+    let edge = |src, tgt| {
+        let scan = RaTerm::edge_scan(db.edge_label_id(label).unwrap(), s.col(src), s.col(tgt));
+        wrap(scan)
     };
-    let first = RaTerm::project(
-        RaTerm::join(rec, edge("m", "n")),
-        vec![s.col("x"), s.col("n")],
-    );
-    let step = RaTerm::join(first, edge("n", "y"));
-    RaTerm::Fixpoint {
-        var,
-        base: Box::new(edge("x", "y")),
-        step: Box::new(RaTerm::project(step, vec![s.col("x"), s.col("y")])),
-        stable: vec![s.col("x")],
-    }
+    let (x, z) = (s.col("x"), s.col("z"));
+    let two_hops = RaTerm::project(RaTerm::join(edge("x", "y"), edge("y", "z")), vec![x, z]);
+    closure_fixpoint(s.recvar("X"), two_hops, x, z, s.col("m"))
 }
 
 #[test]
 fn index_join_inside_fixpoint_interacts_with_the_step_cache() {
-    // Directed: the two-join closure step's joins against the static
-    // scan probe the CSR instead of building a hash table. The answer
-    // is `eval_path`'s, and no hash table is built in any round.
+    // Directed: the composite closure's step probes the CSR instead of
+    // building a hash table, and is computed once, for the base, then
+    // read from the node cache for the walk. The answer is `eval_path`'s.
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
-    let f = two_join_closure(&db, &store, "isLocatedIn");
+    let f = two_hop_closure(&db, &store, "isLocatedIn", |t| t);
     let p = plan(&f, &store).unwrap();
-    assert_eq!(p.op.fixpoint_strategy(), Some("semi-naive"));
+    assert_eq!(p.op.fixpoint_strategy(), Some("composite"));
     assert!(
         p.contains_op(&|op| matches!(op, PhysOp::IndexJoin { .. })),
         "{p:?}"
@@ -535,9 +500,11 @@ fn index_join_inside_fixpoint_interacts_with_the_step_cache() {
 
     let mut cached = ExecContext::new();
     let r_cached = execute_plan(&p, &store, &mut cached).unwrap();
-    let odd = "isLocatedIn|(isLocatedIn/(isLocatedIn/isLocatedIn)+)";
-    assert_eq!(pairs(&r_cached), closure_pairs(&db, odd));
-    assert!(cached.fixpoint_rounds >= 2, "closure iterates");
+    assert_eq!(
+        pairs(&r_cached),
+        closure_pairs(&db, "(isLocatedIn/isLocatedIn)+")
+    );
+    assert_eq!((cached.fixpoint_rounds, cached.cache_hits), (1, 1));
     assert_eq!(cached.hash_builds, 0, "the CSR is the build side");
 }
 
@@ -1009,22 +976,18 @@ fn parallel_index_join_respects_label_filters() {
 
 #[test]
 fn parallel_fixpoint_matches_serial_with_identical_builds() {
-    // Directed: inside a fixpoint, each round's delta probe runs per
-    // morsel against the cached static build side. Results match serial
-    // execution bit-for-bit, the round count is unchanged, and the
-    // build-side hash tables are constructed on the caller thread —
-    // exactly as many as the serial run builds.
+    // Directed: a composite closure's step hash-joins per morsel. Results
+    // match serial execution bit-for-bit, the fixpoint still runs once,
+    // and the build side is constructed on the caller thread — exactly as
+    // many tables as the serial run builds.
     let db = fig2_yago_database();
     let store = RelStore::load(&db);
-    let s = &store.symbols;
-    let located = RaTerm::edge_scan(
-        db.edge_label_id("isLocatedIn").unwrap(),
-        s.col("x"),
-        s.col("y"),
-    );
-    let closure = |base| closure_fixpoint(s.recvar("X"), base, s.col("x"), s.col("y"), s.col("m"));
-    // Over the projected scan the step hash-joins, and builds are counted.
-    let p = plan(&closure(projected(located.clone())), &store).unwrap();
+    // Over projected scans the step hash-joins, and builds are counted.
+    let p = plan(
+        &two_hop_closure(&db, &store, "isLocatedIn", projected),
+        &store,
+    )
+    .unwrap();
     let mut serial = ExecContext::new();
     let r_serial = execute_plan(&p, &store, &mut serial).unwrap();
     let mut par = ExecContext::new();
@@ -1033,17 +996,19 @@ fn parallel_fixpoint_matches_serial_with_identical_builds() {
     par.morsel_rows = 1;
     let r_par = execute_plan(&p, &store, &mut par).unwrap();
     assert_eq!(r_serial, r_par, "parallel fixpoint changed results");
-    assert_eq!(serial.fixpoint_rounds, par.fixpoint_rounds);
+    assert_eq!((serial.fixpoint_rounds, par.fixpoint_rounds), (1, 1));
     assert_eq!(
         serial.hash_builds, par.hash_builds,
-        "build sides must stay on the caller thread (cached, not per morsel)"
+        "build sides must stay on the caller thread (not per morsel)"
     );
-    assert!(par.morsels_executed >= 2, "delta probes must go parallel");
-    assert!(serial.fixpoint_rounds >= 2, "closure iterates");
+    assert!(
+        par.morsels_executed >= 2,
+        "the step's probe must go parallel"
+    );
 
-    // Over the bare scan the closure kernel runs, serially at any DOP,
-    // with zero hash builds.
-    let p_csr = plan(&closure(located), &store).unwrap();
+    // Over bare scans the step probes the CSR, at any DOP, with zero hash
+    // builds.
+    let p_csr = plan(&two_hop_closure(&db, &store, "isLocatedIn", |t| t), &store).unwrap();
     let mut csr = ExecContext::new();
     csr.dop = 4;
     csr.parallel_threshold = 1;
@@ -1060,7 +1025,8 @@ fn parallel_row_budget_stops_within_one_morsel_batch_per_worker() {
     // only morsels already past their final poll can still record. The
     // overshoot is therefore bounded by one in-flight morsel's output
     // per worker: `max_rows + dop * morsel_rows * f_max`, where f_max
-    // is the worst per-key fanout either join side can contribute.
+    // is the worst per-key fanout either join side can contribute. The
+    // same bound holds with the join as a composite closure's step.
     let (_, db) = sgq_datasets::yago::generate(sgq_datasets::yago::YagoConfig::scaled(0.2));
     let store = RelStore::load(&db);
     let s = &store.symbols;
@@ -1072,6 +1038,11 @@ fn parallel_row_budget_stops_within_one_morsel_batch_per_worker() {
     // parallel probe.
     let t = RaTerm::join(scan("livesIn", "x", "y"), scan("livesIn", "z", "y"));
     let p = plan(&t, &store).unwrap();
+    let (x, z) = (s.col("x"), s.col("z"));
+    let neighbours = RaTerm::project(t, vec![x, z]);
+    let closure = closure_fixpoint(s.recvar("X"), neighbours, x, z, s.col("m"));
+    let p_closure = plan(&closure, &store).unwrap();
+    assert_eq!(p_closure.op.fixpoint_strategy(), Some("composite"));
 
     // Full output size and worst-case per-key fanout, from the data.
     let mut ctx = ExecContext::new();
@@ -1098,26 +1069,28 @@ fn parallel_row_budget_stops_within_one_morsel_batch_per_worker() {
     let f_max = fanout(&lives.project(&[s.col("y"), s.col("x")]), 0);
 
     let (dop, morsel_rows, max_rows) = (2usize, 4usize, 2_000usize);
-    let mut ctx = ExecContext::new();
-    ctx.dop = dop;
-    ctx.parallel_threshold = 1;
-    ctx.morsel_rows = morsel_rows;
-    ctx.max_rows = max_rows;
-    let err = execute_plan(&p, &store, &mut ctx).expect_err("budget must trip");
-    assert!(
-        err.to_string().contains("row budget"),
-        "expected the row-budget error, got {err}"
-    );
     let bound = max_rows + dop * morsel_rows * f_max;
-    assert!(
-        ctx.rows_materialized() <= bound,
-        "overshoot too large: {} rows recorded, bound {bound} (total {total})",
-        ctx.rows_materialized()
-    );
     assert!(
         total > bound,
         "fixture too small to distinguish early stop ({total} <= {bound})"
     );
+    for p in [p, p_closure] {
+        let mut ctx = ExecContext::new();
+        ctx.dop = dop;
+        ctx.parallel_threshold = 1;
+        ctx.morsel_rows = morsel_rows;
+        ctx.max_rows = max_rows;
+        let err = execute_plan(&p, &store, &mut ctx).expect_err("budget must trip");
+        assert!(
+            err.to_string().contains("row budget"),
+            "expected the row-budget error, got {err}"
+        );
+        assert!(
+            ctx.rows_materialized() <= bound,
+            "overshoot too large: {} rows recorded, bound {bound} (total {total}): {p:?}",
+            ctx.rows_materialized()
+        );
+    }
 }
 
 /// Asserts rows are strictly increasing (sorted with no duplicates).
@@ -1165,7 +1138,6 @@ fn every_operator_returns_canonical_relations() {
         assert_canonical(&r.join(&s), "join");
         assert_canonical(&r.semijoin(&s), "semijoin");
         assert_canonical(&r.union(&same), "union");
-        assert_canonical(&r.difference(&same), "difference");
     }
 }
 
@@ -1227,9 +1199,11 @@ fn closure_db(seed: u64) -> sgq_graph::GraphDatabase {
 fn closure_kernel_fixpoints_match_eval_path_at_every_dop() {
     // One-label closures run the closure kernel, forward and reverse, from
     // a stable-end label filter, and as the base when no path has two
-    // hops; a filter on the moving end, or the stable column second, keeps
-    // the fixpoint semi-naive. Each is checked against `eval_path` at DOP
-    // 1, 2 and 7, and the census shows every shape was planned.
+    // hops; composite ones walk their step's pairs, bare and from a
+    // stable-end filter. Each is checked against `eval_path` at DOP 1, 2
+    // and 7, and the census shows every shape was planned. A filter on
+    // the moving end, the stable column second, or a step that is not
+    // the base, is no closure: it fails to plan.
     let mut census = std::collections::BTreeMap::<&str, usize>::new();
     for seed in 0..48u64 {
         let db = closure_db(seed);
@@ -1284,31 +1258,44 @@ fn closure_kernel_fixpoints_match_eval_path_at_every_dop() {
             stable: vec![v0],
         };
         let is_n = |n: u32| db.node_label_name(db.node_label(sgq_common::NodeId::new(n))) == "N";
-        let plus = closure_pairs(&db, "a+");
-        let mut first_into_n = Vec::new();
-        for (s, x) in closure_pairs(&db, "a")
-            .into_iter()
-            .filter(|&(_, x)| is_n(x))
-        {
-            first_into_n.push((s, x));
-            first_into_n.extend(plus.iter().filter(|p| p.0 == x).map(|&(_, t)| (s, t)));
-        }
-        first_into_n.sort_unstable();
-        first_into_n.dedup();
         let labelled = |path| {
             let mut pairs = closure_pairs(&db, path);
             pairs.retain(|&(s, _)| is_n(s));
             pairs
         };
-        let cases = [
+        // µX. a(v0,v1) ∪ π(X(v0,m) ⋈ c(m,v1)): the step is not the base.
+        let step = RaTerm::join(
+            RaTerm::RecRef {
+                var,
+                cols: vec![v0, m],
+            },
+            RaTerm::edge_scan(db.edge_label_id("c").unwrap(), m, v1),
+        );
+        let other_step = RaTerm::Fixpoint {
+            var,
+            base: Box::new(RaTerm::edge_scan(a, v0, v1)),
+            step: Box::new(RaTerm::project(step, vec![v0, v1])),
+            stable: vec![v0],
+        };
+        for not_closure in [stable_second, moving_filtered, other_step] {
+            let err = plan(&optimize(&not_closure, &store), &store).unwrap_err();
+            assert!(
+                err.to_string().contains(sgq_ra::plan::NOT_CLOSURE_SHAPED),
+                "seed {seed}: {err}"
+            );
+        }
+        let mut cases = vec![
             (translated("a+"), closure_pairs(&db, "a+")),
             (translated("-a+"), closure_pairs(&db, "-a+")),
-            (stable_second, closure_pairs(&db, "a+")),
             (in_n(translated("a+")), labelled("a+")),
             (in_n(translated("-a+")), labelled("-a+")),
             (translated("c+"), closure_pairs(&db, "c+")),
-            (moving_filtered, first_into_n),
         ];
+        // `-(a/c)+`, as the parser reverses labels only.
+        for path in ["(a/a)+", "(a|c)+", "(a & -a)+", "(-c/-a)+"] {
+            cases.push((translated(path), closure_pairs(&db, path)));
+            cases.push((in_n(translated(path)), labelled(path)));
+        }
         for (term, want) in cases {
             let p = plan(&optimize(&term, &store), &store).unwrap();
             let mut strategy = None;
@@ -1335,6 +1322,7 @@ fn closure_kernel_fixpoints_match_eval_path_at_every_dop() {
         "reverse",
         "stable-end filtered",
         "no two-hop base",
+        "composite",
     ] {
         assert!(
             census.get(shape).is_some_and(|&n| n > 0),
