@@ -20,8 +20,8 @@ pub struct GraphEngine<'a> {
     pub(crate) db: &'a GraphDatabase,
     pub(crate) counters: EvalCounters,
     pub(crate) limits: Limits,
-    /// The closure kernel's node marks, reused by every closure of this
-    /// engine.
+    /// The closure kernel's node marks, reused by every closure and every
+    /// expand hop of this engine.
     pub(crate) scratch: RefCell<Scratch>,
 }
 
@@ -80,7 +80,9 @@ impl<'a> GraphEngine<'a> {
         })
     }
 
-    /// Total pairs materialised since construction (work counter).
+    /// Total pairs materialised since construction (work counter): every
+    /// path evaluation's pairs, and the distinct pairs each expand hop
+    /// keeps.
     pub fn pairs_materialized(&self) -> usize {
         self.counters.pairs.get()
     }

@@ -1,7 +1,8 @@
 //! The expand kernel: every chain CQT of a UCQT as one seeded walk of
 //! `(origin, current)` pairs over CSR adjacency, the union's chains
 //! merged into a prefix trie. DESIGN.md ("Graph engine") has the chain
-//! rule, the direction rule, the trie and the limits.
+//! rule, the direction rule, the trie, the frontier's per-origin dedup
+//! and the limits.
 
 use sgq_algebra::{ast::PathExpr, eval::PairSet};
 use sgq_common::{sorted, EdgeLabelId, NodeId, Result, VarId};
@@ -223,8 +224,11 @@ pub(crate) fn run(eng: &GraphEngine<'_>, chains: Vec<Chain>) -> Result<Rows> {
     }
     if !forward {
         out.iter_mut().for_each(|p| *p = p.rotate_left(32));
+        out.sort_unstable();
+    } else if !sorted::is_normalized(&out) {
+        out.sort(); // merges the leaves' canonical frontiers
     }
-    sorted::normalize(&mut out);
+    out.dedup();
     let data = out.iter().flat_map(|&p| [unpack(p).0, unpack(p).1]);
     Ok(Rows::from_flat(2, out.len(), data.collect()))
 }
@@ -267,7 +271,9 @@ fn walk<'t>(
 }
 
 /// One step from a canonical frontier or, at a root (`None`), from the
-/// start filter's nodes: the canonical frontier it reaches.
+/// start filter's nodes: the canonical frontier it reaches. A frontier
+/// holds each origin's pairs as one run, so each run is deduplicated by
+/// the engine's node marks, a fresh epoch per origin, and sorted alone.
 fn expand<'t>(
     eng: &GraphEngine<'_>,
     frontier: Option<&[u64]>,
@@ -278,27 +284,9 @@ fn expand<'t>(
     limits.poll()?;
     limits.fault("engine.expand")?;
     let (start, hop, land) = &node.step;
-    let mut next = Vec::new();
-    let mut emit = |origin: NodeId, n: NodeId| -> Result<()> {
-        if land
-            .as_ref()
-            .is_none_or(|l| sorted::contains(l, &db.node_label(n)))
-        {
-            next.push(pack(origin, n));
-            if next.len().is_multiple_of(POLL_PAIRS) {
-                counters.add_pairs(POLL_PAIRS, limits)?;
-                limits.poll()?;
-            }
-        }
-        Ok(())
-    };
-    if let (Some(frontier), Some((l, out))) = (frontier, hop.label()) {
-        for (origin, current) in frontier.iter().map(|&p| unpack(p)) {
-            for &n in neighbors(db, current, l, out) {
-                emit(origin, n)?;
-            }
-        }
-    } else {
+    let label = hop.label().filter(|_| frontier.is_some());
+    let mut keyed: &[(NodeId, NodeId)] = &[];
+    if label.is_none() {
         // Seeded on the walk side by the frontier's current nodes or the
         // start's nodes, and keyed by that side.
         let seeds = match frontier {
@@ -330,21 +318,54 @@ fn expand<'t>(
                 evaluated.len() - 1
             }
         };
-        let keyed = &evaluated[pos].2;
-        match frontier {
-            None => keyed.iter().try_for_each(|&(origin, n)| emit(origin, n))?,
-            Some(frontier) => {
-                for (origin, current) in frontier.iter().map(|&p| unpack(p)) {
-                    let run = &keyed[keyed.partition_point(|&(k, _)| k < current)..];
-                    for &(_, n) in run.iter().take_while(|&&(k, _)| k == current) {
-                        emit(origin, n)?;
-                    }
-                }
-            }
+        keyed = &evaluated[pos].2;
+    }
+    let lands = |n: NodeId| {
+        land.as_ref()
+            .is_none_or(|l| sorted::contains(l, &db.node_label(n)))
+    };
+    let (mut next, mut recorded) = (Vec::new(), 0);
+    // Records the pairs kept since the last batch, a batch at a time.
+    let mut batch = |next: &Vec<u64>| -> Result<()> {
+        while next.len() - recorded >= POLL_PAIRS {
+            recorded += POLL_PAIRS;
+            counters.add_pairs(POLL_PAIRS, limits)?;
+            limits.poll()?;
+        }
+        Ok(())
+    };
+    if frontier.is_none() {
+        // The evaluated pairs are canonical already.
+        let landed = keyed.iter().filter(|p| lands(p.1));
+        next.extend(landed.map(|&(origin, n)| pack(origin, n)));
+        batch(&next)?;
+    }
+    let scratch = &mut eng.scratch.borrow_mut();
+    let same_origin = |a: &u64, b: &u64| a >> 32 == b >> 32;
+    for run in frontier.unwrap_or_default().chunk_by(same_origin) {
+        // One current node's row is canonical already.
+        let (origin, from, single) = (unpack(run[0]).0, next.len(), run.len() == 1);
+        if !single {
+            scratch.next_epoch();
+        }
+        for current in run.iter().map(|&p| unpack(p).1) {
+            let (csr, rows) = match label {
+                Some((l, out)) => (neighbors(db, current, l, out), &[][..]),
+                None => (&[][..], &keyed[keyed.partition_point(|p| p.0 < current)..]),
+            };
+            let rows = rows.iter().take_while(|p| p.0 == current).map(|p| p.1);
+            csr.iter()
+                .copied()
+                .chain(rows)
+                .filter(|&n| lands(n) && (single || scratch.mark(n)))
+                .for_each(|n| next.push(pack(origin, n)));
+            batch(&next)?;
+        }
+        if !single {
+            next[from..].sort_unstable();
         }
     }
-    counters.add_pairs(next.len() % POLL_PAIRS, limits)?;
-    sorted::normalize(&mut next);
+    counters.add_pairs(next.len() - recorded, limits)?;
     Ok(next)
 }
 
@@ -357,8 +378,11 @@ pub(crate) fn trie_size(nodes: &[Node]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgq_algebra::{eval::eval_path, parser::parse_path};
+    use sgq_common::Rng;
     use sgq_core::pipeline::{rewrite_path, RewriteOptions};
     use sgq_datasets::{ldbc, yago};
+    use sgq_query::cqt::{LabelAtom, Relation};
 
     /// Both catalogs at the benchmark's sizes, baseline and rewrite: every
     /// disjunct but two cycles is a chain, the walks go both ways, and the
@@ -407,5 +431,136 @@ mod tests {
                 "{name} shares no prefix: {shared:?}"
             );
         }
+    }
+
+    /// `n` nodes labelled `N` and `M` in turn, each `r` and each `s` edge
+    /// drawn with probability `p`: dense enough that many paths from one
+    /// origin meet.
+    fn dense(seed: u64, n: usize, p: f64) -> GraphDatabase {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut b = GraphDatabase::standalone_builder();
+        let nodes: Vec<_> = (0..n).map(|i| b.node(["N", "M"][i % 2], &[])).collect();
+        for &x in &nodes {
+            for &y in &nodes {
+                for l in ["r", "s"] {
+                    if rng.gen_bool(p) {
+                        b.edge(x, l, y);
+                    }
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Expands `node` from `frontier`, then every child from what it
+    /// reached: each hop's frontier is the canonical set a brute-force step
+    /// over `eval_path` gives, and a one-label hop from a frontier counts
+    /// exactly its distinct pairs. Returns the hops that reached a pair by
+    /// two paths or more.
+    fn check_hops<'t>(
+        eng: &GraphEngine<'_>,
+        frontier: Option<&[u64]>,
+        node: &'t Node,
+        evaluated: &mut Evaluated<'t>,
+    ) -> usize {
+        let db = eng.db;
+        let before = eng.pairs_materialized();
+        let next = expand(eng, frontier, node, evaluated).unwrap();
+        let (start, hop, land) = &node.step;
+        let admits = |labels: &Option<LabelSet>, n: NodeId| {
+            labels
+                .as_ref()
+                .is_none_or(|l| l.contains(&db.node_label(n)))
+        };
+        let mut step = eval_path(db, &hop.expr);
+        if !hop.forward {
+            step.iter_mut().for_each(|p| *p = (p.1, p.0));
+        }
+        let from: Vec<(NodeId, NodeId)> = match frontier {
+            Some(frontier) => frontier.iter().map(|&p| unpack(p)).collect(),
+            None => db
+                .node_ids()
+                .filter(|&n| admits(start, n))
+                .map(|n| (n, n))
+                .collect(),
+        };
+        let mut want = Vec::new();
+        for &(origin, current) in &from {
+            let reached = step
+                .iter()
+                .filter(|&&(m, n)| m == current && admits(land, n));
+            want.extend(reached.map(|&(_, n)| pack(origin, n)));
+        }
+        let paths = want.len();
+        sorted::normalize(&mut want);
+        assert!(sorted::is_normalized(&next), "{:?}", hop.expr);
+        assert_eq!(next, want, "{:?}", hop.expr);
+        if frontier.is_some() && hop.label().is_some() {
+            let counted = eng.pairs_materialized() - before;
+            assert_eq!(counted, next.len(), "{:?} counts distinct pairs", hop.expr);
+        }
+        let children = node.children.iter();
+        usize::from(paths > next.len())
+            + children
+                .map(|child| check_hops(eng, Some(&next), child, evaluated))
+                .sum::<usize>()
+    }
+
+    /// Whether a trie node ends a chain and also has a child.
+    fn leaf_with_child(nodes: &[Node]) -> bool {
+        nodes
+            .iter()
+            .any(|n| (n.leaf && !n.children.is_empty()) || leaf_with_child(&n.children))
+    }
+
+    /// On dense random graphs, hop by hop: one-label hops both ways, a
+    /// closure hop, landing filters, a union whose shorter chain ends where
+    /// the longer one goes on, walked from either end.
+    #[test]
+    fn every_hop_is_canonical_and_counts_its_distinct_pairs() {
+        let (mut converged, mut directions, mut shared) = (0, [false; 2], false);
+        for seed in 0..24 {
+            let db = dense(seed, 10 + seed as usize % 9, 0.2);
+            let rel = |a: u32, path: &str, b: u32| {
+                let path = parse_path(path, &db).unwrap();
+                Relation::plain(VarId::new(a), path, VarId::new(b))
+            };
+            let atom = |var: u32, label: &str| LabelAtom {
+                var: VarId::new(var),
+                labels: vec![db.node_label_id(label).unwrap()],
+            };
+            let cqt = |relations, atoms| Cqt {
+                head: vec![VarId::new(0), VarId::new(1)],
+                atoms,
+                relations,
+            };
+            let queries = [
+                vec![
+                    cqt(vec![rel(0, "r/-s/r", 1)], vec![atom(1, "N")]),
+                    cqt(
+                        vec![rel(0, "r/-s/r", 2), rel(2, "s", 1)],
+                        vec![atom(2, "N")],
+                    ),
+                ],
+                vec![cqt(vec![rel(0, "r/r+/-s", 1)], vec![atom(0, "M")])],
+                vec![cqt(
+                    vec![rel(0, "-r/s", 2), rel(2, "r", 1)],
+                    vec![atom(2, "M"), atom(1, "N")],
+                )],
+            ];
+            for disjuncts in queries {
+                let chains = disjuncts.iter().map(|c| Chain::of(c).unwrap()).collect();
+                let (forward, roots) = trie(&db, chains);
+                directions[usize::from(forward)] = true;
+                shared |= leaf_with_child(&roots);
+                let (eng, mut evaluated) = (GraphEngine::new(&db), Vec::new());
+                for root in &roots {
+                    converged += check_hops(&eng, None, root, &mut evaluated);
+                }
+            }
+        }
+        assert_eq!(directions, [true, true], "walks go both ways");
+        assert!(shared, "no chain ended where another went on");
+        assert!(converged > 0, "no hop reached a pair by two paths");
     }
 }

@@ -19,7 +19,7 @@ const BATCH: usize = 1 << 16;
 const OPEN: u32 = u32::MAX;
 
 /// Node marks kept from call to call, `(pass epoch, discovery number,
-/// walk epoch)` per node: a mark counts while it holds the current epoch.
+/// mark epoch)` per node: a mark counts while it holds the current epoch.
 #[derive(Debug, Default)]
 pub struct Scratch {
     nodes: usize,
@@ -36,12 +36,20 @@ impl Scratch {
         }
     }
 
-    fn next_epoch(&mut self) -> u32 {
+    /// A fresh epoch: every node [`Scratch::mark`] marked is unmarked.
+    pub fn next_epoch(&mut self) -> u32 {
         if self.epoch == u32::MAX || self.marks.len() < self.nodes {
             (self.marks, self.epoch) = (vec![(0, 0, 0); self.nodes], 0);
         }
         self.epoch += 1;
         self.epoch
+    }
+
+    /// Marks `n` (below the node count, after a [`Scratch::next_epoch`]);
+    /// whether it was unmarked.
+    #[inline]
+    pub fn mark(&mut self, n: NodeId) -> bool {
+        std::mem::replace(&mut self.marks[n.index()].2, self.epoch) != self.epoch
     }
 }
 
@@ -111,7 +119,7 @@ pub fn closure<'a>(
             out.pairs.extend_from_within(at..at + len);
             out.pairs[from..].iter_mut().for_each(|p| p.0 = start);
         } else {
-            let epoch = scratch.next_epoch();
+            scratch.next_epoch();
             queue.clear();
             queue.push(start);
             let mut lo = 0;
@@ -123,9 +131,7 @@ pub fn closure<'a>(
                     let next = row(queue[i]);
                     steps.tick(next.len())?;
                     for &n in next {
-                        let seen = &mut scratch.marks[n.index()].2;
-                        if *seen != epoch {
-                            *seen = epoch;
+                        if scratch.mark(n) {
                             queue.push(n);
                         }
                     }

@@ -1160,16 +1160,24 @@ fn executed_plans_are_canonical() {
 /// A random graph for the closure matrix: shuffled ids, `N`/`M` node
 /// labels, and `a` edges forming a cycle, a chain into it, self-loops and
 /// a few random edges; `c` edges only from the first third of the nodes
-/// to the last, so no `c` path has two hops.
+/// to the last, so no `c` path has two hops. One `N` and one `M` node sit
+/// on the cycle: both labels exist, and an `N` filter on the targets of
+/// `a` drops a pair, so the optimiser cannot drop the filter.
 fn closure_db(seed: u64) -> sgq_graph::GraphDatabase {
     let mut rng = Rng::seed_from_u64(seed);
     let mut b = sgq_graph::GraphDatabase::standalone_builder();
     let n = rng.gen_range(8..24);
-    let mut ids: Vec<_> = (0..n)
-        .map(|_| b.node(["N", "M"][rng.gen_range(0..2)], &[]))
+    let (on_cycle_n, on_cycle_m) = (b.node("N", &[]), b.node("M", &[]));
+    let mut ids: Vec<_> = [on_cycle_n, on_cycle_m]
+        .into_iter()
+        .chain((2..n).map(|_| b.node(["N", "M"][rng.gen_range(0..2)], &[])))
         .collect();
     for i in (1..n).rev() {
         ids.swap(i, rng.gen_range(0..i + 1));
+    }
+    for (slot, node) in [(0, on_cycle_n), (1, on_cycle_m)] {
+        let at = ids.iter().position(|&id| id == node).unwrap();
+        ids.swap(slot, at);
     }
     let cycle = rng.gen_range(2..n / 2);
     for i in 0..cycle {

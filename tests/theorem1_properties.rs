@@ -295,15 +295,73 @@ fn chain_reference(
         .map(|n| (n, n))
         .collect();
     for (i, link) in links.iter().enumerate() {
-        let mut step = eval_path(db, &link.expr);
-        if !link.along {
-            step = step.into_iter().map(|(s, t)| (t, s)).collect();
-            step.sort_unstable();
-        }
-        pairs = compose(&pairs, &step);
+        pairs = compose(&pairs, &oriented(db, link));
         pairs.retain(|&(_, t)| admits(i + 1, t));
     }
     pairs
+}
+
+/// A link's pairs `(x_i, x_{i+1})` along the chain, by `eval_path`.
+fn oriented(db: &GraphDatabase, link: &Link) -> Vec<(NodeId, NodeId)> {
+    let mut step = eval_path(db, &link.expr);
+    if !link.along {
+        step = step.into_iter().map(|(s, t)| (t, s)).collect();
+        step.sort_unstable();
+    }
+    step
+}
+
+/// Whether two paths of [`chain_cqt`] meet: some `(x_0, x_i)` pair is
+/// reached through two different `x_{i-1}`, where a forward walk of the
+/// expand kernel has a duplicate to drop.
+fn paths_meet(db: &GraphDatabase, links: &[Link], filters: &[Option<Vec<NodeLabelId>>]) -> bool {
+    let admits = |i: usize, n: NodeId| {
+        filters[i]
+            .as_ref()
+            .is_none_or(|l| l.contains(&db.node_label(n)))
+    };
+    let mut pairs: Vec<_> = db
+        .node_ids()
+        .filter(|&n| admits(0, n))
+        .map(|n| (n, n))
+        .collect();
+    for (i, link) in links.iter().enumerate() {
+        let step = oriented(db, link);
+        let mut next = Vec::new();
+        for &(a, m) in &pairs {
+            let reached = step.iter().filter(|&&(s, t)| s == m && admits(i + 1, t));
+            next.extend(reached.map(|&(_, t)| (a, t)));
+        }
+        let paths = next.len();
+        next.sort_unstable();
+        next.dedup();
+        if paths > next.len() {
+            return true;
+        }
+        pairs = next;
+    }
+    false
+}
+
+/// Nodes labelled `N` and `M` in turn, each `r` and each `s` edge drawn
+/// with probability 0.2: dense enough that many paths from one origin
+/// meet.
+fn dense_database(seed: u64) -> GraphDatabase {
+    let rng = &mut Rng::seed_from_u64(seed);
+    let mut b = GraphDatabase::standalone_builder();
+    let nodes: Vec<_> = (0..rng.gen_range(8..20))
+        .map(|i| b.node(["N", "M"][i % 2], &[]))
+        .collect();
+    for &x in &nodes {
+        for &y in &nodes {
+            for l in ["r", "s"] {
+                if rng.gen_bool(0.2) {
+                    b.edge(x, l, y);
+                }
+            }
+        }
+    }
+    b.build().expect("dense database is well-formed")
 }
 
 /// A matrix of hand-built chain CQTs, each shape aimed at one path of
@@ -312,7 +370,8 @@ fn chain_reference(
 /// labels, closures seeded from either end, branch and conjunction hops,
 /// a multi-hop relation read backward, the head `[b, a]`, paths that
 /// collapse to one pair, a union whose disjuncts share a prefix and
-/// then diverge, and a relation hanging off an end of the chain.
+/// then diverge, and a relation hanging off an end of the chain. Then
+/// dense graphs, where the kernel drops many duplicates per origin.
 #[test]
 fn expand_kernel_chain_matrix() {
     let mut collapsed = 0;
@@ -445,4 +504,66 @@ fn expand_kernel_chain_matrix() {
         assert_eq!(engine_pairs(&db, &query), want, "case {i}: {query:?}");
     }
     assert!(collapsed > 0, "no case had two paths collapse to one pair");
+
+    // Dense graphs: one-label chains of two to four hops, each link either
+    // way round, `r+` as the second link in every fourth case; a landing
+    // filter on every variable, on `a` alone or on `b` alone (the cheaper
+    // start, so walks go both ways), or none, where the chain is also one
+    // path expression checked against `eval_path` whole; and in every
+    // other case a second disjunct that goes on where the first ends, a
+    // trie node that is a leaf and has a child.
+    let (mut met, mut whole) = (0, 0);
+    for i in 0..CASES {
+        let seed = spread(i ^ 0xd3e);
+        let db = dense_database(seed);
+        let rng = &mut Rng::seed_from_u64(seed);
+        let labels = ["N", "M"].map(|l| vec![db.node_label_id(l).unwrap()]);
+        let mut link = |closure: bool| {
+            let l = db.edge_label_id(["r", "s"][rng.gen_range(0..2)]).unwrap();
+            let (expr, inverse) = (PathExpr::Label(l), PathExpr::Reverse(l));
+            let (expr, inverse) = match closure {
+                true => (PathExpr::plus(expr), PathExpr::plus(inverse)),
+                false => (expr, inverse),
+            };
+            let along = rng.gen_bool(0.5);
+            let forward = if along { expr.clone() } else { inverse };
+            (Link { expr, along }, forward)
+        };
+        let hops = 2 + (i as usize / 4) % 3;
+        let (links, path): (Vec<Link>, Vec<PathExpr>) =
+            (0..hops).map(|h| link(h == 1 && i % 4 == 3)).unzip();
+        let (next, _) = link(false);
+        let mut filter = |p: f64| rng.gen_bool(p).then(|| labels[rng.gen_range(0..2)].clone());
+        let mut filters: Vec<_> = (0..=hops).map(|_| None).collect();
+        match i % 4 {
+            0 => filters.iter_mut().for_each(|f| *f = filter(0.7)),
+            1 => filters[0] = filter(1.0),
+            2 => filters[hops] = filter(1.0),
+            _ => {}
+        }
+        let mut want = chain_reference(&db, &links, &filters);
+        if filters.iter().all(Option::is_none) {
+            let expr = PathExpr::concat_all(path).expect("two hops or more");
+            assert_eq!(want, eval_path(&db, &expr), "dense case {i}: {expr:?}");
+            whole += 1;
+        }
+        met += usize::from(paths_meet(&db, &links, &filters));
+        let mut query = Ucqt::single(chain_cqt(&links, &filters, false));
+        if i % 2 == 1 {
+            let longer = [links.clone(), vec![next]].concat();
+            let longer_filters = [filters.clone(), vec![filter(0.5)]].concat();
+            met += usize::from(paths_meet(&db, &longer, &longer_filters));
+            want =
+                sgq_common::sorted::union(&want, &chain_reference(&db, &longer, &longer_filters));
+            query
+                .disjuncts
+                .push(chain_cqt(&longer, &longer_filters, false));
+        }
+        assert_eq!(engine_pairs(&db, &query), want, "dense case {i}: {query:?}");
+    }
+    assert!(
+        met > CASES as usize / 2,
+        "paths met in only {met} dense cases"
+    );
+    assert!(whole > 0, "no dense case was checked whole");
 }
