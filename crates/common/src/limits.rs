@@ -1,8 +1,8 @@
 //! The limits of one query execution — the one implementation of the
 //! paper's §5.1.5 protocol (same timeout, same infeasibility rule) for
 //! both backends: the relational interpreter, its inline kernels and
-//! morsel tasks, and the graph engine's path and binding-table
-//! evaluation all poll and record through a [`Limits`].
+//! morsel tasks, and the graph engine's path evaluation and pattern
+//! steps all poll and record through a [`Limits`].
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -97,20 +97,6 @@ impl Limits {
         }
     }
 
-    /// Polls, and holds a table that has grown to `rows` rows to the row
-    /// budget *without* recording them: the graph engine passes the
-    /// running size of the binding table it is emitting, so adding would
-    /// count the same rows again at every call.
-    pub fn check_rows(&self, rows: usize) -> Result<()> {
-        if self.max_rows > 0 && rows > self.max_rows {
-            return Err(self.cancel(SgqError::RowBudget {
-                rows,
-                budget: self.max_rows,
-            }));
-        }
-        self.poll()
-    }
-
     /// One visit of the fault site `site`: inert without a plan. A firing
     /// [`FaultKind::Expire`](crate::fault::FaultKind::Expire) plan reads
     /// as this execution's own deadline expiring.
@@ -131,7 +117,6 @@ impl Limits {
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultKind};
-    use crate::governor::ResourceGovernor;
 
     #[test]
     fn cancellation_sentinel_roundtrips() {
@@ -153,29 +138,6 @@ mod tests {
         assert_eq!(err, SgqError::RowBudget { rows: 4, budget: 3 });
         assert!(is_cancelled(&limits.poll().unwrap_err()));
         assert_eq!(limits.rows.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn check_rows_compares_without_recording_or_charging() {
-        let governor = ResourceGovernor::unlimited();
-        let limits = Limits {
-            max_rows: 10,
-            budget: Some(governor.begin(0)),
-            ..Default::default()
-        };
-        limits.record(8, 2).unwrap();
-        limits.check_rows(10).unwrap();
-        limits.check_rows(10).unwrap();
-        assert_eq!(limits.rows.load(Ordering::Relaxed), 8);
-        assert_eq!(governor.used(), relation_bytes(8, 2));
-        let err = limits.check_rows(16).unwrap_err();
-        assert_eq!(
-            err,
-            SgqError::RowBudget {
-                rows: 16,
-                budget: 10
-            }
-        );
     }
 
     #[test]

@@ -9,8 +9,7 @@ use sgq_common::{Limits, Result};
 use sgq_graph::{closure::Scratch, GraphDatabase};
 use sgq_query::cqt::Ucqt;
 
-use crate::conjunctive::run_cqt;
-use crate::expand::{self, Chain};
+use crate::expand;
 use crate::patheval::{eval_seeded, EvalCounters, Seeds};
 pub use crate::rows::Rows;
 
@@ -43,8 +42,7 @@ impl<'a> GraphEngine<'a> {
     }
 
     /// Aborts evaluation once `max_pairs` pairs have been materialised
-    /// (0 = unlimited); a binding table is held to the same number of
-    /// rows.
+    /// (0 = unlimited); a binding-table row counts as one pair.
     pub fn set_max_pairs(&mut self, max_pairs: usize) {
         self.limits.max_rows = max_pairs;
     }
@@ -59,30 +57,17 @@ impl<'a> GraphEngine<'a> {
         eval_seeded(self, expr, Seeds::none())
     }
 
-    /// Runs a UCQT query, returning sorted deduplicated head rows: the
-    /// chain disjuncts through the expand kernel as one trie, every other
-    /// disjunct through the binding-table executor, then their union.
+    /// Runs a UCQT query, returning sorted deduplicated head rows: every
+    /// disjunct a pattern of steps over a binding table, the union's
+    /// patterns one trie.
     pub fn run_ucqt(&self, query: &Ucqt) -> Result<Rows> {
         query.validate()?;
-        let (mut chains, mut parts) = (Vec::new(), Vec::new());
-        for cqt in &query.disjuncts {
-            match Chain::of(cqt) {
-                Some(chain) => chains.push(chain),
-                None => parts.push(run_cqt(self, cqt)?),
-            }
-        }
-        if !chains.is_empty() {
-            parts.push(expand::run(self, chains)?);
-        }
-        Ok(match parts.len() {
-            1 => parts.pop().expect("one part"),
-            _ => Rows::union(query.head.len(), parts),
-        })
+        expand::run(self, query)
     }
 
     /// Total pairs materialised since construction (work counter): every
-    /// path evaluation's pairs, and the distinct pairs each expand hop
-    /// keeps.
+    /// path evaluation's pairs, and the rows each step of a pattern
+    /// writes.
     pub fn pairs_materialized(&self) -> usize {
         self.counters.pairs.get()
     }
@@ -148,28 +133,27 @@ mod tests {
     fn trie_shares_a_prefix_without_changing_rows() {
         let db = fig2_yago_database();
         let query = shared_prefix_query(&db, ["isLocatedIn", "isLocatedIn/isLocatedIn"]);
-        let chains: Option<Vec<Chain>> = query.disjuncts.iter().map(Chain::of).collect();
-        let (_, trie) = expand::trie(&db, chains.expect("both disjuncts are chains"));
+        let (_, trie) = expand::trie(&db, &query);
         assert_eq!(
             expand::trie_size(&trie),
             4,
             "livesIn/isLocatedIn/isLocatedIn, then one hop"
         );
 
-        // Every disjunct on its own, through the kernel and through the
-        // binding table.
+        // Every disjunct on its own, and against the reference semantics
+        // of its whole path.
         let alone = GraphEngine::new(&db);
         let parts = query
             .disjuncts
             .iter()
-            .map(|c| alone.run_ucqt(&Ucqt::single(c.clone())));
+            .map(|c| Ok((alone.run_ucqt(&Ucqt::single(c.clone()))?, &[0, 1][..])));
         let unshared = Rows::union(2, parts.collect::<Result<_>>().unwrap());
-        let table = GraphEngine::new(&db);
-        let parts = query.disjuncts.iter().map(|c| run_cqt(&table, c));
-        assert_eq!(
-            Rows::union(2, parts.collect::<Result<_>>().unwrap()),
-            unshared
-        );
+        let mut want = Vec::new();
+        for tail in ["isLocatedIn", "isLocatedIn/isLocatedIn"] {
+            let path = parse_path(&format!("livesIn/isLocatedIn/{tail}"), &db).unwrap();
+            want = sgq_common::sorted::union(&want, &sgq_algebra::eval::eval_path(&db, &path));
+        }
+        assert!(unshared.iter().eq(want.iter().map(|&(s, t)| [s, t])));
         assert!(!unshared.is_empty());
 
         let engine = GraphEngine::new(&db);
@@ -265,8 +249,7 @@ mod tests {
     }
 
     /// `(a, isLocatedIn, b) ∧ (c, isLocatedIn, d)`: no shared variable, so
-    /// the second join is a cartesian product of 4 × 4 rows built from
-    /// only 8 materialised pairs.
+    /// the second step is a cartesian extension of 4 rows by 4 pairs.
     fn cartesian_query(db: &GraphDatabase) -> Ucqt {
         let [a, b, c, d] = [0, 1, 2, 3].map(sgq_common::VarId::new);
         let located = || parse_path("isLocatedIn", db).unwrap();
@@ -284,21 +267,22 @@ mod tests {
     fn binding_table_rows_are_held_to_the_pair_budget() {
         let db = fig2_yago_database();
         let query = cartesian_query(&db);
+        // The first step evaluates the 4 `isLocatedIn` pairs and writes
+        // them as 4 rows; the second looks the same pairs up and writes
+        // 4 × 4 rows: 4 + 4 + 16.
         let unlimited = GraphEngine::new(&db);
         assert_eq!(unlimited.run_ucqt(&query).unwrap().len(), 16);
-        assert_eq!(unlimited.pairs_materialized(), 8);
+        assert_eq!(unlimited.pairs_materialized(), 24);
 
+        // 8 recorded rows pass a budget of 10; the cartesian step's 16
+        // cross it.
         let mut engine = GraphEngine::new(&db);
         engine.set_max_pairs(10);
         match engine.run_ucqt(&query) {
-            Err(SgqError::RowBudget { rows, budget }) => assert_eq!((rows, budget), (16, 10)),
+            Err(SgqError::RowBudget { rows, budget }) => assert_eq!((rows, budget), (24, 10)),
             other => panic!("expected a row-budget error, got {other:?}"),
         }
-        assert_eq!(
-            engine.pairs_materialized(),
-            8,
-            "table rows are not counted as materialised pairs"
-        );
+        assert_eq!(engine.pairs_materialized(), 24);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The graph engine's one row representation: a flat, row-major table.
 //!
-//! [`Rows`] is both the binding table of the conjunctive executor and
-//! the result the engine hands back: `arity` values per row in one
-//! `Vec<NodeId>`, always *canonical* (rows sorted lexicographically,
-//! duplicates removed). Nothing allocates per row. Normalisation packs
-//! each row into one integer key (`u64` up to two columns, `u128` up to
-//! four) so the sort compares machine words; wider rows fall back to a
-//! slice comparison.
+//! [`Rows`] is both the binding table every step of the pattern executor
+//! reads and writes and the result the engine hands back: `arity` values
+//! per row in one `Vec<NodeId>`, always *canonical* (rows sorted
+//! lexicographically, duplicates removed). Nothing allocates per row, and
+//! the last step's table is the answer, moved, not copied. A step that
+//! cannot keep its output in order normalises it once: each row is packed
+//! into one integer key (`u64` up to two columns, `u128` up to four) so
+//! the sort compares machine words; wider rows fall back to a slice
+//! comparison.
 
 use sgq_common::NodeId;
 
@@ -14,29 +16,27 @@ use sgq_common::NodeId;
 #[derive(Clone, PartialEq, Eq)]
 pub struct Rows {
     arity: usize,
-    /// Row count, kept beside `data` so that the zero-column tables (the
-    /// join identity and "some match exists") are representable.
+    /// Row count, kept beside `data` so that the zero-column table the
+    /// first step extends (one empty row) is representable.
     len: usize,
     data: Vec<NodeId>,
 }
 
 impl Rows {
-    /// No rows of the given arity.
-    pub(crate) fn empty(arity: usize) -> Self {
-        Rows {
-            arity,
-            len: 0,
-            data: Vec::new(),
-        }
-    }
-
-    /// The join identity: one row of no columns.
+    /// One row of no columns: the table before a pattern's first step.
     pub(crate) fn unit() -> Self {
         Rows {
             arity: 0,
             len: 1,
             data: Vec::new(),
         }
+    }
+
+    /// `data`, row-major rows of `arity >= 1` columns, already canonical.
+    pub(crate) fn canonical(arity: usize, data: Vec<NodeId>) -> Self {
+        debug_assert!(data.chunks_exact(arity).is_sorted_by(|a, b| a < b));
+        let len = data.len() / arity;
+        Rows { arity, len, data }
     }
 
     /// Canonicalises `emitted` rows written row-major into `data`.
@@ -46,8 +46,8 @@ impl Rows {
             emitted.min(1)
         } else {
             normalize(arity, &mut data);
-            // A join can emit far more rows than survive deduplication;
-            // do not let a small result pin the large emit buffer.
+            // A step can write far more rows than survive deduplication;
+            // do not let a small result pin the large buffer.
             if data.capacity() > 2 * data.len() {
                 data.shrink_to_fit();
             }
@@ -56,15 +56,21 @@ impl Rows {
         Rows { arity, len, data }
     }
 
-    /// The union of row sets of one arity.
-    pub(crate) fn union(arity: usize, parts: Vec<Rows>) -> Self {
-        let emitted = parts.iter().map(Rows::len).sum();
-        let mut data = Vec::with_capacity(arity * emitted);
-        for part in &parts {
-            debug_assert_eq!(part.arity, arity, "union-compatible parts");
-            data.extend_from_slice(&part.data);
+    /// The union of `parts`, each a table and the column of it that each
+    /// of the union's `arity` columns reads. One part read in order is
+    /// the union as it is, moved, not copied.
+    pub(crate) fn union(arity: usize, mut parts: Vec<(Rows, &[usize])>) -> Self {
+        let in_order = |(t, cols): &(Rows, &[usize])| cols.iter().copied().eq(0..t.arity);
+        // Canonical runs, which a stable sort merges.
+        let runs = parts.iter().all(in_order);
+        if runs && parts.len() == 1 {
+            return parts.pop().expect("one part").0;
         }
-        Rows::from_flat(arity, emitted, data)
+        let parts: Vec<Part<'_>> = parts
+            .iter()
+            .map(|(t, cols)| (&t.data[..], t.arity, *cols))
+            .collect();
+        Rows::canonical(arity, sorted(arity, &parts, runs))
     }
 
     /// Number of rows.
@@ -88,6 +94,11 @@ impl Rows {
             rows: self,
             next: 0,
         }
+    }
+
+    /// The rows, row-major.
+    pub(crate) fn data(&self) -> &[NodeId] {
+        &self.data
     }
 
     /// The values of one column, in row order.
@@ -144,24 +155,21 @@ impl std::fmt::Debug for Rows {
 /// A row packed into one integer whose order is the row's
 /// lexicographic order.
 trait PackedKey: Ord + Copy {
-    fn pack(row: &[NodeId]) -> Self;
-    fn unpack(self, row: &mut [NodeId]);
+    fn pack<const N: usize>(row: [NodeId; N]) -> Self;
+    fn unpack<const N: usize>(self) -> [NodeId; N];
 }
 
 macro_rules! packed_key {
     ($key:ty) => {
         impl PackedKey for $key {
             #[inline]
-            fn pack(row: &[NodeId]) -> Self {
+            fn pack<const N: usize>(row: [NodeId; N]) -> Self {
                 row.iter().fold(0, |key, n| (key << 32) | n.raw() as $key)
             }
 
             #[inline]
-            fn unpack(mut self, row: &mut [NodeId]) {
-                for slot in row.iter_mut().rev() {
-                    *slot = NodeId::new(self as u32);
-                    self >>= 32;
-                }
+            fn unpack<const N: usize>(self) -> [NodeId; N] {
+                std::array::from_fn(|i| NodeId::new((self >> (32 * (N - 1 - i))) as u32))
             }
         }
     };
@@ -170,31 +178,53 @@ macro_rules! packed_key {
 packed_key!(u64);
 packed_key!(u128);
 
+/// Rows to sort: row-major `data` of `width` columns, each row read as
+/// its columns `cols`.
+type Part<'a> = (&'a [NodeId], usize, &'a [usize]);
+
 /// Sorts the rows of a flat buffer and removes duplicates.
 fn normalize(arity: usize, data: &mut Vec<NodeId>) {
     let rows = data.chunks_exact(arity);
-    if rows.clone().zip(rows.skip(1)).all(|(a, b)| a < b) {
-        return;
-    }
-    match arity {
-        1 => {
-            data.sort_unstable();
-            data.dedup();
-        }
-        2 => normalize_packed::<u64>(arity, data),
-        3 | 4 => normalize_packed::<u128>(arity, data),
-        _ => normalize_wide(arity, data),
+    if !rows.clone().zip(rows.skip(1)).all(|(a, b)| a < b) {
+        let all: Vec<usize> = (0..arity).collect();
+        *data = sorted(arity, &[(data, arity, &all)], false);
     }
 }
 
-fn normalize_packed<K: PackedKey>(arity: usize, data: &mut Vec<NodeId>) {
-    let mut keys: Vec<K> = data.chunks_exact(arity).map(K::pack).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    data.truncate(keys.len() * arity);
-    for (key, row) in keys.into_iter().zip(data.chunks_exact_mut(arity)) {
-        key.unpack(row);
+/// The distinct rows of `parts`, sorted: stably when they are canonical
+/// `runs`, which the stable sort merges. Rows of up to four columns sort
+/// as one packed integer key each; wider rows by slice comparison.
+fn sorted(arity: usize, parts: &[Part<'_>], runs: bool) -> Vec<NodeId> {
+    match arity {
+        1 => sorted_keys::<1, u64>(parts, runs),
+        2 => sorted_keys::<2, u64>(parts, runs),
+        3 => sorted_keys::<3, u128>(parts, runs),
+        4 => sorted_keys::<4, u128>(parts, runs),
+        _ => {
+            let mut data = Vec::new();
+            for &(rows, width, cols) in parts {
+                let rows = rows.chunks_exact(width);
+                data.extend(rows.flat_map(|r| cols.iter().map(|&c| r[c])));
+            }
+            normalize_wide(arity, &mut data);
+            data
+        }
     }
+}
+
+fn sorted_keys<const N: usize, K: PackedKey>(parts: &[Part<'_>], runs: bool) -> Vec<NodeId> {
+    let mut keys: Vec<K> = Vec::new();
+    for &(rows, width, cols) in parts {
+        let rows = rows.chunks_exact(width);
+        keys.extend(rows.map(|r| K::pack::<N>(std::array::from_fn(|i| r[cols[i]]))));
+    }
+    match runs {
+        true => keys.sort(),
+        false => keys.sort_unstable(),
+    }
+    keys.dedup();
+    let rows: Vec<[NodeId; N]> = keys.into_iter().map(K::unpack).collect();
+    rows.into_flattened()
 }
 
 /// Rows too wide for a machine-word key: sort row indices by slice
@@ -262,9 +292,15 @@ mod tests {
         let n = NodeId::new;
         let a = Rows::from_flat(2, 2, vec![n(3), n(1), n(1), n(2)]);
         let b = Rows::from_flat(2, 2, vec![n(1), n(2), n(0), n(9)]);
-        let u = Rows::union(2, vec![a, b]);
+        let in_order = [0, 1];
+        let u = Rows::union(2, vec![(a.clone(), &in_order[..]), (b, &in_order)]);
         let got: Vec<&[NodeId]> = u.iter().collect();
         assert_eq!(got, [[n(0), n(9)], [n(1), n(2)], [n(3), n(1)]]);
         assert_eq!(u.column(1).collect::<Vec<_>>(), [n(9), n(2), n(1)]);
+        // One part read in order is the union; read swapped, it sorts.
+        assert_eq!(Rows::union(2, vec![(a.clone(), &in_order)]), a);
+        let swapped = Rows::union(2, vec![(a, &[1, 0][..])]);
+        let got: Vec<&[NodeId]> = swapped.iter().collect();
+        assert_eq!(got, [[n(1), n(3)], [n(2), n(1)]]);
     }
 }

@@ -16,7 +16,9 @@
 //! (label atoms that really filter), and hand-built CQTs with a
 //! `src == tgt` relation whose head variables are bound first and last
 //! (early projection, head ordering). A matrix of hand-built chain CQTs
-//! aims at the graph engine's expand kernel.
+//! aims at the graph engine's expand kernel, and a matrix of random CQTs
+//! (cycles, loops, dangling relations, two components, unary and ternary
+//! heads) is checked against a brute-force assignment oracle.
 
 mod support;
 
@@ -566,4 +568,222 @@ fn expand_kernel_chain_matrix() {
         "paths met in only {met} dense cases"
     );
     assert!(whole > 0, "no dense case was checked whole");
+}
+
+/// Every assignment of `cqt`'s variables to `db`'s nodes, assigned one
+/// variable at a time: a relation is checked by membership in its
+/// `eval_path` pairs once both its ends are assigned, an atom once its
+/// variable is. Returns the head tuples, sorted and distinct. Shares no
+/// code with either engine.
+fn brute_force(db: &GraphDatabase, cqt: &Cqt) -> Vec<Vec<NodeId>> {
+    type Checks = Vec<Vec<(usize, usize, Vec<(NodeId, NodeId)>)>>;
+    #[allow(clippy::too_many_arguments)]
+    fn assign(
+        k: usize,
+        nodes: &[NodeId],
+        admits: &dyn Fn(usize, NodeId) -> bool,
+        checks: &Checks,
+        head: &[usize],
+        at: &mut Vec<NodeId>,
+        rows: &mut Vec<Vec<NodeId>>,
+    ) {
+        if k == checks.len() {
+            rows.push(head.iter().map(|&h| at[h]).collect());
+            return;
+        }
+        for &n in nodes {
+            at.push(n);
+            let holds = |(s, t, pairs): &(usize, usize, Vec<_>)| pairs.contains(&(at[*s], at[*t]));
+            if admits(k, n) && checks[k].iter().all(holds) {
+                assign(k + 1, nodes, admits, checks, head, at, rows);
+            }
+            at.pop();
+        }
+    }
+    let mut vars = Vec::new();
+    for v in cqt.relations.iter().flat_map(|r| [r.src, r.tgt]) {
+        if !vars.contains(&v) {
+            vars.push(v);
+        }
+    }
+    let index = |v: VarId| vars.iter().position(|&w| w == v).expect("a variable");
+    let mut checks: Checks = vec![Vec::new(); vars.len()];
+    for r in &cqt.relations {
+        let (s, t) = (index(r.src), index(r.tgt));
+        checks[s.max(t)].push((s, t, eval_path(db, &r.path.strip())));
+    }
+    let admits = |k: usize, n: NodeId| {
+        let mut atoms = cqt.atoms.iter().filter(|a| a.var == vars[k]);
+        atoms.all(|a| a.labels.contains(&db.node_label(n)))
+    };
+    let head: Vec<usize> = cqt.head.iter().map(|&h| index(h)).collect();
+    let nodes: Vec<NodeId> = db.node_ids().collect();
+    let mut rows = Vec::new();
+    assign(
+        0,
+        &nodes,
+        &admits,
+        &checks,
+        &head,
+        &mut Vec::new(),
+        &mut rows,
+    );
+    rows.sort_unstable();
+    rows.dedup();
+    rows
+}
+
+/// Four to ten nodes labelled `N` or `M`, each `r` and each `s` edge
+/// drawn with probability 0.25; the first two nodes carry both labels
+/// and are joined by both edge labels, so that every label exists.
+fn small_database(seed: u64) -> GraphDatabase {
+    let rng = &mut Rng::seed_from_u64(seed);
+    let mut b = GraphDatabase::standalone_builder();
+    let nodes: Vec<_> = (0..rng.gen_range(4..11))
+        .map(|i| b.node(["N", "M"][if i < 2 { i } else { rng.gen_range(0..2) }], &[]))
+        .collect();
+    b.edge(nodes[0], "r", nodes[1]);
+    b.edge(nodes[1], "s", nodes[0]);
+    for &x in &nodes {
+        for &y in &nodes {
+            for l in ["r", "s"] {
+                if rng.gen_bool(0.25) {
+                    b.edge(x, l, y);
+                }
+            }
+        }
+    }
+    b.build().expect("small database is well-formed")
+}
+
+/// Random CQTs against [`brute_force`], over graphs small enough to
+/// enumerate: a chain `x0 … xk` of two or three relations, each a label,
+/// a reversed label, a two-label concatenation or a closure, either way
+/// round; head arity 1–3 in any order; label atoms anywhere; and, by
+/// case, a relation that closes a cycle on a head variable or on a middle
+/// one, a `src == tgt` relation on the first, a middle or the last
+/// variable, a dangling relation with or without an atom on its loose
+/// end, a second component, or a second disjunct that shares the chain's
+/// prefix. Pins the answers, whatever executes them.
+#[test]
+fn cqt_oracle_matrix() {
+    let x = |j: usize| VarId::new(j as u32);
+    let (dangling, y0, y1, via) = (x(7), x(8), x(9), x(5));
+    let mut answered = [0usize; 9];
+    for i in 0..CASES * 6 {
+        let seed = spread(i ^ 0xc0de);
+        let db = small_database(seed);
+        let rng = &mut Rng::seed_from_u64(seed);
+        let labels = ["N", "M"].map(|l| db.node_label_id(l).expect("a label"));
+        let [r, s] = ["r", "s"].map(|l| db.edge_label_id(l).expect("a label"));
+        let path = |rng: &mut Rng| {
+            let l = [r, s][rng.gen_range(0..2)];
+            match rng.gen_range(0..5) {
+                0 | 1 => PathExpr::Label(l),
+                2 => PathExpr::Reverse(l),
+                3 => PathExpr::concat(
+                    PathExpr::Label(l),
+                    PathExpr::Label([s, r][rng.gen_range(0..2)]),
+                ),
+                _ => PathExpr::plus(PathExpr::Label(l)),
+            }
+        };
+        // A relation between `a` and `b`, either way round.
+        let rel = |rng: &mut Rng, a: VarId, b: VarId| match rng.gen_bool(0.5) {
+            false => Relation::plain(a, path(rng), b),
+            true => Relation::plain(b, path(rng), a),
+        };
+        let shape = (i % 9) as usize;
+        let k = if shape == 2 {
+            3
+        } else {
+            2 + rng.gen_range(0..2)
+        };
+        let mut relations: Vec<Relation> = (0..k).map(|j| rel(rng, x(j), x(j + 1))).collect();
+        let mut head = match i / 9 % 3 {
+            0 => vec![x(if rng.gen_bool(0.5) { 0 } else { k })],
+            1 => vec![x(0), x(k)],
+            _ => vec![x(0), x(1), x(k)],
+        };
+        if rng.gen_bool(0.5) {
+            head.reverse();
+        }
+        let turn = rng.gen_range(0..head.len());
+        head.rotate_left(turn);
+        let mut second = None;
+        match shape {
+            // A cycle `&` closing on the chain's last variable.
+            1 => relations.push(rel(rng, x(0), x(k))),
+            // A second path between two middle variables.
+            2 => relations.push(rel(rng, x(1), x(2))),
+            // `src == tgt` on the first, a middle or the last variable;
+            // `l/-l` loops on every source of `l`.
+            3..=5 => {
+                let v = x([0, 1, k][shape - 3]);
+                let l = [r, s][rng.gen_range(0..2)];
+                let looping = PathExpr::concat(PathExpr::Label(l), PathExpr::Reverse(l));
+                let e = if rng.gen_bool(0.5) {
+                    looping
+                } else {
+                    path(rng)
+                };
+                relations.push(Relation::plain(v, e, v));
+            }
+            6 => {
+                let end = x(rng.gen_range(0..k + 1));
+                relations.push(rel(rng, end, dangling));
+            }
+            7 => {
+                relations.push(rel(rng, y0, y1));
+                if head.len() > 1 && rng.gen_bool(0.5) {
+                    *head.last_mut().expect("a head") = y0;
+                }
+            }
+            8 => {
+                // The same prefix, then two hops to the end instead of one.
+                let mut tail = relations[..k - 1].to_vec();
+                tail.push(rel(rng, x(k - 1), via));
+                tail.push(rel(rng, via, x(k)));
+                second = Some(tail);
+            }
+            _ => {}
+        }
+        let mut atoms = Vec::new();
+        for v in [x(0), x(1), x(2), x(3), dangling, y0, y1, via] {
+            if rng.gen_bool(if v == dangling { 0.5 } else { 0.2 }) {
+                let pick = rng.gen_range(0..3);
+                let labels = match pick {
+                    2 => labels.to_vec(),
+                    _ => vec![labels[pick]],
+                };
+                atoms.push(LabelAtom { var: v, labels });
+            }
+        }
+        let cqt = |relations: Vec<Relation>| {
+            let vars: Vec<VarId> = relations.iter().flat_map(|r| [r.src, r.tgt]).collect();
+            let atoms = atoms.iter().filter(|a| vars.contains(&a.var));
+            Cqt {
+                head: head.clone(),
+                atoms: atoms.cloned().collect(),
+                relations,
+            }
+        };
+        let mut query = Ucqt::single(cqt(relations));
+        query.disjuncts.extend(second.map(cqt));
+        let mut want: Vec<Vec<NodeId>> = query
+            .disjuncts
+            .iter()
+            .flat_map(|c| brute_force(&db, c))
+            .collect();
+        want.sort_unstable();
+        want.dedup();
+        let got = GraphEngine::new(&db).run_ucqt(&query).expect("engine runs");
+        let got: Vec<Vec<NodeId>> = got.iter().map(<[NodeId]>::to_vec).collect();
+        assert_eq!(got, want, "case {i} (seed {seed:#x}): {query:?}");
+        answered[shape] += usize::from(!want.is_empty());
+    }
+    assert!(
+        answered.iter().all(|&n| n > 2),
+        "too few non-empty answers per shape: {answered:?}"
+    );
 }
