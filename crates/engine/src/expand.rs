@@ -12,7 +12,7 @@ use sgq_query::annotated::LabelSet;
 use sgq_query::cqt::{Cqt, Ucqt};
 
 use crate::backend::GraphEngine;
-use crate::patheval::{eval_seeded, Seeds};
+use crate::patheval::{eval_seeded, flip, Seeds};
 use crate::rows::Rows;
 
 /// Rows a step writes between two polls; each batch is recorded.
@@ -43,13 +43,11 @@ pub(crate) struct Step {
 }
 
 impl Step {
-    /// Whether the step walks from the last of `width` columns, at most
-    /// four, drops it and appends what it reaches: rows that agree on
-    /// every other column form one group, deduplicated by node marks.
+    /// Whether the step walks a chain on: from the second of two columns,
+    /// which it drops for what it reaches. Rows that share their first
+    /// column (the origin) form one group, deduplicated by node marks.
     fn grouped(&self, width: usize) -> bool {
-        let kept = (0..width.saturating_sub(1)).chain([width]);
-        let walks_last = (1..=4).contains(&width) && self.from == Some(width - 1);
-        walks_last && self.into.is_none() && self.keep.iter().copied().eq(kept)
+        width == 2 && self.from == Some(1) && self.into.is_none() && self.keep == [0, 2]
     }
 
     /// Whether the step keeps every column of the extended row: a
@@ -110,11 +108,8 @@ impl Pattern {
         let mut k = 0;
         while let Some(&v) = order.get(k) {
             for i in (0..rels.len()).filter(|&i| open[i] && ends(i).contains(&v)) {
-                let w = if rels[i].src == v {
-                    rels[i].tgt
-                } else {
-                    rels[i].src
-                };
+                let [a, b] = ends(i);
+                let w = if a == v { b } else { a };
                 if !order.contains(&w) {
                     order.push(w);
                     via.push(Some(i));
@@ -122,14 +117,7 @@ impl Pattern {
             }
             k += 1;
         }
-        let mut spines: Vec<Vec<PathExpr>> = rels
-            .iter()
-            .map(|r| {
-                let mut spine = Vec::new();
-                flatten(r.path.strip(), &mut spine);
-                spine
-            })
-            .collect();
+        let mut spines: Vec<Vec<PathExpr>> = rels.iter().map(|r| spine(r.path.strip())).collect();
         for (at, test) in tests {
             let first = order.iter().position(|&v| v == at).and_then(|k| via[k]);
             let i = first
@@ -163,11 +151,7 @@ impl Pattern {
             let i = todo.remove(pos);
             let r = &rels[i];
             let forward = bound(r.src) || (!bound(r.tgt) && r.tgt != start);
-            let (p, q) = if forward {
-                (r.src, r.tgt)
-            } else {
-                (r.tgt, r.src)
-            };
+            let [p, q] = if forward { ends(i) } else { [r.tgt, r.src] };
             let mut spine = std::mem::take(&mut spines[i]);
             if !forward {
                 spine.reverse();
@@ -231,14 +215,11 @@ impl Hop {
     }
 }
 
-/// Splits `expr` along its `Concat` spine.
-fn flatten(expr: PathExpr, out: &mut Vec<PathExpr>) {
+/// `expr` split along its `Concat` spine.
+fn spine(expr: PathExpr) -> Vec<PathExpr> {
     match expr {
-        PathExpr::Concat(a, b) => {
-            flatten(*a, out);
-            flatten(*b, out);
-        }
-        e => out.push(e),
+        PathExpr::Concat(a, b) => [spine(*a), spine(*b)].concat(),
+        e => vec![e],
     }
 }
 
@@ -352,7 +333,6 @@ type Evaluated<'t> = Vec<(&'t Hop, Option<Vec<NodeId>>, PairSet)>;
 
 /// Expands `table` into every node of `nodes` and walks on from each;
 /// `table` itself is a leaf's answer where `head` says so.
-#[allow(clippy::too_many_arguments)]
 fn walk<'t>(
     eng: &GraphEngine<'_>,
     table: Rows,
@@ -380,9 +360,10 @@ fn walk<'t>(
 }
 
 /// One step from a canonical table: the canonical table it leads to. A
-/// grouped step runs [`grouped`]; the first step's landed pairs are its
-/// table; any other step writes row by row and, unless it keeps every
-/// column of a canonical table, normalises once.
+/// grouped step runs [`grouped`]; a chain's first step (no Expand-Into)
+/// takes its landed pairs as its table; any other step writes row by row
+/// and, unless it keeps every column of a canonical table, normalises
+/// once.
 fn expand<'t>(
     eng: &GraphEngine<'_>,
     table: &Rows,
@@ -427,8 +408,7 @@ fn expand<'t>(
                 };
                 let mut keyed = eval_seeded(eng, &hop.expr, Seeds { sources, targets })?;
                 if !hop.forward {
-                    keyed.iter_mut().for_each(|p| *p = (p.1, p.0));
-                    keyed.sort_unstable();
+                    flip(&mut keyed);
                 }
                 evaluated.push((hop, seeds, keyed));
                 evaluated.len() - 1
@@ -453,15 +433,11 @@ fn expand<'t>(
     let mut record = Record { eng, recorded: 0 };
     if step.grouped(width) {
         let scratch = &mut eng.scratch.borrow_mut();
-        let next = match width {
-            1 => grouped::<1, _>(data, reach, scratch, &mut record)?,
-            2 => grouped::<2, _>(data, reach, scratch, &mut record)?,
-            3 => grouped::<3, _>(data, reach, scratch, &mut record)?,
-            _ => grouped::<4, _>(data, reach, scratch, &mut record)?,
-        };
-        return Ok(Rows::canonical(width, next));
+        let next = grouped(data, reach, scratch, &mut record)?;
+        return Ok(Rows::canonical(2, next));
     }
-    if width == 0 && step.keeps_all(0) {
+    if width == 0 && into.is_none() && step.keeps_all(0) {
+        // A chain's first step: its landed pairs are its table.
         let landed = keyed.iter().filter(|p| lands(p.1));
         let next: Vec<[NodeId; 2]> = landed.map(|&(p, q)| [p, q]).collect();
         record.batch(next.len())?;
@@ -502,38 +478,30 @@ fn expand<'t>(
     })
 }
 
-/// A grouped step over a table of `W` columns: every node `reach` gives
-/// for a row's last column replaces it. The rows that agree on every
-/// other column form a group; its nodes are deduplicated by the engine's
-/// node marks, a fresh epoch per group, and its rows sorted alone. One
-/// row's reach is canonical already.
-fn grouped<const W: usize, I: Iterator<Item = NodeId>>(
+/// A grouped step over `(origin, current)` rows: every node `reach`
+/// gives for a row's current node replaces it. The rows of one origin
+/// form a group; its nodes are deduplicated by the engine's node marks, a
+/// fresh epoch per group, and its rows sorted alone. One row's reach is
+/// canonical already.
+fn grouped<I: Iterator<Item = NodeId>>(
     data: &[NodeId],
     reach: impl Fn(NodeId) -> I,
     scratch: &mut Scratch,
     record: &mut Record<'_, '_>,
 ) -> Result<Vec<NodeId>> {
-    let mut next: Vec<[NodeId; W]> = Vec::new();
-    for group in data
-        .as_chunks::<W>()
-        .0
-        .chunk_by(|a, b| a[..W - 1] == b[..W - 1])
-    {
+    let mut next: Vec<[NodeId; 2]> = Vec::new();
+    for group in data.as_chunks::<2>().0.chunk_by(|a, b| a[0] == b[0]) {
         let (at, single) = (next.len(), group.len() == 1);
         if !single {
             scratch.next_epoch();
         }
-        for row in group {
-            let kept = reach(row[W - 1]).filter(|&q| single || scratch.mark(q));
-            kept.for_each(|q| {
-                let mut out = *row;
-                out[W - 1] = q;
-                next.push(out);
-            });
+        for &[origin, current] in group {
+            let kept = reach(current).filter(|&q| single || scratch.mark(q));
+            kept.for_each(|q| next.push([origin, q]));
             record.batch(next.len())?;
         }
         if !single {
-            next[at..].sort_unstable_by_key(|row| row[W - 1]);
+            next[at..].sort_unstable_by_key(|row| row[1]);
         }
     }
     record.finish(next.len())?;

@@ -220,6 +220,24 @@ mod conjunctive {
         }
 
         #[test]
+        fn a_loop_walked_first_keeps_only_the_nodes_that_reach_themselves() {
+            // `r` edges 0 → 1 and 2 → 2: `{x | (x, r, x)}` is node 2 alone.
+            let mut b = GraphDatabase::standalone_builder();
+            let nodes: Vec<_> = (0..3).map(|_| b.node("N", &[])).collect();
+            b.edge(nodes[0], "r", nodes[1]);
+            b.edge(nodes[2], "r", nodes[2]);
+            let db = b.build().unwrap();
+            let x = VarId::new(0);
+            let cqt = Cqt {
+                head: vec![x],
+                atoms: vec![],
+                relations: vec![step(&db, x, "r", x)],
+            };
+            assert_eq!(widths(&cqt, x), [1]);
+            assert_eq!(rows(&db, &cqt), [[n(2)]]);
+        }
+
+        #[test]
         fn triangle_pattern() {
             // John owns n1 located in Montbonnot, but John lives in
             // Elerslie — no match.

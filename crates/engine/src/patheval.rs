@@ -221,7 +221,7 @@ fn compose(a: &PairSet, b: &PairSet, limits: &Limits) -> Result<PairSet> {
 }
 
 /// Reverses every pair of a canonical set, keeping it canonical.
-fn flip(pairs: &mut PairSet) {
+pub(crate) fn flip(pairs: &mut PairSet) {
     pairs.iter_mut().for_each(|p| *p = (p.1, p.0));
     pairs.sort_unstable();
 }

@@ -3,12 +3,12 @@
 //! [`Rows`] is both the binding table every step of the pattern executor
 //! reads and writes and the result the engine hands back: `arity` values
 //! per row in one `Vec<NodeId>`, always *canonical* (rows sorted
-//! lexicographically, duplicates removed). Nothing allocates per row, and
-//! the last step's table is the answer, moved, not copied. A step that
-//! cannot keep its output in order normalises it once: each row is packed
-//! into one integer key (`u64` up to two columns, `u128` up to four) so
-//! the sort compares machine words; wider rows fall back to a slice
-//! comparison.
+//! lexicographically, duplicates removed). Writing a row allocates
+//! nothing; a lone leaf's table in head order is the answer, moved, not
+//! copied. A step that cannot keep its output in order normalises it
+//! once: each row is packed into one integer key (`u64` up to two
+//! columns, `u128` up to four) so the sort compares machine words; wider
+//! rows, which no catalog query builds, sort as one vector each.
 
 use sgq_common::NodeId;
 
@@ -89,11 +89,9 @@ impl Rows {
     }
 
     /// The rows in lexicographic order, each a slice of `arity` values.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            rows: self,
-            next: 0,
-        }
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[NodeId]> + Clone + '_ {
+        let arity = self.arity;
+        (0..self.len).map(move |i| &self.data[i * arity..(i + 1) * arity])
     }
 
     /// The rows, row-major.
@@ -105,44 +103,6 @@ impl Rows {
     pub(crate) fn column(&self, pos: usize) -> impl Iterator<Item = NodeId> + '_ {
         debug_assert!(pos < self.arity);
         self.data.iter().skip(pos).step_by(self.arity).copied()
-    }
-}
-
-/// Iterator over the rows of a [`Rows`].
-#[derive(Debug, Clone)]
-pub struct Iter<'a> {
-    rows: &'a Rows,
-    next: usize,
-}
-
-impl<'a> Iterator for Iter<'a> {
-    type Item = &'a [NodeId];
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a [NodeId]> {
-        if self.next == self.rows.len {
-            return None;
-        }
-        let arity = self.rows.arity;
-        let start = self.next * arity;
-        self.next += 1;
-        Some(&self.rows.data[start..start + arity])
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.rows.len - self.next;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for Iter<'_> {}
-
-impl<'a> IntoIterator for &'a Rows {
-    type Item = &'a [NodeId];
-    type IntoIter = Iter<'a>;
-
-    fn into_iter(self) -> Iter<'a> {
-        self.iter()
     }
 }
 
@@ -193,7 +153,7 @@ fn normalize(arity: usize, data: &mut Vec<NodeId>) {
 
 /// The distinct rows of `parts`, sorted: stably when they are canonical
 /// `runs`, which the stable sort merges. Rows of up to four columns sort
-/// as one packed integer key each; wider rows by slice comparison.
+/// as one packed integer key each; wider rows as one vector each.
 fn sorted(arity: usize, parts: &[Part<'_>], runs: bool) -> Vec<NodeId> {
     match arity {
         1 => sorted_keys::<1, u64>(parts, runs),
@@ -201,13 +161,14 @@ fn sorted(arity: usize, parts: &[Part<'_>], runs: bool) -> Vec<NodeId> {
         3 => sorted_keys::<3, u128>(parts, runs),
         4 => sorted_keys::<4, u128>(parts, runs),
         _ => {
-            let mut data = Vec::new();
-            for &(rows, width, cols) in parts {
-                let rows = rows.chunks_exact(width);
-                data.extend(rows.flat_map(|r| cols.iter().map(|&c| r[c])));
+            let mut rows: Vec<Vec<NodeId>> = Vec::new();
+            for &(data, width, cols) in parts {
+                let data = data.chunks_exact(width);
+                rows.extend(data.map(|r| cols.iter().map(|&c| r[c]).collect()));
             }
-            normalize_wide(arity, &mut data);
-            data
+            rows.sort_unstable();
+            rows.dedup();
+            rows.concat()
         }
     }
 }
@@ -225,20 +186,6 @@ fn sorted_keys<const N: usize, K: PackedKey>(parts: &[Part<'_>], runs: bool) -> 
     keys.dedup();
     let rows: Vec<[NodeId; N]> = keys.into_iter().map(K::unpack).collect();
     rows.into_flattened()
-}
-
-/// Rows too wide for a machine-word key: sort row indices by slice
-/// comparison, then copy the distinct rows out in order.
-fn normalize_wide(arity: usize, data: &mut Vec<NodeId>) {
-    let row = |i: u32| &data[i as usize * arity..(i as usize + 1) * arity];
-    let mut order: Vec<u32> = (0..(data.len() / arity) as u32).collect();
-    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
-    order.dedup_by(|a, b| row(*a) == row(*b));
-    let mut out = Vec::with_capacity(order.len() * arity);
-    for &i in &order {
-        out.extend_from_slice(row(i));
-    }
-    *data = out;
 }
 
 #[cfg(test)]

@@ -716,7 +716,8 @@ fn cqt_oracle_matrix() {
             1 => relations.push(rel(rng, x(0), x(k))),
             // A second path between two middle variables.
             2 => relations.push(rel(rng, x(1), x(2))),
-            // `src == tgt` on the first, a middle or the last variable;
+            // `src == tgt` on the first, a middle or the last variable,
+            // listed first (walked first when it is on the start) or last;
             // `l/-l` loops on every source of `l`.
             3..=5 => {
                 let v = x([0, 1, k][shape - 3]);
@@ -727,7 +728,8 @@ fn cqt_oracle_matrix() {
                 } else {
                     path(rng)
                 };
-                relations.push(Relation::plain(v, e, v));
+                let at = [0, relations.len()][rng.gen_range(0..2)];
+                relations.insert(at, Relation::plain(v, e, v));
             }
             6 => {
                 let end = x(rng.gen_range(0..k + 1));
